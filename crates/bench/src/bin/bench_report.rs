@@ -19,7 +19,7 @@ use crowdfill_bench::workload::{
 };
 use crowdfill_docstore::{FsyncPolicy, Wal};
 use crowdfill_matching::Parallelism;
-use crowdfill_server::{Backend, ConnLayer};
+use crowdfill_server::Backend;
 use crowdfill_sim::openloop;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -427,19 +427,14 @@ fn connscale_suite(quick: bool) -> Vec<Entry> {
     headline.name = "reactor-1kx16";
     run(&headline);
 
-    // The A/B pair bench_compare diffs across layers: same plan, reactor
-    // vs thread-per-connection.
-    for (name, layer) in [
-        ("reactor-128x4", ConnLayer::default()),
-        ("threadper-128x4", ConnLayer::ThreadPerConn),
-    ] {
-        let mut opts = ConnScaleOptions::smoke(223, 4, 128);
-        opts.name = name;
-        opts.connect_window_ms = 500;
-        opts.duration_ms = 1_500;
-        opts.mode = ConnScaleMode::InProcess(layer);
-        run(&opts);
-    }
+    // The small shape: the plan the checked-in `threadper-128x4` row
+    // (the historical thread-per-connection A/B, see EXPERIMENTS.md) was
+    // measured on.
+    let mut small = ConnScaleOptions::smoke(223, 4, 128);
+    small.name = "reactor-128x4";
+    small.connect_window_ms = 500;
+    small.duration_ms = 1_500;
+    run(&small);
 
     // Full mode only: the 10k-connection, 128-collection headline. Driver
     // and server each spend a file descriptor per session, so the server
@@ -510,8 +505,6 @@ fn spawn_connscale_server(
             &workers.to_string(),
             "--fills",
             &fills.to_string(),
-            "--layer",
-            "reactor",
         ])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())

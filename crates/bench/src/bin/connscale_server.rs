@@ -9,17 +9,17 @@
 //! exits or drops the pipe), so a crashed parent can never leak the server.
 //!
 //! ```text
-//! connscale-server --collections 128 --workers 10000 --fills 2 --layer reactor
+//! connscale-server --collections 128 --workers 10000 --fills 2
 //! ```
 
 use crowdfill_bench::connscale::collection_backends;
-use crowdfill_server::{ConnLayer, ReactorOptions, ServiceOptions, TcpService};
+use crowdfill_server::{ReactorOptions, ServiceOptions, TcpService};
 use std::io::{Read, Write};
 
 fn usage() -> ! {
     eprintln!(
         "usage: connscale-server --collections N --workers N --fills N \
-         [--layer reactor|threadper] [--shards N] [--addr HOST:PORT]"
+         [--shards N] [--addr HOST:PORT]"
     );
     std::process::exit(2);
 }
@@ -28,7 +28,6 @@ fn main() {
     let mut collections = 16usize;
     let mut workers = 1000usize;
     let mut fills = 2usize;
-    let mut layer = "reactor".to_string();
     let mut shards = 0usize;
     let mut addr = "127.0.0.1:0".to_string();
     let mut args = std::env::args().skip(1);
@@ -51,7 +50,6 @@ fn main() {
                 take(&mut buf);
                 fills = buf.parse().unwrap_or_else(|_| usage());
             }
-            "--layer" => take(&mut layer),
             "--shards" => {
                 take(&mut buf);
                 shards = buf.parse().unwrap_or_else(|_| usage());
@@ -60,16 +58,11 @@ fn main() {
             _ => usage(),
         }
     }
-    let conn_layer = match layer.as_str() {
-        "reactor" => ConnLayer::Reactor(ReactorOptions {
+    let options = ServiceOptions {
+        reactor: ReactorOptions {
             shards,
             ..ReactorOptions::default()
-        }),
-        "threadper" => ConnLayer::ThreadPerConn,
-        _ => usage(),
-    };
-    let options = ServiceOptions {
-        conn_layer,
+        },
         ..ServiceOptions::default()
     };
     let backends = collection_backends(collections, workers, fills);

@@ -25,10 +25,10 @@ fn main() {
     let backend = Backend::new(pipeline_config(ROWS));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
-        batch: Some(BatchOptions {
+        batch: BatchOptions {
             max_batch: 8,
             max_wait: Duration::from_millis(1),
-        }),
+        },
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();

@@ -40,7 +40,7 @@ use crowdfill_model::{
 use crowdfill_net::nonblocking::{FrameReader, FrameWriter};
 use crowdfill_net::ConnError;
 use crowdfill_server::wire;
-use crowdfill_server::{Backend, ConnLayer, ServiceOptions, TaskConfig, TcpService};
+use crowdfill_server::{Backend, ServiceOptions, TaskConfig, TcpService};
 use crowdfill_sim::openloop::{conn_scale, SessionPlan};
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -53,9 +53,9 @@ use std::time::{Duration, Instant};
 /// Where the service under test lives.
 #[derive(Debug, Clone)]
 pub enum ConnScaleMode {
-    /// Start a [`TcpService`] inside this process with the given connection
-    /// layer. Verification reads the backends directly.
-    InProcess(ConnLayer),
+    /// Start a [`TcpService`] inside this process. Verification reads the
+    /// backends directly.
+    InProcess,
     /// Drive an already-listening server (see the `connscale-server` bin) —
     /// the shape the 10k-connection scenario needs, since driver and server
     /// each spend one file descriptor per session. Verification replays the
@@ -103,7 +103,7 @@ impl ConnScaleOptions {
             duration_ms: 4_000,
             deadline: Duration::from_secs(120),
             driver_threads: 4,
-            mode: ConnScaleMode::InProcess(ConnLayer::default()),
+            mode: ConnScaleMode::InProcess,
         }
     }
 
@@ -152,8 +152,7 @@ pub struct ConnScaleReport {
     pub elapsed: Duration,
     pub ack_p50_ns: u64,
     pub ack_p99_ns: u64,
-    /// Reactor fairness deferrals observed during the run (0 under the
-    /// thread-per-connection layer).
+    /// Reactor fairness deferrals observed during the run.
     pub fairness_deferrals: u64,
     pub lanes: Vec<CollectionLane>,
 }
@@ -629,15 +628,12 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
     let deferrals_before = deferrals.get();
 
     let (service, addr) = match &opts.mode {
-        ConnScaleMode::InProcess(layer) => {
+        ConnScaleMode::InProcess => {
             let backends =
                 collection_backends(opts.collections, opts.workers, opts.fills_per_worker);
-            let options = ServiceOptions {
-                conn_layer: layer.clone(),
-                ..ServiceOptions::default()
-            };
-            let service = TcpService::start_multi(backends, "127.0.0.1:0", options)
-                .expect("connscale service failed to start");
+            let service =
+                TcpService::start_multi(backends, "127.0.0.1:0", ServiceOptions::default())
+                    .expect("connscale service failed to start");
             let addr = service.addr();
             (Some(service), addr)
         }
@@ -859,19 +855,6 @@ mod tests {
             assert_eq!(lane.acked, lane.expected);
         }
         assert!(report.peak_concurrent >= 1);
-    }
-
-    #[test]
-    fn thread_per_conn_layer_passes_the_same_audit() {
-        let mut opts = ConnScaleOptions::smoke(11, 2, 12);
-        opts.name = "unit-threadper";
-        opts.connect_window_ms = 100;
-        opts.duration_ms = 300;
-        opts.driver_threads = 2;
-        opts.mode = ConnScaleMode::InProcess(ConnLayer::ThreadPerConn);
-        let report = run_conn_scale(&opts);
-        report.assert_invariants(1_000.0);
-        assert_eq!(report.acked, 24);
     }
 
     #[test]

@@ -425,7 +425,7 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
     let backend = Backend::new(harness_config(opts.rows));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
-        batch: Some(opts.batch.clone()),
+        batch: opts.batch.clone(),
         overload: opts.overload.clone(),
         ..ServiceOptions::default()
     };

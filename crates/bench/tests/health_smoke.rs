@@ -29,10 +29,10 @@ fn health_report_matches_ground_truth() {
     let backend = Backend::new(pipeline_config(ROWS));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
-        batch: Some(BatchOptions {
+        batch: BatchOptions {
             max_batch: 8,
             max_wait: Duration::from_millis(1),
-        }),
+        },
         // A fast sampler so the SLO window has real ticks within the test.
         telemetry: Some(TelemetryOptions {
             sample_period: Duration::from_millis(10),

@@ -14,10 +14,12 @@
 //!   document store (§3.2);
 //! * [`Marketplace`] — simulated Mechanical Turk (sandbox) integration
 //!   (§3.1);
-//! * [`TcpService`] / [`RemoteWorker`] — the networked deployment (§3.3).
+//! * [`TcpService`] / [`RemoteWorker`] — the networked deployment (§3.3):
+//!   service in [`tcp_service`] over [`reactor`], client in [`client`].
 
 pub mod backend;
 pub mod batch;
+pub mod client;
 pub mod config;
 pub mod frontend;
 pub mod health;
@@ -33,6 +35,7 @@ pub mod worker_client;
 
 pub use backend::{Backend, BatchJob, BatchOp, BatchOutcome, SubmitError, SubmitReport};
 pub use batch::{BatchOptions, BatchPipeline};
+pub use client::{Dialer, ReconnectPolicy, RemoteAck, RemoteError, RemoteWorker};
 pub use config::TaskConfig;
 pub use frontend::{Frontend, FrontendError, TaskStatus};
 pub use health::{
@@ -54,8 +57,7 @@ pub use progress::{
 pub use reactor::ReactorOptions;
 pub use recommend::{Recommendation, RecommendationKind};
 pub use tcp_service::{
-    Collection, ConnLayer, Dialer, DurabilitySweepOptions, ProgressOptions, ReconnectPolicy,
-    RemoteAck, RemoteError, RemoteWorker, ServiceOptions, TcpService, TelemetryOptions,
-    DEFAULT_COLLECTION,
+    Collection, DurabilitySweepOptions, ProgressOptions, ServiceOptions, TcpService,
+    TelemetryOptions, DEFAULT_COLLECTION,
 };
 pub use worker_client::{Outgoing, WorkerClient};

@@ -1,12 +1,10 @@
 //! # Sharded event-driven connection layer
 //!
-//! The legacy transport spends two threads per connection (a blocking
-//! reader plus a [`Seat`](crate::tcp_service) writer); at thousands of
-//! workers that is thousands of stacks and a scheduler meltdown. The
-//! reactor replaces both with a small fixed pool of *shard* threads, each
-//! owning a disjoint set of nonblocking sockets that it drives with a
-//! bounded sweep loop — total server threads are O(pool size), not
-//! O(connections).
+//! A thread (or two) per connection is thousands of stacks and a
+//! scheduler meltdown at thousands of workers. The reactor instead runs a
+//! small fixed pool of *shard* threads, each owning a disjoint set of
+//! nonblocking sockets that it drives with a bounded sweep loop — total
+//! server threads are O(pool size), not O(connections).
 //!
 //! ## Sweep anatomy
 //!
@@ -17,9 +15,9 @@
 //! 1. completes a parked submit/modify (the batch pipeline's async reply);
 //! 2. reads whatever the socket has, bounded by `read_budget`, into the
 //!    connection's [`FrameReader`];
-//! 3. decodes and serves complete frames — the same handshake
-//!    ([`open_session`]) and request grammar ([`parse_request`]) as the
-//!    legacy layer, so the protocol cannot fork;
+//! 3. decodes and serves complete frames — the handshake
+//!    ([`open_session`]) and the request grammar ([`parse_request`]) live
+//!    in `tcp_service.rs`;
 //! 4. drains the connection's [`Outbox`] (broadcasts queued by the apply
 //!    thread) into its [`FrameWriter`], honoring `writer_pace`;
 //! 5. flushes the writer as far as the socket accepts.
@@ -28,14 +26,15 @@
 //! `idle_sleep`, so an idle shard costs a few wakeups per millisecond,
 //! not a spinning core.
 //!
-//! ## Seat parity
+//! ## Outbox policy
 //!
-//! The [`Outbox`] preserves the Seat's degradation semantics exactly:
-//! bounded broadcast buffer, lagging downgrade with dropped-frame
-//! accounting when it overflows, a `{"type":"lagging"}` note once the
-//! buffer drains, eviction after `evict_after` without a healing `sync`,
-//! and `writer_pace` spacing consecutive broadcast frames (acks and other
-//! replies bypass the pace, as they bypassed the Seat).
+//! The [`Outbox`] is where the slow-reader policy lives: a bounded
+//! broadcast buffer, a lagging downgrade with dropped-frame accounting
+//! when it overflows, a `{"type":"lagging"}` note once the buffer drains,
+//! eviction after `evict_after` without a healing `sync`, and
+//! `writer_pace` spacing consecutive broadcast frames. Acks and other
+//! replies go straight to the connection's [`FrameWriter`]: they are
+//! neither bounded by the outbox nor paced.
 //!
 //! ## Per-collection fairness
 //!
@@ -46,14 +45,13 @@
 //! another collection's admission — the quiet collection's frames are
 //! served on the same sweep.
 
-use crate::backend::{SubmitError, SubmitReport};
+use crate::backend::{BatchOp, SubmitError, SubmitReport};
 use crate::batch::AsyncSubmit;
 use crate::overload::{OverloadOptions, Priority};
 use crate::tcp_service::{
-    apply_direct, close_session, flush_outboxes, flush_worker_outbox, health_reply, lagging_frame,
-    m_evictions, m_lag_downgrades, m_lag_dropped, now_millis, open_session, parse_request,
-    reject_frame, result_frame, stats_reply, sync_reply, trace_dump_reply, Collection, Downlink,
-    Request, ServiceShared, SessionOpen,
+    close_session, flush_worker_outbox, health_reply, lagging_frame, m_evictions, m_lag_downgrades,
+    m_lag_dropped, open_session, parse_request, reject_frame, result_frame, stats_reply,
+    sync_reply, trace_dump_reply, Collection, Request, ServiceMetrics, ServiceShared, SessionOpen,
 };
 use crossbeam::channel::{self, TryRecvError};
 use crowdfill_docstore::{Json, JsonRef};
@@ -125,13 +123,13 @@ impl ReactorOptions {
     }
 }
 
-/// The reactor-side send half of one connection: the [`Seat`]'s bounded
-/// buffer and lagging/eviction state machine, minus the writer thread —
-/// the owning shard drains it during the sweep. Broadcast producers (the
-/// apply thread's after-batch flush, the eviction sweep) touch only this
-/// handle, never the socket.
-///
-/// [`Seat`]: crate::tcp_service
+/// The server-side send half of one connection: a bounded broadcast
+/// buffer plus the lagging state that drives the watermark downgrade →
+/// `sync` → eviction policy. Enqueuing is non-blocking, so one stalled
+/// reader can never wedge the broadcast flush path for everyone else; the
+/// owning shard drains the buffer during its sweep. Broadcast producers
+/// (the apply thread's after-batch flush, the eviction sweep) touch only
+/// this handle, never the socket.
 pub struct Outbox {
     peer: String,
     /// A dup of the connection's socket used only to force-close it from
@@ -139,13 +137,18 @@ pub struct Outbox {
     closer: TcpStream,
     queue: Mutex<VecDeque<Vec<u8>>>,
     capacity: usize,
-    /// Set when the broadcast buffer overflows; see `Seat::enqueue` for
-    /// the downgrade policy this mirrors.
+    /// Set when the broadcast buffer overflows. While lagging, broadcasts
+    /// to this connection are counted and dropped — the client's exact-seq
+    /// tracking means a later `sync`/`resume` replays precisely what was
+    /// missed — and the eviction clock runs.
     lagging: AtomicBool,
+    /// When the connection went lagging (the eviction clock).
     lagging_since: Mutex<Option<Instant>>,
     /// A `{"type":"lagging"}` note owed to the client, emitted by the
     /// shard once the buffer makes progress.
     note_pending: AtomicBool,
+    /// Set once the connection has been evicted (shutdown is idempotent,
+    /// but the metrics should count each eviction once).
     evicted: AtomicBool,
 }
 
@@ -209,7 +212,11 @@ impl Outbox {
     }
 
     /// Disconnects the connection if it has been lagging past
-    /// [`OverloadOptions::evict_after`] without a healing `sync`.
+    /// [`OverloadOptions::evict_after`] without a healing `sync`. Called
+    /// from [`enqueue_broadcast`](Self::enqueue_broadcast) when fresh
+    /// broadcasts arrive and from the service's periodic sweep, so a
+    /// stalled reader on a quiet collection (no further broadcast traffic)
+    /// is still evicted on time.
     pub(crate) fn maybe_evict(&self, overload: &OverloadOptions) {
         if self.evicted.load(Ordering::Acquire) || !self.lagging.load(Ordering::Acquire) {
             return;
@@ -229,8 +236,11 @@ impl Outbox {
         }
     }
 
-    /// Clears the lagging state (see `Seat::clear_lagging` for why the
-    /// `sync` handler calls this before computing the catch-up suffix).
+    /// Clears the lagging state. Called by the `sync` handler *before* the
+    /// catch-up suffix is computed under the backend lock: every broadcast
+    /// dropped while lagging then has a seq below the history length the
+    /// reply covers, and anything newer is enqueued normally (overlap is
+    /// healed by the client's seq dedup).
     pub(crate) fn clear_lagging(&self) {
         self.lagging.store(false, Ordering::Release);
         *self.lagging_since.lock() = None;
@@ -297,6 +307,53 @@ struct Session {
     last_broadcast_pop: Option<Instant>,
 }
 
+impl Session {
+    /// Hands a decoded submit/modify to the collection's batch pipeline.
+    /// If admission settles it on the spot the reply is queued now;
+    /// otherwise the connection parks on the async reply — the shard keeps
+    /// sweeping other conns and picks the ack up at step 1 of a later sweep.
+    fn submit_op(
+        &mut self,
+        op: BatchOp,
+        priority: Priority,
+        trace: TraceId,
+        metrics: &ServiceMetrics,
+        writer: &mut FrameWriter,
+        dead: &mut bool,
+    ) {
+        let submitted_at = Instant::now();
+        let record_hist = matches!(op, BatchOp::Msg { .. }); // a submit, not a modify
+        let pipeline = &self.collection.pipeline;
+        match pipeline.submit_async(self.worker, op, priority, trace) {
+            AsyncSubmit::Done(result) => {
+                self.record_latency(record_hist, submitted_at, metrics);
+                queue_frame(writer, dead, &result_frame(result, trace));
+            }
+            AsyncSubmit::Pending(rx) => {
+                self.pending = Some(PendingReply {
+                    rx,
+                    trace,
+                    submitted_at,
+                    record_hist,
+                });
+            }
+        }
+    }
+
+    /// Records a settled op's request-to-reply latency.
+    fn record_latency(&self, record_hist: bool, submitted_at: Instant, metrics: &ServiceMetrics) {
+        let elapsed = submitted_at.elapsed().as_nanos() as u64;
+        if record_hist {
+            if let Some(h) = &self.ack_hist {
+                h.record(elapsed);
+            }
+            metrics.submit_latency_ns.record(elapsed);
+        } else {
+            metrics.modify_latency_ns.record(elapsed);
+        }
+    }
+}
+
 enum Phase {
     /// Waiting for the `hello`/`resume` frame.
     Handshake,
@@ -333,10 +390,6 @@ impl ConnState {
             last_activity: Instant::now(),
         })
     }
-
-    fn queue_reply(&mut self, reply: &Json) {
-        queue_frame(&mut self.writer, &mut self.dead, reply);
-    }
 }
 
 /// Queues a reply frame on a connection's writer (free function so
@@ -354,9 +407,13 @@ fn shard_loop(
     options: ReactorOptions,
 ) {
     let mut conns: Vec<ConnState> = Vec::new();
-    // Per-sweep fairness budgets, keyed by collection name; reallocated
-    // (not reallocated — refilled) every sweep.
-    let mut budgets: HashMap<String, usize> = HashMap::new();
+    // Per-sweep fairness budgets, keyed by collection name. The collection
+    // set is fixed at service start: built once, refilled in place per sweep.
+    let mut budgets: HashMap<String, usize> = shared
+        .collections
+        .keys()
+        .map(|name| (name.clone(), options.collection_frames_per_sweep))
+        .collect();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             for conn in conns.iter_mut() {
@@ -373,9 +430,8 @@ fn shard_loop(
                 progress = true;
             }
         }
-        budgets.clear();
-        for name in shared.collections.keys() {
-            budgets.insert(name.clone(), options.collection_frames_per_sweep);
+        for budget in budgets.values_mut() {
+            *budget = options.collection_frames_per_sweep;
         }
         for conn in conns.iter_mut() {
             if sweep_conn(conn, &shared, &options, &mut budgets) {
@@ -404,7 +460,7 @@ fn retire(conn: &mut ConnState, shared: &ServiceShared) {
     if let Phase::Active(session) = &conn.phase {
         close_session(
             &session.collection,
-            &Downlink::Outbox(Arc::clone(&session.outbox)),
+            &session.outbox,
             session.worker,
             session.epoch,
             &shared.metrics,
@@ -433,15 +489,7 @@ fn sweep_conn(
         };
         if let Some(result) = completed {
             let pending = session.pending.take().unwrap();
-            let elapsed = pending.submitted_at.elapsed().as_nanos() as u64;
-            if pending.record_hist {
-                if let Some(h) = &session.ack_hist {
-                    h.record(elapsed);
-                }
-                shared.metrics.submit_latency_ns.record(elapsed);
-            } else {
-                shared.metrics.modify_latency_ns.record(elapsed);
-            }
+            session.record_latency(pending.record_hist, pending.submitted_at, &shared.metrics);
             let reply = result_frame(result, pending.trace);
             queue_frame(&mut conn.writer, &mut conn.dead, &reply);
             progress = true;
@@ -471,7 +519,7 @@ fn sweep_conn(
         }
         if let Phase::Active(session) = &conn.phase {
             if session.pending.is_some() {
-                break; // one op in flight per connection, like the legacy loop
+                break; // one op in flight per connection: acks stay in request order
             }
             if budgets.get(session.collection.name()) == Some(&0) {
                 if conn.reader.pending_bytes() >= 4 {
@@ -503,8 +551,8 @@ fn sweep_conn(
         }
     }
 
-    // 4. Drain broadcasts into the writer, honoring writer_pace (acks and
-    // other replies bypass the pace, exactly as they bypassed the Seat).
+    // 4. Drain broadcasts into the writer, honoring writer_pace. Only
+    // broadcasts are paced: acks and other replies never enter the outbox.
     if let Phase::Active(session) = &mut conn.phase {
         let pace = shared.options.overload.writer_pace;
         let mut popped = false;
@@ -571,10 +619,11 @@ fn sweep_conn(
     progress
 }
 
-/// Serves the connection's first frame (`hello`/`resume`), shared grammar
-/// with the legacy layer via [`open_session`].
+/// Serves the connection's first frame (`hello`/`resume`) via
+/// [`open_session`].
 fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
-    let Ok(req) = Json::parse(&String::from_utf8_lossy(frame)) else {
+    let text = String::from_utf8_lossy(frame);
+    let Ok(req) = JsonRef::parse(&text) else {
         shared.metrics.malformed_frames.inc();
         conn.dead = true;
         return;
@@ -588,7 +637,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
         } => {
             // Handshake reply enters the writer FIRST: the single outbound
             // queue guarantees no broadcast precedes the welcome.
-            conn.queue_reply(&reply);
+            queue_frame(&mut conn.writer, &mut conn.dead, &reply);
             if conn.dead {
                 collection.backend.lock().disconnect_epoch(worker, epoch);
                 shared.metrics.disconnects.inc();
@@ -606,11 +655,18 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
                 return;
             };
             let outbox = Arc::new(Outbox::new(peer, closer, &shared.options.overload));
-            let link = Downlink::Outbox(Arc::clone(&outbox));
-            collection.registry.lock().insert(worker, link.clone());
+            collection
+                .registry
+                .lock()
+                .insert(worker, Arc::clone(&outbox));
             // Cover broadcasts that landed between the backend call and
             // registration (they sit behind the handshake reply).
-            flush_worker_outbox(&collection.backend, &link, worker, &shared.options.overload);
+            flush_worker_outbox(
+                &collection.backend,
+                &outbox,
+                worker,
+                &shared.options.overload,
+            );
             let ack_hist = collection.backend.lock().worker_ack_histogram(worker);
             conn.phase = Phase::Active(Session {
                 collection,
@@ -623,7 +679,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
             });
         }
         SessionOpen::Rejected(reply) => {
-            conn.queue_reply(&reply);
+            queue_frame(&mut conn.writer, &mut conn.dead, &reply);
             conn.closing = true;
         }
         SessionOpen::Malformed => {
@@ -632,9 +688,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
     }
 }
 
-/// Serves one in-session request frame; mirrors the legacy `run_session`
-/// arm-for-arm via the shared [`parse_request`] grammar and reply
-/// builders.
+/// Serves one in-session request frame, decoded by [`parse_request`].
 fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
     let ConnState {
         phase,
@@ -654,7 +708,6 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
     let metrics = &shared.metrics;
     let _request_timer = SpanTimer::start(&metrics.request_latency_ns);
     let backend = &session.collection.backend;
-    let pipeline = session.collection.pipeline.as_deref();
     match parse_request(&req) {
         Request::Submit {
             op,
@@ -662,51 +715,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
             trace,
         } => {
             metrics.submit_requests.inc();
-            let submitted_at = Instant::now();
-            match pipeline {
-                Some(p) => match p.submit_async(session.worker, op, priority, trace) {
-                    AsyncSubmit::Done(result) => {
-                        if let Some(h) = &session.ack_hist {
-                            h.record(submitted_at.elapsed().as_nanos() as u64);
-                        }
-                        metrics
-                            .submit_latency_ns
-                            .record(submitted_at.elapsed().as_nanos() as u64);
-                        queue_frame(writer, dead, &result_frame(result, trace));
-                    }
-                    AsyncSubmit::Pending(rx) => {
-                        // Park: the shard keeps sweeping other conns; the
-                        // ack is picked up at step 1 of a later sweep.
-                        session.pending = Some(PendingReply {
-                            rx,
-                            trace,
-                            submitted_at,
-                            record_hist: true,
-                        });
-                    }
-                },
-                None => {
-                    let result = apply_direct(
-                        backend,
-                        session.worker,
-                        op,
-                        now_millis(shared.started),
-                        trace,
-                    );
-                    if let Some(h) = &session.ack_hist {
-                        h.record(submitted_at.elapsed().as_nanos() as u64);
-                    }
-                    metrics
-                        .submit_latency_ns
-                        .record(submitted_at.elapsed().as_nanos() as u64);
-                    queue_frame(writer, dead, &result_frame(result, trace));
-                    flush_outboxes(
-                        backend,
-                        &session.collection.registry,
-                        &shared.options.overload,
-                    );
-                }
-            }
+            session.submit_op(op, priority, trace, metrics, writer, dead);
         }
         Request::MalformedSubmit => {
             metrics.submit_requests.inc();
@@ -714,43 +723,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
         }
         Request::Modify { op, trace } => {
             metrics.modify_requests.inc();
-            let submitted_at = Instant::now();
-            match pipeline {
-                Some(p) => match p.submit_async(session.worker, op, Priority::Normal, trace) {
-                    AsyncSubmit::Done(result) => {
-                        metrics
-                            .modify_latency_ns
-                            .record(submitted_at.elapsed().as_nanos() as u64);
-                        queue_frame(writer, dead, &result_frame(result, trace));
-                    }
-                    AsyncSubmit::Pending(rx) => {
-                        session.pending = Some(PendingReply {
-                            rx,
-                            trace,
-                            submitted_at,
-                            record_hist: false,
-                        });
-                    }
-                },
-                None => {
-                    let result = apply_direct(
-                        backend,
-                        session.worker,
-                        op,
-                        now_millis(shared.started),
-                        trace,
-                    );
-                    metrics
-                        .modify_latency_ns
-                        .record(submitted_at.elapsed().as_nanos() as u64);
-                    queue_frame(writer, dead, &result_frame(result, trace));
-                    flush_outboxes(
-                        backend,
-                        &session.collection.registry,
-                        &shared.options.overload,
-                    );
-                }
-            }
+            session.submit_op(op, Priority::Normal, trace, metrics, writer, dead);
         }
         Request::MalformedModify => {
             metrics.modify_requests.inc();

@@ -11,8 +11,8 @@
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
 use crowdfill_net::{FaultConfig, FaultyConn, FrameConn, TcpConn};
 use crowdfill_server::{
-    Backend, BatchOptions, ConnLayer, Dialer, ReconnectPolicy, RemoteError, RemoteWorker,
-    ServiceOptions, TaskConfig, TcpService,
+    Backend, BatchOptions, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, ServiceOptions,
+    TaskConfig, TcpService,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -261,10 +261,10 @@ fn resume_replays_exact_suffix_after_mid_batch_disconnect() {
         let backend = Backend::new(config(2));
         let options = ServiceOptions {
             idle_timeout: Some(Duration::from_secs(30)),
-            batch: Some(BatchOptions {
+            batch: BatchOptions {
                 max_batch: 64,
                 max_wait: Duration::from_millis(10),
-            }),
+            },
             ..ServiceOptions::default()
         };
         let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
@@ -437,10 +437,10 @@ fn sheds_under_burst_without_losing_acks() {
     let backend = Backend::new(config(16));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
-        batch: Some(BatchOptions {
+        batch: BatchOptions {
             max_batch: 4,
             max_wait: Duration::from_millis(1),
-        }),
+        },
         overload: crowdfill_server::OverloadOptions {
             max_queue: 2,
             shed_after: Duration::from_millis(5),
@@ -618,142 +618,4 @@ fn stalled_reader_on_quiet_collection_is_evicted_by_sweep() {
         "stalled reader was never evicted without broadcast traffic \
          (eviction clock must be sweep-driven, not enqueue-driven)"
     );
-}
-
-/// Connection churn must not leak seat writer threads. (Regression: the
-/// writer thread used to capture `Arc<Seat>`, and the seat holds the
-/// outbound channel's only `Sender`, so `recv()` could never observe
-/// disconnection — every finished connection left its writer blocked
-/// forever, pinning the seat and the socket with it.)
-#[test]
-fn finished_connections_release_their_writer_threads() {
-    // Writer threads are named "crowdfill-conn-write"; the kernel keeps the
-    // first 15 chars, "crowdfill-conn-", which is distinct from the serve
-    // threads' full name "crowdfill-conn".
-    fn writer_threads() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .map(|dir| {
-                dir.filter_map(|e| e.ok())
-                    .filter(|e| {
-                        std::fs::read_to_string(e.path().join("comm"))
-                            .is_ok_and(|c| c.trim_end() == "crowdfill-conn-")
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-    if !std::path::Path::new("/proc/self/task").exists() {
-        return; // thread accounting needs procfs
-    }
-
-    // Pinned to the legacy layer: only ThreadPerConn spawns seat writer
-    // threads, so the regression stays meaningful now that the reactor is
-    // the default (the reactor path has its own churn test below).
-    let options = ServiceOptions {
-        conn_layer: ConnLayer::ThreadPerConn,
-        ..ServiceOptions::default()
-    };
-    let service = TcpService::start_with(Backend::new(config(64)), "127.0.0.1:0", options).unwrap();
-    let addr = service.addr();
-    let before = writer_threads();
-    for _ in 0..64 {
-        let conn = TcpConn::connect(addr).unwrap();
-        conn.send(br#"{"type":"hello"}"#).unwrap();
-        conn.recv().expect("welcome");
-        // Dropping the conn closes the socket; the server side must tear
-        // down the whole seat, writer thread included.
-    }
-
-    // Server-side teardown is asynchronous; the slack absorbs writer
-    // threads belonging to concurrently running tests.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while writer_threads() > before + 8 {
-        assert!(
-            Instant::now() < deadline,
-            "writer threads leaked after 64 finished connections: \
-             {before} before, {} after",
-            writer_threads()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// The reactor's whole point: server threads are O(pool size), not
-/// O(connections), and connection churn leaks neither threads nor file
-/// descriptors. 500 connect/handshake/disconnect cycles against a reactor
-/// service must leave the process thread count flat (the shard pool was
-/// spawned at service start) and return every socket fd.
-#[test]
-fn reactor_churn_leaks_neither_threads_nor_fds() {
-    // All crowdfill server threads: shard threads are "crowdfill-shard-N"
-    // (procfs keeps 15 chars: "crowdfill-shard"); legacy per-conn threads
-    // would show as "crowdfill-conn"/"crowdfill-conn-". Counting every
-    // "crowdfill" prefix catches a regression that reintroduces either.
-    fn crowdfill_threads() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .map(|dir| {
-                dir.filter_map(|e| e.ok())
-                    .filter(|e| {
-                        std::fs::read_to_string(e.path().join("comm"))
-                            .is_ok_and(|c| c.trim_end().starts_with("crowdfill"))
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-    fn open_fds() -> usize {
-        std::fs::read_dir("/proc/self/fd")
-            .map(|dir| dir.filter_map(|e| e.ok()).count())
-            .unwrap_or(0)
-    }
-    if !std::path::Path::new("/proc/self/task").exists() {
-        return; // thread accounting needs procfs
-    }
-
-    let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
-    let addr = service.addr();
-
-    // Let the service settle (shard pool, sampler, evict sweep are all up
-    // before start() returns, but give the first sweeps a beat).
-    std::thread::sleep(Duration::from_millis(50));
-    let threads_before = crowdfill_threads();
-    let fds_before = open_fds();
-
-    for _ in 0..500 {
-        let conn = TcpConn::connect(addr).unwrap();
-        conn.send(br#"{"type":"hello"}"#).unwrap();
-        conn.recv().expect("welcome");
-        conn.send(br#"{"type":"bye"}"#).unwrap();
-        // Dropping the conn closes our side; the shard retires its state.
-    }
-
-    // Thread count must stay flat at the pool size — any growth with
-    // connection count is the thread-per-connection bug reborn. Slack of 4
-    // absorbs threads spawned by concurrently running tests.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while crowdfill_threads() > threads_before + 4 {
-        assert!(
-            Instant::now() < deadline,
-            "reactor leaked threads across 500-connection churn: \
-             {threads_before} before, {} after",
-            crowdfill_threads()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Socket fds must come back too (retire() closes the stream and the
-    // outbox's closer dup). Teardown is asynchronous and other tests churn
-    // fds concurrently, so poll with slack.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while open_fds() > fds_before + 16 {
-        assert!(
-            Instant::now() < deadline,
-            "reactor leaked fds across 500-connection churn: \
-             {fds_before} before, {} after",
-            open_fds()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    service.stop();
 }

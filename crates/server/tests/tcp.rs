@@ -151,9 +151,14 @@ fn stats_request_reports_live_metrics() {
     service.stop();
 }
 
+/// Serializes the tests that move `crowdfill_server_malformed_frames` (a
+/// process-global counter) so the handshake test can assert exact deltas.
+static MALFORMED_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn malformed_frames_are_rejected_gracefully() {
     use crowdfill_net::{FrameConn, TcpConn};
+    let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let backend = crowdfill_server::Backend::new(config(1));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
     let addr = service.addr();
@@ -241,5 +246,152 @@ fn undo_and_modify_over_the_wire() {
 
     alice.bye();
     bob.bye();
+    service.stop();
+}
+
+/// What the first frame of a connection must produce.
+enum Handshake {
+    /// A `reject` frame carrying this reason, then EOF.
+    Rejected(&'static str),
+    /// EOF with no reply, and exactly one malformed-frame count.
+    Dropped,
+}
+
+/// The handshake's refusal paths and the cursor's tolerance for junk,
+/// driven over raw frames so they pin the wire behaviour rather than any
+/// decoder's signature.
+#[test]
+fn handshake_refusals_and_cursor_junk_over_raw_frames() {
+    use crowdfill_docstore::Json;
+    use crowdfill_net::{ConnError, FrameConn, TcpConn};
+    use std::time::Duration;
+    let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
+    let wait = Duration::from_secs(5);
+
+    let backend = crowdfill_server::Backend::new(config(2));
+    let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
+    let addr = service.addr();
+    let recv_json = |conn: &TcpConn| {
+        let frame = conn.recv_timeout(wait).expect("reply frame");
+        Json::parse(&String::from_utf8_lossy(&frame)).expect("reply is JSON")
+    };
+    let assert_eof = |conn: &TcpConn, case: &str| match conn.recv_timeout(wait) {
+        Err(ConnError::Empty) => panic!("{case}: connection left open"),
+        Err(_) => {}
+        Ok(frame) => panic!(
+            "{case}: unexpected frame {}",
+            String::from_utf8_lossy(&frame)
+        ),
+    };
+
+    let refusals = [
+        (
+            r#"{"type":"hello","collection":"nope"}"#,
+            Handshake::Rejected("unknown collection"),
+        ),
+        (
+            r#"{"type":"resume","collection":"nope","worker":0,"from":0,"have":[]}"#,
+            Handshake::Rejected("unknown collection"),
+        ),
+        (
+            r#"{"type":"resume","worker":4242,"from":0,"have":[]}"#,
+            Handshake::Rejected("unknown worker"),
+        ),
+        (
+            r#"{"type":"resume","worker":-1,"from":0,"have":[]}"#,
+            Handshake::Dropped,
+        ),
+        (
+            r#"{"type":"resume","from":0,"have":[]}"#,
+            Handshake::Dropped,
+        ),
+        (r#"{"type":"stats"}"#, Handshake::Dropped),
+    ];
+    for (first_frame, expect) in refusals {
+        let before = malformed.get();
+        let conn = TcpConn::connect(addr).unwrap();
+        conn.send(first_frame.as_bytes()).unwrap();
+        match expect {
+            Handshake::Rejected(reason) => {
+                let reply = recv_json(&conn);
+                assert_eq!(
+                    reply.get("type").and_then(Json::as_str),
+                    Some("reject"),
+                    "{first_frame}"
+                );
+                assert_eq!(
+                    reply.get("reason").and_then(Json::as_str),
+                    Some(reason),
+                    "{first_frame}"
+                );
+                assert_eof(&conn, first_frame);
+                assert_eq!(malformed.get(), before, "{first_frame}");
+            }
+            Handshake::Dropped => {
+                assert_eof(&conn, first_frame);
+                assert_eq!(malformed.get(), before + 1, "{first_frame}");
+            }
+        }
+    }
+
+    // Some history for the cursors to select from.
+    let mut filler = RemoteWorker::connect(addr).unwrap();
+    let rows = filler.view().presented_rows();
+    for (c, v) in ["Messi", "Argentina", "FW"].into_iter().enumerate() {
+        let r = if c == 0 {
+            rows[0]
+        } else {
+            filler.view().replica().table().row_ids().next().unwrap()
+        };
+        filler.fill(r, ColumnId(c as u16), Value::text(v)).unwrap();
+    }
+
+    let conn = TcpConn::connect(addr).unwrap();
+    conn.send(br#"{"type":"hello"}"#).unwrap();
+    let welcome = recv_json(&conn);
+    let worker = welcome.get("worker").and_then(Json::as_i64).unwrap();
+    let history_len = welcome.get("history_len").and_then(Json::as_i64).unwrap() as u64;
+    assert!(history_len >= 4, "need a few seqs to skip: {history_len}");
+
+    // Negative and non-integer `have` entries are ignored; the valid ones
+    // (1 and 3) are the only seqs missing from the suffix.
+    let junk_have = r#"[1,-3,2.5,"x",null,3,-0.5]"#;
+    let expected: Vec<i64> = (0..history_len as i64)
+        .filter(|s| *s != 1 && *s != 3)
+        .collect();
+    let seqs_of = |reply: &Json| -> Vec<i64> {
+        reply
+            .get("msgs")
+            .and_then(Json::as_arr)
+            .expect("msgs")
+            .iter()
+            .map(|e| e.get("seq").and_then(Json::as_i64).expect("seq"))
+            .collect()
+    };
+    let before = malformed.get();
+    conn.send(format!(r#"{{"type":"sync","from":0,"have":{junk_have}}}"#).as_bytes())
+        .unwrap();
+    let synced = recv_json(&conn);
+    assert_eq!(synced.get("type").and_then(Json::as_str), Some("synced"));
+    assert_eq!(seqs_of(&synced), expected);
+
+    let takeover = TcpConn::connect(addr).unwrap();
+    takeover
+        .send(
+            format!(r#"{{"type":"resume","worker":{worker},"from":0,"have":{junk_have}}}"#)
+                .as_bytes(),
+        )
+        .unwrap();
+    let resumed = recv_json(&takeover);
+    assert_eq!(resumed.get("type").and_then(Json::as_str), Some("resumed"));
+    assert_eq!(seqs_of(&resumed), expected);
+    assert_eq!(
+        malformed.get(),
+        before,
+        "junk cursor entries are not malformed frames"
+    );
+
+    filler.bye();
     service.stop();
 }
