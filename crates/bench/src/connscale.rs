@@ -7,9 +7,8 @@
 //! This harness asks the opposite question: how many *connections* can one
 //! service carry? It keeps each session to the bare wire minimum (one
 //! nonblocking socket, a [`FrameReader`]/[`FrameWriter`] pair, and a few
-//! counters) and sweeps them from a small pool of driver threads, mirroring
-//! the server's own reactor design. 10k sessions cost 10k sockets and ~10
-//! threads on both ends combined.
+//! counters) and sweeps them from a small pool of driver threads. 10k
+//! sessions cost 10k sockets and ~10 threads on both ends combined.
 //!
 //! Each session follows the deterministic [`conn_scale`] open-loop plan:
 //! connect at its scheduled offset, `hello` into its collection, then submit
@@ -575,6 +574,14 @@ fn drive(
                         continue;
                     }
                     s.inflight_since = Some(Instant::now());
+                    // Flush now, not at the top of this session's next
+                    // turn: the ack clock is running and must not time a
+                    // pass over every other session this thread drives.
+                    let stream = s.stream.as_mut().expect("open session has a stream");
+                    if s.writer.flush(stream).is_err() {
+                        fail(s, active, &mut tally);
+                        continue;
+                    }
                     progress = true;
                 }
             }

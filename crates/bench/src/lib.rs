@@ -1,6 +1,8 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
 //! tables and figures (see `src/bin/`) and for the criterion benches.
 
+#![forbid(unsafe_code)]
+
 pub mod connscale;
 pub mod overload;
 pub mod progress;

@@ -16,6 +16,8 @@
 //!   including the matching shuffle and template-drop degenerate cases, and
 //!   the fulfillment check used as the data-collection stopping condition.
 
+#![forbid(unsafe_code)]
+
 pub mod maintainer;
 pub mod probable;
 

@@ -16,6 +16,8 @@
 //!   crash-atomically, with corrupt-latest fallback;
 //! * [`store`] — the multi-collection store tying them together.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod disk;
 pub mod json;

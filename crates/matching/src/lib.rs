@@ -19,6 +19,8 @@
 //!   same incremental API, whose repair runs independent connected
 //!   components on scoped threads (see [`sharded`]).
 
+#![forbid(unsafe_code)]
+
 pub mod sharded;
 
 pub use sharded::{Parallelism, ShardedMatcher, PAR_MIN_VERTICES};

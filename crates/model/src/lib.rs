@@ -22,6 +22,8 @@
 //! propagate and converge — lives in `crowdfill-sync`; constraint
 //! maintenance in `crowdfill-constraints`; compensation in `crowdfill-pay`.
 
+#![forbid(unsafe_code)]
+
 pub mod constraint;
 pub mod error;
 pub mod final_table;

@@ -14,7 +14,11 @@
 //!   server;
 //! * [`FaultyConn`] — a fault-injecting wrapper around any transport,
 //!   driven by a deterministic seeded [`FaultConfig`] plan (drops, delays,
-//!   partial writes, forced disconnects) for the recovery test suite.
+//!   partial writes, forced disconnects) for the recovery test suite;
+//! * [`FrameReader`]/[`FrameWriter`] — the same framing as nonblocking
+//!   state machines, and [`Poller`]/[`WakeQueue`] — the epoll readiness
+//!   wrapper that tells a connection layer when to run them (Linux only;
+//!   the product's one module of foreign calls, see the lint below).
 //!
 //! Frames are opaque byte vectors; the server layers a JSON protocol
 //! (`crowdfill-docstore::Json`) on top.
@@ -24,12 +28,21 @@
 //! instead of risking desynchronized framing. Recovery happens a layer up,
 //! via the server's reconnect-with-resume protocol.
 
+// `deny`, not the `forbid` of every other product crate: `poller` must be
+// able to opt out.
+#![deny(unsafe_code)]
+
 pub mod conn;
 pub mod fault;
 pub mod nonblocking;
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+pub mod poller;
 pub mod tcp;
 
 pub use conn::{ConnError, FrameConn, LocalConn, MAX_FRAME_LEN};
 pub use fault::{FaultConfig, FaultyConn};
 pub use nonblocking::{FrameReader, FrameWriter};
+#[cfg(target_os = "linux")]
+pub use poller::{Event, Interest, Poller, WakeQueue};
 pub use tcp::{TcpConn, TcpServer, READER_QUEUE_FRAMES};

@@ -4,7 +4,7 @@
 //! connection; a reactor owns none. These two state machines carry the
 //! same length-prefixed framing (`[len: u32 BE][payload]`, capped at
 //! [`MAX_FRAME_LEN`]) over a nonblocking socket that is read and written
-//! in bounded slices from a sweep loop:
+//! in bounded slices whenever it is ready ([`Poller`](crate::Poller)):
 //!
 //! * [`FrameReader`] — feed it whatever `read()` returned; pop complete
 //!   frames as they assemble across reads.

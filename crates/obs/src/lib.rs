@@ -38,6 +38,8 @@
 //! Call [`init_from_env`] once at binary startup to turn the stderr log
 //! on; libraries only emit through whatever sinks the binary installed.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 pub mod progress;

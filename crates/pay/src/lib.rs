@@ -17,6 +17,8 @@
 //!    experiments;
 //! 5. [`stats`] — medians, least squares, the dual-weight multiplier, MAPE.
 
+#![forbid(unsafe_code)]
+
 pub mod allocate;
 pub mod contrib;
 pub mod estimate;

@@ -1,9 +1,10 @@
 //! The batched op pipeline: a single apply thread that drains queued
 //! submissions into [`Backend::submit_batch`] calls.
 //!
-//! Connection threads don't touch the backend on the submit hot path;
-//! they enqueue a [`BatchOp`] and block on a one-shot reply channel. The
-//! apply thread drains whatever has queued (up to
+//! Submitters don't touch the backend on the submit hot path; they enqueue
+//! a [`BatchOp`] with a reply callback (the blocking calls wait on a
+//! one-shot channel, a reactor shard has the result pushed onto its wake
+//! queue). The apply thread drains whatever has queued (up to
 //! [`BatchOptions::max_batch`]), applies it as one batch — one backend lock
 //! acquisition, one journal frame + fsync, per-op semantics identical to
 //! singleton submits — answers every submitter, and then triggers one
@@ -78,13 +79,38 @@ fn m_ack_latency() -> &'static Arc<Histogram> {
     H.get_or_init(|| histogram("crowdfill_server_ack_latency_ns"))
 }
 
-/// One queued submission: the op, its submitter, the channel its
+/// How an admitted job's ack/reject travels back: called exactly once,
+/// on the apply thread.
+type ReplyFn = Box<dyn FnOnce(Result<SubmitReport, SubmitError>) + Send>;
+
+/// A job's reply callback. A job dropped unanswered (the apply thread
+/// died with it queued) answers [`SubmitError::CollectionClosed`], so no
+/// submitter waits forever.
+struct ReplyTo(Option<ReplyFn>);
+
+impl ReplyTo {
+    fn send(mut self, result: Result<SubmitReport, SubmitError>) {
+        if let Some(reply) = self.0.take() {
+            reply(result);
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(reply) = self.0.take() {
+            reply(Err(SubmitError::CollectionClosed));
+        }
+    }
+}
+
+/// One queued submission: the op, its submitter, the callback its
 /// ack/reject travels back on, and when it entered the queue (for
 /// shedding and latency accounting).
 struct PipelineJob {
     worker: WorkerId,
     op: BatchOp,
-    reply: channel::Sender<Result<SubmitReport, SubmitError>>,
+    reply: ReplyTo,
     enqueued: Instant,
     trace: TraceId,
 }
@@ -146,7 +172,7 @@ impl BatchPipeline {
                             waited.as_nanos() as u64,
                         );
                         let hint = retry.retry_after_ms(thread_depth.load(Ordering::Relaxed));
-                        let _ = job.reply.send(Err(SubmitError::Overloaded {
+                        job.reply.send(Err(SubmitError::Overloaded {
                             retry_after_ms: hint,
                         }));
                     } else {
@@ -212,7 +238,7 @@ impl BatchPipeline {
                         replies.into_iter().zip(outcome.results).zip(enqueued_at)
                     {
                         m_ack_latency().record(enqueued.elapsed().as_nanos() as u64);
-                        let _ = reply.send(result);
+                        reply.send(result);
                     }
                     after_batch();
                 }
@@ -261,25 +287,31 @@ impl BatchPipeline {
         priority: Priority,
         trace: TraceId,
     ) -> Result<SubmitReport, SubmitError> {
-        match self.submit_async(worker, op, priority, trace) {
+        let (reply_tx, reply_rx) = channel::bounded(1);
+        let reply = move |result| {
+            let _ = reply_tx.send(result);
+        };
+        match self.submit_async(worker, op, priority, trace, reply) {
             AsyncSubmit::Done(result) => result,
-            AsyncSubmit::Pending(reply_rx) => reply_rx
+            AsyncSubmit::Pending => reply_rx
                 .recv()
                 .unwrap_or(Err(SubmitError::CollectionClosed)),
         }
     }
 
     /// Nonblocking enqueue for reactor threads: admission control runs
-    /// inline (so overload rejects are still immediate), but the ack is
-    /// returned as a one-shot receiver the caller polls instead of a
-    /// blocking wait. A sweep loop parks the receiver on the connection's
-    /// state machine and answers the client when it fires.
+    /// inline (so overload rejects are still immediate — `reply` is then
+    /// dropped uncalled), but an admitted job's ack is delivered by calling
+    /// `reply` on the apply thread once its batch has been applied. A
+    /// reactor shard passes a closure that pushes the result onto its wake
+    /// queue and parks the connection until it arrives.
     pub fn submit_async(
         &self,
         worker: WorkerId,
         op: BatchOp,
         priority: Priority,
         trace: TraceId,
+        reply: impl FnOnce(Result<SubmitReport, SubmitError>) + Send + 'static,
     ) -> AsyncSubmit {
         let root = if trace.is_none() {
             SpanId::NONE
@@ -294,14 +326,13 @@ impl BatchPipeline {
             obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);
             return AsyncSubmit::Done(Err(SubmitError::Overloaded { retry_after_ms }));
         }
-        let (reply_tx, reply_rx) = channel::bounded(1);
         // Count the job before it is visible to the apply thread so the
         // admission check above never undercounts.
         self.depth.fetch_add(1, Ordering::Relaxed);
         match self.tx.try_send(PipelineJob {
             worker,
             op,
-            reply: reply_tx,
+            reply: ReplyTo(Some(Box::new(reply))),
             enqueued: Instant::now(),
             trace,
         }) {
@@ -309,20 +340,22 @@ impl BatchPipeline {
                 m_queue_depth().add(1);
                 obstrace::stamp(trace, Stage::Admit, root, 0, depth as u64 + 1);
             }
-            Err(TrySendError::Full(_)) => {
+            Err(TrySendError::Full(mut job)) => {
+                job.reply.0 = None; // answered by the return value instead
                 self.depth.fetch_sub(1, Ordering::Relaxed);
                 m_overload_rejects().inc();
                 let retry_after_ms = self.overload.retry_after_ms(self.overload.max_queue);
                 obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);
                 return AsyncSubmit::Done(Err(SubmitError::Overloaded { retry_after_ms }));
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(mut job)) => {
+                job.reply.0 = None;
                 self.depth.fetch_sub(1, Ordering::Relaxed);
                 // The apply thread is gone; the service is shutting down.
                 return AsyncSubmit::Done(Err(SubmitError::CollectionClosed));
             }
         }
-        AsyncSubmit::Pending(reply_rx)
+        AsyncSubmit::Pending
     }
 }
 
@@ -331,8 +364,8 @@ pub enum AsyncSubmit {
     /// Admission decided the job without involving the apply thread
     /// (overload reject, speculative gate, or shutdown).
     Done(Result<SubmitReport, SubmitError>),
-    /// The job was admitted; the one-shot receiver fires when its batch
-    /// has been applied. A `RecvError` means the pipeline shut down —
-    /// treat it as [`SubmitError::CollectionClosed`].
-    Pending(channel::Receiver<Result<SubmitReport, SubmitError>>),
+    /// The job was admitted; its reply callback fires when its batch has
+    /// been applied (with [`SubmitError::CollectionClosed`] if the
+    /// pipeline dies first).
+    Pending,
 }

@@ -17,6 +17,8 @@
 //! * [`TcpService`] / [`RemoteWorker`] — the networked deployment (§3.3):
 //!   service in [`tcp_service`] over [`reactor`], client in [`client`].
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod batch;
 pub mod client;

@@ -3,16 +3,34 @@
 //! A thread (or two) per connection is thousands of stacks and a
 //! scheduler meltdown at thousands of workers. The reactor instead runs a
 //! small fixed pool of *shard* threads, each owning a disjoint set of
-//! nonblocking sockets that it drives with a bounded sweep loop — total
-//! server threads are O(pool size), not O(connections).
+//! nonblocking sockets, one `epoll` instance and one wake queue
+//! ([`crowdfill_net::poller`]) — total server threads are O(pool size),
+//! not O(connections), and a shard with nothing to do is blocked in the
+//! kernel, not polling.
 //!
-//! ## Sweep anatomy
+//! ## What wakes a shard, and what a wake serves
 //!
-//! The accept thread hands fresh sockets to shards round-robin over a
-//! channel; a socket never migrates between shards, so per-connection
-//! state needs no locks. Each sweep, for every connection the shard:
+//! The accept thread hands fresh sockets to shards round-robin; a socket
+//! never migrates between shards, so per-connection state needs no locks.
+//! A shard blocks in `epoll_wait` until one of these happens:
 //!
-//! 1. completes a parked submit/modify (the batch pipeline's async reply);
+//! * a socket of its own is readable, is writable while its
+//!   [`FrameWriter`] holds bytes, or hung up (which is also how an
+//!   off-shard close — eviction, `disconnect_all` — arrives);
+//! * another thread pushed a [`Wake`] onto its queue: the accept thread
+//!   injects a socket, an apply thread answers a parked submit/modify or
+//!   queued a broadcast in a connection's [`Outbox`], or
+//!   `TcpService::stop` raised the shutdown flag;
+//! * its nearest deadline passed (`idle_timeout`, a `writer_pace`
+//!   release), kept in a heap so the wait's timeout is one `peek`; with no
+//!   deadline pending the wait has no timeout.
+//!
+//! A wake visits exactly the connections those events name, plus the ones
+//! the previous wake left with runnable work (frames deferred by the
+//! fairness budget, a read cut off by `read_budget`) — never the whole
+//! shard. A visit ([`sweep_conn`]):
+//!
+//! 1. completes a parked submit/modify whose reply arrived;
 //! 2. reads whatever the socket has, bounded by `read_budget`, into the
 //!    connection's [`FrameReader`];
 //! 3. decodes and serves complete frames — the handshake
@@ -20,11 +38,12 @@
 //!    in `tcp_service.rs`;
 //! 4. drains the connection's [`Outbox`] (broadcasts queued by the apply
 //!    thread) into its [`FrameWriter`], honoring `writer_pace`;
-//! 5. flushes the writer as far as the socket accepts.
+//! 5. flushes the writer as far as the socket accepts;
+//! 6. closes the connection if it said `bye`, hung up, or sat idle.
 //!
-//! A sweep that makes no progress across all connections sleeps
-//! `idle_sleep`, so an idle shard costs a few wakeups per millisecond,
-//! not a spinning core.
+//! Afterwards the shard re-arms the socket's epoll interest (read unless
+//! the peer is done sending, write only while the writer is non-empty) and
+//! the connection's next deadline.
 //!
 //! ## Outbox policy
 //!
@@ -38,12 +57,12 @@
 //!
 //! ## Per-collection fairness
 //!
-//! Each sweep gives every collection a frame budget
+//! Each wake gives every collection a frame budget
 //! (`collection_frames_per_sweep`); a connection whose collection has
-//! exhausted its budget keeps its frames buffered until the next sweep.
-//! One hot collection can therefore saturate neither a shard's CPU nor
-//! another collection's admission — the quiet collection's frames are
-//! served on the same sweep.
+//! exhausted its budget keeps its frames buffered and is visited again on
+//! the next wake, which follows at once. One hot collection can therefore
+//! saturate neither a shard's CPU nor another collection's admission — the
+//! quiet collection's frames are served on the same wake.
 
 use crate::backend::{BatchOp, SubmitError, SubmitReport};
 use crate::batch::AsyncSubmit;
@@ -53,15 +72,15 @@ use crate::tcp_service::{
     m_lag_dropped, open_session, parse_request, reject_frame, result_frame, stats_reply,
     sync_reply, trace_dump_reply, Collection, Request, ServiceMetrics, ServiceShared, SessionOpen,
 };
-use crossbeam::channel::{self, TryRecvError};
 use crowdfill_docstore::{Json, JsonRef};
-use crowdfill_net::{ConnError, FrameReader, FrameWriter};
+use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
 use crowdfill_obs::trace::TraceId;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -79,24 +98,35 @@ fn m_frames_in() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_frames_in"))
 }
 
-/// Frames deferred to a later sweep by the per-collection fairness budget.
+/// Frames deferred to a later wake by the per-collection fairness budget.
 fn m_fairness_deferrals() -> &'static Counter {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_fairness_deferrals"))
+}
+
+/// Returns from `epoll_wait`, all shards. Flat on an idle service.
+fn m_wakeups() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_wakeups"))
+}
+
+/// Connection visits ([`sweep_conn`] calls): grows with the connections
+/// that had something to do, not with the connections a shard owns.
+fn m_conn_visits() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_conn_visits"))
 }
 
 /// Tunables for the sharded reactor (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReactorOptions {
     /// Number of shard threads; `0` picks one per available core, capped
-    /// at 4 (the sweep is syscall-bound, more shards only shuffle work).
+    /// at 4 (a shard is syscall-bound, more shards only shuffle work).
     pub shards: usize,
-    /// Sleep after a sweep in which no connection made progress.
-    pub idle_sleep: Duration,
-    /// Request frames one collection may consume per shard sweep before
+    /// Request frames one collection may consume per shard wake before
     /// its connections yield to other collections.
     pub collection_frames_per_sweep: usize,
-    /// Max bytes read from one socket per sweep.
+    /// Max bytes read from one socket per visit.
     pub read_budget: usize,
 }
 
@@ -104,7 +134,6 @@ impl Default for ReactorOptions {
     fn default() -> ReactorOptions {
         ReactorOptions {
             shards: 0,
-            idle_sleep: Duration::from_micros(500),
             collection_frames_per_sweep: 64,
             read_budget: 64 * 1024,
         }
@@ -123,15 +152,36 @@ impl ReactorOptions {
     }
 }
 
+/// What another thread hands a shard blocked in `epoll_wait`; the `u64`s
+/// are connection tokens of that shard.
+pub(crate) enum Wake {
+    /// A freshly accepted socket to adopt (accept thread).
+    Inject(TcpStream),
+    /// The connection's [`Outbox`] has a broadcast to drain (apply thread).
+    Broadcast(u64),
+    /// The batch pipeline settled the connection's parked submit/modify.
+    Reply(u64, Result<SubmitReport, SubmitError>),
+}
+
+/// One shard's wake queue, shared with everything that can wake it.
+pub(crate) type ShardWake = Arc<WakeQueue<Wake>>;
+
+/// The epoll token of a shard's own wake queue (connection tokens count
+/// up from zero and never get there).
+const WAKE_TOKEN: u64 = u64::MAX;
+
 /// The server-side send half of one connection: a bounded broadcast
 /// buffer plus the lagging state that drives the watermark downgrade →
 /// `sync` → eviction policy. Enqueuing is non-blocking, so one stalled
-/// reader can never wedge the broadcast flush path for everyone else; the
-/// owning shard drains the buffer during its sweep. Broadcast producers
-/// (the apply thread's after-batch flush, the eviction sweep) touch only
-/// this handle, never the socket.
+/// reader can never wedge the broadcast flush path for everyone else; it
+/// wakes the owning shard, which drains the buffer on its next visit.
+/// Broadcast producers (the apply thread's after-batch flush, the eviction
+/// sweep) touch only this handle, never the socket.
 pub struct Outbox {
     peer: String,
+    /// The owning shard's wake queue and this connection's token there.
+    wake: ShardWake,
+    token: u64,
     /// A dup of the connection's socket used only to force-close it from
     /// off-shard contexts (eviction sweep, `disconnect_all`).
     closer: TcpStream,
@@ -153,9 +203,17 @@ pub struct Outbox {
 }
 
 impl Outbox {
-    fn new(peer: String, closer: TcpStream, overload: &OverloadOptions) -> Outbox {
+    fn new(
+        peer: String,
+        closer: TcpStream,
+        overload: &OverloadOptions,
+        wake: ShardWake,
+        token: u64,
+    ) -> Outbox {
         Outbox {
             peer,
+            wake,
+            token,
             closer,
             queue: Mutex::new(VecDeque::new()),
             capacity: overload.write_buffer_frames.max(1),
@@ -198,12 +256,18 @@ impl Outbox {
             m_lag_dropped().inc();
         } else {
             q.push_back(frame);
+            drop(q);
+            self.wake.push(Wake::Broadcast(self.token));
         }
     }
 
     /// Pops one queued broadcast (shard-side drain).
     fn pop_broadcast(&self) -> Option<Vec<u8>> {
         self.queue.lock().pop_front()
+    }
+
+    fn has_broadcasts(&self) -> bool {
+        !self.queue.lock().is_empty()
     }
 
     /// Takes the owed lagging note, if any.
@@ -256,38 +320,48 @@ impl Outbox {
     }
 }
 
-/// Spawns the shard pool; returns the join handles and one socket-inject
-/// channel per shard (the accept thread distributes round-robin).
+/// Spawns the shard pool; returns the join handles and one wake queue per
+/// shard (the accept thread injects sockets round-robin, `stop` wakes them
+/// all). Each shard costs two descriptors, created here so that running
+/// out of them fails the start instead of a thread.
 pub(crate) fn start_shards(
     options: &ReactorOptions,
     shared: Arc<ServiceShared>,
     shutdown: Arc<AtomicBool>,
-) -> (
-    Vec<std::thread::JoinHandle<()>>,
-    Vec<channel::Sender<TcpStream>>,
-) {
+) -> std::io::Result<(Vec<std::thread::JoinHandle<()>>, Vec<ShardWake>)> {
     let n = options.effective_shards();
     let mut handles = Vec::with_capacity(n);
-    let mut injects = Vec::with_capacity(n);
+    let mut wakes = Vec::with_capacity(n);
     for i in 0..n {
-        let (tx, rx) = channel::unbounded::<TcpStream>();
-        injects.push(tx);
-        let shared = Arc::clone(&shared);
+        let poller = Poller::new()?;
+        let wake: ShardWake = Arc::new(WakeQueue::new()?);
+        poller.register(&*wake, WAKE_TOKEN, Interest::READ)?;
+        wakes.push(Arc::clone(&wake));
+        let shard = Shard {
+            poller,
+            wake,
+            shared: Arc::clone(&shared),
+            budgets: Budgets::new(&shared, options.collection_frames_per_sweep),
+            options: options.clone(),
+            conns: HashMap::new(),
+            next_token: 0,
+            run: Vec::new(),
+            timers: BinaryHeap::new(),
+        };
         let shutdown = Arc::clone(&shutdown);
-        let options = options.clone();
         let handle = std::thread::Builder::new()
             .name(format!("crowdfill-shard-{i}"))
-            .spawn(move || shard_loop(rx, shared, shutdown, options))
-            .expect("spawn reactor shard");
+            .spawn(move || shard.run(&shutdown))?;
         handles.push(handle);
     }
     crowdfill_obs::obs_info!("server", "reactor started with {n} shards");
-    (handles, injects)
+    Ok((handles, wakes))
 }
 
-/// A submit/modify parked on the batch pipeline's async reply.
+/// A submit/modify parked on the batch pipeline's reply.
 struct PendingReply {
-    rx: channel::Receiver<Result<SubmitReport, SubmitError>>,
+    /// Filled in by [`Wake::Reply`]; step 1 of the next visit answers it.
+    result: Option<Result<SubmitReport, SubmitError>>,
     trace: TraceId,
     submitted_at: Instant,
     /// Submits record the worker's ack histogram; modifies do not.
@@ -310,8 +384,9 @@ struct Session {
 impl Session {
     /// Hands a decoded submit/modify to the collection's batch pipeline.
     /// If admission settles it on the spot the reply is queued now;
-    /// otherwise the connection parks on the async reply — the shard keeps
-    /// sweeping other conns and picks the ack up at step 1 of a later sweep.
+    /// otherwise the connection parks — the shard goes back to its other
+    /// conns (or to sleep) until the apply thread pushes the result onto
+    /// its wake queue.
     fn submit_op(
         &mut self,
         op: BatchOp,
@@ -323,15 +398,17 @@ impl Session {
     ) {
         let submitted_at = Instant::now();
         let record_hist = matches!(op, BatchOp::Msg { .. }); // a submit, not a modify
+        let (wake, token) = (Arc::clone(&self.outbox.wake), self.outbox.token);
+        let reply = move |result| wake.push(Wake::Reply(token, result));
         let pipeline = &self.collection.pipeline;
-        match pipeline.submit_async(self.worker, op, priority, trace) {
+        match pipeline.submit_async(self.worker, op, priority, trace, reply) {
             AsyncSubmit::Done(result) => {
                 self.record_latency(record_hist, submitted_at, metrics);
                 queue_frame(writer, dead, &result_frame(result, trace));
             }
-            AsyncSubmit::Pending(rx) => {
+            AsyncSubmit::Pending => {
                 self.pending = Some(PendingReply {
-                    rx,
+                    result: None,
                     trace,
                     submitted_at,
                     record_hist,
@@ -364,6 +441,9 @@ enum Phase {
 /// protocol phase.
 struct ConnState {
     stream: TcpStream,
+    /// This connection's key in the shard's map, its epoll token, and what
+    /// other threads name it by on the wake queue. Never reused.
+    token: u64,
     reader: FrameReader,
     writer: FrameWriter,
     phase: Phase,
@@ -373,14 +453,23 @@ struct ConnState {
     peer_eof: bool,
     dead: bool,
     last_activity: Instant,
+    /// What the socket is registered for in the shard's epoll set.
+    interest: Interest,
+    /// epoll reported the socket dead in both directions.
+    hangup: bool,
+    /// Already on the shard's run list for the coming visit.
+    queued: bool,
+    /// The earliest deadline this connection has in the shard's timer heap.
+    armed: Option<Instant>,
 }
 
 impl ConnState {
-    fn adopt(stream: TcpStream) -> Option<ConnState> {
+    fn adopt(stream: TcpStream, token: u64) -> Option<ConnState> {
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
         Some(ConnState {
             stream,
+            token,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
             phase: Phase::Handshake,
@@ -388,7 +477,24 @@ impl ConnState {
             peer_eof: false,
             dead: false,
             last_activity: Instant::now(),
+            interest: Interest::READ,
+            hangup: false,
+            queued: false,
+            armed: None,
         })
+    }
+
+    /// When this connection next needs a visit that no event will
+    /// announce: its idle timeout, or the release of a paced broadcast.
+    fn next_deadline(&self, shared: &ServiceShared) -> Option<Instant> {
+        let idle = shared.options.idle_timeout.map(|t| self.last_activity + t);
+        let pace = match (&self.phase, shared.options.overload.writer_pace) {
+            (Phase::Active(session), Some(pace)) if session.outbox.has_broadcasts() => {
+                session.last_broadcast_pop.map(|t| t + pace)
+            }
+            _ => None,
+        };
+        [idle, pace].into_iter().flatten().min()
     }
 }
 
@@ -400,62 +506,228 @@ fn queue_frame(writer: &mut FrameWriter, dead: &mut bool, reply: &Json) {
     }
 }
 
-fn shard_loop(
-    inject: channel::Receiver<TcpStream>,
+/// Per-wake fairness budgets, keyed by collection name. The collection
+/// set is fixed at service start; an entry is refilled the first time a
+/// wake touches it, so starting a wake costs nothing per collection.
+struct Budgets {
+    per_wake: usize,
+    wake: u64,
+    /// Collection → (the wake it was last refilled for, frames left).
+    left: HashMap<String, (u64, usize)>,
+}
+
+impl Budgets {
+    fn new(shared: &ServiceShared, per_wake: usize) -> Budgets {
+        Budgets {
+            per_wake,
+            wake: 0,
+            left: shared
+                .collections
+                .keys()
+                .map(|name| (name.clone(), (0, per_wake)))
+                .collect(),
+        }
+    }
+
+    fn next_wake(&mut self) {
+        self.wake += 1;
+    }
+
+    /// Frames `collection` may still consume on this wake.
+    fn left(&mut self, collection: &str) -> Option<&mut usize> {
+        let (wake, left) = self.left.get_mut(collection)?;
+        if *wake != self.wake {
+            (*wake, *left) = (self.wake, self.per_wake);
+        }
+        Some(left)
+    }
+}
+
+/// One shard thread's state.
+struct Shard {
+    poller: Poller,
+    wake: ShardWake,
     shared: Arc<ServiceShared>,
-    shutdown: Arc<AtomicBool>,
     options: ReactorOptions,
-) {
-    let mut conns: Vec<ConnState> = Vec::new();
-    // Per-sweep fairness budgets, keyed by collection name. The collection
-    // set is fixed at service start: built once, refilled in place per sweep.
-    let mut budgets: HashMap<String, usize> = shared
-        .collections
-        .keys()
-        .map(|name| (name.clone(), options.collection_frames_per_sweep))
-        .collect();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            for conn in conns.iter_mut() {
-                retire(conn, &shared);
+    budgets: Budgets,
+    conns: HashMap<u64, ConnState>,
+    next_token: u64,
+    /// Connections to visit on the coming wake (each at most once, see
+    /// `ConnState::queued`). Non-empty across a wait only for connections
+    /// carried over with runnable work; the wait then does not block.
+    run: Vec<u64>,
+    /// Pending deadlines, nearest first. An entry is live only while it
+    /// equals its connection's `armed`; superseded ones are skipped when
+    /// they surface.
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+impl Shard {
+    fn run(mut self, shutdown: &AtomicBool) {
+        let mut events = Vec::new();
+        let mut woken = Vec::new();
+        loop {
+            let timeout = if !self.run.is_empty() {
+                Some(Duration::ZERO)
+            } else {
+                let nearest = self.timers.peek();
+                nearest.map(|Reverse((at, _))| at.saturating_duration_since(Instant::now()))
+            };
+            events.clear();
+            self.poller
+                .wait(&mut events, timeout)
+                .expect("epoll_wait on the shard's own epoll fd");
+            m_wakeups().inc();
+            for event in &events {
+                if event.token == WAKE_TOKEN {
+                    self.wake.drain(&mut woken);
+                } else {
+                    self.schedule(event.token, event.hangup);
+                }
             }
-            g_conns().add(-(conns.len() as i64));
+            if shutdown.load(Ordering::SeqCst) {
+                g_conns().add(-(self.conns.len() as i64));
+                for conn in self.conns.values_mut() {
+                    retire(conn, &self.poller, &self.shared);
+                }
+                return;
+            }
+            for wake in woken.drain(..) {
+                match wake {
+                    Wake::Inject(stream) => self.adopt(stream),
+                    Wake::Broadcast(token) => self.schedule(token, false),
+                    Wake::Reply(token, result) => {
+                        let parked = self.conns.get_mut(&token).and_then(|c| match &mut c.phase {
+                            Phase::Active(session) => session.pending.as_mut(),
+                            Phase::Handshake => None,
+                        });
+                        if let Some(pending) = parked {
+                            pending.result = Some(result);
+                            self.schedule(token, false);
+                        }
+                    }
+                }
+            }
+            self.fire_timers();
+            self.budgets.next_wake();
+            // A visit appends what it carries over; only the tokens that
+            // were due on this wake are visited and removed.
+            let due = self.run.len();
+            for i in 0..due {
+                self.visit(self.run[i]);
+            }
+            self.run.drain(..due);
+        }
+    }
+
+    /// Puts a connection on the run list. A token that no longer resolves
+    /// (a stale event, a late reply or an old deadline of a retired
+    /// connection) is dropped here.
+    fn schedule(&mut self, token: u64, hangup: bool) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.hangup |= hangup;
+        if !conn.queued {
+            conn.queued = true;
+            self.run.push(token);
+        }
+    }
+
+    fn adopt(&mut self, stream: TcpStream) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let Some(conn) = ConnState::adopt(stream, token) else {
+            return;
+        };
+        if self
+            .poller
+            .register(&conn.stream, token, conn.interest)
+            .is_err()
+        {
+            return; // out of epoll watches: refuse the connection
+        }
+        self.conns.insert(token, conn);
+        g_conns().add(1);
+        // First visit: the hello may already be in, and the idle deadline
+        // wants arming either way.
+        self.schedule(token, false);
+    }
+
+    /// Moves every connection whose deadline has passed onto the run list.
+    fn fire_timers(&mut self) {
+        if self.timers.is_empty() {
             return;
         }
-        let mut progress = false;
-        while let Ok(stream) = inject.try_recv() {
-            if let Some(conn) = ConnState::adopt(stream) {
-                conns.push(conn);
-                g_conns().add(1);
-                progress = true;
+        let now = Instant::now();
+        while let Some(&Reverse((at, token))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            if let Some(conn) = self.conns.get_mut(&token) {
+                if conn.armed == Some(at) {
+                    conn.armed = None;
+                    self.schedule(token, false);
+                }
             }
         }
-        for budget in budgets.values_mut() {
-            *budget = options.collection_frames_per_sweep;
-        }
-        for conn in conns.iter_mut() {
-            if sweep_conn(conn, &shared, &options, &mut budgets) {
-                progress = true;
+    }
+
+    /// Serves one connection, then settles what it waits for next: retire
+    /// it, or re-arm its epoll interest and deadline, and carry it over to
+    /// the next wake if it was left with work no event will announce.
+    fn visit(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.queued = false;
+        let runnable = sweep_conn(
+            conn,
+            &self.shared,
+            &self.options,
+            &mut self.budgets,
+            &self.wake,
+        );
+        // A hung-up socket takes no more writes: whatever the visit could
+        // still read out of it has been served, the rest is teardown.
+        conn.dead |= conn.hangup;
+        if !conn.dead {
+            let want = Interest {
+                read: !conn.peer_eof && !conn.closing,
+                write: !conn.writer.is_empty(),
+            };
+            if want != conn.interest {
+                match self.poller.rearm(&conn.stream, token, want) {
+                    Ok(()) => conn.interest = want,
+                    Err(_) => conn.dead = true,
+                }
             }
         }
-        let before = conns.len();
-        conns.retain_mut(|conn| {
-            if conn.dead {
-                retire(conn, &shared);
-                false
-            } else {
-                true
+        if conn.dead {
+            retire(conn, &self.poller, &self.shared);
+            self.conns.remove(&token);
+            g_conns().add(-1);
+            return;
+        }
+        if let Some(at) = conn.next_deadline(&self.shared) {
+            if conn.armed.is_none_or(|armed| at < armed) {
+                conn.armed = Some(at);
+                self.timers.push(Reverse((at, token)));
             }
-        });
-        g_conns().add(-((before - conns.len()) as i64));
-        if !progress {
-            std::thread::sleep(options.idle_sleep);
+        }
+        if runnable {
+            conn.queued = true;
+            self.run.push(token);
         }
     }
 }
 
-/// Tears down one connection's session (if it got that far).
-fn retire(conn: &mut ConnState, shared: &ServiceShared) {
+/// Tears down one connection: out of the epoll set first (the outbox's
+/// `closer` dup would otherwise keep the registration alive after the
+/// socket closes), then its session, if it got that far.
+fn retire(conn: &mut ConnState, poller: &Poller, shared: &ServiceShared) {
+    let _ = poller.deregister(&conn.stream);
     let _ = conn.stream.shutdown(Shutdown::Both);
     if let Phase::Active(session) = &conn.phase {
         close_session(
@@ -468,31 +740,33 @@ fn retire(conn: &mut ConnState, shared: &ServiceShared) {
     }
 }
 
-/// One sweep pass over one connection; returns true if it made progress.
+/// One visit to one connection (steps 1–6 of the module docs). Returns
+/// true if it leaves work that no socket event, wake or deadline will
+/// announce — the connection must be visited again on the next wake.
 fn sweep_conn(
     conn: &mut ConnState,
     shared: &ServiceShared,
     options: &ReactorOptions,
-    budgets: &mut HashMap<String, usize>,
+    budgets: &mut Budgets,
+    wake: &ShardWake,
 ) -> bool {
-    let mut progress = false;
+    m_conn_visits().inc();
+    let mut runnable = false;
 
     // 1. A parked submit/modify completes independently of socket traffic.
     if let Phase::Active(session) = &mut conn.phase {
-        let completed = match &session.pending {
-            Some(pending) => match pending.rx.try_recv() {
-                Ok(result) => Some(result),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(Err(SubmitError::CollectionClosed)),
-            },
-            None => None,
-        };
-        if let Some(result) = completed {
-            let pending = session.pending.take().unwrap();
-            session.record_latency(pending.record_hist, pending.submitted_at, &shared.metrics);
-            let reply = result_frame(result, pending.trace);
-            queue_frame(&mut conn.writer, &mut conn.dead, &reply);
-            progress = true;
+        match session.pending.take() {
+            Some(PendingReply {
+                result: Some(result),
+                trace,
+                submitted_at,
+                record_hist,
+            }) => {
+                session.record_latency(record_hist, submitted_at, &shared.metrics);
+                let reply = result_frame(result, trace);
+                queue_frame(&mut conn.writer, &mut conn.dead, &reply);
+            }
+            still_parked => session.pending = still_parked,
         }
     }
 
@@ -500,14 +774,15 @@ fn sweep_conn(
     if !conn.peer_eof && !conn.closing {
         match conn.reader.fill_from(&mut conn.stream, options.read_budget) {
             Ok(0) => conn.peer_eof = true,
-            Ok(_) => {
+            Ok(n) => {
                 conn.last_activity = Instant::now();
-                progress = true;
+                // Cut off by the budget: the socket may hold more.
+                runnable |= n >= options.read_budget;
             }
             Err(ConnError::Empty) => {}
             Err(_) => {
                 conn.dead = true;
-                return true;
+                return false;
             }
         }
     }
@@ -521,9 +796,13 @@ fn sweep_conn(
             if session.pending.is_some() {
                 break; // one op in flight per connection: acks stay in request order
             }
-            if budgets.get(session.collection.name()) == Some(&0) {
+            if budgets
+                .left(session.collection.name())
+                .is_some_and(|b| *b == 0)
+            {
                 if conn.reader.pending_bytes() >= 4 {
                     m_fairness_deferrals().inc();
+                    runnable = true;
                 }
                 break;
             }
@@ -534,18 +813,17 @@ fn sweep_conn(
             Err(_) => {
                 shared.metrics.malformed_frames.inc();
                 conn.dead = true;
-                return true;
+                return false;
             }
         };
-        progress = true;
         m_frames_in().inc();
         if let Phase::Active(session) = &conn.phase {
-            if let Some(b) = budgets.get_mut(session.collection.name()) {
+            if let Some(b) = budgets.left(session.collection.name()) {
                 *b -= 1;
             }
         }
         if matches!(conn.phase, Phase::Handshake) {
-            serve_handshake(conn, &frame, shared);
+            serve_handshake(conn, &frame, shared, wake);
         } else {
             serve_request(conn, &frame, shared);
         }
@@ -560,7 +838,7 @@ fn sweep_conn(
             if let Some(p) = pace {
                 let gated = session.last_broadcast_pop.is_some_and(|t| t.elapsed() < p);
                 if gated || popped {
-                    break; // at most one paced broadcast per sweep
+                    break; // at most one paced broadcast per visit
                 }
             }
             let Some(frame) = session.outbox.pop_broadcast() else {
@@ -568,37 +846,28 @@ fn sweep_conn(
             };
             if conn.writer.enqueue(&frame).is_err() {
                 conn.dead = true;
-                return true;
+                return false;
             }
             session.last_broadcast_pop = Some(Instant::now());
             popped = true;
         }
-        if popped {
-            progress = true;
-            if session.outbox.take_note() {
-                let note = lagging_frame();
-                if conn.writer.enqueue(note.encode().as_bytes()).is_err() {
-                    conn.dead = true;
-                    return true;
-                }
+        if popped && session.outbox.take_note() {
+            let note = lagging_frame();
+            if conn.writer.enqueue(note.encode().as_bytes()).is_err() {
+                conn.dead = true;
+                return false;
             }
         }
         if session.outbox.is_evicted() {
             conn.dead = true;
-            return true;
+            return false;
         }
     }
 
     // 5. Flush as much as the socket accepts.
-    if !conn.writer.is_empty() {
-        match conn.writer.flush(&mut conn.stream) {
-            Ok(0) => {}
-            Ok(_) => progress = true,
-            Err(_) => {
-                conn.dead = true;
-                return true;
-            }
-        }
+    if !conn.writer.is_empty() && conn.writer.flush(&mut conn.stream).is_err() {
+        conn.dead = true;
+        return false;
     }
 
     // 6. Close conditions: explicit close once drained, half-closed peer
@@ -616,12 +885,12 @@ fn sweep_conn(
             conn.dead = true;
         }
     }
-    progress
+    runnable
 }
 
 /// Serves the connection's first frame (`hello`/`resume`) via
 /// [`open_session`].
-fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
+fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, wake: &ShardWake) {
     let text = String::from_utf8_lossy(frame);
     let Ok(req) = JsonRef::parse(&text) else {
         shared.metrics.malformed_frames.inc();
@@ -654,7 +923,13 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
                 conn.dead = true;
                 return;
             };
-            let outbox = Arc::new(Outbox::new(peer, closer, &shared.options.overload));
+            let outbox = Arc::new(Outbox::new(
+                peer,
+                closer,
+                &shared.options.overload,
+                Arc::clone(wake),
+                conn.token,
+            ));
             collection
                 .registry
                 .lock()

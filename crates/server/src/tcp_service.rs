@@ -42,9 +42,11 @@
 //!
 //! ## Connection layer
 //!
-//! A small fixed pool of reactor shard threads sweeps nonblocking sockets
-//! with per-connection read/write state machines; total thread count is
-//! O(pool size), not O(connections). See `reactor.rs` and DESIGN.md §13.
+//! A small fixed pool of reactor shard threads drives nonblocking sockets
+//! with per-connection read/write state machines, each shard blocked in
+//! `epoll_wait` until one of its sockets, a reply or a broadcast is ready;
+//! total thread count is O(pool size), not O(connections). See
+//! `reactor.rs` and DESIGN.md §13.
 //!
 //! Broadcasts reach a connection through its bounded [`Outbox`], so one
 //! stalled reader cannot wedge the flush path — it is downgraded to
@@ -85,7 +87,7 @@ use crate::backend::{Backend, BatchOp, SubmitError};
 use crate::batch::{BatchOptions, BatchPipeline};
 use crate::overload::{OverloadOptions, Priority};
 use crate::progress::{ProgressTracker, StopAction, StoppingPolicy};
-use crate::reactor::{self, Outbox, ReactorOptions};
+use crate::reactor::{self, Outbox, ReactorOptions, ShardWake, Wake};
 use crate::wire;
 use crowdfill_docstore::{Json, JsonRef};
 use crowdfill_model::Message;
@@ -450,6 +452,9 @@ pub struct TcpService {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     shard_threads: Vec<std::thread::JoinHandle<()>>,
+    /// One wake queue per shard: how `stop` reaches a shard blocked in
+    /// `epoll_wait`.
+    shard_wakes: Vec<ShardWake>,
     /// The background metrics sampler; joined on `stop` (and on drop).
     sampler: Option<Sampler>,
 }
@@ -717,8 +722,10 @@ impl TcpService {
 
         // Shard pool: the accept thread only hands fresh sockets to shards
         // round-robin; shards own every conn for life.
-        let (shard_threads, injects) =
-            reactor::start_shards(&options.reactor, Arc::clone(&shared), Arc::clone(&shutdown));
+        let (shard_threads, shard_wakes) =
+            reactor::start_shards(&options.reactor, Arc::clone(&shared), Arc::clone(&shutdown))
+                .map_err(|e| ConnError::Io(e.to_string()))?;
+        let injects = shard_wakes.clone();
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -743,7 +750,7 @@ impl TcpService {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    let _ = injects[next_shard % injects.len()].send(stream);
+                    injects[next_shard % injects.len()].push(Wake::Inject(stream));
                     next_shard = next_shard.wrapping_add(1);
                 }
             })
@@ -755,6 +762,7 @@ impl TcpService {
             shutdown,
             accept_thread: Some(accept_thread),
             shard_threads,
+            shard_wakes,
             sampler,
         })
     }
@@ -798,20 +806,36 @@ impl TcpService {
     }
 
     /// Stops accepting connections and joins the accept, shard, and
-    /// sampler threads.
+    /// sampler threads. Dropping the service does the same.
     pub fn stop(mut self) {
+        self.halt();
+    }
+
+    /// The body of `stop`, callable again from `Drop` (every step is a
+    /// no-op the second time).
+    fn halt(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(mut s) = self.sampler.take() {
             s.stop();
         }
-        // Unblock the accept() call.
-        let _ = TcpConn::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
+            // Unblock the accept() call.
+            let _ = TcpConn::connect(self.addr);
             let _ = t.join();
+        }
+        // The shards are blocked in epoll_wait, not polling the flag.
+        for wake in self.shard_wakes.drain(..) {
+            wake.wake();
         }
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
         }
+    }
+}
+
+impl Drop for TcpService {
+    fn drop(&mut self) {
+        self.halt();
     }
 }
 

@@ -1,11 +1,11 @@
-//! Resource accounting across connection churn. This file holds exactly
-//! one test, so it is the only thing in its process that starts a service
-//! or opens a socket — which is what lets the counts below be exact
-//! rather than padded with slack for concurrently running tests.
+//! Resource accounting across connection churn and service teardown. This
+//! file holds exactly one test, so it is the only thing in its process that
+//! starts a service or opens a socket — which is what lets the counts below
+//! be exact rather than padded with slack for concurrently running tests.
 
 use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
 use crowdfill_net::{FrameConn, TcpConn};
-use crowdfill_server::{Backend, TaskConfig, TcpService};
+use crowdfill_server::{Backend, RemoteWorker, TaskConfig, TcpService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,8 +50,7 @@ fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
     while count() != expected {
         assert!(
             Instant::now() < deadline,
-            "reactor leaked {what} across 500-connection churn: \
-             {expected} before, {} after",
+            "reactor leaked {what}: {expected} before, {} after",
             count()
         );
         std::thread::sleep(Duration::from_millis(50));
@@ -62,12 +61,17 @@ fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
 /// O(connections), and connection churn leaks neither threads nor file
 /// descriptors. 500 connect/handshake/disconnect cycles must leave the
 /// process with exactly the threads it had (the shard pool was spawned at
-/// service start) and exactly the fds it had.
+/// service start) and exactly the fds it had. And a service that is merely
+/// dropped, connections and all, must give back everything `start` took:
+/// a leaked shard would block in `epoll_wait` forever, holding its epoll
+/// fd, its eventfd and every socket it owns.
 #[test]
 fn reactor_churn_leaks_neither_threads_nor_fds() {
     if !std::path::Path::new("/proc/self/task").exists() {
         return; // thread accounting needs procfs
     }
+    let threads_at_rest = threads();
+    let fds_at_rest = open_fds();
 
     let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
     let addr = service.addr();
@@ -92,4 +96,17 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_returns_to(fds_before, open_fds, "fds");
 
     service.stop();
+    // The detached sweep threads notice the flag at their next tick.
+    assert_returns_to(threads_at_rest, threads, "threads after stop");
+    assert_returns_to(fds_at_rest, open_fds, "fds after stop");
+
+    // Dropped without `stop`, with eight workers still attached.
+    let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
+    let workers: Vec<RemoteWorker> = (0..8)
+        .map(|_| RemoteWorker::connect(service.addr()).unwrap())
+        .collect();
+    drop(service);
+    drop(workers);
+    assert_returns_to(threads_at_rest, threads, "threads after drop");
+    assert_returns_to(fds_at_rest, open_fds, "fds after drop");
 }

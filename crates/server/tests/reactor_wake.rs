@@ -1,0 +1,419 @@
+//! The reactor's wake path: a shard blocks in `epoll_wait` until a socket,
+//! a reply, a broadcast, an inject, a hang-up, a deadline or `stop` is
+//! ready — and then visits only the connections that are. The counters
+//! these tests read (`crowdfill_reactor_wakeups`, `_conn_visits`) are
+//! process-global, so the file is its own test binary and its tests take
+//! turns.
+
+use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
+use crowdfill_net::{ConnError, FrameConn, TcpConn};
+use crowdfill_server::{
+    Backend, OverloadOptions, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+static TURN: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn config(rows: usize) -> TaskConfig {
+    let schema = Arc::new(
+        Schema::new(
+            "SoccerPlayer",
+            vec![
+                Column::new("name", DataType::Text),
+                Column::new("nationality", DataType::Text),
+            ],
+            &["name"],
+        )
+        .unwrap(),
+    );
+    TaskConfig::new(
+        schema,
+        Arc::new(QuorumMajority::of_three()),
+        Template::cardinality(rows),
+        10.0,
+    )
+}
+
+/// Two shards, no timers (`idle_timeout` and `writer_pace` default to
+/// `None`): a shard with nothing to do has nothing to wake it.
+fn two_shards() -> ServiceOptions {
+    ServiceOptions {
+        reactor: ReactorOptions {
+            shards: 2,
+            ..ReactorOptions::default()
+        },
+        ..ServiceOptions::default()
+    }
+}
+
+fn counter(name: &str) -> u64 {
+    crowdfill_obs::metrics::counter(name).get()
+}
+
+fn wakeups() -> u64 {
+    counter("crowdfill_reactor_wakeups")
+}
+
+/// A raw session: handshake done, nothing sent since. The accept thread
+/// deals connections round-robin, so on a two-shard service consecutive
+/// sessions land on alternating shards.
+fn session(addr: SocketAddr, collection: &str) -> TcpConn {
+    let conn = TcpConn::connect(addr).unwrap();
+    let hello = format!(r#"{{"type":"hello","collection":"{collection}"}}"#);
+    conn.send(hello.as_bytes()).unwrap();
+    let welcome = conn.recv().expect("welcome");
+    assert!(is_type(&welcome, "welcome"));
+    conn
+}
+
+/// The JSON encoder sorts keys, so `"type"` is not first.
+fn is_type(frame: &[u8], ty: &str) -> bool {
+    String::from_utf8_lossy(frame).contains(&format!(r#""type":"{ty}""#))
+}
+
+/// Fills the first column of some still-empty row.
+fn fill(worker: &mut RemoteWorker, value: &str) {
+    worker.absorb_pending();
+    let view = worker.view();
+    let table = view.replica().table();
+    let row = view
+        .presented_rows()
+        .iter()
+        .copied()
+        .find(|r| table.get(*r).is_none_or(|e| !e.value.has(ColumnId(0))))
+        .expect("an empty row");
+    worker.fill(row, ColumnId(0), Value::text(value)).unwrap();
+}
+
+/// Lets the shards finish what the set-up started and block again.
+fn settle() {
+    std::thread::sleep(Duration::from_millis(100));
+}
+
+/// Runs `body` on its own thread and fails — rather than hangs — if it is
+/// not done within `limit`: a shard that misses a wake blocks forever.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    rx.recv_timeout(limit).unwrap_or_else(|_| {
+        panic!("{what}: not within {limit:?} (panicked, or the shard slept through its wake)")
+    })
+}
+
+const WATCHDOG: Duration = Duration::from_secs(2);
+
+/// Blocks until the server closes the connection; frames that arrive
+/// before that are discarded.
+fn recv_until_closed(conn: &TcpConn) {
+    loop {
+        match conn.recv() {
+            Ok(_) => {}
+            Err(ConnError::Disconnected) => return,
+            Err(e) => panic!("expected a clean close, got {e}"),
+        }
+    }
+}
+
+/// (i) Idle is idle: connected, silent sessions cost no wakeups at all.
+#[test]
+fn idle_sessions_cause_no_wakeups() {
+    let _turn = take_turn();
+    let service =
+        TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", two_shards()).unwrap();
+    let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
+    settle();
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(wakeups(), before, "an idle shard woke up");
+    drop(sessions);
+    service.stop();
+}
+
+/// (ii) A wake costs O(ready connections): 256 idle sessions share the
+/// shards with one busy worker (another collection, so its fills are not
+/// broadcast to them) and are not visited on its behalf.
+#[test]
+fn a_wake_visits_only_ready_connections() {
+    let _turn = take_turn();
+    let backends = vec![
+        ("busy".to_string(), Backend::new(config(100))),
+        ("idle".to_string(), Backend::new(config(1))),
+    ];
+    let service = TcpService::start_multi(backends, "127.0.0.1:0", two_shards()).unwrap();
+    let addr = service.addr();
+    let idle: Vec<TcpConn> = (0..256).map(|_| session(addr, "idle")).collect();
+    let mut worker = RemoteWorker::connect_to(addr, "busy").unwrap();
+    settle();
+    let before = counter("crowdfill_reactor_conn_visits");
+    for i in 0..100 {
+        fill(&mut worker, &format!("player-{i}"));
+    }
+    let visits = counter("crowdfill_reactor_conn_visits") - before;
+    assert!(visits >= 100, "100 fills in {visits} visits?");
+    assert!(
+        visits < 100 * 16,
+        "{visits} visits for 100 fills: a wake is sweeping idle connections"
+    );
+    worker.bye();
+    drop(idle);
+    service.stop();
+}
+
+/// (iii) Every wake source, alone, unblocks a blocked shard. No timers are
+/// configured, so before each row the shards are blocked with no timeout.
+#[test]
+fn every_wake_source_unblocks_a_blocked_shard() {
+    let _turn = take_turn();
+    let service =
+        TcpService::start_with(Backend::new(config(8)), "127.0.0.1:0", two_shards()).unwrap();
+    let addr = service.addr();
+
+    // A new connection is injected (and its first request bytes arrive).
+    settle();
+    let watcher = within(WATCHDOG, "inject", move || session(addr, "default"));
+    let mut worker = within(WATCHDOG, "inject", move || {
+        RemoteWorker::connect(addr).unwrap()
+    });
+
+    // Request bytes arrive on an established, idle connection.
+    settle();
+    let snapshot = within(WATCHDOG, "request bytes", move || {
+        let snapshot = worker.stats().unwrap();
+        (worker, snapshot)
+    });
+    let (mut worker, snapshot) = snapshot;
+    assert!(snapshot.contains("crowdfill_reactor_wakeups"));
+
+    // A parked reply completes (the ack comes from the apply thread), and
+    // the fill's broadcast is enqueued for `watcher`, which lives on the
+    // other shard and has been silent since its handshake.
+    settle();
+    let worker = within(WATCHDOG, "parked reply", move || {
+        fill(&mut worker, "Messi");
+        worker
+    });
+    let watcher = within(WATCHDOG, "broadcast to the other shard", move || {
+        let frame = watcher.recv().expect("broadcast");
+        assert!(is_type(&frame, "msg"));
+        watcher
+    });
+
+    // An off-shard close: disconnect_all shuts every socket from the
+    // caller's thread; the shards must notice and retire the sessions.
+    settle();
+    let disconnects = counter("crowdfill_server_disconnects");
+    assert_eq!(service.disconnect_all(), 2);
+    within(WATCHDOG, "disconnect_all", move || {
+        recv_until_closed(&watcher);
+        while counter("crowdfill_server_disconnects") < disconnects + 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    drop(worker);
+
+    // stop() with 64 idle connections.
+    let idle: Vec<TcpConn> = (0..64).map(|_| session(addr, "default")).collect();
+    settle();
+    let took = within(WATCHDOG, "stop", move || {
+        let start = Instant::now();
+        service.stop();
+        start.elapsed()
+    });
+    assert!(took < Duration::from_millis(250), "stop took {took:?}");
+    drop(idle);
+}
+
+/// (iii, continued) The eviction sweep's `maybe_evict` shuts a lagging
+/// connection's socket from its own thread. Going lagging needs a paced
+/// writer (an unpaced shard drains the outbox faster than anything fills
+/// it); ten seconds of pace is a deadline this test never reaches, so the
+/// hang-up is the only thing that can wake the shard.
+#[test]
+fn eviction_by_the_sweep_thread_unblocks_the_shard() {
+    let _turn = take_turn();
+    let options = ServiceOptions {
+        overload: OverloadOptions {
+            write_buffer_frames: 1,
+            evict_after: Duration::from_millis(50),
+            writer_pace: Some(Duration::from_secs(10)),
+            ..OverloadOptions::default()
+        },
+        ..two_shards()
+    };
+    let service = TcpService::start_with(Backend::new(config(8)), "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+    let stalled = session(addr, "default");
+    let mut worker = RemoteWorker::connect(addr).unwrap();
+    let evictions = counter("crowdfill_server_evictions");
+    // First broadcast goes out, the second waits for the pace, the third
+    // finds the one-frame outbox full: lagging, and then silence.
+    for i in 0..3 {
+        fill(&mut worker, &format!("player-{i}"));
+    }
+    within(WATCHDOG, "eviction", move || recv_until_closed(&stalled));
+    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
+    worker.bye();
+    service.stop();
+}
+
+/// (iv) Deadlines come from the wait's timeout, not from traffic: an idle
+/// timeout fires on a service nobody talks to.
+#[test]
+fn idle_timeout_fires_on_a_silent_service() {
+    let _turn = take_turn();
+    let options = ServiceOptions {
+        idle_timeout: Some(Duration::from_millis(150)),
+        ..two_shards()
+    };
+    let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+    let idle_disconnects = counter("crowdfill_server_idle_disconnects");
+    let closed_after = within(WATCHDOG, "idle timeout", move || {
+        // The server's idle clock starts when it reads the hello, which is
+        // after this instant.
+        let start = Instant::now();
+        let conn = session(addr, "default");
+        recv_until_closed(&conn);
+        start.elapsed()
+    });
+    assert!(
+        closed_after >= Duration::from_millis(150),
+        "closed early: {closed_after:?}"
+    );
+    assert!(
+        closed_after < Duration::from_millis(600),
+        "closed late: {closed_after:?}"
+    );
+    assert_eq!(
+        counter("crowdfill_server_idle_disconnects"),
+        idle_disconnects + 1
+    );
+    service.stop();
+}
+
+/// (iv) A paced writer releases queued broadcasts on its own clock: five
+/// broadcasts queued in a burst, then no traffic at all, still arrive —
+/// one per pace period.
+#[test]
+fn writer_pace_releases_broadcasts_without_traffic() {
+    let _turn = take_turn();
+    let pace = Duration::from_millis(20);
+    let options = ServiceOptions {
+        overload: OverloadOptions {
+            writer_pace: Some(pace),
+            ..OverloadOptions::default()
+        },
+        ..two_shards()
+    };
+    let service = TcpService::start_with(Backend::new(config(8)), "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+    let watcher = session(addr, "default");
+    let mut worker = RemoteWorker::connect(addr).unwrap();
+    for i in 0..5 {
+        fill(&mut worker, &format!("player-{i}"));
+    }
+    let arrivals = within(WATCHDOG, "paced broadcasts", move || {
+        (0..5)
+            .map(|_| {
+                let frame = watcher.recv().expect("broadcast");
+                assert!(is_type(&frame, "msg"));
+                Instant::now()
+            })
+            .collect::<Vec<_>>()
+    });
+    // The server spaces the sends by at least `pace`. Arrival times add the
+    // receiving thread's scheduling jitter, so a single gap is held to half
+    // a period (a burst delivered at once has gaps of microseconds) and
+    // the whole train to four periods less a few milliseconds.
+    for pair in arrivals.windows(2) {
+        let gap = pair[1] - pair[0];
+        assert!(gap >= pace / 2, "gap {gap:?}");
+    }
+    let span = arrivals[4] - arrivals[0];
+    assert!(span >= pace * 4 - Duration::from_millis(5), "span {span:?}");
+    worker.bye();
+    service.stop();
+}
+
+fn send_frame(stream: &mut TcpStream, payload: &[u8]) {
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(payload).unwrap();
+}
+
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut header = [0u8; 4];
+    stream.read_exact(&mut header).unwrap();
+    let mut payload = vec![0u8; u32::from_be_bytes(header) as usize];
+    stream.read_exact(&mut payload).unwrap();
+    payload
+}
+
+/// (v) Write interest follows the writer: replies that exceed what the
+/// socket takes are finished when the client finally reads (`EPOLLOUT`
+/// armed while the writer holds bytes), and neither the stall nor the
+/// drained connection afterwards spins the shard (`EPOLLOUT` dropped once
+/// the writer is empty; a full socket is not "writable").
+#[test]
+fn write_interest_is_armed_only_while_the_writer_is_full() {
+    let _turn = take_turn();
+    let service =
+        TcpService::start_with(Backend::new(config(32)), "127.0.0.1:0", two_shards()).unwrap();
+    let addr = service.addr();
+    // 32 fills of 65,000 bytes: a history of about 2 MB.
+    let mut worker = RemoteWorker::connect(addr).unwrap();
+    for i in 0..32 {
+        fill(&mut worker, &format!("{i:-<65000}"));
+    }
+    worker.bye();
+
+    // A client without a reader thread: what it does not read stays in
+    // the socket. Eight pipelined syncs ask for 16 MB; loopback buffers
+    // (tcp_wmem + tcp_rmem defaults) hold about a quarter of that.
+    let mut client = TcpStream::connect(addr).unwrap();
+    send_frame(&mut client, br#"{"type":"hello"}"#);
+    let welcome = read_frame(&mut client);
+    assert!(welcome.len() > 2_000_000);
+    const SYNCS: usize = 8;
+    for _ in 0..SYNCS {
+        send_frame(&mut client, br#"{"type":"sync","from":0,"have":[]}"#);
+    }
+    std::thread::sleep(Duration::from_millis(50)); // served, socket full
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(200));
+    let stalled = wakeups() - before;
+    assert!(stalled < 50, "{stalled} wakeups while the reader stalled");
+
+    let replies = within(WATCHDOG * 2, "draining the replies", move || {
+        let replies: Vec<Vec<u8>> = (0..SYNCS).map(|_| read_frame(&mut client)).collect();
+        (client, replies)
+    });
+    let (client, replies) = replies;
+    for reply in &replies {
+        assert!(is_type(reply, "synced"));
+        assert_eq!(reply.len(), replies[0].len());
+        assert!(reply.len() > 2_000_000);
+    }
+
+    settle();
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(100));
+    let drained = wakeups() - before;
+    assert!(drained < 50, "{drained} wakeups on a drained connection");
+    drop(client);
+    service.stop();
+}

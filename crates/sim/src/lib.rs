@@ -17,6 +17,8 @@
 //! * [`faultplan`] — seeded disk-fault schedules (crash-point matrix,
 //!   EIO/ENOSPC sweeps) for the durability harness (DESIGN.md §14).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod des;
 pub mod experiment;

@@ -19,6 +19,8 @@
 //! fabric used to check exactly that over adversarial and randomized
 //! schedules (see `tests/convergence.rs`).
 
+#![forbid(unsafe_code)]
+
 //! Recovery: delivery in the real deployment is only reliable per TCP
 //! *connection*, not per worker lifetime. [`AppliedSeqs`] tracks which
 //! server-numbered messages a replica has applied so a reconnecting client

@@ -83,6 +83,8 @@
 //! assert!(payout.worker_total(w1) > payout.worker_total(w2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use crowdfill_constraints as constraints;
 pub use crowdfill_docstore as docstore;
 pub use crowdfill_matching as matching;
