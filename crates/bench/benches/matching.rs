@@ -47,12 +47,10 @@ fn bench_incremental_churn(c: &mut Criterion) {
                         // One probable row leaves, a replacement arrives: the
                         // per-worker-action churn PRI maintenance sees.
                         m.remove_right(&0);
-                        m.add_right(p + 1);
-                        for left in 0..t {
-                            if (left * 7 + (p + 1) * 13) % 4 == 0 {
-                                m.add_edge(left, p + 1);
-                            }
-                        }
+                        m.add_right(
+                            p + 1,
+                            (0..t).filter(|left| (left * 7 + (p + 1) * 13) % 4 == 0),
+                        );
                         black_box(m.repair());
                     },
                     criterion::BatchSize::SmallInput,

@@ -1,7 +1,8 @@
 //! `bench-report`: the machine-readable throughput harness behind the CI
 //! bench gate. Measures the batched apply pipeline (batch-size sweep, with
-//! and without a journal) and the sharded matcher (sequential vs parallel
-//! repair), then writes `BENCH_sync.json` and `BENCH_matching.json` —
+//! and without a journal) and the PRI matcher (bulk repair, and a Central
+//! Client's per-message cost as the table grows), then writes
+//! `BENCH_sync.json` and `BENCH_matching.json` —
 //! one result object per line, so `scripts/bench_compare.sh` can diff two
 //! runs with nothing fancier than sed.
 //!
@@ -15,10 +16,10 @@ use crowdfill_bench::connscale::{
 };
 use crowdfill_bench::overload::{run_schedule, HarnessOptions, ScenarioReport};
 use crowdfill_bench::workload::{
-    record_fill_workload, replay_batched, replay_singleton, sharded_graph,
+    cardinality_central_client, component_graph, pri_fill_workload, record_fill_workload,
+    replay_batched, replay_singleton,
 };
 use crowdfill_docstore::{FsyncPolicy, Wal};
-use crowdfill_matching::Parallelism;
 use crowdfill_server::Backend;
 use crowdfill_sim::openloop;
 use std::io::Write;
@@ -128,11 +129,10 @@ fn sync_suite(quick: bool) -> Vec<Entry> {
     eprintln!("sync workload: {ops} ops over {rows} rows, {workers} workers, {reps} reps");
     let mut entries = Vec::new();
 
-    // Interleave every variant rep by rep (see the matching suite for the
-    // rationale): timing each variant as its own back-to-back pass lets
-    // clock/cache drift between passes masquerade as a batching
-    // regression, when singleton and batch replay the same ops through the
-    // same pipeline. The order also rotates each rep so no variant always
+    // Interleave every variant rep by rep: timing each variant as its own
+    // back-to-back pass lets clock/cache drift between passes masquerade
+    // as a batching regression, when singleton and batch replay the same
+    // ops through the same pipeline. The order also rotates each rep so no variant always
     // occupies the same slot of the cycle — a fixed slot picks up a small
     // systematic bias from whatever the previous variant left in cache.
     const BATCHES: [usize; 4] = [1, 8, 32, 128];
@@ -204,59 +204,52 @@ fn sync_suite(quick: bool) -> Vec<Entry> {
     entries
 }
 
+/// The matching layer on its own. `repair/*` builds a many-component graph
+/// and augments every left once (ns per augmenting start). `pri_on_message/*`
+/// is what one worker fill costs a Central Client over a cardinality
+/// template — a complete bipartite PRI graph, the matcher's worst case — at
+/// four table sizes, so a cost that is not linear in the table shows up as a
+/// step between neighbouring rows; `pri_new/*` is one Central Client build.
 fn matching_suite(quick: bool) -> Vec<Entry> {
-    let (configs, reps): (&[(usize, usize)], usize) = if quick {
-        (&[(16, 16), (64, 16)], 5)
+    const FILLS: usize = 40;
+    let (configs, tables, reps): (&[(usize, usize)], &[usize], usize) = if quick {
+        (&[(16, 16), (64, 16)], &[32, 400], 5)
     } else {
-        (&[(16, 16), (64, 16), (64, 64), (256, 32)], 31)
+        (
+            &[(16, 16), (64, 16), (64, 64), (256, 32)],
+            &[32, 200, 400, 800],
+            31,
+        )
     };
     let mut entries = Vec::new();
     for &(components, size) in configs {
-        // One repair resolves every free left across all components; count
-        // the lefts as the "ops" so ns/op is per augmenting start.
-        let ops = components * size;
-        // Warm-up pass so neither policy pays the cold caches.
-        sharded_graph(components, size, Parallelism::Sequential).repair();
-        // Interleave seq and par passes rep by rep: a sequential
-        // A-then-B layout lets clock-frequency and cache drift land
-        // entirely on one side, showing multi-percent phantom deltas
-        // between two policies that (below the Auto crossover, or on a
-        // single-core box) run the identical code path.
-        // Alternating which policy leads each rep cancels the (small)
-        // first-in-cycle cache bias as well.
-        let mut seq: Vec<u128> = Vec::with_capacity(reps);
-        let mut par: Vec<u128> = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            for k in 0..2 {
-                let policy = if (rep + k) % 2 == 0 {
-                    Parallelism::Sequential
-                } else {
-                    Parallelism::Auto
-                };
-                let start = Instant::now();
-                let mut m = sharded_graph(components, size, policy);
-                m.repair();
-                let elapsed = start.elapsed().as_nanos();
-                assert_eq!(m.matching_size(), components * size);
-                match policy {
-                    Parallelism::Sequential => seq.push(elapsed),
-                    _ => par.push(elapsed),
-                }
-            }
-        }
-        entries.push(reduce(
-            &format!("sharded_repair/seq/c{components}x{size}"),
-            ops,
+        let lefts = components * size;
+        component_graph(components, size).repair(); // warm-up
+        entries.push(measure(
+            &format!("repair/c{components}x{size}"),
+            lefts,
             reps,
-            seq,
-        ));
-        entries.push(reduce(
-            &format!("sharded_repair/par/c{components}x{size}"),
-            ops,
-            reps,
-            par,
+            || assert_eq!(component_graph(components, size).repair(), lefts),
         ));
     }
+    for &rows in tables {
+        let ops = FILLS.min(rows);
+        let mut fills = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let (mut cc, msgs) = pri_fill_workload(rows, ops);
+            let start = Instant::now();
+            for msg in &msgs {
+                cc.on_message(msg);
+            }
+            fills.push(start.elapsed().as_nanos());
+            assert!(cc.invariant_holds() && cc.take_outbox().is_empty());
+        }
+        let name = format!("pri_on_message/cardinality-{rows}");
+        entries.push(reduce(&name, ops, reps, fills));
+    }
+    entries.push(measure("pri_new/cardinality-400", 1, reps, || {
+        assert!(cardinality_central_client(400).invariant_holds());
+    }));
     entries
 }
 

@@ -1,14 +1,17 @@
 //! Deterministic workloads for the throughput benches: a recorded op
 //! stream replayable through either the singleton or the batched backend
-//! apply path, and synthetic many-component bipartite graphs for the
-//! sharded matcher.
+//! apply path, synthetic many-component bipartite graphs for the matcher,
+//! and a fill script for a Central Client on its own.
 
+use crowdfill_constraints::PriMaintainer;
+use crowdfill_matching::IncrementalMatcher;
 use crowdfill_model::{
-    Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
+    ClientId, Column, ColumnId, DataType, Message, Operation, QuorumMajority, RowId, Schema,
+    Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
 use crowdfill_server::{Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
-use crowdfill_sync::AppliedSeqs;
+use crowdfill_sync::{AppliedSeqs, Replica};
 use std::sync::Arc;
 
 /// The 3-column schema used by the sync-pipeline workload.
@@ -208,25 +211,50 @@ pub fn replay_singleton(
 }
 
 /// A bipartite graph of `components` disjoint blocks, each with `size`
-/// lefts and `size + 1` rights connected in a dense-ish local pattern —
-/// the shard-parallel repair workload.
-pub fn sharded_graph(
-    components: usize,
-    size: usize,
-    parallelism: crowdfill_matching::Parallelism,
-) -> crowdfill_matching::ShardedMatcher<usize, usize> {
-    let mut m = crowdfill_matching::ShardedMatcher::new();
-    m.set_parallelism(parallelism);
+/// lefts and `size + 1` rights connected in a dense-ish local pattern, every
+/// left still unmatched — the repair workload.
+pub fn component_graph(components: usize, size: usize) -> IncrementalMatcher<usize, usize> {
+    let mut m = IncrementalMatcher::new();
     for c in 0..components {
         let lbase = c * size;
         let rbase = c * (size + 1);
         for l in 0..size {
-            m.add_left(lbase + l);
             for dr in 0..=2usize {
-                m.add_right(rbase + (l + dr) % (size + 1));
                 m.add_edge(lbase + l, rbase + (l + dr) % (size + 1));
             }
         }
     }
     m
+}
+
+/// A Central Client over `Template::cardinality(rows)` — a complete
+/// bipartite PRI graph, rows² edges.
+pub fn cardinality_central_client(rows: usize) -> PriMaintainer {
+    let scoring = Arc::new(QuorumMajority::of_three());
+    PriMaintainer::new(pipeline_schema(), scoring, &Template::cardinality(rows))
+}
+
+/// [`cardinality_central_client`] and `fills` worker messages for it, each
+/// filling the key column of a different seed row: every one replaces a
+/// probable row, so it widows one template row and the matcher re-homes it.
+pub fn pri_fill_workload(rows: usize, fills: usize) -> (PriMaintainer, Vec<Message>) {
+    let mut cc = cardinality_central_client(rows);
+    let mut worker = Replica::new(ClientId(1), pipeline_schema());
+    for m in cc.take_outbox() {
+        worker.process(&m);
+    }
+    let seeds: Vec<RowId> = worker.table().row_ids().take(fills).collect();
+    let msgs = seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &row)| {
+            let fill = Operation::Fill {
+                row,
+                column: ColumnId(0),
+                value: Value::text(format!("k{i}")),
+            };
+            worker.apply_local(&fill).expect("seed row is fillable")
+        })
+        .collect();
+    (cc, msgs)
 }

@@ -31,7 +31,7 @@
 //! group-best), the derived final table satisfies the constraint.
 
 use crate::probable::classify;
-use crowdfill_matching::ShardedMatcher;
+use crowdfill_matching::IncrementalMatcher;
 use crowdfill_model::{
     ClientId, Entry, Message, Operation, RowId, RowValue, Schema, ScoringRef, Template, TemplateRow,
 };
@@ -48,14 +48,16 @@ pub type TemplateIdx = usize;
 pub struct PriMaintainer {
     replica: Replica,
     scoring: ScoringRef,
-    /// Live template rows (original index, row). Dropped rows are removed.
+    /// Live template rows (original index, row), ascending by index so a
+    /// row is found by binary search. Dropped rows are removed.
     template: Vec<(TemplateIdx, TemplateRow)>,
     /// Template rows CC had to give up on (paper §4.2's degenerate case).
     dropped: Vec<(TemplateIdx, TemplateRow)>,
-    /// Sharded so large templates repair component-parallel, and ordered so
-    /// two maintainers fed identical messages make identical decisions (the
-    /// batched server relies on that for cross-instance history identity).
-    matcher: ShardedMatcher<TemplateIdx, RowId>,
+    /// Live template rows (left) against probable rows (right). Its matching
+    /// is a pure function of the mutation history, so two maintainers fed
+    /// identical messages make identical decisions (the batched server
+    /// relies on that for cross-instance history identity).
+    matcher: IncrementalMatcher<TemplateIdx, RowId>,
     /// Current probable set (mirrors the matcher's right vertices).
     probable: BTreeSet<RowId>,
     /// Size of the derived final table as of the last classification sweep
@@ -82,7 +84,7 @@ impl PriMaintainer {
             scoring,
             template: template.rows().iter().cloned().enumerate().collect(),
             dropped: Vec::new(),
-            matcher: ShardedMatcher::new(),
+            matcher: IncrementalMatcher::new(),
             probable: BTreeSet::new(),
             final_rows: 0,
             outbox: Vec::new(),
@@ -107,22 +109,22 @@ impl PriMaintainer {
     pub fn restore(
         scoring: ScoringRef,
         replica: Replica,
-        template: Vec<(TemplateIdx, TemplateRow)>,
+        mut template: Vec<(TemplateIdx, TemplateRow)>,
         dropped: Vec<(TemplateIdx, TemplateRow)>,
     ) -> PriMaintainer {
+        template.sort_by_key(|(idx, _)| *idx);
         let mut m = PriMaintainer {
             replica,
             scoring,
             template,
             dropped,
-            matcher: ShardedMatcher::new(),
+            matcher: IncrementalMatcher::new(),
             probable: BTreeSet::new(),
             final_rows: 0,
             outbox: Vec::new(),
         };
-        let lefts: Vec<TemplateIdx> = m.template.iter().map(|(idx, _)| *idx).collect();
-        for idx in lefts {
-            m.matcher.add_left(idx);
+        for (idx, _) in &m.template {
+            m.matcher.add_left(*idx);
         }
         m.sync_probable_set();
         m.matcher.repair();
@@ -159,13 +161,9 @@ impl PriMaintainer {
     /// re-deriving them. No-op if `idx` is not live (e.g. the snapshot
     /// already reflects the drop and the journal frame overlaps it).
     pub fn replay_template_drop(&mut self, idx: TemplateIdx) {
-        let Some(pos) = self.template.iter().position(|(i, _)| *i == idx) else {
-            return;
-        };
-        let dropped = self.template.remove(pos);
-        self.matcher.remove_left(&idx);
-        self.dropped.push(dropped);
-        self.matcher.repair();
+        if self.drop_template_row(idx) {
+            self.matcher.repair();
+        }
     }
 
     /// Raises CC's row-id counter to at least `n` (recovery bookkeeping:
@@ -276,20 +274,6 @@ impl PriMaintainer {
 
     // ---- internals -------------------------------------------------------
 
-    /// The PRI edge condition: prescribed values strict, predicates
-    /// optimistic on partial rows (see module docs).
-    fn edge(&self, trow: &TemplateRow, value: &RowValue) -> bool {
-        let complete = value.is_complete(self.replica.schema());
-        trow.entries().iter().all(|(col, entry)| match entry {
-            Entry::Any => true,
-            Entry::Value(v) => value.get(*col) == Some(v),
-            Entry::Pred(p) => match value.get(*col) {
-                Some(cell) => p.eval(cell),
-                None => !complete,
-            },
-        })
-    }
-
     /// CC performs `op` on its replica and queues the message.
     fn cc_op(&mut self, op: &Operation) -> Option<RowId> {
         match self.replica.apply_local(op) {
@@ -389,11 +373,9 @@ impl PriMaintainer {
         self.sync_probable_set();
         self.matcher.repair();
 
-        // Restore the matching to cover the whole live template.
-        while self.matcher.matching_size() < self.template.len() {
-            let mut free = self.matcher.free_lefts();
-            free.sort_unstable(); // determinism
-            let t = free[0];
+        // Restore the matching to cover the whole live template, lowest
+        // uncovered row first (determinism).
+        while let Some(&t) = self.matcher.lowest_free_left() {
             let trow = self.template_row(t).clone();
 
             if self.insertable(&trow) {
@@ -424,14 +406,8 @@ impl PriMaintainer {
                 None => {
                     // Degenerate case: drop t from the template and continue
                     // with the reduced constraint (paper §4.2).
-                    let pos = self
-                        .template
-                        .iter()
-                        .position(|(idx, _)| *idx == t)
-                        .expect("free left is a live template row");
-                    let dropped = self.template.remove(pos);
-                    self.matcher.remove_left(&t);
-                    self.dropped.push(dropped);
+                    let live = self.drop_template_row(t);
+                    debug_assert!(live, "free left is a live template row");
                     crowdfill_obs::metrics::counter("crowdfill_constraints_template_drops").inc();
                     crowdfill_obs::obs_warn!(
                         "constraints",
@@ -445,13 +421,24 @@ impl PriMaintainer {
         debug_assert!(self.matcher.check_consistency());
     }
 
+    fn template_pos(&self, idx: TemplateIdx) -> Option<usize> {
+        self.template.binary_search_by_key(&idx, |(i, _)| *i).ok()
+    }
+
     fn template_row(&self, idx: TemplateIdx) -> &TemplateRow {
-        &self
-            .template
-            .iter()
-            .find(|(i, _)| *i == idx)
-            .expect("live template row")
-            .1
+        &self.template[self.template_pos(idx).expect("live template row")].1
+    }
+
+    /// Moves template row `idx` from the live template (and the matcher) to
+    /// the dropped list. Returns `false` if it is not live.
+    fn drop_template_row(&mut self, idx: TemplateIdx) -> bool {
+        let Some(pos) = self.template_pos(idx) else {
+            return false;
+        };
+        let dropped = self.template.remove(pos);
+        self.matcher.remove_left(&idx);
+        self.dropped.push(dropped);
+        true
     }
 
     /// Diffs the probable set into the matcher. Row values are immutable, so
@@ -461,30 +448,36 @@ impl PriMaintainer {
         self.final_rows = classification.winners;
         let fresh = classification.probable();
         // Removed rows.
-        let gone: Vec<RowId> = self.probable.difference(&fresh).copied().collect();
-        for id in gone {
-            self.matcher.remove_right(&id);
+        for id in self.probable.difference(&fresh) {
+            self.matcher.remove_right(id);
         }
-        // Added rows: connect to every live template row whose edge condition
-        // holds.
-        let added: Vec<RowId> = fresh.difference(&self.probable).copied().collect();
-        for id in added {
-            self.matcher.add_right(id);
-            let value = self
-                .replica
-                .table()
-                .get(id)
-                .expect("probable row exists")
-                .value
-                .clone();
-            for (idx, trow) in &self.template {
-                if self.edge(trow, &value) {
-                    self.matcher.add_edge(*idx, id);
-                }
-            }
+        // Added rows: each enters the matcher together with its edges, one to
+        // every live template row whose edge condition holds.
+        let schema = self.replica.schema();
+        for &id in fresh.difference(&self.probable) {
+            let row = self.replica.table().get(id).expect("probable row exists");
+            let lefts = self
+                .template
+                .iter()
+                .filter(|(_, t)| edge(schema, t, &row.value));
+            self.matcher.add_right(id, lefts.map(|(idx, _)| *idx));
         }
         self.probable = fresh;
     }
+}
+
+/// The PRI edge condition: prescribed values strict, predicates optimistic on
+/// partial rows (see module docs).
+fn edge(schema: &Schema, trow: &TemplateRow, value: &RowValue) -> bool {
+    let complete = value.is_complete(schema);
+    trow.entries().iter().all(|(col, entry)| match entry {
+        Entry::Any => true,
+        Entry::Value(v) => value.get(*col) == Some(v),
+        Entry::Pred(p) => match value.get(*col) {
+            Some(cell) => p.eval(cell),
+            None => !complete,
+        },
+    })
 }
 
 impl std::fmt::Debug for PriMaintainer {

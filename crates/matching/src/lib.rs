@@ -7,366 +7,654 @@
 //! workers act — each change adds/removes a handful of edges, after which a
 //! single augmenting-path search (Berge's theorem) restores maximality.
 //!
-//! Two engines are provided:
+//! * [`IncrementalMatcher`] — the live structure and the only incremental
+//!   engine: add/remove vertices and edges, repair with augmenting paths,
+//!   and query the alternating structure (the CC's "shuffle" step, when a
+//!   template row must be freed). Every mutation costs O(degree of the
+//!   vertex it touches); a repair walks only the alternating tree of the
+//!   lefts that lost their match.
+//! * [`hopcroft_karp`] — an independent O(E·√V) bulk solver, kept as the
+//!   test oracle for the incremental engine's matching *size*.
 //!
-//! * [`IncrementalMatcher`] — the live structure: add/remove vertices and
-//!   edges, repair with BFS augmenting paths, and query the alternating
-//!   structure (used by the CC's "shuffle" step when a template row must be
-//!   freed).
-//! * [`hopcroft_karp`] — an independent O(E·√V) bulk solver, used for bulk
-//!   (re)construction and as a test oracle for the incremental engine.
-//! * [`ShardedMatcher`] — a deterministic, component-sharded engine with the
-//!   same incremental API, whose repair runs independent connected
-//!   components on scoped threads (see [`sharded`]).
+//! ## Determinism
+//! The Central Client's insert / shuffle / drop decisions read the matching,
+//! so two servers fed the same message sequence must produce byte-identical
+//! broadcast histories (`server/tests/batch_props.rs`, the crash-point
+//! matrix). The matching is therefore a pure function of the mutation
+//! history: free lefts are augmented in ascending key order, a vertex's
+//! adjacency is scanned in the order its edges were added, and a search
+//! ends at the first goal right in BFS discovery order. Slot numbers, the
+//! vacancy lists and the scratch arrays never influence a choice.
 
 #![forbid(unsafe_code)]
 
-pub mod sharded;
-
-pub use sharded::{Parallelism, ShardedMatcher, PAR_MIN_VERTICES};
-
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::Hash;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 use crowdfill_obs::metrics::Counter;
 
 /// Counter of augmenting-path searches started.
 fn augment_searches() -> &'static Counter {
-    static C: OnceLock<std::sync::Arc<Counter>> = OnceLock::new();
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_augment_searches"))
 }
 
 /// Counter of BFS expansions performed across all augmenting-path
-/// searches — the matcher's unit of work.
+/// searches (a search that ends at a free neighbour of its root is one).
 fn augment_steps() -> &'static Counter {
-    static C: OnceLock<std::sync::Arc<Counter>> = OnceLock::new();
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_augment_steps"))
+}
+
+/// Counter of adjacency entries touched by add / remove / repair /
+/// exchange — the matcher's unit of work, and what the scaling gate
+/// (`constraints/tests/pri_scaling.rs`) bounds instead of a wall clock.
+fn edge_visits() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_edge_visits"))
+}
+
+/// "No slot": a free vertex's mate, a list end, a matched left's position in
+/// the free list.
+const NIL: u32 = u32::MAX;
+
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
+/// One edge, threaded on two doubly-linked lists: the adjacency of its left
+/// endpoint and of its right endpoint (arrays indexed by [`LEFT`]/[`RIGHT`]).
+/// New edges join at the tail, so a list walks in insertion order, and an
+/// edge leaves in O(1) without disturbing the order of the rest.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    end: [u32; 2],
+    prev: [u32; 2],
+    next: [u32; 2],
+}
+
+/// A vertex's adjacency list ends and its matched partner.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    head: u32,
+    tail: u32,
+    degree: u32,
+    mate: u32,
+}
+
+const ISOLATED: Node = Node {
+    head: NIL,
+    tail: NIL,
+    degree: 0,
+    mate: NIL,
+};
+
+/// One side of the graph. Caller keys are interned to dense `u32` slots here,
+/// at the API boundary, and nowhere else; vacated slots are reused.
+#[derive(Debug, Clone)]
+struct Side<K> {
+    slot_of: BTreeMap<K, u32>,
+    /// `None` while the slot is vacant.
+    keys: Vec<Option<K>>,
+    nodes: Vec<Node>,
+    vacant: Vec<u32>,
+}
+
+impl<K: Clone + Ord> Side<K> {
+    fn new() -> Self {
+        Side {
+            slot_of: BTreeMap::new(),
+            keys: Vec::new(),
+            nodes: Vec::new(),
+            vacant: Vec::new(),
+        }
+    }
+
+    fn slot(&self, key: &K) -> Option<u32> {
+        self.slot_of.get(key).copied()
+    }
+
+    fn key(&self, slot: u32) -> &K {
+        self.keys[slot as usize]
+            .as_ref()
+            .expect("slot in use has a key")
+    }
+
+    /// The slot of `key`, and whether it was created by this call.
+    fn intern(&mut self, key: K) -> (u32, bool) {
+        if let Some(slot) = self.slot(&key) {
+            return (slot, false);
+        }
+        let slot = match self.vacant.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.nodes.len()).expect("fewer than 2^32 vertices");
+                assert!(slot != NIL, "fewer than 2^32 vertices");
+                self.keys.push(None);
+                self.nodes.push(ISOLATED);
+                slot
+            }
+        };
+        self.keys[slot as usize] = Some(key.clone());
+        self.nodes[slot as usize] = ISOLATED;
+        self.slot_of.insert(key, slot);
+        (slot, true)
+    }
+
+    /// Forgets `key`; the caller has already unthreaded its edges.
+    fn vacate(&mut self, slot: u32) {
+        let key = self.keys[slot as usize]
+            .take()
+            .expect("slot in use has a key");
+        self.slot_of.remove(&key);
+        self.vacant.push(slot);
+    }
 }
 
 /// An incrementally-maintained bipartite matching over caller-supplied
 /// vertex keys.
 ///
 /// Left vertices model template rows; right vertices model probable rows.
-/// The structure never removes a matched edge on its own: mutations report
-/// whether they broke the matching, and [`IncrementalMatcher::repair`]
-/// restores maximality via augmenting paths.
+/// The structure never removes a matched edge on its own: mutations may
+/// leave a left unmatched, and [`repair`](Self::repair) restores maximality
+/// via augmenting paths. See the crate docs for the determinism contract.
 #[derive(Debug, Clone)]
-pub struct IncrementalMatcher<L, R>
-where
-    L: Clone + Eq + Hash,
-    R: Clone + Eq + Hash,
-{
-    /// left → adjacent rights (insertion-ordered for determinism).
-    adj: HashMap<L, Vec<R>>,
-    /// right → adjacent lefts.
-    radj: HashMap<R, Vec<L>>,
-    /// left → matched right.
-    match_l: HashMap<L, R>,
-    /// right → matched left.
-    match_r: HashMap<R, L>,
+pub struct IncrementalMatcher<L, R> {
+    lefts: Side<L>,
+    rights: Side<R>,
+    edges: Vec<Edge>,
+    vacant_edges: Vec<u32>,
+    /// Unmatched left slots, unordered; `free_pos[l]` is `l`'s index here.
+    free: Vec<u32>,
+    free_pos: Vec<u32>,
+    /// Search scratch, stamped with `epoch` instead of cleared: a left is
+    /// visited, or a right has a parent, iff its stamp equals the epoch.
+    epoch: u32,
+    seen_left: Vec<u32>,
+    seen_right: Vec<u32>,
+    /// The left from which a right was discovered.
+    parent: Vec<u32>,
+    queue: VecDeque<u32>,
 }
 
-impl<L, R> Default for IncrementalMatcher<L, R>
-where
-    L: Clone + Eq + Hash,
-    R: Clone + Eq + Hash,
-{
+impl<L: Clone + Ord, R: Clone + Ord> Default for IncrementalMatcher<L, R> {
     fn default() -> Self {
-        IncrementalMatcher {
-            adj: HashMap::new(),
-            radj: HashMap::new(),
-            match_l: HashMap::new(),
-            match_r: HashMap::new(),
-        }
+        Self::new()
     }
 }
 
-impl<L, R> IncrementalMatcher<L, R>
-where
-    L: Clone + Eq + Hash,
-    R: Clone + Eq + Hash,
-{
+impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     /// An empty matcher.
     pub fn new() -> Self {
-        Self::default()
+        IncrementalMatcher {
+            lefts: Side::new(),
+            rights: Side::new(),
+            edges: Vec::new(),
+            vacant_edges: Vec::new(),
+            free: Vec::new(),
+            free_pos: Vec::new(),
+            epoch: 0,
+            seen_left: Vec::new(),
+            seen_right: Vec::new(),
+            parent: Vec::new(),
+            queue: VecDeque::new(),
+        }
     }
 
     /// Number of matched pairs.
     pub fn matching_size(&self) -> usize {
-        self.match_l.len()
-    }
-
-    /// Number of left vertices.
-    pub fn left_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of right vertices.
-    pub fn right_count(&self) -> usize {
-        self.radj.len()
+        self.lefts.slot_of.len() - self.free.len()
     }
 
     /// The right vertex matched to `l`, if any.
     pub fn matched_right(&self, l: &L) -> Option<&R> {
-        self.match_l.get(l)
+        let mate = self.lefts.nodes[self.lefts.slot(l)? as usize].mate;
+        (mate != NIL).then(|| self.rights.key(mate))
     }
 
     /// The left vertex matched to `r`, if any.
     pub fn matched_left(&self, r: &R) -> Option<&L> {
-        self.match_r.get(r)
+        let mate = self.rights.nodes[self.rights.slot(r)? as usize].mate;
+        (mate != NIL).then(|| self.lefts.key(mate))
     }
 
-    /// Whether left vertex `l` exists.
-    pub fn has_left(&self, l: &L) -> bool {
-        self.adj.contains_key(l)
-    }
-
-    /// Whether right vertex `r` exists.
-    pub fn has_right(&self, r: &R) -> bool {
-        self.radj.contains_key(r)
-    }
-
-    /// The currently unmatched left vertices (arbitrary order).
+    /// The currently unmatched left vertices, ascending.
     pub fn free_lefts(&self) -> Vec<L> {
-        self.adj
-            .keys()
-            .filter(|l| !self.match_l.contains_key(*l))
-            .cloned()
-            .collect()
+        let mut out: Vec<L> = self
+            .free
+            .iter()
+            .map(|&l| self.lefts.key(l).clone())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The smallest unmatched left vertex — the one [`repair`](Self::repair)
+    /// would try first.
+    pub fn lowest_free_left(&self) -> Option<&L> {
+        self.free.iter().map(|&l| self.lefts.key(l)).min()
     }
 
     /// Adds an isolated left vertex. No-op if present.
     pub fn add_left(&mut self, l: L) {
-        self.adj.entry(l).or_default();
+        self.intern_left(l);
     }
 
-    /// Adds an isolated right vertex. No-op if present.
-    pub fn add_right(&mut self, r: R) {
-        self.radj.entry(r).or_default();
+    /// Adds right vertex `r` together with its edges to `lefts` (created as
+    /// needed), in iteration order. A vertex that did not exist cannot have
+    /// a duplicate edge, so nothing is scanned for it; if `r` exists, edges
+    /// it already has are skipped.
+    pub fn add_right(&mut self, r: R, lefts: impl IntoIterator<Item = L>) {
+        let r = self.intern_right(r);
+        let epoch = self.next_epoch();
+        let mut visits = 0u64;
+        let mut e = self.rights.nodes[r as usize].head;
+        while e != NIL {
+            visits += 1;
+            self.seen_left[self.edges[e as usize].end[LEFT] as usize] = epoch;
+            e = self.edges[e as usize].next[RIGHT];
+        }
+        for l in lefts {
+            let l = self.intern_left(l);
+            if self.seen_left[l as usize] != epoch {
+                self.seen_left[l as usize] = epoch;
+                self.push_edge(l, r);
+                visits += 1;
+            }
+        }
+        edge_visits().add(visits);
     }
 
     /// Adds an edge (creating endpoints as needed). Returns `true` if the
     /// edge is new.
     pub fn add_edge(&mut self, l: L, r: R) -> bool {
-        let lv = self.adj.entry(l.clone()).or_default();
-        if lv.contains(&r) {
-            return false;
+        let l = self.intern_left(l);
+        let r = self.intern_right(r);
+        let mut visits = 1u64;
+        let found = self.find_edge(l, r, &mut visits);
+        if found.is_none() {
+            self.push_edge(l, r);
         }
-        lv.push(r.clone());
-        self.radj.entry(r).or_default().push(l);
-        true
+        edge_visits().add(visits);
+        found.is_none()
     }
 
-    /// Removes an edge if present; if it was matched, the pair becomes
-    /// unmatched (call [`repair`](Self::repair) afterwards). Returns `true`
-    /// if an edge was removed.
+    /// Removes an edge if present; a matched pair becomes unmatched (call
+    /// [`repair`](Self::repair) afterwards). Returns `true` if removed.
     pub fn remove_edge(&mut self, l: &L, r: &R) -> bool {
-        let Some(lv) = self.adj.get_mut(l) else {
+        let (Some(l), Some(r)) = (self.lefts.slot(l), self.rights.slot(r)) else {
             return false;
         };
-        let Some(pos) = lv.iter().position(|x| x == r) else {
+        let mut visits = 1u64;
+        let found = self.find_edge(l, r, &mut visits);
+        edge_visits().add(visits);
+        let Some(e) = found else {
             return false;
         };
-        lv.remove(pos);
-        if let Some(rv) = self.radj.get_mut(r) {
-            rv.retain(|x| x != l);
+        if self.lefts.nodes[l as usize].mate == r {
+            self.unmatch(l, r);
         }
-        if self.match_l.get(l) == Some(r) {
-            self.match_l.remove(l);
-            self.match_r.remove(r);
-        }
+        self.unlink(e, LEFT);
+        self.unlink(e, RIGHT);
+        self.vacant_edges.push(e);
         true
     }
 
     /// Removes a right vertex and all its edges; unmatches its partner.
     /// Returns the left vertex that lost its match, if any.
     pub fn remove_right(&mut self, r: &R) -> Option<L> {
-        let lefts = self.radj.remove(r)?;
-        for l in &lefts {
-            if let Some(lv) = self.adj.get_mut(l) {
-                lv.retain(|x| x != r);
-            }
+        let r = self.rights.slot(r)?;
+        let widowed = self.rights.nodes[r as usize].mate;
+        if widowed != NIL {
+            self.unmatch(widowed, r);
         }
-        let widowed = self.match_r.remove(r);
-        if let Some(l) = &widowed {
-            self.match_l.remove(l);
-        }
-        widowed
+        self.drop_edges_of(RIGHT, r);
+        self.rights.vacate(r);
+        (widowed != NIL).then(|| self.lefts.key(widowed).clone())
     }
 
     /// Removes a left vertex and all its edges; unmatches its partner.
     /// Returns the right vertex that lost its match, if any.
     pub fn remove_left(&mut self, l: &L) -> Option<R> {
-        let rights = self.adj.remove(l)?;
-        for r in &rights {
-            if let Some(rv) = self.radj.get_mut(r) {
-                rv.retain(|x| x != l);
-            }
+        let l = self.lefts.slot(l)?;
+        let widowed = self.lefts.nodes[l as usize].mate;
+        if widowed != NIL {
+            self.unmatch(l, widowed);
         }
-        let widowed = self.match_l.remove(l);
-        if let Some(r) = &widowed {
-            self.match_r.remove(r);
-        }
-        widowed
+        self.set_free(l, false);
+        self.drop_edges_of(LEFT, l);
+        self.lefts.vacate(l);
+        (widowed != NIL).then(|| self.rights.key(widowed).clone())
     }
 
-    /// Attempts to match free left vertex `l` via a BFS augmenting path
-    /// (Berge's theorem: flipping an augmenting path grows the matching by
-    /// one). Returns `true` on success. No-op (`false`) if `l` is unknown or
-    /// already matched.
-    pub fn augment(&mut self, l: &L) -> bool {
-        if !self.adj.contains_key(l) || self.match_l.contains_key(l) {
-            return false;
-        }
-        augment_searches().inc();
-        // BFS over alternating paths: free-left → (unmatched edge) right →
-        // (matched edge) left → ...; stop at the first free right.
-        let mut parent_of_right: HashMap<R, L> = HashMap::new();
-        let mut visited_left: HashSet<L> = HashSet::new();
-        let mut queue = VecDeque::new();
-        visited_left.insert(l.clone());
-        queue.push_back(l.clone());
-        let mut endpoint: Option<R> = None;
-        let mut steps = 0u64;
-
-        'bfs: while let Some(cur) = queue.pop_front() {
-            steps += 1;
-            for r in self.adj.get(&cur).into_iter().flatten() {
-                if let Entry::Vacant(slot) = parent_of_right.entry(r.clone()) {
-                    slot.insert(cur.clone());
-                    match self.match_r.get(r) {
-                        None => {
-                            endpoint = Some(r.clone());
-                            break 'bfs;
-                        }
-                        Some(next_l) => {
-                            if visited_left.insert(next_l.clone()) {
-                                queue.push_back(next_l.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        augment_steps().add(steps);
-        let Some(mut r) = endpoint else {
-            return false;
-        };
-        // Flip the path back to `l`.
-        loop {
-            let left = parent_of_right[&r].clone();
-            let prev_r = self.match_l.insert(left.clone(), r.clone());
-            self.match_r.insert(r, left.clone());
-            match prev_r {
-                Some(pr) => r = pr, // left was matched to pr; continue flipping
-                None => break,      // reached the originally-free left vertex
-            }
-        }
-        true
-    }
-
-    /// Augments every free left vertex once; returns the matching size.
-    /// After arbitrary edge/vertex mutations this restores maximality.
+    /// Augments every free left vertex once, in ascending key order, and
+    /// returns the matching size. After arbitrary mutations this restores
+    /// maximality.
     pub fn repair(&mut self) -> usize {
-        for l in self.free_lefts() {
-            self.augment(&l);
+        if !self.free.is_empty() {
+            let mut order = self.free.clone();
+            order.sort_unstable_by(|a, b| self.lefts.key(*a).cmp(self.lefts.key(*b)));
+            for l in order {
+                self.augment(l);
+            }
         }
         self.matching_size()
     }
 
-    /// The *exchangeable* left vertices for a free left vertex `l`: matched
-    /// lefts `t'` reachable from `l` by an alternating path, i.e. those whose
-    /// match can be shifted so that `l` becomes matched and `t'` free, with
-    /// no other vertex losing its match.
-    ///
-    /// This implements the Central Client's "shuffle" step (paper §4.2): when
-    /// inserting a row for template `t` would not be probable, CC looks for
-    /// another template row `t'` to free instead.
-    pub fn exchangeable_lefts(&self, l: &L) -> Vec<L> {
-        if !self.adj.contains_key(l) || self.match_l.contains_key(l) {
+    /// The *exchangeable* left vertices for a free left `l`: matched lefts
+    /// reachable by an alternating path, i.e. candidates to donate their
+    /// match so that `l` becomes matched and no other vertex loses its own
+    /// (the Central Client's "shuffle" step, paper §4.2). BFS discovery
+    /// order.
+    pub fn exchangeable_lefts(&mut self, l: &L) -> Vec<L> {
+        let Some(root) = self.lefts.slot(l) else {
+            return Vec::new();
+        };
+        if self.lefts.nodes[root as usize].mate != NIL {
             return Vec::new();
         }
-        let mut visited_left: HashSet<L> = HashSet::new();
+        let epoch = self.next_epoch();
         let mut out = Vec::new();
-        let mut queue = VecDeque::new();
-        visited_left.insert(l.clone());
-        queue.push_back(l.clone());
-        while let Some(cur) = queue.pop_front() {
-            for r in self.adj.get(&cur).into_iter().flatten() {
-                if let Some(next_l) = self.match_r.get(r) {
-                    if visited_left.insert(next_l.clone()) {
-                        out.push(next_l.clone());
-                        queue.push_back(next_l.clone());
-                    }
+        let mut visits = 0u64;
+        self.queue.clear();
+        self.seen_left[root as usize] = epoch;
+        self.queue.push_back(root);
+        while let Some(cur) = self.queue.pop_front() {
+            let mut e = self.lefts.nodes[cur as usize].head;
+            while e != NIL {
+                visits += 1;
+                let mate = self.rights.nodes[self.edges[e as usize].end[RIGHT] as usize].mate;
+                if mate != NIL && self.seen_left[mate as usize] != epoch {
+                    self.seen_left[mate as usize] = epoch;
+                    out.push(self.lefts.key(mate).clone());
+                    self.queue.push_back(mate);
                 }
+                e = self.edges[e as usize].next[LEFT];
             }
         }
+        edge_visits().add(visits);
         out
     }
 
     /// Rebuilds the matching so that `l` (currently free) becomes matched and
-    /// `donor` (currently matched, and exchangeable from `l`) becomes free.
-    /// Returns `false` — leaving the matching unchanged — if no alternating
-    /// path from `l` ends at `donor`.
+    /// `donor` (currently matched, reachable from `l`) becomes free. Returns
+    /// `false` — leaving the matching unchanged — if no alternating path from
+    /// `l` ends at `donor`.
     pub fn exchange(&mut self, l: &L, donor: &L) -> bool {
-        if self.match_l.contains_key(l) || !self.match_l.contains_key(donor) {
-            return false;
-        }
-        // BFS as in `augment`, but the goal is reaching `donor`.
-        let mut parent_of_right: HashMap<R, L> = HashMap::new();
-        let mut visited_left: HashSet<L> = HashSet::new();
-        let mut queue = VecDeque::new();
-        visited_left.insert(l.clone());
-        queue.push_back(l.clone());
-        let mut endpoint: Option<R> = None;
-        'bfs: while let Some(cur) = queue.pop_front() {
-            for r in self.adj.get(&cur).into_iter().flatten() {
-                if let Entry::Vacant(slot) = parent_of_right.entry(r.clone()) {
-                    slot.insert(cur.clone());
-                    if let Some(next_l) = self.match_r.get(r) {
-                        if next_l == donor {
-                            endpoint = Some(r.clone());
-                            break 'bfs;
-                        }
-                        if visited_left.insert(next_l.clone()) {
-                            queue.push_back(next_l.clone());
-                        }
-                    }
-                }
-            }
-        }
-        let Some(mut r) = endpoint else {
+        let (Some(root), Some(donor)) = (self.lefts.slot(l), self.lefts.slot(donor)) else {
             return false;
         };
-        // Free the donor, then flip the alternating path so everyone on it
-        // (including `l`) is matched.
-        self.match_l.remove(donor);
-        self.match_r.remove(&r);
-        loop {
-            let left = parent_of_right[&r].clone();
-            let prev_r = self.match_l.insert(left.clone(), r.clone());
-            self.match_r.insert(r, left.clone());
-            match prev_r {
-                Some(pr) => {
-                    self.match_r.remove(&pr);
-                    r = pr;
-                }
-                None => break,
-            }
+        if self.lefts.nodes[root as usize].mate != NIL
+            || self.lefts.nodes[donor as usize].mate == NIL
+        {
+            return false;
         }
+        let Some(end) = self.search(root, donor) else {
+            return false;
+        };
+        self.unmatch(donor, end);
+        self.flip(root, end);
         true
     }
 
-    /// Internal consistency check (used by tests and debug assertions):
-    /// matched pairs are symmetric and all matched edges exist.
+    /// Internal consistency check: matched pairs are symmetric and joined by
+    /// an edge, and the free list holds exactly the unmatched lefts.
     pub fn check_consistency(&self) -> bool {
-        self.match_l.len() == self.match_r.len()
-            && self.match_l.iter().all(|(l, r)| {
-                self.match_r.get(r) == Some(l) && self.adj.get(l).is_some_and(|v| v.contains(r))
-            })
+        self.lefts.slot_of.values().all(|&l| {
+            let mate = self.lefts.nodes[l as usize].mate;
+            let pos = self.free_pos[l as usize];
+            if mate == NIL {
+                self.free.get(pos as usize) == Some(&l)
+            } else {
+                pos == NIL
+                    && self.rights.nodes[mate as usize].mate == l
+                    && self.find_edge(l, mate, &mut 0).is_some()
+            }
+        }) && self.rights.slot_of.values().all(|&r| {
+            let mate = self.rights.nodes[r as usize].mate;
+            mate == NIL || self.lefts.nodes[mate as usize].mate == r
+        })
+    }
+
+    // ---- internals -------------------------------------------------------
+
+    fn intern_left(&mut self, l: L) -> u32 {
+        let (slot, fresh) = self.lefts.intern(l);
+        if fresh {
+            if slot as usize == self.seen_left.len() {
+                self.seen_left.push(0);
+                self.free_pos.push(NIL);
+            }
+            self.set_free(slot, true);
+        }
+        slot
+    }
+
+    fn intern_right(&mut self, r: R) -> u32 {
+        let (slot, _) = self.rights.intern(r);
+        if slot as usize == self.seen_right.len() {
+            self.seen_right.push(0);
+            self.parent.push(NIL);
+        }
+        slot
+    }
+
+    /// Puts left slot `l` on, or takes it off, the free list. Idempotent.
+    fn set_free(&mut self, l: u32, free: bool) {
+        let pos = self.free_pos[l as usize];
+        if free && pos == NIL {
+            self.free_pos[l as usize] = self.free.len() as u32;
+            self.free.push(l);
+        } else if !free && pos != NIL {
+            self.free.swap_remove(pos as usize);
+            if let Some(&moved) = self.free.get(pos as usize) {
+                self.free_pos[moved as usize] = pos;
+            }
+            self.free_pos[l as usize] = NIL;
+        }
+    }
+
+    fn unmatch(&mut self, l: u32, r: u32) {
+        self.lefts.nodes[l as usize].mate = NIL;
+        self.rights.nodes[r as usize].mate = NIL;
+        self.set_free(l, true);
+    }
+
+    /// A fresh stamp for the search scratch (see the `epoch` field).
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.seen_left.fill(0);
+            self.seen_right.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    fn nodes_mut(&mut self, side: usize) -> &mut [Node] {
+        if side == LEFT {
+            &mut self.lefts.nodes
+        } else {
+            &mut self.rights.nodes
+        }
+    }
+
+    /// Appends a new edge to both endpoints' lists. The caller has ruled out
+    /// a duplicate.
+    fn push_edge(&mut self, l: u32, r: u32) {
+        let edge = Edge {
+            end: [l, r],
+            prev: [NIL; 2],
+            next: [NIL; 2],
+        };
+        let e = match self.vacant_edges.pop() {
+            Some(e) => {
+                self.edges[e as usize] = edge;
+                e
+            }
+            None => {
+                let e = u32::try_from(self.edges.len()).expect("fewer than 2^32 edges");
+                assert!(e != NIL, "fewer than 2^32 edges");
+                self.edges.push(edge);
+                e
+            }
+        };
+        for side in [LEFT, RIGHT] {
+            let node = &mut self.nodes_mut(side)[edge.end[side] as usize];
+            let tail = std::mem::replace(&mut node.tail, e);
+            node.degree += 1;
+            if tail == NIL {
+                node.head = e;
+            } else {
+                self.edges[tail as usize].next[side] = e;
+            }
+            self.edges[e as usize].prev[side] = tail;
+        }
+    }
+
+    /// Unthreads edge `e` from its endpoint's list on `side`.
+    fn unlink(&mut self, e: u32, side: usize) {
+        let Edge { end, prev, next } = self.edges[e as usize];
+        let (prev, next) = (prev[side], next[side]);
+        if prev != NIL {
+            self.edges[prev as usize].next[side] = next;
+        }
+        if next != NIL {
+            self.edges[next as usize].prev[side] = prev;
+        }
+        let node = &mut self.nodes_mut(side)[end[side] as usize];
+        node.degree -= 1;
+        if prev == NIL {
+            node.head = next;
+        }
+        if next == NIL {
+            node.tail = prev;
+        }
+    }
+
+    /// Drops every edge of vertex `v` on `side`: O(degree of `v`).
+    fn drop_edges_of(&mut self, side: usize, v: u32) {
+        let mut visits = 0u64;
+        let mut e = self.nodes_mut(side)[v as usize].head;
+        while e != NIL {
+            visits += 1;
+            let next = self.edges[e as usize].next[side];
+            self.unlink(e, 1 - side);
+            self.vacant_edges.push(e);
+            e = next;
+        }
+        self.nodes_mut(side)[v as usize] = ISOLATED;
+        edge_visits().add(visits);
+    }
+
+    /// The edge joining `l` and `r`, found on the shorter of their lists;
+    /// adds the entries walked to `visits`.
+    fn find_edge(&self, l: u32, r: u32, visits: &mut u64) -> Option<u32> {
+        let (dl, dr) = (
+            self.lefts.nodes[l as usize].degree,
+            self.rights.nodes[r as usize].degree,
+        );
+        let (side, mut e) = if dl <= dr {
+            (LEFT, self.lefts.nodes[l as usize].head)
+        } else {
+            (RIGHT, self.rights.nodes[r as usize].head)
+        };
+        while e != NIL {
+            *visits += 1;
+            if self.edges[e as usize].end == [l, r] {
+                return Some(e);
+            }
+            e = self.edges[e as usize].next[side];
+        }
+        None
+    }
+
+    /// One augmenting-path search from free left `root` (Berge's theorem:
+    /// flipping an augmenting path grows the matching by one). A free
+    /// neighbour of `root` is where the BFS would end anyway — it scans
+    /// `root`'s adjacency first and stops at the first free right — so that
+    /// case skips the BFS bookkeeping.
+    fn augment(&mut self, root: u32) -> bool {
+        augment_searches().inc();
+        let mut visits = 0u64;
+        let mut e = self.lefts.nodes[root as usize].head;
+        while e != NIL {
+            visits += 1;
+            let r = self.edges[e as usize].end[RIGHT];
+            if self.rights.nodes[r as usize].mate == NIL {
+                edge_visits().add(visits);
+                augment_steps().inc();
+                self.parent[r as usize] = root;
+                self.flip(root, r);
+                return true;
+            }
+            e = self.edges[e as usize].next[LEFT];
+        }
+        edge_visits().add(visits);
+        match self.search(root, NIL) {
+            Some(end) => {
+                self.flip(root, end);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// BFS over alternating paths from free left `root` — unmatched edge to
+    /// a right, matched edge back to a left — to the first right, in
+    /// discovery order, whose mate is `goal`: `NIL` looks for a free right
+    /// (an augmenting path), a left slot looks for that donor's right.
+    /// Records each discovered right's parent for [`flip`](Self::flip).
+    fn search(&mut self, root: u32, goal: u32) -> Option<u32> {
+        let epoch = self.next_epoch();
+        let (mut steps, mut visits) = (0u64, 0u64);
+        let mut end = None;
+        self.queue.clear();
+        self.seen_left[root as usize] = epoch;
+        self.queue.push_back(root);
+        'bfs: while let Some(cur) = self.queue.pop_front() {
+            steps += 1;
+            let mut e = self.lefts.nodes[cur as usize].head;
+            while e != NIL {
+                visits += 1;
+                let r = self.edges[e as usize].end[RIGHT];
+                e = self.edges[e as usize].next[LEFT];
+                if self.seen_right[r as usize] == epoch {
+                    continue;
+                }
+                self.seen_right[r as usize] = epoch;
+                self.parent[r as usize] = cur;
+                let mate = self.rights.nodes[r as usize].mate;
+                if mate == goal {
+                    end = Some(r);
+                    break 'bfs;
+                }
+                if mate != NIL && self.seen_left[mate as usize] != epoch {
+                    self.seen_left[mate as usize] = epoch;
+                    self.queue.push_back(mate);
+                }
+            }
+        }
+        augment_steps().add(steps);
+        edge_visits().add(visits);
+        end
+    }
+
+    /// Flips the alternating path recorded in `parent`, from its end right
+    /// back to `root`: every left on it takes the right it was discovered
+    /// from and hands its old right to its parent.
+    fn flip(&mut self, root: u32, end: u32) {
+        let mut r = end;
+        loop {
+            let l = self.parent[r as usize];
+            let prev = std::mem::replace(&mut self.lefts.nodes[l as usize].mate, r);
+            self.rights.nodes[r as usize].mate = l;
+            if prev == NIL {
+                debug_assert_eq!(l, root);
+                break;
+            }
+            r = prev;
+        }
+        self.set_free(root, false);
     }
 }
 
@@ -451,6 +739,7 @@ pub fn max_matching_size(adj: &[Vec<usize>], n_right: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn matcher_from(edges: &[(u32, u32)]) -> IncrementalMatcher<u32, u32> {
         let mut m = IncrementalMatcher::new();
@@ -485,14 +774,14 @@ mod tests {
 
     #[test]
     fn long_augmenting_chain() {
-        // Chain where each new left steals the previous one's match.
+        // Each new left steals the previous one's match, which moves on.
         let mut m = matcher_from(&[(0, 0)]);
         assert_eq!(m.repair(), 1);
         m.add_edge(1, 0);
         m.add_edge(0, 1);
         assert_eq!(m.repair(), 2);
         m.add_edge(2, 1);
-        m.add_edge(1, 2); // wait—1 already has only r0; give 0 another option
+        m.add_edge(1, 2);
         assert_eq!(m.repair(), 3);
         assert!(m.check_consistency());
     }
@@ -501,19 +790,67 @@ mod tests {
     fn unmatchable_left_stays_free() {
         let mut m = matcher_from(&[(0, 0), (1, 0)]);
         assert_eq!(m.repair(), 1);
-        assert_eq!(m.free_lefts().len(), 1);
+        assert_eq!(m.free_lefts(), vec![1]);
+        assert_eq!(m.lowest_free_left(), Some(&1));
+    }
+
+    #[test]
+    fn duplicate_edges_are_refused() {
+        let mut m = matcher_from(&[(0, 0)]);
+        assert!(!m.add_edge(0, 0));
+        // A right added with its edge list: duplicates inside the list and
+        // against the edges it already has are both skipped.
+        m.add_right(0, [0, 1, 1]);
+        m.add_right(1, [1, 1, 0]);
+        assert_eq!(m.repair(), 2);
+        assert!(m.remove_edge(&1, &0));
+        assert!(!m.remove_edge(&1, &0));
+        assert!(m.remove_edge(&1, &1));
+        assert!(!m.remove_edge(&1, &1));
+        assert!(m.check_consistency());
+    }
+
+    #[test]
+    fn repair_is_deterministic_across_instances() {
+        let edges: Vec<(u32, u32)> = (0..40)
+            .flat_map(|l| (0..3).map(move |k| (l, (l * 7 + k * 11) % 40)))
+            .collect();
+        let mut a = matcher_from(&edges);
+        let mut b = matcher_from(&edges);
+        assert_eq!(a.repair(), b.repair());
+        for l in 0..40u32 {
+            assert_eq!(a.matched_right(&l), b.matched_right(&l), "left {l}");
+        }
+    }
+
+    #[test]
+    fn adjacency_keeps_insertion_order_across_removals_and_slot_reuse() {
+        // l0's neighbours in insertion order: r5, r3, r9. The first free one
+        // wins, whatever its key or slot.
+        let mut m = matcher_from(&[(0, 5), (0, 3), (0, 9)]);
+        m.repair();
+        assert_eq!(m.matched_right(&0), Some(&5));
+        m.remove_right(&5);
+        m.repair();
+        assert_eq!(m.matched_right(&0), Some(&3));
+        // r1 reuses r5's slot but joins at the back of l0's list.
+        m.add_right(1, [0]);
+        m.remove_right(&3);
+        m.repair();
+        assert_eq!(m.matched_right(&0), Some(&9));
+        assert!(m.check_consistency());
     }
 
     #[test]
     fn remove_right_widows_partner_and_repair_recovers() {
         let mut m = matcher_from(&[(0, 0), (0, 1), (1, 0)]);
         m.repair();
-        // Remove whichever right l0 holds; repair must restore size 2 if
-        // possible, else 1.
         let widowed = m.remove_right(&0);
         assert!(widowed.is_some());
-        let size = m.repair();
-        assert_eq!(size, 1); // only r1 remains, adjacent to l0 only
+        // Only r1 remains, adjacent to l0 only.
+        assert_eq!(m.repair(), 1);
+        m.remove_left(&0);
+        assert_eq!(m.repair(), 0);
         assert!(m.check_consistency());
     }
 
@@ -544,13 +881,11 @@ mod tests {
         let mut m = matcher_from(&[(0, 0), (1, 1)]);
         m.repair();
         m.add_edge(2, 0);
-        let ex = m.exchangeable_lefts(&2);
-        assert_eq!(ex, vec![0]); // l0 can donate r0 to l2 (and then be free)
-                                 // l1 is not reachable: r1 is not adjacent to l2 or l0.
+        // l0 can donate r0 to l2; r1 is adjacent to neither l2 nor l0.
+        assert_eq!(m.exchangeable_lefts(&2), vec![0]);
         m.add_edge(0, 1);
-        let mut ex = m.exchangeable_lefts(&2);
-        ex.sort();
-        assert_eq!(ex, vec![0, 1]); // now l0 could take r1, freeing l1
+        // Now l0 could take r1, freeing l1.
+        assert_eq!(m.exchangeable_lefts(&2), vec![0, 1]);
     }
 
     #[test]
@@ -558,16 +893,8 @@ mod tests {
         let mut m = matcher_from(&[(0, 0), (0, 1), (1, 1)]);
         m.repair();
         assert_eq!(m.matching_size(), 2);
-        // l2 adjacent only to r0. Exchange with l0 (shifting l0 to r1 would
-        // conflict with l1... so the exchange frees l1 transitively? No —
-        // exchange(l2, donor) requires donor reachable; test both donors.
         m.add_edge(2, 0);
-        let ex = {
-            let mut e = m.exchangeable_lefts(&2);
-            e.sort();
-            e
-        };
-        assert_eq!(ex, vec![0, 1]);
+        assert_eq!(m.exchangeable_lefts(&2), vec![0, 1]);
         assert!(m.exchange(&2, &1));
         assert!(m.check_consistency());
         assert_eq!(m.matching_size(), 2);
@@ -583,7 +910,6 @@ mod tests {
         m.add_edge(2, 0);
         // l1 is not on any alternating path from l2.
         assert!(!m.exchange(&2, &1));
-        // Matching unchanged.
         assert_eq!(m.matching_size(), 2);
         assert!(m.check_consistency());
     }
