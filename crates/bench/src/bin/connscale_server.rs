@@ -59,10 +59,7 @@ fn main() {
         }
     }
     let options = ServiceOptions {
-        reactor: ReactorOptions {
-            shards,
-            ..ReactorOptions::default()
-        },
+        reactor: ReactorOptions { shards },
         ..ServiceOptions::default()
     };
     let backends = collection_backends(collections, workers, fills);

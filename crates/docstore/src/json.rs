@@ -195,6 +195,39 @@ pub struct JsonError {
     pub message: String,
 }
 
+/// The read accessors [`Json`] and [`JsonRef`] share, so a decoder written
+/// once against this trait reads the same message out of whichever tree
+/// the caller holds. Each method forwards to the inherent one of the same
+/// name.
+pub trait JsonNode: Sized {
+    fn get(&self, key: &str) -> Option<&Self>;
+    fn as_str(&self) -> Option<&str>;
+    fn as_f64(&self) -> Option<f64>;
+    fn as_i64(&self) -> Option<i64>;
+    fn as_bool(&self) -> Option<bool>;
+    fn as_arr(&self) -> Option<&[Self]>;
+}
+
+macro_rules! forward_json_node {
+    ($($method:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {
+        impl JsonNode for Json {
+            $(fn $method(&self $(, $arg: $ty)*) -> $ret { Json::$method(self $(, $arg)*) })*
+        }
+        impl JsonNode for JsonRef<'_> {
+            $(fn $method(&self $(, $arg: $ty)*) -> $ret { JsonRef::$method(self $(, $arg)*) })*
+        }
+    };
+}
+
+forward_json_node! {
+    get(key: &str) -> Option<&Self>;
+    as_str() -> Option<&str>;
+    as_f64() -> Option<f64>;
+    as_i64() -> Option<i64>;
+    as_bool() -> Option<bool>;
+    as_arr() -> Option<&[Self]>;
+}
+
 /// A JSON value that borrows from the parsed input — the zero-copy twin of
 /// [`Json`] for decode-and-discard paths (network frame decode above all).
 ///

@@ -70,7 +70,10 @@ impl DocStore {
         let wal = Wal::open(path, |record| {
             // Records that fail to parse are skipped (already CRC-checked, so
             // this only happens across version skew).
-            let Ok(json) = Json::parse(&String::from_utf8_lossy(record)) else {
+            let Some(json) = std::str::from_utf8(record)
+                .ok()
+                .and_then(|text| Json::parse(text).ok())
+            else {
                 return;
             };
             let (Some(op), Some(c), Some(id)) = (

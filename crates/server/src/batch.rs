@@ -25,6 +25,11 @@
 //! backend. Shedding therefore always happens *before* the ack: an op
 //! that was acked was applied and journaled, so overload can never lose
 //! acked work.
+//!
+//! The pipeline owns its thread: dropping the [`BatchPipeline`] closes
+//! the queue, lets the apply thread answer what is still in it, and joins
+//! it — so a stopped service holds no backend (DESIGN.md §13.1, *stop
+//! means stopped*).
 
 use crate::backend::{Backend, BatchJob, BatchOp, SubmitError, SubmitReport};
 use crate::overload::{OverloadOptions, Priority};
@@ -117,10 +122,13 @@ struct PipelineJob {
 
 /// A running batch pipeline around a shared [`Backend`].
 ///
-/// The apply thread exits when every handle to the pipeline is gone (the
-/// job channel disconnects); there is nothing to shut down explicitly.
+/// Dropping the pipeline closes the job channel — the apply thread applies
+/// and answers what is still queued, then returns — and joins the thread:
+/// once the drop returns, the pipeline's handle on the backend is gone.
 pub struct BatchPipeline {
-    tx: channel::Sender<PipelineJob>,
+    /// `None` only inside `drop`.
+    tx: Option<channel::Sender<PipelineJob>>,
+    apply: Option<std::thread::JoinHandle<()>>,
     /// Jobs enqueued but not yet picked up by the apply thread. Kept
     /// alongside the channel (rather than using `Receiver::len`) so the
     /// submit path can make admission decisions without the receiver.
@@ -150,7 +158,7 @@ impl BatchPipeline {
         let shed_budget = overload.shed_after + options.max_wait;
         let retry = overload.clone();
         let thread_depth = Arc::clone(&depth);
-        let _ = std::thread::Builder::new()
+        let apply = std::thread::Builder::new()
             .name("crowdfill-batch-apply".into())
             .spawn(move || {
                 let take = |job: PipelineJob, jobs: &mut Vec<PipelineJob>| {
@@ -242,9 +250,13 @@ impl BatchPipeline {
                     }
                     after_batch();
                 }
-            });
+            })
+            // A failed spawn dropped the receiver with the closure: every
+            // submit then answers `CollectionClosed`.
+            .ok();
         BatchPipeline {
-            tx,
+            tx: Some(tx),
+            apply,
             depth,
             overload,
         }
@@ -273,25 +285,11 @@ impl BatchPipeline {
         op: BatchOp,
         priority: Priority,
     ) -> Result<SubmitReport, SubmitError> {
-        self.submit_traced(worker, op, priority, TraceId::NONE)
-    }
-
-    /// [`submit_classified`](BatchPipeline::submit_classified) carrying a
-    /// trace context: stamps `enqueue` + `admit` on admission (or
-    /// `reject` on refusal) under the trace's root span. With
-    /// [`TraceId::NONE`] the stamps are single-branch no-ops.
-    pub fn submit_traced(
-        &self,
-        worker: WorkerId,
-        op: BatchOp,
-        priority: Priority,
-        trace: TraceId,
-    ) -> Result<SubmitReport, SubmitError> {
         let (reply_tx, reply_rx) = channel::bounded(1);
         let reply = move |result| {
             let _ = reply_tx.send(result);
         };
-        match self.submit_async(worker, op, priority, trace, reply) {
+        match self.submit_async(worker, op, priority, TraceId::NONE, reply) {
             AsyncSubmit::Done(result) => result,
             AsyncSubmit::Pending => reply_rx
                 .recv()
@@ -304,7 +302,9 @@ impl BatchPipeline {
     /// dropped uncalled), but an admitted job's ack is delivered by calling
     /// `reply` on the apply thread once its batch has been applied. A
     /// reactor shard passes a closure that pushes the result onto its wake
-    /// queue and parks the connection until it arrives.
+    /// queue and parks the connection until it arrives. `trace` stamps
+    /// `enqueue` + `admit` (or `reject`) under the op's root span; with
+    /// [`TraceId::NONE`] the stamps are single-branch no-ops.
     pub fn submit_async(
         &self,
         worker: WorkerId,
@@ -329,7 +329,8 @@ impl BatchPipeline {
         // Count the job before it is visible to the apply thread so the
         // admission check above never undercounts.
         self.depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(PipelineJob {
+        let tx = self.tx.as_ref().expect("the sender lives until drop");
+        match tx.try_send(PipelineJob {
             worker,
             op,
             reply: ReplyTo(Some(Box::new(reply))),
@@ -356,6 +357,15 @@ impl BatchPipeline {
             }
         }
         AsyncSubmit::Pending
+    }
+}
+
+impl Drop for BatchPipeline {
+    fn drop(&mut self) {
+        self.tx = None;
+        if let Some(apply) = self.apply.take() {
+            let _ = apply.join();
+        }
     }
 }
 

@@ -4,9 +4,21 @@
 //! reconnect-and-resume recovery. The wire grammar and the failure model
 //! it implements the client side of are documented in `tcp_service.rs`; it
 //! depends on the wire codec and the transport only, never on the service.
+//!
+//! ## One decode path, one reply loop
+//!
+//! The client reads frames the way the server does: UTF-8 checked (bytes
+//! that are not are a [`RemoteError::Protocol`], never rewritten), parsed
+//! once as a borrowed [`JsonRef`], messages decoded by the same
+//! [`wire`] functions. Every frame received after the handshake passes
+//! through `RemoteWorker::dispatch`: a `msg`/`batch` broadcast or a
+//! `lagging` note is absorbed from the tree already in hand, anything else
+//! goes to the matcher of whichever request is waiting. Requests differ
+//! only in that matcher — `RemoteWorker::await_reply` is the one loop
+//! that receives for them all.
 
 use crate::wire;
-use crowdfill_docstore::Json;
+use crowdfill_docstore::{Json, JsonRef};
 use crowdfill_model::Message;
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
 use crowdfill_obs::metrics::Counter;
@@ -14,6 +26,7 @@ use crowdfill_obs::trace::{self as obstrace, ActiveSpan, SpanId, Stage, TraceId}
 use crowdfill_pay::WorkerId;
 use crowdfill_sync::AppliedSeqs;
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -152,6 +165,15 @@ pub struct RemoteAck {
     pub recovered: bool,
 }
 
+impl RemoteAck {
+    /// The ack synthesized once a resume has settled what was in flight.
+    const RECOVERED: RemoteAck = RemoteAck {
+        estimate: 0.0,
+        fulfilled: false,
+        recovered: true,
+    };
+}
+
 /// What was in flight when a connection died, for [`RemoteWorker::recover`].
 enum Pending<'a> {
     Nothing,
@@ -178,39 +200,99 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The trace context of a broadcast entry: an optional `"trace"` field
-/// carrying the id in hex. Only consulted when tracing is on, so the
-/// disabled path pays one branch.
-fn json_trace(j: &Json) -> TraceId {
-    if !obstrace::enabled() {
-        return TraceId::NONE;
-    }
-    j.get("trace")
-        .and_then(Json::as_str)
-        .and_then(TraceId::from_hex)
-        .unwrap_or(TraceId::NONE)
+fn protocol(what: &str) -> RemoteError {
+    RemoteError::Protocol(what.into())
 }
 
-fn seq_msgs_from_json(j: &Json) -> Result<Vec<(u64, Message)>, RemoteError> {
-    j.as_arr()
-        .ok_or_else(|| RemoteError::Protocol("msgs must be an array".into()))?
+fn unexpected(ty: Option<&str>) -> RemoteError {
+    RemoteError::Protocol(format!("unexpected frame {ty:?}"))
+}
+
+/// Decodes one received frame, borrowed. Bytes that are not UTF-8 are a
+/// protocol error exactly like text that is not JSON.
+fn parse_frame(frame: &[u8]) -> Result<JsonRef<'_>, RemoteError> {
+    let text = std::str::from_utf8(frame).map_err(|e| RemoteError::Protocol(e.to_string()))?;
+    JsonRef::parse(text).map_err(|e| RemoteError::Protocol(e.to_string()))
+}
+
+fn frame_type<'a>(j: &'a JsonRef<'_>) -> Option<&'a str> {
+    j.get("type").and_then(JsonRef::as_str)
+}
+
+fn u64_field(j: &JsonRef<'_>, name: &str) -> Option<u64> {
+    let v = j.get(name).and_then(JsonRef::as_i64)?;
+    u64::try_from(v).ok()
+}
+
+fn rejected(reply: &JsonRef<'_>) -> RemoteError {
+    let reason = reply.get("reason").and_then(JsonRef::as_str);
+    RemoteError::Rejected(reason.unwrap_or("unknown").to_string())
+}
+
+fn message_from_json(j: &JsonRef<'_>) -> Result<Message, RemoteError> {
+    wire::message_from_json(j).map_err(|e| RemoteError::Protocol(e.to_string()))
+}
+
+/// The `"history"` array of a `welcome`, or of a `resumed`/`synced` reply
+/// that carries the bootstrap image instead of a suffix.
+fn history_from_json(reply: &JsonRef<'_>) -> Result<Vec<Message>, RemoteError> {
+    let history = reply.get("history").and_then(JsonRef::as_arr);
+    history
+        .ok_or_else(|| protocol("missing history"))?
+        .iter()
+        .map(message_from_json)
+        .collect()
+}
+
+/// What a `resumed` or `synced` reply carries for a cursor.
+enum CatchUp {
+    /// The messages the cursor was missing, seq-tagged.
+    Suffix(Vec<(u64, Message)>),
+    /// `reset: true`: the cursor fell below the server's compaction
+    /// horizon, and this is the bootstrap image that stands in for the
+    /// history the suffix would have come from.
+    Image(Vec<Message>),
+}
+
+/// Decodes a `resumed`/`synced` reply: the server's watermark, and what
+/// it sent to get the replica there.
+fn catch_up_from_json(reply: &JsonRef<'_>) -> Result<(u64, CatchUp), RemoteError> {
+    let history_len =
+        u64_field(reply, "history_len").ok_or_else(|| protocol("missing history_len"))?;
+    if reply.get("reset").and_then(JsonRef::as_bool) == Some(true) {
+        return Ok((history_len, CatchUp::Image(history_from_json(reply)?)));
+    }
+    let msgs = reply.get("msgs").and_then(JsonRef::as_arr);
+    let msgs = msgs
+        .ok_or_else(|| protocol("missing msgs"))?
         .iter()
         .map(|e| {
-            let seq = e
-                .get("seq")
-                .and_then(Json::as_i64)
-                .filter(|v| *v >= 0)
-                .ok_or_else(|| RemoteError::Protocol("missing seq".into()))?
-                as u64;
-            let msg = e
-                .get("msg")
-                .ok_or_else(|| RemoteError::Protocol("missing msg".into()))
-                .and_then(|m| {
-                    wire::message_from_json(m).map_err(|e| RemoteError::Protocol(e.to_string()))
-                })?;
-            Ok((seq, msg))
+            let seq = u64_field(e, "seq").ok_or_else(|| protocol("missing seq"))?;
+            let msg = e.get("msg").ok_or_else(|| protocol("missing msg"))?;
+            Ok((seq, message_from_json(msg)?))
         })
-        .collect()
+        .collect::<Result<_, RemoteError>>()?;
+    Ok((history_len, CatchUp::Suffix(msgs)))
+}
+
+/// One decoded broadcast: the `{"seq":n,"msg":{...}}` shape a `msg` frame
+/// body and a `batch` frame entry share, plus the originating op's trace
+/// id when tracing is on.
+struct Broadcast {
+    seq: Option<u64>,
+    msg: Message,
+    trace: TraceId,
+}
+
+impl Broadcast {
+    /// `None` for an entry whose message does not decode (skipped).
+    fn from_json(entry: &JsonRef<'_>) -> Option<Broadcast> {
+        Some(Broadcast {
+            seq: u64_field(entry, "seq"),
+            msg: wire::message_from_json(entry.get("msg")?).ok()?,
+            trace: wire::trace_id_from_json(entry),
+        })
+    }
 }
 
 impl RemoteWorker {
@@ -310,50 +392,28 @@ impl RemoteWorker {
             None => conn.recv(),
         }
         .map_err(RemoteError::Conn)?;
-        let welcome = Json::parse(&String::from_utf8_lossy(&frame))
-            .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-        if welcome.get("type").and_then(Json::as_str) != Some("welcome") {
-            return Err(RemoteError::Protocol("expected welcome".into()));
+        let welcome = parse_frame(&frame)?;
+        if frame_type(&welcome) != Some("welcome") {
+            return Err(protocol("expected welcome"));
         }
-        let worker = WorkerId(
-            welcome
-                .get("worker")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| RemoteError::Protocol("missing worker id".into()))?
-                as u32,
-        );
-        let client_id = crowdfill_model::ClientId(
-            welcome
-                .get("client")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| RemoteError::Protocol("missing client id".into()))?
-                as u32,
-        );
-        let schema = wire::schema_from_json(
-            welcome
-                .get("schema")
-                .ok_or_else(|| RemoteError::Protocol("missing schema".into()))?,
-        )
-        .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-        let history = welcome
-            .get("history")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| RemoteError::Protocol("missing history".into()))?
-            .iter()
-            .map(wire::message_from_json)
-            .collect::<Result<Vec<_>, _>>()
+        let id = |name, missing| u64_field(&welcome, name).ok_or_else(|| protocol(missing));
+        let worker = WorkerId(id("worker", "missing worker id")? as u32);
+        let client_id = crowdfill_model::ClientId(id("client", "missing client id")? as u32);
+        // The schema is read once per session: the owned detour keeps the
+        // cold decoders (schema, template, trace, health) off the generics.
+        let schema = welcome
+            .get("schema")
+            .ok_or_else(|| protocol("missing schema"))?;
+        let schema = wire::schema_from_json(&schema.to_owned())
             .map_err(|e| RemoteError::Protocol(e.to_string()))?;
+        let history = history_from_json(&welcome)?;
         let client =
             crate::worker_client::WorkerClient::new(worker, client_id, Arc::new(schema), &history);
         // The welcome's `history_len` is the server's real watermark; the
         // message array may be the shorter post-compaction bootstrap that
         // stands in for that prefix, so the cursor comes from the field
         // (falling back to the array length for old servers).
-        let history_len = welcome
-            .get("history_len")
-            .and_then(Json::as_i64)
-            .filter(|v| *v >= 0)
-            .map_or(history.len() as u64, |v| v as u64);
+        let history_len = u64_field(&welcome, "history_len").unwrap_or(history.len() as u64);
         let mut applied = AppliedSeqs::new();
         applied.note_prefix(history_len);
         Ok((client, applied))
@@ -376,18 +436,12 @@ impl RemoteWorker {
     pub fn absorb_pending(&mut self) -> usize {
         let mut n = 0;
         while let Ok(frame) = self.conn.try_recv() {
-            if self.absorb_frame(&frame) {
+            // Nothing is awaited here: a stray reply is dropped.
+            if let Ok(ControlFlow::Continue(true)) = self.dispatch(&frame, None, |_, _, _| Ok(())) {
                 n += 1;
             }
         }
-        if self.needs_sync {
-            // Clear first: a note that arrives during the sync refers to
-            // drops the sync reply cannot cover and must re-set the flag.
-            self.needs_sync = false;
-            if self.sync().is_err() {
-                self.needs_sync = true;
-            }
-        }
+        self.heal_lag();
         n
     }
 
@@ -397,68 +451,94 @@ impl RemoteWorker {
         self.needs_sync
     }
 
-    /// Applies a broadcast frame — a single `msg` or a multi-op `batch` —
-    /// if it carries anything fresh; seq-based dedup makes redelivery (e.g.
-    /// overlap between a resume replay and a racing flush) harmless even
-    /// though messages themselves are not idempotent.
-    fn absorb_frame(&mut self, frame: &[u8]) -> bool {
-        let Ok(json) = Json::parse(&String::from_utf8_lossy(frame)) else {
-            return false;
-        };
-        match json.get("type").and_then(Json::as_str) {
-            Some("msg") => self.absorb_seq_msg(&json),
-            Some("batch") => {
-                let mut any = false;
-                if let Some(entries) = json.get("msgs").and_then(Json::as_arr) {
-                    for entry in entries {
-                        any |= self.absorb_seq_msg(entry);
-                    }
-                }
-                any
-            }
-            Some("lagging") => {
+    /// The owed catch-up `sync`, if any, best-effort: a failure re-sets
+    /// the flag and the next heal point tries again.
+    fn heal_lag(&mut self) {
+        if self.needs_sync {
+            // Clear first: a note that arrives during the sync refers to
+            // drops the sync reply cannot cover and must re-set the flag.
+            self.needs_sync = false;
+            if self.sync().is_err() {
                 self.needs_sync = true;
-                false
             }
-            _ => false,
         }
     }
 
-    /// Applies one `{"seq":n,"msg":{...}}` element (the shared shape of a
-    /// `msg` frame body and a `batch` frame entry), seq-deduplicated.
-    fn absorb_seq_msg(&mut self, entry: &Json) -> bool {
-        let Some(m) = entry
-            .get("msg")
-            .and_then(|m| wire::message_from_json(m).ok())
-        else {
-            return false;
-        };
-        match entry.get("seq").and_then(Json::as_i64).filter(|v| *v >= 0) {
-            Some(seq) => {
-                self.server_history_len = self.server_history_len.max(seq as u64 + 1);
-                if self.applied.note(seq as u64) {
-                    self.client.absorb(&m);
-                    let trace = json_trace(entry);
-                    if !trace.is_none() {
-                        // The far edge of the causal chain: another
-                        // replica applied the originating op's broadcast.
-                        obstrace::stamp(
-                            trace,
-                            Stage::ClientAbsorb,
-                            SpanId::root(trace),
-                            seq as u64,
-                            self.client.worker().0 as u64,
-                        );
-                    }
-                    return true;
-                }
-                false
+    /// Parses one received frame — the only place the client does — and
+    /// routes it. A broadcast (`msg`, or a multi-op `batch`) is absorbed
+    /// from the tree in hand, or pushed decoded onto `stash` if the caller
+    /// defers it, and a `lagging` note sets the flag: `Continue(fresh)`,
+    /// `fresh` if anything new was applied. Any other frame is `reply`'s,
+    /// and what it makes of it is the `Break` value.
+    fn dispatch<T>(
+        &mut self,
+        frame: &[u8],
+        mut stash: Option<&mut Vec<Broadcast>>,
+        reply: impl FnOnce(&mut RemoteWorker, Option<&str>, &JsonRef<'_>) -> Result<T, RemoteError>,
+    ) -> Result<ControlFlow<T, bool>, RemoteError> {
+        let json = parse_frame(frame)?;
+        let entries = match frame_type(&json) {
+            Some("msg") => std::slice::from_ref(&json),
+            Some("batch") => json.get("msgs").and_then(JsonRef::as_arr).unwrap_or(&[]),
+            Some("lagging") => {
+                self.needs_sync = true;
+                &[]
             }
-            None => {
-                self.client.absorb(&m);
-                true
+            other => return reply(self, other, &json).map(ControlFlow::Break),
+        };
+        let mut fresh = false;
+        for broadcast in entries.iter().filter_map(Broadcast::from_json) {
+            match &mut stash {
+                Some(stash) => stash.push(broadcast),
+                None => fresh |= self.absorb(broadcast),
             }
         }
+        Ok(ControlFlow::Continue(fresh))
+    }
+
+    /// The one loop that receives after the handshake: frames go through
+    /// [`dispatch`](Self::dispatch) until one is not a broadcast, and that
+    /// one is `reply`'s to accept or refuse. With a policy each wait is
+    /// bounded by `ack_timeout` (a dropped request or reply must not hang
+    /// the client forever).
+    fn await_reply<T>(
+        &mut self,
+        mut stash: Option<&mut Vec<Broadcast>>,
+        mut reply: impl FnMut(&mut RemoteWorker, Option<&str>, &JsonRef<'_>) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
+        loop {
+            let frame = match &self.policy {
+                Some(p) => self.conn.recv_timeout(p.ack_timeout),
+                None => self.conn.recv(),
+            }
+            .map_err(RemoteError::Conn)?;
+            if let ControlFlow::Break(t) =
+                self.dispatch(&frame, stash.as_deref_mut(), &mut reply)?
+            {
+                return Ok(t);
+            }
+        }
+    }
+
+    /// Applies one broadcast if it is fresh; seq-based dedup makes
+    /// redelivery (e.g. overlap between a resume replay and a racing
+    /// flush) harmless even though messages themselves are not idempotent.
+    fn absorb(&mut self, broadcast: Broadcast) -> bool {
+        let Broadcast { seq, msg, trace } = broadcast;
+        if let Some(seq) = seq {
+            self.server_history_len = self.server_history_len.max(seq + 1);
+            if !self.applied.note(seq) {
+                return false;
+            }
+        }
+        self.client.absorb(&msg);
+        if let (Some(seq), false) = (seq, trace.is_none()) {
+            // The far edge of the causal chain: another replica applied
+            // the originating op's broadcast.
+            let worker = self.client.worker().0 as u64;
+            obstrace::stamp(trace, Stage::ClientAbsorb, SpanId::root(trace), seq, worker);
+        }
+        true
     }
 
     /// Fills a cell: applies locally, submits (plus the auto-upvote when the
@@ -469,15 +549,7 @@ impl RemoteWorker {
         column: crowdfill_model::ColumnId,
         value: crowdfill_model::Value,
     ) -> Result<RemoteAck, RemoteError> {
-        let outgoing = self
-            .client
-            .fill(row, column, value)
-            .map_err(RemoteError::Op)?;
-        let mut last = None;
-        for out in outgoing {
-            last = Some(self.submit(&out.msg, out.auto_upvote)?);
-        }
-        Ok(last.expect("fill yields at least one message"))
+        self.fill_as(row, column, value, false)
     }
 
     /// [`fill`](Self::fill), marked speculative: the server admits it only
@@ -491,18 +563,23 @@ impl RemoteWorker {
         column: crowdfill_model::ColumnId,
         value: crowdfill_model::Value,
     ) -> Result<RemoteAck, RemoteError> {
+        self.fill_as(row, column, value, true)
+    }
+
+    fn fill_as(
+        &mut self,
+        row: crowdfill_model::RowId,
+        column: crowdfill_model::ColumnId,
+        value: crowdfill_model::Value,
+        speculative: bool,
+    ) -> Result<RemoteAck, RemoteError> {
         let outgoing = self
             .client
             .fill(row, column, value)
             .map_err(RemoteError::Op)?;
         let mut last = None;
         for out in outgoing {
-            let trace = self.next_trace();
-            last = Some(self.transact(
-                submit_frame_with(&out.msg, out.auto_upvote, true, trace),
-                Pending::Submit(&out.msg, out.auto_upvote),
-                trace,
-            )?);
+            last = Some(self.submit(&out.msg, out.auto_upvote, speculative)?);
         }
         Ok(last.expect("fill yields at least one message"))
     }
@@ -510,25 +587,25 @@ impl RemoteWorker {
     /// Upvotes a row.
     pub fn upvote(&mut self, row: crowdfill_model::RowId) -> Result<RemoteAck, RemoteError> {
         let out = self.client.upvote(row).map_err(RemoteError::Op)?;
-        self.submit(&out.msg, false)
+        self.submit(&out.msg, false, false)
     }
 
     /// Downvotes a row.
     pub fn downvote(&mut self, row: crowdfill_model::RowId) -> Result<RemoteAck, RemoteError> {
         let out = self.client.downvote(row).map_err(RemoteError::Op)?;
-        self.submit(&out.msg, false)
+        self.submit(&out.msg, false, false)
     }
 
     /// Retracts an earlier upvote (own votes only).
     pub fn undo_upvote(&mut self, row: crowdfill_model::RowId) -> Result<RemoteAck, RemoteError> {
         let out = self.client.undo_upvote(row).map_err(RemoteError::Op)?;
-        self.submit(&out.msg, false)
+        self.submit(&out.msg, false, false)
     }
 
     /// Retracts an earlier downvote (own votes only).
     pub fn undo_downvote(&mut self, row: crowdfill_model::RowId) -> Result<RemoteAck, RemoteError> {
         let out = self.client.undo_downvote(row).map_err(RemoteError::Op)?;
-        self.submit(&out.msg, false)
+        self.submit(&out.msg, false, false)
     }
 
     /// Overwrites a non-empty cell via the composite modify action; the
@@ -558,10 +635,15 @@ impl RemoteWorker {
         TraceId::generate(self.trace_seed, self.trace_count)
     }
 
-    fn submit(&mut self, msg: &Message, auto: bool) -> Result<RemoteAck, RemoteError> {
+    fn submit(
+        &mut self,
+        msg: &Message,
+        auto: bool,
+        speculative: bool,
+    ) -> Result<RemoteAck, RemoteError> {
         let trace = self.next_trace();
         self.transact(
-            submit_frame_with(msg, auto, false, trace),
+            submit_frame(msg, auto, speculative, trace),
             Pending::Submit(msg, auto),
             trace,
         )
@@ -604,37 +686,22 @@ impl RemoteWorker {
                     // lagging heal is best-effort, like `absorb_pending`: a
                     // transient sync failure must not surface as the op's
                     // error (a caller treating it as failure could retry an
-                    // already-applied op). Re-set the flag and heal later.
-                    if self.needs_sync {
-                        self.needs_sync = false;
-                        if self.sync().is_err() {
-                            self.needs_sync = true;
-                        }
-                    }
+                    // already-applied op).
+                    self.heal_lag();
                     return Ok(ack);
                 }
                 Err(RemoteError::Conn(_)) if self.policy.is_some() => {
                     return self.recover(&pending);
                 }
                 Err(RemoteError::Rejected(r)) => {
-                    // Applied locally on optimistic grounds the server just
-                    // refuted: drop the vote record and rebuild from the
-                    // authoritative history before surfacing the rejection.
-                    for m in pending.messages() {
-                        self.client.retract_own_vote_record(m);
-                    }
-                    self.resync()?;
+                    self.roll_back(&pending.messages())?;
                     return Err(RemoteError::Rejected(r));
                 }
                 Err(RemoteError::Overloaded { retry_after_ms }) => {
                     let budget = self.policy.as_ref().map_or(0, |p| p.max_attempts);
                     if overload_tries >= budget {
-                        // Out of retries. The server never applied the op,
-                        // so the optimistic local application must go too.
-                        for m in pending.messages() {
-                            self.client.retract_own_vote_record(m);
-                        }
-                        self.resync()?;
+                        // Out of retries, and the server never applied the op.
+                        self.roll_back(&pending.messages())?;
                         return Err(RemoteError::Overloaded { retry_after_ms });
                     }
                     self.metrics.overload_backoffs.inc();
@@ -646,72 +713,57 @@ impl RemoteWorker {
         }
     }
 
+    /// Undoes an op that was applied locally on optimistic grounds the
+    /// server refuted (a reject) or never took up (overload): drop the vote
+    /// record and rebuild from the authoritative history.
+    fn roll_back(&mut self, msgs: &[&Message]) -> Result<(), RemoteError> {
+        for m in msgs {
+            self.client.retract_own_vote_record(m);
+        }
+        self.resync()
+    }
+
     /// Waits for the server's ack/reject, absorbing interleaved broadcasts.
-    /// With a policy, the wait is bounded by `ack_timeout` (a dropped
-    /// request or reply must not hang the client forever).
     fn await_ack(&mut self) -> Result<RemoteAck, RemoteError> {
-        loop {
-            let frame = self.recv_frame().map_err(RemoteError::Conn)?;
-            let json = Json::parse(&String::from_utf8_lossy(&frame))
-                .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-            match json.get("type").and_then(Json::as_str) {
-                Some("msg") | Some("batch") | Some("lagging") => {
-                    self.absorb_frame(&frame);
+        self.await_reply(None, |this, ty, json| match ty {
+            Some("ack") => {
+                // The seqs the server assigned to our own submission: we
+                // never get them back as broadcasts.
+                let seqs = json.get("seqs").and_then(JsonRef::as_arr).unwrap_or(&[]);
+                for s in seqs.iter().filter_map(JsonRef::as_i64) {
+                    if let Ok(s) = u64::try_from(s) {
+                        this.server_history_len = this.server_history_len.max(s + 1);
+                        this.applied.note(s);
+                    }
                 }
-                Some("overloaded") => {
-                    return Err(RemoteError::Overloaded {
-                        retry_after_ms: json
-                            .get("retry_after_ms")
-                            .and_then(Json::as_i64)
-                            .filter(|v| *v >= 0)
-                            .unwrap_or(0) as u64,
-                    });
-                }
-                Some("ack") => {
-                    self.note_ack_seqs(&json);
-                    return Ok(RemoteAck {
-                        estimate: json.get("estimate").and_then(Json::as_f64).unwrap_or(0.0),
-                        fulfilled: json
-                            .get("fulfilled")
-                            .and_then(Json::as_bool)
-                            .unwrap_or(false),
-                        recovered: false,
-                    });
-                }
-                Some("reject") => {
-                    return Err(RemoteError::Rejected(
-                        json.get("reason")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string(),
-                    ));
-                }
-                other => return Err(RemoteError::Protocol(format!("unexpected frame {other:?}"))),
+                let estimate = json.get("estimate").and_then(JsonRef::as_f64);
+                let fulfilled = json.get("fulfilled").and_then(JsonRef::as_bool);
+                Ok(RemoteAck {
+                    estimate: estimate.unwrap_or(0.0),
+                    fulfilled: fulfilled.unwrap_or(false),
+                    recovered: false,
+                })
             }
-        }
+            Some("overloaded") => Err(RemoteError::Overloaded {
+                retry_after_ms: u64_field(json, "retry_after_ms").unwrap_or(0),
+            }),
+            Some("reject") => Err(rejected(json)),
+            other => Err(unexpected(other)),
+        })
     }
 
-    fn recv_frame(&self) -> Result<Vec<u8>, ConnError> {
-        match &self.policy {
-            Some(p) => self.conn.recv_timeout(p.ack_timeout),
-            None => self.conn.recv(),
-        }
-    }
-
-    /// Records the seqs the server assigned to our own submission (we never
-    /// get them back as broadcasts).
-    fn note_ack_seqs(&mut self, ack: &Json) {
-        if let Some(seqs) = ack.get("seqs").and_then(Json::as_arr) {
-            for s in seqs.iter().filter_map(Json::as_i64).filter(|v| *v >= 0) {
-                self.server_history_len = self.server_history_len.max(s as u64 + 1);
-                self.applied.note(s as u64);
-            }
-        }
-    }
-
-    /// Number of contiguously-applied history messages (the resume cursor).
-    fn contig(&self) -> u64 {
-        self.applied.last_contiguous().map_or(0, |s| s + 1)
+    /// The `from`/`have` fields of a `resume` or `sync` request: the
+    /// contiguously-applied prefix and the sparse seqs above it — or
+    /// nothing at all, to ask for the full history.
+    fn cursor(&self, full: bool) -> [(&'static str, Json); 2] {
+        let (from, have) = match full {
+            true => (0, Vec::new()),
+            false => (
+                self.applied.last_contiguous().map_or(0, |s| s + 1),
+                self.applied.extras().map(|s| Json::num(s as f64)).collect(),
+            ),
+        };
+        [("from", Json::num(from as f64)), ("have", Json::Arr(have))]
     }
 
     fn backoff_delay(&mut self, policy: &ReconnectPolicy, attempt: u32) -> Duration {
@@ -765,146 +817,84 @@ impl RemoteWorker {
             let mut fields = vec![
                 ("type", Json::str("resume")),
                 ("worker", Json::num(self.client.worker().0 as f64)),
-                ("from", Json::num(self.contig() as f64)),
-                (
-                    "have",
-                    Json::Arr(self.applied.extras().map(|s| Json::num(s as f64)).collect()),
-                ),
             ];
+            fields.extend(self.cursor(false));
             if let Some(c) = &self.collection {
                 fields.push(("collection", Json::str(c)));
             }
-            let req = Json::obj(fields);
-            if conn.send(req.encode().as_bytes()).is_err() {
+            let resume = Json::obj(fields).encode();
+            let exchange = conn.send(resume.as_bytes());
+            let Ok(frame) = exchange.and_then(|()| conn.recv_timeout(policy.ack_timeout)) else {
                 continue;
-            }
-            let frame = match conn.recv_timeout(policy.ack_timeout) {
-                Ok(f) => f,
-                Err(_) => continue,
             };
-            let reply = match Json::parse(&String::from_utf8_lossy(&frame)) {
-                Ok(j) => j,
-                Err(_) => continue,
+            let Ok(reply) = parse_frame(&frame) else {
+                continue;
             };
-            match reply.get("type").and_then(Json::as_str) {
+            match frame_type(&reply) {
                 Some("resumed") => {}
-                Some("reject") => {
-                    // Unknown worker: unrecoverable, no point redialing.
-                    return Err(RemoteError::Rejected(
-                        reply
-                            .get("reason")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string(),
-                    ));
-                }
+                // Unknown worker: unrecoverable, no point redialing.
+                Some("reject") => return Err(rejected(&reply)),
                 _ => continue,
             }
-            if reply.get("reset").and_then(Json::as_bool).unwrap_or(false) {
-                // The server compacted past our cursor while we were gone:
-                // the suffix we asked for no longer exists. Rebuild the
-                // replica from the bootstrap image and restart the cursor
-                // at the server's watermark.
-                let history_len = reply
-                    .get("history_len")
-                    .and_then(Json::as_i64)
-                    .filter(|v| *v >= 0)
-                    .ok_or_else(|| {
-                        RemoteError::Protocol("reset resume missing history_len".into())
-                    })? as u64;
-                let history = reply
-                    .get("history")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| RemoteError::Protocol("reset resume missing history".into()))?
+            let (history_len, catch_up) = catch_up_from_json(&reply)?;
+            self.conn = conn;
+            self.metrics.resumes.inc();
+            let msgs = match catch_up {
+                // The server compacted past our cursor while we were gone.
+                CatchUp::Image(history) => {
+                    self.adopt_image(&history, history_len, "resume reset to bootstrap image");
+                    // Broadcasts that raced the image are not distinguishable
+                    // inside it; owe a catch-up sync.
+                    self.needs_sync = true;
+                    // Nor does the image carry per-op identity, so whether
+                    // an in-flight submission landed is not decidable here:
+                    // nothing matches, and it is resubmitted below. If it HAD
+                    // landed, a re-sent fill is absorbed idempotently (the
+                    // Replace re-inserts the row it already produced with the
+                    // same Lemma-3 counts), and a re-sent vote is refused by
+                    // the vote policy, which routes through the rejection →
+                    // resync path like any divergence.
+                    Vec::new()
+                }
+                CatchUp::Suffix(msgs) => msgs,
+            };
+            crowdfill_obs::obs_debug!(
+                "client",
+                "session resumed";
+                worker => self.client.worker().0,
+                attempt => attempt,
+                replayed => msgs.len(),
+            );
+
+            // Replay, matching our in-flight messages by equality: each is
+            // already applied locally, so a matched instance is noted but
+            // not re-absorbed. (A vote identical to another worker's is
+            // indistinguishable on the wire; skipping exactly one instance
+            // keeps the replica convergent either way, because identical
+            // vote messages are interchangeable in effect.)
+            let mut matched = vec![false; pending_msgs.len()];
+            for (seq, m) in &msgs {
+                self.server_history_len = self.server_history_len.max(*seq + 1);
+                if !self.applied.note(*seq) {
+                    continue;
+                }
+                let mine = pending_msgs
                     .iter()
-                    .map(wire::message_from_json)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-                self.conn = conn;
-                self.metrics.resumes.inc();
-                self.metrics.resyncs.inc();
-                self.client.rebuild(&history);
-                self.applied.reset_to_prefix(history_len);
-                self.server_history_len = self.server_history_len.max(history_len);
-                // Broadcasts that raced the image are not distinguishable
-                // inside it; owe a catch-up sync.
-                self.needs_sync = true;
-                crowdfill_obs::obs_debug!(
-                    "client",
-                    "resume reset to bootstrap image";
-                    worker => self.client.worker().0,
-                    attempt => attempt,
-                    history_len => history_len,
-                );
-                if pending_msgs.is_empty() {
-                    return Ok(RemoteAck {
-                        estimate: 0.0,
-                        fulfilled: false,
-                        recovered: true,
-                    });
+                    .enumerate()
+                    .find(|(i, pm)| !matched[*i] && **pm == m)
+                    .map(|(i, _)| i);
+                match mine {
+                    Some(i) => matched[i] = true,
+                    None => self.client.absorb(m),
                 }
-                // The synthetic image carries no per-op identity, so whether
-                // the in-flight submission landed is not decidable here:
-                // fall through and resubmit it. If it HAD landed, a re-sent
-                // fill is absorbed idempotently (the Replace re-inserts the
-                // row it already produced with the same Lemma-3 counts), and
-                // a re-sent vote is refused by the vote policy, which routes
-                // through the rejection → resync path like any divergence.
-            } else {
-                let msgs = seq_msgs_from_json(
-                    reply
-                        .get("msgs")
-                        .ok_or_else(|| RemoteError::Protocol("resumed missing msgs".into()))?,
-                )?;
-                self.conn = conn;
-                self.metrics.resumes.inc();
-                crowdfill_obs::obs_debug!(
-                    "client",
-                    "session resumed";
-                    worker => self.client.worker().0,
-                    attempt => attempt,
-                    replayed => msgs.len(),
-                );
-
-                // Replay, matching our in-flight messages by equality: each is
-                // already applied locally, so a matched instance is noted but
-                // not re-absorbed. (A vote identical to another worker's is
-                // indistinguishable on the wire; skipping exactly one instance
-                // keeps the replica convergent either way, because identical
-                // vote messages are interchangeable in effect.)
-                let mut matched = vec![false; pending_msgs.len()];
-                for (seq, m) in &msgs {
-                    self.server_history_len = self.server_history_len.max(*seq + 1);
-                    if !self.applied.note(*seq) {
-                        continue;
-                    }
-                    let mine = pending_msgs
-                        .iter()
-                        .enumerate()
-                        .find(|(i, pm)| !matched[*i] && **pm == m)
-                        .map(|(i, _)| i);
-                    match mine {
-                        Some(i) => matched[i] = true,
-                        None => self.client.absorb(m),
-                    }
-                }
-
-                if pending_msgs.is_empty() {
-                    return Ok(RemoteAck {
-                        estimate: 0.0,
-                        fulfilled: false,
-                        recovered: true,
-                    });
-                }
-                if matched.iter().all(|&m| m) {
-                    // The server applied the submission; only its ack was lost.
-                    self.metrics.recovered_acks.inc();
-                    return Ok(RemoteAck {
-                        estimate: 0.0,
-                        fulfilled: false,
-                        recovered: true,
-                    });
-                }
+            }
+            if pending_msgs.is_empty() {
+                return Ok(RemoteAck::RECOVERED);
+            }
+            if matched.iter().all(|&m| m) {
+                // The server applied the submission; only its ack was lost.
+                self.metrics.recovered_acks.inc();
+                return Ok(RemoteAck::RECOVERED);
             }
 
             // The server never saw it: resubmit on the fresh connection.
@@ -912,7 +902,7 @@ impl RemoteWorker {
             // already covers the recovery, and a fresh id here would split
             // one logical op across two traces.
             let frame = match pending {
-                Pending::Submit(msg, auto) => submit_frame(msg, *auto),
+                Pending::Submit(msg, auto) => submit_frame(msg, *auto, false, TraceId::NONE),
                 Pending::Modify(bundle) => modify_frame(bundle, TraceId::NONE),
                 Pending::Nothing => unreachable!("handled above"),
             };
@@ -924,11 +914,7 @@ impl RemoteWorker {
             match result {
                 Ok(ack) => return Ok(ack),
                 Err(RemoteError::Rejected(r)) => {
-                    // Applied locally, refused by the server: diverged.
-                    for m in &pending_msgs {
-                        self.client.retract_own_vote_record(m);
-                    }
-                    self.resync()?;
+                    self.roll_back(&pending_msgs)?;
                     return Err(RemoteError::Rejected(r));
                 }
                 Err(RemoteError::Overloaded { retry_after_ms }) => {
@@ -980,172 +966,96 @@ impl RemoteWorker {
     }
 
     fn try_sync(&mut self, full: bool) -> Result<(), RemoteError> {
-        let (from, have) = if full {
-            (0, Vec::new())
-        } else {
-            (self.contig(), self.applied.extras().collect())
-        };
-        let req = Json::obj([
-            ("type", Json::str("sync")),
-            ("from", Json::num(from as f64)),
-            (
-                "have",
-                Json::Arr(have.iter().map(|s| Json::num(*s as f64)).collect()),
-            ),
-        ]);
-        self.conn
-            .send(req.encode().as_bytes())
-            .map_err(RemoteError::Conn)?;
+        let request = [("type", Json::str("sync"))];
+        self.send(&Json::obj(request.into_iter().chain(self.cursor(full))))?;
         // During a full resync, broadcasts that race the reply must be
         // replayed AFTER the rebuild (the rebuild would otherwise erase
-        // them); stash their frames and run them through seq-dedup at the
-        // end. Incremental syncs apply them immediately, as usual.
-        let mut stash: Vec<Vec<u8>> = Vec::new();
-        loop {
-            let frame = self.recv_frame().map_err(RemoteError::Conn)?;
-            let json = Json::parse(&String::from_utf8_lossy(&frame))
-                .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-            match json.get("type").and_then(Json::as_str) {
-                Some("msg") | Some("batch") => {
-                    if full {
-                        stash.push(frame);
-                    } else {
-                        self.absorb_frame(&frame);
+        // them): they are stashed, decoded, and run through seq-dedup at
+        // the end. Incremental syncs apply them immediately, as usual. A
+        // `lagging` note that races the reply means drops after the server
+        // processed this very sync: another round is owed once it is done.
+        let mut stash = Vec::new();
+        let (history_len, catch_up) =
+            self.await_reply(full.then_some(&mut stash), |_, ty, json| match ty {
+                Some("synced") => catch_up_from_json(json),
+                other => Err(unexpected(other)),
+            })?;
+        self.server_history_len = self.server_history_len.max(history_len);
+        match catch_up {
+            CatchUp::Image(history) => {
+                self.adopt_image(&history, history_len, "sync reset to bootstrap image")
+            }
+            CatchUp::Suffix(msgs) if full => {
+                let history: Vec<Message> = msgs.into_iter().map(|(_, m)| m).collect();
+                self.adopt_image(&history, history_len, "full resync");
+            }
+            CatchUp::Suffix(msgs) => {
+                for (seq, m) in &msgs {
+                    if self.applied.note(*seq) {
+                        self.client.absorb(m);
                     }
                 }
-                Some("lagging") => {
-                    // Drops after the server processed this very sync:
-                    // another round is owed once this one completes.
-                    self.needs_sync = true;
-                }
-                Some("synced") => {
-                    let history_len = json
-                        .get("history_len")
-                        .and_then(Json::as_i64)
-                        .filter(|v| *v >= 0)
-                        .ok_or_else(|| RemoteError::Protocol("synced missing history_len".into()))?
-                        as u64;
-                    self.server_history_len = self.server_history_len.max(history_len);
-                    if json.get("reset").and_then(Json::as_bool).unwrap_or(false) {
-                        // Our cursor fell below the server's compaction
-                        // horizon: the reply is the bootstrap image, not a
-                        // suffix. Rebuild, restart the cursor, and replay
-                        // any stashed racing broadcasts (seq-dedup drops
-                        // the ones the image already covers).
-                        let history = json
-                            .get("history")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| {
-                                RemoteError::Protocol("reset sync missing history".into())
-                            })?
-                            .iter()
-                            .map(wire::message_from_json)
-                            .collect::<Result<Vec<_>, _>>()
-                            .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-                        self.client.rebuild(&history);
-                        self.applied.reset_to_prefix(history_len);
-                        self.metrics.resyncs.inc();
-                        for f in stash {
-                            self.absorb_frame(&f);
-                        }
-                        crowdfill_obs::obs_debug!(
-                            "client",
-                            "sync reset to bootstrap image";
-                            worker => self.client.worker().0,
-                            history_len => history_len,
-                        );
-                        return Ok(());
-                    }
-                    let msgs = seq_msgs_from_json(
-                        json.get("msgs")
-                            .ok_or_else(|| RemoteError::Protocol("synced missing msgs".into()))?,
-                    )?;
-                    if full {
-                        let history: Vec<Message> = msgs.iter().map(|(_, m)| m.clone()).collect();
-                        self.client.rebuild(&history);
-                        self.applied.reset_to_prefix(history_len);
-                        self.metrics.resyncs.inc();
-                        for f in stash {
-                            self.absorb_frame(&f);
-                        }
-                        crowdfill_obs::obs_debug!(
-                            "client",
-                            "full resync";
-                            worker => self.client.worker().0,
-                            history_len => history_len,
-                        );
-                    } else {
-                        for (seq, m) in &msgs {
-                            if self.applied.note(*seq) {
-                                self.client.absorb(m);
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                other => return Err(RemoteError::Protocol(format!("unexpected frame {other:?}"))),
             }
         }
+        // Seq-dedup drops the stashed broadcasts the image already covers.
+        for broadcast in stash {
+            self.absorb(broadcast);
+        }
+        Ok(())
     }
 
-    /// Fetches the server's metrics snapshot (Prometheus-style text),
-    /// absorbing any interleaved broadcasts.
-    pub fn stats(&mut self) -> Result<String, RemoteError> {
+    /// Rebuilds the replica from a complete image of the history — a full
+    /// resync's, or the bootstrap image a compacted server substitutes for
+    /// a suffix it no longer has — and restarts the cursor at the server's
+    /// watermark.
+    fn adopt_image(&mut self, history: &[Message], history_len: u64, what: &str) {
+        self.client.rebuild(history);
+        self.applied.reset_to_prefix(history_len);
+        self.server_history_len = self.server_history_len.max(history_len);
+        self.metrics.resyncs.inc();
+        crowdfill_obs::obs_debug!(
+            "client",
+            "{what}";
+            worker => self.client.worker().0,
+            history_len => history_len,
+        );
+    }
+
+    fn send(&self, frame: &Json) -> Result<(), RemoteError> {
         self.conn
-            .send(
-                Json::obj([("type", Json::str("stats"))])
-                    .encode()
-                    .as_bytes(),
-            )
-            .map_err(RemoteError::Conn)?;
-        loop {
-            let frame = self.recv_frame().map_err(RemoteError::Conn)?;
-            let json = Json::parse(&String::from_utf8_lossy(&frame))
-                .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-            match json.get("type").and_then(Json::as_str) {
-                Some("msg") | Some("batch") | Some("lagging") => {
-                    self.absorb_frame(&frame);
-                }
-                Some("stats") => {
-                    return json
-                        .get("snapshot")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| RemoteError::Protocol("stats missing snapshot".into()));
-                }
-                other => return Err(RemoteError::Protocol(format!("unexpected frame {other:?}"))),
+            .send(frame.encode().as_bytes())
+            .map_err(RemoteError::Conn)
+    }
+
+    /// Sends a bare `{"type":ty}` request and decodes the reply of the same
+    /// type, absorbing any interleaved broadcasts.
+    fn request<T>(
+        &mut self,
+        ty: &'static str,
+        decode: impl Fn(&JsonRef<'_>) -> Option<T>,
+    ) -> Result<T, RemoteError> {
+        self.send(&Json::obj([("type", Json::str(ty))]))?;
+        self.await_reply(None, |_, got, json| match got {
+            Some(got) if got == ty => {
+                decode(json).ok_or_else(|| RemoteError::Protocol(format!("malformed {ty} reply")))
             }
-        }
+            other => Err(unexpected(other)),
+        })
+    }
+
+    /// Fetches the server's metrics snapshot (Prometheus-style text).
+    pub fn stats(&mut self) -> Result<String, RemoteError> {
+        self.request("stats", |reply| {
+            reply.get("snapshot")?.as_str().map(str::to_string)
+        })
     }
 
     /// Fetches the server's live health report (completeness, per-column
-    /// agreement, per-worker latency and lag, SLO burn rates), absorbing
-    /// any interleaved broadcasts.
+    /// agreement, per-worker latency and lag, SLO burn rates).
     pub fn health(&mut self) -> Result<crate::health::HealthReport, RemoteError> {
-        self.conn
-            .send(
-                Json::obj([("type", Json::str("health"))])
-                    .encode()
-                    .as_bytes(),
-            )
-            .map_err(RemoteError::Conn)?;
-        loop {
-            let frame = self.recv_frame().map_err(RemoteError::Conn)?;
-            let json = Json::parse(&String::from_utf8_lossy(&frame))
-                .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-            match json.get("type").and_then(Json::as_str) {
-                Some("msg") | Some("batch") | Some("lagging") => {
-                    self.absorb_frame(&frame);
-                }
-                Some("health") => {
-                    return json
-                        .get("report")
-                        .and_then(crate::health::HealthReport::from_json)
-                        .ok_or_else(|| RemoteError::Protocol("malformed health report".into()));
-                }
-                other => return Err(RemoteError::Protocol(format!("unexpected frame {other:?}"))),
-            }
-        }
+        self.request("health", |reply| {
+            crate::health::HealthReport::from_json(&reply.get("report")?.to_owned())
+        })
     }
 
     /// How far this replica trails the server's history as of the last
@@ -1156,33 +1066,11 @@ impl RemoteWorker {
     }
 
     /// Fetches the server's flight-recorder contents as JSON lines (one
-    /// [`TraceEvent`] per line), absorbing any interleaved broadcasts.
+    /// [`TraceEvent`] per line).
     pub fn trace_dump(&mut self) -> Result<String, RemoteError> {
-        self.conn
-            .send(
-                Json::obj([("type", Json::str("trace_dump"))])
-                    .encode()
-                    .as_bytes(),
-            )
-            .map_err(RemoteError::Conn)?;
-        loop {
-            let frame = self.recv_frame().map_err(RemoteError::Conn)?;
-            let json = Json::parse(&String::from_utf8_lossy(&frame))
-                .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-            match json.get("type").and_then(Json::as_str) {
-                Some("msg") | Some("batch") | Some("lagging") => {
-                    self.absorb_frame(&frame);
-                }
-                Some("trace_dump") => {
-                    return json
-                        .get("events")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| RemoteError::Protocol("trace_dump missing events".into()));
-                }
-                other => return Err(RemoteError::Protocol(format!("unexpected frame {other:?}"))),
-            }
-        }
+        self.request("trace_dump", |reply| {
+            reply.get("events")?.as_str().map(str::to_string)
+        })
     }
 
     /// Says goodbye (the server releases the session).
@@ -1193,15 +1081,11 @@ impl RemoteWorker {
     }
 }
 
-fn submit_frame(msg: &Message, auto: bool) -> Json {
-    submit_frame_with(msg, auto, false, TraceId::NONE)
-}
-
 /// A submit frame with an explicit admission class. A speculative
 /// resubmission after a reconnect intentionally goes out unmarked
 /// ([`Pending`] carries no flag): the client has already paid for
 /// recovery, so the op is no longer cheap to throw away.
-fn submit_frame_with(msg: &Message, auto: bool, speculative: bool, trace: TraceId) -> Json {
+fn submit_frame(msg: &Message, auto: bool, speculative: bool, trace: TraceId) -> Json {
     let mut fields = vec![
         ("type", Json::str("submit")),
         ("auto", Json::Bool(auto)),

@@ -15,29 +15,32 @@
 //! A shard blocks in `epoll_wait` until one of these happens:
 //!
 //! * a socket of its own is readable, is writable while its
-//!   [`FrameWriter`] holds bytes, or hung up (which is also how an
-//!   off-shard close — eviction, `disconnect_all` — arrives);
+//!   [`FrameWriter`] holds bytes, or hung up;
 //! * another thread pushed a [`Wake`] onto its queue: the accept thread
-//!   injects a socket, an apply thread answers a parked submit/modify or
-//!   queued a broadcast in a connection's [`Outbox`], or
-//!   `TcpService::stop` raised the shutdown flag;
+//!   injects a socket, an apply thread answers a parked submit/modify,
+//!   queued a broadcast in a connection's [`Outbox`] or turned it lagging,
+//!   `TcpService::disconnect_all` asks for a close, or `TcpService::stop`
+//!   raised the shutdown flag;
 //! * its nearest deadline passed (`idle_timeout`, a `writer_pace`
-//!   release), kept in a heap so the wait's timeout is one `peek`; with no
-//!   deadline pending the wait has no timeout.
+//!   release, a lagging connection's eviction), kept in a heap so the
+//!   wait's timeout is one `peek`; with no deadline pending the wait has
+//!   no timeout.
 //!
 //! A wake visits exactly the connections those events name, plus the ones
 //! the previous wake left with runnable work (frames deferred by the
-//! fairness budget, a read cut off by `read_budget`) — never the whole
+//! fairness budget, a read cut off by `READ_BUDGET`) — never the whole
 //! shard. A visit ([`sweep_conn`]):
 //!
 //! 1. completes a parked submit/modify whose reply arrived;
-//! 2. reads whatever the socket has, bounded by `read_budget`, into the
+//! 2. reads whatever the socket has, bounded by `READ_BUDGET`, into the
 //!    connection's [`FrameReader`];
 //! 3. decodes and serves complete frames — the handshake
 //!    ([`open_session`]) and the request grammar ([`parse_request`]) live
-//!    in `tcp_service.rs`;
+//!    in `tcp_service.rs`; a frame that is not UTF-8 is malformed, like
+//!    one that is not JSON;
 //! 4. drains the connection's [`Outbox`] (broadcasts queued by the apply
-//!    thread) into its [`FrameWriter`], honoring `writer_pace`;
+//!    thread) into its [`FrameWriter`], honoring `writer_pace`, and runs
+//!    the eviction clock of a lagging one;
 //! 5. flushes the writer as far as the socket accepts;
 //! 6. closes the connection if it said `bye`, hung up, or sat idle.
 //!
@@ -47,18 +50,22 @@
 //!
 //! ## Outbox policy
 //!
-//! The [`Outbox`] is where the slow-reader policy lives: a bounded
-//! broadcast buffer, a lagging downgrade with dropped-frame accounting
-//! when it overflows, a `{"type":"lagging"}` note once the buffer drains,
-//! eviction after `evict_after` without a healing `sync`, and
-//! `writer_pace` spacing consecutive broadcast frames. Acks and other
-//! replies go straight to the connection's [`FrameWriter`]: they are
-//! neither bounded by the outbox nor paced.
+//! The slow-reader policy is split where the threads split. The
+//! [`Outbox`] is what broadcast producers see: a bounded buffer and a
+//! lagging downgrade with dropped-frame accounting when it overflows. The
+//! rest is the owning shard's: the `{"type":"lagging"}` note once the
+//! buffer drains, `writer_pace` spacing consecutive broadcast frames, and
+//! eviction — the first visit that sees the lagging flag stamps the
+//! eviction clock, `evict_after` later the connection's deadline fires and
+//! the shard closes it unless a `sync` healed it first. The shard owns the
+//! connection's only descriptor; nothing off-shard ever closes a socket.
+//! Acks and other replies go straight to the connection's
+//! [`FrameWriter`]: they are neither bounded by the outbox nor paced.
 //!
 //! ## Per-collection fairness
 //!
 //! Each wake gives every collection a frame budget
-//! (`collection_frames_per_sweep`); a connection whose collection has
+//! (`COLLECTION_FRAMES_PER_WAKE`); a connection whose collection has
 //! exhausted its budget keeps its frames buffered and is visited again on
 //! the next wake, which follows at once. One hot collection can therefore
 //! saturate neither a shard's CPU nor another collection's admission — the
@@ -117,27 +124,20 @@ fn m_conn_visits() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_conn_visits"))
 }
 
-/// Tunables for the sharded reactor (see the module docs).
-#[derive(Debug, Clone)]
-pub struct ReactorOptions {
-    /// Number of shard threads; `0` picks one per available core, capped
-    /// at 4 (a shard is syscall-bound, more shards only shuffle work).
-    pub shards: usize,
-    /// Request frames one collection may consume per shard wake before
-    /// its connections yield to other collections.
-    pub collection_frames_per_sweep: usize,
-    /// Max bytes read from one socket per visit.
-    pub read_budget: usize,
-}
+/// Request frames one collection may consume per shard wake before its
+/// connections yield to other collections.
+const COLLECTION_FRAMES_PER_WAKE: usize = 64;
 
-impl Default for ReactorOptions {
-    fn default() -> ReactorOptions {
-        ReactorOptions {
-            shards: 0,
-            collection_frames_per_sweep: 64,
-            read_budget: 64 * 1024,
-        }
-    }
+/// Max bytes read from one socket per visit.
+const READ_BUDGET: usize = 64 * 1024;
+
+/// Tunables for the sharded reactor (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct ReactorOptions {
+    /// Number of shard threads; `0` (the default) picks one per available
+    /// core, capped at 4 (a shard is syscall-bound, more shards only
+    /// shuffle work).
+    pub shards: usize,
 }
 
 impl ReactorOptions {
@@ -161,6 +161,9 @@ pub(crate) enum Wake {
     Broadcast(u64),
     /// The batch pipeline settled the connection's parked submit/modify.
     Reply(u64, Result<SubmitReport, SubmitError>),
+    /// Close the connection (`TcpService::disconnect_all`): the shard owns
+    /// the socket, so an off-shard close is a request, not a `shutdown`.
+    Close(u64),
 }
 
 /// One shard's wake queue, shared with everything that can wake it.
@@ -170,71 +173,52 @@ pub(crate) type ShardWake = Arc<WakeQueue<Wake>>;
 /// up from zero and never get there).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// The server-side send half of one connection: a bounded broadcast
-/// buffer plus the lagging state that drives the watermark downgrade →
-/// `sync` → eviction policy. Enqueuing is non-blocking, so one stalled
-/// reader can never wedge the broadcast flush path for everyone else; it
-/// wakes the owning shard, which drains the buffer on its next visit.
-/// Broadcast producers (the apply thread's after-batch flush, the eviction
-/// sweep) touch only this handle, never the socket.
+/// The server-side send half of one connection, as broadcast producers
+/// (the apply thread's after-batch flush) see it: a bounded broadcast
+/// buffer and the lagging flag it raises when the buffer overflows.
+/// Enqueuing is non-blocking, so one stalled reader can never wedge the
+/// broadcast flush path for everyone else; it wakes the owning shard,
+/// which drains the buffer — and runs a lagging connection's eviction
+/// clock — on its next visit. Producers touch only this handle, never the
+/// socket.
 pub struct Outbox {
     peer: String,
     /// The owning shard's wake queue and this connection's token there.
     wake: ShardWake,
     token: u64,
-    /// A dup of the connection's socket used only to force-close it from
-    /// off-shard contexts (eviction sweep, `disconnect_all`).
-    closer: TcpStream,
     queue: Mutex<VecDeque<Vec<u8>>>,
     capacity: usize,
     /// Set when the broadcast buffer overflows. While lagging, broadcasts
     /// to this connection are counted and dropped — the client's exact-seq
     /// tracking means a later `sync`/`resume` replays precisely what was
-    /// missed — and the eviction clock runs.
+    /// missed — and the shard's eviction clock runs.
     lagging: AtomicBool,
-    /// When the connection went lagging (the eviction clock).
-    lagging_since: Mutex<Option<Instant>>,
     /// A `{"type":"lagging"}` note owed to the client, emitted by the
     /// shard once the buffer makes progress.
     note_pending: AtomicBool,
-    /// Set once the connection has been evicted (shutdown is idempotent,
-    /// but the metrics should count each eviction once).
-    evicted: AtomicBool,
 }
 
 impl Outbox {
-    fn new(
-        peer: String,
-        closer: TcpStream,
-        overload: &OverloadOptions,
-        wake: ShardWake,
-        token: u64,
-    ) -> Outbox {
+    fn new(peer: String, overload: &OverloadOptions, wake: ShardWake, token: u64) -> Outbox {
         Outbox {
             peer,
             wake,
             token,
-            closer,
             queue: Mutex::new(VecDeque::new()),
             capacity: overload.write_buffer_frames.max(1),
             lagging: AtomicBool::new(false),
-            lagging_since: Mutex::new(None),
             note_pending: AtomicBool::new(false),
-            evicted: AtomicBool::new(false),
         }
     }
 
     /// Queues one broadcast frame, non-blocking. A full buffer downgrades
-    /// the connection to lagging; a connection lagging past
-    /// [`OverloadOptions::evict_after`] is forcibly closed (the session
-    /// survives — the client reconnects and resumes).
-    pub(crate) fn enqueue_broadcast(&self, frame: Vec<u8>, overload: &OverloadOptions) {
-        if self.evicted.load(Ordering::Acquire) {
-            return;
-        }
-        if self.lagging.load(Ordering::Acquire) {
+    /// the connection to lagging and wakes the shard once, on that
+    /// transition, so that it starts the eviction clock: a connection
+    /// still lagging [`OverloadOptions::evict_after`] later is closed (the
+    /// session survives — the client reconnects and resumes).
+    pub(crate) fn enqueue_broadcast(&self, frame: Vec<u8>) {
+        if self.is_lagging() {
             m_lag_dropped().inc();
-            self.maybe_evict(overload);
             return;
         }
         let mut q = self.queue.lock();
@@ -244,7 +228,6 @@ impl Outbox {
             // told to catch up via `sync` (which also clears the flag);
             // until then broadcasts to it are dropped, not queued.
             if !self.lagging.swap(true, Ordering::AcqRel) {
-                *self.lagging_since.lock() = Some(Instant::now());
                 self.note_pending.store(true, Ordering::Release);
                 m_lag_downgrades().inc();
                 crowdfill_obs::obs_warn!(
@@ -252,6 +235,7 @@ impl Outbox {
                     "client {} lagging: write buffer full, downgraded to sync",
                     self.peer
                 );
+                self.wake.push(Wake::Broadcast(self.token));
             }
             m_lag_dropped().inc();
         } else {
@@ -275,48 +259,22 @@ impl Outbox {
         self.note_pending.swap(false, Ordering::AcqRel)
     }
 
-    /// Disconnects the connection if it has been lagging past
-    /// [`OverloadOptions::evict_after`] without a healing `sync`. Called
-    /// from [`enqueue_broadcast`](Self::enqueue_broadcast) when fresh
-    /// broadcasts arrive and from the service's periodic sweep, so a
-    /// stalled reader on a quiet collection (no further broadcast traffic)
-    /// is still evicted on time.
-    pub(crate) fn maybe_evict(&self, overload: &OverloadOptions) {
-        if self.evicted.load(Ordering::Acquire) || !self.lagging.load(Ordering::Acquire) {
-            return;
-        }
-        let since = *self.lagging_since.lock();
-        if since.is_some_and(|t| t.elapsed() > overload.evict_after)
-            && !self.evicted.swap(true, Ordering::AcqRel)
-        {
-            m_evictions().inc();
-            crowdfill_obs::obs_warn!(
-                "server",
-                "evicting slow client {} (lagging past {:?})",
-                self.peer,
-                overload.evict_after
-            );
-            let _ = self.closer.shutdown(Shutdown::Both);
-        }
+    fn is_lagging(&self) -> bool {
+        self.lagging.load(Ordering::Acquire)
     }
 
-    /// Clears the lagging state. Called by the `sync` handler *before* the
+    /// Clears the lagging flag. Called by the `sync` handler *before* the
     /// catch-up suffix is computed under the backend lock: every broadcast
     /// dropped while lagging then has a seq below the history length the
     /// reply covers, and anything newer is enqueued normally (overlap is
     /// healed by the client's seq dedup).
-    pub(crate) fn clear_lagging(&self) {
+    fn clear_lagging(&self) {
         self.lagging.store(false, Ordering::Release);
-        *self.lagging_since.lock() = None;
     }
 
-    /// Forcibly closes the connection's socket.
-    pub(crate) fn shutdown(&self) {
-        let _ = self.closer.shutdown(Shutdown::Both);
-    }
-
-    fn is_evicted(&self) -> bool {
-        self.evicted.load(Ordering::Acquire)
+    /// Asks the owning shard to close the connection.
+    pub(crate) fn request_close(&self) {
+        self.wake.push(Wake::Close(self.token));
     }
 }
 
@@ -341,8 +299,7 @@ pub(crate) fn start_shards(
             poller,
             wake,
             shared: Arc::clone(&shared),
-            budgets: Budgets::new(&shared, options.collection_frames_per_sweep),
-            options: options.clone(),
+            budgets: Budgets::new(&shared),
             conns: HashMap::new(),
             next_token: 0,
             run: Vec::new(),
@@ -379,6 +336,9 @@ struct Session {
     pending: Option<PendingReply>,
     /// When the last broadcast frame was popped (drives `writer_pace`).
     last_broadcast_pop: Option<Instant>,
+    /// The eviction clock: when a visit first saw the outbox lagging. A
+    /// `sync` clears it with the flag.
+    lagging_since: Option<Instant>,
 }
 
 impl Session {
@@ -485,16 +445,22 @@ impl ConnState {
     }
 
     /// When this connection next needs a visit that no event will
-    /// announce: its idle timeout, or the release of a paced broadcast.
+    /// announce: its idle timeout, the release of a paced broadcast, or
+    /// its eviction if it is lagging.
     fn next_deadline(&self, shared: &ServiceShared) -> Option<Instant> {
+        let overload = &shared.options.overload;
         let idle = shared.options.idle_timeout.map(|t| self.last_activity + t);
-        let pace = match (&self.phase, shared.options.overload.writer_pace) {
-            (Phase::Active(session), Some(pace)) if session.outbox.has_broadcasts() => {
-                session.last_broadcast_pop.map(|t| t + pace)
-            }
-            _ => None,
+        let (pace, evict) = match &self.phase {
+            Phase::Active(session) => (
+                overload
+                    .writer_pace
+                    .filter(|_| session.outbox.has_broadcasts())
+                    .and_then(|pace| session.last_broadcast_pop.map(|t| t + pace)),
+                session.lagging_since.map(|t| t + overload.evict_after),
+            ),
+            Phase::Handshake => (None, None),
         };
-        [idle, pace].into_iter().flatten().min()
+        [idle, pace, evict].into_iter().flatten().min()
     }
 }
 
@@ -510,21 +476,19 @@ fn queue_frame(writer: &mut FrameWriter, dead: &mut bool, reply: &Json) {
 /// set is fixed at service start; an entry is refilled the first time a
 /// wake touches it, so starting a wake costs nothing per collection.
 struct Budgets {
-    per_wake: usize,
     wake: u64,
     /// Collection → (the wake it was last refilled for, frames left).
     left: HashMap<String, (u64, usize)>,
 }
 
 impl Budgets {
-    fn new(shared: &ServiceShared, per_wake: usize) -> Budgets {
+    fn new(shared: &ServiceShared) -> Budgets {
         Budgets {
-            per_wake,
             wake: 0,
             left: shared
                 .collections
                 .keys()
-                .map(|name| (name.clone(), (0, per_wake)))
+                .map(|name| (name.clone(), (0, COLLECTION_FRAMES_PER_WAKE)))
                 .collect(),
         }
     }
@@ -537,7 +501,7 @@ impl Budgets {
     fn left(&mut self, collection: &str) -> Option<&mut usize> {
         let (wake, left) = self.left.get_mut(collection)?;
         if *wake != self.wake {
-            (*wake, *left) = (self.wake, self.per_wake);
+            (*wake, *left) = (self.wake, COLLECTION_FRAMES_PER_WAKE);
         }
         Some(left)
     }
@@ -548,7 +512,6 @@ struct Shard {
     poller: Poller,
     wake: ShardWake,
     shared: Arc<ServiceShared>,
-    options: ReactorOptions,
     budgets: Budgets,
     conns: HashMap<u64, ConnState>,
     next_token: u64,
@@ -588,7 +551,7 @@ impl Shard {
             if shutdown.load(Ordering::SeqCst) {
                 g_conns().add(-(self.conns.len() as i64));
                 for conn in self.conns.values_mut() {
-                    retire(conn, &self.poller, &self.shared);
+                    retire(conn, &self.shared);
                 }
                 return;
             }
@@ -596,6 +559,7 @@ impl Shard {
                 match wake {
                     Wake::Inject(stream) => self.adopt(stream),
                     Wake::Broadcast(token) => self.schedule(token, false),
+                    Wake::Close(token) => self.schedule(token, true),
                     Wake::Reply(token, result) => {
                         let parked = self.conns.get_mut(&token).and_then(|c| match &mut c.phase {
                             Phase::Active(session) => session.pending.as_mut(),
@@ -682,15 +646,10 @@ impl Shard {
             return;
         };
         conn.queued = false;
-        let runnable = sweep_conn(
-            conn,
-            &self.shared,
-            &self.options,
-            &mut self.budgets,
-            &self.wake,
-        );
-        // A hung-up socket takes no more writes: whatever the visit could
-        // still read out of it has been served, the rest is teardown.
+        let runnable = sweep_conn(conn, &self.shared, &mut self.budgets, &self.wake);
+        // A hung-up socket takes no more writes (and a `Wake::Close` is
+        // served as one): whatever the visit could still read out of it
+        // has been served, the rest is teardown.
         conn.dead |= conn.hangup;
         if !conn.dead {
             let want = Interest {
@@ -705,7 +664,7 @@ impl Shard {
             }
         }
         if conn.dead {
-            retire(conn, &self.poller, &self.shared);
+            retire(conn, &self.shared);
             self.conns.remove(&token);
             g_conns().add(-1);
             return;
@@ -723,11 +682,10 @@ impl Shard {
     }
 }
 
-/// Tears down one connection: out of the epoll set first (the outbox's
-/// `closer` dup would otherwise keep the registration alive after the
-/// socket closes), then its session, if it got that far.
-fn retire(conn: &mut ConnState, poller: &Poller, shared: &ServiceShared) {
-    let _ = poller.deregister(&conn.stream);
+/// Tears down one connection: its socket, then its session, if it got
+/// that far. The caller drops the `ConnState` next, which closes the
+/// socket's only descriptor and with it the epoll registration.
+fn retire(conn: &mut ConnState, shared: &ServiceShared) {
     let _ = conn.stream.shutdown(Shutdown::Both);
     if let Phase::Active(session) = &conn.phase {
         close_session(
@@ -746,7 +704,6 @@ fn retire(conn: &mut ConnState, poller: &Poller, shared: &ServiceShared) {
 fn sweep_conn(
     conn: &mut ConnState,
     shared: &ServiceShared,
-    options: &ReactorOptions,
     budgets: &mut Budgets,
     wake: &ShardWake,
 ) -> bool {
@@ -772,12 +729,12 @@ fn sweep_conn(
 
     // 2. Pull whatever the socket has, bounded.
     if !conn.peer_eof && !conn.closing {
-        match conn.reader.fill_from(&mut conn.stream, options.read_budget) {
+        match conn.reader.fill_from(&mut conn.stream, READ_BUDGET) {
             Ok(0) => conn.peer_eof = true,
             Ok(n) => {
                 conn.last_activity = Instant::now();
                 // Cut off by the budget: the socket may hold more.
-                runnable |= n >= options.read_budget;
+                runnable |= n >= READ_BUDGET;
             }
             Err(ConnError::Empty) => {}
             Err(_) => {
@@ -858,9 +815,22 @@ fn sweep_conn(
                 return false;
             }
         }
-        if session.outbox.is_evicted() {
-            conn.dead = true;
-            return false;
+        // The eviction clock starts on the first visit that sees the
+        // flag (the lagging transition wakes the shard for it) and runs
+        // out on the deadline `next_deadline` arms from it.
+        if session.outbox.is_lagging() {
+            let evict_after = shared.options.overload.evict_after;
+            let since = *session.lagging_since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= evict_after {
+                m_evictions().inc();
+                crowdfill_obs::obs_warn!(
+                    "server",
+                    "evicting slow client {} (lagging past {evict_after:?})",
+                    session.outbox.peer
+                );
+                conn.dead = true;
+                return false;
+            }
         }
     }
 
@@ -888,11 +858,17 @@ fn sweep_conn(
     runnable
 }
 
+/// Decodes one frame, borrowed. Bytes that are not UTF-8 are malformed
+/// exactly like text that is not JSON: nothing the server applies,
+/// journals or broadcasts is a rewrite of what it was sent.
+fn parse_frame(frame: &[u8]) -> Option<JsonRef<'_>> {
+    JsonRef::parse(std::str::from_utf8(frame).ok()?).ok()
+}
+
 /// Serves the connection's first frame (`hello`/`resume`) via
 /// [`open_session`].
 fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, wake: &ShardWake) {
-    let text = String::from_utf8_lossy(frame);
-    let Ok(req) = JsonRef::parse(&text) else {
+    let Some(req) = parse_frame(frame) else {
         shared.metrics.malformed_frames.inc();
         conn.dead = true;
         return;
@@ -917,15 +893,8 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
                 .peer_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "?".into());
-            let Ok(closer) = conn.stream.try_clone() else {
-                collection.backend.lock().disconnect_epoch(worker, epoch);
-                shared.metrics.disconnects.inc();
-                conn.dead = true;
-                return;
-            };
             let outbox = Arc::new(Outbox::new(
                 peer,
-                closer,
                 &shared.options.overload,
                 Arc::clone(wake),
                 conn.token,
@@ -936,12 +905,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
                 .insert(worker, Arc::clone(&outbox));
             // Cover broadcasts that landed between the backend call and
             // registration (they sit behind the handshake reply).
-            flush_worker_outbox(
-                &collection.backend,
-                &outbox,
-                worker,
-                &shared.options.overload,
-            );
+            flush_worker_outbox(&collection.backend, &outbox, worker);
             let ack_hist = collection.backend.lock().worker_ack_histogram(worker);
             conn.phase = Phase::Active(Session {
                 collection,
@@ -951,6 +915,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
                 ack_hist,
                 pending: None,
                 last_broadcast_pop: None,
+                lagging_since: None,
             });
         }
         SessionOpen::Rejected(reply) => {
@@ -975,8 +940,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
     let Phase::Active(session) = phase else {
         return;
     };
-    let text = String::from_utf8_lossy(frame);
-    let Ok(req) = JsonRef::parse(&text) else {
+    let Some(req) = parse_frame(frame) else {
         shared.metrics.malformed_frames.inc();
         return;
     };
@@ -1008,6 +972,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
             metrics.sync_requests.inc();
             // Clear-before-suffix, see `sync_reply`.
             session.outbox.clear_lagging();
+            session.lagging_since = None;
             let reply = sync_reply(backend, session.worker, from, &have);
             queue_frame(writer, dead, &reply);
         }

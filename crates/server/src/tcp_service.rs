@@ -51,7 +51,15 @@
 //! Broadcasts reach a connection through its bounded [`Outbox`], so one
 //! stalled reader cannot wedge the flush path — it is downgraded to
 //! lagging (broadcasts to it dropped, healed by `sync`) and eventually
-//! evicted (see [`OverloadOptions`] and DESIGN.md §9).
+//! evicted by its shard (see [`OverloadOptions`] and DESIGN.md §9).
+//!
+//! ## Threads
+//!
+//! Besides the shards: `crowdfill-accept`, one `crowdfill-batch-apply`
+//! per collection, `crowdfill-maintenance` (the one thread behind the
+//! durability and progress ticks, present only if one is configured) and
+//! the telemetry `obs-sampler`. *Stop means stopped*: when
+//! [`TcpService::stop`] or a drop returns, all of them have been joined.
 //!
 //! ## Failure model
 //!
@@ -91,7 +99,7 @@ use crate::reactor::{self, Outbox, ReactorOptions, ShardWake, Wake};
 use crate::wire;
 use crowdfill_docstore::{Json, JsonRef};
 use crowdfill_model::Message;
-use crowdfill_net::{ConnError, TcpConn, TcpServer};
+use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
 use crowdfill_obs::timeseries::{
     evaluate_slos, RegistryRef, SampleRing, Sampler, SamplerOptions, SloSpec,
@@ -257,10 +265,10 @@ pub struct TelemetryOptions {
     /// `crowdfill_slo_<name>_burn_milli` gauge.
     pub slos: Vec<SloSpec>,
     /// Predictive progress (DESIGN.md §15): `Some` (the default) runs a
-    /// background sweep feeding the fill stream into the species
+    /// maintenance tick feeding the fill stream into the species
     /// estimator, exporting `crowdfill_progress_*` gauges, evaluating
     /// the progress SLOs, and applying the stopping policy. `None`
-    /// spawns no sweep (the `health` reply still carries a progress
+    /// runs no tick (the `health` reply still carries a progress
     /// section — it is computed from the trace on request).
     pub progress: Option<ProgressOptions>,
 }
@@ -331,11 +339,6 @@ pub struct ServiceOptions {
     /// never). Reclaims connections from clients that vanished without
     /// `bye` behind a link that never resets.
     pub idle_timeout: Option<Duration>,
-    /// First sleep after a failed `accept` (doubles per consecutive
-    /// failure).
-    pub accept_backoff_base: Duration,
-    /// Cap on the accept backoff.
-    pub accept_backoff_max: Duration,
     /// Batched apply pipeline configuration: every submit/modify request
     /// goes through a single per-collection apply thread that drains
     /// concurrent submissions into [`Backend::submit_batch`] calls.
@@ -351,13 +354,14 @@ pub struct ServiceOptions {
     pub telemetry: Option<TelemetryOptions>,
     /// Tunables for the sharded reactor that drives the sockets.
     pub reactor: ReactorOptions,
-    /// Background durability sweep (DESIGN.md §14). `Some` runs a thread
-    /// that compacts any collection whose journal grew past the threshold
-    /// and keeps the snapshot-age gauge fresh; it only acts on backends
-    /// that were opened with storage attached ([`crate::persist`]), so
-    /// it is safe to enable for in-memory collections too. `None` (the
-    /// default) spawns no thread — checkpoints are then the embedder's
-    /// job via [`Backend::checkpoint`]/[`Backend::compact_storage`].
+    /// Background durability sweep (DESIGN.md §14). `Some` runs a
+    /// maintenance tick that compacts any collection whose journal grew
+    /// past the threshold and keeps the snapshot-age gauge fresh; it only
+    /// acts on backends that were opened with storage attached
+    /// ([`crate::persist`]), so it is safe to enable for in-memory
+    /// collections too. `None` (the default) runs no tick — checkpoints
+    /// are then the embedder's job via
+    /// [`Backend::checkpoint`]/[`Backend::compact_storage`].
     pub durability: Option<DurabilitySweepOptions>,
 }
 
@@ -384,8 +388,6 @@ impl Default for ServiceOptions {
     fn default() -> ServiceOptions {
         ServiceOptions {
             idle_timeout: None,
-            accept_backoff_base: Duration::from_millis(10),
-            accept_backoff_max: Duration::from_secs(1),
             batch: BatchOptions::default(),
             overload: OverloadOptions::default(),
             telemetry: Some(TelemetryOptions::default()),
@@ -395,8 +397,161 @@ impl Default for ServiceOptions {
     }
 }
 
+/// First sleep after a failed `accept` (doubles per consecutive failure),
+/// and the cap on it.
+const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// One periodic job of the maintenance thread.
+struct Tick {
+    every: Duration,
+    due: Instant,
+    run: Box<dyn FnMut() + Send>,
+}
+
+impl Tick {
+    fn new(every: Duration, run: impl FnMut() + Send + 'static) -> Tick {
+        Tick {
+            every,
+            due: Instant::now() + every,
+            run: Box::new(run),
+        }
+    }
+}
+
+/// Spawns `crowdfill-maintenance`, the one thread that runs the service's
+/// periodic jobs: parked until the nearest is due, unparked (and joined)
+/// by [`TcpService::halt`]. With nothing configured there is no thread.
+fn start_maintenance(
+    mut ticks: Vec<Tick>,
+    shutdown: Arc<AtomicBool>,
+) -> std::io::Result<Option<std::thread::JoinHandle<()>>> {
+    if ticks.is_empty() {
+        return Ok(None);
+    }
+    std::thread::Builder::new()
+        .name("crowdfill-maintenance".into())
+        .spawn(move || {
+            while !shutdown.load(Ordering::SeqCst) {
+                let now = Instant::now();
+                let nearest = ticks.iter().map(|t| t.due).min().expect("a tick");
+                if nearest > now {
+                    // An unpark that raced ahead of this park is not lost:
+                    // its token makes the park return at once.
+                    std::thread::park_timeout(nearest - now);
+                    continue;
+                }
+                for tick in ticks.iter_mut().filter(|t| t.due <= now) {
+                    (tick.run)();
+                    tick.due = Instant::now() + tick.every;
+                }
+            }
+        })
+        .map(Some)
+}
+
+/// The durability tick (DESIGN.md §14): compaction is driven by journal
+/// growth, not by traffic — a collection that went quiet right after a
+/// burst still gets its journal truncated. The tick holds a collection's
+/// backend lock for the duration of one checkpoint write; sizing
+/// `compact_wal_bytes` bounds how much state that write covers.
+fn durability_tick(collections: &Collections, options: &DurabilitySweepOptions) {
+    let mut oldest_age: Option<u64> = None;
+    for collection in collections.values() {
+        let mut b = collection.backend.lock();
+        if !b.has_snapshots() {
+            continue;
+        }
+        if b.wal_bytes() >= options.compact_wal_bytes {
+            match b.compact_storage() {
+                Ok(base) => crowdfill_obs::obs_info!(
+                    "server",
+                    "compacted collection journal";
+                    collection => collection.name(),
+                    base_seq => base,
+                ),
+                Err(e) => crowdfill_obs::obs_warn!(
+                    "server",
+                    "compaction failed: {e}";
+                    collection => collection.name(),
+                ),
+            }
+        }
+        let age = b.snapshot_age_ms().unwrap_or(0);
+        oldest_age = Some(oldest_age.map_or(age, |a| a.max(age)));
+    }
+    if let Some(age) = oldest_age {
+        m_snapshot_age_ms().set(age as i64);
+    }
+}
+
+/// The progress tick (DESIGN.md §15): advances each collection's species
+/// estimator over the ops appended since the last tick (O(new ops), not
+/// O(trace)), exports the forecast as gauges, evaluates the progress SLOs
+/// over the sampler ring, and applies the stopping policy at most once
+/// per collection: `trackers` holds each collection's estimator and
+/// whether the policy has acted on it.
+fn progress_tick(
+    collections: &Collections,
+    progress: &ProgressOptions,
+    ring: &SampleRing,
+    specs: &[SloSpec],
+    trackers: &mut HashMap<String, (ProgressTracker, bool)>,
+) {
+    for collection in collections.values() {
+        let (tracker, acted) = trackers.entry(collection.name.clone()).or_default();
+        let report = {
+            let b = collection.backend.lock();
+            tracker.advance(&b);
+            tracker.report(&b, progress.target)
+        };
+        publish_progress_gauges(&report);
+        let _ = evaluate_slos(specs, ring, crowdfill_obs::metrics::global());
+        let Some(policy) = &progress.policy else {
+            continue;
+        };
+        if *acted {
+            continue;
+        }
+        let Some(decision) = policy.evaluate(&report) else {
+            continue;
+        };
+        *acted = true;
+        match decision.action {
+            StopAction::Close => {
+                collection.backend.lock().close();
+                m_progress_stopped().set(1);
+                crowdfill_obs::obs_info!(
+                    "server",
+                    "auto-stop closed collection: {}",
+                    decision.reason;
+                    collection => collection.name(),
+                );
+            }
+            StopAction::Reprice => {
+                let factor = policy.reprice_factor(&decision);
+                m_progress_reprice_milli().set((factor * 1000.0).round() as i64);
+                crowdfill_obs::obs_warn!(
+                    "server",
+                    "auto-stop recommends repricing x{factor:.2}: {}",
+                    decision.reason;
+                    collection => collection.name(),
+                );
+            }
+            StopAction::Alert => {
+                crowdfill_obs::obs_warn!(
+                    "server",
+                    "auto-stop alert: {}",
+                    decision.reason;
+                    collection => collection.name(),
+                );
+            }
+        }
+    }
+}
+
 /// The send halves of the connections attached to one collection, by
-/// worker: all the broadcast flush and the eviction sweep see of them.
+/// worker: all the broadcast flush and `disconnect_all` see of them.
 pub(crate) type ConnRegistry = Arc<Mutex<HashMap<WorkerId, Arc<Outbox>>>>;
 
 /// One hosted collection: its backend (history, WAL, PRI), its batch
@@ -455,6 +610,9 @@ pub struct TcpService {
     /// One wake queue per shard: how `stop` reaches a shard blocked in
     /// `epoll_wait`.
     shard_wakes: Vec<ShardWake>,
+    /// The `crowdfill-maintenance` thread, if any periodic tick is
+    /// configured; unparked and joined on `stop`.
+    maintenance: Option<std::thread::JoinHandle<()>>,
     /// The background metrics sampler; joined on `stop` (and on drop).
     sampler: Option<Sampler>,
 }
@@ -535,13 +693,10 @@ impl TcpService {
             let registry: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
             let flush_backend = Arc::clone(&backend);
             let flush_registry = Arc::clone(&registry);
-            let flush_options = Arc::clone(&options);
             let pipeline = Arc::new(BatchPipeline::start(
                 Arc::clone(&backend),
                 Box::new(move || now_millis(started)),
-                Box::new(move || {
-                    flush_outboxes(&flush_backend, &flush_registry, &flush_options.overload)
-                }),
+                Box::new(move || flush_outboxes(&flush_backend, &flush_registry)),
                 options.batch.clone(),
                 options.overload.clone(),
             ));
@@ -576,162 +731,55 @@ impl TcpService {
             telemetry,
         });
 
-        // The eviction clock must not depend on broadcast traffic: a reader
-        // that stalls on a quiet collection never triggers the enqueue-path
-        // check, so a periodic sweep drives `maybe_evict` for every
-        // connection of every collection.
-        let sweep_collections = Arc::clone(&collections);
-        let sweep_shutdown = Arc::clone(&shutdown);
-        let sweep_options = Arc::clone(&options);
-        let sweep_interval = (options.overload.evict_after / 4)
-            .clamp(Duration::from_millis(5), Duration::from_secs(1));
-        let _ = std::thread::Builder::new()
-            .name("crowdfill-evict-sweep".into())
-            .spawn(move || {
-                while !sweep_shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(sweep_interval);
-                    for collection in sweep_collections.values() {
-                        let outboxes: Vec<Arc<Outbox>> =
-                            collection.registry.lock().values().cloned().collect();
-                        for outbox in outboxes {
-                            outbox.maybe_evict(&sweep_options.overload);
-                        }
-                    }
-                }
-            });
+        // Everything spawned from here on is handed to `service` at once,
+        // so an early return drops — and thereby halts and joins — it.
+        let mut service = TcpService {
+            addr,
+            shared: Arc::clone(&shared),
+            shutdown: Arc::clone(&shutdown),
+            accept_thread: None,
+            shard_threads: Vec::new(),
+            shard_wakes: Vec::new(),
+            maintenance: None,
+            sampler,
+        };
 
-        // Durability sweep: compaction is driven by journal growth, not
-        // by traffic — a collection that went quiet right after a burst
-        // still gets its journal truncated. The sweep holds a collection's
-        // backend lock for the duration of one checkpoint write; sizing
-        // `compact_wal_bytes` bounds how much state that write covers.
+        let mut ticks = Vec::new();
         if let Some(durability) = options.durability.clone() {
-            let sweep_collections = Arc::clone(&collections);
-            let sweep_shutdown = Arc::clone(&shutdown);
-            let _ = std::thread::Builder::new()
-                .name("crowdfill-durability-sweep".into())
-                .spawn(move || {
-                    while !sweep_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(durability.interval);
-                        let mut oldest_age: Option<u64> = None;
-                        for collection in sweep_collections.values() {
-                            let mut b = collection.backend.lock();
-                            if !b.has_snapshots() {
-                                continue;
-                            }
-                            if b.wal_bytes() >= durability.compact_wal_bytes {
-                                match b.compact_storage() {
-                                    Ok(base) => crowdfill_obs::obs_info!(
-                                        "server",
-                                        "compacted collection journal";
-                                        collection => collection.name(),
-                                        base_seq => base,
-                                    ),
-                                    Err(e) => crowdfill_obs::obs_warn!(
-                                        "server",
-                                        "compaction failed: {e}";
-                                        collection => collection.name(),
-                                    ),
-                                }
-                            }
-                            let age = b.snapshot_age_ms().unwrap_or(0);
-                            oldest_age = Some(oldest_age.map_or(age, |a| a.max(age)));
-                        }
-                        if let Some(age) = oldest_age {
-                            m_snapshot_age_ms().set(age as i64);
-                        }
-                    }
-                });
+            let collections = Arc::clone(&collections);
+            ticks.push(Tick::new(durability.interval, move || {
+                durability_tick(&collections, &durability)
+            }));
         }
-
-        // Progress sweep (DESIGN.md §15): advances each collection's
-        // species estimator over the ops appended since the last tick
-        // (O(new ops), not O(trace)), exports the forecast as gauges,
-        // evaluates the progress SLOs over the sampler ring, and applies
-        // the stopping policy at most once per collection. Requires
-        // telemetry: the SLO burn gauges flow through the sampler ring.
+        // The progress tick requires telemetry: its SLO burn gauges flow
+        // through the sampler ring.
         if let (Some(progress), Some(t)) = (
             options.telemetry.as_ref().and_then(|t| t.progress.clone()),
             shared.telemetry.as_ref(),
         ) {
-            let sweep_collections = Arc::clone(&collections);
-            let sweep_shutdown = Arc::clone(&shutdown);
+            let collections = Arc::clone(&collections);
             let ring = Arc::clone(&t.ring);
-            let _ = std::thread::Builder::new()
-                .name("crowdfill-progress-sweep".into())
-                .spawn(move || {
-                    let mut trackers: HashMap<String, (ProgressTracker, bool)> = HashMap::new();
-                    let specs = progress_slo_specs(progress.target);
-                    while !sweep_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(progress.interval);
-                        for collection in sweep_collections.values() {
-                            let (tracker, acted) =
-                                trackers.entry(collection.name.clone()).or_default();
-                            let report = {
-                                let b = collection.backend.lock();
-                                tracker.advance(&b);
-                                tracker.report(&b, progress.target)
-                            };
-                            publish_progress_gauges(&report);
-                            let _ = evaluate_slos(&specs, &ring, crowdfill_obs::metrics::global());
-                            let Some(policy) = &progress.policy else {
-                                continue;
-                            };
-                            if *acted {
-                                continue;
-                            }
-                            let Some(decision) = policy.evaluate(&report) else {
-                                continue;
-                            };
-                            *acted = true;
-                            match decision.action {
-                                StopAction::Close => {
-                                    collection.backend.lock().close();
-                                    m_progress_stopped().set(1);
-                                    crowdfill_obs::obs_info!(
-                                        "server",
-                                        "auto-stop closed collection: {}",
-                                        decision.reason;
-                                        collection => collection.name(),
-                                    );
-                                }
-                                StopAction::Reprice => {
-                                    let factor = policy.reprice_factor(&decision);
-                                    m_progress_reprice_milli()
-                                        .set((factor * 1000.0).round() as i64);
-                                    crowdfill_obs::obs_warn!(
-                                        "server",
-                                        "auto-stop recommends repricing x{factor:.2}: {}",
-                                        decision.reason;
-                                        collection => collection.name(),
-                                    );
-                                }
-                                StopAction::Alert => {
-                                    crowdfill_obs::obs_warn!(
-                                        "server",
-                                        "auto-stop alert: {}",
-                                        decision.reason;
-                                        collection => collection.name(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                });
+            let specs = progress_slo_specs(progress.target);
+            let mut trackers = HashMap::new();
+            ticks.push(Tick::new(progress.interval, move || {
+                progress_tick(&collections, &progress, &ring, &specs, &mut trackers)
+            }));
         }
+        service.maintenance = start_maintenance(ticks, Arc::clone(&shutdown))
+            .map_err(|e| ConnError::Io(e.to_string()))?;
 
         // Shard pool: the accept thread only hands fresh sockets to shards
         // round-robin; shards own every conn for life.
-        let (shard_threads, shard_wakes) =
+        (service.shard_threads, service.shard_wakes) =
             reactor::start_shards(&options.reactor, Arc::clone(&shared), Arc::clone(&shutdown))
                 .map_err(|e| ConnError::Io(e.to_string()))?;
-        let injects = shard_wakes.clone();
+        let injects = service.shard_wakes.clone();
         let accept_shutdown = Arc::clone(&shutdown);
-        let accept_shared = Arc::clone(&shared);
+        let accept_shared = shared;
         let accept_thread = std::thread::Builder::new()
             .name("crowdfill-accept".into())
             .spawn(move || {
-                let mut backoff = accept_shared.options.accept_backoff_base;
+                let mut backoff = ACCEPT_BACKOFF_BASE;
                 let mut next_shard = 0usize;
                 while !accept_shutdown.load(Ordering::SeqCst) {
                     let stream = match server.accept_raw() {
@@ -742,11 +790,11 @@ impl TcpService {
                             // back off, capped, and try again.
                             accept_shared.metrics.accept_errors.inc();
                             std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(accept_shared.options.accept_backoff_max);
+                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
                             continue;
                         }
                     };
-                    backoff = accept_shared.options.accept_backoff_base;
+                    backoff = ACCEPT_BACKOFF_BASE;
                     if accept_shutdown.load(Ordering::SeqCst) {
                         return;
                     }
@@ -755,31 +803,22 @@ impl TcpService {
                 }
             })
             .map_err(|e| ConnError::Io(e.to_string()))?;
-
-        Ok(TcpService {
-            addr,
-            shared,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            shard_threads,
-            shard_wakes,
-            sampler,
-        })
+        service.accept_thread = Some(accept_thread);
+        Ok(service)
     }
 
     /// Forcibly closes every registered connection at once, across all
-    /// collections. Sessions survive — each client sees a dead connection
-    /// and recovers via its reconnect-and-resume path. This is the
-    /// thundering-herd lever the overload harness uses to stage a
-    /// mass-reconnect storm.
+    /// collections: each owning shard is asked to (`Wake::Close`) and
+    /// does so on its next wake. Sessions survive — each client sees a
+    /// dead connection and recovers via its reconnect-and-resume path.
+    /// This is the thundering-herd lever the overload harness uses to
+    /// stage a mass-reconnect storm.
     pub fn disconnect_all(&self) -> usize {
         let mut n = 0;
         for collection in self.shared.collections.values() {
-            let outboxes: Vec<Arc<Outbox>> = collection.registry.lock().values().cloned().collect();
-            for outbox in &outboxes {
-                outbox.shutdown();
-            }
-            n += outboxes.len();
+            let registry = collection.registry.lock();
+            registry.values().for_each(|outbox| outbox.request_close());
+            n += registry.len();
         }
         n
     }
@@ -805,8 +844,11 @@ impl TcpService {
         self.shared.collections.keys().cloned().collect()
     }
 
-    /// Stops accepting connections and joins the accept, shard, and
-    /// sampler threads. Dropping the service does the same.
+    /// Stops the service. When this returns (dropping the service does
+    /// the same) no thread the service started is alive — sampler,
+    /// maintenance, accept and shards are joined here, each collection's
+    /// apply thread when its [`BatchPipeline`] drops with `self` — and the
+    /// caller's [`backend`](Self::backend) handles are the only ones left.
     pub fn stop(mut self) {
         self.halt();
     }
@@ -818,9 +860,14 @@ impl TcpService {
         if let Some(mut s) = self.sampler.take() {
             s.stop();
         }
+        if let Some(t) = self.maintenance.take() {
+            t.thread().unpark();
+            let _ = t.join();
+        }
         if let Some(t) = self.accept_thread.take() {
-            // Unblock the accept() call.
-            let _ = TcpConn::connect(self.addr);
+            // Unblock the accept() call (a bare socket: a `TcpConn` would
+            // start a reader thread that outlives this function).
+            let _ = std::net::TcpStream::connect(self.addr);
             let _ = t.join();
         }
         // The shards are blocked in epoll_wait, not polling the flag.
@@ -857,19 +904,6 @@ fn reject_frame_traced(reason: &str, trace: TraceId) -> Json {
         fields.push(("trace", Json::str(trace.to_hex())));
     }
     Json::obj(fields)
-}
-
-/// The trace context of a request: an optional `"trace"` field carrying
-/// the id in hex. Only consulted when tracing is on, so the disabled path
-/// pays one branch.
-fn json_trace(j: &JsonRef<'_>) -> TraceId {
-    if !obstrace::enabled() {
-        return TraceId::NONE;
-    }
-    j.get("trace")
-        .and_then(JsonRef::as_str)
-        .and_then(TraceId::from_hex)
-        .unwrap_or(TraceId::NONE)
 }
 
 /// A broadcast frame for one seq-tagged message; traced ops propagate
@@ -1098,9 +1132,9 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
 }
 
 /// Tears down a finished session: unregisters (guarded — only if the
-/// registry still holds THIS connection), closes the socket, and retires
-/// the epoch (guarded in the backend — a resumed successor must survive
-/// its predecessor's exit).
+/// registry still holds THIS connection) and retires the epoch (guarded in
+/// the backend — a resumed successor must survive its predecessor's exit).
+/// The socket is the shard's to close.
 pub(crate) fn close_session(
     collection: &Collection,
     outbox: &Arc<Outbox>,
@@ -1114,7 +1148,6 @@ pub(crate) fn close_session(
             reg.remove(&worker);
         }
     }
-    outbox.shutdown();
     collection.backend.lock().disconnect_epoch(worker, epoch);
     metrics.disconnects.inc();
     crowdfill_obs::obs_debug!("server", "session ended"; worker => worker.0, epoch => epoch);
@@ -1163,11 +1196,8 @@ pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
             } else {
                 Priority::Normal
             };
-            let trace = json_trace(req);
-            match req
-                .get("msg")
-                .and_then(|m| wire::message_from_json_ref(m).ok())
-            {
+            let trace = wire::trace_id_from_json(req);
+            match req.get("msg").and_then(|m| wire::message_from_json(m).ok()) {
                 Some(msg) => Request::Submit {
                     op: BatchOp::Msg {
                         msg,
@@ -1180,7 +1210,7 @@ pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
             }
         }
         Some("modify") => {
-            let trace = json_trace(req);
+            let trace = wire::trace_id_from_json(req);
             let bundle: Option<Vec<(Message, bool)>> = req
                 .get("msgs")
                 .and_then(JsonRef::as_arr)
@@ -1189,7 +1219,7 @@ pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
                         .map(|e| {
                             let auto = e.get("auto").and_then(JsonRef::as_bool).unwrap_or(false);
                             e.get("msg")
-                                .and_then(|m| wire::message_from_json_ref(m).ok())
+                                .and_then(|m| wire::message_from_json(m).ok())
                                 .map(|m| (m, auto))
                         })
                         .collect::<Option<Vec<_>>>()
@@ -1416,18 +1446,14 @@ pub(crate) fn result_frame(
 /// Delivers every session's pending broadcasts over its connection.
 /// Collection-scoped: a pipeline's after-batch hook flushes only its own
 /// collection's registry.
-pub(crate) fn flush_outboxes(
-    backend: &Arc<Mutex<Backend>>,
-    registry: &ConnRegistry,
-    overload: &OverloadOptions,
-) {
+pub(crate) fn flush_outboxes(backend: &Arc<Mutex<Backend>>, registry: &ConnRegistry) {
     let outboxes: Vec<(WorkerId, Arc<Outbox>)> = registry
         .lock()
         .iter()
         .map(|(w, o)| (*w, Arc::clone(o)))
         .collect();
     for (worker, outbox) in outboxes {
-        flush_worker_outbox(backend, &outbox, worker, overload);
+        flush_worker_outbox(backend, &outbox, worker);
     }
 }
 
@@ -1440,7 +1466,6 @@ pub(crate) fn flush_worker_outbox(
     backend: &Arc<Mutex<Backend>>,
     outbox: &Outbox,
     worker: WorkerId,
-    overload: &OverloadOptions,
 ) {
     // One lock acquisition fetches both the pending broadcasts and (when
     // tracing) their originating trace ids, so attribution can never see
@@ -1477,14 +1502,11 @@ pub(crate) fn flush_worker_outbox(
     };
     if pending.len() == 1 {
         let (seq, msg, trace) = &pending[0];
-        outbox.enqueue_broadcast(
-            broadcast_frame(*seq, msg, *trace).encode().into_bytes(),
-            overload,
-        );
+        outbox.enqueue_broadcast(broadcast_frame(*seq, msg, *trace).encode().into_bytes());
         return;
     }
     for chunk in pending.chunks(BATCH_FRAME_CHUNK) {
-        outbox.enqueue_broadcast(batch_broadcast_frame(chunk).encode().into_bytes(), overload);
+        outbox.enqueue_broadcast(batch_broadcast_frame(chunk).encode().into_bytes());
         batch_broadcast_frames().inc();
     }
 }

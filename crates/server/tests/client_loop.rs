@@ -1,0 +1,250 @@
+//! The client's one reply loop, driven by a scripted peer. A `RemoteWorker`
+//! is dialed onto one end of an in-process `LocalConn` pair; the test holds
+//! the other end and queues the server's half of the conversation *before*
+//! the client speaks (the pair is an unbounded queue each way), so every
+//! case is one thread, no socket and no clock.
+
+use crowdfill_docstore::Json;
+use crowdfill_model::{
+    ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
+    Template, Value,
+};
+use crowdfill_net::{ConnError, FrameConn, LocalConn};
+use crowdfill_server::{
+    wire, Backend, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, TaskConfig,
+};
+use std::sync::Arc;
+use std::time::Duration;
+
+fn schema() -> Arc<Schema> {
+    let columns = vec![
+        Column::new("name", DataType::Text),
+        Column::new("nationality", DataType::Text),
+    ];
+    Arc::new(Schema::new("SoccerPlayer", columns, &["name"]).unwrap())
+}
+
+fn cc_row(seq: u64) -> RowId {
+    RowId::new(ClientId(0), seq)
+}
+
+fn seq_msg(seq: u64, msg: &Message) -> Json {
+    Json::obj([
+        ("seq", Json::num(seq as f64)),
+        ("msg", wire::message_to_json(msg)),
+    ])
+}
+
+fn typed(ty: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Vec<u8> {
+    let fields = fields.into_iter().chain([("type", Json::str(ty))]);
+    Json::obj(fields).encode().into_bytes()
+}
+
+/// A worker whose connection's far end the test holds. The welcome is
+/// queued ahead of the hello: worker 1, client 1, and a two-message history
+/// (the Central Client's two empty rows).
+fn dial() -> (RemoteWorker, LocalConn) {
+    let (near, far) = LocalConn::pair();
+    let history = [0, 1].map(|s| wire::message_to_json(&Message::Insert { row: cc_row(s) }));
+    far.send(&typed(
+        "welcome",
+        [
+            ("worker", Json::num(1)),
+            ("client", Json::num(1)),
+            ("history_len", Json::num(2)),
+            ("schema", wire::schema_to_json(&schema())),
+            ("history", Json::Arr(history.to_vec())),
+        ],
+    ))
+    .unwrap();
+    let mut near = Some(near);
+    let dialer: Dialer = Box::new(move |_| {
+        let conn = near.take().ok_or(ConnError::Disconnected)?;
+        Ok(Box::new(conn) as Box<dyn FrameConn>)
+    });
+    // Everything the client waits for is already queued; no redial.
+    let policy = ReconnectPolicy {
+        max_attempts: 1,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(1),
+        ack_timeout: Duration::from_millis(200),
+        jitter_seed: 0,
+    };
+    (RemoteWorker::connect_with(dialer, policy).unwrap(), far)
+}
+
+/// The requests the client has sent since the last call, decoded.
+fn sent(far: &LocalConn) -> Vec<Json> {
+    std::iter::from_fn(|| far.try_recv().ok())
+        .map(|frame| Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap())
+        .collect()
+}
+
+fn type_of(frame: &Json) -> &str {
+    frame.get("type").and_then(Json::as_str).unwrap()
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Submit,
+    Sync,
+    Stats,
+    Health,
+    TraceDump,
+}
+
+const KINDS: [Kind; 5] = [
+    Kind::Submit,
+    Kind::Sync,
+    Kind::Stats,
+    Kind::Health,
+    Kind::TraceDump,
+];
+
+impl Kind {
+    /// The frame that answers this request.
+    fn reply(self) -> Vec<u8> {
+        match self {
+            Kind::Submit => typed(
+                "ack",
+                [
+                    ("estimate", Json::num(1.5)),
+                    ("fulfilled", Json::Bool(false)),
+                    ("seqs", Json::Arr(vec![Json::num(2)])),
+                ],
+            ),
+            // Nothing was missing when the server served it.
+            Kind::Sync => typed(
+                "synced",
+                [("history_len", Json::num(3)), ("msgs", Json::Arr(vec![]))],
+            ),
+            Kind::Stats => typed("stats", [("snapshot", Json::str("up 1\n"))]),
+            Kind::Health => {
+                let config = TaskConfig::new(
+                    schema(),
+                    Arc::new(QuorumMajority::of_three()),
+                    Template::cardinality(2),
+                    10.0,
+                );
+                let report = crowdfill_server::collect(&Backend::new(config));
+                typed("health", [("report", report.to_json())])
+            }
+            Kind::TraceDump => typed("trace_dump", [("events", Json::str("{}\n"))]),
+        }
+    }
+
+    /// Issues the request and checks what it decoded from [`reply`].
+    fn request(self, worker: &mut RemoteWorker) -> Result<(), RemoteError> {
+        match self {
+            Kind::Submit => {
+                let ack = worker.fill(cc_row(0), ColumnId(0), Value::text("Messi"))?;
+                assert_eq!((ack.estimate, ack.recovered), (1.5, false));
+            }
+            Kind::Sync => worker.sync()?,
+            Kind::Stats => assert_eq!(worker.stats()?, "up 1\n"),
+            Kind::Health => assert_eq!(worker.health()?.collection.name, "SoccerPlayer"),
+            Kind::TraceDump => assert_eq!(worker.trace_dump()?, "{}\n"),
+        }
+        Ok(())
+    }
+}
+
+/// Broadcasts that arrive while a request is waiting for its reply: a
+/// `msg`, a `batch` that leaves seq 5 missing, and a `lagging` note.
+fn interleaved() -> Vec<Vec<u8>> {
+    let pele = Message::Replace {
+        old: cc_row(1),
+        new: RowId::new(ClientId(2), 0),
+        value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
+    };
+    let mut msg = seq_msg(3, &pele);
+    if let Json::Obj(fields) = &mut msg {
+        fields.insert("type".into(), Json::str("msg"));
+    }
+    let batch = [
+        seq_msg(4, &Message::Insert { row: cc_row(2) }),
+        seq_msg(6, &Message::Insert { row: cc_row(3) }),
+    ];
+    vec![
+        msg.encode().into_bytes(),
+        typed("batch", [("msgs", Json::Arr(batch.to_vec()))]),
+        typed("lagging", []),
+    ]
+}
+
+/// `msg`, `batch` and `lagging` frames interleaved before the reply are
+/// absorbed the same way whichever request was waiting: the same replica,
+/// the same applied-seq set (read off the cursor of the client's next
+/// `sync`), the lagging flag set.
+#[test]
+fn interleaved_broadcasts_are_absorbed_alike_under_every_request() {
+    let mut outcomes = Vec::new();
+    for kind in KINDS {
+        let (mut worker, far) = dial();
+        // Every case makes the same fill, so the replicas are comparable;
+        // only in the submit case is it the request under test.
+        if !matches!(kind, Kind::Submit) {
+            far.send(&Kind::Submit.reply()).unwrap();
+            Kind::Submit.request(&mut worker).unwrap();
+        }
+        for frame in interleaved() {
+            far.send(&frame).unwrap();
+        }
+        far.send(&kind.reply()).unwrap();
+        // What heals the lag afterwards: the one message still missing.
+        let missing = Json::Arr(vec![seq_msg(5, &Message::Insert { row: cc_row(4) })]);
+        let heal = typed("synced", [("history_len", Json::num(7)), ("msgs", missing)]);
+        if matches!(kind, Kind::Submit) {
+            // An acked submit heals on its own: the reply must be waiting.
+            far.send(&heal).unwrap();
+            kind.request(&mut worker).unwrap();
+            assert!(!worker.needs_sync(), "the note was seen, and healed");
+        } else {
+            sent(&far);
+            kind.request(&mut worker).unwrap();
+            assert!(worker.needs_sync(), "{kind:?}: lagging note lost");
+            assert_eq!(worker.local_lag(), 1, "{kind:?}");
+            far.send(&heal).unwrap();
+            worker.sync().unwrap();
+        }
+        let requests = sent(&far);
+        let heal_request = requests.last().unwrap();
+        assert_eq!(type_of(heal_request), "sync", "{kind:?}: {requests:?}");
+        assert_eq!(worker.local_lag(), 0, "{kind:?}");
+        let cursor = (
+            heal_request.get("from").unwrap().encode(),
+            heal_request.get("have").unwrap().encode(),
+        );
+        outcomes.push((kind, cursor, worker));
+    }
+    let (_, first_cursor, first) = &outcomes[0];
+    // 0 and 1 came with the welcome, 2 with the ack, 3 and 4 as
+    // broadcasts; 6 is known, 5 is the hole.
+    assert_eq!(first_cursor, &("5".to_string(), "[6]".to_string()));
+    assert_eq!(first.view().replica().table().len(), 5);
+    for (kind, cursor, worker) in &outcomes[1..] {
+        assert_eq!(cursor, first_cursor, "{kind:?}");
+        assert!(
+            worker.view().replica().same_state(first.view().replica()),
+            "{kind:?}: replica differs from the submit case's"
+        );
+    }
+}
+
+/// A reply that is not UTF-8 is a protocol error under every request — not
+/// a panic, not a frame silently skipped (the client would then wait out
+/// its timeout and redial a connection that is not dead).
+#[test]
+fn a_reply_that_is_not_utf8_is_a_protocol_error() {
+    for kind in KINDS {
+        let (mut worker, far) = dial();
+        let mut reply = kind.reply();
+        let quote = reply.iter().rposition(|b| *b == b'"').unwrap();
+        reply.insert(quote, 0xFF);
+        far.send(&reply).unwrap();
+        match kind.request(&mut worker) {
+            Err(RemoteError::Protocol(_)) => {}
+            other => panic!("{kind:?}: expected a protocol error, got {other:?}"),
+        }
+    }
+}

@@ -561,13 +561,13 @@ fn slow_client_is_evicted_then_resumes_and_converges() {
 }
 
 /// A reader that goes lagging and then sees NO further broadcast traffic is
-/// still evicted on time: the eviction clock is driven by the service's
-/// periodic sweep, not only by the enqueue path. (Regression: eviction used
+/// still evicted on time: the eviction clock is a deadline of the owning
+/// shard, not a check on the enqueue path. (Regression: eviction used
 /// to be checked only when a fresh broadcast arrived for the lagging seat,
 /// so a stalled reader on a quiet collection held its seat, socket, and
 /// writer thread forever.)
 #[test]
-fn stalled_reader_on_quiet_collection_is_evicted_by_sweep() {
+fn stalled_reader_on_quiet_collection_is_evicted_by_deadline() {
     let backend = Backend::new(config(64));
     let options = ServiceOptions {
         overload: crowdfill_server::OverloadOptions {
@@ -591,7 +591,7 @@ fn stalled_reader_on_quiet_collection_is_evicted_by_sweep() {
     // A burst of fills overflows the observer's buffer (downgrade to
     // lagging, eviction clock starts) — and then the collection goes
     // completely quiet: no broadcast ever reaches the seat's enqueue path
-    // again, so only the sweep can run the eviction clock out.
+    // again, so only the shard's deadline can run the eviction clock out.
     let mut filler = RemoteWorker::connect_with(plain_dialer(addr), policy(3)).unwrap();
     let mut acked = Vec::new();
     for n in 0..8 {
@@ -616,6 +616,6 @@ fn stalled_reader_on_quiet_collection_is_evicted_by_sweep() {
     assert!(
         evicted,
         "stalled reader was never evicted without broadcast traffic \
-         (eviction clock must be sweep-driven, not enqueue-driven)"
+         (eviction clock must be deadline-driven, not enqueue-driven)"
     );
 }

@@ -5,7 +5,11 @@
 
 use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
 use crowdfill_net::{FrameConn, TcpConn};
-use crowdfill_server::{Backend, RemoteWorker, TaskConfig, TcpService};
+use crowdfill_server::{
+    Backend, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,12 +33,31 @@ fn config(rows: usize) -> TaskConfig {
     )
 }
 
-/// Every thread in this process (the server's fixed pool, the test
-/// harness, and the client-side reader thread each `TcpConn` owns).
+/// The name (`comm`, which the kernel cuts to 15 bytes) of every thread in
+/// this process: the server's fixed pool, the test harness, and the
+/// client-side reader thread each `TcpConn` owns.
+fn thread_names() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
 fn threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|dir| dir.filter_map(|e| e.ok()).count())
-        .unwrap_or(0)
+    thread_names().len()
+}
+
+/// The threads a service started: everything the product names, less the
+/// client-side `TcpConn` readers (`crowdfill-net-read-*`).
+fn service_threads() -> Vec<String> {
+    let ours = |name: &String| {
+        (name.starts_with("crowdfill-") && !name.starts_with("crowdfill-net-"))
+            || name.starts_with("obs-")
+    };
+    thread_names().into_iter().filter(ours).collect()
 }
 
 fn open_fds() -> usize {
@@ -43,8 +66,9 @@ fn open_fds() -> usize {
         .unwrap_or(0)
 }
 
-/// Polls `count` until it reads `expected` again; teardown (the shard
-/// retiring a connection, a client reader thread exiting) is asynchronous.
+/// Polls `count` until it reads `expected` again: what the *client* side
+/// gives back (a `TcpConn`'s reader thread, the shard retiring a connection
+/// whose peer just hung up) arrives asynchronously.
 fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while count() != expected {
@@ -57,14 +81,38 @@ fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
     }
 }
 
+/// A session over a bare socket — one descriptor and no thread on the
+/// client side, so whatever else the process gains is the server's.
+fn raw_session(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = br#"{"type":"hello"}"#;
+    stream
+        .write_all(&(hello.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(hello).unwrap();
+    let mut header = [0u8; 4];
+    stream.read_exact(&mut header).unwrap();
+    let mut welcome = vec![0u8; u32::from_be_bytes(header) as usize];
+    stream.read_exact(&mut welcome).unwrap();
+    stream
+}
+
+fn two_shards() -> ServiceOptions {
+    ServiceOptions {
+        reactor: ReactorOptions { shards: 2 },
+        ..ServiceOptions::default()
+    }
+}
+
 /// The reactor's whole point: server threads are O(pool size), not
-/// O(connections), and connection churn leaks neither threads nor file
-/// descriptors. 500 connect/handshake/disconnect cycles must leave the
-/// process with exactly the threads it had (the shard pool was spawned at
-/// service start) and exactly the fds it had. And a service that is merely
-/// dropped, connections and all, must give back everything `start` took:
-/// a leaked shard would block in `epoll_wait` forever, holding its epoll
-/// fd, its eventfd and every socket it owns.
+/// O(connections), a session costs the server one descriptor, and
+/// connection churn leaks neither. 500 connect/handshake/disconnect cycles
+/// must leave the process with exactly the threads it had (the whole pool
+/// was spawned at service start) and exactly the fds it had. And *stop
+/// means stopped*: the moment `stop()` — or a plain drop, connections and
+/// all — returns, every thread `start` spawned has been joined, every
+/// descriptor it took is closed, and the caller holds the only handle on
+/// the backend.
 #[test]
 fn reactor_churn_leaks_neither_threads_nor_fds() {
     if !std::path::Path::new("/proc/self/task").exists() {
@@ -73,14 +121,33 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     let threads_at_rest = threads();
     let fds_at_rest = open_fds();
 
-    let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
+    let service =
+        TcpService::start_with(Backend::new(config(16)), "127.0.0.1:0", two_shards()).unwrap();
     let addr = service.addr();
 
-    // The shard pool, sampler and sweeps are all up before start()
-    // returns; give the first sweeps a beat.
+    // Every thread exists before start() returns, but each sets its own
+    // name as its first act: give them a beat to have done so.
     std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        service_threads(),
+        [
+            "crowdfill-accep", // crowdfill-accept
+            "crowdfill-batch", // crowdfill-batch-apply, one per collection
+            "crowdfill-maint", // crowdfill-maintenance (the progress tick is on by default)
+            "crowdfill-shard", // crowdfill-shard-0
+            "crowdfill-shard", // crowdfill-shard-1
+            "obs-sampler",
+        ]
+    );
     let threads_before = threads();
     let fds_before = open_fds();
+
+    // A live session is one descriptor on each side and no thread.
+    let sessions: Vec<TcpStream> = (0..8).map(|_| raw_session(addr)).collect();
+    assert_eq!(open_fds(), fds_before + 2 * sessions.len());
+    assert_eq!(threads(), threads_before);
+    drop(sessions);
+    assert_returns_to(fds_before, open_fds, "fds of raw sessions");
 
     for _ in 0..500 {
         let conn = TcpConn::connect(addr).unwrap();
@@ -92,20 +159,25 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
 
     // Any growth with connection count is a thread per connection.
     assert_returns_to(threads_before, threads, "threads");
-    // retire() closes the stream and the outbox's closer dup.
     assert_returns_to(fds_before, open_fds, "fds");
 
+    let backend = service.backend();
     service.stop();
-    // The detached sweep threads notice the flag at their next tick.
-    assert_returns_to(threads_at_rest, threads, "threads after stop");
-    assert_returns_to(fds_at_rest, open_fds, "fds after stop");
+    assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
+    assert_eq!(open_fds(), fds_at_rest);
+    assert_eq!(Arc::strong_count(&backend), 1);
+    drop(backend);
 
     // Dropped without `stop`, with eight workers still attached.
     let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
     let workers: Vec<RemoteWorker> = (0..8)
         .map(|_| RemoteWorker::connect(service.addr()).unwrap())
         .collect();
+    let backend = service.backend();
     drop(service);
+    assert_eq!(service_threads(), Vec::<String>::new());
+    assert_eq!(Arc::strong_count(&backend), 1);
+    // What is left is the clients': their sockets and reader threads.
     drop(workers);
     assert_returns_to(threads_at_rest, threads, "threads after drop");
     assert_returns_to(fds_at_rest, open_fds, "fds after drop");

@@ -45,10 +45,7 @@ fn config(rows: usize) -> TaskConfig {
 /// `None`): a shard with nothing to do has nothing to wake it.
 fn two_shards() -> ServiceOptions {
     ServiceOptions {
-        reactor: ReactorOptions {
-            shards: 2,
-            ..ReactorOptions::default()
-        },
+        reactor: ReactorOptions { shards: 2 },
         ..ServiceOptions::default()
     }
 }
@@ -211,8 +208,8 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         watcher
     });
 
-    // An off-shard close: disconnect_all shuts every socket from the
-    // caller's thread; the shards must notice and retire the sessions.
+    // An off-shard close: disconnect_all pushes one `Wake::Close` per
+    // session; the shards must wake and retire them.
     settle();
     let disconnects = counter("crowdfill_server_disconnects");
     assert_eq!(service.disconnect_all(), 2);
@@ -236,13 +233,15 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     drop(idle);
 }
 
-/// (iii, continued) The eviction sweep's `maybe_evict` shuts a lagging
-/// connection's socket from its own thread. Going lagging needs a paced
-/// writer (an unpaced shard drains the outbox faster than anything fills
-/// it); ten seconds of pace is a deadline this test never reaches, so the
-/// hang-up is the only thing that can wake the shard.
+/// (iv) Eviction is a deadline of the shard's own: the lagging transition
+/// wakes it once to start the clock, and `evict_after` later the wait's
+/// timeout does the rest. Going lagging needs a paced writer (an unpaced
+/// shard drains the outbox faster than anything fills it); ten seconds of
+/// pace is a deadline this test never reaches, and nothing is sent after
+/// the third fill, so the eviction deadline is the only thing that can
+/// wake the shard.
 #[test]
-fn eviction_by_the_sweep_thread_unblocks_the_shard() {
+fn eviction_deadline_unblocks_the_shard() {
     let _turn = take_turn();
     let options = ServiceOptions {
         overload: OverloadOptions {

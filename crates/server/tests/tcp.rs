@@ -157,17 +157,51 @@ static MALFORMED_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn malformed_frames_are_rejected_gracefully() {
-    use crowdfill_net::{FrameConn, TcpConn};
+    use crowdfill_docstore::Json;
+    use crowdfill_net::{ConnError, FrameConn, TcpConn};
     let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
+    let wait = std::time::Duration::from_secs(5);
     let backend = crowdfill_server::Backend::new(config(1));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
     let addr = service.addr();
 
-    // Garbage instead of hello: server drops the connection, stays alive.
-    {
+    // Garbage instead of hello — text that is not JSON, then JSON that is
+    // not UTF-8: the server counts the frame, drops the connection, and
+    // stays alive.
+    let garbage: [&[u8]; 2] = [b"not json at all", b"{\"type\":\"hello\",\"x\":\"\xFF\"}"];
+    for frame in garbage {
+        let before = malformed.get();
         let conn = TcpConn::connect(addr).unwrap();
-        conn.send(b"not json at all").unwrap();
+        conn.send(frame).unwrap();
+        assert_eq!(conn.recv_timeout(wait), Err(ConnError::Disconnected));
+        assert_eq!(malformed.get(), before + 1);
     }
+
+    // In a session, a submit whose text cell holds a byte that is not
+    // UTF-8 is malformed too — not rewritten to U+FFFD and applied. It
+    // costs the frame, not the session: nothing is applied, nothing is
+    // answered, and the next request is served.
+    let conn = TcpConn::connect(addr).unwrap();
+    conn.send(br#"{"type":"hello"}"#).unwrap();
+    let welcome = conn.recv_timeout(wait).expect("welcome");
+    let welcome = Json::parse(std::str::from_utf8(&welcome).unwrap()).unwrap();
+    let client = welcome.get("client").and_then(Json::as_i64).unwrap();
+    let (before, history_len) = (malformed.get(), service.backend().lock().history_len());
+    let mut submit = format!(
+        r#"{{"type":"submit","auto":false,"msg":{{"kind":"replace","old":{{"c":0,"s":0}},"new":{{"c":{client},"s":0}},"value":[{{"col":0,"val":{{"t":"text","v":"Mes?si"}}}}]}}}}"#
+    )
+    .into_bytes();
+    let cell = submit.iter().position(|b| *b == b'?').unwrap();
+    submit[cell] = 0xFF;
+    conn.send(&submit).unwrap();
+    conn.send(br#"{"type":"stats"}"#).unwrap();
+    let reply = conn.recv_timeout(wait).expect("the session survives");
+    let reply = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("stats"));
+    assert_eq!(malformed.get(), before + 1);
+    assert_eq!(service.backend().lock().history_len(), history_len);
+    drop(conn);
 
     // A proper client still works afterwards.
     let mut worker = RemoteWorker::connect(addr).unwrap();

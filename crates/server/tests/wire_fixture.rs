@@ -187,7 +187,7 @@ fn fixture_lines_roundtrip_both_decoders() {
     for line in FIXTURE.lines() {
         let (_, payload) = line.split_once(':').expect("seq:json fixture line");
         let owned = wire::message_from_json(&Json::parse(payload).unwrap()).unwrap();
-        let borrowed = wire::message_from_json_ref(&JsonRef::parse(payload).unwrap()).unwrap();
+        let borrowed = wire::message_from_json(&JsonRef::parse(payload).unwrap()).unwrap();
         assert_eq!(owned, borrowed, "decoders disagree on {payload}");
         assert_eq!(
             wire::message_to_json(&owned).encode(),
@@ -208,7 +208,7 @@ fn fixture_replay_reproduces_history() {
     let preamble = history.len();
     for line in FIXTURE.lines().skip(preamble) {
         let (_, payload) = line.split_once(':').unwrap();
-        let msg: Message = wire::message_from_json_ref(&JsonRef::parse(payload).unwrap()).unwrap();
+        let msg: Message = wire::message_from_json(&JsonRef::parse(payload).unwrap()).unwrap();
         // The script's downvote came from the second worker (the first
         // already holds the automatic upvote on that value); everything
         // else is the first worker's. Replayed fills never auto-upvote:

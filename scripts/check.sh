@@ -6,6 +6,20 @@ cd "$(dirname "$0")/.."
 # Formatting gate first: cheapest check, and drift fails CI outright.
 cargo fmt --all -- --check
 
+# Source gates, as cheap: a match fails the run.
+# No product path rewrites the bytes it was sent — a frame or record that
+# is not UTF-8 is malformed, on the server and on the client alike.
+if grep -rn "from_utf8_lossy" crates/server/src crates/docstore/src crates/net/src; then
+  echo "check.sh: from_utf8_lossy in a product path; decode with std::str::from_utf8" >&2
+  exit 1
+fi
+# Every spawned thread has an owner that joins it (DESIGN.md §13.1, *stop
+# means stopped*): a discarded JoinHandle is a thread that outlives stop().
+if grep -rn "let _ = std::thread::Builder" crates/*/src; then
+  echo "check.sh: a spawned thread's JoinHandle is discarded; keep it and join it" >&2
+  exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
