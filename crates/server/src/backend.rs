@@ -7,6 +7,16 @@
 //! while `tcp_service` runs it behind framed TCP connections. Time is
 //! supplied by the caller (simulated or wall-clock milliseconds).
 //!
+//! One op log (§5.2): the trace — every applied message, timestamped and
+//! annotated with its originating worker — is the only copy the backend
+//! keeps, and a message's history seq is its index in it (plus the
+//! checkpoint watermark after a recovery). Everything that leaves is a
+//! read of `log[seq..]`: the journal frame, a joiner's replay, a resume
+//! suffix, and each session's broadcasts — a session holds a delivery
+//! *cursor*, not a queue, and [`Backend::poll_seq`] hands it the entries
+//! above the cursor that are not its own. Applying a message therefore
+//! costs the same however many workers are attached.
+//!
 //! Vote policy (§3.4): each worker may cast at most one vote per row value
 //! (directly or via the automatic completion upvote); a worker may not
 //! upvote two rows with the same primary key; an optional per-row vote cap
@@ -16,7 +26,7 @@ use crate::config::TaskConfig;
 use crate::persist::{self, BackendState, JournalFrame, SessionState};
 use crate::wire;
 use crowdfill_constraints::PriMaintainer;
-use crowdfill_docstore::{Json, SnapshotStore, Wal};
+use crowdfill_docstore::{SnapshotStore, Wal};
 use crowdfill_model::{
     derive_final_table, ClientId, FinalTable, Message, OpError, RowId, RowValue, TemplateRow,
 };
@@ -87,11 +97,11 @@ fn compactions_counter() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_compactions"))
 }
 
-/// Gauge of messages sitting in per-session outboxes awaiting handoff to
-/// their connections — the server-side broadcast lag summed over all
-/// sessions. Every `push_back` increments it and every drain/clear
-/// decrements by the same amount, so it must read zero whenever all
-/// outboxes are empty (asserted by the overload harness).
+/// Gauge of log entries connected sessions have not been handed yet — the
+/// server-side broadcast lag summed over all sessions. An applied message
+/// adds one per session it is owed to, a poll or a lost connection takes
+/// off what that session was owed, so it must read zero whenever every
+/// cursor is at the end of the log (asserted by the overload harness).
 fn outbox_msgs() -> &'static Gauge {
     static G: OnceLock<Arc<Gauge>> = OnceLock::new();
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_server_outbox_msgs"))
@@ -199,9 +209,10 @@ struct Session {
     voted_values: HashMap<RowValue, VoteKind>,
     /// Primary-key projections this worker has upvoted.
     upvoted_keys: HashSet<RowValue>,
-    /// Messages awaiting delivery to this worker, tagged with their history
-    /// sequence number.
-    outbox: VecDeque<(u64, Message)>,
+    /// Delivery cursor: every log entry below it has been handed to this
+    /// worker's connection (or predates it); [`Backend::poll_seq`] hands
+    /// over the rest, minus the worker's own. Only read while `connected`.
+    cursor: u64,
     connected: bool,
     /// Bumped on every [`Backend::resume`]: lets a stale connection thread
     /// detect that it no longer owns the session.
@@ -219,6 +230,24 @@ struct Session {
     ack_latency: Arc<Histogram>,
 }
 
+impl Session {
+    /// A session no connection is attached to: what recovery recreates,
+    /// and what [`Backend::connect`] starts from.
+    fn detached(client: ClientId) -> Session {
+        Session {
+            client,
+            voted_values: HashMap::new(),
+            upvoted_keys: HashSet::new(),
+            cursor: 0,
+            connected: false,
+            epoch: 0,
+            ops: 0,
+            confirmed_seq: 0,
+            ack_latency: Arc::new(Histogram::new()),
+        }
+    }
+}
+
 /// A per-worker session health reading (see [`Backend::session_stats`]).
 #[derive(Debug, Clone)]
 pub struct SessionStats {
@@ -226,7 +255,8 @@ pub struct SessionStats {
     pub connected: bool,
     /// Deliberate (non-auto-upvote) operations accepted, lifetime.
     pub ops: u64,
-    /// Messages queued for this worker, not yet handed to its connection.
+    /// Log entries above this worker's cursor that it is owed (not its
+    /// own), not yet handed to its connection; 0 while disconnected.
     pub outbox_depth: usize,
     /// Highest history length the worker is known to have fully absorbed.
     pub confirmed_seq: u64,
@@ -240,23 +270,26 @@ pub struct Backend {
     master: Replica,
     cc: PriMaintainer,
     sessions: HashMap<WorkerId, Session>,
-    /// The retained suffix of the broadcast history: absolute seq `base +
-    /// i` lives at `history[i]`. Before the first compaction
-    /// `history_base == 0` and this is the full history.
-    history: Vec<Message>,
-    /// History seqs below this are only available as checkpointed *state*
-    /// (their messages were compacted away); resume/sync cursors below it
-    /// get a deterministic full resync built from
-    /// [`bootstrap_messages`](Self::bootstrap_messages).
+    /// How many sessions are connected: what one applied message adds to
+    /// the outbox gauge, known without walking `sessions`.
+    connected: usize,
+    /// The op log (§5.2) and the broadcast history in one: history seq
+    /// `log_base + i` is `trace.entries()[i]`, with the message, who sent
+    /// it (`None`: the Central Client), when, and whether it was an
+    /// automatic upvote — everything a journal frame carries.
+    trace: Trace,
+    /// Seq of the log's first entry: 0, or the image's watermark on a
+    /// backend rebuilt by [`from_state`](Self::from_state).
+    log_base: u64,
+    /// The serving horizon: history seqs below it are served only as
+    /// checkpointed *state* — resume/sync cursors below it get a
+    /// deterministic full resync built from
+    /// [`bootstrap_messages`](Self::bootstrap_messages) — because after a
+    /// restart that is all there is. Compaction moves it; the log itself
+    /// is never trimmed (settlement reads it).
     history_base: u64,
-    /// Attribution aligned with `history`: `(worker, auto_upvote)` per
-    /// retained message, worker 0 meaning the Central Client. Journaled
-    /// with each frame so crash recovery can rebuild per-session vote
-    /// state and the action trace without re-running CC maintenance.
-    history_meta: Vec<(u32, bool)>,
     /// Row id → value, for every row that ever existed (fill-column lookup).
     row_values: HashMap<crowdfill_model::RowId, RowValue>,
-    trace: Trace,
     estimator: Estimator,
     next_worker: u32,
     clock: Millis,
@@ -333,8 +366,6 @@ impl Backend {
             &config.template,
         );
         let mut trace = Trace::new();
-        let mut history = Vec::new();
-        let mut history_meta = Vec::new();
         let mut row_values = HashMap::new();
         for msg in cc.take_outbox() {
             match &msg {
@@ -347,20 +378,18 @@ impl Backend {
                 _ => {}
             }
             master.process(&msg);
-            trace.record_system(Millis(0), msg.clone());
-            history.push(msg);
-            history_meta.push((0u32, false));
+            trace.record_system(Millis(0), msg);
         }
         let noted_drops = cc.dropped_template_rows().len();
         Backend {
             master,
             cc,
             sessions: HashMap::new(),
-            history,
-            history_base: 0,
-            history_meta,
-            row_values,
+            connected: 0,
             trace,
+            log_base: 0,
+            history_base: 0,
+            row_values,
             estimator,
             next_worker: 1,
             clock: Millis(0),
@@ -407,8 +436,8 @@ impl Backend {
     /// submission that triggered it.
     ///
     /// Journaling starts at the current history length; to recover a
-    /// backend, replay frames via [`Backend::decode_journal_frame`] from a
-    /// WAL that was attached at history length 0.
+    /// backend, decode the records with [`persist::decode_journal_record`]
+    /// and replay them ([`persist::open_or_recover`] does both).
     pub fn attach_wal(&mut self, wal: Wal) {
         self.wal = Some(wal);
     }
@@ -420,11 +449,6 @@ impl Backend {
             batch_wal_errors().inc();
         }
         Some(wal)
-    }
-
-    /// Whether a journal is currently attached.
-    pub fn has_wal(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// The task configuration.
@@ -457,34 +481,29 @@ impl Backend {
         // Client 0 is the CC; worker clients start at 1.
         let client = ClientId(self.next_worker);
         self.next_worker += 1;
+        // The connect reply catches the new replica up to here, and its
+        // broadcasts start here.
+        let end = self.history_len();
         self.sessions.insert(
             worker,
             Session {
-                client,
-                voted_values: HashMap::new(),
-                upvoted_keys: HashSet::new(),
-                outbox: VecDeque::new(),
+                cursor: end,
                 connected: true,
-                epoch: 0,
-                ops: 0,
-                // The connect reply catches the new replica up to here.
-                confirmed_seq: self.history_len(),
-                ack_latency: Arc::new(Histogram::new()),
+                confirmed_seq: end,
+                ..Session::detached(client)
             },
         );
+        self.connected += 1;
         // Journal the session birth: recovery must know which worker ids
         // exist (and their client ids) to re-attribute replayed messages,
         // even for sessions born after the last checkpoint.
-        self.journal_record(Json::obj([(
-            "session",
-            Json::obj([
-                ("worker", Json::num(worker.0 as f64)),
-                ("client", Json::num(client.0 as f64)),
-                ("at", Json::num(self.clock.0 as f64)),
-            ]),
-        )]));
+        self.journal_record(persist::encode_journal_session(
+            worker.0,
+            client.0,
+            self.clock.0,
+        ));
         let replayable = if self.history_base == 0 {
-            self.history.clone()
+            self.trace.entries().iter().map(|e| e.msg.clone()).collect()
         } else {
             self.bootstrap_messages()
         };
@@ -494,10 +513,12 @@ impl Backend {
     /// Marks a worker disconnected (its session state is retained so the
     /// vote policy still applies if it reconnects under the same id).
     pub fn disconnect(&mut self, worker: WorkerId) {
-        if let Some(s) = self.sessions.get_mut(&worker) {
+        // What it was still owed is lost with the connection.
+        let owed = self.undelivered(worker).count();
+        if let Some(s) = self.sessions.get_mut(&worker).filter(|s| s.connected) {
             s.connected = false;
-            outbox_msgs().add(-(s.outbox.len() as i64));
-            s.outbox.clear();
+            self.connected -= 1;
+            outbox_msgs().add(-(owed as i64));
         }
     }
 
@@ -506,18 +527,15 @@ impl Backend {
     /// session to a [`resume`](Self::resume) becomes a no-op here instead of
     /// tearing down its successor.
     pub fn disconnect_epoch(&mut self, worker: WorkerId, epoch: u64) {
-        if let Some(s) = self.sessions.get_mut(&worker) {
-            if s.epoch == epoch {
-                s.connected = false;
-                outbox_msgs().add(-(s.outbox.len() as i64));
-                s.outbox.clear();
-            }
+        if self.session_epoch(worker) == Some(epoch) {
+            self.disconnect(worker);
         }
     }
 
     /// Re-attaches a previously-created session after a connection loss:
-    /// marks it connected, clears the (dead connection's) outbox, and bumps
-    /// the epoch so the old connection thread can no longer interfere. The
+    /// marks it connected, restarts its cursor at the end of the log (what
+    /// the dead connection was still owed is lost with it), and bumps the
+    /// epoch so the old connection thread can no longer interfere. The
     /// caller replays the missed history suffix to the client and then
     /// delivers new broadcasts via [`poll_seq`](Self::poll_seq); do both
     /// under the same lock acquisition as this call, or broadcasts racing
@@ -525,13 +543,14 @@ impl Backend {
     pub fn resume(&mut self, worker: WorkerId, at: Millis) -> Result<ResumeInfo, ResumeError> {
         self.set_time(at);
         let history_len = self.history_len();
+        self.disconnect(worker);
         let s = self
             .sessions
             .get_mut(&worker)
             .ok_or(ResumeError::UnknownWorker)?;
         s.connected = true;
-        outbox_msgs().add(-(s.outbox.len() as i64));
-        s.outbox.clear();
+        self.connected += 1;
+        s.cursor = history_len;
         s.epoch += 1;
         // The resume reply replays the missed suffix under the caller's
         // lock, so the resumed replica is caught up to here.
@@ -552,14 +571,31 @@ impl Backend {
     /// (compacted ones included). The next message accepted by the backend
     /// gets this as its sequence number.
     pub fn history_len(&self) -> u64 {
-        self.history_base + self.history.len() as u64
+        self.log_base + self.trace.len() as u64
     }
 
-    /// The lowest history seq still retained as replayable messages.
-    /// Cursors below it cannot be served a suffix — the transport layer
-    /// answers them with a full resync instead (reset protocol).
+    /// The lowest history seq still served as replayable messages (the
+    /// journal below it is gone). Cursors below it are not served a suffix
+    /// — the transport layer answers them with a full resync instead
+    /// (reset protocol).
     pub fn history_base(&self) -> u64 {
         self.history_base
+    }
+
+    /// The op log from history seq `seq` on, each entry with its seq.
+    fn log_from(&self, seq: u64) -> impl Iterator<Item = (u64, &TraceEntry)> {
+        let seq = seq.clamp(self.log_base, self.history_len());
+        (seq..).zip(&self.trace.entries()[(seq - self.log_base) as usize..])
+    }
+
+    /// What `worker`'s connection has not been handed yet: the log above
+    /// its cursor minus its own entries (it got those seqs in its acks).
+    /// Nothing for a disconnected or unknown worker.
+    fn undelivered(&self, worker: WorkerId) -> impl Iterator<Item = (u64, &TraceEntry)> {
+        let session = self.sessions.get(&worker).filter(|s| s.connected);
+        let cursor = session.map_or(self.history_len(), |s| s.cursor);
+        self.log_from(cursor)
+            .filter(move |(_, e)| e.worker != Some(worker))
     }
 
     /// The seq-tagged history suffix starting at `from_seq` (for resume
@@ -568,18 +604,9 @@ impl Backend {
     /// base — callers that need the compacted prefix must detect that case
     /// themselves and fall back to a full resync.
     pub fn history_suffix(&self, from_seq: u64) -> Vec<(u64, Message)> {
-        let from = from_seq.max(self.history_base);
-        let start = ((from - self.history_base) as usize).min(self.history.len());
-        self.history[start..]
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (self.history_base + (start + i) as u64, m.clone()))
+        self.log_from(from_seq.max(self.history_base))
+            .map(|(seq, e)| (seq, e.msg.clone()))
             .collect()
-    }
-
-    /// The client id assigned to a connected worker.
-    pub fn worker_client_id(&self, worker: WorkerId) -> Option<ClientId> {
-        self.sessions.get(&worker).map(|s| s.client)
     }
 
     /// The currently-connected workers (ascending).
@@ -606,23 +633,27 @@ impl Backend {
         self.poll_seq(worker).into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Drains the messages pending delivery to `worker`, each tagged with
-    /// its history sequence number.
+    /// Hands over the messages pending delivery to `worker`, each tagged
+    /// with its history sequence number, and moves its cursor past them.
     pub fn poll_seq(&mut self, worker: WorkerId) -> Vec<(u64, Message)> {
-        let Some(s) = self.sessions.get_mut(&worker) else {
-            return Vec::new();
-        };
-        let drained: Vec<(u64, Message)> = s.outbox.drain(..).collect();
-        outbox_msgs().add(-(drained.len() as i64));
-        drained
+        let owed: Vec<(u64, Message)> = self
+            .undelivered(worker)
+            .map(|(seq, e)| (seq, e.msg.clone()))
+            .collect();
+        let end = self.history_len();
+        if let Some(s) = self.sessions.get_mut(&worker) {
+            s.cursor = end;
+        }
+        outbox_msgs().add(-(owed.len() as i64));
+        owed
     }
 
     /// Submits a worker-generated message (produced by the worker client's
     /// local application of a fill/upvote/downvote). `auto_upvote` marks the
     /// automatic completion upvote (§3.4). On success the message has been
-    /// applied to the master table, recorded in the trace, reacted to by the
-    /// Central Client, broadcast to all other workers, and journaled (one
-    /// WAL frame) if a journal is attached.
+    /// applied to the master table, recorded in the op log (where every
+    /// other worker's cursor finds it), reacted to by the Central Client,
+    /// and journaled (one WAL frame) if a journal is attached.
     pub fn submit(
         &mut self,
         worker: WorkerId,
@@ -630,74 +661,129 @@ impl Backend {
         at: Millis,
         auto_upvote: bool,
     ) -> Result<SubmitReport, SubmitError> {
-        self.submit_traced(worker, msg, at, auto_upvote, TraceId::NONE)
+        let op = BatchOp::Msg { msg, auto_upvote };
+        self.submit_one(worker, op, at)
     }
 
-    /// [`submit`](Self::submit) carrying a trace context: stamps `apply`
-    /// and `wal_append` spans under the trace's root span and remembers
-    /// the produced seq range for broadcast attribution. With
-    /// [`TraceId::NONE`] this *is* `submit` (one branch of overhead).
-    pub fn submit_traced(
+    /// Submits a worker-level *modify* bundle (paper §8): the series
+    /// `[downvote old, insert fresh, fill…]` produced by
+    /// [`WorkerClient::modify`](crate::WorkerClient::modify). The embedded
+    /// insert — normally forbidden for workers — is authorized after the
+    /// bundle's shape is validated: exactly one insert, immediately after a
+    /// leading downvote, with every subsequent fill extending the inserted
+    /// row's lineage. The downvote is exempt from the one-vote-per-row rule
+    /// (it is part of the correction, like the fill's automatic upvote) but
+    /// still recorded against the worker. The bundle's whole history delta
+    /// journals as one frame.
+    pub fn submit_modify(
         &mut self,
         worker: WorkerId,
-        msg: Message,
+        bundle: Vec<(Message, bool)>,
         at: Millis,
-        auto_upvote: bool,
-        trace: TraceId,
+    ) -> Result<SubmitReport, SubmitError> {
+        self.submit_one(worker, BatchOp::Modify { bundle }, at)
+    }
+
+    /// One untraced job, one journal frame.
+    fn submit_one(
+        &mut self,
+        worker: WorkerId,
+        op: BatchOp,
+        at: Millis,
     ) -> Result<SubmitReport, SubmitError> {
         let from = self.history_len();
-        let span = if trace.is_none() {
-            None
-        } else {
-            Some(ActiveSpan::start(
-                trace,
-                Stage::Apply,
-                SpanId::root(trace),
-                0,
-                from,
-            ))
-        };
-        let report = self.submit_unjournaled(worker, msg, at, auto_upvote);
-        drop(span);
-        let report = report?;
-        let to = self.history_len();
-        self.note_seq_trace(from, to, trace);
-        self.journal_traced(from, &[trace]);
-        Ok(report)
+        let trace = TraceId::NONE;
+        let result = self.apply_job(BatchJob { worker, op, trace }, at);
+        self.journal_from(from, &[]);
+        result
     }
 
-    /// [`submit`](Self::submit) minus journaling — the per-op core that
-    /// [`submit_batch`](Self::submit_batch) loops so a whole batch lands in
-    /// one journal frame. History, trace, and broadcasts are identical to
-    /// the journaled path.
-    pub fn submit_unjournaled(
+    /// Applies a batch of queued operations in one pass and returns per-job
+    /// outcomes plus the contiguous history seq range the batch produced.
+    ///
+    /// Each job takes the one route [`submit`](Self::submit) and
+    /// [`submit_modify`](Self::submit_modify) take (`apply_job`: policy
+    /// checks, per-op Central Client reaction), so the resulting log and
+    /// master replica — and with them everything any cursor will ever read
+    /// — are **identical** to applying the jobs singly: the batch/singleton
+    /// equivalence property. What the batch amortizes is everything around
+    /// the ops: one lock acquisition (the caller's), one journal frame +
+    /// fsync, and one broadcast flush for the whole seq range.
+    pub fn submit_batch(&mut self, jobs: Vec<BatchJob>, at: Millis) -> BatchOutcome {
+        let timer = std::time::Instant::now();
+        let first_seq = self.history_len();
+        let n = jobs.len() as u64;
+        let traced: Vec<TraceId> = jobs
+            .iter()
+            .map(|job| job.trace)
+            .filter(|trace| !trace.is_none())
+            .collect();
+        let results = jobs
+            .into_iter()
+            .map(|job| self.apply_job(job, at))
+            .collect();
+        let end_seq = self.history_len();
+        self.journal_from(first_seq, &traced);
+        batch_submits().inc();
+        batch_ops().add(n);
+        batch_size().record(n);
+        batch_apply_ns().record(timer.elapsed().as_nanos() as u64);
+        BatchOutcome {
+            results,
+            first_seq,
+            end_seq,
+        }
+    }
+
+    /// The one route an operation takes into the log, journaling aside
+    /// (that is the caller's: one frame per call, however many jobs).
+    /// A traced job gets an `apply` span under its trace's root span, and
+    /// the seq range it produced is remembered for broadcast attribution.
+    fn apply_job(&mut self, job: BatchJob, at: Millis) -> Result<SubmitReport, SubmitError> {
+        let from = self.history_len();
+        let span = (!job.trace.is_none())
+            .then(|| ActiveSpan::start(job.trace, Stage::Apply, SpanId::root(job.trace), 0, from));
+        let result = match job.op {
+            BatchOp::Msg { msg, auto_upvote } => {
+                self.apply_msg(job.worker, msg, at, auto_upvote, false)
+            }
+            BatchOp::Modify { bundle } => self.apply_modify(job.worker, bundle, at),
+        };
+        drop(span);
+        if result.is_ok() {
+            self.note_seq_trace(from, self.history_len(), job.trace);
+        }
+        result
+    }
+
+    /// One message: admission checks, the vote policy unless `exempt`,
+    /// then apply.
+    fn apply_msg(
         &mut self,
         worker: WorkerId,
         msg: Message,
         at: Millis,
         auto_upvote: bool,
+        exempt: bool,
     ) -> Result<SubmitReport, SubmitError> {
         self.set_time(at);
         if self.closed {
             return Err(SubmitError::CollectionClosed);
         }
-        let session = self
-            .sessions
-            .get(&worker)
-            .filter(|s| s.connected)
-            .ok_or(SubmitError::UnknownWorker)?;
-        let _ = session;
+        if !self.sessions.get(&worker).is_some_and(|s| s.connected) {
+            return Err(SubmitError::UnknownWorker);
+        }
         // Automatic completion upvotes are system-generated: they are
         // recorded against the worker's vote state but exempt from the vote
         // policy checks — failing them would abort the fill they ride on.
-        if !auto_upvote {
+        if !(auto_upvote || exempt) {
             self.check_policy(worker, &msg)?;
         }
         Ok(self.apply_worker_message(worker, msg, auto_upvote))
     }
 
-    /// The post-policy half of [`submit`](Self::submit): applies, records,
-    /// estimates, broadcasts, and lets the Central Client react.
+    /// The post-policy half of a submission: applies, records, estimates,
+    /// and lets the Central Client react.
     fn apply_worker_message(
         &mut self,
         worker: WorkerId,
@@ -714,17 +800,20 @@ impl Backend {
             }
         }
 
-        // Record in the trace.
-        let entry = TraceEntry {
+        // Record in the op log — the one copy kept. Its place there is its
+        // seq: the submitter gets it in the ack instead of an echo, every
+        // other connected worker's cursor reaches it on its next poll.
+        let idx = self.trace.record(TraceEntry {
             at: self.clock,
             worker: Some(worker),
-            msg: msg.clone(),
+            msg,
             auto_upvote,
-        };
-        let idx = self.trace.record(entry.clone());
+        });
+        let own_seq = self.log_base + idx as u64;
+        let entry = self.trace.get(idx);
 
         // Estimate compensation for the action (fills use the richer path).
-        let estimate = match &msg {
+        let estimate = match &entry.msg {
             Message::Replace { old, value, .. } => {
                 let filled = self
                     .row_values
@@ -734,45 +823,24 @@ impl Backend {
                     Some(col) => {
                         let v = value.get(col).expect("filled value").clone();
                         self.estimator
-                            .on_fill(idx, &entry, col, &v, self.master.table())
+                            .on_fill(idx, entry, col, &v, self.master.table())
                     }
-                    None => self.estimator.on_action(idx, &entry, self.master.table()),
+                    None => self.estimator.on_action(idx, entry, self.master.table()),
                 }
             }
-            _ => self.estimator.on_action(idx, &entry, self.master.table()),
+            _ => self.estimator.on_action(idx, entry, self.master.table()),
         };
 
-        // Broadcast to all other connected workers. The submitter gets the
-        // message's seq in its ack instead of an echo.
-        let own_seq = self.history_len();
-        self.history.push(msg.clone());
-        self.history_meta.push((worker.0, auto_upvote));
-        let mut fanned_out = 0i64;
-        for (w, s) in self.sessions.iter_mut() {
-            if *w != worker && s.connected {
-                s.outbox.push_back((own_seq, msg.clone()));
-                fanned_out += 1;
-            }
-        }
-
-        // Let the Central Client react (and broadcast its own messages).
-        self.cc.on_message(&msg);
+        // Let the Central Client react; its messages are owed to everyone.
+        self.cc.on_message(&entry.msg);
         let cc_msgs = self.cc.take_outbox();
+        let owed = (1 + cc_msgs.len()) * self.connected - 1;
         for cc_msg in cc_msgs {
             self.note_row(&cc_msg);
             self.master.process(&cc_msg);
-            self.trace.record_system(self.clock, cc_msg.clone());
-            let seq = self.history_len();
-            self.history.push(cc_msg.clone());
-            self.history_meta.push((0u32, false));
-            for s in self.sessions.values_mut() {
-                if s.connected {
-                    s.outbox.push_back((seq, cc_msg.clone()));
-                    fanned_out += 1;
-                }
-            }
+            self.trace.record_system(self.clock, cc_msg);
         }
-        outbox_msgs().add(fanned_out);
+        outbox_msgs().add(owed as i64);
 
         debug_assert!(self.master.same_state(self.cc.replica()));
 
@@ -783,58 +851,8 @@ impl Backend {
         }
     }
 
-    /// Submits a worker-level *modify* bundle (paper §8): the series
-    /// `[downvote old, insert fresh, fill…]` produced by
-    /// [`WorkerClient::modify`](crate::WorkerClient::modify). The embedded
-    /// insert — normally forbidden for workers — is authorized after the
-    /// bundle's shape is validated: exactly one insert, immediately after a
-    /// leading downvote, with every subsequent fill extending the inserted
-    /// row's lineage. The downvote is exempt from the one-vote-per-row rule
-    /// (it is part of the correction, like the fill's automatic upvote) but
-    /// still recorded against the worker.
-    pub fn submit_modify(
-        &mut self,
-        worker: WorkerId,
-        bundle: Vec<(Message, bool)>,
-        at: Millis,
-    ) -> Result<SubmitReport, SubmitError> {
-        self.submit_modify_traced(worker, bundle, at, TraceId::NONE)
-    }
-
-    /// [`submit_modify`](Self::submit_modify) carrying a trace context
-    /// (see [`submit_traced`](Self::submit_traced)).
-    pub fn submit_modify_traced(
-        &mut self,
-        worker: WorkerId,
-        bundle: Vec<(Message, bool)>,
-        at: Millis,
-        trace: TraceId,
-    ) -> Result<SubmitReport, SubmitError> {
-        let from = self.history_len();
-        let span = if trace.is_none() {
-            None
-        } else {
-            Some(ActiveSpan::start(
-                trace,
-                Stage::Apply,
-                SpanId::root(trace),
-                0,
-                from,
-            ))
-        };
-        let report = self.submit_modify_unjournaled(worker, bundle, at);
-        drop(span);
-        let report = report?;
-        let to = self.history_len();
-        self.note_seq_trace(from, to, trace);
-        self.journal_traced(from, &[trace]);
-        Ok(report)
-    }
-
-    /// [`submit_modify`](Self::submit_modify) minus journaling (see
-    /// [`submit_unjournaled`](Self::submit_unjournaled)). A bundle's whole
-    /// history delta journals as one frame either way.
-    pub fn submit_modify_unjournaled(
+    /// A modify bundle: shape validation, then its messages one by one.
+    fn apply_modify(
         &mut self,
         worker: WorkerId,
         bundle: Vec<(Message, bool)>,
@@ -852,7 +870,7 @@ impl Backend {
                     let mut last: Option<SubmitReport> = None;
                     let mut seqs = Vec::new();
                     for (m, a) in bundle {
-                        let report = self.submit_unjournaled(worker, m, at, a)?;
+                        let report = self.apply_msg(worker, m, at, a, false)?;
                         seqs.extend_from_slice(&report.seqs);
                         last = Some(report);
                     }
@@ -881,19 +899,9 @@ impl Backend {
         let mut seqs = Vec::new();
         for (msg, auto) in bundle {
             let exempt = matches!(msg, Message::Downvote { .. } | Message::Insert { .. });
-            if exempt {
-                self.set_time(at);
-                if self.closed {
-                    return Err(SubmitError::CollectionClosed);
-                }
-                if !self.sessions.get(&worker).is_some_and(|s| s.connected) {
-                    return Err(SubmitError::UnknownWorker);
-                }
-                let report = self.apply_worker_message(worker, msg, auto);
-                seqs.extend_from_slice(&report.seqs);
-            } else {
-                let report = self.submit_unjournaled(worker, msg, at, auto)?;
-                seqs.extend_from_slice(&report.seqs);
+            let report = self.apply_msg(worker, msg, at, auto, exempt)?;
+            seqs.extend_from_slice(&report.seqs);
+            if !exempt {
                 last = Some(report);
             }
         }
@@ -902,145 +910,41 @@ impl Backend {
         Ok(report)
     }
 
-    /// Applies a batch of queued operations in one pass and returns per-job
-    /// outcomes plus the contiguous history seq range the batch produced.
-    ///
-    /// Each job goes through exactly the per-op path ([`submit`](Self::submit)
-    /// / [`submit_modify`](Self::submit_modify) semantics, including policy
-    /// checks and per-op Central Client reaction), so the resulting history,
-    /// master replica, and per-session outboxes are **identical** to applying
-    /// the jobs singly — the batch/singleton equivalence property. What the
-    /// batch amortizes is everything around the ops: one lock acquisition
-    /// (the caller's), one journal frame + fsync, and one broadcast flush
-    /// for the whole seq range.
-    pub fn submit_batch(&mut self, jobs: Vec<BatchJob>, at: Millis) -> BatchOutcome {
-        let timer = std::time::Instant::now();
-        let first_seq = self.history_len();
-        let n = jobs.len() as u64;
-        let mut traced: Vec<TraceId> = Vec::new();
-        let results = jobs
-            .into_iter()
-            .map(|job| {
-                let from = self.history_len();
-                let span = if job.trace.is_none() {
-                    None
-                } else {
-                    Some(ActiveSpan::start(
-                        job.trace,
-                        Stage::Apply,
-                        SpanId::root(job.trace),
-                        0,
-                        from,
-                    ))
-                };
-                let result = match job.op {
-                    BatchOp::Msg { msg, auto_upvote } => {
-                        self.submit_unjournaled(job.worker, msg, at, auto_upvote)
-                    }
-                    BatchOp::Modify { bundle } => {
-                        self.submit_modify_unjournaled(job.worker, bundle, at)
-                    }
-                };
-                drop(span);
-                if !job.trace.is_none() {
-                    if result.is_ok() {
-                        self.note_seq_trace(from, self.history_len(), job.trace);
-                    }
-                    traced.push(job.trace);
-                }
-                result
-            })
-            .collect();
-        let end_seq = self.history_len();
-        self.journal_traced(first_seq, &traced);
-        batch_submits().inc();
-        batch_ops().add(n);
-        batch_size().record(n);
-        batch_apply_ns().record(timer.elapsed().as_nanos() as u64);
-        BatchOutcome {
-            results,
-            first_seq,
-            end_seq,
-        }
-    }
-
-    /// [`journal_from`](Self::journal_from), stamping a `wal_append`
-    /// trace event for every traced op that rode the frame (the frame —
-    /// and its fsync — is shared by the whole batch, so each traced op
-    /// is billed the same duration).
-    fn journal_traced(&mut self, from: u64, traces: &[TraceId]) {
-        let any_traced = traces.iter().any(|t| !t.is_none());
-        if !any_traced || self.wal.is_none() || from >= self.history_len() {
-            self.journal_from(from);
-            return;
-        }
-        let msgs = self.history_len() - from;
-        let timer = std::time::Instant::now();
-        self.journal_from(from);
-        let dur_ns = timer.elapsed().as_nanos() as u64;
-        for &trace in traces {
-            obstrace::stamp_dur(
-                trace,
-                Stage::WalAppend,
-                SpanId::root(trace),
-                0,
-                msgs,
-                dur_ns,
-            );
-        }
-    }
-
-    /// Appends the history delta `[from, len)` to the journal as one frame:
-    /// `{"from": N, "at": ms, "msgs": [...], "workers": [...], "auto":
-    /// [...], "tdrops": [...]?}` — the messages plus the attribution
-    /// recovery needs to rebuild per-session vote state and the action
-    /// trace, and any template drops the delta caused (drops depend on the
-    /// live matcher, which is not checkpointed, so replay takes them from
-    /// here). No-op without a journal or delta.
-    fn journal_from(&mut self, from: u64) {
+    /// Appends the log's tail `[from, len)` to the journal as one frame
+    /// ([`persist::encode_journal_frame`]): the entries, plus any template
+    /// drops they caused (drops depend on the live matcher, which is not
+    /// checkpointed, so replay takes them from here). No-op without a
+    /// journal or delta. Every traced op that rode the frame gets a
+    /// `wal_append` trace event: the frame — and its fsync — is shared by
+    /// the whole batch, so each is billed the same duration.
+    fn journal_from(&mut self, from: u64, traces: &[TraceId]) {
         if self.wal.is_none() || from >= self.history_len() {
             return;
         }
-        let start = (from.saturating_sub(self.history_base)) as usize;
-        let msgs: Vec<Json> = self.history[start..]
-            .iter()
-            .map(wire::message_to_json)
-            .collect();
-        let workers: Vec<Json> = self.history_meta[start..]
-            .iter()
-            .map(|(w, _)| Json::num(*w as f64))
-            .collect();
-        let auto: Vec<Json> = self.history_meta[start..]
-            .iter()
-            .map(|(_, a)| Json::num(u8::from(*a) as f64))
-            .collect();
-        let mut fields = vec![
-            ("from", Json::num(from as f64)),
-            ("at", Json::num(self.clock.0 as f64)),
-            ("msgs", Json::Arr(msgs)),
-            ("workers", Json::Arr(workers)),
-            ("auto", Json::Arr(auto)),
-        ];
+        let timer = (!traces.is_empty()).then(std::time::Instant::now);
         let drops = self.cc.dropped_template_rows();
-        if drops.len() > self.noted_drops {
-            let fresh: Vec<Json> = drops[self.noted_drops..]
-                .iter()
-                .map(|(idx, _)| Json::num(*idx as f64))
-                .collect();
-            self.noted_drops = drops.len();
-            fields.push(("tdrops", Json::Arr(fresh)));
+        let fresh: Vec<usize> = drops[self.noted_drops..].iter().map(|(i, _)| *i).collect();
+        self.noted_drops = drops.len();
+        let tail = &self.trace.entries()[(from - self.log_base) as usize..];
+        let frame = persist::encode_journal_frame(from, self.clock.0, tail, &fresh);
+        self.journal_record(frame);
+        if let Some(timer) = timer {
+            let (msgs, dur_ns) = (self.history_len() - from, timer.elapsed().as_nanos() as u64);
+            for &trace in traces {
+                let root = SpanId::root(trace);
+                obstrace::stamp_dur(trace, Stage::WalAppend, root, 0, msgs, dur_ns);
+            }
         }
-        self.journal_record(Json::obj(fields));
     }
 
     /// Appends one record to the journal (best-effort, like every journal
     /// write): frames, session births, and the closed marker all go
     /// through here.
-    fn journal_record(&mut self, record: Json) {
+    fn journal_record(&mut self, record: String) {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
-        match wal.append(record.encode().as_bytes()) {
+        match wal.append(record.as_bytes()) {
             Ok(()) => {
                 batch_wal_frames().inc();
                 wal_bytes_gauge().set(wal.bytes() as i64);
@@ -1054,21 +958,6 @@ impl Backend {
                 );
             }
         }
-    }
-
-    /// Decodes one journal frame (as written by an attached WAL) back into
-    /// its seq-tagged history delta. Replay all frames in order against an
-    /// empty history to recover the broadcast log.
-    pub fn decode_journal_frame(payload: &[u8]) -> Option<Vec<(u64, Message)>> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let json = Json::parse(text).ok()?;
-        let from = json.get("from")?.as_f64()? as u64;
-        let msgs = json.get("msgs")?.as_arr()?;
-        let mut out = Vec::with_capacity(msgs.len());
-        for (i, m) in msgs.iter().enumerate() {
-            out.push((from + i as u64, wire::message_from_json(m).ok()?));
-        }
-        Some(out)
     }
 
     /// The master replica.
@@ -1123,10 +1012,7 @@ impl Backend {
             return;
         }
         self.closed = true;
-        self.journal_record(Json::obj([
-            ("closed", Json::Bool(true)),
-            ("at", Json::num(self.clock.0 as f64)),
-        ]));
+        self.journal_record(persist::encode_journal_closed(self.clock.0));
     }
 
     /// Closes collection and settles compensation: contribution analysis
@@ -1156,7 +1042,7 @@ impl Backend {
                 worker: *w,
                 connected: s.connected,
                 ops: s.ops,
-                outbox_depth: s.outbox.len(),
+                outbox_depth: self.undelivered(*w).count(),
                 confirmed_seq: s.confirmed_seq,
                 ack_latency: s.ack_latency.snapshot(),
             })
@@ -1242,11 +1128,14 @@ impl Backend {
     }
 
     /// Checkpoint + truncate: writes a snapshot at the current watermark,
-    /// truncates the journal, and discards the in-memory history prefix, so
+    /// truncates the journal, and moves the serving horizon up to it, so
     /// both recovery *and* storage become O(live state). After this,
     /// resume/sync cursors below the new [`history_base`](Self::history_base)
-    /// get a deterministic full resync; everything at or above it is served
-    /// exactly. The ordering is crash-safe: the snapshot is fully durable
+    /// get a deterministic full resync — what a restart could serve them —
+    /// and everything at or above it is served exactly. The in-memory log
+    /// is not trimmed (settlement reads it), so a *connected* session's
+    /// delivery cursor below the horizon is still handed every entry.
+    /// The ordering is crash-safe: the snapshot is fully durable
     /// (tmp → fsync → rename → dir fsync) before the WAL is touched, and
     /// recovery skips journal entries below the snapshot watermark, so a
     /// crash between the two steps replays the overlap idempotently.
@@ -1257,15 +1146,13 @@ impl Backend {
             wal_bytes_gauge().set(wal.bytes() as i64);
         }
         self.history_base = base;
-        self.history.clear();
-        self.history_meta.clear();
         compactions_counter().inc();
         Ok(base)
     }
 
     /// A synthetic message sequence that reconstructs the *current* master
     /// state on a fresh replica — the full-resync payload once compaction
-    /// has discarded the real history prefix. Every recorded upvote and
+    /// has moved the serving horizon past the real history prefix. Every recorded upvote and
     /// downvote goes first (so the vote histories are in place before any
     /// row exists), then one self-`Replace` per live row; the CRDT's
     /// count-initialization rule (Lemma 3) then assigns each row exactly
@@ -1424,19 +1311,16 @@ impl Backend {
             sessions.insert(
                 WorkerId(s.worker),
                 Session {
-                    client: ClientId(s.client),
                     voted_values: s
                         .voted
                         .iter()
                         .map(|(v, up)| (v.clone(), if *up { VoteKind::Up } else { VoteKind::Down }))
                         .collect(),
                     upvoted_keys: s.upvoted_keys.iter().cloned().collect(),
-                    outbox: VecDeque::new(),
-                    connected: false,
                     epoch: s.epoch,
                     ops: s.ops,
                     confirmed_seq: s.confirmed,
-                    ack_latency: Arc::new(Histogram::new()),
+                    ..Session::detached(ClientId(s.client))
                 },
             );
         }
@@ -1445,11 +1329,11 @@ impl Backend {
             master,
             cc,
             sessions,
-            history: Vec::new(),
-            history_base: state.base_seq,
-            history_meta: Vec::new(),
-            row_values: state.rows.iter().cloned().collect(),
+            connected: 0,
             trace: Trace::new(),
+            log_base: state.base_seq,
+            history_base: state.base_seq,
+            row_values: state.rows.iter().cloned().collect(),
             estimator,
             next_worker: state.next_worker,
             clock: Millis(state.at_ms),
@@ -1517,8 +1401,6 @@ impl Backend {
                     auto_upvote: entry.auto,
                 });
             }
-            self.history.push(msg.clone());
-            self.history_meta.push((entry.worker, entry.auto));
         }
         for idx in &frame.tdrops {
             self.cc.replay_template_drop(*idx);
@@ -1552,17 +1434,7 @@ impl Backend {
         self.next_worker = self.next_worker.max(worker + 1);
         self.sessions
             .entry(WorkerId(worker))
-            .or_insert_with(|| Session {
-                client: ClientId(client),
-                voted_values: HashMap::new(),
-                upvoted_keys: HashSet::new(),
-                outbox: VecDeque::new(),
-                connected: false,
-                epoch: 0,
-                ops: 0,
-                confirmed_seq: 0,
-                ack_latency: Arc::new(Histogram::new()),
-            });
+            .or_insert_with(|| Session::detached(ClientId(client)));
     }
 
     // ---- internals ---------------------------------------------------------

@@ -10,6 +10,10 @@
 //! * `snapshots/` — versioned, CRC-framed checkpoint images of the live
 //!   state at a history watermark (`base_seq`), written crash-atomically.
 //!
+//! Both formats live here and nowhere else: the image codec, and one
+//! journal encoder per record shape (the backend hands them a slice of its
+//! op log) beside the one decoder recovery reads them back with.
+//!
 //! Recovery composes them: load the newest sound snapshot (corrupt files
 //! degrade to older ones, then to a full journal replay), rebuild the
 //! backend from the image, replay the journal suffix at or above the
@@ -28,6 +32,7 @@ use crate::config::TaskConfig;
 use crate::wire;
 use crowdfill_docstore::{Disk, FsyncPolicy, Json, RealDisk, SnapshotStore, Wal};
 use crowdfill_model::{Message, RowId, RowValue};
+use crowdfill_pay::TraceEntry;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -127,11 +132,6 @@ pub struct DurabilityOptions {
     /// Journal fsync policy (default: every append — an acked op is a
     /// durable op).
     pub fsync: FsyncPolicy,
-    /// The checkpoint sweep compacts a collection once its journal exceeds
-    /// this many bytes. `0` disables sweep-driven compaction.
-    pub compact_wal_bytes: u64,
-    /// How often the service's checkpoint sweep wakes up, in milliseconds.
-    pub sweep_interval_ms: u64,
     /// Snapshots retained on disk (≥ 1; 2 keeps one fallback).
     pub keep_snapshots: usize,
 }
@@ -140,8 +140,6 @@ impl Default for DurabilityOptions {
     fn default() -> DurabilityOptions {
         DurabilityOptions {
             fsync: FsyncPolicy::Always,
-            compact_wal_bytes: 4 << 20,
-            sweep_interval_ms: 1_000,
             keep_snapshots: 2,
         }
     }
@@ -307,6 +305,53 @@ pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
 }
 
 // ---- journal record codec ---------------------------------------------------
+
+/// Encodes a history-delta frame, `{"from": N, "at": ms, "msgs": [...],
+/// "workers": [...], "auto": [...], "tdrops": [...]?}`: the op-log slice
+/// `entries` starting at seq `from` — each message with the attribution
+/// recovery rebuilds per-session vote state and the action trace from
+/// (worker 0 is the Central Client) — and, unless there are none, the
+/// original indexes of the template rows dropped while applying it.
+pub(crate) fn encode_journal_frame(
+    from: u64,
+    at: u64,
+    entries: &[TraceEntry],
+    tdrops: &[usize],
+) -> String {
+    let column = |f: &dyn Fn(&TraceEntry) -> Json| Json::Arr(entries.iter().map(f).collect());
+    let workers = column(&|e| Json::num(e.worker.map_or(0, |w| w.0) as f64));
+    let auto = column(&|e| Json::num(u8::from(e.auto_upvote) as f64));
+    let mut fields = vec![
+        ("from", Json::num(from as f64)),
+        ("at", Json::num(at as f64)),
+        ("msgs", column(&|e| wire::message_to_json(&e.msg))),
+        ("workers", workers),
+        ("auto", auto),
+    ];
+    if !tdrops.is_empty() {
+        let indexes = tdrops.iter().map(|i| Json::num(*i as f64)).collect();
+        fields.push(("tdrops", Json::Arr(indexes)));
+    }
+    Json::obj(fields).encode()
+}
+
+/// Encodes a session-birth record ([`Backend::connect`]).
+pub(crate) fn encode_journal_session(worker: u32, client: u32, at: u64) -> String {
+    Json::obj([(
+        "session",
+        Json::obj([
+            ("worker", Json::num(worker as f64)),
+            ("client", Json::num(client as f64)),
+            ("at", Json::num(at as f64)),
+        ]),
+    )])
+    .encode()
+}
+
+/// Encodes the collection-closed marker ([`Backend::close`]).
+pub(crate) fn encode_journal_closed(at: u64) -> String {
+    Json::obj([("closed", Json::Bool(true)), ("at", Json::num(at as f64))]).encode()
+}
 
 /// Decodes one journal record (any of the shapes the backend writes).
 /// Frames written before the attribution extension (no `workers`/`auto`/
@@ -478,6 +523,7 @@ pub fn open_or_recover_on(
 mod tests {
     use super::*;
     use crowdfill_model::{ClientId, ColumnId, Value};
+    use crowdfill_pay::{Millis, WorkerId};
 
     fn rv(pairs: &[(u16, i64)]) -> RowValue {
         RowValue::from_pairs(pairs.iter().map(|(c, v)| (ColumnId(*c), Value::int(*v))))
@@ -534,18 +580,42 @@ mod tests {
 
     #[test]
     fn journal_records_decode_all_shapes() {
-        let session = br#"{"session":{"worker":3,"client":3,"at":100}}"#;
-        match decode_journal_record(session) {
+        let session = encode_journal_session(3, 4, 100);
+        match decode_journal_record(session.as_bytes()) {
             Some(JournalRecord::Session { worker, client, at }) => {
-                assert_eq!((worker, client, at), (3, 3, 100));
+                assert_eq!((worker, client, at), (3, 4, 100));
             }
             other => panic!("unexpected: {other:?}"),
         }
-        let closed = br#"{"closed":true,"at":200}"#;
+        let closed = encode_journal_closed(200);
         assert!(matches!(
-            decode_journal_record(closed),
+            decode_journal_record(closed.as_bytes()),
             Some(JournalRecord::Closed { at: 200 })
         ));
+        // A frame — a worker's automatic upvote and the Central Client's
+        // reaction to it — with and without template drops.
+        let up = Message::Upvote {
+            value: rv(&[(0, 1)]),
+        };
+        let entry = |worker, auto_upvote| TraceEntry {
+            at: Millis(7),
+            worker,
+            msg: up.clone(),
+            auto_upvote,
+        };
+        let log = [entry(Some(WorkerId(2)), true), entry(None, false)];
+        for tdrops in [vec![], vec![4, 1]] {
+            let frame = encode_journal_frame(9, 7, &log, &tdrops);
+            assert_eq!(frame.contains("tdrops"), !tdrops.is_empty());
+            let Some(JournalRecord::Frame(f)) = decode_journal_record(frame.as_bytes()) else {
+                panic!("not a frame: {frame}");
+            };
+            assert_eq!((f.from, f.at, f.tdrops), (9, 7, tdrops));
+            let read = |e: &JournalEntry| (e.seq, e.worker, e.auto, e.msg.clone());
+            let entries: Vec<_> = f.entries.iter().map(read).collect();
+            let written = [(9, 2, true, up.clone()), (10, 0, false, up.clone())];
+            assert_eq!(entries, written);
+        }
         // A legacy frame (no attribution fields) decodes as CC-attributed.
         let legacy = br#"{"from":5,"msgs":[{"kind":"upvote","value":[]}]}"#;
         match decode_journal_record(legacy) {

@@ -75,7 +75,7 @@ use crate::backend::{BatchOp, SubmitError, SubmitReport};
 use crate::batch::AsyncSubmit;
 use crate::overload::{OverloadOptions, Priority};
 use crate::tcp_service::{
-    close_session, flush_worker_outbox, health_reply, lagging_frame, m_evictions, m_lag_downgrades,
+    close_session, flush_outboxes, health_reply, lagging_frame, m_evictions, m_lag_downgrades,
     m_lag_dropped, open_session, parse_request, reject_frame, result_frame, stats_reply,
     sync_reply, trace_dump_reply, Collection, Request, ServiceMetrics, ServiceShared, SessionOpen,
 };
@@ -905,7 +905,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
                 .insert(worker, Arc::clone(&outbox));
             // Cover broadcasts that landed between the backend call and
             // registration (they sit behind the handshake reply).
-            flush_worker_outbox(&collection.backend, &outbox, worker);
+            flush_outboxes(&collection.backend, vec![(worker, Arc::clone(&outbox))]);
             let ack_hist = collection.backend.lock().worker_ack_histogram(worker);
             conn.phase = Phase::Active(Session {
                 collection,
@@ -973,7 +973,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
             // Clear-before-suffix, see `sync_reply`.
             session.outbox.clear_lagging();
             session.lagging_since = None;
-            let reply = sync_reply(backend, session.worker, from, &have);
+            let reply = sync_reply(backend, session.worker, from, &have, metrics);
             queue_frame(writer, dead, &reply);
         }
         Request::Stats => {

@@ -48,10 +48,16 @@
 //! total thread count is O(pool size), not O(connections). See
 //! `reactor.rs` and DESIGN.md §13.
 //!
-//! Broadcasts reach a connection through its bounded [`Outbox`], so one
-//! stalled reader cannot wedge the flush path — it is downgraded to
-//! lagging (broadcasts to it dropped, healed by `sync`) and eventually
-//! evicted by its shard (see [`OverloadOptions`] and DESIGN.md §9).
+//! The backend keeps one op log and, per session, a delivery cursor into
+//! it. After each batch `flush_outboxes` takes the backend lock once,
+//! polls every registered worker's cursor, and — lock released — encodes
+//! what each is owed into its connection's bounded [`Outbox`], the only
+//! outbound queue there is. One stalled reader cannot wedge that path: it
+//! is downgraded to lagging (broadcasts to it dropped, healed by `sync`)
+//! and eventually evicted by its shard (see [`OverloadOptions`] and
+//! DESIGN.md §9). `resume` and `sync` are reads of the same log
+//! (`CatchUp`): the missing suffix, or the state image below the
+//! compaction horizon.
 //!
 //! ## Threads
 //!
@@ -258,8 +264,6 @@ impl ServiceMetrics {
 pub struct TelemetryOptions {
     /// Registry snapshot period for the background sampler.
     pub sample_period: Duration,
-    /// Sampler ring capacity in ticks.
-    pub ring_capacity: usize,
     /// Service-level objectives evaluated over the sampler ring on every
     /// `health` request; each publishes a
     /// `crowdfill_slo_<name>_burn_milli` gauge.
@@ -303,7 +307,6 @@ impl Default for TelemetryOptions {
         let window = Duration::from_secs(60);
         TelemetryOptions {
             sample_period: Duration::from_millis(250),
-            ring_capacity: 256,
             slos: vec![
                 SloSpec::quantile_below_ms(
                     "ack-p99",
@@ -666,11 +669,14 @@ impl TcpService {
         // spawned and the hot paths are untouched.
         let (sampler, telemetry) = match &options.telemetry {
             Some(t) => {
+                /// Sampler ring capacity in ticks: at the default period,
+                /// a minute of window and as much again.
+                const RING_CAPACITY: usize = 256;
                 let sampler = Sampler::start(
                     RegistryRef::Global,
                     SamplerOptions {
                         period: t.sample_period,
-                        capacity: t.ring_capacity,
+                        capacity: RING_CAPACITY,
                     },
                 );
                 let telemetry = Arc::new(ServiceTelemetry {
@@ -686,7 +692,7 @@ impl TcpService {
         // One pipeline per collection: admission, shedding, and batching
         // are per-collection, so a storm on one cannot fill another's
         // queue. Each apply thread's after-batch hook flushes only its own
-        // collection's outboxes.
+        // collection's registered sessions.
         let mut map = HashMap::with_capacity(backends.len());
         for (name, backend) in backends {
             let backend = Arc::new(Mutex::new(backend));
@@ -696,7 +702,12 @@ impl TcpService {
             let pipeline = Arc::new(BatchPipeline::start(
                 Arc::clone(&backend),
                 Box::new(move || now_millis(started)),
-                Box::new(move || flush_outboxes(&flush_backend, &flush_registry)),
+                Box::new(move || {
+                    let registry = flush_registry.lock();
+                    let sessions = registry.iter().map(|(w, o)| (*w, Arc::clone(o))).collect();
+                    drop(registry);
+                    flush_outboxes(&flush_backend, sessions)
+                }),
                 options.batch.clone(),
                 options.overload.clone(),
             ));
@@ -906,17 +917,25 @@ fn reject_frame_traced(reason: &str, trace: TraceId) -> Json {
     Json::obj(fields)
 }
 
-/// A broadcast frame for one seq-tagged message; traced ops propagate
-/// their originating id so the receiver can attribute absorb latency.
-fn broadcast_frame(seq: u64, msg: &Message, trace: TraceId) -> Json {
+/// One seq-tagged log entry on the wire: `{"seq":n,"msg":{...}}`, plus the
+/// originating trace id of a traced op so the receiver can attribute
+/// absorb latency. With a `type` it is a whole `msg` broadcast; bare, an
+/// element of a `msgs` array.
+fn seq_msg_fields(seq: u64, msg: &Message, trace: TraceId) -> Vec<(&'static str, Json)> {
     let mut fields = vec![
-        ("type", Json::str("msg")),
         ("seq", Json::num(seq as f64)),
         ("msg", wire::message_to_json(msg)),
     ];
     if !trace.is_none() {
         fields.push(("trace", Json::str(trace.to_hex())));
     }
+    fields
+}
+
+/// A broadcast frame for one seq-tagged message.
+fn broadcast_frame(seq: u64, msg: &Message, trace: TraceId) -> Json {
+    let mut fields = seq_msg_fields(seq, msg, trace);
+    fields.push(("type", Json::str("msg")));
     Json::obj(fields)
 }
 
@@ -924,39 +943,72 @@ fn broadcast_frame(seq: u64, msg: &Message, trace: TraceId) -> Json {
 /// Clients unpack it entry-by-entry into the same seq-dedup path as `msg`
 /// frames, so a batch boundary is invisible to the convergence argument.
 fn batch_broadcast_frame(msgs: &[(u64, Message, TraceId)]) -> Json {
+    let entry =
+        |(seq, msg, trace): &(u64, Message, TraceId)| Json::obj(seq_msg_fields(*seq, msg, *trace));
     Json::obj([
         ("type", Json::str("batch")),
-        (
-            "msgs",
-            Json::Arr(
-                msgs.iter()
-                    .map(|(seq, msg, trace)| {
-                        let mut fields = vec![
-                            ("seq", Json::num(*seq as f64)),
-                            ("msg", wire::message_to_json(msg)),
-                        ];
-                        if !trace.is_none() {
-                            fields.push(("trace", Json::str(trace.to_hex())));
-                        }
-                        Json::obj(fields)
-                    })
-                    .collect(),
-            ),
-        ),
+        ("msgs", Json::Arr(msgs.iter().map(entry).collect())),
     ])
 }
 
-fn seq_msgs_to_json(msgs: &[(u64, Message)]) -> Json {
-    Json::Arr(
-        msgs.iter()
-            .map(|(seq, msg)| {
-                Json::obj([
-                    ("seq", Json::num(*seq as f64)),
-                    ("msg", wire::message_to_json(msg)),
-                ])
-            })
-            .collect(),
-    )
+/// The `history` array of a `welcome` and of a reset catch-up.
+fn msgs_to_json(msgs: &[Message]) -> Json {
+    Json::Arr(msgs.iter().map(wire::message_to_json).collect())
+}
+
+/// What brings a `resume` or `sync` cursor up to date: the body of a
+/// `resumed` or `synced` reply.
+enum CatchUp {
+    /// The seq-tagged history entries the cursor is missing (`msgs`).
+    Suffix(Vec<(u64, Message)>),
+    /// The cursor predates the serving horizon — the journal below
+    /// `history_base` is gone — so the reply degrades to a deterministic
+    /// full reset: `reset: true` plus the synthetic bootstrap image
+    /// (`history`), from which the client rebuilds its replica and
+    /// restarts its cursor at `history_len`. Also how a full resync
+    /// (`from: 0`) lands after any compaction.
+    Image(Vec<Message>),
+}
+
+impl CatchUp {
+    /// Decides between the two for the cursor `(from, have)`, and counts a
+    /// reset. Call under the lock acquisition that re-attached the session
+    /// (`resume`) or read `history_len` (`sync`): what this reads plus the
+    /// broadcasts polled afterwards then covers the history with no gap.
+    fn read(b: &Backend, from: u64, have: &HashSet<u64>, metrics: &ServiceMetrics) -> CatchUp {
+        if from < b.history_base() {
+            metrics.reset_resyncs.inc();
+            return CatchUp::Image(b.bootstrap_messages());
+        }
+        let mut missing = b.history_suffix(from);
+        missing.retain(|(seq, _)| !have.contains(seq));
+        CatchUp::Suffix(missing)
+    }
+
+    /// How many messages the body replays.
+    fn len(&self) -> usize {
+        match self {
+            CatchUp::Suffix(msgs) => msgs.len(),
+            CatchUp::Image(image) => image.len(),
+        }
+    }
+
+    /// Completes the reply begun by `header` (built off the lock).
+    fn reply(&self, mut header: Vec<(&'static str, Json)>) -> Json {
+        match self {
+            CatchUp::Suffix(msgs) => {
+                let entry = |(seq, msg): &(u64, Message)| {
+                    Json::obj(seq_msg_fields(*seq, msg, TraceId::NONE))
+                };
+                header.push(("msgs", Json::Arr(msgs.iter().map(entry).collect())));
+            }
+            CatchUp::Image(image) => {
+                header.push(("reset", Json::Bool(true)));
+                header.push(("history", msgs_to_json(image)));
+            }
+        }
+        Json::obj(header)
+    }
 }
 
 /// Parses the `(from, have)` cursor of a resume/sync request.
@@ -1025,10 +1077,7 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
                 ("client", Json::num(client.0 as f64)),
                 ("history_len", Json::num(history_len as f64)),
                 ("schema", schema_json),
-                (
-                    "history",
-                    Json::Arr(history.iter().map(wire::message_to_json).collect()),
-                ),
+                ("history", msgs_to_json(&history)),
             ]);
             crowdfill_obs::obs_debug!(
                 "server",
@@ -1055,67 +1104,28 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
             };
             let worker = WorkerId(w as u32);
             let (from, have) = parse_cursor(req);
-            // Resume and suffix must come from ONE lock acquisition: the
-            // suffix plus subsequent poll_seq broadcasts then covers the
-            // history with no gap. A cursor below the compaction horizon
-            // cannot be served a suffix — the journal below `history_base`
-            // is gone — so the reply degrades to a deterministic full
-            // reset: `reset: true` plus the synthetic bootstrap image.
-            enum ResumeBody {
-                Suffix(Vec<(u64, Message)>),
-                Reset(Vec<Message>),
-            }
+            // Resume and catch-up come from ONE lock acquisition.
             let resumed = {
                 let mut b = collection.backend.lock();
-                match b.resume(worker, now_millis(shared.started)) {
-                    Err(e) => Err(e.to_string()),
-                    Ok(info) => {
-                        let body = if from < b.history_base() {
-                            shared.metrics.reset_resyncs.inc();
-                            ResumeBody::Reset(b.bootstrap_messages())
-                        } else {
-                            ResumeBody::Suffix(
-                                b.history_suffix(from)
-                                    .into_iter()
-                                    .filter(|(s, _)| !have.contains(s))
-                                    .collect(),
-                            )
-                        };
-                        Ok((info, body))
-                    }
-                }
+                b.resume(worker, now_millis(shared.started))
+                    .map(|info| (info, CatchUp::read(&b, from, &have, &shared.metrics)))
             };
             let (info, body) = match resumed {
-                Err(reason) => return SessionOpen::Rejected(reject_frame(&reason)),
+                Err(e) => return SessionOpen::Rejected(reject_frame(&e.to_string())),
                 Ok(ok) => ok,
             };
-            let mut fields = vec![
+            let reply = body.reply(vec![
                 ("type", Json::str("resumed")),
                 ("collection", Json::str(collection.name())),
                 ("client", Json::num(info.client.0 as f64)),
                 ("history_len", Json::num(info.history_len as f64)),
-            ];
-            let replayed = match &body {
-                ResumeBody::Suffix(msgs) => msgs.len(),
-                ResumeBody::Reset(boot) => boot.len(),
-            };
-            match body {
-                ResumeBody::Suffix(msgs) => fields.push(("msgs", seq_msgs_to_json(&msgs))),
-                ResumeBody::Reset(boot) => {
-                    fields.push(("reset", Json::Bool(true)));
-                    fields.push((
-                        "history",
-                        Json::Arr(boot.iter().map(wire::message_to_json).collect()),
-                    ));
-                }
-            }
-            let reply = Json::obj(fields);
+            ]);
             crowdfill_obs::obs_debug!(
                 "server",
                 "session resumed";
                 worker => worker.0,
                 epoch => info.epoch,
-                replayed => replayed,
+                replayed => body.len(),
             );
             SessionOpen::Started {
                 collection,
@@ -1255,40 +1265,19 @@ pub(crate) fn sync_reply(
     worker: WorkerId,
     from: u64,
     have: &HashSet<u64>,
+    metrics: &ServiceMetrics,
 ) -> Json {
-    let mut b = backend.lock();
-    let history_len = b.history_len();
-    if from < b.history_base() {
-        // The cursor predates the compaction horizon — the suffix it asks
-        // for no longer exists. Serve the synthetic bootstrap image with
-        // `reset: true`; the client rebuilds its replica from it and
-        // restarts its cursor at `history_len`. This is also how a full
-        // resync (`from: 0`) lands after any compaction.
-        let boot = b.bootstrap_messages();
+    let (history_len, body) = {
+        let mut b = backend.lock();
+        let history_len = b.history_len();
+        // The reply covers the history through `history_len`, so the
+        // replica-lag gauge for this worker resets.
         b.note_confirmed(worker, history_len);
-        return Json::obj([
-            ("type", Json::str("synced")),
-            ("reset", Json::Bool(true)),
-            ("history_len", Json::num(history_len as f64)),
-            (
-                "history",
-                Json::Arr(boot.iter().map(wire::message_to_json).collect()),
-            ),
-        ]);
-    }
-    let msgs: Vec<(u64, Message)> = b
-        .history_suffix(from)
-        .into_iter()
-        .filter(|(s, _)| !have.contains(s))
-        .collect();
-    // The reply covers the history through `history_len`, so the
-    // replica-lag gauge for this worker resets.
-    b.note_confirmed(worker, history_len);
-    drop(b);
-    Json::obj([
+        (history_len, CatchUp::read(&b, from, have, metrics))
+    };
+    body.reply(vec![
         ("type", Json::str("synced")),
         ("history_len", Json::num(history_len as f64)),
-        ("msgs", seq_msgs_to_json(&msgs)),
     ])
 }
 
@@ -1443,71 +1432,50 @@ pub(crate) fn result_frame(
     }
 }
 
-/// Delivers every session's pending broadcasts over its connection.
-/// Collection-scoped: a pipeline's after-batch hook flushes only its own
-/// collection's registry.
-pub(crate) fn flush_outboxes(backend: &Arc<Mutex<Backend>>, registry: &ConnRegistry) {
-    let outboxes: Vec<(WorkerId, Arc<Outbox>)> = registry
-        .lock()
-        .iter()
-        .map(|(w, o)| (*w, Arc::clone(o)))
-        .collect();
-    for (worker, outbox) in outboxes {
-        flush_worker_outbox(backend, &outbox, worker);
+/// Delivers the given sessions' pending broadcasts, each into its
+/// connection's bounded [`Outbox`]: a lone message as a legacy `msg` frame,
+/// several as `batch` frames (chunked so a huge backlog cannot overflow
+/// the transport's frame-size cap). Never blocks — a full buffer
+/// downgrades the connection to lagging instead (see
+/// [`Outbox::enqueue_broadcast`]). The backend lock is taken once per
+/// flush, not per recipient, and no frame is encoded under it.
+pub(crate) fn flush_outboxes(backend: &Mutex<Backend>, sessions: Vec<(WorkerId, Arc<Outbox>)>) {
+    let traced = obstrace::enabled();
+    // Each cursor poll and (when tracing) the seq → trace attribution of
+    // what it returned happen under one lock acquisition, so attribution
+    // can never see a different history than the poll did.
+    let mut polled = Vec::with_capacity(sessions.len());
+    let mut b = backend.lock();
+    for (worker, outbox) in sessions {
+        let pending = b.poll_seq(worker);
+        let attribute = |(seq, msg)| {
+            let trace = if traced {
+                b.trace_for_seq(seq)
+            } else {
+                TraceId::NONE
+            };
+            if !trace.is_none() {
+                // `arg` carries the receiving worker so a trace's
+                // broadcast fan-out is visible in reports; the seq
+                // salts the span so each seq is a distinct node.
+                let root = SpanId::root(trace);
+                obstrace::stamp(trace, Stage::Broadcast, root, seq, worker.0 as u64);
+            }
+            (seq, msg, trace)
+        };
+        let pending: Vec<(u64, Message, TraceId)> = pending.into_iter().map(attribute).collect();
+        polled.push((outbox, pending));
     }
-}
-
-/// Delivers one session's pending broadcasts into its connection's
-/// bounded [`Outbox`]: a lone message as a legacy `msg` frame, several as
-/// `batch` frames (chunked so a huge backlog cannot overflow the
-/// transport's frame-size cap). Never blocks — a full buffer downgrades
-/// the connection to lagging instead (see [`Outbox::enqueue_broadcast`]).
-pub(crate) fn flush_worker_outbox(
-    backend: &Arc<Mutex<Backend>>,
-    outbox: &Outbox,
-    worker: WorkerId,
-) {
-    // One lock acquisition fetches both the pending broadcasts and (when
-    // tracing) their originating trace ids, so attribution can never see
-    // a different history than the poll did.
-    let pending: Vec<(u64, Message, TraceId)> = {
-        let mut b = backend.lock();
-        let polled = b.poll_seq(worker);
-        if obstrace::enabled() {
-            polled
-                .into_iter()
-                .map(|(seq, msg)| {
-                    let trace = b.trace_for_seq(seq);
-                    if !trace.is_none() {
-                        // `arg` carries the receiving worker so a trace's
-                        // broadcast fan-out is visible in reports; the seq
-                        // salts the span so each seq is a distinct node.
-                        obstrace::stamp(
-                            trace,
-                            Stage::Broadcast,
-                            SpanId::root(trace),
-                            seq,
-                            worker.0 as u64,
-                        );
-                    }
-                    (seq, msg, trace)
-                })
-                .collect()
-        } else {
-            polled
-                .into_iter()
-                .map(|(seq, msg)| (seq, msg, TraceId::NONE))
-                .collect()
+    drop(b);
+    for (outbox, pending) in polled {
+        if let [(seq, msg, trace)] = &pending[..] {
+            outbox.enqueue_broadcast(broadcast_frame(*seq, msg, *trace).encode().into_bytes());
+            continue;
         }
-    };
-    if pending.len() == 1 {
-        let (seq, msg, trace) = &pending[0];
-        outbox.enqueue_broadcast(broadcast_frame(*seq, msg, *trace).encode().into_bytes());
-        return;
-    }
-    for chunk in pending.chunks(BATCH_FRAME_CHUNK) {
-        outbox.enqueue_broadcast(batch_broadcast_frame(chunk).encode().into_bytes());
-        batch_broadcast_frames().inc();
+        for chunk in pending.chunks(BATCH_FRAME_CHUNK) {
+            outbox.enqueue_broadcast(batch_broadcast_frame(chunk).encode().into_bytes());
+            batch_broadcast_frames().inc();
+        }
     }
 }
 

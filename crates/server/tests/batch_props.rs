@@ -14,7 +14,9 @@ use crowdfill_model::{
 };
 use crowdfill_obs::trace::TraceId;
 use crowdfill_pay::{Millis, WorkerId};
-use crowdfill_server::{wire, Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
+use crowdfill_server::{
+    persist, wire, Backend, BatchJob, BatchOp, JournalRecord, TaskConfig, WorkerClient,
+};
 use crowdfill_sync::AppliedSeqs;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -351,10 +353,22 @@ fn batched_replay(recorded: &[Recorded], sizes: &[usize]) -> (Backend, WorkerId,
 /// `submit_modify` path — the comparator for the batch path's per-op
 /// allocation and write behavior.
 fn singleton_replay(recorded: &[Recorded]) -> (Backend, Vec<String>) {
+    let mut backend = attended_backend(0);
+    let results = apply_singly(&mut backend, recorded);
+    (backend, results)
+}
+
+/// A fresh backend with the reference run's three sessions attached, plus
+/// `observers` more that nobody ever polls.
+fn attended_backend(observers: usize) -> Backend {
     let mut backend = Backend::new(config());
-    backend.connect(Millis(0));
-    backend.connect(Millis(0));
-    backend.connect(Millis(0));
+    for _ in 0..3 + observers {
+        backend.connect(Millis(0));
+    }
+    backend
+}
+
+fn apply_singly(backend: &mut Backend, recorded: &[Recorded]) -> Vec<String> {
     // Format results exactly as `batched_replay` does, so the two replays
     // differ only in how ops reach the backend.
     let mut results = Vec::new();
@@ -370,18 +384,13 @@ fn singleton_replay(recorded: &[Recorded]) -> (Backend, Vec<String>) {
             }
         }
     }
-    (backend, results)
+    results
 }
 
-/// The allocation half of the no-win-batcher regression fix: submitting the
-/// recorded op stream as batches must not heap-allocate more than submitting
-/// it op by op. The regression this pins down was the batch path deep-cloning
-/// every op (row-value cell maps and all) before applying it; with the
-/// arena/interned model an op clone is a refcount bump, and batching strictly
-/// saves work (one journal frame, one broadcast flush per batch).
-#[test]
-fn batched_apply_allocates_no_more_than_singleton() {
-    let script: Vec<(usize, Action)> = (0..160)
+/// A script that keeps the table churning (modifies re-open filled rows),
+/// so the recorded stream stays long enough to count allocations over.
+fn churn_script() -> Vec<(usize, Action)> {
+    (0..160)
         .map(|i| {
             let action = match i % 5 {
                 0 => Action::Fill {
@@ -404,8 +413,18 @@ fn batched_apply_allocates_no_more_than_singleton() {
             };
             (i, action)
         })
-        .collect();
-    let (_, _, recorded, _) = reference_run(&script);
+        .collect()
+}
+
+/// The allocation half of the no-win-batcher regression fix: submitting the
+/// recorded op stream as batches must not heap-allocate more than submitting
+/// it op by op. The regression this pins down was the batch path deep-cloning
+/// every op (row-value cell maps and all) before applying it; with the
+/// arena/interned model an op clone is a refcount bump, and batching strictly
+/// saves work (one journal frame, one broadcast flush per batch).
+#[test]
+fn batched_apply_allocates_no_more_than_singleton() {
+    let (_, _, recorded, _) = reference_run(&churn_script());
     assert!(
         recorded.len() >= 48,
         "script recorded only {} ops — too few for a meaningful comparison",
@@ -434,6 +453,35 @@ fn batched_apply_allocates_no_more_than_singleton() {
     assert!(
         batched <= singleton + slack,
         "batched replay allocated more than singleton: {batched} vs {singleton} (+{slack} slack, {} ops)",
+        recorded.len()
+    );
+}
+
+/// Applying a message costs the same however large the crowd watching it:
+/// the op log holds it once and a session is a cursor into the log, so one
+/// op stream allocates **exactly** as often with 64 more attached,
+/// never-polled sessions as with none. (With a message queue per session
+/// it did not: every apply pushed a clone into every other session's.)
+#[test]
+fn apply_allocations_do_not_depend_on_observers() {
+    let (_, _, recorded, _) = reference_run(&churn_script());
+    let count = |observers: usize| {
+        let mut backend = attended_backend(observers);
+        let before = thread_allocs();
+        let results = apply_singly(&mut backend, &recorded);
+        (thread_allocs() - before, results)
+    };
+    // Warm-up: one-time lazies (interner, metrics) land outside the counts.
+    count(0);
+    let (alone, results) = count(0);
+    let (watched, results_watched) = count(64);
+    assert_eq!(results, results_watched);
+    let accepted = results.iter().filter(|r| r.starts_with("Ok")).count();
+    assert!(accepted >= 32, "only {accepted} ops accepted");
+    assert_eq!(
+        alone,
+        watched,
+        "{} ops allocated {alone} times unobserved, {watched} times under 64 observers",
         recorded.len()
     );
 }
@@ -572,7 +620,10 @@ fn batch_journals_one_coalesced_wal_frame() {
     assert_eq!(batch_frames.len(), 1, "batched path coalesces to one frame");
 
     // The one frame decodes back to the batch's exact history delta.
-    let delta = Backend::decode_journal_frame(&batch_frames[0]).unwrap();
+    let Some(JournalRecord::Frame(frame)) = persist::decode_journal_record(&batch_frames[0]) else {
+        panic!("the batch's record is not a frame");
+    };
+    let delta: Vec<(u64, Message)> = frame.entries.into_iter().map(|e| (e.seq, e.msg)).collect();
     let suffix = batched.history_suffix(delta[0].0);
     assert_eq!(delta.len(), suffix.len());
     for ((sa, ma), (sb, mb)) in delta.iter().zip(suffix.iter()) {

@@ -166,6 +166,26 @@ fn compaction_resets_stale_cursors_over_tcp() {
     }
     fill_row(&mut carol, "edsger", 4);
 
+    // A `sync` whose cursor predates the horizon is a reset too — it is
+    // how every full resync (`from: 0`) lands after a compaction — and
+    // the metric counts it exactly like alice's resume above. (Nothing
+    // else in this binary resumes or syncs from behind a horizon, so the
+    // process-global counter moves by this one alone.)
+    let resets = crowdfill_obs::metrics::counter("crowdfill_server_reset_resyncs");
+    let before = resets.get();
+    let dave = TcpConn::connect(addr).unwrap();
+    dave.send(br#"{"type":"hello"}"#).unwrap();
+    dave.recv().expect("welcome");
+    dave.send(br#"{"type":"sync","from":0,"have":[]}"#).unwrap();
+    let synced = String::from_utf8(dave.recv().expect("synced")).unwrap();
+    assert!(synced.contains(r#""type":"synced""#), "{synced}");
+    assert!(synced.contains(r#""reset":true"#), "{synced}");
+    assert_eq!(
+        resets.get(),
+        before + 1,
+        "a reset `sync` is a counted reset"
+    );
+
     service.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

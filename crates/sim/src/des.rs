@@ -11,7 +11,7 @@ use crate::dataset::GroundTruth;
 use crate::worker::{PlannedAction, SimWorker, WorkerProfile};
 use crowdfill_model::Template;
 use crowdfill_pay::{Millis, Scheme, WorkerId};
-use crowdfill_server::{Backend, TaskConfig, WorkerClient};
+use crowdfill_server::{Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -255,31 +255,34 @@ pub fn run(cfg: SimConfig) -> RunReport {
                 let is_modify = matches!(action, PlannedAction::Modify { .. });
                 if let Some(outgoing) = worker.execute(&action) {
                     let wid = worker.worker_id();
-                    if is_modify {
+                    let mut job = |op| BatchJob {
+                        worker: wid,
+                        op,
+                        trace: next_trace(&mut trace_ops),
+                    };
+                    let jobs = if is_modify {
                         // The composite correction travels as one bundle so
                         // the server can authorize its embedded insert.
                         let bundle = outgoing
                             .into_iter()
                             .map(|o| (o.msg, o.auto_upvote))
                             .collect();
-                        let trace = next_trace(&mut trace_ops);
-                        let _ = backend.submit_modify_traced(wid, bundle, Millis(t), trace);
+                        vec![job(BatchOp::Modify { bundle })]
                     } else {
-                        for out in outgoing {
-                            // Server-side rejections (vote policy, stale
-                            // rows) drop the message; the worker's
-                            // optimistic local state reconverges through
-                            // later broadcasts.
-                            let trace = next_trace(&mut trace_ops);
-                            let _ = backend.submit_traced(
-                                wid,
-                                out.msg,
-                                Millis(t),
-                                out.auto_upvote,
-                                trace,
-                            );
-                        }
-                    }
+                        outgoing
+                            .into_iter()
+                            .map(|o| {
+                                job(BatchOp::Msg {
+                                    msg: o.msg,
+                                    auto_upvote: o.auto_upvote,
+                                })
+                            })
+                            .collect()
+                    };
+                    // Server-side rejections (vote policy, stale rows) drop
+                    // the message; the worker's optimistic local state
+                    // reconverges through later broadcasts.
+                    let _ = backend.submit_batch(jobs, Millis(t));
                     if backend.is_fulfilled() {
                         fulfilled_at = Some(t);
                     }

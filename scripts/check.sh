@@ -19,6 +19,12 @@ if grep -rn "let _ = std::thread::Builder" crates/*/src; then
   echo "check.sh: a spawned thread's JoinHandle is discarded; keep it and join it" >&2
   exit 1
 fi
+# The journal frame format has one writer and one reader, in one file: the
+# field only a frame carries is named nowhere else in the server.
+if grep -rn '"tdrops"' crates/server/src | grep -v '^crates/server/src/persist.rs'; then
+  echo "check.sh: journal record built or parsed outside persist.rs; use its codec" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
