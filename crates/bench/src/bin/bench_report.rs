@@ -768,7 +768,7 @@ fn progress_suite(quick: bool) -> Vec<Entry> {
         use std::sync::{Arc, Mutex};
         let mut backend = Backend::new(crowdfill_bench::workload::pipeline_config(rows));
         for _ in 0..workers {
-            backend.connect(crowdfill_pay::Millis(0));
+            backend.attach(crowdfill_pay::Millis(0));
         }
         let backend = Arc::new(Mutex::new(backend));
         let stop = Arc::new(AtomicBool::new(false));
@@ -833,7 +833,7 @@ fn progress_suite(quick: bool) -> Vec<Entry> {
     {
         let mut backend = Backend::new(crowdfill_bench::workload::pipeline_config(rows));
         for _ in 0..workers {
-            backend.connect(crowdfill_pay::Millis(0));
+            backend.attach(crowdfill_pay::Millis(0));
         }
         for chunk in jobs.chunks(32) {
             let outcome = backend.submit_batch(chunk.to_vec(), crowdfill_pay::Millis(1));

@@ -104,7 +104,7 @@ fn main() {
         let t = Instant::now();
         let mut backend = Backend::new(pipeline_config(rows));
         for _ in 0..workers {
-            backend.connect(crowdfill_pay::Millis(0));
+            backend.attach(crowdfill_pay::Millis(0));
         }
         std::hint::black_box(&backend);
         s.push(t.elapsed().as_nanos());
@@ -116,7 +116,7 @@ fn main() {
     for _ in 0..reps {
         let mut backend = Backend::new(pipeline_config(rows));
         for _ in 0..workers {
-            backend.connect(crowdfill_pay::Millis(0));
+            backend.attach(crowdfill_pay::Millis(0));
         }
         let t = Instant::now();
         for job in &jobs {

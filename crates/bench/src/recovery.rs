@@ -148,7 +148,7 @@ pub fn run_recovery(
     {
         let mut b = persist::open_or_recover(config(), &dir, &opts).unwrap();
         let values = fill_base(&mut b);
-        let (voter, _vc, _h) = b.connect(Millis(30));
+        let (voter, _) = b.attach(Millis(30));
         // Toggle state per value: false = next op upvotes, true = undoes.
         let mut voted = vec![false; values.len()];
         for i in 0..ops {

@@ -165,7 +165,7 @@ pub fn replay_batched(
 ) -> Backend {
     let mut backend = Backend::new(pipeline_config(rows));
     for _ in 0..n_workers {
-        backend.connect(Millis(0));
+        backend.attach(Millis(0));
     }
     if let Some(wal) = wal {
         backend.attach_wal(wal);
@@ -188,7 +188,7 @@ pub fn replay_singleton(
 ) -> Backend {
     let mut backend = Backend::new(pipeline_config(rows));
     for _ in 0..n_workers {
-        backend.connect(Millis(0));
+        backend.attach(Millis(0));
     }
     if let Some(wal) = wal {
         backend.attach_wal(wal);

@@ -10,6 +10,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// A JSON value. Object keys are kept sorted (`BTreeMap`) so serialization
 /// is canonical — byte-identical for equal values — which the WAL and tests
@@ -105,6 +106,34 @@ impl Json {
     pub fn encode(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode) of this object as if it also held `key`
+    /// with the value whose encoding is `raw`: text that is already JSON
+    /// takes the member's canonical (sorted) place as it is, instead of
+    /// being parsed into a tree to be written out again. For an object
+    /// that does not hold `key`; panics on any other value.
+    pub fn encode_with_member(&self, key: &str, raw: &str) -> String {
+        let members = self.as_obj().expect("encode_with_member on an object");
+        let mut out = String::with_capacity(raw.len() + 256);
+        let mut open = '{';
+        let mut name = |out: &mut String, k: &str| {
+            out.push(std::mem::replace(&mut open, ','));
+            write_string(k, out);
+            out.push(':');
+        };
+        for (k, v) in members.range::<str, _>((Unbounded, Excluded(key))) {
+            name(&mut out, k);
+            v.write(&mut out);
+        }
+        name(&mut out, key);
+        out.push_str(raw);
+        for (k, v) in members.range::<str, _>((Included(key), Unbounded)) {
+            name(&mut out, k);
+            v.write(&mut out);
+        }
+        out.push('}');
         out
     }
 
@@ -727,6 +756,18 @@ mod tests {
         roundtrip(&Json::num(-1e-7));
         roundtrip(&Json::str(""));
         roundtrip(&Json::str("hello"));
+    }
+
+    #[test]
+    fn a_raw_member_takes_its_canonical_place() {
+        let history = Json::Arr(vec![Json::obj([("kind", Json::str("insert"))]), Json::Null]);
+        let header = [("history_len", Json::num(2)), ("client", Json::num(1))];
+        for key in ["a", "history", "zz \"quoted\""] {
+            let spliced = Json::obj(header.clone()).encode_with_member(key, &history.encode());
+            let whole = header.clone().into_iter().chain([(key, history.clone())]);
+            assert_eq!(spliced, Json::obj(whole).encode(), "{key}");
+        }
+        assert_eq!(Json::obj([]).encode_with_member("k", "[1]"), r#"{"k":[1]}"#);
     }
 
     #[test]

@@ -455,6 +455,13 @@ impl Slot {
 /// events whose sequence word is stable around the read *and* whose
 /// checksum matches — so a dump taken during a write storm is simply
 /// missing the slots that were in flight, never corrupted.
+///
+/// Never blocking has one more price: a writer that stalls for a whole
+/// lap and then resumes stores its older payload and checksum under the
+/// newer claim's sequence word (`fetch_max` keeps the word), the checksum
+/// rejects the slot, and the newer event stays lost until the next lap
+/// overwrites it. Each writer has one claim in flight, so a quiescent
+/// ring written by `W` threads has at most `W − 1` such slots.
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     /// Next claim number (total events ever recorded).

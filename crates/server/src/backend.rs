@@ -11,11 +11,16 @@
 //! annotated with its originating worker — is the only copy the backend
 //! keeps, and a message's history seq is its index in it (plus the
 //! checkpoint watermark after a recovery). Everything that leaves is a
-//! read of `log[seq..]`: the journal frame, a joiner's replay, a resume
-//! suffix, and each session's broadcasts — a session holds a delivery
-//! *cursor*, not a queue, and [`Backend::poll_seq`] hands it the entries
-//! above the cursor that are not its own. Applying a message therefore
-//! costs the same however many workers are attached.
+//! read of `log[seq..]`: the journal frame, a resume suffix, and each
+//! session's broadcasts — a session holds a delivery *cursor*, not a
+//! queue, and [`Backend::poll_seq`] hands it the entries above the cursor
+//! that are not its own. Applying a message therefore costs the same
+//! however many workers are attached.
+//!
+//! One bootstrap (§2.4's "initial copy of the master table"): a joiner, a
+//! reset replica and [`Backend::connect`] all start from one cached state
+//! image plus the log since it was taken ([`Backend::bootstrap_text`]),
+//! so a join costs the table, not the history.
 //!
 //! Vote policy (§3.4): each worker may cast at most one vote per row value
 //! (directly or via the automatic completion upvote); a worker may not
@@ -105,6 +110,19 @@ fn compactions_counter() -> &'static Counter {
 fn outbox_msgs() -> &'static Gauge {
     static G: OnceLock<Arc<Gauge>> = OnceLock::new();
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_server_outbox_msgs"))
+}
+
+/// Counter of state images built for the bootstrap cache.
+fn bootstrap_builds() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_builds"))
+}
+
+/// Counter of messages encoded into the bootstrap cache's text (image
+/// messages and log entries alike; each at most once per cache).
+fn bootstrap_encoded_msgs() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_encoded_msgs"))
 }
 
 /// Why the backend rejected a submission.
@@ -264,6 +282,17 @@ pub struct SessionStats {
     pub ack_latency: HistogramSnapshot,
 }
 
+/// The cached bootstrap (DESIGN.md §14.3): the state image at seq `at`,
+/// and — once the wire has asked — the JSON text of `image ++ log[at..)`
+/// as far as joins have read it, so a message is encoded for joins once.
+struct Bootstrap {
+    at: u64,
+    image: Vec<Message>,
+    /// The first `encoded` messages of `image ++ log[at..)`, as an array.
+    text: String,
+    encoded: usize,
+}
+
 /// The CrowdFill back-end server for one data-collection task.
 pub struct Backend {
     config: TaskConfig,
@@ -282,12 +311,13 @@ pub struct Backend {
     /// backend rebuilt by [`from_state`](Self::from_state).
     log_base: u64,
     /// The serving horizon: history seqs below it are served only as
-    /// checkpointed *state* — resume/sync cursors below it get a
-    /// deterministic full resync built from
-    /// [`bootstrap_messages`](Self::bootstrap_messages) — because after a
-    /// restart that is all there is. Compaction moves it; the log itself
-    /// is never trimmed (settlement reads it).
+    /// checkpointed *state* — resume/sync cursors below it get the
+    /// [`bootstrap_text`](Self::bootstrap_text) every joiner gets — because
+    /// after a restart that is all there is. Compaction moves it; the log
+    /// itself is never trimmed (settlement reads it).
     history_base: u64,
+    /// What a joiner or a reset replica starts from, kept between joins.
+    bootstrap: Option<Bootstrap>,
     /// Row id → value, for every row that ever existed (fill-column lookup).
     row_values: HashMap<crowdfill_model::RowId, RowValue>,
     estimator: Estimator,
@@ -389,6 +419,7 @@ impl Backend {
             trace,
             log_base: 0,
             history_base: 0,
+            bootstrap: None,
             row_values,
             estimator,
             next_worker: 1,
@@ -470,18 +501,27 @@ impl Backend {
 
     /// Registers a worker; returns its id, its client id (for row-id
     /// generation), and the messages to replay into its local replica (the
-    /// "initial copy of the master table"). Before the first compaction
-    /// that is the full history; afterwards it is a synthetic bootstrap
-    /// sequence ([`bootstrap_messages`](Self::bootstrap_messages)) that
-    /// reproduces the *current* master state directly — either way the
-    /// replica is caught up through [`history_len`](Self::history_len).
+    /// "initial copy of the master table", §2.4): the cached state image
+    /// followed by the log since it was taken — never the history. The
+    /// replica is then caught up through [`history_len`](Self::history_len),
+    /// which is not the replay's length.
     pub fn connect(&mut self, at: Millis) -> (WorkerId, ClientId, Vec<Message>) {
+        let (worker, client) = self.attach(at);
+        let (cache, suffix) = self.bootstrap();
+        let replay = cache.image.iter().chain(suffix.iter().map(|e| &e.msg));
+        (worker, client, replay.cloned().collect())
+    }
+
+    /// [`connect`](Self::connect) without the replay: registers a worker
+    /// and journals its birth. The transport follows it, under the same
+    /// lock acquisition, with [`bootstrap_text`](Self::bootstrap_text).
+    pub fn attach(&mut self, at: Millis) -> (WorkerId, ClientId) {
         self.set_time(at);
         let worker = WorkerId(self.next_worker);
         // Client 0 is the CC; worker clients start at 1.
         let client = ClientId(self.next_worker);
         self.next_worker += 1;
-        // The connect reply catches the new replica up to here, and its
+        // The bootstrap catches the new replica up to here, and its
         // broadcasts start here.
         let end = self.history_len();
         self.sessions.insert(
@@ -502,12 +542,56 @@ impl Backend {
             client.0,
             self.clock.0,
         ));
-        let replayable = if self.history_base == 0 {
-            self.trace.entries().iter().map(|e| e.msg.clone()).collect()
-        } else {
-            self.bootstrap_messages()
-        };
-        (worker, client, replayable)
+        (worker, client)
+    }
+
+    /// The bootstrap cache, valid for a read at the current
+    /// [`history_len`](Self::history_len), and the log from its seq on:
+    /// `image ++ suffix` is recovery's own argument (snapshot + journal
+    /// suffix) and lands on the master's state. The one place the cache is
+    /// rebuilt: when there is none, when it predates the serving horizon
+    /// (a served suffix never reaches below it), or when the suffix has
+    /// outgrown the image — so a read stays within ≈ 2× live state,
+    /// rebuilds amortise to O(1) per applied message, and a collection
+    /// nobody joins builds nothing.
+    fn bootstrap(&mut self) -> (&mut Bootstrap, &[TraceEntry]) {
+        let end = self.history_len();
+        let fresh =
+            |c: &Bootstrap| c.at >= self.history_base && (end - c.at) as usize <= c.image.len();
+        if !self.bootstrap.as_ref().is_some_and(fresh) {
+            bootstrap_builds().inc();
+            self.bootstrap = Some(Bootstrap {
+                at: end,
+                image: self.bootstrap_messages(),
+                text: "[]".into(),
+                encoded: 0,
+            });
+        }
+        let cache = self.bootstrap.as_mut().expect("built above");
+        let suffix = &self.trace.entries()[(cache.at - self.log_base) as usize..];
+        (cache, suffix)
+    }
+
+    /// [`connect`](Self::connect)'s replay as the wire carries it: the
+    /// `"history"` array of a `welcome` or a reset, as JSON text. Encodes
+    /// only what no earlier call has — the image on the first call after
+    /// a rebuild, then the log entries since the previous call — so a join
+    /// costs a copy of the text.
+    pub fn bootstrap_text(&mut self) -> &str {
+        let (cache, suffix) = self.bootstrap();
+        let replay = cache.image.iter().chain(suffix.iter().map(|e| &e.msg));
+        let before = cache.encoded;
+        cache.text.pop(); // reopen the array
+        for msg in replay.skip(before) {
+            if cache.encoded > 0 {
+                cache.text.push(',');
+            }
+            cache.text.push_str(&wire::message_to_json(msg).encode());
+            cache.encoded += 1;
+        }
+        cache.text.push(']');
+        bootstrap_encoded_msgs().add((cache.encoded - before) as u64);
+        &cache.text
     }
 
     /// Marks a worker disconnected (its session state is retained so the
@@ -772,6 +856,18 @@ impl Backend {
         }
         if !self.sessions.get(&worker).is_some_and(|s| s.connected) {
             return Err(SubmitError::UnknownWorker);
+        }
+        // §2.2's preconditions are a vote's shape, not policy, so nothing
+        // is exempt: an upvote of a partial vector or a downvote of the
+        // empty one breaks Lemma 3, which the state image relies on.
+        match &msg {
+            Message::Upvote { value } if !value.is_complete(&self.config.schema) => {
+                return Err(SubmitError::Op(OpError::RowNotComplete));
+            }
+            Message::Downvote { value } if value.is_empty() => {
+                return Err(SubmitError::Op(OpError::RowEmpty));
+            }
+            _ => {}
         }
         // Automatic completion upvotes are system-generated: they are
         // recorded against the worker's vote state but exempt from the vote
@@ -1151,14 +1247,14 @@ impl Backend {
     }
 
     /// A synthetic message sequence that reconstructs the *current* master
-    /// state on a fresh replica — the full-resync payload once compaction
-    /// has moved the serving horizon past the real history prefix. Every recorded upvote and
+    /// state on a fresh replica: the image the bootstrap cache is built
+    /// from, and a fingerprint of the state. Every recorded upvote and
     /// downvote goes first (so the vote histories are in place before any
-    /// row exists), then one self-`Replace` per live row; the CRDT's
-    /// count-initialization rule (Lemma 3) then assigns each row exactly
-    /// the counts the master holds. Deterministic: vote vectors are sorted
-    /// by their wire encoding, rows by id. Length is O(live state), not
-    /// O(history).
+    /// row exists), then each live row — an `Insert` if it is empty, else
+    /// a self-`Replace`; the CRDT's count-initialization rule (Lemma 3)
+    /// then assigns each row exactly the counts the master holds.
+    /// Deterministic: vote vectors are sorted by their wire encoding, rows
+    /// by id. Length is O(live state), not O(history).
     pub fn bootstrap_messages(&self) -> Vec<Message> {
         let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
         let mut msgs = Vec::new();
@@ -1177,10 +1273,15 @@ impl Backend {
             }
         }
         for (id, e) in self.master.table().iter() {
-            msgs.push(Message::Replace {
-                old: id,
-                new: id,
-                value: e.value.clone(),
+            msgs.push(if e.value.is_empty() {
+                Message::Insert { row: id }
+            } else {
+                let value = e.value.clone();
+                Message::Replace {
+                    old: id,
+                    new: id,
+                    value,
+                }
             });
         }
         msgs
@@ -1333,6 +1434,7 @@ impl Backend {
             trace: Trace::new(),
             log_base: state.base_seq,
             history_base: state.base_seq,
+            bootstrap: None,
             row_values: state.rows.iter().cloned().collect(),
             estimator,
             next_worker: state.next_worker,

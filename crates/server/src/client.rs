@@ -396,9 +396,9 @@ impl RemoteWorker {
         if frame_type(&welcome) != Some("welcome") {
             return Err(protocol("expected welcome"));
         }
-        let id = |name, missing| u64_field(&welcome, name).ok_or_else(|| protocol(missing));
-        let worker = WorkerId(id("worker", "missing worker id")? as u32);
-        let client_id = crowdfill_model::ClientId(id("client", "missing client id")? as u32);
+        let field = |name, missing| u64_field(&welcome, name).ok_or_else(|| protocol(missing));
+        let worker = WorkerId(field("worker", "missing worker id")? as u32);
+        let client_id = crowdfill_model::ClientId(field("client", "missing client id")? as u32);
         // The schema is read once per session: the owned detour keeps the
         // cold decoders (schema, template, trace, health) off the generics.
         let schema = welcome
@@ -410,10 +410,9 @@ impl RemoteWorker {
         let client =
             crate::worker_client::WorkerClient::new(worker, client_id, Arc::new(schema), &history);
         // The welcome's `history_len` is the server's real watermark; the
-        // message array may be the shorter post-compaction bootstrap that
-        // stands in for that prefix, so the cursor comes from the field
-        // (falling back to the array length for old servers).
-        let history_len = u64_field(&welcome, "history_len").unwrap_or(history.len() as u64);
+        // message array is a state image plus a log suffix that stands in
+        // for that prefix, so the cursor can only come from the field.
+        let history_len = field("history_len", "missing history_len")?;
         let mut applied = AppliedSeqs::new();
         applied.note_prefix(history_len);
         Ok((client, applied))

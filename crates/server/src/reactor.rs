@@ -467,7 +467,13 @@ impl ConnState {
 /// Queues a reply frame on a connection's writer (free function so
 /// callers holding a borrow of `conn.phase` can still reach the writer).
 fn queue_frame(writer: &mut FrameWriter, dead: &mut bool, reply: &Json) {
-    if writer.enqueue(reply.encode().as_bytes()).is_err() {
+    queue_encoded(writer, dead, reply.encode().as_bytes());
+}
+
+/// [`queue_frame`] for a reply that was spliced together as text (the
+/// bootstrap of a `welcome` or a reset is never a [`Json`] tree).
+fn queue_encoded(writer: &mut FrameWriter, dead: &mut bool, reply: &[u8]) {
+    if writer.enqueue(reply).is_err() {
         *dead = true;
     }
 }
@@ -882,7 +888,7 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
         } => {
             // Handshake reply enters the writer FIRST: the single outbound
             // queue guarantees no broadcast precedes the welcome.
-            queue_frame(&mut conn.writer, &mut conn.dead, &reply);
+            queue_encoded(&mut conn.writer, &mut conn.dead, &reply);
             if conn.dead {
                 collection.backend.lock().disconnect_epoch(worker, epoch);
                 shared.metrics.disconnects.inc();
@@ -974,7 +980,7 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
             session.outbox.clear_lagging();
             session.lagging_since = None;
             let reply = sync_reply(backend, session.worker, from, &have, metrics);
-            queue_frame(writer, dead, &reply);
+            queue_encoded(writer, dead, &reply);
         }
         Request::Stats => {
             metrics.stats_requests.inc();

@@ -56,8 +56,12 @@
 //! is downgraded to lagging (broadcasts to it dropped, healed by `sync`)
 //! and eventually evicted by its shard (see [`OverloadOptions`] and
 //! DESIGN.md §9). `resume` and `sync` are reads of the same log
-//! (`CatchUp`): the missing suffix, or the state image below the
-//! compaction horizon.
+//! (`CatchUp`): the missing suffix, or below the compaction horizon the
+//! bootstrap. That — a `welcome`'s `history` — is not the history but
+//! [`Backend::bootstrap_text`]: a cached state image plus the log since,
+//! encoded once in the backend and spliced into the frame as text
+//! (`Json::encode_with_member`), so a join costs its shard a copy.
+//! `history_len` is the cursor it lands on.
 //!
 //! ## Threads
 //!
@@ -951,11 +955,6 @@ fn batch_broadcast_frame(msgs: &[(u64, Message, TraceId)]) -> Json {
     ])
 }
 
-/// The `history` array of a `welcome` and of a reset catch-up.
-fn msgs_to_json(msgs: &[Message]) -> Json {
-    Json::Arr(msgs.iter().map(wire::message_to_json).collect())
-}
-
 /// What brings a `resume` or `sync` cursor up to date: the body of a
 /// `resumed` or `synced` reply.
 enum CatchUp {
@@ -963,11 +962,11 @@ enum CatchUp {
     Suffix(Vec<(u64, Message)>),
     /// The cursor predates the serving horizon — the journal below
     /// `history_base` is gone — so the reply degrades to a deterministic
-    /// full reset: `reset: true` plus the synthetic bootstrap image
+    /// full reset: `reset: true` plus the bootstrap a joiner would get
     /// (`history`), from which the client rebuilds its replica and
     /// restarts its cursor at `history_len`. Also how a full resync
     /// (`from: 0`) lands after any compaction.
-    Image(Vec<Message>),
+    Image(String),
 }
 
 impl CatchUp {
@@ -975,39 +974,32 @@ impl CatchUp {
     /// reset. Call under the lock acquisition that re-attached the session
     /// (`resume`) or read `history_len` (`sync`): what this reads plus the
     /// broadcasts polled afterwards then covers the history with no gap.
-    fn read(b: &Backend, from: u64, have: &HashSet<u64>, metrics: &ServiceMetrics) -> CatchUp {
+    fn read(b: &mut Backend, from: u64, have: &HashSet<u64>, metrics: &ServiceMetrics) -> CatchUp {
         if from < b.history_base() {
             metrics.reset_resyncs.inc();
-            return CatchUp::Image(b.bootstrap_messages());
+            return CatchUp::Image(b.bootstrap_text().to_owned());
         }
         let mut missing = b.history_suffix(from);
         missing.retain(|(seq, _)| !have.contains(seq));
         CatchUp::Suffix(missing)
     }
 
-    /// How many messages the body replays.
-    fn len(&self) -> usize {
-        match self {
-            CatchUp::Suffix(msgs) => msgs.len(),
-            CatchUp::Image(image) => image.len(),
-        }
-    }
-
-    /// Completes the reply begun by `header` (built off the lock).
-    fn reply(&self, mut header: Vec<(&'static str, Json)>) -> Json {
+    /// Completes and encodes the reply begun by `header` (off the lock).
+    fn reply(&self, mut header: Vec<(&'static str, Json)>) -> Vec<u8> {
         match self {
             CatchUp::Suffix(msgs) => {
                 let entry = |(seq, msg): &(u64, Message)| {
                     Json::obj(seq_msg_fields(*seq, msg, TraceId::NONE))
                 };
                 header.push(("msgs", Json::Arr(msgs.iter().map(entry).collect())));
+                Json::obj(header).encode().into_bytes()
             }
-            CatchUp::Image(image) => {
+            CatchUp::Image(bootstrap) => {
                 header.push(("reset", Json::Bool(true)));
-                header.push(("history", msgs_to_json(image)));
+                let reply = Json::obj(header).encode_with_member("history", bootstrap);
+                reply.into_bytes()
             }
         }
-        Json::obj(header)
     }
 }
 
@@ -1040,7 +1032,8 @@ pub(crate) enum SessionOpen {
         collection: Arc<Collection>,
         worker: WorkerId,
         epoch: u64,
-        reply: Json,
+        /// The encoded `welcome` or `resumed` frame.
+        reply: Vec<u8>,
     },
     /// Handshake understood but refused (unknown collection, failed
     /// resume); send the reply, then drop the connection.
@@ -1060,25 +1053,26 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
             let Some(collection) = shared.resolve_collection(requested) else {
                 return SessionOpen::Rejected(reject_frame("unknown collection"));
             };
-            let (worker, client, history, history_len, schema_json) = {
-                let mut b = collection.backend.lock();
-                let (w, c, h) = b.connect(now_millis(shared.started));
-                let schema_json = wire::schema_to_json(&b.config().schema);
-                // After compaction `h` is the synthetic bootstrap, shorter
-                // than the history it stands in for — the client's resume
-                // cursor must cover the real watermark, so it travels
-                // separately from the message array's length.
-                (w, c, h, b.history_len(), schema_json)
-            };
-            let reply = Json::obj([
+            // Attach and bootstrap come from ONE lock acquisition, so the
+            // text ends exactly where the session's broadcasts begin. It
+            // is a state image plus a log suffix, shorter than the history
+            // it stands in for — the client's resume cursor must cover the
+            // real watermark, which travels as `history_len`.
+            let mut b = collection.backend.lock();
+            let (worker, client) = b.attach(now_millis(shared.started));
+            let header = Json::obj([
                 ("type", Json::str("welcome")),
                 ("collection", Json::str(collection.name())),
                 ("worker", Json::num(worker.0 as f64)),
                 ("client", Json::num(client.0 as f64)),
-                ("history_len", Json::num(history_len as f64)),
-                ("schema", schema_json),
-                ("history", msgs_to_json(&history)),
+                ("history_len", Json::num(b.history_len() as f64)),
+                ("schema", wire::schema_to_json(&b.config().schema)),
             ]);
+            // The array is spliced in as the text the backend keeps: the
+            // transport builds no tree of it.
+            let reply = header.encode_with_member("history", b.bootstrap_text());
+            let reply = reply.into_bytes();
+            drop(b);
             crowdfill_obs::obs_debug!(
                 "server",
                 "session started";
@@ -1108,7 +1102,7 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
             let resumed = {
                 let mut b = collection.backend.lock();
                 b.resume(worker, now_millis(shared.started))
-                    .map(|info| (info, CatchUp::read(&b, from, &have, &shared.metrics)))
+                    .map(|info| (info, CatchUp::read(&mut b, from, &have, &shared.metrics)))
             };
             let (info, body) = match resumed {
                 Err(e) => return SessionOpen::Rejected(reject_frame(&e.to_string())),
@@ -1125,7 +1119,7 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
                 "session resumed";
                 worker => worker.0,
                 epoch => info.epoch,
-                replayed => body.len(),
+                reply_bytes => reply.len(),
             );
             SessionOpen::Started {
                 collection,
@@ -1255,9 +1249,9 @@ pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
     }
 }
 
-/// Builds the `synced` reply. The caller must clear its own outbox's
-/// lagging flag BEFORE calling: every broadcast dropped while lagging
-/// then has a seq below the history length this reply covers, and
+/// Builds the encoded `synced` reply. The caller must clear its own
+/// outbox's lagging flag BEFORE calling: every broadcast dropped while
+/// lagging then has a seq below the history length this reply covers, and
 /// broadcasts after the clear are enqueued normally (overlap is
 /// seq-deduped client-side), so nothing can fall in a gap.
 pub(crate) fn sync_reply(
@@ -1266,14 +1260,14 @@ pub(crate) fn sync_reply(
     from: u64,
     have: &HashSet<u64>,
     metrics: &ServiceMetrics,
-) -> Json {
+) -> Vec<u8> {
     let (history_len, body) = {
         let mut b = backend.lock();
         let history_len = b.history_len();
         // The reply covers the history through `history_len`, so the
         // replica-lag gauge for this worker resets.
         b.note_confirmed(worker, history_len);
-        (history_len, CatchUp::read(&b, from, have, metrics))
+        (history_len, CatchUp::read(&mut b, from, have, metrics))
     };
     body.reply(vec![
         ("type", Json::str("synced")),

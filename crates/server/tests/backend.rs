@@ -2,9 +2,13 @@
 //! worker clients, exercising the vote policy, PRI maintenance, estimation,
 //! and settlement.
 
-use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
+use crowdfill_model::{
+    ClientId, Column, ColumnId, DataType, Message, OpError, QuorumMajority, RowId, RowValue,
+    Schema, Template, Value,
+};
 use crowdfill_pay::{Millis, Scheme, WorkerId};
 use crowdfill_server::{Backend, SubmitError, TaskConfig, WorkerClient};
+use crowdfill_sync::Replica;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -510,13 +514,62 @@ fn modify_overwrites_a_cell_through_the_primitive_series() {
 fn raw_worker_inserts_still_rejected_outside_modify() {
     let mut rig = Rig::new(config(1, 10.0), 1);
     // A "bundle" that is just an insert must not slip through.
-    let msg = crowdfill_model::Message::Insert {
-        row: RowId::new(crowdfill_model::ClientId(1), 50),
+    let msg = Message::Insert {
+        row: RowId::new(ClientId(1), 50),
     };
     let err = rig
         .backend
         .submit_modify(WorkerId(1), vec![(msg, false)], Millis(1));
     assert!(matches!(err, Err(SubmitError::WorkersCannotInsert)));
+}
+
+fn history(backend: &Backend) -> Vec<Message> {
+    let log = backend.history_suffix(0);
+    log.into_iter().map(|(_, msg)| msg).collect()
+}
+
+/// §2.2's vote preconditions hold at the server, not only in the client
+/// that prepares a vote: a raw wire client can neither upvote a partial
+/// vector nor downvote the empty one (which every row, present and future,
+/// subsumes), flagged automatic or not — and so the state image, exact
+/// only where Lemma 3 holds, stays exact.
+#[test]
+fn malformed_votes_are_refused_and_the_image_stays_exact() {
+    let mut rig = Rig::new(config(2, 10.0), 2);
+    let row = rig.clients[&WorkerId(1)].replica().table().row_ids().next();
+    let row = rig.fill(1, row.unwrap(), 0, "Messi").unwrap();
+    let partial = rig.backend.master().table().get(row).unwrap().value.clone();
+    let before = rig.backend.history_len();
+    for auto in [false, true] {
+        let up = Message::Upvote {
+            value: partial.clone(),
+        };
+        let refused = rig.backend.submit(WorkerId(2), up, Millis(1), auto);
+        let expected = SubmitError::Op(OpError::RowNotComplete);
+        assert_eq!(refused.unwrap_err(), expected, "auto: {auto}");
+        let down = Message::Downvote {
+            value: RowValue::empty(),
+        };
+        let refused = rig.backend.submit(WorkerId(2), down, Millis(1), auto);
+        let expected = SubmitError::Op(OpError::RowEmpty);
+        assert_eq!(refused.unwrap_err(), expected, "auto: {auto}");
+    }
+    assert_eq!(rig.backend.history_len(), before);
+    for replay in [rig.backend.bootstrap_messages(), history(&rig.backend)] {
+        let mut replica = Replica::new(ClientId(9), schema());
+        replica.replay(&replay);
+        assert!(replica.same_state(rig.backend.master()));
+    }
+}
+
+/// An empty live row bootstraps as the `insert` it is, not as a
+/// self-`replace` of 1.8× the bytes: a fresh collection's image is its
+/// history.
+#[test]
+fn a_fresh_collection_bootstraps_as_its_template_inserts() {
+    let backend = Backend::new(config(400, 10.0));
+    assert_eq!(backend.bootstrap_messages(), history(&backend));
+    assert_eq!(backend.history_len(), 400);
 }
 
 /// Trace archival (§3.3 bookkeeping): the stored trace reloads bit-exact and

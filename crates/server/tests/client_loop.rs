@@ -40,23 +40,22 @@ fn typed(ty: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Ve
     Json::obj(fields).encode().into_bytes()
 }
 
-/// A worker whose connection's far end the test holds. The welcome is
-/// queued ahead of the hello: worker 1, client 1, and a two-message history
-/// (the Central Client's two empty rows).
-fn dial() -> (RemoteWorker, LocalConn) {
+/// The handshake with the welcome queued ahead of the hello: worker 1,
+/// client 1, a two-message history (the Central Client's two empty rows)
+/// and whatever `extra` adds. The test keeps the connection's far end.
+fn dial_with(
+    extra: impl IntoIterator<Item = (&'static str, Json)>,
+) -> (Result<RemoteWorker, RemoteError>, LocalConn) {
     let (near, far) = LocalConn::pair();
     let history = [0, 1].map(|s| wire::message_to_json(&Message::Insert { row: cc_row(s) }));
-    far.send(&typed(
-        "welcome",
-        [
-            ("worker", Json::num(1)),
-            ("client", Json::num(1)),
-            ("history_len", Json::num(2)),
-            ("schema", wire::schema_to_json(&schema())),
-            ("history", Json::Arr(history.to_vec())),
-        ],
-    ))
-    .unwrap();
+    let fields = [
+        ("worker", Json::num(1)),
+        ("client", Json::num(1)),
+        ("schema", wire::schema_to_json(&schema())),
+        ("history", Json::Arr(history.to_vec())),
+    ];
+    far.send(&typed("welcome", fields.into_iter().chain(extra)))
+        .unwrap();
     let mut near = Some(near);
     let dialer: Dialer = Box::new(move |_| {
         let conn = near.take().ok_or(ConnError::Disconnected)?;
@@ -70,7 +69,13 @@ fn dial() -> (RemoteWorker, LocalConn) {
         ack_timeout: Duration::from_millis(200),
         jitter_seed: 0,
     };
-    (RemoteWorker::connect_with(dialer, policy).unwrap(), far)
+    (RemoteWorker::connect_with(dialer, policy), far)
+}
+
+/// A worker welcomed at `history_len` 2.
+fn dial() -> (RemoteWorker, LocalConn) {
+    let (worker, far) = dial_with([("history_len", Json::num(2))]);
+    (worker.unwrap(), far)
 }
 
 /// The requests the client has sent since the last call, decoded.
@@ -246,5 +251,17 @@ fn a_reply_that_is_not_utf8_is_a_protocol_error() {
             Err(RemoteError::Protocol(_)) => {}
             other => panic!("{kind:?}: expected a protocol error, got {other:?}"),
         }
+    }
+}
+
+/// The welcome's `history` is a state image plus a log suffix, so its
+/// length is not a cursor: without `history_len` there is nothing to
+/// resume from, and the handshake fails instead of guessing.
+#[test]
+fn a_welcome_without_history_len_is_a_protocol_error() {
+    match dial_with([]).0 {
+        Err(RemoteError::Protocol(what)) => assert_eq!(what, "missing history_len"),
+        Err(other) => panic!("expected a protocol error, got {other:?}"),
+        Ok(_) => panic!("joined on a welcome with no watermark"),
     }
 }

@@ -10,9 +10,12 @@
 //! points, one `compact_storage` mid-script and one drop-and-recover — and
 //! hashes (FNV-1a over the wire bytes):
 //!
-//! * per worker, everything the backend handed it, in order: the `connect`
-//!   replay, every `poll_seq` batch with its seqs (tagged with the step it
-//!   was polled at) and every resume suffix or reset image;
+//! * per worker, everything the log handed it, in order: every `poll_seq`
+//!   batch with its seqs (tagged with the step it was polled at) and every
+//!   resume suffix;
+//! * per worker, every bootstrap it was handed — the `connect` replay and
+//!   each reset, decoded from [`Backend::bootstrap_text`] as the service
+//!   serves it;
 //! * `session_stats()` — connected, ops, `outbox_depth`, `confirmed_seq`
 //!   of every session — at each checkpoint of the script;
 //! * the journal's payload bytes before the compaction, before the
@@ -21,9 +24,14 @@
 //! The constants were captured with per-session message queues (a cloned
 //! `VecDeque<(u64, Message)>` per connected worker, filled on apply); a
 //! green run means a session that holds nothing but a cursor into the one
-//! op log delivers byte-identical streams at identical moments.
+//! op log delivers byte-identical streams at identical moments. The
+//! bootstraps are hashed apart (`GOLDEN_BOOTSTRAPS`, split off the streams
+//! at `608554e`, where a join replayed the whole history): what a joiner
+//! starts from is a state image plus a log suffix, and changing where the
+//! image is taken moves that constant and no other — that the replica it
+//! builds is the master's is `snapshot_props.rs`'s to show.
 
-use crowdfill_docstore::{FsyncPolicy, Wal};
+use crowdfill_docstore::{FsyncPolicy, Json, Wal};
 use crowdfill_model::{
     Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
@@ -123,6 +131,9 @@ struct Worker {
     /// One poll in `eagerness` is taken when the script offers it.
     eagerness: usize,
     stream: u64,
+    /// Hash of every bootstrap it was handed: the `connect` replay and
+    /// each reset image.
+    bootstraps: u64,
     /// Lowest seq any `poll_seq` handed this worker.
     lowest_polled: u64,
     resyncs: usize,
@@ -134,10 +145,10 @@ impl Worker {
         let client = WorkerClient::new(id, client_id, backend.config().schema.clone(), &replay);
         let mut applied = AppliedSeqs::new();
         applied.note_prefix(backend.history_len());
-        let mut stream = FNV_OFFSET;
+        let mut bootstraps = FNV_OFFSET;
         for msg in &replay {
             let line = format!("connect:{}\n", wire::message_to_json(msg).encode());
-            fnv1a(&mut stream, line.as_bytes());
+            fnv1a(&mut bootstraps, line.as_bytes());
         }
         Worker {
             id,
@@ -145,7 +156,8 @@ impl Worker {
             applied,
             online: true,
             eagerness,
-            stream,
+            stream: FNV_OFFSET,
+            bootstraps,
             lowest_polled: u64::MAX,
             resyncs: 0,
         }
@@ -190,9 +202,11 @@ impl Worker {
         self.online = true;
         let from = self.applied.last_contiguous().map_or(0, |s| s + 1);
         if from < backend.history_base() {
-            for msg in backend.bootstrap_messages() {
-                let line = format!("reset@{at}:{}\n", wire::message_to_json(&msg).encode());
-                fnv1a(&mut self.stream, line.as_bytes());
+            // The `history` array of the reset reply, as served.
+            let image = Json::parse(backend.bootstrap_text()).unwrap();
+            for msg in image.as_arr().unwrap() {
+                let line = format!("reset@{at}:{}\n", msg.encode());
+                fnv1a(&mut self.bootstraps, line.as_bytes());
             }
             self.resync(backend);
             return;
@@ -405,6 +419,8 @@ fn delivery_streams_are_golden() {
 
     let streams: Vec<u64> = workers.iter().map(|w| w.stream).collect();
     assert_eq!(streams, GOLDEN_STREAMS, "per-worker delivery streams");
+    let bootstraps: Vec<u64> = workers.iter().map(|w| w.bootstraps).collect();
+    assert_eq!(bootstraps, GOLDEN_BOOTSTRAPS, "per-worker bootstraps");
     assert_eq!(stats, GOLDEN_STATS, "session stats at the checkpoints");
     assert_eq!(
         [journal_pre_compact, journal_pre_restart, journal_final],
@@ -416,11 +432,19 @@ fn delivery_streams_are_golden() {
 
 /// Per worker (A, B, C, D, E): hash of everything it was handed.
 const GOLDEN_STREAMS: [u64; 5] = [
-    3_662_907_477_594_832_240,
-    17_268_898_961_525_484_516,
-    9_774_184_606_466_529_184,
-    16_829_905_348_291_115_012,
-    8_207_121_381_993_394_216,
+    3_704_703_582_063_131_248,
+    9_018_870_688_957_386_616,
+    10_247_115_537_421_599_904,
+    15_643_802_833_629_882_137,
+    4_263_053_120_604_815_301,
+];
+/// Per worker: hash of its `connect` replay and every reset image.
+const GOLDEN_BOOTSTRAPS: [u64; 5] = [
+    18_413_652_376_785_104_421,
+    11_820_280_976_114_917_748,
+    18_413_652_376_785_104_421,
+    1_057_186_513_456_974_494,
+    9_010_048_742_314_835_568,
 ];
 /// Hash of `session_stats()` over the script's eleven checkpoints.
 const GOLDEN_STATS: u64 = 71_118_562_630_849_152;

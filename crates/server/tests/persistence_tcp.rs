@@ -3,7 +3,7 @@
 //! for cursors below the compaction horizon, and a full service restart
 //! from disk.
 
-use crowdfill_docstore::FsyncPolicy;
+use crowdfill_docstore::{FsyncPolicy, Json};
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_server::persist::{self, DurabilityOptions};
@@ -175,7 +175,7 @@ fn compaction_resets_stale_cursors_over_tcp() {
     let before = resets.get();
     let dave = TcpConn::connect(addr).unwrap();
     dave.send(br#"{"type":"hello"}"#).unwrap();
-    dave.recv().expect("welcome");
+    let welcome = String::from_utf8(dave.recv().expect("welcome")).unwrap();
     dave.send(br#"{"type":"sync","from":0,"have":[]}"#).unwrap();
     let synced = String::from_utf8(dave.recv().expect("synced")).unwrap();
     assert!(synced.contains(r#""type":"synced""#), "{synced}");
@@ -185,6 +185,15 @@ fn compaction_resets_stale_cursors_over_tcp() {
         before + 1,
         "a reset `sync` is a counted reset"
     );
+    // Both frames were spliced together around the backend's bootstrap
+    // text, and no reader can tell: each is, byte for byte, the canonical
+    // encoding of the tree it parses to, and both carry that one array.
+    let bootstrap = service.backend().lock().bootstrap_text().to_owned();
+    for frame in [&welcome, &synced] {
+        let tree = Json::parse(frame).unwrap();
+        assert_eq!(&tree.encode(), frame);
+        assert_eq!(tree.get("history").unwrap().encode(), bootstrap);
+    }
 
     service.stop();
     std::fs::remove_dir_all(&dir).ok();

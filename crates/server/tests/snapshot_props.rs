@@ -3,13 +3,30 @@
 //! `encode_backend_state` / `decode_backend_state`, and the CRC-framed
 //! snapshot file rejects every single-byte corruption rather than ever
 //! surfacing a wrong image.
+//!
+//! And for the image a joiner starts from (§14.3): seeded walks — fills,
+//! votes, undos, modify bundles, template drops, disconnects and resumes,
+//! compactions, a restart — joined every few steps, where each join must
+//! be served `image(S) ++ log[S..)` for an `S` at or above the serving
+//! horizon, as messages and as wire text alike, and land on the master.
 
-use crowdfill_docstore::SnapshotStore;
-use crowdfill_model::{ClientId, ColumnId, RowId, RowValue, Value};
-use crowdfill_server::persist::{decode_backend_state, encode_backend_state};
-use crowdfill_server::{BackendState, SessionState};
+use crowdfill_docstore::{FsyncPolicy, JsonRef, SnapshotStore};
+use crowdfill_model::{
+    ClientId, Column, ColumnId, DataType, Entry, Message, Predicate, QuorumMajority, RowId,
+    RowValue, Schema, Template, TemplateRow, Value,
+};
+use crowdfill_pay::Millis;
+use crowdfill_server::persist::{
+    decode_backend_state, encode_backend_state, open_or_recover, DurabilityOptions,
+};
+use crowdfill_server::{
+    wire, Backend, BackendState, Outgoing, SessionState, SubmitError, TaskConfig, WorkerClient,
+};
+use crowdfill_sync::AppliedSeqs;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// JSON numbers travel as f64: exactness holds below 2^53. Real
 /// watermarks/clocks live far below this; the strategy stays inside it.
@@ -149,4 +166,344 @@ proptest! {
         prop_assert_eq!(store.load_latest().unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+// ---- the bootstrap a joiner is served (DESIGN.md §14.3) ---------------------
+
+/// splitmix64: the walk's only source of choice.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+fn open(config: &TaskConfig, dir: &Path) -> Backend {
+    let opts = DurabilityOptions {
+        // Nothing is killed here; skip the fsyncs.
+        fsync: FsyncPolicy::OsOnly,
+        ..DurabilityOptions::default()
+    };
+    open_or_recover(config.clone(), dir, &opts).unwrap()
+}
+
+/// A backend, and its state image at every seq its bootstrap was read at
+/// — the only seqs the bootstrap's own image can have been taken at.
+struct Host {
+    backend: Backend,
+    images: BTreeMap<u64, Vec<Message>>,
+}
+
+impl Host {
+    fn note_image(&mut self) {
+        let image = self.backend.bootstrap_messages();
+        self.images.insert(self.backend.history_len(), image);
+    }
+
+    /// The `"history"` array of a `welcome` or a reset as the service
+    /// splices it together, decoded the way the client does.
+    fn served(&mut self) -> Vec<Message> {
+        self.note_image();
+        let history = JsonRef::parse(self.backend.bootstrap_text()).unwrap();
+        let history = history.as_arr().unwrap().iter();
+        history
+            .map(|m| wire::message_from_json(m).unwrap())
+            .collect()
+    }
+}
+
+/// A worker with the production client's seq-dedup and reset discipline.
+struct Peer {
+    id: crowdfill_pay::WorkerId,
+    client: WorkerClient,
+    applied: AppliedSeqs,
+    online: bool,
+    /// The seq the image its join was served had been taken at.
+    image_at: u64,
+}
+
+impl Peer {
+    /// Joins, and checks what the join was served: `image(S) ++ log[S..)`
+    /// for a seq `S` of an earlier read, never below the serving horizon;
+    /// the same as wire text; and the master's state once replayed.
+    fn join(host: &mut Host, at: u64) -> Peer {
+        host.note_image();
+        let (id, client_id, replay) = host.backend.connect(Millis(at));
+        assert_eq!(host.served(), replay, "welcome text at step {at}");
+        let backend = &host.backend;
+        let horizon = backend.history_base();
+        let taken_at = host.images.range(horizon..).find(|(seq, image)| {
+            let suffix = backend.history_suffix(**seq);
+            let suffix = suffix.iter().map(|(_, msg)| msg);
+            replay.len() == image.len() + suffix.len()
+                && replay.iter().eq(image.iter().chain(suffix))
+        });
+        assert!(
+            taken_at.is_some(),
+            "step {at}: the replay is not an image at or above seq {horizon} plus the log since"
+        );
+        let image_at = *taken_at.unwrap().0;
+        let client = WorkerClient::new(id, client_id, backend.config().schema.clone(), &replay);
+        assert!(
+            client.replica().same_state(backend.master()),
+            "step {at}: a joiner does not start from the master's state"
+        );
+        let mut applied = AppliedSeqs::new();
+        applied.note_prefix(backend.history_len());
+        Peer {
+            id,
+            client,
+            applied,
+            online: true,
+            image_at,
+        }
+    }
+
+    fn take(&mut self, delivered: Vec<(u64, Message)>) {
+        for (seq, msg) in delivered {
+            if self.applied.note(seq) {
+                self.client.absorb(&msg);
+            }
+        }
+    }
+
+    /// Everything the backend still owes this peer; afterwards it must
+    /// hold the master's state.
+    fn catch_up(&mut self, backend: &mut Backend, when: &str) {
+        self.take(backend.poll_seq(self.id));
+        assert!(
+            self.client.replica().same_state(backend.master()),
+            "worker {} diverged {when}",
+            self.id.0
+        );
+    }
+
+    /// A reset as the service serves it: rebuild from the bootstrap.
+    fn reset(&mut self, host: &mut Host) {
+        self.client.rebuild(&host.served());
+        self.applied.reset_to_prefix(host.backend.history_len());
+    }
+
+    /// The resume handshake: the missing suffix, or a reset below the
+    /// serving horizon.
+    fn resume(&mut self, host: &mut Host, at: u64) {
+        host.backend
+            .resume(self.id, Millis(at))
+            .expect("known worker");
+        self.online = true;
+        let from = self.applied.last_contiguous().map_or(0, |s| s + 1);
+        if from < host.backend.history_base() {
+            self.reset(host);
+        } else {
+            self.take(host.backend.history_suffix(from));
+        }
+    }
+
+    /// Sends one bundle; a rejection resets the client to the truth.
+    fn send(&mut self, host: &mut Host, at: u64, bundle: Vec<Outgoing>, modify: bool) {
+        let backend = &mut host.backend;
+        let seqs: Result<Vec<u64>, SubmitError> = if modify {
+            let pairs = bundle.iter().map(|o| (o.msg.clone(), o.auto_upvote));
+            let report = backend.submit_modify(self.id, pairs.collect(), Millis(at));
+            report.map(|r| r.seqs)
+        } else {
+            bundle.iter().try_fold(Vec::new(), |mut seqs, o| {
+                let report = backend.submit(self.id, o.msg.clone(), Millis(at), o.auto_upvote)?;
+                seqs.extend(report.seqs);
+                Ok(seqs)
+            })
+        };
+        match seqs {
+            Ok(seqs) => seqs.into_iter().for_each(|seq| {
+                self.applied.note(seq);
+            }),
+            Err(_) => {
+                for out in &bundle {
+                    self.client.retract_own_vote_record(&out.msg);
+                }
+                self.reset(host);
+            }
+        }
+    }
+}
+
+/// One step of the walk: a seeded worker maybe catches up, then fills,
+/// votes, retracts a vote, modifies or idles on a seeded row of its own
+/// replica.
+fn step(rng: &mut Rng, host: &mut Host, workers: &mut [Peer], at: u64) {
+    let w = &mut workers[rng.below(workers.len())];
+    let (poll, roll, row_pick, pick) = (
+        rng.below(3) != 0,
+        rng.below(20),
+        rng.next() as usize,
+        rng.below(64),
+    );
+    if !w.online {
+        return;
+    }
+    if poll {
+        w.take(host.backend.poll_seq(w.id));
+    }
+    let table = w.client.replica().table();
+    let ids: Vec<RowId> = table.row_ids().collect();
+    let row = ids[row_pick % ids.len()];
+    let value = table.get(row).expect("listed row").value.clone();
+    let schema = Arc::clone(w.client.replica().schema());
+    // Keys from a pool of 6, the rest from 8 values that straddle the
+    // second script's predicates.
+    let cell = |col: ColumnId| match schema.column(col).unwrap().data_type() {
+        DataType::Int => Value::int([0, 3, 7, 12, 20, 30, 4, 11][pick % 8]),
+        _ if col == ColumnId(0) => Value::text(format!("p{}", pick % 6)),
+        _ => Value::text(format!("v{}", pick % 3)),
+    };
+    let outs = match roll {
+        0..=10 => {
+            let empties: Vec<ColumnId> = value.empty_columns(&schema).collect();
+            let Some(col) = empties.get(pick % empties.len().max(1)) else {
+                return;
+            };
+            w.client.fill(row, *col, cell(*col))
+        }
+        11..=13 => w.client.upvote(row).map(|o| vec![o]),
+        14 | 15 => w.client.downvote(row).map(|o| vec![o]),
+        16 => w.client.undo_upvote(row).map(|o| vec![o]),
+        17 => w.client.undo_downvote(row).map(|o| vec![o]),
+        18 => {
+            let filled: Vec<ColumnId> = value.iter().map(|(c, _)| c).collect();
+            let Some(col) = filled.get(pick % filled.len().max(1)) else {
+                return;
+            };
+            w.client.modify(row, *col, cell(*col))
+        }
+        _ => return,
+    };
+    if let Ok(outs) = outs {
+        w.send(host, at, outs, roll == 18);
+    }
+}
+
+/// Walks `config`'s collection for 400 steps with a join every 10: W1
+/// loses its connection and resumes by suffix, W2 sits the first
+/// compaction out and resumes by reset, the process restarts at 220 and
+/// compacts again at 300. Every joiner stays connected, unpolled, until
+/// the restart or the end, then takes what it is owed in one poll.
+/// Returns how many template rows the Central Client dropped.
+fn walk(name: &str, config: TaskConfig, seed: u64) -> usize {
+    let dir = tmp_dir(name);
+    let mut rng = Rng(seed);
+    let mut host = Host {
+        backend: open(&config, &dir),
+        images: BTreeMap::new(),
+    };
+    let mut workers: Vec<Peer> = (0..4).map(|_| Peer::join(&mut host, 0)).collect();
+    let mut joiners: Vec<Peer> = Vec::new();
+    // Joins whose image predates them, and where those images were taken.
+    let (mut behind, mut image_seqs) = (0, BTreeSet::new());
+    for at in 1..=400 {
+        step(&mut rng, &mut host, &mut workers, at);
+        match at {
+            100 | 140 => {
+                let w = &mut workers[if at == 100 { 1 } else { 2 }];
+                host.backend.disconnect(w.id);
+                w.online = false;
+            }
+            150 | 300 => {
+                let base = host.backend.compact_storage().unwrap();
+                assert_eq!(host.backend.history_base(), base);
+            }
+            180 => workers[1].resume(&mut host, at),
+            200 => {
+                let horizon = host.backend.history_base();
+                assert!(workers[2].applied.last_contiguous().unwrap() < horizon);
+                workers[2].resume(&mut host, at);
+            }
+            220 => {
+                for joiner in &mut joiners {
+                    joiner.catch_up(&mut host.backend, "before the restart");
+                }
+                joiners.clear();
+                let master = host.backend.bootstrap_messages();
+                let images = std::mem::take(&mut host.images);
+                drop(host);
+                let backend = open(&config, &dir);
+                host = Host { backend, images };
+                assert_eq!(host.backend.bootstrap_messages(), master);
+                for w in &mut workers {
+                    w.resume(&mut host, at);
+                }
+            }
+            _ => {}
+        }
+        if at % 10 == 0 {
+            let joiner = Peer::join(&mut host, at);
+            behind += usize::from(joiner.image_at < host.backend.history_len());
+            image_seqs.insert(joiner.image_at);
+            joiners.push(joiner);
+        }
+    }
+    assert!(behind >= 20, "{behind} joins were served a log suffix");
+    assert!(image_seqs.len() >= 4, "images taken at {image_seqs:?}");
+    let mut backend = host.backend;
+    for peer in workers.iter_mut().chain(&mut joiners) {
+        peer.catch_up(&mut backend, "at the end");
+    }
+    let dropped = backend.central_client().dropped_template_rows().len();
+    drop(backend);
+    std::fs::remove_dir_all(&dir).ok();
+    dropped
+}
+
+fn text_columns(names: &[&str]) -> Vec<Column> {
+    let column = |name: &&str| Column::new(*name, DataType::Text);
+    names.iter().map(column).collect()
+}
+
+#[test]
+fn every_join_of_a_cardinality_walk_is_an_image_plus_a_suffix() {
+    let schema = Schema::new("T", text_columns(&["a", "b", "c"]), &["a"]).unwrap();
+    let scoring = Arc::new(QuorumMajority::of_three());
+    let config = TaskConfig::new(Arc::new(schema), scoring, Template::cardinality(8), 10.0);
+    walk("cardinality", config, 0x5EED_B007);
+}
+
+/// `pri_history_golden.rs`'s values-and-predicates template: rows the
+/// walk's downvotes get dropped from it, and the image must carry on.
+#[test]
+fn every_join_of_a_template_drop_walk_is_an_image_plus_a_suffix() {
+    let columns = vec![
+        Column::new("name", DataType::Text),
+        Column::new("goals", DataType::Int),
+    ];
+    let schema = Arc::new(Schema::new("Player", columns, &["name"]).unwrap());
+    let (name, goals) = (ColumnId(0), ColumnId(1));
+    let at_least = |n| Entry::Pred(Predicate::Ge(Value::int(n)));
+    let named = |n: &str| TemplateRow::from_values([(name, Value::text(n))]);
+    let template = Template::from_rows(vec![
+        TemplateRow::from_entries([(goals, at_least(10))]),
+        named("p0"),
+        named("p1"),
+        TemplateRow::from_entries([(goals, Entry::Pred(Predicate::Lt(Value::int(5))))]),
+        TemplateRow::empty(),
+        named("p2"),
+        TemplateRow::from_entries([
+            (name, Entry::Value(Value::text("p3"))),
+            (goals, at_least(10)),
+        ]),
+        TemplateRow::empty(),
+        named("p4"),
+        TemplateRow::from_entries([(goals, at_least(10))]),
+    ]);
+    let scoring = Arc::new(QuorumMajority::of_three());
+    let config = TaskConfig::new(schema, scoring, template, 10.0);
+    let dropped = walk("template-drops", config, 0x5EED_D209);
+    assert!(dropped > 0, "the walk was to drop template rows");
 }

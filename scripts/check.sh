@@ -25,6 +25,12 @@ if grep -rn '"tdrops"' crates/server/src | grep -v '^crates/server/src/persist.r
   echo "check.sh: journal record built or parsed outside persist.rs; use its codec" >&2
   exit 1
 fi
+# The state image has one builder and one cache, both in the backend; the
+# transport asks the cache (DESIGN.md §14.3), it never builds an image.
+if grep -rn "bootstrap_messages()" crates/server/src | grep -v '^crates/server/src/backend.rs'; then
+  echo "check.sh: state image built outside backend.rs; read Backend::bootstrap_text" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
