@@ -420,9 +420,8 @@ fn connscale_suite(quick: bool) -> Vec<Entry> {
     headline.name = "reactor-1kx16";
     run(&headline);
 
-    // The small shape: the plan the checked-in `threadper-128x4` row
-    // (the historical thread-per-connection A/B, see EXPERIMENTS.md) was
-    // measured on.
+    // The small shape: the plan the historical thread-per-connection A/B
+    // (EXPERIMENTS.md §A5) was measured on.
     let mut small = ConnScaleOptions::smoke(223, 4, 128);
     small.name = "reactor-128x4";
     small.connect_window_ms = 500;

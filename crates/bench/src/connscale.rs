@@ -1,48 +1,54 @@
-//! Connection-scale harness: thousands of lean wire-level sessions across
-//! many collections.
+//! Connection-scale harness: thousands of wire sessions across many
+//! collections, a handful of threads.
 //!
-//! The overload harness ([`crate::overload`]) drives full [`RemoteWorker`]
-//! clients — a replica, a reconnect policy, and a reader thread per worker —
-//! which tops out around a few hundred concurrent connections per process.
-//! This harness asks the opposite question: how many *connections* can one
-//! service carry? It keeps each session to the bare wire minimum (one
-//! nonblocking socket, a [`FrameReader`]/[`FrameWriter`] pair, and a few
-//! counters) and sweeps them from a small pool of driver threads. 10k
-//! sessions cost 10k sockets and ~10 threads on both ends combined.
+//! The overload harness ([`crate::overload`]) asks how a service behaves
+//! past its capacity; this one asks how many *connections* it can carry. A
+//! session here is what a [`RemoteWorker`] is — a [`ClientCore`], so a real
+//! replica that absorbs every broadcast of its collection, and the same
+//! requests built by the same code — minus the blocking: one nonblocking
+//! socket and a [`FrameReader`]/[`FrameWriter`] pair, thousands of them per
+//! driver thread under one [`Poller`]. A driver sleeps until a socket is
+//! ready or the nearest scheduled connect, fill or retry is due, and
+//! touches only the sessions that woke it. 10k sessions cost 10k sockets
+//! and ~10 threads on both ends combined.
 //!
 //! Each session follows the deterministic [`conn_scale`] open-loop plan:
-//! connect at its scheduled offset, `hello` into its collection, then submit
-//! `fills_per_worker` anchor fills — hand-minted `replace` messages that
-//! claim a template row unique to the (session, fill) pair, so the server's
-//! stale-fill policy never rejects two drivers racing for one row — with at
-//! most one op in flight per connection. Broadcast frames are drained and
-//! discarded; `overloaded` hints are honored with the server's own
-//! `retry_after_ms`.
+//! connect at its scheduled offset, `hello` into its collection, then fill
+//! the anchor of `fills_per_worker` template rows that are its alone (so
+//! the server's stale-fill policy never rejects two sessions racing for one
+//! row), one request in flight at a time. An `overloaded` reply is retried
+//! after the core's jittered backoff of the server's hint. When its fills
+//! are acked a session stays, as a worker would, and keeps absorbing; once
+//! every session is through, each syncs one last time and says `bye`, so
+//! at quiescence every replica must equal its collection's master.
 //!
 //! The report carries the scale headline (peak concurrent connections, acked
-//! ops, ack p50/p99) plus the two gate invariants:
+//! ops, ack p50/p99) plus the gate invariants:
 //!
 //! * **zero acked-op loss** — every `ack` the drivers recorded corresponds
-//!   to a replace in the server's durable history
+//!   to a row in the collection's master table
 //!   ([`verify_zero_acked_loss`] / [`verify_zero_acked_loss_remote`]);
+//! * **convergence** — no session's replica differs from the master
+//!   ([`ConnScaleReport::diverged_replicas`]);
 //! * **fairness** — per-collection ack latency must stay within a bounded
 //!   spread of the best-served collection ([`ConnScaleReport::fairness_spread`]).
 //!
 //! [`RemoteWorker`]: crowdfill_server::RemoteWorker
 //! [`conn_scale`]: crowdfill_sim::openloop::conn_scale
 
-use crowdfill_docstore::Json;
 use crowdfill_model::{
-    ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
-    Template, Value,
+    ClientId, Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value,
 };
 use crowdfill_net::nonblocking::{FrameReader, FrameWriter};
-use crowdfill_net::ConnError;
-use crowdfill_server::wire;
-use crowdfill_server::{Backend, ServiceOptions, TaskConfig, TcpService};
+use crowdfill_net::{ConnError, Interest, Poller};
+use crowdfill_server::client_core::{Event, Pending};
+use crowdfill_server::{
+    Backend, ClientCore, ReconnectPolicy, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+};
 use crowdfill_sim::openloop::{conn_scale, SessionPlan};
-use std::collections::HashSet;
-use std::io::{Read, Write};
+use crowdfill_sync::Replica;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,7 +88,7 @@ pub struct ConnScaleOptions {
     /// Hard wall-clock cap on the whole run; sessions still unfinished
     /// when it expires are counted in `timed_out_sessions`.
     pub deadline: Duration,
-    /// Driver threads sweeping the sessions.
+    /// Driver threads, each with one poller over its share of the sessions.
     pub driver_threads: usize,
     /// In-process service or external address.
     pub mode: ConnScaleMode,
@@ -148,6 +154,9 @@ pub struct ConnScaleReport {
     pub timed_out_sessions: usize,
     /// High-water mark of concurrently-open driver connections.
     pub peak_concurrent: usize,
+    /// Sessions whose replica, at quiescence, is not its collection's
+    /// master (a session that never got a replica counts).
+    pub diverged_replicas: usize,
     pub elapsed: Duration,
     pub ack_p50_ns: u64,
     pub ack_p99_ns: u64,
@@ -176,7 +185,8 @@ impl ConnScaleReport {
     }
 
     /// The run-level invariants every gate asserts: every scheduled fill
-    /// acked, no sessions lost or timed out, fairness spread bounded.
+    /// acked, no sessions lost or timed out, every replica converged,
+    /// fairness spread bounded.
     pub fn check_invariants(&self, max_spread: f64) -> Result<(), String> {
         if self.conn_failures != 0 {
             return Err(format!(
@@ -205,6 +215,12 @@ impl ConnScaleReport {
                 self.name, self.seed, self.rejected
             ));
         }
+        if self.diverged_replicas != 0 {
+            return Err(format!(
+                "{}/seed={}: {} replicas differ from their collection's master",
+                self.name, self.seed, self.diverged_replicas
+            ));
+        }
         let spread = self.fairness_spread();
         if spread > max_spread {
             return Err(format!(
@@ -216,15 +232,10 @@ impl ConnScaleReport {
     }
 
     /// [`check_invariants`](Self::check_invariants), panicking on violation
-    /// with the flight record dumped first (same discipline as the overload
-    /// harness).
+    /// with the flight record dumped first.
     pub fn assert_invariants(&self, max_spread: f64) {
         if let Err(msg) = self.check_invariants(max_spread) {
-            let label = format!("connscale-{}-seed{}", self.name, self.seed);
-            match crowdfill_obs::trace::dump_flight_record(&label) {
-                Some(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
-                None => panic!("{msg}"),
-            }
+            fail(self, &msg);
         }
     }
 }
@@ -275,337 +286,290 @@ pub fn collection_backends(
         .collect()
 }
 
-// ---- The lean session state machine ---------------------------------------
+// ---- The session: a `ClientCore` and a nonblocking socket ------------------
 
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Before the scheduled connect time.
+    #[default]
     Waiting,
-    /// Hello enqueued; waiting for the welcome.
+    /// Hello sent; the next frame is the welcome.
     HelloSent,
     /// Submitting fills.
     Active,
-    /// Bye enqueued; draining the writer, then closed.
+    /// Own fills acked; absorbing the others' until the collection is done.
+    Idle,
+    /// The last sync is out; `bye` follows its reply.
+    Settling,
+    /// Bye enqueued; closed once the writer drains.
     Closing,
     Done,
     Failed,
     TimedOut,
 }
 
+#[derive(Default)]
 struct Sess {
     plan: SessionPlan,
     stream: Option<TcpStream>,
     reader: FrameReader,
     writer: FrameWriter,
+    /// Registered for writability too: the last flush left bytes queued.
+    want_write: bool,
+    core: Option<ClientCore>,
     phase: Phase,
-    /// Client id from the welcome.
-    client: u32,
-    /// The first `rows_per_collection` template rows, in history order —
-    /// identical for every session of a collection regardless of connect
-    /// time, since later history only appends.
-    targets: Vec<RowId>,
     next_fill: usize,
+    /// The request awaiting the server's verdict, and when it went out.
+    inflight: Option<(Pending, Instant)>,
+    /// A request turned away under load, resent when its timer fires.
+    parked: Option<Pending>,
+    overload_tries: u32,
     /// Failed connect attempts so far (the accept backlog can push back
     /// during a connect storm; retry with a growing delay before giving up).
     connect_retries: u32,
-    /// Retry time for the next connect attempt, if the last one failed.
-    next_connect_at_ms: Option<u64>,
-    inflight_since: Option<Instant>,
-    /// Earliest instant the next submit may go out (overload backoff).
-    retry_at: Option<Instant>,
     acks_ns: Vec<u64>,
     rejects: usize,
     backoffs: usize,
 }
 
-impl Sess {
-    fn new(plan: SessionPlan) -> Sess {
-        Sess {
-            plan,
-            stream: None,
-            reader: FrameReader::new(),
-            writer: FrameWriter::new(),
-            phase: Phase::Waiting,
-            client: 0,
-            targets: Vec::new(),
-            next_fill: 0,
-            connect_retries: 0,
-            next_connect_at_ms: None,
-            inflight_since: None,
-            retry_at: None,
-            acks_ns: Vec::new(),
-            rejects: 0,
-            backoffs: 0,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        matches!(self.phase, Phase::Done | Phase::Failed | Phase::TimedOut)
-    }
-}
-
-fn hello_frame(collection: &str) -> Json {
-    Json::obj([
-        ("type", Json::str("hello")),
-        ("collection", Json::str(collection)),
-    ])
-}
-
-/// A hand-minted anchor fill: claim template row `old`, producing a row
-/// owned by this session's client with a globally-unique anchor text.
-fn fill_frame(old: RowId, client: u32, fill_seq: u64, worker: usize) -> Json {
-    let msg = Message::Replace {
-        old,
-        new: RowId::new(ClientId(client), fill_seq),
-        value: RowValue::from_pairs([(ColumnId(0), Value::text(format!("w{worker}-f{fill_seq}")))]),
-    };
-    Json::obj([
-        ("type", Json::str("submit")),
-        ("auto", Json::Bool(false)),
-        ("msg", wire::message_to_json(&msg)),
-    ])
-}
-
-/// Pulls the session's fill targets out of the welcome: the first
-/// `rows` template inserts of the collection's history, then this
-/// session's slice of them.
-fn targets_from_welcome(
-    welcome: &Json,
-    rows: usize,
-    in_lane_index: usize,
-    fills: usize,
-) -> Option<Vec<RowId>> {
-    let history = welcome.get("history")?.as_arr()?;
-    let mut inserts = Vec::with_capacity(rows);
-    for msg in history {
-        if msg.get("kind").and_then(Json::as_str) == Some("insert") {
-            inserts.push(wire::row_id_from_json(msg.get("row")?).ok()?);
-            if inserts.len() == rows {
-                break;
-            }
-        }
-    }
-    let base = in_lane_index * fills;
-    if base + fills > inserts.len() {
-        return None;
-    }
-    Some(inserts[base..base + fills].to_vec())
-}
-
-struct DriverTally {
-    conn_failures: usize,
-    timed_out: usize,
-}
-
-/// Sweeps one driver thread's sessions to completion (or the deadline).
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    sessions: &mut [Sess],
+/// One driver thread's side of the run: what a session's step needs
+/// besides the session.
+struct Driver<'a> {
+    opts: &'a ConnScaleOptions,
     addr: SocketAddr,
-    opts: &ConnScaleOptions,
     start: Instant,
-    active: &AtomicUsize,
-    peak: &AtomicUsize,
-) -> DriverTally {
-    let rows = rows_per_collection(opts.collections, opts.workers, opts.fills_per_worker);
-    let mut tally = DriverTally {
-        conn_failures: 0,
-        timed_out: 0,
-    };
-    loop {
-        let now = Instant::now();
-        let now_ms = now.duration_since(start).as_millis() as u64;
-        let mut progress = false;
-        let mut unfinished = 0usize;
-        for s in sessions.iter_mut() {
-            if s.finished() {
-                continue;
-            }
-            unfinished += 1;
-            if matches!(s.phase, Phase::Waiting) {
-                let due = s.next_connect_at_ms.unwrap_or(s.plan.connect_at_ms);
-                if now_ms < due {
-                    continue;
-                }
-                match TcpStream::connect(addr) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_nonblocking(true);
-                        s.stream = Some(stream);
-                        let hello = hello_frame(&collection_name(s.plan.collection));
-                        let _ = s.writer.enqueue(hello.encode().as_bytes());
-                        s.phase = Phase::HelloSent;
-                        let live = active.fetch_add(1, Ordering::AcqRel) + 1;
-                        peak.fetch_max(live, Ordering::AcqRel);
-                        progress = true;
-                    }
-                    Err(_) => {
-                        s.connect_retries += 1;
-                        if s.connect_retries > 50 {
-                            s.phase = Phase::Failed;
-                            tally.conn_failures += 1;
-                        } else {
-                            s.next_connect_at_ms = Some(now_ms + 5 * u64::from(s.connect_retries));
-                        }
-                        continue;
-                    }
-                }
-            }
-            let fail = |s: &mut Sess, active: &AtomicUsize, tally: &mut DriverTally| {
-                s.stream = None;
-                s.phase = Phase::Failed;
-                active.fetch_sub(1, Ordering::AcqRel);
-                tally.conn_failures += 1;
+    /// Open connections now, over all drivers, and their high-water mark.
+    live: &'a AtomicUsize,
+    peak: &'a AtomicUsize,
+    poller: Poller,
+    /// `(due, session)`: scheduled connects, fills and retries.
+    timers: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// Sessions of this driver that still owe fills; at zero its
+    /// collections are quiescent and everyone syncs one last time.
+    filling: usize,
+    unfinished: usize,
+}
+
+impl Sess {
+    /// Leaves the run in `phase` (`Done`, `Failed` or `TimedOut`), closing
+    /// the connection if one is open.
+    fn finish(&mut self, phase: Phase, d: &mut Driver<'_>) {
+        if let Some(stream) = self.stream.take() {
+            let _ = d.poller.deregister(&stream);
+            d.live.fetch_sub(1, Ordering::AcqRel);
+        }
+        if matches!(
+            self.phase,
+            Phase::Waiting | Phase::HelloSent | Phase::Active
+        ) {
+            d.filling -= 1;
+        }
+        d.unfinished -= 1;
+        self.phase = phase;
+    }
+
+    /// Queues `frame` (if any) and writes what the socket takes; the rest
+    /// goes when it turns writable. A `bye` that has left ends the session.
+    fn send(&mut self, i: usize, frame: Option<&str>, d: &mut Driver<'_>) {
+        let Some(stream) = self.stream.as_mut() else {
+            return;
+        };
+        let queued = frame.map_or(Ok(()), |f| self.writer.enqueue(f.as_bytes()));
+        if queued.and_then(|()| self.writer.flush(stream)).is_err() {
+            return self.finish(Phase::Failed, d);
+        }
+        if self.want_write == self.writer.is_empty() {
+            self.want_write = !self.want_write;
+            let interest = Interest {
+                read: true,
+                write: self.want_write,
             };
-            // Flush pending writes.
-            {
-                let stream = s.stream.as_mut().expect("open session has a stream");
-                match s.writer.flush(stream) {
-                    Ok(n) => progress |= n > 0,
-                    Err(_) => {
-                        fail(s, active, &mut tally);
-                        continue;
-                    }
-                }
-            }
-            if matches!(s.phase, Phase::Closing) {
-                if s.writer.is_empty() {
-                    s.stream = None;
-                    s.phase = Phase::Done;
-                    active.fetch_sub(1, Ordering::AcqRel);
-                    progress = true;
-                }
-                continue;
-            }
-            // Drain inbound frames.
-            {
-                let stream = s.stream.as_mut().expect("open session has a stream");
-                match s.reader.fill_from(stream, 256 * 1024) {
-                    Ok(0) => {
-                        // Peer closed while we still had work: a lost session.
-                        fail(s, active, &mut tally);
-                        continue;
-                    }
-                    Ok(n) => progress |= n > 0,
-                    Err(ConnError::Empty) => {}
-                    Err(_) => {
-                        fail(s, active, &mut tally);
-                        continue;
-                    }
-                }
-            }
-            let mut dead = false;
-            while let Some(frame) = s.reader.pop().unwrap_or_else(|_| {
-                dead = true;
-                None
-            }) {
-                progress = true;
-                let Ok(json) = Json::parse(&String::from_utf8_lossy(&frame)) else {
-                    dead = true;
-                    break;
-                };
-                match json.get("type").and_then(Json::as_str) {
-                    Some("welcome") => {
-                        let client = json.get("client").and_then(Json::as_i64).unwrap_or(-1);
-                        let in_lane = s.plan.worker / opts.collections.max(1);
-                        let targets =
-                            targets_from_welcome(&json, rows, in_lane, opts.fills_per_worker);
-                        match (client, targets) {
-                            (c, Some(t)) if c >= 0 => {
-                                s.client = c as u32;
-                                s.targets = t;
-                                s.phase = Phase::Active;
-                            }
-                            _ => dead = true,
-                        }
-                    }
-                    Some("ack") => {
-                        if let Some(at) = s.inflight_since.take() {
-                            s.acks_ns.push(at.elapsed().as_nanos() as u64);
-                        }
-                        s.next_fill += 1;
-                    }
-                    Some("overloaded") => {
-                        let hint = json
-                            .get("retry_after_ms")
-                            .and_then(Json::as_i64)
-                            .unwrap_or(5)
-                            .max(1) as u64;
-                        s.inflight_since = None;
-                        s.retry_at = Some(Instant::now() + Duration::from_millis(hint));
-                        s.backoffs += 1;
-                    }
-                    Some("reject") => {
-                        s.inflight_since = None;
-                        s.rejects += 1;
-                        s.next_fill += 1;
-                    }
-                    // Broadcasts, lagging notes, sync replies: irrelevant
-                    // to the driver's ledger.
-                    _ => {}
-                }
-                if dead {
-                    break;
-                }
-            }
-            if dead {
-                fail(s, active, &mut tally);
-                continue;
-            }
-            // Submit the next fill once its scheduled time arrives.
-            if matches!(s.phase, Phase::Active) && s.inflight_since.is_none() {
-                if s.next_fill >= s.plan.fill_at_ms.len() {
-                    let _ = s
-                        .writer
-                        .enqueue(Json::obj([("type", Json::str("bye"))]).encode().as_bytes());
-                    s.phase = Phase::Closing;
-                    progress = true;
-                } else if now_ms >= s.plan.fill_at_ms[s.next_fill]
-                    && s.retry_at.is_none_or(|at| now >= at)
-                {
-                    s.retry_at = None;
-                    let frame = fill_frame(
-                        s.targets[s.next_fill],
-                        s.client,
-                        s.next_fill as u64,
-                        s.plan.worker,
-                    );
-                    if s.writer.enqueue(frame.encode().as_bytes()).is_err() {
-                        fail(s, active, &mut tally);
-                        continue;
-                    }
-                    s.inflight_since = Some(Instant::now());
-                    // Flush now, not at the top of this session's next
-                    // turn: the ack clock is running and must not time a
-                    // pass over every other session this thread drives.
-                    let stream = s.stream.as_mut().expect("open session has a stream");
-                    if s.writer.flush(stream).is_err() {
-                        fail(s, active, &mut tally);
-                        continue;
-                    }
-                    progress = true;
-                }
-            }
+            let _ = d.poller.rearm(stream, i as u64, interest);
         }
-        if unfinished == 0 {
-            break;
-        }
-        if start.elapsed() > opts.deadline {
-            for s in sessions.iter_mut() {
-                if !s.finished() {
-                    if s.stream.take().is_some() {
-                        active.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    s.phase = Phase::TimedOut;
-                    tally.timed_out += 1;
-                }
-            }
-            break;
-        }
-        if !progress {
-            thread::sleep(Duration::from_micros(300));
+        if self.phase == Phase::Closing && !self.want_write {
+            self.finish(Phase::Done, d);
         }
     }
-    tally
+
+    fn connect(&mut self, i: usize, d: &mut Driver<'_>) {
+        let registered = TcpStream::connect(d.addr).and_then(|stream| {
+            stream.set_nodelay(true)?;
+            stream.set_nonblocking(true)?;
+            d.poller.register(&stream, i as u64, Interest::READ)?;
+            Ok(stream)
+        });
+        match registered {
+            Ok(stream) => {
+                self.stream = Some(stream);
+                let live = d.live.fetch_add(1, Ordering::AcqRel) + 1;
+                d.peak.fetch_max(live, Ordering::AcqRel);
+                self.phase = Phase::HelloSent;
+                let collection = collection_name(self.plan.collection);
+                self.send(i, Some(&ClientCore::hello_frame(Some(&collection))), d);
+            }
+            Err(_) if self.connect_retries < 50 => {
+                self.connect_retries += 1;
+                let retry = Duration::from_millis(5 * u64::from(self.connect_retries));
+                d.timers.push(Reverse((Instant::now() + retry, i)));
+            }
+            Err(_) => self.finish(Phase::Failed, d),
+        }
+    }
+
+    /// The socket is ready: write what is queued, read what has arrived.
+    fn on_ready(&mut self, i: usize, d: &mut Driver<'_>) {
+        self.send(i, None, d);
+        while let Some(stream) = self.stream.as_mut() {
+            let frame = match self.reader.pop() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => match self.reader.fill_from(stream, 256 * 1024) {
+                    Ok(n) if n > 0 => continue,
+                    Err(ConnError::Empty) => return,
+                    // The peer closed while we still had work: a lost session.
+                    _ => return self.finish(Phase::Failed, d),
+                },
+                Err(_) => return self.finish(Phase::Failed, d),
+            };
+            if self.on_frame(i, &frame, d).is_none() {
+                return self.finish(Phase::Failed, d);
+            }
+        }
+    }
+
+    /// One frame from the server; `None` if the session cannot go on.
+    fn on_frame(&mut self, i: usize, frame: &[u8], d: &mut Driver<'_>) -> Option<()> {
+        if self.phase == Phase::HelloSent {
+            // Every session its own jitter stream, or a turned-away crowd
+            // would come back in lockstep.
+            let policy = ReconnectPolicy {
+                jitter_seed: d.opts.seed ^ self.plan.worker as u64,
+                ..ReconnectPolicy::default()
+            };
+            let collection = collection_name(self.plan.collection);
+            self.core = ClientCore::welcomed(frame, Some(collection), Some(&policy)).ok();
+            self.core.as_ref()?;
+            self.phase = Phase::Active;
+            return self.pump(i, d);
+        }
+        let core = self.core.as_mut()?;
+        match core.handle(frame).ok()? {
+            Event::Ack(_) => {
+                let (_, sent) = self.inflight.take()?;
+                self.acks_ns.push(sent.elapsed().as_nanos() as u64);
+                self.next_fill += 1;
+                self.overload_tries = 0;
+                self.pump(i, d)?;
+            }
+            Event::Overloaded { retry_after_ms } => {
+                let wait = core.overload_backoff(retry_after_ms, self.overload_tries);
+                self.parked = Some(self.inflight.take()?.0);
+                self.overload_tries += 1;
+                self.backoffs += 1;
+                d.timers.push(Reverse((Instant::now() + wait, i)));
+            }
+            // A reject fails the run (`check_invariants`: the harness fills
+            // rows nobody else touches), so no roll-back is attempted.
+            Event::Rejected(_) => {
+                self.inflight.take()?;
+                self.rejects += 1;
+                self.next_fill += 1;
+                self.pump(i, d)?;
+            }
+            // The collection was quiescent when the last sync went out, so
+            // its reply is the whole history: nothing left but to leave.
+            Event::Synced if self.phase == Phase::Settling => {
+                self.phase = Phase::Closing;
+                self.send(i, Some(ClientCore::BYE), d);
+            }
+            // A `lagging` note needs no `sync` of its own: that last one
+            // asks for everything the replica has not applied.
+            _ => {}
+        }
+        Some(())
+    }
+
+    /// With nothing in flight, sends what is due: the parked request, or
+    /// the next fill of the plan — the anchor of this session's own
+    /// template row, read from its replica. `None` if it cannot be made.
+    fn pump(&mut self, i: usize, d: &mut Driver<'_>) -> Option<()> {
+        if self.phase != Phase::Active || self.inflight.is_some() {
+            return Some(());
+        }
+        let pending = match (self.parked.take(), self.plan.fill_at_ms.get(self.next_fill)) {
+            (Some(parked), _) => parked,
+            (None, None) => {
+                self.phase = Phase::Idle;
+                d.filling -= 1;
+                return Some(());
+            }
+            (None, Some(at_ms)) => {
+                let due = d.start + Duration::from_millis(*at_ms);
+                if due > Instant::now() {
+                    d.timers.push(Reverse((due, i)));
+                    return Some(());
+                }
+                let in_lane = self.plan.worker / d.opts.collections.max(1);
+                let slot = in_lane * d.opts.fills_per_worker + self.next_fill;
+                let row = RowId::new(ClientId::CENTRAL, slot as u64);
+                let anchor = Value::text(format!("w{}-f{}", self.plan.worker, self.next_fill));
+                // An anchor fill leaves the row partial: one request.
+                let fill = self.core.as_mut()?.fill(row, ColumnId(0), anchor, false);
+                fill.ok()?.pop()?
+            }
+        };
+        let frame = pending.frame();
+        self.inflight = Some((pending, Instant::now()));
+        self.send(i, Some(&frame), d);
+        Some(())
+    }
+}
+
+/// Drives one thread's sessions to completion (or the deadline), asleep
+/// whenever no socket is ready and no timer is due.
+fn drive(sessions: &mut [Sess], mut d: Driver<'_>) {
+    for (i, s) in sessions.iter().enumerate() {
+        let due = d.start + Duration::from_millis(s.plan.connect_at_ms);
+        d.timers.push(Reverse((due, i)));
+    }
+    let deadline = d.start + d.opts.deadline;
+    let (mut events, mut settling) = (Vec::new(), false);
+    while d.unfinished > 0 {
+        let now = Instant::now();
+        if now >= deadline {
+            for s in sessions.iter_mut() {
+                if !matches!(s.phase, Phase::Done | Phase::Failed | Phase::TimedOut) {
+                    s.finish(Phase::TimedOut, &mut d);
+                }
+            }
+            break;
+        }
+        if d.filling == 0 && !settling {
+            settling = true;
+            for (i, s) in sessions.iter_mut().enumerate() {
+                if let (Phase::Idle, Some(core)) = (s.phase, s.core.as_mut()) {
+                    s.phase = Phase::Settling;
+                    let sync = core.sync_frame(false);
+                    s.send(i, Some(&sync), &mut d);
+                }
+            }
+        }
+        let next = d.timers.peek().map_or(deadline, |Reverse((due, _))| *due);
+        if next > now {
+            events.clear();
+            let wait = next.min(deadline) - now;
+            d.poller.wait(&mut events, Some(wait)).expect("epoll_wait");
+            for event in &events {
+                sessions[event.token as usize].on_ready(event.token as usize, &mut d);
+            }
+        } else if let Some(Reverse((_, i))) = d.timers.pop() {
+            let s = &mut sessions[i];
+            if s.phase == Phase::Waiting {
+                s.connect(i, &mut d);
+            } else if s.pump(i, &mut d).is_none() {
+                s.finish(Phase::Failed, &mut d);
+            }
+        }
+    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -647,37 +611,40 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         ConnScaleMode::External(addr) => (None, *addr),
     };
 
-    // Deal sessions round-robin to the driver threads so every thread sees
-    // the same mix of early and late connectors.
+    // Deal whole collections to the driver threads: a driver then knows by
+    // itself when its collections are quiescent.
     let threads = opts.driver_threads.max(1);
     let mut per_thread: Vec<Vec<Sess>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, plan) in schedule.sessions.iter().enumerate() {
-        per_thread[i % threads].push(Sess::new(plan.clone()));
+    for plan in schedule.sessions {
+        let sess = Sess {
+            plan,
+            ..Sess::default()
+        };
+        per_thread[sess.plan.collection % threads].push(sess);
     }
 
     let start = Instant::now();
-    let active = Arc::new(AtomicUsize::new(0));
-    let peak = Arc::new(AtomicUsize::new(0));
-    let joined: Vec<(Vec<Sess>, DriverTally)> = thread::scope(|scope| {
-        let handles: Vec<_> = per_thread
-            .into_iter()
-            .map(|mut sessions| {
-                let active = Arc::clone(&active);
-                let peak = Arc::clone(&peak);
-                scope.spawn(move || {
-                    let tally = drive(&mut sessions, addr, opts, start, &active, &peak);
-                    (sessions, tally)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread panicked"))
-            .collect()
+    let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    thread::scope(|scope| {
+        for sessions in per_thread.iter_mut() {
+            let driver = Driver {
+                opts,
+                addr,
+                start,
+                live: &live,
+                peak: &peak,
+                poller: Poller::new().expect("epoll"),
+                timers: BinaryHeap::new(),
+                filling: sessions.len(),
+                unfinished: sessions.len(),
+            };
+            scope.spawn(move || drive(sessions, driver));
+        }
     });
     let elapsed = start.elapsed();
+    let sessions: Vec<Sess> = per_thread.into_iter().flatten().collect();
 
-    // Fold the per-thread ledgers into per-collection lanes.
+    // Fold the sessions' ledgers into per-collection lanes.
     let mut lanes: Vec<CollectionLane> = (0..opts.collections)
         .map(|i| CollectionLane {
             name: collection_name(i),
@@ -693,24 +660,18 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
     let mut all_lat: Vec<u64> = Vec::new();
     let mut rejected = 0usize;
     let mut backoffs = 0usize;
-    let mut conn_failures = 0usize;
-    let mut timed_out = 0usize;
-    for (sessions, tally) in &joined {
-        conn_failures += tally.conn_failures;
-        timed_out += tally.timed_out;
-        for s in sessions {
-            let lane = &mut lanes[s.plan.collection];
-            lane.sessions += 1;
-            lane.expected += s.plan.fill_at_ms.len();
-            lane.acked += s.acks_ns.len();
-            if !matches!(s.phase, Phase::Waiting | Phase::HelloSent) && !s.targets.is_empty() {
-                lane.clients.insert(s.client);
-            }
-            lane_lat[s.plan.collection].extend_from_slice(&s.acks_ns);
-            all_lat.extend_from_slice(&s.acks_ns);
-            rejected += s.rejects;
-            backoffs += s.backoffs;
+    for s in &sessions {
+        let lane = &mut lanes[s.plan.collection];
+        lane.sessions += 1;
+        lane.expected += s.plan.fill_at_ms.len();
+        lane.acked += s.acks_ns.len();
+        if let Some(core) = &s.core {
+            lane.clients.insert(core.view().replica().client().0);
         }
+        lane_lat[s.plan.collection].extend_from_slice(&s.acks_ns);
+        all_lat.extend_from_slice(&s.acks_ns);
+        rejected += s.rejects;
+        backoffs += s.backoffs;
     }
     for (lane, lat) in lanes.iter_mut().zip(lane_lat.iter_mut()) {
         lat.sort_unstable();
@@ -719,6 +680,23 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
     }
     all_lat.sort_unstable();
 
+    // Quiescence: every session synced after the last fill was acked, so
+    // its replica is its collection's master or something was lost on the
+    // way.
+    let mut diverged_replicas = 0;
+    for (i, lane) in lanes.iter().enumerate() {
+        let differs = |master: &Replica| {
+            let same = |c: &ClientCore| c.view().replica().same_state(master);
+            let of_lane = sessions.iter().filter(|s| s.plan.collection == i);
+            of_lane
+                .filter(|s| !s.core.as_ref().is_some_and(same))
+                .count()
+        };
+        diverged_replicas +=
+            with_master(service.as_ref(), addr, &lane.name, differs).unwrap_or(lane.sessions);
+    }
+
+    let in_phase = |phase| sessions.iter().filter(|s| s.phase == phase).count();
     let report = ConnScaleReport {
         name: opts.name.to_string(),
         seed: opts.seed,
@@ -728,9 +706,10 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         acked: all_lat.len(),
         rejected,
         backoffs,
-        conn_failures,
-        timed_out_sessions: timed_out,
+        conn_failures: in_phase(Phase::Failed),
+        timed_out_sessions: in_phase(Phase::TimedOut),
         peak_concurrent: peak.load(Ordering::Acquire),
+        diverged_replicas,
         elapsed,
         ack_p50_ns: percentile(&all_lat, 0.50),
         ack_p99_ns: percentile(&all_lat, 0.99),
@@ -740,55 +719,61 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
 
     if let Some(service) = service {
         if let Err(msg) = verify_zero_acked_loss(&service, &report) {
-            let label = format!("connscale-{}-seed{}", opts.name, opts.seed);
-            match crowdfill_obs::trace::dump_flight_record(&label) {
-                Some(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
-                None => panic!("{msg}"),
-            }
+            fail(&report, &msg);
         }
         service.stop();
     }
     report
 }
 
-/// Audits zero acked-op loss against an in-process service: every lane's
-/// acked count must equal the number of replaces in its backend's durable
-/// history minted by that lane's clients.
-pub fn verify_zero_acked_loss(
-    service: &TcpService,
-    report: &ConnScaleReport,
-) -> Result<(), String> {
-    for lane in &report.lanes {
-        let backend = service
-            .backend_of(&lane.name)
-            .ok_or_else(|| format!("collection {} missing from service", lane.name))?;
-        let durable = {
-            let b = backend.lock();
-            count_lane_replaces(b.history_suffix(0).iter().map(|(_, m)| m), &lane.clients)
-        };
-        if durable != lane.acked {
-            return Err(format!(
-                "{}/seed={}: collection {} acked {} fills but history holds {}",
-                report.name, report.seed, lane.name, lane.acked, durable
-            ));
-        }
+/// Panics with `msg`, the flight record dumped first (same discipline as
+/// the overload harness).
+fn fail(report: &ConnScaleReport, msg: &str) -> ! {
+    let label = format!("connscale-{}-seed{}", report.name, report.seed);
+    match crowdfill_obs::trace::dump_flight_record(&label) {
+        Some(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
+        None => panic!("{msg}"),
     }
-    Ok(())
 }
 
-/// The external-server flavor of [`verify_zero_acked_loss`]: replays each
-/// collection's history over a fresh connection and audits the same count.
-pub fn verify_zero_acked_loss_remote(
+/// Shows `look` a collection's master replica: the backend's own when the
+/// service is in this process, what a fresh joiner is shown otherwise.
+fn with_master<T>(
+    service: Option<&TcpService>,
+    addr: SocketAddr,
+    lane: &str,
+    look: impl FnOnce(&Replica) -> T,
+) -> Result<T, String> {
+    let Some(service) = service else {
+        let joiner = RemoteWorker::connect_to(addr, lane)
+            .map_err(|e| format!("joining {lane} failed: {e}"))?;
+        return Ok(look(joiner.view().replica()));
+    };
+    let backend = service
+        .backend_of(lane)
+        .ok_or_else(|| format!("collection {lane} missing from service"))?;
+    let backend = backend.lock();
+    Ok(look(backend.master()))
+}
+
+/// Every lane's acked count must equal the number of rows in its master
+/// table minted by that lane's clients: one per fill that landed, and
+/// nobody else replaces them.
+fn audit_acked(
+    service: Option<&TcpService>,
     addr: SocketAddr,
     report: &ConnScaleReport,
 ) -> Result<(), String> {
     for lane in &report.lanes {
-        let history = fetch_history(addr, &lane.name)
-            .map_err(|e| format!("history fetch for {} failed: {e}", lane.name))?;
-        let durable = count_lane_replaces(history.iter(), &lane.clients);
+        let minted = |master: &Replica| {
+            let rows = master.table().row_ids();
+            rows.filter(|row| lane.clients.contains(&row.client.0))
+                .count()
+        };
+        let durable = with_master(service, addr, &lane.name, minted)?;
         if durable != lane.acked {
             return Err(format!(
-                "{}/seed={}: collection {} acked {} fills but history holds {}",
+                "{}/seed={}: collection {} acked {} fills but the table holds {}",
                 report.name, report.seed, lane.name, lane.acked, durable
             ));
         }
@@ -796,50 +781,21 @@ pub fn verify_zero_acked_loss_remote(
     Ok(())
 }
 
-fn count_lane_replaces<'a>(
-    history: impl Iterator<Item = &'a Message>,
-    clients: &HashSet<u32>,
-) -> usize {
-    history
-        .filter(|m| matches!(m, Message::Replace { new, .. } if clients.contains(&new.client.0)))
-        .count()
+/// Audits zero acked-op loss against an in-process service's backends.
+pub fn verify_zero_acked_loss(
+    service: &TcpService,
+    report: &ConnScaleReport,
+) -> Result<(), String> {
+    audit_acked(Some(service), service.addr(), report)
 }
 
-/// One blocking hello/welcome round-trip that returns a collection's full
-/// history.
-fn fetch_history(addr: SocketAddr, collection: &str) -> Result<Vec<Message>, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let hello = hello_frame(collection).encode();
-    let mut framed = Vec::with_capacity(4 + hello.len());
-    framed.extend_from_slice(&(hello.len() as u32).to_be_bytes());
-    framed.extend_from_slice(hello.as_bytes());
-    stream.write_all(&framed).map_err(|e| e.to_string())?;
-    let mut hdr = [0u8; 4];
-    stream.read_exact(&mut hdr).map_err(|e| e.to_string())?;
-    let len = u32::from_be_bytes(hdr) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).map_err(|e| e.to_string())?;
-    let welcome =
-        Json::parse(&String::from_utf8_lossy(&payload)).map_err(|e| format!("bad welcome: {e}"))?;
-    if welcome.get("type").and_then(Json::as_str) != Some("welcome") {
-        return Err("expected welcome".into());
-    }
-    let history = welcome
-        .get("history")
-        .and_then(Json::as_arr)
-        .ok_or("welcome missing history")?;
-    let bye = Json::obj([("type", Json::str("bye"))]).encode();
-    let mut framed = Vec::with_capacity(4 + bye.len());
-    framed.extend_from_slice(&(bye.len() as u32).to_be_bytes());
-    framed.extend_from_slice(bye.as_bytes());
-    let _ = stream.write_all(&framed);
-    history
-        .iter()
-        .map(|m| wire::message_from_json(m).map_err(|e| e.to_string()))
-        .collect()
+/// The external-server flavor of [`verify_zero_acked_loss`]: a fresh
+/// session joins each collection and audits what it is shown.
+pub fn verify_zero_acked_loss_remote(
+    addr: SocketAddr,
+    report: &ConnScaleReport,
+) -> Result<(), String> {
+    audit_acked(None, addr, report)
 }
 
 #[cfg(test)]

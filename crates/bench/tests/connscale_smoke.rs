@@ -5,9 +5,12 @@
 //! Asserted per seed:
 //!
 //! * every scheduled fill acked — no policy rejects, no lost sessions, no
-//!   deadline timeouts (and, via the in-process history audit inside
+//!   deadline timeouts (and, via the in-process audit inside
 //!   [`run_conn_scale`], zero acked-op loss: every ack corresponds to a
-//!   replace in the collection's durable history);
+//!   row in the collection's master table);
+//! * convergence — a session is a real client, so it holds a replica that
+//!   absorbed every broadcast of its collection, and at quiescence each of
+//!   the 1,000 equals its collection's master: the run acks into something;
 //! * per-collection fairness — ack p99 spread across the 16 collections
 //!   stays bounded, so no collection is starved by its neighbors;
 //! * thread discipline — the service runs O(shard pool) threads, not
@@ -74,6 +77,10 @@ fn one_thousand_conns_over_sixteen_collections_lose_nothing() {
             "seed {seed}: peak concurrency {} never reached half the fleet \
              (sessions closing faster than the plan intends?)",
             report.peak_concurrent
+        );
+        assert_eq!(
+            report.diverged_replicas, 0,
+            "seed {seed}: replicas differ from their collection's master"
         );
         for lane in &report.lanes {
             assert_eq!(

@@ -10,15 +10,18 @@
 //! * [`LocalConn`] — an in-process duplex channel (crossbeam), used by the
 //!   discrete-event simulator and in-process deployments;
 //! * [`TcpConn`]/[`TcpServer`] — length-prefixed frames over TCP
-//!   (`std::net` + threads, no async runtime), used by the live networked
-//!   server;
+//!   (`std::net`, no async runtime, no thread: a `TcpConn` reads its own
+//!   socket on the caller's thread), the blocking client transport of the
+//!   live networked server;
 //! * [`FaultyConn`] — a fault-injecting wrapper around any transport,
 //!   driven by a deterministic seeded [`FaultConfig`] plan (drops, delays,
 //!   partial writes, forced disconnects) for the recovery test suite;
 //! * [`FrameReader`]/[`FrameWriter`] — the same framing as nonblocking
 //!   state machines, and [`Poller`]/[`WakeQueue`] — the epoll readiness
 //!   wrapper that tells a connection layer when to run them (Linux only;
-//!   the product's one module of foreign calls, see the lint below).
+//!   the product's one module of foreign calls, see the lint below). The
+//!   reactor drives thousands of sockets from one `Poller`; a `TcpConn`
+//!   parks its caller on a `Poller` of its own.
 //!
 //! Frames are opaque byte vectors; the server layers a JSON protocol
 //! (`crowdfill-docstore::Json`) on top.
@@ -45,4 +48,4 @@ pub use fault::{FaultConfig, FaultyConn};
 pub use nonblocking::{FrameReader, FrameWriter};
 #[cfg(target_os = "linux")]
 pub use poller::{Event, Interest, Poller, WakeQueue};
-pub use tcp::{TcpConn, TcpServer, READER_QUEUE_FRAMES};
+pub use tcp::{TcpConn, TcpServer};

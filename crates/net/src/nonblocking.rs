@@ -1,8 +1,9 @@
 //! Nonblocking frame codecs for readiness-driven connection layers.
 //!
-//! The blocking [`TcpConn`](crate::TcpConn) owns two threads per
-//! connection; a reactor owns none. These two state machines carry the
-//! same length-prefixed framing (`[len: u32 BE][payload]`, capped at
+//! No connection layer here owns a thread per connection: the reactor
+//! drives every socket of a shard, and the blocking
+//! [`TcpConn`](crate::TcpConn) parks its caller. These two state machines
+//! carry the length-prefixed framing (`[len: u32 BE][payload]`, capped at
 //! [`MAX_FRAME_LEN`]) over a nonblocking socket that is read and written
 //! in bounded slices whenever it is ready ([`Poller`](crate::Poller)):
 //!
@@ -12,7 +13,8 @@
 //!   socket accepts and remembers the partial-write offset.
 //!
 //! Neither touches a socket directly, so both are trivially testable and
-//! shared by the server reactor and the bench-side connection driver.
+//! shared by the server reactor, `TcpConn`'s read half and the bench-side
+//! connection driver.
 
 use crate::conn::{ConnError, MAX_FRAME_LEN};
 use std::collections::VecDeque;

@@ -1,31 +1,41 @@
-//! Length-prefixed framing over TCP with `std::net` and threads.
+//! Length-prefixed framing over TCP: the blocking client transport.
 //!
 //! Wire format: `[len: u32 BE][payload]` per frame. TCP provides reliable
 //! in-order bytes; the codec provides message boundaries — together the
-//! delivery model the paper assumes. A background reader thread per
-//! connection turns the byte stream into a frame channel, so `recv` has the
-//! same non-blocking options as [`LocalConn`](crate::LocalConn).
+//! delivery model the paper assumes.
+//!
+//! ## Threads: none
+//!
+//! A [`TcpConn`] reads its own socket. The socket is nonblocking for its
+//! whole life and parked in a per-connection [`Poller`]; `recv`,
+//! `try_recv` and `recv_timeout` run on the caller's thread, assemble
+//! frames with the same [`FrameReader`] the reactor uses, and differ only
+//! in how long they will park. The read half and the write half have a
+//! lock each, so a `send` interleaves with a blocked `recv`, and
+//! [`TcpConn::shutdown`] takes neither. Linux only, like the reactor.
+//!
+//! ## Back-pressure
+//!
+//! Nothing is read until the caller asks for a frame, so a consumer that
+//! stops calling `recv` holds at most one read budget of undelivered
+//! frames plus one partial frame; the rest stays in the kernel's socket
+//! buffer, and once that is full TCP flow control pushes back on the peer
+//! (the server's `Outbox` then downgrades the session to `lagging`, and a
+//! `sync` heals it). The connection is never dropped for slowness on this
+//! side.
 
-use crate::conn::{ConnError, FrameConn, MAX_FRAME_LEN};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
+use crate::conn::{ConnError, FrameConn};
+use crate::nonblocking::{FrameReader, FrameWriter};
+use crate::poller::{Event, Interest, Poller};
 use crowdfill_obs::metrics::{counter, Counter};
 use crowdfill_obs::obs_warn;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Capacity of the per-connection reader channel, in frames.
-///
-/// Backpressure policy: when the consumer falls behind by this many frames,
-/// the reader thread blocks on the channel and stops draining the socket, so
-/// TCP flow control pushes back on the peer. A hostile or runaway peer can
-/// therefore buffer at most `READER_QUEUE_FRAMES × MAX_FRAME_LEN` bytes in
-/// this process (and in practice far less: the kernel socket buffer fills
-/// first). The connection is never dropped for slowness — slow consumers
-/// slow the peer down instead.
-pub const READER_QUEUE_FRAMES: usize = 1024;
+/// Most bytes one `recv` moves from the socket into the frame decoder.
+const READ_BUDGET: usize = 256 * 1024;
 
 /// Transport metrics, resolved once per connection/listener.
 struct NetMetrics {
@@ -50,20 +60,30 @@ impl NetMetrics {
     }
 }
 
+/// What a receive needs exclusively: where it parks and what it has
+/// assembled so far (a frame cut short by a `recv_timeout` expiry stays
+/// here for the next call).
+struct ReadHalf {
+    poller: Poller,
+    events: Vec<Event>,
+    frames: FrameReader,
+}
+
 /// A framed TCP connection.
 pub struct TcpConn {
-    writer: Mutex<TcpStream>,
-    /// A second handle on the socket used by [`TcpConn::shutdown`] and
-    /// `Drop`. Kept outside the `writer` mutex on purpose: a write blocked
-    /// against a stalled peer holds that mutex indefinitely, and forcing
-    /// the connection closed is exactly what unblocks it.
-    closer: TcpStream,
-    frames: Receiver<Vec<u8>>,
+    /// Nonblocking. Outside both locks on purpose: `&TcpStream` reads and
+    /// writes, and [`TcpConn::shutdown`] must reach the socket while a
+    /// receive or a send against a stalled peer holds its lock.
+    stream: TcpStream,
+    reader: Mutex<ReadHalf>,
+    /// Held for the whole of one `send`, which leaves it empty: frames go
+    /// out whole and unmixed.
+    writer: Mutex<FrameWriter>,
     peer: SocketAddr,
-    /// Set on the first failed send. A failed `write_all` may leave a
-    /// partial frame header or payload on the stream, after which the
-    /// framing is desynchronized; every later `send`/`recv` must fail
-    /// rather than silently corrupt the byte stream.
+    /// Set on the first failed send. A failed write may leave a partial
+    /// frame header or payload on the stream, after which the framing is
+    /// desynchronized; every later `send`/`recv` must fail rather than
+    /// silently corrupt the byte stream.
     dead: AtomicBool,
     metrics: NetMetrics,
 }
@@ -75,48 +95,23 @@ impl TcpConn {
         TcpConn::from_stream(stream)
     }
 
-    /// Wraps an accepted stream; spawns the reader thread.
+    /// Wraps a connected stream.
     pub fn from_stream(stream: TcpStream) -> Result<TcpConn, ConnError> {
         stream.set_nodelay(true).map_err(io_err)?;
+        stream.set_nonblocking(true).map_err(io_err)?;
         let peer = stream.peer_addr().map_err(io_err)?;
-        let reader = stream.try_clone().map_err(io_err)?;
-        let closer = stream.try_clone().map_err(io_err)?;
-        let (tx, frames) = bounded(READER_QUEUE_FRAMES);
-        let reader_metrics = NetMetrics::resolve();
-        std::thread::Builder::new()
-            .name(format!("crowdfill-net-read-{peer}"))
-            .spawn(move || {
-                let mut reader = reader;
-                loop {
-                    match read_frame(&mut reader) {
-                        Ok(frame) => {
-                            reader_metrics.frames_in.inc();
-                            reader_metrics.bytes_in.add(4 + frame.len() as u64);
-                            if tx.send(frame).is_err() {
-                                // Receiver gone: close our clone so the peer
-                                // sees EOF, then stop reading.
-                                let _ = reader.shutdown(std::net::Shutdown::Both);
-                                return;
-                            }
-                        }
-                        // Peer closed / corrupt: the channel drops. A clean
-                        // close surfaces as UnexpectedEof; anything else is a
-                        // framing error worth counting.
-                        Err(e) => {
-                            if e.kind() != std::io::ErrorKind::UnexpectedEof {
-                                reader_metrics.frame_errors.inc();
-                                obs_warn!("net", "frame read error from {peer}: {e}");
-                            }
-                            return;
-                        }
-                    }
-                }
-            })
+        let poller = Poller::new().map_err(io_err)?;
+        poller
+            .register(&stream, 0, Interest::READ)
             .map_err(io_err)?;
         Ok(TcpConn {
-            writer: Mutex::new(stream),
-            closer,
-            frames,
+            stream,
+            reader: Mutex::new(ReadHalf {
+                poller,
+                events: Vec::new(),
+                frames: FrameReader::new(),
+            }),
+            writer: Mutex::new(FrameWriter::new()),
             peer,
             dead: AtomicBool::new(false),
             metrics: NetMetrics::resolve(),
@@ -124,14 +119,13 @@ impl TcpConn {
     }
 
     /// Forcibly closes the connection from any thread: marks it dead and
-    /// shuts the socket down, without touching the writer mutex (which a
-    /// write blocked against a stalled peer may hold). The peer sees a
-    /// reset/EOF, our reader thread unblocks, an in-progress `send` fails,
-    /// and every later operation returns `Disconnected`. This is the
-    /// server's eviction lever for slow clients.
+    /// shuts the socket down, taking neither lock (a receive, or a send
+    /// blocked against a stalled peer, may hold them). The peer sees a
+    /// reset/EOF, a parked `recv` wakes, an in-progress `send` fails, and
+    /// every later operation returns `Disconnected`.
     pub fn shutdown(&self) {
         self.dead.store(true, Ordering::Release);
-        let _ = self.closer.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
     /// The peer's address.
@@ -144,48 +138,105 @@ impl TcpConn {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Poisons the connection and closes the socket so the peer and our
-    /// reader thread both observe the death promptly.
-    fn poison(&self, writer: &TcpStream) {
-        if !self.dead.swap(true, Ordering::AcqRel) {
-            self.metrics.poisoned.inc();
-            obs_warn!(
-                "net",
-                "connection to {} poisoned after failed send",
-                self.peer
-            );
+    /// Writes out everything `writer` holds, parking whenever the kernel's
+    /// send buffer is full. The poller that wait needs is made on the
+    /// spot: a frame almost always fits the buffer in one write.
+    fn flush(&self, writer: &mut FrameWriter) -> Result<(), ConnError> {
+        let mut parked: Option<(Poller, Vec<Event>)> = None;
+        loop {
+            writer.flush(&mut &self.stream)?;
+            if writer.is_empty() {
+                return Ok(());
+            }
+            if parked.is_none() {
+                let poller = Poller::new().map_err(io_err)?;
+                let write = Interest {
+                    read: false,
+                    write: true,
+                };
+                poller.register(&self.stream, 0, write).map_err(io_err)?;
+                parked = Some((poller, Vec::new()));
+            }
+            // A hang-up wakes this too; the next write then fails.
+            let (poller, events) = parked.as_mut().expect("set above");
+            events.clear();
+            poller.wait(events, None).map_err(io_err)?;
         }
-        let _ = writer.shutdown(std::net::Shutdown::Both);
     }
-}
 
-impl Drop for TcpConn {
-    fn drop(&mut self) {
-        // Close the socket so the peer observes EOF and our reader thread
-        // unblocks; without this, the reader's cloned stream would keep the
-        // connection half-open forever. Uses the closer handle — never the
-        // writer mutex, which a blocked send may hold.
-        let _ = self.closer.shutdown(std::net::Shutdown::Both);
+    /// The one receive: `park` is how long the caller will wait for a
+    /// frame that has not fully arrived (`None`: until the peer is gone).
+    fn recv_within(&self, park: Option<Duration>) -> Result<Vec<u8>, ConnError> {
+        let deadline = park.map(|p| Instant::now() + p);
+        let mut half = self.reader.lock().expect("reader lock");
+        let ReadHalf {
+            poller,
+            events,
+            frames,
+        } = &mut *half;
+        loop {
+            if self.dead.load(Ordering::Acquire) {
+                return Err(ConnError::Disconnected);
+            }
+            match frames.pop() {
+                Ok(Some(frame)) => {
+                    self.metrics.frames_in.inc();
+                    self.metrics.bytes_in.add(4 + frame.len() as u64);
+                    return Ok(frame);
+                }
+                Ok(None) => {}
+                // A corrupt length prefix: the stream position is lost.
+                Err(e) => return Err(self.read_failed(&e)),
+            }
+            // Level-triggered: bytes already in the socket end the wait at
+            // once, so a receive is one wait and one read, and a wait of
+            // zero is `try_recv`'s look without blocking.
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            events.clear();
+            poller.wait(events, left).map_err(io_err)?;
+            if events.is_empty() {
+                return Err(ConnError::Empty);
+            }
+            match frames.fill_from(&mut &self.stream, READ_BUDGET) {
+                Ok(0) => return Err(ConnError::Disconnected),
+                Ok(_) | Err(ConnError::Empty) => {}
+                Err(e) => return Err(self.read_failed(&e)),
+            }
+        }
+    }
+
+    /// A read the framing cannot survive: counted, logged, and the socket
+    /// closed so the peer sees it too.
+    fn read_failed(&self, e: &ConnError) -> ConnError {
+        self.metrics.frame_errors.inc();
+        obs_warn!("net", "frame read error from {}: {e}", self.peer);
+        self.shutdown();
+        ConnError::Disconnected
     }
 }
 
 impl FrameConn for TcpConn {
     fn send(&self, frame: &[u8]) -> Result<(), ConnError> {
-        if frame.len() > MAX_FRAME_LEN {
-            self.metrics.frame_errors.inc();
-            return Err(ConnError::FrameTooLarge(frame.len()));
-        }
         let mut writer = self.writer.lock().expect("writer lock");
         if self.dead.load(Ordering::Acquire) {
             return Err(ConnError::Disconnected);
         }
-        let sent = writer
-            .write_all(&(frame.len() as u32).to_be_bytes())
-            .and_then(|_| writer.write_all(frame));
-        if sent.is_err() {
+        if let Err(too_large) = writer.enqueue(frame) {
+            self.metrics.frame_errors.inc();
+            return Err(too_large);
+        }
+        if self.flush(&mut writer).is_err() {
             // The stream may hold a torn frame: poison so no later send can
             // interleave bytes into the middle of it.
-            self.poison(&writer);
+            if !self.dead.swap(true, Ordering::AcqRel) {
+                self.metrics.poisoned.inc();
+                obs_warn!(
+                    "net",
+                    "connection to {} poisoned after failed send",
+                    self.peer
+                );
+            }
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
             return Err(ConnError::Disconnected);
         }
         self.metrics.frames_out.inc();
@@ -194,46 +245,16 @@ impl FrameConn for TcpConn {
     }
 
     fn recv(&self) -> Result<Vec<u8>, ConnError> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(ConnError::Disconnected);
-        }
-        self.frames.recv().map_err(|_| ConnError::Disconnected)
+        self.recv_within(None)
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, ConnError> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(ConnError::Disconnected);
-        }
-        self.frames.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => ConnError::Empty,
-            TryRecvError::Disconnected => ConnError::Disconnected,
-        })
+        self.recv_within(Some(Duration::ZERO))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, ConnError> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(ConnError::Disconnected);
-        }
-        self.frames.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ConnError::Empty,
-            RecvTimeoutError::Disconnected => ConnError::Disconnected,
-        })
+        self.recv_within(Some(timeout))
     }
-}
-
-fn read_frame(reader: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    reader.read_exact(&mut header)?;
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(payload)
 }
 
 fn io_err(e: std::io::Error) -> ConnError {
@@ -267,11 +288,10 @@ impl TcpServer {
         TcpConn::from_stream(stream)
     }
 
-    /// Accepts the next incoming connection as a raw stream (blocking),
-    /// spawning no threads. The readiness-driven connection layer wraps
-    /// these in nonblocking state machines
-    /// ([`FrameReader`](crate::FrameReader)/[`FrameWriter`](crate::FrameWriter))
-    /// instead of a [`TcpConn`]'s reader thread.
+    /// Accepts the next incoming connection as a raw stream (blocking).
+    /// The readiness-driven connection layer drives many of these from one
+    /// [`Poller`] with a [`FrameReader`]/[`FrameWriter`](crate::FrameWriter)
+    /// each, where a [`TcpConn`] parks its caller on one.
     pub fn accept_raw(&self) -> Result<TcpStream, ConnError> {
         let (stream, _) = self.listener.accept().map_err(io_err)?;
         self.accepts.inc();
@@ -283,6 +303,7 @@ impl TcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn echo_server() -> (SocketAddr, std::thread::JoinHandle<()>) {
         let server = TcpServer::bind("127.0.0.1:0").unwrap();
@@ -392,6 +413,40 @@ mod tests {
         // The shut-down side fails fast on every later operation.
         assert_eq!(accepted.send(b"x"), Err(ConnError::Disconnected));
         assert_eq!(accepted.recv(), Err(ConnError::Disconnected));
+    }
+
+    /// The read half keeps what it has assembled: a frame that trickles in
+    /// a byte at a time outlives any number of expired waits.
+    #[test]
+    fn frame_split_across_a_timeout_is_returned_whole() {
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let conn = TcpConn::connect(server.local_addr().unwrap()).unwrap();
+        let mut peer = server.accept_raw().unwrap();
+        let mut wire = 11u32.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"hello world");
+        let (head, tail) = wire.split_at(6);
+        for byte in head {
+            peer.write_all(&[*byte]).unwrap();
+        }
+        let short = Duration::from_millis(20);
+        assert_eq!(conn.recv_timeout(short), Err(ConnError::Empty));
+        assert_eq!(conn.try_recv(), Err(ConnError::Empty));
+        for byte in tail {
+            peer.write_all(&[*byte]).unwrap();
+        }
+        assert_eq!(conn.recv().unwrap(), b"hello world");
+    }
+
+    #[test]
+    fn try_recv_on_an_idle_socket_is_empty_and_does_not_block() {
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let conn = TcpConn::connect(server.local_addr().unwrap()).unwrap();
+        let _peer = server.accept_raw().unwrap();
+        let start = Instant::now();
+        for _ in 0..100 {
+            assert_eq!(conn.try_recv(), Err(ConnError::Empty));
+        }
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -237,6 +237,11 @@ struct Session {
     epoch: u64,
     /// Deliberate (non-auto-upvote) operations accepted from this worker.
     ops: u64,
+    /// The complete row this worker's last applied message produced, if it
+    /// was a fill that completed one: the only value `auto` may upvote.
+    /// In memory only — a restart forgets it, and the upvote that follows
+    /// is then policy-checked like any other.
+    completed: Option<RowValue>,
     /// Highest history length this worker is known to have fully absorbed:
     /// set at connect/resume (the reply replays everything up to it) and
     /// bumped by [`Backend::note_confirmed`] when a sync completes.
@@ -260,6 +265,7 @@ impl Session {
             connected: false,
             epoch: 0,
             ops: 0,
+            completed: None,
             confirmed_seq: 0,
             ack_latency: Arc::new(Histogram::new()),
         }
@@ -854,9 +860,14 @@ impl Backend {
         if self.closed {
             return Err(SubmitError::CollectionClosed);
         }
-        if !self.sessions.get(&worker).is_some_and(|s| s.connected) {
+        let Some(session) = self.sessions.get(&worker).filter(|s| s.connected) else {
             return Err(SubmitError::UnknownWorker);
-        }
+        };
+        // `auto` is the client's word, so it is honoured for exactly what
+        // the system generates: the upvote of the row this worker's own
+        // fill has just completed. On anything else it is ignored.
+        let auto_upvote = auto_upvote
+            && matches!(&msg, Message::Upvote { value } if session.completed.as_ref() == Some(value));
         // §2.2's preconditions are a vote's shape, not policy, so nothing
         // is exempt: an upvote of a partial vector or a downvote of the
         // empty one breaks Lemma 3, which the state image relies on.
@@ -890,10 +901,14 @@ impl Backend {
         self.note_row(&msg);
         self.master.process(&msg);
         self.update_vote_policy_state(worker, &msg);
-        if !auto_upvote {
-            if let Some(s) = self.sessions.get_mut(&worker) {
-                s.ops += 1;
-            }
+        if let Some(s) = self.sessions.get_mut(&worker) {
+            s.ops += u64::from(!auto_upvote);
+            s.completed = match &msg {
+                Message::Replace { value, .. } if value.is_complete(&self.config.schema) => {
+                    Some(value.clone())
+                }
+                _ => None,
+            };
         }
 
         // Record in the op log — the one copy kept. Its place there is its

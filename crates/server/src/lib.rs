@@ -22,6 +22,7 @@
 pub mod backend;
 pub mod batch;
 pub mod client;
+pub mod client_core;
 pub mod config;
 pub mod frontend;
 pub mod health;
@@ -38,6 +39,7 @@ pub mod worker_client;
 pub use backend::{Backend, BatchJob, BatchOp, BatchOutcome, SubmitError, SubmitReport};
 pub use batch::{BatchOptions, BatchPipeline};
 pub use client::{Dialer, ReconnectPolicy, RemoteAck, RemoteError, RemoteWorker};
+pub use client_core::ClientCore;
 pub use config::TaskConfig;
 pub use frontend::{Frontend, FrontendError, TaskStatus};
 pub use health::{

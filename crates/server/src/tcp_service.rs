@@ -7,7 +7,9 @@
 //!                   {"type":"resume","worker":n,"from":n,"have":[n,...],
 //!                    "collection":"name"?}
 //!                   {"type":"submit","auto":bool,"msg":{...},
-//!                    "speculative":bool?}
+//!                    "speculative":bool?}   ("auto" is honoured for the
+//!                    upvote of the row the sender's last fill completed,
+//!                    and ignored on anything else)
 //!                   {"type":"modify","msgs":[{"auto":bool,"msg":{...}},...]}
 //!                   {"type":"sync","from":n,"have":[n,...]}
 //!                   {"type":"stats"}
@@ -70,6 +72,10 @@
 //! durability and progress ticks, present only if one is configured) and
 //! the telemetry `obs-sampler`. *Stop means stopped*: when
 //! [`TcpService::stop`] or a drop returns, all of them have been joined.
+//! No connection owns a thread on either end: a client's
+//! [`TcpConn`](crowdfill_net::TcpConn) reads its own socket, so a process
+//! holding N [`RemoteWorker`](crate::RemoteWorker)s has the threads of one
+//! holding none.
 //!
 //! ## Failure model
 //!
@@ -80,7 +86,9 @@
 //! * Every broadcast carries its index in the server's global message
 //!   history (`seq`); acks carry the seqs assigned to the client's own
 //!   submissions. The client tracks the exact set it has applied
-//!   ([`AppliedSeqs`](crowdfill_sync::AppliedSeqs)).
+//!   ([`AppliedSeqs`](crowdfill_sync::AppliedSeqs)). Every client-side
+//!   decision below is [`ClientCore`](crate::ClientCore)'s, which touches
+//!   no socket; the waiting and the redialing are its shell's.
 //! * On a connection failure, [`RemoteWorker`](crate::RemoteWorker) redials
 //!   with capped exponential backoff plus jitter
 //!   ([`ReconnectPolicy`](crate::ReconnectPolicy)) and sends

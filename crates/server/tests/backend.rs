@@ -562,6 +562,58 @@ fn malformed_votes_are_refused_and_the_image_stays_exact() {
     }
 }
 
+/// `auto: true` is the client's word. It exempts the upvote of the row the
+/// same worker's fill has just completed and nothing else: flagged or not,
+/// a raw client cannot insert a row, replace one that is gone, or vote
+/// twice on a value.
+#[test]
+fn the_auto_flag_exempts_the_completion_upvote_and_nothing_else() {
+    let mut rig = Rig::new(config(2, 10.0), 2);
+    let mut rows = rig.clients[&WorkerId(1)].replica().table().row_ids();
+    let first = rows.next().unwrap();
+    drop(rows);
+    let a = rig.fill(1, first, 0, "Messi").unwrap();
+    let b = rig.fill(1, a, 1, "Argentina").unwrap();
+    let done = rig.fill(1, b, 2, "FW").unwrap();
+    let master = rig.backend.master().table();
+    let complete = master.get(done).unwrap().clone();
+    assert_eq!(complete.upvotes, 1, "the honest auto-upvote landed");
+
+    let before = rig.backend.history_len();
+    let hostile = [
+        (
+            Message::Insert {
+                row: RowId::new(ClientId(1), 77),
+            },
+            SubmitError::WorkersCannotInsert,
+        ),
+        (
+            Message::Replace {
+                old: first,
+                new: RowId::new(ClientId(1), 78),
+                value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
+            },
+            SubmitError::Op(OpError::UnknownRow),
+        ),
+        (
+            Message::Upvote {
+                value: complete.value,
+            },
+            SubmitError::AlreadyVoted,
+        ),
+    ];
+    for (msg, expected) in hostile {
+        let refused = rig.backend.submit(WorkerId(1), msg, Millis(1), true);
+        assert_eq!(refused.unwrap_err(), expected);
+    }
+    assert_eq!(rig.backend.history_len(), before);
+    for replay in [rig.backend.bootstrap_messages(), history(&rig.backend)] {
+        let mut replica = Replica::new(ClientId(9), schema());
+        replica.replay(&replay);
+        assert!(replica.same_state(rig.backend.master()));
+    }
+}
+
 /// An empty live row bootstraps as the `insert` it is, not as a
 /// self-`replace` of 1.8× the bytes: a fresh collection's image is its
 /// history.

@@ -34,8 +34,8 @@ fn config(rows: usize) -> TaskConfig {
 }
 
 /// The name (`comm`, which the kernel cuts to 15 bytes) of every thread in
-/// this process: the server's fixed pool, the test harness, and the
-/// client-side reader thread each `TcpConn` owns.
+/// this process: the server's fixed pool and the test harness. A client
+/// owns none.
 fn thread_names() -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
         .expect("procfs")
@@ -50,13 +50,9 @@ fn threads() -> usize {
     thread_names().len()
 }
 
-/// The threads a service started: everything the product names, less the
-/// client-side `TcpConn` readers (`crowdfill-net-read-*`).
+/// The threads a service started: everything the product names.
 fn service_threads() -> Vec<String> {
-    let ours = |name: &String| {
-        (name.starts_with("crowdfill-") && !name.starts_with("crowdfill-net-"))
-            || name.starts_with("obs-")
-    };
+    let ours = |name: &String| name.starts_with("crowdfill-") || name.starts_with("obs-");
     thread_names().into_iter().filter(ours).collect()
 }
 
@@ -66,9 +62,8 @@ fn open_fds() -> usize {
         .unwrap_or(0)
 }
 
-/// Polls `count` until it reads `expected` again: what the *client* side
-/// gives back (a `TcpConn`'s reader thread, the shard retiring a connection
-/// whose peer just hung up) arrives asynchronously.
+/// Polls `count` until it reads `expected` again: the shard retiring a
+/// connection whose peer just hung up happens asynchronously.
 fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while count() != expected {
@@ -161,6 +156,20 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_returns_to(threads_before, threads, "threads");
     assert_returns_to(fds_before, open_fds, "fds");
 
+    // One client, no thread: a connected worker reads its own socket. It
+    // costs the process three descriptors — its socket, the poller it
+    // parks on, the server's end — and gives all back, said goodbye or
+    // simply dropped.
+    let mut workers: Vec<RemoteWorker> = (0..32)
+        .map(|_| RemoteWorker::connect(addr).unwrap())
+        .collect();
+    assert_eq!(threads(), threads_before, "{:?}", thread_names());
+    assert_eq!(open_fds(), fds_before + 3 * workers.len());
+    workers.drain(..16).for_each(RemoteWorker::bye);
+    drop(workers);
+    assert_returns_to(fds_before, open_fds, "fds of workers");
+    assert_eq!(threads(), threads_before);
+
     let backend = service.backend();
     service.stop();
     assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
@@ -177,8 +186,8 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     drop(service);
     assert_eq!(service_threads(), Vec::<String>::new());
     assert_eq!(Arc::strong_count(&backend), 1);
-    // What is left is the clients': their sockets and reader threads.
+    // What is left is the clients': their sockets and pollers, no thread.
+    assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
     drop(workers);
-    assert_returns_to(threads_at_rest, threads, "threads after drop");
-    assert_returns_to(fds_at_rest, open_fds, "fds after drop");
+    assert_eq!(open_fds(), fds_at_rest);
 }

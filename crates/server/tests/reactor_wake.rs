@@ -139,20 +139,31 @@ fn idle_sessions_cause_no_wakeups() {
     service.stop();
 }
 
+/// Entries of a `/proc/self` directory: `task` for threads, `fd` for open
+/// descriptors.
+fn procfs_count(dir: &str) -> usize {
+    std::fs::read_dir(format!("/proc/self/{dir}")).map_or(0, Iterator::count)
+}
+
 /// (ii) A wake costs O(ready connections): 256 idle sessions share the
 /// shards with one busy worker (another collection, so its fills are not
-/// broadcast to them) and are not visited on its behalf.
+/// broadcast to them) and are not visited on its behalf. Nor do they cost
+/// the client side a thread each: a `TcpConn` reads its own socket.
 #[test]
 fn a_wake_visits_only_ready_connections() {
     let _turn = take_turn();
+    let fds_at_rest = procfs_count("fd");
     let backends = vec![
         ("busy".to_string(), Backend::new(config(100))),
         ("idle".to_string(), Backend::new(config(1))),
     ];
     let service = TcpService::start_multi(backends, "127.0.0.1:0", two_shards()).unwrap();
     let addr = service.addr();
+    let threads = procfs_count("task");
     let idle: Vec<TcpConn> = (0..256).map(|_| session(addr, "idle")).collect();
     let mut worker = RemoteWorker::connect_to(addr, "busy").unwrap();
+    // Slack for test threads the harness starts meanwhile, not for 257.
+    assert!(procfs_count("task") < threads + 16, "a thread per session");
     settle();
     let before = counter("crowdfill_reactor_conn_visits");
     for i in 0..100 {
@@ -167,6 +178,11 @@ fn a_wake_visits_only_ready_connections() {
     worker.bye();
     drop(idle);
     service.stop();
+    assert_eq!(
+        procfs_count("fd"),
+        fds_at_rest,
+        "descriptors not given back"
+    );
 }
 
 /// (iii) Every wake source, alone, unblocks a blocked shard. No timers are

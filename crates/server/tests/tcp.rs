@@ -429,3 +429,81 @@ fn handshake_refusals_and_cursor_junk_over_raw_frames() {
     filler.bye();
     service.stop();
 }
+
+/// `"auto":true` on a raw socket buys no exemption from the policy: an
+/// insert, a replace of a row that is gone and a second upvote of a voted
+/// value are each turned away, and the history does not move.
+#[test]
+fn auto_true_over_a_raw_socket_exempts_nothing_but_the_completion_upvote() {
+    use crowdfill_docstore::Json;
+    use crowdfill_model::{ClientId, Message, RowId, RowValue};
+    use crowdfill_net::{FrameConn, TcpConn};
+    use crowdfill_server::wire;
+
+    let service = TcpService::start(crowdfill_server::Backend::new(config(2)), "127.0.0.1:0");
+    let service = service.unwrap();
+    let mut honest = RemoteWorker::connect(service.addr()).unwrap();
+    let first = honest.view().presented_rows()[0];
+    let mut row = first;
+    for (c, v) in ["Messi", "Argentina", "FW"].into_iter().enumerate() {
+        honest
+            .fill(row, ColumnId(c as u16), Value::text(v))
+            .unwrap();
+        row = *honest.view().presented_rows().iter().max().unwrap();
+    }
+    let table = honest.view().replica().table();
+    let complete = table.iter().find(|(_, e)| e.upvotes == 1).unwrap().1;
+    let complete = complete.value.clone();
+
+    let raw = TcpConn::connect(service.addr()).unwrap();
+    let exchange = |request: String| {
+        raw.send(request.as_bytes()).unwrap();
+        loop {
+            let frame = raw.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+            let reply = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+            let ty = reply
+                .get("type")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string();
+            if ty != "msg" && ty != "batch" {
+                return (ty, reply);
+            }
+        }
+    };
+    let (ty, welcome) = exchange(r#"{"type":"hello"}"#.to_string());
+    assert_eq!(ty, "welcome");
+    let client = welcome.get("client").and_then(Json::as_i64).unwrap() as u32;
+    let before = welcome.get("history_len").and_then(Json::as_i64).unwrap();
+
+    // The raw session votes once, honestly, so that a second vote is one.
+    let upvote = Message::Upvote { value: complete };
+    let submit = |msg: &Message, auto: bool| {
+        let fields = [
+            ("type", Json::str("submit")),
+            ("auto", Json::Bool(auto)),
+            ("msg", wire::message_to_json(msg)),
+        ];
+        exchange(Json::obj(fields).encode()).0
+    };
+    assert_eq!(submit(&upvote, false), "ack");
+    let hostile = [
+        Message::Insert {
+            row: RowId::new(ClientId(client), 77),
+        },
+        Message::Replace {
+            old: first,
+            new: RowId::new(ClientId(client), 78),
+            value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
+        },
+        upvote.clone(),
+    ];
+    for msg in &hostile {
+        assert_eq!(submit(msg, true), "reject", "{msg:?}");
+    }
+    let (_, synced) = exchange(r#"{"type":"sync","from":0,"have":[]}"#.to_string());
+    let after = synced.get("history_len").and_then(Json::as_i64).unwrap();
+    assert_eq!(after, before + 1, "only the honest upvote landed");
+    honest.bye();
+    service.stop();
+}

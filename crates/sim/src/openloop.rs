@@ -173,7 +173,7 @@ pub fn thundering_herd(
 
 /// One simulated worker session in a connection-scale scenario: when it
 /// connects, which collection it attaches to, and when its fills go out.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionPlan {
     /// Index of the worker in `0..workers` (unique per session).
     pub worker: usize,

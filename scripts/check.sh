@@ -8,8 +8,10 @@ cargo fmt --all -- --check
 
 # Source gates, as cheap: a match fails the run.
 # No product path rewrites the bytes it was sent — a frame or record that
-# is not UTF-8 is malformed, on the server and on the client alike.
-if grep -rn "from_utf8_lossy" crates/server/src crates/docstore/src crates/net/src; then
+# is not UTF-8 is malformed, on the server, on the client and in the
+# harnesses that drive them alike (`crates/e2e` is the benchmark's, and
+# left alone).
+if grep -rn "from_utf8_lossy" crates/*/src | grep -v '^crates/e2e/'; then
   echo "check.sh: from_utf8_lossy in a product path; decode with std::str::from_utf8" >&2
   exit 1
 fi
@@ -29,6 +31,20 @@ fi
 # transport asks the cache (DESIGN.md §14.3), it never builds an image.
 if grep -rn "bootstrap_messages()" crates/server/src | grep -v '^crates/server/src/backend.rs'; then
   echo "check.sh: state image built outside backend.rs; read Backend::bootstrap_text" >&2
+  exit 1
+fi
+# The transport spawns no thread: a `TcpConn` reads its own socket on its
+# caller's thread, the codecs and `LocalConn` never had one.
+if sed -s '/#\[cfg(test)\]/,$d' crates/net/src/tcp.rs crates/net/src/conn.rs crates/net/src/nonblocking.rs \
+  | grep -n "thread::Builder\|thread::spawn"; then
+  echo "check.sh: the transport spawns a thread; read the socket on the caller's" >&2
+  exit 1
+fi
+# One client: every client-side request frame is built in client_core.rs,
+# and its drivers (RemoteWorker, the scale harness) name none.
+if grep -rn 'Json::str("\(hello\|resume\|submit\|modify\|sync\|bye\)")' crates/server/src crates/bench/src \
+  | grep -v client_core.rs; then
+  echo "check.sh: a client request frame built outside client_core.rs; ask ClientCore for it" >&2
   exit 1
 fi
 
@@ -59,9 +75,10 @@ CROWDFILL_STRESS_SEEDS=101,9091 \
 CROWDFILL_FAULT_SEEDS=11,23,47,101 \
   cargo test -q --release -p crowdfill-server --test overload_props
 
-# Connection-scale gate (DESIGN.md §13): 1k concurrent wire sessions over
-# 16 collections against the sharded reactor, pinned seeds — asserts zero
-# acked-op loss against the durable history, bounded per-collection
+# Connection-scale gate (DESIGN.md §13): 1k concurrent wire sessions, each
+# a `ClientCore` with a real replica, over 16 collections against the
+# sharded reactor, pinned seeds — asserts zero acked-op loss, every replica
+# equal to its collection's master at quiescence, bounded per-collection
 # fairness spread, and O(shard pool) service threads.
 CROWDFILL_CONNSCALE_SEEDS=1009,2003 \
   cargo test -q --release -p crowdfill-bench --test connscale_smoke
