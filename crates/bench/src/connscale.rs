@@ -41,7 +41,8 @@ use crowdfill_model::{
 };
 use crowdfill_net::nonblocking::{FrameReader, FrameWriter};
 use crowdfill_net::{ConnError, Interest, Poller};
-use crowdfill_server::client_core::{Event, Pending};
+use crowdfill_server::client_core::Event;
+use crowdfill_server::wire::Request;
 use crowdfill_server::{
     Backend, ClientCore, ReconnectPolicy, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
 };
@@ -320,9 +321,9 @@ struct Sess {
     phase: Phase,
     next_fill: usize,
     /// The request awaiting the server's verdict, and when it went out.
-    inflight: Option<(Pending, Instant)>,
+    inflight: Option<(Request, Instant)>,
     /// A request turned away under load, resent when its timer fires.
-    parked: Option<Pending>,
+    parked: Option<Request>,
     overload_tries: u32,
     /// Failed connect attempts so far (the accept backlog can push back
     /// during a connect storm; retry with a growing delay before giving up).
@@ -368,13 +369,13 @@ impl Sess {
         self.phase = phase;
     }
 
-    /// Queues `frame` (if any) and writes what the socket takes; the rest
+    /// Queues `request` (if any) and writes what the socket takes; the rest
     /// goes when it turns writable. A `bye` that has left ends the session.
-    fn send(&mut self, i: usize, frame: Option<&str>, d: &mut Driver<'_>) {
+    fn send(&mut self, i: usize, request: Option<&Request>, d: &mut Driver<'_>) {
         let Some(stream) = self.stream.as_mut() else {
             return;
         };
-        let queued = frame.map_or(Ok(()), |f| self.writer.enqueue(f.as_bytes()));
+        let queued = request.map_or(Ok(()), |r| self.writer.enqueue(r.encode().as_bytes()));
         if queued.and_then(|()| self.writer.flush(stream)).is_err() {
             return self.finish(Phase::Failed, d);
         }
@@ -405,7 +406,7 @@ impl Sess {
                 d.peak.fetch_max(live, Ordering::AcqRel);
                 self.phase = Phase::HelloSent;
                 let collection = collection_name(self.plan.collection);
-                self.send(i, Some(&ClientCore::hello_frame(Some(&collection))), d);
+                self.send(i, Some(&Request::Hello(Some(collection))), d);
             }
             Err(_) if self.connect_retries < 50 => {
                 self.connect_retries += 1;
@@ -479,7 +480,7 @@ impl Sess {
             // its reply is the whole history: nothing left but to leave.
             Event::Synced if self.phase == Phase::Settling => {
                 self.phase = Phase::Closing;
-                self.send(i, Some(ClientCore::BYE), d);
+                self.send(i, Some(&Request::Bye), d);
             }
             // A `lagging` note needs no `sync` of its own: that last one
             // asks for everything the replica has not applied.
@@ -517,9 +518,8 @@ impl Sess {
                 fill.ok()?.pop()?
             }
         };
-        let frame = pending.frame();
+        self.send(i, Some(&pending), d);
         self.inflight = Some((pending, Instant::now()));
-        self.send(i, Some(&frame), d);
         Some(())
     }
 }
@@ -548,7 +548,7 @@ fn drive(sessions: &mut [Sess], mut d: Driver<'_>) {
             for (i, s) in sessions.iter_mut().enumerate() {
                 if let (Phase::Idle, Some(core)) = (s.phase, s.core.as_mut()) {
                     s.phase = Phase::Settling;
-                    let sync = core.sync_frame(false);
+                    let sync = core.sync_request(false);
                     s.send(i, Some(&sync), &mut d);
                 }
             }

@@ -24,6 +24,7 @@
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_obs::metrics;
+use crowdfill_server::wire::Request;
 use crowdfill_server::{
     Backend, BatchOptions, OverloadOptions, ReconnectPolicy, RemoteError, RemoteWorker,
     ServiceOptions, TaskConfig, TcpService,
@@ -374,7 +375,7 @@ fn run_worker(
 /// The connection is held open until dropped.
 fn stalled_reader_conn(addr: std::net::SocketAddr) -> Option<TcpConn> {
     let conn = TcpConn::connect(addr).ok()?;
-    conn.send(br#"{"type": "hello"}"#).ok()?;
+    conn.send(Request::Hello(None).encode().as_bytes()).ok()?;
     // Read the welcome only, so the session is fully registered; every
     // later broadcast is left to rot in the socket.
     conn.recv().ok()?;

@@ -227,8 +227,10 @@ pub struct JsonError {
 /// The read accessors [`Json`] and [`JsonRef`] share, so a decoder written
 /// once against this trait reads the same message out of whichever tree
 /// the caller holds. Each method forwards to the inherent one of the same
-/// name.
+/// name; [`to_json`](JsonNode::to_json) is the owned copy of a subtree,
+/// for the cold decoders that are written against [`Json`].
 pub trait JsonNode: Sized {
+    fn to_json(&self) -> Json;
     fn get(&self, key: &str) -> Option<&Self>;
     fn as_str(&self) -> Option<&str>;
     fn as_f64(&self) -> Option<f64>;
@@ -240,9 +242,11 @@ pub trait JsonNode: Sized {
 macro_rules! forward_json_node {
     ($($method:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {
         impl JsonNode for Json {
+            fn to_json(&self) -> Json { self.clone() }
             $(fn $method(&self $(, $arg: $ty)*) -> $ret { Json::$method(self $(, $arg)*) })*
         }
         impl JsonNode for JsonRef<'_> {
+            fn to_json(&self) -> Json { self.to_owned() }
             $(fn $method(&self $(, $arg: $ty)*) -> $ret { JsonRef::$method(self $(, $arg)*) })*
         }
     };

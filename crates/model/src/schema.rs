@@ -30,7 +30,7 @@ impl fmt::Display for ColumnId {
 }
 
 /// A single column definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
     data_type: DataType,
@@ -102,7 +102,7 @@ impl Column {
 }
 
 /// An immutable table schema: columns plus a primary key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     name: String,
     columns: Vec<Column>,

@@ -299,6 +299,9 @@ struct Bootstrap {
     encoded: usize,
 }
 
+/// A vote history as the state image and the checkpoint carry it.
+type Votes = Vec<(RowValue, u32)>;
+
 /// The CrowdFill back-end server for one data-collection task.
 pub struct Backend {
     config: TaskConfig,
@@ -1271,35 +1274,40 @@ impl Backend {
     /// Deterministic: vote vectors are sorted by their wire encoding, rows
     /// by id. Length is O(live state), not O(history).
     pub fn bootstrap_messages(&self) -> Vec<Message> {
-        let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
+        let (uh, dh, rows) = self.sorted_image();
         let mut msgs = Vec::new();
-        let mut uh: Vec<(&RowValue, u32)> = self.master.upvote_history().iter().collect();
-        uh.sort_by_cached_key(|(v, _)| enc(v));
-        for (v, n) in uh {
-            for _ in 0..n {
-                msgs.push(Message::Upvote { value: v.clone() });
-            }
+        for (value, n) in uh {
+            msgs.extend(std::iter::repeat_n(Message::Upvote { value }, n as usize));
         }
-        let mut dh: Vec<(&RowValue, u32)> = self.master.downvote_history().iter().collect();
-        dh.sort_by_cached_key(|(v, _)| enc(v));
-        for (v, n) in dh {
-            for _ in 0..n {
-                msgs.push(Message::Downvote { value: v.clone() });
-            }
+        for (value, n) in dh {
+            msgs.extend(std::iter::repeat_n(Message::Downvote { value }, n as usize));
         }
-        for (id, e) in self.master.table().iter() {
-            msgs.push(if e.value.is_empty() {
-                Message::Insert { row: id }
-            } else {
-                let value = e.value.clone();
-                Message::Replace {
-                    old: id,
-                    new: id,
-                    value,
-                }
-            });
-        }
+        msgs.extend(rows.into_iter().map(|(id, value)| match value.is_empty() {
+            true => Message::Insert { row: id },
+            false => Message::Replace {
+                old: id,
+                new: id,
+                value,
+            },
+        }));
         msgs
+    }
+
+    /// The master's live state in the one deterministic order the state
+    /// image and the checkpoint share: the upvote and the downvote history
+    /// sorted by the wire encoding of the vector, the live rows by id.
+    fn sorted_image(&self) -> (Votes, Votes, Vec<(RowId, RowValue)>) {
+        let sorted = |history: &crowdfill_sync::VoteHistory| {
+            let mut votes: Votes = history.iter().map(|(v, n)| (v.clone(), n)).collect();
+            votes.sort_by_cached_key(|(v, _)| wire::row_value_to_json(v).encode());
+            votes
+        };
+        let rows = self.master.table().iter();
+        (
+            sorted(self.master.upvote_history()),
+            sorted(self.master.downvote_history()),
+            rows.map(|(id, e)| (id, e.value.clone())).collect(),
+        )
     }
 
     /// A point-in-time image of the backend's live state: everything
@@ -1308,26 +1316,7 @@ impl Backend {
     /// state are deliberately excluded (see DESIGN.md §14 for what resets).
     pub fn capture_state(&self) -> BackendState {
         let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
-        let mut uh: Vec<(RowValue, u32)> = self
-            .master
-            .upvote_history()
-            .iter()
-            .map(|(v, n)| (v.clone(), n))
-            .collect();
-        uh.sort_by_cached_key(|(v, _)| enc(v));
-        let mut dh: Vec<(RowValue, u32)> = self
-            .master
-            .downvote_history()
-            .iter()
-            .map(|(v, n)| (v.clone(), n))
-            .collect();
-        dh.sort_by_cached_key(|(v, _)| enc(v));
-        let rows: Vec<(RowId, RowValue)> = self
-            .master
-            .table()
-            .iter()
-            .map(|(id, e)| (id, e.value.clone()))
-            .collect();
+        let (uh, dh, rows) = self.sorted_image();
         let mut sessions: Vec<SessionState> = self
             .sessions
             .iter()

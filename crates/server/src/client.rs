@@ -1,14 +1,15 @@
 //! The blocking client of the networked deployment: [`RemoteWorker`], a
 //! shell around a [`ClientCore`]. The core holds the replica and speaks the
-//! protocol — it builds every frame this file sends and reads every frame
-//! it receives; what is left here is what has to *wait*: the connection,
+//! protocol — it builds every [`Request`] this file sends and reads every
+//! frame it receives; what is left here is what has to *wait*: the connection,
 //! the receive loop with its ack timeout, the sleeps between retries, the
 //! redial loop and its attempt budgets, and the root span that times a
 //! submission from send to ack. The failure model is documented in
 //! `tcp_service.rs`.
 
-use crate::client_core::{ClientCore, Event, Pending, Settled};
+use crate::client_core::{ClientCore, Event, Settled};
 pub use crate::client_core::{ReconnectPolicy, RemoteAck, RemoteError};
+use crate::wire::Request;
 use crate::worker_client::WorkerClient;
 use crowdfill_model::{ColumnId, RowId, Value};
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
@@ -83,9 +84,9 @@ impl RemoteWorker {
         let attempts = policy.as_ref().map_or(1, |p| p.max_attempts.max(1));
         let mut last_err = ConnError::Disconnected;
         for attempt in 0..attempts {
-            let hello = ClientCore::hello_frame(collection.as_deref());
+            let hello = Request::Hello(collection.clone());
             let welcome = dialer(attempt).and_then(|conn| {
-                conn.send(hello.as_bytes())?;
+                conn.send(hello.encode().as_bytes())?;
                 let frame = match &policy {
                     Some(p) => conn.recv_timeout(p.ack_timeout),
                     None => conn.recv(),
@@ -148,7 +149,8 @@ impl RemoteWorker {
         }
     }
 
-    fn send(&self, frame: &str) -> Result<(), RemoteError> {
+    fn send(&self, request: &Request) -> Result<(), RemoteError> {
+        let frame = request.encode();
         self.conn.send(frame.as_bytes()).map_err(RemoteError::Conn)
     }
 
@@ -172,10 +174,10 @@ impl RemoteWorker {
         }
     }
 
-    /// Sends one request frame and waits for the server's verdict on it,
+    /// Sends one request and waits for the server's verdict on it,
     /// absorbing interleaved broadcasts.
-    fn exchange(&mut self, frame: &str) -> Result<RemoteAck, RemoteError> {
-        self.send(frame)?;
+    fn exchange(&mut self, request: &Request) -> Result<RemoteAck, RemoteError> {
+        self.send(request)?;
         self.await_reply(|event| match event {
             Event::Ack(ack) => Ok(Ok(ack)),
             Event::Overloaded { retry_after_ms } => {
@@ -267,19 +269,18 @@ impl RemoteWorker {
     /// * `reject` → the optimistic local application has diverged: roll
     ///   back (retract the vote record, full resync), surface the rejection;
     /// * `overloaded` → the op was never applied server-side; retry the
-    ///   same frame after a jittered backoff honoring the server's
+    ///   same request after a jittered backoff honoring the server's
     ///   `retry_after` hint, up to the policy's attempt budget, then roll
     ///   back the local application and surface the overload.
-    fn transact(&mut self, pending: Pending) -> Result<RemoteAck, RemoteError> {
+    fn transact(&mut self, pending: Request) -> Result<RemoteAck, RemoteError> {
         // The root span covers the whole client-side transaction — send,
         // overload retries, recovery — so its duration is the op's true
         // submit-to-ack latency as the caller experienced it.
         let trace = pending.trace();
         let _root = (!trace.is_none()).then(|| ActiveSpan::root(trace, Stage::ClientSubmit));
-        let frame = pending.frame();
         let mut overload_tries: u32 = 0;
         loop {
-            match self.exchange(&frame) {
+            match self.exchange(&pending) {
                 Ok(ack) => {
                     // The op is acked — durably applied server-side — so the
                     // lagging heal is best-effort, like `absorb_pending`: a
@@ -311,7 +312,7 @@ impl RemoteWorker {
 
     /// Undoes an op that was applied locally on optimistic grounds the
     /// server refuted (a reject) or never took up (overload).
-    fn roll_back(&mut self, pending: &Pending) -> Result<(), RemoteError> {
+    fn roll_back(&mut self, pending: &Request) -> Result<(), RemoteError> {
         let resync = self.core.roll_back(pending);
         self.complete_sync(resync, true)
     }
@@ -321,14 +322,14 @@ impl RemoteWorker {
     /// synthesized (`recovered = true`) if the replay shows the submission
     /// landed, otherwise it is resubmitted on the fresh connection. A
     /// rejected resubmission rolls back and surfaces the rejection.
-    fn recover(&mut self, pending: Option<&Pending>) -> Result<RemoteAck, RemoteError> {
+    fn recover(&mut self, pending: Option<&Request>) -> Result<RemoteAck, RemoteError> {
         let policy = self.policy.clone().expect("recover requires a policy");
         for attempt in 0..policy.max_attempts {
             std::thread::sleep(self.core.backoff(attempt));
             let Ok(conn) = (self.dialer)(attempt + 1) else {
                 continue;
             };
-            let resume = self.core.resume_frame();
+            let resume = self.core.resume_request().encode();
             let reply = conn.send(resume.as_bytes());
             let Ok(reply) = reply.and_then(|()| conn.recv_timeout(policy.ack_timeout)) else {
                 continue;
@@ -340,7 +341,7 @@ impl RemoteWorker {
             let resubmit = match settled {
                 Settled::Redial => continue,
                 Settled::Recovered => return Ok(RemoteAck::RECOVERED),
-                Settled::Resubmit(frame) => frame,
+                Settled::Resubmit(request) => request,
             };
             match self.exchange(&resubmit) {
                 Ok(ack) => return Ok(ack),
@@ -367,7 +368,7 @@ impl RemoteWorker {
     /// and applies them — the catch-up that heals silent broadcast loss on
     /// a lossy link. Call before comparing replicas (or periodically).
     pub fn sync(&mut self) -> Result<(), RemoteError> {
-        let sync = self.core.sync_frame(false);
+        let sync = self.core.sync_request(false);
         self.complete_sync(sync, false)
     }
 
@@ -375,14 +376,14 @@ impl RemoteWorker {
     /// recovery of last resort after provable divergence (e.g. a rejected
     /// submission that was already applied locally).
     pub fn resync(&mut self) -> Result<(), RemoteError> {
-        let sync = self.core.sync_frame(true);
+        let sync = self.core.sync_request(true);
         self.complete_sync(sync, true)
     }
 
     /// Sends a sync request and waits for the core to have applied its
     /// reply. A connection failure (with a policy) re-establishes the
     /// session and asks again, from wherever the cursor then stands.
-    fn complete_sync(&mut self, mut request: String, full: bool) -> Result<(), RemoteError> {
+    fn complete_sync(&mut self, mut request: Request, full: bool) -> Result<(), RemoteError> {
         let attempts = self.policy.as_ref().map_or(1, |p| p.max_attempts.max(1));
         let mut last = RemoteError::Conn(ConnError::Disconnected);
         for _ in 0..attempts {
@@ -396,7 +397,7 @@ impl RemoteWorker {
                 Err(e @ RemoteError::Conn(_)) if self.policy.is_some() => {
                     last = e;
                     self.recover(None)?;
-                    request = self.core.sync_frame(full);
+                    request = self.core.sync_request(full);
                 }
                 done => return done,
             }
@@ -406,7 +407,7 @@ impl RemoteWorker {
 
     /// Fetches the server's metrics snapshot (Prometheus-style text).
     pub fn stats(&mut self) -> Result<String, RemoteError> {
-        self.send(ClientCore::STATS)?;
+        self.send(&Request::Stats)?;
         self.await_reply(|event| match event {
             Event::Stats(snapshot) => Ok(snapshot),
             other => Err(other),
@@ -416,7 +417,7 @@ impl RemoteWorker {
     /// Fetches the server's live health report (completeness, per-column
     /// agreement, per-worker latency and lag, SLO burn rates).
     pub fn health(&mut self) -> Result<crate::health::HealthReport, RemoteError> {
-        self.send(ClientCore::HEALTH)?;
+        self.send(&Request::Health)?;
         self.await_reply(|event| match event {
             Event::Health(report) => Ok(*report),
             other => Err(other),
@@ -433,7 +434,7 @@ impl RemoteWorker {
     /// Fetches the server's flight-recorder contents as JSON lines (one
     /// [`TraceEvent`] per line).
     pub fn trace_dump(&mut self) -> Result<String, RemoteError> {
-        self.send(ClientCore::TRACE_DUMP)?;
+        self.send(&Request::TraceDump)?;
         self.await_reply(|event| match event {
             Event::TraceDump(events) => Ok(events),
             other => Err(other),
@@ -442,6 +443,6 @@ impl RemoteWorker {
 
     /// Says goodbye (the server releases the session).
     pub fn bye(self) {
-        let _ = self.send(ClientCore::BYE);
+        let _ = self.send(&Request::Bye);
     }
 }

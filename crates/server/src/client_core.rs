@@ -1,17 +1,16 @@
 //! The client half of the wire protocol, once, as a state machine that
 //! touches no socket: [`ClientCore`] owns the replica and everything the
-//! protocol makes a client remember, builds every request frame, and reads
-//! every reply. Its drivers are shells that move bytes and wait —
+//! protocol makes a client remember, builds every [`Request`], and reads
+//! every [`Reply`]. Its drivers are shells that move bytes and wait —
 //! [`RemoteWorker`](crate::RemoteWorker) over a blocking connection, the
-//! scale harness over one poller for thousands of sessions — and none of
-//! them names a frame type or a field. The grammar is documented in
-//! `tcp_service.rs`.
+//! scale harness over one poller for thousands of sessions. The frames
+//! themselves — grammar, field names, what is malformed — are `wire.rs`'s.
 //!
 //! ## One decode path
 //!
-//! A frame is read the way the server reads one: UTF-8 checked (bytes that
-//! are not are a [`RemoteError::Protocol`], never rewritten), parsed once
-//! as a borrowed [`JsonRef`], messages decoded by the [`wire`] functions.
+//! A frame is read the way the server reads one: [`wire::parse_frame`]
+//! (bytes that are not UTF-8 are never rewritten), then the typed decoder;
+//! whatever either refuses is a [`RemoteError::Protocol`].
 //! [`ClientCore::handle`] does that for every frame after the handshake and
 //! answers with what the frame *was*, its effect on the replica already
 //! applied.
@@ -20,21 +19,19 @@
 //!
 //! The core decides nothing from a clock it reads, never waits and never
 //! connects: a backoff is a `Duration` handed to the shell, a reconnect is
-//! a [`resume_frame`](ClientCore::resume_frame) to send on whatever the
+//! a [`resume_request`](ClientCore::resume_request) to send on whatever the
 //! shell dialed and a [`settle_resume`](ClientCore::settle_resume) of the
 //! reply. (Trace stamps read the recorder's clock: observability only.)
 
 use crate::health::HealthReport;
-use crate::wire;
+use crate::wire::{self, CatchUp, Cursor, Op, Reply, Request, SeqMsg};
 use crate::worker_client::{Outgoing, WorkerClient};
-use crowdfill_docstore::{Json, JsonRef};
-use crowdfill_model::{ClientId, ColumnId, Message, OpError, RowId, Value};
+use crowdfill_model::{ColumnId, Message, OpError, RowId, Value};
 use crowdfill_net::ConnError;
 use crowdfill_obs::metrics::counter;
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::WorkerId;
 use crowdfill_sync::AppliedSeqs;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Reconnection behavior of a client.
@@ -141,55 +138,13 @@ pub enum Event {
     TraceDump(String),
 }
 
-/// A request that changes the table: applied to the replica already, and
-/// owed to the server until an [`Event::Ack`] or a
-/// [`settle_resume`](ClientCore::settle_resume) says it landed.
-#[derive(Debug, Clone)]
-pub struct Pending {
-    /// One message for a `submit`, the bundle for a `modify`.
-    msgs: Vec<Outgoing>,
-    modify: bool,
-    speculative: bool,
-    trace: TraceId,
-}
-
-impl Pending {
-    /// The op's trace id ([`TraceId::NONE`] when it is not sampled): the
-    /// shell opens the root span that times the whole transaction.
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-
-    /// The request frame, encoded.
-    pub fn frame(&self) -> String {
-        self.encode(self.speculative, self.trace)
-    }
-
-    fn encode(&self, speculative: bool, trace: TraceId) -> String {
-        let entry = |o: &Outgoing| {
-            [
-                ("auto", Json::Bool(o.auto_upvote)),
-                ("msg", wire::message_to_json(&o.msg)),
-            ]
-        };
-        let mut fields = match self.modify {
-            true => {
-                let msgs = self.msgs.iter().map(|o| Json::obj(entry(o))).collect();
-                vec![("type", Json::str("modify")), ("msgs", Json::Arr(msgs))]
-            }
-            false => {
-                let mut fields = vec![("type", Json::str("submit"))];
-                fields.extend(entry(&self.msgs[0]));
-                fields
-            }
-        };
-        if speculative {
-            fields.push(("speculative", Json::Bool(true)));
-        }
-        if !trace.is_none() {
-            fields.push(("trace", Json::str(trace.to_hex())));
-        }
-        Json::obj(fields).encode()
+/// The ops of a request that changes the table: the one of a `submit`, the
+/// bundle of a `modify`.
+fn ops(request: &Request) -> &[Op] {
+    match request {
+        Request::Submit(op, ..) => std::slice::from_ref(op),
+        Request::Modify(bundle, _) => bundle,
+        _ => &[],
     }
 }
 
@@ -201,8 +156,8 @@ pub enum Settled {
     /// Nothing was in flight, or the replay contained it: the server had
     /// applied it and only the ack was lost.
     Recovered,
-    /// The server never saw it: send this frame and await its ack.
-    Resubmit(String),
+    /// The server never saw it: send this request and await its ack.
+    Resubmit(Request),
 }
 
 /// Whether a catch-up `sync` is owed for broadcasts the server dropped.
@@ -229,88 +184,10 @@ fn protocol(what: impl ToString) -> RemoteError {
     RemoteError::Protocol(what.to_string())
 }
 
-/// Decodes one received frame, borrowed. Bytes that are not UTF-8 are a
-/// protocol error exactly like text that is not JSON.
-fn parse_frame(frame: &[u8]) -> Result<JsonRef<'_>, RemoteError> {
-    JsonRef::parse(std::str::from_utf8(frame).map_err(protocol)?).map_err(protocol)
-}
-
-fn frame_type<'a>(j: &'a JsonRef<'_>) -> Option<&'a str> {
-    j.get("type").and_then(JsonRef::as_str)
-}
-
-fn u64_field(j: &JsonRef<'_>, name: &str) -> Option<u64> {
-    u64::try_from(j.get(name).and_then(JsonRef::as_i64)?).ok()
-}
-
-fn required(j: &JsonRef<'_>, name: &str) -> Result<u64, RemoteError> {
-    u64_field(j, name).ok_or_else(|| protocol(format!("missing {name}")))
-}
-
-fn rejected(reply: &JsonRef<'_>) -> String {
-    let reason = reply.get("reason").and_then(JsonRef::as_str);
-    reason.unwrap_or("unknown").to_string()
-}
-
-/// The `"history"` array of a `welcome`, or of a `resumed`/`synced` reply
-/// that carries the bootstrap image instead of a suffix.
-fn history_from_json(reply: &JsonRef<'_>) -> Result<Vec<Message>, RemoteError> {
-    let history = reply.get("history").and_then(JsonRef::as_arr);
-    history
-        .ok_or_else(|| protocol("missing history"))?
-        .iter()
-        .map(|m| wire::message_from_json(m).map_err(protocol))
-        .collect()
-}
-
-/// What a `resumed` or `synced` reply carries for a cursor.
-enum CatchUp {
-    /// The messages the cursor was missing, seq-tagged.
-    Suffix(Vec<(u64, Message)>),
-    /// `reset: true`: the cursor fell below the server's compaction
-    /// horizon, and this is the bootstrap image that stands in for the
-    /// history the suffix would have come from.
-    Image(Vec<Message>),
-}
-
-/// Decodes a `resumed`/`synced` reply: the server's watermark, and what
-/// it sent to get the replica there.
-fn catch_up_from_json(reply: &JsonRef<'_>) -> Result<(u64, CatchUp), RemoteError> {
-    let history_len = required(reply, "history_len")?;
-    if reply.get("reset").and_then(JsonRef::as_bool) == Some(true) {
-        return Ok((history_len, CatchUp::Image(history_from_json(reply)?)));
-    }
-    let msgs = reply.get("msgs").and_then(JsonRef::as_arr);
-    let msgs = msgs
-        .ok_or_else(|| protocol("missing msgs"))?
-        .iter()
-        .map(|e| {
-            let msg = e.get("msg").ok_or_else(|| protocol("missing msg"))?;
-            let msg = wire::message_from_json(msg).map_err(protocol)?;
-            Ok((required(e, "seq")?, msg))
-        })
-        .collect::<Result<_, RemoteError>>()?;
-    Ok((history_len, CatchUp::Suffix(msgs)))
-}
-
-/// One decoded broadcast: the `{"seq":n,"msg":{...}}` shape a `msg` frame
-/// body and a `batch` frame entry share, plus the originating op's trace
-/// id when tracing is on.
-struct Broadcast {
-    seq: Option<u64>,
-    msg: Message,
-    trace: TraceId,
-}
-
-impl Broadcast {
-    /// `None` for an entry whose message does not decode (skipped).
-    fn from_json(entry: &JsonRef<'_>) -> Option<Broadcast> {
-        Some(Broadcast {
-            seq: u64_field(entry, "seq"),
-            msg: wire::message_from_json(entry.get("msg")?).ok()?,
-            trace: wire::trace_id_from_json(entry),
-        })
-    }
+/// Reads one received frame: parsed once, borrowed, and decoded.
+fn decode(frame: &[u8]) -> Result<Reply<'static>, RemoteError> {
+    let json = wire::parse_frame(frame).map_err(protocol)?;
+    Reply::decode(&json).map_err(protocol)
 }
 
 /// One session's protocol state: a [`WorkerClient`] replica, exactly which
@@ -332,7 +209,7 @@ pub struct ClientCore {
     /// `Some` while a full resync's reply is outstanding: broadcasts that
     /// race it are held here, decoded, and replayed AFTER the rebuild,
     /// which would otherwise erase them.
-    full_sync: Option<Vec<Broadcast>>,
+    full_sync: Option<Vec<SeqMsg>>,
     /// Backoff shape (`base_delay`, `max_delay`) of the session's policy.
     delays: Option<(Duration, Duration)>,
     /// Jitter stream state.
@@ -345,21 +222,6 @@ pub struct ClientCore {
 }
 
 impl ClientCore {
-    /// The requests without fields. The first three are answered by the
-    /// [`Event`] of the same name; `bye` makes the server release the
-    /// session, and is not answered.
-    pub const STATS: &'static str = r#"{"type":"stats"}"#;
-    pub const HEALTH: &'static str = r#"{"type":"health"}"#;
-    pub const TRACE_DUMP: &'static str = r#"{"type":"trace_dump"}"#;
-    pub const BYE: &'static str = r#"{"type":"bye"}"#;
-
-    /// The request that opens a session (on `collection`, or the server's
-    /// default one).
-    pub fn hello_frame(collection: Option<&str>) -> String {
-        let collection = collection.map(|c| ("collection", Json::str(c)));
-        Json::obj([("type", Json::str("hello"))].into_iter().chain(collection)).encode()
-    }
-
     /// Builds the session from the server's `welcome`: the replica replays
     /// its history, the cursor starts at its watermark.
     pub fn welcomed(
@@ -367,24 +229,14 @@ impl ClientCore {
         collection: Option<String>,
         policy: Option<&ReconnectPolicy>,
     ) -> Result<ClientCore, RemoteError> {
-        let welcome = parse_frame(frame)?;
-        if frame_type(&welcome) != Some("welcome") {
+        let Reply::Welcome(_, worker, client, history_len, schema, history) = decode(frame)? else {
             return Err(protocol("expected welcome"));
-        }
-        let worker = WorkerId(required(&welcome, "worker")? as u32);
-        let client_id = ClientId(required(&welcome, "client")? as u32);
-        // The schema is read once per session: the owned detour keeps the
-        // cold decoders (schema, template, trace, health) off the generics.
-        let schema = welcome
-            .get("schema")
-            .ok_or_else(|| protocol("missing schema"))?;
-        let schema = wire::schema_from_json(&schema.to_owned()).map_err(protocol)?;
-        let history = history_from_json(&welcome)?;
-        let client = WorkerClient::new(worker, client_id, Arc::new(schema), &history);
+        };
+        let history = history.into_messages().map_err(protocol)?;
+        let client = WorkerClient::new(worker, client, schema, &history);
         // The welcome's `history_len` is the server's real watermark; the
         // message array is a state image plus a log suffix that stands in
         // for that prefix, so the cursor can only come from the field.
-        let history_len = required(&welcome, "history_len")?;
         let mut applied = AppliedSeqs::new();
         applied.note_prefix(history_len);
         let jitter = policy.map_or(0, |p| p.jitter_seed);
@@ -425,81 +277,72 @@ impl ClientCore {
     }
 
     /// Reads one received frame — the only place a client does — and says
-    /// what it was. A broadcast is absorbed from the tree in hand (or held
-    /// back, during a full resync); an `ack`'s seqs are noted; a `synced`
-    /// reply's catch-up is applied: the missing suffix, or the image that
-    /// replaces the replica, then the broadcasts held back for it.
+    /// what it was. A broadcast is absorbed (or held back, during a full
+    /// resync); an `ack`'s seqs are noted; a `synced` reply's catch-up is
+    /// applied: the missing suffix, or the image that replaces the replica,
+    /// then the broadcasts held back for it.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Event, RemoteError> {
-        let json = parse_frame(frame)?;
-        let text = |field: &str, what: &str| {
-            let text = json.get(field).and_then(JsonRef::as_str);
-            text.map(str::to_string)
-                .ok_or_else(|| protocol(format!("malformed {what} reply")))
-        };
-        let entries = match frame_type(&json) {
-            Some("msg") => std::slice::from_ref(&json),
-            Some("batch") => json.get("msgs").and_then(JsonRef::as_arr).unwrap_or(&[]),
-            Some("lagging") => {
-                self.lag = Lag::Owed;
-                &[]
+        let fresh = match decode(frame)? {
+            Reply::Msg(entry) => self.receive(entry),
+            Reply::Batch(entries) => {
+                let receive = |fresh, entry| self.receive(entry) | fresh;
+                entries.into_iter().fold(false, receive)
             }
-            Some("ack") => {
+            Reply::Lagging => {
+                self.lag = Lag::Owed;
+                false
+            }
+            Reply::Ack(estimate, fulfilled, seqs, _) => {
                 // The seqs the server assigned to our own submission: we
                 // never get them back as broadcasts.
-                let seqs = json.get("seqs").and_then(JsonRef::as_arr).unwrap_or(&[]);
-                for s in seqs.iter().filter_map(JsonRef::as_i64) {
-                    if let Ok(s) = u64::try_from(s) {
-                        self.server_history_len = self.server_history_len.max(s + 1);
-                        self.applied.note(s);
-                    }
+                for s in seqs {
+                    self.server_history_len = self.server_history_len.max(s + 1);
+                    self.applied.note(s);
                 }
-                let estimate = json.get("estimate").and_then(JsonRef::as_f64);
-                let fulfilled = json.get("fulfilled").and_then(JsonRef::as_bool);
                 return Ok(Event::Ack(RemoteAck {
-                    estimate: estimate.unwrap_or(0.0),
-                    fulfilled: fulfilled.unwrap_or(false),
+                    estimate,
+                    fulfilled,
                     recovered: false,
                 }));
             }
-            Some("overloaded") => {
-                let retry_after_ms = u64_field(&json, "retry_after_ms").unwrap_or(0);
-                return Ok(Event::Overloaded { retry_after_ms });
+            Reply::Overloaded(retry_after_ms, _) => {
+                return Ok(Event::Overloaded { retry_after_ms })
             }
-            Some("reject") => return Ok(Event::Rejected(rejected(&json))),
-            Some("synced") => return self.synced(&json).map(|()| Event::Synced),
-            Some("stats") => return text("snapshot", "stats").map(Event::Stats),
-            Some("trace_dump") => return text("events", "trace_dump").map(Event::TraceDump),
-            Some("health") => {
-                let report = json.get("report").map(JsonRef::to_owned);
-                let report = report.as_ref().and_then(HealthReport::from_json);
-                let report = report.ok_or_else(|| protocol("malformed health reply"))?;
-                return Ok(Event::Health(Box::new(report)));
+            Reply::Reject(reason, _) => return Ok(Event::Rejected(reason)),
+            Reply::Synced(history_len, body) => {
+                return self.synced(history_len, body).map(|()| Event::Synced)
             }
-            other => return Err(protocol(format!("unexpected frame {other:?}"))),
+            Reply::Stats(snapshot) => return Ok(Event::Stats(snapshot)),
+            Reply::TraceDump(events) => return Ok(Event::TraceDump(events)),
+            Reply::Health(report) => return Ok(Event::Health(report)),
+            Reply::Welcome(..) | Reply::Resumed(..) => {
+                return Err(protocol("a handshake reply inside a session"))
+            }
         };
-        let mut fresh = false;
-        for broadcast in entries.iter().filter_map(Broadcast::from_json) {
-            match &mut self.full_sync {
-                Some(held) => held.push(broadcast),
-                None => fresh |= self.absorb(broadcast),
-            }
-        }
         Ok(Event::Broadcast { fresh })
+    }
+
+    /// One broadcast entry: absorbed, or — while a full resync's reply is
+    /// outstanding — held back for after the rebuild.
+    fn receive(&mut self, broadcast: SeqMsg) -> bool {
+        match &mut self.full_sync {
+            Some(held) => held.push(broadcast),
+            None => return self.absorb(broadcast),
+        }
+        false
     }
 
     /// Applies one broadcast if it is fresh; seq-based dedup makes
     /// redelivery (e.g. overlap between a resume replay and a racing
     /// flush) harmless even though messages themselves are not idempotent.
-    fn absorb(&mut self, broadcast: Broadcast) -> bool {
-        let Broadcast { seq, msg, trace } = broadcast;
-        if let Some(seq) = seq {
-            self.server_history_len = self.server_history_len.max(seq + 1);
-            if !self.applied.note(seq) {
-                return false;
-            }
+    fn absorb(&mut self, broadcast: SeqMsg) -> bool {
+        let SeqMsg { seq, msg, trace } = broadcast;
+        self.server_history_len = self.server_history_len.max(seq + 1);
+        if !self.applied.note(seq) {
+            return false;
         }
         self.client.absorb(&msg);
-        if let (Some(seq), false) = (seq, trace.is_none()) {
+        if !trace.is_none() {
             // The far edge of the causal chain: another replica applied
             // the originating op's broadcast.
             let worker = self.client.worker().0 as u64;
@@ -508,12 +351,12 @@ impl ClientCore {
         true
     }
 
-    fn synced(&mut self, reply: &JsonRef<'_>) -> Result<(), RemoteError> {
-        let (history_len, catch_up) = catch_up_from_json(reply)?;
+    fn synced(&mut self, history_len: u64, catch_up: CatchUp<'_>) -> Result<(), RemoteError> {
         let held = self.full_sync.take();
         self.server_history_len = self.server_history_len.max(history_len);
         match catch_up {
-            CatchUp::Image(history) => {
+            CatchUp::Image(image) => {
+                let history = image.into_messages().map_err(protocol)?;
                 self.adopt_image(&history, history_len, "sync reset to bootstrap image")
             }
             CatchUp::Suffix(msgs) if held.is_some() => {
@@ -539,12 +382,12 @@ impl ClientCore {
     /// wire; skipping exactly one instance keeps the replica convergent
     /// either way, because identical vote messages are interchangeable in
     /// effect.) Says which of `mine` the suffix contained.
-    fn replay(&mut self, msgs: &[(u64, Message)], mine: &[Outgoing]) -> Vec<bool> {
+    fn replay(&mut self, msgs: &[(u64, Message)], mine: &[Op]) -> Vec<bool> {
         let mut matched = vec![false; mine.len()];
         for (seq, m) in msgs {
             self.server_history_len = self.server_history_len.max(*seq + 1);
             if self.applied.note(*seq) {
-                match (0..mine.len()).find(|&i| !matched[i] && mine[i].msg == *m) {
+                match (0..mine.len()).find(|&i| !matched[i] && mine[i].0 == *m) {
                     Some(i) => matched[i] = true,
                     None => self.client.absorb(m),
                 }
@@ -577,13 +420,8 @@ impl ClientCore {
         TraceId::generate(self.trace_seed, self.trace_count)
     }
 
-    fn submit(&mut self, out: Outgoing, speculative: bool) -> Pending {
-        Pending {
-            msgs: vec![out],
-            modify: false,
-            speculative,
-            trace: self.next_trace(),
-        }
+    fn submit(&mut self, out: Outgoing, speculative: bool) -> Request {
+        Request::Submit((out.msg, out.auto_upvote), speculative, self.next_trace())
     }
 
     /// Fills a cell locally and returns what is owed to the server, in
@@ -596,7 +434,7 @@ impl ClientCore {
         column: ColumnId,
         value: Value,
         speculative: bool,
-    ) -> Result<Vec<Pending>, RemoteError> {
+    ) -> Result<Vec<Request>, RemoteError> {
         let outgoing = self.client.fill(row, column, value);
         let outgoing = outgoing.map_err(RemoteError::Op)?.into_iter();
         Ok(outgoing.map(|out| self.submit(out, speculative)).collect())
@@ -609,7 +447,7 @@ impl ClientCore {
         &mut self,
         row: RowId,
         action: fn(&mut WorkerClient, RowId) -> Result<Outgoing, OpError>,
-    ) -> Result<Pending, RemoteError> {
+    ) -> Result<Request, RemoteError> {
         let out = action(&mut self.client, row).map_err(RemoteError::Op)?;
         Ok(self.submit(out, false))
     }
@@ -621,52 +459,46 @@ impl ClientCore {
         row: RowId,
         column: ColumnId,
         value: Value,
-    ) -> Result<Pending, RemoteError> {
+    ) -> Result<Request, RemoteError> {
         let msgs = self.client.modify(row, column, value);
-        Ok(Pending {
-            msgs: msgs.map_err(RemoteError::Op)?,
-            modify: true,
-            speculative: false,
-            trace: self.next_trace(),
-        })
+        let msgs = msgs.map_err(RemoteError::Op)?.into_iter();
+        let bundle = msgs.map(|out| (out.msg, out.auto_upvote)).collect();
+        Ok(Request::Modify(bundle, self.next_trace()))
     }
 
     /// Undoes an op that was applied locally on optimistic grounds the
     /// server refuted (a reject) or never took up (overload): drops the
     /// vote record, and returns the full resync that rebuilds the replica
     /// from the authoritative history.
-    pub fn roll_back(&mut self, pending: &Pending) -> String {
-        for out in &pending.msgs {
-            self.client.retract_own_vote_record(&out.msg);
+    pub fn roll_back(&mut self, pending: &Request) -> Request {
+        for (msg, _) in ops(pending) {
+            self.client.retract_own_vote_record(msg);
         }
-        self.sync_frame(true)
+        self.sync_request(true)
     }
 
     /// A `sync` request: for every history message this replica is missing,
     /// or (`full`) for the complete history to rebuild it from — the
     /// recovery of last resort after provable divergence. Await
     /// [`Event::Synced`].
-    pub fn sync_frame(&mut self, full: bool) -> String {
+    pub fn sync_request(&mut self, full: bool) -> Request {
         self.full_sync = full.then(Vec::new);
         if self.lag == Lag::Owed {
             self.lag = Lag::Asked;
         }
-        let request = [("type", Json::str("sync"))];
-        Json::obj(request.into_iter().chain(self.cursor(full))).encode()
+        Request::Sync(match full {
+            true => Cursor::default(),
+            false => self.cursor(),
+        })
     }
 
-    /// The `from`/`have` fields of a `resume` or `sync` request: the
-    /// contiguously-applied prefix and the sparse seqs above it — or
-    /// nothing at all, to ask for the full history.
-    fn cursor(&self, full: bool) -> [(&'static str, Json); 2] {
-        let (from, have) = match full {
-            true => (0, Vec::new()),
-            false => (
-                self.applied.last_contiguous().map_or(0, |s| s + 1),
-                self.applied.extras().map(|s| Json::num(s as f64)).collect(),
-            ),
-        };
-        [("from", Json::num(from as f64)), ("have", Json::Arr(have))]
+    /// Where this replica stands: the contiguously-applied prefix and the
+    /// sparse seqs above it.
+    fn cursor(&self) -> Cursor {
+        Cursor {
+            from: self.applied.last_contiguous().map_or(0, |s| s + 1),
+            have: self.applied.extras().collect(),
+        }
     }
 
     /// The first request on a redialed connection. It carries the
@@ -674,42 +506,34 @@ impl ClientCore {
     /// (or hijack an unrelated id). A sync the old connection never
     /// answered is forgotten; what it held back was never applied, so the
     /// cursor still asks for it.
-    pub fn resume_frame(&mut self) -> String {
+    pub fn resume_request(&mut self) -> Request {
         self.full_sync = None;
-        let mut fields = vec![
-            ("type", Json::str("resume")),
-            ("worker", Json::num(self.client.worker().0 as f64)),
-        ];
-        fields.extend(self.cursor(false));
-        if let Some(c) = &self.collection {
-            fields.push(("collection", Json::str(c)));
-        }
-        Json::obj(fields).encode()
+        Request::Resume(self.client.worker(), self.cursor(), self.collection.clone())
     }
 
-    /// Reads the reply to a [`resume_frame`](Self::resume_frame) and
+    /// Reads the reply to a [`resume_request`](Self::resume_request) and
     /// settles `pending`, the request that was in flight when the old
     /// connection died. The missed suffix is replayed into the replica; if
     /// it contains the pending messages the server had applied them. A
     /// `reject` — unknown worker — is final.
     pub fn settle_resume(
         &mut self,
-        pending: Option<&Pending>,
+        pending: Option<&Request>,
         reply: &[u8],
     ) -> Result<Settled, RemoteError> {
-        let Ok(reply) = parse_frame(reply) else {
+        let Ok(reply) = wire::parse_frame(reply) else {
             return Ok(Settled::Redial);
         };
-        match frame_type(&reply) {
-            Some("resumed") => {}
-            Some("reject") => return Err(RemoteError::Rejected(rejected(&reply))),
+        let (history_len, catch_up) = match Reply::decode(&reply).map_err(protocol)? {
+            Reply::Resumed(_, _, history_len, body) => (history_len, body),
+            Reply::Reject(reason, _) => return Err(RemoteError::Rejected(reason)),
             _ => return Ok(Settled::Redial),
-        }
-        let (history_len, catch_up) = catch_up_from_json(&reply)?;
+        };
         counter("crowdfill_client_resumes").inc();
         let msgs = match catch_up {
             // The server compacted past our cursor while we were gone.
-            CatchUp::Image(history) => {
+            CatchUp::Image(image) => {
+                let history = image.into_messages().map_err(protocol)?;
                 self.adopt_image(&history, history_len, "resume reset to bootstrap image");
                 // Broadcasts that raced the image are not distinguishable
                 // inside it; owe a catch-up sync.
@@ -733,7 +557,7 @@ impl ClientCore {
             replayed => msgs.len(),
         );
 
-        let matched = self.replay(&msgs, pending.map_or(&[], |p| &p.msgs));
+        let matched = self.replay(&msgs, pending.map_or(&[], ops));
         let Some(pending) = pending else {
             return Ok(Settled::Recovered);
         };
@@ -747,7 +571,11 @@ impl ClientCore {
         // id here would split one logical op across two traces — and
         // unmarked: the client has already paid for recovery, so the op is
         // no longer cheap to throw away.
-        Ok(Settled::Resubmit(pending.encode(false, TraceId::NONE)))
+        Ok(Settled::Resubmit(match pending.clone() {
+            Request::Submit(op, ..) => Request::Submit(op, false, TraceId::NONE),
+            Request::Modify(bundle, _) => Request::Modify(bundle, TraceId::NONE),
+            other => other,
+        }))
     }
 
     /// The wait before redial number `attempt` of a recovery episode.

@@ -34,10 +34,13 @@
 //! 1. completes a parked submit/modify whose reply arrived;
 //! 2. reads whatever the socket has, bounded by `READ_BUDGET`, into the
 //!    connection's [`FrameReader`];
-//! 3. decodes and serves complete frames — the handshake
-//!    ([`open_session`]) and the request grammar ([`parse_request`]) live
-//!    in `tcp_service.rs`; a frame that is not UTF-8 is malformed, like
-//!    one that is not JSON;
+//! 3. parses each complete frame once and decodes it with
+//!    [`Request::decode`], handshake and session alike (the grammar is
+//!    `wire.rs`'s; [`open_session`] lives in `tcp_service.rs`). What a
+//!    frame that fails costs is decided here: before the handshake, the
+//!    connection; inside a session, the frame — bytes that are no JSON
+//!    text are not answered, JSON that is no request gets a `reject`, so
+//!    that its sender does not wait out a timeout;
 //! 4. drains the connection's [`Outbox`] (broadcasts queued by the apply
 //!    thread) into its [`FrameWriter`], honoring `writer_pace`, and runs
 //!    the eviction clock of a lagging one;
@@ -53,7 +56,7 @@
 //! The slow-reader policy is split where the threads split. The
 //! [`Outbox`] is what broadcast producers see: a bounded buffer and a
 //! lagging downgrade with dropped-frame accounting when it overflows. The
-//! rest is the owning shard's: the `{"type":"lagging"}` note once the
+//! rest is the owning shard's: the `lagging` note once the
 //! buffer drains, `writer_pace` spacing consecutive broadcast frames, and
 //! eviction — the first visit that sees the lagging flag stamps the
 //! eviction clock, `evict_after` later the connection's deadline fires and
@@ -75,14 +78,13 @@ use crate::backend::{BatchOp, SubmitError, SubmitReport};
 use crate::batch::AsyncSubmit;
 use crate::overload::{OverloadOptions, Priority};
 use crate::tcp_service::{
-    close_session, flush_outboxes, health_reply, lagging_frame, m_evictions, m_lag_downgrades,
-    m_lag_dropped, open_session, parse_request, reject_frame, result_frame, stats_reply,
-    sync_reply, trace_dump_reply, Collection, Request, ServiceMetrics, ServiceShared, SessionOpen,
+    close_session, flush_outboxes, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped,
+    open_session, result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
 };
-use crowdfill_docstore::{Json, JsonRef};
+use crate::wire::{self, Reply, Request};
 use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
-use crowdfill_obs::trace::TraceId;
+use crowdfill_obs::trace::{self as obstrace, TraceId};
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
 use parking_lot::Mutex;
@@ -193,8 +195,8 @@ pub struct Outbox {
     /// tracking means a later `sync`/`resume` replays precisely what was
     /// missed — and the shard's eviction clock runs.
     lagging: AtomicBool,
-    /// A `{"type":"lagging"}` note owed to the client, emitted by the
-    /// shard once the buffer makes progress.
+    /// A `lagging` note owed to the client, emitted by the shard once the
+    /// buffer makes progress.
     note_pending: AtomicBool,
 }
 
@@ -466,14 +468,14 @@ impl ConnState {
 
 /// Queues a reply frame on a connection's writer (free function so
 /// callers holding a borrow of `conn.phase` can still reach the writer).
-fn queue_frame(writer: &mut FrameWriter, dead: &mut bool, reply: &Json) {
-    queue_encoded(writer, dead, reply.encode().as_bytes());
+fn queue_frame(writer: &mut FrameWriter, dead: &mut bool, reply: &Reply<'_>) {
+    queue_encoded(writer, dead, &reply.encode());
 }
 
-/// [`queue_frame`] for a reply that was spliced together as text (the
-/// bootstrap of a `welcome` or a reset is never a [`Json`] tree).
-fn queue_encoded(writer: &mut FrameWriter, dead: &mut bool, reply: &[u8]) {
-    if writer.enqueue(reply).is_err() {
+/// [`queue_frame`] for a reply that was encoded where it was built (a
+/// `welcome` under the backend lock, a catch-up off it).
+fn queue_encoded(writer: &mut FrameWriter, dead: &mut bool, reply: &str) {
+    if writer.enqueue(reply.as_bytes()).is_err() {
         *dead = true;
     }
 }
@@ -785,10 +787,26 @@ fn sweep_conn(
                 *b -= 1;
             }
         }
+        // One parse and one decode, whatever the phase; what a failure
+        // costs is the phase's call (step 3 of the module docs).
+        let request = match wire::parse_frame(&frame).map(|json| Request::decode(&json)) {
+            Ok(Ok(request)) => request,
+            failed => {
+                shared.metrics.malformed_frames.inc();
+                match (&conn.phase, failed) {
+                    (Phase::Handshake, _) => conn.dead = true,
+                    (_, Ok(Err(e))) => {
+                        queue_frame(&mut conn.writer, &mut conn.dead, &Reply::reject(e))
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+        };
         if matches!(conn.phase, Phase::Handshake) {
-            serve_handshake(conn, &frame, shared, wake);
+            serve_handshake(conn, request, shared, wake);
         } else {
-            serve_request(conn, &frame, shared);
+            serve_request(conn, request, shared);
         }
     }
 
@@ -815,9 +833,8 @@ fn sweep_conn(
             popped = true;
         }
         if popped && session.outbox.take_note() {
-            let note = lagging_frame();
-            if conn.writer.enqueue(note.encode().as_bytes()).is_err() {
-                conn.dead = true;
+            queue_frame(&mut conn.writer, &mut conn.dead, &Reply::Lagging);
+            if conn.dead {
                 return false;
             }
         }
@@ -864,28 +881,21 @@ fn sweep_conn(
     runnable
 }
 
-/// Decodes one frame, borrowed. Bytes that are not UTF-8 are malformed
-/// exactly like text that is not JSON: nothing the server applies,
-/// journals or broadcasts is a rewrite of what it was sent.
-fn parse_frame(frame: &[u8]) -> Option<JsonRef<'_>> {
-    JsonRef::parse(std::str::from_utf8(frame).ok()?).ok()
-}
-
 /// Serves the connection's first frame (`hello`/`resume`) via
 /// [`open_session`].
-fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, wake: &ShardWake) {
-    let Some(req) = parse_frame(frame) else {
-        shared.metrics.malformed_frames.inc();
-        conn.dead = true;
-        return;
-    };
-    match open_session(&req, shared) {
-        SessionOpen::Started {
+fn serve_handshake(
+    conn: &mut ConnState,
+    request: Request,
+    shared: &ServiceShared,
+    wake: &ShardWake,
+) {
+    match open_session(request, shared) {
+        Ok(Opened {
             collection,
             worker,
             epoch,
             reply,
-        } => {
+        }) => {
             // Handshake reply enters the writer FIRST: the single outbound
             // queue guarantees no broadcast precedes the welcome.
             queue_encoded(&mut conn.writer, &mut conn.dead, &reply);
@@ -924,18 +934,16 @@ fn serve_handshake(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared, w
                 lagging_since: None,
             });
         }
-        SessionOpen::Rejected(reply) => {
-            queue_frame(&mut conn.writer, &mut conn.dead, &reply);
+        Err(Some(refusal)) => {
+            queue_frame(&mut conn.writer, &mut conn.dead, &refusal);
             conn.closing = true;
         }
-        SessionOpen::Malformed => {
-            conn.dead = true;
-        }
+        Err(None) => conn.dead = true,
     }
 }
 
-/// Serves one in-session request frame, decoded by [`parse_request`].
-fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
+/// Serves one in-session request.
+fn serve_request(conn: &mut ConnState, request: Request, shared: &ServiceShared) {
     let ConnState {
         phase,
         writer,
@@ -946,45 +954,36 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
     let Phase::Active(session) = phase else {
         return;
     };
-    let Some(req) = parse_frame(frame) else {
-        shared.metrics.malformed_frames.inc();
-        return;
-    };
     let metrics = &shared.metrics;
     let _request_timer = SpanTimer::start(&metrics.request_latency_ns);
     let backend = &session.collection.backend;
-    match parse_request(&req) {
-        Request::Submit {
-            op,
-            priority,
-            trace,
-        } => {
+    match request {
+        Request::Submit((msg, auto_upvote), speculative, trace) => {
             metrics.submit_requests.inc();
+            let priority = match speculative {
+                true => Priority::Speculative,
+                false => Priority::Normal,
+            };
+            let op = BatchOp::Msg { msg, auto_upvote };
             session.submit_op(op, priority, trace, metrics, writer, dead);
         }
-        Request::MalformedSubmit => {
-            metrics.submit_requests.inc();
-            queue_frame(writer, dead, &reject_frame("malformed message"));
-        }
-        Request::Modify { op, trace } => {
+        Request::Modify(bundle, trace) => {
             metrics.modify_requests.inc();
+            let op = BatchOp::Modify { bundle };
             session.submit_op(op, Priority::Normal, trace, metrics, writer, dead);
         }
-        Request::MalformedModify => {
-            metrics.modify_requests.inc();
-            queue_frame(writer, dead, &reject_frame("malformed modify bundle"));
-        }
-        Request::Sync { from, have } => {
+        Request::Sync(cursor) => {
             metrics.sync_requests.inc();
             // Clear-before-suffix, see `sync_reply`.
             session.outbox.clear_lagging();
             session.lagging_since = None;
-            let reply = sync_reply(backend, session.worker, from, &have, metrics);
+            let reply = sync_reply(backend, session.worker, &cursor, metrics);
             queue_encoded(writer, dead, &reply);
         }
         Request::Stats => {
             metrics.stats_requests.inc();
-            queue_frame(writer, dead, &stats_reply());
+            let snapshot = crowdfill_obs::metrics::global().snapshot();
+            queue_frame(writer, dead, &Reply::Stats(snapshot));
         }
         Request::Health => {
             metrics.health_requests.inc();
@@ -993,9 +992,15 @@ fn serve_request(conn: &mut ConnState, frame: &[u8], shared: &ServiceShared) {
         }
         Request::TraceDump => {
             metrics.trace_dump_requests.inc();
-            queue_frame(writer, dead, &trace_dump_reply());
+            // The recorder's ring, this thread's buffered events included.
+            obstrace::flush_thread();
+            let events = obstrace::recorder().dump_jsonl();
+            queue_frame(writer, dead, &Reply::TraceDump(events));
         }
         Request::Bye => *closing = true,
-        Request::Unknown => {}
+        Request::Hello(_) | Request::Resume(..) => {
+            metrics.malformed_frames.inc();
+            queue_frame(writer, dead, &Reply::reject("a session is already open"));
+        }
     }
 }

@@ -1,33 +1,8 @@
 //! The networked deployment: the back-end server behind framed TCP.
 //!
-//! Protocol (JSON per frame):
-//!
-//! ```text
-//! client → server   {"type":"hello","collection":"name"?}
-//!                   {"type":"resume","worker":n,"from":n,"have":[n,...],
-//!                    "collection":"name"?}
-//!                   {"type":"submit","auto":bool,"msg":{...},
-//!                    "speculative":bool?}   ("auto" is honoured for the
-//!                    upvote of the row the sender's last fill completed,
-//!                    and ignored on anything else)
-//!                   {"type":"modify","msgs":[{"auto":bool,"msg":{...}},...]}
-//!                   {"type":"sync","from":n,"have":[n,...]}
-//!                   {"type":"stats"}
-//!                   {"type":"health"}
-//!                   {"type":"bye"}
-//! server → client   {"type":"welcome","worker":n,"client":n,"history_len":n,
-//!                    "collection":"name","schema":{...},"history":[msg,...]}
-//!                   {"type":"resumed","client":n,"history_len":n,
-//!                    "msgs":[{"seq":n,"msg":{...}},...]}
-//!                   {"type":"ack","estimate":x,"fulfilled":bool,"seqs":[n,...]}
-//!                   {"type":"reject","reason":"..."}
-//!                   {"type":"overloaded","retry_after_ms":n}
-//!                   {"type":"lagging"}  (catch up via sync; broadcasts dropped)
-//!                   {"type":"stats","snapshot":"..."}  (metrics text)
-//!                   {"type":"health","report":{...}}  (see DESIGN.md §11)
-//!                   {"type":"synced","history_len":n,"msgs":[{"seq":n,...},...]}
-//!                   {"type":"msg","seq":n,"msg":{...}}  (broadcast)
-//! ```
+//! Every frame is a [`Request`] or a [`Reply`]: the grammar, the
+//! field names and what counts as malformed are `wire.rs`'s, and this file
+//! names no field.
 //!
 //! ## Collections
 //!
@@ -58,11 +33,11 @@
 //! is downgraded to lagging (broadcasts to it dropped, healed by `sync`)
 //! and eventually evicted by its shard (see [`OverloadOptions`] and
 //! DESIGN.md §9). `resume` and `sync` are reads of the same log
-//! (`CatchUp`): the missing suffix, or below the compaction horizon the
+//! ([`catch_up`]): the missing suffix, or below the compaction horizon the
 //! bootstrap. That — a `welcome`'s `history` — is not the history but
 //! [`Backend::bootstrap_text`]: a cached state image plus the log since,
 //! encoded once in the backend and spliced into the frame as text
-//! (`Json::encode_with_member`), so a join costs its shard a copy.
+//! ([`Image::Text`]), so a join costs its shard a copy.
 //! `history_len` is the cursor it lands on.
 //!
 //! ## Threads
@@ -109,14 +84,12 @@
 //! replay — rather than at-least-once redelivery — is what makes a resumed
 //! replica provably converge to the master.
 
-use crate::backend::{Backend, BatchOp, SubmitError};
+use crate::backend::{Backend, SubmitError, SubmitReport};
 use crate::batch::{BatchOptions, BatchPipeline};
-use crate::overload::{OverloadOptions, Priority};
+use crate::overload::OverloadOptions;
 use crate::progress::{ProgressTracker, StopAction, StoppingPolicy};
 use crate::reactor::{self, Outbox, ReactorOptions, ShardWake, Wake};
-use crate::wire;
-use crowdfill_docstore::{Json, JsonRef};
-use crowdfill_model::Message;
+use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
 use crowdfill_obs::timeseries::{
@@ -917,150 +890,50 @@ pub(crate) fn now_millis(started: Instant) -> Millis {
     Millis(started.elapsed().as_millis() as u64)
 }
 
-pub(crate) fn reject_frame(reason: &str) -> Json {
-    reject_frame_traced(reason, TraceId::NONE)
-}
-
-fn reject_frame_traced(reason: &str, trace: TraceId) -> Json {
-    let mut fields = vec![("type", Json::str("reject")), ("reason", Json::str(reason))];
-    if !trace.is_none() {
-        fields.push(("trace", Json::str(trace.to_hex())));
+/// What brings `cursor` up to date, and counts a reset. Call under the
+/// lock acquisition that re-attached the session (`resume`) or read
+/// `history_len` (`sync`): what this reads plus the broadcasts polled
+/// afterwards then covers the history with no gap. The reply is encoded
+/// off the lock, so an image is a copy of the backend's text.
+fn catch_up(b: &mut Backend, cursor: &Cursor, metrics: &ServiceMetrics) -> CatchUp<'static> {
+    if cursor.from < b.history_base() {
+        metrics.reset_resyncs.inc();
+        return CatchUp::Image(Image::Text(b.bootstrap_text().to_owned().into()));
     }
-    Json::obj(fields)
+    let mut missing = b.history_suffix(cursor.from);
+    missing.retain(|(seq, _)| !cursor.have.contains(seq));
+    CatchUp::Suffix(missing)
 }
 
-/// One seq-tagged log entry on the wire: `{"seq":n,"msg":{...}}`, plus the
-/// originating trace id of a traced op so the receiver can attribute
-/// absorb latency. With a `type` it is a whole `msg` broadcast; bare, an
-/// element of a `msgs` array.
-fn seq_msg_fields(seq: u64, msg: &Message, trace: TraceId) -> Vec<(&'static str, Json)> {
-    let mut fields = vec![
-        ("seq", Json::num(seq as f64)),
-        ("msg", wire::message_to_json(msg)),
-    ];
-    if !trace.is_none() {
-        fields.push(("trace", Json::str(trace.to_hex())));
-    }
-    fields
-}
-
-/// A broadcast frame for one seq-tagged message.
-fn broadcast_frame(seq: u64, msg: &Message, trace: TraceId) -> Json {
-    let mut fields = seq_msg_fields(seq, msg, trace);
-    fields.push(("type", Json::str("msg")));
-    Json::obj(fields)
-}
-
-/// A multi-op broadcast: the seq-tagged messages of one batch in one frame.
-/// Clients unpack it entry-by-entry into the same seq-dedup path as `msg`
-/// frames, so a batch boundary is invisible to the convergence argument.
-fn batch_broadcast_frame(msgs: &[(u64, Message, TraceId)]) -> Json {
-    let entry =
-        |(seq, msg, trace): &(u64, Message, TraceId)| Json::obj(seq_msg_fields(*seq, msg, *trace));
-    Json::obj([
-        ("type", Json::str("batch")),
-        ("msgs", Json::Arr(msgs.iter().map(entry).collect())),
-    ])
-}
-
-/// What brings a `resume` or `sync` cursor up to date: the body of a
-/// `resumed` or `synced` reply.
-enum CatchUp {
-    /// The seq-tagged history entries the cursor is missing (`msgs`).
-    Suffix(Vec<(u64, Message)>),
-    /// The cursor predates the serving horizon — the journal below
-    /// `history_base` is gone — so the reply degrades to a deterministic
-    /// full reset: `reset: true` plus the bootstrap a joiner would get
-    /// (`history`), from which the client rebuilds its replica and
-    /// restarts its cursor at `history_len`. Also how a full resync
-    /// (`from: 0`) lands after any compaction.
-    Image(String),
-}
-
-impl CatchUp {
-    /// Decides between the two for the cursor `(from, have)`, and counts a
-    /// reset. Call under the lock acquisition that re-attached the session
-    /// (`resume`) or read `history_len` (`sync`): what this reads plus the
-    /// broadcasts polled afterwards then covers the history with no gap.
-    fn read(b: &mut Backend, from: u64, have: &HashSet<u64>, metrics: &ServiceMetrics) -> CatchUp {
-        if from < b.history_base() {
-            metrics.reset_resyncs.inc();
-            return CatchUp::Image(b.bootstrap_text().to_owned());
-        }
-        let mut missing = b.history_suffix(from);
-        missing.retain(|(seq, _)| !have.contains(seq));
-        CatchUp::Suffix(missing)
-    }
-
-    /// Completes and encodes the reply begun by `header` (off the lock).
-    fn reply(&self, mut header: Vec<(&'static str, Json)>) -> Vec<u8> {
-        match self {
-            CatchUp::Suffix(msgs) => {
-                let entry = |(seq, msg): &(u64, Message)| {
-                    Json::obj(seq_msg_fields(*seq, msg, TraceId::NONE))
-                };
-                header.push(("msgs", Json::Arr(msgs.iter().map(entry).collect())));
-                Json::obj(header).encode().into_bytes()
-            }
-            CatchUp::Image(bootstrap) => {
-                header.push(("reset", Json::Bool(true)));
-                let reply = Json::obj(header).encode_with_member("history", bootstrap);
-                reply.into_bytes()
-            }
-        }
-    }
-}
-
-/// Parses the `(from, have)` cursor of a resume/sync request.
-fn parse_cursor(req: &JsonRef<'_>) -> (u64, HashSet<u64>) {
-    let from = req
-        .get("from")
-        .and_then(JsonRef::as_i64)
-        .unwrap_or(0)
-        .max(0) as u64;
-    let have: HashSet<u64> = req
-        .get("have")
-        .and_then(JsonRef::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(JsonRef::as_i64)
-                .filter(|v| *v >= 0)
-                .map(|v| v as u64)
-                .collect()
-        })
-        .unwrap_or_default();
-    (from, have)
-}
-
-/// Outcome of a handshake frame (`hello` or `resume`). The reply is NOT
-/// yet on the wire — the caller owns delivery so it can order the reply
+/// A session a handshake frame (`hello` or `resume`) opened. The reply is
+/// NOT yet on the wire — the caller owns delivery so it can order the reply
 /// before any broadcast.
-pub(crate) enum SessionOpen {
-    Started {
-        collection: Arc<Collection>,
-        worker: WorkerId,
-        epoch: u64,
-        /// The encoded `welcome` or `resumed` frame.
-        reply: Vec<u8>,
-    },
-    /// Handshake understood but refused (unknown collection, failed
-    /// resume); send the reply, then drop the connection.
-    Rejected(Json),
-    /// Not a handshake at all; drop the connection silently.
-    Malformed,
+pub(crate) struct Opened {
+    pub(crate) collection: Arc<Collection>,
+    pub(crate) worker: WorkerId,
+    pub(crate) epoch: u64,
+    /// The encoded `welcome` or `resumed` frame.
+    pub(crate) reply: String,
 }
 
 /// Processes the first frame of a connection: `hello` creates a worker in
 /// the requested collection, `resume` re-attaches to an existing one. The
-/// `"collection"` field selects the target; absent means the default.
-pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> SessionOpen {
-    let requested = req.get("collection").and_then(JsonRef::as_str);
-    match req.get("type").and_then(JsonRef::as_str) {
-        Some("hello") => {
+/// request names the collection; none means the default. An `Err` drops
+/// the connection: after sending the reply, if the handshake was understood
+/// but refused (unknown collection, failed resume); silently, if the
+/// request was no handshake at all.
+pub(crate) fn open_session(
+    request: Request,
+    shared: &ServiceShared,
+) -> Result<Opened, Option<Reply<'static>>> {
+    let attach_to = |name: &Option<String>| {
+        let collection = shared.resolve_collection(name.as_deref());
+        collection.ok_or(Some(Reply::reject("unknown collection")))
+    };
+    let (collection, worker, epoch, reply) = match request {
+        Request::Hello(collection) => {
             shared.metrics.connects.inc();
-            let Some(collection) = shared.resolve_collection(requested) else {
-                return SessionOpen::Rejected(reject_frame("unknown collection"));
-            };
+            let collection = attach_to(&collection)?;
             // Attach and bootstrap come from ONE lock acquisition, so the
             // text ends exactly where the session's broadcasts begin. It
             // is a state image plus a log suffix, shorter than the history
@@ -1068,18 +941,10 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
             // real watermark, which travels as `history_len`.
             let mut b = collection.backend.lock();
             let (worker, client) = b.attach(now_millis(shared.started));
-            let header = Json::obj([
-                ("type", Json::str("welcome")),
-                ("collection", Json::str(collection.name())),
-                ("worker", Json::num(worker.0 as f64)),
-                ("client", Json::num(client.0 as f64)),
-                ("history_len", Json::num(b.history_len() as f64)),
-                ("schema", wire::schema_to_json(&b.config().schema)),
-            ]);
-            // The array is spliced in as the text the backend keeps: the
-            // transport builds no tree of it.
-            let reply = header.encode_with_member("history", b.bootstrap_text());
-            let reply = reply.into_bytes();
+            let (name, history_len) = (collection.name().to_string(), b.history_len());
+            let schema = Arc::clone(&b.config().schema);
+            let history = Image::Text(b.bootstrap_text().into());
+            let reply = Reply::Welcome(name, worker, client, history_len, schema, history).encode();
             drop(b);
             crowdfill_obs::obs_debug!(
                 "server",
@@ -1087,41 +952,20 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
                 worker => worker.0,
                 client => client.0,
             );
-            SessionOpen::Started {
-                collection,
-                worker,
-                epoch: 0,
-                reply,
-            }
+            (collection, worker, 0, reply)
         }
-        Some("resume") => {
+        Request::Resume(worker, cursor, collection) => {
             shared.metrics.resume_requests.inc();
-            let Some(collection) = shared.resolve_collection(requested) else {
-                return SessionOpen::Rejected(reject_frame("unknown collection"));
-            };
-            let id = req.get("worker").and_then(JsonRef::as_i64);
-            let Some(w) = id.filter(|v| *v >= 0) else {
-                shared.metrics.malformed_frames.inc();
-                return SessionOpen::Malformed;
-            };
-            let worker = WorkerId(w as u32);
-            let (from, have) = parse_cursor(req);
+            let collection = attach_to(&collection)?;
             // Resume and catch-up come from ONE lock acquisition.
             let resumed = {
                 let mut b = collection.backend.lock();
                 b.resume(worker, now_millis(shared.started))
-                    .map(|info| (info, CatchUp::read(&mut b, from, &have, &shared.metrics)))
+                    .map(|info| (info, catch_up(&mut b, &cursor, &shared.metrics)))
             };
-            let (info, body) = match resumed {
-                Err(e) => return SessionOpen::Rejected(reject_frame(&e.to_string())),
-                Ok(ok) => ok,
-            };
-            let reply = body.reply(vec![
-                ("type", Json::str("resumed")),
-                ("collection", Json::str(collection.name())),
-                ("client", Json::num(info.client.0 as f64)),
-                ("history_len", Json::num(info.history_len as f64)),
-            ]);
+            let (info, body) = resumed.map_err(|e| Some(Reply::reject(e)))?;
+            let name = collection.name().to_string();
+            let reply = Reply::Resumed(name, info.client, info.history_len, body).encode();
             crowdfill_obs::obs_debug!(
                 "server",
                 "session resumed";
@@ -1129,18 +973,19 @@ pub(crate) fn open_session(req: &JsonRef<'_>, shared: &ServiceShared) -> Session
                 epoch => info.epoch,
                 reply_bytes => reply.len(),
             );
-            SessionOpen::Started {
-                collection,
-                worker,
-                epoch: info.epoch,
-                reply,
-            }
+            (collection, worker, info.epoch, reply)
         }
         _ => {
             shared.metrics.malformed_frames.inc();
-            SessionOpen::Malformed
+            return Err(None);
         }
-    }
+    };
+    Ok(Opened {
+        collection,
+        worker,
+        epoch,
+        reply,
+    })
 }
 
 /// Tears down a finished session: unregisters (guarded — only if the
@@ -1165,98 +1010,6 @@ pub(crate) fn close_session(
     crowdfill_obs::obs_debug!("server", "session ended"; worker => worker.0, epoch => epoch);
 }
 
-/// One in-session request, decoded off the wire.
-pub(crate) enum Request {
-    Submit {
-        op: BatchOp,
-        priority: Priority,
-        trace: TraceId,
-    },
-    Modify {
-        op: BatchOp,
-        trace: TraceId,
-    },
-    Sync {
-        from: u64,
-        have: HashSet<u64>,
-    },
-    Stats,
-    Health,
-    TraceDump,
-    Bye,
-    /// A submit whose message failed to decode; reject, keep the session.
-    MalformedSubmit,
-    /// A modify whose bundle failed to decode; reject, keep the session.
-    MalformedModify,
-    /// Unrecognized request type; ignored, session continues.
-    Unknown,
-}
-
-/// Decodes one request frame. Borrowed decode: the op hot path builds no
-/// per-field Strings or sorted maps — text cells intern straight from the
-/// read buffer.
-pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
-    match req.get("type").and_then(JsonRef::as_str) {
-        Some("submit") => {
-            let auto = req.get("auto").and_then(JsonRef::as_bool).unwrap_or(false);
-            let priority = if req
-                .get("speculative")
-                .and_then(JsonRef::as_bool)
-                .unwrap_or(false)
-            {
-                Priority::Speculative
-            } else {
-                Priority::Normal
-            };
-            let trace = wire::trace_id_from_json(req);
-            match req.get("msg").and_then(|m| wire::message_from_json(m).ok()) {
-                Some(msg) => Request::Submit {
-                    op: BatchOp::Msg {
-                        msg,
-                        auto_upvote: auto,
-                    },
-                    priority,
-                    trace,
-                },
-                None => Request::MalformedSubmit,
-            }
-        }
-        Some("modify") => {
-            let trace = wire::trace_id_from_json(req);
-            let bundle: Option<Vec<(Message, bool)>> = req
-                .get("msgs")
-                .and_then(JsonRef::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .map(|e| {
-                            let auto = e.get("auto").and_then(JsonRef::as_bool).unwrap_or(false);
-                            e.get("msg")
-                                .and_then(|m| wire::message_from_json(m).ok())
-                                .map(|m| (m, auto))
-                        })
-                        .collect::<Option<Vec<_>>>()
-                })
-                .unwrap_or(None);
-            match bundle {
-                Some(bundle) => Request::Modify {
-                    op: BatchOp::Modify { bundle },
-                    trace,
-                },
-                None => Request::MalformedModify,
-            }
-        }
-        Some("sync") => {
-            let (from, have) = parse_cursor(req);
-            Request::Sync { from, have }
-        }
-        Some("stats") => Request::Stats,
-        Some("health") => Request::Health,
-        Some("trace_dump") => Request::TraceDump,
-        Some("bye") | None => Request::Bye,
-        _ => Request::Unknown,
-    }
-}
-
 /// Builds the encoded `synced` reply. The caller must clear its own
 /// outbox's lagging flag BEFORE calling: every broadcast dropped while
 /// lagging then has a seq below the history length this reply covers, and
@@ -1265,36 +1018,27 @@ pub(crate) fn parse_request(req: &JsonRef<'_>) -> Request {
 pub(crate) fn sync_reply(
     backend: &Mutex<Backend>,
     worker: WorkerId,
-    from: u64,
-    have: &HashSet<u64>,
+    cursor: &Cursor,
     metrics: &ServiceMetrics,
-) -> Vec<u8> {
+) -> String {
     let (history_len, body) = {
         let mut b = backend.lock();
         let history_len = b.history_len();
         // The reply covers the history through `history_len`, so the
         // replica-lag gauge for this worker resets.
         b.note_confirmed(worker, history_len);
-        (history_len, CatchUp::read(&mut b, from, have, metrics))
+        (history_len, catch_up(&mut b, cursor, metrics))
     };
-    body.reply(vec![
-        ("type", Json::str("synced")),
-        ("history_len", Json::num(history_len as f64)),
-    ])
-}
-
-pub(crate) fn stats_reply() -> Json {
-    let snapshot = crowdfill_obs::metrics::global().snapshot();
-    Json::obj([
-        ("type", Json::str("stats")),
-        ("snapshot", Json::str(snapshot)),
-    ])
+    Reply::Synced(history_len, body).encode()
 }
 
 /// The semantic-health report (DESIGN.md §11): completeness, per-column
 /// agreement, per-worker latency/lag, plus SLO burn rates evaluated over
 /// the sampler ring. Scoped to ONE collection's backend.
-pub(crate) fn health_reply(backend: &Mutex<Backend>, telemetry: Option<&ServiceTelemetry>) -> Json {
+pub(crate) fn health_reply(
+    backend: &Mutex<Backend>,
+    telemetry: Option<&ServiceTelemetry>,
+) -> Reply<'static> {
     let mut report = {
         let b = backend.lock();
         crate::health::collect(&b)
@@ -1311,7 +1055,7 @@ pub(crate) fn health_reply(backend: &Mutex<Backend>, telemetry: Option<&ServiceT
         // `crowdfill top --json` from silently omitting them.
         report.slos.extend(dynamic_slo_burns(t));
     }
-    Json::obj([("type", Json::str("health")), ("report", report.to_json())])
+    Reply::Health(Box::new(report))
 }
 
 /// Scans the sampler ring's newest sample for `crowdfill_slo_*_burn_milli`
@@ -1357,79 +1101,28 @@ fn dynamic_slo_burns(t: &ServiceTelemetry) -> Vec<crate::health::SloHealth> {
     out
 }
 
-/// Sibling of `stats`: the flight recorder's current ring contents as
-/// JSON lines, for trace-report and debugging.
-pub(crate) fn trace_dump_reply() -> Json {
-    obstrace::flush_thread();
-    let events = obstrace::recorder().dump_jsonl();
-    Json::obj([
-        ("type", Json::str("trace_dump")),
-        ("events", Json::str(events)),
-    ])
-}
-
-fn ack_frame(report: &crate::backend::SubmitReport, trace: TraceId) -> Json {
-    let mut fields = vec![
-        ("type", Json::str("ack")),
-        ("estimate", Json::num(report.estimate)),
-        ("fulfilled", Json::Bool(report.fulfilled)),
-        (
-            "seqs",
-            Json::Arr(report.seqs.iter().map(|s| Json::num(*s as f64)).collect()),
-        ),
-    ];
-    if !trace.is_none() {
-        fields.push(("trace", Json::str(trace.to_hex())));
-    }
-    Json::obj(fields)
-}
-
-/// The typed overload response: the op was neither applied nor acked, and
-/// the client should retry after the hinted delay.
-fn overloaded_frame(retry_after_ms: u64, trace: TraceId) -> Json {
-    let mut fields = vec![
-        ("type", Json::str("overloaded")),
-        ("retry_after_ms", Json::num(retry_after_ms as f64)),
-    ];
-    if !trace.is_none() {
-        fields.push(("trace", Json::str(trace.to_hex())));
-    }
-    Json::obj(fields)
-}
-
-/// Tells a lagging client its broadcasts are being dropped and it should
-/// catch up via `sync`.
-pub(crate) fn lagging_frame() -> Json {
-    Json::obj([("type", Json::str("lagging"))])
-}
-
-/// Maps a submit/modify outcome to its reply frame; overload gets its
-/// typed frame (so clients can back off) rather than a generic reject.
-/// The op's trace id is echoed on every reply and stamps the terminal
-/// `ack` span (overload/shed rejects are stamped by the pipeline).
+/// Maps a submit/modify outcome to its reply; overload gets its typed
+/// frame (so clients can back off) rather than a generic reject. The op's
+/// trace id is echoed on every reply and stamps the terminal `ack` span
+/// (overload/shed rejects are stamped by the pipeline).
 pub(crate) fn result_frame(
-    result: Result<crate::backend::SubmitReport, SubmitError>,
+    result: Result<SubmitReport, SubmitError>,
     trace: TraceId,
-) -> Json {
+) -> Reply<'static> {
+    let stamp = |stage, seqs: usize| {
+        if !trace.is_none() {
+            obstrace::stamp(trace, stage, SpanId::root(trace), 0, seqs as u64);
+        }
+    };
     match result {
         Ok(report) => {
-            if !trace.is_none() {
-                obstrace::stamp(
-                    trace,
-                    Stage::Ack,
-                    SpanId::root(trace),
-                    0,
-                    report.seqs.len() as u64,
-                );
-            }
-            ack_frame(&report, trace)
+            stamp(Stage::Ack, report.seqs.len());
+            Reply::Ack(report.estimate, report.fulfilled, report.seqs, trace)
         }
-        Err(SubmitError::Overloaded { retry_after_ms }) => overloaded_frame(retry_after_ms, trace),
+        Err(SubmitError::Overloaded { retry_after_ms }) => Reply::Overloaded(retry_after_ms, trace),
         Err(e) => {
-            if !trace.is_none() {
-                obstrace::stamp(trace, Stage::Reject, SpanId::root(trace), 0, 0);
-            }
-            reject_frame_traced(&e.to_string(), trace)
+            stamp(Stage::Reject, 0);
+            Reply::Reject(e.to_string(), trace)
         }
     }
 }
@@ -1463,19 +1156,21 @@ pub(crate) fn flush_outboxes(backend: &Mutex<Backend>, sessions: Vec<(WorkerId, 
                 let root = SpanId::root(trace);
                 obstrace::stamp(trace, Stage::Broadcast, root, seq, worker.0 as u64);
             }
-            (seq, msg, trace)
+            SeqMsg { seq, msg, trace }
         };
-        let pending: Vec<(u64, Message, TraceId)> = pending.into_iter().map(attribute).collect();
+        let pending: Vec<SeqMsg> = pending.into_iter().map(attribute).collect();
         polled.push((outbox, pending));
     }
     drop(b);
-    for (outbox, pending) in polled {
-        if let [(seq, msg, trace)] = &pending[..] {
-            outbox.enqueue_broadcast(broadcast_frame(*seq, msg, *trace).encode().into_bytes());
-            continue;
+    for (outbox, mut pending) in polled {
+        if pending.len() == 1 {
+            let reply = Reply::Msg(pending.remove(0));
+            outbox.enqueue_broadcast(reply.encode().into_bytes());
         }
-        for chunk in pending.chunks(BATCH_FRAME_CHUNK) {
-            outbox.enqueue_broadcast(batch_broadcast_frame(chunk).encode().into_bytes());
+        while !pending.is_empty() {
+            let rest = pending.split_off(pending.len().min(BATCH_FRAME_CHUNK));
+            let reply = Reply::Batch(std::mem::replace(&mut pending, rest));
+            outbox.enqueue_broadcast(reply.encode().into_bytes());
             batch_broadcast_frames().inc();
         }
     }
@@ -1534,9 +1229,9 @@ mod tests {
             deltas,
         });
         let backend = backend();
-        let reply = health_reply(&backend, Some(&telemetry));
-        let report = crate::health::HealthReport::from_json(reply.get("report").expect("report"))
-            .expect("parse");
+        let Reply::Health(report) = health_reply(&backend, Some(&telemetry)) else {
+            panic!("not a health reply");
+        };
         let late = report
             .slos
             .iter()

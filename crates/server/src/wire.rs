@@ -1,18 +1,74 @@
-//! JSON codecs for model types — the wire vocabulary shared by the TCP
-//! protocol, the front-end store, and the trace exports.
+//! The wire protocol, as a type: every frame either end sends is a
+//! [`Request`] or a [`Reply`], each frame kind has one encoder and one
+//! decoder, side by side in this file, and no other file of the server or
+//! of the harnesses names a field. Below them sit the JSON codecs of the
+//! model types, shared with the front-end store and the trace exports.
 //!
-//! The message decoders are generic over [`JsonNode`]: both ends of the
-//! socket decode frames borrowed (`JsonRef`), recovery and the stores
-//! decode owned [`Json`] — one function body either way, so every replica
-//! reads the same message out of the same bytes.
+//! ## Grammar (one JSON object per frame, keys sorted)
+//!
+//! ```text
+//! client → server   {"type":"hello","collection":"name"?}
+//!                   {"type":"resume","worker":n,"from":n,"have":[n,...],
+//!                    "collection":"name"?}
+//!                   {"type":"submit","auto":bool,"msg":{...},
+//!                    "speculative":true?,"trace":"hex"?}   ("auto" is
+//!                    honoured for the upvote of the row the sender's last
+//!                    fill completed, and ignored on anything else)
+//!                   {"type":"modify","msgs":[{"auto":bool,"msg":{...}},...],
+//!                    "trace":"hex"?}
+//!                   {"type":"sync","from":n,"have":[n,...]}
+//!                   {"type":"stats"}
+//!                   {"type":"health"}
+//!                   {"type":"trace_dump"}
+//!                   {"type":"bye"}
+//! server → client   {"type":"welcome","worker":n,"client":n,"history_len":n,
+//!                    "collection":"name","schema":{...},"history":[msg,...]}
+//!                   {"type":"resumed","client":n,"collection":"name",
+//!                    "history_len":n, CATCH-UP}
+//!                   {"type":"synced","history_len":n, CATCH-UP}
+//!                   {"type":"ack","estimate":x,"fulfilled":bool,
+//!                    "seqs":[n,...],"trace":"hex"?}
+//!                   {"type":"reject","reason":"...","trace":"hex"?}
+//!                   {"type":"overloaded","retry_after_ms":n,"trace":"hex"?}
+//!                   {"type":"lagging"}  (catch up via sync; broadcasts dropped)
+//!                   {"type":"stats","snapshot":"..."}  (metrics text)
+//!                   {"type":"health","report":{...}}  (see DESIGN.md §11)
+//!                   {"type":"trace_dump","events":"..."}  (JSON lines)
+//!                   {"type":"msg", ENTRY}  (broadcast)
+//!                   {"type":"batch","msgs":[{ENTRY},...]}  (broadcast)
+//! ENTRY             "seq":n,"msg":{...},"trace":"hex"?
+//! CATCH-UP          "msgs":[{ENTRY},...]           (the missing suffix)
+//!                 | "reset":true,"history":[msg,...]  (a bootstrap image)
+//! ```
+//!
+//! ## What is malformed
+//!
+//! A decoder returns a value or a [`WireError`], and what an error costs is
+//! the receiver's call (a server drops a connection whose first frame fails
+//! and answers `reject` inside a session; a client reports a protocol
+//! error). A request is read leniently where a hand-written client may be
+//! brief — `auto`, `speculative`, `from`, `have` and `collection` default
+//! when absent, and a `have` entry that is no seq is skipped — and a reply
+//! strictly: the server sends every field, always. `"trace"` is read only
+//! while tracing is on.
+//!
+//! The decoders are generic over [`JsonNode`]: both ends of the socket
+//! decode frames borrowed (`JsonRef`, one parse per frame), recovery and
+//! the stores decode owned [`Json`] — one function body either way, so
+//! every replica reads the same message out of the same bytes.
 
-use crowdfill_docstore::{Json, JsonNode};
+use crate::health::HealthReport;
+use crowdfill_docstore::{Json, JsonNode, JsonRef};
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Date, Entry, Message, Predicate, RowId, RowValue, Schema,
     Template, TemplateRow, Value,
 };
 use crowdfill_obs::trace::{self as obstrace, TraceId};
+use crowdfill_pay::WorkerId;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Codec errors: malformed or out-of-vocabulary wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,18 +95,37 @@ fn field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a J> {
         .ok_or_else(|| WireError::new(format!("missing field {name:?}")))
 }
 
+/// Field `name` read as a `T`, which the error calls `what`.
+fn typed<'a, J: JsonNode, T>(
+    j: &'a J,
+    name: &str,
+    what: &str,
+    read: impl FnOnce(&'a J) -> Option<T>,
+) -> Result<T> {
+    read(field(j, name)?).ok_or_else(|| WireError::new(format!("field {name:?} must be {what}")))
+}
+
 fn str_field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a str> {
-    field(j, name)?
-        .as_str()
-        .ok_or_else(|| WireError::new(format!("field {name:?} must be a string")))
+    typed(j, name, "a string", J::as_str)
 }
 
 fn u64_field<J: JsonNode>(j: &J, name: &str) -> Result<u64> {
-    field(j, name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| WireError::new(format!("field {name:?} must be a non-negative integer")))
+    typed(j, name, "a non-negative integer", |v| {
+        u64::try_from(v.as_i64()?).ok()
+    })
+}
+
+fn u32_field<J: JsonNode>(j: &J, name: &str) -> Result<u32> {
+    typed(j, name, "a 32-bit id", |v| u32::try_from(v.as_i64()?).ok())
+}
+
+fn arr_field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a [J]> {
+    typed(j, name, "an array", J::as_arr)
+}
+
+/// An optional boolean of a request: absent (or not a boolean) is `false`.
+fn flag<J: JsonNode>(j: &J, name: &str) -> bool {
+    j.get(name).and_then(J::as_bool).unwrap_or(false)
 }
 
 // ---- Value ----------------------------------------------------------------
@@ -137,6 +212,7 @@ pub fn row_value_from_json<J: JsonNode>(j: &J) -> Result<RowValue> {
 // ---- Message ----------------------------------------------------------------
 
 pub fn message_to_json(m: &Message) -> Json {
+    let vote = |kind, v| Json::obj([("kind", Json::str(kind)), ("value", row_value_to_json(v))]);
     match m {
         Message::Insert { row } => {
             Json::obj([("kind", Json::str("insert")), ("row", row_id_to_json(*row))])
@@ -147,22 +223,10 @@ pub fn message_to_json(m: &Message) -> Json {
             ("new", row_id_to_json(*new)),
             ("value", row_value_to_json(value)),
         ]),
-        Message::Upvote { value } => Json::obj([
-            ("kind", Json::str("upvote")),
-            ("value", row_value_to_json(value)),
-        ]),
-        Message::Downvote { value } => Json::obj([
-            ("kind", Json::str("downvote")),
-            ("value", row_value_to_json(value)),
-        ]),
-        Message::UndoUpvote { value } => Json::obj([
-            ("kind", Json::str("undo_upvote")),
-            ("value", row_value_to_json(value)),
-        ]),
-        Message::UndoDownvote { value } => Json::obj([
-            ("kind", Json::str("undo_downvote")),
-            ("value", row_value_to_json(value)),
-        ]),
+        Message::Upvote { value } => vote("upvote", value),
+        Message::Downvote { value } => vote("downvote", value),
+        Message::UndoUpvote { value } => vote("undo_upvote", value),
+        Message::UndoDownvote { value } => vote("undo_downvote", value),
     }
 }
 
@@ -193,7 +257,7 @@ pub use self::message_from_json as message_from_json_ref;
 /// A frame's or broadcast entry's trace context: an optional `"trace"`
 /// field carrying the id in hex. Only consulted when tracing is on, so the
 /// disabled path pays one branch.
-pub fn trace_id_from_json<J: JsonNode>(j: &J) -> TraceId {
+fn trace_id_from_json<J: JsonNode>(j: &J) -> TraceId {
     if !obstrace::enabled() {
         return TraceId::NONE;
     }
@@ -201,6 +265,415 @@ pub fn trace_id_from_json<J: JsonNode>(j: &J) -> TraceId {
         .and_then(J::as_str)
         .and_then(TraceId::from_hex)
         .unwrap_or(TraceId::NONE)
+}
+
+// ---- Frames -----------------------------------------------------------------
+
+type Fields = Vec<(&'static str, Json)>;
+
+/// The object of one frame: its fields, its type, and the id of a traced op.
+fn frame(ty: &'static str, fields: Fields, trace: TraceId) -> Json {
+    let ty = [("type", Json::str(ty))];
+    Json::obj(fields.into_iter().chain(ty).chain(trace_field(trace)))
+}
+
+fn untraced(ty: &'static str, fields: Fields) -> Json {
+    frame(ty, fields, TraceId::NONE)
+}
+
+fn trace_field(trace: TraceId) -> Option<(&'static str, Json)> {
+    (!trace.is_none()).then(|| ("trace", Json::str(trace.to_hex())))
+}
+
+fn num(n: u64) -> Json {
+    Json::num(n as f64)
+}
+
+/// Parses one received frame, borrowed. Bytes that are not UTF-8 are
+/// malformed exactly like text that is not JSON: nothing either end
+/// applies, journals or broadcasts is a rewrite of what it was sent.
+pub fn parse_frame(frame: &[u8]) -> Result<JsonRef<'_>> {
+    let text = std::str::from_utf8(frame).map_err(|e| WireError::new(e.to_string()))?;
+    JsonRef::parse(text).map_err(|e| WireError::new(e.to_string()))
+}
+
+/// Where a replica stands in the server's history, as a `resume` or `sync`
+/// request says it: every seq below `from` applied, and the sparse `have`
+/// above it. The default asks for the whole history.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Cursor {
+    pub from: u64,
+    pub have: BTreeSet<u64>,
+}
+
+impl Cursor {
+    fn fields(&self) -> Fields {
+        let have = self.have.iter().map(|s| num(*s)).collect();
+        vec![("from", num(self.from)), ("have", Json::Arr(have))]
+    }
+
+    fn decode<J: JsonNode>(j: &J) -> Cursor {
+        let seq = |v: &J| v.as_i64().and_then(|v| u64::try_from(v).ok());
+        let have = j.get("have").and_then(J::as_arr).unwrap_or(&[]);
+        Cursor {
+            from: j.get("from").and_then(seq).unwrap_or(0),
+            have: have.iter().filter_map(seq).collect(),
+        }
+    }
+}
+
+/// One message a client submits and its `auto` flag: the body of a
+/// `submit`, an element of a `modify`.
+pub type Op = (Message, bool);
+
+fn op_fields((msg, auto): &Op) -> Fields {
+    vec![("auto", Json::Bool(*auto)), ("msg", message_to_json(msg))]
+}
+
+fn op_from_json<J: JsonNode>(j: &J) -> Result<Op> {
+    Ok((message_from_json(field(j, "msg")?)?, flag(j, "auto")))
+}
+
+/// A frame a client sends. A collection is `None` for the server's default
+/// one; a [`TraceId`] is the id of a traced op.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Opens a session on the collection.
+    Hello(Option<String>),
+    /// Re-attaches the worker's session, from its cursor, on a fresh
+    /// connection; worker ids are per collection, so it names its own.
+    Resume(WorkerId, Cursor, Option<String>),
+    /// One op. The flag marks it speculative: the first traffic the server
+    /// may turn away under load.
+    Submit(Op, bool, TraceId),
+    /// The bundle of a composite modify action, in one frame so the server
+    /// can authorize its insert.
+    Modify(Vec<Op>, TraceId),
+    /// Asks for what the cursor is missing.
+    Sync(Cursor),
+    Stats,
+    Health,
+    TraceDump,
+    /// Releases the session; not answered.
+    Bye,
+}
+
+impl Request {
+    /// The trace id of a `submit` or a `modify`.
+    pub fn trace(&self) -> TraceId {
+        match self {
+            Request::Submit(.., trace) | Request::Modify(_, trace) => *trace,
+            _ => TraceId::NONE,
+        }
+    }
+
+    pub fn encode(&self) -> String {
+        let named = |c: &Option<String>| c.as_ref().map(|c| ("collection", Json::str(c)));
+        let json = match self {
+            Request::Hello(collection) => {
+                untraced("hello", named(collection).into_iter().collect())
+            }
+            Request::Resume(worker, cursor, collection) => {
+                let mut fields = cursor.fields();
+                fields.push(("worker", num(worker.0 as u64)));
+                fields.extend(named(collection));
+                untraced("resume", fields)
+            }
+            Request::Submit(op, speculative, trace) => {
+                let mut fields = op_fields(op);
+                fields.extend(speculative.then_some(("speculative", Json::Bool(true))));
+                frame("submit", fields, *trace)
+            }
+            Request::Modify(bundle, trace) => {
+                let msgs = bundle.iter().map(|op| Json::obj(op_fields(op))).collect();
+                frame("modify", vec![("msgs", Json::Arr(msgs))], *trace)
+            }
+            Request::Sync(cursor) => untraced("sync", cursor.fields()),
+            Request::Stats => untraced("stats", vec![]),
+            Request::Health => untraced("health", vec![]),
+            Request::TraceDump => untraced("trace_dump", vec![]),
+            Request::Bye => untraced("bye", vec![]),
+        };
+        json.encode()
+    }
+
+    pub fn decode<J: JsonNode>(j: &J) -> Result<Request> {
+        let collection = j.get("collection").and_then(J::as_str).map(str::to_string);
+        let trace = trace_id_from_json(j);
+        Ok(match str_field(j, "type")? {
+            "hello" => Request::Hello(collection),
+            "resume" => Request::Resume(
+                WorkerId(u32_field(j, "worker")?),
+                Cursor::decode(j),
+                collection,
+            ),
+            "submit" => Request::Submit(op_from_json(j)?, flag(j, "speculative"), trace),
+            "modify" => {
+                let bundle = arr_field(j, "msgs")?.iter().map(op_from_json);
+                Request::Modify(bundle.collect::<Result<_>>()?, trace)
+            }
+            "sync" => Request::Sync(Cursor::decode(j)),
+            "stats" => Request::Stats,
+            "health" => Request::Health,
+            "trace_dump" => Request::TraceDump,
+            "bye" => Request::Bye,
+            other => return Err(WireError::new(format!("unknown request type {other:?}"))),
+        })
+    }
+}
+
+/// One seq-tagged log entry, the ENTRY of the grammar: a whole `msg`
+/// broadcast, or an element of a `msgs` array. `trace` is the originating
+/// op's id when it was traced, so the receiver can attribute absorb
+/// latency.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeqMsg {
+    pub seq: u64,
+    pub msg: Message,
+    pub trace: TraceId,
+}
+
+fn entry_fields(seq: u64, msg: &Message, trace: TraceId) -> Fields {
+    let fields = [("seq", num(seq)), ("msg", message_to_json(msg))];
+    fields.into_iter().chain(trace_field(trace)).collect()
+}
+
+fn entry_from_json<J: JsonNode>(j: &J) -> Result<SeqMsg> {
+    Ok(SeqMsg {
+        seq: u64_field(j, "seq")?,
+        msg: message_from_json(field(j, "msg")?)?,
+        trace: trace_id_from_json(j),
+    })
+}
+
+/// A bootstrap image (DESIGN.md §14.3): the array of messages a joiner or
+/// a reset replica rebuilds its table from — a state image plus the log
+/// since, *not* the history, so its length is no cursor.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Image<'a> {
+    /// The array as the JSON text `Backend::bootstrap_text` caches: spliced
+    /// into the frame as it is, no tree built of it.
+    Text(Cow<'a, str>),
+    /// The array decoded, which is what a decoder yields.
+    Messages(Vec<Message>),
+}
+
+impl Image<'_> {
+    fn text(&self) -> Cow<'_, str> {
+        match self {
+            Image::Text(text) => Cow::Borrowed(text),
+            Image::Messages(m) => {
+                Cow::Owned(Json::Arr(m.iter().map(message_to_json).collect()).encode())
+            }
+        }
+    }
+
+    fn decode<J: JsonNode>(j: &J) -> Result<Image<'static>> {
+        let msgs = j
+            .as_arr()
+            .ok_or_else(|| WireError::new("an image must be an array"))?;
+        Ok(Image::Messages(
+            msgs.iter().map(message_from_json).collect::<Result<_>>()?,
+        ))
+    }
+
+    pub fn into_messages(self) -> Result<Vec<Message>> {
+        match self {
+            Image::Messages(msgs) => Ok(msgs),
+            Image::Text(text) => Image::decode(&parse_frame(text.as_bytes())?)?.into_messages(),
+        }
+    }
+}
+
+/// What brings a `resume` or `sync` cursor up to date: the CATCH-UP of
+/// the grammar.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CatchUp<'a> {
+    /// The history entries the cursor was missing.
+    Suffix(Vec<(u64, Message)>),
+    /// The cursor predates the server's compaction horizon — the log below
+    /// it is gone — so the reply degrades to a deterministic full reset:
+    /// the bootstrap a joiner would get, from which the client rebuilds
+    /// its replica and restarts its cursor at `history_len`.
+    Image(Image<'a>),
+}
+
+impl CatchUp<'_> {
+    /// Encodes the `ty` reply whose other fields are `fields`.
+    fn encode(&self, ty: &'static str, mut fields: Fields) -> String {
+        match self {
+            CatchUp::Suffix(msgs) => {
+                let entry = |(seq, m): &(u64, Message)| entry_fields(*seq, m, TraceId::NONE);
+                let msgs = msgs.iter().map(|e| Json::obj(entry(e))).collect();
+                fields.push(("msgs", Json::Arr(msgs)));
+                untraced(ty, fields).encode()
+            }
+            CatchUp::Image(image) => {
+                fields.push(("reset", Json::Bool(true)));
+                untraced(ty, fields).encode_with_member("history", &image.text())
+            }
+        }
+    }
+
+    fn decode<J: JsonNode>(j: &J) -> Result<CatchUp<'static>> {
+        if flag(j, "reset") {
+            return Ok(CatchUp::Image(Image::decode(field(j, "history")?)?));
+        }
+        let entry = |e: &J| entry_from_json(e).map(|e| (e.seq, e.msg));
+        let msgs = arr_field(j, "msgs")?.iter().map(entry);
+        Ok(CatchUp::Suffix(msgs.collect::<Result<_>>()?))
+    }
+}
+
+/// A frame the server sends. A `u64` beside a catch-up or an image is
+/// `history_len`, the server's watermark: where the receiver's cursor
+/// stands once it has applied the frame. A [`TraceId`] echoes the request's.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply<'a> {
+    /// Answers `hello`: the collection, the session's worker and client
+    /// ids, `history_len`, the schema, and the image that stands in for
+    /// the history below `history_len`.
+    Welcome(String, WorkerId, ClientId, u64, Arc<Schema>, Image<'a>),
+    /// Answers `resume`: the collection, the session's client id,
+    /// `history_len`, and the way there.
+    Resumed(String, ClientId, u64, CatchUp<'a>),
+    /// Answers `sync`: `history_len`, and the way there.
+    Synced(u64, CatchUp<'a>),
+    /// The submission was applied: the sender's estimated compensation,
+    /// whether the table is now fulfilled, and the history seqs of its own
+    /// messages, which it never gets back as broadcasts.
+    Ack(f64, bool, Vec<u64>, TraceId),
+    /// The request, or the handshake, was refused, and why.
+    Reject(String, TraceId),
+    /// The op was neither applied nor acked: retry after this many ms.
+    Overloaded(u64, TraceId),
+    /// Broadcasts to this session are being dropped; catch up via `sync`.
+    Lagging,
+    /// The metrics snapshot, Prometheus-style text.
+    Stats(String),
+    Health(Box<HealthReport>),
+    /// The flight recorder's contents, as JSON lines.
+    TraceDump(String),
+    /// A broadcast of one message.
+    Msg(SeqMsg),
+    /// The broadcasts of one batch in one frame. Clients unpack it entry by
+    /// entry into the seq-dedup path of `msg`, so a batch boundary is
+    /// invisible to the convergence argument.
+    Batch(Vec<SeqMsg>),
+}
+
+impl Reply<'_> {
+    /// A `reject` outside any traced op.
+    pub fn reject(reason: impl ToString) -> Reply<'static> {
+        Reply::Reject(reason.to_string(), TraceId::NONE)
+    }
+
+    pub fn encode(&self) -> String {
+        let json = match self {
+            Reply::Welcome(collection, worker, client, history_len, schema, history) => {
+                let fields = vec![
+                    ("collection", Json::str(collection)),
+                    ("worker", num(worker.0 as u64)),
+                    ("client", num(client.0 as u64)),
+                    ("history_len", num(*history_len)),
+                    ("schema", schema_to_json(schema)),
+                ];
+                return untraced("welcome", fields).encode_with_member("history", &history.text());
+            }
+            Reply::Resumed(collection, client, history_len, body) => {
+                let fields = vec![
+                    ("collection", Json::str(collection)),
+                    ("client", num(client.0 as u64)),
+                    ("history_len", num(*history_len)),
+                ];
+                return body.encode("resumed", fields);
+            }
+            Reply::Synced(history_len, body) => {
+                return body.encode("synced", vec![("history_len", num(*history_len))]);
+            }
+            Reply::Ack(estimate, fulfilled, seqs, trace) => {
+                let fields = vec![
+                    ("estimate", Json::num(*estimate)),
+                    ("fulfilled", Json::Bool(*fulfilled)),
+                    ("seqs", Json::Arr(seqs.iter().map(|s| num(*s)).collect())),
+                ];
+                frame("ack", fields, *trace)
+            }
+            Reply::Reject(reason, trace) => {
+                frame("reject", vec![("reason", Json::str(reason))], *trace)
+            }
+            Reply::Overloaded(retry_after_ms, trace) => frame(
+                "overloaded",
+                vec![("retry_after_ms", num(*retry_after_ms))],
+                *trace,
+            ),
+            Reply::Lagging => untraced("lagging", vec![]),
+            Reply::Stats(snapshot) => untraced("stats", vec![("snapshot", Json::str(snapshot))]),
+            Reply::Health(report) => untraced("health", vec![("report", report.to_json())]),
+            Reply::TraceDump(events) => untraced("trace_dump", vec![("events", Json::str(events))]),
+            Reply::Msg(e) => untraced("msg", entry_fields(e.seq, &e.msg, e.trace)),
+            Reply::Batch(entries) => {
+                let entry = |e: &SeqMsg| Json::obj(entry_fields(e.seq, &e.msg, e.trace));
+                let msgs = entries.iter().map(entry).collect();
+                untraced("batch", vec![("msgs", Json::Arr(msgs))])
+            }
+        };
+        json.encode()
+    }
+
+    pub fn decode<J: JsonNode>(j: &J) -> Result<Reply<'static>> {
+        let text = |name: &str| str_field(j, name).map(str::to_string);
+        let history_len = || u64_field(j, "history_len");
+        let trace = trace_id_from_json(j);
+        Ok(match str_field(j, "type")? {
+            "welcome" => Reply::Welcome(
+                text("collection")?,
+                WorkerId(u32_field(j, "worker")?),
+                ClientId(u32_field(j, "client")?),
+                history_len()?,
+                // Read once per session: the owned detour keeps the cold
+                // decoders (schema, template, trace, health) off the
+                // generics.
+                Arc::new(schema_from_json(&field(j, "schema")?.to_json())?),
+                Image::decode(field(j, "history")?)?,
+            ),
+            "resumed" => {
+                let client = ClientId(u32_field(j, "client")?);
+                Reply::Resumed(
+                    text("collection")?,
+                    client,
+                    history_len()?,
+                    CatchUp::decode(j)?,
+                )
+            }
+            "synced" => Reply::Synced(history_len()?, CatchUp::decode(j)?),
+            "ack" => {
+                let seq = |s: &J| s.as_i64().and_then(|s| u64::try_from(s).ok());
+                let seqs = |seqs: &J| seqs.as_arr()?.iter().map(seq).collect();
+                Reply::Ack(
+                    typed(j, "estimate", "a number", J::as_f64)?,
+                    typed(j, "fulfilled", "a boolean", J::as_bool)?,
+                    typed(j, "seqs", "an array of seqs", seqs)?,
+                    trace,
+                )
+            }
+            "reject" => Reply::Reject(text("reason")?, trace),
+            "overloaded" => Reply::Overloaded(u64_field(j, "retry_after_ms")?, trace),
+            "lagging" => Reply::Lagging,
+            "stats" => Reply::Stats(text("snapshot")?),
+            "health" => {
+                let report = |r: &J| HealthReport::from_json(&r.to_json()).map(Box::new);
+                Reply::Health(typed(j, "report", "a health report", report)?)
+            }
+            "trace_dump" => Reply::TraceDump(text("events")?),
+            "msg" => Reply::Msg(entry_from_json(j)?),
+            "batch" => {
+                let entries = arr_field(j, "msgs")?.iter().map(entry_from_json);
+                Reply::Batch(entries.collect::<Result<_>>()?)
+            }
+            other => return Err(WireError::new(format!("unknown reply type {other:?}"))),
+        })
+    }
 }
 
 // ---- Trace ------------------------------------------------------------------
@@ -312,9 +785,7 @@ pub fn schema_to_json(s: &Schema) -> Json {
 
 pub fn schema_from_json(j: &Json) -> Result<Schema> {
     let name = str_field(j, "name")?;
-    let cols_json = field(j, "columns")?
-        .as_arr()
-        .ok_or_else(|| WireError::new("columns must be an array"))?;
+    let cols_json = arr_field(j, "columns")?;
     let mut columns = Vec::with_capacity(cols_json.len());
     for c in cols_json {
         let cname = str_field(c, "name")?;
@@ -334,10 +805,7 @@ pub fn schema_from_json(j: &Json) -> Result<Schema> {
         };
         columns.push(col);
     }
-    let key_json = field(j, "key")?
-        .as_arr()
-        .ok_or_else(|| WireError::new("key must be an array"))?;
-    let key: Vec<&str> = key_json
+    let key: Vec<&str> = arr_field(j, "key")?
         .iter()
         .map(|k| {
             k.as_str()
@@ -383,9 +851,7 @@ fn predicate_from_json(j: &Json) -> Result<Predicate> {
             value_from_json(field(j, "hi")?)?,
         )),
         "in" => {
-            let set = field(j, "set")?
-                .as_arr()
-                .ok_or_else(|| WireError::new("in-set must be an array"))?
+            let set = arr_field(j, "set")?
                 .iter()
                 .map(value_from_json)
                 .collect::<Result<Vec<_>>>()?;

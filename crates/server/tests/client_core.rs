@@ -2,16 +2,18 @@
 //! out. No socket, no thread, no timeout — the server's half is either
 //! scripted, or an in-process [`Backend`] behind [`serve`], which speaks
 //! just enough of the wire to answer a `submit`, a `modify`, a `resume` and
-//! a `sync`.
+//! a `sync`. Both build their frames with the codec the server uses.
 
 use crowdfill_docstore::Json;
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
     Template, Value,
 };
+use crowdfill_obs::trace::TraceId;
 use crowdfill_pay::{Millis, WorkerId};
-use crowdfill_server::client_core::{Event, Pending, Settled};
-use crowdfill_server::{wire, Backend, ClientCore, RemoteError, TaskConfig, WorkerClient};
+use crowdfill_server::client_core::{Event, Settled};
+use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
+use crowdfill_server::{Backend, ClientCore, RemoteError, TaskConfig, WorkerClient};
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -31,39 +33,41 @@ fn cc_row(seq: u64) -> RowId {
     RowId::new(ClientId(0), seq)
 }
 
-fn seq_msg(seq: u64, msg: &Message) -> Json {
-    Json::obj([
-        ("seq", Json::num(seq as f64)),
-        ("msg", wire::message_to_json(msg)),
-    ])
+fn seq_msg(seq: u64, msg: &Message) -> SeqMsg {
+    let (msg, trace) = (msg.clone(), TraceId::NONE);
+    SeqMsg { seq, msg, trace }
 }
 
-fn typed(ty: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Vec<u8> {
-    let fields = fields.into_iter().chain([("type", Json::str(ty))]);
-    Json::obj(fields).encode().into_bytes()
+fn frame(reply: Reply<'_>) -> Vec<u8> {
+    reply.encode().into_bytes()
 }
 
-/// A welcome for worker 1, client 1: `history`, and whatever `extra` adds.
-fn welcome(history: &[Message], extra: impl IntoIterator<Item = (&'static str, Json)>) -> Vec<u8> {
-    let history = history.iter().map(wire::message_to_json).collect();
-    let fields = [
-        ("worker", Json::num(1)),
-        ("client", Json::num(1)),
-        ("schema", wire::schema_to_json(&schema())),
-        ("history", Json::Arr(history)),
-    ];
-    typed("welcome", fields.into_iter().chain(extra))
+/// A welcome for worker 1, client 1.
+fn welcome(history: &[Message], history_len: u64) -> Vec<u8> {
+    let history = Image::Messages(history.to_vec());
+    let (worker, client) = (WorkerId(1), ClientId(1));
+    let welcome = Reply::Welcome(
+        "default".into(),
+        worker,
+        client,
+        history_len,
+        schema(),
+        history,
+    );
+    frame(welcome)
 }
 
 /// A core welcomed onto the Central Client's two empty rows.
 fn scripted_core() -> ClientCore {
     let history = [0, 1].map(|s| Message::Insert { row: cc_row(s) });
-    let frame = welcome(&history, [("history_len", Json::num(2))]);
-    ClientCore::welcomed(&frame, None, None).unwrap()
+    ClientCore::welcomed(&welcome(&history, 2), None, None).unwrap()
 }
 
-fn parsed(frame: &str) -> Json {
-    Json::parse(frame).unwrap()
+fn synced(history_len: u64, missing: &[(u64, Message)]) -> Vec<u8> {
+    frame(Reply::Synced(
+        history_len,
+        CatchUp::Suffix(missing.to_vec()),
+    ))
 }
 
 /// `msg`, `batch` and `lagging` frames interleaved before an ack come back
@@ -76,59 +80,48 @@ fn interleaved_broadcasts_are_absorbed_and_the_lagging_note_is_owed_a_sync() {
     let fill = core.fill(cc_row(0), ColumnId(0), Value::text("Messi"), false);
     let fill = fill.unwrap();
     assert_eq!(fill.len(), 1, "a partial row: no auto-upvote");
-    let request = parsed(&fill[0].frame());
-    assert_eq!(request.get("type").and_then(Json::as_str), Some("submit"));
-    assert_eq!(request.get("auto"), Some(&Json::Bool(false)));
+    assert!(matches!(&fill[0], Request::Submit((_, false), false, _)));
 
     let pele = Message::Replace {
         old: cc_row(1),
         new: RowId::new(ClientId(2), 0),
         value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
     };
-    let mut msg = seq_msg(3, &pele);
-    if let Json::Obj(fields) = &mut msg {
-        fields.insert("type".into(), Json::str("msg"));
-    }
+    let msg = frame(Reply::Msg(seq_msg(3, &pele)));
     let fresh = |e: Event| matches!(e, Event::Broadcast { fresh: true });
-    assert!(fresh(core.handle(msg.encode().as_bytes()).unwrap()));
+    assert!(fresh(core.handle(&msg).unwrap()));
     // Redelivered: seq-dedup says it is not news.
-    assert!(!fresh(core.handle(msg.encode().as_bytes()).unwrap()));
-    let batch = [
+    assert!(!fresh(core.handle(&msg).unwrap()));
+    let batch = vec![
         seq_msg(4, &Message::Insert { row: cc_row(2) }),
         seq_msg(6, &Message::Insert { row: cc_row(3) }),
     ];
-    let batch = typed("batch", [("msgs", Json::Arr(batch.to_vec()))]);
-    assert!(fresh(core.handle(&batch).unwrap()));
+    assert!(fresh(core.handle(&frame(Reply::Batch(batch))).unwrap()));
     assert!(!core.needs_sync());
-    assert!(!fresh(core.handle(&typed("lagging", [])).unwrap()));
+    assert!(!fresh(core.handle(&frame(Reply::Lagging)).unwrap()));
     assert!(core.needs_sync());
 
-    let ack = [
-        ("estimate", Json::num(1.5)),
-        ("fulfilled", Json::Bool(false)),
-        ("seqs", Json::Arr(vec![Json::num(2)])),
-    ];
-    match core.handle(&typed("ack", ack)).unwrap() {
+    let ack = Reply::Ack(1.5, false, vec![2], TraceId::NONE);
+    match core.handle(&frame(ack)).unwrap() {
         Event::Ack(ack) => assert_eq!((ack.estimate, ack.recovered), (1.5, false)),
         other => panic!("expected an ack, got {other:?}"),
     }
     // 0 and 1 came with the welcome, 2 with the ack, 3 and 4 as
     // broadcasts; 6 is known, 5 is the hole.
     assert_eq!(core.local_lag(), 1);
-    let sync = parsed(&core.sync_frame(false));
-    assert_eq!(sync.get("type").and_then(Json::as_str), Some("sync"));
-    assert_eq!(sync.get("from").unwrap().encode(), "5");
-    assert_eq!(sync.get("have").unwrap().encode(), "[6]");
+    let cursor = Cursor {
+        from: 5,
+        have: [6].into(),
+    };
+    assert_eq!(core.sync_request(false), Request::Sync(cursor));
     // A note that races the reply is about drops the reply cannot cover.
-    core.handle(&typed("lagging", [])).unwrap();
-    let missing = Json::Arr(vec![seq_msg(5, &Message::Insert { row: cc_row(4) })]);
-    let heal = typed("synced", [("history_len", Json::num(7)), ("msgs", missing)]);
+    core.handle(&frame(Reply::Lagging)).unwrap();
+    let heal = synced(7, &[(5, Message::Insert { row: cc_row(4) })]);
     assert!(matches!(core.handle(&heal).unwrap(), Event::Synced));
     assert!(core.needs_sync(), "the racing note is still owed");
-    core.sync_frame(false);
-    let nothing = [("history_len", Json::num(7)), ("msgs", Json::Arr(vec![]))];
+    core.sync_request(false);
     assert!(matches!(
-        core.handle(&typed("synced", nothing)).unwrap(),
+        core.handle(&synced(7, &[])).unwrap(),
         Event::Synced
     ));
     assert!(!core.needs_sync());
@@ -141,11 +134,11 @@ fn interleaved_broadcasts_are_absorbed_and_the_lagging_note_is_owed_a_sync() {
 #[test]
 fn a_frame_that_is_not_utf8_is_a_protocol_error() {
     let replies = [
-        typed("ack", [("seqs", Json::Arr(vec![Json::num(2)]))]),
-        typed("synced", [("history_len", Json::num(3))]),
-        typed("stats", [("snapshot", Json::str("up 1\n"))]),
-        typed("trace_dump", [("events", Json::str("{}\n"))]),
-        typed("lagging", []),
+        frame(Reply::Ack(1.5, false, vec![2], TraceId::NONE)),
+        synced(3, &[]),
+        frame(Reply::Stats("up 1\n".into())),
+        frame(Reply::TraceDump("{}\n".into())),
+        frame(Reply::Lagging),
     ];
     for mut reply in replies {
         let quote = reply.iter().rposition(|b| *b == b'"').unwrap();
@@ -155,16 +148,7 @@ fn a_frame_that_is_not_utf8_is_a_protocol_error() {
             other => panic!("expected a protocol error, got {other:?}"),
         }
     }
-    // The requests without fields are spelled out; the encoder agrees.
-    for (request, ty) in [
-        (ClientCore::STATS, "stats"),
-        (ClientCore::HEALTH, "health"),
-        (ClientCore::TRACE_DUMP, "trace_dump"),
-        (ClientCore::BYE, "bye"),
-    ] {
-        assert_eq!(request.as_bytes(), typed(ty, []));
-    }
-    let mut hello = welcome(&[], [("history_len", Json::num(0))]);
+    let mut hello = welcome(&[], 0);
     hello.insert(hello.len() - 2, 0xFF);
     let refused = ClientCore::welcomed(&hello, None, None);
     assert!(matches!(refused, Err(RemoteError::Protocol(_))));
@@ -175,8 +159,13 @@ fn a_frame_that_is_not_utf8_is_a_protocol_error() {
 /// resume from, and the handshake fails instead of guessing.
 #[test]
 fn a_welcome_without_history_len_is_a_protocol_error() {
-    match ClientCore::welcomed(&welcome(&[], []), None, None) {
-        Err(RemoteError::Protocol(what)) => assert_eq!(what, "missing history_len"),
+    // Malformed on purpose: a welcome with its watermark cut out.
+    let mut welcome = Json::parse(std::str::from_utf8(&welcome(&[], 0)).unwrap()).unwrap();
+    if let Json::Obj(fields) = &mut welcome {
+        fields.remove("history_len").unwrap();
+    }
+    match ClientCore::welcomed(welcome.encode().as_bytes(), None, None) {
+        Err(RemoteError::Protocol(what)) => assert!(what.contains("history_len"), "{what}"),
         Err(other) => panic!("expected a protocol error, got {other:?}"),
         Ok(_) => panic!("joined on a welcome with no watermark"),
     }
@@ -186,56 +175,32 @@ fn a_welcome_without_history_len_is_a_protocol_error() {
 
 /// The server's half of one exchange, in process: decodes a client frame,
 /// applies it to `backend` as `worker`, and encodes the reply.
-fn serve(backend: &mut Backend, worker: WorkerId, frame: &str) -> Vec<u8> {
-    let req = parsed(frame);
-    let entry = |e: &Json| {
-        let auto = e.get("auto").and_then(Json::as_bool).unwrap();
-        (
-            wire::message_from_json(e.get("msg").unwrap()).unwrap(),
-            auto,
-        )
+fn serve(backend: &mut Backend, worker: WorkerId, request: &Request) -> Vec<u8> {
+    let request = request.encode();
+    let request = Request::decode(&wire::parse_frame(request.as_bytes()).unwrap());
+    let catch_up = |backend: &Backend, cursor: Cursor| {
+        let mut missing = backend.history_suffix(cursor.from);
+        missing.retain(|(seq, _)| !cursor.have.contains(seq));
+        (backend.history_len(), CatchUp::Suffix(missing))
     };
-    let report = match req.get("type").and_then(Json::as_str).unwrap() {
-        "submit" => {
-            let (msg, auto) = entry(&req);
-            backend.submit(worker, msg, Millis(0), auto)
+    let report = match request.unwrap() {
+        Request::Submit((msg, auto), ..) => backend.submit(worker, msg, Millis(0), auto),
+        Request::Modify(bundle, _) => backend.submit_modify(worker, bundle, Millis(0)),
+        Request::Resume(_, cursor, _) => {
+            let client = backend.resume(worker, Millis(0)).unwrap().client;
+            let (history_len, body) = catch_up(backend, cursor);
+            return frame(Reply::Resumed("default".into(), client, history_len, body));
         }
-        "modify" => {
-            let msgs = req.get("msgs").and_then(Json::as_arr).unwrap();
-            backend.submit_modify(worker, msgs.iter().map(entry).collect(), Millis(0))
+        Request::Sync(cursor) => {
+            let (history_len, body) = catch_up(backend, cursor);
+            return frame(Reply::Synced(history_len, body));
         }
-        ty @ ("resume" | "sync") => {
-            if ty == "resume" {
-                backend.resume(worker, Millis(0)).unwrap();
-            }
-            let from = req.get("from").and_then(Json::as_i64).unwrap() as u64;
-            let have = req.get("have").and_then(Json::as_arr).unwrap();
-            let have: Vec<u64> = have.iter().map(|s| s.as_i64().unwrap() as u64).collect();
-            let missing = backend.history_suffix(from).into_iter();
-            let missing = missing.filter(|(seq, _)| !have.contains(seq));
-            let fields = [
-                ("history_len", Json::num(backend.history_len() as f64)),
-                (
-                    "msgs",
-                    Json::Arr(missing.map(|(s, m)| seq_msg(s, &m)).collect()),
-                ),
-            ];
-            return typed(if ty == "resume" { "resumed" } else { "synced" }, fields);
-        }
-        other => panic!("the client sent a {other}"),
+        other => panic!("the client sent a {other:?}"),
     };
-    match report {
-        Ok(report) => {
-            let seqs = report.seqs.iter().map(|s| Json::num(*s as f64)).collect();
-            let fields = [
-                ("estimate", Json::num(report.estimate)),
-                ("fulfilled", Json::Bool(report.fulfilled)),
-                ("seqs", Json::Arr(seqs)),
-            ];
-            typed("ack", fields)
-        }
-        Err(e) => typed("reject", [("reason", Json::str(e.to_string()))]),
-    }
+    frame(match report {
+        Ok(r) => Reply::Ack(r.estimate, r.fulfilled, r.seqs, TraceId::NONE),
+        Err(e) => Reply::reject(e),
+    })
 }
 
 /// A backend, the core of worker 1 joined to it, and a second worker whose
@@ -251,8 +216,7 @@ impl Table {
         let mut backend = Backend::new(config());
         let (worker, _, history) = backend.connect(Millis(0));
         assert_eq!(worker, WorkerId(1));
-        let history_len = Json::num(backend.history_len() as f64);
-        let frame = welcome(&history, [("history_len", history_len)]);
+        let frame = welcome(&history, backend.history_len());
         let core = ClientCore::welcomed(&frame, None, None).unwrap();
         let (other, client, history) = backend.connect(Millis(0));
         let other = WorkerClient::new(other, client, schema(), &history);
@@ -264,13 +228,13 @@ impl Table {
     }
 
     /// One request sent and answered over a healthy connection.
-    fn exchange(&mut self, frame: &str) -> Event {
-        let reply = serve(&mut self.backend, WorkerId(1), frame);
+    fn exchange(&mut self, request: &Request) -> Event {
+        let reply = serve(&mut self.backend, WorkerId(1), request);
         self.core.handle(&reply).unwrap()
     }
 
-    fn acked(&mut self, pending: &Pending) {
-        let event = self.exchange(&pending.frame());
+    fn acked(&mut self, pending: &Request) {
+        let event = self.exchange(pending);
         assert!(matches!(event, Event::Ack(_)), "{event:?}");
     }
 
@@ -301,7 +265,7 @@ impl Table {
     /// Plays `requests` in order, cutting the connection at request `cut`:
     /// before it is sent (`applied: false`) or after the server applied it
     /// and before its ack arrived. Then resume, settle, finish, sync.
-    fn run(mut self, requests: Vec<Pending>, cut: usize, applied: bool, foreign: bool) {
+    fn run(mut self, requests: Vec<Request>, cut: usize, applied: bool, foreign: bool) {
         let case = format!("cut at {cut}, applied {applied}, foreign {foreign}");
         for (k, pending) in requests.iter().enumerate() {
             if k != cut {
@@ -311,25 +275,25 @@ impl Table {
             let before = self.backend.history_len();
             if applied {
                 // The ack is computed, and lost with the connection.
-                serve(&mut self.backend, WorkerId(1), &pending.frame());
+                serve(&mut self.backend, WorkerId(1), pending);
                 assert!(self.backend.history_len() > before, "{case}");
             }
             if foreign {
                 self.foreign_fill();
             }
-            let resume = self.core.resume_frame();
+            let resume = self.core.resume_request();
             let reply = serve(&mut self.backend, WorkerId(1), &resume);
             match self.core.settle_resume(Some(pending), &reply).unwrap() {
                 Settled::Recovered => assert!(applied, "{case}: recovered an unsent op"),
-                Settled::Resubmit(frame) => {
+                Settled::Resubmit(request) => {
                     assert!(!applied, "{case}: resubmitting an applied op");
-                    let event = self.exchange(&frame);
+                    let event = self.exchange(&request);
                     assert!(matches!(event, Event::Ack(_)), "{case}: {event:?}");
                 }
                 Settled::Redial => panic!("{case}: a resumed reply was not taken"),
             }
         }
-        let sync = self.core.sync_frame(false);
+        let sync = self.core.sync_request(false);
         assert!(matches!(self.exchange(&sync), Event::Synced), "{case}");
         assert_eq!(self.core.local_lag(), 0, "{case}");
         let replica = self.core.view().replica();
@@ -364,8 +328,9 @@ fn every_cut_point_of_a_completing_fill_and_of_a_modify_settles() {
                 .core
                 .modify(complete, ColumnId(1), Value::text("Spain"));
             let modify = modify.unwrap();
-            let bundle = parsed(&modify.frame());
-            let bundle = bundle.get("msgs").and_then(Json::as_arr).unwrap();
+            let Request::Modify(bundle, _) = &modify else {
+                panic!("not a modify: {modify:?}");
+            };
             assert_eq!(bundle.len(), 5, "downvote, insert, two fills, upvote");
             table.run(vec![modify], 0, applied, foreign);
         }

@@ -10,9 +10,10 @@ use crowdfill_model::{
     Template, Value,
 };
 use crowdfill_net::{ConnError, FrameConn, LocalConn};
-use crowdfill_server::{
-    wire, Backend, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, TaskConfig,
-};
+use crowdfill_obs::trace::TraceId;
+use crowdfill_pay::WorkerId;
+use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
+use crowdfill_server::{Backend, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, TaskConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,34 +29,35 @@ fn cc_row(seq: u64) -> RowId {
     RowId::new(ClientId(0), seq)
 }
 
-fn seq_msg(seq: u64, msg: &Message) -> Json {
-    Json::obj([
-        ("seq", Json::num(seq as f64)),
-        ("msg", wire::message_to_json(msg)),
-    ])
+fn seq_msg(seq: u64, msg: &Message) -> SeqMsg {
+    let (msg, trace) = (msg.clone(), TraceId::NONE);
+    SeqMsg { seq, msg, trace }
 }
 
-fn typed(ty: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Vec<u8> {
-    let fields = fields.into_iter().chain([("type", Json::str(ty))]);
-    Json::obj(fields).encode().into_bytes()
+fn frame(reply: Reply<'_>) -> Vec<u8> {
+    reply.encode().into_bytes()
 }
 
-/// The handshake with the welcome queued ahead of the hello: worker 1,
-/// client 1, a two-message history (the Central Client's two empty rows)
-/// and whatever `extra` adds. The test keeps the connection's far end.
-fn dial_with(
-    extra: impl IntoIterator<Item = (&'static str, Json)>,
-) -> (Result<RemoteWorker, RemoteError>, LocalConn) {
+/// The welcome of worker 1, client 1 at `history_len` 2: a two-message
+/// history, the Central Client's two empty rows.
+fn welcome() -> Vec<u8> {
+    let history = Image::Messages([0, 1].map(|s| Message::Insert { row: cc_row(s) }).to_vec());
+    let (worker, client) = (WorkerId(1), ClientId(1));
+    frame(Reply::Welcome(
+        "default".into(),
+        worker,
+        client,
+        2,
+        schema(),
+        history,
+    ))
+}
+
+/// The handshake with `welcome` queued ahead of the hello. The test keeps
+/// the connection's far end.
+fn dial_with(welcome: &[u8]) -> (Result<RemoteWorker, RemoteError>, LocalConn) {
     let (near, far) = LocalConn::pair();
-    let history = [0, 1].map(|s| wire::message_to_json(&Message::Insert { row: cc_row(s) }));
-    let fields = [
-        ("worker", Json::num(1)),
-        ("client", Json::num(1)),
-        ("schema", wire::schema_to_json(&schema())),
-        ("history", Json::Arr(history.to_vec())),
-    ];
-    far.send(&typed("welcome", fields.into_iter().chain(extra)))
-        .unwrap();
+    far.send(welcome).unwrap();
     let mut near = Some(near);
     let dialer: Dialer = Box::new(move |_| {
         let conn = near.take().ok_or(ConnError::Disconnected)?;
@@ -74,19 +76,22 @@ fn dial_with(
 
 /// A worker welcomed at `history_len` 2.
 fn dial() -> (RemoteWorker, LocalConn) {
-    let (worker, far) = dial_with([("history_len", Json::num(2))]);
+    let (worker, far) = dial_with(&welcome());
     (worker.unwrap(), far)
 }
 
 /// The requests the client has sent since the last call, decoded.
-fn sent(far: &LocalConn) -> Vec<Json> {
+fn sent(far: &LocalConn) -> Vec<Request> {
     std::iter::from_fn(|| far.try_recv().ok())
-        .map(|frame| Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap())
+        .map(|frame| Request::decode(&wire::parse_frame(&frame).unwrap()).unwrap())
         .collect()
 }
 
-fn type_of(frame: &Json) -> &str {
-    frame.get("type").and_then(Json::as_str).unwrap()
+fn synced(history_len: u64, missing: &[(u64, Message)]) -> Vec<u8> {
+    frame(Reply::Synced(
+        history_len,
+        CatchUp::Suffix(missing.to_vec()),
+    ))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -110,20 +115,10 @@ impl Kind {
     /// The frame that answers this request.
     fn reply(self) -> Vec<u8> {
         match self {
-            Kind::Submit => typed(
-                "ack",
-                [
-                    ("estimate", Json::num(1.5)),
-                    ("fulfilled", Json::Bool(false)),
-                    ("seqs", Json::Arr(vec![Json::num(2)])),
-                ],
-            ),
+            Kind::Submit => frame(Reply::Ack(1.5, false, vec![2], TraceId::NONE)),
             // Nothing was missing when the server served it.
-            Kind::Sync => typed(
-                "synced",
-                [("history_len", Json::num(3)), ("msgs", Json::Arr(vec![]))],
-            ),
-            Kind::Stats => typed("stats", [("snapshot", Json::str("up 1\n"))]),
+            Kind::Sync => synced(3, &[]),
+            Kind::Stats => frame(Reply::Stats("up 1\n".into())),
             Kind::Health => {
                 let config = TaskConfig::new(
                     schema(),
@@ -132,9 +127,9 @@ impl Kind {
                     10.0,
                 );
                 let report = crowdfill_server::collect(&Backend::new(config));
-                typed("health", [("report", report.to_json())])
+                frame(Reply::Health(Box::new(report)))
             }
-            Kind::TraceDump => typed("trace_dump", [("events", Json::str("{}\n"))]),
+            Kind::TraceDump => frame(Reply::TraceDump("{}\n".into())),
         }
     }
 
@@ -162,18 +157,14 @@ fn interleaved() -> Vec<Vec<u8>> {
         new: RowId::new(ClientId(2), 0),
         value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
     };
-    let mut msg = seq_msg(3, &pele);
-    if let Json::Obj(fields) = &mut msg {
-        fields.insert("type".into(), Json::str("msg"));
-    }
-    let batch = [
+    let batch = vec![
         seq_msg(4, &Message::Insert { row: cc_row(2) }),
         seq_msg(6, &Message::Insert { row: cc_row(3) }),
     ];
     vec![
-        msg.encode().into_bytes(),
-        typed("batch", [("msgs", Json::Arr(batch.to_vec()))]),
-        typed("lagging", []),
+        frame(Reply::Msg(seq_msg(3, &pele))),
+        frame(Reply::Batch(batch)),
+        frame(Reply::Lagging),
     ]
 }
 
@@ -197,8 +188,7 @@ fn interleaved_broadcasts_are_absorbed_alike_under_every_request() {
         }
         far.send(&kind.reply()).unwrap();
         // What heals the lag afterwards: the one message still missing.
-        let missing = Json::Arr(vec![seq_msg(5, &Message::Insert { row: cc_row(4) })]);
-        let heal = typed("synced", [("history_len", Json::num(7)), ("msgs", missing)]);
+        let heal = synced(7, &[(5, Message::Insert { row: cc_row(4) })]);
         if matches!(kind, Kind::Submit) {
             // An acked submit heals on its own: the reply must be waiting.
             far.send(&heal).unwrap();
@@ -213,19 +203,20 @@ fn interleaved_broadcasts_are_absorbed_alike_under_every_request() {
             worker.sync().unwrap();
         }
         let requests = sent(&far);
-        let heal_request = requests.last().unwrap();
-        assert_eq!(type_of(heal_request), "sync", "{kind:?}: {requests:?}");
+        let Some(Request::Sync(cursor)) = requests.last() else {
+            panic!("{kind:?}: {requests:?}");
+        };
         assert_eq!(worker.local_lag(), 0, "{kind:?}");
-        let cursor = (
-            heal_request.get("from").unwrap().encode(),
-            heal_request.get("have").unwrap().encode(),
-        );
-        outcomes.push((kind, cursor, worker));
+        outcomes.push((kind, cursor.clone(), worker));
     }
     let (_, first_cursor, first) = &outcomes[0];
     // 0 and 1 came with the welcome, 2 with the ack, 3 and 4 as
     // broadcasts; 6 is known, 5 is the hole.
-    assert_eq!(first_cursor, &("5".to_string(), "[6]".to_string()));
+    let hole = Cursor {
+        from: 5,
+        have: [6].into(),
+    };
+    assert_eq!(first_cursor, &hole);
     assert_eq!(first.view().replica().table().len(), 5);
     for (kind, cursor, worker) in &outcomes[1..] {
         assert_eq!(cursor, first_cursor, "{kind:?}");
@@ -259,8 +250,13 @@ fn a_reply_that_is_not_utf8_is_a_protocol_error() {
 /// resume from, and the handshake fails instead of guessing.
 #[test]
 fn a_welcome_without_history_len_is_a_protocol_error() {
-    match dial_with([]).0 {
-        Err(RemoteError::Protocol(what)) => assert_eq!(what, "missing history_len"),
+    // Malformed on purpose: a welcome with its watermark cut out.
+    let mut welcome = Json::parse(std::str::from_utf8(&welcome()).unwrap()).unwrap();
+    if let Json::Obj(fields) = &mut welcome {
+        fields.remove("history_len").unwrap();
+    }
+    match dial_with(welcome.encode().as_bytes()).0 {
+        Err(RemoteError::Protocol(what)) => assert!(what.contains("history_len"), "{what}"),
         Err(other) => panic!("expected a protocol error, got {other:?}"),
         Ok(_) => panic!("joined on a welcome with no watermark"),
     }

@@ -585,7 +585,8 @@ fn stalled_reader_on_quiet_collection_is_evicted_by_deadline() {
 
     // A raw observer: handshake, then never read another frame.
     let observer = TcpConn::connect(addr).unwrap();
-    observer.send(br#"{"type":"hello"}"#).unwrap();
+    let hello = crowdfill_server::wire::Request::Hello(None);
+    observer.send(hello.encode().as_bytes()).unwrap();
     observer.recv().expect("welcome");
 
     // A burst of fills overflows the observer's buffer (downgrade to

@@ -1,0 +1,183 @@
+//! A generated corpus of hostile requests over a raw socket: every message
+//! kind × every §2.2 precondition or §3.4 rule it can violate × `auto` on
+//! and off × as a `submit`, as the whole of a `modify` bundle, and behind a
+//! well-formed `[downvote, insert]` bundle prefix. Each frame decodes — the
+//! codec is not the defence here, `Backend::apply_msg` and the bundle's
+//! shape check are — and each must be answered with a `reject`, by a
+//! session that goes on serving, on a master that still equals a replica
+//! replayed from its own bootstrap image (a bundle refused half-way has
+//! moved the table; the image must have moved with it). Run it in a debug
+//! build: that is where `Replica::process` asserts Lemma 3 after every
+//! message, so a shape that breaks it is a panic on the apply thread and a
+//! dead session here.
+
+use crowdfill_model::{
+    ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
+    Template, Value,
+};
+use crowdfill_net::{FrameConn, TcpConn};
+use crowdfill_obs::trace::TraceId;
+use crowdfill_server::wire::{self, Op, Reply, Request};
+use crowdfill_server::{Backend, RemoteWorker, TaskConfig, TcpService};
+use crowdfill_sync::Replica;
+use std::sync::Arc;
+use std::time::Duration;
+
+fn schema() -> Arc<Schema> {
+    let columns = vec![
+        Column::new("name", DataType::Text),
+        Column::new("nationality", DataType::Text),
+    ];
+    Arc::new(Schema::new("SoccerPlayer", columns, &["name"]).unwrap())
+}
+
+fn cells(cells: &[(u16, &str)]) -> RowValue {
+    RowValue::from_pairs(cells.iter().map(|(c, v)| (ColumnId(*c), Value::text(*v))))
+}
+
+/// The next frame that is not a broadcast, decoded.
+fn recv(conn: &TcpConn) -> Reply<'static> {
+    loop {
+        let frame = conn.recv_timeout(Duration::from_secs(10)).expect("reply");
+        match Reply::decode(&wire::parse_frame(&frame).unwrap()).unwrap() {
+            Reply::Msg(_) | Reply::Batch(_) => {}
+            reply => return reply,
+        }
+    }
+}
+
+fn assert_master_is_its_image(backend: &Backend, case: &str) {
+    let mut replayed = Replica::new(ClientId(u32::MAX), schema());
+    for msg in backend.bootstrap_messages() {
+        replayed.process(&msg);
+    }
+    assert!(backend.master().same_state(&replayed), "{case}");
+}
+
+#[test]
+fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
+    let quorum = Arc::new(QuorumMajority::of_three());
+    let config = TaskConfig::new(schema(), quorum, Template::cardinality(2), 10.0);
+    let service = TcpService::start(Backend::new(config), "127.0.0.1:0").unwrap();
+
+    // An honest worker completes one row, which kills the two rows of its
+    // lineage and leaves a complete value with one upvote.
+    let mut honest = RemoteWorker::connect(service.addr()).unwrap();
+    let dead = honest.view().presented_rows()[0];
+    honest
+        .fill(dead, ColumnId(0), Value::text("Messi"))
+        .unwrap();
+    let partial = *honest.view().presented_rows().iter().max().unwrap();
+    let fill = honest.fill(partial, ColumnId(1), Value::text("Argentina"));
+    fill.unwrap();
+    let complete = cells(&[(0, "Messi"), (1, "Argentina")]);
+    let live = {
+        let table = honest.view().replica().table();
+        let found = table.iter().find(|(_, e)| e.value == complete);
+        found.expect("the completed row").0
+    };
+
+    let raw = TcpConn::connect(service.addr()).unwrap();
+    raw.send(Request::Hello(None).encode().as_bytes()).unwrap();
+    let Reply::Welcome(_, _, me, ..) = recv(&raw) else {
+        panic!("no welcome");
+    };
+    // The raw session casts one honest vote, so that a second is one.
+    let upvote = Message::Upvote {
+        value: complete.clone(),
+    };
+    let vote = Request::Submit((upvote.clone(), false), false, TraceId::NONE);
+    raw.send(vote.encode().as_bytes()).unwrap();
+    assert!(matches!(recv(&raw), Reply::Ack(..)));
+
+    let partial = cells(&[(0, "Pele")]);
+    let empty = RowValue::empty();
+    let fresh = |seq| RowId::new(me, seq);
+    let hostile: Vec<(&str, Message)> = vec![
+        ("insert: by a worker", Message::Insert { row: fresh(70) }),
+        ("insert: over a live row", Message::Insert { row: live }),
+        (
+            "replace: of a dead row",
+            Message::Replace {
+                old: dead,
+                new: fresh(71),
+                value: partial.clone(),
+            },
+        ),
+        (
+            "replace: of a row that never was",
+            Message::Replace {
+                old: fresh(72),
+                new: fresh(73),
+                value: complete.clone(),
+            },
+        ),
+        (
+            "upvote: of a partial vector",
+            Message::Upvote {
+                value: partial.clone(),
+            },
+        ),
+        (
+            "upvote: of the empty vector",
+            Message::Upvote {
+                value: empty.clone(),
+            },
+        ),
+        ("upvote: a second one", upvote),
+        (
+            "downvote: of the empty vector",
+            Message::Downvote {
+                value: empty.clone(),
+            },
+        ),
+        (
+            "undo_upvote: of a vote never cast",
+            Message::UndoUpvote { value: partial },
+        ),
+        (
+            "undo_downvote: of a vote never cast",
+            Message::UndoDownvote { value: empty },
+        ),
+    ];
+
+    let mut next_row = 100;
+    let mut cases = 0;
+    for (what, msg) in &hostile {
+        for auto in [false, true] {
+            let op: Op = (msg.clone(), auto);
+            // The prefix of a well-formed modify: it passes the shape
+            // check, so what follows it is judged on its own.
+            let downvote = Message::Downvote {
+                value: complete.clone(),
+            };
+            let insert = Message::Insert {
+                row: fresh(next_row),
+            };
+            next_row += 1;
+            let prefixed = vec![(downvote, false), (insert, false), op.clone()];
+            let placements = [
+                ("submit", Request::Submit(op.clone(), false, TraceId::NONE)),
+                ("bundle", Request::Modify(vec![op], TraceId::NONE)),
+                ("prefixed", Request::Modify(prefixed, TraceId::NONE)),
+            ];
+            for (placement, request) in placements {
+                let case = format!("{what}, auto {auto}, {placement}");
+                raw.send(request.encode().as_bytes()).unwrap();
+                assert!(matches!(recv(&raw), Reply::Reject(..)), "{case}");
+                raw.send(Request::Stats.encode().as_bytes()).unwrap();
+                assert!(matches!(recv(&raw), Reply::Stats(_)), "{case}: session");
+                assert_master_is_its_image(&service.backend().lock(), &case);
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 60);
+
+    // The honest worker was not harmed: it catches up and equals the master.
+    honest.sync().unwrap();
+    let backend = service.backend();
+    assert!(honest.view().replica().same_state(backend.lock().master()));
+    honest.bye();
+    service.stop();
+}

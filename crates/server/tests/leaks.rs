@@ -5,6 +5,7 @@
 
 use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
 use crowdfill_net::{FrameConn, TcpConn};
+use crowdfill_server::wire::Request;
 use crowdfill_server::{
     Backend, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
 };
@@ -80,11 +81,11 @@ fn assert_returns_to(expected: usize, count: fn() -> usize, what: &str) {
 /// client side, so whatever else the process gains is the server's.
 fn raw_session(addr: std::net::SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
-    let hello = br#"{"type":"hello"}"#;
+    let hello = Request::Hello(None).encode();
     stream
         .write_all(&(hello.len() as u32).to_be_bytes())
         .unwrap();
-    stream.write_all(hello).unwrap();
+    stream.write_all(hello.as_bytes()).unwrap();
     let mut header = [0u8; 4];
     stream.read_exact(&mut header).unwrap();
     let mut welcome = vec![0u8; u32::from_be_bytes(header) as usize];
@@ -146,9 +147,9 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
 
     for _ in 0..500 {
         let conn = TcpConn::connect(addr).unwrap();
-        conn.send(br#"{"type":"hello"}"#).unwrap();
+        conn.send(Request::Hello(None).encode().as_bytes()).unwrap();
         conn.recv().expect("welcome");
-        conn.send(br#"{"type":"bye"}"#).unwrap();
+        conn.send(Request::Bye.encode().as_bytes()).unwrap();
         // Dropping the conn closes our side; the shard retires its state.
     }
 

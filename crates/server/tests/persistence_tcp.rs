@@ -7,6 +7,7 @@ use crowdfill_docstore::{FsyncPolicy, Json};
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_server::persist::{self, DurabilityOptions};
+use crowdfill_server::wire::{CatchUp, Cursor, Reply, Request};
 use crowdfill_server::{
     wire, Dialer, DurabilitySweepOptions, ReconnectPolicy, RemoteWorker, ServiceOptions,
     TaskConfig, TcpService,
@@ -174,12 +175,14 @@ fn compaction_resets_stale_cursors_over_tcp() {
     let resets = crowdfill_obs::metrics::counter("crowdfill_server_reset_resyncs");
     let before = resets.get();
     let dave = TcpConn::connect(addr).unwrap();
-    dave.send(br#"{"type":"hello"}"#).unwrap();
+    dave.send(Request::Hello(None).encode().as_bytes()).unwrap();
     let welcome = String::from_utf8(dave.recv().expect("welcome")).unwrap();
-    dave.send(br#"{"type":"sync","from":0,"have":[]}"#).unwrap();
+    let full = Request::Sync(Cursor::default());
+    dave.send(full.encode().as_bytes()).unwrap();
     let synced = String::from_utf8(dave.recv().expect("synced")).unwrap();
-    assert!(synced.contains(r#""type":"synced""#), "{synced}");
-    assert!(synced.contains(r#""reset":true"#), "{synced}");
+    let decoded = Reply::decode(&wire::parse_frame(synced.as_bytes()).unwrap());
+    let reset = matches!(decoded, Ok(Reply::Synced(_, CatchUp::Image(_))));
+    assert!(reset, "{synced}");
     assert_eq!(
         resets.get(),
         before + 1,

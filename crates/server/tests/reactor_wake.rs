@@ -7,6 +7,7 @@
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
+use crowdfill_server::wire::{self, Cursor, Reply, Request};
 use crowdfill_server::{
     Backend, OverloadOptions, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
 };
@@ -63,16 +64,15 @@ fn wakeups() -> u64 {
 /// sessions land on alternating shards.
 fn session(addr: SocketAddr, collection: &str) -> TcpConn {
     let conn = TcpConn::connect(addr).unwrap();
-    let hello = format!(r#"{{"type":"hello","collection":"{collection}"}}"#);
-    conn.send(hello.as_bytes()).unwrap();
+    let hello = Request::Hello(Some(collection.to_string()));
+    conn.send(hello.encode().as_bytes()).unwrap();
     let welcome = conn.recv().expect("welcome");
-    assert!(is_type(&welcome, "welcome"));
+    assert!(matches!(decoded(&welcome), Reply::Welcome(..)));
     conn
 }
 
-/// The JSON encoder sorts keys, so `"type"` is not first.
-fn is_type(frame: &[u8], ty: &str) -> bool {
-    String::from_utf8_lossy(frame).contains(&format!(r#""type":"{ty}""#))
+fn decoded(frame: &[u8]) -> Reply<'static> {
+    Reply::decode(&wire::parse_frame(frame).unwrap()).unwrap()
 }
 
 /// Fills the first column of some still-empty row.
@@ -220,7 +220,7 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     });
     let watcher = within(WATCHDOG, "broadcast to the other shard", move || {
         let frame = watcher.recv().expect("broadcast");
-        assert!(is_type(&frame, "msg"));
+        assert!(matches!(decoded(&frame), Reply::Msg(_)));
         watcher
     });
 
@@ -345,7 +345,7 @@ fn writer_pace_releases_broadcasts_without_traffic() {
         (0..5)
             .map(|_| {
                 let frame = watcher.recv().expect("broadcast");
-                assert!(is_type(&frame, "msg"));
+                assert!(matches!(decoded(&frame), Reply::Msg(_)));
                 Instant::now()
             })
             .collect::<Vec<_>>()
@@ -407,12 +407,13 @@ fn write_interest_is_armed_only_while_the_writer_is_full() {
     // the socket. Eight pipelined syncs ask for 16 MB; loopback buffers
     // (tcp_wmem + tcp_rmem defaults) hold about a quarter of that.
     let mut client = TcpStream::connect(addr).unwrap();
-    send_frame(&mut client, br#"{"type":"hello"}"#);
+    send_frame(&mut client, Request::Hello(None).encode().as_bytes());
     let welcome = read_frame(&mut client);
     assert!(welcome.len() > 2_000_000);
     const SYNCS: usize = 8;
     for _ in 0..SYNCS {
-        send_frame(&mut client, br#"{"type":"sync","from":0,"have":[]}"#);
+        let full = Request::Sync(Cursor::default());
+        send_frame(&mut client, full.encode().as_bytes());
     }
     std::thread::sleep(Duration::from_millis(50)); // served, socket full
     let before = wakeups();
@@ -426,7 +427,7 @@ fn write_interest_is_armed_only_while_the_writer_is_full() {
     });
     let (client, replies) = replies;
     for reply in &replies {
-        assert!(is_type(reply, "synced"));
+        assert!(matches!(decoded(reply), Reply::Synced(..)));
         assert_eq!(reply.len(), replies[0].len());
         assert!(reply.len() > 2_000_000);
     }

@@ -2,8 +2,28 @@
 //! multiple remote workers collecting a small table end to end.
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
+use crowdfill_net::{ConnError, FrameConn, TcpConn};
+use crowdfill_server::wire::{self, CatchUp, Cursor, Reply, Request};
 use crowdfill_server::{RemoteWorker, TaskConfig, TcpService};
 use std::sync::Arc;
+use std::time::Duration;
+
+const WAIT: Duration = Duration::from_secs(5);
+
+fn send(conn: &TcpConn, request: Request) {
+    conn.send(request.encode().as_bytes()).unwrap();
+}
+
+/// The next frame that is not a broadcast, decoded.
+fn recv(conn: &TcpConn) -> Reply<'static> {
+    loop {
+        let frame = conn.recv_timeout(WAIT).expect("reply frame");
+        match Reply::decode(&wire::parse_frame(&frame).unwrap()).unwrap() {
+            Reply::Msg(_) | Reply::Batch(_) => {}
+            reply => return reply,
+        }
+    }
+}
 
 fn config(rows: usize) -> TaskConfig {
     let schema = Arc::new(
@@ -157,11 +177,8 @@ static MALFORMED_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn malformed_frames_are_rejected_gracefully() {
-    use crowdfill_docstore::Json;
-    use crowdfill_net::{ConnError, FrameConn, TcpConn};
     let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
-    let wait = std::time::Duration::from_secs(5);
     let backend = crowdfill_server::Backend::new(config(1));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
     let addr = service.addr();
@@ -174,40 +191,63 @@ fn malformed_frames_are_rejected_gracefully() {
         let before = malformed.get();
         let conn = TcpConn::connect(addr).unwrap();
         conn.send(frame).unwrap();
-        assert_eq!(conn.recv_timeout(wait), Err(ConnError::Disconnected));
+        assert_eq!(conn.recv_timeout(WAIT), Err(ConnError::Disconnected));
         assert_eq!(malformed.get(), before + 1);
     }
 
-    // In a session, a submit whose text cell holds a byte that is not
-    // UTF-8 is malformed too — not rewritten to U+FFFD and applied. It
-    // costs the frame, not the session: nothing is applied, nothing is
-    // answered, and the next request is served.
+    // In a session a malformed frame costs the frame, not the session:
+    // nothing is applied, one frame is counted, and the next request is
+    // served. Bytes that are not JSON text are not answered — a submit
+    // whose text cell holds a byte that is not UTF-8 is not rewritten to
+    // U+FFFD and applied. JSON that is no request (no `type`, a `type`
+    // that is no string or none the server knows, a submit without a
+    // message, a second handshake) is answered with a `reject`, so its
+    // sender does not wait out a timeout.
     let conn = TcpConn::connect(addr).unwrap();
-    conn.send(br#"{"type":"hello"}"#).unwrap();
-    let welcome = conn.recv_timeout(wait).expect("welcome");
-    let welcome = Json::parse(std::str::from_utf8(&welcome).unwrap()).unwrap();
-    let client = welcome.get("client").and_then(Json::as_i64).unwrap();
-    let (before, history_len) = (malformed.get(), service.backend().lock().history_len());
+    send(&conn, Request::Hello(None));
+    let Reply::Welcome(_, _, client, ..) = recv(&conn) else {
+        panic!("no welcome");
+    };
+    let client = client.0;
     let mut submit = format!(
         r#"{{"type":"submit","auto":false,"msg":{{"kind":"replace","old":{{"c":0,"s":0}},"new":{{"c":{client},"s":0}},"value":[{{"col":0,"val":{{"t":"text","v":"Mes?si"}}}}]}}}}"#
     )
     .into_bytes();
     let cell = submit.iter().position(|b| *b == b'?').unwrap();
     submit[cell] = 0xFF;
-    conn.send(&submit).unwrap();
-    conn.send(br#"{"type":"stats"}"#).unwrap();
-    let reply = conn.recv_timeout(wait).expect("the session survives");
-    let reply = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
-    assert_eq!(reply.get("type").and_then(Json::as_str), Some("stats"));
-    assert_eq!(malformed.get(), before + 1);
-    assert_eq!(service.backend().lock().history_len(), history_len);
-    drop(conn);
+    let in_session: [(&[u8], bool); 8] = [
+        (&submit, false),
+        (b"not json at all", false),
+        (b"{}", true),
+        (b"[1]", true),
+        (br#"{"type":7}"#, true),
+        (br#"{"type":"observe"}"#, true),
+        (br#"{"type":"submit","auto":false}"#, true),
+        (br#"{"type":"hello"}"#, true),
+    ];
+    for (frame, answered) in in_session {
+        let case = String::from_utf8_lossy(frame);
+        let (before, history_len) = (malformed.get(), service.backend().lock().history_len());
+        conn.send(frame).unwrap();
+        send(&conn, Request::Stats);
+        if answered {
+            assert!(matches!(recv(&conn), Reply::Reject(..)), "{case}");
+        }
+        assert!(
+            matches!(recv(&conn), Reply::Stats(_)),
+            "{case}: the session survives"
+        );
+        assert_eq!(malformed.get(), before + 1, "{case}");
+        assert_eq!(service.backend().lock().history_len(), history_len);
+    }
+    // Only `bye` closes.
+    send(&conn, Request::Bye);
+    assert_eq!(conn.recv_timeout(WAIT), Err(ConnError::Disconnected));
 
     // A proper client still works afterwards.
     let mut worker = RemoteWorker::connect(addr).unwrap();
     let rows = worker.view().presented_rows();
     assert_eq!(rows.len(), 1);
-    // Malformed submit payload gets a reject, not a hang: send raw.
     worker
         .fill(rows[0], ColumnId(0), Value::text("Messi"))
         .unwrap();
@@ -293,24 +333,18 @@ enum Handshake {
 
 /// The handshake's refusal paths and the cursor's tolerance for junk,
 /// driven over raw frames so they pin the wire behaviour rather than any
-/// decoder's signature.
+/// decoder's signature. The well-formed frames come from the codec; the
+/// hand-written ones are each malformed or hostile in the way their row
+/// says.
 #[test]
 fn handshake_refusals_and_cursor_junk_over_raw_frames() {
-    use crowdfill_docstore::Json;
-    use crowdfill_net::{ConnError, FrameConn, TcpConn};
-    use std::time::Duration;
     let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
-    let wait = Duration::from_secs(5);
 
     let backend = crowdfill_server::Backend::new(config(2));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
     let addr = service.addr();
-    let recv_json = |conn: &TcpConn| {
-        let frame = conn.recv_timeout(wait).expect("reply frame");
-        Json::parse(&String::from_utf8_lossy(&frame)).expect("reply is JSON")
-    };
-    let assert_eof = |conn: &TcpConn, case: &str| match conn.recv_timeout(wait) {
+    let assert_eof = |conn: &TcpConn, case: &str| match conn.recv_timeout(WAIT) {
         Err(ConnError::Empty) => panic!("{case}: connection left open"),
         Err(_) => {}
         Ok(frame) => panic!(
@@ -319,28 +353,36 @@ fn handshake_refusals_and_cursor_junk_over_raw_frames() {
         ),
     };
 
+    let nowhere = || Some("nope".to_string());
+    let resume = |worker, collection| {
+        Request::Resume(
+            crowdfill_pay::WorkerId(worker),
+            Cursor::default(),
+            collection,
+        )
+        .encode()
+    };
     let refusals = [
         (
-            r#"{"type":"hello","collection":"nope"}"#,
+            Request::Hello(nowhere()).encode(),
             Handshake::Rejected("unknown collection"),
         ),
         (
-            r#"{"type":"resume","collection":"nope","worker":0,"from":0,"have":[]}"#,
+            resume(0, nowhere()),
             Handshake::Rejected("unknown collection"),
         ),
+        (resume(4242, None), Handshake::Rejected("unknown worker")),
+        // A worker id that is no id, and none at all.
         (
-            r#"{"type":"resume","worker":4242,"from":0,"have":[]}"#,
-            Handshake::Rejected("unknown worker"),
-        ),
-        (
-            r#"{"type":"resume","worker":-1,"from":0,"have":[]}"#,
+            r#"{"type":"resume","worker":-1,"from":0,"have":[]}"#.to_string(),
             Handshake::Dropped,
         ),
         (
-            r#"{"type":"resume","from":0,"have":[]}"#,
+            r#"{"type":"resume","from":0,"have":[]}"#.to_string(),
             Handshake::Dropped,
         ),
-        (r#"{"type":"stats"}"#, Handshake::Dropped),
+        // A request, but no handshake.
+        (Request::Stats.encode(), Handshake::Dropped),
     ];
     for (first_frame, expect) in refusals {
         let before = malformed.get();
@@ -348,22 +390,15 @@ fn handshake_refusals_and_cursor_junk_over_raw_frames() {
         conn.send(first_frame.as_bytes()).unwrap();
         match expect {
             Handshake::Rejected(reason) => {
-                let reply = recv_json(&conn);
-                assert_eq!(
-                    reply.get("type").and_then(Json::as_str),
-                    Some("reject"),
-                    "{first_frame}"
-                );
-                assert_eq!(
-                    reply.get("reason").and_then(Json::as_str),
-                    Some(reason),
-                    "{first_frame}"
-                );
-                assert_eof(&conn, first_frame);
+                match recv(&conn) {
+                    Reply::Reject(why, _) => assert_eq!(why, reason, "{first_frame}"),
+                    other => panic!("{first_frame}: {other:?}"),
+                }
+                assert_eof(&conn, &first_frame);
                 assert_eq!(malformed.get(), before, "{first_frame}");
             }
             Handshake::Dropped => {
-                assert_eof(&conn, first_frame);
+                assert_eof(&conn, &first_frame);
                 assert_eq!(malformed.get(), before + 1, "{first_frame}");
             }
         }
@@ -382,44 +417,40 @@ fn handshake_refusals_and_cursor_junk_over_raw_frames() {
     }
 
     let conn = TcpConn::connect(addr).unwrap();
-    conn.send(br#"{"type":"hello"}"#).unwrap();
-    let welcome = recv_json(&conn);
-    let worker = welcome.get("worker").and_then(Json::as_i64).unwrap();
-    let history_len = welcome.get("history_len").and_then(Json::as_i64).unwrap() as u64;
+    send(&conn, Request::Hello(None));
+    let Reply::Welcome(_, worker, _, history_len, ..) = recv(&conn) else {
+        panic!("no welcome");
+    };
     assert!(history_len >= 4, "need a few seqs to skip: {history_len}");
 
     // Negative and non-integer `have` entries are ignored; the valid ones
     // (1 and 3) are the only seqs missing from the suffix.
     let junk_have = r#"[1,-3,2.5,"x",null,3,-0.5]"#;
-    let expected: Vec<i64> = (0..history_len as i64)
-        .filter(|s| *s != 1 && *s != 3)
-        .collect();
-    let seqs_of = |reply: &Json| -> Vec<i64> {
-        reply
-            .get("msgs")
-            .and_then(Json::as_arr)
-            .expect("msgs")
-            .iter()
-            .map(|e| e.get("seq").and_then(Json::as_i64).expect("seq"))
-            .collect()
+    let expected: Vec<u64> = (0..history_len).filter(|s| *s != 1 && *s != 3).collect();
+    let seqs_of = |body: CatchUp| match body {
+        CatchUp::Suffix(msgs) => msgs.into_iter().map(|(seq, _)| seq).collect::<Vec<_>>(),
+        CatchUp::Image(_) => panic!("a reset above the horizon"),
     };
     let before = malformed.get();
     conn.send(format!(r#"{{"type":"sync","from":0,"have":{junk_have}}}"#).as_bytes())
         .unwrap();
-    let synced = recv_json(&conn);
-    assert_eq!(synced.get("type").and_then(Json::as_str), Some("synced"));
-    assert_eq!(seqs_of(&synced), expected);
+    match recv(&conn) {
+        Reply::Synced(_, body) => assert_eq!(seqs_of(body), expected),
+        other => panic!("{other:?}"),
+    }
 
     let takeover = TcpConn::connect(addr).unwrap();
+    let worker = worker.0;
     takeover
         .send(
             format!(r#"{{"type":"resume","worker":{worker},"from":0,"have":{junk_have}}}"#)
                 .as_bytes(),
         )
         .unwrap();
-    let resumed = recv_json(&takeover);
-    assert_eq!(resumed.get("type").and_then(Json::as_str), Some("resumed"));
-    assert_eq!(seqs_of(&resumed), expected);
+    match recv(&takeover) {
+        Reply::Resumed(.., body) => assert_eq!(seqs_of(body), expected),
+        other => panic!("{other:?}"),
+    }
     assert_eq!(
         malformed.get(),
         before,
@@ -435,10 +466,8 @@ fn handshake_refusals_and_cursor_junk_over_raw_frames() {
 /// value are each turned away, and the history does not move.
 #[test]
 fn auto_true_over_a_raw_socket_exempts_nothing_but_the_completion_upvote() {
-    use crowdfill_docstore::Json;
-    use crowdfill_model::{ClientId, Message, RowId, RowValue};
-    use crowdfill_net::{FrameConn, TcpConn};
-    use crowdfill_server::wire;
+    use crowdfill_model::{Message, RowId, RowValue};
+    use crowdfill_obs::trace::TraceId;
 
     let service = TcpService::start(crowdfill_server::Backend::new(config(2)), "127.0.0.1:0");
     let service = service.unwrap();
@@ -456,53 +485,36 @@ fn auto_true_over_a_raw_socket_exempts_nothing_but_the_completion_upvote() {
     let complete = complete.value.clone();
 
     let raw = TcpConn::connect(service.addr()).unwrap();
-    let exchange = |request: String| {
-        raw.send(request.as_bytes()).unwrap();
-        loop {
-            let frame = raw.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-            let reply = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
-            let ty = reply
-                .get("type")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string();
-            if ty != "msg" && ty != "batch" {
-                return (ty, reply);
-            }
-        }
+    let exchange = |request: Request| {
+        send(&raw, request);
+        recv(&raw)
     };
-    let (ty, welcome) = exchange(r#"{"type":"hello"}"#.to_string());
-    assert_eq!(ty, "welcome");
-    let client = welcome.get("client").and_then(Json::as_i64).unwrap() as u32;
-    let before = welcome.get("history_len").and_then(Json::as_i64).unwrap();
+    let Reply::Welcome(_, _, client, before, ..) = exchange(Request::Hello(None)) else {
+        panic!("no welcome");
+    };
 
     // The raw session votes once, honestly, so that a second vote is one.
     let upvote = Message::Upvote { value: complete };
-    let submit = |msg: &Message, auto: bool| {
-        let fields = [
-            ("type", Json::str("submit")),
-            ("auto", Json::Bool(auto)),
-            ("msg", wire::message_to_json(msg)),
-        ];
-        exchange(Json::obj(fields).encode()).0
-    };
-    assert_eq!(submit(&upvote, false), "ack");
+    let submit =
+        |msg: &Message, auto| exchange(Request::Submit((msg.clone(), auto), false, TraceId::NONE));
+    assert!(matches!(submit(&upvote, false), Reply::Ack(..)));
     let hostile = [
         Message::Insert {
-            row: RowId::new(ClientId(client), 77),
+            row: RowId::new(client, 77),
         },
         Message::Replace {
             old: first,
-            new: RowId::new(ClientId(client), 78),
+            new: RowId::new(client, 78),
             value: RowValue::from_pairs([(ColumnId(0), Value::text("Pele"))]),
         },
         upvote.clone(),
     ];
     for msg in &hostile {
-        assert_eq!(submit(msg, true), "reject", "{msg:?}");
+        assert!(matches!(submit(msg, true), Reply::Reject(..)), "{msg:?}");
     }
-    let (_, synced) = exchange(r#"{"type":"sync","from":0,"have":[]}"#.to_string());
-    let after = synced.get("history_len").and_then(Json::as_i64).unwrap();
+    let Reply::Synced(after, _) = exchange(Request::Sync(Cursor::default())) else {
+        panic!("no synced");
+    };
     assert_eq!(after, before + 1, "only the honest upvote landed");
     honest.bye();
     service.stop();

@@ -40,11 +40,12 @@ if sed -s '/#\[cfg(test)\]/,$d' crates/net/src/tcp.rs crates/net/src/conn.rs cra
   echo "check.sh: the transport spawns a thread; read the socket on the caller's" >&2
   exit 1
 fi
-# One client: every client-side request frame is built in client_core.rs,
-# and its drivers (RemoteWorker, the scale harness) name none.
-if grep -rn 'Json::str("\(hello\|resume\|submit\|modify\|sync\|bye\)")' crates/server/src crates/bench/src \
-  | grep -v client_core.rs; then
-  echo "check.sh: a client request frame built outside client_core.rs; ask ClientCore for it" >&2
+# The wire protocol is a type: `wire::{Request, Reply}` is the only place a
+# frame is put together or taken apart, so no other file of the server or
+# of the harnesses names the field every frame has (comments may).
+if grep -rn '"type"' crates/server/src crates/bench/src \
+  | grep -v '^crates/server/src/wire.rs:' | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
+  echo "check.sh: a frame-type literal outside wire.rs; build and read frames with wire::{Request, Reply}" >&2
   exit 1
 fi
 

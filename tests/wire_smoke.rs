@@ -3,7 +3,9 @@
 //! pipeline, the client's reply loop and the wire decoder end to end (the
 //! suites that pin each of them live behind `cargo test --workspace`).
 
+use crowdfill::net::{FrameConn, TcpConn};
 use crowdfill::prelude::*;
+use crowdfill::server::wire::{self, CatchUp, Cursor, Reply, Request};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,4 +82,39 @@ fn two_workers_fill_vote_and_converge_over_tcp() {
     bob.bye();
     service.stop();
     assert_eq!(Arc::strong_count(&backend), 1, "stop means stopped");
+}
+
+/// The typed codec over a bare socket: requests built and encoded by
+/// `wire::Request`, replies decoded by `wire::Reply`, and each reply read
+/// back equal to what its own re-encoding decodes to.
+#[test]
+fn typed_frames_round_trip_over_a_raw_socket() {
+    let service = TcpService::start(Backend::new(config()), "127.0.0.1:0").unwrap();
+    let conn = TcpConn::connect(service.addr()).unwrap();
+    let exchange = |request: Request| {
+        let sent = request.encode();
+        let parsed = wire::parse_frame(sent.as_bytes()).unwrap();
+        assert_eq!(Request::decode(&parsed), Ok(request));
+        conn.send(sent.as_bytes()).unwrap();
+        let frame = conn.recv_timeout(Duration::from_secs(10)).unwrap();
+        let reply = Reply::decode(&wire::parse_frame(&frame).unwrap()).unwrap();
+        let again = reply.encode();
+        assert_eq!(again.as_bytes(), frame, "a reply re-encodes to its bytes");
+        reply
+    };
+    let Reply::Welcome(collection, worker, _, history_len, ..) = exchange(Request::Hello(None))
+    else {
+        panic!("no welcome");
+    };
+    assert_eq!(
+        (collection.as_str(), worker, history_len),
+        ("default", WorkerId(1), 2)
+    );
+    match exchange(Request::Sync(Cursor::default())) {
+        Reply::Synced(2, CatchUp::Suffix(history)) => assert_eq!(history.len(), 2),
+        other => panic!("{other:?}"),
+    }
+    assert!(matches!(exchange(Request::Stats), Reply::Stats(_)));
+    conn.send(Request::Bye.encode().as_bytes()).unwrap();
+    service.stop();
 }
