@@ -20,9 +20,9 @@
 //! stops calling `recv` holds at most one read budget of undelivered
 //! frames plus one partial frame; the rest stays in the kernel's socket
 //! buffer, and once that is full TCP flow control pushes back on the peer
-//! (the server's `Outbox` then downgrades the session to `lagging`, and a
-//! `sync` heals it). The connection is never dropped for slowness on this
-//! side.
+//! (the server's bounded broadcast queue then downgrades the session to
+//! `lagging`, and a `sync` heals it). The connection is never dropped for
+//! slowness on this side.
 
 use crate::conn::{ConnError, FrameConn};
 use crate::nonblocking::{FrameReader, FrameWriter};

@@ -146,7 +146,7 @@ pub enum Stage {
     Enqueue = 1,
     /// Server: op admitted past admission control.
     Admit = 2,
-    /// Server: op shed by the apply thread after queue-wait budget.
+    /// Server: op shed at batch formation, past its queue-wait budget.
     Shed = 3,
     /// Server: op rejected (admission or policy).
     Reject = 4,

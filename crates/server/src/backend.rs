@@ -132,6 +132,10 @@ pub enum SubmitError {
     UnknownWorker,
     /// Worker clients never insert rows (§3.4).
     WorkersCannotInsert,
+    /// The message creates a row under another client's id: a row id is
+    /// `(client, seq)` so that clients mint them without coordinating, and
+    /// a worker mints only its own.
+    ForeignRowId,
     /// The worker already voted on this row value (§3.4).
     AlreadyVoted,
     /// The worker already upvoted a row with this primary key (§3.4).
@@ -154,6 +158,7 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::UnknownWorker => write!(f, "unknown worker"),
             SubmitError::WorkersCannotInsert => write!(f, "workers cannot insert rows"),
+            SubmitError::ForeignRowId => write!(f, "row ids of another client cannot be created"),
             SubmitError::AlreadyVoted => write!(f, "already voted on this row"),
             SubmitError::DuplicateKeyUpvote => {
                 write!(f, "already upvoted a row with this primary key")
@@ -254,6 +259,12 @@ struct Session {
 }
 
 impl Session {
+    /// Whether the row `msg` creates, if any, is this session's to name.
+    fn mints(&self, msg: &Message) -> bool {
+        msg.creates_row()
+            .is_none_or(|row| row.client == self.client)
+    }
+
     /// A session no connection is attached to: what recovery recreates,
     /// and what [`Backend::connect`] starts from.
     fn detached(client: ClientId) -> Session {
@@ -871,6 +882,13 @@ impl Backend {
         // fill has just completed. On anything else it is ignored.
         let auto_upvote = auto_upvote
             && matches!(&msg, Message::Upvote { value } if session.completed.as_ref() == Some(value));
+        // Nor is anything exempt from minting row ids under one's own
+        // client id only (a modify's insert included): a `new` that names
+        // another worker's live row would overwrite it — with Lemma 3 and
+        // the image intact, so nothing downstream would notice.
+        if !session.mints(&msg) {
+            return Err(SubmitError::ForeignRowId);
+        }
         // §2.2's preconditions are a vote's shape, not policy, so nothing
         // is exempt: an upvote of a partial vector or a downvote of the
         // empty one breaks Lemma 3, which the state image relies on.
@@ -975,7 +993,11 @@ impl Backend {
         // Shape validation before any mutation.
         let mut stage = 0; // 0: expect downvote, 1: expect insert, 2+: fills
         let mut lineage: Option<crowdfill_model::RowId> = None;
+        let session = self.sessions.get(&worker);
         for (msg, auto) in &bundle {
+            if session.is_some_and(|s| !s.mints(msg)) {
+                return Err(SubmitError::ForeignRowId);
+            }
             match (stage, msg) {
                 (0, Message::Downvote { .. }) => stage = 1,
                 // A modify of an *empty* cell degrades to a plain fill

@@ -1,48 +1,47 @@
-//! The batched op pipeline: a single apply thread that drains queued
-//! submissions into [`Backend::submit_batch`] calls.
+//! The batched op pipeline: a collection's admission queue and the batches
+//! formed from it. It owns no thread — whoever drives it ([`admit`], then
+//! [`apply`] once [`due`] says so) does the work on its own: the reactor
+//! shard that owns the collection, inside the sweep that read the frames
+//! (`reactor.rs`), or a lone caller through [`submit`], which is those
+//! steps in a row.
 //!
-//! Submitters don't touch the backend on the submit hot path; they enqueue
-//! a [`BatchOp`] with a reply callback (the blocking calls wait on a
-//! one-shot channel, a reactor shard has the result pushed onto its wake
-//! queue). The apply thread drains whatever has queued (up to
-//! [`BatchOptions::max_batch`]), applies it as one batch — one backend lock
-//! acquisition, one journal frame + fsync, per-op semantics identical to
-//! singleton submits — answers every submitter, and then triggers one
-//! broadcast flush for the batch's whole seq range.
-//!
-//! Batches form from natural queuing: while a batch is being applied,
-//! concurrent submitters pile up in the channel and become the next batch.
-//! Under light load batches degenerate to singletons and the pipeline
-//! behaves exactly like the direct path (plus one thread hop);
-//! [`BatchOptions::max_wait`] can trade latency for fuller batches.
+//! A batch is whatever queued since the last one, up to
+//! [`BatchOptions::max_batch`]: one backend lock acquisition (the
+//! caller's), one journal frame + fsync, per-op semantics identical to
+//! singleton submits. On a shard that is what one wake read off its ready
+//! sockets; under light load batches degenerate to singletons.
+//! [`BatchOptions::max_wait`] trades latency for fuller batches: [`due`]
+//! then names a deadline instead of "now", which the shard keeps in its
+//! timer heap. The window's jobs wait in the queue, so they count against
+//! `max_queue`.
 //!
 //! The queue is the server's admission point (DESIGN.md §9): it is
 //! bounded at [`OverloadOptions::max_queue`] jobs, speculative traffic is
 //! turned away once depth reaches [`OverloadOptions::spec_queue`], and a
-//! job the apply thread picks up after more than
-//! [`OverloadOptions::shed_after`] (+ the fill window) of queue wait is
-//! shed — answered [`SubmitError::Overloaded`] without ever touching the
-//! backend. Shedding therefore always happens *before* the ack: an op
-//! that was acked was applied and journaled, so overload can never lose
-//! acked work.
+//! job taken after more than [`OverloadOptions::shed_after`] (+ the fill
+//! window) of queue wait is shed — answered [`SubmitError::Overloaded`]
+//! without ever touching the backend. Shedding therefore always happens
+//! *before* the ack: an op that was acked was applied and journaled, so
+//! overload can never lose acked work. Every decision takes its clock
+//! reading as an argument; the tests pass the `Instant`s they mean.
 //!
-//! The pipeline owns its thread: dropping the [`BatchPipeline`] closes
-//! the queue, lets the apply thread answer what is still in it, and joins
-//! it — so a stopped service holds no backend (DESIGN.md §13.1, *stop
-//! means stopped*).
+//! [`admit`]: BatchPipeline::admit
+//! [`apply`]: BatchPipeline::apply
+//! [`due`]: BatchPipeline::due
+//! [`submit`]: BatchPipeline::submit
 
 use crate::backend::{Backend, BatchJob, BatchOp, SubmitError, SubmitReport};
 use crate::overload::{OverloadOptions, Priority};
-use crossbeam::channel::{self, TrySendError};
 use crowdfill_obs::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Batching knobs for the apply thread.
+/// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
     /// Most ops applied per batch (bounds broadcast frame size and the
@@ -84,63 +83,58 @@ fn m_ack_latency() -> &'static Arc<Histogram> {
     H.get_or_init(|| histogram("crowdfill_server_ack_latency_ns"))
 }
 
-/// How an admitted job's ack/reject travels back: called exactly once,
-/// on the apply thread.
-type ReplyFn = Box<dyn FnOnce(Result<SubmitReport, SubmitError>) + Send>;
-
-/// A job's reply callback. A job dropped unanswered (the apply thread
-/// died with it queued) answers [`SubmitError::CollectionClosed`], so no
-/// submitter waits forever.
-struct ReplyTo(Option<ReplyFn>);
-
-impl ReplyTo {
-    fn send(mut self, result: Result<SubmitReport, SubmitError>) {
-        if let Some(reply) = self.0.take() {
-            reply(result);
-        }
-    }
+/// One op offered to [`BatchPipeline::admit`].
+#[derive(Debug)]
+pub struct Submission {
+    /// The caller's name for the op, handed back in its [`Settled`] (a
+    /// shard passes the connection's token). `u64::MAX` is
+    /// [`BatchPipeline::submit`]'s.
+    pub ticket: u64,
+    pub worker: WorkerId,
+    pub op: BatchOp,
+    pub priority: Priority,
+    /// Stamps `enqueue` + `admit` (or `reject`), `batch_form` (or `shed`)
+    /// under the op's root span; [`TraceId::NONE`] stamps nothing.
+    pub trace: TraceId,
 }
 
-impl Drop for ReplyTo {
-    fn drop(&mut self) {
-        if let Some(reply) = self.0.take() {
-            reply(Err(SubmitError::CollectionClosed));
-        }
-    }
+/// The answer to one admitted op: an ack or a reject from the backend, or
+/// [`SubmitError::Overloaded`] if it was shed.
+#[derive(Debug)]
+pub struct Settled {
+    pub ticket: u64,
+    pub trace: TraceId,
+    /// The clock reading it was admitted at.
+    pub admitted: Instant,
+    /// A modify bundle, not a plain message.
+    pub modify: bool,
+    pub result: Result<SubmitReport, SubmitError>,
 }
 
-/// One queued submission: the op, its submitter, the callback its
-/// ack/reject travels back on, and when it entered the queue (for
-/// shedding and latency accounting).
-struct PipelineJob {
-    worker: WorkerId,
-    op: BatchOp,
-    reply: ReplyTo,
-    enqueued: Instant,
-    trace: TraceId,
-}
+/// The ticket of [`BatchPipeline::submit`]'s own op.
+const DIRECT: u64 = u64::MAX;
 
-/// A running batch pipeline around a shared [`Backend`].
+/// One collection's admission queue in front of a shared [`Backend`].
 ///
-/// Dropping the pipeline closes the job channel — the apply thread applies
-/// and answers what is still queued, then returns — and joins the thread:
-/// once the drop returns, the pipeline's handle on the backend is gone.
+/// A plain struct: it is driven from one thread at a time (it is `Send`,
+/// not `Sync`), and the only lock it ever takes is the backend's, in
+/// [`submit`](Self::submit).
 pub struct BatchPipeline {
-    /// `None` only inside `drop`.
-    tx: Option<channel::Sender<PipelineJob>>,
-    apply: Option<std::thread::JoinHandle<()>>,
-    /// Jobs enqueued but not yet picked up by the apply thread. Kept
-    /// alongside the channel (rather than using `Receiver::len`) so the
-    /// submit path can make admission decisions without the receiver.
-    depth: Arc<AtomicUsize>,
+    backend: Arc<Mutex<Backend>>,
+    clock: Box<dyn Fn() -> Millis + Send>,
+    after_batch: Box<dyn Fn() + Send>,
+    max_batch: usize,
+    max_wait: Duration,
     overload: OverloadOptions,
+    /// Admitted, not yet taken; oldest first.
+    queue: RefCell<VecDeque<(Submission, Instant)>>,
 }
 
 impl BatchPipeline {
-    /// Spawns the apply thread. `clock` supplies the server timestamp for
-    /// each batch; `after_batch` runs after every applied batch (the TCP
-    /// service flushes broadcast outboxes there; tests can pass a no-op and
-    /// poll the backend directly).
+    /// Spawns nothing. `clock` supplies the server timestamp for each
+    /// batch; `after_batch` runs after every batch [`submit`](Self::submit)
+    /// applied, the backend lock released (the TCP service delivers inside
+    /// its own sweep and passes a no-op).
     pub fn start(
         backend: Arc<Mutex<Backend>>,
         clock: Box<dyn Fn() -> Millis + Send>,
@@ -148,234 +142,142 @@ impl BatchPipeline {
         options: BatchOptions,
         overload: OverloadOptions,
     ) -> BatchPipeline {
-        let (tx, rx) = channel::bounded::<PipelineJob>(overload.max_queue.max(1));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let max_batch = options.max_batch.max(1);
-        // A job is shed if it waited past the budget. The fill window is
-        // excluded from the job's bill: with a long `max_wait` the apply
-        // thread itself holds jobs back to fatten batches, and that delay
-        // is the server's choice, not queue pressure.
-        let shed_budget = overload.shed_after + options.max_wait;
-        let retry = overload.clone();
-        let thread_depth = Arc::clone(&depth);
-        let apply = std::thread::Builder::new()
-            .name("crowdfill-batch-apply".into())
-            .spawn(move || {
-                let take = |job: PipelineJob, jobs: &mut Vec<PipelineJob>| {
-                    thread_depth.fetch_sub(1, Ordering::Relaxed);
-                    m_queue_depth().add(-1);
-                    let waited = job.enqueued.elapsed();
-                    m_queue_wait().record(waited.as_nanos() as u64);
-                    if waited > shed_budget {
-                        // Shed: the op was never applied, so the reject is
-                        // safe — the client retries or gives up, but no
-                        // acked state is involved.
-                        m_sheds().inc();
-                        obstrace::stamp_dur(
-                            job.trace,
-                            Stage::Shed,
-                            SpanId::root(job.trace),
-                            0,
-                            0,
-                            waited.as_nanos() as u64,
-                        );
-                        let hint = retry.retry_after_ms(thread_depth.load(Ordering::Relaxed));
-                        job.reply.send(Err(SubmitError::Overloaded {
-                            retry_after_ms: hint,
-                        }));
-                    } else {
-                        // `batch_form`: the op made it into a batch; its
-                        // duration is the queue wait it paid to get there.
-                        obstrace::stamp_dur(
-                            job.trace,
-                            Stage::BatchForm,
-                            SpanId::root(job.trace),
-                            0,
-                            jobs.len() as u64 + 1,
-                            waited.as_nanos() as u64,
-                        );
-                        jobs.push(job);
-                    }
-                };
-                loop {
-                    let first = match rx.recv() {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    };
-                    let mut jobs = Vec::new();
-                    take(first, &mut jobs);
-                    while jobs.len() < max_batch {
-                        match rx.try_recv() {
-                            Ok(job) => take(job, &mut jobs),
-                            Err(_) => break,
-                        }
-                    }
-                    if !jobs.is_empty() && jobs.len() < max_batch && !options.max_wait.is_zero() {
-                        let deadline = Instant::now() + options.max_wait;
-                        while jobs.len() < max_batch {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            match rx.recv_timeout(deadline - now) {
-                                Ok(job) => take(job, &mut jobs),
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    if jobs.is_empty() {
-                        // Everything drained this round was shed.
-                        continue;
-                    }
-                    let enqueued_at: Vec<Instant> = jobs.iter().map(|j| j.enqueued).collect();
-                    let (batch, replies): (Vec<BatchJob>, Vec<_>) = jobs
-                        .into_iter()
-                        .map(|j| {
-                            (
-                                BatchJob {
-                                    worker: j.worker,
-                                    op: j.op,
-                                    trace: j.trace,
-                                },
-                                j.reply,
-                            )
-                        })
-                        .unzip();
-                    let outcome = backend.lock().submit_batch(batch, clock());
-                    for ((reply, result), enqueued) in
-                        replies.into_iter().zip(outcome.results).zip(enqueued_at)
-                    {
-                        m_ack_latency().record(enqueued.elapsed().as_nanos() as u64);
-                        reply.send(result);
-                    }
-                    after_batch();
-                }
-            })
-            // A failed spawn dropped the receiver with the closure: every
-            // submit then answers `CollectionClosed`.
-            .ok();
         BatchPipeline {
-            tx: Some(tx),
-            apply,
-            depth,
+            backend,
+            clock,
+            after_batch,
+            max_batch: options.max_batch.max(1),
+            max_wait: options.max_wait,
             overload,
+            queue: RefCell::new(VecDeque::new()),
         }
     }
 
-    /// Jobs currently queued (enqueued, not yet picked up for apply).
+    /// Jobs currently queued (admitted, not yet taken into a batch).
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.queue.borrow().len()
     }
 
-    /// Enqueues one op and blocks until its batch has been applied,
-    /// returning exactly what a direct `submit`/`submit_modify` would have.
+    /// One op, start to finish, on the caller's thread: admitted and
+    /// applied at once (a lone caller has nobody to wait
+    /// `max_wait` for), returning exactly what a direct
+    /// `submit`/`submit_modify` would have. Whatever else was queued rides
+    /// along and its answers are dropped: do not mix with
+    /// [`admit`](Self::admit).
     pub fn submit(&self, worker: WorkerId, op: BatchOp) -> Result<SubmitReport, SubmitError> {
-        self.submit_classified(worker, op, Priority::Normal)
+        let now = Instant::now();
+        let job = Submission {
+            ticket: DIRECT,
+            worker,
+            op,
+            priority: Priority::Normal,
+            trace: TraceId::NONE,
+        };
+        self.admit(job, now)?;
+        // Every batch removes at least one job, and the op sits in the
+        // queue until one removes it.
+        loop {
+            let settled = self.apply(now, &mut self.backend.lock());
+            (self.after_batch)();
+            if let Some(own) = settled.into_iter().rfind(|s| s.ticket == DIRECT) {
+                return own.result;
+            }
+        }
     }
 
-    /// [`submit`](BatchPipeline::submit) with an explicit admission class.
+    /// The admission decision, at clock reading `at`.
     ///
     /// Speculative jobs are admitted only while queue depth is below
     /// [`OverloadOptions::spec_queue`]; every class is rejected once the
-    /// queue is full. A rejection never reaches the backend: the op was
-    /// not applied, not journaled, and not acked.
-    pub fn submit_classified(
-        &self,
-        worker: WorkerId,
-        op: BatchOp,
-        priority: Priority,
-    ) -> Result<SubmitReport, SubmitError> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let reply = move |result| {
-            let _ = reply_tx.send(result);
-        };
-        match self.submit_async(worker, op, priority, TraceId::NONE, reply) {
-            AsyncSubmit::Done(result) => result,
-            AsyncSubmit::Pending => reply_rx
-                .recv()
-                .unwrap_or(Err(SubmitError::CollectionClosed)),
-        }
-    }
-
-    /// Nonblocking enqueue for reactor threads: admission control runs
-    /// inline (so overload rejects are still immediate — `reply` is then
-    /// dropped uncalled), but an admitted job's ack is delivered by calling
-    /// `reply` on the apply thread once its batch has been applied. A
-    /// reactor shard passes a closure that pushes the result onto its wake
-    /// queue and parks the connection until it arrives. `trace` stamps
-    /// `enqueue` + `admit` (or `reject`) under the op's root span; with
-    /// [`TraceId::NONE`] the stamps are single-branch no-ops.
-    pub fn submit_async(
-        &self,
-        worker: WorkerId,
-        op: BatchOp,
-        priority: Priority,
-        trace: TraceId,
-        reply: impl FnOnce(Result<SubmitReport, SubmitError>) + Send + 'static,
-    ) -> AsyncSubmit {
-        let root = if trace.is_none() {
-            SpanId::NONE
-        } else {
-            SpanId::root(trace)
-        };
-        let depth = self.depth.load(Ordering::Relaxed);
+    /// queue holds [`OverloadOptions::max_queue`]. A rejection never
+    /// reaches the backend: the op was not applied, not journaled, and not
+    /// acked.
+    pub fn admit(&self, job: Submission, at: Instant) -> Result<(), SubmitError> {
+        let (trace, root) = (job.trace, SpanId::root(job.trace));
+        let mut queue = self.queue.borrow_mut();
+        let depth = queue.len();
         obstrace::stamp(trace, Stage::Enqueue, root, 0, depth as u64);
-        if priority == Priority::Speculative && depth >= self.overload.spec_queue {
+        let full = depth >= self.overload.max_queue.max(1);
+        let gated = job.priority == Priority::Speculative && depth >= self.overload.spec_queue;
+        if full || gated {
             m_overload_rejects().inc();
             let retry_after_ms = self.overload.retry_after_ms(depth);
             obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);
-            return AsyncSubmit::Done(Err(SubmitError::Overloaded { retry_after_ms }));
+            return Err(SubmitError::Overloaded { retry_after_ms });
         }
-        // Count the job before it is visible to the apply thread so the
-        // admission check above never undercounts.
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let tx = self.tx.as_ref().expect("the sender lives until drop");
-        match tx.try_send(PipelineJob {
-            worker,
-            op,
-            reply: ReplyTo(Some(Box::new(reply))),
-            enqueued: Instant::now(),
-            trace,
-        }) {
-            Ok(()) => {
-                m_queue_depth().add(1);
-                obstrace::stamp(trace, Stage::Admit, root, 0, depth as u64 + 1);
-            }
-            Err(TrySendError::Full(mut job)) => {
-                job.reply.0 = None; // answered by the return value instead
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                m_overload_rejects().inc();
-                let retry_after_ms = self.overload.retry_after_ms(self.overload.max_queue);
-                obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);
-                return AsyncSubmit::Done(Err(SubmitError::Overloaded { retry_after_ms }));
-            }
-            Err(TrySendError::Disconnected(mut job)) => {
-                job.reply.0 = None;
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                // The apply thread is gone; the service is shutting down.
-                return AsyncSubmit::Done(Err(SubmitError::CollectionClosed));
-            }
-        }
-        AsyncSubmit::Pending
+        queue.push_back((job, at));
+        m_queue_depth().add(1);
+        obstrace::stamp(trace, Stage::Admit, root, 0, depth as u64 + 1);
+        Ok(())
     }
-}
 
-impl Drop for BatchPipeline {
-    fn drop(&mut self) {
-        self.tx = None;
-        if let Some(apply) = self.apply.take() {
-            let _ = apply.join();
-        }
+    /// When the next batch wants applying: `None` with nothing queued, the
+    /// oldest job's admission (that is: now) once it need not wait for
+    /// company — no fill window, or a full batch — and the end of its
+    /// window otherwise.
+    pub fn due(&self) -> Option<Instant> {
+        let queue = self.queue.borrow();
+        let (_, oldest) = queue.front()?;
+        let full = queue.len() >= self.max_batch;
+        Some(*oldest + if full { Duration::ZERO } else { self.max_wait })
     }
-}
 
-/// Outcome of a nonblocking [`BatchPipeline::submit_async`].
-pub enum AsyncSubmit {
-    /// Admission decided the job without involving the apply thread
-    /// (overload reject, speculative gate, or shutdown).
-    Done(Result<SubmitReport, SubmitError>),
-    /// The job was admitted; its reply callback fires when its batch has
-    /// been applied (with [`SubmitError::CollectionClosed`] if the
-    /// pipeline dies first).
-    Pending,
+    /// Forms a batch at clock reading `now` — up to `max_batch` jobs off the
+    /// queue's head — and applies it under the caller's backend lock: one
+    /// [`Backend::submit_batch`], so one journal frame. Answers everything
+    /// it removed, in queue order. A job that waited past the budget is
+    /// shed instead of applied; the fill window is excluded from its bill
+    /// (holding jobs back to fatten batches is the server's choice, not
+    /// queue pressure).
+    pub fn apply(&self, now: Instant, backend: &mut Backend) -> Vec<Settled> {
+        let shed_budget = self.overload.shed_after + self.max_wait;
+        let mut queue = self.queue.borrow_mut();
+        let (mut settled, mut jobs, mut applied) = (Vec::new(), Vec::new(), Vec::new());
+        while jobs.len() < self.max_batch {
+            let Some((job, admitted)) = queue.pop_front() else {
+                break;
+            };
+            m_queue_depth().add(-1);
+            let waited = now.saturating_duration_since(admitted);
+            let waited_ns = waited.as_nanos() as u64;
+            m_queue_wait().record(waited_ns);
+            let (trace, root) = (job.trace, SpanId::root(job.trace));
+            let modify = matches!(job.op, BatchOp::Modify { .. });
+            let result = if waited > shed_budget {
+                // Shed: the op was never applied, so the reject is safe —
+                // the client retries or gives up, but no acked state is
+                // involved.
+                m_sheds().inc();
+                obstrace::stamp_dur(trace, Stage::Shed, root, 0, 0, waited_ns);
+                let retry_after_ms = self.overload.retry_after_ms(queue.len());
+                SubmitError::Overloaded { retry_after_ms }
+            } else {
+                // `batch_form`: the op made it into a batch; its duration
+                // is the queue wait it paid to get there.
+                let size = jobs.len() as u64 + 1;
+                obstrace::stamp_dur(trace, Stage::BatchForm, root, 0, size, waited_ns);
+                applied.push(settled.len());
+                let (worker, op) = (job.worker, job.op);
+                jobs.push(BatchJob { worker, op, trace });
+                SubmitError::CollectionClosed // until the batch's outcome replaces it
+            };
+            settled.push(Settled {
+                ticket: job.ticket,
+                trace,
+                admitted,
+                modify,
+                result: Err(result),
+            });
+        }
+        drop(queue);
+        if jobs.is_empty() {
+            return settled; // nothing queued, or all of it shed
+        }
+        let outcome = backend.submit_batch(jobs, (self.clock)());
+        for (i, result) in applied.into_iter().zip(outcome.results) {
+            m_ack_latency().record(settled[i].admitted.elapsed().as_nanos() as u64);
+            settled[i].result = result;
+        }
+        settled
+    }
 }

@@ -37,7 +37,7 @@ pub mod wire;
 pub mod worker_client;
 
 pub use backend::{Backend, BatchJob, BatchOp, BatchOutcome, SubmitError, SubmitReport};
-pub use batch::{BatchOptions, BatchPipeline};
+pub use batch::{BatchOptions, BatchPipeline, Settled, Submission};
 pub use client::{Dialer, ReconnectPolicy, RemoteAck, RemoteError, RemoteWorker};
 pub use client_core::ClientCore;
 pub use config::TaskConfig;

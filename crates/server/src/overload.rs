@@ -55,7 +55,7 @@ pub struct OverloadOptions {
     pub spec_queue: usize,
     /// Queue-wait budget. A job that has waited longer than
     /// `shed_after` + the batch fill window (`BatchOptions::max_wait`)
-    /// when the apply thread picks it up is shed — answered
+    /// when it is taken into a batch is shed — answered
     /// `Overloaded`, never applied, never acked.
     pub shed_after: Duration,
     /// Base for `retry_after` hints; the hint grows with queue depth

@@ -1,69 +1,95 @@
 //! # Sharded event-driven connection layer
 //!
 //! A thread (or two) per connection is thousands of stacks and a
-//! scheduler meltdown at thousands of workers. The reactor instead runs a
-//! small fixed pool of *shard* threads, each owning a disjoint set of
-//! nonblocking sockets, one `epoll` instance and one wake queue
-//! ([`crowdfill_net::poller`]) — total server threads are O(pool size),
-//! not O(connections), and a shard with nothing to do is blocked in the
-//! kernel, not polling.
+//! scheduler meltdown at thousands of workers; a thread per collection is
+//! the same mistake one level up. The reactor instead runs a small fixed
+//! pool of *shard* threads, each with one `epoll` instance and one wake
+//! queue ([`crowdfill_net::poller`]) — total server threads are O(pool
+//! size), not O(connections) nor O(collections), and a shard with nothing
+//! to do is blocked in the kernel, not polling.
 //!
-//! ## What wakes a shard, and what a wake serves
+//! ## Ownership
 //!
-//! The accept thread hands fresh sockets to shards round-robin; a socket
-//! never migrates between shards, so per-connection state needs no locks.
+//! A collection is owned by exactly one shard ([`owner_shard`]: a hash of
+//! its name over the shard count, fixed at start). The owner holds the
+//! collection's [`BatchPipeline`] (its admission queue) and every
+//! connection attached to it, so everything an op needs — queue, backend,
+//! the author's socket and its peers' — is on the thread that read the
+//! op, and nothing about a connection or a queue is locked or handed
+//! between threads. The accept thread knows no collection: it deals fresh
+//! sockets round-robin among the shards that own any, and the shard that
+//! reads a `hello`/`resume` for a collection it does not own deregisters
+//! the socket and hands the whole connection, with the decoded request, to
+//! the owner over its wake queue ([`Wake::HandOver`]) — one hop, once per
+//! connection, and none at all on a service with one collection.
+//!
+//! ## What wakes a shard
+//!
 //! A shard blocks in `epoll_wait` until one of these happens:
 //!
 //! * a socket of its own is readable, is writable while its
 //!   [`FrameWriter`] holds bytes, or hung up;
 //! * another thread pushed a [`Wake`] onto its queue: the accept thread
-//!   injects a socket, an apply thread answers a parked submit/modify,
-//!   queued a broadcast in a connection's [`Outbox`] or turned it lagging,
-//!   `TcpService::disconnect_all` asks for a close, or `TcpService::stop`
-//!   raised the shutdown flag;
+//!   injects a socket, another shard hands a connection over,
+//!   `TcpService::disconnect_all` asks for every session's close, or
+//!   `TcpService::stop` raised the shutdown flag (one wake per shard
+//!   each);
 //! * its nearest deadline passed (`idle_timeout`, a `writer_pace`
-//!   release, a lagging connection's eviction), kept in a heap so the
-//!   wait's timeout is one `peek`; with no deadline pending the wait has
-//!   no timeout.
+//!   release, a lagging connection's eviction, the end of a batch's
+//!   `max_wait` window), kept in a heap so the wait's timeout is one
+//!   `peek`; with no deadline pending the wait has no timeout.
+//!
+//! ## What a wake does
 //!
 //! A wake visits exactly the connections those events name, plus the ones
 //! the previous wake left with runnable work (frames deferred by the
-//! fairness budget, a read cut off by `READ_BUDGET`) — never the whole
-//! shard. A visit ([`sweep_conn`]):
+//! fairness budget, a read cut off by `READ_BUDGET`, frames pipelined
+//! behind an op that has now settled) — never the whole shard. It is one
+//! sweep in three passes:
 //!
-//! 1. completes a parked submit/modify whose reply arrived;
-//! 2. reads whatever the socket has, bounded by `READ_BUDGET`, into the
-//!    connection's [`FrameReader`];
-//! 3. parses each complete frame once and decodes it with
-//!    [`Request::decode`], handshake and session alike (the grammar is
-//!    `wire.rs`'s; [`open_session`] lives in `tcp_service.rs`). What a
-//!    frame that fails costs is decided here: before the handshake, the
-//!    connection; inside a session, the frame — bytes that are no JSON
-//!    text are not answered, JSON that is no request gets a `reject`, so
-//!    that its sender does not wait out a timeout;
-//! 4. drains the connection's [`Outbox`] (broadcasts queued by the apply
-//!    thread) into its [`FrameWriter`], honoring `writer_pace`, and runs
-//!    the eviction clock of a lagging one;
-//! 5. flushes the writer as far as the socket accepts;
-//! 6. closes the connection if it said `bye`, hung up, or sat idle.
+//! 1. **Serve** each such connection: read whatever its socket has,
+//!    bounded by `READ_BUDGET`, into its [`FrameReader`]; parse each
+//!    complete frame once and decode it with [`Request::decode`], handshake
+//!    and session alike (the grammar is `wire.rs`'s; [`open_session`] lives
+//!    in `tcp_service.rs`). What a frame that fails costs is decided here:
+//!    before the handshake, the connection; inside a session, the frame —
+//!    bytes that are no JSON text are not answered, JSON that is no request
+//!    gets a `reject`, so that its sender does not wait out a timeout.
+//!    Control requests are answered into the [`FrameWriter`] on the spot.
+//!    A `submit`/`modify` is admitted into its collection's queue, stamped
+//!    with the read time, or refused there (`overloaded`); once one is
+//!    admitted the connection's later frames wait until it settles, so
+//!    replies stay in request order.
+//! 2. **Apply** each collection the sweep admitted into (or whose fill
+//!    window ran out): form the batch (`max_batch` caps it; more than that
+//!    makes a second one), shed what outwaited `shed_after`, take the
+//!    backend lock **once**, [`submit_batch`](crate::Backend::submit_batch)
+//!    — one journal frame, one fsync — and read every attached session's undelivered log suffix
+//!    under the same lock. Then encode: broadcasts into the recipients'
+//!    bounded queues, acks into the authors' writers.
+//! 3. **Finish** the collection's connections — recipients first, authors
+//!    last, so an action is on its peers' sockets no later than its author
+//!    is told — then every other served connection: drain its broadcast
+//!    queue into the writer, honoring `writer_pace`; run the eviction clock
+//!    of a lagging one; flush the writer as far as the socket accepts;
+//!    close it if it said `bye`, hung up, or sat idle; else re-arm its
+//!    epoll interest (read unless the peer is done sending, write only
+//!    while the writer is non-empty) and its next deadline.
 //!
-//! Afterwards the shard re-arms the socket's epoll interest (read unless
-//! the peer is done sending, write only while the writer is non-empty) and
-//! the connection's next deadline.
+//! So an action costs its shard one wake: read, apply, journal, broadcast
+//! and ack all happen before it blocks again.
 //!
-//! ## Outbox policy
+//! ## Slow readers
 //!
-//! The slow-reader policy is split where the threads split. The
-//! [`Outbox`] is what broadcast producers see: a bounded buffer and a
-//! lagging downgrade with dropped-frame accounting when it overflows. The
-//! rest is the owning shard's: the `lagging` note once the
-//! buffer drains, `writer_pace` spacing consecutive broadcast frames, and
-//! eviction — the first visit that sees the lagging flag stamps the
-//! eviction clock, `evict_after` later the connection's deadline fires and
-//! the shard closes it unless a `sync` healed it first. The shard owns the
-//! connection's only descriptor; nothing off-shard ever closes a socket.
-//! Acks and other replies go straight to the connection's
-//! [`FrameWriter`]: they are neither bounded by the outbox nor paced.
+//! Broadcasts to a session go through a bounded queue of encoded frames in
+//! front of its writer (`write_buffer_frames`): overflowing it downgrades
+//! the session to *lagging* — further broadcasts are counted and dropped,
+//! the client is told (`lagging`) once the queue makes progress, and a
+//! `sync` heals it, replaying exactly what was dropped. `writer_pace`
+//! spaces consecutive broadcast frames. The overflow starts the eviction
+//! clock; `evict_after` later the connection's deadline fires and the
+//! shard closes it unless a `sync` healed it first. Acks and other replies go straight to the
+//! [`FrameWriter`]: they are neither bounded by the queue nor paced.
 //!
 //! ## Per-collection fairness
 //!
@@ -74,22 +100,22 @@
 //! saturate neither a shard's CPU nor another collection's admission — the
 //! quiet collection's frames are served on the same wake.
 
-use crate::backend::{BatchOp, SubmitError, SubmitReport};
-use crate::batch::AsyncSubmit;
-use crate::overload::{OverloadOptions, Priority};
+use crate::backend::BatchOp;
+use crate::batch::{BatchPipeline, Submission};
+use crate::overload::Priority;
 use crate::tcp_service::{
-    close_session, flush_outboxes, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped,
-    open_session, result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
+    broadcast_frames, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped, open_session,
+    poll_broadcasts, result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
 };
 use crate::wire::{self, Reply, Request};
 use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
-use crowdfill_obs::trace::{self as obstrace, TraceId};
+use crowdfill_obs::trace as obstrace;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -119,11 +145,18 @@ fn m_wakeups() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_wakeups"))
 }
 
-/// Connection visits ([`sweep_conn`] calls): grows with the connections
-/// that had something to do, not with the connections a shard owns.
+/// Connection visits (serve passes): grows with the connections that had
+/// something to do, not with the connections a shard owns. Each shard also
+/// counts its own under `crowdfill_reactor_shard_<i>_conn_visits`.
 fn m_conn_visits() -> &'static Counter {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_conn_visits"))
+}
+
+/// Connections handed to the shard that owns their collection.
+fn m_handovers() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_reactor_handovers"))
 }
 
 /// Request frames one collection may consume per shard wake before its
@@ -143,7 +176,7 @@ pub struct ReactorOptions {
 }
 
 impl ReactorOptions {
-    fn effective_shards(&self) -> usize {
+    pub(crate) fn effective_shards(&self) -> usize {
         if self.shards > 0 {
             return self.shards;
         }
@@ -154,18 +187,24 @@ impl ReactorOptions {
     }
 }
 
-/// What another thread hands a shard blocked in `epoll_wait`; the `u64`s
-/// are connection tokens of that shard.
+/// The shard, of `shards`, that owns `collection`.
+pub(crate) fn owner_shard(collection: &str, shards: usize) -> usize {
+    let mut hasher = DefaultHasher::new();
+    collection.hash(&mut hasher);
+    (hasher.finish() % shards.max(1) as u64) as usize
+}
+
+/// What another thread hands a shard blocked in `epoll_wait`.
 pub(crate) enum Wake {
     /// A freshly accepted socket to adopt (accept thread).
     Inject(TcpStream),
-    /// The connection's [`Outbox`] has a broadcast to drain (apply thread).
-    Broadcast(u64),
-    /// The batch pipeline settled the connection's parked submit/modify.
-    Reply(u64, Result<SubmitReport, SubmitError>),
-    /// Close the connection (`TcpService::disconnect_all`): the shard owns
-    /// the socket, so an off-shard close is a request, not a `shutdown`.
-    Close(u64),
+    /// A connection whose handshake — the request — names a collection
+    /// this shard owns, read by the shard the socket was dealt to.
+    HandOver(Box<ConnState>, Request),
+    /// Close every open session (`TcpService::disconnect_all`): a shard
+    /// owns its sockets, so an off-shard close is a request, not a
+    /// `shutdown`.
+    CloseAll,
 }
 
 /// One shard's wake queue, shared with everything that can wake it.
@@ -175,141 +214,81 @@ pub(crate) type ShardWake = Arc<WakeQueue<Wake>>;
 /// up from zero and never get there).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// The server-side send half of one connection, as broadcast producers
-/// (the apply thread's after-batch flush) see it: a bounded broadcast
-/// buffer and the lagging flag it raises when the buffer overflows.
-/// Enqueuing is non-blocking, so one stalled reader can never wedge the
-/// broadcast flush path for everyone else; it wakes the owning shard,
-/// which drains the buffer — and runs a lagging connection's eviction
-/// clock — on its next visit. Producers touch only this handle, never the
-/// socket.
-pub struct Outbox {
-    peer: String,
-    /// The owning shard's wake queue and this connection's token there.
-    wake: ShardWake,
-    token: u64,
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    capacity: usize,
-    /// Set when the broadcast buffer overflows. While lagging, broadcasts
-    /// to this connection are counted and dropped — the client's exact-seq
-    /// tracking means a later `sync`/`resume` replays precisely what was
-    /// missed — and the shard's eviction clock runs.
-    lagging: AtomicBool,
-    /// A `lagging` note owed to the client, emitted by the shard once the
-    /// buffer makes progress.
-    note_pending: AtomicBool,
+/// One collection, as the shard that owns it holds it.
+struct Owned {
+    collection: Arc<Collection>,
+    pipeline: BatchPipeline,
+    /// The attached sessions' connections, by worker: whom a batch's
+    /// broadcasts go to.
+    sessions: HashMap<WorkerId, u64>,
+    /// Fairness: the wake this was last refilled for, and frames left.
+    budget: (u64, usize),
+    /// On the shard's list of collections to apply on this wake.
+    dirty: bool,
+    /// The end of the batch fill window, while it is in the timer heap.
+    armed: Option<Instant>,
 }
 
-impl Outbox {
-    fn new(peer: String, overload: &OverloadOptions, wake: ShardWake, token: u64) -> Outbox {
-        Outbox {
-            peer,
-            wake,
-            token,
-            queue: Mutex::new(VecDeque::new()),
-            capacity: overload.write_buffer_frames.max(1),
-            lagging: AtomicBool::new(false),
-            note_pending: AtomicBool::new(false),
+impl Owned {
+    /// Frames the collection may still consume on wake `wake`; refilled
+    /// the first time a wake asks.
+    fn frames_left(&mut self, wake: u64) -> &mut usize {
+        if self.budget.0 != wake {
+            self.budget = (wake, COLLECTION_FRAMES_PER_WAKE);
         }
-    }
-
-    /// Queues one broadcast frame, non-blocking. A full buffer downgrades
-    /// the connection to lagging and wakes the shard once, on that
-    /// transition, so that it starts the eviction clock: a connection
-    /// still lagging [`OverloadOptions::evict_after`] later is closed (the
-    /// session survives — the client reconnects and resumes).
-    pub(crate) fn enqueue_broadcast(&self, frame: Vec<u8>) {
-        if self.is_lagging() {
-            m_lag_dropped().inc();
-            return;
-        }
-        let mut q = self.queue.lock();
-        if q.len() >= self.capacity {
-            drop(q);
-            // Watermark crossed: stop buffering for this reader. It is
-            // told to catch up via `sync` (which also clears the flag);
-            // until then broadcasts to it are dropped, not queued.
-            if !self.lagging.swap(true, Ordering::AcqRel) {
-                self.note_pending.store(true, Ordering::Release);
-                m_lag_downgrades().inc();
-                crowdfill_obs::obs_warn!(
-                    "server",
-                    "client {} lagging: write buffer full, downgraded to sync",
-                    self.peer
-                );
-                self.wake.push(Wake::Broadcast(self.token));
-            }
-            m_lag_dropped().inc();
-        } else {
-            q.push_back(frame);
-            drop(q);
-            self.wake.push(Wake::Broadcast(self.token));
-        }
-    }
-
-    /// Pops one queued broadcast (shard-side drain).
-    fn pop_broadcast(&self) -> Option<Vec<u8>> {
-        self.queue.lock().pop_front()
-    }
-
-    fn has_broadcasts(&self) -> bool {
-        !self.queue.lock().is_empty()
-    }
-
-    /// Takes the owed lagging note, if any.
-    fn take_note(&self) -> bool {
-        self.note_pending.swap(false, Ordering::AcqRel)
-    }
-
-    fn is_lagging(&self) -> bool {
-        self.lagging.load(Ordering::Acquire)
-    }
-
-    /// Clears the lagging flag. Called by the `sync` handler *before* the
-    /// catch-up suffix is computed under the backend lock: every broadcast
-    /// dropped while lagging then has a seq below the history length the
-    /// reply covers, and anything newer is enqueued normally (overlap is
-    /// healed by the client's seq dedup).
-    fn clear_lagging(&self) {
-        self.lagging.store(false, Ordering::Release);
-    }
-
-    /// Asks the owning shard to close the connection.
-    pub(crate) fn request_close(&self) {
-        self.wake.push(Wake::Close(self.token));
+        &mut self.budget.1
     }
 }
 
-/// Spawns the shard pool; returns the join handles and one wake queue per
-/// shard (the accept thread injects sockets round-robin, `stop` wakes them
-/// all). Each shard costs two descriptors, created here so that running
-/// out of them fails the start instead of a thread.
+/// Spawns the shard pool, shard `i` owning the collections (and their
+/// pipelines) in `owned[i]`; returns the join handles and one wake queue
+/// per shard (the accept thread injects sockets round-robin, `stop` wakes
+/// them all). Each shard costs two descriptors, created here so that
+/// running out of them fails the start instead of a thread.
 pub(crate) fn start_shards(
-    options: &ReactorOptions,
+    owned: Vec<Vec<(Arc<Collection>, BatchPipeline)>>,
     shared: Arc<ServiceShared>,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<(Vec<std::thread::JoinHandle<()>>, Vec<ShardWake>)> {
-    let n = options.effective_shards();
-    let mut handles = Vec::with_capacity(n);
+    let n = owned.len();
+    let mut pollers = Vec::with_capacity(n);
     let mut wakes = Vec::with_capacity(n);
-    for i in 0..n {
+    for _ in 0..n {
         let poller = Poller::new()?;
         let wake: ShardWake = Arc::new(WakeQueue::new()?);
         poller.register(&*wake, WAKE_TOKEN, Interest::READ)?;
-        wakes.push(Arc::clone(&wake));
+        pollers.push(poller);
+        wakes.push(wake);
+    }
+    let mut handles = Vec::with_capacity(n);
+    for (index, (poller, owned)) in pollers.into_iter().zip(owned).enumerate() {
+        let owned = owned.into_iter().map(|(collection, pipeline)| Owned {
+            collection,
+            pipeline,
+            sessions: HashMap::new(),
+            budget: (0, COLLECTION_FRAMES_PER_WAKE),
+            dirty: false,
+            armed: None,
+        });
         let shard = Shard {
+            index,
             poller,
-            wake,
+            wakes: wakes.clone(),
             shared: Arc::clone(&shared),
-            budgets: Budgets::new(&shared),
+            owned: owned.collect(),
+            dirty: Vec::new(),
             conns: HashMap::new(),
             next_token: 0,
+            wake_no: 0,
             run: Vec::new(),
             timers: BinaryHeap::new(),
+            visits: crowdfill_obs::metrics::counter(&format!(
+                "crowdfill_reactor_shard_{index}_conn_visits"
+            )),
         };
         let shutdown = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
-            .name(format!("crowdfill-shard-{i}"))
+            .name(format!("crowdfill-shard-{index}"))
             .spawn(move || shard.run(&shutdown))?;
         handles.push(handle);
     }
@@ -317,78 +296,70 @@ pub(crate) fn start_shards(
     Ok((handles, wakes))
 }
 
-/// A submit/modify parked on the batch pipeline's reply.
-struct PendingReply {
-    /// Filled in by [`Wake::Reply`]; step 1 of the next visit answers it.
-    result: Option<Result<SubmitReport, SubmitError>>,
-    trace: TraceId,
-    submitted_at: Instant,
-    /// Submits record the worker's ack histogram; modifies do not.
-    record_hist: bool,
-}
-
 /// Post-handshake connection state.
 struct Session {
-    collection: Arc<Collection>,
+    /// Its collection, as an index into the shard's `owned`.
+    slot: usize,
     worker: WorkerId,
     epoch: u64,
-    outbox: Arc<Outbox>,
     /// This worker's private ack-latency histogram (per-worker health).
     ack_hist: Option<Arc<Histogram>>,
-    pending: Option<PendingReply>,
+    /// A submit/modify of this connection sits in the collection's queue:
+    /// its later frames wait, so replies stay in request order.
+    awaiting: bool,
+    /// Encoded broadcast frames waiting for the writer, at most
+    /// `write_buffer_frames`.
+    queue: VecDeque<String>,
+    /// Lagging, and the eviction clock: when `queue` overflowed. Until a
+    /// `sync` clears it, broadcasts to this connection are counted and
+    /// dropped — the client's exact-seq tracking means a later
+    /// `sync`/`resume` replays precisely what was missed.
+    lagging_since: Option<Instant>,
+    /// A `lagging` note owed to the client, emitted once the queue makes
+    /// progress.
+    note_pending: bool,
     /// When the last broadcast frame was popped (drives `writer_pace`).
     last_broadcast_pop: Option<Instant>,
-    /// The eviction clock: when a visit first saw the outbox lagging. A
-    /// `sync` clears it with the flag.
-    lagging_since: Option<Instant>,
 }
 
 impl Session {
-    /// Hands a decoded submit/modify to the collection's batch pipeline.
-    /// If admission settles it on the spot the reply is queued now;
-    /// otherwise the connection parks — the shard goes back to its other
-    /// conns (or to sleep) until the apply thread pushes the result onto
-    /// its wake queue.
-    fn submit_op(
-        &mut self,
-        op: BatchOp,
-        priority: Priority,
-        trace: TraceId,
-        metrics: &ServiceMetrics,
-        writer: &mut FrameWriter,
-        dead: &mut bool,
-    ) {
-        let submitted_at = Instant::now();
-        let record_hist = matches!(op, BatchOp::Msg { .. }); // a submit, not a modify
-        let (wake, token) = (Arc::clone(&self.outbox.wake), self.outbox.token);
-        let reply = move |result| wake.push(Wake::Reply(token, result));
-        let pipeline = &self.collection.pipeline;
-        match pipeline.submit_async(self.worker, op, priority, trace, reply) {
-            AsyncSubmit::Done(result) => {
-                self.record_latency(record_hist, submitted_at, metrics);
-                queue_frame(writer, dead, &result_frame(result, trace));
-            }
-            AsyncSubmit::Pending => {
-                self.pending = Some(PendingReply {
-                    result: None,
-                    trace,
-                    submitted_at,
-                    record_hist,
-                });
-            }
+    /// Queues one broadcast frame. A full queue downgrades the session to
+    /// lagging: a connection still lagging
+    /// [`OverloadOptions::evict_after`](crate::OverloadOptions::evict_after)
+    /// later is closed (the session survives — the client reconnects and
+    /// resumes).
+    fn enqueue_broadcast(&mut self, frame: String, capacity: usize) {
+        if self.lagging_since.is_none() && self.queue.len() < capacity.max(1) {
+            self.queue.push_back(frame);
+            return;
         }
+        // Watermark crossed: stop buffering for this reader. It is told
+        // to catch up via `sync` (which also clears the clock); until then
+        // broadcasts to it are dropped, not queued.
+        if self.lagging_since.is_none() {
+            self.lagging_since = Some(Instant::now());
+            self.note_pending = true;
+            m_lag_downgrades().inc();
+            crowdfill_obs::obs_warn!(
+                "server",
+                "worker {} lagging: write buffer full, downgraded to sync",
+                self.worker.0
+            );
+        }
+        m_lag_dropped().inc();
     }
 
-    /// Records a settled op's request-to-reply latency.
-    fn record_latency(&self, record_hist: bool, submitted_at: Instant, metrics: &ServiceMetrics) {
-        let elapsed = submitted_at.elapsed().as_nanos() as u64;
-        if record_hist {
+    /// Records a settled op's request-to-reply latency; only submits feed
+    /// the worker's own histogram.
+    fn record_latency(&self, modify: bool, read_at: Instant, metrics: &ServiceMetrics) {
+        let elapsed = read_at.elapsed().as_nanos() as u64;
+        if modify {
+            metrics.modify_latency_ns.record(elapsed);
+        } else {
             if let Some(h) = &self.ack_hist {
                 h.record(elapsed);
             }
             metrics.submit_latency_ns.record(elapsed);
-        } else {
-            metrics.modify_latency_ns.record(elapsed);
         }
     }
 }
@@ -401,10 +372,10 @@ enum Phase {
 
 /// One connection owned by a shard: socket, codec state machines, and
 /// protocol phase.
-struct ConnState {
+pub(crate) struct ConnState {
     stream: TcpStream,
-    /// This connection's key in the shard's map, its epoll token, and what
-    /// other threads name it by on the wake queue. Never reused.
+    /// This connection's key in the shard's map, its epoll token, and its
+    /// ticket in the collection's queue. Never reused.
     token: u64,
     reader: FrameReader,
     writer: FrameWriter,
@@ -419,19 +390,24 @@ struct ConnState {
     interest: Interest,
     /// epoll reported the socket dead in both directions.
     hangup: bool,
-    /// Already on the shard's run list for the coming visit.
+    /// Already on the shard's run list for the coming wake.
     queued: bool,
+    /// Served on this wake and not finished yet.
+    served: bool,
+    /// Left with work no socket event, wake or deadline will announce:
+    /// visit it again on the next wake.
+    runnable: bool,
     /// The earliest deadline this connection has in the shard's timer heap.
     armed: Option<Instant>,
 }
 
 impl ConnState {
-    fn adopt(stream: TcpStream, token: u64) -> Option<ConnState> {
+    fn new(stream: TcpStream) -> Option<ConnState> {
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
         Some(ConnState {
             stream,
-            token,
+            token: 0, // the adopting shard's to assign
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
             phase: Phase::Handshake,
@@ -442,6 +418,8 @@ impl ConnState {
             interest: Interest::READ,
             hangup: false,
             queued: false,
+            served: false,
+            runnable: false,
             armed: None,
         })
     }
@@ -456,7 +434,7 @@ impl ConnState {
             Phase::Active(session) => (
                 overload
                     .writer_pace
-                    .filter(|_| session.outbox.has_broadcasts())
+                    .filter(|_| !session.queue.is_empty())
                     .and_then(|pace| session.last_broadcast_pop.map(|t| t + pace)),
                 session.lagging_since.map(|t| t + overload.evict_after),
             ),
@@ -480,57 +458,41 @@ fn queue_encoded(writer: &mut FrameWriter, dead: &mut bool, reply: &str) {
     }
 }
 
-/// Per-wake fairness budgets, keyed by collection name. The collection
-/// set is fixed at service start; an entry is refilled the first time a
-/// wake touches it, so starting a wake costs nothing per collection.
-struct Budgets {
-    wake: u64,
-    /// Collection → (the wake it was last refilled for, frames left).
-    left: HashMap<String, (u64, usize)>,
-}
-
-impl Budgets {
-    fn new(shared: &ServiceShared) -> Budgets {
-        Budgets {
-            wake: 0,
-            left: shared
-                .collections
-                .keys()
-                .map(|name| (name.clone(), (0, COLLECTION_FRAMES_PER_WAKE)))
-                .collect(),
-        }
-    }
-
-    fn next_wake(&mut self) {
-        self.wake += 1;
-    }
-
-    /// Frames `collection` may still consume on this wake.
-    fn left(&mut self, collection: &str) -> Option<&mut usize> {
-        let (wake, left) = self.left.get_mut(collection)?;
-        if *wake != self.wake {
-            (*wake, *left) = (self.wake, COLLECTION_FRAMES_PER_WAKE);
-        }
-        Some(left)
-    }
+/// What a deadline in the shard's timer heap is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
+    /// A connection's, by token.
+    Conn(u64),
+    /// The end of a collection's batch fill window, by slot.
+    Batch(usize),
 }
 
 /// One shard thread's state.
 struct Shard {
+    index: usize,
     poller: Poller,
-    wake: ShardWake,
+    /// Every shard's wake queue, this one's at `index`.
+    wakes: Vec<ShardWake>,
     shared: Arc<ServiceShared>,
-    budgets: Budgets,
+    /// The collections this shard owns; a `Collection::slot` indexes it.
+    owned: Vec<Owned>,
+    /// Slots of the collections to apply on this wake (each at most once,
+    /// see `Owned::dirty`).
+    dirty: Vec<usize>,
     conns: HashMap<u64, ConnState>,
     next_token: u64,
+    /// Wakes so far: what the fairness budgets are refilled by.
+    wake_no: u64,
     /// Connections to visit on the coming wake (each at most once, see
     /// `ConnState::queued`). Non-empty across a wait only for connections
     /// carried over with runnable work; the wait then does not block.
     run: Vec<u64>,
     /// Pending deadlines, nearest first. An entry is live only while it
-    /// equals its connection's `armed`; superseded ones are skipped when
-    /// they surface.
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// equals its owner's `armed`; superseded ones are skipped when they
+    /// surface.
+    timers: BinaryHeap<Reverse<(Instant, Due)>>,
+    /// This shard's share of `crowdfill_reactor_conn_visits`.
+    visits: Arc<Counter>,
 }
 
 impl Shard {
@@ -551,7 +513,7 @@ impl Shard {
             m_wakeups().inc();
             for event in &events {
                 if event.token == WAKE_TOKEN {
-                    self.wake.drain(&mut woken);
+                    self.wakes[self.index].drain(&mut woken);
                 } else {
                     self.schedule(event.token, event.hangup);
                 }
@@ -559,42 +521,56 @@ impl Shard {
             if shutdown.load(Ordering::SeqCst) {
                 g_conns().add(-(self.conns.len() as i64));
                 for conn in self.conns.values_mut() {
-                    retire(conn, &self.shared);
+                    retire(conn, &self.shared, &mut self.owned);
                 }
                 return;
             }
             for wake in woken.drain(..) {
                 match wake {
-                    Wake::Inject(stream) => self.adopt(stream),
-                    Wake::Broadcast(token) => self.schedule(token, false),
-                    Wake::Close(token) => self.schedule(token, true),
-                    Wake::Reply(token, result) => {
-                        let parked = self.conns.get_mut(&token).and_then(|c| match &mut c.phase {
-                            Phase::Active(session) => session.pending.as_mut(),
-                            Phase::Handshake => None,
-                        });
-                        if let Some(pending) = parked {
-                            pending.result = Some(result);
-                            self.schedule(token, false);
+                    Wake::Inject(stream) => {
+                        ConnState::new(stream).and_then(|conn| self.adopt(conn));
+                    }
+                    Wake::HandOver(conn, request) => {
+                        let adopted = self.adopt(*conn);
+                        if let Some(conn) = adopted.and_then(|token| self.conns.get_mut(&token)) {
+                            serve_handshake(conn, request, &self.shared, &mut self.owned);
                         }
+                    }
+                    Wake::CloseAll => {
+                        let open = |c: &&ConnState| matches!(c.phase, Phase::Active(_));
+                        let tokens: Vec<u64> =
+                            self.conns.values().filter(open).map(|c| c.token).collect();
+                        // A hung-up socket's visit is its teardown.
+                        tokens.into_iter().for_each(|t| self.schedule(t, true));
                     }
                 }
             }
             self.fire_timers();
-            self.budgets.next_wake();
-            // A visit appends what it carries over; only the tokens that
+            self.wake_no += 1;
+            // A finish appends what it carries over; only the tokens that
             // were due on this wake are visited and removed.
             let due = self.run.len();
             for i in 0..due {
-                self.visit(self.run[i]);
+                self.serve(self.run[i]);
+            }
+            let now = Instant::now();
+            for i in 0..self.dirty.len() {
+                self.apply(self.dirty[i], now);
+            }
+            self.dirty.clear();
+            for i in 0..due {
+                let token = self.run[i];
+                if self.conns.get(&token).is_some_and(|c| c.served) {
+                    self.finish(token);
+                }
             }
             self.run.drain(..due);
         }
     }
 
     /// Puts a connection on the run list. A token that no longer resolves
-    /// (a stale event, a late reply or an old deadline of a retired
-    /// connection) is dropped here.
+    /// (a stale event or an old deadline of a retired connection) is
+    /// dropped here.
     fn schedule(&mut self, token: u64, hangup: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -606,56 +582,241 @@ impl Shard {
         }
     }
 
-    fn adopt(&mut self, stream: TcpStream) {
+    /// Takes a connection — fresh, or handed over — under a token of this
+    /// shard's, which it returns.
+    fn adopt(&mut self, mut conn: ConnState) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
-        let Some(conn) = ConnState::adopt(stream, token) else {
-            return;
-        };
+        // A deadline it had is in the heap of the shard it came from.
+        (conn.token, conn.armed) = (token, None);
         if self
             .poller
             .register(&conn.stream, token, conn.interest)
             .is_err()
         {
-            return; // out of epoll watches: refuse the connection
+            return None; // out of epoll watches: refuse the connection
         }
         self.conns.insert(token, conn);
         g_conns().add(1);
-        // First visit: the hello may already be in, and the idle deadline
-        // wants arming either way.
+        // First visit: the hello (or what was pipelined behind it) may
+        // already be in, and the idle deadline wants arming either way.
         self.schedule(token, false);
+        Some(token)
     }
 
-    /// Moves every connection whose deadline has passed onto the run list.
+    /// Moves everything whose deadline has passed onto its list: a
+    /// connection onto the run list, a collection onto the dirty list.
     fn fire_timers(&mut self) {
         if self.timers.is_empty() {
             return;
         }
         let now = Instant::now();
-        while let Some(&Reverse((at, token))) = self.timers.peek() {
+        while let Some(&Reverse((at, due))) = self.timers.peek() {
             if at > now {
                 break;
             }
             self.timers.pop();
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if conn.armed == Some(at) {
-                    conn.armed = None;
-                    self.schedule(token, false);
+            match due {
+                Due::Conn(token) => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        if conn.armed == Some(at) {
+                            conn.armed = None;
+                            self.schedule(token, false);
+                        }
+                    }
+                }
+                Due::Batch(slot) => {
+                    let owned = &mut self.owned[slot];
+                    if owned.armed == Some(at) {
+                        owned.armed = None;
+                        mark_dirty(owned, slot, &mut self.dirty);
+                    }
                 }
             }
         }
     }
 
-    /// Serves one connection, then settles what it waits for next: retire
-    /// it, or re-arm its epoll interest and deadline, and carry it over to
-    /// the next wake if it was left with work no event will announce.
-    fn visit(&mut self, token: u64) {
+    /// Pass 1 on one connection: read, decode, answer or admit.
+    fn serve(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        conn.queued = false;
-        let runnable = sweep_conn(conn, &self.shared, &mut self.budgets, &self.wake);
-        // A hung-up socket takes no more writes (and a `Wake::Close` is
+        (conn.queued, conn.served) = (false, true);
+        m_conn_visits().inc();
+        self.visits.inc();
+        let shared = &*self.shared;
+
+        // Pull whatever the socket has, bounded.
+        let read_at = Instant::now();
+        if !conn.peer_eof && !conn.closing {
+            match conn.reader.fill_from(&mut conn.stream, READ_BUDGET) {
+                Ok(0) => conn.peer_eof = true,
+                Ok(n) => {
+                    conn.last_activity = read_at;
+                    // Cut off by the budget: the socket may hold more.
+                    conn.runnable |= n >= READ_BUDGET;
+                }
+                Err(ConnError::Empty) => {}
+                Err(_) => {
+                    conn.dead = true;
+                    return;
+                }
+            }
+        }
+
+        // Serve complete frames, within the collection's fairness budget.
+        while !conn.dead && !conn.closing {
+            if let Phase::Active(session) = &conn.phase {
+                if session.awaiting {
+                    break; // one op in flight per connection: acks stay in request order
+                }
+                if *self.owned[session.slot].frames_left(self.wake_no) == 0 {
+                    if conn.reader.pending_bytes() >= 4 {
+                        m_fairness_deferrals().inc();
+                        conn.runnable = true;
+                    }
+                    break;
+                }
+            }
+            let frame = match conn.reader.pop() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                Err(_) => {
+                    shared.metrics.malformed_frames.inc();
+                    conn.dead = true;
+                    return;
+                }
+            };
+            m_frames_in().inc();
+            if let Phase::Active(session) = &conn.phase {
+                *self.owned[session.slot].frames_left(self.wake_no) -= 1;
+            }
+            // One parse and one decode, whatever the phase; what a failure
+            // costs is the phase's call (pass 1 of the module docs).
+            let request = match wire::parse_frame(&frame).map(|json| Request::decode(&json)) {
+                Ok(Ok(request)) => request,
+                failed => {
+                    shared.metrics.malformed_frames.inc();
+                    match (&conn.phase, failed) {
+                        (Phase::Handshake, _) => conn.dead = true,
+                        (_, Ok(Err(e))) => {
+                            queue_frame(&mut conn.writer, &mut conn.dead, &Reply::reject(e))
+                        }
+                        _ => {}
+                    }
+                    continue;
+                }
+            };
+            if matches!(conn.phase, Phase::Active(_)) {
+                serve_request(
+                    conn,
+                    request,
+                    read_at,
+                    shared,
+                    &mut self.owned,
+                    &mut self.dirty,
+                );
+                continue;
+            }
+            let owner = match &request {
+                Request::Hello(name) | Request::Resume(.., name) => shared
+                    .resolve_collection(name.as_deref())
+                    .map(|collection| collection.owner),
+                _ => None,
+            };
+            match owner.filter(|owner| *owner != self.index) {
+                // Refusals are anybody's to send; a session is its owner's.
+                None => serve_handshake(conn, request, shared, &mut self.owned),
+                Some(owner) => {
+                    let conn = self.conns.remove(&token).expect("being served");
+                    let _ = self.poller.deregister(&conn.stream);
+                    g_conns().add(-1);
+                    m_handovers().inc();
+                    self.wakes[owner].push(Wake::HandOver(Box::new(conn), request));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Pass 2 on one collection: every batch that is due at `now`, then
+    /// the finish of the connections they touched, authors last.
+    fn apply(&mut self, slot: usize, now: Instant) {
+        let owned = &mut self.owned[slot];
+        owned.dirty = false;
+        let capacity = self.shared.options.overload.write_buffer_frames;
+        let mut recipients = Vec::new();
+        let mut authors = Vec::new();
+        while let Some(at) = owned.pipeline.due() {
+            if at > now {
+                if owned.armed.is_none_or(|armed| at < armed) {
+                    owned.armed = Some(at);
+                    self.timers.push(Reverse((at, Due::Batch(slot))));
+                }
+                break;
+            }
+            let (settled, polled) = {
+                let mut b = owned.collection.backend.lock();
+                let settled = owned.pipeline.apply(now, &mut b);
+                (settled, poll_broadcasts(&mut b, &owned.sessions))
+            };
+            // Most recipients are owed the same entries (all but the
+            // authors, who miss their own): encoded once, copied after.
+            let mut last: Option<(Vec<u64>, Vec<String>)> = None;
+            for (token, pending) in polled {
+                if let Some(Phase::Active(session)) =
+                    self.conns.get_mut(&token).map(|c| &mut c.phase)
+                {
+                    let seqs: Vec<u64> = pending.iter().map(|m| m.seq).collect();
+                    if last.as_ref().is_none_or(|(same, _)| *same != seqs) {
+                        last = Some((seqs, broadcast_frames(pending)));
+                    }
+                    for frame in &last.as_ref().expect("just set").1 {
+                        session.enqueue_broadcast(frame.clone(), capacity);
+                    }
+                    recipients.push(token);
+                }
+            }
+            for answer in settled {
+                // Gone meanwhile: applied all the same, as for any op whose
+                // ack is lost with its connection.
+                let Some(conn) = self.conns.get_mut(&answer.ticket) else {
+                    continue;
+                };
+                let Phase::Active(session) = &mut conn.phase else {
+                    continue;
+                };
+                session.awaiting = false;
+                session.record_latency(answer.modify, answer.admitted, &self.shared.metrics);
+                let reply = result_frame(answer.result, answer.trace);
+                queue_frame(&mut conn.writer, &mut conn.dead, &reply);
+                // Frames pipelined behind the op can be served now.
+                conn.runnable |= conn.reader.pending_bytes() >= 4;
+                authors.push(answer.ticket);
+            }
+        }
+        // Recipients first, authors last (one batch has few of those).
+        for token in recipients.into_iter().filter(|t| !authors.contains(t)) {
+            self.finish(token);
+        }
+        for token in authors {
+            self.finish(token);
+        }
+    }
+
+    /// Pass 3 on one connection: pump its output, then settle what it
+    /// waits for next — retire it, or re-arm its epoll interest and
+    /// deadline, and carry it over to the next wake if it was left with
+    /// work no event will announce.
+    fn finish(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.served = false;
+        if !conn.dead {
+            pump(conn, &self.shared);
+        }
+        // A hung-up socket takes no more writes (and a `Wake::CloseAll` is
         // served as one): whatever the visit could still read out of it
         // has been served, the rest is teardown.
         conn.dead |= conn.hangup;
@@ -672,7 +833,7 @@ impl Shard {
             }
         }
         if conn.dead {
-            retire(conn, &self.shared);
+            retire(conn, &self.shared, &mut self.owned);
             self.conns.remove(&token);
             g_conns().add(-1);
             return;
@@ -680,138 +841,54 @@ impl Shard {
         if let Some(at) = conn.next_deadline(&self.shared) {
             if conn.armed.is_none_or(|armed| at < armed) {
                 conn.armed = Some(at);
-                self.timers.push(Reverse((at, token)));
+                self.timers.push(Reverse((at, Due::Conn(token))));
             }
         }
-        if runnable {
+        if std::mem::take(&mut conn.runnable) && !conn.queued {
             conn.queued = true;
             self.run.push(token);
         }
     }
 }
 
-/// Tears down one connection: its socket, then its session, if it got
-/// that far. The caller drops the `ConnState` next, which closes the
-/// socket's only descriptor and with it the epoll registration.
-fn retire(conn: &mut ConnState, shared: &ServiceShared) {
-    let _ = conn.stream.shutdown(Shutdown::Both);
-    if let Phase::Active(session) = &conn.phase {
-        close_session(
-            &session.collection,
-            &session.outbox,
-            session.worker,
-            session.epoch,
-            &shared.metrics,
-        );
+/// Puts a collection on the list of those to apply on this wake.
+fn mark_dirty(owned: &mut Owned, slot: usize, dirty: &mut Vec<usize>) {
+    if !std::mem::replace(&mut owned.dirty, true) {
+        dirty.push(slot);
     }
 }
 
-/// One visit to one connection (steps 1–6 of the module docs). Returns
-/// true if it leaves work that no socket event, wake or deadline will
-/// announce — the connection must be visited again on the next wake.
-fn sweep_conn(
-    conn: &mut ConnState,
-    shared: &ServiceShared,
-    budgets: &mut Budgets,
-    wake: &ShardWake,
-) -> bool {
-    m_conn_visits().inc();
-    let mut runnable = false;
-
-    // 1. A parked submit/modify completes independently of socket traffic.
-    if let Phase::Active(session) = &mut conn.phase {
-        match session.pending.take() {
-            Some(PendingReply {
-                result: Some(result),
-                trace,
-                submitted_at,
-                record_hist,
-            }) => {
-                session.record_latency(record_hist, submitted_at, &shared.metrics);
-                let reply = result_frame(result, trace);
-                queue_frame(&mut conn.writer, &mut conn.dead, &reply);
-            }
-            still_parked => session.pending = still_parked,
-        }
+/// Tears down one connection: its socket, then its session, if it got
+/// that far — unregistered (guarded: only if the collection still sends to
+/// THIS connection) and its epoch retired (guarded in the backend: a
+/// resumed successor must survive its predecessor's exit). The caller
+/// drops the `ConnState` next, which closes the socket's only descriptor
+/// and with it the epoll registration.
+fn retire(conn: &mut ConnState, shared: &ServiceShared, owned: &mut [Owned]) {
+    let _ = conn.stream.shutdown(Shutdown::Both);
+    let Phase::Active(session) = &conn.phase else {
+        return;
+    };
+    let owned = &mut owned[session.slot];
+    if owned.sessions.get(&session.worker) == Some(&conn.token) {
+        owned.sessions.remove(&session.worker);
     }
+    let (worker, epoch) = (session.worker, session.epoch);
+    owned
+        .collection
+        .backend
+        .lock()
+        .disconnect_epoch(worker, epoch);
+    shared.metrics.disconnects.inc();
+    shared.attached.fetch_sub(1, Ordering::SeqCst);
+    crowdfill_obs::obs_debug!("server", "session ended"; worker => worker.0, epoch => epoch);
+}
 
-    // 2. Pull whatever the socket has, bounded.
-    if !conn.peer_eof && !conn.closing {
-        match conn.reader.fill_from(&mut conn.stream, READ_BUDGET) {
-            Ok(0) => conn.peer_eof = true,
-            Ok(n) => {
-                conn.last_activity = Instant::now();
-                // Cut off by the budget: the socket may hold more.
-                runnable |= n >= READ_BUDGET;
-            }
-            Err(ConnError::Empty) => {}
-            Err(_) => {
-                conn.dead = true;
-                return false;
-            }
-        }
-    }
-
-    // 3. Serve complete frames, within the collection's fairness budget.
-    loop {
-        if conn.dead || conn.closing {
-            break;
-        }
-        if let Phase::Active(session) = &conn.phase {
-            if session.pending.is_some() {
-                break; // one op in flight per connection: acks stay in request order
-            }
-            if budgets
-                .left(session.collection.name())
-                .is_some_and(|b| *b == 0)
-            {
-                if conn.reader.pending_bytes() >= 4 {
-                    m_fairness_deferrals().inc();
-                    runnable = true;
-                }
-                break;
-            }
-        }
-        let frame = match conn.reader.pop() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(_) => {
-                shared.metrics.malformed_frames.inc();
-                conn.dead = true;
-                return false;
-            }
-        };
-        m_frames_in().inc();
-        if let Phase::Active(session) = &conn.phase {
-            if let Some(b) = budgets.left(session.collection.name()) {
-                *b -= 1;
-            }
-        }
-        // One parse and one decode, whatever the phase; what a failure
-        // costs is the phase's call (step 3 of the module docs).
-        let request = match wire::parse_frame(&frame).map(|json| Request::decode(&json)) {
-            Ok(Ok(request)) => request,
-            failed => {
-                shared.metrics.malformed_frames.inc();
-                match (&conn.phase, failed) {
-                    (Phase::Handshake, _) => conn.dead = true,
-                    (_, Ok(Err(e))) => {
-                        queue_frame(&mut conn.writer, &mut conn.dead, &Reply::reject(e))
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-        };
-        if matches!(conn.phase, Phase::Handshake) {
-            serve_handshake(conn, request, shared, wake);
-        } else {
-            serve_request(conn, request, shared);
-        }
-    }
-
-    // 4. Drain broadcasts into the writer, honoring writer_pace. Only
-    // broadcasts are paced: acks and other replies never enter the outbox.
+/// The output half of a visit: broadcasts into the writer, the eviction
+/// clock, the flush, and the close conditions.
+fn pump(conn: &mut ConnState, shared: &ServiceShared) {
+    // Drain broadcasts into the writer, honoring writer_pace. Only
+    // broadcasts are paced: acks and other replies never enter the queue.
     if let Phase::Active(session) = &mut conn.phase {
         let pace = shared.options.overload.writer_pace;
         let mut popped = false;
@@ -822,53 +899,46 @@ fn sweep_conn(
                     break; // at most one paced broadcast per visit
                 }
             }
-            let Some(frame) = session.outbox.pop_broadcast() else {
+            let Some(frame) = session.queue.pop_front() else {
                 break;
             };
-            if conn.writer.enqueue(&frame).is_err() {
-                conn.dead = true;
-                return false;
+            queue_encoded(&mut conn.writer, &mut conn.dead, &frame);
+            if conn.dead {
+                return;
             }
             session.last_broadcast_pop = Some(Instant::now());
             popped = true;
         }
-        if popped && session.outbox.take_note() {
+        if popped && std::mem::take(&mut session.note_pending) {
             queue_frame(&mut conn.writer, &mut conn.dead, &Reply::Lagging);
-            if conn.dead {
-                return false;
-            }
         }
-        // The eviction clock starts on the first visit that sees the
-        // flag (the lagging transition wakes the shard for it) and runs
-        // out on the deadline `next_deadline` arms from it.
-        if session.outbox.is_lagging() {
-            let evict_after = shared.options.overload.evict_after;
-            let since = *session.lagging_since.get_or_insert_with(Instant::now);
-            if since.elapsed() >= evict_after {
-                m_evictions().inc();
-                crowdfill_obs::obs_warn!(
-                    "server",
-                    "evicting slow client {} (lagging past {evict_after:?})",
-                    session.outbox.peer
-                );
-                conn.dead = true;
-                return false;
-            }
+        // The eviction clock runs out on the deadline `next_deadline` arms
+        // from it.
+        let evict_after = shared.options.overload.evict_after;
+        if (session.lagging_since).is_some_and(|since| since.elapsed() >= evict_after) {
+            m_evictions().inc();
+            crowdfill_obs::obs_warn!(
+                "server",
+                "evicting slow worker {} (lagging past {evict_after:?})",
+                session.worker.0
+            );
+            conn.dead = true;
+            return;
         }
     }
 
-    // 5. Flush as much as the socket accepts.
+    // Flush as much as the socket accepts.
     if !conn.writer.is_empty() && conn.writer.flush(&mut conn.stream).is_err() {
         conn.dead = true;
-        return false;
+        return;
     }
 
-    // 6. Close conditions: explicit close once drained, half-closed peer
+    // Close conditions: explicit close once drained, half-closed peer
     // with nothing left to do, or idle timeout.
-    let parked = matches!(&conn.phase, Phase::Active(s) if s.pending.is_some());
+    let awaiting = matches!(&conn.phase, Phase::Active(s) if s.awaiting);
     let drained_bye = conn.closing && conn.writer.is_empty();
     let drained_eof =
-        conn.peer_eof && conn.reader.pending_bytes() == 0 && conn.writer.is_empty() && !parked;
+        conn.peer_eof && conn.reader.pending_bytes() == 0 && conn.writer.is_empty() && !awaiting;
     if drained_bye || drained_eof {
         conn.dead = true;
     } else if let Some(t) = shared.options.idle_timeout {
@@ -878,16 +948,16 @@ fn sweep_conn(
             conn.dead = true;
         }
     }
-    runnable
 }
 
-/// Serves the connection's first frame (`hello`/`resume`) via
-/// [`open_session`].
+/// Serves a connection's first frame (`hello`/`resume`) via
+/// [`open_session`], on the shard that owns the collection it names (any
+/// shard, if all there is to send is a refusal).
 fn serve_handshake(
     conn: &mut ConnState,
     request: Request,
     shared: &ServiceShared,
-    wake: &ShardWake,
+    owned: &mut [Owned],
 ) {
     match open_session(request, shared) {
         Ok(Opened {
@@ -895,6 +965,7 @@ fn serve_handshake(
             worker,
             epoch,
             reply,
+            ack_hist,
         }) => {
             // Handshake reply enters the writer FIRST: the single outbound
             // queue guarantees no broadcast precedes the welcome.
@@ -904,34 +975,20 @@ fn serve_handshake(
                 shared.metrics.disconnects.inc();
                 return;
             }
-            let peer = conn
-                .stream
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "?".into());
-            let outbox = Arc::new(Outbox::new(
-                peer,
-                &shared.options.overload,
-                Arc::clone(wake),
-                conn.token,
-            ));
-            collection
-                .registry
-                .lock()
-                .insert(worker, Arc::clone(&outbox));
-            // Cover broadcasts that landed between the backend call and
-            // registration (they sit behind the handshake reply).
-            flush_outboxes(&collection.backend, vec![(worker, Arc::clone(&outbox))]);
-            let ack_hist = collection.backend.lock().worker_ack_histogram(worker);
+            // From here on the collection's batches poll this worker's
+            // cursor, which `open_session` left at the reply's end.
+            owned[collection.slot].sessions.insert(worker, conn.token);
+            shared.attached.fetch_add(1, Ordering::SeqCst);
             conn.phase = Phase::Active(Session {
-                collection,
+                slot: collection.slot,
                 worker,
                 epoch,
-                outbox,
                 ack_hist,
-                pending: None,
-                last_broadcast_pop: None,
+                awaiting: false,
+                queue: VecDeque::new(),
                 lagging_since: None,
+                note_pending: false,
+                last_broadcast_pop: None,
             });
         }
         Err(Some(refusal)) => {
@@ -942,13 +999,21 @@ fn serve_handshake(
     }
 }
 
-/// Serves one in-session request.
-fn serve_request(conn: &mut ConnState, request: Request, shared: &ServiceShared) {
+/// Serves one in-session request, read off the socket at `read_at`.
+fn serve_request(
+    conn: &mut ConnState,
+    request: Request,
+    read_at: Instant,
+    shared: &ServiceShared,
+    owned: &mut [Owned],
+    dirty: &mut Vec<usize>,
+) {
     let ConnState {
         phase,
         writer,
         closing,
         dead,
+        token,
         ..
     } = conn;
     let Phase::Active(session) = phase else {
@@ -956,7 +1021,31 @@ fn serve_request(conn: &mut ConnState, request: Request, shared: &ServiceShared)
     };
     let metrics = &shared.metrics;
     let _request_timer = SpanTimer::start(&metrics.request_latency_ns);
-    let backend = &session.collection.backend;
+    let slot = session.slot;
+    // Hands a decoded submit/modify to the collection's queue. If
+    // admission refuses it the reply is queued now; otherwise the
+    // connection waits for pass 2 of this wake (or of the one that ends
+    // the batch's fill window).
+    let mut submit = |op, priority, trace| {
+        let job = Submission {
+            ticket: *token,
+            worker: session.worker,
+            op,
+            priority,
+            trace,
+        };
+        let modify = matches!(job.op, BatchOp::Modify { .. });
+        match owned[slot].pipeline.admit(job, read_at) {
+            Ok(()) => {
+                session.awaiting = true;
+                mark_dirty(&mut owned[slot], slot, dirty);
+            }
+            Err(refused) => {
+                session.record_latency(modify, read_at, metrics);
+                queue_frame(writer, dead, &result_frame(Err(refused), trace));
+            }
+        }
+    };
     match request {
         Request::Submit((msg, auto_upvote), speculative, trace) => {
             metrics.submit_requests.inc();
@@ -964,19 +1053,17 @@ fn serve_request(conn: &mut ConnState, request: Request, shared: &ServiceShared)
                 true => Priority::Speculative,
                 false => Priority::Normal,
             };
-            let op = BatchOp::Msg { msg, auto_upvote };
-            session.submit_op(op, priority, trace, metrics, writer, dead);
+            submit(BatchOp::Msg { msg, auto_upvote }, priority, trace);
         }
         Request::Modify(bundle, trace) => {
             metrics.modify_requests.inc();
-            let op = BatchOp::Modify { bundle };
-            session.submit_op(op, Priority::Normal, trace, metrics, writer, dead);
+            submit(BatchOp::Modify { bundle }, Priority::Normal, trace);
         }
         Request::Sync(cursor) => {
             metrics.sync_requests.inc();
             // Clear-before-suffix, see `sync_reply`.
-            session.outbox.clear_lagging();
             session.lagging_since = None;
+            let backend = &owned[slot].collection.backend;
             let reply = sync_reply(backend, session.worker, &cursor, metrics);
             queue_encoded(writer, dead, &reply);
         }
@@ -987,6 +1074,7 @@ fn serve_request(conn: &mut ConnState, request: Request, shared: &ServiceShared)
         }
         Request::Health => {
             metrics.health_requests.inc();
+            let backend = &owned[slot].collection.backend;
             let reply = health_reply(backend, shared.telemetry.as_deref());
             queue_frame(writer, dead, &reply);
         }

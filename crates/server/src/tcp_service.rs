@@ -10,29 +10,30 @@
 //! ([`TcpService::start_multi`]). The first handshake frame names the
 //! collection to attach to (`"collection"`, defaulting to the first one),
 //! and everything after the handshake is scoped to it: each collection has
-//! its own [`Backend`] (history, WAL, PRI maintenance), its own
-//! [`BatchPipeline`] admission queue and apply thread, and its own
-//! connection registry, so one hot collection cannot starve another's
-//! queue. Worker ids and session epochs are per-collection (they are
-//! assigned by the collection's backend), which is why a `resume` must
-//! carry the collection id. See DESIGN.md §13.
+//! its own [`Backend`] (history, WAL, PRI maintenance) and its own
+//! [`BatchPipeline`] admission queue, so one hot collection cannot starve
+//! another's queue, and is owned by exactly one reactor shard, which holds
+//! that queue and every connection attached to the collection. Worker ids
+//! and session epochs are per-collection (they are assigned by the
+//! collection's backend), which is why a `resume` must carry the
+//! collection id. See DESIGN.md §13.
 //!
 //! ## Connection layer
 //!
 //! A small fixed pool of reactor shard threads drives nonblocking sockets
 //! with per-connection read/write state machines, each shard blocked in
-//! `epoll_wait` until one of its sockets, a reply or a broadcast is ready;
-//! total thread count is O(pool size), not O(connections). See
-//! `reactor.rs` and DESIGN.md §13.
+//! `epoll_wait` until one of its sockets or a deadline is ready; total
+//! thread count is O(pool size), neither O(connections) nor
+//! O(collections). See `reactor.rs` and DESIGN.md §13.
 //!
 //! The backend keeps one op log and, per session, a delivery cursor into
-//! it. After each batch `flush_outboxes` takes the backend lock once,
-//! polls every registered worker's cursor, and — lock released — encodes
-//! what each is owed into its connection's bounded [`Outbox`], the only
-//! outbound queue there is. One stalled reader cannot wedge that path: it
-//! is downgraded to lagging (broadcasts to it dropped, healed by `sync`)
-//! and eventually evicted by its shard (see [`OverloadOptions`] and
-//! DESIGN.md §9). `resume` and `sync` are reads of the same log
+//! it. The owner shard applies a batch and, under the same backend lock,
+//! polls every attached worker's cursor ([`poll_broadcasts`]); lock
+//! released, it encodes what each is owed ([`broadcast_frames`]) into its
+//! connection's bounded outbound queue. One stalled reader cannot wedge
+//! that path: it is downgraded to lagging (broadcasts to it dropped,
+//! healed by `sync`) and eventually evicted (see [`OverloadOptions`]
+//! and DESIGN.md §9). `resume` and `sync` are reads of the same log
 //! ([`catch_up`]): the missing suffix, or below the compaction horizon the
 //! bootstrap. That — a `welcome`'s `history` — is not the history but
 //! [`Backend::bootstrap_text`]: a cached state image plus the log since,
@@ -42,8 +43,7 @@
 //!
 //! ## Threads
 //!
-//! Besides the shards: `crowdfill-accept`, one `crowdfill-batch-apply`
-//! per collection, `crowdfill-maintenance` (the one thread behind the
+//! Besides the shards: `crowdfill-accept`, `crowdfill-maintenance` (the one thread behind the
 //! durability and progress ticks, present only if one is configured) and
 //! the telemetry `obs-sampler`. *Stop means stopped*: when
 //! [`TcpService::stop`] or a drop returns, all of them have been joined.
@@ -88,7 +88,7 @@ use crate::backend::{Backend, SubmitError, SubmitReport};
 use crate::batch::{BatchOptions, BatchPipeline};
 use crate::overload::OverloadOptions;
 use crate::progress::{ProgressTracker, StopAction, StoppingPolicy};
-use crate::reactor::{self, Outbox, ReactorOptions, ShardWake, Wake};
+use crate::reactor::{self, ReactorOptions, ShardWake, Wake};
 use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
@@ -100,7 +100,7 @@ use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -328,8 +328,8 @@ pub struct ServiceOptions {
     /// `bye` behind a link that never resets.
     pub idle_timeout: Option<Duration>,
     /// Batched apply pipeline configuration: every submit/modify request
-    /// goes through a single per-collection apply thread that drains
-    /// concurrent submissions into [`Backend::submit_batch`] calls.
+    /// goes through its collection's admission queue, which the owner
+    /// shard drains into [`Backend::submit_batch`] calls.
     pub batch: BatchOptions,
     /// Overload-protection knobs: admission bounds and shed budget for the
     /// batch pipeline, write-buffer watermark and eviction policy for
@@ -538,20 +538,18 @@ fn progress_tick(
     }
 }
 
-/// The send halves of the connections attached to one collection, by
-/// worker: all the broadcast flush and `disconnect_all` see of them.
-pub(crate) type ConnRegistry = Arc<Mutex<HashMap<WorkerId, Arc<Outbox>>>>;
-
-/// One hosted collection: its backend (history, WAL, PRI), its batch
-/// pipeline (admission queue + apply thread), and the connections
-/// currently attached to it. Per-collection isolation is structural —
-/// nothing but the listening socket, the shard pool, and the telemetry
-/// sampler is shared between collections.
+/// One hosted collection: its backend (history, WAL, PRI) and the shard
+/// that owns it — the one thread holding its batch pipeline (admission
+/// queue) and the connections attached to it. Per-collection isolation is
+/// structural: nothing but the listening socket, the shard pool, and the
+/// telemetry sampler is shared between collections.
 pub struct Collection {
     name: String,
     pub(crate) backend: Arc<Mutex<Backend>>,
-    pub(crate) pipeline: Arc<BatchPipeline>,
-    pub(crate) registry: ConnRegistry,
+    /// The owning shard — a hash of the name over the shard count, fixed
+    /// at start — and this collection's index among those it owns.
+    pub(crate) owner: usize,
+    pub(crate) slot: usize,
 }
 
 impl Collection {
@@ -578,6 +576,8 @@ pub(crate) struct ServiceShared {
     pub(crate) metrics: Arc<ServiceMetrics>,
     pub(crate) options: Arc<ServiceOptions>,
     pub(crate) telemetry: Option<Arc<ServiceTelemetry>>,
+    /// Open sessions, all shards: what `disconnect_all` is about to close.
+    pub(crate) attached: AtomicUsize,
 }
 
 impl ServiceShared {
@@ -629,7 +629,8 @@ impl TcpService {
     /// Binds and starts serving N independent collections multiplexed over
     /// one port. The first entry is the default a bare `hello` attaches
     /// to; names must be unique. Each collection gets its own batch
-    /// pipeline (admission queue + apply thread) per `options.batch`.
+    /// pipeline (admission queue) per `options.batch`, held by the shard
+    /// that owns the collection.
     pub fn start_multi(
         backends: Vec<(String, Backend)>,
         addr: &str,
@@ -676,38 +677,30 @@ impl TcpService {
 
         // One pipeline per collection: admission, shedding, and batching
         // are per-collection, so a storm on one cannot fill another's
-        // queue. Each apply thread's after-batch hook flushes only its own
-        // collection's registered sessions.
+        // queue. It goes to the shard that owns the collection, which
+        // delivers a batch's broadcasts itself (no after-batch hook).
         let mut map = HashMap::with_capacity(backends.len());
+        let mut owned: Vec<Vec<_>> = (0..options.reactor.effective_shards())
+            .map(|_| Vec::new())
+            .collect();
         for (name, backend) in backends {
             let backend = Arc::new(Mutex::new(backend));
-            let registry: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-            let flush_backend = Arc::clone(&backend);
-            let flush_registry = Arc::clone(&registry);
-            let pipeline = Arc::new(BatchPipeline::start(
+            let pipeline = BatchPipeline::start(
                 Arc::clone(&backend),
                 Box::new(move || now_millis(started)),
-                Box::new(move || {
-                    let registry = flush_registry.lock();
-                    let sessions = registry.iter().map(|(w, o)| (*w, Arc::clone(o))).collect();
-                    drop(registry);
-                    flush_outboxes(&flush_backend, sessions)
-                }),
+                Box::new(|| {}),
                 options.batch.clone(),
                 options.overload.clone(),
-            ));
-            if map
-                .insert(
-                    name.clone(),
-                    Arc::new(Collection {
-                        name,
-                        backend,
-                        pipeline,
-                        registry,
-                    }),
-                )
-                .is_some()
-            {
+            );
+            let owner = reactor::owner_shard(&name, owned.len());
+            let collection = Arc::new(Collection {
+                name: name.clone(),
+                backend,
+                owner,
+                slot: owned[owner].len(),
+            });
+            owned[owner].push((Arc::clone(&collection), pipeline));
+            if map.insert(name, collection).is_some() {
                 return Err(ConnError::Io("duplicate collection name".into()));
             }
         }
@@ -725,6 +718,7 @@ impl TcpService {
             metrics: Arc::clone(&metrics),
             options: Arc::clone(&options),
             telemetry,
+            attached: AtomicUsize::new(0),
         });
 
         // Everything spawned from here on is handed to `service` at once,
@@ -765,11 +759,17 @@ impl TcpService {
             .map_err(|e| ConnError::Io(e.to_string()))?;
 
         // Shard pool: the accept thread only hands fresh sockets to shards
-        // round-robin; shards own every conn for life.
+        // round-robin — to those that own a collection: any other could
+        // only pass the socket on — and a handshake moves the connection
+        // to the shard that owns its collection, where it stays for life.
+        let owners: Vec<bool> = owned.iter().map(|c| !c.is_empty()).collect();
         (service.shard_threads, service.shard_wakes) =
-            reactor::start_shards(&options.reactor, Arc::clone(&shared), Arc::clone(&shutdown))
+            reactor::start_shards(owned, Arc::clone(&shared), Arc::clone(&shutdown))
                 .map_err(|e| ConnError::Io(e.to_string()))?;
-        let injects = service.shard_wakes.clone();
+        let injects: Vec<ShardWake> = (service.shard_wakes.iter().zip(owners))
+            .filter(|(_, owns)| *owns)
+            .map(|(wake, _)| Arc::clone(wake))
+            .collect();
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_shared = shared;
         let accept_thread = std::thread::Builder::new()
@@ -803,20 +803,19 @@ impl TcpService {
         Ok(service)
     }
 
-    /// Forcibly closes every registered connection at once, across all
-    /// collections: each owning shard is asked to (`Wake::Close`) and
-    /// does so on its next wake. Sessions survive — each client sees a
-    /// dead connection and recovers via its reconnect-and-resume path.
-    /// This is the thundering-herd lever the overload harness uses to
-    /// stage a mass-reconnect storm.
+    /// Forcibly closes every open session at once, across all
+    /// collections: each shard is asked to (`Wake::CloseAll`, one wake
+    /// per shard) and does so on its next wake. Returns how many were
+    /// open. Sessions survive — each client sees a dead connection and
+    /// recovers via its reconnect-and-resume path. This is the
+    /// thundering-herd lever the overload harness uses to stage a
+    /// mass-reconnect storm.
     pub fn disconnect_all(&self) -> usize {
-        let mut n = 0;
-        for collection in self.shared.collections.values() {
-            let registry = collection.registry.lock();
-            registry.values().for_each(|outbox| outbox.request_close());
-            n += registry.len();
+        let open = self.shared.attached.load(Ordering::SeqCst);
+        for wake in &self.shard_wakes {
+            wake.push(Wake::CloseAll);
         }
-        n
+        open
     }
 
     /// The bound address clients connect to.
@@ -842,9 +841,8 @@ impl TcpService {
 
     /// Stops the service. When this returns (dropping the service does
     /// the same) no thread the service started is alive — sampler,
-    /// maintenance, accept and shards are joined here, each collection's
-    /// apply thread when its [`BatchPipeline`] drops with `self` — and the
-    /// caller's [`backend`](Self::backend) handles are the only ones left.
+    /// maintenance, accept and shards are joined here — and the caller's
+    /// [`backend`](Self::backend) handles are the only ones left.
     pub fn stop(mut self) {
         self.halt();
     }
@@ -914,6 +912,8 @@ pub(crate) struct Opened {
     pub(crate) epoch: u64,
     /// The encoded `welcome` or `resumed` frame.
     pub(crate) reply: String,
+    /// The worker's private ack-latency histogram (per-worker health).
+    pub(crate) ack_hist: Option<Arc<Histogram>>,
 }
 
 /// Processes the first frame of a connection: `hello` creates a worker in
@@ -930,7 +930,7 @@ pub(crate) fn open_session(
         let collection = shared.resolve_collection(name.as_deref());
         collection.ok_or(Some(Reply::reject("unknown collection")))
     };
-    let (collection, worker, epoch, reply) = match request {
+    let (collection, worker, epoch, reply, ack_hist) = match request {
         Request::Hello(collection) => {
             shared.metrics.connects.inc();
             let collection = attach_to(&collection)?;
@@ -945,6 +945,7 @@ pub(crate) fn open_session(
             let schema = Arc::clone(&b.config().schema);
             let history = Image::Text(b.bootstrap_text().into());
             let reply = Reply::Welcome(name, worker, client, history_len, schema, history).encode();
+            let ack_hist = b.worker_ack_histogram(worker);
             drop(b);
             crowdfill_obs::obs_debug!(
                 "server",
@@ -952,7 +953,7 @@ pub(crate) fn open_session(
                 worker => worker.0,
                 client => client.0,
             );
-            (collection, worker, 0, reply)
+            (collection, worker, 0, reply, ack_hist)
         }
         Request::Resume(worker, cursor, collection) => {
             shared.metrics.resume_requests.inc();
@@ -960,10 +961,12 @@ pub(crate) fn open_session(
             // Resume and catch-up come from ONE lock acquisition.
             let resumed = {
                 let mut b = collection.backend.lock();
-                b.resume(worker, now_millis(shared.started))
-                    .map(|info| (info, catch_up(&mut b, &cursor, &shared.metrics)))
+                b.resume(worker, now_millis(shared.started)).map(|info| {
+                    let body = catch_up(&mut b, &cursor, &shared.metrics);
+                    (info, body, b.worker_ack_histogram(worker))
+                })
             };
-            let (info, body) = resumed.map_err(|e| Some(Reply::reject(e)))?;
+            let (info, body, ack_hist) = resumed.map_err(|e| Some(Reply::reject(e)))?;
             let name = collection.name().to_string();
             let reply = Reply::Resumed(name, info.client, info.history_len, body).encode();
             crowdfill_obs::obs_debug!(
@@ -973,7 +976,7 @@ pub(crate) fn open_session(
                 epoch => info.epoch,
                 reply_bytes => reply.len(),
             );
-            (collection, worker, info.epoch, reply)
+            (collection, worker, info.epoch, reply, ack_hist)
         }
         _ => {
             shared.metrics.malformed_frames.inc();
@@ -985,33 +988,12 @@ pub(crate) fn open_session(
         worker,
         epoch,
         reply,
+        ack_hist,
     })
 }
 
-/// Tears down a finished session: unregisters (guarded — only if the
-/// registry still holds THIS connection) and retires the epoch (guarded in
-/// the backend — a resumed successor must survive its predecessor's exit).
-/// The socket is the shard's to close.
-pub(crate) fn close_session(
-    collection: &Collection,
-    outbox: &Arc<Outbox>,
-    worker: WorkerId,
-    epoch: u64,
-    metrics: &ServiceMetrics,
-) {
-    {
-        let mut reg = collection.registry.lock();
-        if reg.get(&worker).is_some_and(|o| Arc::ptr_eq(o, outbox)) {
-            reg.remove(&worker);
-        }
-    }
-    collection.backend.lock().disconnect_epoch(worker, epoch);
-    metrics.disconnects.inc();
-    crowdfill_obs::obs_debug!("server", "session ended"; worker => worker.0, epoch => epoch);
-}
-
 /// Builds the encoded `synced` reply. The caller must clear its own
-/// outbox's lagging flag BEFORE calling: every broadcast dropped while
+/// session's lagging flag BEFORE calling: every broadcast dropped while
 /// lagging then has a seq below the history length this reply covers, and
 /// broadcasts after the clear are enqueued normally (overlap is
 /// seq-deduped client-side), so nothing can fall in a gap.
@@ -1127,22 +1109,21 @@ pub(crate) fn result_frame(
     }
 }
 
-/// Delivers the given sessions' pending broadcasts, each into its
-/// connection's bounded [`Outbox`]: a lone message as a legacy `msg` frame,
-/// several as `batch` frames (chunked so a huge backlog cannot overflow
-/// the transport's frame-size cap). Never blocks — a full buffer
-/// downgrades the connection to lagging instead (see
-/// [`Outbox::enqueue_broadcast`]). The backend lock is taken once per
-/// flush, not per recipient, and no frame is encoded under it.
-pub(crate) fn flush_outboxes(backend: &Mutex<Backend>, sessions: Vec<(WorkerId, Arc<Outbox>)>) {
+/// What each of `sessions` (worker → its connection's token) has not been
+/// handed yet, cursors moved past it. Called under the lock acquisition
+/// that applied the batch, so the seq → trace attribution (when tracing)
+/// sees the history the polls did. Sessions owed nothing are left out.
+pub(crate) fn poll_broadcasts(
+    b: &mut Backend,
+    sessions: &HashMap<WorkerId, u64>,
+) -> Vec<(u64, Vec<SeqMsg>)> {
     let traced = obstrace::enabled();
-    // Each cursor poll and (when tracing) the seq → trace attribution of
-    // what it returned happen under one lock acquisition, so attribution
-    // can never see a different history than the poll did.
-    let mut polled = Vec::with_capacity(sessions.len());
-    let mut b = backend.lock();
-    for (worker, outbox) in sessions {
+    let mut polled = Vec::new();
+    for (&worker, &token) in sessions {
         let pending = b.poll_seq(worker);
+        if pending.is_empty() {
+            continue;
+        }
         let attribute = |(seq, msg)| {
             let trace = if traced {
                 b.trace_for_seq(seq)
@@ -1158,22 +1139,26 @@ pub(crate) fn flush_outboxes(backend: &Mutex<Backend>, sessions: Vec<(WorkerId, 
             }
             SeqMsg { seq, msg, trace }
         };
-        let pending: Vec<SeqMsg> = pending.into_iter().map(attribute).collect();
-        polled.push((outbox, pending));
+        polled.push((token, pending.into_iter().map(attribute).collect()));
     }
-    drop(b);
-    for (outbox, mut pending) in polled {
-        if pending.len() == 1 {
-            let reply = Reply::Msg(pending.remove(0));
-            outbox.enqueue_broadcast(reply.encode().into_bytes());
-        }
-        while !pending.is_empty() {
-            let rest = pending.split_off(pending.len().min(BATCH_FRAME_CHUNK));
-            let reply = Reply::Batch(std::mem::replace(&mut pending, rest));
-            outbox.enqueue_broadcast(reply.encode().into_bytes());
-            batch_broadcast_frames().inc();
-        }
+    polled
+}
+
+/// One session's pending broadcasts as encoded frames: a lone message as a
+/// legacy `msg` frame, several as `batch` frames (chunked so a huge backlog
+/// cannot overflow the transport's frame-size cap). Called off the backend
+/// lock.
+pub(crate) fn broadcast_frames(mut pending: Vec<SeqMsg>) -> Vec<String> {
+    if pending.len() == 1 {
+        return vec![Reply::Msg(pending.remove(0)).encode()];
     }
+    let mut frames = Vec::new();
+    while !pending.is_empty() {
+        let rest = pending.split_off(pending.len().min(BATCH_FRAME_CHUNK));
+        frames.push(Reply::Batch(std::mem::replace(&mut pending, rest)).encode());
+        batch_broadcast_frames().inc();
+    }
+    frames
 }
 
 #[cfg(test)]

@@ -523,6 +523,80 @@ fn raw_worker_inserts_still_rejected_outside_modify() {
     assert!(matches!(err, Err(SubmitError::WorkersCannotInsert)));
 }
 
+/// A row id is `(client, seq)`: a worker creates rows under its own client
+/// id only. A raw client naming another worker's live row as the `new` of
+/// its replace would overwrite it in place — the victim's cells gone, every
+/// invariant still standing — so the frame is refused, plain or inside a
+/// modify bundle, and the idempotent re-send of one's own fill is not.
+#[test]
+fn a_worker_creates_row_ids_of_its_own_only() {
+    let mut rig = Rig::new(config(2, 10.0), 2);
+    let rows: Vec<RowId> = rig.backend.master().table().row_ids().collect();
+    let victim = rig.fill(1, rows[0], 0, "Messi").unwrap();
+    assert_eq!(victim.client, ClientId(1));
+    let before = rig.backend.history_len();
+
+    // Worker 2 "fills" its own empty row into worker 1's row id.
+    let value = RowValue::empty().with(ColumnId(0), Value::text("Mallory"));
+    let hostile = Message::Replace {
+        old: rows[1],
+        new: victim,
+        value: value.clone(),
+    };
+    let refused = rig.backend.submit(WorkerId(2), hostile, Millis(1), false);
+    assert_eq!(refused.unwrap_err(), SubmitError::ForeignRowId);
+    let entry = rig
+        .backend
+        .master()
+        .table()
+        .get(victim)
+        .expect("victim row");
+    assert_eq!(entry.value.get(ColumnId(0)), Some(&Value::text("Messi")));
+    assert!(rig.backend.master().table().contains(rows[1]));
+
+    // Nor does a modify bundle's insert mint a foreign id.
+    let done = rig.fill(1, victim, 1, "Argentina").unwrap();
+    let done = rig.fill(1, done, 2, "FW").unwrap();
+    let after_fills = rig.backend.history_len();
+    assert!(after_fills > before);
+    let bundle = rig.clients.get_mut(&WorkerId(2)).unwrap();
+    let bundle = bundle.modify(done, ColumnId(2), Value::text("MF")).unwrap();
+    // The insert under worker 1's client id, the fill that follows it
+    // re-pointed at it: the bundle's shape stays valid.
+    let theirs = |row: RowId| RowId::new(ClientId(1), row.seq);
+    let mut inserted = None;
+    let forged = bundle.into_iter().map(|out| match out.msg {
+        Message::Insert { row } => {
+            inserted = Some(row);
+            (Message::Insert { row: theirs(row) }, false)
+        }
+        Message::Replace { old, new, value } if Some(old) == inserted => {
+            let old = theirs(old);
+            (Message::Replace { old, new, value }, false)
+        }
+        msg => (msg, out.auto_upvote),
+    });
+    let forged: Vec<(Message, bool)> = forged.collect();
+    assert!(inserted.is_some());
+    let refused = rig.backend.submit_modify(WorkerId(2), forged, Millis(2));
+    assert_eq!(refused.unwrap_err(), SubmitError::ForeignRowId);
+    assert_eq!(rig.backend.history_len(), after_fills, "half a bundle");
+
+    // A worker re-sending its own fill (a reset client does) mints its own
+    // id again: refused as stale if the first landed, never as foreign.
+    let resend = Message::Replace {
+        old: rows[1],
+        new: RowId::new(ClientId(2), 1),
+        value,
+    };
+    let first = rig
+        .backend
+        .submit(WorkerId(2), resend.clone(), Millis(3), false);
+    assert!(first.is_ok(), "{first:?}");
+    let again = rig.backend.submit(WorkerId(2), resend, Millis(3), false);
+    assert_eq!(again.unwrap_err(), SubmitError::Op(OpError::UnknownRow));
+}
+
 fn history(backend: &Backend) -> Vec<Message> {
     let log = backend.history_suffix(0);
     log.into_iter().map(|(_, msg)| msg).collect()

@@ -8,8 +8,8 @@
 //! replayed from its own bootstrap image (a bundle refused half-way has
 //! moved the table; the image must have moved with it). Run it in a debug
 //! build: that is where `Replica::process` asserts Lemma 3 after every
-//! message, so a shape that breaks it is a panic on the apply thread and a
-//! dead session here.
+//! message, so a shape that breaks it is a panic on the collection's shard
+//! and a dead session here.
 
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
@@ -71,10 +71,14 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
     let fill = honest.fill(partial, ColumnId(1), Value::text("Argentina"));
     fill.unwrap();
     let complete = cells(&[(0, "Messi"), (1, "Argentina")]);
-    let live = {
+    let (live, blank) = {
         let table = honest.view().replica().table();
         let found = table.iter().find(|(_, e)| e.value == complete);
-        found.expect("the completed row").0
+        let blank = table.iter().find(|(_, e)| e.value.is_empty());
+        (
+            found.expect("the completed row").0,
+            blank.expect("a row left to fill").0,
+        )
     };
 
     let raw = TcpConn::connect(service.addr()).unwrap();
@@ -110,6 +114,16 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
                 old: fresh(72),
                 new: fresh(73),
                 value: complete.clone(),
+            },
+        ),
+        (
+            // A fill of a row that is there, into an id that is not the
+            // sender's to mint: the honest worker's live row.
+            "replace: into another worker's row id",
+            Message::Replace {
+                old: blank,
+                new: live,
+                value: partial.clone(),
             },
         ),
         (
@@ -172,7 +186,7 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
             }
         }
     }
-    assert_eq!(cases, 60);
+    assert_eq!(cases, 66);
 
     // The honest worker was not harmed: it catches up and equals the master.
     honest.sync().unwrap();

@@ -100,8 +100,19 @@ fn two_shards() -> ServiceOptions {
     }
 }
 
+/// What a started two-shard service runs, however many collections it
+/// hosts and connections it holds.
+const POOL: [&str; 5] = [
+    "crowdfill-accep", // crowdfill-accept
+    "crowdfill-maint", // crowdfill-maintenance (the progress tick is on by default)
+    "crowdfill-shard", // crowdfill-shard-0
+    "crowdfill-shard", // crowdfill-shard-1
+    "obs-sampler",
+];
+
 /// The reactor's whole point: server threads are O(pool size), not
-/// O(connections), a session costs the server one descriptor, and
+/// O(connections) and not O(collections), a session costs the server one
+/// descriptor, and
 /// connection churn leaks neither. 500 connect/handshake/disconnect cycles
 /// must leave the process with exactly the threads it had (the whole pool
 /// was spawned at service start) and exactly the fds it had. And *stop
@@ -124,17 +135,7 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     // Every thread exists before start() returns, but each sets its own
     // name as its first act: give them a beat to have done so.
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        service_threads(),
-        [
-            "crowdfill-accep", // crowdfill-accept
-            "crowdfill-batch", // crowdfill-batch-apply, one per collection
-            "crowdfill-maint", // crowdfill-maintenance (the progress tick is on by default)
-            "crowdfill-shard", // crowdfill-shard-0
-            "crowdfill-shard", // crowdfill-shard-1
-            "obs-sampler",
-        ]
-    );
+    assert_eq!(service_threads(), POOL);
     let threads_before = threads();
     let fds_before = open_fds();
 
@@ -177,6 +178,18 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_eq!(open_fds(), fds_at_rest);
     assert_eq!(Arc::strong_count(&backend), 1);
     drop(backend);
+
+    // 128 collections run the threads of one: a collection is a queue on
+    // the shard that owns it.
+    let collections = (0..128).map(|i| (format!("c{i}"), Backend::new(config(1))));
+    let service =
+        TcpService::start_multi(collections.collect(), "127.0.0.1:0", two_shards()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(service_threads(), POOL);
+    assert_eq!(threads(), threads_before);
+    service.stop();
+    assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
+    assert_eq!(open_fds(), fds_at_rest);
 
     // Dropped without `stop`, with eight workers still attached.
     let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();

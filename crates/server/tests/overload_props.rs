@@ -4,26 +4,32 @@
 //!   `Overloaded` (admission reject or deadline shed) was never applied:
 //!   it is absent from the master and the broadcast history. Conversely an
 //!   acked op is always present. There is no third state.
-//! * **bounded admission** — with the apply thread stalled, at most
-//!   `max_queue` jobs (plus the in-flight batch) are ever admitted; the
-//!   rest are turned away with a non-zero `retry_after`.
+//! * **bounded admission** — while nothing is taken, at most `max_queue`
+//!   jobs are ever admitted; the rest are turned away with a non-zero
+//!   `retry_after`.
 //! * **speculative gate** — speculative ops are refused the moment queue
 //!   depth reaches `spec_queue`, while normal ops still get in.
 //!
-//! The apply thread is stalled deterministically by holding the backend
-//! lock — the same lock the pipeline applies batches under — so queue
-//! buildup does not depend on machine speed. Seeds extend via
-//! `CROWDFILL_FAULT_SEEDS`, as in `faults.rs`.
+//! The pipeline owns no thread and reads no clock: the tests drive it the
+//! way a shard does — admit, advance their own `Instant`, apply — so
+//! a stall is a gap between two readings, not a sleep, and the outcome of a
+//! seed does not depend on machine speed. Seeds extend via
+//! `CROWDFILL_FAULT_SEEDS`, as in `faults.rs`. The last test runs the same
+//! property over the wire, through a `TcpService`.
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
+use crowdfill_net::{FrameConn, TcpConn};
+use crowdfill_obs::trace::TraceId;
 use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_server::client_core::Event;
+use crowdfill_server::wire::Request;
 use crowdfill_server::{
-    Backend, BatchOp, BatchOptions, BatchPipeline, OverloadOptions, Priority, SubmitError,
-    TaskConfig, WorkerClient,
+    Backend, BatchOp, BatchOptions, BatchPipeline, ClientCore, OverloadOptions, Priority,
+    ServiceOptions, Submission, SubmitError, TaskConfig, TcpService, WorkerClient,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn config(rows: usize) -> TaskConfig {
     let schema = Arc::new(
@@ -134,11 +140,119 @@ fn pipeline(
     )
 }
 
+/// Workers submitting their ops one after the other — the next once the
+/// previous was answered — to a pipeline somebody else decides when to
+/// drain, all on the caller's clock.
+struct Crowd<'a> {
+    p: &'a BatchPipeline,
+    backend: &'a Mutex<Backend>,
+    loads: &'a [Workload],
+    /// Per worker, the index of the op it offers next.
+    next: Vec<usize>,
+    outcomes: Vec<(Option<String>, Result<(), SubmitError>)>,
+}
+
+impl<'a> Crowd<'a> {
+    fn new(p: &'a BatchPipeline, backend: &'a Mutex<Backend>, loads: &'a [Workload]) -> Self {
+        Crowd {
+            p,
+            backend,
+            loads,
+            next: vec![0; loads.len()],
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Worker `k` offers its next op at `at`, in class `priority`. One
+    /// refused at the door is answered on the spot, and the worker moves on
+    /// to the op after it.
+    fn offer(&mut self, k: usize, priority: Priority, at: Instant) {
+        while let Some((tag, op)) = self.loads[k].ops.get(self.next[k]) {
+            let job = Submission {
+                ticket: k as u64,
+                worker: self.loads[k].worker,
+                op: op.clone(),
+                priority,
+                trace: TraceId::NONE,
+            };
+            match self.p.admit(job, at) {
+                Ok(()) => return,
+                Err(refused) => {
+                    self.outcomes.push((tag.clone(), Err(refused)));
+                    self.next[k] += 1;
+                }
+            }
+        }
+    }
+
+    /// Takes and applies at `now` until the queue is empty; a worker whose
+    /// op was answered offers its next one at once.
+    fn drain(&mut self, now: Instant) {
+        while self.p.queue_depth() > 0 {
+            let settled = self.p.apply(now, &mut self.backend.lock());
+            for answer in settled {
+                let k = answer.ticket as usize;
+                let (tag, _) = &self.loads[k].ops[self.next[k]];
+                self.outcomes.push((tag.clone(), answer.result.map(|_| ())));
+                self.next[k] += 1;
+                self.offer(k, Priority::Normal, now);
+            }
+        }
+    }
+}
+
+/// Every fill is either acked and in the master, or answered
+/// `Overloaded` (or failed in the wake of one that was) and absent.
+/// Returns (acked, turned away).
+fn assert_acked_iff_applied(
+    b: &Backend,
+    outcomes: &[(Option<String>, Result<(), SubmitError>)],
+    context: &str,
+) -> (usize, usize) {
+    let (mut acked, mut turned_away) = (0, 0);
+    for (tag, result) in outcomes {
+        match result {
+            Ok(()) => {
+                acked += 1;
+                if let Some(tag) = tag {
+                    assert!(
+                        master_contains(b, tag),
+                        "{context}: acked fill {tag} missing from master"
+                    );
+                }
+            }
+            Err(e) => {
+                // Overloaded = shed or refused; any other error is the
+                // cascade of an earlier one (the op targets a row whose
+                // creating fill never applied). Either way: never applied.
+                turned_away += 1;
+                if let SubmitError::Overloaded { retry_after_ms } = e {
+                    assert!(*retry_after_ms >= 1, "{context}: zero retry hint");
+                }
+                if let Some(tag) = tag {
+                    assert!(
+                        !master_contains(b, tag),
+                        "{context}: failed fill {tag} ({e}) was applied anyway"
+                    );
+                }
+            }
+        }
+    }
+    // The history a client would replay must agree with the master:
+    // exactly the acked ops, in some order — no shed op smuggled in.
+    assert!(
+        b.history_len() >= acked as u64,
+        "{context}: history shorter than acked ops"
+    );
+    (acked, turned_away)
+}
+
 /// The headline property, under a seeded stall/stagger interleaving:
 /// every fill is either acked and in the master, or answered `Overloaded`
 /// and absent — shedding happens strictly before the ack, never after.
 #[test]
 fn shed_strictly_before_ack() {
+    let (mut acked_ever, mut shed_ever) = (0, 0);
     for seed in seeds() {
         let workers = 6;
         let mut backend = Backend::new(config(workers));
@@ -157,83 +271,50 @@ fn shed_strictly_before_ack() {
             },
         );
 
-        // Stall the apply thread for a seeded window while workers submit
-        // at seeded offsets around the release instant: early arrivals
-        // outwait the shed budget, late ones sail through.
+        // Nothing is taken for a seeded window while workers arrive at
+        // seeded offsets around its end: early arrivals outwait the shed
+        // budget, late ones sail through.
+        let start = Instant::now();
         let hold = Duration::from_millis(10 + splitmix64(seed) % 20);
-        let guard = backend.lock();
-        let outcomes: Vec<(Option<String>, Result<(), SubmitError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = loads
-                    .iter()
-                    .enumerate()
-                    .map(|(k, load)| {
-                        let p = &p;
-                        let stagger = Duration::from_millis(
-                            splitmix64(seed ^ (k as u64) << 32) % (2 * hold.as_millis() as u64 + 1),
-                        );
-                        scope.spawn(move || {
-                            std::thread::sleep(stagger);
-                            let mut results = Vec::new();
-                            for (tag, op) in &load.ops {
-                                let r = p.submit(load.worker, op.clone()).map(|_| ());
-                                results.push((tag.clone(), r));
-                            }
-                            results
-                        })
-                    })
-                    .collect();
-                std::thread::sleep(hold);
-                drop(guard);
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-
-        let b = backend.lock();
-        let (mut acked, mut turned_away) = (0, 0);
-        for (tag, result) in &outcomes {
-            match result {
-                Ok(()) => {
-                    acked += 1;
-                    if let Some(tag) = tag {
-                        assert!(
-                            master_contains(&b, tag),
-                            "seed {seed}: acked fill {tag} missing from master"
-                        );
-                    }
-                }
-                Err(e) => {
-                    // Overloaded = shed; any other error is the cascade of
-                    // an earlier shed (the op targets a row whose creating
-                    // fill never applied). Either way: never applied.
-                    turned_away += 1;
-                    if let SubmitError::Overloaded { retry_after_ms } = e {
-                        assert!(*retry_after_ms >= 1, "seed {seed}: zero retry hint");
-                    }
-                    if let Some(tag) = tag {
-                        assert!(
-                            !master_contains(&b, tag),
-                            "seed {seed}: failed fill {tag} ({e}) was applied anyway"
-                        );
-                    }
-                }
-            }
+        let mut arrivals: Vec<(Duration, usize)> = (0..workers)
+            .map(|k| {
+                let stagger =
+                    splitmix64(seed ^ (k as u64) << 32) % (2 * hold.as_millis() as u64 + 1);
+                (Duration::from_millis(stagger), k)
+            })
+            .collect();
+        arrivals.sort();
+        let mut crowd = Crowd::new(&p, &backend, &loads);
+        let (stalled, flowing): (Vec<_>, Vec<_>) = arrivals.into_iter().partition(|a| a.0 <= hold);
+        for (at, k) in stalled {
+            crowd.offer(k, Priority::Normal, start + at);
         }
-        assert_eq!(acked + turned_away, outcomes.len());
-        // The history a client would replay must agree with the master:
-        // exactly the acked ops, in some order — no shed op smuggled in.
-        assert!(
-            b.history_len() >= acked as u64,
-            "seed {seed}: history shorter than acked ops"
-        );
+        crowd.drain(start + hold);
+        for (at, k) in flowing {
+            crowd.offer(k, Priority::Normal, start + at);
+            crowd.drain(start + at);
+        }
+
+        let outcomes = crowd.outcomes;
+        assert_eq!(outcomes.len(), loads.iter().map(|l| l.ops.len()).sum());
+        let sheds = outcomes
+            .iter()
+            .filter(|(_, r)| matches!(r, Err(SubmitError::Overloaded { .. })))
+            .count();
+        let (acked, _) =
+            assert_acked_iff_applied(&backend.lock(), &outcomes, &format!("seed {seed}"));
+        acked_ever += acked;
+        shed_ever += sheds;
     }
+    assert!(
+        acked_ever > 0 && shed_ever > 0,
+        "the seeds exercise one side only: {acked_ever} acked, {shed_ever} shed"
+    );
 }
 
-/// With the apply thread stalled and `max_batch = 1`, admission stops at
-/// `max_queue` + the single in-flight job; everyone else is rejected
-/// immediately with a hint. After release, the admitted ops all apply.
+/// While nothing is taken, admission stops at `max_queue`; everyone else
+/// is rejected immediately with a hint. Once taken, the admitted ops all
+/// apply.
 #[test]
 fn admission_is_bounded_while_stalled() {
     let workers = 10;
@@ -254,50 +335,52 @@ fn admission_is_bounded_while_stalled() {
         overload.clone(),
     );
 
-    let guard = backend.lock();
-    let outcomes: Vec<(String, Result<(), SubmitError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = loads
-            .iter()
-            .map(|load| {
-                let p = &p;
-                // One op per worker: ten concurrent submissions against a
-                // queue of four.
-                let (tag, op) = load.ops[0].clone();
-                let tag = tag.expect("first op is a fill");
-                let worker = load.worker;
-                scope.spawn(move || (tag, p.submit(worker, op).map(|_| ())))
-            })
-            .collect();
-        // Let every submitter reach its verdict: admitted ones are parked
-        // in the queue (depth saturates), the rest have bounced.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while p.queue_depth() < overload.max_queue && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        drop(guard);
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    // One op per worker: ten submissions against a queue of four.
+    let start = Instant::now();
+    let history_len = backend.lock().history_len();
+    let mut verdicts = Vec::new();
+    for (k, load) in loads.iter().enumerate() {
+        let (tag, op) = load.ops[0].clone();
+        let job = Submission {
+            ticket: k as u64,
+            worker: load.worker,
+            op,
+            priority: Priority::Normal,
+            trace: TraceId::NONE,
+        };
+        verdicts.push((tag.expect("first op is a fill"), p.admit(job, start)));
+        assert!(p.queue_depth() <= overload.max_queue);
+    }
+    assert_eq!(p.queue_depth(), overload.max_queue);
+    assert_eq!(
+        backend.lock().history_len(),
+        history_len,
+        "admission touched the backend"
+    );
+
+    // Four batches of one, 50 ms later.
+    let mut applied = Vec::new();
+    while p.queue_depth() > 0 {
+        applied.extend(p.apply(start + Duration::from_millis(50), &mut backend.lock()));
+    }
+    assert_eq!(applied.len(), overload.max_queue);
 
     let b = backend.lock();
-    let mut rejected = 0;
-    for (tag, result) in &outcomes {
-        match result {
-            Ok(()) => assert!(master_contains(&b, tag), "acked {tag} missing"),
+    for (k, (tag, verdict)) in verdicts.iter().enumerate() {
+        match verdict {
+            Ok(()) => {
+                let answer = applied.iter().find(|a| a.ticket == k as u64);
+                assert!(answer.is_some_and(|a| a.result.is_ok()), "{tag} not acked");
+                assert!(master_contains(&b, tag), "acked {tag} missing");
+            }
             Err(SubmitError::Overloaded { retry_after_ms }) => {
-                rejected += 1;
+                assert!(k >= overload.max_queue, "{tag} bounced with room left");
                 assert!(*retry_after_ms >= 1);
                 assert!(!master_contains(&b, tag), "rejected {tag} applied");
             }
             Err(e) => panic!("unexpected outcome for {tag}: {e}"),
         }
     }
-    // 10 submitters, queue of 4, one in flight: at least 4 must bounce
-    // (more when a submitter lost the race to even enqueue).
-    assert!(
-        rejected >= 4,
-        "only {rejected} of 10 rejected over a queue of 4"
-    );
 }
 
 /// Speculative ops are refused as soon as the queue shows any depth at or
@@ -322,58 +405,108 @@ fn speculative_gate_closes_first() {
             ..OverloadOptions::default()
         },
     );
+    let now = Instant::now();
+    // Only first ops, so that no answered worker offers a second.
+    let firsts: Vec<Workload> = loads
+        .iter()
+        .map(|load| Workload {
+            worker: load.worker,
+            ops: load.ops[..1].to_vec(),
+        })
+        .collect();
+    let tag = |k: usize| firsts[k].ops[0].0.clone().expect("first op is a fill");
+    let mut crowd = Crowd::new(&p, &backend, &firsts);
 
     // Idle pipeline: a speculative op is admitted and applied.
-    let (tag, op) = loads[0].ops[0].clone();
-    let tag = tag.expect("first op is a fill");
-    p.submit_classified(loads[0].worker, op, Priority::Speculative)
-        .expect("speculative admitted while idle");
-    assert!(master_contains(&backend.lock(), &tag));
+    crowd.offer(0, Priority::Speculative, now);
+    crowd.drain(now);
+    assert!(matches!(crowd.outcomes[..], [(_, Ok(()))]));
+    assert!(master_contains(&backend.lock(), &tag(0)));
 
-    // Stalled pipeline with visible depth: the gate is closed for
-    // speculative traffic but still open for normal traffic.
-    let guard = backend.lock();
-    let parked: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = loads[1..3]
-            .iter()
-            .map(|load| {
-                let p = &p;
-                let (_, op) = load.ops[0].clone();
-                let worker = load.worker;
-                scope.spawn(move || p.submit(worker, op).map(|_| ()))
-            })
-            .collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while p.queue_depth() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(p.queue_depth() >= 1, "queue never showed depth");
-
-        let (spec_tag, spec_op) = loads[3].ops[0].clone();
-        let spec_tag = spec_tag.expect("first op is a fill");
-        let spec_worker = loads[3].worker;
-        let refused = p.submit_classified(spec_worker, spec_op.clone(), Priority::Speculative);
-        match refused {
-            Err(SubmitError::Overloaded { retry_after_ms }) => assert!(retry_after_ms >= 1),
-            other => panic!("speculative admitted at depth >= spec_queue: {other:?}"),
-        }
-
-        // The same op as Normal is admitted (queue has room)...
-        let pref = &p;
-        let normal =
-            scope.spawn(move || pref.submit_classified(spec_worker, spec_op, Priority::Normal));
-        drop(guard);
-        let normal = normal.join().unwrap();
-        assert!(
-            normal.is_ok(),
-            "normal op bounced with queue room: {normal:?}"
-        );
-        // ...and lands, proving the refusal above was the gate, not the op.
-        assert!(master_contains(&backend.lock(), &spec_tag));
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for r in parked {
-        r.expect("parked normal ops apply after release");
+    // Visible depth: the gate is closed for speculative traffic...
+    crowd.offer(1, Priority::Normal, now);
+    crowd.offer(2, Priority::Normal, now);
+    assert_eq!(p.queue_depth(), 2);
+    crowd.offer(3, Priority::Speculative, now);
+    match crowd.outcomes.last() {
+        Some((_, Err(SubmitError::Overloaded { retry_after_ms }))) => assert!(*retry_after_ms >= 1),
+        other => panic!("speculative admitted at depth >= spec_queue: {other:?}"),
     }
-    assert!(master_contains(&backend.lock(), &tag));
+    assert_eq!(p.queue_depth(), 2);
+
+    // ...but still open for normal traffic: the same op as Normal is
+    // admitted (the queue has room) and lands, proving the refusal above
+    // was the gate, not the op.
+    crowd.next[3] = 0;
+    crowd.offer(3, Priority::Normal, now);
+    assert_eq!(p.queue_depth(), 3);
+    crowd.drain(now + Duration::from_millis(1));
+    assert_eq!(crowd.outcomes.len(), 5);
+    assert!(crowd.outcomes[2..].iter().all(|(_, r)| r.is_ok()));
+    let b = backend.lock();
+    assert!((0..4).all(|k| master_contains(&b, &tag(k))));
+}
+
+/// The same property where clients meet it: over the wire, an `ack` means
+/// the fill is in the master and an `overloaded` means it is not. The
+/// shard is held up on the backend lock (a `health` request needs it)
+/// while six sessions send one fill each, so one wake reads all six
+/// against a queue of two.
+#[test]
+fn over_the_wire_acked_is_applied_and_overloaded_is_not() {
+    let sessions = 6;
+    let options = ServiceOptions {
+        overload: OverloadOptions {
+            max_queue: 2,
+            ..OverloadOptions::default()
+        },
+        ..ServiceOptions::default()
+    };
+    let service =
+        TcpService::start_with(Backend::new(config(sessions)), "127.0.0.1:0", options).unwrap();
+    let join = || {
+        let conn = TcpConn::connect(service.addr()).unwrap();
+        conn.send(Request::Hello(None).encode().as_bytes()).unwrap();
+        let core = ClientCore::welcomed(&conn.recv().expect("welcome"), None, None).unwrap();
+        (conn, core)
+    };
+    let mut clients: Vec<_> = (0..sessions).map(|_| join()).collect();
+    let (staller, _) = join();
+
+    let backend = service.backend();
+    let health_requests = crowdfill_obs::metrics::counter("crowdfill_server_health_requests");
+    let stalled = backend.lock();
+    let before = health_requests.get();
+    staller.send(Request::Health.encode().as_bytes()).unwrap();
+    while health_requests.get() == before {
+        std::thread::yield_now(); // counted, then blocked on the lock we hold
+    }
+    let mut tags = Vec::new();
+    for (k, (conn, core)) in clients.iter_mut().enumerate() {
+        let row = core.view().replica().table().row_ids().nth(k).unwrap();
+        let tag = format!("wire-{k}");
+        let fill = core.fill(row, ColumnId(0), Value::text(tag.clone()), false);
+        conn.send(fill.unwrap()[0].encode().as_bytes()).unwrap();
+        tags.push(tag);
+    }
+    drop(stalled);
+
+    let mut outcomes = Vec::new();
+    for ((conn, core), tag) in clients.iter_mut().zip(tags) {
+        let verdict = loop {
+            match core.handle(&conn.recv().expect("a reply")).unwrap() {
+                Event::Ack(_) => break Ok(()),
+                Event::Overloaded { retry_after_ms } => {
+                    break Err(SubmitError::Overloaded { retry_after_ms })
+                }
+                Event::Broadcast { .. } => {}
+                other => panic!("unexpected reply: {other:?}"),
+            }
+        };
+        outcomes.push((Some(tag), verdict));
+    }
+    let (acked, turned_away) = assert_acked_iff_applied(&backend.lock(), &outcomes, "wire");
+    assert_eq!((acked, turned_away), (2, 4), "one wake, a queue of two");
+    drop(clients);
+    service.stop();
 }

@@ -1,7 +1,8 @@
 //! The reactor's wake path: a shard blocks in `epoll_wait` until a socket,
-//! a reply, a broadcast, an inject, a hang-up, a deadline or `stop` is
-//! ready — and then visits only the connections that are. The counters
-//! these tests read (`crowdfill_reactor_wakeups`, `_conn_visits`) are
+//! an inject, a hand-over, a hang-up, a deadline or `stop` is ready — and
+//! then visits only the connections that are, and does everything an
+//! action needs before it blocks again. The counters these tests read
+//! (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`) are
 //! process-global, so the file is its own test binary and its tests take
 //! turns.
 
@@ -9,7 +10,8 @@ use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Templa
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
 use crowdfill_server::wire::{self, Cursor, Reply, Request};
 use crowdfill_server::{
-    Backend, OverloadOptions, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+    Backend, BatchOptions, OverloadOptions, ReactorOptions, RemoteWorker, ServiceOptions,
+    TaskConfig, TcpService,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -59,9 +61,20 @@ fn wakeups() -> u64 {
     counter("crowdfill_reactor_wakeups")
 }
 
+/// Eight collections over two shards: both shards own some, so the accept
+/// thread deals to both, and of two consecutive connections to one
+/// collection (`"c0"`, say) one is read by the shard that does not own it.
+/// (A shard that owns nothing is dealt nothing: on a one-collection
+/// service every connection starts on the owner.)
+fn two_owners(rows: usize) -> TcpService {
+    let collections = (0..8).map(|i| (format!("c{i}"), Backend::new(config(rows))));
+    TcpService::start_multi(collections.collect(), "127.0.0.1:0", two_shards()).unwrap()
+}
+
 /// A raw session: handshake done, nothing sent since. The accept thread
-/// deals connections round-robin, so on a two-shard service consecutive
-/// sessions land on alternating shards.
+/// deals connections round-robin, so consecutive sessions are read by
+/// alternating shards — and then live on the one that owns their
+/// collection.
 fn session(addr: SocketAddr, collection: &str) -> TcpConn {
     let conn = TcpConn::connect(addr).unwrap();
     let hello = Request::Hello(Some(collection.to_string()));
@@ -130,7 +143,10 @@ fn idle_sessions_cause_no_wakeups() {
     let _turn = take_turn();
     let service =
         TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", two_shards()).unwrap();
+    let handovers = counter("crowdfill_reactor_handovers");
     let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
+    // One collection has one owner, and the other shard is dealt nothing.
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
     settle();
     let before = wakeups();
     std::thread::sleep(Duration::from_millis(300));
@@ -185,21 +201,82 @@ fn a_wake_visits_only_ready_connections() {
     );
 }
 
+/// One action, one wake: with author and observer attached to one
+/// collection, a fill is read, applied, broadcast and acked by the wake
+/// that its frame caused — on a service with a second shard to lose work
+/// to, which dealt the two to different shards. (Three at the parent of
+/// the change that made a collection one shard's: the author's shard for
+/// the frame, the observer's for the broadcast, the author's again for the
+/// ack.)
+#[test]
+fn one_fill_costs_one_wake_and_reaches_both_sockets() {
+    let _turn = take_turn();
+    let service = two_owners(8);
+    let addr = service.addr();
+    let observer = session(addr, "c0");
+    let mut author = RemoteWorker::connect_to(addr, "c0").unwrap();
+    for round in 0..3 {
+        settle();
+        let before = wakeups();
+        fill(&mut author, &format!("player-{round}"));
+        let frame = observer.recv().expect("broadcast");
+        assert!(matches!(decoded(&frame), Reply::Msg(_)));
+        settle();
+        assert_eq!(wakeups() - before, 1, "round {round}");
+    }
+    author.bye();
+    drop(observer);
+    service.stop();
+}
+
+/// The shard that accepted a connection is not the one that serves it: of
+/// two sessions dealt to the two shards, one is handed over, and from then
+/// on every visit either gets is the owner's.
+#[test]
+fn a_session_is_served_by_the_shard_that_owns_its_collection() {
+    let _turn = take_turn();
+    let service = two_owners(32);
+    let addr = service.addr();
+    let handovers = counter("crowdfill_reactor_handovers");
+    let mut workers = [
+        RemoteWorker::connect_to(addr, "c0").unwrap(),
+        RemoteWorker::connect_to(addr, "c0").unwrap(),
+    ];
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 1);
+    settle();
+    let visits = |shard: usize| counter(&format!("crowdfill_reactor_shard_{shard}_conn_visits"));
+    let before = [visits(0), visits(1)];
+    for i in 0..10 {
+        for (w, worker) in workers.iter_mut().enumerate() {
+            fill(worker, &format!("player-{w}-{i}"));
+        }
+    }
+    let mut after = [visits(0) - before[0], visits(1) - before[1]];
+    after.sort();
+    assert_eq!(after[0], 0, "both shards served the collection: {after:?}");
+    assert!(after[1] >= 20, "20 fills in {} visits?", after[1]);
+    workers.into_iter().for_each(RemoteWorker::bye);
+    service.stop();
+}
+
 /// (iii) Every wake source, alone, unblocks a blocked shard. No timers are
 /// configured, so before each row the shards are blocked with no timeout.
 #[test]
 fn every_wake_source_unblocks_a_blocked_shard() {
     let _turn = take_turn();
-    let service =
-        TcpService::start_with(Backend::new(config(8)), "127.0.0.1:0", two_shards()).unwrap();
+    let service = two_owners(8);
     let addr = service.addr();
 
     // A new connection is injected (and its first request bytes arrive).
+    // Two in a row are dealt to different shards, so one of the handshakes
+    // is answered only if its hand-over woke the owner.
     settle();
-    let watcher = within(WATCHDOG, "inject", move || session(addr, "default"));
-    let mut worker = within(WATCHDOG, "inject", move || {
-        RemoteWorker::connect(addr).unwrap()
+    let handovers = counter("crowdfill_reactor_handovers");
+    let watcher = within(WATCHDOG, "inject", move || session(addr, "c0"));
+    let mut worker = within(WATCHDOG, "inject or hand-over", move || {
+        RemoteWorker::connect_to(addr, "c0").unwrap()
     });
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 1);
 
     // Request bytes arrive on an established, idle connection.
     settle();
@@ -207,25 +284,11 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         let snapshot = worker.stats().unwrap();
         (worker, snapshot)
     });
-    let (mut worker, snapshot) = snapshot;
+    let (worker, snapshot) = snapshot;
     assert!(snapshot.contains("crowdfill_reactor_wakeups"));
 
-    // A parked reply completes (the ack comes from the apply thread), and
-    // the fill's broadcast is enqueued for `watcher`, which lives on the
-    // other shard and has been silent since its handshake.
-    settle();
-    let worker = within(WATCHDOG, "parked reply", move || {
-        fill(&mut worker, "Messi");
-        worker
-    });
-    let watcher = within(WATCHDOG, "broadcast to the other shard", move || {
-        let frame = watcher.recv().expect("broadcast");
-        assert!(matches!(decoded(&frame), Reply::Msg(_)));
-        watcher
-    });
-
-    // An off-shard close: disconnect_all pushes one `Wake::Close` per
-    // session; the shards must wake and retire them.
+    // An off-shard close: disconnect_all pushes one `Wake::CloseAll` per
+    // shard; the owner must wake and retire its sessions.
     settle();
     let disconnects = counter("crowdfill_server_disconnects");
     assert_eq!(service.disconnect_all(), 2);
@@ -238,7 +301,9 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     drop(worker);
 
     // stop() with 64 idle connections.
-    let idle: Vec<TcpConn> = (0..64).map(|_| session(addr, "default")).collect();
+    let idle: Vec<TcpConn> = (0..64)
+        .map(|i| session(addr, &format!("c{}", i % 8)))
+        .collect();
     settle();
     let took = within(WATCHDOG, "stop", move || {
         let start = Instant::now();
@@ -249,10 +314,10 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     drop(idle);
 }
 
-/// (iv) Eviction is a deadline of the shard's own: the lagging transition
-/// wakes it once to start the clock, and `evict_after` later the wait's
+/// (iv) Eviction is a deadline of the shard's own: the delivery that turns
+/// the session lagging starts the clock, and `evict_after` later the wait's
 /// timeout does the rest. Going lagging needs a paced writer (an unpaced
-/// shard drains the outbox faster than anything fills it); ten seconds of
+/// shard drains the queue as fast as it fills it); ten seconds of
 /// pace is a deadline this test never reaches, and nothing is sent after
 /// the third fill, so the eviction deadline is the only thing that can
 /// wake the shard.
@@ -274,7 +339,7 @@ fn eviction_deadline_unblocks_the_shard() {
     let mut worker = RemoteWorker::connect(addr).unwrap();
     let evictions = counter("crowdfill_server_evictions");
     // First broadcast goes out, the second waits for the pace, the third
-    // finds the one-frame outbox full: lagging, and then silence.
+    // finds the one-frame queue full: lagging, and then silence.
     for i in 0..3 {
         fill(&mut worker, &format!("player-{i}"));
     }
@@ -316,6 +381,42 @@ fn idle_timeout_fires_on_a_silent_service() {
         counter("crowdfill_server_idle_disconnects"),
         idle_disconnects + 1
     );
+    service.stop();
+}
+
+/// (iv) A batch's fill window is a deadline of the shard's own, not a
+/// thread asleep somewhere: a lone fill under `max_wait` is admitted by the
+/// wake that read it and applied, broadcast and acked by the one its
+/// deadline causes — two wakes, no sooner than the window.
+#[test]
+fn a_batch_fill_window_ends_on_the_shards_deadline() {
+    let _turn = take_turn();
+    let window = Duration::from_millis(40);
+    let options = ServiceOptions {
+        batch: BatchOptions {
+            max_batch: 64,
+            max_wait: window,
+        },
+        ..two_shards()
+    };
+    let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+    let observer = session(addr, "default");
+    let mut author = RemoteWorker::connect(addr).unwrap();
+    settle();
+    let before = wakeups();
+    // The sessions come back out: closing one is a wake of its own.
+    let (took, sessions) = within(WATCHDOG, "the window's end", move || {
+        let sent = Instant::now();
+        fill(&mut author, "Messi");
+        let frame = observer.recv().expect("broadcast");
+        assert!(matches!(decoded(&frame), Reply::Msg(_)));
+        (sent.elapsed(), (author, observer))
+    });
+    assert!(took >= window, "applied {:?} early", window - took);
+    settle();
+    assert_eq!(wakeups() - before, 2);
+    drop(sessions);
     service.stop();
 }
 

@@ -519,3 +519,123 @@ fn auto_true_over_a_raw_socket_exempts_nothing_but_the_completion_upvote() {
     honest.bye();
     service.stop();
 }
+
+/// A raw session with a replica behind it: the requests are the client's
+/// own, when they are sent and what is read back is the test's.
+fn join(service: &TcpService) -> (TcpConn, crowdfill_server::ClientCore) {
+    let conn = TcpConn::connect(service.addr()).unwrap();
+    send(&conn, Request::Hello(None));
+    let welcome = conn.recv_timeout(WAIT).expect("welcome");
+    let core = crowdfill_server::ClientCore::welcomed(&welcome, None, None).unwrap();
+    (conn, core)
+}
+
+/// The next frame, broadcasts included.
+fn recv_any(conn: &TcpConn) -> Reply<'static> {
+    let frame = conn.recv_timeout(WAIT).expect("a frame");
+    Reply::decode(&wire::parse_frame(&frame).unwrap()).unwrap()
+}
+
+/// What two authors' sockets deliver into one batch is one backend call:
+/// it journals as **one** WAL frame and reaches a third session as one
+/// `batch` frame, in log order — and each author gets the other's message,
+/// its own only as the seq in its ack. The batch is pinned without a clock:
+/// `max_batch` = 2 under a fill window nobody waits out, so the first fill
+/// is held until the second completes the batch.
+#[test]
+fn two_authors_one_batch_is_one_wal_frame_and_one_broadcast_frame() {
+    use crowdfill_server::persist::{self, DurabilityOptions, JournalRecord};
+    use crowdfill_server::{BatchOptions, ServiceOptions};
+
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("crowdfill-tcp-one-frame-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityOptions {
+        fsync: crowdfill_docstore::FsyncPolicy::OsOnly,
+        ..DurabilityOptions::default()
+    };
+    let backend = persist::open_or_recover(config(2), &dir, &durability).unwrap();
+    let options = ServiceOptions {
+        batch: BatchOptions {
+            max_batch: 2,
+            max_wait: Duration::from_secs(600),
+        },
+        ..ServiceOptions::default()
+    };
+    let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
+    let mut authors = [join(&service), join(&service)];
+    let (observer, _) = join(&service);
+
+    for (k, (conn, core)) in authors.iter_mut().enumerate() {
+        let row = core.view().replica().table().row_ids().nth(k).unwrap();
+        let fill = core.fill(row, ColumnId(0), Value::text(format!("player-{k}")), false);
+        send(conn, fill.unwrap().remove(0));
+    }
+    // Each author: its ack and the other's message, in either order.
+    let mut acked = Vec::new();
+    let mut seen = Vec::new();
+    for (conn, _) in &authors {
+        for _ in 0..2 {
+            match recv_any(conn) {
+                Reply::Ack(_, _, seqs, _) => acked.extend(seqs),
+                Reply::Msg(other) => seen.push(other.seq),
+                other => panic!("unexpected frame: {other:?}"),
+            }
+        }
+    }
+    acked.sort();
+    seen.sort();
+    assert_eq!(acked.len(), 2);
+    assert_eq!(seen, acked, "each author saw the other's op, not its own");
+    // The observer: one frame for both, in log order.
+    let Reply::Batch(msgs) = recv_any(&observer) else {
+        panic!("the batch did not arrive as one frame");
+    };
+    let seqs: Vec<u64> = msgs.iter().map(|m| m.seq).collect();
+    assert_eq!(seqs, acked);
+
+    drop((authors, observer));
+    service.stop();
+    let mut frames = Vec::new();
+    let replay = |record: &[u8]| {
+        if let Some(JournalRecord::Frame(frame)) = persist::decode_journal_record(record) {
+            frames.push((frame.from, frame.entries.len()));
+        }
+    };
+    crowdfill_docstore::Wal::open(dir.join("journal.wal"), replay).unwrap();
+    assert_eq!(frames, [(acked[0], 2)], "one batch, one journal frame");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A connection that pipelines is answered in request order: two fills —
+/// the second of the row the first creates, so applying them out of order
+/// would reject it — and a `sync` sent behind them without waiting come
+/// back as ack, ack, synced, and the `synced` covers both.
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    let service = TcpService::start(crowdfill_server::Backend::new(config(1)), "127.0.0.1:0");
+    let service = service.unwrap();
+    let (conn, mut core) = join(&service);
+    let row = core.view().replica().table().row_ids().next().unwrap();
+    let first = core.fill(row, ColumnId(0), Value::text("Messi"), false);
+    let row = core.view().replica().table().row_ids().next().unwrap();
+    let second = core.fill(row, ColumnId(1), Value::text("Argentina"), false);
+    for request in [first.unwrap().remove(0), second.unwrap().remove(0)] {
+        send(&conn, request);
+    }
+    send(&conn, Request::Sync(Cursor::default()));
+
+    let Reply::Ack(_, _, first, _) = recv_any(&conn) else {
+        panic!("first reply is not the first ack");
+    };
+    let Reply::Ack(_, _, second, _) = recv_any(&conn) else {
+        panic!("second reply is not the second ack");
+    };
+    assert!(first[0] < second[0], "{first:?} then {second:?}");
+    let Reply::Synced(history_len, _) = recv_any(&conn) else {
+        panic!("third reply is not the synced");
+    };
+    assert!(history_len > second[0]);
+    drop(conn);
+    service.stop();
+}

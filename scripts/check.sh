@@ -48,6 +48,15 @@ if grep -rn '"type"' crates/server/src crates/bench/src \
   echo "check.sh: a frame-type literal outside wire.rs; build and read frames with wire::{Request, Reply}" >&2
   exit 1
 fi
+# One loop: the shard that read an op applies, journals, broadcasts and
+# acks it (DESIGN.md §13.1). The batch pipeline is a plain struct — it
+# spawns nothing and sends nothing to another thread — and no wake carries
+# a reply or a broadcast between threads.
+if grep -n "thread::Builder\|thread::spawn\|crossbeam" crates/server/src/batch.rs \
+  || grep -rn "Wake::Reply\|Wake::Broadcast" crates/server/src; then
+  echo "check.sh: an apply thread or a cross-thread reply/broadcast wake; the owner shard does it in its sweep" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
