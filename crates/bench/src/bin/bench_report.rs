@@ -286,13 +286,13 @@ fn trace_overhead_suite(quick: bool) -> Vec<Entry> {
 /// replay with no sampler vs a sampler diffing the global registry at an
 /// aggressive period (far shorter than the production 250 ms default).
 /// The acceptance bound holds `on` within 2% of `off`: the sampler runs
-/// on its own thread and the instruments it reads are lock-free, so the
-/// hot path should not feel it. Off and on reps are interleaved — the
-/// sampler (re)started around each on-rep — so clock-frequency and cache
-/// drift over the run land on both sides equally; a sequential A-then-B
-/// layout shows multi-percent phantom deltas on shared runners.
+/// on another thread (in the product, another shard's) and the instruments
+/// it reads are lock-free, so the hot path should not feel it. Off and on
+/// reps are interleaved — the sampler (re)started around each on-rep — so
+/// clock-frequency and cache drift over the run land on both sides
+/// equally; a sequential A-then-B layout shows multi-percent phantom
+/// deltas on shared runners.
 fn health_overhead_suite(quick: bool) -> Vec<Entry> {
-    use crowdfill_obs::timeseries::{RegistryRef, Sampler, SamplerOptions};
     let (rows, workers, reps) = if quick { (16, 4, 5) } else { (96, 4, 25) };
     eprintln!("health overhead workload: {rows} rows, {workers} workers, {reps} interleaved reps");
     let jobs = record_fill_workload(rows, workers);
@@ -308,24 +308,39 @@ fn health_overhead_suite(quick: bool) -> Vec<Entry> {
         replay_batched(&jobs, rows, workers, 32, None);
         off.push(start.elapsed().as_nanos());
 
-        // 5 ms period: 50x the production sampling rate, to make any
-        // hot-path interference visible above measurement noise.
-        let sampler = Sampler::start(
-            RegistryRef::Global,
-            SamplerOptions {
-                period: std::time::Duration::from_millis(5),
-                capacity: 1 << 14,
-            },
-        );
-        let start = Instant::now();
-        replay_batched(&jobs, rows, workers, 32, None);
-        on.push(start.elapsed().as_nanos());
-        drop(sampler);
+        on.push(beside_a_sampler(|| {
+            let start = Instant::now();
+            replay_batched(&jobs, rows, workers, 32, None);
+            start.elapsed().as_nanos()
+        }));
     }
     vec![
         reduce("apply_sampled/off", ops, reps, off),
         reduce("apply_sampled/on", ops, reps, on),
     ]
+}
+
+/// Runs `body` beside a thread diffing the global registry every 5 ms —
+/// 50x the production sampling rate, to make any hot-path interference
+/// visible above measurement noise. The product's situation on a
+/// multi-shard service: one shard samples while another applies.
+fn beside_a_sampler<T>(body: impl FnOnce() -> T) -> T {
+    use crowdfill_obs::timeseries::{DeltaTracker, SampleRing};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (ring, done) = (SampleRing::new(1 << 14), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (started, mut tracker) = (Instant::now(), DeltaTracker::new());
+            while !done.load(Ordering::Relaxed) {
+                let at_ns = started.elapsed().as_nanos() as u64;
+                ring.push(tracker.sample(crowdfill_obs::metrics::global(), at_ns));
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        });
+        let out = body();
+        done.store(true, Ordering::Relaxed);
+        out
+    })
 }
 
 /// The overload stress suite: seeded open-loop storms against a tiny
@@ -583,7 +598,6 @@ fn recovery_suite(quick: bool) -> Vec<Entry> {
 /// into the name so quick and full runs never collide in the compare.
 fn progress_suite(quick: bool) -> Vec<Entry> {
     use crowdfill_bench::progress::{autostop, score_schedule, CHECKPOINTS};
-    use crowdfill_obs::timeseries::{RegistryRef, Sampler, SamplerOptions};
     use crowdfill_server::ProgressTracker;
     use crowdfill_sim::{species_streakers, species_zipf};
 
@@ -802,20 +816,14 @@ fn progress_suite(quick: bool) -> Vec<Entry> {
     let mut off: Vec<u128> = Vec::with_capacity(reps);
     let mut on: Vec<u128> = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let sampler = Sampler::start(
-            RegistryRef::Global,
-            SamplerOptions {
-                period: std::time::Duration::from_millis(5),
-                capacity: 1 << 14,
-            },
-        );
-        let start = Instant::now();
-        replay(false);
-        off.push(start.elapsed().as_nanos());
-        let start = Instant::now();
-        replay(true);
-        on.push(start.elapsed().as_nanos());
-        drop(sampler);
+        beside_a_sampler(|| {
+            let start = Instant::now();
+            replay(false);
+            off.push(start.elapsed().as_nanos());
+            let start = Instant::now();
+            replay(true);
+            on.push(start.elapsed().as_nanos());
+        });
     }
     entries.push(reduce(
         &format!("apply_progress/off-{rows}r"),

@@ -30,6 +30,7 @@ use crate::poller::{Event, Interest, Poller};
 use crowdfill_obs::metrics::{counter, Counter};
 use crowdfill_obs::obs_warn;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -288,15 +289,32 @@ impl TcpServer {
         TcpConn::from_stream(stream)
     }
 
-    /// Accepts the next incoming connection as a raw stream (blocking).
+    /// Accepts the next incoming connection as a raw stream (blocking,
+    /// unless [`set_nonblocking`](Self::set_nonblocking) said otherwise).
     /// The readiness-driven connection layer drives many of these from one
     /// [`Poller`] with a [`FrameReader`]/[`FrameWriter`](crate::FrameWriter)
     /// each, where a [`TcpConn`] parks its caller on one.
     pub fn accept_raw(&self) -> Result<TcpStream, ConnError> {
-        let (stream, _) = self.listener.accept().map_err(io_err)?;
+        let (stream, _) = self.listener.accept().map_err(|e| match e.kind() {
+            std::io::ErrorKind::WouldBlock => ConnError::Empty,
+            _ => io_err(e),
+        })?;
         self.accepts.inc();
         stream.set_nodelay(true).map_err(io_err)?;
         Ok(stream)
+    }
+
+    /// Makes the listener one more fd of a [`Poller`] (it is `AsRawFd`):
+    /// readable means a connection is waiting, and an `accept_raw` that
+    /// finds none returns [`ConnError::Empty`] instead of blocking.
+    pub fn set_nonblocking(&self) -> Result<(), ConnError> {
+        self.listener.set_nonblocking(true).map_err(io_err)
+    }
+}
+
+impl AsRawFd for TcpServer {
+    fn as_raw_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
     }
 }
 
@@ -447,6 +465,23 @@ mod tests {
             assert_eq!(conn.try_recv(), Err(ConnError::Empty));
         }
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    /// A nonblocking listener is a fd a poller can wait on: readable once a
+    /// connection is waiting, and empty — not parked — once it is taken.
+    #[test]
+    fn nonblocking_listener_is_readable_when_a_connection_waits() {
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        server.set_nonblocking().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(&server, 3, Interest::READ).unwrap();
+        assert_eq!(server.accept_raw().err(), Some(ConnError::Empty));
+        let _client = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, None).unwrap();
+        assert!(events[0].token == 3 && events[0].readable);
+        server.accept_raw().expect("the waiting connection");
+        assert_eq!(server.accept_raw().err(), Some(ConnError::Empty));
     }
 
     #[test]

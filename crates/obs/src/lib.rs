@@ -21,10 +21,11 @@
 //!   ([`SpeciesEstimator`](progress::SpeciesEstimator)) turning an
 //!   observation stream into completeness estimates with confidence
 //!   bands, for the progress/auto-stop layer (DESIGN.md §15).
-//! * [`timeseries`] — a background [`Sampler`](timeseries::Sampler)
-//!   diffing the registry into a bounded ring of timestamped deltas,
-//!   with windowed rates, quantile trends, and declarative
-//!   [`SloSpec`](timeseries::SloSpec) tracking with burn-rate gauges.
+//! * [`timeseries`] — a [`DeltaTracker`](timeseries::DeltaTracker)
+//!   diffing the registry into a bounded ring of timestamped deltas on
+//!   its owner's clock (no thread of its own), with windowed rates,
+//!   quantile trends, and declarative [`SloSpec`](timeseries::SloSpec)
+//!   tracking with burn-rate gauges.
 //! * [`trace`] — causal per-op tracing: deterministic
 //!   [`TraceId`](trace::TraceId)s/[`SpanId`](trace::SpanId)s, a bounded
 //!   lock-free [`FlightRecorder`](trace::FlightRecorder) ring of
@@ -56,8 +57,7 @@ pub use crate::metrics::{
 pub use crate::progress::{ProgressEstimate, SpeciesEstimator};
 pub use crate::span::SpanTimer;
 pub use crate::timeseries::{
-    DeltaTracker, RegistryRef, Sample, SampleDelta, SampleRing, Sampler, SamplerOptions, SloKind,
-    SloSpec, SloStatus,
+    DeltaTracker, Sample, SampleDelta, SampleRing, SloKind, SloSpec, SloStatus,
 };
 pub use crate::trace::{FlightRecorder, SpanId, Stage, TraceEvent, TraceId, TraceMode};
 

@@ -1,17 +1,17 @@
-//! Metric time series: a background sampler that periodically diffs the
-//! registry into a bounded ring of timestamped deltas, plus windowed
-//! queries (rates, quantile trends) and declarative SLO tracking over
-//! that ring.
+//! Metric time series: a [`DeltaTracker`] that diffs the registry into a
+//! bounded ring of timestamped deltas, plus windowed queries (rates,
+//! quantile trends) and declarative SLO tracking over that ring.
 //!
 //! The point-in-time instruments in [`metrics`](crate::metrics) answer
 //! "how many so far"; this module answers "how fast *right now*" and
-//! "is the last minute within budget". A [`Sampler`] thread calls
-//! [`MetricsRegistry::values`] every `period` and stores one [`Sample`]
-//! per tick: counter/histogram *deltas* against the previous tick and
-//! gauge last-values. The ring is bounded (oldest samples drop), so
-//! memory is fixed regardless of uptime. When no sampler is started
-//! nothing in this module runs — recording paths are untouched, so the
-//! disabled cost is zero.
+//! "is the last minute within budget". Whoever owns the tracker calls
+//! [`DeltaTracker::sample`] on its own clock — the server does it from a
+//! deadline of a reactor shard, this module starts no thread — and pushes
+//! one [`Sample`] per tick: counter/histogram *deltas* against the
+//! previous tick and gauge last-values. The ring is bounded (oldest
+//! samples drop), so memory is fixed regardless of uptime. When nobody
+//! samples nothing in this module runs — recording paths are untouched,
+//! so the disabled cost is zero.
 //!
 //! Windowed histogram queries reuse the log-bucket machinery:
 //! per-tick bucket deltas merge exactly ([`HistogramSnapshot::merge`])
@@ -28,9 +28,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -56,8 +54,8 @@ pub enum SampleDelta {
     },
 }
 
-/// One sampler tick: every registered instrument's delta, timestamped
-/// on the sampler's monotonic clock (nanoseconds since sampler start).
+/// One sampling tick: every registered instrument's delta, timestamped
+/// on the sampling owner's monotonic clock (nanoseconds since its start).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// When this tick was taken.
@@ -69,8 +67,8 @@ pub struct Sample {
 }
 
 /// Diffs successive [`MetricsRegistry::values`] readings into
-/// [`Sample`]s. Drives the [`Sampler`] thread; tests drive it directly
-/// with synthetic timestamps for determinism.
+/// [`Sample`]s. The server's accepting shard drives one from a deadline;
+/// tests drive it directly with synthetic timestamps for determinism.
 #[derive(Debug, Default)]
 pub struct DeltaTracker {
     prev: BTreeMap<String, InstrumentValue>,
@@ -259,105 +257,6 @@ impl SampleRing {
             Some(SampleDelta::Gauge { value }) => Some(*value),
             _ => None,
         }
-    }
-}
-
-/// Which registry a [`Sampler`] reads.
-#[derive(Clone)]
-pub enum RegistryRef {
-    /// The process-global registry ([`crate::metrics::global`]).
-    Global,
-    /// A scoped registry (tests, isolated runs).
-    Scoped(Arc<MetricsRegistry>),
-}
-
-impl RegistryRef {
-    fn get(&self) -> &MetricsRegistry {
-        match self {
-            RegistryRef::Global => crate::metrics::global(),
-            RegistryRef::Scoped(r) => r,
-        }
-    }
-}
-
-/// Sampler configuration.
-#[derive(Debug, Clone)]
-pub struct SamplerOptions {
-    /// Tick period. Default 250 ms.
-    pub period: Duration,
-    /// Ring capacity in ticks. Default 256 (64 s of history at the
-    /// default period).
-    pub capacity: usize,
-}
-
-impl Default for SamplerOptions {
-    fn default() -> SamplerOptions {
-        SamplerOptions {
-            period: Duration::from_millis(250),
-            capacity: 256,
-        }
-    }
-}
-
-/// Background thread snapshotting a registry into a [`SampleRing`] at a
-/// fixed period. Stops (and joins) on [`stop`](Sampler::stop) or drop.
-pub struct Sampler {
-    ring: Arc<SampleRing>,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Sampler {
-    /// Starts the sampler thread against `registry`.
-    pub fn start(registry: RegistryRef, options: SamplerOptions) -> Sampler {
-        let ring = Arc::new(SampleRing::new(options.capacity));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_ring = Arc::clone(&ring);
-        let thread_stop = Arc::clone(&stop);
-        let period = options.period.max(Duration::from_millis(1));
-        let handle = std::thread::Builder::new()
-            .name("obs-sampler".into())
-            .spawn(move || {
-                let started = Instant::now();
-                let mut tracker = DeltaTracker::new();
-                while !thread_stop.load(Ordering::Acquire) {
-                    let at_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    thread_ring.push(tracker.sample(registry.get(), at_ns));
-                    // Sleep in short slices so stop() joins promptly
-                    // even with a long period.
-                    let mut remaining = period;
-                    while !remaining.is_zero() && !thread_stop.load(Ordering::Acquire) {
-                        let slice = remaining.min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            })
-            .expect("spawn obs-sampler thread");
-        Sampler {
-            ring,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// The ring the thread is filling (shared; clone the `Arc` freely).
-    pub fn ring(&self) -> Arc<SampleRing> {
-        Arc::clone(&self.ring)
-    }
-
-    /// Signals the thread and joins it. Idempotent.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -820,38 +719,5 @@ mod tests {
         let status = spec.evaluate(&ring);
         assert!(status.ok);
         assert_eq!(status.burn_rate, 0.0);
-    }
-
-    #[test]
-    fn sampler_thread_fills_ring_and_stops() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let c = reg.counter("crowdfill_test_ts_bg_ops");
-        let mut sampler = Sampler::start(
-            RegistryRef::Scoped(Arc::clone(&reg)),
-            SamplerOptions {
-                period: Duration::from_millis(1),
-                capacity: 64,
-            },
-        );
-        c.add(42);
-        let ring = sampler.ring();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ring.len() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        sampler.stop();
-        assert!(ring.len() >= 3, "sampler never ticked");
-        let total: u64 = ring
-            .samples()
-            .iter()
-            .filter_map(|s| match s.deltas.get("crowdfill_test_ts_bg_ops") {
-                Some(SampleDelta::Counter { delta, .. }) => Some(*delta),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(total, 42);
-        // Timestamps are monotone.
-        let at: Vec<u64> = ring.samples().iter().map(|s| s.at_ns).collect();
-        assert!(at.windows(2).all(|w| w[0] <= w[1]));
     }
 }

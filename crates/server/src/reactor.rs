@@ -16,12 +16,19 @@
 //! connection attached to it, so everything an op needs — queue, backend,
 //! the author's socket and its peers' — is on the thread that read the
 //! op, and nothing about a connection or a queue is locked or handed
-//! between threads. The accept thread knows no collection: it deals fresh
-//! sockets round-robin among the shards that own any, and the shard that
-//! reads a `hello`/`resume` for a collection it does not own deregisters
-//! the socket and hands the whole connection, with the decoded request, to
-//! the owner over its wake queue ([`Wake::HandOver`]) — one hop, once per
-//! connection, and none at all on a service with one collection.
+//! between threads. So are its periodic jobs: the durability and progress
+//! ticks of a collection are deadlines of its owner, and the species
+//! estimator a progress tick feeds is a field of [`Owned`].
+//!
+//! One shard is also the *acceptor*: the lowest-indexed one that owns a
+//! collection. The listening socket is one more fd in its epoll set, and it
+//! takes the telemetry sample ([`DeltaTracker`]) that `health` requests on
+//! any shard read through the shared ring. The acceptor knows no collection
+//! until it has read the `hello`/`resume`; if that names one it does not
+//! own, it deregisters the socket and hands the whole connection, with the
+//! decoded request, to the owner over its wake queue ([`Wake::HandOver`]) —
+//! one hop, once per connection, and none at all on a service with one
+//! collection. The shards are all the threads there are.
 //!
 //! ## What wakes a shard
 //!
@@ -29,15 +36,24 @@
 //!
 //! * a socket of its own is readable, is writable while its
 //!   [`FrameWriter`] holds bytes, or hung up;
-//! * another thread pushed a [`Wake`] onto its queue: the accept thread
-//!   injects a socket, another shard hands a connection over,
-//!   `TcpService::disconnect_all` asks for every session's close, or
-//!   `TcpService::stop` raised the shutdown flag (one wake per shard
-//!   each);
-//! * its nearest deadline passed (`idle_timeout`, a `writer_pace`
-//!   release, a lagging connection's eviction, the end of a batch's
-//!   `max_wait` window), kept in a heap so the wait's timeout is one
-//!   `peek`; with no deadline pending the wait has no timeout.
+//! * the listener is readable (the acceptor only): it accepts until the
+//!   queue is empty, at most `ACCEPTS_PER_WAKE` per wake, and adopts each
+//!   socket on the spot, so a `hello` that is already in is served by the
+//!   sweep that accepted it;
+//! * another thread pushed a [`Wake`] onto its queue: another shard hands
+//!   a connection over, `TcpService::disconnect_all` asks for every
+//!   session's close, or `TcpService::stop` raised the shutdown flag (one
+//!   wake per shard each);
+//! * its nearest deadline ([`Due`]) passed — a connection's
+//!   (`idle_timeout`, a `writer_pace` release, the eviction of a lagging
+//!   session or of a socket that never finished its handshake), the end of
+//!   a batch's `max_wait` window, `Due::Sample` every `sample_period`, a
+//!   durability or progress tick over the shard's collections, or
+//!   `Due::Accept`, the end of the back-off after a failed `accept` — kept
+//!   in a heap so the wait's timeout is one `peek`; with no deadline
+//!   pending the wait has no timeout. A shard never sleeps: a listener
+//!   that cannot accept (`EMFILE`) loses its read interest until
+//!   `Due::Accept` gives it back, 10 ms later, doubling up to 1 s.
 //!
 //! ## What a wake does
 //!
@@ -88,8 +104,11 @@
 //! `sync` heals it, replaying exactly what was dropped. `writer_pace`
 //! spaces consecutive broadcast frames. The overflow starts the eviction
 //! clock; `evict_after` later the connection's deadline fires and the
-//! shard closes it unless a `sync` healed it first. Acks and other replies go straight to the
-//! [`FrameWriter`]: they are neither bounded by the queue nor paced.
+//! shard closes it unless a `sync` healed it first. A socket that has not
+//! completed its handshake `evict_after` after it was accepted goes the same
+//! way: a peer that never says `hello` does not hold a descriptor for good.
+//! Acks and other replies go straight to the [`FrameWriter`]: they are
+//! neither bounded by the queue nor paced.
 //!
 //! ## Per-collection fairness
 //!
@@ -103,13 +122,16 @@
 use crate::backend::BatchOp;
 use crate::batch::{BatchPipeline, Submission};
 use crate::overload::Priority;
+use crate::progress::ProgressTracker;
 use crate::tcp_service::{
-    broadcast_frames, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped, open_session,
-    poll_broadcasts, result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
+    broadcast_frames, durability_tick, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped,
+    open_session, poll_broadcasts, progress_slo_specs, progress_tick, publish_snapshot_age,
+    result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
 };
 use crate::wire::{self, Reply, Request};
-use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, WakeQueue};
+use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, TcpServer, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
+use crowdfill_obs::timeseries::{evaluate_slos, DeltaTracker};
 use crowdfill_obs::trace as obstrace;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
@@ -117,7 +139,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -196,10 +218,8 @@ pub(crate) fn owner_shard(collection: &str, shards: usize) -> usize {
 
 /// What another thread hands a shard blocked in `epoll_wait`.
 pub(crate) enum Wake {
-    /// A freshly accepted socket to adopt (accept thread).
-    Inject(TcpStream),
     /// A connection whose handshake — the request — names a collection
-    /// this shard owns, read by the shard the socket was dealt to.
+    /// this shard owns, read by the shard that accepted the socket.
     HandOver(Box<ConnState>, Request),
     /// Close every open session (`TcpService::disconnect_all`): a shard
     /// owns its sockets, so an off-shard close is a request, not a
@@ -210,9 +230,35 @@ pub(crate) enum Wake {
 /// One shard's wake queue, shared with everything that can wake it.
 pub(crate) type ShardWake = Arc<WakeQueue<Wake>>;
 
-/// The epoll token of a shard's own wake queue (connection tokens count
-/// up from zero and never get there).
+/// The epoll tokens of a shard's own wake queue and of the listener
+/// (connection tokens count up from zero and never get there).
 const WAKE_TOKEN: u64 = u64::MAX;
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
+
+/// Sockets accepted per wake; epoll is level-triggered, so the rest of a
+/// connect storm re-fires the listener and the sessions get served between.
+const ACCEPTS_PER_WAKE: usize = 64;
+
+/// How long the listener stays out of the epoll set after a failed
+/// `accept` (fd exhaustion, a transient socket error) — a level-triggered
+/// listener that cannot accept would otherwise spin its shard: 10 ms,
+/// doubling per consecutive failure up to 1 s; a success starts over.
+const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// The back-off after the one that was `wait`.
+fn next_backoff(wait: Duration) -> Duration {
+    (wait * 2).min(ACCEPT_BACKOFF_MAX)
+}
+
+/// What the acceptor holds besides its collections.
+struct Acceptor {
+    listener: TcpServer,
+    /// How long the next failed `accept` backs off.
+    backoff: Duration,
+    /// Diffs the registry into the telemetry ring on `Due::Sample`.
+    sampler: DeltaTracker,
+}
 
 /// One collection, as the shard that owns it holds it.
 struct Owned {
@@ -227,6 +273,9 @@ struct Owned {
     dirty: bool,
     /// The end of the batch fill window, while it is in the timer heap.
     armed: Option<Instant>,
+    /// The progress tick's state: the species estimator fed from this
+    /// collection's op log, and whether the stopping policy has acted.
+    progress: (ProgressTracker, bool),
 }
 
 impl Owned {
@@ -240,17 +289,27 @@ impl Owned {
     }
 }
 
-/// Spawns the shard pool, shard `i` owning the collections (and their
-/// pipelines) in `owned[i]`; returns the join handles and one wake queue
-/// per shard (the accept thread injects sockets round-robin, `stop` wakes
-/// them all). Each shard costs two descriptors, created here so that
-/// running out of them fails the start instead of a thread.
+/// Spawns the shard pool — every thread the service runs — shard `i`
+/// owning the collections (and their pipelines) in `owned[i]`, the first
+/// that owns any also the listener; returns the join handles and one wake
+/// queue per shard (`stop` wakes them all). Each shard costs two
+/// descriptors, created here so that running out of them fails the start
+/// instead of a thread.
 pub(crate) fn start_shards(
     owned: Vec<Vec<(Arc<Collection>, BatchPipeline)>>,
+    listener: TcpServer,
     shared: Arc<ServiceShared>,
-    shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<(Vec<std::thread::JoinHandle<()>>, Vec<ShardWake>)> {
     let n = owned.len();
+    let options = &shared.options;
+    let telemetry = options.telemetry.as_ref();
+    let progress = telemetry.and_then(|t| t.progress.as_ref());
+    listener.set_nonblocking().map_err(std::io::Error::other)?;
+    let mut acceptor = Some(Acceptor {
+        listener,
+        backoff: ACCEPT_BACKOFF_BASE,
+        sampler: DeltaTracker::new(),
+    });
     let mut pollers = Vec::with_capacity(n);
     let mut wakes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -261,7 +320,21 @@ pub(crate) fn start_shards(
         wakes.push(wake);
     }
     let mut handles = Vec::with_capacity(n);
+    let now = Instant::now();
     for (index, (poller, owned)) in pollers.into_iter().zip(owned).enumerate() {
+        // What is periodic is a deadline: the sample at once, a tick one
+        // interval from now; a shard that owns nothing has neither.
+        let mut timers = BinaryHeap::new();
+        let acceptor = acceptor.take_if(|_| !owned.is_empty());
+        if let Some(acceptor) = &acceptor {
+            poller.register(&acceptor.listener, LISTEN_TOKEN, Interest::READ)?;
+            timers.extend(telemetry.map(|_| Reverse((now, Due::Sample))));
+        }
+        if !owned.is_empty() {
+            let durability = options.durability.as_ref();
+            timers.extend(durability.map(|d| Reverse((now + d.interval, Due::Durability))));
+            timers.extend(progress.map(|p| Reverse((now + p.interval, Due::Progress))));
+        }
         let owned = owned.into_iter().map(|(collection, pipeline)| Owned {
             collection,
             pipeline,
@@ -269,27 +342,28 @@ pub(crate) fn start_shards(
             budget: (0, COLLECTION_FRAMES_PER_WAKE),
             dirty: false,
             armed: None,
+            progress: Default::default(),
         });
         let shard = Shard {
             index,
             poller,
             wakes: wakes.clone(),
             shared: Arc::clone(&shared),
+            acceptor,
             owned: owned.collect(),
             dirty: Vec::new(),
             conns: HashMap::new(),
             next_token: 0,
             wake_no: 0,
             run: Vec::new(),
-            timers: BinaryHeap::new(),
+            timers,
             visits: crowdfill_obs::metrics::counter(&format!(
                 "crowdfill_reactor_shard_{index}_conn_visits"
             )),
         };
-        let shutdown = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name(format!("crowdfill-shard-{index}"))
-            .spawn(move || shard.run(&shutdown))?;
+            .spawn(move || shard.run())?;
         handles.push(handle);
     }
     crowdfill_obs::obs_info!("server", "reactor started with {n} shards");
@@ -385,6 +459,9 @@ pub(crate) struct ConnState {
     /// Peer half-closed; serve what is buffered, then close.
     peer_eof: bool,
     dead: bool,
+    /// When the socket was accepted: a handshake has `evict_after` from
+    /// here, whatever trickles in meanwhile.
+    opened: Instant,
     last_activity: Instant,
     /// What the socket is registered for in the shard's epoll set.
     interest: Interest,
@@ -405,6 +482,7 @@ impl ConnState {
     fn new(stream: TcpStream) -> Option<ConnState> {
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
+        let opened = Instant::now();
         Some(ConnState {
             stream,
             token: 0, // the adopting shard's to assign
@@ -414,7 +492,8 @@ impl ConnState {
             closing: false,
             peer_eof: false,
             dead: false,
-            last_activity: Instant::now(),
+            opened,
+            last_activity: opened,
             interest: Interest::READ,
             hangup: false,
             queued: false,
@@ -426,7 +505,7 @@ impl ConnState {
 
     /// When this connection next needs a visit that no event will
     /// announce: its idle timeout, the release of a paced broadcast, or
-    /// its eviction if it is lagging.
+    /// its eviction if it is lagging or has not said `hello` yet.
     fn next_deadline(&self, shared: &ServiceShared) -> Option<Instant> {
         let overload = &shared.options.overload;
         let idle = shared.options.idle_timeout.map(|t| self.last_activity + t);
@@ -438,7 +517,7 @@ impl ConnState {
                     .and_then(|pace| session.last_broadcast_pop.map(|t| t + pace)),
                 session.lagging_since.map(|t| t + overload.evict_after),
             ),
-            Phase::Handshake => (None, None),
+            Phase::Handshake => (None, Some(self.opened + overload.evict_after)),
         };
         [idle, pace, evict].into_iter().flatten().min()
     }
@@ -465,6 +544,15 @@ enum Due {
     Conn(u64),
     /// The end of a collection's batch fill window, by slot.
     Batch(usize),
+    /// The end of the back-off after a failed `accept`: the listener gets
+    /// its read interest back.
+    Accept,
+    /// The telemetry sample, every `sample_period` (the acceptor's).
+    Sample,
+    /// The durability and the progress tick over the shard's collections,
+    /// every `interval` of theirs.
+    Durability,
+    Progress,
 }
 
 /// One shard thread's state.
@@ -474,6 +562,8 @@ struct Shard {
     /// Every shard's wake queue, this one's at `index`.
     wakes: Vec<ShardWake>,
     shared: Arc<ServiceShared>,
+    /// The listener and the sampler, on the one shard that accepts.
+    acceptor: Option<Acceptor>,
     /// The collections this shard owns; a `Collection::slot` indexes it.
     owned: Vec<Owned>,
     /// Slots of the collections to apply on this wake (each at most once,
@@ -487,16 +577,16 @@ struct Shard {
     /// `ConnState::queued`). Non-empty across a wait only for connections
     /// carried over with runnable work; the wait then does not block.
     run: Vec<u64>,
-    /// Pending deadlines, nearest first. An entry is live only while it
-    /// equals its owner's `armed`; superseded ones are skipped when they
-    /// surface.
+    /// Pending deadlines, nearest first. A connection's or a batch's
+    /// entry is live only while it equals its owner's `armed`; superseded
+    /// ones are skipped when they surface. A periodic one re-arms itself.
     timers: BinaryHeap<Reverse<(Instant, Due)>>,
     /// This shard's share of `crowdfill_reactor_conn_visits`.
     visits: Arc<Counter>,
 }
 
 impl Shard {
-    fn run(mut self, shutdown: &AtomicBool) {
+    fn run(mut self) {
         let mut events = Vec::new();
         let mut woken = Vec::new();
         loop {
@@ -511,25 +601,29 @@ impl Shard {
                 .wait(&mut events, timeout)
                 .expect("epoll_wait on the shard's own epoll fd");
             m_wakeups().inc();
+            let mut accept = false;
             for event in &events {
-                if event.token == WAKE_TOKEN {
-                    self.wakes[self.index].drain(&mut woken);
-                } else {
-                    self.schedule(event.token, event.hangup);
+                match event.token {
+                    WAKE_TOKEN => self.wakes[self.index].drain(&mut woken),
+                    LISTEN_TOKEN => accept = true,
+                    token => self.schedule(token, event.hangup),
                 }
             }
-            if shutdown.load(Ordering::SeqCst) {
+            // Before anything that was due: a tick that is overdue when
+            // `stop` raises the flag does not run, and the listener goes
+            // with the shard.
+            if self.shared.shutdown.load(Ordering::SeqCst) {
                 g_conns().add(-(self.conns.len() as i64));
                 for conn in self.conns.values_mut() {
                     retire(conn, &self.shared, &mut self.owned);
                 }
                 return;
             }
+            if accept {
+                self.accept();
+            }
             for wake in woken.drain(..) {
                 match wake {
-                    Wake::Inject(stream) => {
-                        ConnState::new(stream).and_then(|conn| self.adopt(conn));
-                    }
                     Wake::HandOver(conn, request) => {
                         let adopted = self.adopt(*conn);
                         if let Some(conn) = adopted.and_then(|token| self.conns.get_mut(&token)) {
@@ -582,6 +676,40 @@ impl Shard {
         }
     }
 
+    /// Accepts what is waiting on the listener, within the wake's bound,
+    /// and adopts it: the first visit of each socket is this sweep's. A
+    /// failed `accept` takes the listener out of the epoll set until
+    /// `Due::Accept`.
+    fn accept(&mut self) {
+        for _ in 0..ACCEPTS_PER_WAKE {
+            let Some(acceptor) = &mut self.acceptor else {
+                return;
+            };
+            match acceptor.listener.accept_raw() {
+                Ok(stream) => {
+                    acceptor.backoff = ACCEPT_BACKOFF_BASE;
+                    ConnState::new(stream).and_then(|conn| self.adopt(conn));
+                }
+                Err(ConnError::Empty) => return,
+                Err(_) => {
+                    self.shared.metrics.accept_errors.inc();
+                    let until = Instant::now() + acceptor.backoff;
+                    acceptor.backoff = next_backoff(acceptor.backoff);
+                    self.timers.push(Reverse((until, Due::Accept)));
+                    return self.listen(false);
+                }
+            }
+        }
+    }
+
+    /// Sets whether the listener's readiness wakes the shard.
+    fn listen(&mut self, read: bool) {
+        if let Some(acceptor) = &self.acceptor {
+            let interest = Interest { read, write: false };
+            let _ = (self.poller).rearm(&acceptor.listener, LISTEN_TOKEN, interest);
+        }
+    }
+
     /// Takes a connection — fresh, or handed over — under a token of this
     /// shard's, which it returns.
     fn adopt(&mut self, mut conn: ConnState) -> Option<u64> {
@@ -604,8 +732,10 @@ impl Shard {
         Some(token)
     }
 
-    /// Moves everything whose deadline has passed onto its list: a
-    /// connection onto the run list, a collection onto the dirty list.
+    /// Moves everything whose deadline has passed onto its list — a
+    /// connection onto the run list, a collection onto the dirty list — and
+    /// runs what is periodic, which then re-arms itself one period from
+    /// when it finished.
     fn fire_timers(&mut self) {
         if self.timers.is_empty() {
             return;
@@ -632,7 +762,56 @@ impl Shard {
                         mark_dirty(owned, slot, &mut self.dirty);
                     }
                 }
+                Due::Accept => self.listen(true),
+                Due::Sample | Due::Durability | Due::Progress => {
+                    // No period is short enough to spin the shard.
+                    let every = self.tick(due).max(Duration::from_millis(1));
+                    self.timers.push(Reverse((Instant::now() + every, due)));
+                }
             }
+        }
+    }
+
+    /// Runs one periodic job; returns its period. A tick is in the heap
+    /// only if its options are set (`start_shards`).
+    fn tick(&mut self, due: Due) -> Duration {
+        let shared = &*self.shared;
+        let telemetry = shared.options.telemetry.as_ref();
+        match due {
+            Due::Durability => {
+                let options = shared.options.durability.as_ref().expect("armed");
+                let ages = self
+                    .owned
+                    .iter()
+                    .map(|o| durability_tick(&o.collection, options));
+                if let Some(oldest) = ages.flatten().max() {
+                    publish_snapshot_age(&shared.snapshot_ages, self.index, oldest);
+                }
+                options.interval
+            }
+            Due::Progress => {
+                let options = telemetry.and_then(|t| t.progress.as_ref()).expect("armed");
+                for owned in &mut self.owned {
+                    let (tracker, acted) = &mut owned.progress;
+                    progress_tick(&owned.collection, options, tracker, acted);
+                }
+                options.interval
+            }
+            // One registry diff into the ring `health` reads, then the
+            // progress SLOs over it, once — their burn gauges ride the
+            // next sample.
+            Due::Sample => {
+                let acceptor = self.acceptor.as_mut().expect("armed");
+                let ring = &shared.telemetry.as_ref().expect("armed").ring;
+                let registry = crowdfill_obs::metrics::global();
+                let at_ns = shared.started.elapsed().as_nanos() as u64;
+                ring.push(acceptor.sampler.sample(registry, at_ns));
+                let progress = telemetry.and_then(|t| t.progress.as_ref());
+                let slos = progress.map_or(Vec::new(), |p| progress_slo_specs(p.target));
+                evaluate_slos(&slos, ring, registry);
+                telemetry.expect("armed").sample_period
+            }
+            Due::Conn(_) | Due::Batch(_) | Due::Accept => unreachable!("not periodic"),
         }
     }
 
@@ -912,19 +1091,22 @@ fn pump(conn: &mut ConnState, shared: &ServiceShared) {
         if popped && std::mem::take(&mut session.note_pending) {
             queue_frame(&mut conn.writer, &mut conn.dead, &Reply::Lagging);
         }
-        // The eviction clock runs out on the deadline `next_deadline` arms
-        // from it.
-        let evict_after = shared.options.overload.evict_after;
-        if (session.lagging_since).is_some_and(|since| since.elapsed() >= evict_after) {
-            m_evictions().inc();
-            crowdfill_obs::obs_warn!(
-                "server",
-                "evicting slow worker {} (lagging past {evict_after:?})",
-                session.worker.0
-            );
-            conn.dead = true;
-            return;
-        }
+    }
+    // The eviction clock — a lagging session's, or a handshake's from the
+    // accept — runs out on the deadline `next_deadline` arms from it.
+    let evict_after = shared.options.overload.evict_after;
+    let (clock, who) = match &conn.phase {
+        Phase::Active(session) => (session.lagging_since, Some(session.worker.0)),
+        Phase::Handshake => (Some(conn.opened), None),
+    };
+    if clock.is_some_and(|since| since.elapsed() >= evict_after) {
+        m_evictions().inc();
+        crowdfill_obs::obs_warn!(
+            "server",
+            "evicting a peer that did not keep up for {evict_after:?} (worker {who:?})"
+        );
+        conn.dead = true;
+        return;
     }
 
     // Flush as much as the socket accepts.
@@ -979,6 +1161,9 @@ fn serve_handshake(
             // cursor, which `open_session` left at the reply's end.
             owned[collection.slot].sessions.insert(worker, conn.token);
             shared.attached.fetch_add(1, Ordering::SeqCst);
+            // The handshake's eviction deadline is void: skipped, not
+            // visited, when it surfaces.
+            conn.armed = None;
             conn.phase = Phase::Active(Session {
                 slot: collection.slot,
                 worker,
@@ -1090,5 +1275,19 @@ fn serve_request(
             metrics.malformed_frames.inc();
             queue_frame(writer, dead, &Reply::reject("a session is already open"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The accept back-off on its own: 10, 20, 40 ms … capped at 1 s; a
+    /// success starts over from the base.
+    #[test]
+    fn accept_backoff_doubles_to_a_cap() {
+        let waits = std::iter::successors(Some(ACCEPT_BACKOFF_BASE), |w| Some(next_backoff(*w)));
+        let millis: Vec<u128> = waits.take(9).map(|w| w.as_millis()).collect();
+        assert_eq!(millis, [10, 20, 40, 80, 160, 320, 640, 1000, 1000]);
     }
 }

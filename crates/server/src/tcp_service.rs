@@ -43,14 +43,11 @@
 //!
 //! ## Threads
 //!
-//! Besides the shards: `crowdfill-accept`, `crowdfill-maintenance` (the one thread behind the
-//! durability and progress ticks, present only if one is configured) and
-//! the telemetry `obs-sampler`. *Stop means stopped*: when
-//! [`TcpService::stop`] or a drop returns, all of them have been joined.
-//! No connection owns a thread on either end: a client's
-//! [`TcpConn`](crowdfill_net::TcpConn) reads its own socket, so a process
-//! holding N [`RemoteWorker`](crate::RemoteWorker)s has the threads of one
-//! holding none.
+//! The shards, and nothing else: the listening socket, the telemetry
+//! sample and the durability and progress ticks are entries of a shard's
+//! loop (`reactor.rs`), and no connection owns a thread on either end.
+//! *Stop means stopped*: when [`TcpService::stop`] or a drop returns, every
+//! shard has been joined and the port is closed.
 //!
 //! ## Failure model
 //!
@@ -92,15 +89,13 @@ use crate::reactor::{self, ReactorOptions, ShardWake, Wake};
 use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
-use crowdfill_obs::timeseries::{
-    evaluate_slos, RegistryRef, SampleRing, Sampler, SamplerOptions, SloSpec,
-};
+use crowdfill_obs::timeseries::{evaluate_slos, SampleRing, SloSpec};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -111,11 +106,20 @@ pub(crate) fn batch_broadcast_frames() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_batch_broadcast_frames"))
 }
 
-/// Milliseconds since the newest durable checkpoint of any collection,
-/// refreshed by the durability sweep (worst case across collections).
-pub(crate) fn m_snapshot_age_ms() -> &'static crowdfill_obs::metrics::Gauge {
+/// Milliseconds since the newest durable checkpoint of the collection
+/// whose checkpoint is oldest, refreshed by the durability tick.
+fn m_snapshot_age_ms() -> &'static crowdfill_obs::metrics::Gauge {
     static G: OnceLock<Arc<crowdfill_obs::metrics::Gauge>> = OnceLock::new();
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_snapshot_age_ms"))
+}
+
+/// Records the oldest checkpoint age among one shard's collections and
+/// publishes the worst case over every shard's: each shard ticks for its
+/// own collections only, and the gauge must not be the last one's to tick.
+pub(crate) fn publish_snapshot_age(ages: &[AtomicU64], shard: usize, age_ms: u64) {
+    ages[shard].store(age_ms, Ordering::Relaxed);
+    let worst = ages.iter().map(|a| a.load(Ordering::Relaxed)).max();
+    m_snapshot_age_ms().set(worst.unwrap_or(age_ms) as i64);
 }
 
 /// 1 once the progress sweep's stopping policy closed a collection.
@@ -130,11 +134,12 @@ pub(crate) fn m_progress_reprice_milli() -> &'static crowdfill_obs::metrics::Gau
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_progress_reprice_factor_milli"))
 }
 
-/// The progress SLOs the sweep evaluates (DESIGN.md §15): completeness
-/// at or above the target, and budget-burn no faster than progress
-/// toward it. Evaluated only by the sweep — their burn gauges reach the
-/// `health` reply through the dynamic ring scan, so a collection far
-/// from its target burns these without tripping static-SLO assertions.
+/// The progress SLOs (DESIGN.md §15): completeness at or above the
+/// target, and budget-burn no faster than progress toward it. Evaluated
+/// where the ring changes — once per telemetry sample, by the shard that
+/// took it — and their burn gauges reach the `health` reply through the
+/// dynamic ring scan, so a collection far from its target burns these
+/// without tripping static-SLO assertions.
 pub(crate) fn progress_slo_specs(target: f64) -> Vec<SloSpec> {
     let window = Duration::from_secs(60);
     vec![
@@ -156,7 +161,7 @@ pub(crate) fn progress_slo_specs(target: f64) -> Vec<SloSpec> {
 
 /// Exports one progress report as gauges. Like the per-column health
 /// gauges these are process-global: with multiple collections the last
-/// sweep write wins.
+/// tick's write wins.
 fn publish_progress_gauges(report: &crate::progress::ProgressReport) {
     use crowdfill_obs::metrics::gauge;
     let o = &report.overall;
@@ -243,36 +248,37 @@ impl ServiceMetrics {
     }
 }
 
-/// Live-telemetry configuration: the background sampler feeding the
+/// Live-telemetry configuration: the periodic registry sample feeding the
 /// `health` request's windowed rates and SLO burn gauges (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Registry snapshot period for the background sampler.
+    /// Registry snapshot period: a deadline on the accepting shard.
     pub sample_period: Duration,
     /// Service-level objectives evaluated over the sampler ring on every
     /// `health` request; each publishes a
     /// `crowdfill_slo_<name>_burn_milli` gauge.
     pub slos: Vec<SloSpec>,
     /// Predictive progress (DESIGN.md §15): `Some` (the default) runs a
-    /// maintenance tick feeding the fill stream into the species
-    /// estimator, exporting `crowdfill_progress_*` gauges, evaluating
-    /// the progress SLOs, and applying the stopping policy. `None`
+    /// tick — a deadline on each collection's owner shard — feeding the
+    /// fill stream into the species estimator, exporting
+    /// `crowdfill_progress_*` gauges and applying the stopping policy;
+    /// the progress SLOs are evaluated once per sample. `None`
     /// runs no tick (the `health` reply still carries a progress
     /// section — it is computed from the trace on request).
     pub progress: Option<ProgressOptions>,
 }
 
-/// Knobs for the background progress sweep.
+/// Knobs for the progress tick.
 #[derive(Debug, Clone)]
 pub struct ProgressOptions {
-    /// How often the sweep advances each collection's estimator.
+    /// How often the tick advances each collection's estimator.
     pub interval: Duration,
     /// Completeness target for the gauges and progress SLOs.
     pub target: f64,
     /// Adaptive stopping, evaluated once per collection per tick. The
     /// first trigger acts (`Close` journals the closed marker via
     /// [`Backend::close`]; `Reprice` exports the recommended factor as
-    /// a gauge and logs it; `Alert` logs) and then latches — the sweep
+    /// a gauge and logs it; `Alert` logs) and then latches — the tick
     /// never acts twice on one collection. `None` only observes.
     pub policy: Option<StoppingPolicy>,
 }
@@ -313,8 +319,8 @@ impl Default for TelemetryOptions {
     }
 }
 
-/// The running telemetry state `health` requests read: the sampler's ring
-/// plus the SLOs to evaluate over it.
+/// The running telemetry state `health` requests read: the ring the
+/// accepting shard samples into, plus the SLOs to evaluate over it.
 pub(crate) struct ServiceTelemetry {
     pub(crate) ring: Arc<SampleRing>,
     pub(crate) slos: Vec<SloSpec>,
@@ -335,16 +341,18 @@ pub struct ServiceOptions {
     /// batch pipeline, write-buffer watermark and eviction policy for
     /// connections (DESIGN.md §9).
     pub overload: OverloadOptions,
-    /// Live telemetry: `Some` (the default) runs a background sampler and
-    /// serves windowed rates and SLO burn rates on `health` requests;
-    /// `None` disables the sampler thread entirely (a `health` request
-    /// still reports semantic telemetry, just no SLO evaluation).
+    /// Live telemetry: `Some` (the default) samples the registry on a
+    /// deadline of the accepting shard and serves windowed rates and SLO
+    /// burn rates on `health` requests; `None` arms no deadline (a
+    /// `health` request still reports semantic telemetry, just no SLO
+    /// evaluation).
     pub telemetry: Option<TelemetryOptions>,
     /// Tunables for the sharded reactor that drives the sockets.
     pub reactor: ReactorOptions,
-    /// Background durability sweep (DESIGN.md §14). `Some` runs a
-    /// maintenance tick that compacts any collection whose journal grew
-    /// past the threshold and keeps the snapshot-age gauge fresh; it only
+    /// Durability tick (DESIGN.md §14). `Some` arms a deadline on each
+    /// collection's owner shard that compacts the collection once its
+    /// journal grew past the threshold — the checkpoint write stalls that
+    /// shard — and keeps the snapshot-age gauge fresh; it only
     /// acts on backends that were opened with storage attached
     /// ([`crate::persist`]), so it is safe to enable for in-memory
     /// collections too. `None` (the default) runs no tick — checkpoints
@@ -353,10 +361,10 @@ pub struct ServiceOptions {
     pub durability: Option<DurabilitySweepOptions>,
 }
 
-/// Knobs for the background checkpoint/compaction sweep.
+/// Knobs for the checkpoint/compaction tick.
 #[derive(Debug, Clone)]
 pub struct DurabilitySweepOptions {
-    /// How often the sweep inspects each collection.
+    /// How often the tick inspects each collection.
     pub interval: Duration,
     /// Compact (checkpoint + truncate the journal) once a collection's
     /// journal reaches this many bytes.
@@ -385,155 +393,91 @@ impl Default for ServiceOptions {
     }
 }
 
-/// First sleep after a failed `accept` (doubles per consecutive failure),
-/// and the cap on it.
-const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(10);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
-
-/// One periodic job of the maintenance thread.
-struct Tick {
-    every: Duration,
-    due: Instant,
-    run: Box<dyn FnMut() + Send>,
-}
-
-impl Tick {
-    fn new(every: Duration, run: impl FnMut() + Send + 'static) -> Tick {
-        Tick {
-            every,
-            due: Instant::now() + every,
-            run: Box::new(run),
+/// The durability tick (DESIGN.md §14) for one collection, on its owner
+/// shard: compaction is driven by journal growth, not by traffic — a
+/// collection that went quiet right after a burst still gets its journal
+/// truncated. The shard holds the backend lock for the duration of one
+/// checkpoint write; sizing `compact_wal_bytes` bounds how much state that
+/// write covers. Returns the age of the newest checkpoint, if the
+/// collection keeps any.
+pub(crate) fn durability_tick(
+    collection: &Collection,
+    options: &DurabilitySweepOptions,
+) -> Option<u64> {
+    let mut b = collection.backend.lock();
+    if !b.has_snapshots() {
+        return None;
+    }
+    if b.wal_bytes() >= options.compact_wal_bytes {
+        match b.compact_storage() {
+            Ok(base) => crowdfill_obs::obs_info!(
+                "server",
+                "compacted collection journal";
+                collection => collection.name(),
+                base_seq => base,
+            ),
+            Err(e) => crowdfill_obs::obs_warn!(
+                "server",
+                "compaction failed: {e}";
+                collection => collection.name(),
+            ),
         }
     }
+    Some(b.snapshot_age_ms().unwrap_or(0))
 }
 
-/// Spawns `crowdfill-maintenance`, the one thread that runs the service's
-/// periodic jobs: parked until the nearest is due, unparked (and joined)
-/// by [`TcpService::halt`]. With nothing configured there is no thread.
-fn start_maintenance(
-    mut ticks: Vec<Tick>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<Option<std::thread::JoinHandle<()>>> {
-    if ticks.is_empty() {
-        return Ok(None);
-    }
-    std::thread::Builder::new()
-        .name("crowdfill-maintenance".into())
-        .spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                let now = Instant::now();
-                let nearest = ticks.iter().map(|t| t.due).min().expect("a tick");
-                if nearest > now {
-                    // An unpark that raced ahead of this park is not lost:
-                    // its token makes the park return at once.
-                    std::thread::park_timeout(nearest - now);
-                    continue;
-                }
-                for tick in ticks.iter_mut().filter(|t| t.due <= now) {
-                    (tick.run)();
-                    tick.due = Instant::now() + tick.every;
-                }
-            }
-        })
-        .map(Some)
-}
-
-/// The durability tick (DESIGN.md §14): compaction is driven by journal
-/// growth, not by traffic — a collection that went quiet right after a
-/// burst still gets its journal truncated. The tick holds a collection's
-/// backend lock for the duration of one checkpoint write; sizing
-/// `compact_wal_bytes` bounds how much state that write covers.
-fn durability_tick(collections: &Collections, options: &DurabilitySweepOptions) {
-    let mut oldest_age: Option<u64> = None;
-    for collection in collections.values() {
-        let mut b = collection.backend.lock();
-        if !b.has_snapshots() {
-            continue;
-        }
-        if b.wal_bytes() >= options.compact_wal_bytes {
-            match b.compact_storage() {
-                Ok(base) => crowdfill_obs::obs_info!(
-                    "server",
-                    "compacted collection journal";
-                    collection => collection.name(),
-                    base_seq => base,
-                ),
-                Err(e) => crowdfill_obs::obs_warn!(
-                    "server",
-                    "compaction failed: {e}";
-                    collection => collection.name(),
-                ),
-            }
-        }
-        let age = b.snapshot_age_ms().unwrap_or(0);
-        oldest_age = Some(oldest_age.map_or(age, |a| a.max(age)));
-    }
-    if let Some(age) = oldest_age {
-        m_snapshot_age_ms().set(age as i64);
-    }
-}
-
-/// The progress tick (DESIGN.md §15): advances each collection's species
-/// estimator over the ops appended since the last tick (O(new ops), not
-/// O(trace)), exports the forecast as gauges, evaluates the progress SLOs
-/// over the sampler ring, and applies the stopping policy at most once
-/// per collection: `trackers` holds each collection's estimator and
-/// whether the policy has acted on it.
-fn progress_tick(
-    collections: &Collections,
+/// The progress tick (DESIGN.md §15) for one collection, on its owner
+/// shard: advances the collection's species estimator over the ops
+/// appended since the last tick (O(new ops), not O(trace)), exports the
+/// forecast as gauges, and applies the stopping policy at most once:
+/// `acted` latches it.
+pub(crate) fn progress_tick(
+    collection: &Collection,
     progress: &ProgressOptions,
-    ring: &SampleRing,
-    specs: &[SloSpec],
-    trackers: &mut HashMap<String, (ProgressTracker, bool)>,
+    tracker: &mut ProgressTracker,
+    acted: &mut bool,
 ) {
-    for collection in collections.values() {
-        let (tracker, acted) = trackers.entry(collection.name.clone()).or_default();
-        let report = {
-            let b = collection.backend.lock();
-            tracker.advance(&b);
-            tracker.report(&b, progress.target)
-        };
-        publish_progress_gauges(&report);
-        let _ = evaluate_slos(specs, ring, crowdfill_obs::metrics::global());
-        let Some(policy) = &progress.policy else {
-            continue;
-        };
-        if *acted {
-            continue;
+    let report = {
+        let b = collection.backend.lock();
+        tracker.advance(&b);
+        tracker.report(&b, progress.target)
+    };
+    publish_progress_gauges(&report);
+    let Some(policy) = progress.policy.as_ref().filter(|_| !*acted) else {
+        return;
+    };
+    let Some(decision) = policy.evaluate(&report) else {
+        return;
+    };
+    *acted = true;
+    match decision.action {
+        StopAction::Close => {
+            collection.backend.lock().close();
+            m_progress_stopped().set(1);
+            crowdfill_obs::obs_info!(
+                "server",
+                "auto-stop closed collection: {}",
+                decision.reason;
+                collection => collection.name(),
+            );
         }
-        let Some(decision) = policy.evaluate(&report) else {
-            continue;
-        };
-        *acted = true;
-        match decision.action {
-            StopAction::Close => {
-                collection.backend.lock().close();
-                m_progress_stopped().set(1);
-                crowdfill_obs::obs_info!(
-                    "server",
-                    "auto-stop closed collection: {}",
-                    decision.reason;
-                    collection => collection.name(),
-                );
-            }
-            StopAction::Reprice => {
-                let factor = policy.reprice_factor(&decision);
-                m_progress_reprice_milli().set((factor * 1000.0).round() as i64);
-                crowdfill_obs::obs_warn!(
-                    "server",
-                    "auto-stop recommends repricing x{factor:.2}: {}",
-                    decision.reason;
-                    collection => collection.name(),
-                );
-            }
-            StopAction::Alert => {
-                crowdfill_obs::obs_warn!(
-                    "server",
-                    "auto-stop alert: {}",
-                    decision.reason;
-                    collection => collection.name(),
-                );
-            }
+        StopAction::Reprice => {
+            let factor = policy.reprice_factor(&decision);
+            m_progress_reprice_milli().set((factor * 1000.0).round() as i64);
+            crowdfill_obs::obs_warn!(
+                "server",
+                "auto-stop recommends repricing x{factor:.2}: {}",
+                decision.reason;
+                collection => collection.name(),
+            );
+        }
+        StopAction::Alert => {
+            crowdfill_obs::obs_warn!(
+                "server",
+                "auto-stop alert: {}",
+                decision.reason;
+                collection => collection.name(),
+            );
         }
     }
 }
@@ -542,7 +486,7 @@ fn progress_tick(
 /// that owns it — the one thread holding its batch pipeline (admission
 /// queue) and the connections attached to it. Per-collection isolation is
 /// structural: nothing but the listening socket, the shard pool, and the
-/// telemetry sampler is shared between collections.
+/// telemetry ring is shared between collections.
 pub struct Collection {
     name: String,
     pub(crate) backend: Arc<Mutex<Backend>>,
@@ -564,20 +508,24 @@ impl Collection {
     }
 }
 
-pub(crate) type Collections = Arc<HashMap<String, Arc<Collection>>>;
-
 /// Immutable per-service state shared by every reactor shard.
 pub(crate) struct ServiceShared {
-    pub(crate) collections: Collections,
+    pub(crate) collections: HashMap<String, Arc<Collection>>,
     /// The collection a handshake without a `"collection"` field attaches
     /// to (the first one passed to [`TcpService::start_multi`]).
     pub(crate) default_collection: String,
     pub(crate) started: Instant,
-    pub(crate) metrics: Arc<ServiceMetrics>,
-    pub(crate) options: Arc<ServiceOptions>,
+    pub(crate) metrics: ServiceMetrics,
+    pub(crate) options: ServiceOptions,
     pub(crate) telemetry: Option<Arc<ServiceTelemetry>>,
+    /// Raised by `stop`: a shard that wakes to it retires its connections
+    /// and returns.
+    pub(crate) shutdown: AtomicBool,
     /// Open sessions, all shards: what `disconnect_all` is about to close.
     pub(crate) attached: AtomicUsize,
+    /// Per shard, the oldest checkpoint age its last durability tick saw
+    /// ([`publish_snapshot_age`]).
+    pub(crate) snapshot_ages: Vec<AtomicU64>,
 }
 
 impl ServiceShared {
@@ -592,17 +540,11 @@ impl ServiceShared {
 pub struct TcpService {
     addr: SocketAddr,
     shared: Arc<ServiceShared>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Every thread the service runs.
     shard_threads: Vec<std::thread::JoinHandle<()>>,
     /// One wake queue per shard: how `stop` reaches a shard blocked in
     /// `epoll_wait`.
     shard_wakes: Vec<ShardWake>,
-    /// The `crowdfill-maintenance` thread, if any periodic tick is
-    /// configured; unparked and joined on `stop`.
-    maintenance: Option<std::thread::JoinHandle<()>>,
-    /// The background metrics sampler; joined on `stop` (and on drop).
-    sampler: Option<Sampler>,
 }
 
 impl TcpService {
@@ -643,37 +585,23 @@ impl TcpService {
         }
         let server = TcpServer::bind(addr)?;
         let addr = server.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
-        let metrics = Arc::new(ServiceMetrics::resolve());
         let default_collection = backends[0].0.clone();
 
-        // The telemetry sampler snapshots the global registry in the
-        // background; `health` requests read windowed rates and SLO burn
-        // from its ring. One sampler serves every collection (the metric
-        // registry is process-global). With telemetry off, no thread is
-        // spawned and the hot paths are untouched.
-        let (sampler, telemetry) = match &options.telemetry {
-            Some(t) => {
-                /// Sampler ring capacity in ticks: at the default period,
-                /// a minute of window and as much again.
-                const RING_CAPACITY: usize = 256;
-                let sampler = Sampler::start(
-                    RegistryRef::Global,
-                    SamplerOptions {
-                        period: t.sample_period,
-                        capacity: RING_CAPACITY,
-                    },
-                );
-                let telemetry = Arc::new(ServiceTelemetry {
-                    ring: sampler.ring(),
-                    slos: t.slos.clone(),
-                });
-                (Some(sampler), Some(telemetry))
-            }
-            None => (None, None),
-        };
-        let options = Arc::new(options);
+        // The accepting shard samples the global registry into this ring;
+        // `health` requests read windowed rates and SLO burn from it. One
+        // ring serves every collection (the metric registry is
+        // process-global). With telemetry off no deadline is armed and the
+        // hot paths are untouched.
+        /// Ring capacity in samples: at the default period, a minute of
+        /// window and as much again.
+        const RING_CAPACITY: usize = 256;
+        let telemetry = options.telemetry.as_ref().map(|t| {
+            Arc::new(ServiceTelemetry {
+                ring: Arc::new(SampleRing::new(RING_CAPACITY)),
+                slos: t.slos.clone(),
+            })
+        });
 
         // One pipeline per collection: admission, shedding, and batching
         // are per-collection, so a storm on one cannot fill another's
@@ -704,103 +632,36 @@ impl TcpService {
                 return Err(ConnError::Io("duplicate collection name".into()));
             }
         }
-        let collections: Collections = Arc::new(map);
         crowdfill_obs::obs_info!(
             "server",
             "tcp service listening on {addr} ({} collections)",
-            collections.len()
+            map.len()
         );
 
         let shared = Arc::new(ServiceShared {
-            collections: Arc::clone(&collections),
+            collections: map,
             default_collection,
             started,
-            metrics: Arc::clone(&metrics),
-            options: Arc::clone(&options),
+            metrics: ServiceMetrics::resolve(),
+            options,
             telemetry,
+            shutdown: AtomicBool::new(false),
             attached: AtomicUsize::new(0),
+            snapshot_ages: owned.iter().map(|_| AtomicU64::new(0)).collect(),
         });
 
-        // Everything spawned from here on is handed to `service` at once,
-        // so an early return drops — and thereby halts and joins — it.
-        let mut service = TcpService {
-            addr,
-            shared: Arc::clone(&shared),
-            shutdown: Arc::clone(&shutdown),
-            accept_thread: None,
-            shard_threads: Vec::new(),
-            shard_wakes: Vec::new(),
-            maintenance: None,
-            sampler,
-        };
-
-        let mut ticks = Vec::new();
-        if let Some(durability) = options.durability.clone() {
-            let collections = Arc::clone(&collections);
-            ticks.push(Tick::new(durability.interval, move || {
-                durability_tick(&collections, &durability)
-            }));
-        }
-        // The progress tick requires telemetry: its SLO burn gauges flow
-        // through the sampler ring.
-        if let (Some(progress), Some(t)) = (
-            options.telemetry.as_ref().and_then(|t| t.progress.clone()),
-            shared.telemetry.as_ref(),
-        ) {
-            let collections = Arc::clone(&collections);
-            let ring = Arc::clone(&t.ring);
-            let specs = progress_slo_specs(progress.target);
-            let mut trackers = HashMap::new();
-            ticks.push(Tick::new(progress.interval, move || {
-                progress_tick(&collections, &progress, &ring, &specs, &mut trackers)
-            }));
-        }
-        service.maintenance = start_maintenance(ticks, Arc::clone(&shutdown))
-            .map_err(|e| ConnError::Io(e.to_string()))?;
-
-        // Shard pool: the accept thread only hands fresh sockets to shards
-        // round-robin — to those that own a collection: any other could
-        // only pass the socket on — and a handshake moves the connection
-        // to the shard that owns its collection, where it stays for life.
-        let owners: Vec<bool> = owned.iter().map(|c| !c.is_empty()).collect();
-        (service.shard_threads, service.shard_wakes) =
-            reactor::start_shards(owned, Arc::clone(&shared), Arc::clone(&shutdown))
+        // The shards are the service: the first that owns a collection
+        // also takes the listener and the telemetry sample, and each runs
+        // the ticks of the collections it owns.
+        let (shard_threads, shard_wakes) =
+            reactor::start_shards(owned, server, Arc::clone(&shared))
                 .map_err(|e| ConnError::Io(e.to_string()))?;
-        let injects: Vec<ShardWake> = (service.shard_wakes.iter().zip(owners))
-            .filter(|(_, owns)| *owns)
-            .map(|(wake, _)| Arc::clone(wake))
-            .collect();
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_shared = shared;
-        let accept_thread = std::thread::Builder::new()
-            .name("crowdfill-accept".into())
-            .spawn(move || {
-                let mut backoff = ACCEPT_BACKOFF_BASE;
-                let mut next_shard = 0usize;
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    let stream = match server.accept_raw() {
-                        Ok(s) => s,
-                        Err(_) => {
-                            // A failed accept (fd exhaustion, transient
-                            // socket error) must not busy-spin the core:
-                            // back off, capped, and try again.
-                            accept_shared.metrics.accept_errors.inc();
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                            continue;
-                        }
-                    };
-                    backoff = ACCEPT_BACKOFF_BASE;
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    injects[next_shard % injects.len()].push(Wake::Inject(stream));
-                    next_shard = next_shard.wrapping_add(1);
-                }
-            })
-            .map_err(|e| ConnError::Io(e.to_string()))?;
-        service.accept_thread = Some(accept_thread);
-        Ok(service)
+        Ok(TcpService {
+            addr,
+            shared,
+            shard_threads,
+            shard_wakes,
+        })
     }
 
     /// Forcibly closes every open session at once, across all
@@ -840,31 +701,20 @@ impl TcpService {
     }
 
     /// Stops the service. When this returns (dropping the service does
-    /// the same) no thread the service started is alive — sampler,
-    /// maintenance, accept and shards are joined here — and the caller's
+    /// the same) no thread the service started is alive — they are the
+    /// shards, joined here — the port is closed, and the caller's
     /// [`backend`](Self::backend) handles are the only ones left.
     pub fn stop(mut self) {
         self.halt();
     }
 
     /// The body of `stop`, callable again from `Drop` (every step is a
-    /// no-op the second time).
+    /// no-op the second time): raise the flag, one wake per shard — they
+    /// are blocked in `epoll_wait`, not polling the flag — and join them.
+    /// A tick that was due does not run; the accepting shard drops the
+    /// listener on its way out.
     fn halt(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(mut s) = self.sampler.take() {
-            s.stop();
-        }
-        if let Some(t) = self.maintenance.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            // Unblock the accept() call (a bare socket: a `TcpConn` would
-            // start a reader thread that outlives this function).
-            let _ = std::net::TcpStream::connect(self.addr);
-            let _ = t.join();
-        }
-        // The shards are blocked in epoll_wait, not polling the flag.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         for wake in self.shard_wakes.drain(..) {
             wake.wake();
         }
@@ -1234,6 +1084,19 @@ mod tests {
         assert_eq!(count, 1, "{:?}", report.slos);
         // The progress section rides along even on an empty collection.
         assert!(report.progress.is_some());
+    }
+
+    /// The snapshot-age gauge is the worst case over every shard's
+    /// collections, not the last shard's to tick.
+    #[test]
+    fn snapshot_age_gauge_is_the_worst_case_over_all_shards() {
+        let ages = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+        publish_snapshot_age(&ages, 1, 9_000);
+        assert_eq!(m_snapshot_age_ms().get(), 9_000);
+        publish_snapshot_age(&ages, 2, 40);
+        assert_eq!(m_snapshot_age_ms().get(), 9_000, "last shard won");
+        publish_snapshot_age(&ages, 1, 10); // it compacted
+        assert_eq!(m_snapshot_age_ms().get(), 40);
     }
 
     /// The progress SLO pair: spec names and gauge wiring stay aligned

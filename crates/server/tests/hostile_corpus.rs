@@ -9,7 +9,8 @@
 //! moved the table; the image must have moved with it). Run it in a debug
 //! build: that is where `Replica::process` asserts Lemma 3 after every
 //! message, so a shape that breaks it is a panic on the collection's shard
-//! and a dead session here.
+//! and a dead session here. One peer is hostile by saying nothing at all:
+//! its socket must not outlive the handshake deadline.
 
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
@@ -18,8 +19,11 @@ use crowdfill_model::{
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_obs::trace::TraceId;
 use crowdfill_server::wire::{self, Op, Reply, Request};
-use crowdfill_server::{Backend, RemoteWorker, TaskConfig, TcpService};
+use crowdfill_server::{
+    Backend, OverloadOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+};
 use crowdfill_sync::Replica;
+use std::io::Read;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,7 +62,16 @@ fn assert_master_is_its_image(backend: &Backend, case: &str) {
 fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
     let quorum = Arc::new(QuorumMajority::of_three());
     let config = TaskConfig::new(schema(), quorum, Template::cardinality(2), 10.0);
-    let service = TcpService::start(Backend::new(config), "127.0.0.1:0").unwrap();
+    let options = ServiceOptions {
+        overload: OverloadOptions {
+            evict_after: Duration::from_millis(500),
+            ..OverloadOptions::default()
+        },
+        ..ServiceOptions::default()
+    };
+    let service = TcpService::start_with(Backend::new(config), "127.0.0.1:0", options).unwrap();
+    // The peer that never says `hello`: looked at again after the corpus.
+    let mut silent = std::net::TcpStream::connect(service.addr()).unwrap();
 
     // An honest worker completes one row, which kills the two rows of its
     // lineage and leaves a complete value with one upvote.
@@ -187,6 +200,16 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
         }
     }
     assert_eq!(cases, 66);
+
+    // The silent socket cost the server a descriptor for `evict_after`,
+    // not for good: the server closed it, whatever else went on.
+    let timeout = Some(Duration::from_secs(10));
+    silent.set_read_timeout(timeout).unwrap();
+    match silent.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("a socket that never said hello is still held: {other:?}"),
+    }
 
     // The honest worker was not harmed: it catches up and equals the master.
     honest.sync().unwrap();

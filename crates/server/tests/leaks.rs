@@ -7,7 +7,8 @@ use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_server::wire::Request;
 use crowdfill_server::{
-    Backend, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+    Backend, DurabilitySweepOptions, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig,
+    TcpService,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -51,10 +52,14 @@ fn threads() -> usize {
     thread_names().len()
 }
 
-/// The threads a service started: everything the product names.
+/// Whether a thread of this name is one a service started: everything the
+/// product names.
+fn ours(name: &str) -> bool {
+    name.starts_with("crowdfill-") || name.starts_with("obs-")
+}
+
 fn service_threads() -> Vec<String> {
-    let ours = |name: &String| name.starts_with("crowdfill-") || name.starts_with("obs-");
-    thread_names().into_iter().filter(ours).collect()
+    thread_names().into_iter().filter(|n| ours(n)).collect()
 }
 
 fn open_fds() -> usize {
@@ -101,14 +106,44 @@ fn two_shards() -> ServiceOptions {
 }
 
 /// What a started two-shard service runs, however many collections it
-/// hosts and connections it holds.
-const POOL: [&str; 5] = [
-    "crowdfill-accep", // crowdfill-accept
-    "crowdfill-maint", // crowdfill-maintenance (the progress tick is on by default)
+/// hosts, connections it holds and ticks it is configured with: threads =
+/// shards. The listener, the telemetry sample and the maintenance ticks
+/// are entries of a shard's loop.
+const POOL: [&str; 2] = [
     "crowdfill-shard", // crowdfill-shard-0
     "crowdfill-shard", // crowdfill-shard-1
-    "obs-sampler",
 ];
+
+/// Voluntary context switches of the service's threads so far: every
+/// return from a blocking `epoll_wait` (or, once, a `sleep`) is one.
+fn service_context_switches() -> u64 {
+    let switches = |task: std::io::Result<std::fs::DirEntry>| {
+        let task = task.ok()?.path();
+        let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+        let status = std::fs::read_to_string(task.join("status")).ok()?;
+        let line = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
+        line.trim().parse::<u64>().ok().filter(|_| ours(&comm))
+    };
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    tasks.filter_map(switches).sum()
+}
+
+/// How often an idle service with eight silent sessions wakes, per second:
+/// what is periodic costs its period and nothing else does.
+fn idle_switches_per_second(options: ServiceOptions) -> f64 {
+    let service = TcpService::start_with(Backend::new(config(16)), "127.0.0.1:0", options).unwrap();
+    let sessions: Vec<TcpStream> = (0..8).map(|_| raw_session(service.addr())).collect();
+    std::thread::sleep(Duration::from_millis(100));
+    let (before, start) = (service_context_switches(), Instant::now());
+    std::thread::sleep(Duration::from_secs(2));
+    let switches = service_context_switches() - before;
+    let rate = switches as f64 / start.elapsed().as_secs_f64();
+    drop(sessions);
+    service.stop();
+    rate
+}
 
 /// The reactor's whole point: server threads are O(pool size), not
 /// O(connections) and not O(collections), a session costs the server one
@@ -179,17 +214,24 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_eq!(Arc::strong_count(&backend), 1);
     drop(backend);
 
-    // 128 collections run the threads of one: a collection is a queue on
-    // the shard that owns it.
-    let collections = (0..128).map(|i| (format!("c{i}"), Backend::new(config(1))));
-    let service =
-        TcpService::start_multi(collections.collect(), "127.0.0.1:0", two_shards()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(service_threads(), POOL);
-    assert_eq!(threads(), threads_before);
-    service.stop();
-    assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
-    assert_eq!(open_fds(), fds_at_rest);
+    // 128 collections run the threads of one — a collection is a queue on
+    // the shard that owns it — and so does a service with every tick there
+    // is configured: a tick is a deadline of that shard.
+    let every_tick = || ServiceOptions {
+        durability: Some(DurabilitySweepOptions::default()),
+        ..two_shards()
+    };
+    for (collections, options) in [(128, two_shards()), (1, every_tick()), (128, every_tick())] {
+        let collections = (0..collections).map(|i| (format!("c{i}"), Backend::new(config(1))));
+        let service =
+            TcpService::start_multi(collections.collect(), "127.0.0.1:0", options).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(service_threads(), POOL);
+        assert_eq!(threads(), threads_before);
+        service.stop();
+        assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
+        assert_eq!(open_fds(), fds_at_rest);
+    }
 
     // Dropped without `stop`, with eight workers still attached.
     let service = TcpService::start(Backend::new(config(16)), "127.0.0.1:0").unwrap();
@@ -204,4 +246,19 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_eq!(threads(), threads_at_rest, "{:?}", thread_names());
     drop(workers);
     assert_eq!(open_fds(), fds_at_rest);
+
+    // Idle is idle. Under default options what wakes a shard is the
+    // telemetry sample (4/s) and the progress tick (2/s); with telemetry
+    // and durability off nothing does. (52/s at the parent of the change
+    // that made the ticks deadlines: a sampler asleep in 20 ms slices.)
+    let rate = idle_switches_per_second(two_shards());
+    eprintln!("idle default service: {rate:.1} voluntary context switches/s");
+    assert!(rate <= 10.0, "an idle default service wakes {rate:.1}/s");
+    let quiet = ServiceOptions {
+        telemetry: None,
+        durability: None,
+        ..two_shards()
+    };
+    let rate = idle_switches_per_second(quiet);
+    assert_eq!(rate, 0.0, "an idle service with no tick configured woke");
 }

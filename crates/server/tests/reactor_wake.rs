@@ -1,17 +1,21 @@
 //! The reactor's wake path: a shard blocks in `epoll_wait` until a socket,
-//! an inject, a hand-over, a hang-up, a deadline or `stop` is ready — and
-//! then visits only the connections that are, and does everything an
+//! the listener, a hand-over, a hang-up, a deadline (a connection's, a
+//! batch's, the telemetry sample, a maintenance tick) or `stop` is ready —
+//! and then visits only the connections that are, and does everything an
 //! action needs before it blocks again. The counters these tests read
 //! (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`) are
 //! process-global, so the file is its own test binary and its tests take
 //! turns.
 
+use crowdfill_docstore::FsyncPolicy;
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
+use crowdfill_pay::Millis;
+use crowdfill_server::persist::{self, DurabilityOptions};
 use crowdfill_server::wire::{self, Cursor, Reply, Request};
 use crowdfill_server::{
-    Backend, BatchOptions, OverloadOptions, ReactorOptions, RemoteWorker, ServiceOptions,
-    TaskConfig, TcpService,
+    Backend, BatchOptions, DurabilitySweepOptions, OverloadOptions, ReactorOptions, RemoteWorker,
+    ServiceOptions, TaskConfig, TcpService, TelemetryOptions, WorkerClient,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -44,12 +48,23 @@ fn config(rows: usize) -> TaskConfig {
     )
 }
 
-/// Two shards, no timers (`idle_timeout` and `writer_pace` default to
-/// `None`): a shard with nothing to do has nothing to wake it.
+/// Two shards, otherwise the defaults: what is periodic — the telemetry
+/// sample, the progress tick — is a deadline of the shard that owns it.
 fn two_shards() -> ServiceOptions {
     ServiceOptions {
         reactor: ReactorOptions { shards: 2 },
         ..ServiceOptions::default()
+    }
+}
+
+/// Two shards and no timers (no telemetry, no durability tick;
+/// `idle_timeout` and `writer_pace` default to `None`): a shard with nothing
+/// to do has nothing to wake it, so wakes can be counted exactly.
+fn quiet() -> ServiceOptions {
+    ServiceOptions {
+        telemetry: None,
+        durability: None,
+        ..two_shards()
     }
 }
 
@@ -61,20 +76,31 @@ fn wakeups() -> u64 {
     counter("crowdfill_reactor_wakeups")
 }
 
-/// Eight collections over two shards: both shards own some, so the accept
-/// thread deals to both, and of two consecutive connections to one
-/// collection (`"c0"`, say) one is read by the shard that does not own it.
-/// (A shard that owns nothing is dealt nothing: on a one-collection
-/// service every connection starts on the owner.)
+/// Eight collections over two quiet shards: both shards own some, so a
+/// session of a collection the acceptor — shard 0, the lowest that owns
+/// any — does not own is handed over, and one of a collection it owns is
+/// not. (On a one-collection service the acceptor is the owner and no
+/// connection ever moves.)
 fn two_owners(rows: usize) -> TcpService {
     let collections = (0..8).map(|i| (format!("c{i}"), Backend::new(config(rows))));
-    TcpService::start_multi(collections.collect(), "127.0.0.1:0", two_shards()).unwrap()
+    TcpService::start_multi(collections.collect(), "127.0.0.1:0", quiet()).unwrap()
 }
 
-/// A raw session: handshake done, nothing sent since. The accept thread
-/// deals connections round-robin, so consecutive sessions are read by
-/// alternating shards — and then live on the one that owns their
-/// collection.
+/// Which of `two_owners`' collections the acceptor owns and which it hands
+/// over, found out the way a client can: by the hand-over a session costs.
+fn home_and_foreign(addr: SocketAddr) -> (Vec<String>, Vec<String>) {
+    let names = (0..8).map(|i| format!("c{i}"));
+    let (foreign, home): (Vec<String>, Vec<String>) = names.partition(|name| {
+        let before = counter("crowdfill_reactor_handovers");
+        drop(session(addr, name));
+        counter("crowdfill_reactor_handovers") > before
+    });
+    assert!(!home.is_empty() && !foreign.is_empty(), "one owner only");
+    (home, foreign)
+}
+
+/// A raw session: handshake done, nothing sent since. It was accepted by
+/// the acceptor shard and lives on the one that owns its collection.
 fn session(addr: SocketAddr, collection: &str) -> TcpConn {
     let conn = TcpConn::connect(addr).unwrap();
     let hello = Request::Hello(Some(collection.to_string()));
@@ -137,22 +163,33 @@ fn recv_until_closed(conn: &TcpConn) {
     }
 }
 
-/// (i) Idle is idle: connected, silent sessions cost no wakeups at all.
+/// (i) Idle is idle: connected, silent sessions cost no wakeups at all,
+/// and under default options exactly what is periodic — the sample every
+/// 250 ms, the progress tick every 500 ms — and nothing per session.
 #[test]
 fn idle_sessions_cause_no_wakeups() {
     let _turn = take_turn();
-    let service =
-        TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", two_shards()).unwrap();
-    let handovers = counter("crowdfill_reactor_handovers");
-    let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
-    // One collection has one owner, and the other shard is dealt nothing.
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
-    settle();
-    let before = wakeups();
-    std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(wakeups(), before, "an idle shard woke up");
-    drop(sessions);
-    service.stop();
+    for (options, ticking) in [(quiet(), false), (two_shards(), true)] {
+        let service =
+            TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
+        let handovers = counter("crowdfill_reactor_handovers");
+        let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
+        // One collection has one owner, which is the acceptor.
+        assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
+        settle();
+        let (before, start) = (wakeups(), Instant::now());
+        std::thread::sleep(Duration::from_millis(600));
+        let (woke, took) = (wakeups() - before, start.elapsed().as_millis() as u64);
+        // A tick re-arms one period after it ran: at most one more of each
+        // than whole periods fit in the interval.
+        let due = (took / 250 + 1) + (took / 500 + 1);
+        match ticking {
+            false => assert_eq!(woke, 0, "an idle shard woke up"),
+            true => assert!((1..=due).contains(&woke), "{woke} wakes, {due} ticks due"),
+        }
+        drop(sessions);
+        service.stop();
+    }
 }
 
 /// Entries of a `/proc/self` directory: `task` for threads, `fd` for open
@@ -204,10 +241,9 @@ fn a_wake_visits_only_ready_connections() {
 /// One action, one wake: with author and observer attached to one
 /// collection, a fill is read, applied, broadcast and acked by the wake
 /// that its frame caused — on a service with a second shard to lose work
-/// to, which dealt the two to different shards. (Three at the parent of
-/// the change that made a collection one shard's: the author's shard for
-/// the frame, the observer's for the broadcast, the author's again for the
-/// ack.)
+/// to. (Three at the parent of the change that made a collection one
+/// shard's: the author's shard for the frame, the observer's for the
+/// broadcast, the author's again for the ack.)
 #[test]
 fn one_fill_costs_one_wake_and_reaches_both_sockets() {
     let _turn = take_turn();
@@ -229,20 +265,31 @@ fn one_fill_costs_one_wake_and_reaches_both_sockets() {
     service.stop();
 }
 
-/// The shard that accepted a connection is not the one that serves it: of
-/// two sessions dealt to the two shards, one is handed over, and from then
-/// on every visit either gets is the owner's.
+/// The shard that accepted a connection is not always the one that serves
+/// it: a session is handed over exactly if the acceptor does not own its
+/// collection — so hand-overs = sessions on foreign collections — and from
+/// then on every visit it gets is the owner's.
 #[test]
 fn a_session_is_served_by_the_shard_that_owns_its_collection() {
     let _turn = take_turn();
     let service = two_owners(32);
     let addr = service.addr();
+    let (home, foreign) = home_and_foreign(addr);
     let handovers = counter("crowdfill_reactor_handovers");
+    let at_home: Vec<TcpConn> = (0..5)
+        .map(|i| session(addr, &home[i % home.len()]))
+        .collect();
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
+    let away: Vec<TcpConn> = (0..7)
+        .map(|i| session(addr, &foreign[i % foreign.len()]))
+        .collect();
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 7);
+    drop((at_home, away));
     let mut workers = [
-        RemoteWorker::connect_to(addr, "c0").unwrap(),
-        RemoteWorker::connect_to(addr, "c0").unwrap(),
+        RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
+        RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
     ];
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 1);
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 9);
     settle();
     let visits = |shard: usize| counter(&format!("crowdfill_reactor_shard_{shard}_conn_visits"));
     let before = [visits(0), visits(1)];
@@ -260,23 +307,32 @@ fn a_session_is_served_by_the_shard_that_owns_its_collection() {
 }
 
 /// (iii) Every wake source, alone, unblocks a blocked shard. No timers are
-/// configured, so before each row the shards are blocked with no timeout.
+/// configured on the first service, so before each row its shards are
+/// blocked with no timeout; the periodic sources get a service each, with
+/// nothing else that could wake it.
 #[test]
 fn every_wake_source_unblocks_a_blocked_shard() {
     let _turn = take_turn();
     let service = two_owners(8);
     let addr = service.addr();
+    let (home, foreign) = home_and_foreign(addr);
 
-    // A new connection is injected (and its first request bytes arrive).
-    // Two in a row are dealt to different shards, so one of the handshakes
-    // is answered only if its hand-over woke the owner.
+    // The listener is readable (and the first request bytes arrive): the
+    // handshake is answered only if the connection woke the acceptor —
+    // and, on a collection it does not own, only if the hand-over woke the
+    // owner.
     settle();
     let handovers = counter("crowdfill_reactor_handovers");
-    let watcher = within(WATCHDOG, "inject", move || session(addr, "c0"));
-    let mut worker = within(WATCHDOG, "inject or hand-over", move || {
-        RemoteWorker::connect_to(addr, "c0").unwrap()
+    let watcher = within(WATCHDOG, "listener", move || session(addr, &home[0]));
+    drop(watcher);
+    let (first, second) = (foreign[0].clone(), foreign[0].clone());
+    let watcher = within(WATCHDOG, "listener or hand-over", move || {
+        session(addr, &first)
     });
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 1);
+    let mut worker = within(WATCHDOG, "listener or hand-over", move || {
+        RemoteWorker::connect_to(addr, &second).unwrap()
+    });
+    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 2);
 
     // Request bytes arrive on an established, idle connection.
     settle();
@@ -300,7 +356,8 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     });
     drop(worker);
 
-    // stop() with 64 idle connections.
+    // stop() with 64 idle connections: one wake per shard, and the port
+    // is closed when it returns.
     let idle: Vec<TcpConn> = (0..64)
         .map(|i| session(addr, &format!("c{}", i % 8)))
         .collect();
@@ -311,7 +368,98 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         start.elapsed()
     });
     assert!(took < Duration::from_millis(250), "stop took {took:?}");
+    assert!(TcpStream::connect(addr).is_err(), "still listening");
     drop(idle);
+
+    // `Due::Sample` and a maintenance tick: nobody is connected, and the
+    // one deadline configured is all that can end a wait.
+    let sampled = ServiceOptions {
+        telemetry: Some(TelemetryOptions {
+            sample_period: Duration::from_millis(20),
+            progress: None,
+            ..TelemetryOptions::default()
+        }),
+        ..quiet()
+    };
+    let swept = ServiceOptions {
+        durability: Some(DurabilitySweepOptions {
+            interval: Duration::from_millis(20),
+            ..DurabilitySweepOptions::default()
+        }),
+        ..quiet()
+    };
+    for (what, options) in [("Due::Sample", sampled), ("Due::Durability", swept)] {
+        let service =
+            TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
+        let before = wakeups();
+        within(WATCHDOG, what, move || {
+            while wakeups() < before + 3 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        service.stop();
+    }
+}
+
+/// Stop means stopped, ticks included: a tick that is overdue when `stop`
+/// raises the flag does not run. The shard is held up inside a handshake
+/// (the test holds the backend's lock) until the durability tick — which
+/// would compact this journal on sight — is long overdue and `stop` has
+/// been called; released, it finds the flag before it looks at its
+/// deadlines.
+#[test]
+fn stop_with_a_tick_overdue_joins_without_running_it() {
+    let _turn = take_turn();
+    let dir = std::env::temp_dir().join(format!("crowdfill-wake-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityOptions {
+        fsync: FsyncPolicy::OsOnly,
+        ..DurabilityOptions::default()
+    };
+    let mut backend = persist::open_or_recover(config(4), &dir, &durability).unwrap();
+    let (id, client_id, history) = backend.connect(Millis(0));
+    let mut client = WorkerClient::new(id, client_id, backend.config().schema.clone(), &history);
+    let row = client.replica().table().row_ids().min().unwrap();
+    for out in client.fill(row, ColumnId(0), Value::text("Messi")).unwrap() {
+        let journaled = backend.submit(id, out.msg, Millis(1), out.auto_upvote);
+        journaled.expect("a fill to journal");
+    }
+    let journaled = backend.wal_bytes();
+    assert!(journaled > 0 && backend.history_base() == 0);
+
+    let interval = Duration::from_millis(200);
+    let options = ServiceOptions {
+        durability: Some(DurabilitySweepOptions {
+            interval,
+            compact_wal_bytes: 1,
+        }),
+        ..quiet()
+    };
+    let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
+    let backend = service.backend();
+    let held = backend.lock();
+    let mut stuck = TcpStream::connect(service.addr()).unwrap();
+    send_frame(&mut stuck, Request::Hello(None).encode().as_bytes());
+    std::thread::sleep(interval * 2);
+    let stopping = std::thread::spawn(move || service.stop());
+    // `stop` raises the flag first thing; the shard is let go well after.
+    std::thread::sleep(interval);
+    assert!(
+        !stopping.is_finished(),
+        "stop returned with a shard held up"
+    );
+    drop(held);
+    within(WATCHDOG, "stop", move || stopping.join().unwrap());
+    let b = backend.lock();
+    // The handshake went through (and journaled its session); the
+    // compaction that would have emptied the journal did not.
+    assert!(
+        b.history_base() == 0 && b.wal_bytes() >= journaled,
+        "the tick ran"
+    );
+    drop(b);
+    assert_eq!(Arc::strong_count(&backend), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// (iv) Eviction is a deadline of the shard's own: the delivery that turns
@@ -346,6 +494,54 @@ fn eviction_deadline_unblocks_the_shard() {
     within(WATCHDOG, "eviction", move || recv_until_closed(&stalled));
     assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
     worker.bye();
+    service.stop();
+}
+
+/// (iv) A socket that never says `hello` is not held forever: its
+/// handshake has `evict_after` from the accept, on the shard's own clock —
+/// half a length prefix and then silence, and nothing else connected, so
+/// the deadline is the only thing that can wake the shard. A peer that
+/// says `hello` inside the deadline is served, and as a session outlives
+/// it.
+#[test]
+fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
+    let _turn = take_turn();
+    let evict_after = Duration::from_millis(300);
+    let options = ServiceOptions {
+        overload: OverloadOptions {
+            evict_after,
+            ..OverloadOptions::default()
+        },
+        ..quiet()
+    };
+    let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+    let evictions = counter("crowdfill_server_evictions");
+    let closed_after = within(WATCHDOG, "handshake eviction", move || {
+        let start = Instant::now();
+        let mut silent = TcpStream::connect(addr).unwrap();
+        silent.write_all(&[0, 0]).unwrap();
+        let end = silent.read(&mut [0u8; 1]);
+        assert!(matches!(end, Ok(0) | Err(_)), "answered: {end:?}");
+        start.elapsed()
+    });
+    assert!(
+        closed_after >= evict_after,
+        "closed early: {closed_after:?}"
+    );
+    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
+
+    let mut late = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(evict_after / 2);
+    send_frame(&mut late, Request::Hello(None).encode().as_bytes());
+    assert!(matches!(
+        decoded(&read_frame(&mut late)),
+        Reply::Welcome(..)
+    ));
+    std::thread::sleep(evict_after);
+    send_frame(&mut late, Request::Stats.encode().as_bytes());
+    assert!(matches!(decoded(&read_frame(&mut late)), Reply::Stats(_)));
+    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
     service.stop();
 }
 
@@ -397,7 +593,7 @@ fn a_batch_fill_window_ends_on_the_shards_deadline() {
             max_batch: 64,
             max_wait: window,
         },
-        ..two_shards()
+        ..quiet()
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
     let addr = service.addr();

@@ -57,6 +57,21 @@ if grep -n "thread::Builder\|thread::spawn\|crossbeam" crates/server/src/batch.r
   echo "check.sh: an apply thread or a cross-thread reply/broadcast wake; the owner shard does it in its sweep" >&2
   exit 1
 fi
+# Threads = shards: the only thread the server spawns is a reactor shard
+# (`start_shards`), and nothing in the loop, in the service around it or in
+# the time-series module sleeps or parks — what is periodic is a deadline
+# in a shard's heap, what listens is a fd in its epoll set.
+if grep -rn "thread::Builder\|thread::spawn" crates/server/src \
+  | grep -v '^[^:]*:[0-9]*:[[:space:]]*//' | grep -v '^crates/server/src/reactor.rs:' \
+  || [ "$(grep -c "thread::Builder\|thread::spawn" crates/server/src/reactor.rs)" != 1 ]; then
+  echo "check.sh: the server spawns a thread other than reactor.rs::start_shards; make it an entry of the shard loop" >&2
+  exit 1
+fi
+if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/tcp_service.rs crates/obs/src/timeseries.rs \
+  | grep -v '^[[:space:]]*//' | grep -n "thread::sleep\|park_timeout"; then
+  echo "check.sh: a sleep or a park in the shard loop, the service or the sampler; arm a deadline (reactor::Due)" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
