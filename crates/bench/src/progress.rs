@@ -8,6 +8,7 @@
 //! gate them exactly like a timing median.
 
 use crowdfill_obs::progress::SpeciesEstimator;
+use crowdfill_server::{ProgressReport, StoppingPolicy};
 use crowdfill_sim::SpeciesSchedule;
 use std::collections::HashSet;
 
@@ -66,9 +67,8 @@ pub fn score_schedule(sched: &SpeciesSchedule, checkpoints: &[u32]) -> Vec<Check
 }
 
 /// Outcome of replaying a schedule under the adaptive stopping rule: stop
-/// at the first arrival where the *conservative* completeness
-/// (`observed / ci_hi`, the same lower bound `StoppingPolicy` uses) reaches
-/// `target`.
+/// at the first arrival where [`StoppingPolicy::close_at`] fires — the
+/// *conservative* completeness (`observed / ci_hi`) reaches `target`.
 #[derive(Debug, Clone)]
 pub struct AutostopReport {
     /// Arrivals consumed before the rule fired (all of them if it never
@@ -86,10 +86,16 @@ pub struct AutostopReport {
     pub saved_pct: f64,
 }
 
-/// Simulates the §15 stopping rule over a schedule. `min_observations`
-/// guards the cold start exactly as `StoppingPolicy` does.
+/// Runs the product's §15 stopping rule over a schedule: after each
+/// arrival, [`StoppingPolicy::close_at`] with `min_observations` evaluates
+/// a report built from the estimator, each arrival priced at 1 (the
+/// uniform per-fill pricing `saved_pct` assumes).
 pub fn autostop(sched: &SpeciesSchedule, target: f64, min_observations: u64) -> AutostopReport {
     let truth = sched.true_richness();
+    let policy = StoppingPolicy {
+        min_observations,
+        ..StoppingPolicy::close_at(target)
+    };
     let mut est = SpeciesEstimator::new();
     let mut seen: HashSet<u64> = HashSet::new();
     let mut consumed = sched.arrivals.len();
@@ -97,16 +103,18 @@ pub fn autostop(sched: &SpeciesSchedule, target: f64, min_observations: u64) -> 
     for (i, a) in sched.arrivals.iter().enumerate() {
         est.observe(a.species, a.worker as u64);
         seen.insert(a.species);
-        if est.observations() < min_observations {
-            continue;
-        }
-        let e = est.estimate();
-        let conservative = if e.ci_hi > 0.0 {
-            e.observed as f64 / e.ci_hi
-        } else {
-            0.0
+        let report = ProgressReport {
+            target,
+            overall: est.estimate(),
+            columns: Vec::new(),
+            spent: est.observations() as f64,
+            budget: sched.arrivals.len() as f64,
+            cost_per_fill: Some(1.0),
+            cost_to_target: None,
+            eta_secs_to_target: None,
+            fills_per_sec: 0.0,
         };
-        if conservative >= target {
+        if policy.evaluate(&report).is_some() {
             consumed = i + 1;
             stopped = true;
             break;

@@ -177,11 +177,6 @@ impl SampleRing {
         self.samples.lock().iter().cloned().collect()
     }
 
-    /// The newest sample, if any.
-    pub fn latest(&self) -> Option<Sample> {
-        self.samples.lock().back().cloned()
-    }
-
     /// Samples whose interval ends within `window` of the newest tick,
     /// together with the covered span in nanoseconds
     /// (`newest.at_ns - earliest_included.since_ns`).
@@ -249,15 +244,6 @@ impl SampleRing {
     pub fn windowed_quantile(&self, name: &str, window: Duration, q: f64) -> Option<u64> {
         self.windowed_histogram(name, window)?.quantile(q)
     }
-
-    /// A gauge's value at the newest tick.
-    pub fn last_gauge(&self, name: &str) -> Option<i64> {
-        let latest = self.latest()?;
-        match latest.deltas.get(name) {
-            Some(SampleDelta::Gauge { value }) => Some(*value),
-            _ => None,
-        }
-    }
 }
 
 /// What an [`SloSpec`] constrains.
@@ -272,20 +258,6 @@ pub enum SloKind {
     /// The ratio of two counters' windowed deltas stays below `max`
     /// (e.g. sheds / submits < 0.05).
     RatioBelow {
-        numerator: String,
-        denominator: String,
-        max: f64,
-    },
-    /// Gauge `metric`'s last-sampled value stays at or above `min`
-    /// (e.g. collection completeness above its target). Burn is
-    /// inverted (`min / value`), so > 1.0 still means "violating".
-    /// With no sample yet the objective trivially holds.
-    GaugeAbove { metric: String, min: f64 },
-    /// The ratio of two gauges' last-sampled values stays below `max`
-    /// (e.g. budget-spent fraction over progress-to-target fraction —
-    /// the burn-to-target objective). Trivially holds until the
-    /// denominator has a positive sample.
-    GaugeRatioBelow {
         numerator: String,
         denominator: String,
         max: f64,
@@ -342,90 +314,10 @@ impl SloSpec {
         }
     }
 
-    /// "last-sampled `metric` at or above `min`". The gauge is read in
-    /// its native unit; scale `min` to match (e.g. milli-gauges).
-    pub fn gauge_above(name: &str, metric: &str, min: f64, window: Duration) -> SloSpec {
-        SloSpec {
-            name: name.to_string(),
-            window,
-            kind: SloKind::GaugeAbove {
-                metric: metric.to_string(),
-                min,
-            },
-        }
-    }
-
-    /// The burn-to-target objective (DESIGN.md §15): the ratio of two
-    /// gauges' last-sampled values — conventionally budget-spent
-    /// fraction over progress-toward-target fraction — stays below
-    /// `max`. Above 1.0 the budget is burning faster than the
-    /// collection is progressing.
-    pub fn burn_to_target(
-        name: &str,
-        spent_metric: &str,
-        progress_metric: &str,
-        max: f64,
-        window: Duration,
-    ) -> SloSpec {
-        SloSpec {
-            name: name.to_string(),
-            window,
-            kind: SloKind::GaugeRatioBelow {
-                numerator: spent_metric.to_string(),
-                denominator: progress_metric.to_string(),
-                max,
-            },
-        }
-    }
-
     /// Evaluates against the ring. With no data in the window the
     /// objective trivially holds (value 0, burn 0) — absence of load is
     /// not an SLO violation.
     pub fn evaluate(&self, ring: &SampleRing) -> SloStatus {
-        // The gauge kinds carry their own ok/burn conventions (an
-        // "above" objective inverts the burn ratio), so they return
-        // directly instead of flowing into the below-threshold tail.
-        match &self.kind {
-            SloKind::GaugeAbove { metric, min } => {
-                let sampled = ring.last_gauge(metric);
-                let value = sampled.map(|v| v as f64).unwrap_or(0.0);
-                let (ok, burn_rate) = match sampled {
-                    None => (true, 0.0),
-                    Some(v) => {
-                        let v = v as f64;
-                        (v >= *min, if v > 0.0 { *min / v } else { f64::INFINITY })
-                    }
-                };
-                return SloStatus {
-                    name: self.name.clone(),
-                    value,
-                    threshold: *min,
-                    ok,
-                    burn_rate,
-                };
-            }
-            SloKind::GaugeRatioBelow {
-                numerator,
-                denominator,
-                max,
-            } => {
-                let num = ring.last_gauge(numerator).map(|v| v as f64);
-                let den = ring.last_gauge(denominator).map(|v| v as f64);
-                let value = match (num, den) {
-                    (Some(n), Some(d)) if d > 0.0 => n / d,
-                    _ => 0.0,
-                };
-                let burn_rate = if *max > 0.0 { value / max } else { 0.0 };
-                return SloStatus {
-                    name: self.name.clone(),
-                    value,
-                    threshold: *max,
-                    ok: value <= *max,
-                    burn_rate,
-                };
-            }
-            _ => {}
-        }
         let (value, threshold) = match &self.kind {
             SloKind::QuantileBelow { metric, q, max } => {
                 let v = ring
@@ -450,9 +342,6 @@ impl SloSpec {
                 let den = ring.windowed_sum(denominator, self.window).unwrap_or(0) as f64;
                 let v = if den > 0.0 { num / den } else { 0.0 };
                 (v, *max)
-            }
-            SloKind::GaugeAbove { .. } | SloKind::GaugeRatioBelow { .. } => {
-                unreachable!("gauge kinds return above")
             }
         };
         let burn_rate = if threshold > 0.0 {
@@ -590,20 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_last_value() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("crowdfill_test_ts_depth");
-        let ring = SampleRing::new(4);
-        let mut tracker = DeltaTracker::new();
-        g.set(7);
-        tick(&mut tracker, &reg, &ring, 0);
-        g.set(3);
-        tick(&mut tracker, &reg, &ring, 1);
-        assert_eq!(ring.last_gauge("crowdfill_test_ts_depth"), Some(3));
-        assert_eq!(ring.last_gauge("crowdfill_test_ts_missing"), None);
-    }
-
-    #[test]
     fn slo_evaluation_and_burn_gauge() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("crowdfill_test_ts_ack_ns");
@@ -640,70 +515,6 @@ mod tests {
         // ~1% shed over a 5% budget → burn ≈ 0.2.
         assert!((statuses[1].burn_rate - 0.202).abs() < 0.01, "{statuses:?}");
         assert_eq!(reg.gauge("crowdfill_slo_shed_rate_burn_milli").get(), 202);
-    }
-
-    #[test]
-    fn gauge_above_inverts_burn_and_holds_without_samples() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("crowdfill_test_ts_completeness_milli");
-        let ring = SampleRing::new(8);
-        let mut tracker = DeltaTracker::new();
-        let spec = SloSpec::gauge_above(
-            "completeness-target",
-            "crowdfill_test_ts_completeness_milli",
-            900.0,
-            Duration::from_secs(60),
-        );
-        // No sample yet: trivially ok, zero burn.
-        let status = spec.evaluate(&ring);
-        assert!(status.ok);
-        assert_eq!(status.burn_rate, 0.0);
-        // Below the floor: violating, burn = min/value > 1.
-        g.set(450);
-        tick(&mut tracker, &reg, &ring, 1);
-        let status = spec.evaluate(&ring);
-        assert!(!status.ok, "{status:?}");
-        assert!((status.burn_rate - 2.0).abs() < 1e-9, "{status:?}");
-        // At/above the floor: ok, burn ≤ 1.
-        g.set(950);
-        tick(&mut tracker, &reg, &ring, 2);
-        let status = spec.evaluate(&ring);
-        assert!(status.ok, "{status:?}");
-        assert!(status.burn_rate <= 1.0, "{status:?}");
-    }
-
-    #[test]
-    fn burn_to_target_compares_last_gauges() {
-        let reg = MetricsRegistry::new();
-        let spent = reg.gauge("crowdfill_test_ts_spent_milli");
-        let progress = reg.gauge("crowdfill_test_ts_progress_milli");
-        let ring = SampleRing::new(8);
-        let mut tracker = DeltaTracker::new();
-        let spec = SloSpec::burn_to_target(
-            "burn-to-target",
-            "crowdfill_test_ts_spent_milli",
-            "crowdfill_test_ts_progress_milli",
-            1.0,
-            Duration::from_secs(60),
-        );
-        // No denominator sample yet: trivially ok.
-        let status = spec.evaluate(&ring);
-        assert!(status.ok);
-        assert_eq!(status.burn_rate, 0.0);
-        // Spent half the budget at a quarter of the progress: burning
-        // twice as fast as the collection is progressing.
-        spent.set(500);
-        progress.set(250);
-        tick(&mut tracker, &reg, &ring, 1);
-        let status = spec.evaluate(&ring);
-        assert!(!status.ok, "{status:?}");
-        assert!((status.value - 2.0).abs() < 1e-9, "{status:?}");
-        // Progress catches up past spend: ok again.
-        progress.set(800);
-        tick(&mut tracker, &reg, &ring, 2);
-        let status = spec.evaluate(&ring);
-        assert!(status.ok, "{status:?}");
-        assert!(status.value < 1.0, "{status:?}");
     }
 
     #[test]

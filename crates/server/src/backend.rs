@@ -1205,9 +1205,9 @@ impl Backend {
     }
 
     /// The last-known value of any row id that ever existed (for the
-    /// health module's trace analysis: fills are attributed to the column
-    /// they added over the replaced row's value).
-    pub(crate) fn row_value(&self, id: crowdfill_model::RowId) -> Option<&RowValue> {
+    /// telemetry fold: fills are attributed to the column they added over
+    /// the replaced row's value).
+    pub fn row_value(&self, id: crowdfill_model::RowId) -> Option<&RowValue> {
         self.row_values.get(&id)
     }
 

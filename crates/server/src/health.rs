@@ -4,11 +4,13 @@
 //! says how the *collection* is doing: how full the table is and how
 //! fast it is filling, whether workers agree with each other, whether a
 //! worker's replica is lagging the broadcast history, and whether the
-//! declared SLOs are burning their error budget. [`collect`] computes a
-//! [`HealthReport`] from a [`Backend`] under the caller's lock — all
-//! inputs (master table, action trace, session stats) already live
-//! there, so the computation is a cold-path read with no new
-//! bookkeeping on the hot path.
+//! declared SLOs are burning their error budget. [`report`] builds a
+//! [`HealthReport`] under the caller's lock from the [`Backend`] and the
+//! collection's [`ProgressTracker`] — the one fold of its op log, which
+//! the caller advanced first (O(new ops)). What the report still pays
+//! per call is the live-table section, O(table), and the judgement of
+//! past votes against today's tallies, O(votes). It writes nothing.
+//! [`collect`] is the same over a fresh fold (the simulator, the tests).
 //!
 //! Definitions (also in DESIGN.md §11):
 //!
@@ -30,25 +32,23 @@
 //!   that side with the current vote majority on the row they voted on.
 //! * **replica lag** — broadcast history length minus the highest
 //!   prefix the worker's replica is known to have absorbed (set at
-//!   connect/resume/sync), plus the messages still queued in its
-//!   server-side outbox.
+//!   connect/resume/sync). The messages still owed to its connection
+//!   are a separate field, `outbox_depth`.
 //!
 //! The wire surface is `{"type":"health"}` → a JSON rendering of the
-//! report (`tcp_service`); `crowdfill top` renders it as a refreshing
-//! table and `crowdfill simulate` prints one as the run's epitaph.
+//! report, served by the collection's owner shard (`tcp_service`);
+//! `crowdfill top` renders it as a refreshing table and `crowdfill
+//! simulate` prints one as the run's epitaph.
 
 use std::collections::HashMap;
 
 use crowdfill_docstore::Json;
-use crowdfill_model::{Message, RowId, RowValue, Value};
+use crowdfill_model::{RowValue, Value};
 use crowdfill_obs::timeseries::SloStatus;
 use crowdfill_pay::WorkerId;
 
 use crate::backend::Backend;
-use crate::progress::{self, ProgressReport};
-
-/// Default look-back window for rates, saturation, and agreement.
-pub const DEFAULT_WINDOW_MS: u64 = 60_000;
+use crate::progress::{opt_num, ProgressReport, ProgressTracker, DEFAULT_TARGET, WINDOW_MS};
 
 /// Health of one schema column.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,22 +157,28 @@ pub struct HealthReport {
     /// Durability posture; `None` for an in-memory backend.
     pub durability: Option<DurabilityHealth>,
     /// Predictive progress (DESIGN.md §15): completeness estimate,
-    /// cost-to-target, ETA. Populated by [`collect`]; `None` only in
+    /// cost-to-target, ETA. Populated by [`report`]; `None` only in
     /// reports parsed from pre-§15 senders.
     pub progress: Option<ProgressReport>,
     /// Empty unless the caller layers SLO statuses in (the TCP service
-    /// evaluates its specs over the sampler ring and attaches them).
+    /// evaluates its specs over the sampler ring, and the progress
+    /// objectives over `progress`, and attaches them).
     pub slos: Vec<SloHealth>,
 }
 
-/// Computes a report over the default window. SLOs are left empty —
-/// they live in the transport layer, which owns the sampler ring.
+/// A report over a fresh fold of the whole log, progress toward
+/// [`DEFAULT_TARGET`]. SLOs are left empty — they live in the transport
+/// layer, which owns the sampler ring.
 pub fn collect(backend: &Backend) -> HealthReport {
-    collect_windowed(backend, DEFAULT_WINDOW_MS)
+    let mut fold = ProgressTracker::new();
+    fold.advance(backend);
+    report(backend, &fold, DEFAULT_TARGET)
 }
 
-/// [`collect`] with an explicit look-back window.
-pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
+/// The report of `backend` as of now, its log read through `fold` —
+/// which the caller has advanced over it — and its progress forecast
+/// toward `target`. SLOs are left empty.
+pub fn report(backend: &Backend, fold: &ProgressTracker, target: f64) -> HealthReport {
     let schema = &backend.config().schema;
     let table = backend.master().table();
     let now_ms = backend.now().0;
@@ -252,13 +258,6 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
             0.0
         };
 
-        // Exported as gauges so the sampler picks up per-column trends.
-        let idx = col.index();
-        crowdfill_obs::metrics::gauge(&format!("crowdfill_server_col{idx}_agreement_milli"))
-            .set((agreement * 1000.0) as i64);
-        crowdfill_obs::metrics::gauge(&format!("crowdfill_server_col{idx}_vote_entropy_milli"))
-            .set((vote_entropy * 1000.0) as i64);
-
         columns.push(ColumnHealth {
             name: column.name().to_string(),
             filled,
@@ -267,73 +266,18 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
         });
     }
 
-    // ---- trace analysis: arrival rates, saturation, worker activity ----
-    let cutoff = now_ms.saturating_sub(window_ms);
-    let span_ms = window_ms.min(now_ms);
-
-    // Row lineage: every Replace links new → old, so a fill's cell is
-    // identified by (lineage root, column) — competing fills of the same
+    // ---- the fold's window: arrival rates, saturation, worker activity ----
+    // A fill's cell is (lineage root, column): competing fills of the same
     // cell share the root even though they fork distinct row ids.
-    let mut parent: HashMap<RowId, RowId> = HashMap::new();
-    for entry in backend.trace().entries() {
-        if let Message::Replace { old, new, .. } = &entry.msg {
-            parent.insert(*new, *old);
-        }
-    }
-    fn lineage_root(parent: &HashMap<RowId, RowId>, mut id: RowId) -> RowId {
-        // Chains are short (one hop per fill of the row); no memo needed.
-        while let Some(&p) = parent.get(&id) {
-            id = p;
-        }
-        id
-    }
-
-    let mut covered: std::collections::HashSet<(RowId, u16)> = std::collections::HashSet::new();
-    let mut fills_in_window = 0u64;
-    let mut novel_in_window = 0u64;
-    let mut ops_in_window: HashMap<WorkerId, u64> = HashMap::new();
-    // (worker, was_upvote, value) for deliberate votes, judged below.
-    let mut votes: Vec<(WorkerId, bool, &RowValue)> = Vec::new();
-    for entry in backend.trace().entries() {
-        let Some(worker) = entry.worker else { continue };
-        let in_window = entry.at.0 > cutoff || (cutoff == 0 && entry.at.0 == 0);
-        if !entry.auto_upvote && in_window {
-            *ops_in_window.entry(worker).or_insert(0) += 1;
-        }
-        match &entry.msg {
-            Message::Replace { old, new: _, value } => {
-                let col = backend
-                    .row_value(*old)
-                    .and_then(|old_value| old_value.added_column(value));
-                if let Some(col) = col {
-                    let root = lineage_root(&parent, *old);
-                    let novel = covered.insert((root, col.0));
-                    if in_window {
-                        fills_in_window += 1;
-                        if novel {
-                            novel_in_window += 1;
-                        }
-                    }
-                }
-            }
-            Message::Upvote { value } if !entry.auto_upvote => {
-                votes.push((worker, true, value));
-            }
-            Message::Downvote { value } => votes.push((worker, false, value)),
-            _ => {}
-        }
-    }
-
-    let span_min = span_ms as f64 / 60_000.0;
-    let fills_per_min = if span_ms > 0 {
-        fills_in_window as f64 / span_min
-    } else {
-        0.0
-    };
+    let span_ms = WINDOW_MS.min(now_ms);
+    let arrivals = fold.arrivals(now_ms);
+    let mins = span_ms as f64 / 60_000.0;
+    let per_min = |n: u64| if span_ms > 0 { n as f64 / mins } else { 0.0 };
+    let fills_per_min = per_min(arrivals.fills);
     let saturation =
-        (fills_in_window > 0).then(|| 1.0 - novel_in_window as f64 / fills_in_window as f64);
-    let est_secs_to_full = (novel_in_window > 0 && span_ms > 0).then(|| {
-        let novel_per_sec = novel_in_window as f64 / (span_ms as f64 / 1000.0);
+        (arrivals.fills > 0).then(|| 1.0 - arrivals.novel as f64 / arrivals.fills as f64);
+    let est_secs_to_full = (arrivals.novel > 0 && span_ms > 0).then(|| {
+        let novel_per_sec = arrivals.novel as f64 / (span_ms as f64 / 1000.0);
         (cells - filled_cells) as f64 / novel_per_sec
     });
 
@@ -346,7 +290,7 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
         t.1 += e.downvotes;
     }
     let mut judged: HashMap<WorkerId, (u64, u64)> = HashMap::new();
-    for (worker, was_upvote, value) in votes {
+    for (worker, was_upvote, value) in fold.votes(backend) {
         let tally = if was_upvote {
             tallies.get(value).copied()
         } else {
@@ -378,16 +322,12 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
         .into_iter()
         .map(|s| {
             let (total, agreed) = judged.get(&s.worker).copied().unwrap_or((0, 0));
-            let in_window = ops_in_window.get(&s.worker).copied().unwrap_or(0);
+            let in_window = arrivals.ops.get(&s.worker).copied().unwrap_or(0);
             WorkerHealth {
                 worker: s.worker.0,
                 connected: s.connected,
                 ops: s.ops,
-                ops_per_min: if span_ms > 0 {
-                    in_window as f64 / span_min
-                } else {
-                    0.0
-                },
+                ops_per_min: per_min(in_window),
                 ack_p50_ns: s.ack_latency.quantile(0.5),
                 ack_p99_ns: s.ack_latency.quantile(0.99),
                 agreement: (total > 0).then(|| agreed as f64 / total as f64),
@@ -407,7 +347,7 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
     HealthReport {
         at_ms: now_ms,
         history_len,
-        window_ms,
+        window_ms: WINDOW_MS,
         collection: CollectionHealth {
             name: schema.name().to_string(),
             rows,
@@ -423,7 +363,7 @@ pub fn collect_windowed(backend: &Backend, window_ms: u64) -> HealthReport {
         },
         workers,
         durability,
-        progress: Some(progress::collect(backend, progress::DEFAULT_TARGET)),
+        progress: Some(fold.report(backend, target)),
         slos: Vec::new(),
     }
 }
@@ -436,13 +376,6 @@ fn binary_entropy(p: f64) -> f64 {
         }
     }
     h
-}
-
-fn opt_num(v: Option<f64>) -> Json {
-    match v {
-        Some(v) => Json::num(v),
-        None => Json::Null,
-    }
 }
 
 impl HealthReport {
@@ -750,7 +683,7 @@ mod tests {
     use super::*;
     use crate::config::TaskConfig;
     use crate::WorkerClient;
-    use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template};
+    use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template};
     use crowdfill_pay::Millis;
     use std::sync::Arc;
 

@@ -43,8 +43,8 @@ pub use client_core::ClientCore;
 pub use config::TaskConfig;
 pub use frontend::{Frontend, FrontendError, TaskStatus};
 pub use health::{
-    collect, collect_windowed, CollectionHealth, ColumnHealth, DurabilityHealth, HealthReport,
-    SloHealth, WorkerHealth,
+    collect, CollectionHealth, ColumnHealth, DurabilityHealth, HealthReport, SloHealth,
+    WorkerHealth,
 };
 pub use marketplace::{
     Assignment, AssignmentId, Hit, HitId, MarketError, Marketplace, RepriceRecommendation,

@@ -199,7 +199,7 @@ impl Marketplace {
     /// Recommends a new reward for every open HIT by scaling the
     /// current one by `factor` (clamped positive). This is the
     /// stopping-policy's `Reprice` outlet (DESIGN.md §15): the progress
-    /// sweep computes the factor from the marginal cost of novelty and
+    /// tick computes the factor from the marginal cost of novelty and
     /// records recommendations without touching live prices —
     /// [`apply_reprice`](Self::apply_reprice) commits one explicitly.
     pub fn recommend_reprice(&self, factor: f64, reason: &str) -> Vec<RepriceRecommendation> {

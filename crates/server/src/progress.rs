@@ -36,19 +36,29 @@
 //! marker via [`Backend::close`]), [`Reprice`](StopAction::Reprice)
 //! (recommend a new reward through
 //! [`Marketplace::recommend_reprice`](crate::marketplace::Marketplace::recommend_reprice)),
-//! or [`Alert`](StopAction::Alert) (log only). The telemetry sweep in
-//! `tcp_service` evaluates the policy and exports the report as gauges.
+//! or [`Alert`](StopAction::Alert) (log only). The progress tick in
+//! `tcp_service` evaluates the policy; it runs only when one is set.
+//!
+//! The tracker is also the whole of [`crate::health`]'s view of the op
+//! log: one fold per collection, held by the shard that owns it, which a
+//! tick or a `health` request advances over what was appended since and
+//! then reads. Nothing else in the telemetry reads the log.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crowdfill_docstore::Json;
-use crowdfill_model::{Message, RowId};
+use crowdfill_model::{Message, RowId, RowValue};
 use crowdfill_obs::progress::{species_key, ProgressEstimate, SpeciesEstimator};
+use crowdfill_pay::{TraceEntry, WorkerId};
 
 use crate::backend::Backend;
 
 /// Default completeness target for reports and policies.
 pub const DEFAULT_TARGET: f64 = 0.9;
+
+/// Look-back window of the health report's rates, saturation and
+/// per-worker activity (ms).
+pub const WINDOW_MS: u64 = 60_000;
 
 /// Fill-arrival timestamps retained for the ETA rate estimate.
 const RECENT_FILLS: usize = 64;
@@ -123,9 +133,40 @@ fn expected_draws(d: f64, s: f64, t: f64) -> Option<f64> {
     Some(s * (remaining / shortfall).ln())
 }
 
-/// Streams the backend's trace into species estimators, incrementally:
+/// One worker entry of the trailing [`WINDOW_MS`]: what the health
+/// report's rates count.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: u64,
+    worker: WorkerId,
+    /// Not an auto-upvote: it counts toward the worker's ops rate.
+    deliberate: bool,
+    /// A fill, and whether it covered its cell first.
+    fill: Option<bool>,
+}
+
+/// Whether an entry at `at` falls in the window that ends where `cutoff`
+/// is [`WINDOW_MS`] behind: with less history than a window, all of it.
+fn in_window(at: u64, cutoff: u64) -> bool {
+    at > cutoff || cutoff == 0
+}
+
+/// The window's worker entries, counted at one clock reading.
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    pub(crate) fills: u64,
+    /// Fills that covered their (lineage, column) cell first.
+    pub(crate) novel: u64,
+    /// Deliberate operations per worker.
+    pub(crate) ops: HashMap<WorkerId, u64>,
+}
+
+/// The collection's telemetry as one incremental fold of its op log:
 /// [`advance`](Self::advance) consumes only entries appended since the
-/// last call, so the telemetry sweep pays O(new ops) per tick.
+/// last call, so a tick or a `health` request pays O(new ops) for it.
+/// Besides the species estimators it keeps what the health report needs
+/// from the log: the lineage map, the cells workers covered, the window
+/// of recent worker entries, and where the deliberate votes are.
 #[derive(Debug, Default)]
 pub struct ProgressTracker {
     /// Trace entries consumed so far.
@@ -134,12 +175,26 @@ pub struct ProgressTracker {
     parent: HashMap<RowId, RowId>,
     /// Each row value ever created → its lineage root, so upvotes (which
     /// carry the value, not a row id) can be mapped back to their cells.
-    value_root: HashMap<crowdfill_model::RowValue, RowId>,
+    value_root: HashMap<RowValue, RowId>,
     overall: SpeciesEstimator,
     /// Per-column estimators, keyed by column index.
     columns: BTreeMap<u16, SpeciesEstimator>,
     /// Arrival clock (ms) of the most recent fills, for the ETA rate.
     recent_at: VecDeque<u64>,
+    /// (lineage root, column) cells a worker fill covered: the health
+    /// report's saturation. Unlike the species above, Central-Client
+    /// fills do not count.
+    covered: HashSet<(RowId, u16)>,
+    /// Worker entries not yet older than the window, in log order.
+    window: VecDeque<Arrival>,
+    /// Trace indexes of the workers' deliberate votes, judged against the
+    /// live tallies when a report is built.
+    votes: Vec<usize>,
+}
+
+/// The op log, as the fold reads it.
+fn log(backend: &Backend) -> &[TraceEntry] {
+    backend.trace().entries()
 }
 
 impl ProgressTracker {
@@ -154,45 +209,94 @@ impl ProgressTracker {
         id
     }
 
-    /// Consumes trace entries appended since the last call; returns how
-    /// many fill observations they contained.
-    pub fn advance(&mut self, backend: &Backend) -> u64 {
-        let entries = backend.trace().entries();
-        let mut observations = 0u64;
-        for entry in &entries[self.cursor.min(entries.len())..] {
-            let worker = entry.worker.map(|w| w.0 as u64).unwrap_or(u64::MAX);
+    /// Consumes trace entries appended since the last call, then drops
+    /// window entries older than [`WINDOW_MS`] at the backend's clock;
+    /// returns how many entries it consumed.
+    pub fn advance(&mut self, backend: &Backend) -> usize {
+        let entries = log(backend);
+        let from = self.cursor.min(entries.len());
+        for (index, entry) in entries.iter().enumerate().skip(from) {
+            let species_worker = entry.worker.map_or(u64::MAX, |w| w.0 as u64);
+            let mut fill = None;
             match &entry.msg {
                 Message::Replace { old, new, value } => {
                     self.parent.insert(*new, *old);
                     let root = self.lineage_root(*old);
                     self.value_root.insert(value.clone(), root);
-                    let Some(col) = backend
+                    let col = backend
                         .row_value(*old)
-                        .and_then(|old_value| old_value.added_column(value))
-                    else {
-                        continue;
-                    };
-                    // Species identity: the cell, named by lineage root
-                    // × column.
-                    self.observe(root, col.0, worker, entry.at.0);
-                    observations += 1;
+                        .and_then(|old_value| old_value.added_column(value));
+                    if let Some(col) = col {
+                        // Species identity: the cell, named by lineage
+                        // root × column.
+                        self.observe(root, col.0, species_worker, entry.at.0);
+                        fill = entry.worker.map(|_| self.covered.insert((root, col.0)));
+                    }
                 }
                 // An upvote re-observes every cell the value covers
                 // (module docs); a downvote observes nothing.
                 Message::Upvote { value } => {
-                    let Some(&root) = self.value_root.get(value) else {
-                        continue;
-                    };
-                    for col in value.columns() {
-                        self.observe(root, col.0, worker, entry.at.0);
-                        observations += 1;
+                    if let Some(&root) = self.value_root.get(value) {
+                        for col in value.columns() {
+                            self.observe(root, col.0, species_worker, entry.at.0);
+                        }
+                    }
+                    if entry.worker.is_some() && !entry.auto_upvote {
+                        self.votes.push(index);
                     }
                 }
+                Message::Downvote { .. } if entry.worker.is_some() => self.votes.push(index),
                 _ => {}
+            }
+            if let Some(worker) = entry.worker {
+                self.window.push_back(Arrival {
+                    at: entry.at.0,
+                    worker,
+                    deliberate: !entry.auto_upvote,
+                    fill,
+                });
             }
         }
         self.cursor = entries.len();
-        observations
+        // The clock only moves forward: what is out of the window now
+        // stays out (entries behind it are filtered when counted).
+        let cutoff = backend.now().0.saturating_sub(WINDOW_MS);
+        let stale = self.window.iter().take_while(|a| !in_window(a.at, cutoff));
+        self.window.drain(..stale.count());
+        entries.len() - from
+    }
+
+    /// The window's entries as of `now_ms`.
+    pub(crate) fn arrivals(&self, now_ms: u64) -> Arrivals {
+        let cutoff = now_ms.saturating_sub(WINDOW_MS);
+        let mut counted = Arrivals::default();
+        for a in self.window.iter().filter(|a| in_window(a.at, cutoff)) {
+            if a.deliberate {
+                *counted.ops.entry(a.worker).or_insert(0) += 1;
+            }
+            if let Some(novel) = a.fill {
+                counted.fills += 1;
+                counted.novel += novel as u64;
+            }
+        }
+        counted
+    }
+
+    /// The deliberate votes consumed so far, in log order: (worker,
+    /// whether it was an upvote, the value it named).
+    pub(crate) fn votes<'b>(
+        &'b self,
+        backend: &'b Backend,
+    ) -> impl Iterator<Item = (WorkerId, bool, &'b RowValue)> {
+        let entries = log(backend);
+        self.votes.iter().filter_map(move |&i| {
+            let entry = &entries[i];
+            match &entry.msg {
+                Message::Upvote { value } => Some((entry.worker?, true, value)),
+                Message::Downvote { value } => Some((entry.worker?, false, value)),
+                _ => None,
+            }
+        })
     }
 
     /// Feeds one cell observation to the overall and per-column
@@ -277,14 +381,6 @@ impl ProgressTracker {
     }
 }
 
-/// One-shot report over the backend's full trace (a fresh tracker);
-/// what [`crate::health::collect`] embeds in the health report.
-pub fn collect(backend: &Backend, target: f64) -> ProgressReport {
-    let mut tracker = ProgressTracker::new();
-    tracker.advance(backend);
-    tracker.report(backend, target)
-}
-
 /// What to do when a [`StoppingPolicy`] triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopAction {
@@ -307,7 +403,7 @@ impl StopAction {
     }
 }
 
-/// Adaptive stopping: evaluated by the telemetry sweep against each
+/// Adaptive stopping: evaluated by the progress tick against each
 /// fresh [`ProgressReport`] (module docs for the trigger semantics).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoppingPolicy {
@@ -337,7 +433,9 @@ impl StoppingPolicy {
 
     /// Evaluates against a report; `Some` when the policy triggers.
     pub fn evaluate(&self, report: &ProgressReport) -> Option<StopDecision> {
-        if report.overall.observed == 0 || self.min_observations > report_observations(report) {
+        // The report does not carry raw n; the observed-species count is
+        // the conservative stand-in (n >= observed always).
+        if report.overall.observed == 0 || self.min_observations > report.overall.observed {
             return None;
         }
         let completeness_lo = report.completeness_lo();
@@ -402,12 +500,6 @@ impl StoppingPolicy {
     }
 }
 
-fn report_observations(report: &ProgressReport) -> u64 {
-    // The report does not carry raw n; the observed-species count is
-    // the conservative stand-in (n >= observed always).
-    report.overall.observed
-}
-
 /// Why (and how) a stopping policy fired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StopDecision {
@@ -419,7 +511,7 @@ pub struct StopDecision {
     pub marginal_cost: Option<f64>,
 }
 
-fn opt_num(v: Option<f64>) -> Json {
+pub(crate) fn opt_num(v: Option<f64>) -> Json {
     match v {
         Some(v) => Json::num(v),
         None => Json::Null,
@@ -612,7 +704,8 @@ mod tests {
         let r = fill(&mut backend, w, &mut wc, template[0], 0, "x", 100);
         fill(&mut backend, w, &mut wc, r, 1, "y", 200);
         let mut tracker = ProgressTracker::new();
-        assert_eq!(tracker.advance(&backend), 4);
+        assert_eq!(tracker.advance(&backend), backend.trace().len());
+        assert_eq!(tracker.overall.observations(), 4);
         let est = tracker.overall();
         assert_eq!(est.observed, 2);
         // Re-advancing without new ops consumes nothing.
@@ -622,31 +715,6 @@ mod tests {
         assert_eq!(report.columns.len(), 2);
         assert_eq!(report.columns[0].estimate.observed, 1);
         assert_eq!(report.columns[1].estimate.observed, 1);
-    }
-
-    #[test]
-    fn incremental_advance_matches_one_shot_collect() {
-        let mut backend = Backend::new(config(6));
-        let (w, mut wc) = join(&mut backend, 0);
-        let template: Vec<RowId> = wc.replica().table().row_ids().collect();
-        let mut tracker = ProgressTracker::new();
-        for (i, t) in template.iter().take(4).enumerate() {
-            fill(
-                &mut backend,
-                w,
-                &mut wc,
-                *t,
-                0,
-                &format!("k{i}"),
-                100 * (i as u64 + 1),
-            );
-            // Interleave advances with submissions: cursor-based
-            // consumption must agree with a from-scratch walk.
-            tracker.advance(&backend);
-        }
-        let incremental = tracker.report(&backend, DEFAULT_TARGET);
-        let oneshot = collect(&backend, DEFAULT_TARGET);
-        assert_eq!(incremental, oneshot);
     }
 
     #[test]
@@ -688,7 +756,9 @@ mod tests {
             }
         }
         backend.set_time(Millis(1_000));
-        let report = collect(&backend, DEFAULT_TARGET);
+        let mut tracker = ProgressTracker::new();
+        tracker.advance(&backend);
+        let report = tracker.report(&backend, DEFAULT_TARGET);
         assert!(
             report.overall.observed >= (rows * 2) as u64 - 1,
             "{report:?}"

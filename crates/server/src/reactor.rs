@@ -17,8 +17,9 @@
 //! the author's socket and its peers' — is on the thread that read the
 //! op, and nothing about a connection or a queue is locked or handed
 //! between threads. So are its periodic jobs: the durability and progress
-//! ticks of a collection are deadlines of its owner, and the species
-//! estimator a progress tick feeds is a field of [`Owned`].
+//! ticks of a collection are deadlines of its owner, and the collection's
+//! telemetry fold — the one reader of its op log that a `health` request
+//! and a progress tick both advance — is a field of [`Owned`].
 //!
 //! One shard is also the *acceptor*: the lowest-indexed one that owns a
 //! collection. The listening socket is one more fd in its epoll set, and it
@@ -48,12 +49,13 @@
 //!   (`idle_timeout`, a `writer_pace` release, the eviction of a lagging
 //!   session or of a socket that never finished its handshake), the end of
 //!   a batch's `max_wait` window, `Due::Sample` every `sample_period`, a
-//!   durability or progress tick over the shard's collections, or
-//!   `Due::Accept`, the end of the back-off after a failed `accept` — kept
-//!   in a heap so the wait's timeout is one `peek`; with no deadline
-//!   pending the wait has no timeout. A shard never sleeps: a listener
-//!   that cannot accept (`EMFILE`) loses its read interest until
-//!   `Due::Accept` gives it back, 10 ms later, doubling up to 1 s.
+//!   durability tick or (with a stopping policy) a progress tick over the
+//!   shard's collections, or `Due::Accept`, the end of the back-off after
+//!   a failed `accept` — kept in a heap so the wait's timeout is one
+//!   `peek`; with no deadline pending the wait has no timeout. A shard
+//!   never sleeps: a listener that cannot accept (`EMFILE`) loses its read
+//!   interest until `Due::Accept` gives it back, 10 ms later, doubling up
+//!   to 1 s.
 //!
 //! ## What a wake does
 //!
@@ -71,7 +73,9 @@
 //!    before the handshake, the connection; inside a session, the frame —
 //!    bytes that are no JSON text are not answered, JSON that is no request
 //!    gets a `reject`, so that its sender does not wait out a timeout.
-//!    Control requests are answered into the [`FrameWriter`] on the spot.
+//!    Control requests are answered into the [`FrameWriter`] on the spot;
+//!    a `health` first advances its collection's fold over what the log
+//!    grew by, under the backend lock, then reads it.
 //!    A `submit`/`modify` is admitted into its collection's queue, stamped
 //!    with the read time, or refused there (`overloaded`); once one is
 //!    admitted the connection's later frames wait until it settles, so
@@ -125,13 +129,13 @@ use crate::overload::Priority;
 use crate::progress::ProgressTracker;
 use crate::tcp_service::{
     broadcast_frames, durability_tick, health_reply, m_evictions, m_lag_downgrades, m_lag_dropped,
-    open_session, poll_broadcasts, progress_slo_specs, progress_tick, publish_snapshot_age,
-    result_frame, sync_reply, Collection, Opened, ServiceMetrics, ServiceShared,
+    open_session, poll_broadcasts, progress_tick, publish_snapshot_age, result_frame, sync_reply,
+    Collection, Opened, ServiceMetrics, ServiceShared,
 };
 use crate::wire::{self, Reply, Request};
 use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, TcpServer, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
-use crowdfill_obs::timeseries::{evaluate_slos, DeltaTracker};
+use crowdfill_obs::timeseries::DeltaTracker;
 use crowdfill_obs::trace as obstrace;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
@@ -273,9 +277,11 @@ struct Owned {
     dirty: bool,
     /// The end of the batch fill window, while it is in the timer heap.
     armed: Option<Instant>,
-    /// The progress tick's state: the species estimator fed from this
-    /// collection's op log, and whether the stopping policy has acted.
-    progress: (ProgressTracker, bool),
+    /// The collection's telemetry: one fold of its op log, advanced by a
+    /// `health` request and by the progress tick alike.
+    fold: ProgressTracker,
+    /// Whether the stopping policy has acted on the collection.
+    acted: bool,
 }
 
 impl Owned {
@@ -333,6 +339,8 @@ pub(crate) fn start_shards(
         if !owned.is_empty() {
             let durability = options.durability.as_ref();
             timers.extend(durability.map(|d| Reverse((now + d.interval, Due::Durability))));
+            // A progress tick without a policy would decide nothing.
+            let progress = progress.filter(|p| p.policy.is_some());
             timers.extend(progress.map(|p| Reverse((now + p.interval, Due::Progress))));
         }
         let owned = owned.into_iter().map(|(collection, pipeline)| Owned {
@@ -342,7 +350,8 @@ pub(crate) fn start_shards(
             budget: (0, COLLECTION_FRAMES_PER_WAKE),
             dirty: false,
             armed: None,
-            progress: Default::default(),
+            fold: ProgressTracker::new(),
+            acted: false,
         });
         let shard = Shard {
             index,
@@ -550,7 +559,7 @@ enum Due {
     /// The telemetry sample, every `sample_period` (the acceptor's).
     Sample,
     /// The durability and the progress tick over the shard's collections,
-    /// every `interval` of theirs.
+    /// every `interval` of theirs; the latter only with a stopping policy.
     Durability,
     Progress,
 }
@@ -792,23 +801,18 @@ impl Shard {
             Due::Progress => {
                 let options = telemetry.and_then(|t| t.progress.as_ref()).expect("armed");
                 for owned in &mut self.owned {
-                    let (tracker, acted) = &mut owned.progress;
-                    progress_tick(&owned.collection, options, tracker, acted);
+                    let (fold, acted) = (&mut owned.fold, &mut owned.acted);
+                    progress_tick(&owned.collection, options, fold, acted);
                 }
                 options.interval
             }
-            // One registry diff into the ring `health` reads, then the
-            // progress SLOs over it, once — their burn gauges ride the
-            // next sample.
+            // One registry diff into the ring `health` reads.
             Due::Sample => {
                 let acceptor = self.acceptor.as_mut().expect("armed");
                 let ring = &shared.telemetry.as_ref().expect("armed").ring;
                 let registry = crowdfill_obs::metrics::global();
                 let at_ns = shared.started.elapsed().as_nanos() as u64;
                 ring.push(acceptor.sampler.sample(registry, at_ns));
-                let progress = telemetry.and_then(|t| t.progress.as_ref());
-                let slos = progress.map_or(Vec::new(), |p| progress_slo_specs(p.target));
-                evaluate_slos(&slos, ring, registry);
                 telemetry.expect("armed").sample_period
             }
             Due::Conn(_) | Due::Batch(_) | Due::Accept => unreachable!("not periodic"),
@@ -1259,8 +1263,8 @@ fn serve_request(
         }
         Request::Health => {
             metrics.health_requests.inc();
-            let backend = &owned[slot].collection.backend;
-            let reply = health_reply(backend, shared.telemetry.as_deref());
+            let owned = &mut owned[slot];
+            let reply = health_reply(&owned.collection, &mut owned.fold, shared);
             queue_frame(writer, dead, &reply);
         }
         Request::TraceDump => {

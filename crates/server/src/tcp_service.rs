@@ -83,8 +83,9 @@
 
 use crate::backend::{Backend, SubmitError, SubmitReport};
 use crate::batch::{BatchOptions, BatchPipeline};
+use crate::health::SloHealth;
 use crate::overload::OverloadOptions;
-use crate::progress::{ProgressTracker, StopAction, StoppingPolicy};
+use crate::progress::{ProgressReport, ProgressTracker, StopAction, StoppingPolicy};
 use crate::reactor::{self, ReactorOptions, ShardWake, Wake};
 use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
@@ -93,7 +94,7 @@ use crowdfill_obs::timeseries::{evaluate_slos, SampleRing, SloSpec};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -122,7 +123,7 @@ pub(crate) fn publish_snapshot_age(ages: &[AtomicU64], shard: usize, age_ms: u64
     m_snapshot_age_ms().set(worst.unwrap_or(age_ms) as i64);
 }
 
-/// 1 once the progress sweep's stopping policy closed a collection.
+/// 1 once the progress tick's stopping policy closed a collection.
 pub(crate) fn m_progress_stopped() -> &'static crowdfill_obs::metrics::Gauge {
     static G: OnceLock<Arc<crowdfill_obs::metrics::Gauge>> = OnceLock::new();
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_progress_stopped"))
@@ -132,52 +133,6 @@ pub(crate) fn m_progress_stopped() -> &'static crowdfill_obs::metrics::Gauge {
 pub(crate) fn m_progress_reprice_milli() -> &'static crowdfill_obs::metrics::Gauge {
     static G: OnceLock<Arc<crowdfill_obs::metrics::Gauge>> = OnceLock::new();
     G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_progress_reprice_factor_milli"))
-}
-
-/// The progress SLOs (DESIGN.md §15): completeness at or above the
-/// target, and budget-burn no faster than progress toward it. Evaluated
-/// where the ring changes — once per telemetry sample, by the shard that
-/// took it — and their burn gauges reach the `health` reply through the
-/// dynamic ring scan, so a collection far from its target burns these
-/// without tripping static-SLO assertions.
-pub(crate) fn progress_slo_specs(target: f64) -> Vec<SloSpec> {
-    let window = Duration::from_secs(60);
-    vec![
-        SloSpec::gauge_above(
-            "completeness-target",
-            "crowdfill_progress_completeness_milli",
-            (target * 1000.0).round(),
-            window,
-        ),
-        SloSpec::burn_to_target(
-            "burn-to-target",
-            "crowdfill_progress_spent_frac_milli",
-            "crowdfill_progress_target_frac_milli",
-            1.0,
-            window,
-        ),
-    ]
-}
-
-/// Exports one progress report as gauges. Like the per-column health
-/// gauges these are process-global: with multiple collections the last
-/// tick's write wins.
-fn publish_progress_gauges(report: &crate::progress::ProgressReport) {
-    use crowdfill_obs::metrics::gauge;
-    let o = &report.overall;
-    gauge("crowdfill_progress_completeness_milli").set((o.completeness * 1000.0).round() as i64);
-    gauge("crowdfill_progress_observed").set(o.observed as i64);
-    gauge("crowdfill_progress_est_total").set(o.est_total.round() as i64);
-    gauge("crowdfill_progress_marginal_new_milli")
-        .set((o.marginal_new_rate * 1000.0).round() as i64);
-    if report.budget > 0.0 {
-        gauge("crowdfill_progress_spent_frac_milli")
-            .set(((report.spent / report.budget) * 1000.0).round() as i64);
-    }
-    if report.target > 0.0 {
-        gauge("crowdfill_progress_target_frac_milli")
-            .set(((o.completeness / report.target).clamp(0.0, 1.0) * 1000.0).round() as i64);
-    }
 }
 
 /// Connections forcibly closed after staying lagging past `evict_after`.
@@ -249,7 +204,7 @@ impl ServiceMetrics {
 }
 
 /// Live-telemetry configuration: the periodic registry sample feeding the
-/// `health` request's windowed rates and SLO burn gauges (DESIGN.md §11).
+/// `health` request's SLO evaluation (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
     /// Registry snapshot period: a deadline on the accepting shard.
@@ -258,28 +213,31 @@ pub struct TelemetryOptions {
     /// `health` request; each publishes a
     /// `crowdfill_slo_<name>_burn_milli` gauge.
     pub slos: Vec<SloSpec>,
-    /// Predictive progress (DESIGN.md §15): `Some` (the default) runs a
-    /// tick — a deadline on each collection's owner shard — feeding the
-    /// fill stream into the species estimator, exporting
-    /// `crowdfill_progress_*` gauges and applying the stopping policy;
-    /// the progress SLOs are evaluated once per sample. `None`
-    /// runs no tick (the `health` reply still carries a progress
-    /// section — it is computed from the trace on request).
+    /// Predictive progress (DESIGN.md §15). `Some` (the default) sets the
+    /// target the `health` reply's progress section forecasts toward and
+    /// adds the two progress objectives to its SLOs, computed from that
+    /// collection's own section; with a stopping policy it also arms the
+    /// progress tick, a deadline on each collection's owner shard. `None`
+    /// forecasts toward [`DEFAULT_TARGET`](crate::progress::DEFAULT_TARGET)
+    /// and adds no objectives.
     pub progress: Option<ProgressOptions>,
 }
 
-/// Knobs for the progress tick.
+/// Knobs for progress: the target, and the tick that applies a policy.
 #[derive(Debug, Clone)]
 pub struct ProgressOptions {
-    /// How often the tick advances each collection's estimator.
+    /// How often the tick advances each collection's fold and evaluates
+    /// the policy (only armed when `policy` is set).
     pub interval: Duration,
-    /// Completeness target for the gauges and progress SLOs.
+    /// Completeness target of the `health` reply's forecast and of the
+    /// progress objectives.
     pub target: f64,
     /// Adaptive stopping, evaluated once per collection per tick. The
     /// first trigger acts (`Close` journals the closed marker via
-    /// [`Backend::close`]; `Reprice` exports the recommended factor as
-    /// a gauge and logs it; `Alert` logs) and then latches — the tick
-    /// never acts twice on one collection. `None` only observes.
+    /// [`Backend::close`] and sets `crowdfill_progress_stopped`;
+    /// `Reprice` exports the recommended factor as a gauge and logs it;
+    /// `Alert` logs) and then latches — the tick never acts twice on one
+    /// collection. `None` (the default) arms no tick.
     pub policy: Option<StoppingPolicy>,
 }
 
@@ -427,24 +385,22 @@ pub(crate) fn durability_tick(
 }
 
 /// The progress tick (DESIGN.md §15) for one collection, on its owner
-/// shard: advances the collection's species estimator over the ops
-/// appended since the last tick (O(new ops), not O(trace)), exports the
-/// forecast as gauges, and applies the stopping policy at most once:
-/// `acted` latches it.
+/// shard: advances the collection's fold over the ops appended since it
+/// was last advanced (O(new ops), not O(trace)) and applies the stopping
+/// policy at most once: `acted` latches it.
 pub(crate) fn progress_tick(
     collection: &Collection,
     progress: &ProgressOptions,
-    tracker: &mut ProgressTracker,
+    fold: &mut ProgressTracker,
     acted: &mut bool,
 ) {
-    let report = {
-        let b = collection.backend.lock();
-        tracker.advance(&b);
-        tracker.report(&b, progress.target)
-    };
-    publish_progress_gauges(&report);
     let Some(policy) = progress.policy.as_ref().filter(|_| !*acted) else {
         return;
+    };
+    let report = {
+        let b = collection.backend.lock();
+        fold.advance(&b);
+        fold.report(&b, progress.target)
     };
     let Some(decision) = policy.evaluate(&report) else {
         return;
@@ -864,73 +820,65 @@ pub(crate) fn sync_reply(
     Reply::Synced(history_len, body).encode()
 }
 
-/// The semantic-health report (DESIGN.md §11): completeness, per-column
-/// agreement, per-worker latency/lag, plus SLO burn rates evaluated over
-/// the sampler ring. Scoped to ONE collection's backend.
+/// The semantic-health report (DESIGN.md §11) of ONE collection, on the
+/// shard that owns it: `fold` — the collection's — is advanced over what
+/// the log grew by since and read in place, under one lock acquisition.
+/// Then the static SLOs over the sampler ring and, with progress
+/// configured, the two progress objectives of this collection's own
+/// progress section.
 pub(crate) fn health_reply(
-    backend: &Mutex<Backend>,
-    telemetry: Option<&ServiceTelemetry>,
+    collection: &Collection,
+    fold: &mut ProgressTracker,
+    shared: &ServiceShared,
 ) -> Reply<'static> {
+    let progress = shared.options.telemetry.as_ref();
+    let progress = progress.and_then(|t| t.progress.as_ref());
+    let target = progress.map_or(crate::progress::DEFAULT_TARGET, |p| p.target);
     let mut report = {
-        let b = backend.lock();
-        crate::health::collect(&b)
+        let b = collection.backend.lock();
+        fold.advance(&b);
+        crate::health::report(&b, fold, target)
     };
-    if let Some(t) = telemetry {
-        report.slos = evaluate_slos(&t.slos, &t.ring, crowdfill_obs::metrics::global())
-            .into_iter()
-            .map(crate::health::SloHealth::from)
-            .collect();
-        // Burn gauges published by SLOs the static spec list doesn't
-        // know about — the progress sweep's, or any added after startup.
-        // Re-scanning the ring's newest sample on every request (rather
-        // than a name list captured at startup) is what keeps
-        // `crowdfill top --json` from silently omitting them.
-        report.slos.extend(dynamic_slo_burns(t));
+    if let Some(t) = &shared.telemetry {
+        let registry = crowdfill_obs::metrics::global();
+        let slos = evaluate_slos(&t.slos, &t.ring, registry).into_iter();
+        report.slos = slos.map(SloHealth::from).collect();
+    }
+    if let (Some(_), Some(p)) = (progress, &report.progress) {
+        report.slos.extend(progress_objectives(p));
     }
     Reply::Health(Box::new(report))
 }
 
-/// Scans the sampler ring's newest sample for `crowdfill_slo_*_burn_milli`
-/// gauges whose slug no static spec produced, and reports each as an
-/// [`SloHealth`](crate::health::SloHealth) against the 1.0 burn line.
-fn dynamic_slo_burns(t: &ServiceTelemetry) -> Vec<crate::health::SloHealth> {
-    let known: HashSet<String> = t
-        .slos
-        .iter()
-        .map(|spec| {
-            spec.name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
-        })
-        .collect();
-    let Some(sample) = t.ring.latest() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (name, delta) in &sample.deltas {
-        let Some(slug) = name
-            .strip_prefix("crowdfill_slo_")
-            .and_then(|n| n.strip_suffix("_burn_milli"))
-        else {
-            continue;
-        };
-        if known.contains(slug) {
-            continue;
-        }
-        let crowdfill_obs::timeseries::SampleDelta::Gauge { value } = delta else {
-            continue;
-        };
-        let burn = *value as f64 / 1000.0;
-        out.push(crate::health::SloHealth {
-            name: slug.to_string(),
+/// The largest burn a progress objective reports: what the milli-unit
+/// burn gauge these rows were once read from could hold. JSON has no ∞.
+const BURN_CEILING: f64 = i64::MAX as f64 / 1000.0;
+
+/// The progress objectives (DESIGN.md §15.4) of one collection's progress
+/// section, each against a 1.0 burn line: `burn_to_target`, the share of
+/// the budget spent over the share of the way to the target (0 before any
+/// progress), and `completeness_target`, the target over the estimated
+/// completeness.
+fn progress_objectives(p: &ProgressReport) -> [SloHealth; 2] {
+    let completeness = p.overall.completeness;
+    let ratio = |num: f64, den: f64, none: f64| if den > 0.0 { num / den } else { none };
+    let way = ratio(completeness, p.target, 0.0).clamp(0.0, 1.0);
+    let burn_to_target = ratio(ratio(p.spent, p.budget, 0.0), way, 0.0);
+    let completeness_target = ratio(p.target, completeness, f64::INFINITY);
+    let row = |name: &str, burn: f64| {
+        let burn = burn.clamp(0.0, BURN_CEILING);
+        SloHealth {
+            name: name.to_string(),
             ok: burn <= 1.0,
             value: burn,
             threshold: 1.0,
             burn_rate: burn,
-        });
-    }
-    out
+        }
+    };
+    [
+        row("burn_to_target", burn_to_target),
+        row("completeness_target", completeness_target),
+    ]
 }
 
 /// Maps a submit/modify outcome to its reply; overload gets its typed
@@ -1014,77 +962,6 @@ pub(crate) fn broadcast_frames(mut pending: Vec<SeqMsg>) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TaskConfig;
-    use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
-    use crowdfill_obs::timeseries::{Sample, SampleDelta};
-    use std::collections::BTreeMap;
-
-    fn backend() -> Mutex<Backend> {
-        let schema = Schema::new("svc-test", vec![Column::new("a", DataType::Text)], &["a"])
-            .expect("schema");
-        Mutex::new(Backend::new(TaskConfig::new(
-            Arc::new(schema),
-            Arc::new(QuorumMajority::of_three()),
-            Template::cardinality(2),
-            2.0,
-        )))
-    }
-
-    /// Regression: SLO burn gauges published after startup (the progress
-    /// sweep's, or any added at runtime) must appear in the `health`
-    /// reply. The fix re-scans the ring's newest sample per request
-    /// instead of a spec-name list captured at startup.
-    #[test]
-    fn health_reply_includes_slo_gauges_added_after_startup() {
-        let ring = Arc::new(SampleRing::new(4));
-        let telemetry = ServiceTelemetry {
-            ring: Arc::clone(&ring),
-            slos: vec![SloSpec::gauge_above(
-                "completeness-target",
-                "crowdfill_progress_completeness_milli",
-                900.0,
-                Duration::from_secs(60),
-            )],
-        };
-        // A sample arrives carrying a burn gauge no static spec owns
-        // (slug `late_added`) plus the static spec's own gauge, which
-        // must NOT be double-reported.
-        let mut deltas = BTreeMap::new();
-        deltas.insert(
-            "crowdfill_slo_late_added_burn_milli".to_string(),
-            SampleDelta::Gauge { value: 1500 },
-        );
-        deltas.insert(
-            "crowdfill_slo_completeness_target_burn_milli".to_string(),
-            SampleDelta::Gauge { value: 200 },
-        );
-        ring.push(Sample {
-            at_ns: 1,
-            since_ns: 0,
-            deltas,
-        });
-        let backend = backend();
-        let Reply::Health(report) = health_reply(&backend, Some(&telemetry)) else {
-            panic!("not a health reply");
-        };
-        let late = report
-            .slos
-            .iter()
-            .find(|s| s.name == "late_added")
-            .expect("late-added SLO visible in the reply");
-        assert!(!late.ok, "burn 1.5 must read as violating: {late:?}");
-        assert!((late.burn_rate - 1.5).abs() < 1e-9);
-        // The static spec appears exactly once (from evaluation, not
-        // duplicated by the dynamic scan).
-        let count = report
-            .slos
-            .iter()
-            .filter(|s| s.name.contains("completeness"))
-            .count();
-        assert_eq!(count, 1, "{:?}", report.slos);
-        // The progress section rides along even on an empty collection.
-        assert!(report.progress.is_some());
-    }
 
     /// The snapshot-age gauge is the worst case over every shard's
     /// collections, not the last shard's to tick.
@@ -1097,41 +974,5 @@ mod tests {
         assert_eq!(m_snapshot_age_ms().get(), 9_000, "last shard won");
         publish_snapshot_age(&ages, 1, 10); // it compacted
         assert_eq!(m_snapshot_age_ms().get(), 40);
-    }
-
-    /// The progress SLO pair: spec names and gauge wiring stay aligned
-    /// with what `publish_progress_gauges` exports.
-    #[test]
-    fn progress_slo_specs_match_published_gauges() {
-        let specs = progress_slo_specs(0.9);
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].name, "completeness-target");
-        assert_eq!(specs[1].name, "burn-to-target");
-        let report = crate::progress::ProgressReport {
-            target: 0.9,
-            overall: crowdfill_obs::progress::ProgressEstimate {
-                observed: 9,
-                est_total: 10.0,
-                completeness: 0.9,
-                ci_lo: 9.0,
-                ci_hi: 11.0,
-                marginal_new_rate: 0.25,
-            },
-            columns: Vec::new(),
-            spent: 5.0,
-            budget: 10.0,
-            cost_per_fill: Some(0.5),
-            cost_to_target: None,
-            eta_secs_to_target: None,
-            fills_per_sec: 0.0,
-        };
-        publish_progress_gauges(&report);
-        let g = |name: &str| crowdfill_obs::metrics::global().gauge(name).get();
-        assert_eq!(g("crowdfill_progress_completeness_milli"), 900);
-        assert_eq!(g("crowdfill_progress_observed"), 9);
-        assert_eq!(g("crowdfill_progress_est_total"), 10);
-        assert_eq!(g("crowdfill_progress_marginal_new_milli"), 250);
-        assert_eq!(g("crowdfill_progress_spent_frac_milli"), 500);
-        assert_eq!(g("crowdfill_progress_target_frac_milli"), 1000);
     }
 }

@@ -7,8 +7,8 @@ use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_server::wire::Request;
 use crowdfill_server::{
-    Backend, DurabilitySweepOptions, ReactorOptions, RemoteWorker, ServiceOptions, TaskConfig,
-    TcpService,
+    Backend, DurabilitySweepOptions, ProgressOptions, ReactorOptions, RemoteWorker, ServiceOptions,
+    StoppingPolicy, TaskConfig, TcpService, TelemetryOptions,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -219,6 +219,13 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     // is configured: a tick is a deadline of that shard.
     let every_tick = || ServiceOptions {
         durability: Some(DurabilitySweepOptions::default()),
+        telemetry: Some(TelemetryOptions {
+            progress: Some(ProgressOptions {
+                policy: Some(StoppingPolicy::close_at(0.9)),
+                ..ProgressOptions::default()
+            }),
+            ..TelemetryOptions::default()
+        }),
         ..two_shards()
     };
     for (collections, options) in [(128, two_shards()), (1, every_tick()), (128, every_tick())] {
@@ -248,9 +255,11 @@ fn reactor_churn_leaks_neither_threads_nor_fds() {
     assert_eq!(open_fds(), fds_at_rest);
 
     // Idle is idle. Under default options what wakes a shard is the
-    // telemetry sample (4/s) and the progress tick (2/s); with telemetry
-    // and durability off nothing does. (52/s at the parent of the change
-    // that made the ticks deadlines: a sampler asleep in 20 ms slices.)
+    // telemetry sample (4/s) — the progress tick is armed only with a
+    // stopping policy, which the defaults do not set; with telemetry and
+    // durability off nothing does. (52/s at the parent of the change that
+    // made the ticks deadlines: a sampler asleep in 20 ms slices; 6/s at
+    // the parent of the one that tied the progress tick to a policy.)
     let rate = idle_switches_per_second(two_shards());
     eprintln!("idle default service: {rate:.1} voluntary context switches/s");
     assert!(rate <= 10.0, "an idle default service wakes {rate:.1}/s");

@@ -14,8 +14,9 @@ use crowdfill_pay::Millis;
 use crowdfill_server::persist::{self, DurabilityOptions};
 use crowdfill_server::wire::{self, Cursor, Reply, Request};
 use crowdfill_server::{
-    Backend, BatchOptions, DurabilitySweepOptions, OverloadOptions, ReactorOptions, RemoteWorker,
-    ServiceOptions, TaskConfig, TcpService, TelemetryOptions, WorkerClient,
+    Backend, BatchOptions, DurabilitySweepOptions, OverloadOptions, ProgressOptions,
+    ReactorOptions, RemoteWorker, ServiceOptions, StoppingPolicy, TaskConfig, TcpService,
+    TelemetryOptions, WorkerClient,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -49,7 +50,7 @@ fn config(rows: usize) -> TaskConfig {
 }
 
 /// Two shards, otherwise the defaults: what is periodic — the telemetry
-/// sample, the progress tick — is a deadline of the shard that owns it.
+/// sample — is a deadline of the shard that owns it.
 fn two_shards() -> ServiceOptions {
     ServiceOptions {
         reactor: ReactorOptions { shards: 2 },
@@ -165,7 +166,7 @@ fn recv_until_closed(conn: &TcpConn) {
 
 /// (i) Idle is idle: connected, silent sessions cost no wakeups at all,
 /// and under default options exactly what is periodic — the sample every
-/// 250 ms, the progress tick every 500 ms — and nothing per session.
+/// 250 ms — and nothing per session.
 #[test]
 fn idle_sessions_cause_no_wakeups() {
     let _turn = take_turn();
@@ -180,14 +181,49 @@ fn idle_sessions_cause_no_wakeups() {
         let (before, start) = (wakeups(), Instant::now());
         std::thread::sleep(Duration::from_millis(600));
         let (woke, took) = (wakeups() - before, start.elapsed().as_millis() as u64);
-        // A tick re-arms one period after it ran: at most one more of each
-        // than whole periods fit in the interval.
-        let due = (took / 250 + 1) + (took / 500 + 1);
+        // A tick re-arms one period after it ran: at most one more than
+        // whole periods fit in the interval.
+        let due = took / 250 + 1;
         match ticking {
             false => assert_eq!(woke, 0, "an idle shard woke up"),
             true => assert!((1..=due).contains(&woke), "{woke} wakes, {due} ticks due"),
         }
         drop(sessions);
+        service.stop();
+    }
+}
+
+/// (i) A progress tick is a decision's: without a stopping policy none is
+/// armed, however short its interval, and an idle service wakes exactly
+/// for its samples; with one (that never fires) the tick runs.
+#[test]
+fn a_progress_tick_is_armed_only_with_a_policy() {
+    let _turn = take_turn();
+    let sampled = |policy| ServiceOptions {
+        telemetry: Some(TelemetryOptions {
+            sample_period: Duration::from_millis(200),
+            progress: Some(ProgressOptions {
+                interval: Duration::from_millis(10),
+                policy,
+                ..ProgressOptions::default()
+            }),
+            ..TelemetryOptions::default()
+        }),
+        ..quiet()
+    };
+    let never = StoppingPolicy::close_at(2.0);
+    for (policy, ticking) in [(None, false), (Some(never), true)] {
+        let backend = Backend::new(config(4));
+        let service = TcpService::start_with(backend, "127.0.0.1:0", sampled(policy)).unwrap();
+        settle();
+        let (before, start) = (wakeups(), Instant::now());
+        std::thread::sleep(Duration::from_millis(500));
+        let (woke, took) = (wakeups() - before, start.elapsed().as_millis() as u64);
+        let samples = (took / 200)..=(took / 200 + 1);
+        match ticking {
+            false => assert!(samples.contains(&woke), "{woke} wakes, samples {samples:?}"),
+            true => assert!(woke > samples.end() + 10, "{woke} wakes: no progress tick"),
+        }
         service.stop();
     }
 }
@@ -372,7 +408,8 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     drop(idle);
 
     // `Due::Sample` and a maintenance tick: nobody is connected, and the
-    // one deadline configured is all that can end a wait.
+    // one deadline configured is all that can end a wait (the progress
+    // tick has its own test: it needs a policy).
     let sampled = ServiceOptions {
         telemetry: Some(TelemetryOptions {
             sample_period: Duration::from_millis(20),

@@ -117,13 +117,10 @@ pub struct RunReport {
     /// tracing is off (`OBS_TRACE=off`, the default) or nothing sampled.
     pub trace_summary: String,
     /// The end-of-run health report (completeness, per-column agreement,
-    /// per-worker stats; DESIGN.md §11), rendered as text. Taken just
-    /// before settlement, so it reflects the final collection state.
+    /// per-worker stats, and the predictive-progress pane; DESIGN.md §11,
+    /// §15), rendered as text. Taken just before settlement, so it
+    /// reflects the final collection state.
     pub health_summary: String,
-    /// The end-of-run predictive-progress report (completeness estimate,
-    /// cost-to-target; DESIGN.md §15), rendered as text alongside
-    /// `health_summary`.
-    pub progress_summary: String,
 }
 
 impl RunReport {
@@ -320,9 +317,6 @@ pub fn run(cfg: SimConfig) -> RunReport {
 
     // Health must be read before settlement tears the sessions down.
     let health_summary = crowdfill_server::health::collect(&backend).render();
-    let progress_summary =
-        crowdfill_server::progress::collect(&backend, crowdfill_server::progress::DEFAULT_TARGET)
-            .render();
 
     let (final_table, contributions, payout) = backend.settle();
     let accuracy = if final_table.is_empty() {
@@ -389,6 +383,5 @@ pub fn run(cfg: SimConfig) -> RunReport {
         metrics_snapshot,
         trace_summary,
         health_summary,
-        progress_summary,
     }
 }

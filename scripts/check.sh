@@ -72,6 +72,22 @@ if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/t
   echo "check.sh: a sleep or a park in the shard loop, the service or the sampler; arm a deadline (reactor::Due)" >&2
   exit 1
 fi
+# One reader: a collection's telemetry reads its op log through one fold,
+# `progress.rs`'s `ProgressTracker` (DESIGN.md §11) — `trace()` once there
+# and nowhere in `health.rs` — and a served `health` reads the owner
+# shard's fold, never a fresh walk.
+if sed '/#\[cfg(test)\]/,$d' crates/server/src/health.rs | grep -n "trace()" \
+  || [ "$(sed '/#\[cfg(test)\]/,$d' crates/server/src/progress.rs | grep -c "trace()")" != 1 ] \
+  || grep -n "health::collect" crates/server/src/reactor.rs crates/server/src/tcp_service.rs; then
+  echo "check.sh: the op log read outside the telemetry fold; advance the collection's ProgressTracker" >&2
+  exit 1
+fi
+# A report writes nothing: no metric is set or bumped by building one.
+if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/health.rs crates/server/src/progress.rs \
+  | grep -n "gauge(\|counter("; then
+  echo "check.sh: a metric written by health.rs or progress.rs; a report is a read" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace

@@ -98,7 +98,6 @@ fn cmd_simulate(args: &[String]) -> i32 {
         println!("  {w}: ${amount:.2}");
     }
     println!("{}", report.health_summary);
-    println!("{}", report.progress_summary);
     // Populated only when OBS_TRACE enables the flight recorder.
     if !report.trace_summary.is_empty() {
         println!("{}", report.trace_summary);
