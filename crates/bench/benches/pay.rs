@@ -55,6 +55,7 @@ fn bench_estimator_throughput(c: &mut Criterion) {
     // Replay a full run's trace through a fresh estimator, measuring the
     // end-to-end per-action estimation cost (including probable-row
     // recomputation against the evolving table).
+    use crowdfill_constraints::{Classifier, ProbableView};
     use crowdfill_model::{Message, QuorumMajority, Template};
     use crowdfill_pay::Estimator;
     use crowdfill_sync::Replica;
@@ -73,6 +74,11 @@ fn bench_estimator_throughput(c: &mut Criterion) {
             );
             let mut replica =
                 Replica::new(crowdfill_model::ClientId(u32::MAX), Arc::clone(&r.schema));
+            let mut classes = Classifier::new(
+                Arc::clone(&r.schema),
+                Arc::new(QuorumMajority::of_three()),
+                replica.table(),
+            );
             let mut row_values: std::collections::HashMap<_, crowdfill_model::RowValue> =
                 std::collections::HashMap::new();
             for (idx, e) in r.trace.entries().iter().enumerate() {
@@ -90,6 +96,8 @@ fn bench_estimator_throughput(c: &mut Criterion) {
                     _ => {}
                 }
                 replica.process(&e.msg);
+                classes.update(replica.table(), &e.msg);
+                let view = ProbableView::new(replica.table(), &classes);
                 if e.worker.is_none() {
                     continue;
                 }
@@ -97,11 +105,11 @@ fn bench_estimator_throughput(c: &mut Criterion) {
                     (Message::Replace { value, .. }, Some(ov)) => {
                         if let Some(col) = ov.added_column(value) {
                             let v = value.get(col).unwrap().clone();
-                            est.on_fill(idx, e, col, &v, replica.table());
+                            est.on_fill(idx, e, col, &v, view);
                         }
                     }
                     _ => {
-                        est.on_action(idx, e, replica.table());
+                        est.on_action(idx, e, view);
                     }
                 }
             }

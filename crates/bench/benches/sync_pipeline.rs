@@ -29,7 +29,7 @@ fn temp_wal(tag: &str) -> (std::path::PathBuf, Wal) {
 }
 
 fn bench_batched_apply(c: &mut Criterion) {
-    let jobs = record_fill_workload(ROWS, WORKERS);
+    let jobs = record_fill_workload(ROWS, ROWS, WORKERS);
 
     let mut group = c.benchmark_group("sync_pipeline/apply");
     group.bench_function("singleton", |b| {
@@ -78,7 +78,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         ("all", TraceMode::All),
     ] {
         obstrace::set_mode(mode);
-        let jobs = record_fill_workload(ROWS, WORKERS);
+        let jobs = record_fill_workload(ROWS, ROWS, WORKERS);
         group.bench_function(label, |b| {
             b.iter(|| replay_batched(&jobs, ROWS, WORKERS, 32, None));
         });

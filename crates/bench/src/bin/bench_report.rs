@@ -124,7 +124,7 @@ fn sync_suite(quick: bool) -> Vec<Entry> {
     // The regression gate on this suite is blocking in CI, so quick mode
     // still takes enough reps for a stable median.
     let (rows, workers, reps) = if quick { (16, 4, 5) } else { (32, 4, 9) };
-    let jobs = record_fill_workload(rows, workers);
+    let jobs = record_fill_workload(rows, rows, workers);
     let ops = jobs.len();
     eprintln!("sync workload: {ops} ops over {rows} rows, {workers} workers, {reps} reps");
     let mut entries = Vec::new();
@@ -272,7 +272,7 @@ fn trace_overhead_suite(quick: bool) -> Vec<Entry> {
         // Re-record under each mode: the workload mints its jobs' trace
         // ids at record time, gated on the mode (off → untraced jobs,
         // sampled → 1-in-64, all → every job).
-        let jobs = record_fill_workload(rows, workers);
+        let jobs = record_fill_workload(rows, rows, workers);
         let ops = jobs.len();
         entries.push(measure(&format!("apply_traced/{label}"), ops, reps, || {
             replay_batched(&jobs, rows, workers, 32, None);
@@ -295,7 +295,7 @@ fn trace_overhead_suite(quick: bool) -> Vec<Entry> {
 fn health_overhead_suite(quick: bool) -> Vec<Entry> {
     let (rows, workers, reps) = if quick { (16, 4, 5) } else { (96, 4, 25) };
     eprintln!("health overhead workload: {rows} rows, {workers} workers, {reps} interleaved reps");
-    let jobs = record_fill_workload(rows, workers);
+    let jobs = record_fill_workload(rows, rows, workers);
     let ops = jobs.len();
 
     // Warm-up pass so neither side pays the cold caches.
@@ -774,7 +774,7 @@ fn progress_suite(quick: bool) -> Vec<Entry> {
     eprintln!(
         "progress overhead workload: {rows} rows, {workers} workers, {reps} interleaved reps"
     );
-    let jobs = record_fill_workload(rows, workers);
+    let jobs = record_fill_workload(rows, rows, workers);
     let ops = jobs.len();
     let replay = |sweep: bool| {
         use std::sync::atomic::{AtomicBool, Ordering};

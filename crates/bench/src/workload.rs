@@ -70,21 +70,22 @@ impl Driver {
     }
 }
 
-/// Records a complete collection run — every template row filled by one of
+/// Records a collection run over a `rows`-row template — `fills` template
+/// rows (all of them when `fills >= rows`) each filled by one of
 /// `n_workers` workers and upvoted to quorum by another — as a replayable
-/// job stream. Roughly `4 × rows` jobs.
+/// job stream. Roughly `4 × fills` jobs.
 ///
 /// Replay the stream into `Backend::new(pipeline_config(rows))` with
 /// `n_workers` sessions connected in order; by the batch/singleton
 /// equivalence property the resulting state is identical however the
 /// stream is chunked.
-pub fn record_fill_workload(rows: usize, n_workers: usize) -> Vec<BatchJob> {
+pub fn record_fill_workload(rows: usize, fills: usize, n_workers: usize) -> Vec<BatchJob> {
     assert!(n_workers >= 2, "need a second worker to reach quorum");
     let mut backend = Backend::new(pipeline_config(rows));
     let mut drivers: Vec<Driver> = (0..n_workers)
         .map(|_| Driver::connect(&mut backend))
         .collect();
-    let mut jobs: Vec<BatchJob> = Vec::with_capacity(rows * 4);
+    let mut jobs: Vec<BatchJob> = Vec::with_capacity(fills * 4);
 
     let submit = |backend: &mut Backend,
                   d: &mut Driver,
@@ -107,7 +108,7 @@ pub fn record_fill_workload(rows: usize, n_workers: usize) -> Vec<BatchJob> {
         });
     };
 
-    for r in 0..rows {
+    for r in 0..fills.min(rows) {
         let filler = r % n_workers;
         let voter = (r + 1) % n_workers;
 

@@ -11,7 +11,8 @@
 //! and inserting template-valued rows only when augmentation fails, which
 //! minimizes wasted work.
 //!
-//! * [`probable`] — the three-way probable-row classification (§4.1);
+//! * [`probable`] — the three-way probable-row classification (§4.1), kept
+//!   live per key group by [`Classifier`];
 //! * [`maintainer`] — the Central Client / [`PriMaintainer`] (§4.2),
 //!   including the matching shuffle and template-drop degenerate cases, and
 //!   the fulfillment check used as the data-collection stopping condition.
@@ -22,4 +23,7 @@ pub mod maintainer;
 pub mod probable;
 
 pub use maintainer::{PriMaintainer, TemplateIdx};
-pub use probable::{classify, classify_rows, probable_rows, Classification, ProbableStatus};
+pub use probable::{
+    classify, classify_rows, probable_rows, Classification, Classifier, ProbableStatus,
+    ProbableView,
+};

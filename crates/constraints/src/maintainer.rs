@@ -8,9 +8,11 @@
 //! maximum matching of the template-to-probable-rows bipartite graph has
 //! exactly `|T|` edges.
 //!
-//! After every table change CC diffs the probable set (row values are
-//! immutable per id, so only *membership* changes), repairs the matching
-//! with augmenting paths, and when a template row goes unmatched:
+//! After every table change CC brings its live [`Classifier`] up to date —
+//! re-classifying only the key groups the message touched — and hands the
+//! net change of the probable set to the matcher (row values are immutable
+//! per id, so only *membership* changes), repairs the matching with
+//! augmenting paths, and when a template row goes unmatched:
 //!
 //! 1. inserts a fresh row carrying the template's prescribed values, if that
 //!    row would itself be probable;
@@ -30,7 +32,7 @@
 //! when every matched row is a condition-3 winner (complete, positive,
 //! group-best), the derived final table satisfies the constraint.
 
-use crate::probable::classify;
+use crate::probable::{Classifier, ProbableView};
 use crowdfill_matching::IncrementalMatcher;
 use crowdfill_model::{
     ClientId, Entry, Message, Operation, RowId, RowValue, Schema, ScoringRef, Template, TemplateRow,
@@ -58,15 +60,14 @@ pub struct PriMaintainer {
     /// identical messages make identical decisions (the batched server
     /// relies on that for cross-instance history identity).
     matcher: IncrementalMatcher<TemplateIdx, RowId>,
-    /// Current probable set (mirrors the matcher's right vertices).
-    probable: BTreeSet<RowId>,
-    /// Size of the derived final table as of the last classification sweep
-    /// (the number of group-winner rows). Lets [`is_fulfilled`] reject in
-    /// O(1) without deriving the final table: a matching covering the
-    /// template needs at least `template.len()` final rows.
+    /// The replica's live probable-row classification. Its probable set is
+    /// the matcher's right vertices as of the last sync, plus the pending
+    /// delta; its winner count lets [`is_fulfilled`] reject in O(1) without
+    /// deriving the final table (a matching covering the template needs at
+    /// least `template.len()` final rows).
     ///
     /// [`is_fulfilled`]: Self::is_fulfilled
-    final_rows: usize,
+    classes: Classifier,
     /// Messages CC has generated and not yet handed to the caller.
     outbox: Vec<Message>,
 }
@@ -79,21 +80,21 @@ impl PriMaintainer {
     /// Call [`take_outbox`](Self::take_outbox) afterwards to collect the
     /// initialization messages for broadcast.
     pub fn new(schema: Arc<Schema>, scoring: ScoringRef, template: &Template) -> PriMaintainer {
+        let replica = Replica::new(ClientId::CENTRAL, Arc::clone(&schema));
         let mut m = PriMaintainer {
-            replica: Replica::new(ClientId::CENTRAL, schema),
+            classes: Classifier::new(schema, Arc::clone(&scoring), replica.table()),
+            replica,
             scoring,
             template: template.rows().iter().cloned().enumerate().collect(),
             dropped: Vec::new(),
             matcher: IncrementalMatcher::new(),
-            probable: BTreeSet::new(),
-            final_rows: 0,
             outbox: Vec::new(),
         };
         for (idx, row) in m.template.clone() {
             m.matcher.add_left(idx);
             m.insert_template_row(&row);
         }
-        m.refresh_and_maintain();
+        m.maintain();
         m
     }
 
@@ -113,14 +114,14 @@ impl PriMaintainer {
         dropped: Vec<(TemplateIdx, TemplateRow)>,
     ) -> PriMaintainer {
         template.sort_by_key(|(idx, _)| *idx);
+        let schema = Arc::clone(replica.schema());
         let mut m = PriMaintainer {
+            classes: Classifier::new(schema, Arc::clone(&scoring), replica.table()),
             replica,
             scoring,
             template,
             dropped,
             matcher: IncrementalMatcher::new(),
-            probable: BTreeSet::new(),
-            final_rows: 0,
             outbox: Vec::new(),
         };
         for (idx, _) in &m.template {
@@ -148,8 +149,9 @@ impl PriMaintainer {
     /// maintenance. Journal replay must reproduce history, not extend it:
     /// the repairs CC generated for this message are themselves later
     /// entries in the journal, so re-running maintenance here would emit
-    /// them twice. Call [`rederive`](Self::rederive) once after the whole
-    /// replay to rebuild the matching over the final replica state.
+    /// them twice. Nor is the classification kept up: call
+    /// [`rederive`](Self::rederive) once after the whole replay to rebuild
+    /// it, and the matching, over the final replica state.
     pub fn replay_message(&mut self, msg: &Message) {
         self.replica.process(msg);
     }
@@ -177,6 +179,7 @@ impl PriMaintainer {
     /// count — after a journal replay, emitting no messages (the same
     /// deferred-repair contract as [`restore`](Self::restore)).
     pub fn rederive(&mut self) {
+        self.classes.rebuild(self.replica.table());
         self.sync_probable_set();
         self.matcher.repair();
         if !self.invariant_holds() {
@@ -201,7 +204,18 @@ impl PriMaintainer {
 
     /// The current probable-row set.
     pub fn probable_set(&self) -> &BTreeSet<RowId> {
-        &self.probable
+        self.classes.probable()
+    }
+
+    /// The live classification of CC's replica.
+    pub fn classification(&self) -> &Classifier {
+        &self.classes
+    }
+
+    /// CC's table and its classification: what the compensation estimator
+    /// reads (§5.3).
+    pub fn view(&self) -> ProbableView<'_> {
+        ProbableView::new(self.replica.table(), &self.classes)
     }
 
     /// The probable row currently matched to original template row `idx`.
@@ -217,28 +231,20 @@ impl PriMaintainer {
 
     /// Processes a message that arrived at CC (any worker message the server
     /// broadcasts), then re-establishes the PRI. New CC messages appear in
-    /// the outbox.
+    /// the outbox. The same as [`absorb`](Self::absorb) followed by
+    /// [`maintain`](Self::maintain).
     pub fn on_message(&mut self, msg: &Message) {
-        self.replica.process(msg);
-        self.refresh_and_maintain();
+        self.absorb(msg);
+        self.maintain();
     }
 
-    /// Batched variant of [`on_message`](Self::on_message): absorbs a run of
-    /// messages into the replica and re-establishes the PRI **once**, so the
-    /// probable-set diff and augmenting-path repair are amortized over the
-    /// whole run instead of paid per message.
-    ///
-    /// The final state can differ from calling `on_message` per element —
-    /// intermediate maintenance (and the inserts it would have generated) is
-    /// skipped — so this is for callers that only observe the end state:
-    /// bulk replay, offline analysis, and the PRI throughput benchmarks. The
-    /// live server keeps per-message maintenance, which is what the
-    /// batch/singleton history-equivalence property pins down.
-    pub fn on_messages(&mut self, msgs: &[Message]) {
-        for msg in msgs {
-            self.replica.process(msg);
-        }
-        self.refresh_and_maintain();
+    /// The first half of [`on_message`](Self::on_message): processes `msg`
+    /// and re-classifies what it touched, without maintenance — so a reader
+    /// of [`view`](Self::view) sees the table after the message and before
+    /// CC's repairs.
+    pub fn absorb(&mut self, msg: &Message) {
+        self.replica.process(msg);
+        self.classes.update(self.replica.table(), msg);
     }
 
     /// Fulfillment check: does the final table derived from the current
@@ -253,10 +259,10 @@ impl PriMaintainer {
     pub fn is_fulfilled(&self) -> bool {
         // O(1) necessary condition first: the unique-witness matching cannot
         // cover the template with fewer final rows than live template rows,
-        // and the classification sweep already counted the final rows (the
+        // and the classification already counts the final rows (the
         // per-key-group winners). This skips the full derivation on the vast
         // majority of mid-collection checks.
-        if self.final_rows < self.template.len() {
+        if self.classes.winners() < self.template.len() {
             return false;
         }
         let final_table = crowdfill_model::derive_final_table(
@@ -274,44 +280,42 @@ impl PriMaintainer {
 
     // ---- internals -------------------------------------------------------
 
-    /// CC performs `op` on its replica and queues the message.
-    fn cc_op(&mut self, op: &Operation) -> Option<RowId> {
-        match self.replica.apply_local(op) {
-            Ok(msg) => {
-                let created = msg.creates_row();
-                self.outbox.push(msg);
-                created
-            }
-            Err(e) => unreachable!("CC generated an invalid operation {op}: {e}"),
-        }
-    }
-
     /// Inserts a row carrying `trow`'s prescribed values; upvotes it if the
     /// prescription is complete (paper §4.2 initialization rule). Returns the
     /// final row id.
     fn insert_template_row(&mut self, trow: &TemplateRow) -> RowId {
         let mut row = self.cc_op(&Operation::Insert).expect("insert creates");
         for (col, v) in trow.prescribed_values() {
-            let v = v.clone();
-            row = self
-                .cc_op(&Operation::Fill {
-                    row,
-                    column: col,
-                    value: v,
-                })
-                .expect("fill creates");
+            let fill = Operation::Fill {
+                row,
+                column: col,
+                value: v.clone(),
+            };
+            row = self.cc_op(&fill).expect("fill creates");
         }
-        if self
+        let value = &self
             .replica
             .table()
             .get(row)
             .expect("row just created")
-            .value
-            .is_complete(self.replica.schema())
-        {
+            .value;
+        if value.is_complete(self.replica.schema()) {
             self.cc_op(&Operation::Upvote { row });
         }
         row
+    }
+
+    /// CC performs `op` on its replica, classifies it and queues the
+    /// message.
+    fn cc_op(&mut self, op: &Operation) -> Option<RowId> {
+        let msg = self
+            .replica
+            .apply_local(op)
+            .unwrap_or_else(|e| unreachable!("CC generated an invalid operation {op}: {e}"));
+        self.classes.update(self.replica.table(), &msg);
+        let created = msg.creates_row();
+        self.outbox.push(msg);
+        created
     }
 
     /// Would a freshly-inserted row with `trow`'s prescribed values be
@@ -335,22 +339,22 @@ impl PriMaintainer {
             // unacceptability.
             return false;
         }
-        match value.key_projection(schema) {
+        let table = self.replica.table();
+        match table.key_of(&value) {
             None => score == 0,
             Some(key) => {
                 // Scores of existing same-key rows. If the new row would be
                 // complete, CC's auto-upvote also bumps every *equal-valued*
                 // row, so account for that when projecting their scores.
                 let mut best_other = 0i64;
-                for (_, e) in self.replica.table().iter() {
-                    if e.value.key_projection(schema).as_ref() == Some(&key) {
-                        let up = if complete && e.value == value {
-                            e.upvotes + 1
-                        } else {
-                            e.upvotes
-                        };
-                        best_other = best_other.max(self.scoring.score(up, e.downvotes));
-                    }
+                for &id in table.key_group(&key) {
+                    let e = table.get(id).expect("indexed row exists");
+                    let up = if complete && e.value == value {
+                        e.upvotes + 1
+                    } else {
+                        e.upvotes
+                    };
+                    best_other = best_other.max(self.scoring.score(up, e.downvotes));
                 }
                 if score == 0 {
                     best_other <= 0
@@ -363,9 +367,11 @@ impl PriMaintainer {
         }
     }
 
-    /// Recomputes the probable set, diffs it into the matcher, repairs, and
-    /// restores the PRI by insertion / shuffle / template-drop.
-    fn refresh_and_maintain(&mut self) {
+    /// The second half of [`on_message`](Self::on_message), after
+    /// [`absorb`](Self::absorb): hands the probable set's change to the
+    /// matcher, repairs, and restores the PRI by insertion / shuffle /
+    /// template-drop.
+    pub fn maintain(&mut self) {
         crowdfill_obs::metrics::counter("crowdfill_constraints_pri_refreshes").inc();
         let _refresh_timer = crowdfill_obs::SpanTimer::start(&crowdfill_obs::metrics::histogram(
             "crowdfill_constraints_pri_refresh_ns",
@@ -381,7 +387,7 @@ impl PriMaintainer {
             if self.insertable(&trow) {
                 let row = self.insert_template_row(&trow);
                 self.sync_probable_set();
-                debug_assert!(self.probable.contains(&row), "inserted row not probable");
+                debug_assert!(self.classes.is_probable(row), "inserted row not probable");
                 self.matcher.repair();
                 continue;
             }
@@ -400,7 +406,7 @@ impl PriMaintainer {
                     let drow = self.template_row(d).clone();
                     let row = self.insert_template_row(&drow);
                     self.sync_probable_set();
-                    debug_assert!(self.probable.contains(&row));
+                    debug_assert!(self.classes.is_probable(row));
                     self.matcher.repair();
                 }
                 None => {
@@ -441,35 +447,39 @@ impl PriMaintainer {
         true
     }
 
-    /// Diffs the probable set into the matcher. Row values are immutable, so
-    /// existing edges never change; only vertices enter and leave.
+    /// Applies the classification's net change since the last sync to the
+    /// matcher: removals, then additions, each ascending — so the matching
+    /// stays the same pure function of the mutation history. Row values are
+    /// immutable, so existing edges never change; only vertices enter and
+    /// leave.
     fn sync_probable_set(&mut self) {
-        let classification = classify(self.replica.table(), self.replica.schema(), &*self.scoring);
-        self.final_rows = classification.winners;
-        let fresh = classification.probable();
-        // Removed rows.
-        for id in self.probable.difference(&fresh) {
+        let (removed, added) = self.classes.take_delta();
+        for id in &removed {
             self.matcher.remove_right(id);
         }
         // Added rows: each enters the matcher together with its edges, one to
         // every live template row whose edge condition holds.
         let schema = self.replica.schema();
-        for &id in fresh.difference(&self.probable) {
-            let row = self.replica.table().get(id).expect("probable row exists");
+        for id in added {
+            let value = &self
+                .replica
+                .table()
+                .get(id)
+                .expect("probable row exists")
+                .value;
+            let complete = value.is_complete(schema);
             let lefts = self
                 .template
                 .iter()
-                .filter(|(_, t)| edge(schema, t, &row.value));
+                .filter(|(_, t)| edge(t, value, complete));
             self.matcher.add_right(id, lefts.map(|(idx, _)| *idx));
         }
-        self.probable = fresh;
     }
 }
 
 /// The PRI edge condition: prescribed values strict, predicates optimistic on
-/// partial rows (see module docs).
-fn edge(schema: &Schema, trow: &TemplateRow, value: &RowValue) -> bool {
-    let complete = value.is_complete(schema);
+/// partial rows (see module docs). `complete` is `value`'s completeness.
+fn edge(trow: &TemplateRow, value: &RowValue, complete: bool) -> bool {
     trow.entries().iter().all(|(col, entry)| match entry {
         Entry::Any => true,
         Entry::Value(v) => value.get(*col) == Some(v),
@@ -485,7 +495,7 @@ impl std::fmt::Debug for PriMaintainer {
         f.debug_struct("PriMaintainer")
             .field("live_template", &self.template.len())
             .field("dropped", &self.dropped.len())
-            .field("probable", &self.probable.len())
+            .field("probable", &self.classes.probable().len())
             .field("matching", &self.matcher.matching_size())
             .field("outbox", &self.outbox.len())
             .finish()

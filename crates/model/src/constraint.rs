@@ -356,7 +356,7 @@ mod tests {
 
     /// Builds the paper's §2.2 final table (Messi, Ronaldinho-MF, Casillas).
     fn paper_final_table(schema: &Schema) -> FinalTable {
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(schema);
         let rows = [
             row(
                 &[

@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn paper_section_2_2_example() {
         let s = soccer_schema();
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         let mut seq = 0;
         let mut add = |t: &mut CandidateTable, vals: &[(&str, &str)], up, down| {
             let id = RowId::new(ClientId(1), seq);
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn ties_break_to_lowest_row_id() {
         let s = soccer_schema();
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         let v1 = row(
             &[
                 ("name", "A"),
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn incomplete_rows_never_appear() {
         let s = soccer_schema();
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         // Even with absurdly many upvotes, an incomplete row is out.
         t.insert(
             RowId::new(ClientId(1), 0),
@@ -338,7 +338,7 @@ mod tests {
             ],
             &s,
         );
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         t.insert(RowId::new(ClientId(1), 0), entry(full.clone(), 1, 1)); // score 0
         t.insert(
             RowId::new(ClientId(1), 1),
@@ -361,7 +361,7 @@ mod tests {
             ],
             &s,
         );
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         t.insert(RowId::new(ClientId(1), 0), entry(full.clone(), 2, 0));
         let f = derive_final_table(&t, &s, &QuorumMajority::of_three());
         let sub = row(&[("name", "A")], &s);

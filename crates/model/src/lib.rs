@@ -43,5 +43,5 @@ pub use op::{Message, MessageKind, Operation};
 pub use row::{ClientId, RowId, RowValue};
 pub use schema::{Column, ColumnId, Schema};
 pub use score::{Difference, FnScoring, QuorumMajority, Scoring, ScoringRef};
-pub use table::{CandidateTable, RowEntry};
+pub use table::{CandidateTable, Key, RowEntry};
 pub use value::{DataType, Date, Finite, Value};

@@ -7,8 +7,13 @@
 //! layer needs — lookup, completeness, vote bumps, and derivation input.
 
 use crate::row::{RowId, RowValue};
-use crate::schema::Schema;
-use std::collections::BTreeMap;
+use crate::schema::{ColumnId, Schema};
+use crate::value::Value;
+use std::collections::{BTreeMap, HashMap};
+
+/// A full primary-key projection, in key-column order: what the key index
+/// (and the probable-row classification, paper §4.1) groups rows by.
+pub type Key = Vec<Value>;
 
 /// One row of a candidate table: its value plus vote counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,15 +39,46 @@ impl RowEntry {
 /// Iteration order is ascending [`RowId`], which makes every derived artifact
 /// (final tables, probable-row tie-breaking, displays) deterministic across
 /// replicas — a property the convergence tests rely on.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Beside the rows sits a **key index**: full key projection → the rows
+/// holding it, ascending. A vote reaches only rows equal to or subsuming its
+/// vector, and when the vector's key is full all of those share it, so a
+/// vote reads one posting list instead of the table. Rows with an
+/// incomplete key are not indexed; only a vote on a key-incomplete vector
+/// (in practice a downvote, or its undo) still scans: [`scans`](Self::scans)
+/// counts those, and [`last_scan`](Self::last_scan) keeps the rows the latest
+/// one hit, so a reader of the table (the probable-row classifier) need not
+/// scan again. The index is derived from the rows, so equality compares
+/// rows only.
+#[derive(Debug, Clone)]
 pub struct CandidateTable {
     rows: BTreeMap<RowId, RowEntry>,
+    /// The schema's primary-key columns, ascending.
+    key: Vec<ColumnId>,
+    by_key: HashMap<Key, Vec<RowId>>,
+    scans: u64,
+    /// The rows the latest scanning vote hit, ascending.
+    scanned: Vec<RowId>,
 }
 
+impl PartialEq for CandidateTable {
+    fn eq(&self, other: &CandidateTable) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for CandidateTable {}
+
 impl CandidateTable {
-    /// An empty candidate table.
-    pub fn new() -> CandidateTable {
-        CandidateTable::default()
+    /// An empty candidate table over `schema`'s primary key.
+    pub fn new(schema: &Schema) -> CandidateTable {
+        CandidateTable {
+            rows: BTreeMap::new(),
+            key: schema.key().to_vec(),
+            by_key: HashMap::new(),
+            scans: 0,
+            scanned: Vec::new(),
+        }
     }
 
     /// Number of rows (empty, partial, and complete alike).
@@ -68,13 +104,38 @@ impl CandidateTable {
     /// Inserts a row entry; replaces any existing row with the same id.
     /// (In well-formed executions ids are never reused; debug builds assert.)
     pub fn insert(&mut self, id: RowId, entry: RowEntry) {
+        let key = self.key_of(&entry.value);
         let prev = self.rows.insert(id, entry);
         debug_assert!(prev.is_none(), "row id {id} reused");
+        if let Some(prev) = prev {
+            self.unindex(id, &prev.value);
+        }
+        if let Some(key) = key {
+            let ids = self.by_key.entry(key).or_default();
+            let at = ids.partition_point(|x| *x < id);
+            ids.insert(at, id);
+        }
     }
 
     /// Removes a row, returning it if present.
     pub fn remove(&mut self, id: RowId) -> Option<RowEntry> {
-        self.rows.remove(&id)
+        let entry = self.rows.remove(&id)?;
+        self.unindex(id, &entry.value);
+        Some(entry)
+    }
+
+    fn unindex(&mut self, id: RowId, value: &RowValue) {
+        let Some(key) = self.key_of(value) else {
+            return;
+        };
+        if let Some(ids) = self.by_key.get_mut(&key) {
+            if let Ok(at) = ids.binary_search(&id) {
+                ids.remove(at);
+            }
+            if ids.is_empty() {
+                self.by_key.remove(&key);
+            }
+        }
     }
 
     /// Iterates rows in ascending id order.
@@ -87,59 +148,111 @@ impl CandidateTable {
         self.rows.keys().copied()
     }
 
-    /// Increments the upvote count of every row whose value equals `v`
-    /// (the paper's `upvote` semantics). Returns how many rows matched.
-    pub fn upvote_matching(&mut self, v: &RowValue) -> usize {
+    /// `v`'s full key projection, or `None` unless every key column is
+    /// filled.
+    pub fn key_of(&self, v: &RowValue) -> Option<Key> {
+        self.key.iter().map(|c| v.get(*c).cloned()).collect()
+    }
+
+    /// The rows whose key projection is `key`, ascending (empty if none).
+    pub fn key_group(&self, key: &[Value]) -> &[RowId] {
+        self.by_key.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every non-empty key group, in no particular order.
+    pub fn key_groups(&self) -> impl Iterator<Item = (&[Value], &[RowId])> {
+        self.by_key
+            .iter()
+            .map(|(k, ids)| (k.as_slice(), ids.as_slice()))
+    }
+
+    /// How many vote applications had to scan every row because their
+    /// vector's key is incomplete (this table's lifetime).
+    pub fn scans(&self) -> u64 {
+        self.scans
+    }
+
+    /// The rows the latest scanning vote hit, ascending (empty before the
+    /// first scan).
+    pub fn last_scan(&self) -> &[RowId] {
+        &self.scanned
+    }
+
+    /// Applies `hit` to every row that can equal or subsume `v` — `v`'s key
+    /// group when its key is full, else every row (a counted scan, whose
+    /// hits it keeps) — and returns how many it reported hit.
+    fn for_candidates(
+        &mut self,
+        v: &RowValue,
+        mut hit: impl FnMut(&mut RowEntry) -> bool,
+    ) -> usize {
         let mut n = 0;
-        for e in self.rows.values_mut() {
-            if e.value == *v {
-                e.upvotes += 1;
-                n += 1;
+        match self.key_of(v) {
+            Some(key) => {
+                for id in self.by_key.get(&key).into_iter().flatten() {
+                    let entry = self.rows.get_mut(id).expect("indexed row exists");
+                    n += usize::from(hit(entry));
+                }
+            }
+            None => {
+                self.scans += 1;
+                self.scanned.clear();
+                for (id, entry) in self.rows.iter_mut() {
+                    if hit(entry) {
+                        self.scanned.push(*id);
+                    }
+                }
+                n = self.scanned.len();
             }
         }
         n
     }
 
+    /// Increments the upvote count of every row whose value equals `v`
+    /// (the paper's `upvote` semantics). Returns how many rows matched.
+    pub fn upvote_matching(&mut self, v: &RowValue) -> usize {
+        self.for_candidates(v, |e| {
+            let hit = e.value == *v;
+            e.upvotes += u32::from(hit);
+            hit
+        })
+    }
+
     /// Increments the downvote count of every row whose value subsumes `v`
     /// (the paper's `downvote` semantics: `q ⊇ r`). Returns matches.
     pub fn downvote_subsuming(&mut self, v: &RowValue) -> usize {
-        let mut n = 0;
-        for e in self.rows.values_mut() {
-            if e.value.subsumes(v) {
-                e.downvotes += 1;
-                n += 1;
-            }
-        }
-        n
+        self.for_candidates(v, |e| {
+            let hit = e.value.subsumes(v);
+            e.downvotes += u32::from(hit);
+            hit
+        })
     }
 
     /// Decrements the upvote count of every row whose value equals `v`
     /// (undo semantics; saturating as a defensive measure — policy-compliant
     /// executions never underflow). Returns how many rows matched.
     pub fn undo_upvote_matching(&mut self, v: &RowValue) -> usize {
-        let mut n = 0;
-        for e in self.rows.values_mut() {
-            if e.value == *v {
+        self.for_candidates(v, |e| {
+            let hit = e.value == *v;
+            if hit {
                 debug_assert!(e.upvotes > 0, "undo without a matching upvote");
                 e.upvotes = e.upvotes.saturating_sub(1);
-                n += 1;
             }
-        }
-        n
+            hit
+        })
     }
 
     /// Decrements the downvote count of every row whose value subsumes `v`
     /// (undo semantics; saturating). Returns matches.
     pub fn undo_downvote_subsuming(&mut self, v: &RowValue) -> usize {
-        let mut n = 0;
-        for e in self.rows.values_mut() {
-            if e.value.subsumes(v) {
+        self.for_candidates(v, |e| {
+            let hit = e.value.subsumes(v);
+            if hit {
                 debug_assert!(e.downvotes > 0, "undo without a matching downvote");
                 e.downvotes = e.downvotes.saturating_sub(1);
-                n += 1;
             }
-        }
-        n
+            hit
+        })
     }
 
     /// Count of rows that are complete under `schema`.
@@ -160,8 +273,8 @@ impl CandidateTable {
 mod tests {
     use super::*;
     use crate::row::ClientId;
-    use crate::schema::{Column, ColumnId};
-    use crate::value::{DataType, Value};
+    use crate::schema::Column;
+    use crate::value::DataType;
 
     fn schema() -> Schema {
         Schema::new(
@@ -185,7 +298,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&schema());
         assert!(t.is_empty());
         t.insert(id(0), RowEntry::new(RowValue::empty()));
         assert_eq!(t.len(), 1);
@@ -198,7 +311,7 @@ mod tests {
 
     #[test]
     fn upvote_hits_equal_values_only() {
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&schema());
         let v = rv(&[(0, Value::text("x")), (1, Value::int(1))]);
         t.insert(id(0), RowEntry::new(v.clone()));
         t.insert(id(1), RowEntry::new(v.clone())); // duplicate value, different id
@@ -211,7 +324,7 @@ mod tests {
 
     #[test]
     fn downvote_hits_supersets() {
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&schema());
         let partial = rv(&[(0, Value::text("x"))]);
         let full = rv(&[(0, Value::text("x")), (1, Value::int(1))]);
         let other = rv(&[(0, Value::text("y")), (1, Value::int(1))]);
@@ -228,7 +341,7 @@ mod tests {
     #[test]
     fn counts() {
         let s = schema();
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&s);
         t.insert(id(0), RowEntry::new(RowValue::empty()));
         t.insert(id(1), RowEntry::new(rv(&[(0, Value::text("x"))])));
         t.insert(
@@ -242,7 +355,7 @@ mod tests {
 
     #[test]
     fn iteration_is_id_ordered() {
-        let mut t = CandidateTable::new();
+        let mut t = CandidateTable::new(&schema());
         t.insert(RowId::new(ClientId(2), 0), RowEntry::new(RowValue::empty()));
         t.insert(RowId::new(ClientId(1), 7), RowEntry::new(RowValue::empty()));
         t.insert(RowId::new(ClientId(1), 3), RowEntry::new(RowValue::empty()));
@@ -255,5 +368,59 @@ mod tests {
                 RowId::new(ClientId(2), 0)
             ]
         );
+    }
+
+    #[test]
+    fn key_index_follows_inserts_and_removes() {
+        let mut t = CandidateTable::new(&schema());
+        let x = rv(&[(0, Value::text("x"))]);
+        let x1 = rv(&[(0, Value::text("x")), (1, Value::int(1))]);
+        t.insert(id(5), RowEntry::new(x1.clone()));
+        t.insert(id(2), RowEntry::new(x.clone()));
+        t.insert(id(9), RowEntry::new(RowValue::empty())); // no key: not indexed
+        let key = t.key_of(&x).unwrap();
+        assert_eq!(t.key_group(&key), &[id(2), id(5)]);
+        assert_eq!(t.key_groups().count(), 1);
+        t.remove(id(2));
+        assert_eq!(t.key_group(&key), &[id(5)]);
+        t.remove(id(5));
+        assert!(t.key_group(&key).is_empty());
+        assert_eq!(t.key_groups().count(), 0);
+    }
+
+    #[test]
+    fn only_key_incomplete_votes_scan() {
+        let mut t = CandidateTable::new(&schema());
+        let full = rv(&[(0, Value::text("x")), (1, Value::int(1))]);
+        t.insert(id(0), RowEntry::new(full.clone()));
+        t.insert(id(1), RowEntry::new(rv(&[(1, Value::int(1))])));
+        assert_eq!(t.upvote_matching(&full), 1);
+        assert_eq!(t.downvote_subsuming(&full), 1);
+        assert_eq!(t.scans(), 0);
+        // {b: 1} has no key: both rows subsume it, found by a scan.
+        assert_eq!(t.downvote_subsuming(&rv(&[(1, Value::int(1))])), 2);
+        assert_eq!(t.last_scan(), &[id(0), id(1)]);
+        assert_eq!(t.undo_downvote_subsuming(&rv(&[(1, Value::int(1))])), 2);
+        assert_eq!(t.scans(), 2);
+        // {b: 2}: nothing subsumes it, and the scan says so.
+        assert_eq!(t.downvote_subsuming(&rv(&[(1, Value::int(2))])), 0);
+        assert!(t.last_scan().is_empty());
+    }
+
+    #[test]
+    fn equality_ignores_the_index() {
+        let (a, b) = (
+            rv(&[(0, Value::text("x"))]),
+            rv(&[(0, Value::text("x")), (1, Value::int(1))]),
+        );
+        let mut left = CandidateTable::new(&schema());
+        left.insert(id(0), RowEntry::new(a.clone()));
+        left.insert(id(1), RowEntry::new(b.clone()));
+        let mut right = CandidateTable::new(&schema());
+        right.insert(id(1), RowEntry::new(b));
+        right.insert(id(0), RowEntry::new(a));
+        right.downvote_subsuming(&rv(&[(1, Value::int(1))]));
+        right.undo_downvote_subsuming(&rv(&[(1, Value::int(1))]));
+        assert_eq!(left, right);
     }
 }

@@ -87,7 +87,7 @@ proptest! {
         )
         .unwrap();
         // Coerce values to text so completeness is type-consistent.
-        let mut table = CandidateTable::new();
+        let mut table = CandidateTable::new(&schema);
         for (i, (rv, up, down)) in entries.iter().enumerate() {
             let rv: RowValue = rv
                 .iter()

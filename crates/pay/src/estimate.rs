@@ -26,12 +26,10 @@
 
 use crate::allocate::Scheme;
 use crate::contrib::Contributions;
-use crate::stats::{dual_multiplier, fit_z, median};
-use crate::trace::{Millis, MsgIdx, Trace, TraceEntry, WorkerId};
-use crowdfill_constraints::probable_rows;
-use crowdfill_model::{
-    CandidateTable, ColumnId, Entry, Message, RowValue, Schema, ScoringRef, Template, Value,
-};
+use crate::stats::{dual_multiplier, fit_z, sorted_median};
+use crate::trace::{Millis, MsgIdx, TraceEntry, WorkerId};
+use crowdfill_constraints::ProbableView;
+use crowdfill_model::{ColumnId, Entry, Message, RowValue, Schema, ScoringRef, Template, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -45,12 +43,12 @@ pub struct ActionEstimate {
 }
 
 /// Streaming estimator; feed it every worker action (in order) together with
-/// the post-application master table.
+/// the Central Client's view of the table after that action
+/// ([`ProbableView`]: the table and its live probable-row classification).
 pub struct Estimator {
     scheme: Scheme,
     budget: f64,
     schema: Arc<Schema>,
-    scoring: ScoringRef,
     /// |T|.
     template_rows: usize,
     /// Unprescribed template cells per column (the `|C_i|` estimates).
@@ -59,9 +57,12 @@ pub struct Estimator {
     paid_votes_per_row: u32,
     // --- online evidence ---
     last_msg_at: HashMap<WorkerId, Millis>,
+    /// Latency samples, each kept sorted by binary insertion so a weight is
+    /// a median read in place: per column, per vote kind, and all of them.
     col_samples: Vec<Vec<f64>>,
     up_samples: Vec<f64>,
     down_samples: Vec<f64>,
+    all_samples: Vec<f64>,
     upvotes_cast: usize,
     /// All worker-downvoted vectors so far (re-checked for consistency
     /// against the current probable rows at estimate time).
@@ -70,6 +71,44 @@ pub struct Estimator {
     /// appearance time (seconds).
     key_first_seen: HashMap<ColumnId, Vec<(Value, f64)>>,
     estimates: Vec<ActionEstimate>,
+    /// Probable rows read, and reads that had to scan every probable row
+    /// (a key-incomplete vector), over this estimator's lifetime.
+    visits: Visits,
+}
+
+/// The estimator's reads of the probable rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Visits {
+    pub rows: u64,
+    pub scans: u64,
+}
+
+impl Visits {
+    /// Whether some probable row near `v` satisfies `pred`, reading the
+    /// probable rows of `v`'s key group (all of them for a key-incomplete
+    /// `v`), and counting what it read.
+    fn any_probable(
+        &mut self,
+        view: ProbableView<'_>,
+        v: &RowValue,
+        pred: impl Fn(&RowValue) -> bool,
+    ) -> bool {
+        let (rows, scan) = view.near(v);
+        self.scans += u64::from(scan);
+        for row in rows {
+            self.rows += 1;
+            if pred(row) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Inserts `x` into the sorted `samples`, after any equal ones.
+fn insert_sorted(samples: &mut Vec<f64>, x: f64) {
+    let at = samples.partition_point(|s| *s <= x);
+    samples.insert(at, x);
 }
 
 impl Estimator {
@@ -96,22 +135,23 @@ impl Estimator {
             holes_per_column,
             paid_votes_per_row,
             schema: Arc::clone(&schema),
-            scoring,
             last_msg_at: HashMap::new(),
             col_samples: vec![Vec::new(); schema.width()],
             up_samples: Vec::new(),
             down_samples: Vec::new(),
+            all_samples: Vec::new(),
             upvotes_cast: 0,
             downvoted_vectors: Vec::new(),
             key_first_seen: HashMap::new(),
             estimates: Vec::new(),
+            visits: Visits::default(),
         }
     }
 
-    /// Observes one worker action (already applied to `table`) and returns
-    /// the estimate displayed to the worker. Auto-upvotes estimate to zero
-    /// ("without additional payment", §3.4).
-    pub fn on_action(&mut self, idx: MsgIdx, entry: &TraceEntry, table: &CandidateTable) -> f64 {
+    /// Observes one worker action (already applied to `view`'s table) and
+    /// returns the estimate displayed to the worker. Auto-upvotes estimate
+    /// to zero ("without additional payment", §3.4).
+    pub fn on_action(&mut self, idx: MsgIdx, entry: &TraceEntry, view: ProbableView<'_>) -> f64 {
         let Some(worker) = entry.worker else {
             return 0.0; // CC actions are never estimated or paid
         };
@@ -121,13 +161,6 @@ impl Estimator {
             return 0.0;
         }
 
-        // The probable view this estimate is conditioned on.
-        let probable = probable_rows(table, &self.schema, &*self.scoring);
-        let probable_view: Vec<(&RowValue, u32)> = probable
-            .iter()
-            .filter_map(|id| table.get(*id).map(|e| (&e.value, e.upvotes)))
-            .collect();
-
         // Latency bookkeeping (samples only from actions consistent with the
         // probable view, per §5.3).
         let latency = self
@@ -136,31 +169,21 @@ impl Estimator {
             .map(|prev| prev.until(entry.at).seconds());
 
         match &entry.msg {
-            Message::Replace { value, .. } => {
-                // Which column was filled: the unique cell of `value` newer
-                // than its predecessor. We don't have the predecessor here;
-                // infer from probable view cheaply: the fill column is the
-                // one recorded by the caller via filled column inference on
-                // the trace. To stay self-contained, find it as the column
-                // whose value makes this row-value unique — instead, the
-                // caller passes fills through `note_fill`. Fallback: treat
-                // the most recently filled column as unknown and sample all.
-                // (The server always knows the column; see `on_fill`.)
-                let _ = value;
-            }
             Message::Upvote { value } => {
                 self.upvotes_cast += 1;
                 if let Some(l) = latency {
-                    if probable_view.iter().any(|(v, _)| *v == value) {
-                        self.up_samples.push(l);
+                    if self.visits.any_probable(view, value, |v| v == value) {
+                        insert_sorted(&mut self.up_samples, l);
+                        insert_sorted(&mut self.all_samples, l);
                     }
                 }
             }
             Message::Downvote { value } => {
                 self.downvoted_vectors.push(value.clone());
                 if let Some(l) = latency {
-                    if !probable_view.iter().any(|(v, _)| v.subsumes(value)) {
-                        self.down_samples.push(l);
+                    if !self.visits.any_probable(view, value, |v| v.subsumes(value)) {
+                        insert_sorted(&mut self.down_samples, l);
+                        insert_sorted(&mut self.all_samples, l);
                     }
                 }
             }
@@ -173,10 +196,10 @@ impl Estimator {
                     self.downvoted_vectors.swap_remove(pos);
                 }
             }
-            Message::Insert { .. } => {}
+            Message::Replace { .. } | Message::Insert { .. } => {}
         }
 
-        let amount = self.estimate_amount(&entry.msg, None, &probable_view);
+        let amount = self.estimate_amount(&entry.msg, None, view);
         self.estimates.push(ActionEstimate {
             idx,
             at: entry.at,
@@ -194,19 +217,15 @@ impl Estimator {
         entry: &TraceEntry,
         column: ColumnId,
         value: &Value,
-        table: &CandidateTable,
+        view: ProbableView<'_>,
     ) -> f64 {
         let Some(worker) = entry.worker else {
             return 0.0;
         };
-        let probable = probable_rows(table, &self.schema, &*self.scoring);
-        let probable_view: Vec<(&RowValue, u32)> = probable
-            .iter()
-            .filter_map(|id| table.get(*id).map(|e| (&e.value, e.upvotes)))
-            .collect();
-
         if let Some(prev) = self.last_msg_at.insert(worker, entry.at) {
-            self.col_samples[column.index()].push(prev.until(entry.at).seconds());
+            let l = prev.until(entry.at).seconds();
+            insert_sorted(&mut self.col_samples[column.index()], l);
+            insert_sorted(&mut self.all_samples, l);
         }
         if self.schema.is_key(column) {
             let seen = self.key_first_seen.entry(column).or_default();
@@ -215,7 +234,7 @@ impl Estimator {
             }
         }
 
-        let amount = self.estimate_amount(&entry.msg, Some((column, value)), &probable_view);
+        let amount = self.estimate_amount(&entry.msg, Some((column, value)), view);
         self.estimates.push(ActionEstimate {
             idx,
             at: entry.at,
@@ -230,6 +249,11 @@ impl Estimator {
         &self.estimates
     }
 
+    /// The probable rows this estimator has read, lifetime.
+    pub fn visits(&self) -> Visits {
+        self.visits
+    }
+
     /// Raw estimated totals per worker: the sum of the estimates shown when
     /// each action was performed (Figure 5's middle bars).
     pub fn raw_totals(&self) -> BTreeMap<WorkerId, f64> {
@@ -242,11 +266,7 @@ impl Estimator {
 
     /// Corrected estimated totals: only actions that actually contributed to
     /// the final table are summed (Figure 5's right bars).
-    pub fn corrected_totals(
-        &self,
-        contributions: &Contributions,
-        _trace: &Trace,
-    ) -> BTreeMap<WorkerId, f64> {
+    pub fn corrected_totals(&self, contributions: &Contributions) -> BTreeMap<WorkerId, f64> {
         let contributing: std::collections::HashSet<MsgIdx> =
             contributions.contributing_messages().into_iter().collect();
         let mut out = BTreeMap::new();
@@ -266,27 +286,25 @@ impl Estimator {
     /// more upvotes: each complete probable row is expected to contribute
     /// `max(u_min − 1, observed worker upvotes)` (its automatic completion
     /// upvote is not compensated, hence the `− 1`), and template slots not
-    /// yet covered by a complete row contribute the base.
-    fn unit_counts(&self, probable_view: &[(&RowValue, u32)]) -> (f64, f64, f64) {
-        let est_c: usize = self.holes_per_column.iter().sum();
+    /// yet covered by a complete row contribute the base. Each complete
+    /// probable row is one entry of the classification's upvote histogram.
+    /// `|D|` reads, per downvoted vector, the probable rows of its key group.
+    fn unit_counts(&mut self, view: ProbableView<'_>) -> (f64, f64) {
         let base = self.paid_votes_per_row as usize;
-        let complete: Vec<u32> = probable_view
-            .iter()
-            .filter(|(v, _)| v.is_complete(&self.schema))
-            .map(|(_, u)| *u)
-            .collect();
-        let covered = complete.len().min(self.template_rows);
-        let est_u: usize = complete
-            .iter()
-            .map(|&u| base.max(u.saturating_sub(1) as usize))
-            .sum::<usize>()
-            + self.template_rows.saturating_sub(covered) * base;
+        let (mut complete, mut est_u) = (0usize, 0usize);
+        for (u, rows) in view.classification().upvote_histogram() {
+            complete += rows;
+            est_u += rows * base.max(u.saturating_sub(1) as usize);
+        }
+        let covered = complete.min(self.template_rows);
+        est_u += self.template_rows.saturating_sub(covered) * base;
+        let visits = &mut self.visits;
         let est_d = self
             .downvoted_vectors
             .iter()
-            .filter(|dv| !probable_view.iter().any(|(p, _)| p.subsumes(dv)))
+            .filter(|dv| !visits.any_probable(view, dv, |p| p.subsumes(dv)))
             .count();
-        (est_c as f64, est_u as f64, est_d as f64)
+        (est_u as f64, est_d as f64)
     }
 
     /// Per-column weights under the current evidence (uniform ⇒ all 1).
@@ -294,37 +312,31 @@ impl Estimator {
         if self.scheme == Scheme::Uniform {
             return (vec![1.0; self.schema.width()], 1.0, 1.0);
         }
-        let global: Vec<f64> = self
-            .col_samples
-            .iter()
-            .flatten()
-            .chain(&self.up_samples)
-            .chain(&self.down_samples)
-            .copied()
-            .collect();
         const WEIGHT_FLOOR: f64 = 1e-3;
-        let fallback = median(&global).unwrap_or(1.0).max(WEIGHT_FLOOR);
+        let fallback = sorted_median(&self.all_samples)
+            .unwrap_or(1.0)
+            .max(WEIGHT_FLOOR);
         let cols: Vec<f64> = self
             .col_samples
             .iter()
-            .map(|s| median(s).unwrap_or(fallback).max(WEIGHT_FLOOR))
+            .map(|s| sorted_median(s).unwrap_or(fallback).max(WEIGHT_FLOOR))
             .collect();
-        let up = median(&self.up_samples)
+        let up = sorted_median(&self.up_samples)
             .unwrap_or(fallback)
             .max(WEIGHT_FLOOR);
-        let down = median(&self.down_samples)
+        let down = sorted_median(&self.down_samples)
             .unwrap_or(fallback)
             .max(WEIGHT_FLOOR);
         (cols, up, down)
     }
 
     fn estimate_amount(
-        &self,
+        &mut self,
         msg: &Message,
         fill: Option<(ColumnId, &Value)>,
-        probable_view: &[(&RowValue, u32)],
+        view: ProbableView<'_>,
     ) -> f64 {
-        let (est_c, est_u, est_d) = self.unit_counts(probable_view);
+        let (est_u, est_d) = self.unit_counts(view);
         let (cols, up, down) = self.current_weights();
 
         // Y under current estimates: holes carry per-column weights.
@@ -332,9 +344,6 @@ impl Estimator {
         for (i, &holes) in self.holes_per_column.iter().enumerate() {
             y_total += cols[i] * holes as f64;
         }
-        // est_c may exceed the per-column holes sum only in exotic cases;
-        // keep the uniform-denominator semantics for votes.
-        let _ = est_c;
         y_total += up * est_u + down * est_d;
         if y_total <= 0.0 {
             return 0.0;
@@ -406,8 +415,10 @@ impl std::fmt::Debug for Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
+    use crowdfill_constraints::Classifier;
     use crowdfill_model::{
-        ClientId, Column, DataType, Operation, QuorumMajority, RowId, TemplateRow,
+        CandidateTable, ClientId, Column, DataType, Operation, QuorumMajority, RowId, TemplateRow,
     };
     use crowdfill_sync::Replica;
 
@@ -469,9 +480,9 @@ mod tests {
             self.now += dt;
             let idx = self.trace.record_worker(Millis(self.now), WorkerId(w), msg);
             let entry = self.trace.get(idx).clone();
-            let amt = self
-                .est
-                .on_fill(idx, &entry, col, &value, self.replica.table());
+            let classes = self.classes();
+            let view = ProbableView::new(self.replica.table(), &classes);
+            let amt = self.est.on_fill(idx, &entry, col, &value, view);
             (amt, new)
         }
 
@@ -485,7 +496,17 @@ mod tests {
             self.now += dt;
             let idx = self.trace.record_worker(Millis(self.now), WorkerId(w), msg);
             let entry = self.trace.get(idx).clone();
-            self.est.on_action(idx, &entry, self.replica.table())
+            let classes = self.classes();
+            self.est.on_action(
+                idx,
+                &entry,
+                ProbableView::new(self.replica.table(), &classes),
+            )
+        }
+
+        /// The replica's classification, built in one batch pass.
+        fn classes(&self) -> Classifier {
+            Classifier::new(schema(), scoring(), self.replica.table())
         }
     }
 
@@ -592,7 +613,7 @@ mod tests {
             &QuorumMajority::of_three(),
         );
         let contribs = crate::contrib::analyze(&rig.trace, &ft);
-        let corrected = rig.est.corrected_totals(&contribs, &rig.trace);
+        let corrected = rig.est.corrected_totals(&contribs);
         // Everything contributed in this clean run, so corrected == raw.
         for (w, v) in &raw {
             assert!((corrected[w] - v).abs() < 1e-9);
@@ -604,7 +625,9 @@ mod tests {
         let template = Template::from_rows(vec![TemplateRow::empty()]);
         let s = schema();
         let mut est = Estimator::new(Scheme::Uniform, 10.0, Arc::clone(&s), scoring(), &template);
-        let table = CandidateTable::new();
+        let table = CandidateTable::new(&s);
+        let classes = Classifier::new(Arc::clone(&s), scoring(), &table);
+        let view = ProbableView::new(&table, &classes);
         let cc_entry = TraceEntry {
             at: Millis(5),
             worker: None,
@@ -613,7 +636,7 @@ mod tests {
             },
             auto_upvote: false,
         };
-        assert_eq!(est.on_action(0, &cc_entry, &table), 0.0);
+        assert_eq!(est.on_action(0, &cc_entry, view), 0.0);
         let auto = TraceEntry {
             at: Millis(6),
             worker: Some(WorkerId(1)),
@@ -622,7 +645,7 @@ mod tests {
             },
             auto_upvote: true,
         };
-        assert_eq!(est.on_action(1, &auto, &table), 0.0);
+        assert_eq!(est.on_action(1, &auto, view), 0.0);
         assert!(est.timeline().is_empty());
     }
 }

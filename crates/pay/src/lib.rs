@@ -29,6 +29,6 @@ pub use allocate::{
     allocate, earning_curve, earning_instability, Payout, Scheme, SplitConfig, Weights,
 };
 pub use contrib::{analyze, CellContribution, CellRef, Contributions};
-pub use estimate::{ActionEstimate, Estimator};
+pub use estimate::{ActionEstimate, Estimator, Visits};
 pub use stats::mape;
 pub use trace::{Millis, MsgIdx, Trace, TraceEntry, WorkerId};

@@ -5,12 +5,17 @@
 /// The median of a sample, or `None` when empty. Even-sized samples average
 /// the two central order statistics.
 pub fn median(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    sorted_median(&sorted)
+}
+
+/// [`median`] of a sample already sorted ascending, read in place.
+pub fn sorted_median(sorted: &[f64]) -> Option<f64> {
     let n = sorted.len();
+    if n == 0 {
+        return None;
+    }
     Some(if n % 2 == 1 {
         sorted[n / 2]
     } else {

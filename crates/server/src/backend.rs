@@ -1,9 +1,11 @@
 //! The back-end server (paper §3.3–3.4, §4, §5).
 //!
-//! The [`Backend`] owns the master replica, the Central Client (PRI
-//! maintainer), the per-worker sessions with their vote-policy state, the
-//! action trace, and the online compensation estimator. It is
-//! transport-agnostic: the discrete-event simulator drives it directly,
+//! The [`Backend`] owns the Central Client (PRI maintainer), the per-worker
+//! sessions with their vote-policy state, the action trace, and the online
+//! compensation estimator. The Central Client's replica is the master
+//! table: the server keeps one copy of the table and one probable-row
+//! classification of it, which the Central Client, the estimator and
+//! recommendations all read. The backend is transport-agnostic: the discrete-event simulator drives it directly,
 //! while `tcp_service` runs it behind framed TCP connections. Time is
 //! supplied by the caller (simulated or wall-clock milliseconds).
 //!
@@ -40,7 +42,7 @@ use crowdfill_obs::trace::{self as obstrace, ActiveSpan, SpanId, Stage, TraceId}
 use crowdfill_pay::{
     allocate, analyze, Contributions, Estimator, Millis, Payout, Trace, TraceEntry, WorkerId,
 };
-use crowdfill_sync::{Replica, VoteHistory};
+use crowdfill_sync::Replica;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -316,7 +318,7 @@ type Votes = Vec<(RowValue, u32)>;
 /// The CrowdFill back-end server for one data-collection task.
 pub struct Backend {
     config: TaskConfig,
-    master: Replica,
+    /// The Central Client; its replica is the master table.
     cc: PriMaintainer,
     sessions: HashMap<WorkerId, Session>,
     /// How many sessions are connected: what one applied message adds to
@@ -399,15 +401,14 @@ pub struct BatchOutcome {
 }
 
 impl Backend {
-    /// Launches a task: seeds the Central Client and applies its
-    /// initialization messages to the master table.
+    /// Launches a task: seeds the Central Client, whose replica is the
+    /// master table, and logs its initialization messages.
     pub fn new(config: TaskConfig) -> Backend {
         let mut cc = PriMaintainer::new(
             Arc::clone(&config.schema),
             Arc::clone(&config.scoring),
             &config.template,
         );
-        let mut master = Replica::new(ClientId(u32::MAX), Arc::clone(&config.schema));
         let estimator = Estimator::new(
             config.scheme,
             config.budget,
@@ -427,12 +428,10 @@ impl Backend {
                 }
                 _ => {}
             }
-            master.process(&msg);
             trace.record_system(Millis(0), msg);
         }
         let noted_drops = cc.dropped_template_rows().len();
         Backend {
-            master,
             cc,
             sessions: HashMap::new(),
             connected: 0,
@@ -918,9 +917,10 @@ impl Backend {
         msg: Message,
         auto_upvote: bool,
     ) -> SubmitReport {
-        // Apply to the master table.
+        // Apply to the master table — the Central Client's replica — and
+        // re-classify the key groups the message touched.
         self.note_row(&msg);
-        self.master.process(&msg);
+        self.cc.absorb(&msg);
         self.update_vote_policy_state(worker, &msg);
         if let Some(s) = self.sessions.get_mut(&worker) {
             s.ops += u64::from(!auto_upvote);
@@ -944,7 +944,10 @@ impl Backend {
         let own_seq = self.log_base + idx as u64;
         let entry = self.trace.get(idx);
 
-        // Estimate compensation for the action (fills use the richer path).
+        // Estimate compensation for the action (fills use the richer path)
+        // against the table after it and before the Central Client's
+        // repairs.
+        let view = self.cc.view();
         let estimate = match &entry.msg {
             Message::Replace { old, value, .. } => {
                 let filled = self
@@ -954,27 +957,23 @@ impl Backend {
                 match filled {
                     Some(col) => {
                         let v = value.get(col).expect("filled value").clone();
-                        self.estimator
-                            .on_fill(idx, entry, col, &v, self.master.table())
+                        self.estimator.on_fill(idx, entry, col, &v, view)
                     }
-                    None => self.estimator.on_action(idx, entry, self.master.table()),
+                    None => self.estimator.on_action(idx, entry, view),
                 }
             }
-            _ => self.estimator.on_action(idx, entry, self.master.table()),
+            _ => self.estimator.on_action(idx, entry, view),
         };
 
         // Let the Central Client react; its messages are owed to everyone.
-        self.cc.on_message(&entry.msg);
+        self.cc.maintain();
         let cc_msgs = self.cc.take_outbox();
         let owed = (1 + cc_msgs.len()) * self.connected - 1;
         for cc_msg in cc_msgs {
             self.note_row(&cc_msg);
-            self.master.process(&cc_msg);
             self.trace.record_system(self.clock, cc_msg);
         }
         outbox_msgs().add(owed as i64);
-
-        debug_assert!(self.master.same_state(self.cc.replica()));
 
         SubmitReport {
             estimate,
@@ -1096,9 +1095,9 @@ impl Backend {
         }
     }
 
-    /// The master replica.
+    /// The master replica: the Central Client's.
     pub fn master(&self) -> &Replica {
-        &self.master
+        self.cc.replica()
     }
 
     /// The Central Client's state (PRI diagnostics).
@@ -1124,7 +1123,7 @@ impl Backend {
     /// Derives the current final table from the master candidate table.
     pub fn final_table(&self) -> FinalTable {
         derive_final_table(
-            self.master.table(),
+            self.master().table(),
             &self.config.schema,
             &*self.config.scoring,
         )
@@ -1324,11 +1323,15 @@ impl Backend {
             votes.sort_by_cached_key(|(v, _)| wire::row_value_to_json(v).encode());
             votes
         };
-        let rows = self.master.table().iter();
+        let master = self.master();
         (
-            sorted(self.master.upvote_history()),
-            sorted(self.master.downvote_history()),
-            rows.map(|(id, e)| (id, e.value.clone())).collect(),
+            sorted(master.upvote_history()),
+            sorted(master.downvote_history()),
+            master
+                .table()
+                .iter()
+                .map(|(id, e)| (id, e.value.clone()))
+                .collect(),
         )
     }
 
@@ -1390,30 +1393,6 @@ impl Backend {
     /// [`replay_closed`](Self::replay_closed) and finishes with
     /// [`finish_recovery`](Self::finish_recovery).
     pub fn from_state(config: TaskConfig, state: &BackendState) -> Backend {
-        let mut uh = VoteHistory::new();
-        for (v, n) in &state.uh {
-            uh.set(v.clone(), *n);
-        }
-        let mut dh = VoteHistory::new();
-        for (v, n) in &state.dh {
-            dh.set(v.clone(), *n);
-        }
-        let master = Replica::restore(
-            ClientId(u32::MAX),
-            Arc::clone(&config.schema),
-            0,
-            uh.clone(),
-            dh.clone(),
-            state.rows.iter().cloned(),
-        );
-        let cc_replica = Replica::restore(
-            ClientId::CENTRAL,
-            Arc::clone(&config.schema),
-            state.cc_next_seq,
-            uh,
-            dh,
-            state.rows.iter().cloned(),
-        );
         let trows = config.template.rows();
         let pick = |idxs: &[usize]| -> Vec<(usize, TemplateRow)> {
             idxs.iter()
@@ -1422,7 +1401,7 @@ impl Backend {
         };
         let cc = PriMaintainer::restore(
             Arc::clone(&config.scoring),
-            cc_replica,
+            state.central_replica(Arc::clone(&config.schema)),
             pick(&state.live_template),
             pick(&state.dropped_template),
         );
@@ -1453,7 +1432,6 @@ impl Backend {
         }
         let noted_drops = cc.dropped_template_rows().len();
         Backend {
-            master,
             cc,
             sessions,
             connected: 0,
@@ -1497,7 +1475,6 @@ impl Backend {
             }
             let msg = &entry.msg;
             self.note_row(msg);
-            self.master.process(msg);
             // The CC replica absorbs every message (its repairs are later
             // journal entries — maintenance must NOT run again here).
             self.cc.replay_message(msg);
@@ -1548,14 +1525,10 @@ impl Backend {
         self.closed = true;
     }
 
-    /// Recomputes the Central Client's derived state once after the whole
-    /// journal replay and checks master/CC convergence.
+    /// Recomputes the Central Client's derived state — classification and
+    /// matching — once after the whole journal replay.
     pub fn finish_recovery(&mut self) {
         self.cc.rederive();
-        debug_assert!(
-            self.master.same_state(self.cc.replica()),
-            "master/CC divergence after recovery"
-        );
     }
 
     fn ensure_replay_session(&mut self, worker: u32, client: u32) {
@@ -1590,7 +1563,7 @@ impl Backend {
                 // concurrently the worker's fill is stale. The model would
                 // tolerate it, but the paper's server validates fills against
                 // reality to avoid resurrecting dead lineages.
-                if !self.master.table().contains(*old) {
+                if !self.master().table().contains(*old) {
                     return Err(SubmitError::Op(OpError::UnknownRow));
                 }
                 Ok(())
@@ -1634,7 +1607,7 @@ impl Backend {
             return Ok(());
         };
         let at_cap = self
-            .master
+            .master()
             .table()
             .iter()
             .any(|(_, e)| e.value == *value && e.upvotes + e.downvotes >= cap);

@@ -530,7 +530,7 @@ mod tests {
         let id = fe.create_task(&cfg).unwrap();
         fe.launch_task(&id).unwrap();
         // Build a tiny final table.
-        let mut table = crowdfill_model::CandidateTable::new();
+        let mut table = crowdfill_model::CandidateTable::new(&cfg.schema);
         let value = crowdfill_model::RowValue::from_pairs([
             (crowdfill_model::ColumnId(0), Value::text("Messi")),
             (crowdfill_model::ColumnId(1), Value::text("Argentina")),

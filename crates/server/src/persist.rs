@@ -31,8 +31,9 @@ use crate::backend::Backend;
 use crate::config::TaskConfig;
 use crate::wire;
 use crowdfill_docstore::{Disk, FsyncPolicy, Json, RealDisk, SnapshotStore, Wal};
-use crowdfill_model::{Message, RowId, RowValue};
+use crowdfill_model::{ClientId, Message, RowId, RowValue, Schema};
 use crowdfill_pay::TraceEntry;
+use crowdfill_sync::{Replica, VoteHistory};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -83,6 +84,29 @@ pub struct BackendState {
     /// Original template indexes the CC dropped (§4.2 degenerate case).
     pub dropped_template: Vec<usize>,
     pub sessions: Vec<SessionState>,
+}
+
+impl BackendState {
+    /// The Central Client's replica as checkpointed — the server's one copy
+    /// of the table — rebuilt from the vote histories and the live rows
+    /// ([`Replica::restore`] re-derives every count).
+    pub fn central_replica(&self, schema: Arc<Schema>) -> Replica {
+        let history = |votes: &[(RowValue, u32)]| {
+            let mut h = VoteHistory::new();
+            for (v, n) in votes {
+                h.set(v.clone(), *n);
+            }
+            h
+        };
+        Replica::restore(
+            ClientId::CENTRAL,
+            schema,
+            self.cc_next_seq,
+            history(&self.uh),
+            history(&self.dh),
+            self.rows.iter().cloned(),
+        )
+    }
 }
 
 /// One journaled history message with its recovery attribution.

@@ -4,8 +4,8 @@
 //!
 //! The paper's deployed system only randomizes row order per worker; this
 //! module implements the proposed smarter strategy. Recommendations are
-//! computed from the server's global view — probable-row classification and
-//! per-worker vote state — and prioritize:
+//! computed from the server's global view — the Central Client's live
+//! probable-row classification and per-worker vote state — and prioritize:
 //!
 //! 1. **settling votes**: complete rows sitting at a zero score need votes
 //!    before anything else can finish — recommend them to workers who have
@@ -19,7 +19,6 @@
 //! colliding on the same cell — the conflict-avoidance rationale of §8.
 
 use crate::backend::Backend;
-use crowdfill_constraints::classify_rows;
 use crowdfill_model::{ColumnId, RowId};
 use crowdfill_pay::WorkerId;
 
@@ -48,19 +47,13 @@ impl Backend {
     pub fn recommend(&self, worker: WorkerId, limit: usize) -> Vec<Recommendation> {
         let schema = &self.config().schema;
         let table = self.master().table();
-        let classes = classify_rows(table, schema, &*self.config().scoring);
 
         let mut votes = Vec::new();
         let mut fills = Vec::new();
         let mut opens = Vec::new();
 
-        for (id, entry) in table.iter() {
-            let Some(status) = classes.get(&id) else {
-                continue;
-            };
-            if !status.is_probable() {
-                continue;
-            }
+        for &id in self.central_client().probable_set() {
+            let entry = table.get(id).expect("probable row exists");
             if entry.value.is_complete(schema) {
                 // Complete but not yet accepted: needs votes. Steer only as
                 // many workers at it as votes are still missing — otherwise

@@ -339,9 +339,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
     }
 
     let estimates_raw = backend.estimator().raw_totals();
-    let estimates_corrected = backend
-        .estimator()
-        .corrected_totals(&contributions, backend.trace());
+    let estimates_corrected = backend.estimator().corrected_totals(&contributions);
     let estimate_timeline = backend.estimator().timeline().to_vec();
 
     drop(run_timer);

@@ -15,9 +15,9 @@
 //! The paper proves a convergence theorem: starting from identical replicas,
 //! after all generated messages are delivered (reliably and in-order per
 //! link, but arbitrarily interleaved across links), every replica holds an
-//! identical candidate table and vote histories. [`Hub`] is a simulated
-//! fabric used to check exactly that over adversarial and randomized
-//! schedules (see `tests/convergence.rs`).
+//! identical candidate table and vote histories. `tests/convergence.rs`
+//! checks exactly that over adversarial and randomized schedules, through a
+//! simulated fabric (`tests/support/hub.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -29,11 +29,9 @@
 //! convergence theorem's delivery assumption across connection failures.
 
 pub mod history;
-pub mod hub;
 pub mod replica;
 pub mod resume;
 
 pub use history::VoteHistory;
-pub use hub::{Hub, Link};
 pub use replica::Replica;
 pub use resume::AppliedSeqs;

@@ -58,9 +58,9 @@ impl Replica {
     pub fn new(client: ClientId, schema: Arc<Schema>) -> Replica {
         Replica {
             client,
+            table: CandidateTable::new(&schema),
             schema,
             next_seq: 0,
-            table: CandidateTable::new(),
             uh: VoteHistory::new(),
             dh: VoteHistory::new(),
             metrics: ReplicaMetrics::resolve(),
@@ -80,7 +80,7 @@ impl Replica {
         dh: VoteHistory,
         rows: impl IntoIterator<Item = (RowId, RowValue)>,
     ) -> Replica {
-        let mut table = CandidateTable::new();
+        let mut table = CandidateTable::new(&schema);
         for (id, value) in rows {
             let upvotes = if value.is_complete(&schema) {
                 uh.get(&value)

@@ -2,12 +2,20 @@
 //! for any set of operations generated at any clients, and any delivery
 //! schedule respecting per-link FIFO order, once the system quiesces the
 //! server and all clients hold identical candidate tables and vote
-//! histories.
+//! histories — and every replica's key index is the one its rows imply.
 
-use crowdfill_model::{ClientId, Column, ColumnId, DataType, Operation, Schema, Value};
-use crowdfill_sync::Hub;
+mod support {
+    pub mod hub;
+}
+
+use crowdfill_model::{
+    CandidateTable, ClientId, Column, ColumnId, DataType, Operation, RowId, Schema, Value,
+};
+use crowdfill_sync::Replica;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use support::hub::Hub;
 
 fn schema() -> Arc<Schema> {
     Arc::new(
@@ -77,6 +85,25 @@ fn value_for(col: ColumnId, pick: usize) -> Value {
         ColumnId(2) => Value::int(pick as i64),
         _ => Value::text(format!("v{pick}")),
     }
+}
+
+/// A table's key index, ordered for comparison.
+fn key_index(table: &CandidateTable) -> BTreeMap<Vec<Value>, Vec<RowId>> {
+    table
+        .key_groups()
+        .map(|(key, ids)| (key.to_vec(), ids.to_vec()))
+        .collect()
+}
+
+/// Whether `replica`'s key index equals one rebuilt from its rows alone —
+/// whatever order its inserts, removals and votes arrived in.
+fn key_index_is_derived(replica: &Replica) -> bool {
+    let table = replica.table();
+    let mut rebuilt = CandidateTable::new(replica.schema());
+    for (id, entry) in table.iter() {
+        rebuilt.insert(id, entry.clone());
+    }
+    key_index(table) == key_index(&rebuilt)
 }
 
 /// Runs a script of `(client, action)` pairs against a hub, then drains with
@@ -215,6 +242,10 @@ proptest! {
         let hub = run_script(n_clients, &script, seed);
         prop_assert!(hub.quiesced());
         prop_assert!(hub.converged(), "replicas diverged after quiescence");
+        prop_assert!(key_index_is_derived(hub.server()), "server key index");
+        for i in 0..hub.client_count() {
+            prop_assert!(key_index_is_derived(hub.client(i)), "client {} key index", i);
+        }
     }
 
     /// Convergence implies schedule-independence of the *final table* too:

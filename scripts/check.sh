@@ -89,6 +89,22 @@ if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/health.rs crates/server/src/pr
   exit 1
 fi
 
+# One classification: the Central Client's live, per-key-group
+# `Classifier` is the only probable-row classification the server runs —
+# the PRI maintainer, the estimator and recommendations read it — and the
+# batch sweep is its test oracle (DESIGN.md §4).
+if sed -s '/#\[cfg(test)\]/,$d' crates/constraints/src/maintainer.rs crates/pay/src/*.rs crates/server/src/*.rs \
+  | grep -v '^[[:space:]]*//' | grep -n "classify(\|classify_rows(\|probable_rows("; then
+  echo "check.sh: a batch classification on the server path; read the Central Client's Classifier" >&2
+  exit 1
+fi
+# One server replica: the Central Client's replica is the master table, so
+# the backend builds none of its own.
+if grep -n "Replica::new\|Replica::restore" crates/server/src/backend.rs; then
+  echo "check.sh: a second replica in the backend; Backend::master() is the Central Client's" >&2
+  exit 1
+fi
+
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings

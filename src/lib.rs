@@ -115,5 +115,5 @@ pub mod prelude {
         paper_setup, paper_worker_profiles, run as run_simulation, soccer_universe, GroundTruth,
         SimConfig, WorkerProfile,
     };
-    pub use crowdfill_sync::{Hub, Replica};
+    pub use crowdfill_sync::Replica;
 }
