@@ -79,8 +79,8 @@ fn bench_e6(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0.0;
             for w in r.payout.per_worker.keys() {
-                total += earning_instability(&earning_curve(&uniform, &r.trace, *w));
-                total += earning_instability(&earning_curve(&dual, &r.trace, *w));
+                total += earning_instability(&earning_curve(&uniform, *w));
+                total += earning_instability(&earning_curve(&dual, *w));
             }
             black_box(total)
         });

@@ -1,9 +1,10 @@
-//! Compensation pipeline benchmarks: contribution analysis over the trace,
-//! allocation under each scheme (one bench per §5.2.2 scheme), and the
-//! online estimator's per-action overhead (§5.3).
+//! Compensation pipeline benchmarks: the settlement ledger's fold over a
+//! run's op log and its contribution analysis, allocation under each scheme
+//! (one bench per §5.2.2 scheme), and the online estimator's per-action
+//! overhead (§5.3).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowdfill_pay::{allocate, analyze, Scheme, SplitConfig};
+use crowdfill_pay::{allocate, Ledger, Scheme, SplitConfig};
 use crowdfill_sim::{paper_setup, run, RunReport};
 
 fn report(rows: usize) -> RunReport {
@@ -12,17 +13,28 @@ fn report(rows: usize) -> RunReport {
     r
 }
 
-fn bench_contribution_analysis(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pay/analyze");
+/// The ledger folded over the whole of a run's log.
+fn fold(r: &RunReport) -> Ledger {
+    let mut ledger = Ledger::default();
+    for (seq, e) in (0..).zip(r.trace.entries()) {
+        ledger.advance(seq, e);
+    }
+    ledger
+}
+
+fn bench_ledger(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pay/ledger");
     for &rows in &[5usize, 10, 20] {
         let r = report(rows);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{}msgs", r.trace.len())),
-            &rows,
-            |b, _| {
-                b.iter(|| black_box(analyze(&r.trace, &r.final_table)));
-            },
-        );
+        let msgs = r.trace.len();
+        group.bench_function(format!("fold/{msgs}msgs"), |b| {
+            b.iter(|| black_box(fold(&r)));
+        });
+        let ledger = fold(&r);
+        assert_eq!(ledger.contributions(&r.final_table), r.contributions);
+        group.bench_function(format!("contributions/{msgs}msgs"), |b| {
+            b.iter(|| black_box(ledger.contributions(&r.final_table)));
+        });
     }
     group.finish();
 }
@@ -36,14 +48,8 @@ fn bench_allocation_schemes(c: &mut Criterion) {
             &scheme,
             |b, &scheme| {
                 b.iter(|| {
-                    black_box(allocate(
-                        scheme,
-                        10.0,
-                        &r.trace,
-                        &r.contributions,
-                        &r.schema,
-                        &SplitConfig::new(),
-                    ))
+                    let split = SplitConfig::new();
+                    black_box(allocate(scheme, 10.0, &r.contributions, &r.schema, &split))
                 });
             },
         );
@@ -56,7 +62,7 @@ fn bench_estimator_throughput(c: &mut Criterion) {
     // end-to-end per-action estimation cost (including probable-row
     // recomputation against the evolving table).
     use crowdfill_constraints::{Classifier, ProbableView};
-    use crowdfill_model::{Message, QuorumMajority, Template};
+    use crowdfill_model::{QuorumMajority, Template};
     use crowdfill_pay::Estimator;
     use crowdfill_sync::Replica;
     use std::sync::Arc;
@@ -79,39 +85,11 @@ fn bench_estimator_throughput(c: &mut Criterion) {
                 Arc::new(QuorumMajority::of_three()),
                 replica.table(),
             );
-            let mut row_values: std::collections::HashMap<_, crowdfill_model::RowValue> =
-                std::collections::HashMap::new();
-            for (idx, e) in r.trace.entries().iter().enumerate() {
-                let old_value = match &e.msg {
-                    Message::Replace { old, .. } => row_values.get(old).cloned(),
-                    _ => None,
-                };
-                match &e.msg {
-                    Message::Insert { row } => {
-                        row_values.insert(*row, crowdfill_model::RowValue::empty());
-                    }
-                    Message::Replace { new, value, .. } => {
-                        row_values.insert(*new, value.clone());
-                    }
-                    _ => {}
-                }
+            for (seq, e) in (0..).zip(r.trace.entries()) {
                 replica.process(&e.msg);
                 classes.update(replica.table(), &e.msg);
                 let view = ProbableView::new(replica.table(), &classes);
-                if e.worker.is_none() {
-                    continue;
-                }
-                match (&e.msg, old_value) {
-                    (Message::Replace { value, .. }, Some(ov)) => {
-                        if let Some(col) = ov.added_column(value) {
-                            let v = value.get(col).unwrap().clone();
-                            est.on_fill(idx, e, col, &v, view);
-                        }
-                    }
-                    _ => {
-                        est.on_action(idx, e, view);
-                    }
-                }
+                est.on_action(seq, e, view);
             }
             black_box(est.raw_totals())
         });
@@ -121,7 +99,7 @@ fn bench_estimator_throughput(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_contribution_analysis,
+    bench_ledger,
     bench_allocation_schemes,
     bench_estimator_throughput
 );

@@ -46,8 +46,8 @@ fn main() {
 
     println!("E6 / Figure 6: cumulative earning (% of final) over time (seed {seed})\n");
     for w in picks {
-        let cu = normalize(&earning_curve(&uniform, &report.trace, w));
-        let cd = normalize(&earning_curve(&dual, &report.trace, w));
+        let cu = normalize(&earning_curve(&uniform, w));
+        let cd = normalize(&earning_curve(&dual, w));
         println!("worker {}:", wname(w));
         ascii_chart(&[("weighted", &cd), ("uniform", &cu)], 64, 12);
         println!();
@@ -59,8 +59,8 @@ fn main() {
     let mut mean_d = 0.0;
     let mut n = 0;
     for w in report.payout.per_worker.keys() {
-        let iu = earning_instability(&earning_curve(&uniform, &report.trace, *w));
-        let id = earning_instability(&earning_curve(&dual, &report.trace, *w));
+        let iu = earning_instability(&earning_curve(&uniform, *w));
+        let id = earning_instability(&earning_curve(&dual, *w));
         mean_u += iu;
         mean_d += id;
         n += 1;

@@ -5,8 +5,10 @@
 //! the real disk and asserts the recovery invariant at EVERY boundary:
 //!
 //! * every op acked before the crash survives recovery, and
-//! * the recovered state is byte-identical to the reference state at the
-//!   recovered watermark (no partial op, no phantom op, no drift).
+//! * the recovered state — table, vote histories and settlement ledger —
+//!   is byte-identical to the reference state at the recovered watermark
+//!   (no partial op, no phantom op, no drift), and
+//! * a run that finished settles like the reference under every scheme.
 //!
 //! The matrix is exhaustive by construction — boundary indexes advance
 //! 1, 2, 3, … until a child finishes the workload without crashing, so
@@ -15,11 +17,11 @@
 //! prefixes) extend via `CROWDFILL_CRASH_SEEDS=7,8 cargo test -p
 //! crowdfill-bench --test crashpoint` without editing the file.
 
-use crowdfill_docstore::{FaultyDisk, FsyncPolicy};
+use crowdfill_docstore::{FaultyDisk, FsyncPolicy, Json};
 use crowdfill_model::{
     Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
-use crowdfill_pay::Millis;
+use crowdfill_pay::{allocate, Millis, Payout, Scheme};
 use crowdfill_server::persist::{self, DurabilityOptions};
 use crowdfill_server::{wire, Backend, TaskConfig, WorkerClient};
 use crowdfill_sim::faultplan::{crash_seeds, FaultPlanner};
@@ -163,13 +165,40 @@ fn run_workload(b: &mut Backend, mut on_acked: impl FnMut(&Backend)) {
     }
 }
 
-/// Deterministic wire encoding of the backend's full live state.
+/// Deterministic wire encoding of the backend's full live state, then the
+/// settlement ledger as the checkpoint encodes it.
 fn state_image(b: &Backend) -> String {
+    let checkpoint = Json::parse(&persist::encode_backend_state(&b.capture_state())).unwrap();
+    let ledger = checkpoint
+        .get("ledger")
+        .expect("the image carries the ledger");
     b.bootstrap_messages()
         .iter()
         .map(|m| wire::message_to_json(m).encode())
+        .chain([ledger.encode()])
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// The backend's settlement under every scheme, as bits.
+fn settlements(b: &mut Backend) -> Vec<Vec<(u64, u64)>> {
+    let (_, contributions, _) = b.settle();
+    let config = b.config();
+    let bits = |p: Payout| {
+        let amounts = p.per_message.iter().map(|(s, c)| (*s, c.amount.to_bits()));
+        let workers = p
+            .per_worker
+            .iter()
+            .map(|(w, a)| (u64::from(w.0), a.to_bits()));
+        let unspent = (u64::MAX, p.unspent.to_bits());
+        amounts.chain(workers).chain([unspent]).collect()
+    };
+    let split = &config.split;
+    let pay = |scheme| allocate(scheme, config.budget, &contributions, &config.schema, split);
+    Scheme::ALL
+        .into_iter()
+        .map(|scheme| bits(pay(scheme)))
+        .collect()
 }
 
 /// Child mode: run the workload on a crash-scheduled FaultyDisk inside
@@ -194,8 +223,14 @@ fn run_child(dir: &PathBuf, seed: u64, crash_at: u64) {
 }
 
 /// Parent-side verification after a crashed child: recover with the real
-/// disk and hold the invariant against the reference trajectory.
-fn verify_recovery(dir: &PathBuf, reference: &[(u64, String)], boundary: u64, seed: u64) {
+/// disk and hold the invariant against the reference trajectory. Returns
+/// the recovered backend.
+fn verify_recovery(
+    dir: &PathBuf,
+    reference: &[(u64, String)],
+    boundary: u64,
+    seed: u64,
+) -> Backend {
     let acked_watermark = std::fs::read_to_string(dir.join("acked.log"))
         .unwrap_or_default()
         .lines()
@@ -225,6 +260,7 @@ fn verify_recovery(dir: &PathBuf, reference: &[(u64, String)], boundary: u64, se
         expected.1,
         "seed {seed} boundary {boundary}: recovered state diverged at watermark {watermark}"
     );
+    recovered
 }
 
 #[test]
@@ -245,13 +281,11 @@ fn crash_point_matrix() {
     // backend, recording the state image at every acked watermark (plus
     // the pre-workload template state).
     let mut reference: Vec<(u64, String)> = Vec::new();
-    {
-        let mut b = Backend::new(config());
-        reference.push((b.history_len(), state_image(&b)));
-        run_workload(&mut b, |b| {
-            reference.push((b.history_len(), state_image(b)));
-        });
-    }
+    let mut uncrashed = Backend::new(config());
+    reference.push((uncrashed.history_len(), state_image(&uncrashed)));
+    run_workload(&mut uncrashed, |b| {
+        reference.push((b.history_len(), state_image(b)));
+    });
 
     let exe = std::env::current_exe().unwrap();
     for seed in crash_seeds(&[7]) {
@@ -288,8 +322,14 @@ fn crash_point_matrix() {
                     status.success(),
                     "seed {seed}: clean child run exited with {status}"
                 );
-                // A full run must also recover to the final reference state.
-                verify_recovery(&dir, &reference, boundary, seed);
+                // A full run must also recover to the final reference state,
+                // and settle exactly as the uncrashed run.
+                let mut recovered = verify_recovery(&dir, &reference, boundary, seed);
+                assert_eq!(
+                    settlements(&mut recovered),
+                    settlements(&mut uncrashed),
+                    "seed {seed}: settlement diverged"
+                );
                 std::fs::remove_dir_all(&dir).ok();
                 assert!(
                     boundary > 20,

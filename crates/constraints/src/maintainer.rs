@@ -35,7 +35,8 @@
 use crate::probable::{Classifier, ProbableView};
 use crowdfill_matching::IncrementalMatcher;
 use crowdfill_model::{
-    ClientId, Entry, Message, Operation, RowId, RowValue, Schema, ScoringRef, Template, TemplateRow,
+    ClientId, ColumnId, Entry, Message, Operation, RowId, RowValue, Schema, ScoringRef, Template,
+    TemplateRow,
 };
 use crowdfill_sync::Replica;
 use std::collections::BTreeSet;
@@ -68,8 +69,9 @@ pub struct PriMaintainer {
     ///
     /// [`is_fulfilled`]: Self::is_fulfilled
     classes: Classifier,
-    /// Messages CC has generated and not yet handed to the caller.
-    outbox: Vec<Message>,
+    /// Messages CC has generated and not yet handed to the caller, each
+    /// with the column it filled if it is a fill (a template value).
+    outbox: Vec<(Message, Option<ColumnId>)>,
 }
 
 impl PriMaintainer {
@@ -226,6 +228,14 @@ impl PriMaintainer {
     /// Drains CC's pending messages (inserts/fills/upvotes it generated).
     /// The caller must apply them to the master table and broadcast them.
     pub fn take_outbox(&mut self) -> Vec<Message> {
+        let outbox = self.take_outbox_filled().into_iter();
+        outbox.map(|(msg, _)| msg).collect()
+    }
+
+    /// [`take_outbox`](Self::take_outbox), each message with the column it
+    /// filled if it is a fill: CC applied it to its replica already, so the
+    /// replaced row is gone and only CC can still say which column that was.
+    pub fn take_outbox_filled(&mut self) -> Vec<(Message, Option<ColumnId>)> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -314,7 +324,11 @@ impl PriMaintainer {
             .unwrap_or_else(|e| unreachable!("CC generated an invalid operation {op}: {e}"));
         self.classes.update(self.replica.table(), &msg);
         let created = msg.creates_row();
-        self.outbox.push(msg);
+        let filled = match op {
+            Operation::Fill { column, .. } => Some(*column),
+            _ => None,
+        };
+        self.outbox.push((msg, filled));
         created
     }
 

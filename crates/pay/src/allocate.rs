@@ -21,8 +21,9 @@
 //! unspent, so allocation need not exhaust `B`.
 
 use crate::contrib::Contributions;
+use crate::ledger::Unit;
 use crate::stats::{dual_multiplier, fit_z, median};
-use crate::trace::{MsgIdx, Trace, WorkerId};
+use crate::trace::{Millis, WorkerId};
 use crowdfill_model::{ColumnId, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
 
@@ -89,7 +90,7 @@ impl SplitConfig {
     }
 }
 
-/// The weights a (column/dual)-weighted allocation derived from the trace;
+/// The weights a (column/dual)-weighted allocation derived from the units;
 /// reported for transparency and reused by estimation accuracy analyses.
 #[derive(Debug, Clone)]
 pub struct Weights {
@@ -102,14 +103,22 @@ pub struct Weights {
     pub z: Vec<f64>,
 }
 
+/// What one credited message earned.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Credit {
+    pub worker: WorkerId,
+    pub at: Millis,
+    pub amount: f64,
+}
+
 /// The outcome of an allocation run.
 #[derive(Debug, Clone)]
 pub struct Payout {
     pub scheme: Scheme,
     pub budget: f64,
-    /// Amount credited to each message (trace index) that earned anything.
-    /// Ordered so downstream summations are deterministic.
-    pub per_message: BTreeMap<MsgIdx, f64>,
+    /// Each message that earned anything, by history seq. Ordered so
+    /// downstream summations are deterministic.
+    pub per_message: BTreeMap<u64, Credit>,
     /// Total per worker (sorted map for deterministic reporting).
     pub per_worker: BTreeMap<WorkerId, f64>,
     /// Budget left unallocated (cells lacking an indirect contributor).
@@ -134,15 +143,14 @@ impl Payout {
 pub fn allocate(
     scheme: Scheme,
     budget: f64,
-    trace: &Trace,
     contributions: &Contributions,
     schema: &Schema,
     split: &SplitConfig,
 ) -> Payout {
-    let weights = compute_weights(scheme, trace, contributions, schema);
+    let weights = compute_weights(scheme, contributions, schema);
 
     // Per-cell dual multipliers (1.0 outside dual weighting / non-key cols).
-    let cell_multiplier = compute_dual_multipliers(scheme, trace, contributions, schema, &weights);
+    let cell_multiplier = compute_dual_multipliers(scheme, contributions, schema, &weights);
 
     // Y = Σ_j y_j·(Σ multipliers of C_j) + y↑|U| + y↓|D|. With multipliers
     // averaging 1 per column this equals the paper's Σ y_j|C_j| + ... form.
@@ -153,7 +161,15 @@ pub fn allocate(
     y_total += weights.upvote * contributions.upvotes.len() as f64;
     y_total += weights.downvote * contributions.downvotes.len() as f64;
 
-    let mut per_message: BTreeMap<MsgIdx, f64> = BTreeMap::new();
+    let mut per_message: BTreeMap<u64, Credit> = BTreeMap::new();
+    let mut credit = |u: &Unit, amount: f64| {
+        let zero = Credit {
+            worker: u.worker,
+            at: u.at,
+            amount: 0.0,
+        };
+        per_message.entry(u.seq).or_insert(zero).amount += amount;
+    };
     let mut unspent = 0.0;
 
     if y_total > 0.0 {
@@ -162,29 +178,25 @@ pub fn allocate(
         for (ci, cell) in contributions.cells.iter().enumerate() {
             let b_c = weights.per_column[cell.cell.column.index()] * cell_multiplier[ci] * unit;
             let h = split.h_for(schema, cell.cell.column);
-            *per_message.entry(cell.direct).or_insert(0.0) += h * b_c;
-            match cell.indirect {
-                Some(idx) => *per_message.entry(idx).or_insert(0.0) += (1.0 - h) * b_c,
+            credit(&cell.direct, h * b_c);
+            match &cell.indirect {
+                Some(u) => credit(u, (1.0 - h) * b_c),
                 None => unspent += (1.0 - h) * b_c,
             }
         }
-        for &idx in &contributions.upvotes {
-            *per_message.entry(idx).or_insert(0.0) += weights.upvote * unit;
+        for u in &contributions.upvotes {
+            credit(u, weights.upvote * unit);
         }
-        for &idx in &contributions.downvotes {
-            *per_message.entry(idx).or_insert(0.0) += weights.downvote * unit;
+        for u in &contributions.downvotes {
+            credit(u, weights.downvote * unit);
         }
     } else {
         unspent = budget;
     }
 
     let mut per_worker: BTreeMap<WorkerId, f64> = BTreeMap::new();
-    for (&idx, &amount) in &per_message {
-        let worker = trace
-            .get(idx)
-            .worker
-            .expect("contributing messages are worker messages");
-        *per_worker.entry(worker).or_insert(0.0) += amount;
+    for c in per_message.values() {
+        *per_worker.entry(c.worker).or_insert(0.0) += c.amount;
     }
 
     Payout {
@@ -197,15 +209,10 @@ pub fn allocate(
     }
 }
 
-/// Derives scheme weights from the trace (§5.2.2): medians of the latencies
+/// Derives scheme weights from the units (§5.2.2): medians of the latencies
 /// of *contributing* messages, per column and per vote kind. Uniform weights
 /// are all 1. Missing samples fall back to the global median latency, then 1.
-fn compute_weights(
-    scheme: Scheme,
-    trace: &Trace,
-    contributions: &Contributions,
-    schema: &Schema,
-) -> Weights {
+fn compute_weights(scheme: Scheme, contributions: &Contributions, schema: &Schema) -> Weights {
     let width = schema.width();
     let mut weights = Weights {
         per_column: vec![1.0; width],
@@ -217,28 +224,19 @@ fn compute_weights(
         return weights;
     }
 
-    let latencies = trace.latencies();
-    let sample = |idx: MsgIdx| latencies[idx].map(|m| m.seconds());
+    let sample = |u: &Unit| u.latency.map(Millis::seconds);
 
     let mut col_samples: Vec<Vec<f64>> = vec![Vec::new(); width];
     for cell in &contributions.cells {
         // Both contributing messages give latency evidence for the column.
-        for idx in std::iter::once(cell.direct).chain(cell.indirect) {
-            if let Some(s) = sample(idx) {
+        for u in std::iter::once(&cell.direct).chain(&cell.indirect) {
+            if let Some(s) = sample(u) {
                 col_samples[cell.cell.column.index()].push(s);
             }
         }
     }
-    let up_samples: Vec<f64> = contributions
-        .upvotes
-        .iter()
-        .filter_map(|&i| sample(i))
-        .collect();
-    let down_samples: Vec<f64> = contributions
-        .downvotes
-        .iter()
-        .filter_map(|&i| sample(i))
-        .collect();
+    let up_samples: Vec<f64> = contributions.upvotes.iter().filter_map(sample).collect();
+    let down_samples: Vec<f64> = contributions.downvotes.iter().filter_map(sample).collect();
 
     let global: Vec<f64> = col_samples
         .iter()
@@ -260,7 +258,7 @@ fn compute_weights(
 
     if scheme == Scheme::DualWeighted {
         for &col in schema.key() {
-            let times = key_completion_times(trace, contributions, col);
+            let times = key_completion_times(contributions, col);
             weights.z[col.index()] = fit_z(&times);
         }
     }
@@ -270,8 +268,8 @@ fn compute_weights(
 /// For a key column, the per-rank completion times `t_k`: the gap between
 /// the first appearances of the (k−1)-th and k-th *distinct contributing*
 /// values in that column (the first value measures from collection start).
-fn key_completion_times(trace: &Trace, contributions: &Contributions, col: ColumnId) -> Vec<f64> {
-    let ranked = first_appearance_ranks(trace, contributions, col);
+fn key_completion_times(contributions: &Contributions, col: ColumnId) -> Vec<f64> {
+    let ranked = first_appearance_ranks(contributions, col);
     let mut stamps: Vec<f64> = ranked.values().map(|&(_, at)| at).collect();
     stamps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mut prev = 0.0;
@@ -288,26 +286,12 @@ fn key_completion_times(trace: &Trace, contributions: &Contributions, col: Colum
 /// First-appearance order of each contributing cell's value within `col`:
 /// value → (rank 1-based, first-appearance seconds).
 fn first_appearance_ranks(
-    trace: &Trace,
     contributions: &Contributions,
     col: ColumnId,
 ) -> HashMap<Value, (usize, f64)> {
-    let values = trace.row_values();
-    // Earliest fill time of each (col, value) across the whole trace.
-    let mut first_at: HashMap<Value, f64> = HashMap::new();
-    for idx in 0..trace.len() {
-        if let Some((c, v)) = trace.filled_cell(idx, &values) {
-            if c == col {
-                first_at
-                    .entry(v)
-                    .or_insert_with(|| trace.get(idx).at.seconds());
-            }
-        }
-    }
-    // Restrict to values of contributing cells, rank by first appearance.
     let mut entries: Vec<(Value, f64)> = contributions
         .cells_in_column(col)
-        .filter_map(|cell| first_at.get(&cell.value).map(|&t| (cell.value.clone(), t)))
+        .map(|cell| (cell.value.clone(), cell.first_at.seconds()))
         .collect();
     entries.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
     entries.dedup_by(|a, b| a.0 == b.0);
@@ -321,7 +305,6 @@ fn first_appearance_ranks(
 /// Per-cell dual multipliers, aligned with `contributions.cells`.
 fn compute_dual_multipliers(
     scheme: Scheme,
-    trace: &Trace,
     contributions: &Contributions,
     schema: &Schema,
     weights: &Weights,
@@ -331,7 +314,7 @@ fn compute_dual_multipliers(
         return mult;
     }
     for &col in schema.key() {
-        let ranked = first_appearance_ranks(trace, contributions, col);
+        let ranked = first_appearance_ranks(contributions, col);
         let n = ranked.len();
         let z = weights.z[col.index()];
         for (ci, cell) in contributions.cells.iter().enumerate() {
@@ -349,12 +332,12 @@ fn compute_dual_multipliers(
 /// A worker's cumulative earning curve under a payout: `(time, cumulative)`
 /// points at each of the worker's credited messages, used for the paper's
 /// Figure 6 earning-rate comparison.
-pub fn earning_curve(payout: &Payout, trace: &Trace, worker: WorkerId) -> Vec<(f64, f64)> {
+pub fn earning_curve(payout: &Payout, worker: WorkerId) -> Vec<(f64, f64)> {
     let mut events: Vec<(f64, f64)> = payout
         .per_message
-        .iter()
-        .filter(|(&idx, _)| trace.get(idx).worker == Some(worker))
-        .map(|(&idx, &amount)| (trace.get(idx).at.seconds(), amount))
+        .values()
+        .filter(|c| c.worker == worker)
+        .map(|c| (c.at.seconds(), c.amount))
         .collect();
     events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     let mut cum = 0.0;
@@ -391,11 +374,11 @@ pub fn earning_instability(curve: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contrib::analyze;
-    use crate::trace::{Millis, TraceEntry};
+    use crate::contrib::Contributions;
+    use crate::ledger::Ledger;
+    use crate::trace::TraceEntry;
     use crowdfill_model::{
-        derive_final_table, ClientId, Column, DataType, FinalTable, Operation, QuorumMajority,
-        RowId,
+        derive_final_table, ClientId, Column, DataType, Operation, QuorumMajority, RowId,
     };
     use crowdfill_sync::Replica;
     use std::sync::Arc;
@@ -416,7 +399,8 @@ mod tests {
 
     struct Build {
         replica: Replica,
-        trace: Trace,
+        ledger: Ledger,
+        seq: u64,
         now: u64,
     }
 
@@ -424,74 +408,85 @@ mod tests {
         fn new() -> Build {
             Build {
                 replica: Replica::new(ClientId(10), schema()),
-                trace: Trace::new(),
+                ledger: Ledger::default(),
+                seq: 0,
                 now: 0,
             }
         }
 
-        fn at(&mut self, step: u64) -> Millis {
+        /// Applies `op` `step` ms after the previous entry and folds it.
+        fn record(&mut self, worker: Option<u32>, step: u64, op: &Operation, auto: bool) -> u64 {
+            let msg = self.replica.apply_local(op).unwrap();
+            let filled = match op {
+                Operation::Fill { column, .. } => Some(*column),
+                _ => None,
+            };
             self.now += step;
-            Millis(self.now)
+            let entry = TraceEntry {
+                at: Millis(self.now),
+                worker: worker.map(WorkerId),
+                msg,
+                auto_upvote: auto,
+                filled,
+            };
+            let seq = self.seq;
+            self.ledger.advance(seq, &entry);
+            self.seq += 1;
+            seq
         }
 
         fn system_insert(&mut self) -> RowId {
-            let msg = self.replica.apply_local(&Operation::Insert).unwrap();
-            let row = msg.creates_row().unwrap();
-            let at = self.at(10);
-            self.trace.record_system(at, msg);
-            row
+            self.record(None, 10, &Operation::Insert, false);
+            self.last_row()
         }
 
-        fn worker(&mut self, w: u32, step: u64, op: &Operation) -> (MsgIdx, Option<RowId>) {
-            let msg = self.replica.apply_local(op).unwrap();
-            let row = msg.creates_row();
-            let at = self.at(step);
-            (self.trace.record_worker(at, WorkerId(w), msg), row)
+        fn worker(&mut self, w: u32, step: u64, op: &Operation) -> (u64, RowId) {
+            let seq = self.record(Some(w), step, op, false);
+            (seq, self.last_row())
         }
 
         fn auto(&mut self, w: u32, row: RowId) {
-            let msg = self
-                .replica
-                .apply_local(&Operation::Upvote { row })
-                .unwrap();
-            let at = self.at(1);
-            self.trace.record(TraceEntry {
-                at,
-                worker: Some(WorkerId(w)),
-                msg,
-                auto_upvote: true,
-            });
+            self.record(Some(w), 1, &Operation::Upvote { row }, true);
         }
 
-        fn final_table(&self) -> FinalTable {
-            derive_final_table(
+        /// The row the last insert or fill created (the newest row id).
+        fn last_row(&self) -> RowId {
+            self.replica.table().row_ids().max().unwrap()
+        }
+
+        fn contributions(&self) -> Contributions {
+            let ft = derive_final_table(
                 self.replica.table(),
                 self.replica.schema(),
                 &QuorumMajority::of_three(),
-            )
+            );
+            self.ledger.contributions(&ft)
+        }
+
+        fn allocate(&self, scheme: Scheme, budget: f64, split: &SplitConfig) -> Payout {
+            allocate(scheme, budget, &self.contributions(), &schema(), split)
         }
     }
 
+    fn amount(p: &Payout, seq: u64) -> f64 {
+        p.per_message[&seq].amount
+    }
+
     /// One complete row by one worker, one upvote by another.
-    fn simple_run() -> (Build, Contributions) {
+    fn simple_run() -> Build {
         let mut b = Build::new();
         let r0 = b.system_insert();
         let (_, r1) = b.worker(1, 1000, &Operation::fill(r0, ColumnId(0), "Messi"));
-        let (_, r2) = b.worker(1, 2000, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (_, done) = b.worker(1, 2000, &Operation::fill(r1, ColumnId(1), "FW"));
         b.auto(1, done);
         b.worker(2, 500, &Operation::Upvote { row: done });
         b.worker(2, 500, &Operation::Upvote { row: done }); // 2nd vote (other worker would be needed; reuse for arithmetic)
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
-        (b, c)
+        b
     }
 
     #[test]
     fn uniform_allocation_splits_equally() {
-        let (b, c) = simple_run();
-        let s = schema();
-        let p = allocate(Scheme::Uniform, 10.0, &b.trace, &c, &s, &SplitConfig::new());
+        let p = simple_run().allocate(Scheme::Uniform, 10.0, &SplitConfig::new());
         // Units: 2 cells + 2 upvotes = 4 ⇒ b = 2.5 each.
         // Worker 1: both cells, both direct+indirect (full amount).
         assert!((p.worker_total(WorkerId(1)) - 5.0).abs() < 1e-9);
@@ -503,35 +498,27 @@ mod tests {
 
     #[test]
     fn splitting_withholds_indirect_share_when_absent() {
-        // Build a run where the direct filler was NOT first with the value:
-        // then the indirect share goes elsewhere; and a run where there is
-        // no compatible first — unspent.
+        // The direct filler of the winning row's position was not first
+        // with its value, and the first one is on an incompatible row: the
+        // indirect share goes unspent.
         let mut b = Build::new();
         let ra = b.system_insert();
         let rb = b.system_insert();
-        // Worker 1 first enters name=Messi on a branch that dies with pos
-        // conflicting...
         let (_, ra1) = b.worker(1, 1000, &Operation::fill(ra, ColumnId(0), "Xavi"));
-        let (i_xavi_pos, _) = b.worker(1, 1000, &Operation::fill(ra1.unwrap(), ColumnId(1), "FW"));
+        let (i_xavi_pos, _) = b.worker(1, 1000, &Operation::fill(ra1, ColumnId(1), "FW"));
         // Worker 2 builds winning row with same pos value FW.
         let (_, rb1) = b.worker(2, 1000, &Operation::fill(rb, ColumnId(0), "Messi"));
-        let (i_pos, rb2) = b.worker(2, 1000, &Operation::fill(rb1.unwrap(), ColumnId(1), "FW"));
-        let done = rb2.unwrap();
+        let (i_pos, done) = b.worker(2, 1000, &Operation::fill(rb1, ColumnId(1), "FW"));
         b.auto(2, done);
         b.worker(3, 500, &Operation::Upvote { row: done });
         b.worker(3, 500, &Operation::Upvote { row: done });
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
-        let s = schema();
-        let p = allocate(Scheme::Uniform, 12.0, &b.trace, &c, &s, &SplitConfig::new());
+        let p = b.allocate(Scheme::Uniform, 12.0, &SplitConfig::new());
         // 4 units (2 cells + 2 votes) ⇒ b = 3.
         // pos cell: first filler of (pos,FW) was worker 1, on row {Xavi,FW}
         // ⊄ final {Messi,FW} ⇒ no indirect ⇒ h=0.5 ⇒ 1.5 paid, 1.5 unspent.
         assert!((p.unspent - 1.5).abs() < 1e-9);
         assert_eq!(p.per_message.get(&i_xavi_pos), None);
-        assert!((p.per_message[&i_pos] - 1.5).abs() < 1e-9);
-        // name cell (key column, h=0.25): worker 2 was first with Messi and
-        // direct ⇒ gets full 3.0.
+        assert!((amount(&p, i_pos) - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -544,69 +531,52 @@ mod tests {
         let (i_first, _) = b.worker(1, 1000, &Operation::fill(ra, ColumnId(0), "Messi"));
         // Worker 2 re-enters Messi and completes.
         let (i_direct, rb1) = b.worker(2, 1000, &Operation::fill(rb, ColumnId(0), "Messi"));
-        let (_, rb2) = b.worker(2, 1000, &Operation::fill(rb1.unwrap(), ColumnId(1), "FW"));
-        let done = rb2.unwrap();
+        let (_, done) = b.worker(2, 1000, &Operation::fill(rb1, ColumnId(1), "FW"));
         b.auto(2, done);
         b.worker(3, 500, &Operation::Upvote { row: done });
         b.worker(3, 500, &Operation::Upvote { row: done });
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
-        let s = schema();
-        let p = allocate(Scheme::Uniform, 16.0, &b.trace, &c, &s, &SplitConfig::new());
+        let p = b.allocate(Scheme::Uniform, 16.0, &SplitConfig::new());
         // 4 units ⇒ b = 4. Name cell is a key column: direct 0.25·4 = 1,
         // indirect 0.75·4 = 3.
-        assert!((p.per_message[&i_direct] - 1.0).abs() < 1e-9);
-        assert!((p.per_message[&i_first] - 3.0).abs() < 1e-9);
+        assert!((amount(&p, i_direct) - 1.0).abs() < 1e-9);
+        assert!((amount(&p, i_first) - 3.0).abs() < 1e-9);
+        assert_eq!(p.per_message[&i_first].worker, WorkerId(1));
     }
 
     #[test]
     fn split_override_applies() {
-        let (b, c) = simple_run();
-        let s = schema();
         let split = SplitConfig::new().with_override(ColumnId(0), 1.0);
-        let p = allocate(Scheme::Uniform, 10.0, &b.trace, &c, &s, &split);
+        let p = simple_run().allocate(Scheme::Uniform, 10.0, &split);
         // With h=1 the direct message takes everything; worker 1 did both
         // direct and indirect anyway, so totals don't change here — but the
         // clamped override must hold structurally.
         assert!((p.total_paid() + p.unspent - 10.0).abs() < 1e-9);
         let clamped = SplitConfig::new().with_override(ColumnId(0), 7.0);
-        assert_eq!(clamped.h_for(&s, ColumnId(0)), 1.0);
+        assert_eq!(clamped.h_for(&schema(), ColumnId(0)), 1.0);
     }
 
     /// Two complete rows; name fills take 3000ms, pos fills 500ms, upvotes
     /// 1000ms. Column weighting must pay the slow column proportionally more.
-    fn weighted_run() -> (Build, Contributions, MsgIdx, MsgIdx) {
+    fn weighted_run() -> (Build, u64, u64) {
         let mut b = Build::new();
         let ra = b.system_insert();
         let rb = b.system_insert();
         let (i_messi, ra1) = b.worker(1, 1000, &Operation::fill(ra, ColumnId(0), "Messi")); // no sample (first msg)
         let (i_xavi, rb1) = b.worker(1, 3000, &Operation::fill(rb, ColumnId(0), "Xavi")); // name: 3.0s
-        let (_, ra2) = b.worker(1, 500, &Operation::fill(ra1.unwrap(), ColumnId(1), "FW")); // pos: 0.5s
-        let done_a = ra2.unwrap();
+        let (_, done_a) = b.worker(1, 500, &Operation::fill(ra1, ColumnId(1), "FW")); // pos: 0.5s
         b.auto(1, done_a);
-        let (_, rb2) = b.worker(1, 500, &Operation::fill(rb1.unwrap(), ColumnId(1), "MF")); // pos: 0.5s
-        let done_b = rb2.unwrap();
+        let (_, done_b) = b.worker(1, 500, &Operation::fill(rb1, ColumnId(1), "MF")); // pos: 0.5s
         b.auto(1, done_b);
         b.worker(2, 1000, &Operation::Upvote { row: done_a }); // no sample (first msg)
         b.worker(2, 1000, &Operation::Upvote { row: done_b }); // upvote: 1.0s
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 2);
-        let c = analyze(&b.trace, &ft);
-        (b, c, i_messi, i_xavi)
+        assert_eq!(b.contributions().cells.len(), 4);
+        (b, i_messi, i_xavi)
     }
 
     #[test]
     fn column_weighted_pays_slower_columns_more() {
-        let (b, c, ..) = weighted_run();
-        let s = schema();
-        let p = allocate(
-            Scheme::ColumnWeighted,
-            9.0,
-            &b.trace,
-            &c,
-            &s,
-            &SplitConfig::new(),
-        );
+        let (b, ..) = weighted_run();
+        let p = b.allocate(Scheme::ColumnWeighted, 9.0, &SplitConfig::new());
         // Medians: name 3.0, pos 0.5, upvote 1.0.
         assert!((p.weights.per_column[0] - 3.0).abs() < 1e-9);
         assert!((p.weights.per_column[1] - 0.5).abs() < 1e-9);
@@ -619,31 +589,21 @@ mod tests {
 
     #[test]
     fn dual_weighting_pays_later_keys_more() {
-        let (b, c, i_messi, i_xavi) = weighted_run();
-        let s = schema();
-        let p = allocate(
-            Scheme::DualWeighted,
-            9.0,
-            &b.trace,
-            &c,
-            &s,
-            &SplitConfig::new(),
-        );
+        let (b, i_messi, i_xavi) = weighted_run();
+        let p = b.allocate(Scheme::DualWeighted, 9.0, &SplitConfig::new());
         // Key completion gaps grow (≈1.0s then 3.0s) ⇒ z > 0 ⇒ the later key
         // (Xavi, rank 2) earns more than the earlier (Messi, rank 1).
         assert!(p.weights.z[0] > 0.0 && p.weights.z[0] <= 1.0);
         assert_eq!(p.weights.z[1], 0.0); // non-key column
-        assert!(p.per_message[&i_xavi] > p.per_message[&i_messi]);
+        assert!(amount(&p, i_xavi) > amount(&p, i_messi));
         // Budget conservation still holds.
         assert!((p.total_paid() + p.unspent - 9.0).abs() < 1e-6);
     }
 
     #[test]
     fn earning_curve_is_cumulative_and_sorted() {
-        let (b, c) = simple_run();
-        let s = schema();
-        let p = allocate(Scheme::Uniform, 10.0, &b.trace, &c, &s, &SplitConfig::new());
-        let curve = earning_curve(&p, &b.trace, WorkerId(2));
+        let p = simple_run().allocate(Scheme::Uniform, 10.0, &SplitConfig::new());
+        let curve = earning_curve(&p, WorkerId(2));
         assert_eq!(curve.len(), 2);
         assert!(curve[0].0 < curve[1].0);
         assert!(curve[0].1 < curve[1].1);
@@ -663,10 +623,14 @@ mod tests {
 
     #[test]
     fn empty_contributions_leave_budget_unspent() {
-        let t = Trace::new();
         let c = Contributions::default();
-        let s = schema();
-        let p = allocate(Scheme::DualWeighted, 10.0, &t, &c, &s, &SplitConfig::new());
+        let p = allocate(
+            Scheme::DualWeighted,
+            10.0,
+            &c,
+            &schema(),
+            &SplitConfig::new(),
+        );
         assert_eq!(p.unspent, 10.0);
         assert!(p.per_worker.is_empty());
     }

@@ -1,7 +1,7 @@
 //! Contribution analysis (paper §5.2.1).
 //!
-//! Given the trace `M` and the final table `S`, determine which messages
-//! contributed to `S`:
+//! Given the trace `M` — as the [`Ledger`] folded it — and the final table
+//! `S`, determine which messages contributed to `S`:
 //!
 //! * **direct replace** — for each worker-entered cell `s.A`, the replace in
 //!   the lineage chain ending at `s` that filled column `A` (exactly one);
@@ -12,10 +12,12 @@
 //!   the automatic completion upvote;
 //! * **downvote** — downvotes consistent with all of `S` (no final row
 //!   subsumes the downvoted vector).
+//!
+//! Undone votes (paper §8's undo) never count: the ledger netted them.
 
-use crate::trace::{MsgIdx, Trace, WorkerId};
-use crowdfill_model::{ColumnId, FinalTable, Message, RowId, Value};
-use std::collections::HashMap;
+use crate::ledger::{Ledger, Unit};
+use crate::trace::Millis;
+use crowdfill_model::{ColumnId, FinalTable, RowId, Value};
 
 /// A cell of the final table, identified by its (winning) row id and column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,22 +31,25 @@ pub struct CellRef {
 pub struct CellContribution {
     pub cell: CellRef,
     pub value: Value,
-    /// The replace message that filled this cell in the winning lineage.
-    pub direct: MsgIdx,
+    /// The replace that filled this cell in the winning lineage.
+    pub direct: Unit,
     /// The earliest subset-compatible fill of the same `(column, value)`,
     /// when different from a template seeding. May equal `direct`.
-    pub indirect: Option<MsgIdx>,
+    pub indirect: Option<Unit>,
+    /// When `(column, value)` first appeared, by anyone: the rank order of
+    /// dual weighting.
+    pub first_at: Millis,
 }
 
 /// Everything the allocation schemes need to distribute the budget.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Contributions {
     /// `C`: worker-entered final cells with their contributors.
     pub cells: Vec<CellContribution>,
-    /// `U`: contributing upvote message indexes.
-    pub upvotes: Vec<MsgIdx>,
-    /// `D`: contributing downvote message indexes.
-    pub downvotes: Vec<MsgIdx>,
+    /// `U`: contributing upvotes, in log order.
+    pub upvotes: Vec<Unit>,
+    /// `D`: contributing downvotes, in log order.
+    pub downvotes: Vec<Unit>,
 }
 
 impl Contributions {
@@ -53,14 +58,15 @@ impl Contributions {
         self.cells.len() + self.upvotes.len() + self.downvotes.len()
     }
 
-    /// All message indexes that contributed in any way (deduplicated).
-    pub fn contributing_messages(&self) -> Vec<MsgIdx> {
-        let mut out: Vec<MsgIdx> = self
+    /// The seqs of all messages that contributed in any way (deduplicated).
+    pub fn contributing_messages(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self
             .cells
             .iter()
             .flat_map(|c| std::iter::once(c.direct).chain(c.indirect))
             .chain(self.upvotes.iter().copied())
             .chain(self.downvotes.iter().copied())
+            .map(|u| u.seq)
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -73,143 +79,53 @@ impl Contributions {
     }
 }
 
-/// Runs the full §5.2.1 analysis.
-pub fn analyze(trace: &Trace, final_table: &FinalTable) -> Contributions {
-    let values = trace.row_values();
-    let creators = trace.creators();
-
-    // --- Direct contributions: walk each final row's lineage backwards. ---
-    let mut cells = Vec::new();
-    for frow in final_table.rows() {
-        let mut cur = frow.id;
-        while let Some(&idx) = creators.get(&cur) {
-            match &trace.get(idx).msg {
-                Message::Replace { old, value, .. } => {
-                    let col = values
-                        .get(old)
-                        .and_then(|ov| ov.added_column(value))
-                        .expect("replace fills exactly one column");
-                    if trace.get(idx).worker.is_some() {
-                        cells.push(CellContribution {
-                            cell: CellRef {
-                                row: frow.id,
-                                column: col,
-                            },
-                            value: value.get(col).expect("filled value present").clone(),
-                            direct: idx,
-                            indirect: None,
-                        });
-                    }
-                    cur = *old;
-                }
-                Message::Insert { .. } => break,
-                _ => unreachable!("creators map only holds insert/replace"),
+impl Ledger {
+    /// Runs the full §5.2.1 analysis against the final table.
+    pub fn contributions(&self, final_table: &FinalTable) -> Contributions {
+        let mut cells = Vec::new();
+        for frow in final_table.rows() {
+            // Newest fill first: the order a walk back along the lineage
+            // meets them.
+            for &(column, direct) in self.cells.get(&frow.id).into_iter().flatten().rev() {
+                let value = frow.value.get(column).expect("a fill holds its value");
+                let first = self.first.get(&(column, value.clone()));
+                let first = first.expect("a filled value has a first fill");
+                cells.push(CellContribution {
+                    cell: CellRef {
+                        row: frow.id,
+                        column,
+                    },
+                    value: value.clone(),
+                    direct,
+                    indirect: first.unit.filter(|_| frow.value.subsumes(&first.row)),
+                    first_at: first.at,
+                });
             }
         }
-    }
-
-    // --- Indirect contributions: earliest fill of (A, v), subset of s̄. ---
-    // First-fill index per (column, value), CC included (a CC first fill
-    // suppresses indirect credit for template-seeded values).
-    let mut first_fill: HashMap<(ColumnId, Value), MsgIdx> = HashMap::new();
-    for idx in 0..trace.len() {
-        if let Some((col, v)) = trace.filled_cell(idx, &values) {
-            first_fill.entry((col, v)).or_insert(idx);
-        }
-    }
-    let final_value_of: HashMap<RowId, &crowdfill_model::RowValue> = final_table
-        .rows()
-        .iter()
-        .map(|r| (r.id, &r.value))
-        .collect();
-    for cell in &mut cells {
-        let key = (cell.cell.column, cell.value.clone());
-        let Some(&idx) = first_fill.get(&key) else {
-            continue;
-        };
-        if trace.get(idx).worker.is_none() {
-            continue; // template value: CC was first
-        }
-        let Message::Replace { value: q, .. } = &trace.get(idx).msg else {
-            continue;
-        };
-        let s_bar = final_value_of[&cell.cell.row];
-        if s_bar.subsumes(q) {
-            cell.indirect = Some(idx);
-        }
-    }
-
-    // --- Net out undone votes (paper §8 undo, implemented): an undo cancels
-    // the worker's latest preceding un-cancelled vote of the same kind on
-    // the same value; neither side of the pair is compensated. ---
-    let mut cancelled: std::collections::HashSet<MsgIdx> = std::collections::HashSet::new();
-    {
-        use crowdfill_model::RowValue;
-        let mut live: HashMap<(WorkerId, bool, RowValue), Vec<MsgIdx>> = HashMap::new();
-        for (idx, e) in trace.entries().iter().enumerate() {
-            let Some(w) = e.worker else { continue };
-            match &e.msg {
-                Message::Upvote { value } => {
-                    live.entry((w, true, value.clone())).or_default().push(idx)
-                }
-                Message::Downvote { value } => {
-                    live.entry((w, false, value.clone())).or_default().push(idx)
-                }
-                Message::UndoUpvote { value } => {
-                    if let Some(i) = live.get_mut(&(w, true, value.clone())).and_then(Vec::pop) {
-                        cancelled.insert(i);
-                    }
-                    cancelled.insert(idx);
-                }
-                Message::UndoDownvote { value } => {
-                    if let Some(i) = live.get_mut(&(w, false, value.clone())).and_then(Vec::pop) {
-                        cancelled.insert(i);
-                    }
-                    cancelled.insert(idx);
-                }
-                _ => {}
+        let (mut upvotes, mut downvotes) = (Vec::new(), Vec::new());
+        for ((_, up, value), live) in &self.votes {
+            if *up && final_table.row_with_value(value).is_some() {
+                upvotes.extend(live.iter().filter(|v| !v.auto).map(|v| v.unit));
+            } else if !*up && !final_table.any_subsumes(value) {
+                downvotes.extend(live.iter().map(|v| v.unit));
             }
         }
-    }
-
-    // --- Upvote and downvote contributions. ---
-    let mut upvotes = Vec::new();
-    let mut downvotes = Vec::new();
-    for (idx, e) in trace.entries().iter().enumerate() {
-        if e.worker.is_none() || cancelled.contains(&idx) {
-            continue;
-        }
-        match &e.msg {
-            Message::Upvote { value }
-                if !e.auto_upvote && final_table.row_with_value(value).is_some() =>
-            {
-                upvotes.push(idx);
-            }
-            Message::Downvote { value } if !final_table.any_subsumes(value) => {
-                downvotes.push(idx);
-            }
-            _ => {}
+        upvotes.sort_unstable_by_key(|u| u.seq);
+        downvotes.sort_unstable_by_key(|u| u.seq);
+        Contributions {
+            cells,
+            upvotes,
+            downvotes,
         }
     }
-
-    Contributions {
-        cells,
-        upvotes,
-        downvotes,
-    }
-}
-
-/// Convenience: the worker credited for a message index.
-pub fn worker_of(trace: &Trace, idx: MsgIdx) -> Option<WorkerId> {
-    trace.get(idx).worker
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Millis, TraceEntry};
+    use crate::trace::{TraceEntry, WorkerId};
     use crowdfill_model::{
-        derive_final_table, ClientId, Column, DataType, QuorumMajority, RowValue, Schema,
+        derive_final_table, ClientId, Column, DataType, Operation, QuorumMajority, Schema,
     };
     use crowdfill_sync::Replica;
     use std::sync::Arc;
@@ -228,11 +144,12 @@ mod tests {
         )
     }
 
-    /// Replays ops through a replica while recording the trace, so tests
+    /// Replays ops through a replica while folding the ledger, so tests
     /// construct realistic (Lemma-consistent) histories.
     struct Build {
         replica: Replica,
-        trace: Trace,
+        ledger: Ledger,
+        seq: u64,
         now: Millis,
     }
 
@@ -240,86 +157,80 @@ mod tests {
         fn new() -> Build {
             Build {
                 replica: Replica::new(ClientId(10), schema()),
-                trace: Trace::new(),
+                ledger: Ledger::default(),
+                seq: 0,
                 now: Millis(0),
             }
         }
 
-        fn tick(&mut self) -> Millis {
+        /// Applies `op` as `worker` (the Central Client when `None`) and
+        /// folds it; returns its seq and the row it created.
+        fn record(&mut self, worker: Option<u32>, op: &Operation, auto: bool) -> (u64, RowId) {
+            let msg = self.replica.apply_local(op).unwrap();
+            let filled = match op {
+                Operation::Fill { column, .. } => Some(*column),
+                _ => None,
+            };
+            let row = msg.creates_row().unwrap_or(RowId::new(ClientId(0), 0));
             self.now = Millis(self.now.0 + 1000);
-            self.now
-        }
-
-        fn system(&mut self, op: &crowdfill_model::Operation) -> RowId {
-            let msg = self.replica.apply_local(op).unwrap();
-            let row = msg.creates_row();
-            let at = self.tick();
-            self.trace.record_system(at, msg);
-            row.unwrap_or(RowId::new(ClientId(0), 0))
-        }
-
-        fn worker(&mut self, w: u32, op: &crowdfill_model::Operation) -> (MsgIdx, Option<RowId>) {
-            let msg = self.replica.apply_local(op).unwrap();
-            let row = msg.creates_row();
-            let at = self.tick();
-            let idx = self.trace.record_worker(at, WorkerId(w), msg);
-            (idx, row)
-        }
-
-        fn auto_upvote(&mut self, w: u32, row: RowId) -> MsgIdx {
-            let msg = self
-                .replica
-                .apply_local(&crowdfill_model::Operation::Upvote { row })
-                .unwrap();
-            let at = self.tick();
-            self.trace.record(TraceEntry {
-                at,
-                worker: Some(WorkerId(w)),
+            let entry = TraceEntry {
+                at: self.now,
+                worker: worker.map(WorkerId),
                 msg,
-                auto_upvote: true,
-            })
+                auto_upvote: auto,
+                filled,
+            };
+            let seq = self.seq;
+            self.ledger.advance(seq, &entry);
+            self.seq += 1;
+            (seq, row)
         }
 
-        fn final_table(&self) -> FinalTable {
-            derive_final_table(
+        fn system(&mut self, op: &Operation) -> RowId {
+            self.record(None, op, false).1
+        }
+
+        fn worker(&mut self, w: u32, op: &Operation) -> (u64, RowId) {
+            self.record(Some(w), op, false)
+        }
+
+        fn auto_upvote(&mut self, w: u32, row: RowId) -> u64 {
+            self.record(Some(w), &Operation::Upvote { row }, true).0
+        }
+
+        fn analyze(&self) -> Contributions {
+            let ft = derive_final_table(
                 self.replica.table(),
                 self.replica.schema(),
                 &QuorumMajority::of_three(),
-            )
+            );
+            self.ledger.contributions(&ft)
         }
     }
 
-    use crowdfill_model::Operation;
+    fn seqs(units: &[Unit]) -> Vec<u64> {
+        units.iter().map(|u| u.seq).collect()
+    }
 
     #[test]
     fn direct_contribution_follows_winning_lineage() {
         let mut b = Build::new();
         let r0 = b.system(&Operation::Insert);
         let (i_name, r1) = b.worker(1, &Operation::fill(r0, ColumnId(0), "Messi"));
-        let (i_pos, r2) = b.worker(2, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (i_pos, done) = b.worker(2, &Operation::fill(r1, ColumnId(1), "FW"));
         b.auto_upvote(2, done);
         b.worker(3, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 1);
-        let c = analyze(&b.trace, &ft);
+        let c = b.analyze();
         assert_eq!(c.cells.len(), 2);
-        let name_cell = c
-            .cells
-            .iter()
-            .find(|c| c.cell.column == ColumnId(0))
-            .unwrap();
-        let pos_cell = c
-            .cells
-            .iter()
-            .find(|c| c.cell.column == ColumnId(1))
-            .unwrap();
-        assert_eq!(name_cell.direct, i_name);
-        assert_eq!(pos_cell.direct, i_pos);
+        let cell = |col| c.cells.iter().find(|c| c.cell.column == col).unwrap();
+        let (name_cell, pos_cell) = (cell(ColumnId(0)), cell(ColumnId(1)));
+        assert_eq!(name_cell.direct.seq, i_name);
+        assert_eq!(pos_cell.direct.seq, i_pos);
         // First (and only) fills of their values: direct == indirect.
-        assert_eq!(name_cell.indirect, Some(i_name));
-        assert_eq!(pos_cell.indirect, Some(i_pos));
+        assert_eq!(name_cell.indirect, Some(name_cell.direct));
+        assert_eq!(pos_cell.indirect, Some(pos_cell.direct));
+        assert_eq!(name_cell.first_at, name_cell.direct.at);
     }
 
     #[test]
@@ -331,20 +242,19 @@ mod tests {
         let rb = b.system(&Operation::Insert);
         let (i_first, _) = b.worker(1, &Operation::fill(ra, ColumnId(0), "Messi"));
         let (i_second, r1) = b.worker(2, &Operation::fill(rb, ColumnId(0), "Messi"));
-        let (_, r2) = b.worker(2, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (_, done) = b.worker(2, &Operation::fill(r1, ColumnId(1), "FW"));
         b.auto_upvote(2, done);
         b.worker(3, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
+        let c = b.analyze();
         let name_cell = c
             .cells
             .iter()
             .find(|c| c.cell.column == ColumnId(0))
             .unwrap();
-        assert_eq!(name_cell.direct, i_second);
-        assert_eq!(name_cell.indirect, Some(i_first));
+        assert_eq!(name_cell.direct.seq, i_second);
+        assert_eq!(name_cell.indirect.map(|u| u.seq), Some(i_first));
+        assert_eq!(name_cell.indirect.unwrap().worker, WorkerId(1));
     }
 
     #[test]
@@ -352,28 +262,20 @@ mod tests {
         let mut b = Build::new();
         let r0 = b.system(&Operation::Insert);
         // CC seeds the name (template value).
-        let msg = b
-            .replica
-            .apply_local(&Operation::fill(r0, ColumnId(0), "Messi"))
-            .unwrap();
-        let seeded = msg.creates_row().unwrap();
-        let at = b.tick();
-        b.trace.record_system(at, msg);
+        let seeded = b.system(&Operation::fill(r0, ColumnId(0), "Messi"));
         // A worker later re-enters the same (column, value) elsewhere...
         let other = b.system(&Operation::Insert);
         b.worker(1, &Operation::fill(other, ColumnId(0), "Messi"));
         // ...and completes the seeded row.
-        let (i_pos, r2) = b.worker(2, &Operation::fill(seeded, ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (i_pos, done) = b.worker(2, &Operation::fill(seeded, ColumnId(1), "FW"));
         b.auto_upvote(2, done);
         b.worker(3, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
+        let c = b.analyze();
         // Only the position cell is worker-entered (the name came from CC).
         assert_eq!(c.cells.len(), 1);
         assert_eq!(c.cells[0].cell.column, ColumnId(1));
-        assert_eq!(c.cells[0].direct, i_pos);
+        assert_eq!(c.cells[0].direct.seq, i_pos);
     }
 
     #[test]
@@ -383,27 +285,23 @@ mod tests {
         // with the final row, so q̄ ⊄ s̄.
         let ra = b.system(&Operation::Insert);
         let (_, ra1) = b.worker(1, &Operation::fill(ra, ColumnId(0), "Xavi"));
-        let (i_bad, _) = b.worker(1, &Operation::fill(ra1.unwrap(), ColumnId(1), "FW"));
+        b.worker(1, &Operation::fill(ra1, ColumnId(1), "FW"));
         // Worker 2 builds the winning Messi/FW row.
         let rb = b.system(&Operation::Insert);
         let (_, rb1) = b.worker(2, &Operation::fill(rb, ColumnId(0), "Messi"));
-        let (i_good, rb2) = b.worker(2, &Operation::fill(rb1.unwrap(), ColumnId(1), "FW"));
-        let done = rb2.unwrap();
+        let (i_good, done) = b.worker(2, &Operation::fill(rb1, ColumnId(1), "FW"));
         b.auto_upvote(2, done);
         b.worker(3, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 1); // Xavi row incomplete?? No—it is complete.
-                                 // Both rows are complete; Xavi has no votes → score 0 → only Messi.
-        let c = analyze(&b.trace, &ft);
+        // Both rows are complete; Xavi has no votes → score 0 → only Messi.
+        let c = b.analyze();
         let pos_cell = c
             .cells
             .iter()
-            .find(|c| c.cell.column == ColumnId(1) && c.direct == i_good)
+            .find(|c| c.cell.column == ColumnId(1) && c.direct.seq == i_good)
             .unwrap();
         // Worker 1 was first with (pos, FW) but in an incompatible row.
         assert_eq!(pos_cell.indirect, None);
-        let _ = i_bad;
     }
 
     #[test]
@@ -411,15 +309,13 @@ mod tests {
         let mut b = Build::new();
         let r0 = b.system(&Operation::Insert);
         let (_, r1) = b.worker(1, &Operation::fill(r0, ColumnId(0), "Messi"));
-        let (_, r2) = b.worker(1, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (_, done) = b.worker(1, &Operation::fill(r1, ColumnId(1), "FW"));
         let auto = b.auto_upvote(1, done);
         let manual = b.worker(2, &Operation::Upvote { row: done }).0;
 
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
-        assert_eq!(c.upvotes, vec![manual]);
-        assert!(!c.upvotes.contains(&auto));
+        let c = b.analyze();
+        assert_eq!(seqs(&c.upvotes), vec![manual]);
+        assert!(!seqs(&c.upvotes).contains(&auto));
     }
 
     #[test]
@@ -428,25 +324,20 @@ mod tests {
         // Two complete rows, same key; the second gets more upvotes and wins.
         let ra = b.system(&Operation::Insert);
         let (_, r1) = b.worker(1, &Operation::fill(ra, ColumnId(0), "Messi"));
-        let (_, r2) = b.worker(1, &Operation::fill(r1.unwrap(), ColumnId(1), "MF"));
-        let lose = r2.unwrap();
+        let (_, lose) = b.worker(1, &Operation::fill(r1, ColumnId(1), "MF"));
         b.auto_upvote(1, lose);
         let i_lose_vote = b.worker(2, &Operation::Upvote { row: lose }).0;
 
         let rb = b.system(&Operation::Insert);
         let (_, r1) = b.worker(3, &Operation::fill(rb, ColumnId(0), "Messi"));
-        let (_, r2) = b.worker(3, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let win = r2.unwrap();
+        let (_, win) = b.worker(3, &Operation::fill(r1, ColumnId(1), "FW"));
         b.auto_upvote(3, win);
         let i_win_a = b.worker(4, &Operation::Upvote { row: win }).0;
         let i_win_b = b.worker(5, &Operation::Upvote { row: win }).0;
 
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 1);
-        assert_eq!(ft.rows()[0].id, win);
-        let c = analyze(&b.trace, &ft);
-        assert!(c.upvotes.contains(&i_win_a) && c.upvotes.contains(&i_win_b));
-        assert!(!c.upvotes.contains(&i_lose_vote));
+        let c = b.analyze();
+        assert_eq!(seqs(&c.upvotes), vec![i_win_a, i_win_b]);
+        assert!(!seqs(&c.upvotes).contains(&i_lose_vote));
     }
 
     #[test]
@@ -455,28 +346,39 @@ mod tests {
         // Winning row: Messi/FW. A downvote on "Xavi" (absent from S) is
         // consistent; a downvote on "Messi" (subset of the final row) is not.
         let ra = b.system(&Operation::Insert);
-        let (_, r1) = b.worker(1, &Operation::fill(ra, ColumnId(0), "Messi"));
-        let messi_partial = r1.unwrap();
+        let (_, messi_partial) = b.worker(1, &Operation::fill(ra, ColumnId(0), "Messi"));
         let rb = b.system(&Operation::Insert);
-        let (_, r1b) = b.worker(2, &Operation::fill(rb, ColumnId(0), "Xavi"));
-        let xavi_partial = r1b.unwrap();
+        let (_, xavi_partial) = b.worker(2, &Operation::fill(rb, ColumnId(0), "Xavi"));
 
         let i_inconsistent = b.worker(3, &Operation::Downvote { row: messi_partial }).0;
         let i_consistent = b.worker(3, &Operation::Downvote { row: xavi_partial }).0;
         let i_consistent2 = b.worker(4, &Operation::Downvote { row: xavi_partial }).0;
 
-        let (_, r2) = b.worker(1, &Operation::fill(messi_partial, ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (_, done) = b.worker(1, &Operation::fill(messi_partial, ColumnId(1), "FW"));
         b.auto_upvote(1, done);
         b.worker(2, &Operation::Upvote { row: done });
         b.worker(5, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 1);
-        let c = analyze(&b.trace, &ft);
-        assert!(c.downvotes.contains(&i_consistent));
-        assert!(c.downvotes.contains(&i_consistent2));
-        assert!(!c.downvotes.contains(&i_inconsistent));
+        let c = b.analyze();
+        assert_eq!(seqs(&c.downvotes), vec![i_consistent, i_consistent2]);
+        assert!(!seqs(&c.downvotes).contains(&i_inconsistent));
+    }
+
+    #[test]
+    fn an_undo_retracts_the_latest_vote_and_the_ledger_forgets_both() {
+        let mut b = Build::new();
+        let r0 = b.system(&Operation::Insert);
+        let (_, r1) = b.worker(1, &Operation::fill(r0, ColumnId(0), "Messi"));
+        let (_, done) = b.worker(1, &Operation::fill(r1, ColumnId(1), "FW"));
+        b.auto_upvote(1, done);
+        let before = b.ledger.votes.clone();
+        b.worker(2, &Operation::Upvote { row: done });
+        b.worker(2, &Operation::UndoUpvote { row: done });
+        assert_eq!(b.ledger.votes, before, "a vote-then-undo leaves no trace");
+        let kept = b.worker(3, &Operation::Upvote { row: done }).0;
+
+        let c = b.analyze();
+        assert_eq!(seqs(&c.upvotes), vec![kept]);
     }
 
     #[test]
@@ -484,24 +386,20 @@ mod tests {
         let mut b = Build::new();
         let r0 = b.system(&Operation::Insert);
         let (i1, r1) = b.worker(1, &Operation::fill(r0, ColumnId(0), "Messi"));
-        let (i2, r2) = b.worker(2, &Operation::fill(r1.unwrap(), ColumnId(1), "FW"));
-        let done = r2.unwrap();
+        let (i2, done) = b.worker(2, &Operation::fill(r1, ColumnId(1), "FW"));
         b.auto_upvote(2, done);
         let i3 = b.worker(3, &Operation::Upvote { row: done }).0;
 
-        let ft = b.final_table();
-        let c = analyze(&b.trace, &ft);
+        let c = b.analyze();
         assert_eq!(c.total_units(), 3); // 2 cells + 1 upvote
         assert_eq!(c.contributing_messages(), vec![i1, i2, i3]);
         assert_eq!(c.cells_in_column(ColumnId(0)).count(), 1);
-        assert_eq!(worker_of(&b.trace, i3), Some(WorkerId(3)));
+        assert_eq!(c.upvotes[0].worker, WorkerId(3));
     }
 
     #[test]
-    fn empty_trace_empty_final_table() {
-        let t = Trace::new();
-        let ft = FinalTable::default();
-        let c = analyze(&t, &ft);
+    fn empty_ledger_empty_final_table() {
+        let c = Ledger::default().contributions(&FinalTable::default());
         assert_eq!(c.total_units(), 0);
         assert!(c.contributing_messages().is_empty());
     }
@@ -510,38 +408,30 @@ mod tests {
     fn cc_only_collection_yields_no_worker_cells() {
         let mut b = Build::new();
         let r0 = b.system(&Operation::Insert);
-        let msg = b
-            .replica
-            .apply_local(&Operation::fill(r0, ColumnId(0), "Messi"))
-            .unwrap();
-        let r1 = msg.creates_row().unwrap();
-        let at = b.tick();
-        b.trace.record_system(at, msg);
-        let msg = b
-            .replica
-            .apply_local(&Operation::fill(r1, ColumnId(1), "FW"))
-            .unwrap();
-        let done = msg.creates_row().unwrap();
-        let at = b.tick();
-        b.trace.record_system(at, msg);
+        let r1 = b.system(&Operation::fill(r0, ColumnId(0), "Messi"));
+        let done = b.system(&Operation::fill(r1, ColumnId(1), "FW"));
         // Two workers approve.
         b.worker(1, &Operation::Upvote { row: done });
         b.worker(2, &Operation::Upvote { row: done });
 
-        let ft = b.final_table();
-        assert_eq!(ft.len(), 1);
-        let c = analyze(&b.trace, &ft);
+        let c = b.analyze();
         assert!(c.cells.is_empty());
         assert_eq!(c.upvotes.len(), 2);
+        assert!(b.ledger.cells.is_empty(), "no worker fill, no cells kept");
     }
 
-    /// The RowValue::empty() placeholder returned for vote ops in Build::system
-    /// is never used — keep the helper honest.
     #[test]
-    fn build_system_insert_returns_row() {
+    fn a_replace_hands_its_rows_fills_on_and_drops_the_old_row() {
         let mut b = Build::new();
-        let r = b.system(&Operation::Insert);
-        assert!(b.replica.table().contains(r));
-        let _ = RowValue::empty();
+        let r0 = b.system(&Operation::Insert);
+        let (_, r1) = b.worker(1, &Operation::fill(r0, ColumnId(0), "Messi"));
+        assert_eq!(b.ledger.cells.keys().collect::<Vec<_>>(), vec![&r1]);
+        let (_, r2) = b.worker(2, &Operation::fill(r1, ColumnId(1), "FW"));
+        let kept: Vec<(ColumnId, u32)> = b.ledger.cells[&r2]
+            .iter()
+            .map(|(c, u)| (*c, u.worker.0))
+            .collect();
+        assert_eq!(kept, vec![(ColumnId(0), 1), (ColumnId(1), 2)]);
+        assert_eq!(b.ledger.cells.len(), 1);
     }
 }

@@ -27,7 +27,7 @@
 use crate::allocate::Scheme;
 use crate::contrib::Contributions;
 use crate::stats::{dual_multiplier, fit_z, sorted_median};
-use crate::trace::{Millis, MsgIdx, TraceEntry, WorkerId};
+use crate::trace::{Millis, TraceEntry, WorkerId};
 use crowdfill_constraints::ProbableView;
 use crowdfill_model::{ColumnId, Entry, Message, RowValue, Schema, ScoringRef, Template, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -36,7 +36,8 @@ use std::sync::Arc;
 /// The estimate attached to one worker action at the moment it happened.
 #[derive(Debug, Clone, Copy)]
 pub struct ActionEstimate {
-    pub idx: MsgIdx,
+    /// The action's history seq.
+    pub idx: usize,
     pub at: Millis,
     pub worker: WorkerId,
     pub amount: f64,
@@ -148,10 +149,12 @@ impl Estimator {
         }
     }
 
-    /// Observes one worker action (already applied to `view`'s table) and
-    /// returns the estimate displayed to the worker. Auto-upvotes estimate
-    /// to zero ("without additional payment", §3.4).
-    pub fn on_action(&mut self, idx: MsgIdx, entry: &TraceEntry, view: ProbableView<'_>) -> f64 {
+    /// Observes one log entry (already applied to `view`'s table) at
+    /// history seq `seq` and returns the estimate displayed to its worker:
+    /// a fill is priced by the column its entry says it filled. The Central
+    /// Client's entries and auto-upvotes estimate to zero ("without
+    /// additional payment", §3.4).
+    pub fn on_action(&mut self, seq: u64, entry: &TraceEntry, view: ProbableView<'_>) -> f64 {
         let Some(worker) = entry.worker else {
             return 0.0; // CC actions are never estimated or paid
         };
@@ -161,12 +164,18 @@ impl Estimator {
             return 0.0;
         }
 
-        // Latency bookkeeping (samples only from actions consistent with the
-        // probable view, per §5.3).
+        // Latency bookkeeping (vote samples only from actions consistent
+        // with the probable view, per §5.3).
         let latency = self
             .last_msg_at
             .insert(worker, entry.at)
             .map(|prev| prev.until(entry.at).seconds());
+        let fill = match (&entry.msg, entry.filled) {
+            (Message::Replace { value, .. }, Some(col)) => {
+                Some((col, value.get(col).expect("a fill holds its value")))
+            }
+            _ => None,
+        };
 
         match &entry.msg {
             Message::Upvote { value } => {
@@ -196,47 +205,26 @@ impl Estimator {
                     self.downvoted_vectors.swap_remove(pos);
                 }
             }
-            Message::Replace { .. } | Message::Insert { .. } => {}
-        }
-
-        let amount = self.estimate_amount(&entry.msg, None, view);
-        self.estimates.push(ActionEstimate {
-            idx,
-            at: entry.at,
-            worker,
-            amount,
-        });
-        amount
-    }
-
-    /// Observes a fill action, with the filled column and value known (the
-    /// server always knows them). Preferred over `on_action` for replaces.
-    pub fn on_fill(
-        &mut self,
-        idx: MsgIdx,
-        entry: &TraceEntry,
-        column: ColumnId,
-        value: &Value,
-        view: ProbableView<'_>,
-    ) -> f64 {
-        let Some(worker) = entry.worker else {
-            return 0.0;
-        };
-        if let Some(prev) = self.last_msg_at.insert(worker, entry.at) {
-            let l = prev.until(entry.at).seconds();
-            insert_sorted(&mut self.col_samples[column.index()], l);
-            insert_sorted(&mut self.all_samples, l);
-        }
-        if self.schema.is_key(column) {
-            let seen = self.key_first_seen.entry(column).or_default();
-            if !seen.iter().any(|(v, _)| v == value) {
-                seen.push((value.clone(), entry.at.seconds()));
+            Message::Replace { .. } => {
+                if let Some((column, value)) = fill {
+                    if let Some(l) = latency {
+                        insert_sorted(&mut self.col_samples[column.index()], l);
+                        insert_sorted(&mut self.all_samples, l);
+                    }
+                    if self.schema.is_key(column) {
+                        let seen = self.key_first_seen.entry(column).or_default();
+                        if !seen.iter().any(|(v, _)| v == value) {
+                            seen.push((value.clone(), entry.at.seconds()));
+                        }
+                    }
+                }
             }
+            Message::Insert { .. } => {}
         }
 
-        let amount = self.estimate_amount(&entry.msg, Some((column, value)), view);
+        let amount = self.estimate_amount(&entry.msg, fill, view);
         self.estimates.push(ActionEstimate {
-            idx,
+            idx: seq as usize,
             at: entry.at,
             worker,
             amount,
@@ -267,11 +255,11 @@ impl Estimator {
     /// Corrected estimated totals: only actions that actually contributed to
     /// the final table are summed (Figure 5's right bars).
     pub fn corrected_totals(&self, contributions: &Contributions) -> BTreeMap<WorkerId, f64> {
-        let contributing: std::collections::HashSet<MsgIdx> =
+        let contributing: std::collections::HashSet<u64> =
             contributions.contributing_messages().into_iter().collect();
         let mut out = BTreeMap::new();
         for e in &self.estimates {
-            if contributing.contains(&e.idx) {
+            if contributing.contains(&(e.idx as u64)) {
                 *out.entry(e.worker).or_insert(0.0) += e.amount;
             }
         }
@@ -350,23 +338,8 @@ impl Estimator {
         }
         let unit = self.budget / y_total;
 
-        match msg {
-            Message::Replace { .. } => {
-                let Some((col, value)) = fill else {
-                    // Column unknown (generic path): average cell weight.
-                    let holes: usize = self.holes_per_column.iter().sum();
-                    if holes == 0 {
-                        return 0.0;
-                    }
-                    let avg = self
-                        .holes_per_column
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &h)| cols[i] * h as f64)
-                        .sum::<f64>()
-                        / holes as f64;
-                    return avg * unit;
-                };
+        match (msg, fill) {
+            (Message::Replace { .. }, Some((col, value))) => {
                 let mut w = cols[col.index()];
                 if self.scheme == Scheme::DualWeighted && self.schema.is_key(col) {
                     let seen = self
@@ -393,11 +366,11 @@ impl Estimator {
                 }
                 w * unit
             }
-            Message::Upvote { .. } => up * unit,
-            Message::Downvote { .. } => down * unit,
-            // Undos earn nothing themselves (they retract earlier credit).
-            Message::UndoUpvote { .. } | Message::UndoDownvote { .. } => 0.0,
-            Message::Insert { .. } => 0.0,
+            (Message::Upvote { .. }, _) => up * unit,
+            (Message::Downvote { .. }, _) => down * unit,
+            // Undos earn nothing themselves (they retract earlier credit),
+            // nor does an insert, or a replace that filled no column.
+            _ => 0.0,
         }
     }
 }
@@ -415,7 +388,7 @@ impl std::fmt::Debug for Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
+    use crate::ledger::Ledger;
     use crowdfill_constraints::Classifier;
     use crowdfill_model::{
         CandidateTable, ClientId, Column, DataType, Operation, QuorumMajority, RowId, TemplateRow,
@@ -442,7 +415,8 @@ mod tests {
 
     struct Rig {
         replica: Replica,
-        trace: Trace,
+        ledger: Ledger,
+        seq: u64,
         est: Estimator,
         now: u64,
     }
@@ -452,38 +426,46 @@ mod tests {
             let s = schema();
             Rig {
                 replica: Replica::new(ClientId(10), Arc::clone(&s)),
-                trace: Trace::new(),
+                ledger: Ledger::default(),
+                seq: 0,
                 est: Estimator::new(scheme, budget, s, scoring(), template),
                 now: 0,
             }
         }
 
+        /// Applies `op` as `worker` `dt` ms after the previous entry, folds
+        /// it into the ledger and estimates it; returns the estimate and the
+        /// row it created.
+        fn act(&mut self, worker: Option<u32>, dt: u64, op: &Operation) -> (f64, Option<RowId>) {
+            let msg = self.replica.apply_local(op).unwrap();
+            let row = msg.creates_row();
+            let filled = match op {
+                Operation::Fill { column, .. } => Some(*column),
+                _ => None,
+            };
+            self.now += dt;
+            let entry = TraceEntry {
+                at: Millis(self.now),
+                worker: worker.map(WorkerId),
+                msg,
+                auto_upvote: false,
+                filled,
+            };
+            self.ledger.advance(self.seq, &entry);
+            let classes = self.classes();
+            let view = ProbableView::new(self.replica.table(), &classes);
+            let amt = self.est.on_action(self.seq, &entry, view);
+            self.seq += 1;
+            (amt, row)
+        }
+
         fn system_insert(&mut self) -> RowId {
-            let msg = self.replica.apply_local(&Operation::Insert).unwrap();
-            let row = msg.creates_row().unwrap();
-            self.now += 10;
-            self.trace.record_system(Millis(self.now), msg);
-            row
+            self.act(None, 10, &Operation::Insert).1.unwrap()
         }
 
         fn fill(&mut self, w: u32, dt: u64, row: RowId, col: ColumnId, v: &str) -> (f64, RowId) {
-            let value = Value::text(v);
-            let msg = self
-                .replica
-                .apply_local(&Operation::Fill {
-                    row,
-                    column: col,
-                    value: value.clone(),
-                })
-                .unwrap();
-            let new = msg.creates_row().unwrap();
-            self.now += dt;
-            let idx = self.trace.record_worker(Millis(self.now), WorkerId(w), msg);
-            let entry = self.trace.get(idx).clone();
-            let classes = self.classes();
-            let view = ProbableView::new(self.replica.table(), &classes);
-            let amt = self.est.on_fill(idx, &entry, col, &value, view);
-            (amt, new)
+            let (amt, new) = self.act(Some(w), dt, &Operation::fill(row, col, v));
+            (amt, new.unwrap())
         }
 
         fn vote(&mut self, w: u32, dt: u64, row: RowId, up: bool) -> f64 {
@@ -492,16 +474,7 @@ mod tests {
             } else {
                 Operation::Downvote { row }
             };
-            let msg = self.replica.apply_local(&op).unwrap();
-            self.now += dt;
-            let idx = self.trace.record_worker(Millis(self.now), WorkerId(w), msg);
-            let entry = self.trace.get(idx).clone();
-            let classes = self.classes();
-            self.est.on_action(
-                idx,
-                &entry,
-                ProbableView::new(self.replica.table(), &classes),
-            )
+            self.act(Some(w), dt, &op).0
         }
 
         /// The replica's classification, built in one batch pass.
@@ -612,7 +585,7 @@ mod tests {
             rig.replica.schema(),
             &QuorumMajority::of_three(),
         );
-        let contribs = crate::contrib::analyze(&rig.trace, &ft);
+        let contribs = rig.ledger.contributions(&ft);
         let corrected = rig.est.corrected_totals(&contribs);
         // Everything contributed in this clean run, so corrected == raw.
         for (w, v) in &raw {
@@ -635,6 +608,7 @@ mod tests {
                 row: RowId::new(ClientId::CENTRAL, 0),
             },
             auto_upvote: false,
+            filled: None,
         };
         assert_eq!(est.on_action(0, &cc_entry, view), 0.0);
         let auto = TraceEntry {
@@ -644,6 +618,7 @@ mod tests {
                 value: RowValue::empty(),
             },
             auto_upvote: true,
+            filled: None,
         };
         assert_eq!(est.on_action(1, &auto, view), 0.0);
         assert!(est.timeline().is_empty());

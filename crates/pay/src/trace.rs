@@ -3,11 +3,11 @@
 //! The back-end server stores a complete trace of worker actions as the set
 //! `M` of messages it received, each uniquely timestamped and annotated with
 //! the originating worker. Messages from the Central Client are *recorded*
-//! too (they are needed to reconstruct row values and template provenance)
-//! but carry no worker and are excluded from `M` for compensation purposes.
+//! too (they carry template provenance) but carry no worker and are
+//! excluded from `M` for compensation purposes. Settlement reads none of
+//! it: the [`Ledger`](crate::Ledger) folds each entry as it is recorded.
 
-use crowdfill_model::{ColumnId, Message, RowId, RowValue, Value};
-use std::collections::HashMap;
+use crowdfill_model::{ColumnId, Message};
 use std::fmt;
 
 /// Identifies a crowdsourced worker.
@@ -44,14 +44,10 @@ impl fmt::Display for Millis {
     }
 }
 
-/// Index of an entry within a [`Trace`]; the unique id compensation
-/// bookkeeping uses for messages.
-pub type MsgIdx = usize;
-
 /// One recorded message.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
-    /// Server receipt time (unique per entry is not required; indexes are).
+    /// Server receipt time (unique per entry is not required; seqs are).
     pub at: Millis,
     /// The originating worker, or `None` for Central-Client messages.
     pub worker: Option<WorkerId>,
@@ -60,6 +56,10 @@ pub struct TraceEntry {
     /// completed a row (paper §3.4) — applied to the table, but never
     /// compensated as a separate contribution.
     pub auto_upvote: bool,
+    /// The column a replace filled, decided once where the message was
+    /// applied, against the replaced row before the replace consumed it;
+    /// `None` for every other message.
+    pub filled: Option<ColumnId>,
 }
 
 /// The server's complete, time-ordered action trace.
@@ -75,32 +75,11 @@ impl Trace {
 
     /// Appends an entry; timestamps must be non-decreasing (server receipt
     /// order).
-    pub fn record(&mut self, entry: TraceEntry) -> MsgIdx {
+    pub fn record(&mut self, entry: TraceEntry) {
         if let Some(last) = self.entries.last() {
             debug_assert!(last.at <= entry.at, "trace timestamps must be ordered");
         }
         self.entries.push(entry);
-        self.entries.len() - 1
-    }
-
-    /// Convenience: record a worker message.
-    pub fn record_worker(&mut self, at: Millis, worker: WorkerId, msg: Message) -> MsgIdx {
-        self.record(TraceEntry {
-            at,
-            worker: Some(worker),
-            msg,
-            auto_upvote: false,
-        })
-    }
-
-    /// Convenience: record a Central-Client (system) message.
-    pub fn record_system(&mut self, at: Millis, msg: Message) -> MsgIdx {
-        self.record(TraceEntry {
-            at,
-            worker: None,
-            msg,
-            auto_upvote: false,
-        })
     }
 
     pub fn len(&self) -> usize {
@@ -114,170 +93,11 @@ impl Trace {
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
     }
-
-    pub fn get(&self, idx: MsgIdx) -> &TraceEntry {
-        &self.entries[idx]
-    }
-
-    /// The workers that appear in the trace, sorted.
-    pub fn workers(&self) -> Vec<WorkerId> {
-        let mut ws: Vec<WorkerId> = self.entries.iter().filter_map(|e| e.worker).collect();
-        ws.sort_unstable();
-        ws.dedup();
-        ws
-    }
-
-    /// Reconstructs the value of every row id that ever existed, from insert
-    /// and replace messages (Lemma 1 makes this well-defined).
-    pub fn row_values(&self) -> HashMap<RowId, RowValue> {
-        let mut values = HashMap::new();
-        for e in &self.entries {
-            match &e.msg {
-                Message::Insert { row } => {
-                    values.insert(*row, RowValue::empty());
-                }
-                Message::Replace { new, value, .. } => {
-                    values.insert(*new, value.clone());
-                }
-                _ => {}
-            }
-        }
-        values
-    }
-
-    /// For every row id, the trace index of the message that created it.
-    pub fn creators(&self) -> HashMap<RowId, MsgIdx> {
-        let mut created = HashMap::new();
-        for (idx, e) in self.entries.iter().enumerate() {
-            if let Some(row) = e.msg.creates_row() {
-                created.insert(row, idx);
-            }
-        }
-        created
-    }
-
-    /// The column and value a replace entry filled, if it is one.
-    /// (Requires the row-value reconstruction for the replaced row.)
-    pub fn filled_cell(
-        &self,
-        idx: MsgIdx,
-        values: &HashMap<RowId, RowValue>,
-    ) -> Option<(ColumnId, Value)> {
-        let Message::Replace { old, value, .. } = &self.entries[idx].msg else {
-            return None;
-        };
-        let old_value = values.get(old)?;
-        let col = old_value.added_column(value)?;
-        Some((col, value.get(col)?.clone()))
-    }
-
-    /// Per-worker message latencies (paper §5.2.2): the latency of a message
-    /// is the gap to the *previous* message from the same worker; a worker's
-    /// first message has no latency sample. Returns `latency[idx]` aligned
-    /// with trace indexes (`None` for CC messages and first messages).
-    pub fn latencies(&self) -> Vec<Option<Millis>> {
-        let mut last_seen: HashMap<WorkerId, Millis> = HashMap::new();
-        let mut out = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            match e.worker {
-                None => out.push(None),
-                Some(w) => {
-                    let lat = last_seen.get(&w).map(|prev| prev.until(e.at));
-                    last_seen.insert(w, e.at);
-                    out.push(lat);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdfill_model::ClientId;
-
-    fn rid(c: u32, s: u64) -> RowId {
-        RowId::new(ClientId(c), s)
-    }
-
-    fn rv(pairs: &[(u16, &str)]) -> RowValue {
-        RowValue::from_pairs(pairs.iter().map(|(c, v)| (ColumnId(*c), Value::text(*v))))
-    }
-
-    #[test]
-    fn row_values_reconstruct_lineage() {
-        let mut t = Trace::new();
-        t.record_system(Millis(0), Message::Insert { row: rid(0, 0) });
-        t.record_worker(
-            Millis(100),
-            WorkerId(1),
-            Message::Replace {
-                old: rid(0, 0),
-                new: rid(1, 0),
-                value: rv(&[(0, "Messi")]),
-            },
-        );
-        let values = t.row_values();
-        assert_eq!(values[&rid(0, 0)], RowValue::empty());
-        assert_eq!(values[&rid(1, 0)], rv(&[(0, "Messi")]));
-        let creators = t.creators();
-        assert_eq!(creators[&rid(1, 0)], 1);
-        assert_eq!(creators[&rid(0, 0)], 0);
-    }
-
-    #[test]
-    fn filled_cell_recovers_column_and_value() {
-        let mut t = Trace::new();
-        t.record_system(Millis(0), Message::Insert { row: rid(0, 0) });
-        let idx = t.record_worker(
-            Millis(100),
-            WorkerId(1),
-            Message::Replace {
-                old: rid(0, 0),
-                new: rid(1, 0),
-                value: rv(&[(2, "FW")]),
-            },
-        );
-        let values = t.row_values();
-        assert_eq!(
-            t.filled_cell(idx, &values),
-            Some((ColumnId(2), Value::text("FW")))
-        );
-        assert_eq!(t.filled_cell(0, &values), None); // insert, not replace
-    }
-
-    #[test]
-    fn latencies_skip_first_messages_and_cc() {
-        let mut t = Trace::new();
-        t.record_system(Millis(0), Message::Insert { row: rid(0, 0) });
-        t.record_worker(
-            Millis(1000),
-            WorkerId(1),
-            Message::Upvote { value: rv(&[]) },
-        );
-        t.record_worker(
-            Millis(1500),
-            WorkerId(2),
-            Message::Upvote { value: rv(&[]) },
-        );
-        t.record_worker(
-            Millis(4000),
-            WorkerId(1),
-            Message::Upvote { value: rv(&[]) },
-        );
-        let lats = t.latencies();
-        assert_eq!(lats, vec![None, None, None, Some(Millis(3000))]);
-    }
-
-    #[test]
-    fn workers_are_deduped_and_sorted() {
-        let mut t = Trace::new();
-        t.record_worker(Millis(0), WorkerId(5), Message::Upvote { value: rv(&[]) });
-        t.record_worker(Millis(1), WorkerId(2), Message::Upvote { value: rv(&[]) });
-        t.record_worker(Millis(2), WorkerId(5), Message::Upvote { value: rv(&[]) });
-        assert_eq!(t.workers(), vec![WorkerId(2), WorkerId(5)]);
-    }
 
     #[test]
     fn millis_arithmetic() {

@@ -17,7 +17,7 @@ use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, Operation, QuorumMajority, RowId, Schema,
     ScoringRef, Template, Value,
 };
-use crowdfill_pay::{Estimator, Millis, Scheme, Trace, WorkerId};
+use crowdfill_pay::{Estimator, Millis, Scheme, TraceEntry, WorkerId};
 use crowdfill_sync::Replica;
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ struct Rig {
     replica: Replica,
     classes: Classifier,
     est: Estimator,
-    trace: Trace,
+    seq: u64,
     now: u64,
 }
 
@@ -58,7 +58,7 @@ impl Rig {
                 &Template::cardinality(rows),
             ),
             replica,
-            trace: Trace::new(),
+            seq: 0,
             now: 0,
         }
     }
@@ -82,20 +82,20 @@ impl Rig {
             other => unreachable!("workers do not send {other:?}"),
         };
         self.now += 1_000;
-        let idx = self
-            .trace
-            .record_worker(Millis(self.now), WorkerId(w), msg.clone());
-        let entry = self.trace.get(idx).clone();
+        let entry = TraceEntry {
+            at: Millis(self.now),
+            worker: Some(WorkerId(w)),
+            msg: msg.clone(),
+            auto_upvote: false,
+            filled: match &op {
+                Operation::Fill { column, .. } => Some(*column),
+                _ => None,
+            },
+        };
         let before = self.est.visits();
         let view = ProbableView::new(self.replica.table(), &self.classes);
-        match &op {
-            Operation::Fill { column, value, .. } => {
-                self.est.on_fill(idx, &entry, *column, value, view);
-            }
-            _ => {
-                self.est.on_action(idx, &entry, view);
-            }
-        }
+        self.est.on_action(self.seq, &entry, view);
+        self.seq += 1;
         let read = self.est.visits().rows - before.rows;
         if self.replica.table().key_of(&value).is_some() {
             let bound = self.group_of(&value) + 2;

@@ -10,14 +10,16 @@
 //! supplied by the caller (simulated or wall-clock milliseconds).
 //!
 //! One op log (§5.2): the trace — every applied message, timestamped and
-//! annotated with its originating worker — is the only copy the backend
-//! keeps, and a message's history seq is its index in it (plus the
-//! checkpoint watermark after a recovery). Everything that leaves is a
-//! read of `log[seq..]`: the journal frame, a resume suffix, and each
-//! session's broadcasts — a session holds a delivery *cursor*, not a
-//! queue, and [`Backend::poll_seq`] hands it the entries above the cursor
-//! that are not its own. Applying a message therefore costs the same
-//! however many workers are attached.
+//! annotated with its originating worker and, for a fill, the column it
+//! filled — is the only copy the backend keeps, and a message's history
+//! seq is its index in it (plus the checkpoint watermark after a
+//! recovery). Everything that leaves is a read of `log[seq..]`: the
+//! journal frame, a resume suffix, and each session's broadcasts — a
+//! session holds a delivery *cursor*, not a queue, and
+//! [`Backend::poll_seq`] hands it the entries above the cursor that are
+//! not its own. Applying a message therefore costs the same however many
+//! workers are attached. Settlement reads no log: each entry is folded
+//! into the [`Ledger`] as it is logged, and the checkpoint carries it.
 //!
 //! One bootstrap (§2.4's "initial copy of the master table"): a joiner, a
 //! reset replica and [`Backend::connect`] all start from one cached state
@@ -35,12 +37,13 @@ use crate::wire;
 use crowdfill_constraints::PriMaintainer;
 use crowdfill_docstore::{SnapshotStore, Wal};
 use crowdfill_model::{
-    derive_final_table, ClientId, FinalTable, Message, OpError, RowId, RowValue, TemplateRow,
+    derive_final_table, ClientId, ColumnId, FinalTable, Message, OpError, RowId, RowValue,
+    TemplateRow,
 };
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crowdfill_obs::trace::{self as obstrace, ActiveSpan, SpanId, Stage, TraceId};
 use crowdfill_pay::{
-    allocate, analyze, Contributions, Estimator, Millis, Payout, Trace, TraceEntry, WorkerId,
+    allocate, Contributions, Estimator, Ledger, Millis, Payout, Trace, TraceEntry, WorkerId,
 };
 use crowdfill_sync::Replica;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -336,12 +339,13 @@ pub struct Backend {
     /// checkpointed *state* — resume/sync cursors below it get the
     /// [`bootstrap_text`](Self::bootstrap_text) every joiner gets — because
     /// after a restart that is all there is. Compaction moves it; the log
-    /// itself is never trimmed (settlement reads it).
+    /// itself is never trimmed (the telemetry fold, `ProgressTracker`,
+    /// indexes it).
     history_base: u64,
     /// What a joiner or a reset replica starts from, kept between joins.
     bootstrap: Option<Bootstrap>,
-    /// Row id → value, for every row that ever existed (fill-column lookup).
-    row_values: HashMap<crowdfill_model::RowId, RowValue>,
+    /// Settlement's fold of the log (§5.2), advanced per logged entry.
+    ledger: Ledger,
     estimator: Estimator,
     next_worker: u32,
     clock: Millis,
@@ -416,30 +420,17 @@ impl Backend {
             Arc::clone(&config.scoring),
             &config.template,
         );
-        let mut trace = Trace::new();
-        let mut row_values = HashMap::new();
-        for msg in cc.take_outbox() {
-            match &msg {
-                Message::Insert { row } => {
-                    row_values.insert(*row, RowValue::empty());
-                }
-                Message::Replace { new, value, .. } => {
-                    row_values.insert(*new, value.clone());
-                }
-                _ => {}
-            }
-            trace.record_system(Millis(0), msg);
-        }
+        let seeds = cc.take_outbox_filled();
         let noted_drops = cc.dropped_template_rows().len();
-        Backend {
+        let mut backend = Backend {
             cc,
             sessions: HashMap::new(),
             connected: 0,
-            trace,
+            trace: Trace::new(),
             log_base: 0,
             history_base: 0,
             bootstrap: None,
-            row_values,
+            ledger: Ledger::default(),
             estimator,
             next_worker: 1,
             clock: Millis(0),
@@ -450,7 +441,45 @@ impl Backend {
             last_checkpoint_at: None,
             seq_traces: VecDeque::new(),
             config,
+        };
+        for (msg, filled) in seeds {
+            backend.log(None, msg, false, filled);
         }
+        backend
+    }
+
+    /// Appends a message to the op log at the server clock and folds it
+    /// into the ledger; returns its seq.
+    fn log(
+        &mut self,
+        worker: Option<WorkerId>,
+        msg: Message,
+        auto_upvote: bool,
+        filled: Option<ColumnId>,
+    ) -> u64 {
+        let seq = self.history_len();
+        let at = self.clock;
+        let entry = TraceEntry {
+            at,
+            worker,
+            msg,
+            auto_upvote,
+            filled,
+        };
+        self.ledger.advance(seq, &entry);
+        self.trace.record(entry);
+        seq
+    }
+
+    /// The column `msg` fills, if it is a replace: read off the master
+    /// before the replace consumes `old`. The one place the backend decides
+    /// it (the Central Client reports its own fills with its outbox); the
+    /// log entry carries it to every reader.
+    fn filled(&self, msg: &Message) -> Option<ColumnId> {
+        let Message::Replace { old, .. } = msg else {
+            return None;
+        };
+        msg.filled_column(&self.master().table().get(*old)?.value)
     }
 
     /// Remembers that history seqs `[from, to)` came from `trace`.
@@ -919,7 +948,7 @@ impl Backend {
     ) -> SubmitReport {
         // Apply to the master table — the Central Client's replica — and
         // re-classify the key groups the message touched.
-        self.note_row(&msg);
+        let filled = self.filled(&msg);
         self.cc.absorb(&msg);
         self.update_vote_policy_state(worker, &msg);
         if let Some(s) = self.sessions.get_mut(&worker) {
@@ -935,43 +964,19 @@ impl Backend {
         // Record in the op log — the one copy kept. Its place there is its
         // seq: the submitter gets it in the ack instead of an echo, every
         // other connected worker's cursor reaches it on its next poll.
-        let idx = self.trace.record(TraceEntry {
-            at: self.clock,
-            worker: Some(worker),
-            msg,
-            auto_upvote,
-        });
-        let own_seq = self.log_base + idx as u64;
-        let entry = self.trace.get(idx);
+        let own_seq = self.log(Some(worker), msg, auto_upvote, filled);
+        let entry = self.trace.entries().last().expect("just logged");
 
-        // Estimate compensation for the action (fills use the richer path)
-        // against the table after it and before the Central Client's
-        // repairs.
-        let view = self.cc.view();
-        let estimate = match &entry.msg {
-            Message::Replace { old, value, .. } => {
-                let filled = self
-                    .row_values
-                    .get(old)
-                    .and_then(|ov| ov.added_column(value));
-                match filled {
-                    Some(col) => {
-                        let v = value.get(col).expect("filled value").clone();
-                        self.estimator.on_fill(idx, entry, col, &v, view)
-                    }
-                    None => self.estimator.on_action(idx, entry, view),
-                }
-            }
-            _ => self.estimator.on_action(idx, entry, view),
-        };
+        // Estimate compensation for the action against the table after it
+        // and before the Central Client's repairs.
+        let estimate = self.estimator.on_action(own_seq, entry, self.cc.view());
 
         // Let the Central Client react; its messages are owed to everyone.
         self.cc.maintain();
-        let cc_msgs = self.cc.take_outbox();
+        let cc_msgs = self.cc.take_outbox_filled();
         let owed = (1 + cc_msgs.len()) * self.connected - 1;
-        for cc_msg in cc_msgs {
-            self.note_row(&cc_msg);
-            self.trace.record_system(self.clock, cc_msg);
+        for (cc_msg, filled) in cc_msgs {
+            self.log(None, cc_msg, false, filled);
         }
         outbox_msgs().add(owed as i64);
 
@@ -1110,6 +1115,12 @@ impl Backend {
         &self.trace
     }
 
+    /// Consumes the backend, handing over its op log (a finished run's
+    /// record, kept without a copy).
+    pub fn into_trace(self) -> Trace {
+        self.trace
+    }
+
     /// The online estimator (read access for reporting).
     pub fn estimator(&self) -> &Estimator {
         &self.estimator
@@ -1151,15 +1162,14 @@ impl Backend {
     }
 
     /// Closes collection and settles compensation: contribution analysis
-    /// over the trace plus budget allocation under the configured scheme.
+    /// of the ledger plus budget allocation under the configured scheme.
     pub fn settle(&mut self) -> (FinalTable, Contributions, Payout) {
         self.close();
         let final_table = self.final_table();
-        let contributions = analyze(&self.trace, &final_table);
+        let contributions = self.ledger.contributions(&final_table);
         let payout = allocate(
             self.config.scheme,
             self.config.budget,
-            &self.trace,
             &contributions,
             &self.config.schema,
             &self.config.split,
@@ -1201,13 +1211,6 @@ impl Backend {
         if let Some(s) = self.sessions.get_mut(&worker) {
             s.confirmed_seq = s.confirmed_seq.max(history_len);
         }
-    }
-
-    /// The last-known value of any row id that ever existed (for the
-    /// telemetry fold: fills are attributed to the column they added over
-    /// the replaced row's value).
-    pub fn row_value(&self, id: crowdfill_model::RowId) -> Option<&RowValue> {
-        self.row_values.get(&id)
     }
 
     // ---- durability & recovery (DESIGN.md §14) -----------------------------
@@ -1337,8 +1340,9 @@ impl Backend {
 
     /// A point-in-time image of the backend's live state: everything
     /// recovery cannot re-derive from the task config plus the journal
-    /// suffix. Live rows only — dead lineages, the trace, and estimator
-    /// state are deliberately excluded (see DESIGN.md §14 for what resets).
+    /// suffix, settlement's ledger included. Live rows only — dead
+    /// lineages, the trace, and estimator state are deliberately excluded
+    /// (see DESIGN.md §14 for what resets).
     pub fn capture_state(&self) -> BackendState {
         let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
         let (uh, dh, rows) = self.sorted_image();
@@ -1383,6 +1387,7 @@ impl Backend {
                 .map(|(i, _)| *i)
                 .collect(),
             sessions,
+            ledger: self.ledger.clone(),
         }
     }
 
@@ -1439,7 +1444,7 @@ impl Backend {
             log_base: state.base_seq,
             history_base: state.base_seq,
             bootstrap: None,
-            row_values: state.rows.iter().cloned().collect(),
+            ledger: state.ledger.clone(),
             estimator,
             next_worker: state.next_worker,
             clock: Millis(state.at_ms),
@@ -1474,14 +1479,14 @@ impl Backend {
                 ));
             }
             let msg = &entry.msg;
-            self.note_row(msg);
+            let filled = self.filled(msg);
             // The CC replica absorbs every message (its repairs are later
             // journal entries — maintenance must NOT run again here).
             self.cc.replay_message(msg);
             if entry.worker == 0 {
                 // A Central Client message: system trace attribution, and
                 // keep CC's row-id counter ahead of its replayed rows.
-                self.trace.record_system(self.clock, msg.clone());
+                self.log(None, msg.clone(), false, filled);
                 if let Some(row) = msg.creates_row() {
                     if row.client == ClientId::CENTRAL {
                         self.cc.resume_seq_at_least(row.seq + 1);
@@ -1499,12 +1504,7 @@ impl Backend {
                         s.ops += 1;
                     }
                 }
-                self.trace.record(TraceEntry {
-                    at: self.clock,
-                    worker: Some(worker),
-                    msg: msg.clone(),
-                    auto_upvote: entry.auto,
-                });
+                self.log(Some(worker), msg.clone(), entry.auto, filled);
             }
         }
         for idx in &frame.tdrops {
@@ -1539,19 +1539,6 @@ impl Backend {
     }
 
     // ---- internals ---------------------------------------------------------
-
-    /// Tracks the value of every row id that ever existed.
-    fn note_row(&mut self, msg: &Message) {
-        match msg {
-            Message::Insert { row } => {
-                self.row_values.insert(*row, RowValue::empty());
-            }
-            Message::Replace { new, value, .. } => {
-                self.row_values.insert(*new, value.clone());
-            }
-            _ => {}
-        }
-    }
 
     /// §3.4 vote policy checks.
     fn check_policy(&self, worker: WorkerId, msg: &Message) -> Result<(), SubmitError> {

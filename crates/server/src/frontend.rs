@@ -476,7 +476,6 @@ mod tests {
         let payout = crowdfill_pay::allocate(
             Scheme::Uniform,
             10.0,
-            &crowdfill_pay::Trace::new(),
             &crowdfill_pay::Contributions::default(),
             &config().schema,
             &crowdfill_pay::SplitConfig::new(),
@@ -548,7 +547,6 @@ mod tests {
         let payout = crowdfill_pay::allocate(
             Scheme::Uniform,
             10.0,
-            &crowdfill_pay::Trace::new(),
             &crowdfill_pay::Contributions::default(),
             &cfg.schema,
             &crowdfill_pay::SplitConfig::new(),

@@ -21,24 +21,26 @@
 //! Replay cost is O(live state + journal suffix), independent of lifetime
 //! history once compaction runs.
 //!
-//! What deliberately does **not** survive a restart (scoped to the current
-//! process run): the action trace below the checkpoint (contribution
-//! analysis and payout therefore cover the post-recovery run), estimator
-//! state (compensation estimates re-warm), and the values of dead row
-//! lineages (only live rows are imaged — the O(live-state) requirement).
+//! Settlement survives a restart whole: the image carries the settlement
+//! [`Ledger`], so a recovered collection pays exactly what it would have
+//! paid had it never stopped. What deliberately does **not** survive
+//! (scoped to the current process run): the action trace below the
+//! checkpoint, estimator state (compensation estimates re-warm), and the
+//! values of dead row lineages (only live rows are imaged — the
+//! O(live-state) requirement).
 
 use crate::backend::Backend;
 use crate::config::TaskConfig;
 use crate::wire;
-use crowdfill_docstore::{Disk, FsyncPolicy, Json, RealDisk, SnapshotStore, Wal};
-use crowdfill_model::{ClientId, Message, RowId, RowValue, Schema};
-use crowdfill_pay::TraceEntry;
+use crowdfill_docstore::{Disk, FsyncPolicy, Json, JsonRef, RealDisk, SnapshotStore, Wal};
+use crowdfill_model::{ClientId, ColumnId, Message, RowId, RowValue, Schema};
+use crowdfill_pay::{FirstFill, Ledger, Millis, TraceEntry, Unit, Vote, WorkerId};
 use crowdfill_sync::{Replica, VoteHistory};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Snapshot payload format version.
-const STATE_VERSION: f64 = 1.0;
+/// Snapshot payload format version (2: the settlement ledger).
+const STATE_VERSION: f64 = 2.0;
 
 /// Per-worker session state inside a checkpoint image: identity plus the
 /// §3.4 vote-policy bookkeeping (what the worker has voted on), which is
@@ -62,7 +64,8 @@ pub struct SessionState {
 /// payload. Everything here is either impossible or unsound to re-derive
 /// from the task config alone: the CRDT vote histories and live rows, the
 /// live/dropped template partition (drops depend on the pre-crash
-/// matching), session vote state, and the id counters.
+/// matching), session vote state, the id counters, and the settlement
+/// ledger (the log it folded is gone below the watermark).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendState {
     /// History watermark: every seq below this is inside the image.
@@ -84,6 +87,7 @@ pub struct BackendState {
     /// Original template indexes the CC dropped (§4.2 degenerate case).
     pub dropped_template: Vec<usize>,
     pub sessions: Vec<SessionState>,
+    pub ledger: Ledger,
 }
 
 impl BackendState {
@@ -238,16 +242,124 @@ pub fn encode_backend_state(state: &BackendState) -> String {
         ("live", indexes(&state.live_template)),
         ("dropped", indexes(&state.dropped_template)),
         ("sessions", sessions),
+        ("ledger", ledger_to_json(&state.ledger)),
     ])
     .encode()
 }
 
-/// Decodes a snapshot payload. `None` on any structural mismatch — the
-/// recovery driver then degrades to the next-older snapshot's semantics
-/// (fresh backend + full journal replay).
+/// An integer of the image, exact below 2^53 — and back.
+fn num(n: u64) -> Json {
+    Json::num(n as f64)
+}
+
+fn int(j: &JsonRef) -> Option<u64> {
+    u64::try_from(j.as_i64()?).ok()
+}
+
+/// A ledger unit as `[seq, worker, at, latency | null]`, no unit as `null`.
+fn unit_to_json(u: Option<&Unit>) -> Json {
+    let Some(u) = u else { return Json::Null };
+    let (seq, worker, at) = (num(u.seq), num(u.worker.0.into()), num(u.at.0));
+    let latency = u.latency.map_or(Json::Null, |l| num(l.0));
+    Json::Arr(vec![seq, worker, at, latency])
+}
+
+fn unit_from_json(j: &JsonRef) -> Option<Option<Unit>> {
+    let JsonRef::Arr(u) = j else {
+        return matches!(j, JsonRef::Null).then_some(None);
+    };
+    let latency = match u.get(3)? {
+        JsonRef::Null => None,
+        l => Some(Millis(int(l)?)),
+    };
+    let (seq, at) = (int(u.first()?)?, Millis(int(u.get(2)?)?));
+    let worker = WorkerId(int(u.get(1)?)? as u32);
+    Some(Some(Unit {
+        seq,
+        worker,
+        at,
+        latency,
+    }))
+}
+
+/// The ledger as four arrays, in its maps' order: `cells` `[row, [[col,
+/// unit]…]]`, `first` `[col, value, at, unit | null, row value]`, `votes`
+/// `[worker, up, value, [[unit, auto]…]]` and `last` `[worker, at]`.
+fn ledger_to_json(l: &Ledger) -> Json {
+    let arr = Json::Arr;
+    let cells = l.cells.iter().map(|(row, fills)| {
+        let fill = |(c, u): &(ColumnId, Unit)| arr(vec![num(c.0.into()), unit_to_json(Some(u))]);
+        arr(vec![
+            wire::row_id_to_json(*row),
+            arr(fills.iter().map(fill).collect()),
+        ])
+    });
+    let first = l.first.iter().map(|((c, v), f)| {
+        let (c, v, at) = (num(c.0.into()), wire::value_to_json(v), num(f.at.0));
+        let (unit, row) = (
+            unit_to_json(f.unit.as_ref()),
+            wire::row_value_to_json(&f.row),
+        );
+        arr(vec![c, v, at, unit, row])
+    });
+    let votes = l.votes.iter().map(|((w, up, v), live)| {
+        let vote = |x: &Vote| arr(vec![unit_to_json(Some(&x.unit)), Json::Bool(x.auto)]);
+        let (w, up, v) = (num(w.0.into()), Json::Bool(*up), wire::row_value_to_json(v));
+        arr(vec![w, up, v, arr(live.iter().map(vote).collect())])
+    });
+    let last = l.last_at.iter();
+    let last = last.map(|(w, at)| arr(vec![num(w.0.into()), num(at.0)]));
+    Json::obj([
+        ("cells", arr(cells.collect())),
+        ("first", arr(first.collect())),
+        ("votes", arr(votes.collect())),
+        ("last", arr(last.collect())),
+    ])
+}
+
+fn ledger_from_json(j: &JsonRef) -> Option<Ledger> {
+    let each = |key: &str| j.get(key)?.as_arr();
+    let col = |c| Some(ColumnId(int(c)? as u16));
+    let worker = |w| Some(WorkerId(int(w)? as u32));
+    let mut ledger = Ledger::default();
+    for e in each("cells")? {
+        let fills = e.at(1)?.as_arr()?.iter();
+        let fills = fills.map(|f| Some((col(f.at(0)?)?, unit_from_json(f.at(1)?)??)));
+        let row = wire::row_id_from_json(e.at(0)?).ok()?;
+        ledger.cells.insert(row, fills.collect::<Option<_>>()?);
+    }
+    for e in each("first")? {
+        let (at, unit) = (Millis(int(e.at(2)?)?), unit_from_json(e.at(3)?)?);
+        let row = wire::row_value_from_json(e.at(4)?).ok()?;
+        let key = (col(e.at(0)?)?, wire::value_from_json(e.at(1)?).ok()?);
+        ledger.first.insert(key, FirstFill { at, unit, row });
+    }
+    for e in each("votes")? {
+        let vote = |x: &JsonRef| {
+            let (unit, auto) = (unit_from_json(x.at(0)?)??, x.at(1)?.as_bool()?);
+            Some(Vote { unit, auto })
+        };
+        let live = e.at(3)?.as_arr()?.iter().map(vote);
+        let value = wire::row_value_from_json(e.at(2)?).ok()?;
+        let key = (worker(e.at(0)?)?, e.at(1)?.as_bool()?, value);
+        ledger.votes.insert(key, live.collect::<Option<_>>()?);
+    }
+    for e in each("last")? {
+        ledger
+            .last_at
+            .insert(worker(e.at(0)?)?, Millis(int(e.at(1)?)?));
+    }
+    Some(ledger)
+}
+
+/// Decodes a snapshot payload, borrowed (one parse, no owned tree).
+/// `None` on any structural mismatch — an image without its ledger
+/// included, which must not settle as if nothing had happened before it —
+/// and the recovery driver then degrades to the next-older snapshot's
+/// semantics (fresh backend + full journal replay).
 pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
     let text = std::str::from_utf8(payload).ok()?;
-    let json = Json::parse(text).ok()?;
+    let json = JsonRef::parse(text).ok()?;
     if json.get("v")?.as_f64()? != STATE_VERSION {
         return None;
     }
@@ -325,6 +437,7 @@ pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
         live_template: indexes("live")?,
         dropped_template: indexes("dropped")?,
         sessions,
+        ledger: ledger_from_json(json.get("ledger")?)?,
     })
 }
 
@@ -546,8 +659,7 @@ pub fn open_or_recover_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdfill_model::{ClientId, ColumnId, Value};
-    use crowdfill_pay::{Millis, WorkerId};
+    use crowdfill_model::Value;
 
     fn rv(pairs: &[(u16, i64)]) -> RowValue {
         RowValue::from_pairs(pairs.iter().map(|(c, v)| (ColumnId(*c), Value::int(*v))))
@@ -577,7 +689,41 @@ mod tests {
                 voted: vec![(rv(&[(0, 1)]), true), (rv(&[(1, 7)]), false)],
                 upvoted_keys: vec![rv(&[(0, 1)])],
             }],
+            ledger: sample_ledger(),
         }
+    }
+
+    fn sample_ledger() -> Ledger {
+        let unit = |seq, latency| Unit {
+            seq,
+            worker: WorkerId(1),
+            at: Millis(seq * 10),
+            latency,
+        };
+        let mut ledger = Ledger::default();
+        let row = RowId::new(ClientId(2), 5);
+        ledger
+            .cells
+            .insert(row, vec![(ColumnId(1), unit(40, Some(Millis(7))))]);
+        let first = |unit| FirstFill {
+            at: Millis(400),
+            unit,
+            row: rv(&[(0, 2), (1, 3)]),
+        };
+        let key = |v| (ColumnId(1), Value::int(v));
+        ledger
+            .first
+            .insert(key(3), first(Some(unit(40, Some(Millis(7))))));
+        ledger.first.insert(key(4), first(None));
+        let vote = Vote {
+            unit: unit(41, None),
+            auto: true,
+        };
+        ledger
+            .votes
+            .insert((WorkerId(1), true, rv(&[(0, 2), (1, 3)])), vec![vote]);
+        ledger.last_at.insert(WorkerId(1), Millis(410));
+        ledger
     }
 
     #[test]
@@ -591,15 +737,26 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let state = sample_state();
-        let encoded = encode_backend_state(&state).replace("\"v\":1", "\"v\":999");
+        let encoded = encode_backend_state(&state).replace("\"v\":2", "\"v\":999");
         assert!(decode_backend_state(encoded.as_bytes()).is_none());
     }
 
     #[test]
     fn garbage_payload_is_rejected() {
         assert!(decode_backend_state(b"not json at all").is_none());
-        assert!(decode_backend_state(b"{\"v\":1}").is_none());
+        assert!(decode_backend_state(b"{\"v\":2}").is_none());
         assert!(decode_backend_state(&[0xFF, 0xFE]).is_none());
+    }
+
+    #[test]
+    fn an_image_without_its_ledger_is_refused() {
+        let encoded = encode_backend_state(&sample_state());
+        let Json::Obj(mut fields) = Json::parse(&encoded).unwrap() else {
+            panic!("an image is an object");
+        };
+        fields.remove("ledger");
+        let stripped = Json::Obj(fields).encode();
+        assert!(decode_backend_state(stripped.as_bytes()).is_none());
     }
 
     #[test]
@@ -626,6 +783,7 @@ mod tests {
             worker,
             msg: up.clone(),
             auto_upvote,
+            filled: None,
         };
         let log = [entry(Some(WorkerId(2)), true), entry(None, false)];
         for tdrops in [vec![], vec![4, 1]] {

@@ -223,10 +223,7 @@ impl ProgressTracker {
                     self.parent.insert(*new, *old);
                     let root = self.lineage_root(*old);
                     self.value_root.insert(value.clone(), root);
-                    let col = backend
-                        .row_value(*old)
-                        .and_then(|old_value| old_value.added_column(value));
-                    if let Some(col) = col {
+                    if let Some(col) = entry.filled {
                         // Species identity: the cell, named by lineage
                         // root × column.
                         self.observe(root, col.0, species_worker, entry.at.0);

@@ -678,38 +678,34 @@ impl Reply<'_> {
 
 // ---- Trace ------------------------------------------------------------------
 
-/// Serializes a trace entry (timestamp, attribution, message, auto flag).
+/// Serializes a trace entry (timestamp, attribution, message, auto flag,
+/// filled column).
 pub fn trace_entry_to_json(e: &crowdfill_pay::TraceEntry) -> Json {
+    let nullable = |n: Option<u64>| n.map_or(Json::Null, |n| Json::num(n as f64));
     Json::obj([
         ("at", Json::num(e.at.0 as f64)),
-        (
-            "worker",
-            match e.worker {
-                Some(w) => Json::num(w.0 as f64),
-                None => Json::Null,
-            },
-        ),
+        ("worker", nullable(e.worker.map(|w| w.0.into()))),
         ("auto", Json::Bool(e.auto_upvote)),
         ("msg", message_to_json(&e.msg)),
+        ("filled", nullable(e.filled.map(|c| c.0.into()))),
     ])
 }
 
 pub fn trace_entry_from_json(j: &Json) -> Result<crowdfill_pay::TraceEntry> {
+    let nullable = |name: &str| match field(j, name)? {
+        Json::Null => Ok(None),
+        n => n.as_i64().filter(|v| *v >= 0).map(Some).ok_or_else(|| {
+            WireError::new(format!("{name} must be a non-negative integer or null"))
+        }),
+    };
     Ok(crowdfill_pay::TraceEntry {
         at: crowdfill_pay::Millis(u64_field(j, "at")?),
-        worker: match field(j, "worker")? {
-            Json::Null => None,
-            w => Some(crowdfill_pay::WorkerId(
-                w.as_i64()
-                    .filter(|v| *v >= 0)
-                    .ok_or_else(|| WireError::new("worker must be a non-negative integer"))?
-                    as u32,
-            )),
-        },
+        worker: nullable("worker")?.map(|w| WorkerId(w as u32)),
         auto_upvote: field(j, "auto")?
             .as_bool()
             .ok_or_else(|| WireError::new("auto must be a boolean"))?,
         msg: message_from_json(field(j, "msg")?)?,
+        filled: nullable("filled")?.map(|c| ColumnId(c as u16)),
     })
 }
 

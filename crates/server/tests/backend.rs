@@ -12,6 +12,9 @@ use crowdfill_sync::Replica;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+#[path = "../../pay/tests/support/oracle.rs"]
+mod oracle;
+
 fn schema() -> Arc<Schema> {
     Arc::new(
         Schema::new(
@@ -698,8 +701,10 @@ fn a_fresh_collection_bootstraps_as_its_template_inserts() {
     assert_eq!(backend.history_len(), 400);
 }
 
-/// Trace archival (§3.3 bookkeeping): the stored trace reloads bit-exact and
-/// re-settles to the identical payout under every scheme.
+/// Trace archival (§3.3 bookkeeping): the stored trace reloads entry for
+/// entry, and the batch analysis of the reloaded archive (the settlement
+/// ledger's oracle) re-settles to `settle()`'s payout, bit for bit, under
+/// every scheme.
 #[test]
 fn archived_trace_resettles_identically() {
     use crowdfill_server::Frontend;
@@ -725,28 +730,27 @@ fn archived_trace_resettles_identically() {
 
     let (final_table, contributions, payout) = rig.backend.settle();
     let loaded = fe.load_trace(&task_id).unwrap();
-    assert_eq!(loaded.len(), rig.backend.trace().len());
+    assert_eq!(loaded.entries(), rig.backend.trace().entries());
+    assert!(loaded.entries().iter().any(|e| e.filled.is_some()));
 
-    let reloaded_contribs = crowdfill_pay::analyze(&loaded, &final_table);
-    assert_eq!(reloaded_contribs.cells.len(), contributions.cells.len());
+    let reloaded_contribs = oracle::analyze(&loaded, &final_table);
+    assert_eq!(reloaded_contribs, contributions);
+    let bits = |p: &crowdfill_pay::Payout| {
+        let amounts = p.per_message.iter().map(|(s, c)| (*s, c.amount.to_bits()));
+        let workers = p
+            .per_worker
+            .iter()
+            .map(|(w, a)| (u64::from(w.0), a.to_bits()));
+        let unspent = (u64::MAX, p.unspent.to_bits());
+        amounts.chain(workers).chain([unspent]).collect::<Vec<_>>()
+    };
     for scheme in Scheme::ALL {
-        let a = crowdfill_pay::allocate(
-            scheme,
-            10.0,
-            rig.backend.trace(),
-            &contributions,
-            &schema(),
-            &crowdfill_pay::SplitConfig::new(),
-        );
-        let b = crowdfill_pay::allocate(
-            scheme,
-            10.0,
-            &loaded,
-            &reloaded_contribs,
-            &schema(),
-            &crowdfill_pay::SplitConfig::new(),
-        );
-        assert_eq!(a.per_worker, b.per_worker, "scheme {scheme} diverged");
+        let split = crowdfill_pay::SplitConfig::new();
+        let a = crowdfill_pay::allocate(scheme, 10.0, &contributions, &schema(), &split);
+        let b = crowdfill_pay::allocate(scheme, 10.0, &reloaded_contribs, &schema(), &split);
+        assert_eq!(bits(&a), bits(&b), "scheme {scheme} diverged");
+        if scheme == rig.backend.config().scheme {
+            assert_eq!(bits(&payout), bits(&b), "settle() under {scheme}");
+        }
     }
-    let _ = payout;
 }

@@ -35,7 +35,22 @@ use crowdfill_server::{
 };
 use crowdfill_sync::AppliedSeqs;
 
+#[path = "../../pay/tests/support/oracle.rs"]
+mod oracle;
+
 // ---- the oracle: the parent's batch walks -----------------------------------
+
+/// Row id → value: what a fill is attributed by (the column it added over
+/// the replaced row's value).
+type Rows = HashMap<RowId, RowValue>;
+
+/// Every row value the oracle can know of: those the log in memory
+/// created, and `start`, the live rows a recovered backend began from.
+fn row_values(backend: &Backend, start: &Rows) -> Rows {
+    let mut values = start.clone();
+    values.extend(oracle::row_values(backend.trace()));
+    values
+}
 
 /// The parent's `progress::ProgressTracker`, advanced once over the whole
 /// log by `progress::collect`.
@@ -56,7 +71,8 @@ impl OracleTracker {
         id
     }
 
-    fn advance(&mut self, backend: &Backend) {
+    fn advance(&mut self, backend: &Backend, start: &Rows) {
+        let values = row_values(backend, start);
         for entry in backend.trace().entries() {
             let worker = entry.worker.map(|w| w.0 as u64).unwrap_or(u64::MAX);
             match &entry.msg {
@@ -64,8 +80,8 @@ impl OracleTracker {
                     self.parent.insert(*new, *old);
                     let root = self.lineage_root(*old);
                     self.value_root.insert(value.clone(), root);
-                    let Some(col) = backend
-                        .row_value(*old)
+                    let Some(col) = values
+                        .get(old)
                         .and_then(|old_value| old_value.added_column(value))
                     else {
                         continue;
@@ -165,7 +181,7 @@ fn binary_entropy(p: f64) -> f64 {
 }
 
 /// The parent's `health::collect_windowed(backend, 60_000)`.
-fn oracle(backend: &Backend) -> HealthReport {
+fn oracle(backend: &Backend, start: &Rows) -> HealthReport {
     let window_ms = 60_000;
     let schema = &backend.config().schema;
     let table = backend.master().table();
@@ -257,6 +273,7 @@ fn oracle(backend: &Backend) -> HealthReport {
         }
         id
     }
+    let values = row_values(backend, start);
     let mut covered: HashSet<(RowId, u16)> = HashSet::new();
     let mut fills_in_window = 0u64;
     let mut novel_in_window = 0u64;
@@ -270,8 +287,8 @@ fn oracle(backend: &Backend) -> HealthReport {
         }
         match &entry.msg {
             Message::Replace { old, new: _, value } => {
-                let col = backend
-                    .row_value(*old)
+                let col = values
+                    .get(old)
                     .and_then(|old_value| old_value.added_column(value));
                 if let Some(col) = col {
                     let root = lineage_root(&parent, *old);
@@ -367,7 +384,7 @@ fn oracle(backend: &Backend) -> HealthReport {
     });
 
     let mut progress = OracleTracker::default();
-    progress.advance(backend);
+    progress.advance(backend, start);
     HealthReport {
         at_ms: now_ms,
         history_len,
@@ -615,7 +632,13 @@ fn tally(tally: &mut Tally, new: &[crowdfill_pay::TraceEntry], report: &HealthRe
 
 /// The fold's report is the oracle's, and the fold consumed exactly what
 /// the log grew by since its last advance — nothing on a repeat.
-fn cut(backend: &Backend, fold: &mut ProgressTracker, seen: &mut u64, when: &str, t: &mut Tally) {
+fn cut(
+    (backend, start): (&Backend, &Rows),
+    fold: &mut ProgressTracker,
+    seen: &mut u64,
+    when: &str,
+    t: &mut Tally,
+) {
     let grown = backend.history_len() - *seen;
     assert_eq!(
         fold.advance(backend) as u64,
@@ -627,7 +650,7 @@ fn cut(backend: &Backend, fold: &mut ProgressTracker, seen: &mut u64, when: &str
     let report = health::report(backend, fold, DEFAULT_TARGET);
     let log = backend.trace().entries();
     tally(t, &log[log.len() - grown as usize..], &report);
-    assert_same(report, oracle(backend), when);
+    assert_same(report, oracle(backend, start), when);
 }
 
 /// One execution: 4 workers, 70 steps 1, 1.5 or 2 s apart — so entries
@@ -637,6 +660,7 @@ fn walk(config: &TaskConfig, seed: u64, t: &mut Tally) {
     let dir = tmp_dir(seed);
     let mut rng = Rng(seed);
     let mut backend = open(config, &dir);
+    let mut start = Rows::new();
     let mut fold = ProgressTracker::new();
     let mut seen = unread(&backend);
     let mut peers: Vec<Peer> = (0..4).map(|_| Peer::join(&mut backend, 0)).collect();
@@ -651,7 +675,7 @@ fn walk(config: &TaskConfig, seed: u64, t: &mut Tally) {
             let report = health::report(&backend, &fold, DEFAULT_TARGET);
             assert_same(
                 report,
-                oracle(&backend),
+                oracle(&backend, &start),
                 &format!("seed {seed}: gap at step {i}"),
             );
         }
@@ -660,11 +684,13 @@ fn walk(config: &TaskConfig, seed: u64, t: &mut Tally) {
             drop(backend);
             backend = open(config, &dir);
             (fold, seen) = (ProgressTracker::new(), unread(&backend));
+            let live = backend.master().table().iter();
+            start = live.map(|(id, e)| (id, e.value.clone())).collect();
             peers = (0..3).map(|_| Peer::join(&mut backend, at)).collect();
         }
         step(&mut rng, &mut backend, &mut peers, at);
         cut(
-            &backend,
+            (&backend, &start),
             &mut fold,
             &mut seen,
             &format!("seed {seed} step {i}"),
@@ -673,7 +699,7 @@ fn walk(config: &TaskConfig, seed: u64, t: &mut Tally) {
     }
     backend.set_time(Millis(at + 30_000));
     cut(
-        &backend,
+        (&backend, &start),
         &mut fold,
         &mut seen,
         &format!("seed {seed} at the end"),

@@ -1,14 +1,16 @@
 //! Crash-safe collection persistence (DESIGN.md §14): journal-only
 //! recovery, checkpoint + suffix recovery, compaction, the synthetic
-//! bootstrap for post-compaction connects, snapshot fallback, and the
-//! durability of the vote policy and the closed marker across restarts.
+//! bootstrap for post-compaction connects, snapshot fallback, the
+//! durability of the vote policy and the closed marker across restarts,
+//! and settlement after a checkpoint or a compaction and a restart.
 
 use crowdfill_docstore::FsyncPolicy;
 use crowdfill_model::ClientId;
 use crowdfill_model::{
-    Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema, Template, Value,
+    Column, ColumnId, DataType, Difference, Message, QuorumMajority, RowId, RowValue, Schema,
+    Template, Value,
 };
-use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_pay::{Millis, Payout, Scheme, WorkerId};
 use crowdfill_server::persist::{self, DurabilityOptions};
 use crowdfill_server::{wire, Backend, SubmitError, TaskConfig, WorkerClient};
 use crowdfill_sync::Replica;
@@ -329,4 +331,73 @@ fn vote_policy_survives_recovery() {
         "recovered session lost its vote-policy state"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A payout as bits: per worker, per message (seq, worker, time) and the
+/// unspent remainder.
+type PayoutBits = (Vec<(u32, u64)>, Vec<(u64, u32, u64, u64)>, u64);
+
+fn payout_bits(p: &Payout) -> PayoutBits {
+    let workers = p.per_worker.iter().map(|(w, a)| (w.0, a.to_bits()));
+    let messages = p.per_message.iter();
+    let messages = messages.map(|(seq, c)| (*seq, c.worker.0, c.at.0, c.amount.to_bits()));
+    (workers.collect(), messages.collect(), p.unspent.to_bits())
+}
+
+/// The settle-after-restart probe: under `Difference` scoring, worker 1
+/// completes three rows, `storage` checkpoints or compacts, worker 2
+/// completes one; the backend is reopened and settled. Returns its payout
+/// and that of a twin that ran the same ops and never stopped.
+fn settle_across_a_restart(
+    scheme: Scheme,
+    name: &str,
+    storage: fn(&mut Backend) -> std::io::Result<u64>,
+) -> (Payout, Payout) {
+    let config = TaskConfig {
+        scoring: Arc::new(Difference),
+        template: Template::cardinality(4),
+        ..config()
+    }
+    .with_scheme(scheme);
+    let dir = tmp_dir(name);
+    let mut twin = Backend::new(config.clone());
+    let mut b = persist::open_or_recover(config.clone(), &dir, &opts()).unwrap();
+    for backend in [&mut twin, &mut b] {
+        drive(backend, &[("ada", 1), ("grace", 2), ("alan", 3)], 10);
+    }
+    storage(&mut b).unwrap();
+    for backend in [&mut twin, &mut b] {
+        drive(backend, &[("edsger", 4)], 90);
+    }
+    drop(b);
+    let mut r = persist::open_or_recover(config, &dir, &opts()).unwrap();
+    let (_, _, recovered) = r.settle();
+    std::fs::remove_dir_all(&dir).ok();
+    (recovered, twin.settle().2)
+}
+
+/// Every cell is its filler's first entry of its value, so nothing goes
+/// unspent: 6 of 8 cells are worker 1's, and dual weighting pays worker 2's
+/// late key more.
+fn settles_like_its_twin(storage: fn(&mut Backend) -> std::io::Result<u64>, name: &str) {
+    for (scheme, expected) in [
+        (Scheme::Uniform, (7.5, 2.5, 0.0)),
+        (Scheme::ColumnWeighted, (7.5, 2.5, 0.0)),
+        (Scheme::DualWeighted, (6.25, 3.75, 0.0)),
+    ] {
+        let (recovered, twin) = settle_across_a_restart(scheme, name, storage);
+        assert_eq!(payout_bits(&recovered), payout_bits(&twin), "{scheme}");
+        let paid = |w| recovered.worker_total(WorkerId(w));
+        assert_eq!((paid(1), paid(2), recovered.unspent), expected, "{scheme}");
+    }
+}
+
+#[test]
+fn settlement_after_a_checkpoint_and_a_restart_matches_the_twin() {
+    settles_like_its_twin(Backend::checkpoint, "settle-checkpoint");
+}
+
+#[test]
+fn settlement_after_a_compaction_and_a_restart_matches_the_twin() {
+    settles_like_its_twin(Backend::compact_storage, "settle-compact");
 }

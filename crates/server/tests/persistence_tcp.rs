@@ -1,10 +1,12 @@
 //! Durability over the wire (DESIGN.md §14): a TCP service on a recovered
 //! backend, compaction while clients are live, the reset-resync protocol
-//! for cursors below the compaction horizon, and a full service restart
-//! from disk.
+//! for cursors below the compaction horizon, a full service restart from
+//! disk, and settlement across one.
 
 use crowdfill_docstore::{FsyncPolicy, Json};
-use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
+use crowdfill_model::{
+    Column, ColumnId, DataType, Difference, QuorumMajority, Schema, Template, Value,
+};
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_server::persist::{self, DurabilityOptions};
 use crowdfill_server::wire::{CatchUp, Cursor, Reply, Request};
@@ -256,5 +258,61 @@ fn service_restart_recovers_from_disk() {
         assert!(w.view().replica().same_state(b.master()));
     }
     service.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The settle-after-restart probe over the wire: worker 1 completes three
+/// rows and the durability tick compacts them into a snapshot, worker 2
+/// completes one; the service settles, stops and is reopened from disk,
+/// and the reopened backend settles bit for bit the same.
+#[test]
+fn settlement_survives_a_compaction_and_a_service_restart() {
+    let dir = tmp_dir("settle");
+    let config = TaskConfig {
+        scoring: Arc::new(Difference),
+        template: Template::cardinality(4),
+        ..config()
+    };
+    let backend = persist::open_or_recover(config.clone(), &dir, &opts()).unwrap();
+    let options = ServiceOptions {
+        durability: Some(DurabilitySweepOptions {
+            interval: Duration::from_millis(10),
+            compact_wal_bytes: 1,
+        }),
+        ..ServiceOptions::default()
+    };
+    let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
+    let mut first = RemoteWorker::connect(service.addr()).unwrap();
+    for (name, n) in [("ada", 1), ("grace", 2), ("alan", 3)] {
+        fill_row(&mut first, name, n);
+    }
+    let filled = service.backend().lock().history_len();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.backend().lock().history_base() < filled {
+        assert!(Instant::now() < deadline, "the tick never compacted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut second = RemoteWorker::connect(service.addr()).unwrap();
+    fill_row(&mut second, "edsger", 4);
+    let (_, _, twin) = service.backend().lock().settle();
+    service.stop();
+
+    let mut recovered = persist::open_or_recover(config, &dir, &opts()).unwrap();
+    assert!(
+        recovered.history_base() >= filled,
+        "reopened from the snapshot"
+    );
+    let (_, _, payout) = recovered.settle();
+    let bits = |p: &crowdfill_pay::Payout| {
+        let amounts = p.per_message.iter().map(|(s, c)| (*s, c.amount.to_bits()));
+        let workers = p
+            .per_worker
+            .iter()
+            .map(|(w, a)| (u64::from(w.0), a.to_bits()));
+        let unspent = (u64::MAX, p.unspent.to_bits());
+        amounts.chain(workers).chain([unspent]).collect::<Vec<_>>()
+    };
+    assert_eq!(payout.per_worker.len(), 2, "both workers are paid");
+    assert_eq!(bits(&payout), bits(&twin));
     std::fs::remove_dir_all(&dir).ok();
 }

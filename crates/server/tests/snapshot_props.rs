@@ -1,8 +1,9 @@
 //! Property tests for the snapshot payload codec (DESIGN.md §14):
-//! arbitrary table/vote/session states round-trip byte-exactly through
-//! `encode_backend_state` / `decode_backend_state`, and the CRC-framed
-//! snapshot file rejects every single-byte corruption rather than ever
-//! surfacing a wrong image.
+//! arbitrary table/vote/session/ledger states round-trip byte-exactly
+//! through `encode_backend_state` / `decode_backend_state`, and the
+//! CRC-framed snapshot file rejects every single-byte corruption rather
+//! than ever surfacing a wrong image. An image without the settlement
+//! ledger is refused, and recovery falls back past it.
 //!
 //! And for the image a joiner starts from (§14.3): seeded walks — fills,
 //! votes, undos, modify bundles, template drops, disconnects and resumes,
@@ -10,12 +11,12 @@
 //! be served `image(S) ++ log[S..)` for an `S` at or above the serving
 //! horizon, as messages and as wire text alike, and land on the master.
 
-use crowdfill_docstore::{FsyncPolicy, JsonRef, SnapshotStore};
+use crowdfill_docstore::{FsyncPolicy, Json, JsonRef, SnapshotStore};
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Entry, Message, Predicate, QuorumMajority, RowId,
     RowValue, Schema, Template, TemplateRow, Value,
 };
-use crowdfill_pay::Millis;
+use crowdfill_pay::{FirstFill, Ledger, Millis, Unit, Vote, WorkerId};
 use crowdfill_server::persist::{
     decode_backend_state, encode_backend_state, open_or_recover, DurabilityOptions,
 };
@@ -76,6 +77,49 @@ fn session_strategy() -> impl Strategy<Value = SessionState> {
         )
 }
 
+fn column_strategy() -> impl Strategy<Value = ColumnId> {
+    (0u16..4).prop_map(ColumnId)
+}
+
+fn millis_strategy() -> impl Strategy<Value = Millis> {
+    (0u64..MAX_EXACT).prop_map(Millis)
+}
+
+fn unit_strategy() -> impl Strategy<Value = Unit> {
+    let latency = (any::<bool>(), millis_strategy()).prop_map(|(some, l)| some.then_some(l));
+    (0u64..MAX_EXACT, 1u32..500, millis_strategy(), latency).prop_map(
+        |(seq, worker, at, latency)| Unit {
+            seq,
+            worker: WorkerId(worker),
+            at,
+            latency,
+        },
+    )
+}
+
+fn ledger_strategy() -> impl Strategy<Value = Ledger> {
+    use proptest::collection::{btree_map, vec};
+    let fills = vec((column_strategy(), unit_strategy()), 1..3);
+    let unit = (any::<bool>(), unit_strategy()).prop_map(|(some, u)| some.then_some(u));
+    let first = (millis_strategy(), unit, row_value_strategy())
+        .prop_map(|(at, unit, row)| FirstFill { at, unit, row });
+    let vote = (unit_strategy(), any::<bool>()).prop_map(|(unit, auto)| Vote { unit, auto });
+    let voter = (1u32..500, any::<bool>(), row_value_strategy())
+        .prop_map(|(w, up, value)| (WorkerId(w), up, value));
+    (
+        btree_map(row_id_strategy(), fills, 0..5),
+        btree_map((column_strategy(), value_strategy()), first, 0..5),
+        btree_map(voter, vec(vote, 1..3), 0..5),
+        btree_map((1u32..500).prop_map(WorkerId), millis_strategy(), 0..5),
+    )
+        .prop_map(|(cells, first, votes, last_at)| Ledger {
+            cells,
+            first,
+            votes,
+            last_at,
+        })
+}
+
 fn state_strategy() -> impl Strategy<Value = BackendState> {
     (
         (
@@ -92,7 +136,10 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
             proptest::collection::vec(0usize..64, 0..8),
             proptest::collection::vec(0usize..64, 0..8),
         ),
-        proptest::collection::vec(session_strategy(), 0..4),
+        (
+            proptest::collection::vec(session_strategy(), 0..4),
+            ledger_strategy(),
+        ),
     )
         .prop_map(
             |(
@@ -101,7 +148,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
                 dh,
                 rows,
                 (live_template, dropped_template),
-                sessions,
+                (sessions, ledger),
             )| BackendState {
                 base_seq,
                 at_ms,
@@ -114,6 +161,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
                 live_template,
                 dropped_template,
                 sessions,
+                ledger,
             },
         )
 }
@@ -166,6 +214,54 @@ proptest! {
         prop_assert_eq!(store.load_latest().unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// An image that predates the ledger is not an image of a collection with
+/// nothing to settle: the decoder refuses it, and recovery takes the next
+/// rung of the ladder — here the whole journal, which settles exactly like
+/// the backend that never stopped.
+#[test]
+fn an_image_without_its_ledger_is_refused_and_recovery_falls_back() {
+    let dir = tmp_dir("no-ledger");
+    let schema = Arc::new(Schema::new("T", text_columns(&["a"]), &["a"]).unwrap());
+    let scoring = Arc::new(crowdfill_model::Difference);
+    let config = TaskConfig::new(Arc::clone(&schema), scoring, Template::cardinality(4), 10.0);
+    let mut b = open(&config, &dir);
+    let (id, client_id, history) = b.connect(Millis(0));
+    let mut client = WorkerClient::new(id, client_id, schema, &history);
+    for (at, key) in [(10, "x"), (20, "y")] {
+        let table = client.replica().table();
+        let empty = table
+            .row_ids()
+            .filter(|r| table.get(*r).unwrap().value.is_empty());
+        let row = empty.min().expect("an empty row");
+        for out in client.fill(row, ColumnId(0), Value::text(key)).unwrap() {
+            b.submit(id, out.msg, Millis(at), out.auto_upvote).unwrap();
+        }
+    }
+    let base = b.checkpoint().unwrap();
+    let (_, _, twin) = b.settle();
+    assert_eq!(twin.per_message.len(), 2, "both fills are paid");
+
+    let encoded = encode_backend_state(&b.capture_state());
+    let Json::Obj(mut fields) = Json::parse(&encoded).unwrap() else {
+        panic!("an image is an object");
+    };
+    fields.remove("ledger");
+    let stripped = Json::Obj(fields).encode();
+    assert!(decode_backend_state(stripped.as_bytes()).is_none());
+    let store = SnapshotStore::open(dir.join("snapshots")).unwrap();
+    store.write(base, stripped.as_bytes()).unwrap();
+    drop(b);
+
+    let mut r = open(&config, &dir);
+    assert_eq!(r.history_base(), 0, "the refused image was passed over");
+    assert_eq!(r.history_len(), base);
+    let (_, _, payout) = r.settle();
+    assert_eq!(payout.per_message, twin.per_message);
+    assert_eq!(payout.per_worker, twin.per_worker);
+    assert_eq!(payout.unspent.to_bits(), twin.unspent.to_bits());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- the bootstrap a joiner is served (DESIGN.md §14.3) ---------------------

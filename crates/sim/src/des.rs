@@ -104,7 +104,7 @@ pub struct RunReport {
     pub estimates_corrected: std::collections::BTreeMap<WorkerId, f64>,
     /// Per-action estimate timeline (for earning-rate analyses).
     pub estimate_timeline: Vec<crowdfill_pay::ActionEstimate>,
-    /// The full trace (for re-allocation under other schemes).
+    /// The run's op log.
     pub trace: crowdfill_pay::Trace,
     pub schema: Arc<crowdfill_model::Schema>,
     pub split: crowdfill_pay::SplitConfig,
@@ -124,18 +124,12 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Re-settles the same trace under a different allocation scheme
-    /// (ignoring, as the paper does in §6, that workers might have behaved
-    /// differently under a different scheme).
+    /// Re-settles the same contributions under a different allocation
+    /// scheme (ignoring, as the paper does in §6, that workers might have
+    /// behaved differently under a different scheme).
     pub fn reallocate(&self, scheme: Scheme) -> crowdfill_pay::Payout {
-        crowdfill_pay::allocate(
-            scheme,
-            self.budget,
-            &self.trace,
-            &self.contributions,
-            &self.schema,
-            &self.split,
-        )
+        let c = &self.contributions;
+        crowdfill_pay::allocate(scheme, self.budget, c, &self.schema, &self.split)
     }
 }
 
@@ -329,14 +323,8 @@ pub fn run(cfg: SimConfig) -> RunReport {
             / final_table.len() as f64
     };
 
-    let mut actions_per_worker = std::collections::BTreeMap::new();
-    for e in backend.trace().entries() {
-        if let Some(w) = e.worker {
-            if !e.auto_upvote {
-                *actions_per_worker.entry(w).or_insert(0) += 1;
-            }
-        }
-    }
+    let sessions = backend.session_stats().into_iter().filter(|s| s.ops > 0);
+    let actions_per_worker = sessions.map(|s| (s.worker, s.ops as usize)).collect();
 
     let estimates_raw = backend.estimator().raw_totals();
     let estimates_corrected = backend.estimator().corrected_totals(&contributions);
@@ -374,7 +362,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
         estimates_raw,
         estimates_corrected,
         estimate_timeline,
-        trace: backend.trace().clone(),
+        trace: backend.into_trace(),
         schema,
         split,
         budget: cfg.budget,

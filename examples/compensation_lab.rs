@@ -64,8 +64,8 @@ fn main() {
     println!("\n=== Earning-rate instability (0 = perfectly steady) ===");
     println!("{:<10} {:>10} {:>10}", "worker", "uniform", "weighted");
     for w in report.payout.per_worker.keys() {
-        let curve_u = earning_curve(&uniform, &report.trace, *w);
-        let curve_d = earning_curve(&dual, &report.trace, *w);
+        let curve_u = earning_curve(&uniform, *w);
+        let curve_d = earning_curve(&dual, *w);
         println!(
             "{:<10} {:>10.3} {:>10.3}",
             w.to_string(),

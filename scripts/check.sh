@@ -104,6 +104,21 @@ if grep -n "Replica::new\|Replica::restore" crates/server/src/backend.rs; then
   echo "check.sh: a second replica in the backend; Backend::master() is the Central Client's" >&2
   exit 1
 fi
+# Settlement reads no log (DESIGN.md §14): the settlement `Ledger` folds
+# each op-log entry as it is logged and rides in the checkpoint, so
+# contribution analysis and allocation never name the trace, no product
+# code rebuilds row values, creators or filled cells from it (the batch
+# walk is the test oracle, `crates/pay/tests/support/oracle.rs`; the
+# benchmark's `crates/e2e` is left alone), and a log position has one
+# name, its history seq.
+non_test() { for f in "$@"; do sed '/#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done; }
+if non_test crates/pay/src/contrib.rs crates/pay/src/allocate.rs | grep -w "Trace" \
+  || non_test $(find crates -path '*/src/*' -name '*.rs' -not -path 'crates/e2e/*') \
+    | grep "row_values(\|creators(\|filled_cell(" \
+  || grep -rn "MsgIdx" crates src examples tests; then
+  echo "check.sh: settlement reads the op log; fold it into pay::Ledger" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace

@@ -105,7 +105,7 @@ pub mod prelude {
         Scoring, ScoringRef, Template, TemplateRow, Value,
     };
     pub use crowdfill_pay::{
-        allocate, analyze, earning_curve, earning_instability, mape, Estimator, Millis, Payout,
+        allocate, earning_curve, earning_instability, mape, Estimator, Ledger, Millis, Payout,
         Scheme, SplitConfig, Trace, WorkerId,
     };
     pub use crowdfill_server::{
