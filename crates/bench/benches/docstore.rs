@@ -1,8 +1,10 @@
-//! Document-store substrate benchmarks: JSON parse/encode, collection
-//! inserts and queries (scan vs index), and WAL append/replay throughput.
+//! Document-store substrate benchmarks: JSON parse/encode (and the tape
+//! parse of a late joiner's welcome), collection inserts and queries (scan
+//! vs index), and WAL append/replay throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowdfill_docstore::{Collection, DocStore, Filter, Json, Wal};
+use crowdfill_bench::workload::welcome_frame;
+use crowdfill_docstore::{Collection, DocStore, Filter, Json, Tape, Wal};
 
 fn doc(i: usize) -> Json {
     Json::obj([
@@ -21,6 +23,12 @@ fn bench_json(c: &mut Criterion) {
     group.bench_function("parse_50_docs", |b| {
         b.iter(|| black_box(Json::parse(&text).unwrap()))
     });
+    for rows in [32, 400] {
+        let welcome = welcome_frame(rows);
+        group.bench_function(format!("parse_welcome_{rows}"), |b| {
+            b.iter(|| black_box(Tape::parse(&welcome).unwrap()))
+        });
+    }
     group.finish();
 }
 

@@ -1,0 +1,75 @@
+//! `profile-join`: the client's share of a join, stage by stage, at a
+//! chosen table size (EXPERIMENTS.md §A17).
+//!
+//! `profile-join [--rows N]` (default: 32, 128, 400 and 3,200) builds the
+//! welcome a late joiner receives from a table of `N` rows, 7/8 of them
+//! complete (`workload::welcome_frame`), and times what the client does
+//! with the frame: parse it into a tape, decode the reply, replay the
+//! image into a fresh replica, and drop the tape, each as a median over
+//! repetitions, plus `ClientCore::welcomed`, which is all of them.
+
+use crowdfill_bench::workload::welcome_frame;
+use crowdfill_server::wire::{self, Reply};
+use crowdfill_server::{ClientCore, WorkerClient};
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Median of `reps` timings of `f`, in µs.
+fn median_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut samples: Vec<u128> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64 / 1e3
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let sizes: Vec<usize> = match args.iter().position(|a| a == "--rows") {
+        Some(at) => vec![args
+            .get(at + 1)
+            .and_then(|n| n.parse().ok())
+            .expect("--rows needs a count")],
+        None => vec![32, 128, 400, 3_200],
+    };
+    println!(
+        "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "rows", "bytes", "msgs", "parse_us", "decode_us", "replay_us", "drop_us", "welcomed_us"
+    );
+    for rows in sizes {
+        let reps = if rows > 1_000 { 15 } else { 101 };
+        let welcome = welcome_frame(rows);
+        let frame = welcome.as_bytes();
+        let parse = median_us(reps, || wire::parse_frame(frame).unwrap());
+        let tape = wire::parse_frame(frame).unwrap();
+        let decode = median_us(reps, || Reply::decode(&tape).unwrap());
+        let Ok(Reply::Welcome(_, worker, client, _, schema, image)) = Reply::decode(&tape) else {
+            unreachable!("a welcome decodes as one")
+        };
+        let history = image.into_messages().unwrap();
+        let replay = median_us(reps, || {
+            WorkerClient::new(worker, client, Arc::clone(&schema), &history)
+        });
+        let mut drops: Vec<u128> = (0..reps)
+            .map(|_| {
+                let tape = black_box(wire::parse_frame(frame).unwrap());
+                let t = Instant::now();
+                drop(tape);
+                t.elapsed().as_nanos()
+            })
+            .collect();
+        drops.sort_unstable();
+        let drop_us = drops[reps / 2] as f64 / 1e3;
+        let welcomed = median_us(reps, || ClientCore::welcomed(frame, None, None).unwrap());
+        println!(
+            "{rows:>6} {:>9} {:>6} {parse:>9.1} {decode:>9.1} {replay:>9.1} {drop_us:>9.1} {welcomed:>10.1}",
+            frame.len(),
+            history.len()
+        );
+    }
+}

@@ -1,15 +1,17 @@
 //! Deterministic workloads for the throughput benches: a recorded op
 //! stream replayable through either the singleton or the batched backend
 //! apply path, synthetic many-component bipartite graphs for the matcher,
-//! and a fill script for a Central Client on its own.
+//! a fill script for a Central Client on its own, and the welcome a late
+//! joiner receives.
 
 use crowdfill_constraints::PriMaintainer;
 use crowdfill_matching::IncrementalMatcher;
 use crowdfill_model::{
-    ClientId, Column, ColumnId, DataType, Message, Operation, QuorumMajority, RowId, Schema,
-    Template, Value,
+    ClientId, Column, ColumnId, DataType, Message, Operation, QuorumMajority, RowId, RowValue,
+    Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_server::wire::{Image, Reply};
 use crowdfill_server::{Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
 use crowdfill_sync::{AppliedSeqs, Replica};
 use std::sync::Arc;
@@ -40,6 +42,35 @@ pub fn pipeline_config(rows: usize) -> TaskConfig {
         Template::cardinality(rows),
         rows as f64,
     )
+}
+
+/// The welcome frame a late joiner receives from a [`pipeline_schema`]
+/// table of `rows` rows whose first 7/8 are complete with one upvote each:
+/// the state image of DESIGN.md §14.3 — the upvotes, then the live rows as
+/// self-replaces and inserts — escape-free, as the benchmark's tables are.
+pub fn welcome_frame(rows: usize) -> String {
+    let filled = rows * 7 / 8;
+    let value = |r: usize| {
+        let cells = [format!("key-{r}"), format!("b-{r}"), format!("c-{r}")];
+        let cells = cells.into_iter().enumerate();
+        RowValue::from_pairs(cells.map(|(c, v)| (ColumnId(c as u16), Value::text(v))))
+    };
+    let id = |r: usize| RowId::new(ClientId(1 + (r % 4) as u32), r as u64);
+    let upvotes = (0..filled).map(|r| Message::Upvote { value: value(r) });
+    let live = (0..rows).map(|r| match r < filled {
+        true => Message::Replace {
+            old: id(r),
+            new: id(r),
+            value: value(r),
+        },
+        false => Message::Insert { row: id(r) },
+    });
+    let image: Vec<Message> = upvotes.chain(live).collect();
+    let history_len = image.len() as u64;
+    let (worker, client) = (WorkerId(5), ClientId(9));
+    let schema = pipeline_schema();
+    let image = Image::Messages(image);
+    Reply::Welcome("default".into(), worker, client, history_len, schema, image).encode()
 }
 
 struct Driver {

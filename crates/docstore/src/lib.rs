@@ -27,7 +27,7 @@ pub mod wal;
 
 pub use collection::{Collection, Filter, StoreError};
 pub use disk::{Disk, DiskFile, FaultPlan, FaultState, FaultyDisk, RealDisk};
-pub use json::{Json, JsonError, JsonNode, JsonRef};
+pub use json::{Json, JsonDoc, JsonError, JsonNode, JsonRef, Tape, TapeNode};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use store::DocStore;
 pub use wal::{crc32, FsyncPolicy, Wal};

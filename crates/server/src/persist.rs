@@ -32,7 +32,9 @@
 use crate::backend::Backend;
 use crate::config::TaskConfig;
 use crate::wire;
-use crowdfill_docstore::{Disk, FsyncPolicy, Json, JsonRef, RealDisk, SnapshotStore, Wal};
+use crowdfill_docstore::{
+    Disk, FsyncPolicy, Json, JsonNode, RealDisk, SnapshotStore, Tape, TapeNode, Wal,
+};
 use crowdfill_model::{ClientId, ColumnId, Message, RowId, RowValue, Schema};
 use crowdfill_pay::{FirstFill, Ledger, Millis, TraceEntry, Unit, Vote, WorkerId};
 use crowdfill_sync::{Replica, VoteHistory};
@@ -252,7 +254,7 @@ fn num(n: u64) -> Json {
     Json::num(n as f64)
 }
 
-fn int(j: &JsonRef) -> Option<u64> {
+fn int(j: TapeNode) -> Option<u64> {
     u64::try_from(j.as_i64()?).ok()
 }
 
@@ -264,16 +266,16 @@ fn unit_to_json(u: Option<&Unit>) -> Json {
     Json::Arr(vec![seq, worker, at, latency])
 }
 
-fn unit_from_json(j: &JsonRef) -> Option<Option<Unit>> {
-    let JsonRef::Arr(u) = j else {
-        return matches!(j, JsonRef::Null).then_some(None);
-    };
-    let latency = match u.get(3)? {
-        JsonRef::Null => None,
+fn unit_from_json(j: TapeNode) -> Option<Option<Unit>> {
+    if j.is_null() {
+        return Some(None);
+    }
+    let latency = match j.at(3)? {
+        l if l.is_null() => None,
         l => Some(Millis(int(l)?)),
     };
-    let (seq, at) = (int(u.first()?)?, Millis(int(u.get(2)?)?));
-    let worker = WorkerId(int(u.get(1)?)? as u32);
+    let (seq, at) = (int(j.at(0)?)?, Millis(int(j.at(2)?)?));
+    let worker = WorkerId(int(j.at(1)?)? as u32);
     Some(Some(Unit {
         seq,
         worker,
@@ -317,13 +319,13 @@ fn ledger_to_json(l: &Ledger) -> Json {
     ])
 }
 
-fn ledger_from_json(j: &JsonRef) -> Option<Ledger> {
-    let each = |key: &str| j.get(key)?.as_arr();
+fn ledger_from_json(j: TapeNode) -> Option<Ledger> {
+    let each = |key: &str| j.get(key)?.items();
     let col = |c| Some(ColumnId(int(c)? as u16));
     let worker = |w| Some(WorkerId(int(w)? as u32));
     let mut ledger = Ledger::default();
     for e in each("cells")? {
-        let fills = e.at(1)?.as_arr()?.iter();
+        let fills = e.at(1)?.items()?;
         let fills = fills.map(|f| Some((col(f.at(0)?)?, unit_from_json(f.at(1)?)??)));
         let row = wire::row_id_from_json(e.at(0)?).ok()?;
         ledger.cells.insert(row, fills.collect::<Option<_>>()?);
@@ -335,11 +337,11 @@ fn ledger_from_json(j: &JsonRef) -> Option<Ledger> {
         ledger.first.insert(key, FirstFill { at, unit, row });
     }
     for e in each("votes")? {
-        let vote = |x: &JsonRef| {
+        let vote = |x: TapeNode| {
             let (unit, auto) = (unit_from_json(x.at(0)?)??, x.at(1)?.as_bool()?);
             Some(Vote { unit, auto })
         };
-        let live = e.at(3)?.as_arr()?.iter().map(vote);
+        let live = e.at(3)?.items()?.map(vote);
         let value = wire::row_value_from_json(e.at(2)?).ok()?;
         let key = (worker(e.at(0)?)?, e.at(1)?.as_bool()?, value);
         ledger.votes.insert(key, live.collect::<Option<_>>()?);
@@ -352,66 +354,58 @@ fn ledger_from_json(j: &JsonRef) -> Option<Ledger> {
     Some(ledger)
 }
 
-/// Decodes a snapshot payload, borrowed (one parse, no owned tree).
+/// Decodes a snapshot payload from its tape (one parse, no owned tree).
 /// `None` on any structural mismatch — an image without its ledger
 /// included, which must not settle as if nothing had happened before it —
 /// and the recovery driver then degrades to the next-older snapshot's
 /// semantics (fresh backend + full journal replay).
 pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
     let text = std::str::from_utf8(payload).ok()?;
-    let json = JsonRef::parse(text).ok()?;
+    let tape = Tape::parse(text).ok()?;
+    let json = tape.root();
     if json.get("v")?.as_f64()? != STATE_VERSION {
         return None;
     }
     let votes = |key: &str| -> Option<Vec<(RowValue, u32)>> {
         json.get(key)?
-            .as_arr()?
-            .iter()
+            .items()?
             .map(|pair| {
-                let pair = pair.as_arr()?;
-                let v = wire::row_value_from_json(pair.first()?).ok()?;
-                let n = pair.get(1)?.as_i64()? as u32;
+                let v = wire::row_value_from_json(pair.at(0)?).ok()?;
+                let n = pair.at(1)?.as_i64()? as u32;
                 Some((v, n))
             })
             .collect()
     };
     let indexes = |key: &str| -> Option<Vec<usize>> {
         json.get(key)?
-            .as_arr()?
-            .iter()
+            .items()?
             .map(|i| Some(i.as_i64()? as usize))
             .collect()
     };
     let rows: Vec<(RowId, RowValue)> = json
         .get("rows")?
-        .as_arr()?
-        .iter()
+        .items()?
         .map(|pair| {
-            let pair = pair.as_arr()?;
-            let id = wire::row_id_from_json(pair.first()?).ok()?;
-            let v = wire::row_value_from_json(pair.get(1)?).ok()?;
+            let id = wire::row_id_from_json(pair.at(0)?).ok()?;
+            let v = wire::row_value_from_json(pair.at(1)?).ok()?;
             Some((id, v))
         })
         .collect::<Option<_>>()?;
     let sessions: Vec<SessionState> = json
         .get("sessions")?
-        .as_arr()?
-        .iter()
+        .items()?
         .map(|s| {
             let voted: Vec<(RowValue, bool)> = s
                 .get("voted")?
-                .as_arr()?
-                .iter()
+                .items()?
                 .map(|pair| {
-                    let pair = pair.as_arr()?;
-                    let v = wire::row_value_from_json(pair.first()?).ok()?;
-                    Some((v, pair.get(1)?.as_i64()? != 0))
+                    let v = wire::row_value_from_json(pair.at(0)?).ok()?;
+                    Some((v, pair.at(1)?.as_i64()? != 0))
                 })
                 .collect::<Option<_>>()?;
             let upvoted_keys: Vec<RowValue> = s
                 .get("keys")?
-                .as_arr()?
-                .iter()
+                .items()?
                 .map(|v| wire::row_value_from_json(v).ok())
                 .collect::<Option<_>>()?;
             Some(SessionState {
@@ -496,56 +490,48 @@ pub(crate) fn encode_journal_closed(at: u64) -> String {
 /// messages still replay correctly.
 pub fn decode_journal_record(payload: &[u8]) -> Option<JournalRecord> {
     let text = std::str::from_utf8(payload).ok()?;
-    let json = Json::parse(text).ok()?;
+    let tape = Tape::parse(text).ok()?;
+    let json = tape.root();
+    let at = || json.get("at").and_then(TapeNode::as_i64).unwrap_or(0) as u64;
     if let Some(s) = json.get("session") {
         return Some(JournalRecord::Session {
             worker: s.get("worker")?.as_i64()? as u32,
             client: s.get("client")?.as_i64()? as u32,
-            at: s.get("at").and_then(Json::as_i64).unwrap_or(0) as u64,
+            at: s.get("at").and_then(TapeNode::as_i64).unwrap_or(0) as u64,
         });
     }
-    if json.get("closed").and_then(Json::as_bool) == Some(true) {
-        return Some(JournalRecord::Closed {
-            at: json.get("at").and_then(Json::as_i64).unwrap_or(0) as u64,
-        });
+    if json.get("closed").and_then(TapeNode::as_bool) == Some(true) {
+        return Some(JournalRecord::Closed { at: at() });
     }
     let from = json.get("from")?.as_i64()? as u64;
-    let msgs = json.get("msgs")?.as_arr()?;
-    let at = json.get("at").and_then(Json::as_i64).unwrap_or(0) as u64;
-    let workers = json.get("workers").and_then(Json::as_arr);
-    let auto = json.get("auto").and_then(Json::as_arr);
+    let msgs = json.get("msgs")?.items()?;
+    // A short or absent attribution column reads as 0 past its end.
+    let column = |key| {
+        json.get(key)
+            .and_then(TapeNode::items)
+            .into_iter()
+            .flatten()
+    };
+    let (mut workers, mut autos) = (column("workers"), column("auto"));
     let mut entries = Vec::with_capacity(msgs.len());
-    for (i, m) in msgs.iter().enumerate() {
+    for (i, m) in msgs.enumerate() {
         let msg = wire::message_from_json(m).ok()?;
-        let worker = workers
-            .and_then(|w| w.get(i))
-            .and_then(Json::as_i64)
-            .unwrap_or(0) as u32;
-        let auto_flag = auto
-            .and_then(|a| a.get(i))
-            .and_then(Json::as_i64)
-            .unwrap_or(0)
-            != 0;
+        let worker = workers.next().and_then(TapeNode::as_i64).unwrap_or(0) as u32;
+        let auto = autos.next().and_then(TapeNode::as_i64).unwrap_or(0) != 0;
         entries.push(JournalEntry {
             seq: from + i as u64,
             msg,
             worker,
-            auto: auto_flag,
+            auto,
         });
     }
-    let tdrops = json
-        .get("tdrops")
-        .and_then(Json::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(Json::as_i64)
-                .map(|n| n as usize)
-                .collect()
-        })
-        .unwrap_or_default();
+    let tdrops = column("tdrops")
+        .filter_map(TapeNode::as_i64)
+        .map(|n| n as usize)
+        .collect();
     Some(JournalRecord::Frame(JournalFrame {
         from,
-        at,
+        at: at(),
         entries,
         tdrops,
     }))

@@ -300,7 +300,8 @@ impl Owned {
 /// that owns any also the listener; returns the join handles and one wake
 /// queue per shard (`stop` wakes them all). Each shard costs two
 /// descriptors, created here so that running out of them fails the start
-/// instead of a thread.
+/// instead of a thread. A start that fails part-way stops and joins the
+/// shards it had spawned before it returns the error.
 pub(crate) fn start_shards(
     owned: Vec<Vec<(Arc<Collection>, BatchPipeline)>>,
     listener: TcpServer,
@@ -333,7 +334,9 @@ pub(crate) fn start_shards(
         let mut timers = BinaryHeap::new();
         let acceptor = acceptor.take_if(|_| !owned.is_empty());
         if let Some(acceptor) = &acceptor {
-            poller.register(&acceptor.listener, LISTEN_TOKEN, Interest::READ)?;
+            poller
+                .register(&acceptor.listener, LISTEN_TOKEN, Interest::READ)
+                .map_err(|e| stop_spawned(&shared, &wakes, &mut handles, e))?;
             timers.extend(telemetry.map(|_| Reverse((now, Due::Sample))));
         }
         if !owned.is_empty() {
@@ -370,13 +373,42 @@ pub(crate) fn start_shards(
                 "crowdfill_reactor_shard_{index}_conn_visits"
             )),
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("crowdfill-shard-{index}"))
-            .spawn(move || shard.run())?;
+        let handle =
+            spawn_shard(shard).map_err(|e| stop_spawned(&shared, &wakes, &mut handles, e))?;
         handles.push(handle);
     }
     crowdfill_obs::obs_info!("server", "reactor started with {n} shards");
     Ok((handles, wakes))
+}
+
+/// Starts a shard's thread.
+fn spawn_shard(shard: Shard) -> std::io::Result<std::thread::JoinHandle<()>> {
+    #[cfg(test)]
+    if tests::FAIL_SPAWN.with(|at| at.get() == Some(shard.index)) {
+        return Err(std::io::Error::other("shard spawn failed (injected)"));
+    }
+    std::thread::Builder::new()
+        .name(format!("crowdfill-shard-{}", shard.index))
+        .spawn(move || shard.run())
+}
+
+/// Undoes a start that failed part-way, the way `TcpService::stop` stops
+/// a running one: raise the flag, wake the shards already spawned, join
+/// them. Returns the error.
+fn stop_spawned(
+    shared: &ServiceShared,
+    wakes: &[ShardWake],
+    handles: &mut Vec<std::thread::JoinHandle<()>>,
+    e: std::io::Error,
+) -> std::io::Error {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    for wake in wakes {
+        wake.wake();
+    }
+    for handle in handles.drain(..) {
+        let _ = handle.join();
+    }
+    e
 }
 
 /// Post-handshake connection state.
@@ -1285,6 +1317,52 @@ fn serve_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, ServiceOptions, TaskConfig, TcpService};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The shard whose spawn fails, for starts on this thread.
+        pub(super) static FAIL_SPAWN: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    fn shard_threads() -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm"));
+        let names = tasks.filter_map(|t| comm(t.ok()?).ok());
+        names.filter(|n| n.starts_with("crowdfill-shard")).count()
+    }
+
+    /// Stop means stopped, for a start that fails too: the shards spawned
+    /// before the one that failed are stopped and joined, not leaked.
+    #[test]
+    fn a_start_that_fails_part_way_leaves_no_shard_running() {
+        if !std::path::Path::new("/proc/self/task").exists() {
+            return; // thread accounting needs procfs
+        }
+        let schema = crowdfill_model::Schema::new(
+            "T",
+            vec![crowdfill_model::Column::new(
+                "a",
+                crowdfill_model::DataType::Text,
+            )],
+            &["a"],
+        );
+        let scoring = std::sync::Arc::new(crowdfill_model::QuorumMajority::of_three());
+        let template = crowdfill_model::Template::cardinality(1);
+        let config = TaskConfig::new(std::sync::Arc::new(schema.unwrap()), scoring, template, 1.0);
+        let mut options = ServiceOptions::default();
+        options.reactor.shards = 4;
+        FAIL_SPAWN.with(|at| at.set(Some(3)));
+        let started = TcpService::start_with(Backend::new(config), "127.0.0.1:0", options);
+        FAIL_SPAWN.with(|at| at.set(None));
+        assert!(
+            started.is_err(),
+            "the injected spawn failure fails the start"
+        );
+        // A leaked shard names itself as its first act: give it the beat.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(shard_threads(), 0, "a shard outlived the failed start");
+    }
 
     /// The accept back-off on its own: 10, 20, 40 ms … capped at 1 s; a
     /// success starts over from the base.

@@ -52,13 +52,15 @@
 //! strictly: the server sends every field, always. `"trace"` is read only
 //! while tracing is on.
 //!
-//! The decoders are generic over [`JsonNode`]: both ends of the socket
-//! decode frames borrowed (`JsonRef`, one parse per frame), recovery and
-//! the stores decode owned [`Json`] — one function body either way, so
-//! every replica reads the same message out of the same bytes.
+//! The decoders are generic over [`JsonNode`], a `Copy` handle: both ends
+//! of the socket and recovery decode a frame's [`Tape`] (one parse per
+//! frame, O(1) allocations), the stores decode owned [`Json`] — one
+//! function body either way, so every replica reads the same message out
+//! of the same bytes. A whole frame decodes from a [`JsonDoc`], the
+//! document whose root is the handle.
 
 use crate::health::HealthReport;
-use crowdfill_docstore::{Json, JsonNode, JsonRef};
+use crowdfill_docstore::{Json, JsonDoc, JsonNode, Tape};
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Date, Entry, Message, Predicate, RowId, RowValue, Schema,
     Template, TemplateRow, Value,
@@ -90,41 +92,47 @@ impl std::error::Error for WireError {}
 
 type Result<T> = std::result::Result<T, WireError>;
 
-fn field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a J> {
+fn field<'t, J: JsonNode<'t>>(j: J, name: &str) -> Result<J> {
     j.get(name)
         .ok_or_else(|| WireError::new(format!("missing field {name:?}")))
 }
 
 /// Field `name` read as a `T`, which the error calls `what`.
-fn typed<'a, J: JsonNode, T>(
-    j: &'a J,
+fn typed<'t, J: JsonNode<'t>, T>(
+    j: J,
     name: &str,
     what: &str,
-    read: impl FnOnce(&'a J) -> Option<T>,
+    read: impl FnOnce(J) -> Option<T>,
 ) -> Result<T> {
     read(field(j, name)?).ok_or_else(|| WireError::new(format!("field {name:?} must be {what}")))
 }
 
-fn str_field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a str> {
+fn str_field<'t, J: JsonNode<'t>>(j: J, name: &str) -> Result<&'t str> {
     typed(j, name, "a string", J::as_str)
 }
 
-fn u64_field<J: JsonNode>(j: &J, name: &str) -> Result<u64> {
-    typed(j, name, "a non-negative integer", |v| {
-        u64::try_from(v.as_i64()?).ok()
-    })
+/// A seq, an id or a count: an integer in `0..2^63`.
+fn u64_of<'t, J: JsonNode<'t>>(v: J) -> Option<u64> {
+    u64::try_from(v.as_i64()?).ok()
 }
 
-fn u32_field<J: JsonNode>(j: &J, name: &str) -> Result<u32> {
+fn u64_field<'t, J: JsonNode<'t>>(j: J, name: &str) -> Result<u64> {
+    typed(j, name, "a non-negative integer", u64_of)
+}
+
+fn u32_field<'t, J: JsonNode<'t>>(j: J, name: &str) -> Result<u32> {
     typed(j, name, "a 32-bit id", |v| u32::try_from(v.as_i64()?).ok())
 }
 
-fn arr_field<'a, J: JsonNode>(j: &'a J, name: &str) -> Result<&'a [J]> {
-    typed(j, name, "an array", J::as_arr)
+fn arr_field<'t, J: JsonNode<'t>>(
+    j: J,
+    name: &str,
+) -> Result<impl ExactSizeIterator<Item = J> + use<'t, J>> {
+    typed(j, name, "an array", J::items)
 }
 
 /// An optional boolean of a request: absent (or not a boolean) is `false`.
-fn flag<J: JsonNode>(j: &J, name: &str) -> bool {
+fn flag<'t, J: JsonNode<'t>>(j: J, name: &str) -> bool {
     j.get(name).and_then(J::as_bool).unwrap_or(false)
 }
 
@@ -140,7 +148,7 @@ pub fn value_to_json(v: &Value) -> Json {
     }
 }
 
-pub fn value_from_json<J: JsonNode>(j: &J) -> Result<Value> {
+pub fn value_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Value> {
     let t = str_field(j, "t")?;
     let v = field(j, "v")?;
     match t {
@@ -179,7 +187,7 @@ pub fn row_id_to_json(id: RowId) -> Json {
     ])
 }
 
-pub fn row_id_from_json<J: JsonNode>(j: &J) -> Result<RowId> {
+pub fn row_id_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<RowId> {
     Ok(RowId::new(
         ClientId(u64_field(j, "c")? as u32),
         u64_field(j, "s")?,
@@ -196,9 +204,9 @@ pub fn row_value_to_json(rv: &RowValue) -> Json {
     )
 }
 
-pub fn row_value_from_json<J: JsonNode>(j: &J) -> Result<RowValue> {
+pub fn row_value_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<RowValue> {
     let arr = j
-        .as_arr()
+        .items()
         .ok_or_else(|| WireError::new("row value must be an array"))?;
     let mut pairs = Vec::with_capacity(arr.len());
     for item in arr {
@@ -230,7 +238,7 @@ pub fn message_to_json(m: &Message) -> Json {
     }
 }
 
-pub fn message_from_json<J: JsonNode>(j: &J) -> Result<Message> {
+pub fn message_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Message> {
     let value = || row_value_from_json(field(j, "value")?);
     match str_field(j, "kind")? {
         "insert" => Ok(Message::Insert {
@@ -257,7 +265,7 @@ pub use self::message_from_json as message_from_json_ref;
 /// A frame's or broadcast entry's trace context: an optional `"trace"`
 /// field carrying the id in hex. Only consulted when tracing is on, so the
 /// disabled path pays one branch.
-fn trace_id_from_json<J: JsonNode>(j: &J) -> TraceId {
+fn trace_id_from_json<'t, J: JsonNode<'t>>(j: J) -> TraceId {
     if !obstrace::enabled() {
         return TraceId::NONE;
     }
@@ -289,12 +297,12 @@ fn num(n: u64) -> Json {
     Json::num(n as f64)
 }
 
-/// Parses one received frame, borrowed. Bytes that are not UTF-8 are
-/// malformed exactly like text that is not JSON: nothing either end
-/// applies, journals or broadcasts is a rewrite of what it was sent.
-pub fn parse_frame(frame: &[u8]) -> Result<JsonRef<'_>> {
+/// Parses one received frame into its tape, borrowed. Bytes that are not
+/// UTF-8 are malformed exactly like text that is not JSON: nothing either
+/// end applies, journals or broadcasts is a rewrite of what it was sent.
+pub fn parse_frame(frame: &[u8]) -> Result<Tape<'_>> {
     let text = std::str::from_utf8(frame).map_err(|e| WireError::new(e.to_string()))?;
-    JsonRef::parse(text).map_err(|e| WireError::new(e.to_string()))
+    Tape::parse(text).map_err(|e| WireError::new(e.to_string()))
 }
 
 /// Where a replica stands in the server's history, as a `resume` or `sync`
@@ -312,12 +320,11 @@ impl Cursor {
         vec![("from", num(self.from)), ("have", Json::Arr(have))]
     }
 
-    fn decode<J: JsonNode>(j: &J) -> Cursor {
-        let seq = |v: &J| v.as_i64().and_then(|v| u64::try_from(v).ok());
-        let have = j.get("have").and_then(J::as_arr).unwrap_or(&[]);
+    fn decode<'t, J: JsonNode<'t>>(j: J) -> Cursor {
+        let have = j.get("have").and_then(J::items).into_iter().flatten();
         Cursor {
-            from: j.get("from").and_then(seq).unwrap_or(0),
-            have: have.iter().filter_map(seq).collect(),
+            from: j.get("from").and_then(u64_of).unwrap_or(0),
+            have: have.filter_map(u64_of).collect(),
         }
     }
 }
@@ -330,7 +337,7 @@ fn op_fields((msg, auto): &Op) -> Fields {
     vec![("auto", Json::Bool(*auto)), ("msg", message_to_json(msg))]
 }
 
-fn op_from_json<J: JsonNode>(j: &J) -> Result<Op> {
+fn op_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Op> {
     Ok((message_from_json(field(j, "msg")?)?, flag(j, "auto")))
 }
 
@@ -397,8 +404,10 @@ impl Request {
         json.encode()
     }
 
-    pub fn decode<J: JsonNode>(j: &J) -> Result<Request> {
-        let collection = j.get("collection").and_then(J::as_str).map(str::to_string);
+    pub fn decode<D: JsonDoc>(doc: &D) -> Result<Request> {
+        let j = doc.root();
+        let collection = j.get("collection").and_then(JsonNode::as_str);
+        let collection = collection.map(str::to_string);
         let trace = trace_id_from_json(j);
         Ok(match str_field(j, "type")? {
             "hello" => Request::Hello(collection),
@@ -409,7 +418,7 @@ impl Request {
             ),
             "submit" => Request::Submit(op_from_json(j)?, flag(j, "speculative"), trace),
             "modify" => {
-                let bundle = arr_field(j, "msgs")?.iter().map(op_from_json);
+                let bundle = arr_field(j, "msgs")?.map(op_from_json);
                 Request::Modify(bundle.collect::<Result<_>>()?, trace)
             }
             "sync" => Request::Sync(Cursor::decode(j)),
@@ -438,7 +447,7 @@ fn entry_fields(seq: u64, msg: &Message, trace: TraceId) -> Fields {
     fields.into_iter().chain(trace_field(trace)).collect()
 }
 
-fn entry_from_json<J: JsonNode>(j: &J) -> Result<SeqMsg> {
+fn entry_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<SeqMsg> {
     Ok(SeqMsg {
         seq: u64_field(j, "seq")?,
         msg: message_from_json(field(j, "msg")?)?,
@@ -468,19 +477,21 @@ impl Image<'_> {
         }
     }
 
-    fn decode<J: JsonNode>(j: &J) -> Result<Image<'static>> {
+    fn decode<'t, J: JsonNode<'t>>(j: J) -> Result<Image<'static>> {
         let msgs = j
-            .as_arr()
+            .items()
             .ok_or_else(|| WireError::new("an image must be an array"))?;
         Ok(Image::Messages(
-            msgs.iter().map(message_from_json).collect::<Result<_>>()?,
+            msgs.map(message_from_json).collect::<Result<_>>()?,
         ))
     }
 
     pub fn into_messages(self) -> Result<Vec<Message>> {
         match self {
             Image::Messages(msgs) => Ok(msgs),
-            Image::Text(text) => Image::decode(&parse_frame(text.as_bytes())?)?.into_messages(),
+            Image::Text(text) => {
+                Image::decode(parse_frame(text.as_bytes())?.root())?.into_messages()
+            }
         }
     }
 }
@@ -515,12 +526,12 @@ impl CatchUp<'_> {
         }
     }
 
-    fn decode<J: JsonNode>(j: &J) -> Result<CatchUp<'static>> {
+    fn decode<'t, J: JsonNode<'t>>(j: J) -> Result<CatchUp<'static>> {
         if flag(j, "reset") {
             return Ok(CatchUp::Image(Image::decode(field(j, "history")?)?));
         }
-        let entry = |e: &J| entry_from_json(e).map(|e| (e.seq, e.msg));
-        let msgs = arr_field(j, "msgs")?.iter().map(entry);
+        let entry = |e| entry_from_json(e).map(|e| (e.seq, e.msg));
+        let msgs = arr_field(j, "msgs")?.map(entry);
         Ok(CatchUp::Suffix(msgs.collect::<Result<_>>()?))
     }
 }
@@ -621,7 +632,8 @@ impl Reply<'_> {
         json.encode()
     }
 
-    pub fn decode<J: JsonNode>(j: &J) -> Result<Reply<'static>> {
+    pub fn decode<D: JsonDoc>(doc: &D) -> Result<Reply<'static>> {
+        let j = doc.root();
         let text = |name: &str| str_field(j, name).map(str::to_string);
         let history_len = || u64_field(j, "history_len");
         let trace = trace_id_from_json(j);
@@ -647,28 +659,26 @@ impl Reply<'_> {
                 )
             }
             "synced" => Reply::Synced(history_len()?, CatchUp::decode(j)?),
-            "ack" => {
-                let seq = |s: &J| s.as_i64().and_then(|s| u64::try_from(s).ok());
-                let seqs = |seqs: &J| seqs.as_arr()?.iter().map(seq).collect();
-                Reply::Ack(
-                    typed(j, "estimate", "a number", J::as_f64)?,
-                    typed(j, "fulfilled", "a boolean", J::as_bool)?,
-                    typed(j, "seqs", "an array of seqs", seqs)?,
-                    trace,
-                )
-            }
+            "ack" => Reply::Ack(
+                typed(j, "estimate", "a number", JsonNode::as_f64)?,
+                typed(j, "fulfilled", "a boolean", JsonNode::as_bool)?,
+                typed(j, "seqs", "an array of seqs", |seqs| {
+                    seqs.items()?.map(u64_of).collect()
+                })?,
+                trace,
+            ),
             "reject" => Reply::Reject(text("reason")?, trace),
             "overloaded" => Reply::Overloaded(u64_field(j, "retry_after_ms")?, trace),
             "lagging" => Reply::Lagging,
             "stats" => Reply::Stats(text("snapshot")?),
             "health" => {
-                let report = |r: &J| HealthReport::from_json(&r.to_json()).map(Box::new);
+                let report = |r: D::Root<'_>| HealthReport::from_json(&r.to_json()).map(Box::new);
                 Reply::Health(typed(j, "report", "a health report", report)?)
             }
             "trace_dump" => Reply::TraceDump(text("events")?),
             "msg" => Reply::Msg(entry_from_json(j)?),
             "batch" => {
-                let entries = arr_field(j, "msgs")?.iter().map(entry_from_json);
+                let entries = arr_field(j, "msgs")?.map(entry_from_json);
                 Reply::Batch(entries.collect::<Result<_>>()?)
             }
             other => return Err(WireError::new(format!("unknown reply type {other:?}"))),
@@ -802,7 +812,6 @@ pub fn schema_from_json(j: &Json) -> Result<Schema> {
         columns.push(col);
     }
     let key: Vec<&str> = arr_field(j, "key")?
-        .iter()
         .map(|k| {
             k.as_str()
                 .ok_or_else(|| WireError::new("key entries must be strings"))
@@ -848,7 +857,6 @@ fn predicate_from_json(j: &Json) -> Result<Predicate> {
         )),
         "in" => {
             let set = arr_field(j, "set")?
-                .iter()
                 .map(value_from_json)
                 .collect::<Result<Vec<_>>>()?;
             Ok(Predicate::In(set))
@@ -910,7 +918,6 @@ pub fn template_from_json(j: &Json) -> Result<Template> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdfill_docstore::JsonRef;
 
     fn roundtrip_value(v: Value) {
         let j = value_to_json(&v);
@@ -954,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_message_decode_matches_owned() {
+    fn tape_message_decode_matches_owned() {
         let rv = RowValue::from_pairs([
             (ColumnId(0), Value::text("Pelé \"O Rei\"")),
             (ColumnId(1), Value::int(77)),
@@ -979,9 +986,9 @@ mod tests {
         for m in msgs {
             let encoded = message_to_json(&m).encode();
             let owned = message_from_json(&Json::parse(&encoded).unwrap()).unwrap();
-            let borrowed = message_from_json(&JsonRef::parse(&encoded).unwrap()).unwrap();
-            assert_eq!(borrowed, m);
-            assert_eq!(borrowed, owned);
+            let tape = message_from_json(Tape::parse(&encoded).unwrap().root()).unwrap();
+            assert_eq!(tape, m);
+            assert_eq!(tape, owned);
         }
     }
 

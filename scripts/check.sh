@@ -119,6 +119,14 @@ if non_test crates/pay/src/contrib.rs crates/pay/src/allocate.rs | grep -w "Trac
   echo "check.sh: settlement reads the op log; fold it into pay::Ledger" >&2
   exit 1
 fi
+# One JSON grammar (DESIGN.md §12): the parser writes a tape and every
+# decoder reads it through `JsonNode` handles; there is no borrowed tree
+# with a grammar of its own, and the server never builds one.
+if grep -rn "fn value_ref\|fn object_ref\|fn array_ref" crates/docstore/src \
+  || grep -rn "JsonRef::parse" crates/server/src; then
+  echo "check.sh: a second JSON grammar or a tree parse on the server; parse into a docstore::Tape" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
