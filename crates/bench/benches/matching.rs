@@ -7,17 +7,19 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowdfill_matching::{hopcroft_karp, IncrementalMatcher};
 
-/// A random-ish bipartite graph: `t` templates, `p` probable rows, each
-/// template adjacent to ~p/4 rows (deterministic hash pattern).
+/// A random-ish bipartite graph: `t` templates, each its own class, and `p`
+/// probable rows, each template adjacent to ~p/4 rows (deterministic hash
+/// pattern).
 fn build(t: usize, p: usize) -> IncrementalMatcher<usize, usize> {
     let mut m = IncrementalMatcher::new();
     for left in 0..t {
-        m.add_left(left);
-        for right in 0..p {
-            if (left * 7 + right * 13) % 4 == 0 {
-                m.add_edge(left, right);
-            }
-        }
+        m.add_left(left, left);
+    }
+    for right in 0..p {
+        m.add_right(
+            right,
+            (0..t).filter(|left| (left * 7 + right * 13) % 4 == 0),
+        );
     }
     m.repair();
     m

@@ -207,9 +207,9 @@ fn sync_suite(quick: bool) -> Vec<Entry> {
 /// The matching layer on its own. `repair/*` builds a many-component graph
 /// and augments every left once (ns per augmenting start). `pri_on_message/*`
 /// is what one worker fill costs a Central Client over a cardinality
-/// template — a complete bipartite PRI graph, the matcher's worst case — at
-/// four table sizes, so a cost that is not linear in the table shows up as a
-/// step between neighbouring rows; `pri_new/*` is one Central Client build.
+/// template — N equal rows, one matcher class — at four table sizes, so a
+/// cost that grows with the table shows up as a step between neighbouring
+/// rows; `pri_new/*` is one Central Client build.
 fn matching_suite(quick: bool) -> Vec<Entry> {
     const FILLS: usize = 40;
     let (configs, tables, reps): (&[(usize, usize)], &[usize], usize) = if quick {

@@ -8,8 +8,10 @@
 //! progressively larger slices of the apply path: bare replica processing,
 //! the Central Client's classification update, PRI maintenance, and the
 //! full backend, whose fill and vote apply are reported as their own
-//! per-op medians. The batch classification, the fulfillment check and
-//! `Backend::new` are timed against the final state for scale.
+//! per-op medians. The Central Client's build (`PriMaintainer::new`, with
+//! the edges its PRI graph holds) and `Backend::new` are timed on their own;
+//! the batch classification and the fulfillment check against the final
+//! state, for scale.
 
 use crowdfill_bench::workload::{pipeline_config, record_fill_workload};
 use crowdfill_constraints::{Classifier, PriMaintainer};
@@ -41,7 +43,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rows = flag(&args, "--rows").unwrap_or(32);
     let fills = rows.min(32);
-    // `Backend::new` is quadratic in the rows: fewer reps on large tables.
     let (workers, reps) = (4usize, if rows > 400 { 3 } else { 9 });
     let jobs = record_fill_workload(rows, fills, workers);
     let msgs: Vec<Message> = jobs
@@ -68,6 +69,15 @@ fn main() {
         let init = cc.take_outbox();
         (cc, init)
     };
+    let (mut s, mut edges) = (Vec::new(), 0);
+    for _ in 0..reps {
+        let t = Instant::now();
+        let (cc, _) = fresh_cc();
+        s.push(t.elapsed().as_nanos());
+        edges = cc.edges_held();
+    }
+    eprintln!("{:<32} {:>10} us", "PriMaintainer::new", median(s) / 1000);
+    eprintln!("{:<32} {:>10} edges", "  PRI graph held", edges);
     let (_, init) = fresh_cc();
     let fresh_replica = || {
         let mut r = Replica::new(ClientId(u32::MAX), Arc::clone(&config.schema));
@@ -125,7 +135,6 @@ fn main() {
     let (mut fill, mut vote, mut build) = (Vec::new(), Vec::new(), Vec::new());
     let mut last = None;
     for _ in 0..reps {
-        // One table at a time: at 3,200 rows a PRI graph is ≈ 250 MB.
         drop(last.take());
         let t = Instant::now();
         let mut backend = Backend::new(pipeline_config(rows));

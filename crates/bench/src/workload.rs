@@ -243,24 +243,26 @@ pub fn replay_singleton(
 }
 
 /// A bipartite graph of `components` disjoint blocks, each with `size`
-/// lefts and `size + 1` rights connected in a dense-ish local pattern, every
-/// left still unmatched — the repair workload.
+/// lefts and `size + 1` rights connected in a dense-ish local pattern (left
+/// `l` to rights `l`, `l + 1`, `l + 2` mod `size + 1`), every left alone in
+/// its class and still unmatched — the repair workload.
 pub fn component_graph(components: usize, size: usize) -> IncrementalMatcher<usize, usize> {
     let mut m = IncrementalMatcher::new();
+    for l in 0..components * size {
+        m.add_left(l, l);
+    }
     for c in 0..components {
-        let lbase = c * size;
-        let rbase = c * (size + 1);
-        for l in 0..size {
-            for dr in 0..=2usize {
-                m.add_edge(lbase + l, rbase + (l + dr) % (size + 1));
-            }
+        let (lbase, rbase) = (c * size, c * (size + 1));
+        for r in 0..=size {
+            let lefts = (0..=2).map(|dr| (r + size + 1 - dr) % (size + 1));
+            m.add_right(rbase + r, lefts.filter(|&l| l < size).map(|l| lbase + l));
         }
     }
     m
 }
 
-/// A Central Client over `Template::cardinality(rows)` — a complete
-/// bipartite PRI graph, rows² edges.
+/// A Central Client over `Template::cardinality(rows)`: `rows` equal
+/// template rows, one matcher class, one edge per probable row.
 pub fn cardinality_central_client(rows: usize) -> PriMaintainer {
     let scoring = Arc::new(QuorumMajority::of_three());
     PriMaintainer::new(pipeline_schema(), scoring, &Template::cardinality(rows))

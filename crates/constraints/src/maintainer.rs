@@ -39,7 +39,7 @@ use crowdfill_model::{
     TemplateRow,
 };
 use crowdfill_sync::Replica;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A template row's index in the *original* user template. Stable across
@@ -61,6 +61,10 @@ pub struct PriMaintainer {
     /// identical messages make identical decisions (the batched server
     /// relies on that for cross-instance history identity).
     matcher: IncrementalMatcher<TemplateIdx, RowId>,
+    /// The distinct template rows, indexed by matcher class, each with its
+    /// number of live members. Equal rows have equal edges, so a class holds
+    /// one adjacency list; a class with no live member takes no new edges.
+    template_classes: Vec<(TemplateRow, usize)>,
     /// The replica's live probable-row classification. Its probable set is
     /// the matcher's right vertices as of the last sync, plus the pending
     /// delta; its winner count lets [`is_fulfilled`] reject in O(1) without
@@ -90,10 +94,11 @@ impl PriMaintainer {
             template: template.rows().iter().cloned().enumerate().collect(),
             dropped: Vec::new(),
             matcher: IncrementalMatcher::new(),
+            template_classes: Vec::new(),
             outbox: Vec::new(),
         };
-        for (idx, row) in m.template.clone() {
-            m.matcher.add_left(idx);
+        m.add_template_lefts();
+        for (_, row) in m.template.clone() {
             m.insert_template_row(&row);
         }
         m.maintain();
@@ -124,11 +129,10 @@ impl PriMaintainer {
             template,
             dropped,
             matcher: IncrementalMatcher::new(),
+            template_classes: Vec::new(),
             outbox: Vec::new(),
         };
-        for (idx, _) in &m.template {
-            m.matcher.add_left(*idx);
-        }
+        m.add_template_lefts();
         m.sync_probable_set();
         m.matcher.repair();
         if !m.invariant_holds() {
@@ -223,6 +227,11 @@ impl PriMaintainer {
     /// The probable row currently matched to original template row `idx`.
     pub fn matched_row(&self, idx: TemplateIdx) -> Option<RowId> {
         self.matcher.matched_right(&idx).copied()
+    }
+
+    /// Edges the PRI graph holds: one per (template class, probable row).
+    pub fn edges_held(&self) -> usize {
+        self.matcher.edge_count()
     }
 
     /// Drains CC's pending messages (inserts/fills/upvotes it generated).
@@ -441,6 +450,19 @@ impl PriMaintainer {
         debug_assert!(self.matcher.check_consistency());
     }
 
+    /// Enters the live template into the matcher, equal rows in one class.
+    fn add_template_lefts(&mut self) {
+        let mut class_of: HashMap<&TemplateRow, usize> = HashMap::new();
+        for (idx, row) in &self.template {
+            let class = *class_of.entry(row).or_insert_with(|| {
+                self.template_classes.push((row.clone(), 0));
+                self.template_classes.len() - 1
+            });
+            self.template_classes[class].1 += 1;
+            self.matcher.add_left(*idx, class);
+        }
+    }
+
     fn template_pos(&self, idx: TemplateIdx) -> Option<usize> {
         self.template.binary_search_by_key(&idx, |(i, _)| *i).ok()
     }
@@ -457,6 +479,12 @@ impl PriMaintainer {
         };
         let dropped = self.template.remove(pos);
         self.matcher.remove_left(&idx);
+        let (_, live) = self
+            .template_classes
+            .iter_mut()
+            .find(|(row, live)| *live > 0 && *row == dropped.1)
+            .expect("a live template row has a class");
+        *live -= 1;
         self.dropped.push(dropped);
         true
     }
@@ -472,7 +500,7 @@ impl PriMaintainer {
             self.matcher.remove_right(id);
         }
         // Added rows: each enters the matcher together with its edges, one to
-        // every live template row whose edge condition holds.
+        // every live template class whose edge condition holds.
         let schema = self.replica.schema();
         for id in added {
             let value = &self
@@ -482,11 +510,9 @@ impl PriMaintainer {
                 .expect("probable row exists")
                 .value;
             let complete = value.is_complete(schema);
-            let lefts = self
-                .template
-                .iter()
-                .filter(|(_, t)| edge(t, value, complete));
-            self.matcher.add_right(id, lefts.map(|(idx, _)| *idx));
+            let classes = self.template_classes.iter().enumerate();
+            let classes = classes.filter(|(_, (t, live))| *live > 0 && edge(t, value, complete));
+            self.matcher.add_right(id, classes.map(|(class, _)| class));
         }
     }
 }
@@ -511,6 +537,7 @@ impl std::fmt::Debug for PriMaintainer {
             .field("dropped", &self.dropped.len())
             .field("probable", &self.classes.probable().len())
             .field("matching", &self.matcher.matching_size())
+            .field("edges", &self.matcher.edge_count())
             .field("outbox", &self.outbox.len())
             .finish()
     }

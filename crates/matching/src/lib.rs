@@ -4,15 +4,17 @@
 //! (paper §4.2). The PRI is equivalent to: *a maximum bipartite matching
 //! between template rows (left) and probable rows (right) has exactly |T|
 //! edges*. The Central Client maintains that matching **incrementally** as
-//! workers act — each change adds/removes a handful of edges, after which a
+//! workers act — each change adds/removes a vertex or two, after which a
 //! single augmenting-path search (Berge's theorem) restores maximality.
 //!
 //! * [`IncrementalMatcher`] — the live structure and the only incremental
-//!   engine: add/remove vertices and edges, repair with augmenting paths,
-//!   and query the alternating structure (the CC's "shuffle" step, when a
-//!   template row must be freed). Every mutation costs O(degree of the
-//!   vertex it touches); a repair walks only the alternating tree of the
-//!   lefts that lost their match.
+//!   engine: add/remove vertices, repair with augmenting paths, and query
+//!   the alternating structure (the CC's "shuffle" step, when a template
+//!   row must be freed). Edges join a right to a *class* of lefts: lefts of
+//!   one class have the same neighbours (the Central Client puts equal
+//!   template rows in one class), so a class holds one adjacency list and
+//!   each member keeps its own mate. A template of N equal rows costs one
+//!   edge per probable row, not N.
 //! * [`hopcroft_karp`] — an independent O(E·√V) bulk solver, kept as the
 //!   test oracle for the incremental engine's matching *size*.
 //!
@@ -21,10 +23,16 @@
 //! so two servers fed the same message sequence must produce byte-identical
 //! broadcast histories (`server/tests/batch_props.rs`, the crash-point
 //! matrix). The matching is therefore a pure function of the mutation
-//! history: free lefts are augmented in ascending key order, a vertex's
+//! history: free lefts are augmented in ascending key order, a class's
 //! adjacency is scanned in the order its edges were added, and a search
-//! ends at the first goal right in BFS discovery order. Slot numbers, the
-//! vacancy lists and the scratch arrays never influence a choice.
+//! ends at the first goal right in BFS discovery order. Slot numbers, class
+//! ids and the scratch arrays never influence a choice.
+//!
+//! These are exactly the choices of a matcher with one adjacency list per
+//! left (`tests/support/per_left.rs`, the oracle of `tests/oracle.rs`):
+//! classmates' lists would be equal, so the first classmate a search expands
+//! discovers every right of the list and a later one finds nothing new — a
+//! search expands each class once and skips the rest.
 
 #![forbid(unsafe_code)]
 
@@ -54,52 +62,49 @@ fn edge_visits() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_edge_visits"))
 }
 
-/// "No slot": a free vertex's mate, a list end, a matched left's position in
-/// the free list.
+/// "No slot": a free vertex's mate, a matched left's position in the free
+/// list.
 const NIL: u32 = u32::MAX;
 
-const LEFT: usize = 0;
-const RIGHT: usize = 1;
-
-/// One edge, threaded on two doubly-linked lists: the adjacency of its left
-/// endpoint and of its right endpoint (arrays indexed by [`LEFT`]/[`RIGHT`]).
-/// New edges join at the tail, so a list walks in insertion order, and an
-/// edge leaves in O(1) without disturbing the order of the rest.
+/// A left vertex: the class whose adjacency it shares, and its partner.
 #[derive(Debug, Clone, Copy)]
-struct Edge {
-    end: [u32; 2],
-    prev: [u32; 2],
-    next: [u32; 2],
-}
-
-/// A vertex's adjacency list ends and its matched partner.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    head: u32,
-    tail: u32,
-    degree: u32,
+struct Left {
+    class: u32,
     mate: u32,
 }
 
-const ISOLATED: Node = Node {
-    head: NIL,
-    tail: NIL,
-    degree: 0,
-    mate: NIL,
-};
+/// A right vertex: its partner, and its edges as (class, position in that
+/// class's adjacency).
+#[derive(Debug, Clone)]
+struct Right {
+    mate: u32,
+    edges: Vec<(u32, u64)>,
+}
+
+/// The neighbours every left of one class shares, keyed by edge position
+/// (so they iterate in insertion order).
+#[derive(Debug, Clone, Default)]
+struct Class {
+    adj: BTreeMap<u64, u32>,
+    /// A subset of `adj` holding every unmatched neighbour: a right enters
+    /// as it is added or unmatched, and leaves lazily, when an augment finds
+    /// it matched at the front. So a match costs nothing per class, and an
+    /// augment's first free neighbour is the first entry that is free.
+    free: BTreeMap<u64, u32>,
+}
 
 /// One side of the graph. Caller keys are interned to dense `u32` slots here,
 /// at the API boundary, and nowhere else; vacated slots are reused.
 #[derive(Debug, Clone)]
-struct Side<K> {
+struct Side<K, N> {
     slot_of: BTreeMap<K, u32>,
     /// `None` while the slot is vacant.
     keys: Vec<Option<K>>,
-    nodes: Vec<Node>,
+    nodes: Vec<N>,
     vacant: Vec<u32>,
 }
 
-impl<K: Clone + Ord> Side<K> {
+impl<K: Clone + Ord, N> Side<K, N> {
     fn new() -> Self {
         Side {
             slot_of: BTreeMap::new(),
@@ -119,28 +124,30 @@ impl<K: Clone + Ord> Side<K> {
             .expect("slot in use has a key")
     }
 
-    /// The slot of `key`, and whether it was created by this call.
-    fn intern(&mut self, key: K) -> (u32, bool) {
+    /// The slot of `key`, and whether it was created by this call (holding
+    /// `node`).
+    fn intern(&mut self, key: K, node: N) -> (u32, bool) {
         if let Some(slot) = self.slot(&key) {
             return (slot, false);
         }
         let slot = match self.vacant.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
             None => {
                 let slot = u32::try_from(self.nodes.len()).expect("fewer than 2^32 vertices");
                 assert!(slot != NIL, "fewer than 2^32 vertices");
                 self.keys.push(None);
-                self.nodes.push(ISOLATED);
+                self.nodes.push(node);
                 slot
             }
         };
         self.keys[slot as usize] = Some(key.clone());
-        self.nodes[slot as usize] = ISOLATED;
         self.slot_of.insert(key, slot);
         (slot, true)
     }
 
-    /// Forgets `key`; the caller has already unthreaded its edges.
     fn vacate(&mut self, slot: u32) {
         let key = self.keys[slot as usize]
             .take()
@@ -151,26 +158,31 @@ impl<K: Clone + Ord> Side<K> {
 }
 
 /// An incrementally-maintained bipartite matching over caller-supplied
-/// vertex keys.
+/// vertex keys, with edges on classes of left vertices.
 ///
 /// Left vertices model template rows; right vertices model probable rows.
-/// The structure never removes a matched edge on its own: mutations may
-/// leave a left unmatched, and [`repair`](Self::repair) restores maximality
-/// via augmenting paths. See the crate docs for the determinism contract.
+/// Class ids are the caller's and index a vector, so keep them dense. The
+/// structure never removes a matched edge on its own: mutations may leave a
+/// left unmatched, and [`repair`](Self::repair) restores maximality via
+/// augmenting paths. See the crate docs for the determinism contract.
 #[derive(Debug, Clone)]
 pub struct IncrementalMatcher<L, R> {
-    lefts: Side<L>,
-    rights: Side<R>,
-    edges: Vec<Edge>,
-    vacant_edges: Vec<u32>,
+    lefts: Side<L, Left>,
+    rights: Side<R, Right>,
+    classes: Vec<Class>,
+    /// The next edge's position: ascending, so a class iterates in
+    /// insertion order.
+    next_pos: u64,
     /// Unmatched left slots, unordered; `free_pos[l]` is `l`'s index here.
     free: Vec<u32>,
     free_pos: Vec<u32>,
     /// Search scratch, stamped with `epoch` instead of cleared: a left is
-    /// visited, or a right has a parent, iff its stamp equals the epoch.
+    /// visited, a right has a parent, or a class was expanded iff its stamp
+    /// equals the epoch.
     epoch: u32,
     seen_left: Vec<u32>,
     seen_right: Vec<u32>,
+    seen_class: Vec<u32>,
     /// The left from which a right was discovered.
     parent: Vec<u32>,
     queue: VecDeque<u32>,
@@ -188,13 +200,14 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         IncrementalMatcher {
             lefts: Side::new(),
             rights: Side::new(),
-            edges: Vec::new(),
-            vacant_edges: Vec::new(),
+            classes: Vec::new(),
+            next_pos: 0,
             free: Vec::new(),
             free_pos: Vec::new(),
             epoch: 0,
             seen_left: Vec::new(),
             seen_right: Vec::new(),
+            seen_class: Vec::new(),
             parent: Vec::new(),
             queue: VecDeque::new(),
         }
@@ -203,6 +216,11 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     /// Number of matched pairs.
     pub fn matching_size(&self) -> usize {
         self.lefts.slot_of.len() - self.free.len()
+    }
+
+    /// Number of edges held: one per (class, right) pair.
+    pub fn edge_count(&self) -> usize {
+        self.classes.iter().map(|c| c.adj.len()).sum()
     }
 
     /// The right vertex matched to `l`, if any.
@@ -234,85 +252,80 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         self.free.iter().map(|&l| self.lefts.key(l)).min()
     }
 
-    /// Adds an isolated left vertex. No-op if present.
-    pub fn add_left(&mut self, l: L) {
-        self.intern_left(l);
+    /// Adds left vertex `l` to `class`, whose adjacency it shares as it
+    /// stands. No-op if `l` is present.
+    pub fn add_left(&mut self, l: L, class: usize) {
+        let class = self.intern_class(class);
+        let (slot, fresh) = self.lefts.intern(l, Left { class, mate: NIL });
+        if fresh {
+            if slot as usize == self.seen_left.len() {
+                self.seen_left.push(0);
+                self.free_pos.push(NIL);
+            }
+            self.set_free(slot, true);
+        }
     }
 
-    /// Adds right vertex `r` together with its edges to `lefts` (created as
-    /// needed), in iteration order. A vertex that did not exist cannot have
-    /// a duplicate edge, so nothing is scanned for it; if `r` exists, edges
-    /// it already has are skipped.
-    pub fn add_right(&mut self, r: R, lefts: impl IntoIterator<Item = L>) {
-        let r = self.intern_right(r);
-        let epoch = self.next_epoch();
-        let mut visits = 0u64;
-        let mut e = self.rights.nodes[r as usize].head;
-        while e != NIL {
-            visits += 1;
-            self.seen_left[self.edges[e as usize].end[LEFT] as usize] = epoch;
-            e = self.edges[e as usize].next[RIGHT];
+    /// Adds right vertex `r` together with its edges to `classes`, appended
+    /// to each class's adjacency in iteration order; edges `r` already has
+    /// are skipped.
+    pub fn add_right(&mut self, r: R, classes: impl IntoIterator<Item = usize>) {
+        let (r, _) = self.rights.intern(
+            r,
+            Right {
+                mate: NIL,
+                edges: Vec::new(),
+            },
+        );
+        if r as usize == self.seen_right.len() {
+            self.seen_right.push(0);
+            self.parent.push(NIL);
         }
-        for l in lefts {
-            let l = self.intern_left(l);
-            if self.seen_left[l as usize] != epoch {
-                self.seen_left[l as usize] = epoch;
-                self.push_edge(l, r);
+        let epoch = self.next_epoch();
+        let node = &self.rights.nodes[r as usize];
+        let free = node.mate == NIL;
+        let mut visits = node.edges.len() as u64;
+        for &(c, _) in &node.edges {
+            self.seen_class[c as usize] = epoch;
+        }
+        for class in classes {
+            let c = self.intern_class(class);
+            if std::mem::replace(&mut self.seen_class[c as usize], epoch) != epoch {
                 visits += 1;
+                let pos = self.next_pos;
+                self.next_pos += 1;
+                let class = &mut self.classes[c as usize];
+                class.adj.insert(pos, r);
+                if free {
+                    class.free.insert(pos, r);
+                }
+                self.rights.nodes[r as usize].edges.push((c, pos));
             }
         }
         edge_visits().add(visits);
-    }
-
-    /// Adds an edge (creating endpoints as needed). Returns `true` if the
-    /// edge is new.
-    pub fn add_edge(&mut self, l: L, r: R) -> bool {
-        let l = self.intern_left(l);
-        let r = self.intern_right(r);
-        let mut visits = 1u64;
-        let found = self.find_edge(l, r, &mut visits);
-        if found.is_none() {
-            self.push_edge(l, r);
-        }
-        edge_visits().add(visits);
-        found.is_none()
-    }
-
-    /// Removes an edge if present; a matched pair becomes unmatched (call
-    /// [`repair`](Self::repair) afterwards). Returns `true` if removed.
-    pub fn remove_edge(&mut self, l: &L, r: &R) -> bool {
-        let (Some(l), Some(r)) = (self.lefts.slot(l), self.rights.slot(r)) else {
-            return false;
-        };
-        let mut visits = 1u64;
-        let found = self.find_edge(l, r, &mut visits);
-        edge_visits().add(visits);
-        let Some(e) = found else {
-            return false;
-        };
-        if self.lefts.nodes[l as usize].mate == r {
-            self.unmatch(l, r);
-        }
-        self.unlink(e, LEFT);
-        self.unlink(e, RIGHT);
-        self.vacant_edges.push(e);
-        true
     }
 
     /// Removes a right vertex and all its edges; unmatches its partner.
     /// Returns the left vertex that lost its match, if any.
     pub fn remove_right(&mut self, r: &R) -> Option<L> {
         let r = self.rights.slot(r)?;
-        let widowed = self.rights.nodes[r as usize].mate;
+        let node = &mut self.rights.nodes[r as usize];
+        let (widowed, edges) = (node.mate, std::mem::take(&mut node.edges));
         if widowed != NIL {
-            self.unmatch(widowed, r);
+            self.lefts.nodes[widowed as usize].mate = NIL;
+            self.set_free(widowed, true);
         }
-        self.drop_edges_of(RIGHT, r);
+        for &(c, pos) in &edges {
+            let class = &mut self.classes[c as usize];
+            class.adj.remove(&pos);
+            class.free.remove(&pos);
+        }
+        edge_visits().add(edges.len() as u64);
         self.rights.vacate(r);
         (widowed != NIL).then(|| self.lefts.key(widowed).clone())
     }
 
-    /// Removes a left vertex and all its edges; unmatches its partner.
+    /// Removes a left vertex from its class; unmatches its partner.
     /// Returns the right vertex that lost its match, if any.
     pub fn remove_left(&mut self, l: &L) -> Option<R> {
         let l = self.lefts.slot(l)?;
@@ -321,7 +334,6 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
             self.unmatch(l, widowed);
         }
         self.set_free(l, false);
-        self.drop_edges_of(LEFT, l);
         self.lefts.vacate(l);
         (widowed != NIL).then(|| self.rights.key(widowed).clone())
     }
@@ -359,16 +371,18 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         self.seen_left[root as usize] = epoch;
         self.queue.push_back(root);
         while let Some(cur) = self.queue.pop_front() {
-            let mut e = self.lefts.nodes[cur as usize].head;
-            while e != NIL {
+            let c = self.lefts.nodes[cur as usize].class as usize;
+            if std::mem::replace(&mut self.seen_class[c], epoch) == epoch {
+                continue;
+            }
+            for &r in self.classes[c].adj.values() {
                 visits += 1;
-                let mate = self.rights.nodes[self.edges[e as usize].end[RIGHT] as usize].mate;
+                let mate = self.rights.nodes[r as usize].mate;
                 if mate != NIL && self.seen_left[mate as usize] != epoch {
                     self.seen_left[mate as usize] = epoch;
                     out.push(self.lefts.key(mate).clone());
                     self.queue.push_back(mate);
                 }
-                e = self.edges[e as usize].next[LEFT];
             }
         }
         edge_visits().add(visits);
@@ -397,43 +411,49 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     }
 
     /// Internal consistency check: matched pairs are symmetric and joined by
-    /// an edge, and the free list holds exactly the unmatched lefts.
+    /// an edge, the free list holds exactly the unmatched lefts, each class's
+    /// adjacency holds exactly its edges, and its free set is a part of the
+    /// adjacency that holds every unmatched neighbour.
     pub fn check_consistency(&self) -> bool {
-        self.lefts.slot_of.values().all(|&l| {
-            let mate = self.lefts.nodes[l as usize].mate;
+        let lefts = self.lefts.slot_of.values().all(|&l| {
+            let Left { class, mate } = self.lefts.nodes[l as usize];
             let pos = self.free_pos[l as usize];
             if mate == NIL {
                 self.free.get(pos as usize) == Some(&l)
             } else {
-                pos == NIL
-                    && self.rights.nodes[mate as usize].mate == l
-                    && self.find_edge(l, mate, &mut 0).is_some()
+                let right = &self.rights.nodes[mate as usize];
+                pos == NIL && right.mate == l && right.edges.iter().any(|&(c, _)| c == class)
             }
-        }) && self.rights.slot_of.values().all(|&r| {
-            let mate = self.rights.nodes[r as usize].mate;
-            mate == NIL || self.lefts.nodes[mate as usize].mate == r
-        })
+        });
+        let mut edges = 0;
+        let rights = self.rights.slot_of.values().all(|&r| {
+            let Right {
+                mate,
+                edges: ref own,
+            } = self.rights.nodes[r as usize];
+            edges += own.len();
+            (mate == NIL || self.lefts.nodes[mate as usize].mate == r)
+                && own.iter().all(|&(c, pos)| {
+                    let class = &self.classes[c as usize];
+                    class.adj.get(&pos) == Some(&r)
+                        && (mate != NIL || class.free.contains_key(&pos))
+                })
+        });
+        let free_in_adj = self
+            .classes
+            .iter()
+            .all(|class| (class.free.iter()).all(|(pos, r)| class.adj.get(pos) == Some(r)));
+        lefts && rights && free_in_adj && edges == self.edge_count()
     }
 
     // ---- internals -------------------------------------------------------
 
-    fn intern_left(&mut self, l: L) -> u32 {
-        let (slot, fresh) = self.lefts.intern(l);
-        if fresh {
-            if slot as usize == self.seen_left.len() {
-                self.seen_left.push(0);
-                self.free_pos.push(NIL);
-            }
-            self.set_free(slot, true);
-        }
-        slot
-    }
-
-    fn intern_right(&mut self, r: R) -> u32 {
-        let (slot, _) = self.rights.intern(r);
-        if slot as usize == self.seen_right.len() {
-            self.seen_right.push(0);
-            self.parent.push(NIL);
+    /// The slot of caller class id `class`, growing the class table to it.
+    fn intern_class(&mut self, class: usize) -> u32 {
+        let slot = u32::try_from(class).expect("class ids below 2^32");
+        if class >= self.classes.len() {
+            self.classes.resize_with(class + 1, Class::default);
+            self.seen_class.resize(class + 1, 0);
         }
         slot
     }
@@ -453,9 +473,15 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         }
     }
 
+    /// Unmatches the pair, entering `r` into the free sets of its classes.
     fn unmatch(&mut self, l: u32, r: u32) {
         self.lefts.nodes[l as usize].mate = NIL;
-        self.rights.nodes[r as usize].mate = NIL;
+        let right = &mut self.rights.nodes[r as usize];
+        right.mate = NIL;
+        for &(c, pos) in &right.edges {
+            self.classes[c as usize].free.insert(pos, r);
+        }
+        edge_visits().add(right.edges.len() as u64);
         self.set_free(l, true);
     }
 
@@ -464,122 +490,26 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         if self.epoch == u32::MAX {
             self.seen_left.fill(0);
             self.seen_right.fill(0);
+            self.seen_class.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
         self.epoch
     }
 
-    fn nodes_mut(&mut self, side: usize) -> &mut [Node] {
-        if side == LEFT {
-            &mut self.lefts.nodes
-        } else {
-            &mut self.rights.nodes
-        }
-    }
-
-    /// Appends a new edge to both endpoints' lists. The caller has ruled out
-    /// a duplicate.
-    fn push_edge(&mut self, l: u32, r: u32) {
-        let edge = Edge {
-            end: [l, r],
-            prev: [NIL; 2],
-            next: [NIL; 2],
-        };
-        let e = match self.vacant_edges.pop() {
-            Some(e) => {
-                self.edges[e as usize] = edge;
-                e
-            }
-            None => {
-                let e = u32::try_from(self.edges.len()).expect("fewer than 2^32 edges");
-                assert!(e != NIL, "fewer than 2^32 edges");
-                self.edges.push(edge);
-                e
-            }
-        };
-        for side in [LEFT, RIGHT] {
-            let node = &mut self.nodes_mut(side)[edge.end[side] as usize];
-            let tail = std::mem::replace(&mut node.tail, e);
-            node.degree += 1;
-            if tail == NIL {
-                node.head = e;
-            } else {
-                self.edges[tail as usize].next[side] = e;
-            }
-            self.edges[e as usize].prev[side] = tail;
-        }
-    }
-
-    /// Unthreads edge `e` from its endpoint's list on `side`.
-    fn unlink(&mut self, e: u32, side: usize) {
-        let Edge { end, prev, next } = self.edges[e as usize];
-        let (prev, next) = (prev[side], next[side]);
-        if prev != NIL {
-            self.edges[prev as usize].next[side] = next;
-        }
-        if next != NIL {
-            self.edges[next as usize].prev[side] = prev;
-        }
-        let node = &mut self.nodes_mut(side)[end[side] as usize];
-        node.degree -= 1;
-        if prev == NIL {
-            node.head = next;
-        }
-        if next == NIL {
-            node.tail = prev;
-        }
-    }
-
-    /// Drops every edge of vertex `v` on `side`: O(degree of `v`).
-    fn drop_edges_of(&mut self, side: usize, v: u32) {
-        let mut visits = 0u64;
-        let mut e = self.nodes_mut(side)[v as usize].head;
-        while e != NIL {
-            visits += 1;
-            let next = self.edges[e as usize].next[side];
-            self.unlink(e, 1 - side);
-            self.vacant_edges.push(e);
-            e = next;
-        }
-        self.nodes_mut(side)[v as usize] = ISOLATED;
-        edge_visits().add(visits);
-    }
-
-    /// The edge joining `l` and `r`, found on the shorter of their lists;
-    /// adds the entries walked to `visits`.
-    fn find_edge(&self, l: u32, r: u32, visits: &mut u64) -> Option<u32> {
-        let (dl, dr) = (
-            self.lefts.nodes[l as usize].degree,
-            self.rights.nodes[r as usize].degree,
-        );
-        let (side, mut e) = if dl <= dr {
-            (LEFT, self.lefts.nodes[l as usize].head)
-        } else {
-            (RIGHT, self.rights.nodes[r as usize].head)
-        };
-        while e != NIL {
-            *visits += 1;
-            if self.edges[e as usize].end == [l, r] {
-                return Some(e);
-            }
-            e = self.edges[e as usize].next[side];
-        }
-        None
-    }
-
     /// One augmenting-path search from free left `root` (Berge's theorem:
     /// flipping an augmenting path grows the matching by one). A free
     /// neighbour of `root` is where the BFS would end anyway — it scans
     /// `root`'s adjacency first and stops at the first free right — so that
-    /// case skips the BFS bookkeeping.
+    /// case reads the class's free set instead, dropping the matched rights
+    /// it finds at the front.
     fn augment(&mut self, root: u32) -> bool {
         augment_searches().inc();
+        let free = &mut self.classes[self.lefts.nodes[root as usize].class as usize].free;
         let mut visits = 0u64;
-        let mut e = self.lefts.nodes[root as usize].head;
-        while e != NIL {
+        while let Some(first) = free.first_entry() {
             visits += 1;
-            let r = self.edges[e as usize].end[RIGHT];
+            let r = *first.get();
             if self.rights.nodes[r as usize].mate == NIL {
                 edge_visits().add(visits);
                 augment_steps().inc();
@@ -587,7 +517,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
                 self.flip(root, r);
                 return true;
             }
-            e = self.edges[e as usize].next[LEFT];
+            first.remove();
         }
         edge_visits().add(visits);
         match self.search(root, NIL) {
@@ -602,8 +532,9 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     /// BFS over alternating paths from free left `root` — unmatched edge to
     /// a right, matched edge back to a left — to the first right, in
     /// discovery order, whose mate is `goal`: `NIL` looks for a free right
-    /// (an augmenting path), a left slot looks for that donor's right.
-    /// Records each discovered right's parent for [`flip`](Self::flip).
+    /// (an augmenting path), a left slot looks for that donor's right. A
+    /// class is expanded once. Records each discovered right's parent for
+    /// [`flip`](Self::flip).
     fn search(&mut self, root: u32, goal: u32) -> Option<u32> {
         let epoch = self.next_epoch();
         let (mut steps, mut visits) = (0u64, 0u64);
@@ -612,12 +543,13 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         self.seen_left[root as usize] = epoch;
         self.queue.push_back(root);
         'bfs: while let Some(cur) = self.queue.pop_front() {
+            let c = self.lefts.nodes[cur as usize].class as usize;
+            if std::mem::replace(&mut self.seen_class[c], epoch) == epoch {
+                continue;
+            }
             steps += 1;
-            let mut e = self.lefts.nodes[cur as usize].head;
-            while e != NIL {
+            for &r in self.classes[c].adj.values() {
                 visits += 1;
-                let r = self.edges[e as usize].end[RIGHT];
-                e = self.edges[e as usize].next[LEFT];
                 if self.seen_right[r as usize] == epoch {
                     continue;
                 }
@@ -741,10 +673,16 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// Adds edge `l`–`r`, `l` alone in class `l`.
+    fn join(m: &mut IncrementalMatcher<u32, u32>, l: u32, r: u32) {
+        m.add_left(l, l as usize);
+        m.add_right(r, [l as usize]);
+    }
+
     fn matcher_from(edges: &[(u32, u32)]) -> IncrementalMatcher<u32, u32> {
         let mut m = IncrementalMatcher::new();
         for &(l, r) in edges {
-            m.add_edge(l, r);
+            join(&mut m, l, r);
         }
         m
     }
@@ -777,11 +715,11 @@ mod tests {
         // Each new left steals the previous one's match, which moves on.
         let mut m = matcher_from(&[(0, 0)]);
         assert_eq!(m.repair(), 1);
-        m.add_edge(1, 0);
-        m.add_edge(0, 1);
+        join(&mut m, 1, 0);
+        join(&mut m, 0, 1);
         assert_eq!(m.repair(), 2);
-        m.add_edge(2, 1);
-        m.add_edge(1, 2);
+        join(&mut m, 2, 1);
+        join(&mut m, 1, 2);
         assert_eq!(m.repair(), 3);
         assert!(m.check_consistency());
     }
@@ -796,17 +734,42 @@ mod tests {
 
     #[test]
     fn duplicate_edges_are_refused() {
-        let mut m = matcher_from(&[(0, 0)]);
-        assert!(!m.add_edge(0, 0));
+        let mut m = matcher_from(&[(0, 0), (1, 1)]);
         // A right added with its edge list: duplicates inside the list and
         // against the edges it already has are both skipped.
         m.add_right(0, [0, 1, 1]);
         m.add_right(1, [1, 1, 0]);
+        assert_eq!(m.edge_count(), 4);
         assert_eq!(m.repair(), 2);
-        assert!(m.remove_edge(&1, &0));
-        assert!(!m.remove_edge(&1, &0));
-        assert!(m.remove_edge(&1, &1));
-        assert!(!m.remove_edge(&1, &1));
+        assert!(m.check_consistency());
+    }
+
+    #[test]
+    fn classmates_share_one_adjacency_and_keep_their_own_mates() {
+        // Lefts 3, 1, 2 in class 0; left 0 alone in class 1.
+        let mut m: IncrementalMatcher<u32, u32> = IncrementalMatcher::new();
+        for (l, class) in [(3, 0), (1, 0), (2, 0), (0, 1)] {
+            m.add_left(l, class);
+        }
+        for r in [10, 11] {
+            m.add_right(r, [0, 1]);
+        }
+        assert_eq!(m.edge_count(), 4);
+        // Ascending lefts take the class's free rights in insertion order.
+        assert_eq!(m.repair(), 2);
+        assert_eq!(m.matched_right(&0), Some(&10));
+        assert_eq!(m.matched_right(&1), Some(&11));
+        assert_eq!(m.free_lefts(), vec![2, 3]);
+        // Left 2 reaches both matched lefts; left 1's class is expanded once.
+        assert_eq!(m.exchangeable_lefts(&2), vec![0, 1]);
+        assert!(m.exchange(&2, &1));
+        assert_eq!(m.matched_right(&2), Some(&11));
+        m.add_right(12, [0]);
+        assert_eq!(m.repair(), 3);
+        assert_eq!(m.matched_right(&1), Some(&12));
+        assert_eq!(m.remove_left(&1), Some(12));
+        assert_eq!(m.repair(), 3);
+        assert_eq!(m.matched_right(&3), Some(&12));
         assert!(m.check_consistency());
     }
 
@@ -866,24 +829,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_matched_edge_unmatches() {
-        let mut m = matcher_from(&[(0, 0)]);
-        m.repair();
-        assert!(m.remove_edge(&0, &0));
-        assert_eq!(m.matching_size(), 0);
-        assert!(!m.remove_edge(&0, &0)); // already gone
-        assert!(m.check_consistency());
-    }
-
-    #[test]
     fn exchangeable_lefts_follow_alternating_paths() {
         // l0 matched r0; l1 matched r1; l2 free, adjacent to r0 only.
         let mut m = matcher_from(&[(0, 0), (1, 1)]);
         m.repair();
-        m.add_edge(2, 0);
+        join(&mut m, 2, 0);
         // l0 can donate r0 to l2; r1 is adjacent to neither l2 nor l0.
         assert_eq!(m.exchangeable_lefts(&2), vec![0]);
-        m.add_edge(0, 1);
+        join(&mut m, 0, 1);
         // Now l0 could take r1, freeing l1.
         assert_eq!(m.exchangeable_lefts(&2), vec![0, 1]);
     }
@@ -893,7 +846,7 @@ mod tests {
         let mut m = matcher_from(&[(0, 0), (0, 1), (1, 1)]);
         m.repair();
         assert_eq!(m.matching_size(), 2);
-        m.add_edge(2, 0);
+        join(&mut m, 2, 0);
         assert_eq!(m.exchangeable_lefts(&2), vec![0, 1]);
         assert!(m.exchange(&2, &1));
         assert!(m.check_consistency());
@@ -907,7 +860,7 @@ mod tests {
     fn exchange_fails_when_unreachable() {
         let mut m = matcher_from(&[(0, 0), (1, 1)]);
         m.repair();
-        m.add_edge(2, 0);
+        join(&mut m, 2, 0);
         // l1 is not on any alternating path from l2.
         assert!(!m.exchange(&2, &1));
         assert_eq!(m.matching_size(), 2);

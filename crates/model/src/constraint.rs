@@ -22,7 +22,7 @@ use std::fmt;
 
 /// A predicate over a single cell value (paper §2.3's template entries like
 /// `≥30` or `='Brazil'`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     Eq(Value),
     Ne(Value),
@@ -79,7 +79,7 @@ impl fmt::Display for Predicate {
 }
 
 /// One entry of a template row.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Entry {
     /// No restriction; workers fill freely. (An absent entry.)
     Any,
@@ -90,7 +90,7 @@ pub enum Entry {
 }
 
 /// A template row `t ∈ T`. Unrestricted columns are simply absent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TemplateRow {
     entries: Vec<(ColumnId, Entry)>,
 }

@@ -127,6 +127,12 @@ if grep -rn "fn value_ref\|fn object_ref\|fn array_ref" crates/docstore/src \
   echo "check.sh: a second JSON grammar or a tree parse on the server; parse into a docstore::Tape" >&2
   exit 1
 fi
+# Edges live on classes (DESIGN.md §8): the PRI matcher joins a right to a
+# class of equal lefts, never to one left, so it has no per-left edge API.
+if grep -rn "fn add_edge\|fn remove_edge" crates/matching/src; then
+  echo "check.sh: a per-left edge in the matcher; add rights to classes with add_right" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
