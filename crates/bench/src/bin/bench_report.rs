@@ -1,12 +1,20 @@
 //! `bench-report`: the machine-readable throughput harness behind the CI
-//! bench gate. Measures the batched apply pipeline (batch-size sweep, with
-//! and without a journal) and the PRI matcher (bulk repair, and a Central
-//! Client's per-message cost as the table grows), then writes
-//! `BENCH_sync.json` and `BENCH_matching.json` —
-//! one result object per line, so `scripts/bench_compare.sh` can diff two
-//! runs with nothing fancier than sed.
+//! bench gate. Each suite writes one `BENCH_<suite>.json`, one result
+//! object per line, which `scripts/bench_compare.sh` diffs against a
+//! checked-in baseline:
 //!
-//! Usage: `bench-report [--quick] [--out-dir DIR]`
+//! * `sync` — the batched apply pipeline (batch-size sweep, with and
+//!   without a journal);
+//! * `matching` — the PRI matcher (bulk repair, and a Central Client's
+//!   per-message cost as the table grows);
+//! * `overhead` — what tracing and a shard's periodic jobs cost the apply
+//!   path;
+//! * `overload`, `connscale`, `recovery` — storms, many connections and
+//!   crash recovery against a real `TcpService`;
+//! * `progress` — the completeness estimator's accuracy, auto-stop's
+//!   savings and the progress tick's own cost.
+//!
+//! Usage: `bench-report [--quick] [--out-dir DIR] [--suite NAME]`
 //!
 //! `--quick` shrinks the workload and repetition count for CI smoke runs;
 //! the numbers are noisier but the file format is identical.
@@ -253,12 +261,27 @@ fn matching_suite(quick: bool) -> Vec<Entry> {
     entries
 }
 
-/// Tracing overhead on the sync-pipeline workload: the same batched
-/// replay with tracing off, sampled (1-in-64), and on for every op. The
-/// `off` row is the hot path the ≤2% regression gate watches; the others
-/// price turning the flight recorder on.
-fn trace_overhead_suite(quick: bool) -> Vec<Entry> {
+/// What observability costs the apply path, one suite: the batched
+/// replay with tracing off, sampled (1-in-64) and on for every op, then
+/// without and with the periodic jobs of a shard. The `apply_traced/off`
+/// row is the hot path the ≤ 2 % regression gate watches; the others price
+/// turning the flight recorder on.
+///
+/// The `apply_ticked` pair runs on one thread, as a shard does: the `on`
+/// side takes the telemetry reading and advances a `ProgressTracker` (and
+/// builds its report) between batches, each at 50× the product's cadence
+/// (every 5 ms and every 10 ms), so their cost shows above noise. Off and
+/// on reps are interleaved, so clock-frequency and cache drift over the
+/// run land on both sides equally; a sequential A-then-B layout shows
+/// multi-percent phantom deltas on shared runners. The rows carry the
+/// table size, so quick and full runs never collide in the compare.
+fn overhead_suite(quick: bool) -> Vec<Entry> {
+    use crowdfill_obs::metrics::{counter, histogram};
+    use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
     use crowdfill_obs::trace::{self as obstrace, TraceMode};
+    use crowdfill_server::ProgressTracker;
+    use std::time::Duration;
+
     let (rows, workers, reps) = if quick { (16, 4, 3) } else { (32, 4, 9) };
     eprintln!("trace overhead workload: {rows} rows, {workers} workers, {reps} reps");
     let before = obstrace::mode();
@@ -279,68 +302,81 @@ fn trace_overhead_suite(quick: bool) -> Vec<Entry> {
         }));
     }
     obstrace::set_mode(before);
-    entries
-}
 
-/// Telemetry-sampler overhead on the sync-pipeline workload: the batched
-/// replay with no sampler vs a sampler diffing the global registry at an
-/// aggressive period (far shorter than the production 250 ms default).
-/// The acceptance bound holds `on` within 2% of `off`: the sampler runs
-/// on another thread (in the product, another shard's) and the instruments
-/// it reads are lock-free, so the hot path should not feel it. Off and on
-/// reps are interleaved — the sampler (re)started around each on-rep — so
-/// clock-frequency and cache drift over the run land on both sides
-/// equally; a sequential A-then-B layout shows multi-percent phantom
-/// deltas on shared runners.
-fn health_overhead_suite(quick: bool) -> Vec<Entry> {
     let (rows, workers, reps) = if quick { (16, 4, 5) } else { (96, 4, 25) };
-    eprintln!("health overhead workload: {rows} rows, {workers} workers, {reps} interleaved reps");
+    // A pass is a couple of milliseconds, so a rep replays the workload
+    // `passes` times, each on a fresh backend, for the cadence to come
+    // round many times within one rep.
+    let passes = if quick { 8 } else { 32 };
+    eprintln!(
+        "tick overhead workload: {rows} rows, {workers} workers, \
+         {passes} passes x {reps} interleaved reps"
+    );
     let jobs = record_fill_workload(rows, rows, workers);
-    let ops = jobs.len();
-
-    // Warm-up pass so neither side pays the cold caches.
-    replay_batched(&jobs, rows, workers, 32, None);
-
+    let ops = jobs.len() * passes;
+    const SAMPLE_EVERY: Duration = Duration::from_millis(5);
+    const PROGRESS_EVERY: Duration = Duration::from_millis(10);
+    // Returns how many readings and progress ticks the rep took. Both are
+    // due at its start, as a shard's are at service start.
+    let replay = |ticked: bool| {
+        let ring = ReadingRing::new(
+            SloInstruments {
+                latency: histogram("crowdfill_server_ack_latency_ns"),
+                sheds: counter("crowdfill_server_sheds"),
+                submits: counter("crowdfill_server_submit_requests"),
+            },
+            256,
+        );
+        let started = Instant::now();
+        let (mut sampled, mut advanced) = (started - SAMPLE_EVERY, started - PROGRESS_EVERY);
+        let mut ticks = (0, 0);
+        for _ in 0..passes {
+            let mut backend = Backend::new(crowdfill_bench::workload::pipeline_config(rows));
+            for _ in 0..workers {
+                backend.attach(crowdfill_pay::Millis(0));
+            }
+            let mut tracker = ProgressTracker::new();
+            for chunk in jobs.chunks(32) {
+                let outcome = backend.submit_batch(chunk.to_vec(), crowdfill_pay::Millis(1));
+                for r in outcome.results {
+                    r.expect("recorded op rejected on replay");
+                }
+                if !ticked {
+                    continue;
+                }
+                let now = Instant::now();
+                if now - sampled >= SAMPLE_EVERY {
+                    ring.sample((now - started).as_nanos() as u64);
+                    (sampled, ticks.0) = (now, ticks.0 + 1);
+                }
+                if now - advanced >= PROGRESS_EVERY {
+                    tracker.advance(&backend);
+                    std::hint::black_box(tracker.report(&backend, 0.9));
+                    (advanced, ticks.1) = (now, ticks.1 + 1);
+                }
+            }
+        }
+        ticks
+    };
+    replay(true); // warm-up
     let mut off: Vec<u128> = Vec::with_capacity(reps);
     let mut on: Vec<u128> = Vec::with_capacity(reps);
+    let mut ticks = (0, 0);
     for _ in 0..reps {
         let start = Instant::now();
-        replay_batched(&jobs, rows, workers, 32, None);
+        replay(false);
         off.push(start.elapsed().as_nanos());
-
-        on.push(beside_a_sampler(|| {
-            let start = Instant::now();
-            replay_batched(&jobs, rows, workers, 32, None);
-            start.elapsed().as_nanos()
-        }));
+        let start = Instant::now();
+        ticks = replay(true);
+        on.push(start.elapsed().as_nanos());
     }
-    vec![
-        reduce("apply_sampled/off", ops, reps, off),
-        reduce("apply_sampled/on", ops, reps, on),
-    ]
-}
-
-/// Runs `body` beside a thread diffing the global registry every 5 ms —
-/// 50x the production sampling rate, to make any hot-path interference
-/// visible above measurement noise. The product's situation on a
-/// multi-shard service: one shard samples while another applies.
-fn beside_a_sampler<T>(body: impl FnOnce() -> T) -> T {
-    use crowdfill_obs::timeseries::{DeltaTracker, SampleRing};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let (ring, done) = (SampleRing::new(1 << 14), AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let (started, mut tracker) = (Instant::now(), DeltaTracker::new());
-            while !done.load(Ordering::Relaxed) {
-                let at_ns = started.elapsed().as_nanos() as u64;
-                ring.push(tracker.sample(crowdfill_obs::metrics::global(), at_ns));
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        });
-        let out = body();
-        done.store(true, Ordering::Relaxed);
-        out
-    })
+    eprintln!(
+        "tick overhead: the last on-rep took {} readings and {} progress ticks",
+        ticks.0, ticks.1
+    );
+    entries.push(reduce(&format!("apply_ticked/off-{rows}r"), ops, reps, off));
+    entries.push(reduce(&format!("apply_ticked/on-{rows}r"), ops, reps, on));
+    entries
 }
 
 /// The overload stress suite: seeded open-loop storms against a tiny
@@ -592,10 +628,10 @@ fn recovery_suite(quick: bool) -> Vec<Entry> {
 /// `median_ns_per_op` carries the score in basis points (APE × 100 /
 /// saved-percent × 100): the field the compare script diffs.
 ///
-/// Overhead entries are real timings: the batched replay with the health
-/// sampler running, without vs with a `ProgressTracker` advanced at batch
-/// cadence — interleaved reps, mirroring `health_overhead_suite`, sized
-/// into the name so quick and full runs never collide in the compare.
+/// The `progress_tick` entries are real timings: what one advance of a
+/// `ProgressTracker` and its report cost, sized into the name so quick and
+/// full runs never collide in the compare. What the tick costs the apply
+/// path is [`overhead_suite`]'s.
 fn progress_suite(quick: bool) -> Vec<Entry> {
     use crowdfill_bench::progress::{autostop, score_schedule, CHECKPOINTS};
     use crowdfill_server::ProgressTracker;
@@ -759,79 +795,8 @@ fn progress_suite(quick: bool) -> Vec<Entry> {
         });
     }
 
-    // Estimator overhead on the apply path, measured the way production
-    // pays it: the batched replay applies through a mutexed backend (as
-    // under `TcpService`) with the health sampler running; the `on` side
-    // additionally runs a progress-sweep thread that locks the backend on
-    // a short tick to advance a ProgressTracker and build the report —
-    // 5 ms, 100× the production 500 ms cadence, so any hot-path
-    // interference shows well above noise (the same trick
-    // health_overhead_suite plays with the sampler period). The measured
-    // on/off delta is an *upper bound at 100× duty cycle*: scale by the
-    // cadence ratio — and check the per-tick entries below, which price
-    // the sweep's actual work — to compare against the ≤ 2% health gate.
     let (rows, workers, reps) = if quick { (16, 4, 5) } else { (96, 4, 25) };
-    eprintln!(
-        "progress overhead workload: {rows} rows, {workers} workers, {reps} interleaved reps"
-    );
     let jobs = record_fill_workload(rows, rows, workers);
-    let ops = jobs.len();
-    let replay = |sweep: bool| {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::{Arc, Mutex};
-        let mut backend = Backend::new(crowdfill_bench::workload::pipeline_config(rows));
-        for _ in 0..workers {
-            backend.attach(crowdfill_pay::Millis(0));
-        }
-        let backend = Arc::new(Mutex::new(backend));
-        let stop = Arc::new(AtomicBool::new(false));
-        let sweeper = sweep.then(|| {
-            let backend = Arc::clone(&backend);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut tracker = ProgressTracker::new();
-                while !stop.load(Ordering::Relaxed) {
-                    {
-                        let b = backend.lock().unwrap();
-                        tracker.advance(&b);
-                        std::hint::black_box(tracker.report(&b, 0.9));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            })
-        });
-        for chunk in jobs.chunks(32) {
-            let mut b = backend.lock().unwrap();
-            let outcome = b.submit_batch(chunk.to_vec(), crowdfill_pay::Millis(1));
-            for r in outcome.results {
-                r.expect("recorded op rejected on replay");
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        if let Some(h) = sweeper {
-            h.join().unwrap();
-        }
-    };
-    replay(true); // warm-up
-    let mut off: Vec<u128> = Vec::with_capacity(reps);
-    let mut on: Vec<u128> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        beside_a_sampler(|| {
-            let start = Instant::now();
-            replay(false);
-            off.push(start.elapsed().as_nanos());
-            let start = Instant::now();
-            replay(true);
-            on.push(start.elapsed().as_nanos());
-        });
-    }
-    entries.push(reduce(
-        &format!("apply_progress/off-{rows}r"),
-        ops,
-        reps,
-        off,
-    ));
-    entries.push(reduce(&format!("apply_progress/on-{rows}r"), ops, reps, on));
 
     // The sweep's own per-tick cost on a fully-applied backend: the first
     // advance pays the O(trace) catch-up once; steady-state ticks only
@@ -924,7 +889,7 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: bench-report [--quick] [--out-dir DIR] \
-                     [--suite sync|matching|trace_overhead|health_overhead|overload|connscale|recovery|progress]"
+                     [--suite sync|matching|overhead|overload|connscale|recovery|progress]"
                 );
                 std::process::exit(2);
             }
@@ -948,23 +913,13 @@ fn main() {
         );
     }
 
-    if wants("trace_overhead") {
-        let trace_overhead = trace_overhead_suite(quick);
+    if wants("overhead") {
+        let overhead = overhead_suite(quick);
         write_report(
-            &out_dir.join("BENCH_trace_overhead.json"),
-            "trace_overhead",
+            &out_dir.join("BENCH_overhead.json"),
+            "overhead",
             quick,
-            &trace_overhead,
-        );
-    }
-
-    if wants("health_overhead") {
-        let health_overhead = health_overhead_suite(quick);
-        write_report(
-            &out_dir.join("BENCH_health_overhead.json"),
-            "health_overhead",
-            quick,
-            &health_overhead,
+            &overhead,
         );
     }
 

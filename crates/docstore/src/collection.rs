@@ -1,12 +1,11 @@
-//! In-memory document collections with filters and secondary indexes.
+//! In-memory document collections.
 //!
 //! The front-end server stores task specifications, traces, and collected
 //! results as JSON documents. A collection maps a string document id to a
-//! JSON object, supports declarative [`Filter`] queries, and maintains
-//! hash-based secondary indexes over top-level fields.
+//! JSON object and iterates them in id order.
 
 use crate::json::Json;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from collection operations.
@@ -18,10 +17,6 @@ pub enum StoreError {
     NotFound(String),
     /// Documents must be JSON objects.
     NotAnObject,
-    /// A unique index rejected a duplicate key.
-    UniqueViolation { index: String, key: String },
-    /// Index name already in use.
-    DuplicateIndex(String),
     /// I/O or corruption errors from the persistence layer.
     Io(String),
 }
@@ -32,10 +27,6 @@ impl fmt::Display for StoreError {
             StoreError::DuplicateId(id) => write!(f, "document {id:?} already exists"),
             StoreError::NotFound(id) => write!(f, "document {id:?} not found"),
             StoreError::NotAnObject => write!(f, "documents must be JSON objects"),
-            StoreError::UniqueViolation { index, key } => {
-                write!(f, "unique index {index:?} violated by key {key:?}")
-            }
-            StoreError::DuplicateIndex(name) => write!(f, "index {name:?} already exists"),
             StoreError::Io(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -43,108 +34,12 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// A declarative filter over documents (a small subset of a Mongo-style
-/// query language — what the CrowdFill front end actually needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Filter {
-    /// Matches every document.
-    All,
-    /// Field equals the value exactly.
-    Eq(String, Json),
-    /// Field exists (any value, including null).
-    Exists(String),
-    /// Numeric field comparison: field > value.
-    Gt(String, f64),
-    /// Numeric field comparison: field < value.
-    Lt(String, f64),
-    /// Conjunction.
-    And(Vec<Filter>),
-    /// Disjunction.
-    Or(Vec<Filter>),
-    /// Negation.
-    Not(Box<Filter>),
-}
-
-impl Filter {
-    /// Whether `doc` (an object) satisfies this filter.
-    pub fn matches(&self, doc: &Json) -> bool {
-        match self {
-            Filter::All => true,
-            Filter::Eq(field, v) => doc.get(field) == Some(v),
-            Filter::Exists(field) => doc.get(field).is_some(),
-            Filter::Gt(field, v) => doc
-                .get(field)
-                .and_then(Json::as_f64)
-                .is_some_and(|x| x > *v),
-            Filter::Lt(field, v) => doc
-                .get(field)
-                .and_then(Json::as_f64)
-                .is_some_and(|x| x < *v),
-            Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
-            Filter::Not(f) => !f.matches(doc),
-        }
-    }
-
-    /// If this filter (or a conjunct of it) is an equality on `field`,
-    /// the value it requires — used for index acceleration.
-    fn eq_on(&self, field: &str) -> Option<&Json> {
-        match self {
-            Filter::Eq(f, v) if f == field => Some(v),
-            Filter::And(fs) => fs.iter().find_map(|f| f.eq_on(field)),
-            _ => None,
-        }
-    }
-}
-
-/// A secondary index over one top-level field.
-#[derive(Debug, Clone)]
-struct Index {
-    field: String,
-    unique: bool,
-    /// Canonical-encoded field value → document ids.
-    entries: HashMap<String, HashSet<String>>,
-}
-
-impl Index {
-    fn key_of(doc: &Json, field: &str) -> Option<String> {
-        doc.get(field).map(Json::encode)
-    }
-
-    fn insert(&mut self, id: &str, doc: &Json) -> Result<(), StoreError> {
-        let Some(key) = Self::key_of(doc, &self.field) else {
-            return Ok(()); // absent field: not indexed
-        };
-        let ids = self.entries.entry(key.clone()).or_default();
-        if self.unique && !ids.is_empty() && !ids.contains(id) {
-            return Err(StoreError::UniqueViolation {
-                index: self.field.clone(),
-                key,
-            });
-        }
-        ids.insert(id.to_string());
-        Ok(())
-    }
-
-    fn remove(&mut self, id: &str, doc: &Json) {
-        if let Some(key) = Self::key_of(doc, &self.field) {
-            if let Some(ids) = self.entries.get_mut(&key) {
-                ids.remove(id);
-                if ids.is_empty() {
-                    self.entries.remove(&key);
-                }
-            }
-        }
-    }
-}
-
 /// An in-memory collection of JSON documents keyed by string ids.
 ///
-/// Iteration and query results are in ascending id order (deterministic).
+/// Iteration is in ascending id order (deterministic).
 #[derive(Debug, Clone, Default)]
 pub struct Collection {
     docs: BTreeMap<String, Json>,
-    indexes: Vec<Index>,
 }
 
 impl Collection {
@@ -169,22 +64,6 @@ impl Collection {
         if self.docs.contains_key(&id) {
             return Err(StoreError::DuplicateId(id));
         }
-        // Validate all unique indexes before mutating any.
-        for idx in &self.indexes {
-            if idx.unique {
-                if let Some(key) = Index::key_of(&doc, &idx.field) {
-                    if idx.entries.get(&key).is_some_and(|ids| !ids.is_empty()) {
-                        return Err(StoreError::UniqueViolation {
-                            index: idx.field.clone(),
-                            key,
-                        });
-                    }
-                }
-            }
-        }
-        for idx in &mut self.indexes {
-            idx.insert(&id, &doc).expect("validated above");
-        }
         self.docs.insert(id, doc);
         Ok(())
     }
@@ -194,31 +73,11 @@ impl Collection {
         if !matches!(doc, Json::Obj(_)) {
             return Err(StoreError::NotAnObject);
         }
-        let old = self
+        let slot = self
             .docs
-            .get(id)
-            .ok_or_else(|| StoreError::NotFound(id.to_string()))?
-            .clone();
-        // Validate unique indexes against other documents.
-        for idx in &self.indexes {
-            if idx.unique {
-                if let Some(key) = Index::key_of(&doc, &idx.field) {
-                    if let Some(ids) = idx.entries.get(&key) {
-                        if ids.iter().any(|other| other != id) {
-                            return Err(StoreError::UniqueViolation {
-                                index: idx.field.clone(),
-                                key,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        for idx in &mut self.indexes {
-            idx.remove(id, &old);
-            idx.insert(id, &doc).expect("validated above");
-        }
-        self.docs.insert(id.to_string(), doc);
+            .get_mut(id)
+            .ok_or_else(|| StoreError::NotFound(id.to_string()))?;
+        *slot = doc;
         Ok(())
     }
 
@@ -234,14 +93,9 @@ impl Collection {
 
     /// Removes a document, returning it.
     pub fn remove(&mut self, id: &str) -> Result<Json, StoreError> {
-        let doc = self
-            .docs
+        self.docs
             .remove(id)
-            .ok_or_else(|| StoreError::NotFound(id.to_string()))?;
-        for idx in &mut self.indexes {
-            idx.remove(id, &doc);
-        }
-        Ok(doc)
+            .ok_or_else(|| StoreError::NotFound(id.to_string()))
     }
 
     pub fn get(&self, id: &str) -> Option<&Json> {
@@ -255,69 +109,6 @@ impl Collection {
     /// Iterates `(id, doc)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Json)> {
         self.docs.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Runs a filter query; uses a secondary index when the filter pins an
-    /// indexed field with equality, otherwise scans.
-    pub fn find(&self, filter: &Filter) -> Vec<(&str, &Json)> {
-        // Index acceleration.
-        for idx in &self.indexes {
-            if let Some(v) = filter.eq_on(&idx.field) {
-                let key = v.encode();
-                let mut ids: Vec<&str> = idx
-                    .entries
-                    .get(&key)
-                    .map(|set| set.iter().map(String::as_str).collect())
-                    .unwrap_or_default();
-                ids.sort_unstable();
-                return ids
-                    .into_iter()
-                    .filter_map(|id| self.docs.get_key_value(id))
-                    .map(|(k, v)| (k.as_str(), v))
-                    .filter(|(_, doc)| filter.matches(doc))
-                    .collect();
-            }
-        }
-        self.iter().filter(|(_, doc)| filter.matches(doc)).collect()
-    }
-
-    /// The first match, if any.
-    pub fn find_one(&self, filter: &Filter) -> Option<(&str, &Json)> {
-        self.find(filter).into_iter().next()
-    }
-
-    /// Number of matches.
-    pub fn count(&self, filter: &Filter) -> usize {
-        self.find(filter).len()
-    }
-
-    /// Creates a secondary index over `field`, backfilling existing docs.
-    /// Fails on duplicate index names or (for unique indexes) existing
-    /// duplicate keys.
-    pub fn create_index(
-        &mut self,
-        field: impl Into<String>,
-        unique: bool,
-    ) -> Result<(), StoreError> {
-        let field = field.into();
-        if self.indexes.iter().any(|i| i.field == field) {
-            return Err(StoreError::DuplicateIndex(field));
-        }
-        let mut idx = Index {
-            field,
-            unique,
-            entries: HashMap::new(),
-        };
-        for (id, doc) in &self.docs {
-            idx.insert(id, doc)?;
-        }
-        self.indexes.push(idx);
-        Ok(())
-    }
-
-    /// Whether `field` has an index.
-    pub fn has_index(&self, field: &str) -> bool {
-        self.indexes.iter().any(|i| i.field == field)
     }
 }
 
@@ -368,136 +159,12 @@ mod tests {
     }
 
     #[test]
-    fn filters() {
+    fn iterates_in_id_order() {
         let mut c = Collection::new();
-        c.insert("1", doc("Messi", 83)).unwrap();
         c.insert("2", doc("Xavi", 133)).unwrap();
+        c.insert("1", doc("Messi", 83)).unwrap();
         c.insert("3", doc("Neymar", 83)).unwrap();
-
-        assert_eq!(c.count(&Filter::All), 3);
-        assert_eq!(c.count(&Filter::Eq("caps".into(), Json::num(83))), 2);
-        assert_eq!(c.count(&Filter::Gt("caps".into(), 100.0)), 1);
-        assert_eq!(c.count(&Filter::Lt("caps".into(), 100.0)), 2);
-        assert_eq!(
-            c.count(&Filter::And(vec![
-                Filter::Eq("caps".into(), Json::num(83)),
-                Filter::Eq("name".into(), Json::str("Messi")),
-            ])),
-            1
-        );
-        assert_eq!(
-            c.count(&Filter::Or(vec![
-                Filter::Eq("name".into(), Json::str("Messi")),
-                Filter::Eq("name".into(), Json::str("Xavi")),
-            ])),
-            2
-        );
-        assert_eq!(
-            c.count(&Filter::Not(Box::new(Filter::Eq(
-                "caps".into(),
-                Json::num(83)
-            )))),
-            1
-        );
-        assert_eq!(c.count(&Filter::Exists("name".into())), 3);
-        assert_eq!(c.count(&Filter::Exists("height".into())), 0);
-        // Results are id-ordered.
-        let found = c.find(&Filter::Eq("caps".into(), Json::num(83)));
-        assert_eq!(found[0].0, "1");
-        assert_eq!(found[1].0, "3");
-        assert_eq!(c.find_one(&Filter::All).unwrap().0, "1");
-    }
-
-    #[test]
-    fn indexed_query_agrees_with_scan() {
-        let mut c = Collection::new();
-        for i in 0..50 {
-            c.insert(format!("{i:03}"), doc(&format!("p{}", i % 7), i))
-                .unwrap();
-        }
-        let filter = Filter::Eq("name".into(), Json::str("p3"));
-        let scan: Vec<String> = c
-            .find(&filter)
-            .iter()
-            .map(|(id, _)| id.to_string())
-            .collect();
-        c.create_index("name", false).unwrap();
-        assert!(c.has_index("name"));
-        let indexed: Vec<String> = c
-            .find(&filter)
-            .iter()
-            .map(|(id, _)| id.to_string())
-            .collect();
-        assert_eq!(scan, indexed);
-    }
-
-    #[test]
-    fn index_tracks_updates_and_removals() {
-        let mut c = Collection::new();
-        c.create_index("name", false).unwrap();
-        c.insert("1", doc("A", 1)).unwrap();
-        c.insert("2", doc("A", 2)).unwrap();
-        assert_eq!(c.count(&Filter::Eq("name".into(), Json::str("A"))), 2);
-        c.update("1", doc("B", 1)).unwrap();
-        assert_eq!(c.count(&Filter::Eq("name".into(), Json::str("A"))), 1);
-        assert_eq!(c.count(&Filter::Eq("name".into(), Json::str("B"))), 1);
-        c.remove("2").unwrap();
-        assert_eq!(c.count(&Filter::Eq("name".into(), Json::str("A"))), 0);
-    }
-
-    #[test]
-    fn unique_index_enforced() {
-        let mut c = Collection::new();
-        c.create_index("name", true).unwrap();
-        c.insert("1", doc("A", 1)).unwrap();
-        assert!(matches!(
-            c.insert("2", doc("A", 2)),
-            Err(StoreError::UniqueViolation { .. })
-        ));
-        // Same doc updated to itself is fine.
-        c.update("1", doc("A", 9)).unwrap();
-        // Update colliding with another doc is rejected.
-        c.insert("2", doc("B", 2)).unwrap();
-        assert!(matches!(
-            c.update("2", doc("A", 2)),
-            Err(StoreError::UniqueViolation { .. })
-        ));
-    }
-
-    #[test]
-    fn unique_index_backfill_detects_duplicates() {
-        let mut c = Collection::new();
-        c.insert("1", doc("A", 1)).unwrap();
-        c.insert("2", doc("A", 2)).unwrap();
-        assert!(matches!(
-            c.create_index("name", true),
-            Err(StoreError::UniqueViolation { .. })
-        ));
-        assert!(matches!(
-            c.create_index("caps", false)
-                .and(c.create_index("caps", false)),
-            Err(StoreError::DuplicateIndex(_))
-        ));
-    }
-
-    #[test]
-    fn absent_indexed_field_is_allowed() {
-        let mut c = Collection::new();
-        c.create_index("email", true).unwrap();
-        c.insert("1", doc("A", 1)).unwrap(); // no email field
-        c.insert("2", doc("B", 2)).unwrap(); // also none: no violation
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn failed_unique_insert_leaves_collection_unchanged() {
-        let mut c = Collection::new();
-        c.create_index("name", true).unwrap();
-        c.create_index("caps", true).unwrap();
-        c.insert("1", doc("A", 1)).unwrap();
-        // Collides on name but not caps: neither index may be mutated.
-        assert!(c.insert("2", doc("A", 99)).is_err());
-        assert_eq!(c.len(), 1);
-        c.insert("3", doc("C", 99)).unwrap(); // caps=99 must still be free
+        let ids: Vec<&str> = c.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, ["1", "2", "3"]);
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`json`] — a self-contained JSON value model, parser, and canonical
 //!   serializer (also the wire format of `crowdfill-net` frames);
-//! * [`collection`] — id-keyed document collections with declarative
-//!   filters and unique/non-unique secondary indexes;
+//! * [`collection`] — id-keyed document collections, iterated in id
+//!   order;
 //! * [`disk`] — the injectable I/O layer under the persistence code, with
 //!   a seeded fault-injecting implementation (DESIGN.md §14);
 //! * [`wal`] — a checksummed append-only log with torn-tail recovery and
@@ -25,7 +25,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use collection::{Collection, Filter, StoreError};
+pub use collection::{Collection, StoreError};
 pub use disk::{Disk, DiskFile, FaultPlan, FaultState, FaultyDisk, RealDisk};
 pub use json::{Json, JsonDoc, JsonError, JsonNode, JsonRef, Tape, TapeNode};
 pub use snapshot::{Snapshot, SnapshotStore};

@@ -6,7 +6,7 @@
 //! store replays the log. [`DocStore::compact`] rewrites the log as one
 //! snapshot per document.
 
-use crate::collection::{Collection, Filter, StoreError};
+use crate::collection::{Collection, StoreError};
 use crate::json::Json;
 use crate::wal::Wal;
 use std::collections::BTreeMap;
@@ -167,27 +167,6 @@ impl DocStore {
         self.collections.get(collection)?.get(id)
     }
 
-    /// Queries a collection.
-    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<(&str, &Json)> {
-        self.collections
-            .get(collection)
-            .map(|c| c.find(filter))
-            .unwrap_or_default()
-    }
-
-    /// Creates a secondary index (in-memory only; rebuilt on open).
-    pub fn create_index(
-        &mut self,
-        collection: &str,
-        field: &str,
-        unique: bool,
-    ) -> Result<(), StoreError> {
-        self.collections
-            .entry(collection.to_string())
-            .or_default()
-            .create_index(field, unique)
-    }
-
     /// Rewrites the WAL as one snapshot record per live document.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let Some(wal) = &mut self.wal else {
@@ -248,8 +227,8 @@ mod tests {
             s.get("tasks", "t1").unwrap().get("n").unwrap().as_i64(),
             Some(2)
         );
-        assert_eq!(s.find("tasks", &Filter::All).len(), 1);
-        assert_eq!(s.find("ghosts", &Filter::All).len(), 0);
+        assert_eq!(s.collection("tasks").map(Collection::len), Some(1));
+        assert!(s.collection("ghosts").is_none());
         s.remove("tasks", "t1").unwrap();
         assert_eq!(s.get("tasks", "t1"), None);
         assert_eq!(s.collection_names(), vec!["tasks"]);
@@ -301,16 +280,16 @@ mod tests {
     }
 
     #[test]
-    fn unique_violations_are_not_logged() {
-        let path = tmp_path("unique");
+    fn rejected_inserts_are_not_logged() {
+        let path = tmp_path("rejected");
         {
             let mut s = DocStore::open(&path).unwrap();
-            s.create_index("t", "n", true).unwrap();
             s.insert("t", "a", doc(1)).unwrap();
-            assert!(s.insert("t", "b", doc(1)).is_err());
+            assert!(s.insert("t", "a", doc(2)).is_err());
         }
         let s = DocStore::open(&path).unwrap();
         assert_eq!(s.collection("t").unwrap().len(), 1);
+        assert_eq!(s.get("t", "a").unwrap().get("n").unwrap().as_i64(), Some(1));
         std::fs::remove_file(&path).unwrap();
     }
 }

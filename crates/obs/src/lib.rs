@@ -4,9 +4,9 @@
 //! `parking_lot` only (no external logging/metrics frameworks):
 //!
 //! * [`log`] — a leveled, structured key-value event log with pluggable
-//!   [`Sink`](log::Sink)s: a stderr writer (text or JSON lines), a
-//!   bounded lossy ring buffer, and a test-capture sink. A disabled
-//!   level costs one relaxed atomic load at the call site.
+//!   [`Sink`](log::Sink)s (the crate ships a stderr writer, text or JSON
+//!   lines). A disabled level costs one relaxed atomic load at the call
+//!   site.
 //! * [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) of
 //!   lock-free [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s, and log-bucketed
@@ -21,11 +21,12 @@
 //!   ([`SpeciesEstimator`](progress::SpeciesEstimator)) turning an
 //!   observation stream into completeness estimates with confidence
 //!   bands, for the progress/auto-stop layer (DESIGN.md §15).
-//! * [`timeseries`] — a [`DeltaTracker`](timeseries::DeltaTracker)
-//!   diffing the registry into a bounded ring of timestamped deltas on
-//!   its owner's clock (no thread of its own), with windowed rates,
-//!   quantile trends, and declarative [`SloSpec`](timeseries::SloSpec)
-//!   tracking with burn-rate gauges.
+//! * [`timeseries`] — a [`ReadingRing`](timeseries::ReadingRing) of
+//!   cumulative readings of the instruments the service's objectives
+//!   name, sampled on its owner's clock (no thread of its own); a window
+//!   is the difference of two readings, and
+//!   [`SloStatus`](timeseries::SloStatus) scores an objective and its
+//!   burn rate.
 //! * [`trace`] — causal per-op tracing: deterministic
 //!   [`TraceId`](trace::TraceId)s/[`SpanId`](trace::SpanId)s, a bounded
 //!   lock-free [`FlightRecorder`](trace::FlightRecorder) ring of
@@ -48,17 +49,11 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use crate::log::{
-    CaptureSink, Event, FieldValue, Level, RingSink, Sink, StderrFormat, StderrSink,
-};
-pub use crate::metrics::{
-    counter, gauge, histogram, Counter, Gauge, Histogram, InstrumentValue, MetricsRegistry,
-};
+pub use crate::log::{Event, FieldValue, Level, Sink, StderrFormat, StderrSink};
+pub use crate::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, MetricsRegistry};
 pub use crate::progress::{ProgressEstimate, SpeciesEstimator};
 pub use crate::span::SpanTimer;
-pub use crate::timeseries::{
-    DeltaTracker, Sample, SampleDelta, SampleRing, SloKind, SloSpec, SloStatus,
-};
+pub use crate::timeseries::{Reading, ReadingRing, SloInstruments, SloStatus};
 pub use crate::trace::{FlightRecorder, SpanId, Stage, TraceEvent, TraceId, TraceMode};
 
 use std::sync::Once;

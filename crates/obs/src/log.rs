@@ -5,13 +5,12 @@
 //! sink runs. Events carry a static target (usually the crate name), a
 //! message, and typed key-value fields.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// Log severity. `Off` disables everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -238,7 +237,7 @@ pub fn add_sink(sink: Arc<dyn Sink>) {
     SINKS.write().push(sink);
 }
 
-/// Removes all sinks (used by tests to detach capture sinks).
+/// Removes all sinks (used by tests to detach the sinks they installed).
 pub fn clear_sinks() {
     SINKS.write().clear();
 }
@@ -297,85 +296,6 @@ impl Sink for StderrSink {
     }
 }
 
-/// Bounded in-memory buffer of the most recent events, with monotonic
-/// sequence numbers so readers can tell how many lines were dropped.
-pub struct RingSink {
-    capacity: usize,
-    state: Mutex<RingState>,
-}
-
-struct RingState {
-    next_seq: u64,
-    events: VecDeque<(u64, Event)>,
-}
-
-impl RingSink {
-    pub fn new(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "RingSink capacity must be positive");
-        RingSink {
-            capacity,
-            state: Mutex::new(RingState {
-                next_seq: 0,
-                events: VecDeque::with_capacity(capacity),
-            }),
-        }
-    }
-
-    /// Total events ever accepted (sequence numbers are `0..this`).
-    pub fn total_seen(&self) -> u64 {
-        self.state.lock().next_seq
-    }
-
-    /// The retained `(sequence, event)` pairs, oldest first. Sequence
-    /// numbers are contiguous; anything before the first entry was
-    /// overwritten.
-    pub fn recent(&self) -> Vec<(u64, Event)> {
-        self.state.lock().events.iter().cloned().collect()
-    }
-}
-
-impl Sink for RingSink {
-    fn accept(&self, event: &Event) {
-        let mut state = self.state.lock();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.events.len() == self.capacity {
-            state.events.pop_front();
-        }
-        state.events.push_back((seq, event.clone()));
-    }
-}
-
-/// Retains every event; for asserting on log output in tests.
-#[derive(Default)]
-pub struct CaptureSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl CaptureSink {
-    pub fn new() -> CaptureSink {
-        CaptureSink::default()
-    }
-
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
-    }
-
-    pub fn messages(&self) -> Vec<String> {
-        self.events
-            .lock()
-            .iter()
-            .map(|e| e.message.clone())
-            .collect()
-    }
-}
-
-impl Sink for CaptureSink {
-    fn accept(&self, event: &Event) {
-        self.events.lock().push(event.clone());
-    }
-}
-
 /// Logs at an explicit level: `obs_log!(Level::Info, "target", "msg {}", x; k => v, ...)`.
 /// Fields follow the format arguments after a `;`.
 #[macro_export]
@@ -419,7 +339,7 @@ macro_rules! obs_error {
 
 /// Serializes tests that mutate the process-global level/sinks.
 #[cfg(test)]
-pub(crate) static TEST_GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+pub(crate) static TEST_GLOBAL_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -452,20 +372,6 @@ mod tests {
         assert!(line.contains(r#""msg":"say \"hi\"\n""#), "{line}");
         assert!(line.contains(r#""name":"a\"b""#), "{line}");
         assert!(line.starts_with('{') && line.ends_with('}'));
-    }
-
-    #[test]
-    fn ring_sink_drops_oldest_and_keeps_sequences_contiguous() {
-        let ring = RingSink::new(4);
-        for i in 0..10 {
-            ring.accept(&event(&format!("m{i}")));
-        }
-        assert_eq!(ring.total_seen(), 10);
-        let recent = ring.recent();
-        assert_eq!(recent.len(), 4);
-        let seqs: Vec<u64> = recent.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(recent[0].1.message, "m6");
     }
 
     #[test]

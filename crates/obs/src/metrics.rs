@@ -243,20 +243,6 @@ enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A point-in-time reading of one instrument, as captured by
-/// [`MetricsRegistry::values`]. Counters and histograms carry cumulative
-/// totals; consumers that want rates diff successive readings (see
-/// [`timeseries`](crate::timeseries)).
-#[derive(Debug, Clone, PartialEq)]
-pub enum InstrumentValue {
-    Counter(u64),
-    Gauge(i64),
-    // Boxed: a snapshot is ~0.5 KiB of buckets, and most instruments in a
-    // reading are counters — an unboxed variant would size every element
-    // of the reading to the histogram case.
-    Histogram(Box<HistogramSnapshot>),
-}
-
 /// A named collection of instruments. One process-global registry backs
 /// [`global()`]; scoped registries isolate e.g. one simulation run.
 #[derive(Default)]
@@ -350,26 +336,6 @@ impl MetricsRegistry {
     /// Names currently registered (for diagnostics/tests).
     pub fn names(&self) -> Vec<String> {
         self.instruments.lock().keys().cloned().collect()
-    }
-
-    /// Typed point-in-time readings of every instrument, sorted by name.
-    ///
-    /// This is the machine-readable sibling of [`snapshot`](Self::snapshot):
-    /// the registry lock is held only while values are copied out (each
-    /// read is a relaxed atomic load per field), so samplers can call it
-    /// at a high period without stalling recorders.
-    pub fn values(&self) -> Vec<(String, InstrumentValue)> {
-        let map = self.instruments.lock();
-        map.iter()
-            .map(|(name, instrument)| {
-                let value = match instrument {
-                    Instrument::Counter(c) => InstrumentValue::Counter(c.get()),
-                    Instrument::Gauge(g) => InstrumentValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => InstrumentValue::Histogram(Box::new(h.snapshot())),
-                };
-                (name.clone(), value)
-            })
-            .collect()
     }
 }
 

@@ -1,33 +1,36 @@
-//! Hammer test for the time-series sampler: many threads pound the
-//! registry's counters and histograms while a sampler thread diffs it
-//! continuously. Deltas must telescope exactly — at quiescence the sum
-//! of retained deltas equals the final totals — and cumulative fields
-//! must never go backwards between ticks (a torn read would).
+//! Hammer test for the reading ring: many threads pound the instruments
+//! the ring reads while a sampler thread reads them continuously.
+//! Readings must never go backwards between ticks (a torn read would),
+//! and at quiescence a window over the whole run equals the final totals
+//! exactly.
 //!
 //! Mirrors `trace_hammer`: writers produce a self-checkable volume, the
-//! concurrent reader asserts structural invariants on every pass.
+//! concurrent reader asserts structural invariants at the end.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crowdfill_obs::metrics::MetricsRegistry;
-use crowdfill_obs::timeseries::{DeltaTracker, SampleDelta, SampleRing};
+use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
 
 const WRITERS: u64 = 8;
 const PER_WRITER: u64 = 40_000;
 const COUNTER: &str = "crowdfill_test_hammer_ops";
+const SHEDS: &str = "crowdfill_test_hammer_sheds";
 const HISTO: &str = "crowdfill_test_hammer_lat_ns";
 
 #[test]
-fn concurrent_writers_vs_sampler_deltas_telescope() {
+fn concurrent_writers_vs_sampler_windows_are_exact() {
     let reg = Arc::new(MetricsRegistry::new());
-    // Register up front so every tick sees both instruments.
-    let c = reg.counter(COUNTER);
-    let h = reg.histogram(HISTO);
-    drop((c, h));
+    let instruments = SloInstruments {
+        latency: reg.histogram(HISTO),
+        sheds: reg.counter(SHEDS),
+        submits: reg.counter(COUNTER),
+    };
     // Capacity far above the tick volume, so nothing the sampler
-    // produced is evicted and the telescoping check is exact.
-    let ring = Arc::new(SampleRing::new(1 << 16));
+    // produced is evicted and the whole-run window starts at the base.
+    let ring = Arc::new(ReadingRing::new(instruments, 1 << 16));
     let done = Arc::new(AtomicBool::new(false));
 
     crossbeam::scope(|scope| {
@@ -35,32 +38,34 @@ fn concurrent_writers_vs_sampler_deltas_telescope() {
             let reg = Arc::clone(&reg);
             scope.spawn(move |_| {
                 let c = reg.counter(COUNTER);
+                let s = reg.counter(SHEDS);
                 let h = reg.histogram(HISTO);
                 for i in 0..PER_WRITER {
                     c.inc();
+                    if i % 10 == 0 {
+                        s.inc();
+                    }
                     // Deterministic per-op sample value: (w, i)-derived,
                     // so the expected sum is a closed form.
                     h.record(w * PER_WRITER + i);
                 }
             });
         }
-        let sampler_reg = Arc::clone(&reg);
         let sampler_ring = Arc::clone(&ring);
         let sampler_done = Arc::clone(&done);
         let sampler = scope.spawn(move |_| {
-            let mut tracker = DeltaTracker::new();
             let mut at = 0u64;
-            let mut ticks = 0u64;
             while !sampler_done.load(Ordering::Relaxed) {
                 at += 1;
-                sampler_ring.push(tracker.sample(&sampler_reg, at));
-                ticks += 1;
-                std::thread::yield_now();
+                sampler_ring.sample(at);
+                // Paced, so the ticks of a slow (debug) run stay far
+                // inside the capacity.
+                std::thread::sleep(Duration::from_micros(20));
             }
             // One final tick after the writers quiesced picks up any
             // tail the last mid-storm tick missed.
-            sampler_ring.push(tracker.sample(&sampler_reg, at + 1));
-            ticks + 1
+            sampler_ring.sample(at + 1);
+            at + 1
         });
         // Writers finish, then stop the sampler.
         while reg.counter(COUNTER).get() < WRITERS * PER_WRITER {
@@ -72,58 +77,35 @@ fn concurrent_writers_vs_sampler_deltas_telescope() {
     })
     .expect("hammer threads panicked");
 
-    let samples = ring.samples();
-    assert!(!samples.is_empty());
+    let readings = ring.readings();
     assert!(
-        samples.len() < (1 << 16),
-        "ring evicted samples; telescoping check would be unsound"
+        ring.len() < ring.capacity(),
+        "ring evicted readings; the whole-run window would be unsound"
     );
+    // Cumulative fields never move backwards across ticks.
+    for pair in readings.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        assert!(a.at_ns <= b.at_ns);
+        assert!(a.submits <= b.submits, "counter went backwards");
+        assert!(a.sheds <= b.sheds, "counter went backwards");
+        assert!(
+            a.latency.count <= b.latency.count,
+            "histogram went backwards"
+        );
+        let buckets = a.latency.buckets.iter().zip(&b.latency.buckets);
+        assert!(buckets.into_iter().all(|(x, y)| x <= y));
+    }
 
     let total = WRITERS * PER_WRITER;
-    // Counter: totals never move backwards across ticks (torn reads
-    // would), and deltas telescope to the final total.
-    let mut prev_total = 0u64;
-    let mut delta_sum = 0u64;
-    for s in &samples {
-        if let Some(SampleDelta::Counter { delta, total }) = s.deltas.get(COUNTER) {
-            assert!(
-                *total >= prev_total,
-                "counter total went backwards: {} < {prev_total}",
-                total
-            );
-            assert!(
-                *total - prev_total == *delta,
-                "delta {} disagrees with total movement {}",
-                delta,
-                total - prev_total
-            );
-            prev_total = *total;
-            delta_sum += delta;
-        }
-    }
-    assert_eq!(delta_sum, total, "counter deltas must telescope");
-
-    // Histogram: cumulative counts monotone per tick; merged deltas
-    // reproduce the exact final distribution.
-    let mut prev_count = 0u64;
-    let mut merged = crowdfill_obs::metrics::HistogramSnapshot::default();
-    for s in &samples {
-        if let Some(SampleDelta::Histogram { delta, total_count }) = s.deltas.get(HISTO) {
-            assert!(
-                *total_count >= prev_count,
-                "histogram count went backwards: {total_count} < {prev_count}"
-            );
-            prev_count = *total_count;
-            merged = merged.merge(delta);
-        }
-    }
-    assert_eq!(merged.count, total);
-    assert_eq!(merged.buckets.iter().sum::<u64>(), total);
+    let whole = ring.window(Duration::from_nanos(u64::MAX));
+    assert_eq!(whole.submits, total, "the window must equal the total");
+    assert_eq!(whole.sheds, total / 10);
+    assert_eq!(whole.latency.count, total);
+    assert_eq!(whole.latency.buckets.iter().sum::<u64>(), total);
     // Sum of 0..WRITERS*PER_WRITER (each op recorded a distinct value).
-    assert_eq!(merged.sum, total * (total - 1) / 2);
-    assert_eq!(merged.max, total - 1);
-    // Timestamps monotone across the whole run.
-    for w in samples.windows(2) {
-        assert!(w[0].at_ns <= w[1].at_ns);
-    }
+    assert_eq!(whole.latency.sum, total * (total - 1) / 2);
+    assert_eq!(whole.latency.max, total - 1);
+    // The windows of consecutive ticks telescope to the same totals.
+    let steps: u64 = readings.windows(2).map(|p| p[1].since(&p[0]).submits).sum();
+    assert_eq!(steps, total);
 }

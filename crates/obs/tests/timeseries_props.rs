@@ -1,116 +1,221 @@
-//! Property tests for the metric time-series sampler ring: windowed
-//! rate/sum agree with a direct recomputation from the retained deltas,
-//! wrap keeps exactly the newest N ticks, and timestamps stay monotone
-//! no matter what clock the tracker is fed.
+//! Property tests for the reading ring: over random counter and histogram
+//! histories, every window's objectives equal, bit for bit, what the
+//! whole-registry delta ring it replaced reports
+//! (`support/delta_tracker.rs`, the oracle) — through equal and zero
+//! timestamps, a clock that jumps backwards, windows shorter and longer
+//! than the ring, and rings that have wrapped.
+
+#[path = "support/delta_tracker.rs"]
+mod delta_tracker;
 
 use std::time::Duration;
 
 use crowdfill_obs::metrics::MetricsRegistry;
-use crowdfill_obs::timeseries::{DeltaTracker, SampleDelta, SampleRing};
+use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus};
+use delta_tracker::{DeltaTracker, InstrumentValue, SampleRing, SloSpec};
 use proptest::prelude::*;
 
-const METRIC: &str = "crowdfill_test_props_ops";
+const ACK: &str = "crowdfill_server_ack_latency_ns";
+const SHEDS: &str = "crowdfill_server_sheds";
+const SUBMITS: &str = "crowdfill_server_submit_requests";
+const EXTRA_COUNTER: &str = "crowdfill_test_props_other_ops";
+const EXTRA_GAUGE: &str = "crowdfill_test_props_depth";
 
-/// Replays `(dt_ns, increment)` steps through a tracker + ring, one
-/// tick per step, and returns the ring plus per-tick `(at_ns, delta)`.
-fn replay(ring_capacity: usize, steps: &[(u64, u64)]) -> (SampleRing, Vec<(u64, u64)>) {
-    let reg = MetricsRegistry::new();
-    let c = reg.counter(METRIC);
-    let ring = SampleRing::new(ring_capacity);
-    let mut tracker = DeltaTracker::new();
-    let mut at = 0u64;
-    let mut ticks = Vec::new();
-    // Tick 0 baselines the tracker so every step's increment lands in
-    // exactly one retained delta.
-    ring.push(tracker.sample(&reg, at));
-    ticks.push((at, 0));
-    for &(dt, inc) in steps {
-        at += dt;
-        c.add(inc);
-        ring.push(tracker.sample(&reg, at));
-        ticks.push((at, inc));
-    }
-    (ring, ticks)
+/// One tick of history: how the clock moves, what is recorded before it.
+#[derive(Debug, Clone)]
+struct Step {
+    /// Added to the clock, or (`jump`) the clock's new raw value, which
+    /// may lie behind the previous tick.
+    dt_ns: u64,
+    jump: bool,
+    latencies: Vec<u64>,
+    sheds: u64,
+    submits: u64,
+    /// Recorded into instruments no objective names.
+    other: u64,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let dt = prop_oneof![
+        2 => Just(0u64),
+        3 => 1u64..1_000_000,
+        3 => 1u64..5_000_000_000,
+        1 => 1u64..100_000_000_000,
+    ];
+    let latency = prop_oneof![
+        1 => Just(0u64),
+        3 => 1u64..1_000_000,
+        3 => 1u64..2_000_000_000,
+        1 => 1u64..(1 << 50),
+    ];
+    (
+        dt,
+        prop_oneof![9 => Just(false), 1 => Just(true)],
+        proptest::collection::vec(latency, 0..6),
+        0u64..4,
+        0u64..40,
+        0u64..100,
+    )
+        .prop_map(|(dt_ns, jump, latencies, sheds, submits, other)| Step {
+            dt_ns,
+            jump,
+            latencies,
+            sheds,
+            submits,
+            other,
+        })
+}
+
+fn window() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(0u64),
+        3 => 1u64..10_000_000_000,
+        2 => 1u64..400_000_000_000,
+        1 => Just(u64::MAX),
+    ]
+}
+
+/// The objectives as the oracle declared them.
+fn specs(window: Duration, q: f64, max_ms: u64, max_ratio: f64) -> [SloSpec; 2] {
+    [
+        SloSpec::quantile_below_ms("ack-p99", ACK, q, max_ms, window),
+        SloSpec::ratio_below("shed-rate", SHEDS, SUBMITS, max_ratio, window),
+    ]
+}
+
+/// The same objectives over the reading ring.
+fn evaluate(
+    ring: &ReadingRing,
+    window: Duration,
+    q: f64,
+    max_ms: u64,
+    max_ratio: f64,
+) -> [SloStatus; 2] {
+    let moved = ring.window(window);
+    let max_ns = max_ms.saturating_mul(1_000_000) as f64;
+    [
+        SloStatus::new("ack-p99", moved.latency_quantile(q), max_ns),
+        SloStatus::new("shed-rate", moved.shed_ratio(), max_ratio),
+    ]
+}
+
+fn same_bits(a: &SloStatus, b: &SloStatus) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.name, &b.name);
+    prop_assert_eq!(
+        a.value.to_bits(),
+        b.value.to_bits(),
+        "value {:?} vs {:?}",
+        a,
+        b
+    );
+    prop_assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
+    prop_assert_eq!(a.ok, b.ok);
+    prop_assert_eq!(
+        a.burn_rate.to_bits(),
+        b.burn_rate.to_bits(),
+        "burn {:?} vs {:?}",
+        a,
+        b
+    );
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The windowed sum equals the sum of the deltas of the samples the
-    /// window includes, and the rate is exactly that sum over the
-    /// covered span — recomputed here straight from the retained ring
-    /// contents.
+    /// After every tick, every window's objectives — the default ones and
+    /// randomly declared ones — and every windowed sum and histogram are
+    /// what the delta ring reports.
     #[test]
-    fn windowed_rate_is_sum_of_deltas_over_span(
-        steps in proptest::collection::vec((1u64..5_000_000_000, 0u64..1_000), 1..40),
-        capacity in 1usize..64,
-        window_ns in 1u64..200_000_000_000,
+    fn reading_ring_matches_the_delta_ring(
+        steps in proptest::collection::vec(step(), 0..60),
+        capacity in 1usize..24,
+        windows in proptest::collection::vec(window(), 1..5),
+        q in 0.0f64..1.0,
+        max_ms in 0u64..500,
+        max_ratio in 0.0f64..0.2,
     ) {
-        let (ring, _ticks) = replay(capacity, &steps);
-        let samples = ring.samples();
-        let newest = samples.last().unwrap();
-        let cutoff = newest.at_ns.saturating_sub(window_ns);
-        let included: Vec<_> = samples.iter().filter(|s| s.at_ns > cutoff).collect();
-        let expected_sum: u64 = included
-            .iter()
-            .map(|s| match s.deltas.get(METRIC) {
-                Some(SampleDelta::Counter { delta, .. }) => *delta,
-                _ => 0,
-            })
-            .sum();
-        let span = newest.at_ns - included.first().unwrap().since_ns;
-
-        let window = Duration::from_nanos(window_ns);
-        prop_assert_eq!(ring.windowed_sum(METRIC, window), Some(expected_sum));
-        match ring.windowed_rate(METRIC, window) {
-            Some(rate) => {
-                let expected = expected_sum as f64 * 1e9 / span as f64;
-                prop_assert!((rate - expected).abs() <= expected.abs() * 1e-12 + 1e-12,
-                    "rate {} != {}", rate, expected);
+        let reg = MetricsRegistry::new();
+        let ack = reg.histogram(ACK);
+        let (sheds, submits) = (reg.counter(SHEDS), reg.counter(SUBMITS));
+        let (other, depth) = (reg.counter(EXTRA_COUNTER), reg.gauge(EXTRA_GAUGE));
+        let instruments = SloInstruments {
+            latency: ack.clone(),
+            sheds: sheds.clone(),
+            submits: submits.clone(),
+        };
+        let ring = ReadingRing::new(instruments, capacity);
+        let mut oracle = SampleRing::new(capacity);
+        let mut tracker = DeltaTracker::new();
+        let mut at = 0u64;
+        for step in &steps {
+            for &v in &step.latencies {
+                ack.record(v);
             }
-            None => prop_assert_eq!(span, 0),
+            sheds.add(step.sheds);
+            submits.add(step.submits);
+            other.add(step.other);
+            depth.set(step.other as i64 - 50);
+            at = if step.jump { step.dt_ns } else { at.saturating_add(step.dt_ns) };
+            let readings = vec![
+                (ACK.to_string(), InstrumentValue::Histogram(Box::new(ack.snapshot()))),
+                (SHEDS.to_string(), InstrumentValue::Counter(sheds.get())),
+                (SUBMITS.to_string(), InstrumentValue::Counter(submits.get())),
+                (EXTRA_COUNTER.to_string(), InstrumentValue::Counter(other.get())),
+                (EXTRA_GAUGE.to_string(), InstrumentValue::Gauge(depth.get())),
+            ];
+            oracle.push(tracker.sample(readings, at));
+            ring.sample(at);
+            prop_assert_eq!(ring.len(), oracle.samples().len());
+
+            for &window_ns in &windows {
+                let window = Duration::from_nanos(window_ns);
+                for (q, max_ms, max_ratio) in [(0.99, 250, 0.05), (q, max_ms, max_ratio)] {
+                    let want = specs(window, q, max_ms, max_ratio).map(|s| s.evaluate(&oracle));
+                    let got = evaluate(&ring, window, q, max_ms, max_ratio);
+                    for (want, got) in want.iter().zip(&got) {
+                        same_bits(want, got)?;
+                    }
+                }
+                let moved = ring.window(window);
+                prop_assert_eq!(oracle.windowed_sum(SHEDS, window).unwrap_or(0), moved.sheds);
+                prop_assert_eq!(oracle.windowed_sum(SUBMITS, window).unwrap_or(0), moved.submits);
+                match oracle.windowed_histogram(ACK, window) {
+                    Some(merged) => prop_assert_eq!(merged, moved.latency),
+                    None => prop_assert_eq!(moved.latency.count, 0),
+                }
+            }
         }
     }
 
-    /// The ring retains exactly the newest `min(pushes, capacity)`
-    /// samples, in push order.
+    /// Whatever clock the ring is fed, retained readings are
+    /// non-decreasing in time and in every cumulative field, and it keeps
+    /// exactly the newest `min(ticks, capacity)` of them behind one base.
     #[test]
-    fn wrap_keeps_newest_n(
-        steps in proptest::collection::vec((1u64..1_000_000, 0u64..10), 0..80),
+    fn readings_stay_monotone_and_bounded(
+        raw_clock in proptest::collection::vec(any::<u32>(), 0..80),
         capacity in 1usize..16,
     ) {
-        let (ring, ticks) = replay(capacity, &steps);
-        let samples = ring.samples();
-        let retained = ticks.len().min(capacity);
-        prop_assert_eq!(samples.len(), retained);
-        let expected_at: Vec<u64> = ticks[ticks.len() - retained..]
-            .iter()
-            .map(|(at, _)| *at)
-            .collect();
-        let actual_at: Vec<u64> = samples.iter().map(|s| s.at_ns).collect();
-        prop_assert_eq!(actual_at, expected_at);
-    }
-
-    /// However unruly the clock the tracker is fed (including going
-    /// backwards), retained timestamps are non-decreasing and every
-    /// sample's interval is well-formed (`since_ns <= at_ns`, adjacent
-    /// intervals abut).
-    #[test]
-    fn timestamps_stay_monotone(raw_clock in proptest::collection::vec(any::<u32>(), 1..50)) {
         let reg = MetricsRegistry::new();
-        reg.counter(METRIC);
-        let ring = SampleRing::new(64);
-        let mut tracker = DeltaTracker::new();
-        for &at in &raw_clock {
-            ring.push(tracker.sample(&reg, at as u64));
+        let instruments = SloInstruments {
+            latency: reg.histogram(ACK),
+            sheds: reg.counter(SHEDS),
+            submits: reg.counter(SUBMITS),
+        };
+        let ring = ReadingRing::new(instruments, capacity);
+        for (i, &at) in raw_clock.iter().enumerate() {
+            reg.counter(SUBMITS).add(i as u64 % 3);
+            reg.histogram(ACK).record(at as u64);
+            ring.sample(at as u64);
         }
-        let samples = ring.samples();
-        for s in &samples {
-            prop_assert!(s.since_ns <= s.at_ns);
-        }
-        for w in samples.windows(2) {
-            prop_assert!(w[0].at_ns <= w[1].at_ns);
-            prop_assert_eq!(w[0].at_ns, w[1].since_ns, "intervals must abut");
+        let readings = ring.readings();
+        prop_assert_eq!(ring.len(), raw_clock.len().min(capacity));
+        prop_assert_eq!(readings.len(), ring.len() + 1);
+        for pair in readings.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            prop_assert!(a.at_ns <= b.at_ns);
+            prop_assert!(a.submits <= b.submits && a.latency.count <= b.latency.count);
+            prop_assert!(a.latency.buckets.iter().zip(&b.latency.buckets).all(|(x, y)| x <= y));
         }
     }
 }

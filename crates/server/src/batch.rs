@@ -70,7 +70,7 @@ fn m_overload_rejects() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| counter("crowdfill_server_overload_rejects"))
 }
-fn m_sheds() -> &'static Arc<Counter> {
+pub(crate) fn m_sheds() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| counter("crowdfill_server_sheds"))
 }
@@ -78,7 +78,7 @@ fn m_queue_wait() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| histogram("crowdfill_server_queue_wait_ns"))
 }
-fn m_ack_latency() -> &'static Arc<Histogram> {
+pub(crate) fn m_ack_latency() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| histogram("crowdfill_server_ack_latency_ns"))
 }

@@ -8,7 +8,7 @@
 
 use crate::config::TaskConfig;
 use crate::wire;
-use crowdfill_docstore::{DocStore, Filter, Json, StoreError};
+use crowdfill_docstore::{Collection, DocStore, Json, StoreError};
 use crowdfill_model::{FinalTable, QuorumMajority, ScoringRef};
 use crowdfill_obs::metrics::{Counter, Histogram};
 use crowdfill_obs::SpanTimer;
@@ -166,8 +166,9 @@ impl Frontend {
         let store = DocStore::open(path)?;
         // Resume id assignment past any existing task ids.
         let next_id = store
-            .find(TASKS, &Filter::All)
-            .iter()
+            .collection(TASKS)
+            .into_iter()
+            .flat_map(Collection::iter)
             .filter_map(|(id, _)| id.strip_prefix("task-")?.parse::<u64>().ok())
             .max()
             .unwrap_or(0)
@@ -253,8 +254,9 @@ impl Frontend {
     /// Lists `(id, status)` of all tasks.
     pub fn list_tasks(&self) -> Vec<(String, TaskStatus)> {
         self.store
-            .find(TASKS, &Filter::All)
+            .collection(TASKS)
             .into_iter()
+            .flat_map(Collection::iter)
             .filter_map(|(id, doc)| {
                 let status = doc.get("status").and_then(Json::as_str)?;
                 Some((id.to_string(), TaskStatus::parse(status)?))

@@ -71,11 +71,13 @@ pub struct OverloadOptions {
     /// healing `sync`) before the server disconnects it. The session
     /// survives eviction — the client can reconnect and `resume`.
     pub evict_after: Duration,
-    /// Test/harness lever: sleep this long after each frame a
-    /// connection's writer thread sends, making "slow reader" a
+    /// Test/harness lever: the owner shard moves at most one broadcast
+    /// frame per this interval from a connection's queue to its socket (a
+    /// deadline of the shard, nothing sleeps), making "slow reader" a
     /// deterministic server-side condition instead of a kernel
-    /// socket-buffer race. `None` (the default, and the only sensible
-    /// production setting) writes at full speed.
+    /// socket-buffer race. Acks and other replies are never paced. `None`
+    /// (the default, and the only sensible production setting) writes at
+    /// full speed.
     pub writer_pace: Option<Duration>,
 }
 

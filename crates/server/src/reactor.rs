@@ -23,8 +23,9 @@
 //!
 //! One shard is also the *acceptor*: the lowest-indexed one that owns a
 //! collection. The listening socket is one more fd in its epoll set, and it
-//! takes the telemetry sample ([`DeltaTracker`]) that `health` requests on
-//! any shard read through the shared ring. The acceptor knows no collection
+//! takes the telemetry reading
+//! ([`ReadingRing::sample`](crowdfill_obs::timeseries::ReadingRing::sample))
+//! that `health` requests on any shard read through the shared ring. The acceptor knows no collection
 //! until it has read the `hello`/`resume`; if that names one it does not
 //! own, it deregisters the socket and hands the whole connection, with the
 //! decoded request, to the owner over its wake queue ([`Wake::HandOver`]) —
@@ -135,7 +136,6 @@ use crate::tcp_service::{
 use crate::wire::{self, Reply, Request};
 use crowdfill_net::{ConnError, FrameReader, FrameWriter, Interest, Poller, TcpServer, WakeQueue};
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
-use crowdfill_obs::timeseries::DeltaTracker;
 use crowdfill_obs::trace as obstrace;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
@@ -260,8 +260,6 @@ struct Acceptor {
     listener: TcpServer,
     /// How long the next failed `accept` backs off.
     backoff: Duration,
-    /// Diffs the registry into the telemetry ring on `Due::Sample`.
-    sampler: DeltaTracker,
 }
 
 /// One collection, as the shard that owns it holds it.
@@ -315,7 +313,6 @@ pub(crate) fn start_shards(
     let mut acceptor = Some(Acceptor {
         listener,
         backoff: ACCEPT_BACKOFF_BASE,
-        sampler: DeltaTracker::new(),
     });
     let mut pollers = Vec::with_capacity(n);
     let mut wakes = Vec::with_capacity(n);
@@ -838,13 +835,11 @@ impl Shard {
                 }
                 options.interval
             }
-            // One registry diff into the ring `health` reads.
+            // One reading of the objectives' instruments into the ring
+            // `health` reads.
             Due::Sample => {
-                let acceptor = self.acceptor.as_mut().expect("armed");
-                let ring = &shared.telemetry.as_ref().expect("armed").ring;
-                let registry = crowdfill_obs::metrics::global();
-                let at_ns = shared.started.elapsed().as_nanos() as u64;
-                ring.push(acceptor.sampler.sample(registry, at_ns));
+                let ring = shared.telemetry.as_ref().expect("armed");
+                ring.sample(shared.started.elapsed().as_nanos() as u64);
                 telemetry.expect("armed").sample_period
             }
             Due::Conn(_) | Due::Batch(_) | Due::Accept => unreachable!("not periodic"),

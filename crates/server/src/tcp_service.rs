@@ -90,7 +90,7 @@ use crate::reactor::{self, ReactorOptions, ShardWake, Wake};
 use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
-use crowdfill_obs::timeseries::{evaluate_slos, SampleRing, SloSpec};
+use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
@@ -203,16 +203,13 @@ impl ServiceMetrics {
     }
 }
 
-/// Live-telemetry configuration: the periodic registry sample feeding the
+/// Live-telemetry configuration: the periodic reading feeding the
 /// `health` request's SLO evaluation (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Registry snapshot period: a deadline on the accepting shard.
+    /// Period of the reading of the objectives' instruments: a deadline on
+    /// the accepting shard.
     pub sample_period: Duration,
-    /// Service-level objectives evaluated over the sampler ring on every
-    /// `health` request; each publishes a
-    /// `crowdfill_slo_<name>_burn_milli` gauge.
-    pub slos: Vec<SloSpec>,
     /// Predictive progress (DESIGN.md §15). `Some` (the default) sets the
     /// target the `health` reply's progress section forecasts toward and
     /// adds the two progress objectives to its SLOs, computed from that
@@ -253,35 +250,29 @@ impl Default for ProgressOptions {
 
 impl Default for TelemetryOptions {
     fn default() -> TelemetryOptions {
-        let window = Duration::from_secs(60);
         TelemetryOptions {
             sample_period: Duration::from_millis(250),
-            slos: vec![
-                SloSpec::quantile_below_ms(
-                    "ack-p99",
-                    "crowdfill_server_ack_latency_ns",
-                    0.99,
-                    250,
-                    window,
-                ),
-                SloSpec::ratio_below(
-                    "shed-rate",
-                    "crowdfill_server_sheds",
-                    "crowdfill_server_submit_requests",
-                    0.05,
-                    window,
-                ),
-            ],
             progress: Some(ProgressOptions::default()),
         }
     }
 }
 
-/// The running telemetry state `health` requests read: the ring the
-/// accepting shard samples into, plus the SLOs to evaluate over it.
-pub(crate) struct ServiceTelemetry {
-    pub(crate) ring: Arc<SampleRing>,
-    pub(crate) slos: Vec<SloSpec>,
+/// The window both service objectives are evaluated over.
+const SLO_WINDOW: Duration = Duration::from_secs(60);
+/// `ack-p99`: the 99th percentile of `crowdfill_server_ack_latency_ns`
+/// over the window stays at or below 250 ms.
+const ACK_P99_MAX_NS: f64 = 250e6;
+/// `shed-rate`: `crowdfill_server_sheds` over
+/// `crowdfill_server_submit_requests` in the window stays at or below 5 %.
+const SHED_RATE_MAX: f64 = 0.05;
+
+/// The service objectives over the last [`SLO_WINDOW`] of `ring`.
+fn service_objectives(ring: &ReadingRing) -> [SloStatus; 2] {
+    let window = ring.window(SLO_WINDOW);
+    [
+        SloStatus::new("ack-p99", window.latency_quantile(0.99), ACK_P99_MAX_NS),
+        SloStatus::new("shed-rate", window.shed_ratio(), SHED_RATE_MAX),
+    ]
 }
 
 /// Tunables for the service's graceful degradation under misbehaving peers.
@@ -473,7 +464,9 @@ pub(crate) struct ServiceShared {
     pub(crate) started: Instant,
     pub(crate) metrics: ServiceMetrics,
     pub(crate) options: ServiceOptions,
-    pub(crate) telemetry: Option<Arc<ServiceTelemetry>>,
+    /// The readings the accepting shard takes and `health` requests on
+    /// any shard read; `None` with telemetry off.
+    pub(crate) telemetry: Option<ReadingRing>,
     /// Raised by `stop`: a shard that wakes to it retires its connections
     /// and returns.
     pub(crate) shutdown: AtomicBool,
@@ -543,20 +536,23 @@ impl TcpService {
         let addr = server.local_addr()?;
         let started = Instant::now();
         let default_collection = backends[0].0.clone();
+        let metrics = ServiceMetrics::resolve();
 
-        // The accepting shard samples the global registry into this ring;
-        // `health` requests read windowed rates and SLO burn from it. One
-        // ring serves every collection (the metric registry is
+        // The accepting shard reads the objectives' three instruments into
+        // this ring; `health` requests subtract two of its readings. One
+        // ring serves every collection (the instruments are
         // process-global). With telemetry off no deadline is armed and the
         // hot paths are untouched.
-        /// Ring capacity in samples: at the default period, a minute of
+        /// Ring capacity in readings: at the default period, a minute of
         /// window and as much again.
         const RING_CAPACITY: usize = 256;
-        let telemetry = options.telemetry.as_ref().map(|t| {
-            Arc::new(ServiceTelemetry {
-                ring: Arc::new(SampleRing::new(RING_CAPACITY)),
-                slos: t.slos.clone(),
-            })
+        let telemetry = options.telemetry.as_ref().map(|_| {
+            let instruments = SloInstruments {
+                latency: Arc::clone(crate::batch::m_ack_latency()),
+                sheds: Arc::clone(crate::batch::m_sheds()),
+                submits: Arc::clone(&metrics.submit_requests),
+            };
+            ReadingRing::new(instruments, RING_CAPACITY)
         });
 
         // One pipeline per collection: admission, shedding, and batching
@@ -598,7 +594,7 @@ impl TcpService {
             collections: map,
             default_collection,
             started,
-            metrics: ServiceMetrics::resolve(),
+            metrics,
             options,
             telemetry,
             shutdown: AtomicBool::new(false),
@@ -823,7 +819,7 @@ pub(crate) fn sync_reply(
 /// The semantic-health report (DESIGN.md §11) of ONE collection, on the
 /// shard that owns it: `fold` — the collection's — is advanced over what
 /// the log grew by since and read in place, under one lock acquisition.
-/// Then the static SLOs over the sampler ring and, with progress
+/// Then the service objectives over the reading ring and, with progress
 /// configured, the two progress objectives of this collection's own
 /// progress section.
 pub(crate) fn health_reply(
@@ -839,10 +835,8 @@ pub(crate) fn health_reply(
         fold.advance(&b);
         crate::health::report(&b, fold, target)
     };
-    if let Some(t) = &shared.telemetry {
-        let registry = crowdfill_obs::metrics::global();
-        let slos = evaluate_slos(&t.slos, &t.ring, registry).into_iter();
-        report.slos = slos.map(SloHealth::from).collect();
+    if let Some(ring) = &shared.telemetry {
+        report.slos = service_objectives(ring).map(SloHealth::from).into();
     }
     if let (Some(_), Some(p)) = (progress, &report.progress) {
         report.slos.extend(progress_objectives(p));

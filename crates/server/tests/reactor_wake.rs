@@ -207,7 +207,6 @@ fn a_progress_tick_is_armed_only_with_a_policy() {
                 policy,
                 ..ProgressOptions::default()
             }),
-            ..TelemetryOptions::default()
         }),
         ..quiet()
     };
@@ -414,7 +413,6 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         telemetry: Some(TelemetryOptions {
             sample_period: Duration::from_millis(20),
             progress: None,
-            ..TelemetryOptions::default()
         }),
         ..quiet()
     };

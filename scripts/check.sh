@@ -133,6 +133,15 @@ if grep -rn "fn add_edge\|fn remove_edge" crates/matching/src; then
   echo "check.sh: a per-left edge in the matcher; add rights to classes with add_right" >&2
   exit 1
 fi
+# A health request reads what it names and writes nothing (DESIGN.md §11):
+# the service objectives subtract two readings of the three instruments
+# they name, so no whole-registry delta ring or typed reading of every
+# instrument is left, and no burn gauge is written.
+if grep -rn "DeltaTracker\|crowdfill_slo_" crates/*/src \
+  || grep -n "fn values(" crates/obs/src/metrics.rs; then
+  echo "check.sh: a whole-registry reading or an SLO gauge; read the objectives' instruments into obs::timeseries::ReadingRing" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
