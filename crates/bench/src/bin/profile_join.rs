@@ -1,15 +1,15 @@
 //! `profile-join`: the client's share of a join, stage by stage, at a
-//! chosen table size (EXPERIMENTS.md §A17).
+//! chosen table size (EXPERIMENTS.md §A17, §A20).
 //!
 //! `profile-join [--rows N]` (default: 32, 128, 400 and 3,200) builds the
 //! welcome a late joiner receives from a table of `N` rows, 7/8 of them
 //! complete (`workload::welcome_frame`), and times what the client does
-//! with the frame: parse it into a tape, decode the reply, replay the
-//! image into a fresh replica, and drop the tape, each as a median over
-//! repetitions, plus `ClientCore::welcomed`, which is all of them.
+//! with the frame: parse it into a tape, decode the reply, adopt the image
+//! into a replica, each as a median over repetitions, plus
+//! `ClientCore::welcomed`, which is all of them and the drop of the tape.
 
 use crowdfill_bench::workload::welcome_frame;
-use crowdfill_server::wire::{self, Reply};
+use crowdfill_server::wire::{self, Image, Reply};
 use crowdfill_server::{ClientCore, WorkerClient};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -38,8 +38,8 @@ fn main() {
         None => vec![32, 128, 400, 3_200],
     };
     println!(
-        "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "rows", "bytes", "msgs", "parse_us", "decode_us", "replay_us", "drop_us", "welcomed_us"
+        "{:>6} {:>9} {:>7} {:>9} {:>9} {:>9} {:>11}",
+        "rows", "bytes", "entries", "parse_us", "decode_us", "adopt_us", "welcomed_us"
     );
     for rows in sizes {
         let reps = if rows > 1_000 { 15 } else { 101 };
@@ -48,28 +48,19 @@ fn main() {
         let parse = median_us(reps, || wire::parse_frame(frame).unwrap());
         let tape = wire::parse_frame(frame).unwrap();
         let decode = median_us(reps, || Reply::decode(&tape).unwrap());
-        let Ok(Reply::Welcome(_, worker, client, _, schema, image)) = Reply::decode(&tape) else {
+        let Ok(Reply::Welcome(_, worker, client, _, schema, Image::Table(image, log))) =
+            Reply::decode(&tape)
+        else {
             unreachable!("a welcome decodes as one")
         };
-        let history = image.into_messages().unwrap();
-        let replay = median_us(reps, || {
-            WorkerClient::new(worker, client, Arc::clone(&schema), &history)
+        let adopt = median_us(reps, || {
+            WorkerClient::from_image(worker, client, Arc::clone(&schema), &image, &log)
         });
-        let mut drops: Vec<u128> = (0..reps)
-            .map(|_| {
-                let tape = black_box(wire::parse_frame(frame).unwrap());
-                let t = Instant::now();
-                drop(tape);
-                t.elapsed().as_nanos()
-            })
-            .collect();
-        drops.sort_unstable();
-        let drop_us = drops[reps / 2] as f64 / 1e3;
         let welcomed = median_us(reps, || ClientCore::welcomed(frame, None, None).unwrap());
         println!(
-            "{rows:>6} {:>9} {:>6} {parse:>9.1} {decode:>9.1} {replay:>9.1} {drop_us:>9.1} {welcomed:>10.1}",
+            "{rows:>6} {:>9} {:>7} {parse:>9.1} {decode:>9.1} {adopt:>9.1} {welcomed:>11.1}",
             frame.len(),
-            history.len()
+            image.entries()
         );
     }
 }

@@ -11,7 +11,7 @@ use crowdfill_model::{
     Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
-use crowdfill_server::wire::{Image, Reply};
+use crowdfill_server::wire::{Image, Reply, TableImage};
 use crowdfill_server::{Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
 use crowdfill_sync::{AppliedSeqs, Replica};
 use std::sync::Arc;
@@ -46,8 +46,8 @@ pub fn pipeline_config(rows: usize) -> TaskConfig {
 
 /// The welcome frame a late joiner receives from a [`pipeline_schema`]
 /// table of `rows` rows whose first 7/8 are complete with one upvote each:
-/// the state image of DESIGN.md §14.3 — the upvotes, then the live rows as
-/// self-replaces and inserts — escape-free, as the benchmark's tables are.
+/// the table image of DESIGN.md §14.3 with an empty log, escape-free, as
+/// the benchmark's tables are.
 pub fn welcome_frame(rows: usize) -> String {
     let filled = rows * 7 / 8;
     let value = |r: usize| {
@@ -56,20 +56,23 @@ pub fn welcome_frame(rows: usize) -> String {
         RowValue::from_pairs(cells.map(|(c, v)| (ColumnId(c as u16), Value::text(v))))
     };
     let id = |r: usize| RowId::new(ClientId(1 + (r % 4) as u32), r as u64);
-    let upvotes = (0..filled).map(|r| Message::Upvote { value: value(r) });
-    let live = (0..rows).map(|r| match r < filled {
-        true => Message::Replace {
-            old: id(r),
-            new: id(r),
-            value: value(r),
-        },
-        false => Message::Insert { row: id(r) },
-    });
-    let image: Vec<Message> = upvotes.chain(live).collect();
-    let history_len = image.len() as u64;
-    let (worker, client) = (WorkerId(5), ClientId(9));
-    let schema = pipeline_schema();
-    let image = Image::Messages(image);
+    let mut table = Replica::new(ClientId(0), pipeline_schema());
+    for r in 0..rows {
+        table.process(&match r < filled {
+            true => Message::Replace {
+                old: id(r),
+                new: id(r),
+                value: value(r),
+            },
+            false => Message::Insert { row: id(r) },
+        });
+    }
+    for r in 0..filled {
+        table.process(&Message::Upvote { value: value(r) });
+    }
+    let (worker, client, schema) = (WorkerId(5), ClientId(9), pipeline_schema());
+    let image = Image::Table(Box::new(TableImage::of(&table)), Vec::new());
+    let history_len = (rows + filled) as u64;
     Reply::Welcome("default".into(), worker, client, history_len, schema, image).encode()
 }
 

@@ -23,7 +23,7 @@ use crowdfill_model::{
 };
 use crowdfill_pay::{allocate, Millis, Payout, Scheme};
 use crowdfill_server::persist::{self, DurabilityOptions};
-use crowdfill_server::{wire, Backend, TaskConfig, WorkerClient};
+use crowdfill_server::{Backend, TaskConfig, WorkerClient};
 use crowdfill_sim::faultplan::{crash_seeds, FaultPlanner};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -165,19 +165,14 @@ fn run_workload(b: &mut Backend, mut on_acked: impl FnMut(&Backend)) {
     }
 }
 
-/// Deterministic wire encoding of the backend's full live state, then the
+/// Deterministic wire encoding of the backend's table image, then the
 /// settlement ledger as the checkpoint encodes it.
 fn state_image(b: &Backend) -> String {
     let checkpoint = Json::parse(&persist::encode_backend_state(&b.capture_state())).unwrap();
     let ledger = checkpoint
         .get("ledger")
         .expect("the image carries the ledger");
-    b.bootstrap_messages()
-        .iter()
-        .map(|m| wire::message_to_json(m).encode())
-        .chain([ledger.encode()])
-        .collect::<Vec<_>>()
-        .join("\n")
+    [b.table_image().to_json().encode(), ledger.encode()].join("\n")
 }
 
 /// The backend's settlement under every scheme, as bits.

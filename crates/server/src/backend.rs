@@ -22,7 +22,7 @@
 //! into the [`Ledger`] as it is logged, and the checkpoint carries it.
 //!
 //! One bootstrap (§2.4's "initial copy of the master table"): a joiner, a
-//! reset replica and [`Backend::connect`] all start from one cached state
+//! reset replica and [`Backend::connect`] all start from one cached table
 //! image plus the log since it was taken ([`Backend::bootstrap_text`]),
 //! so a join costs the table, not the history.
 //!
@@ -33,12 +33,11 @@
 
 use crate::config::TaskConfig;
 use crate::persist::{self, BackendState, JournalFrame, SessionState};
-use crate::wire;
+use crate::wire::{self, BootstrapText, TableImage};
 use crowdfill_constraints::PriMaintainer;
 use crowdfill_docstore::{SnapshotStore, Wal};
 use crowdfill_model::{
-    derive_final_table, ClientId, ColumnId, FinalTable, Message, OpError, RowId, RowValue,
-    TemplateRow,
+    derive_final_table, ClientId, ColumnId, FinalTable, Message, OpError, RowValue, TemplateRow,
 };
 use crowdfill_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crowdfill_obs::trace::{self as obstrace, ActiveSpan, SpanId, Stage, TraceId};
@@ -123,8 +122,9 @@ fn bootstrap_builds() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_builds"))
 }
 
-/// Counter of messages encoded into the bootstrap cache's text (image
-/// messages and log entries alike; each at most once per cache).
+/// Counter of entries encoded into the bootstrap cache's text: the image's
+/// values, rows and vote entries, and the log's messages, each at most once
+/// per cache.
 fn bootstrap_encoded_msgs() -> &'static Counter {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_encoded_msgs"))
@@ -304,19 +304,14 @@ pub struct SessionStats {
     pub ack_latency: HistogramSnapshot,
 }
 
-/// The cached bootstrap (DESIGN.md §14.3): the state image at seq `at`,
-/// and — once the wire has asked — the JSON text of `image ++ log[at..)`
-/// as far as joins have read it, so a message is encoded for joins once.
+/// The cached bootstrap (DESIGN.md §14.3): the table image at seq `at`,
+/// and — once the wire has asked — the text of the image and of
+/// `log[at..)` as far as joins have read it, so each is encoded once.
 struct Bootstrap {
     at: u64,
-    image: Vec<Message>,
-    /// The first `encoded` messages of `image ++ log[at..)`, as an array.
-    text: String,
-    encoded: usize,
+    image: TableImage,
+    text: Option<BootstrapText>,
 }
-
-/// A vote history as the state image and the checkpoint carry it.
-type Votes = Vec<(RowValue, u32)>;
 
 /// The CrowdFill back-end server for one data-collection task.
 pub struct Backend {
@@ -549,15 +544,18 @@ impl Backend {
 
     /// Registers a worker; returns its id, its client id (for row-id
     /// generation), and the messages to replay into its local replica (the
-    /// "initial copy of the master table", §2.4): the cached state image
-    /// followed by the log since it was taken — never the history. The
-    /// replica is then caught up through [`history_len`](Self::history_len),
-    /// which is not the replay's length.
+    /// "initial copy of the master table", §2.4): the cached table image
+    /// as messages ([`TableImage::to_messages`]) followed by the log since
+    /// it was taken — never the history. The replica is then caught up
+    /// through [`history_len`](Self::history_len), which is not the
+    /// replay's length. The wire sends the image itself
+    /// ([`bootstrap_text`](Self::bootstrap_text)).
     pub fn connect(&mut self, at: Millis) -> (WorkerId, ClientId, Vec<Message>) {
         let (worker, client) = self.attach(at);
         let (cache, suffix) = self.bootstrap();
-        let replay = cache.image.iter().chain(suffix.iter().map(|e| &e.msg));
-        (worker, client, replay.cloned().collect())
+        let mut replay = cache.image.to_messages();
+        replay.extend(suffix.iter().map(|e| e.msg.clone()));
+        (worker, client, replay)
     }
 
     /// [`connect`](Self::connect) without the replay: registers a worker
@@ -599,20 +597,19 @@ impl Backend {
     /// suffix) and lands on the master's state. The one place the cache is
     /// rebuilt: when there is none, when it predates the serving horizon
     /// (a served suffix never reaches below it), or when the suffix has
-    /// outgrown the image — so a read stays within ≈ 2× live state,
-    /// rebuilds amortise to O(1) per applied message, and a collection
-    /// nobody joins builds nothing.
+    /// outgrown the image's entries — so a read stays within ≈ 2× live
+    /// state, rebuilds amortise to O(1) per applied message, and a
+    /// collection nobody joins builds nothing.
     fn bootstrap(&mut self) -> (&mut Bootstrap, &[TraceEntry]) {
         let end = self.history_len();
         let fresh =
-            |c: &Bootstrap| c.at >= self.history_base && (end - c.at) as usize <= c.image.len();
+            |c: &Bootstrap| c.at >= self.history_base && (end - c.at) as usize <= c.image.entries();
         if !self.bootstrap.as_ref().is_some_and(fresh) {
             bootstrap_builds().inc();
             self.bootstrap = Some(Bootstrap {
                 at: end,
-                image: self.bootstrap_messages(),
-                text: "[]".into(),
-                encoded: 0,
+                image: self.table_image(),
+                text: None,
             });
         }
         let cache = self.bootstrap.as_mut().expect("built above");
@@ -620,26 +617,23 @@ impl Backend {
         (cache, suffix)
     }
 
-    /// [`connect`](Self::connect)'s replay as the wire carries it: the
-    /// `"history"` array of a `welcome` or a reset, as JSON text. Encodes
+    /// The bootstrap as the wire carries it: the `"history"` member of a
+    /// `welcome` or a reset, `{"image":…,"log":[…]}`, as JSON text. Encodes
     /// only what no earlier call has — the image on the first call after
     /// a rebuild, then the log entries since the previous call — so a join
     /// costs a copy of the text.
     pub fn bootstrap_text(&mut self) -> &str {
         let (cache, suffix) = self.bootstrap();
-        let replay = cache.image.iter().chain(suffix.iter().map(|e| &e.msg));
-        let before = cache.encoded;
-        cache.text.pop(); // reopen the array
-        for msg in replay.skip(before) {
-            if cache.encoded > 0 {
-                cache.text.push(',');
-            }
-            cache.text.push_str(&wire::message_to_json(msg).encode());
-            cache.encoded += 1;
+        let text = cache.text.get_or_insert_with(|| {
+            bootstrap_encoded_msgs().add(cache.image.entries() as u64);
+            BootstrapText::new(&cache.image)
+        });
+        let logged = text.logged();
+        for entry in &suffix[logged..] {
+            text.push(&entry.msg);
         }
-        cache.text.push(']');
-        bootstrap_encoded_msgs().add((cache.encoded - before) as u64);
-        &cache.text
+        bootstrap_encoded_msgs().add((suffix.len() - logged) as u64);
+        text.as_str()
     }
 
     /// Marks a worker disconnected (its session state is retained so the
@@ -1288,54 +1282,11 @@ impl Backend {
         Ok(base)
     }
 
-    /// A synthetic message sequence that reconstructs the *current* master
-    /// state on a fresh replica: the image the bootstrap cache is built
-    /// from, and a fingerprint of the state. Every recorded upvote and
-    /// downvote goes first (so the vote histories are in place before any
-    /// row exists), then each live row — an `Insert` if it is empty, else
-    /// a self-`Replace`; the CRDT's count-initialization rule (Lemma 3)
-    /// then assigns each row exactly the counts the master holds.
-    /// Deterministic: vote vectors are sorted by their wire encoding, rows
-    /// by id. Length is O(live state), not O(history).
-    pub fn bootstrap_messages(&self) -> Vec<Message> {
-        let (uh, dh, rows) = self.sorted_image();
-        let mut msgs = Vec::new();
-        for (value, n) in uh {
-            msgs.extend(std::iter::repeat_n(Message::Upvote { value }, n as usize));
-        }
-        for (value, n) in dh {
-            msgs.extend(std::iter::repeat_n(Message::Downvote { value }, n as usize));
-        }
-        msgs.extend(rows.into_iter().map(|(id, value)| match value.is_empty() {
-            true => Message::Insert { row: id },
-            false => Message::Replace {
-                old: id,
-                new: id,
-                value,
-            },
-        }));
-        msgs
-    }
-
-    /// The master's live state in the one deterministic order the state
-    /// image and the checkpoint share: the upvote and the downvote history
-    /// sorted by the wire encoding of the vector, the live rows by id.
-    fn sorted_image(&self) -> (Votes, Votes, Vec<(RowId, RowValue)>) {
-        let sorted = |history: &crowdfill_sync::VoteHistory| {
-            let mut votes: Votes = history.iter().map(|(v, n)| (v.clone(), n)).collect();
-            votes.sort_by_cached_key(|(v, _)| wire::row_value_to_json(v).encode());
-            votes
-        };
-        let master = self.master();
-        (
-            sorted(master.upvote_history()),
-            sorted(master.downvote_history()),
-            master
-                .table()
-                .iter()
-                .map(|(id, e)| (id, e.value.clone()))
-                .collect(),
-        )
+    /// The master's state as one image (DESIGN.md §14.3): what the
+    /// bootstrap cache and the checkpoint are built from. Deterministic,
+    /// and O(live state), not O(history).
+    pub fn table_image(&self) -> TableImage {
+        TableImage::of(self.master())
     }
 
     /// A point-in-time image of the backend's live state: everything
@@ -1345,7 +1296,6 @@ impl Backend {
     /// (see DESIGN.md §14 for what resets).
     pub fn capture_state(&self) -> BackendState {
         let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
-        let (uh, dh, rows) = self.sorted_image();
         let mut sessions: Vec<SessionState> = self
             .sessions
             .iter()
@@ -1376,9 +1326,7 @@ impl Backend {
             next_worker: self.next_worker,
             closed: self.closed,
             cc_next_seq: self.cc.replica().next_seq(),
-            uh,
-            dh,
-            rows,
+            image: self.table_image(),
             live_template: self.cc.live_template().iter().map(|(i, _)| *i).collect(),
             dropped_template: self
                 .cc

@@ -372,14 +372,6 @@ impl RemoteWorker {
         self.complete_sync(sync, false)
     }
 
-    /// Rebuilds the local replica from the server's complete history — the
-    /// recovery of last resort after provable divergence (e.g. a rejected
-    /// submission that was already applied locally).
-    pub fn resync(&mut self) -> Result<(), RemoteError> {
-        let sync = self.core.sync_request(true);
-        self.complete_sync(sync, true)
-    }
-
     /// Sends a sync request and waits for the core to have applied its
     /// reply. A connection failure (with a policy) re-establishes the
     /// session and asks again, from wherever the cursor then stands.

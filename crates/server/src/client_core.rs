@@ -24,7 +24,7 @@
 //! reply. (Trace stamps read the recorder's clock: observability only.)
 
 use crate::health::HealthReport;
-use crate::wire::{self, CatchUp, Cursor, Op, Reply, Request, SeqMsg};
+use crate::wire::{self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg, TableImage};
 use crate::worker_client::{Outgoing, WorkerClient};
 use crowdfill_model::{ColumnId, Message, OpError, RowId, Value};
 use crowdfill_net::ConnError;
@@ -190,6 +190,14 @@ fn decode(frame: &[u8]) -> Result<Reply<'static>, RemoteError> {
     Reply::decode(&json).map_err(protocol)
 }
 
+/// A received bootstrap's image and log (a decoder yields no text).
+fn decoded(image: Image<'_>) -> Result<(TableImage, Vec<Message>), RemoteError> {
+    match image {
+        Image::Table(image, log) => Ok((*image, log)),
+        Image::Text(_) => Err(protocol("a bootstrap left undecoded")),
+    }
+}
+
 /// One session's protocol state: a [`WorkerClient`] replica, exactly which
 /// history seqs it has applied, and what the server is owed.
 pub struct ClientCore {
@@ -206,10 +214,6 @@ pub struct ClientCore {
     /// [`local_lag`](Self::local_lag).
     server_history_len: u64,
     lag: Lag,
-    /// `Some` while a full resync's reply is outstanding: broadcasts that
-    /// race it are held here, decoded, and replayed AFTER the rebuild,
-    /// which would otherwise erase them.
-    full_sync: Option<Vec<SeqMsg>>,
     /// Backoff shape (`base_delay`, `max_delay`) of the session's policy.
     delays: Option<(Duration, Duration)>,
     /// Jitter stream state.
@@ -222,8 +226,9 @@ pub struct ClientCore {
 }
 
 impl ClientCore {
-    /// Builds the session from the server's `welcome`: the replica replays
-    /// its history, the cursor starts at its watermark.
+    /// Builds the session from the server's `welcome`: the replica adopts
+    /// its image and processes the log after it, the cursor starts at its
+    /// watermark.
     pub fn welcomed(
         frame: &[u8],
         collection: Option<String>,
@@ -232,11 +237,11 @@ impl ClientCore {
         let Reply::Welcome(_, worker, client, history_len, schema, history) = decode(frame)? else {
             return Err(protocol("expected welcome"));
         };
-        let history = history.into_messages().map_err(protocol)?;
-        let client = WorkerClient::new(worker, client, schema, &history);
+        let (image, log) = decoded(history)?;
+        let client = WorkerClient::from_image(worker, client, schema, &image, &log);
         // The welcome's `history_len` is the server's real watermark; the
-        // message array is a state image plus a log suffix that stands in
-        // for that prefix, so the cursor can only come from the field.
+        // bootstrap is a table image plus a log suffix that stands in for
+        // that prefix, so the cursor can only come from the field.
         let mut applied = AppliedSeqs::new();
         applied.note_prefix(history_len);
         let jitter = policy.map_or(0, |p| p.jitter_seed);
@@ -246,7 +251,6 @@ impl ClientCore {
             applied,
             server_history_len: history_len,
             lag: Lag::None,
-            full_sync: None,
             delays: policy.map(|p| (p.base_delay, p.max_delay)),
             jitter,
             trace_seed: splitmix64(jitter ^ (worker.0 as u64)),
@@ -277,16 +281,15 @@ impl ClientCore {
     }
 
     /// Reads one received frame — the only place a client does — and says
-    /// what it was. A broadcast is absorbed (or held back, during a full
-    /// resync); an `ack`'s seqs are noted; a `synced` reply's catch-up is
-    /// applied: the missing suffix, or the image that replaces the replica,
-    /// then the broadcasts held back for it.
+    /// what it was. A broadcast is absorbed; an `ack`'s seqs are noted; a
+    /// `synced` reply's catch-up is applied: the missing suffix, or the
+    /// image that replaces the replica.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Event, RemoteError> {
         let fresh = match decode(frame)? {
-            Reply::Msg(entry) => self.receive(entry),
+            Reply::Msg(entry) => self.absorb(entry),
             Reply::Batch(entries) => {
-                let receive = |fresh, entry| self.receive(entry) | fresh;
-                entries.into_iter().fold(false, receive)
+                let absorb = |fresh, entry| self.absorb(entry) | fresh;
+                entries.into_iter().fold(false, absorb)
             }
             Reply::Lagging => {
                 self.lag = Lag::Owed;
@@ -322,16 +325,6 @@ impl ClientCore {
         Ok(Event::Broadcast { fresh })
     }
 
-    /// One broadcast entry: absorbed, or — while a full resync's reply is
-    /// outstanding — held back for after the rebuild.
-    fn receive(&mut self, broadcast: SeqMsg) -> bool {
-        match &mut self.full_sync {
-            Some(held) => held.push(broadcast),
-            None => return self.absorb(broadcast),
-        }
-        false
-    }
-
     /// Applies one broadcast if it is fresh; seq-based dedup makes
     /// redelivery (e.g. overlap between a resume replay and a racing
     /// flush) harmless even though messages themselves are not idempotent.
@@ -351,23 +344,15 @@ impl ClientCore {
         true
     }
 
+    /// A reset replaces whatever the broadcasts that raced the request
+    /// did: the collection's one shard reads the reply's `history_len` and
+    /// queues the reply in one go, so every broadcast ahead of it on the
+    /// wire has a seq below it, which the image covers.
     fn synced(&mut self, history_len: u64, catch_up: CatchUp<'_>) -> Result<(), RemoteError> {
-        let held = self.full_sync.take();
         self.server_history_len = self.server_history_len.max(history_len);
         match catch_up {
-            CatchUp::Image(image) => {
-                let history = image.into_messages().map_err(protocol)?;
-                self.adopt_image(&history, history_len, "sync reset to bootstrap image")
-            }
-            CatchUp::Suffix(msgs) if held.is_some() => {
-                let history: Vec<Message> = msgs.into_iter().map(|(_, m)| m).collect();
-                self.adopt_image(&history, history_len, "full resync");
-            }
+            CatchUp::Image(image) => self.adopt_image(image, history_len, "sync reset")?,
             CatchUp::Suffix(msgs) => drop(self.replay(&msgs, &[])),
-        }
-        // Seq-dedup drops the held broadcasts the image already covers.
-        for broadcast in held.into_iter().flatten() {
-            self.absorb(broadcast);
         }
         if self.lag == Lag::Asked {
             self.lag = Lag::None;
@@ -396,12 +381,17 @@ impl ClientCore {
         matched
     }
 
-    /// Rebuilds the replica from a complete image of the history — a full
-    /// resync's, or the bootstrap image a compacted server substitutes for
-    /// a suffix it no longer has — and restarts the cursor at the server's
-    /// watermark.
-    fn adopt_image(&mut self, history: &[Message], history_len: u64, what: &str) {
-        self.client.rebuild(history);
+    /// Replaces the replica with a bootstrap's — a full resync's, or the
+    /// one a compacted server substitutes for a suffix it no longer has —
+    /// and restarts the cursor at the server's watermark.
+    fn adopt_image(
+        &mut self,
+        image: Image<'_>,
+        history_len: u64,
+        what: &str,
+    ) -> Result<(), RemoteError> {
+        let (image, log) = decoded(image)?;
+        self.client.adopt(&image, &log);
         self.applied.reset_to_prefix(history_len);
         self.server_history_len = self.server_history_len.max(history_len);
         counter("crowdfill_client_resyncs").inc();
@@ -411,6 +401,7 @@ impl ClientCore {
             worker => self.client.worker().0,
             history_len => history_len,
         );
+        Ok(())
     }
 
     /// The next op's trace id: [`TraceId::NONE`] unless tracing is on and
@@ -478,18 +469,16 @@ impl ClientCore {
     }
 
     /// A `sync` request: for every history message this replica is missing,
-    /// or (`full`) for the complete history to rebuild it from — the
-    /// recovery of last resort after provable divergence. Await
-    /// [`Event::Synced`].
+    /// or (`full`) for the bootstrap to replace it with — the recovery of
+    /// last resort after provable divergence. Await [`Event::Synced`].
     pub fn sync_request(&mut self, full: bool) -> Request {
-        self.full_sync = full.then(Vec::new);
         if self.lag == Lag::Owed {
             self.lag = Lag::Asked;
         }
-        Request::Sync(match full {
-            true => Cursor::default(),
-            false => self.cursor(),
-        })
+        match full {
+            true => Request::Resync,
+            false => Request::Sync(self.cursor()),
+        }
     }
 
     /// Where this replica stands: the contiguously-applied prefix and the
@@ -503,11 +492,8 @@ impl ClientCore {
 
     /// The first request on a redialed connection. It carries the
     /// collection: re-attaching through the default one would be rejected
-    /// (or hijack an unrelated id). A sync the old connection never
-    /// answered is forgotten; what it held back was never applied, so the
-    /// cursor still asks for it.
+    /// (or hijack an unrelated id).
     pub fn resume_request(&mut self) -> Request {
-        self.full_sync = None;
         Request::Resume(self.client.worker(), self.cursor(), self.collection.clone())
     }
 
@@ -533,8 +519,7 @@ impl ClientCore {
         let msgs = match catch_up {
             // The server compacted past our cursor while we were gone.
             CatchUp::Image(image) => {
-                let history = image.into_messages().map_err(protocol)?;
-                self.adopt_image(&history, history_len, "resume reset to bootstrap image");
+                self.adopt_image(image, history_len, "resume reset")?;
                 // Broadcasts that raced the image are not distinguishable
                 // inside it; owe a catch-up sync.
                 self.lag = Lag::Owed;

@@ -10,9 +10,11 @@
 //! * `snapshots/` — versioned, CRC-framed checkpoint images of the live
 //!   state at a history watermark (`base_seq`), written crash-atomically.
 //!
-//! Both formats live here and nowhere else: the image codec, and one
-//! journal encoder per record shape (the backend hands them a slice of its
-//! op log) beside the one decoder recovery reads them back with.
+//! Both formats live here and nowhere else: the payload codec, whose table
+//! is the wire's [`TableImage`] in that image's one codec (a joiner and a
+//! recovery build their replica from the same image), and one journal
+//! encoder per record shape (the backend hands them a slice of its op log)
+//! beside the one decoder recovery reads them back with.
 //!
 //! Recovery composes them: load the newest sound snapshot (corrupt files
 //! degrade to older ones, then to a full journal replay), rebuild the
@@ -31,18 +33,19 @@
 
 use crate::backend::Backend;
 use crate::config::TaskConfig;
-use crate::wire;
+use crate::wire::{self, TableImage};
 use crowdfill_docstore::{
     Disk, FsyncPolicy, Json, JsonNode, RealDisk, SnapshotStore, Tape, TapeNode, Wal,
 };
-use crowdfill_model::{ClientId, ColumnId, Message, RowId, RowValue, Schema};
+use crowdfill_model::{ClientId, ColumnId, Message, RowValue, Schema};
 use crowdfill_pay::{FirstFill, Ledger, Millis, TraceEntry, Unit, Vote, WorkerId};
-use crowdfill_sync::{Replica, VoteHistory};
+use crowdfill_sync::Replica;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Snapshot payload format version (2: the settlement ledger).
-const STATE_VERSION: f64 = 2.0;
+/// Snapshot payload format version (2: the settlement ledger; 3: the
+/// table as the wire's [`TableImage`]).
+const STATE_VERSION: f64 = 3.0;
 
 /// Per-worker session state inside a checkpoint image: identity plus the
 /// §3.4 vote-policy bookkeeping (what the worker has voted on), which is
@@ -78,12 +81,9 @@ pub struct BackendState {
     pub closed: bool,
     /// The Central Client's row-id counter.
     pub cc_next_seq: u64,
-    /// Upvote history, sorted by wire encoding (deterministic images).
-    pub uh: Vec<(RowValue, u32)>,
-    /// Downvote history, sorted by wire encoding.
-    pub dh: Vec<(RowValue, u32)>,
-    /// Live rows only, ascending by id.
-    pub rows: Vec<(RowId, RowValue)>,
+    /// The master table: live rows and vote histories, in the one codec a
+    /// bootstrap uses too.
+    pub image: TableImage,
     /// Original template indexes still live.
     pub live_template: Vec<usize>,
     /// Original template indexes the CC dropped (§4.2 degenerate case).
@@ -94,24 +94,9 @@ pub struct BackendState {
 
 impl BackendState {
     /// The Central Client's replica as checkpointed — the server's one copy
-    /// of the table — rebuilt from the vote histories and the live rows
-    /// ([`Replica::restore`] re-derives every count).
+    /// of the table — built from the image as every joiner's is.
     pub fn central_replica(&self, schema: Arc<Schema>) -> Replica {
-        let history = |votes: &[(RowValue, u32)]| {
-            let mut h = VoteHistory::new();
-            for (v, n) in votes {
-                h.set(v.clone(), *n);
-            }
-            h
-        };
-        Replica::restore(
-            ClientId::CENTRAL,
-            schema,
-            self.cc_next_seq,
-            history(&self.uh),
-            history(&self.dh),
-            self.rows.iter().cloned(),
-        )
+        (self.image).replica(ClientId::CENTRAL, schema, self.cc_next_seq)
     }
 }
 
@@ -179,13 +164,6 @@ impl Default for DurabilityOptions {
 
 /// Encodes a checkpoint image as its JSON snapshot payload.
 pub fn encode_backend_state(state: &BackendState) -> String {
-    let votes = |h: &[(RowValue, u32)]| {
-        Json::Arr(
-            h.iter()
-                .map(|(v, n)| Json::Arr(vec![wire::row_value_to_json(v), Json::num(*n as f64)]))
-                .collect(),
-        )
-    };
     let indexes = |xs: &[usize]| Json::Arr(xs.iter().map(|i| Json::num(*i as f64)).collect());
     let sessions = Json::Arr(
         state
@@ -227,20 +205,7 @@ pub fn encode_backend_state(state: &BackendState) -> String {
         ("next_worker", Json::num(state.next_worker as f64)),
         ("closed", Json::Bool(state.closed)),
         ("cc_next_seq", Json::num(state.cc_next_seq as f64)),
-        ("uh", votes(&state.uh)),
-        ("dh", votes(&state.dh)),
-        (
-            "rows",
-            Json::Arr(
-                state
-                    .rows
-                    .iter()
-                    .map(|(id, v)| {
-                        Json::Arr(vec![wire::row_id_to_json(*id), wire::row_value_to_json(v)])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("image", state.image.to_json()),
         ("live", indexes(&state.live_template)),
         ("dropped", indexes(&state.dropped_template)),
         ("sessions", sessions),
@@ -357,7 +322,7 @@ fn ledger_from_json(j: TapeNode) -> Option<Ledger> {
 /// Decodes a snapshot payload from its tape (one parse, no owned tree).
 /// `None` on any structural mismatch — an image without its ledger
 /// included, which must not settle as if nothing had happened before it —
-/// and the recovery driver then degrades to the next-older snapshot's
+/// or another version, and the recovery driver then degrades to the next-older snapshot's
 /// semantics (fresh backend + full journal replay).
 pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
     let text = std::str::from_utf8(payload).ok()?;
@@ -366,31 +331,12 @@ pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
     if json.get("v")?.as_f64()? != STATE_VERSION {
         return None;
     }
-    let votes = |key: &str| -> Option<Vec<(RowValue, u32)>> {
-        json.get(key)?
-            .items()?
-            .map(|pair| {
-                let v = wire::row_value_from_json(pair.at(0)?).ok()?;
-                let n = pair.at(1)?.as_i64()? as u32;
-                Some((v, n))
-            })
-            .collect()
-    };
     let indexes = |key: &str| -> Option<Vec<usize>> {
         json.get(key)?
             .items()?
             .map(|i| Some(i.as_i64()? as usize))
             .collect()
     };
-    let rows: Vec<(RowId, RowValue)> = json
-        .get("rows")?
-        .items()?
-        .map(|pair| {
-            let id = wire::row_id_from_json(pair.at(0)?).ok()?;
-            let v = wire::row_value_from_json(pair.at(1)?).ok()?;
-            Some((id, v))
-        })
-        .collect::<Option<_>>()?;
     let sessions: Vec<SessionState> = json
         .get("sessions")?
         .items()?
@@ -425,9 +371,7 @@ pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
         next_worker: json.get("next_worker")?.as_i64()? as u32,
         closed: json.get("closed")?.as_bool()?,
         cc_next_seq: json.get("cc_next_seq")?.as_i64()? as u64,
-        uh: votes("uh")?,
-        dh: votes("dh")?,
-        rows,
+        image: TableImage::from_json(json.get("image")?).ok()?,
         live_template: indexes("live")?,
         dropped_template: indexes("dropped")?,
         sessions,
@@ -645,7 +589,7 @@ pub fn open_or_recover_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdfill_model::Value;
+    use crowdfill_model::{RowId, Value};
 
     fn rv(pairs: &[(u16, i64)]) -> RowValue {
         RowValue::from_pairs(pairs.iter().map(|(c, v)| (ColumnId(*c), Value::int(*v))))
@@ -658,12 +602,15 @@ mod tests {
             next_worker: 4,
             closed: false,
             cc_next_seq: 9,
-            uh: vec![(rv(&[(0, 1)]), 2), (rv(&[(0, 2), (1, 3)]), 1)],
-            dh: vec![(rv(&[(1, 7)]), 3)],
-            rows: vec![
-                (RowId::new(ClientId::CENTRAL, 0), rv(&[(0, 1)])),
-                (RowId::new(ClientId(2), 5), rv(&[(0, 2), (1, 3)])),
-            ],
+            image: TableImage {
+                values: vec![rv(&[(0, 1)]), rv(&[(0, 2), (1, 3)]), rv(&[(1, 7)])],
+                rows: vec![
+                    (RowId::new(ClientId::CENTRAL, 0), 0),
+                    (RowId::new(ClientId(2), 5), 1),
+                ],
+                uh: vec![(0, 2), (1, 1)],
+                dh: vec![(2, 3)],
+            },
             live_template: vec![0, 2],
             dropped_template: vec![1],
             sessions: vec![SessionState {
@@ -723,14 +670,14 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let state = sample_state();
-        let encoded = encode_backend_state(&state).replace("\"v\":2", "\"v\":999");
+        let encoded = encode_backend_state(&state).replace("\"v\":3", "\"v\":999");
         assert!(decode_backend_state(encoded.as_bytes()).is_none());
     }
 
     #[test]
     fn garbage_payload_is_rejected() {
         assert!(decode_backend_state(b"not json at all").is_none());
-        assert!(decode_backend_state(b"{\"v\":2}").is_none());
+        assert!(decode_backend_state(b"{\"v\":3}").is_none());
         assert!(decode_backend_state(&[0xFF, 0xFE]).is_none());
     }
 

@@ -1275,12 +1275,16 @@ fn serve_request(
             metrics.modify_requests.inc();
             submit(BatchOp::Modify { bundle }, Priority::Normal, trace);
         }
-        Request::Sync(cursor) => {
+        Request::Sync(_) | Request::Resync => {
             metrics.sync_requests.inc();
             // Clear-before-suffix, see `sync_reply`.
             session.lagging_since = None;
+            let cursor = match &request {
+                Request::Sync(cursor) => Some(cursor),
+                _ => None,
+            };
             let backend = &owned[slot].collection.backend;
-            let reply = sync_reply(backend, session.worker, &cursor, metrics);
+            let reply = sync_reply(backend, session.worker, cursor, metrics);
             queue_encoded(writer, dead, &reply);
         }
         Request::Stats => {

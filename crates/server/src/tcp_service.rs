@@ -34,11 +34,11 @@
 //! that path: it is downgraded to lagging (broadcasts to it dropped,
 //! healed by `sync`) and eventually evicted (see [`OverloadOptions`]
 //! and DESIGN.md §9). `resume` and `sync` are reads of the same log
-//! ([`catch_up`]): the missing suffix, or below the compaction horizon the
-//! bootstrap. That — a `welcome`'s `history` — is not the history but
-//! [`Backend::bootstrap_text`]: a cached state image plus the log since,
-//! encoded once in the backend and spliced into the frame as text
-//! ([`Image::Text`]), so a join costs its shard a copy.
+//! ([`catch_up`]): the missing suffix, or — below the compaction horizon,
+//! or for a full resync — the bootstrap. That — a `welcome`'s `history` —
+//! is not the history but [`Backend::bootstrap_text`]: a cached table
+//! image plus the log since, encoded once in the backend and spliced into
+//! the frame as text ([`Image::Text`]), so a join costs its shard a copy.
 //! `history_len` is the cursor it lands on.
 //!
 //! ## Threads
@@ -690,16 +690,21 @@ pub(crate) fn now_millis(started: Instant) -> Millis {
     Millis(started.elapsed().as_millis() as u64)
 }
 
-/// What brings `cursor` up to date, and counts a reset. Call under the
-/// lock acquisition that re-attached the session (`resume`) or read
-/// `history_len` (`sync`): what this reads plus the broadcasts polled
-/// afterwards then covers the history with no gap. The reply is encoded
-/// off the lock, so an image is a copy of the backend's text.
-fn catch_up(b: &mut Backend, cursor: &Cursor, metrics: &ServiceMetrics) -> CatchUp<'static> {
-    if cursor.from < b.history_base() {
+/// What brings `cursor` up to date — for none, a full resync, a reset —
+/// and counts a reset. Call under the lock acquisition that re-attached
+/// the session (`resume`) or read `history_len` (`sync`): what this reads
+/// plus the broadcasts polled afterwards then covers the history with no
+/// gap. The reply is encoded off the lock, so an image is a copy of the
+/// backend's text.
+fn catch_up(
+    b: &mut Backend,
+    cursor: Option<&Cursor>,
+    metrics: &ServiceMetrics,
+) -> CatchUp<'static> {
+    let Some(cursor) = cursor.filter(|c| c.from >= b.history_base()) else {
         metrics.reset_resyncs.inc();
         return CatchUp::Image(Image::Text(b.bootstrap_text().to_owned().into()));
-    }
+    };
     let mut missing = b.history_suffix(cursor.from);
     missing.retain(|(seq, _)| !cursor.have.contains(seq));
     CatchUp::Suffix(missing)
@@ -764,7 +769,7 @@ pub(crate) fn open_session(
             let resumed = {
                 let mut b = collection.backend.lock();
                 b.resume(worker, now_millis(shared.started)).map(|info| {
-                    let body = catch_up(&mut b, &cursor, &shared.metrics);
+                    let body = catch_up(&mut b, Some(&cursor), &shared.metrics);
                     (info, body, b.worker_ack_histogram(worker))
                 })
             };
@@ -794,15 +799,16 @@ pub(crate) fn open_session(
     })
 }
 
-/// Builds the encoded `synced` reply. The caller must clear its own
-/// session's lagging flag BEFORE calling: every broadcast dropped while
-/// lagging then has a seq below the history length this reply covers, and
-/// broadcasts after the clear are enqueued normally (overlap is
-/// seq-deduped client-side), so nothing can fall in a gap.
+/// Builds the encoded `synced` reply to `cursor`, or to a full resync for
+/// none. The caller must clear its own session's lagging flag BEFORE
+/// calling: every broadcast dropped while lagging then has a seq below the
+/// history length this reply covers, and broadcasts after the clear are
+/// enqueued normally (overlap is seq-deduped client-side), so nothing can
+/// fall in a gap.
 pub(crate) fn sync_reply(
     backend: &Mutex<Backend>,
     worker: WorkerId,
-    cursor: &Cursor,
+    cursor: Option<&Cursor>,
     metrics: &ServiceMetrics,
 ) -> String {
     let (history_len, body) = {

@@ -17,12 +17,14 @@
 //!                   {"type":"modify","msgs":[{"auto":bool,"msg":{...}},...],
 //!                    "trace":"hex"?}
 //!                   {"type":"sync","from":n,"have":[n,...]}
+//!                   {"type":"sync","reset":true}  (a full resync: answered
+//!                    with a reset whatever the horizon)
 //!                   {"type":"stats"}
 //!                   {"type":"health"}
 //!                   {"type":"trace_dump"}
 //!                   {"type":"bye"}
 //! server → client   {"type":"welcome","worker":n,"client":n,"history_len":n,
-//!                    "collection":"name","schema":{...},"history":[msg,...]}
+//!                    "collection":"name","schema":{...},"history":BOOTSTRAP}
 //!                   {"type":"resumed","client":n,"collection":"name",
 //!                    "history_len":n, CATCH-UP}
 //!                   {"type":"synced","history_len":n, CATCH-UP}
@@ -38,8 +40,16 @@
 //!                   {"type":"batch","msgs":[{ENTRY},...]}  (broadcast)
 //! ENTRY             "seq":n,"msg":{...},"trace":"hex"?
 //! CATCH-UP          "msgs":[{ENTRY},...]           (the missing suffix)
-//!                 | "reset":true,"history":[msg,...]  (a bootstrap image)
+//!                 | "reset":true,"history":BOOTSTRAP
+//! BOOTSTRAP         {"image":IMAGE,"log":[msg,...]}  (image at seq S, log[S..))
+//! IMAGE             {"dh":[[i,n],...],"rows":[[id,i],...],"uh":[[i,n],...],
+//!                    "values":[row value,...]}
 //! ```
+//!
+//! An IMAGE writes each distinct row value once, in `values`, ascending by
+//! its wire encoding; a live row (`rows`, ascending by id) and a vote
+//! count of either history (`uh`, `dh`, ascending by index) name a value
+//! by its index `i`. A count `n` is a 32-bit integer.
 //!
 //! ## What is malformed
 //!
@@ -67,8 +77,9 @@ use crowdfill_model::{
 };
 use crowdfill_obs::trace::{self as obstrace, TraceId};
 use crowdfill_pay::WorkerId;
+use crowdfill_sync::{Replica, VoteHistory};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -358,6 +369,8 @@ pub enum Request {
     Modify(Vec<Op>, TraceId),
     /// Asks for what the cursor is missing.
     Sync(Cursor),
+    /// Asks for a reset: the bootstrap to replace a diverged replica with.
+    Resync,
     Stats,
     Health,
     TraceDump,
@@ -396,6 +409,7 @@ impl Request {
                 frame("modify", vec![("msgs", Json::Arr(msgs))], *trace)
             }
             Request::Sync(cursor) => untraced("sync", cursor.fields()),
+            Request::Resync => untraced("sync", vec![("reset", Json::Bool(true))]),
             Request::Stats => untraced("stats", vec![]),
             Request::Health => untraced("health", vec![]),
             Request::TraceDump => untraced("trace_dump", vec![]),
@@ -421,6 +435,7 @@ impl Request {
                 let bundle = arr_field(j, "msgs")?.map(op_from_json);
                 Request::Modify(bundle.collect::<Result<_>>()?, trace)
             }
+            "sync" if flag(j, "reset") => Request::Resync,
             "sync" => Request::Sync(Cursor::decode(j)),
             "stats" => Request::Stats,
             "health" => Request::Health,
@@ -455,44 +470,230 @@ fn entry_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<SeqMsg> {
     })
 }
 
-/// A bootstrap image (DESIGN.md §14.3): the array of messages a joiner or
-/// a reset replica rebuilds its table from — a state image plus the log
-/// since, *not* the history, so its length is no cursor.
+// ---- Table image ------------------------------------------------------------
+
+/// A replica's state as one value, the IMAGE of the grammar (DESIGN.md
+/// §14.3): its live rows and both vote histories, each distinct row value
+/// written once and named by its index. It is the body of a bootstrap and
+/// the table of a checkpoint; [`replica`](Self::replica) turns it back into
+/// the replica it images.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableImage {
+    /// Each distinct row value, ascending by wire encoding.
+    pub values: Vec<RowValue>,
+    /// The live rows, ascending by id, each with its value's index.
+    pub rows: Vec<(RowId, u32)>,
+    /// The upvote history as (value index, count), ascending by index.
+    pub uh: Vec<(u32, u32)>,
+    /// The downvote history, likewise.
+    pub dh: Vec<(u32, u32)>,
+}
+
+impl TableImage {
+    /// The image of `replica`.
+    pub fn of(replica: &Replica) -> TableImage {
+        let mut values: Vec<&RowValue> = replica.table().iter().map(|(_, e)| &e.value).collect();
+        let (uh, dh) = (replica.upvote_history(), replica.downvote_history());
+        values.extend(uh.iter().chain(dh.iter()).map(|(v, _)| v));
+        let distinct: HashSet<&RowValue> = values.into_iter().collect();
+        let mut values: Vec<&RowValue> = distinct.into_iter().collect();
+        values.sort_by_cached_key(|v| row_value_to_json(v).encode());
+        let index: HashMap<&RowValue, u32> = (0..).zip(&values).map(|(i, v)| (*v, i)).collect();
+        let votes = |history: &VoteHistory| {
+            let mut votes: Vec<(u32, u32)> = history.iter().map(|(v, n)| (index[v], n)).collect();
+            votes.sort_unstable();
+            votes
+        };
+        TableImage {
+            rows: replica
+                .table()
+                .iter()
+                .map(|(id, e)| (id, index[&e.value]))
+                .collect(),
+            uh: votes(uh),
+            dh: votes(dh),
+            values: values.into_iter().cloned().collect(),
+        }
+    }
+
+    /// Values, rows and vote entries: what the image costs to send.
+    pub fn entries(&self) -> usize {
+        self.values.len() + self.rows.len() + self.uh.len() + self.dh.len()
+    }
+
+    /// The replica this is an image of, owned by `client` and minting row
+    /// ids from `next_seq`: `Replica::restore`, which derives every row's
+    /// counts from the histories (Lemma 3).
+    pub fn replica(&self, client: ClientId, schema: Arc<Schema>, next_seq: u64) -> Replica {
+        let value = |i: u32| self.values[i as usize].clone();
+        let history = |votes: &[(u32, u32)]| {
+            let mut history = VoteHistory::new();
+            for &(i, n) in votes {
+                history.set(value(i), n);
+            }
+            history
+        };
+        let (uh, dh) = (history(&self.uh), history(&self.dh));
+        let rows = self.rows.iter().map(|&(id, i)| (id, value(i)));
+        Replica::restore(client, schema, next_seq, uh, dh, rows)
+    }
+
+    /// The image as messages that rebuild its replica on an empty one:
+    /// every vote, repeated as often as it was cast, then each live row —
+    /// an `insert` if it is empty, else a self-`replace` — whose counts
+    /// the replace derives from the histories (Lemma 3).
+    pub fn to_messages(&self) -> Vec<Message> {
+        let value = |i: u32| self.values[i as usize].clone();
+        let mut msgs = Vec::new();
+        for &(i, n) in &self.uh {
+            let value = value(i);
+            msgs.extend(std::iter::repeat_n(Message::Upvote { value }, n as usize));
+        }
+        for &(i, n) in &self.dh {
+            let value = value(i);
+            msgs.extend(std::iter::repeat_n(Message::Downvote { value }, n as usize));
+        }
+        msgs.extend(self.rows.iter().map(|&(id, i)| match value(i) {
+            value if value.is_empty() => Message::Insert { row: id },
+            value => Message::Replace {
+                old: id,
+                new: id,
+                value,
+            },
+        }));
+        msgs
+    }
+
+    /// The image's one encoder, the IMAGE of the grammar.
+    pub fn to_json(&self) -> Json {
+        let pair = |a: Json, b: u32| Json::Arr(vec![a, num(b.into())]);
+        let votes = |votes: &[(u32, u32)]| {
+            Json::Arr(votes.iter().map(|&(i, n)| pair(num(i.into()), n)).collect())
+        };
+        let rows = self.rows.iter().map(|&(id, i)| pair(row_id_to_json(id), i));
+        Json::obj([
+            (
+                "values",
+                Json::Arr(self.values.iter().map(row_value_to_json).collect()),
+            ),
+            ("rows", Json::Arr(rows.collect())),
+            ("uh", votes(&self.uh)),
+            ("dh", votes(&self.dh)),
+        ])
+    }
+
+    /// The image's one decoder. Refuses, rather than trusts, an index
+    /// with no value, a row id that is not above the one before it, and
+    /// a count that is no 32-bit integer, so what it yields is an image
+    /// [`replica`](Self::replica) can build.
+    pub fn from_json<'t, J: JsonNode<'t>>(j: J) -> Result<TableImage> {
+        let values = arr_field(j, "values")?.map(row_value_from_json);
+        let values = values.collect::<Result<Vec<_>>>()?;
+        let index = |i: J| {
+            let i = u32::try_from(i.as_i64()?).ok()?;
+            ((i as usize) < values.len()).then_some(i)
+        };
+        let count = |n: J| u32::try_from(n.as_i64()?).ok();
+        let pair = |p: J| Some((p.at(0)?, p.at(1)?));
+        let votes = |name: &str| {
+            let vote = |v| {
+                let (i, n) = pair(v)?;
+                Some((index(i)?, count(n)?))
+            };
+            let votes = arr_field(j, name)?.map(vote);
+            votes.collect::<Option<Vec<_>>>().ok_or_else(|| {
+                WireError::new(format!(
+                    "{name:?} must hold [value index, 32-bit count] pairs"
+                ))
+            })
+        };
+        let (uh, dh) = (votes("uh")?, votes("dh")?);
+        let mut rows: Vec<(RowId, u32)> = Vec::new();
+        for row in arr_field(j, "rows")? {
+            let bad = || WireError::new("a row must be [row id, value index]");
+            let (id, i) = pair(row).ok_or_else(bad)?;
+            let row = (row_id_from_json(id)?, index(i).ok_or_else(bad)?);
+            if rows.last().is_some_and(|(last, _)| *last >= row.0) {
+                return Err(WireError::new("row ids must be distinct and ascending"));
+            }
+            rows.push(row);
+        }
+        Ok(TableImage {
+            values,
+            rows,
+            uh,
+            dh,
+        })
+    }
+}
+
+/// A bootstrap, the BOOTSTRAP of the grammar (DESIGN.md §14.3): what a
+/// joiner or a reset replica starts from — a table image at some seq and
+/// the log since — and *not* the history, so nothing in it is a cursor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Image<'a> {
-    /// The array as the JSON text `Backend::bootstrap_text` caches: spliced
-    /// into the frame as it is, no tree built of it.
+    /// The member as the JSON text `Backend::bootstrap_text` caches:
+    /// spliced into the frame as it is, no tree built of it.
     Text(Cow<'a, str>),
-    /// The array decoded, which is what a decoder yields.
-    Messages(Vec<Message>),
+    /// The member decoded, which is what a decoder yields: the image,
+    /// boxed to keep a [`Reply`] small, and the log.
+    Table(Box<TableImage>, Vec<Message>),
 }
 
 impl Image<'_> {
     fn text(&self) -> Cow<'_, str> {
         match self {
             Image::Text(text) => Cow::Borrowed(text),
-            Image::Messages(m) => {
-                Cow::Owned(Json::Arr(m.iter().map(message_to_json).collect()).encode())
+            Image::Table(image, log) => {
+                let mut text = BootstrapText::new(image);
+                log.iter().for_each(|msg| text.push(msg));
+                Cow::Owned(text.text)
             }
         }
     }
 
     fn decode<'t, J: JsonNode<'t>>(j: J) -> Result<Image<'static>> {
-        let msgs = j
-            .items()
-            .ok_or_else(|| WireError::new("an image must be an array"))?;
-        Ok(Image::Messages(
-            msgs.map(message_from_json).collect::<Result<_>>()?,
-        ))
+        let image = Box::new(TableImage::from_json(field(j, "image")?)?);
+        let log = arr_field(j, "log")?.map(message_from_json);
+        Ok(Image::Table(image, log.collect::<Result<_>>()?))
+    }
+}
+
+/// A bootstrap's text, the BOOTSTRAP's one encoder: the image encoded
+/// once, then the log appended a message at a time — so the backend's
+/// cache encodes for a join only what no earlier join has.
+#[derive(Debug, Clone)]
+pub struct BootstrapText {
+    text: String,
+    logged: usize,
+}
+
+impl BootstrapText {
+    /// The text of `image` with an empty log.
+    pub fn new(image: &TableImage) -> BootstrapText {
+        let log = Json::Arr(Vec::new());
+        let text = Json::obj([("image", image.to_json()), ("log", log)]).encode();
+        BootstrapText { text, logged: 0 }
     }
 
-    pub fn into_messages(self) -> Result<Vec<Message>> {
-        match self {
-            Image::Messages(msgs) => Ok(msgs),
-            Image::Text(text) => {
-                Image::decode(parse_frame(text.as_bytes())?.root())?.into_messages()
-            }
+    /// Appends `msg` to the log.
+    pub fn push(&mut self, msg: &Message) {
+        self.text.truncate(self.text.len() - "]}".len());
+        if self.logged > 0 {
+            self.text.push(',');
         }
+        self.text.push_str(&message_to_json(msg).encode());
+        self.text.push_str("]}");
+        self.logged += 1;
+    }
+
+    /// How many log messages the text holds.
+    pub fn logged(&self) -> usize {
+        self.logged
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 }
 

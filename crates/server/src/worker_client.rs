@@ -10,6 +10,7 @@
 //! result without waiting for the server) and returned as [`Outgoing`]
 //! messages the caller must submit to the backend.
 
+use crate::wire::TableImage;
 use crowdfill_model::{ClientId, ColumnId, Message, OpError, Operation, RowId, Schema, Value};
 use crowdfill_pay::WorkerId;
 use crowdfill_sync::Replica;
@@ -52,9 +53,25 @@ impl WorkerClient {
         history: &[Message],
     ) -> WorkerClient {
         let mut replica = Replica::new(client, schema);
-        for m in history {
-            replica.process(m);
-        }
+        replica.replay(history);
+        WorkerClient::with_replica(worker, replica)
+    }
+
+    /// Creates a client from a bootstrap as the wire carries it: the
+    /// replica the image describes, then the log since it was taken.
+    pub fn from_image(
+        worker: WorkerId,
+        client: ClientId,
+        schema: Arc<Schema>,
+        image: &TableImage,
+        log: &[Message],
+    ) -> WorkerClient {
+        let mut replica = image.replica(client, schema, 0);
+        replica.replay(log);
+        WorkerClient::with_replica(worker, replica)
+    }
+
+    fn with_replica(worker: WorkerId, replica: Replica) -> WorkerClient {
         WorkerClient {
             worker,
             replica,
@@ -77,17 +94,17 @@ impl WorkerClient {
         self.replica.process(msg);
     }
 
-    /// Rebuilds the local replica from a full server history — the client's
-    /// recovery of last resort, after its state has provably diverged (a
-    /// locally-applied action the server finally rejected). Own-vote records
-    /// and the row-id counter survive the rebuild: the former keep undo
-    /// validation working, the latter prevents the client from re-issuing
-    /// row ids from its previous life (which would collide server-side).
-    pub fn rebuild(&mut self, history: &[Message]) {
-        let seq_floor = self.replica.next_seq();
-        let mut replica = Replica::new(self.replica.client(), Arc::clone(self.replica.schema()));
-        replica.replay(history);
-        replica.resume_seq_at_least(seq_floor);
+    /// Replaces the local replica with a bootstrap's — a reset, or the
+    /// client's recovery of last resort, after its state has provably
+    /// diverged (a locally-applied action the server finally rejected).
+    /// Own-vote records and the row-id counter survive: the former keep
+    /// undo validation working, the latter prevents the client from
+    /// re-issuing row ids from its previous life (which would collide
+    /// server-side).
+    pub fn adopt(&mut self, image: &TableImage, log: &[Message]) {
+        let (client, schema) = (self.replica.client(), Arc::clone(self.replica.schema()));
+        let mut replica = image.replica(client, schema, self.replica.next_seq());
+        replica.replay(log);
         self.replica = replica;
     }
 

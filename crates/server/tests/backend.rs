@@ -632,7 +632,10 @@ fn malformed_votes_are_refused_and_the_image_stays_exact() {
         assert_eq!(refused.unwrap_err(), expected, "auto: {auto}");
     }
     assert_eq!(rig.backend.history_len(), before);
-    for replay in [rig.backend.bootstrap_messages(), history(&rig.backend)] {
+    for replay in [
+        rig.backend.table_image().to_messages(),
+        history(&rig.backend),
+    ] {
         let mut replica = Replica::new(ClientId(9), schema());
         replica.replay(&replay);
         assert!(replica.same_state(rig.backend.master()));
@@ -684,20 +687,28 @@ fn the_auto_flag_exempts_the_completion_upvote_and_nothing_else() {
         assert_eq!(refused.unwrap_err(), expected);
     }
     assert_eq!(rig.backend.history_len(), before);
-    for replay in [rig.backend.bootstrap_messages(), history(&rig.backend)] {
+    for replay in [
+        rig.backend.table_image().to_messages(),
+        history(&rig.backend),
+    ] {
         let mut replica = Replica::new(ClientId(9), schema());
         replica.replay(&replay);
         assert!(replica.same_state(rig.backend.master()));
     }
 }
 
-/// An empty live row bootstraps as the `insert` it is, not as a
-/// self-`replace` of 1.8× the bytes: a fresh collection's image is its
-/// history.
+/// Empty live rows share the one empty value of the image, and as
+/// messages they are the `insert`s they were: a fresh collection's image
+/// is one value and its rows, and replays as its history.
 #[test]
 fn a_fresh_collection_bootstraps_as_its_template_inserts() {
     let backend = Backend::new(config(400, 10.0));
-    assert_eq!(backend.bootstrap_messages(), history(&backend));
+    let image = backend.table_image();
+    assert_eq!(
+        (image.values, image.rows.len()),
+        (vec![RowValue::empty()], 400)
+    );
+    assert_eq!(backend.table_image().to_messages(), history(&backend));
     assert_eq!(backend.history_len(), 400);
 }
 

@@ -14,6 +14,7 @@ use crowdfill_model::{
 };
 use crowdfill_obs::trace::TraceId;
 use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_server::wire::TableImage;
 use crowdfill_server::{
     persist, wire, Backend, BatchJob, BatchOp, JournalRecord, TaskConfig, WorkerClient,
 };
@@ -177,7 +178,7 @@ impl SimWorker {
             .into_iter()
             .map(|(_, m)| m)
             .collect();
-        self.client.rebuild(&history);
+        self.client.adopt(&TableImage::default(), &history);
         self.applied.reset_to_prefix(backend.history_len());
     }
 }

@@ -1,20 +1,25 @@
 //! The bootstrap scaling gate: what a join costs the server follows the
-//! live table, not the history (DESIGN.md §14.3). A join builds no state
-//! image and encodes no message an earlier join already has — the cache is
-//! rebuilt only once the log suffix has outgrown its image — and however
-//! long the collection has been open, what a joiner is sent stays within
-//! twice the live state.
+//! live table, not the history (DESIGN.md §14.3). A join builds no table
+//! image and encodes no entry an earlier join already has — the cache is
+//! rebuilt only once the log suffix has outgrown its image's entries
+//! (values, rows and vote entries) — and however long the collection has
+//! been open, what a joiner is sent stays within twice the live state.
+//! What a join costs the joiner follows the log since the image: it
+//! processes exactly those messages, and each distinct row value is on the
+//! wire once, whatever the vote counts are.
 //!
-//! It counts images built (`crowdfill_server_bootstrap_builds`) and
-//! messages encoded (`crowdfill_server_bootstrap_encoded_msgs`) instead of
-//! timing, so machine speed cannot flake it. The counters are
-//! process-global: this file is its own test binary and holds one test.
+//! It counts images built (`crowdfill_server_bootstrap_builds`), entries
+//! encoded (`crowdfill_server_bootstrap_encoded_msgs`) and messages a
+//! replica processed (`crowdfill_sync_ops_processed`) instead of timing,
+//! so machine speed cannot flake it. The counters are process-global: this
+//! file is its own test binary and holds one test.
 
 use crowdfill_model::{
-    Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
+    ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
-use crowdfill_server::{wire, Backend, TaskConfig, WorkerClient};
+use crowdfill_server::wire::{self, Image, Reply, TableImage};
+use crowdfill_server::{Backend, ClientCore, TaskConfig, WorkerClient};
 use std::sync::Arc;
 
 const WIDTH: u16 = 5;
@@ -35,7 +40,9 @@ fn encoded() -> u64 {
 struct Worker {
     id: WorkerId,
     client: WorkerClient,
-    /// Bytes of the `history` array its welcome carried.
+    /// Image entries and log messages its welcome carried.
+    welcome_entries: usize,
+    /// Bytes of the `history` member its welcome carried.
     welcome_bytes: usize,
 }
 
@@ -45,9 +52,11 @@ impl Worker {
     fn join(backend: &mut Backend) -> Worker {
         let (id, client_id, replay) = backend.connect(Millis(0));
         let client = WorkerClient::new(id, client_id, backend.config().schema.clone(), &replay);
+        let (image, log, _) = welcome(backend);
         Worker {
             id,
             client,
+            welcome_entries: image.entries() + log.len(),
             welcome_bytes: backend.bootstrap_text().len(),
         }
     }
@@ -87,6 +96,48 @@ fn array_bytes<'a>(msgs: impl IntoIterator<Item = &'a Message>) -> usize {
         .sum()
 }
 
+/// A welcome as the service sends it — the frame and its bootstrap,
+/// decoded.
+fn welcome(backend: &mut Backend) -> (TableImage, Vec<Message>, String) {
+    let text = backend.bootstrap_text().to_owned();
+    let (len, schema) = (backend.history_len(), backend.config().schema.clone());
+    let image = Image::Text(text.into());
+    let frame = Reply::Welcome("c".into(), WorkerId(99), ClientId(99), len, schema, image);
+    let frame = frame.encode();
+    match Reply::decode(&wire::parse_frame(frame.as_bytes()).unwrap()) {
+        Ok(Reply::Welcome(.., Image::Table(image, log))) => (*image, log, frame),
+        other => panic!("a welcome decodes as one: {other:?}"),
+    }
+}
+
+/// A welcome taken by a client, which processes exactly the log after
+/// the image, and reads each distinct row value off the wire once: the
+/// frame holds the cells of the image's values and of the log's messages,
+/// and no others.
+fn welcome_processes_only_the_log(backend: &mut Backend) {
+    let (image, log, frame) = welcome(backend);
+    let processed = || counter("crowdfill_sync_ops_processed");
+    let before = processed();
+    let core = ClientCore::welcomed(frame.as_bytes(), None, None).unwrap();
+    assert_eq!(processed() - before, log.len() as u64, "messages processed");
+    assert!(core.view().replica().same_state(backend.master()));
+    let msg_cells = |m: &Message| match m {
+        Message::Insert { .. } => 0,
+        Message::Replace { value, .. }
+        | Message::Upvote { value }
+        | Message::Downvote { value }
+        | Message::UndoUpvote { value }
+        | Message::UndoDownvote { value } => value.len(),
+    };
+    let cells: usize = image.values.iter().map(|v| v.len()).sum::<usize>()
+        + log.iter().map(msg_cells).sum::<usize>();
+    assert_eq!(
+        frame.matches(r#""col":"#).count(),
+        cells,
+        "cells on the wire"
+    );
+}
+
 /// A `rows`-row collection with its first `prefilled` rows completed by
 /// alice, who stays: the backend, alice, the complete rows and the empty.
 fn collection(rows: usize, prefilled: usize) -> (Backend, Worker, Vec<RowId>, Vec<RowId>) {
@@ -116,7 +167,7 @@ fn a_join_costs_the_table_not_the_history() {
     // joins between them encode it and each log entry since exactly once.
     // (A join that replays the history encodes all of it, every time.)
     let (builds_before, encoded_before) = (builds(), encoded());
-    let image = backend.bootstrap_messages().len() as u64;
+    let image = backend.table_image().entries() as u64;
     let first_join = backend.history_len();
     let (mut last_join, mut history_replayed) = (first_join, 0);
     for round in 0..16 {
@@ -134,20 +185,31 @@ fn a_join_costs_the_table_not_the_history() {
     assert_eq!(encoded_now, image + (last_join - first_join));
     assert!(
         encoded_now * 20 < history_replayed,
-        "{encoded_now} messages encoded where replaying the history takes {history_replayed}"
+        "{encoded_now} entries encoded where replaying the history takes {history_replayed}"
     );
+    // A crowd piles votes on one value: the joiner's bill does not move.
+    for _ in 0..24 {
+        let mut voter = Worker::join(&mut backend);
+        let vote = voter.client.downvote(complete[20]).unwrap();
+        voter.send(&mut backend, vec![vote]);
+        backend.disconnect(voter.id);
+    }
+    let votes = backend.master().downvote_history().iter().map(|(_, n)| n);
+    assert_eq!(votes.max(), Some(24), "one value holds every downvote");
+    welcome_processes_only_the_log(&mut backend);
 
     // Churn on a smaller table (a debug build checks the PRI, quadratic in
     // the rows, per message): bob and carol endorse and retract, row after
     // row, until the log has grown by ten times the image — and the table
-    // is where it was. Whenever someone joins, the bootstrap is at most
-    // the image twice over.
-    const SLACK: usize = 1024;
+    // is where it was, give or take the vote entries of a row in flight.
+    // Whenever someone joins, the bootstrap is at most the image's entries
+    // twice over.
+    const SLACK: usize = 4;
     let (mut backend, _alice, complete, _) = collection(32, 28);
     let (mut bob, mut carol) = (Worker::join(&mut backend), Worker::join(&mut backend));
-    let image = backend.bootstrap_messages().len() as u64;
+    let image = backend.table_image().entries() as u64;
     let start = backend.history_len();
-    let mut largest = 0;
+    let (mut largest, mut largest_bytes) = (0, 0);
     for turn in 0.. {
         if backend.history_len() - start >= 10 * image {
             break;
@@ -165,19 +227,26 @@ fn a_join_costs_the_table_not_the_history() {
         if turn % 3 == 0 {
             let joiner = Worker::join(&mut backend);
             backend.disconnect(joiner.id);
-            let sent = joiner.welcome_bytes;
-            let fresh = array_bytes(&backend.bootstrap_messages());
+            let sent = joiner.welcome_entries;
+            let fresh = backend.table_image().entries();
             assert!(
                 sent <= 2 * fresh + SLACK,
-                "turn {turn}: a joiner was sent {sent} bytes for a {fresh}-byte table"
+                "turn {turn}: a joiner was sent {sent} entries for a {fresh}-entry table"
             );
             largest = largest.max(sent);
+            largest_bytes = largest_bytes.max(joiner.welcome_bytes);
         }
     }
     let history = backend.history_suffix(0);
+    assert!(
+        history.len() > 5 * largest,
+        "the history is {} messages, the largest bootstrap was {largest} entries",
+        history.len()
+    );
     let history = array_bytes(history.iter().map(|(_, msg)| msg));
     assert!(
-        history > 5 * largest,
-        "the history is {history} bytes, the largest bootstrap was {largest}"
+        history > 5 * largest_bytes,
+        "the history is {history} bytes, the largest bootstrap was {largest_bytes}"
     );
+    welcome_processes_only_the_log(&mut backend);
 }

@@ -16,6 +16,7 @@ use crowdfill_model::{
     TemplateRow, Value,
 };
 use crowdfill_pay::Millis;
+use crowdfill_server::wire::TableImage;
 use crowdfill_server::{Backend, TaskConfig, WorkerClient};
 use std::sync::Arc;
 
@@ -107,7 +108,7 @@ fn walk(seed: u64, steps: usize) {
             .map(|(_, m)| m)
             .collect();
         if rng.below(3) != 0 {
-            w.rebuild(&history);
+            w.adopt(&TableImage::default(), &history);
         }
         let table = w.replica().table();
         let ids: Vec<RowId> = table.row_ids().collect();

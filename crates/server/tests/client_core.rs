@@ -44,7 +44,7 @@ fn frame(reply: Reply<'_>) -> Vec<u8> {
 
 /// A welcome for worker 1, client 1.
 fn welcome(history: &[Message], history_len: u64) -> Vec<u8> {
-    let history = Image::Messages(history.to_vec());
+    let history = Image::Table(Box::default(), history.to_vec());
     let (worker, client) = (WorkerId(1), ClientId(1));
     let welcome = Reply::Welcome(
         "default".into(),

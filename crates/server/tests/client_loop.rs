@@ -41,7 +41,8 @@ fn frame(reply: Reply<'_>) -> Vec<u8> {
 /// The welcome of worker 1, client 1 at `history_len` 2: a two-message
 /// history, the Central Client's two empty rows.
 fn welcome() -> Vec<u8> {
-    let history = Image::Messages([0, 1].map(|s| Message::Insert { row: cc_row(s) }).to_vec());
+    let inserts = [0, 1].map(|s| Message::Insert { row: cc_row(s) });
+    let history = Image::Table(Box::default(), inserts.to_vec());
     let (worker, client) = (WorkerId(1), ClientId(1));
     frame(Reply::Welcome(
         "default".into(),

@@ -15,7 +15,9 @@
 //!   resume suffix;
 //! * per worker, every bootstrap it was handed — the `connect` replay and
 //!   each reset, decoded from [`Backend::bootstrap_text`] as the service
-//!   serves it;
+//!   serves it and expanded into messages (`TableImage::to_messages`, then
+//!   the log), so the hash reads the table an image stands for, not its
+//!   encoding;
 //! * `session_stats()` — connected, ops, `outbox_depth`, `confirmed_seq`
 //!   of every session — at each checkpoint of the script;
 //! * the journal's payload bytes before the compaction, before the
@@ -31,13 +33,14 @@
 //! image is taken moves that constant and no other — that the replica it
 //! builds is the master's is `snapshot_props.rs`'s to show.
 
-use crowdfill_docstore::{FsyncPolicy, Json, Wal};
+use crowdfill_docstore::{FsyncPolicy, Wal};
 use crowdfill_model::{
     Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
 use crowdfill_server::persist::{self, DurabilityOptions};
-use crowdfill_server::{wire, Backend, TaskConfig, WorkerClient};
+use crowdfill_server::wire::{self, CatchUp, Image, Reply, TableImage};
+use crowdfill_server::{Backend, TaskConfig, WorkerClient};
 use crowdfill_sync::AppliedSeqs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -139,6 +142,16 @@ struct Worker {
     resyncs: usize,
 }
 
+/// The bootstrap a reset is served, decoded the way the client does.
+fn served(backend: &mut Backend) -> (TableImage, Vec<Message>) {
+    let text = backend.bootstrap_text().to_owned();
+    let frame = Reply::Synced(0, CatchUp::Image(Image::Text(text.into()))).encode();
+    match Reply::decode(&wire::parse_frame(frame.as_bytes()).unwrap()) {
+        Ok(Reply::Synced(_, CatchUp::Image(Image::Table(image, log)))) => (*image, log),
+        other => panic!("a reset decodes as one: {other:?}"),
+    }
+}
+
 impl Worker {
     fn join(backend: &mut Backend, at: u64, eagerness: usize) -> Worker {
         let (id, client_id, replay) = backend.connect(Millis(at));
@@ -178,19 +191,13 @@ impl Worker {
         }
     }
 
-    /// The production full resync: the whole history before any
-    /// compaction, the synthetic image after one.
+    /// A full resync: adopt the master's image. Taken fresh, not through
+    /// the bootstrap cache the service reads: a read of the cache may move
+    /// where it is rebuilt, and so the resets hashed below, which are kept
+    /// comparable with the message-array bootstraps `GOLDEN_BOOTSTRAPS` was
+    /// captured from.
     fn resync(&mut self, backend: &Backend) {
-        let image: Vec<Message> = if backend.history_base() == 0 {
-            backend
-                .history_suffix(0)
-                .into_iter()
-                .map(|(_, m)| m)
-                .collect()
-        } else {
-            backend.bootstrap_messages()
-        };
-        self.client.rebuild(&image);
+        self.client.adopt(&backend.table_image(), &[]);
         self.applied.reset_to_prefix(backend.history_len());
         self.resyncs += 1;
     }
@@ -202,10 +209,10 @@ impl Worker {
         self.online = true;
         let from = self.applied.last_contiguous().map_or(0, |s| s + 1);
         if from < backend.history_base() {
-            // The `history` array of the reset reply, as served.
-            let image = Json::parse(backend.bootstrap_text()).unwrap();
-            for msg in image.as_arr().unwrap() {
-                let line = format!("reset@{at}:{}\n", msg.encode());
+            // The `history` member of the reset reply, as served.
+            let (image, log) = served(backend);
+            for msg in image.to_messages().iter().chain(&log) {
+                let line = format!("reset@{at}:{}\n", wire::message_to_json(msg).encode());
                 fnv1a(&mut self.bootstraps, line.as_bytes());
             }
             self.resync(backend);

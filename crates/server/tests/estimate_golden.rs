@@ -15,6 +15,7 @@ use crowdfill_model::{
     TemplateRow, Value,
 };
 use crowdfill_pay::{Millis, Scheme, WorkerId};
+use crowdfill_server::wire::TableImage;
 use crowdfill_server::{Backend, TaskConfig, WorkerClient};
 use crowdfill_sync::AppliedSeqs;
 use std::sync::Arc;
@@ -80,7 +81,7 @@ impl Worker {
             .into_iter()
             .map(|(_, m)| m)
             .collect();
-        self.client.rebuild(&history);
+        self.client.adopt(&TableImage::default(), &history);
         self.applied.reset_to_prefix(backend.history_len());
     }
 

@@ -479,7 +479,7 @@ impl Peer {
                 for out in &bundle {
                     self.client.retract_own_vote_record(&out.msg);
                 }
-                self.client.rebuild(&backend.bootstrap_messages());
+                self.client.adopt(&backend.table_image(), &[]);
                 self.applied.reset_to_prefix(backend.history_len());
             }
         }

@@ -10,7 +10,8 @@
 //! build: that is where `Replica::process` asserts Lemma 3 after every
 //! message, so a shape that breaks it is a panic on the collection's shard
 //! and a dead session here. One peer is hostile by saying nothing at all:
-//! its socket must not outlive the handshake deadline.
+//! its socket must not outlive the handshake deadline. And a hostile
+//! server: a bootstrap image that is not one is a client's protocol error.
 
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
@@ -18,9 +19,11 @@ use crowdfill_model::{
 };
 use crowdfill_net::{FrameConn, TcpConn};
 use crowdfill_obs::trace::TraceId;
-use crowdfill_server::wire::{self, Op, Reply, Request};
+use crowdfill_pay::WorkerId;
+use crowdfill_server::wire::{self, CatchUp, Image, Op, Reply, Request};
 use crowdfill_server::{
-    Backend, OverloadOptions, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
+    Backend, ClientCore, OverloadOptions, RemoteError, RemoteWorker, ServiceOptions, TaskConfig,
+    TcpService,
 };
 use crowdfill_sync::Replica;
 use std::io::Read;
@@ -52,7 +55,7 @@ fn recv(conn: &TcpConn) -> Reply<'static> {
 
 fn assert_master_is_its_image(backend: &Backend, case: &str) {
     let mut replayed = Replica::new(ClientId(u32::MAX), schema());
-    for msg in backend.bootstrap_messages() {
+    for msg in backend.table_image().to_messages() {
         replayed.process(&msg);
     }
     assert!(backend.master().same_state(&replayed), "{case}");
@@ -234,7 +237,7 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
     let ids = || backend.master().table().iter().map(|(id, _)| id);
     assert!(ids().any(|id| id == fresh(1 << 53)), "2^53 + 1");
     let mut replayed = Replica::new(ClientId(u32::MAX), schema());
-    for msg in backend.bootstrap_messages() {
+    for msg in backend.table_image().to_messages() {
         let text = wire::message_to_json(&msg).encode();
         let doc = crowdfill_docstore::Json::parse(&text).unwrap();
         replayed.process(&wire::message_from_json(&doc).unwrap());
@@ -258,4 +261,82 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
     assert!(honest.view().replica().same_state(backend.lock().master()));
     honest.bye();
     service.stop();
+}
+
+/// A bootstrap is read strictly: an image whose rows or votes name a value
+/// it does not hold, that lists a row twice, that counts past 32 bits or
+/// whose `values` is no array is a protocol error — in a `welcome` and in
+/// a reset alike — and never a panic or a replica built from half of it.
+#[test]
+fn every_hostile_image_is_a_protocol_error() {
+    let row = |s: u64| wire::row_id_to_json(RowId::new(ClientId(0), s)).encode();
+    let value = wire::row_value_to_json(&cells(&[(0, "Pele"), (1, "Brazil")])).encode();
+    let image = |values: &str, rows: &str, uh: &str| {
+        format!(r#"{{"image":{{"dh":[],"rows":[{rows}],"uh":[{uh}],"values":{values}}},"log":[]}}"#)
+    };
+    let one = format!("[[],{value}]");
+    let (r0, r1) = (row(0), row(1));
+    let hostile = [
+        (
+            "a row's value index out of range",
+            image(&one, &format!("[{r0},2]"), ""),
+        ),
+        (
+            "a vote's value index out of range",
+            image(&one, "", "[7,1]"),
+        ),
+        (
+            "a negative value index",
+            image(&one, &format!("[{r0},-1]"), ""),
+        ),
+        (
+            "a duplicate row id",
+            image(&one, &format!("[{r0},0],[{r0},1]"), ""),
+        ),
+        (
+            "rows out of order",
+            image(&one, &format!("[{r1},0],[{r0},1]"), ""),
+        ),
+        ("a count of 2^32", image(&one, "", "[1,4294967296]")),
+        ("a negative count", image(&one, "", "[1,-1]")),
+        ("a fractional count", image(&one, "", "[1,1.5]")),
+        ("a vote that is no pair", image(&one, "", "[1]")),
+        ("non-array values", image(r#"{"0":[]}"#, "", "")),
+        ("string values", image(r#""[]""#, "", "")),
+        ("a value that is no row value", image("[7]", "", "")),
+        ("no image", r#"{"log":[]}"#.to_string()),
+        (
+            "a message array",
+            format!(r#"[{{"kind":"insert","row":{r0}}}]"#),
+        ),
+    ];
+    let scripted = || {
+        let image = Image::Table(Default::default(), vec![]);
+        let welcome = Reply::Welcome("c".into(), WorkerId(1), ClientId(1), 0, schema(), image);
+        ClientCore::welcomed(welcome.encode().as_bytes(), None, None).unwrap()
+    };
+    for (case, history) in hostile {
+        let text = Image::Text(history.into());
+        let welcome = Reply::Welcome("c".into(), WorkerId(1), ClientId(1), 9, schema(), text);
+        let welcomed = ClientCore::welcomed(welcome.encode().as_bytes(), None, None);
+        assert!(
+            matches!(welcomed, Err(RemoteError::Protocol(_))),
+            "welcome with {case}"
+        );
+        let Reply::Welcome(.., text) = welcome else {
+            unreachable!()
+        };
+        let reset = Reply::Synced(9, CatchUp::Image(text)).encode();
+        let mut core = scripted();
+        let handled = core.handle(reset.as_bytes());
+        assert!(
+            matches!(handled, Err(RemoteError::Protocol(_))),
+            "reset with {case}"
+        );
+        assert_eq!(
+            core.view().replica().table().len(),
+            0,
+            "{case}: a half-built table"
+        );
+    }
 }

@@ -213,7 +213,7 @@ fn bootstrap_messages_rebuild_master_state() {
     drive(&mut b, &[("ada", 1), ("grace", 2)], 10);
     downvote_one(&mut b, 40);
 
-    let boot = b.bootstrap_messages();
+    let boot = b.table_image().to_messages();
     let mut fresh = Replica::new(ClientId(77), b.config().schema.clone());
     for m in &boot {
         fresh.process(m);

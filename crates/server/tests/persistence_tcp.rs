@@ -103,7 +103,8 @@ fn fill_row(w: &mut RemoteWorker, name: &str, n: i64) {
 
 /// Deterministic wire encoding of a backend's full live state.
 fn state_image(b: &crowdfill_server::Backend) -> Vec<String> {
-    b.bootstrap_messages()
+    b.table_image()
+        .to_messages()
         .iter()
         .map(|m| wire::message_to_json(m).encode())
         .collect()

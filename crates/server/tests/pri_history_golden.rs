@@ -18,6 +18,7 @@ use crowdfill_model::{
     TemplateRow, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_server::wire::TableImage;
 use crowdfill_server::{wire, Backend, TaskConfig, WorkerClient};
 use crowdfill_sync::AppliedSeqs;
 use std::sync::Arc;
@@ -105,7 +106,7 @@ impl Worker {
                     .into_iter()
                     .map(|(_, m)| m)
                     .collect();
-                self.client.rebuild(&history);
+                self.client.adopt(&TableImage::default(), &history);
                 self.applied.reset_to_prefix(backend.history_len());
                 false
             }

@@ -13,6 +13,7 @@ use crowdfill_model::{
     Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, WorkerId};
+use crowdfill_server::wire::TableImage;
 use crowdfill_server::{Backend, TaskConfig, WorkerClient};
 use crowdfill_sync::AppliedSeqs;
 use proptest::prelude::*;
@@ -123,7 +124,7 @@ impl SimWorker {
                     .into_iter()
                     .map(|(_, m)| m)
                     .collect();
-                self.client.rebuild(&history);
+                self.client.adopt(&TableImage::default(), &history);
                 self.applied.reset_to_prefix(backend.history_len());
                 false
             }

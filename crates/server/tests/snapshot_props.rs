@@ -3,15 +3,21 @@
 //! through `encode_backend_state` / `decode_backend_state`, and the
 //! CRC-framed snapshot file rejects every single-byte corruption rather
 //! than ever surfacing a wrong image. An image without the settlement
-//! ledger is refused, and recovery falls back past it.
+//! ledger is refused, and so is a v2 payload; recovery falls back past
+//! both.
 //!
-//! And for the image a joiner starts from (§14.3): seeded walks — fills,
-//! votes, undos, modify bundles, template drops, disconnects and resumes,
+//! For the table image itself (§14.3): at a seeded seq `S` of a generated
+//! log, adopting `image(S)` and then processing `log[S..)` lands on the
+//! state of the whole log replayed, and on that of the old message
+//! expansion `to_messages(image(S)) ++ log[S..)` — the oracle.
+//!
+//! And for the image a joiner starts from: seeded walks — fills, votes,
+//! undos, modify bundles, template drops, disconnects and resumes,
 //! compactions, a restart — joined every few steps, where each join must
 //! be served `image(S) ++ log[S..)` for an `S` at or above the serving
 //! horizon, as messages and as wire text alike, and land on the master.
 
-use crowdfill_docstore::{FsyncPolicy, Json, JsonRef, SnapshotStore};
+use crowdfill_docstore::{FsyncPolicy, Json, SnapshotStore, Tape};
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Entry, Message, Predicate, QuorumMajority, RowId,
     RowValue, Schema, Template, TemplateRow, Value,
@@ -20,10 +26,11 @@ use crowdfill_pay::{FirstFill, Ledger, Millis, Unit, Vote, WorkerId};
 use crowdfill_server::persist::{
     decode_backend_state, encode_backend_state, open_or_recover, DurabilityOptions,
 };
+use crowdfill_server::wire::{self, CatchUp, Image, Reply, TableImage};
 use crowdfill_server::{
-    wire, Backend, BackendState, Outgoing, SessionState, SubmitError, TaskConfig, WorkerClient,
+    Backend, BackendState, Outgoing, SessionState, SubmitError, TaskConfig, WorkerClient,
 };
-use crowdfill_sync::AppliedSeqs;
+use crowdfill_sync::{AppliedSeqs, Replica};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -54,8 +61,26 @@ fn row_id_strategy() -> impl Strategy<Value = RowId> {
     (0u32..1000, 0u64..100_000).prop_map(|(c, s)| RowId::new(ClientId(c), s))
 }
 
-fn votes_strategy() -> impl Strategy<Value = Vec<(RowValue, u32)>> {
-    proptest::collection::vec((row_value_strategy(), 1u32..200), 0..8)
+/// A table image with valid indexes: rows and votes name values by index,
+/// any value may be named by several rows, by votes only, or not at all.
+fn image_strategy() -> impl Strategy<Value = TableImage> {
+    use proptest::collection::{btree_map, vec};
+    let votes = || btree_map(any::<u32>(), 1u32..=u32::MAX, 0..4);
+    let rows = btree_map(row_id_strategy(), any::<u32>(), 0..8);
+    let parts = (vec(row_value_strategy(), 1..6), rows, votes(), votes());
+    parts.prop_map(|(values, rows, uh, dh)| {
+        let n = values.len() as u32;
+        let votes = |votes: BTreeMap<u32, u32>| {
+            let votes = votes.into_iter().map(|(i, count)| (i % n, count));
+            votes.collect::<BTreeMap<_, _>>().into_iter().collect()
+        };
+        TableImage {
+            values,
+            rows: rows.into_iter().map(|(id, i)| (id, i % n)).collect(),
+            uh: votes(uh),
+            dh: votes(dh),
+        }
+    })
 }
 
 fn session_strategy() -> impl Strategy<Value = SessionState> {
@@ -129,9 +154,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
             any::<bool>(),
             0u64..MAX_EXACT,
         ),
-        votes_strategy(),
-        votes_strategy(),
-        proptest::collection::vec((row_id_strategy(), row_value_strategy()), 0..8),
+        image_strategy(),
         (
             proptest::collection::vec(0usize..64, 0..8),
             proptest::collection::vec(0usize..64, 0..8),
@@ -144,9 +167,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
         .prop_map(
             |(
                 (base_seq, at_ms, next_worker, closed, cc_next_seq),
-                uh,
-                dh,
-                rows,
+                image,
                 (live_template, dropped_template),
                 (sessions, ledger),
             )| BackendState {
@@ -155,9 +176,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
                 next_worker,
                 closed,
                 cc_next_seq,
-                uh,
-                dh,
-                rows,
+                image,
                 live_template,
                 dropped_template,
                 sessions,
@@ -216,17 +235,147 @@ proptest! {
     }
 }
 
-/// An image that predates the ledger is not an image of a collection with
-/// nothing to settle: the decoder refuses it, and recovery takes the next
-/// rung of the ladder — here the whole journal, which settles exactly like
-/// the backend that never stopped.
-#[test]
-fn an_image_without_its_ledger_is_refused_and_recovery_falls_back() {
-    let dir = tmp_dir("no-ledger");
+// ---- image(S) ++ log[S..) --------------------------------------------------
+
+/// The table of the image property: key `(a, b)`, so a value can lack
+/// part of its key.
+fn abc_schema() -> Arc<Schema> {
+    Arc::new(Schema::new("T", text_columns(&["a", "b", "c"]), &["a", "b"]).unwrap())
+}
+
+/// Value `i` of the 27 that 3 columns of absent, "x" or "y" spell: 0 is
+/// the empty value, 26 the last complete one.
+fn pooled(i: usize) -> RowValue {
+    let cell = |c: usize| match (i / 3usize.pow(c as u32)) % 3 {
+        0 => None,
+        n => Some((ColumnId(c as u16), Value::text(["x", "y"][n - 1]))),
+    };
+    RowValue::from_pairs((0..3).filter_map(cell))
+}
+
+/// A log of messages over [`abc_schema`] that every replica processes
+/// alike and that keeps Lemma 3 (upvotes of complete values, downvotes of
+/// non-empty ones, any replace or undo): a fixed prefix — two rows of one
+/// value, a key-incomplete downvote, votes on a value its row then dies
+/// out of — then `script`, whose rows are picked among the live ones.
+fn generated_log(script: &[(u8, u8, u8)]) -> Vec<Message> {
+    let schema = abc_schema();
+    let complete: Vec<RowValue> = (0..27)
+        .map(pooled)
+        .filter(|v| v.is_complete(&schema))
+        .collect();
+    let mut table = Replica::new(ClientId(0), Arc::clone(&schema));
+    let mut next = 0;
+    let mut fresh = || {
+        next += 1;
+        RowId::new(ClientId(1), next)
+    };
+    let (r1, r2, r3) = (fresh(), fresh(), fresh());
+    let twice = pooled(4); // a = x, b = x
+    let mut log = vec![
+        Message::Insert { row: r1 },
+        Message::Insert { row: r2 },
+        Message::Insert { row: r3 },
+    ];
+    let (new1, new2, new3) = (fresh(), fresh(), fresh());
+    let replace = |old, new, value| Message::Replace { old, new, value };
+    log.extend([
+        replace(r1, new1, twice.clone()),
+        replace(r2, new2, twice.clone()),
+        Message::Downvote { value: pooled(9) }, // c = x: no key at all
+        Message::Downvote {
+            value: twice.clone(),
+        },
+        Message::Upvote {
+            value: complete[0].clone(),
+        },
+        replace(r3, new3, complete[0].clone()),
+        replace(new3, fresh(), complete[1].clone()),
+    ]);
+    table.replay(&log);
+    for &(kind, a, b) in script {
+        let live: Vec<RowId> = table.table().row_ids().collect();
+        let (a, b) = (a as usize, b as usize);
+        let msg = match kind % 7 {
+            0 => Message::Insert { row: fresh() },
+            1 | 2 => Message::Replace {
+                old: live
+                    .get(a % live.len().max(1))
+                    .copied()
+                    .unwrap_or_else(&mut fresh),
+                new: fresh(),
+                value: pooled(b % 27),
+            },
+            3 => Message::Upvote {
+                value: complete[b % complete.len()].clone(),
+            },
+            4 => Message::Downvote {
+                value: pooled(1 + b % 26),
+            },
+            5 => Message::UndoUpvote {
+                value: complete[b % complete.len()].clone(),
+            },
+            _ => Message::UndoDownvote {
+                value: pooled(1 + b % 26),
+            },
+        };
+        table.process(&msg);
+        log.push(msg);
+    }
+    log
+}
+
+fn replayed<'m>(log: impl IntoIterator<Item = &'m Message>) -> Replica {
+    let mut replica = Replica::new(ClientId(7), abc_schema());
+    replica.replay(log);
+    replica
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// At a seeded `S`, the image of the log's first `S` messages — through
+    /// its codec — adopted and then fed `log[S..)` is the state of the
+    /// whole log replayed, and of the old expansion replayed:
+    /// `to_messages(image(S)) ++ log[S..)`. Each distinct value is in the
+    /// image once, whatever the vote counts.
+    #[test]
+    fn adopting_an_image_then_the_log_since_is_replaying_the_log(
+        script in proptest::collection::vec((0u8..7, any::<u8>(), any::<u8>()), 0..60),
+        seed in any::<u64>(),
+    ) {
+        let log = generated_log(&script);
+        let at = (seed % (log.len() as u64 + 1)) as usize;
+        let image = TableImage::of(&replayed(&log[..at]));
+        let text = image.to_json().encode();
+        let decoded = TableImage::from_json(Tape::parse(&text).unwrap().root()).unwrap();
+        prop_assert_eq!(&decoded, &image);
+
+        let mut adopted = decoded.replica(ClientId(9), abc_schema(), 0);
+        adopted.replay(&log[at..]);
+        prop_assert!(adopted.same_state(&replayed(&log)), "S = {}", at);
+        let oracle = image.to_messages();
+        prop_assert!(adopted.same_state(&replayed(oracle.iter().chain(&log[at..]))));
+
+        let mut named: Vec<usize> = image.rows.iter().map(|(_, i)| *i as usize).collect();
+        named.extend(image.uh.iter().chain(&image.dh).map(|(i, _)| *i as usize));
+        named.sort_unstable();
+        named.dedup();
+        prop_assert_eq!(named, (0..image.values.len()).collect::<Vec<_>>());
+        let distinct: BTreeSet<String> = image.values.iter().map(|v| wire::row_value_to_json(v).encode()).collect();
+        prop_assert_eq!(distinct.len(), image.values.len());
+    }
+}
+
+/// A journaled collection of four rows, two of them filled and auto-
+/// upvoted, and checkpointed: the backend, its config and the checkpoint's
+/// base. `fixtures/snapshot_v2.json` is this collection's checkpoint as
+/// the v2 payload encoded it.
+fn two_fills(dir: &Path) -> (Backend, TaskConfig, u64) {
     let schema = Arc::new(Schema::new("T", text_columns(&["a"]), &["a"]).unwrap());
     let scoring = Arc::new(crowdfill_model::Difference);
     let config = TaskConfig::new(Arc::clone(&schema), scoring, Template::cardinality(4), 10.0);
-    let mut b = open(&config, &dir);
+    let mut b = open(&config, dir);
     let (id, client_id, history) = b.connect(Millis(0));
     let mut client = WorkerClient::new(id, client_id, schema, &history);
     for (at, key) in [(10, "x"), (20, "y")] {
@@ -240,27 +389,65 @@ fn an_image_without_its_ledger_is_refused_and_recovery_falls_back() {
         }
     }
     let base = b.checkpoint().unwrap();
+    (b, config, base)
+}
+
+/// Replaces the checkpoint of `b` (in `dir`, at `base`) with `payload`,
+/// which the decoder must refuse, and reopens: recovery takes the next rung of the
+/// ladder — here the whole journal, which settles exactly like the
+/// backend that never stopped.
+fn refused_and_passed_over(
+    mut b: Backend,
+    config: &TaskConfig,
+    dir: &Path,
+    base: u64,
+    payload: &str,
+) {
+    assert!(decode_backend_state(payload.as_bytes()).is_none());
     let (_, _, twin) = b.settle();
     assert_eq!(twin.per_message.len(), 2, "both fills are paid");
+    let master = b.table_image();
+    drop(b);
+    let store = SnapshotStore::open(dir.join("snapshots")).unwrap();
+    store.write(base, payload.as_bytes()).unwrap();
 
+    let mut r = open(config, dir);
+    assert_eq!(r.history_base(), 0, "the refused image was passed over");
+    assert_eq!(r.history_len(), base);
+    assert_eq!(r.table_image(), master);
+    let (_, _, payout) = r.settle();
+    assert_eq!(payout.per_message, twin.per_message);
+    assert_eq!(payout.per_worker, twin.per_worker);
+    assert_eq!(payout.unspent.to_bits(), twin.unspent.to_bits());
+}
+
+/// An image that predates the ledger is not an image of a collection with
+/// nothing to settle: the decoder refuses it, and recovery falls back.
+#[test]
+fn an_image_without_its_ledger_is_refused_and_recovery_falls_back() {
+    let dir = tmp_dir("no-ledger");
+    let (b, config, base) = two_fills(&dir);
     let encoded = encode_backend_state(&b.capture_state());
     let Json::Obj(mut fields) = Json::parse(&encoded).unwrap() else {
         panic!("an image is an object");
     };
     fields.remove("ledger");
     let stripped = Json::Obj(fields).encode();
-    assert!(decode_backend_state(stripped.as_bytes()).is_none());
-    let store = SnapshotStore::open(dir.join("snapshots")).unwrap();
-    store.write(base, stripped.as_bytes()).unwrap();
-    drop(b);
+    refused_and_passed_over(b, &config, &dir, base, &stripped);
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    let mut r = open(&config, &dir);
-    assert_eq!(r.history_base(), 0, "the refused image was passed over");
-    assert_eq!(r.history_len(), base);
-    let (_, _, payout) = r.settle();
-    assert_eq!(payout.per_message, twin.per_message);
-    assert_eq!(payout.per_worker, twin.per_worker);
-    assert_eq!(payout.unspent.to_bits(), twin.unspent.to_bits());
+/// A v2 payload — its table three arrays of whole values, not the wire's
+/// image — is another format, refused like v1 was, and recovery falls
+/// back. The fixture is this collection's checkpoint as written before
+/// the payload became v3.
+#[test]
+fn a_v2_payload_is_refused_and_recovery_falls_back() {
+    let dir = tmp_dir("v2");
+    let (b, config, base) = two_fills(&dir);
+    let v2 = include_str!("fixtures/snapshot_v2.json").trim_end();
+    assert!(v2.contains(r#""v":2"#) && v2.contains(r#""rows":"#), "{v2}");
+    refused_and_passed_over(b, &config, &dir, base, v2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -301,19 +488,20 @@ struct Host {
 
 impl Host {
     fn note_image(&mut self) {
-        let image = self.backend.bootstrap_messages();
+        let image = self.backend.table_image().to_messages();
         self.images.insert(self.backend.history_len(), image);
     }
 
-    /// The `"history"` array of a `welcome` or a reset as the service
+    /// The `"history"` member of a `welcome` or a reset as the service
     /// splices it together, decoded the way the client does.
-    fn served(&mut self) -> Vec<Message> {
+    fn served(&mut self) -> (TableImage, Vec<Message>) {
         self.note_image();
-        let history = JsonRef::parse(self.backend.bootstrap_text()).unwrap();
-        let history = history.as_arr().unwrap().iter();
-        history
-            .map(|m| wire::message_from_json(m).unwrap())
-            .collect()
+        let text = self.backend.bootstrap_text().to_owned();
+        let frame = Reply::Synced(0, CatchUp::Image(Image::Text(text.into()))).encode();
+        match Reply::decode(&wire::parse_frame(frame.as_bytes()).unwrap()) {
+            Ok(Reply::Synced(_, CatchUp::Image(Image::Table(image, log)))) => (*image, log),
+            other => panic!("a reset decodes as one: {other:?}"),
+        }
     }
 }
 
@@ -334,7 +522,9 @@ impl Peer {
     fn join(host: &mut Host, at: u64) -> Peer {
         host.note_image();
         let (id, client_id, replay) = host.backend.connect(Millis(at));
-        assert_eq!(host.served(), replay, "welcome text at step {at}");
+        let (image, log) = host.served();
+        let expanded: Vec<Message> = image.to_messages().into_iter().chain(log.clone()).collect();
+        assert_eq!(expanded, replay, "welcome text at step {at}");
         let backend = &host.backend;
         let horizon = backend.history_base();
         let taken_at = host.images.range(horizon..).find(|(seq, image)| {
@@ -348,7 +538,8 @@ impl Peer {
             "step {at}: the replay is not an image at or above seq {horizon} plus the log since"
         );
         let image_at = *taken_at.unwrap().0;
-        let client = WorkerClient::new(id, client_id, backend.config().schema.clone(), &replay);
+        let schema = backend.config().schema.clone();
+        let client = WorkerClient::from_image(id, client_id, schema, &image, &log);
         assert!(
             client.replica().same_state(backend.master()),
             "step {at}: a joiner does not start from the master's state"
@@ -383,9 +574,10 @@ impl Peer {
         );
     }
 
-    /// A reset as the service serves it: rebuild from the bootstrap.
+    /// A reset as the service serves it: adopt the bootstrap.
     fn reset(&mut self, host: &mut Host) {
-        self.client.rebuild(&host.served());
+        let (image, log) = host.served();
+        self.client.adopt(&image, &log);
         self.applied.reset_to_prefix(host.backend.history_len());
     }
 
@@ -527,12 +719,12 @@ fn walk(name: &str, config: TaskConfig, seed: u64) -> usize {
                     joiner.catch_up(&mut host.backend, "before the restart");
                 }
                 joiners.clear();
-                let master = host.backend.bootstrap_messages();
+                let master = host.backend.table_image().to_messages();
                 let images = std::mem::take(&mut host.images);
                 drop(host);
                 let backend = open(&config, &dir);
                 host = Host { backend, images };
-                assert_eq!(host.backend.bootstrap_messages(), master);
+                assert_eq!(host.backend.table_image().to_messages(), master);
                 for w in &mut workers {
                     w.resume(&mut host, at);
                 }

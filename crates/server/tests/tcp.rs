@@ -1,10 +1,12 @@
 //! Live networked deployment test: a real back-end behind framed TCP, with
 //! multiple remote workers collecting a small table end to end.
 
-use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
+use crowdfill_model::{
+    ClientId, Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value,
+};
 use crowdfill_net::{ConnError, FrameConn, TcpConn};
-use crowdfill_server::wire::{self, CatchUp, Cursor, Reply, Request};
-use crowdfill_server::{RemoteWorker, TaskConfig, TcpService};
+use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request};
+use crowdfill_server::{RemoteError, RemoteWorker, TaskConfig, TcpService};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,6 +116,44 @@ fn remote_collection_end_to_end() {
 }
 
 /// Reads a plain `name value` metric line out of a snapshot.
+/// A fill that lost the race for its row is refused, and the loser's
+/// replica, which had applied it, is replaced by a full resync — a reset,
+/// answered with the bootstrap whatever the horizon — after which it is
+/// the master.
+#[test]
+fn a_refused_fill_resyncs_the_loser_to_the_master() {
+    let backend = crowdfill_server::Backend::new(config(2));
+    let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
+    let mut alice = RemoteWorker::connect(service.addr()).unwrap();
+    let mut bob = RemoteWorker::connect(service.addr()).unwrap();
+    let row = alice.view().replica().table().row_ids().next().unwrap();
+    alice.fill(row, ColumnId(0), Value::text("Messi")).unwrap();
+    // Bob has not absorbed Alice's fill: his replaces a row that is gone.
+    let refused = bob.fill(row, ColumnId(0), Value::text("Pele"));
+    assert!(
+        matches!(refused, Err(RemoteError::Rejected(_))),
+        "{refused:?}"
+    );
+    let backend = service.backend();
+    assert!(bob.view().replica().same_state(backend.lock().master()));
+    // The same request by hand: a reset, nowhere near a compaction.
+    let raw = TcpConn::connect(service.addr()).unwrap();
+    send(&raw, Request::Hello(None));
+    assert!(matches!(recv(&raw), Reply::Welcome(..)));
+    send(&raw, Request::Resync);
+    let Reply::Synced(_, CatchUp::Image(Image::Table(image, log))) = recv(&raw) else {
+        panic!("a full resync is answered with a reset");
+    };
+    let master = backend.lock();
+    let mut replica = image.replica(ClientId(9), Arc::clone(&master.config().schema), 0);
+    replica.replay(&log);
+    assert!(replica.same_state(master.master()));
+    drop(master);
+    alice.bye();
+    bob.bye();
+    service.stop();
+}
+
 fn metric(snapshot: &str, name: &str) -> u64 {
     snapshot
         .lines()

@@ -7,15 +7,20 @@
 //! `open_session`, `sync_reply`, `ack_frame`, `broadcast_frame`, …), so a
 //! match means no peer can tell the two apart. `crates/e2e` classifies
 //! frames by their last 64 bytes; this is where a reordered key would show.
+//! Three frames were re-captured, and one added, when a bootstrap became a
+//! table image plus a log instead of a message array: `welcome`,
+//! `resumed+reset` and `synced+reset`, and the `sync+reset` request that a
+//! full resync became.
 
-use crowdfill_docstore::Json;
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
     Template, Value,
 };
 use crowdfill_obs::trace::{self as obstrace, TraceId, TraceMode};
 use crowdfill_pay::WorkerId;
-use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
+use crowdfill_server::wire::{
+    self, BootstrapText, CatchUp, Cursor, Image, Reply, Request, SeqMsg, TableImage,
+};
 use crowdfill_server::{Backend, TaskConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -79,6 +84,7 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("modify+trace", Request::Modify(bundle, TRACE)),
         ("sync", Request::Sync(cursor)),
         ("sync+full", Request::Sync(Cursor::default())),
+        ("sync+reset", Request::Resync),
         ("stats", Request::Stats),
         ("health", Request::Health),
         ("trace_dump", Request::TraceDump),
@@ -89,26 +95,20 @@ fn requests() -> Vec<(&'static str, Request)> {
 fn replies() -> Vec<(&'static str, Reply<'static>)> {
     let insert = |seq| Message::Insert { row: row(0, seq) };
     let default = || "default".to_string();
-    // What a reset carries once the first row is filled and compacted
-    // away: the other template row, then the filled one as a self-replace.
-    let (new, value) = (row(7, 0), value());
-    let image = vec![
-        insert(0),
-        Message::Replace {
-            old: new,
-            new,
-            value,
-        },
-    ];
+    // What a reset carries once the first row is filled, upvoted and
+    // compacted away: the other template row, empty, and the filled one;
+    // each value once, the complete one with its upvote.
+    let image = TableImage {
+        values: vec![RowValue::empty(), value()],
+        rows: vec![(row(0, 0), 0), (row(7, 0), 1)],
+        uh: vec![(1, 1)],
+        dh: vec![],
+    };
     let reset = |text: bool| {
         CatchUp::Image(match text {
-            false => Image::Messages(image.clone()),
+            false => Image::Table(Box::new(image.clone()), vec![]),
             // As the server sends it: the backend's text, spliced.
-            true => Image::Text(
-                Json::Arr(image.iter().map(wire::message_to_json).collect())
-                    .encode()
-                    .into(),
-            ),
+            true => Image::Text(BootstrapText::new(&image).as_str().to_owned().into()),
         })
     };
     let quorum = Arc::new(QuorumMajority::of_three());
@@ -126,7 +126,13 @@ fn replies() -> Vec<(&'static str, Reply<'static>)> {
         ),
     ];
     let (worker, client) = (WorkerId(1), ClientId(1));
-    let history = Image::Messages(vec![insert(0), insert(1)]);
+    // An image taken at seq 1, and the log since.
+    let joined = TableImage {
+        values: vec![RowValue::empty()],
+        rows: vec![(row(0, 0), 0)],
+        ..TableImage::default()
+    };
+    let history = Image::Table(Box::new(joined), vec![insert(1)]);
     let ack = |trace| Reply::Ack(1.5, true, vec![2, 3], trace);
     vec![
         (

@@ -1,5 +1,5 @@
 //! `decode(encode(x)) == x` for every frame kind of the wire protocol, over
-//! generated messages, cursors and trace ids, through both trees a decoder
+//! generated messages, cursors, table images and trace ids, through both trees a decoder
 //! can be handed: the borrowed `JsonRef` the two ends of the socket parse,
 //! and the owned `Json` of the stores. A field an encoder writes and its
 //! decoder does not read (or reads under another name, or defaults) fails
@@ -13,9 +13,12 @@ use crowdfill_model::{
 };
 use crowdfill_obs::trace::{self as obstrace, TraceId, TraceMode};
 use crowdfill_pay::WorkerId;
-use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg};
+use crowdfill_server::wire::{
+    self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg, TableImage,
+};
 use crowdfill_server::{Backend, TaskConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// JSON numbers travel as f64: exactness holds below 2^53.
@@ -93,6 +96,7 @@ fn request() -> impl Strategy<Value = Request> {
         (proptest::collection::vec(op(), 0..5), trace())
             .prop_map(|(bundle, t)| Request::Modify(bundle, t)),
         cursor().prop_map(Request::Sync),
+        Just(Request::Resync),
         Just(Request::Stats),
         Just(Request::Health),
         Just(Request::TraceDump),
@@ -114,12 +118,38 @@ fn seq_msg() -> impl Strategy<Value = SeqMsg> {
     (0..MAX_EXACT, message(), trace()).prop_map(|(seq, msg, trace)| SeqMsg { seq, msg, trace })
 }
 
+/// A table image whose rows and votes name values by valid indexes, any
+/// value by several rows, by votes only, or by nothing; counts reach 2^32 − 1.
+fn table_image() -> impl Strategy<Value = TableImage> {
+    use proptest::collection::{btree_map, vec};
+    let votes = || btree_map(any::<u32>(), 1u32..=u32::MAX, 0..4);
+    let rows = btree_map(row_id(), any::<u32>(), 0..6);
+    (vec(row_value(), 1..5), rows, votes(), votes()).prop_map(|(values, rows, uh, dh)| {
+        let n = values.len() as u32;
+        let votes = |votes: BTreeMap<u32, u32>| {
+            let votes = votes.into_iter().map(|(i, count)| (i % n, count));
+            votes.collect::<BTreeMap<_, _>>().into_iter().collect()
+        };
+        TableImage {
+            values,
+            rows: rows.into_iter().map(|(id, i)| (id, i % n)).collect(),
+            uh: votes(uh),
+            dh: votes(dh),
+        }
+    })
+}
+
+/// A bootstrap: an image and the log since.
+fn bootstrap() -> impl Strategy<Value = Image<'static>> {
+    let log = proptest::collection::vec(message(), 0..4);
+    (table_image(), log).prop_map(|(image, log)| Image::Table(Box::new(image), log))
+}
+
 fn catch_up() -> impl Strategy<Value = CatchUp<'static>> {
     let suffix = proptest::collection::vec((0..MAX_EXACT, message()), 0..5);
-    let image = proptest::collection::vec(message(), 0..5);
     prop_oneof![
         suffix.prop_map(CatchUp::Suffix),
-        image.prop_map(|msgs| CatchUp::Image(Image::Messages(msgs))),
+        bootstrap().prop_map(CatchUp::Image),
     ]
 }
 
@@ -127,24 +157,21 @@ fn reply() -> impl Strategy<Value = Reply<'static>> {
     let history_len = || 0..MAX_EXACT;
     let estimate = (0i32..(1 << 20)).prop_map(|v| v as f64 / 8.0);
     let seqs = proptest::collection::vec(0..MAX_EXACT, 0..4);
-    let history = proptest::collection::vec(message(), 0..5);
     let quorum = Arc::new(QuorumMajority::of_three());
     let config = TaskConfig::new(schema(), quorum, Template::cardinality(2), 10.0);
     let report = Box::new(crowdfill_server::collect(&Backend::new(config)));
     prop_oneof![
-        (text(), any::<u32>(), any::<u32>(), history_len(), history).prop_map(
-            |(collection, w, c, len, msgs)| {
+        (
+            text(),
+            any::<u32>(),
+            any::<u32>(),
+            history_len(),
+            bootstrap()
+        )
+            .prop_map(|(collection, w, c, len, image)| {
                 let (worker, client) = (WorkerId(w), ClientId(c));
-                Reply::Welcome(
-                    collection,
-                    worker,
-                    client,
-                    len,
-                    schema(),
-                    Image::Messages(msgs),
-                )
-            }
-        ),
+                Reply::Welcome(collection, worker, client, len, schema(), image)
+            }),
         (text(), any::<u32>(), history_len(), catch_up())
             .prop_map(|(name, c, len, body)| Reply::Resumed(name, ClientId(c), len, body)),
         (history_len(), catch_up()).prop_map(|(len, body)| Reply::Synced(len, body)),

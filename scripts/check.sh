@@ -29,8 +29,20 @@ if grep -rn '"tdrops"' crates/server/src | grep -v '^crates/server/src/persist.r
 fi
 # The state image has one builder and one cache, both in the backend; the
 # transport asks the cache (DESIGN.md §14.3), it never builds an image.
-if grep -rn "bootstrap_messages()" crates/server/src | grep -v '^crates/server/src/backend.rs'; then
+if grep -rn "table_image()\|TableImage::of(" crates/server/src | grep -v '^crates/server/src/backend.rs'; then
   echo "check.sh: state image built outside backend.rs; read Backend::bootstrap_text" >&2
+  exit 1
+fi
+# A join adopts (DESIGN.md §14.3): a client builds its replica from the
+# table image and processes only the log after it — it never expands an
+# image into messages or replays a history into a fresh replica — and the
+# image has one encoder and one decoder, in wire.rs, which the checkpoint
+# calls: no field of an image is named anywhere else in the server.
+if grep -n "Image::Messages\|into_messages\|rebuild(" crates/server/src/client_core.rs crates/server/src/client.rs \
+  || grep -rn '"values"\|"uh"\|"dh"' crates/server/src | grep -v '^crates/server/src/wire.rs:' \
+  || ! grep -q "TableImage::from_json" crates/server/src/persist.rs \
+  || ! grep -q "image.to_json()" crates/server/src/persist.rs; then
+  echo "check.sh: a join replays, or an image is coded outside wire.rs; adopt a wire::TableImage" >&2
   exit 1
 fi
 # The transport spawns no thread: a `TcpConn` reads its own socket on its
