@@ -446,12 +446,15 @@ const GOLDEN_STREAMS: [u64; 5] = [
     4_263_053_120_604_815_301,
 ];
 /// Per worker: hash of its `connect` replay and every reset image.
+/// Re-captured when an image's values came to be ordered by `RowValue`'s
+/// `Ord` instead of by their wire encoding: the same 243 hashed lines, in
+/// another order (the votes of an image replay in value order).
 const GOLDEN_BOOTSTRAPS: [u64; 5] = [
     18_413_652_376_785_104_421,
-    11_820_280_976_114_917_748,
+    17_926_727_849_440_964_804,
     18_413_652_376_785_104_421,
-    1_057_186_513_456_974_494,
-    9_010_048_742_314_835_568,
+    3_288_681_061_670_930_294,
+    11_568_785_473_786_978_088,
 ];
 /// Hash of `session_stats()` over the script's eleven checkpoints.
 const GOLDEN_STATS: u64 = 71_118_562_630_849_152;
