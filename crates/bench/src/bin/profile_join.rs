@@ -1,9 +1,10 @@
 //! `profile-join`: the client's share of a join, stage by stage, at a
-//! chosen table size (EXPERIMENTS.md §A17, §A20).
+//! chosen table size (EXPERIMENTS.md §A17, §A20, §A21).
 //!
 //! `profile-join [--rows N]` (default: 32, 128, 400 and 3,200) builds the
-//! welcome a late joiner receives from a table of `N` rows, 7/8 of them
-//! complete (`workload::welcome_frame`), and times what the client does
+//! welcome a late joiner receives from a table of `N` rows shaped like
+//! `late_join`'s — five text columns of 6–18 bytes, 7/8 of the rows
+//! complete (`workload::welcome_frame`) — and times what the client does
 //! with the frame: parse it into a tape, decode the reply, adopt the image
 //! into a replica, each as a median over repetitions, plus
 //! `ClientCore::welcomed`, which is all of them and the drop of the tape.

@@ -44,19 +44,50 @@ pub fn pipeline_config(rows: usize) -> TaskConfig {
     )
 }
 
-/// The welcome frame a late joiner receives from a [`pipeline_schema`]
-/// table of `rows` rows whose first 7/8 are complete with one upvote each:
-/// the table image of DESIGN.md §14.3 with an empty log, escape-free, as
-/// the benchmark's tables are.
+/// The schema of `late_join`'s tables: five text columns, the first two
+/// the key.
+pub fn join_schema() -> Arc<Schema> {
+    let columns = ["name", "nationality", "position", "club", "caps"];
+    let columns = columns.map(|c| Column::new(c, DataType::Text)).to_vec();
+    Arc::new(Schema::new("SoccerPlayer", columns, &["name", "nationality"]).unwrap())
+}
+
+/// Cell `col` of row `r` as `late_join` fills it: 6–18 bytes, drawn from a
+/// hash of `(r, col)`, and for a key column led by `r` in hex, so that
+/// keys are unique.
+fn join_cell(r: usize, col: usize) -> Value {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+    let mut state = ((r as u64) << 8 | col as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut next = || {
+        state ^= state >> 29;
+        state = state.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        state ^ (state >> 32)
+    };
+    let len = 6 + (next() % 13) as usize;
+    let mut cell = if col < 2 {
+        format!("{r:03x}")
+    } else {
+        String::new()
+    };
+    while cell.len() < len {
+        cell.push(ALPHABET[(next() % ALPHABET.len() as u64) as usize] as char);
+    }
+    Value::text(cell)
+}
+
+/// The welcome frame a late joiner receives from a [`join_schema`] table
+/// of `rows` rows whose first 7/8 are complete with one upvote each, the
+/// shape of `late_join`'s: the table image of DESIGN.md §14.3 with an
+/// empty log, escape-free, as the benchmark's tables are.
 pub fn welcome_frame(rows: usize) -> String {
     let filled = rows * 7 / 8;
+    let schema = join_schema();
     let value = |r: usize| {
-        let cells = [format!("key-{r}"), format!("b-{r}"), format!("c-{r}")];
-        let cells = cells.into_iter().enumerate();
-        RowValue::from_pairs(cells.map(|(c, v)| (ColumnId(c as u16), Value::text(v))))
+        let cells = (0..schema.width()).map(|c| (ColumnId(c as u16), join_cell(r, c)));
+        RowValue::from_pairs(cells)
     };
     let id = |r: usize| RowId::new(ClientId(1 + (r % 4) as u32), r as u64);
-    let mut table = Replica::new(ClientId(0), pipeline_schema());
+    let mut table = Replica::new(ClientId(0), Arc::clone(&schema));
     for r in 0..rows {
         table.process(&match r < filled {
             true => Message::Replace {
@@ -70,7 +101,7 @@ pub fn welcome_frame(rows: usize) -> String {
     for r in 0..filled {
         table.process(&Message::Upvote { value: value(r) });
     }
-    let (worker, client, schema) = (WorkerId(5), ClientId(9), pipeline_schema());
+    let (worker, client) = (WorkerId(5), ClientId(9));
     let image = Image::Table(Box::new(TableImage::of(&table)), Vec::new());
     let history_len = (rows + filled) as u64;
     Reply::Welcome("default".into(), worker, client, history_len, schema, image).encode()

@@ -81,6 +81,49 @@ impl CandidateTable {
         }
     }
 
+    /// A table over `schema`'s primary key holding `rows`, which must come
+    /// strictly ascending by id: the row map is built in one bulk pass, and
+    /// each row is appended to its key's posting list, which so stays
+    /// ascending without a search.
+    pub fn from_ascending(
+        schema: &Schema,
+        rows: impl IntoIterator<Item = (RowId, RowEntry)>,
+    ) -> CandidateTable {
+        let mut table = CandidateTable::new(schema);
+        let rows: Vec<(RowId, RowEntry)> = rows.into_iter().collect();
+        assert!(
+            rows.windows(2).all(|w| w[0].0 < w[1].0),
+            "rows must be strictly ascending by id"
+        );
+        for (id, entry) in &rows {
+            if let Some(key) = table.key_of(&entry.value) {
+                table.by_key.entry(key).or_default().push(*id);
+            }
+        }
+        table.rows = rows.into_iter().collect();
+        table
+    }
+
+    /// Adds `n` downvotes to every row whose value subsumes `v`: the
+    /// Lemma 3 sum of a table built from its parts. Through `v`'s key group
+    /// when its key is full, else by a scan — which, no vote being applied,
+    /// is not counted in [`scans`](Self::scans).
+    pub fn add_downvotes(&mut self, v: &RowValue, n: u32) {
+        let add = |entry: &mut RowEntry| {
+            if entry.value.subsumes(v) {
+                entry.downvotes += n;
+            }
+        };
+        match self.key_of(v) {
+            Some(key) => {
+                for id in self.by_key.get(&key).into_iter().flatten() {
+                    add(self.rows.get_mut(id).expect("indexed row exists"));
+                }
+            }
+            None => self.rows.values_mut().for_each(add),
+        }
+    }
+
     /// Number of rows (empty, partial, and complete alike).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -422,5 +465,45 @@ mod tests {
         right.downvote_subsuming(&rv(&[(1, Value::int(1))]));
         right.undo_downvote_subsuming(&rv(&[(1, Value::int(1))]));
         assert_eq!(left, right);
+    }
+
+    #[test]
+    fn a_bulk_built_table_is_the_incremental_one() {
+        let (x, x1, b1) = (
+            rv(&[(0, Value::text("x"))]),
+            rv(&[(0, Value::text("x")), (1, Value::int(1))]),
+            rv(&[(1, Value::int(1))]),
+        );
+        let rows = [(id(1), x1.clone()), (id(3), x.clone()), (id(4), x1.clone())];
+        let mut bulk = CandidateTable::from_ascending(
+            &schema(),
+            rows.iter().map(|(id, v)| (*id, RowEntry::new(v.clone()))),
+        );
+        bulk.add_downvotes(&x, 2); // full key: through its group
+        bulk.add_downvotes(&b1, 3); // no key: a scan, not counted
+        let mut one_by_one = CandidateTable::new(&schema());
+        for (id, v) in rows.iter().rev() {
+            one_by_one.insert(*id, RowEntry::new(v.clone()));
+        }
+        for _ in 0..2 {
+            one_by_one.downvote_subsuming(&x);
+        }
+        for _ in 0..3 {
+            one_by_one.downvote_subsuming(&b1);
+        }
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.get(id(1)).unwrap().downvotes, 5);
+        assert_eq!(bulk.get(id(3)).unwrap().downvotes, 2);
+        let key = bulk.key_of(&x).unwrap();
+        assert_eq!(bulk.key_group(&key), one_by_one.key_group(&key));
+        assert_eq!(bulk.key_group(&key), &[id(1), id(3), id(4)]);
+        assert_eq!(bulk.scans(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_bulk_build_refuses_rows_out_of_order() {
+        let rows = [id(2), id(1)].map(|id| (id, RowEntry::new(RowValue::empty())));
+        CandidateTable::from_ascending(&schema(), rows);
     }
 }

@@ -25,16 +25,36 @@ pub enum DataType {
     Date,
 }
 
-impl fmt::Display for DataType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl DataType {
+    /// Every data type.
+    pub const ALL: [DataType; 5] = [
+        DataType::Text,
+        DataType::Int,
+        DataType::Float,
+        DataType::Bool,
+        DataType::Date,
+    ];
+
+    /// The type's name, as schemas and table images spell it.
+    pub fn name(self) -> &'static str {
+        match self {
             DataType::Text => "text",
             DataType::Int => "int",
             DataType::Float => "float",
             DataType::Bool => "bool",
             DataType::Date => "date",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// The type called `name`, if one is.
+    pub fn from_name(name: &str) -> Option<DataType> {
+        DataType::ALL.into_iter().find(|t| t.name() == name)
+    }
+}
+
+impl fmt::Display for DataType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -295,6 +315,15 @@ mod tests {
         let b = Finite::new(0.0).unwrap();
         let c = Finite::new(3.25).unwrap();
         assert!(a < b && b < c);
+    }
+
+    #[test]
+    fn a_type_is_found_by_its_name() {
+        for t in DataType::ALL {
+            assert_eq!(DataType::from_name(t.name()), Some(t));
+            assert_eq!(t.to_string(), t.name());
+        }
+        assert_eq!(DataType::from_name("Text"), None);
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub enum SubmitError {
     NoVoteToUndo,
     /// The underlying operation was invalid against the master table.
     Op(OpError),
+    /// A `replace` whose value is not its live row's plus exactly one
+    /// cell: no fill makes it.
+    NotAFill,
     /// Data collection already finished.
     CollectionClosed,
     /// The server's admission queue is full or the op was shed before
@@ -171,6 +174,9 @@ impl std::fmt::Display for SubmitError {
             SubmitError::MaxVotesReached => write!(f, "vote cap reached for this row"),
             SubmitError::NoVoteToUndo => write!(f, "no matching vote of yours to undo"),
             SubmitError::Op(e) => write!(f, "invalid operation: {e}"),
+            SubmitError::NotAFill => {
+                write!(f, "a replace must add exactly one cell to its live row")
+            }
             SubmitError::CollectionClosed => write!(f, "data collection is closed"),
             SubmitError::Overloaded { retry_after_ms } => {
                 write!(f, "server overloaded; retry after {retry_after_ms}ms")
@@ -911,18 +917,7 @@ impl Backend {
         if !session.mints(&msg) {
             return Err(SubmitError::ForeignRowId);
         }
-        // §2.2's preconditions are a vote's shape, not policy, so nothing
-        // is exempt: an upvote of a partial vector or a downvote of the
-        // empty one breaks Lemma 3, which the state image relies on.
-        match &msg {
-            Message::Upvote { value } if !value.is_complete(&self.config.schema) => {
-                return Err(SubmitError::Op(OpError::RowNotComplete));
-            }
-            Message::Downvote { value } if value.is_empty() => {
-                return Err(SubmitError::Op(OpError::RowEmpty));
-            }
-            _ => {}
-        }
+        self.check_shape(&msg)?;
         // Automatic completion upvotes are system-generated: they are
         // recorded against the worker's vote state but exempt from the vote
         // policy checks — failing them would abort the fill they ride on.
@@ -1488,21 +1483,54 @@ impl Backend {
 
     // ---- internals ---------------------------------------------------------
 
+    /// §2.2's preconditions: a message's shape, not policy, so nothing is
+    /// exempt from them. Every cell of its value is one the schema admits
+    /// in its column; a replace fills exactly one cell of a row the master
+    /// holds (one replaced concurrently makes the fill stale — the model
+    /// would tolerate it, but the paper's server validates fills against
+    /// reality to avoid resurrecting dead lineages); an upvote's vector is
+    /// complete and a downvote's is not empty. A message that breaks one
+    /// would break Lemma 3, or the typed image the state is sent in.
+    fn check_shape(&self, msg: &Message) -> Result<(), SubmitError> {
+        let schema = &self.config.schema;
+        let value = match msg {
+            Message::Insert { .. } => return Ok(()),
+            Message::Replace { value, .. }
+            | Message::Upvote { value }
+            | Message::Downvote { value }
+            | Message::UndoUpvote { value }
+            | Message::UndoDownvote { value } => value,
+        };
+        for (col, v) in value.iter() {
+            schema
+                .admits(col, v)
+                .map_err(|e| SubmitError::Op(OpError::Invalid(e)))?;
+        }
+        match msg {
+            Message::Replace { old, value, .. } => {
+                let row = self.master().table().get(*old);
+                let row = row.ok_or(SubmitError::Op(OpError::UnknownRow))?;
+                match row.value.added_column(value) {
+                    Some(_) => Ok(()),
+                    None => Err(SubmitError::NotAFill),
+                }
+            }
+            Message::Upvote { value } if !value.is_complete(schema) => {
+                Err(SubmitError::Op(OpError::RowNotComplete))
+            }
+            Message::Downvote { value } if value.is_empty() => {
+                Err(SubmitError::Op(OpError::RowEmpty))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// §3.4 vote policy checks.
     fn check_policy(&self, worker: WorkerId, msg: &Message) -> Result<(), SubmitError> {
         let session = &self.sessions[&worker];
         match msg {
             Message::Insert { .. } => Err(SubmitError::WorkersCannotInsert),
-            Message::Replace { old, .. } => {
-                // The row must still exist at the server; if it was replaced
-                // concurrently the worker's fill is stale. The model would
-                // tolerate it, but the paper's server validates fills against
-                // reality to avoid resurrecting dead lineages.
-                if !self.master().table().contains(*old) {
-                    return Err(SubmitError::Op(OpError::UnknownRow));
-                }
-                Ok(())
-            }
+            Message::Replace { .. } => Ok(()),
             Message::Upvote { value } => {
                 if session.voted_values.contains_key(value) {
                     return Err(SubmitError::AlreadyVoted);

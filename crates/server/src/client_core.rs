@@ -26,7 +26,7 @@
 use crate::health::HealthReport;
 use crate::wire::{self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg, TableImage};
 use crate::worker_client::{Outgoing, WorkerClient};
-use crowdfill_model::{ColumnId, Message, OpError, RowId, Value};
+use crowdfill_model::{ColumnId, Message, OpError, RowId, Schema, Value};
 use crowdfill_net::ConnError;
 use crowdfill_obs::metrics::counter;
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
@@ -190,9 +190,13 @@ fn decode(frame: &[u8]) -> Result<Reply<'static>, RemoteError> {
     Reply::decode(&json).map_err(protocol)
 }
 
-/// A received bootstrap's image and log (a decoder yields no text).
-fn decoded(image: Image<'_>) -> Result<(TableImage, Vec<Message>), RemoteError> {
+/// A received bootstrap's image and log (a decoder yields no text), if
+/// the image's column types are `schema`'s.
+fn decoded(image: Image<'_>, schema: &Schema) -> Result<(TableImage, Vec<Message>), RemoteError> {
     match image {
+        Image::Table(image, _) if !image.fits(schema) => {
+            Err(protocol("an image whose types are not the schema's"))
+        }
         Image::Table(image, log) => Ok((*image, log)),
         Image::Text(_) => Err(protocol("a bootstrap left undecoded")),
     }
@@ -237,7 +241,7 @@ impl ClientCore {
         let Reply::Welcome(_, worker, client, history_len, schema, history) = decode(frame)? else {
             return Err(protocol("expected welcome"));
         };
-        let (image, log) = decoded(history)?;
+        let (image, log) = decoded(history, &schema)?;
         let client = WorkerClient::from_image(worker, client, schema, &image, &log);
         // The welcome's `history_len` is the server's real watermark; the
         // bootstrap is a table image plus a log suffix that stands in for
@@ -390,7 +394,7 @@ impl ClientCore {
         history_len: u64,
         what: &str,
     ) -> Result<(), RemoteError> {
-        let (image, log) = decoded(image)?;
+        let (image, log) = decoded(image, self.client.replica().schema())?;
         self.client.adopt(&image, &log);
         self.applied.reset_to_prefix(history_len);
         self.server_history_len = self.server_history_len.max(history_len);

@@ -44,8 +44,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Snapshot payload format version (2: the settlement ledger; 3: the
-/// table as the wire's [`TableImage`]).
-const STATE_VERSION: f64 = 3.0;
+/// table as the wire's [`TableImage`]; 4: that image typed and positional).
+const STATE_VERSION: f64 = 4.0;
 
 /// Per-worker session state inside a checkpoint image: identity plus the
 /// §3.4 vote-policy bookkeeping (what the worker has voted on), which is
@@ -524,18 +524,20 @@ pub fn open_or_recover_on(
     )?;
     let snap = snapshots.load_latest()?;
     let mut backend = match &snap {
-        Some(s) => match decode_backend_state(&s.payload) {
-            Some(state) => Backend::from_state(config, &state),
-            None => {
-                crowdfill_obs::metrics::counter("crowdfill_snapshot_corrupt").inc();
-                crowdfill_obs::obs_warn!(
-                    "server",
-                    "snapshot payload undecodable; falling back to full journal replay";
-                    base_seq => s.base_seq,
-                );
-                Backend::new(config)
+        Some(s) => {
+            match decode_backend_state(&s.payload).filter(|s| s.image.fits(&config.schema)) {
+                Some(state) => Backend::from_state(config, &state),
+                None => {
+                    crowdfill_obs::metrics::counter("crowdfill_snapshot_corrupt").inc();
+                    crowdfill_obs::obs_warn!(
+                        "server",
+                        "snapshot payload undecodable or of another schema; falling back to full journal replay";
+                        base_seq => s.base_seq,
+                    );
+                    Backend::new(config)
+                }
             }
-        },
+        }
         None => Backend::new(config),
     };
     let mut records = Vec::new();
@@ -589,7 +591,7 @@ pub fn open_or_recover_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdfill_model::{RowId, Value};
+    use crowdfill_model::{DataType, RowId, Value};
 
     fn rv(pairs: &[(u16, i64)]) -> RowValue {
         RowValue::from_pairs(pairs.iter().map(|(c, v)| (ColumnId(*c), Value::int(*v))))
@@ -603,6 +605,7 @@ mod tests {
             closed: false,
             cc_next_seq: 9,
             image: TableImage {
+                types: vec![DataType::Int, DataType::Int],
                 values: vec![rv(&[(0, 1)]), rv(&[(0, 2), (1, 3)]), rv(&[(1, 7)])],
                 rows: vec![
                     (RowId::new(ClientId::CENTRAL, 0), 0),
@@ -670,14 +673,14 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let state = sample_state();
-        let encoded = encode_backend_state(&state).replace("\"v\":3", "\"v\":999");
+        let encoded = encode_backend_state(&state).replace("\"v\":4", "\"v\":999");
         assert!(decode_backend_state(encoded.as_bytes()).is_none());
     }
 
     #[test]
     fn garbage_payload_is_rejected() {
         assert!(decode_backend_state(b"not json at all").is_none());
-        assert!(decode_backend_state(b"{\"v\":3}").is_none());
+        assert!(decode_backend_state(b"{\"v\":4}").is_none());
         assert!(decode_backend_state(&[0xFF, 0xFE]).is_none());
     }
 

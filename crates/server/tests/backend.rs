@@ -3,8 +3,8 @@
 //! and settlement.
 
 use crowdfill_model::{
-    ClientId, Column, ColumnId, DataType, Message, OpError, QuorumMajority, RowId, RowValue,
-    Schema, Template, Value,
+    ClientId, Column, ColumnId, DataType, Message, ModelError, OpError, QuorumMajority, RowId,
+    RowValue, Schema, Template, Value,
 };
 use crowdfill_pay::{Millis, Scheme, WorkerId};
 use crowdfill_server::{Backend, SubmitError, TaskConfig, WorkerClient};
@@ -640,6 +640,120 @@ fn malformed_votes_are_refused_and_the_image_stays_exact() {
         replica.replay(&replay);
         assert!(replica.same_state(rig.backend.master()));
     }
+}
+
+/// A message's value holds only cells the schema can: a cell of the wrong
+/// type or in a column the schema lacks is refused in any message, so an
+/// upvote of such a value cannot pass as "complete" by its count of cells;
+/// and a replace must be one fill of its live row — not two cells at once,
+/// not none, not a rewrite of a filled one. Flagged automatic or not; the
+/// master, its history and its image stay as they were.
+#[test]
+fn values_the_schema_cannot_hold_are_refused() {
+    let mut rig = Rig::new(config(2, 10.0), 2);
+    let rows: Vec<RowId> = rig.clients[&WorkerId(1)]
+        .replica()
+        .table()
+        .row_ids()
+        .collect();
+    let row = rig.fill(1, rows[0], 0, "Messi").unwrap();
+    let partial = rig.backend.master().table().get(row).unwrap().value.clone();
+    let before = (rig.backend.history_len(), rig.backend.table_image());
+    let cell = |c: u16, v: Value| (ColumnId(c), v);
+    let text = |s: &str| Value::text(s);
+    let mistyped = RowValue::from_pairs([
+        cell(0, Value::int(7)),
+        cell(1, text("Argentina")),
+        cell(2, text("FW")),
+    ]);
+    let outside = RowValue::from_pairs([
+        cell(0, text("Messi")),
+        cell(1, text("Argentina")),
+        cell(9, text("FW")),
+    ]);
+    let mistype = SubmitError::Op(OpError::Invalid(ModelError::TypeMismatch {
+        expected: DataType::Text,
+        found: DataType::Int,
+    }));
+    let out_of_range = SubmitError::Op(OpError::Invalid(ModelError::ColumnOutOfRange(ColumnId(9))));
+    let replace = |old, seq, value| Message::Replace {
+        old,
+        new: RowId::new(ClientId(2), seq),
+        value,
+    };
+    let cases = [
+        (
+            "a mistyped fill",
+            replace(rows[1], 50, RowValue::from_pairs([cell(0, Value::int(7))])),
+            mistype.clone(),
+        ),
+        (
+            "a wrong type and a column outside the schema",
+            replace(
+                rows[1],
+                51,
+                RowValue::from_pairs([cell(0, Value::int(7)), cell(9, text("x"))]),
+            ),
+            mistype.clone(),
+        ),
+        (
+            "a fill of two cells",
+            replace(
+                row,
+                52,
+                partial
+                    .with(ColumnId(1), text("A"))
+                    .with(ColumnId(2), text("FW")),
+            ),
+            SubmitError::NotAFill,
+        ),
+        (
+            "a fill of nothing",
+            replace(row, 53, partial.clone()),
+            SubmitError::NotAFill,
+        ),
+        (
+            "a rewrite of a filled cell",
+            replace(row, 54, RowValue::from_pairs([cell(0, text("Pele"))])),
+            SubmitError::NotAFill,
+        ),
+        (
+            "an upvote of a mistyped value",
+            Message::Upvote {
+                value: mistyped.clone(),
+            },
+            mistype.clone(),
+        ),
+        (
+            "an upvote of a column outside the schema",
+            Message::Upvote {
+                value: outside.clone(),
+            },
+            out_of_range.clone(),
+        ),
+        (
+            "a downvote of a mistyped value",
+            Message::Downvote { value: mistyped },
+            mistype,
+        ),
+        (
+            "an undo of a column outside the schema",
+            Message::UndoDownvote { value: outside },
+            out_of_range,
+        ),
+    ];
+    for (case, msg, expected) in cases {
+        for auto in [false, true] {
+            let refused = rig
+                .backend
+                .submit(WorkerId(2), msg.clone(), Millis(1), auto);
+            assert_eq!(refused.unwrap_err(), expected, "{case}, auto: {auto}");
+        }
+    }
+    assert_eq!(
+        (rig.backend.history_len(), rig.backend.table_image()),
+        before
+    );
 }
 
 /// `auto: true` is the client's word. It exempts the upvote of the row the

@@ -14,6 +14,7 @@
 //! so machine speed cannot flake it. The counters are process-global: this
 //! file is its own test binary and holds one test.
 
+use crowdfill_docstore::Json;
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
@@ -129,12 +130,25 @@ fn welcome_processes_only_the_log(backend: &mut Backend) {
         | Message::UndoUpvote { value }
         | Message::UndoDownvote { value } => value.len(),
     };
-    let cells: usize = image.values.iter().map(|v| v.len()).sum::<usize>()
-        + log.iter().map(msg_cells).sum::<usize>();
+    let log_cells: usize = log.iter().map(msg_cells).sum();
+    assert_eq!(frame.matches(r#""col":"#).count(), log_cells, "log cells");
+    let parsed = Json::parse(&frame).unwrap();
+    let values = ["history", "image", "values"]
+        .into_iter()
+        .try_fold(&parsed, |j, name| j.get(name))
+        .and_then(Json::as_arr)
+        .expect("an image's values");
+    let cells = |v: &Json| {
+        v.as_arr()
+            .unwrap()
+            .iter()
+            .filter(|c| **c != Json::Null)
+            .count()
+    };
     assert_eq!(
-        frame.matches(r#""col":"#).count(),
-        cells,
-        "cells on the wire"
+        values.iter().map(cells).sum::<usize>(),
+        image.values.iter().map(|v| v.len()).sum::<usize>(),
+        "image cells"
     );
 }
 

@@ -3,8 +3,8 @@
 //! through `encode_backend_state` / `decode_backend_state`, and the
 //! CRC-framed snapshot file rejects every single-byte corruption rather
 //! than ever surfacing a wrong image. An image without the settlement
-//! ledger is refused, and so is a v2 payload; recovery falls back past
-//! both.
+//! ledger is refused, and so are v2 and v3 payloads and an image whose
+//! column types are not the collection's; recovery falls back past each.
 //!
 //! For the table image itself (§14.3): at a seeded seq `S` of a generated
 //! log, adopting `image(S)` and then processing `log[S..)` lands on the
@@ -35,6 +35,10 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use typed_image::EXACT_INT;
+
+#[path = "support/typed_image.rs"]
+mod typed_image;
 
 /// JSON numbers travel as f64: exactness holds below 2^53. Real
 /// watermarks/clocks live far below this; the strategy stays inside it.
@@ -59,28 +63,6 @@ fn row_value_strategy() -> impl Strategy<Value = RowValue> {
 
 fn row_id_strategy() -> impl Strategy<Value = RowId> {
     (0u32..1000, 0u64..100_000).prop_map(|(c, s)| RowId::new(ClientId(c), s))
-}
-
-/// A table image with valid indexes: rows and votes name values by index,
-/// any value may be named by several rows, by votes only, or not at all.
-fn image_strategy() -> impl Strategy<Value = TableImage> {
-    use proptest::collection::{btree_map, vec};
-    let votes = || btree_map(any::<u32>(), 1u32..=u32::MAX, 0..4);
-    let rows = btree_map(row_id_strategy(), any::<u32>(), 0..8);
-    let parts = (vec(row_value_strategy(), 1..6), rows, votes(), votes());
-    parts.prop_map(|(values, rows, uh, dh)| {
-        let n = values.len() as u32;
-        let votes = |votes: BTreeMap<u32, u32>| {
-            let votes = votes.into_iter().map(|(i, count)| (i % n, count));
-            votes.collect::<BTreeMap<_, _>>().into_iter().collect()
-        };
-        TableImage {
-            values,
-            rows: rows.into_iter().map(|(id, i)| (id, i % n)).collect(),
-            uh: votes(uh),
-            dh: votes(dh),
-        }
-    })
 }
 
 fn session_strategy() -> impl Strategy<Value = SessionState> {
@@ -154,7 +136,7 @@ fn state_strategy() -> impl Strategy<Value = BackendState> {
             any::<bool>(),
             0u64..MAX_EXACT,
         ),
-        image_strategy(),
+        typed_image::table_image(),
         (
             proptest::collection::vec(0usize..64, 0..8),
             proptest::collection::vec(0usize..64, 0..8),
@@ -237,18 +219,33 @@ proptest! {
 
 // ---- image(S) ++ log[S..) --------------------------------------------------
 
-/// The table of the image property: key `(a, b)`, so a value can lack
-/// part of its key.
-fn abc_schema() -> Arc<Schema> {
-    Arc::new(Schema::new("T", text_columns(&["a", "b", "c"]), &["a", "b"]).unwrap())
+/// The table of the image property: columns `a`, `b`, `c` of `types`,
+/// key `(a, b)`, so a value can lack part of its key.
+fn abc_schema(types: [DataType; 3]) -> Arc<Schema> {
+    let columns = ["a", "b", "c"].into_iter().zip(types);
+    let columns = columns.map(|(name, t)| Column::new(name, t)).collect();
+    Arc::new(Schema::new("T", columns, &["a", "b"]).unwrap())
 }
 
-/// Value `i` of the 27 that 3 columns of absent, "x" or "y" spell: 0 is
-/// the empty value, 26 the last complete one.
-fn pooled(i: usize) -> RowValue {
+/// The `n`th (1 or 2) of the two cells a column of type `t` draws from:
+/// ints at ±2^53, an integral float, dates.
+fn sample(t: DataType, n: usize) -> Value {
+    let pick = |a: Value, b: Value| if n == 1 { a } else { b };
+    match t {
+        DataType::Text => pick(Value::text("x"), Value::text("y")),
+        DataType::Int => pick(Value::int(-EXACT_INT), Value::int(EXACT_INT)),
+        DataType::Float => pick(Value::float(3.0), Value::float(-0.5)),
+        DataType::Bool => pick(Value::bool(false), Value::bool(true)),
+        DataType::Date => pick(Value::date(1940, 10, 23), Value::date(2014, 6, 22)),
+    }
+}
+
+/// Value `i` of the 27 that 3 columns of absent or one of two cells of
+/// their type spell: 0 is the empty value, 26 the last complete one.
+fn pooled(i: usize, types: [DataType; 3]) -> RowValue {
     let cell = |c: usize| match (i / 3usize.pow(c as u32)) % 3 {
         0 => None,
-        n => Some((ColumnId(c as u16), Value::text(["x", "y"][n - 1]))),
+        n => Some((ColumnId(c as u16), sample(types[c], n))),
     };
     RowValue::from_pairs((0..3).filter_map(cell))
 }
@@ -258,8 +255,9 @@ fn pooled(i: usize) -> RowValue {
 /// non-empty ones, any replace or undo): a fixed prefix — two rows of one
 /// value, a key-incomplete downvote, votes on a value its row then dies
 /// out of — then `script`, whose rows are picked among the live ones.
-fn generated_log(script: &[(u8, u8, u8)]) -> Vec<Message> {
-    let schema = abc_schema();
+fn generated_log(script: &[(u8, u8, u8)], types: [DataType; 3]) -> Vec<Message> {
+    let schema = abc_schema(types);
+    let pooled = |i| pooled(i, types);
     let complete: Vec<RowValue> = (0..27)
         .map(pooled)
         .filter(|v| v.is_complete(&schema))
@@ -325,8 +323,13 @@ fn generated_log(script: &[(u8, u8, u8)]) -> Vec<Message> {
     log
 }
 
-fn replayed<'m>(log: impl IntoIterator<Item = &'m Message>) -> Replica {
-    let mut replica = Replica::new(ClientId(7), abc_schema());
+fn three_types() -> impl Strategy<Value = [DataType; 3]> {
+    let t = typed_image::data_type;
+    (t(), t(), t()).prop_map(|(a, b, c)| [a, b, c])
+}
+
+fn replayed<'m>(log: impl IntoIterator<Item = &'m Message>, types: [DataType; 3]) -> Replica {
+    let mut replica = Replica::new(ClientId(7), abc_schema(types));
     replica.replay(log);
     replica
 }
@@ -337,33 +340,36 @@ proptest! {
     /// At a seeded `S`, the image of the log's first `S` messages — through
     /// its codec — adopted and then fed `log[S..)` is the state of the
     /// whole log replayed, and of the old expansion replayed:
-    /// `to_messages(image(S)) ++ log[S..)`. Each distinct value is in the
-    /// image once, whatever the vote counts.
+    /// `to_messages(image(S)) ++ log[S..)`. The columns are of generated
+    /// types; each distinct value is in the image once, ascending,
+    /// whatever the vote counts.
     #[test]
     fn adopting_an_image_then_the_log_since_is_replaying_the_log(
         script in proptest::collection::vec((0u8..7, any::<u8>(), any::<u8>()), 0..60),
+        types in three_types(),
         seed in any::<u64>(),
     ) {
-        let log = generated_log(&script);
+        let log = generated_log(&script, types);
         let at = (seed % (log.len() as u64 + 1)) as usize;
-        let image = TableImage::of(&replayed(&log[..at]));
+        let image = TableImage::of(&replayed(&log[..at], types));
         let text = image.to_json().encode();
         let decoded = TableImage::from_json(Tape::parse(&text).unwrap().root()).unwrap();
         prop_assert_eq!(&decoded, &image);
+        prop_assert!(decoded.fits(&abc_schema(types)));
 
-        let mut adopted = decoded.replica(ClientId(9), abc_schema(), 0);
+        let mut adopted = decoded.replica(ClientId(9), abc_schema(types), 0);
         adopted.replay(&log[at..]);
-        prop_assert!(adopted.same_state(&replayed(&log)), "S = {}", at);
+        prop_assert!(adopted.same_state(&replayed(&log, types)), "S = {}", at);
         let oracle = image.to_messages();
-        prop_assert!(adopted.same_state(&replayed(oracle.iter().chain(&log[at..]))));
+        let expanded = oracle.iter().chain(&log[at..]);
+        prop_assert!(adopted.same_state(&replayed(expanded, types)));
 
         let mut named: Vec<usize> = image.rows.iter().map(|(_, i)| *i as usize).collect();
         named.extend(image.uh.iter().chain(&image.dh).map(|(i, _)| *i as usize));
         named.sort_unstable();
         named.dedup();
         prop_assert_eq!(named, (0..image.values.len()).collect::<Vec<_>>());
-        let distinct: BTreeSet<String> = image.values.iter().map(|v| wire::row_value_to_json(v).encode()).collect();
-        prop_assert_eq!(distinct.len(), image.values.len());
+        prop_assert!(image.values.windows(2).all(|w| w[0] < w[1]), "distinct, ascending");
     }
 }
 
@@ -393,8 +399,8 @@ fn two_fills(dir: &Path) -> (Backend, TaskConfig, u64) {
 }
 
 /// Replaces the checkpoint of `b` (in `dir`, at `base`) with `payload`,
-/// which the decoder must refuse, and reopens: recovery takes the next rung of the
-/// ladder — here the whole journal, which settles exactly like the
+/// which recovery must refuse, and reopens: recovery takes the next rung
+/// of the ladder — here the whole journal, which settles exactly like the
 /// backend that never stopped.
 fn refused_and_passed_over(
     mut b: Backend,
@@ -403,7 +409,6 @@ fn refused_and_passed_over(
     base: u64,
     payload: &str,
 ) {
-    assert!(decode_backend_state(payload.as_bytes()).is_none());
     let (_, _, twin) = b.settle();
     assert_eq!(twin.per_message.len(), 2, "both fills are paid");
     let master = b.table_image();
@@ -433,6 +438,7 @@ fn an_image_without_its_ledger_is_refused_and_recovery_falls_back() {
     };
     fields.remove("ledger");
     let stripped = Json::Obj(fields).encode();
+    assert!(decode_backend_state(stripped.as_bytes()).is_none());
     refused_and_passed_over(b, &config, &dir, base, &stripped);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -447,7 +453,44 @@ fn a_v2_payload_is_refused_and_recovery_falls_back() {
     let (b, config, base) = two_fills(&dir);
     let v2 = include_str!("fixtures/snapshot_v2.json").trim_end();
     assert!(v2.contains(r#""v":2"#) && v2.contains(r#""rows":"#), "{v2}");
+    assert!(decode_backend_state(v2.as_bytes()).is_none());
     refused_and_passed_over(b, &config, &dir, base, v2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A v3 payload — its image's cells self-describing `{"t","v"}` objects
+/// and its rows `[id, index]` pairs, with no `types` — is refused the same
+/// way. The fixture is this collection's checkpoint as written before the
+/// payload became v4.
+#[test]
+fn a_v3_payload_is_refused_and_recovery_falls_back() {
+    let dir = tmp_dir("v3");
+    let (b, config, base) = two_fills(&dir);
+    let v3 = include_str!("fixtures/snapshot_v3.json").trim_end();
+    assert!(
+        v3.contains(r#""v":3"#) && v3.contains(r#""t":"text""#),
+        "{v3}"
+    );
+    assert!(decode_backend_state(v3.as_bytes()).is_none());
+    let current = encode_backend_state(&b.capture_state());
+    assert!(current.contains(r#""v":4"#) && current.contains(r#""types":["text"]"#));
+    refused_and_passed_over(b, &config, &dir, base, v3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint whose image is sound but of another schema's column types
+/// decodes, and recovery still passes it over: a table built of it would
+/// not be this collection's.
+#[test]
+fn an_image_of_other_types_is_passed_over_by_recovery() {
+    let dir = tmp_dir("types");
+    let (b, config, base) = two_fills(&dir);
+    let encoded = encode_backend_state(&b.capture_state());
+    let other = encoded.replace(r#""types":["text"]"#, r#""types":["text","int"]"#);
+    assert_ne!(other, encoded);
+    let state = decode_backend_state(other.as_bytes()).expect("a sound payload");
+    assert!(!state.image.fits(&config.schema));
+    refused_and_passed_over(b, &config, &dir, base, &other);
     std::fs::remove_dir_all(&dir).ok();
 }
 

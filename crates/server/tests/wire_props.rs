@@ -1,7 +1,7 @@
 //! `decode(encode(x)) == x` for every frame kind of the wire protocol, over
-//! generated messages, cursors, table images and trace ids, through both trees a decoder
-//! can be handed: the borrowed `JsonRef` the two ends of the socket parse,
-//! and the owned `Json` of the stores. A field an encoder writes and its
+//! generated messages, cursors, typed table images and trace ids, through
+//! both trees a decoder can be handed: the borrowed tape the two ends of
+//! the socket parse, and the owned `Json` of the stores. A field an encoder writes and its
 //! decoder does not read (or reads under another name, or defaults) fails
 //! here. Tracing is switched on for the whole binary: a trace id is only
 //! read off the wire while it is.
@@ -14,12 +14,15 @@ use crowdfill_model::{
 use crowdfill_obs::trace::{self as obstrace, TraceId, TraceMode};
 use crowdfill_pay::WorkerId;
 use crowdfill_server::wire::{
-    self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg, TableImage,
+    self, BootstrapText, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg,
 };
 use crowdfill_server::{Backend, TaskConfig};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
+use typed_image::table_image;
+
+#[path = "support/typed_image.rs"]
+mod typed_image;
 
 /// JSON numbers travel as f64: exactness holds below 2^53.
 const MAX_EXACT: u64 = 1 << 50;
@@ -29,15 +32,9 @@ fn text() -> impl Strategy<Value = String> {
     proptest::collection::vec(any::<char>(), 0..10).prop_map(|chars| chars.into_iter().collect())
 }
 
+/// A message's cell: self-describing, of any of the five types.
 fn value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        text().prop_map(Value::text),
-        (-(1i64 << 40)..(1i64 << 40)).prop_map(Value::int),
-        // Dyadic rationals encode/parse exactly.
-        (-(1i32 << 20)..(1i32 << 20)).prop_map(|v| Value::float(v as f64 / 8.0)),
-        any::<bool>().prop_map(Value::bool),
-        (1900i32..2100, 1u8..=12, 1u8..=28).prop_map(|(y, m, d)| Value::date(y, m, d)),
-    ]
+    typed_image::cell()
 }
 
 fn row_value() -> impl Strategy<Value = RowValue> {
@@ -118,27 +115,6 @@ fn seq_msg() -> impl Strategy<Value = SeqMsg> {
     (0..MAX_EXACT, message(), trace()).prop_map(|(seq, msg, trace)| SeqMsg { seq, msg, trace })
 }
 
-/// A table image whose rows and votes name values by valid indexes, any
-/// value by several rows, by votes only, or by nothing; counts reach 2^32 − 1.
-fn table_image() -> impl Strategy<Value = TableImage> {
-    use proptest::collection::{btree_map, vec};
-    let votes = || btree_map(any::<u32>(), 1u32..=u32::MAX, 0..4);
-    let rows = btree_map(row_id(), any::<u32>(), 0..6);
-    (vec(row_value(), 1..5), rows, votes(), votes()).prop_map(|(values, rows, uh, dh)| {
-        let n = values.len() as u32;
-        let votes = |votes: BTreeMap<u32, u32>| {
-            let votes = votes.into_iter().map(|(i, count)| (i % n, count));
-            votes.collect::<BTreeMap<_, _>>().into_iter().collect()
-        };
-        TableImage {
-            values,
-            rows: rows.into_iter().map(|(id, i)| (id, i % n)).collect(),
-            uh: votes(uh),
-            dh: votes(dh),
-        }
-    })
-}
-
 /// A bootstrap: an image and the log since.
 fn bootstrap() -> impl Strategy<Value = Image<'static>> {
     let log = proptest::collection::vec(message(), 0..4);
@@ -211,5 +187,22 @@ proptest! {
         prop_assert_eq!(owned.as_ref(), Ok(&reply), "{}", frame);
         // The canonical encoding is a fixed point, spliced image or not.
         prop_assert_eq!(Json::parse(&frame).unwrap().encode(), frame);
+    }
+
+    /// A welcome's image, spliced in as the server's cached text, decodes
+    /// to the image: every cell of every type, a float that is integral
+    /// still a float, an int at ±2^53 exact.
+    #[test]
+    fn a_welcome_image_comes_back_exactly(image in table_image()) {
+        let text = Image::Text(BootstrapText::new(&image).as_str().to_owned().into());
+        let (worker, client) = (WorkerId(1), ClientId(2));
+        let welcome = Reply::Welcome("c".into(), worker, client, 3, schema(), text);
+        let frame = welcome.encode();
+        let decoded = Reply::decode(&wire::parse_frame(frame.as_bytes()).unwrap());
+        let Ok(Reply::Welcome(.., Image::Table(decoded, log))) = decoded else {
+            panic!("no welcome: {frame}");
+        };
+        prop_assert_eq!(*decoded, image, "{}", frame);
+        prop_assert!(log.is_empty());
     }
 }

@@ -21,6 +21,14 @@ impl VoteHistory {
         VoteHistory::default()
     }
 
+    /// The history of `(vector, count)` pairs, sized for all of them up
+    /// front. A zero count is the absent entry, as in [`set`](Self::set).
+    pub fn from_counts(counts: impl ExactSizeIterator<Item = (RowValue, u32)>) -> VoteHistory {
+        let mut votes = HashMap::with_capacity(counts.len());
+        votes.extend(counts.filter(|(_, n)| *n > 0));
+        VoteHistory { votes }
+    }
+
     /// `H[v]`, with absent vectors reading as zero (paper's convention).
     pub fn get(&self, v: &RowValue) -> u32 {
         self.votes.get(v).copied().unwrap_or(0)

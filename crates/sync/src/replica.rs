@@ -67,35 +67,40 @@ impl Replica {
         }
     }
 
-    /// Rebuilds a replica from checkpointed parts (DESIGN.md §14): the
-    /// vote histories and the live rows' *values only*. Per-row vote
-    /// counts are recomputed from the histories via Lemma 3 — exactly how
-    /// `Replace` derives them — so a snapshot never stores a count that
-    /// could disagree with the histories it rides with.
+    /// Rebuilds a replica from its parts (DESIGN.md §14.3): the vote
+    /// histories as `(vector, count)` pairs and the live rows' *values
+    /// only*, strictly ascending by id. Per-row vote counts are recomputed
+    /// from the histories via Lemma 3 — exactly how `Replace` derives them
+    /// — so an image never carries a count that could disagree with the
+    /// histories it rides with. Built in bulk: both histories sized up
+    /// front, the table in one pass ([`CandidateTable::from_ascending`]),
+    /// and each downvoted vector's count added through the key index
+    /// where its key is full, as a downvote's replay would.
     pub fn restore(
         client: ClientId,
         schema: Arc<Schema>,
         next_seq: u64,
-        uh: VoteHistory,
-        dh: VoteHistory,
+        uh: impl ExactSizeIterator<Item = (RowValue, u32)>,
+        dh: impl ExactSizeIterator<Item = (RowValue, u32)>,
         rows: impl IntoIterator<Item = (RowId, RowValue)>,
     ) -> Replica {
-        let mut table = CandidateTable::new(&schema);
-        for (id, value) in rows {
+        let (uh, dh) = (VoteHistory::from_counts(uh), VoteHistory::from_counts(dh));
+        let rows = rows.into_iter().map(|(id, value)| {
             let upvotes = if value.is_complete(&schema) {
                 uh.get(&value)
             } else {
                 0
             };
-            let downvotes = dh.sum_subsets_of(&value);
-            table.insert(
-                id,
-                RowEntry {
-                    value,
-                    upvotes,
-                    downvotes,
-                },
-            );
+            let entry = RowEntry {
+                value,
+                upvotes,
+                downvotes: 0,
+            };
+            (id, entry)
+        });
+        let mut table = CandidateTable::from_ascending(&schema, rows);
+        for (w, n) in dh.iter() {
+            table.add_downvotes(w, n);
         }
         let replica = Replica {
             client,
@@ -696,6 +701,10 @@ mod tests {
         r.apply_local(&Operation::Downvote { row: partial })
             .unwrap();
 
+        let counts = |h: &VoteHistory| {
+            let counts: Vec<(RowValue, u32)> = h.iter().map(|(v, n)| (v.clone(), n)).collect();
+            counts.into_iter()
+        };
         let rows: Vec<(RowId, RowValue)> = r
             .table()
             .iter()
@@ -705,8 +714,8 @@ mod tests {
             r.client(),
             r.schema().clone(),
             r.next_seq(),
-            r.upvote_history().clone(),
-            r.downvote_history().clone(),
+            counts(r.upvote_history()),
+            counts(r.downvote_history()),
             rows,
         );
         assert!(rebuilt.same_state(&r));

@@ -37,12 +37,20 @@ fi
 # table image and processes only the log after it — it never expands an
 # image into messages or replays a history into a fresh replica — and the
 # image has one encoder and one decoder, in wire.rs, which the checkpoint
-# calls: no field of an image is named anywhere else in the server.
+# calls: no field of an image is named anywhere else in the server, and
+# its `types` nowhere else in the workspace. A cell's payload has one
+# codec, which a message's `{"t","v"}` cell and an image's positional cell
+# share: non-test wire.rs holds one `match` over a `Value`'s payloads and
+# one over a `DataType`'s.
+wire_src() { sed '/#\[cfg(test)\]/,$d' crates/server/src/wire.rs; }
 if grep -n "Image::Messages\|into_messages\|rebuild(" crates/server/src/client_core.rs crates/server/src/client.rs \
   || grep -rn '"values"\|"uh"\|"dh"' crates/server/src | grep -v '^crates/server/src/wire.rs:' \
+  || grep -rn '"types"' crates/*/src | grep -v '^crates/server/src/wire.rs:' \
+  || [ "$(wire_src | grep -c "Value::Text(")" != 1 ] \
+  || [ "$(wire_src | grep -c "DataType::Text =>")" != 1 ] \
   || ! grep -q "TableImage::from_json" crates/server/src/persist.rs \
   || ! grep -q "image.to_json()" crates/server/src/persist.rs; then
-  echo "check.sh: a join replays, or an image is coded outside wire.rs; adopt a wire::TableImage" >&2
+  echo "check.sh: a join replays, or an image or a cell payload is coded twice; adopt a wire::TableImage" >&2
   exit 1
 fi
 # The transport spawns no thread: a `TcpConn` reads its own socket on its
