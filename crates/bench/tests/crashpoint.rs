@@ -17,7 +17,7 @@
 //! prefixes) extend via `CROWDFILL_CRASH_SEEDS=7,8 cargo test -p
 //! crowdfill-bench --test crashpoint` without editing the file.
 
-use crowdfill_docstore::{FaultyDisk, FsyncPolicy, Json};
+use crowdfill_docstore::{write_json, FaultyDisk, FsyncPolicy, Json};
 use crowdfill_model::{
     Column, ColumnId, DataType, Message, QuorumMajority, RowId, Schema, Template, Value,
 };
@@ -172,7 +172,8 @@ fn state_image(b: &Backend) -> String {
     let ledger = checkpoint
         .get("ledger")
         .expect("the image carries the ledger");
-    [b.table_image().to_json().encode(), ledger.encode()].join("\n")
+    let image = write_json(0, |w| b.table_image().write(w));
+    [image, ledger.encode()].join("\n")
 }
 
 /// The backend's settlement under every scheme, as bits.

@@ -13,10 +13,15 @@
 //! last descendant (the tape of simdjson; Langdale & Lemire, "Parsing
 //! Gigabytes of JSON per Second", VLDB J. 2019). Decoders read it through
 //! [`TapeNode`] handles; the owned [`Json`] tree is the tape materialised.
+//!
+//! There is one way out, too: a [`JsonWriter`] appends a value's canonical
+//! text — sorted keys, the one number and string form — straight into a
+//! `String`, and every encoder, [`Json::encode`] among them, writes through
+//! it. An encoder names its keys in order and builds no tree, so a frame
+//! costs its buffer.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// A JSON value. Object keys are kept sorted (`BTreeMap`) so serialization
 /// is canonical — byte-identical for equal values — which the WAL and tests
@@ -118,71 +123,10 @@ impl Json {
         }
     }
 
-    /// Serializes to a compact canonical string.
+    /// Serializes to a compact canonical string, through the
+    /// [`JsonWriter`] every encoder writes with.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    /// [`encode`](Self::encode) of this object as if it also held `key`
-    /// with the value whose encoding is `raw`: text that is already JSON
-    /// takes the member's canonical (sorted) place as it is, instead of
-    /// being parsed into a tree to be written out again. For an object
-    /// that does not hold `key`; panics on any other value.
-    pub fn encode_with_member(&self, key: &str, raw: &str) -> String {
-        let members = self.as_obj().expect("encode_with_member on an object");
-        let mut out = String::with_capacity(raw.len() + 256);
-        let mut open = '{';
-        let mut name = |out: &mut String, k: &str| {
-            out.push(std::mem::replace(&mut open, ','));
-            write_string(k, out);
-            out.push(':');
-        };
-        for (k, v) in members.range::<str, _>((Unbounded, Excluded(key))) {
-            name(&mut out, k);
-            v.write(&mut out);
-        }
-        name(&mut out, key);
-        out.push_str(raw);
-        for (k, v) in members.range::<str, _>((Included(key), Unbounded)) {
-            name(&mut out, k);
-            v.write(&mut out);
-        }
-        out.push('}');
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
+        write_json(0, |w| w.json(self))
     }
 
     /// Parses a JSON document; the entire input must be consumed (modulo
@@ -192,35 +136,233 @@ impl Json {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
-    if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else if n.is_finite() {
-        out.push_str(&format!("{n}"));
-    } else {
-        // JSON has no NaN/Infinity; encode as null (never produced by the
-        // store, which validates on insert).
-        out.push_str("null");
+// ---- Writer -----------------------------------------------------------------
+
+/// The canonical text `write` writes, in a buffer that starts at
+/// `capacity` bytes: the one entry to the [`JsonWriter`], for an encoder
+/// that knows about how long its document is.
+pub fn write_json(capacity: usize, write: impl FnOnce(JsonWriter<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    write(JsonWriter::new(&mut out));
+    out
+}
+
+/// Where one JSON value goes: the writer appends the value's canonical
+/// text — what [`Json::encode`] writes of the equal tree — to the end of a
+/// `String`, and builds nothing else. An object's keys are written in the
+/// order its encoder names them, which must be ascending (debug builds
+/// assert it); an integer is written through `fmt::Write` into the buffer
+/// and a string that needs no escape as one run, so a document costs its
+/// buffer and nothing more. It is the write half of the one grammar, as
+/// [`Tape`] is the read half.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer of one value at the end of `out`.
+    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter { out }
+    }
+
+    pub fn null(self) {
+        self.out.push_str("null");
+    }
+
+    pub fn bool(self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number, as JSON holds it: an integral `f64` below 10^15 without a
+    /// point, any other finite one in Rust's shortest form, and `null` for
+    /// what JSON has no number for (never produced by the store, which
+    /// validates on insert).
+    pub fn num(self, n: f64) {
+        if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
+            push_fmt(self.out, format_args!("{}", n as i64));
+        } else if n.is_finite() {
+            push_fmt(self.out, format_args!("{n}"));
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// An integer, written as [`num`](Self::num) writes the `f64` it
+    /// converts to: exactly below 10^15, rounded beyond.
+    pub fn int(self, n: i64) {
+        if n.unsigned_abs() < EXACT_DIGITS {
+            push_fmt(self.out, format_args!("{n}"));
+        } else {
+            self.num(n as f64);
+        }
+    }
+
+    /// A seq, an id or a count: [`int`](Self::int) of an unsigned integer.
+    pub fn uint(self, n: u64) {
+        if n < EXACT_DIGITS {
+            push_fmt(self.out, format_args!("{n}"));
+        } else {
+            self.num(n as f64);
+        }
+    }
+
+    pub fn str(self, s: &str) {
+        self.out.push('"');
+        escape_into(s, self.out);
+        self.out.push('"');
+    }
+
+    /// A string that is `v`'s `Display` text (a date), written in place
+    /// with no `String` of its own.
+    pub fn str_display(self, v: impl fmt::Display) {
+        self.out.push('"');
+        push_fmt(&mut Escaped(self.out), format_args!("{v}"));
+        self.out.push('"');
+    }
+
+    /// A string of `n`'s 16 lower-case hex digits, zero-padded — a trace
+    /// id's wire form — written digit by digit in place.
+    pub fn hex(self, n: u64) {
+        self.out.push('"');
+        for shift in (0..16).rev() {
+            self.out
+                .push(HEX[(n >> (4 * shift)) as usize & 0xF] as char);
+        }
+        self.out.push('"');
+    }
+
+    /// `json`, text that is already one canonical JSON value, spliced in as
+    /// it is — a cached bootstrap is not parsed to be written out again.
+    pub fn raw(self, json: &str) {
+        self.out.push_str(json);
+    }
+
+    /// A tree, written out: what a cold document (a schema, a report)
+    /// that is still built as a [`Json`] costs inside a written frame.
+    pub fn json(self, v: &Json) {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => self.arr(|a| items.iter().for_each(|v| a.item().json(v))),
+            Json::Obj(map) => self.obj(|o| map.iter().for_each(|(k, v)| o.key(k).json(v))),
+        }
+    }
+
+    /// An object, whose members `members` writes.
+    pub fn obj<'k>(self, members: impl FnOnce(&mut ObjectWriter<'_, 'k>)) {
+        self.out.push('{');
+        members(&mut ObjectWriter {
+            out: self.out,
+            last: None,
+        });
+        self.out.push('}');
+    }
+
+    /// An array, whose items `items` writes.
+    pub fn arr(self, items: impl FnOnce(&mut ArrayWriter<'_>)) {
+        self.out.push('[');
+        items(&mut ArrayWriter {
+            out: self.out,
+            empty: true,
+        });
+        self.out.push(']');
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\x08' => out.push_str("\\b"),
-            '\x0C' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The members of an object a [`JsonWriter`] is writing; `'k` is how long
+/// its keys live, so the last one can be checked against the next.
+pub struct ObjectWriter<'a, 'k> {
+    out: &'a mut String,
+    last: Option<&'k str>,
+}
+
+impl<'k> ObjectWriter<'_, 'k> {
+    /// Writes `key` and returns where its value goes. Keys must ascend:
+    /// the encoder names them in the order a `BTreeMap` would hold them.
+    pub fn key(&mut self, key: &'k str) -> JsonWriter<'_> {
+        if let Some(last) = self.last {
+            debug_assert!(last < key, "key {key:?} written after {last:?}");
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        JsonWriter::new(self.out).str(key);
+        self.out.push(':');
+        JsonWriter::new(self.out)
+    }
+}
+
+/// The items of an array a [`JsonWriter`] is writing.
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    /// Where the next item goes.
+    pub fn item(&mut self) -> JsonWriter<'_> {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        JsonWriter::new(self.out)
+    }
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// 10^15: integers below it are written digit for digit; an `f64` holds
+/// every one of them exactly.
+const EXACT_DIGITS: u64 = 1_000_000_000_000_000;
+
+/// Formats into `out` with no temporary: a `String` (or [`Escaped`]) never
+/// fails a write.
+fn push_fmt(out: &mut impl fmt::Write, args: fmt::Arguments<'_>) {
+    out.write_fmt(args).expect("writing to a String");
+}
+
+/// A `fmt::Write` that escapes what it is handed into a JSON string body.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
+/// Appends `s` as the body of a JSON string: the runs between the bytes
+/// that need an escape (`"`, `\` and the control characters, all ASCII)
+/// in one push each.
+fn escape_into(s: &str, out: &mut String) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
+        } else {
+            out.push_str(escape);
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
+
+// ---- Errors and handles -----------------------------------------------------
 
 /// A JSON parse error with byte position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -879,15 +1021,73 @@ mod tests {
     }
 
     #[test]
-    fn a_raw_member_takes_its_canonical_place() {
+    fn the_writer_writes_what_the_tree_encodes() {
         let history = Json::Arr(vec![Json::obj([("kind", Json::str("insert"))]), Json::Null]);
-        let header = [("history_len", Json::num(2)), ("client", Json::num(1))];
-        for key in ["a", "history", "zz \"quoted\""] {
-            let spliced = Json::obj(header.clone()).encode_with_member(key, &history.encode());
-            let whole = header.clone().into_iter().chain([(key, history.clone())]);
-            assert_eq!(spliced, Json::obj(whole).encode(), "{key}");
+        let written = write_json(0, |w| {
+            w.obj(|o| {
+                o.key("client").uint(1);
+                o.key("history").raw(&history.encode());
+                o.key("history_len").int(-2);
+                o.key("r").str_display(format_args!("a\"{}\u{1}", 7));
+                o.key("s").hex(0xc0ffee);
+                o.key("t").arr(|a| {
+                    a.item().num(0.5);
+                    a.item().bool(false);
+                    a.item().null();
+                });
+            })
+        });
+        let tree = Json::obj([
+            ("client", Json::num(1)),
+            ("history", history),
+            ("history_len", Json::num(-2)),
+            ("r", Json::str("a\"7\u{1}")),
+            ("s", Json::str("0000000000c0ffee")),
+            (
+                "t",
+                Json::Arr(vec![Json::num(0.5), Json::Bool(false), Json::Null]),
+            ),
+        ]);
+        assert_eq!(written, tree.encode());
+        assert_eq!(
+            written,
+            r#"{"client":1,"history":[{"kind":"insert"},null],"history_len":-2,"r":"a\"7\u0001","s":"0000000000c0ffee","t":[0.5,false,null]}"#
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "written after")]
+    fn keys_out_of_order_are_caught() {
+        write_json(0, |w| {
+            w.obj(|o| {
+                o.key("b").null();
+                o.key("a").null();
+            })
+        });
+    }
+
+    #[test]
+    fn integers_write_as_their_f64() {
+        for n in [
+            0,
+            1,
+            -1,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let int = write_json(0, |w| w.int(n));
+            assert_eq!(int, Json::num(n as f64).encode(), "{n}");
+            if let Ok(u) = u64::try_from(n) {
+                assert_eq!(write_json(0, |w| w.uint(u)), int, "{n}");
+            }
         }
-        assert_eq!(Json::obj([]).encode_with_member("k", "[1]"), r#"{"k":[1]}"#);
+        assert_eq!(
+            write_json(0, |w| w.uint(u64::MAX)),
+            Json::num(u64::MAX as f64).encode()
+        );
     }
 
     #[test]

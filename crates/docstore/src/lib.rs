@@ -4,8 +4,8 @@
 //! for the MongoDB instance the CrowdFill paper's front-end server uses
 //! (§3.2) to hold task specifications, metadata, and collected results.
 //!
-//! * [`json`] — a self-contained JSON value model, parser, and canonical
-//!   serializer (also the wire format of `crowdfill-net` frames);
+//! * [`json`] — a self-contained JSON value model, parser (a tape), and
+//!   canonical writer (also the wire format of `crowdfill-net` frames);
 //! * [`collection`] — id-keyed document collections, iterated in id
 //!   order;
 //! * [`disk`] — the injectable I/O layer under the persistence code, with
@@ -27,7 +27,10 @@ pub mod wal;
 
 pub use collection::{Collection, StoreError};
 pub use disk::{Disk, DiskFile, FaultPlan, FaultState, FaultyDisk, RealDisk};
-pub use json::{Json, JsonDoc, JsonError, JsonNode, JsonRef, Tape, TapeNode};
+pub use json::{
+    write_json, ArrayWriter, Json, JsonDoc, JsonError, JsonNode, JsonRef, JsonWriter, ObjectWriter,
+    Tape, TapeNode,
+};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use store::DocStore;
 pub use wal::{crc32, FsyncPolicy, Wal};

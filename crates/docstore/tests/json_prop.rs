@@ -1,10 +1,14 @@
 //! Property tests: arbitrary JSON values roundtrip through the canonical
 //! encoder/parser, and encoding is canonical (equal values → equal bytes);
 //! the tape grammar accepts, rejects and reads exactly what the tree
-//! parser it replaced did (`support/tree_parser.rs`, the oracle).
+//! parser it replaced did (`support/tree_parser.rs`, the oracle), and the
+//! writer writes exactly what the tree serializer it replaced did
+//! (`support/tree_writer.rs`).
 
 #[path = "support/tree_parser.rs"]
 mod tree_parser;
+#[path = "support/tree_writer.rs"]
+mod tree_writer;
 
 use crowdfill_docstore::{Json, JsonError, JsonNode, Tape};
 use proptest::prelude::*;
@@ -50,8 +54,76 @@ fn json_strategy() -> impl Strategy<Value = Json> {
     })
 }
 
+/// A string of what needs care: quotes, backslashes, every control
+/// character, DEL, non-ASCII text of one to four bytes, or nothing.
+fn hard_string() -> impl Strategy<Value = String> {
+    let hard = prop_oneof![
+        (0u8..0x20).prop_map(char::from),
+        Just('"'),
+        Just('\\'),
+        Just('\x7f'),
+        Just('/'),
+        Just('é'),
+        Just('✓'),
+        Just('🦀'),
+        any::<char>(),
+        (b'a'..=b'z').prop_map(char::from),
+    ];
+    proptest::collection::vec(hard, 0..16).prop_map(|chars| chars.into_iter().collect())
+}
+
+/// A number at the edges of its two forms: integers out to ±2^53 and past
+/// ±10^15, integral and negative floats, fractions, and the extremes.
+fn hard_number() -> impl Strategy<Value = f64> {
+    const EXACT: i64 = 1 << 53;
+    prop_oneof![
+        (-EXACT..=EXACT).prop_map(|n| n as f64),
+        prop_oneof![Just(EXACT), Just(-EXACT), Just(EXACT + 1), Just(-EXACT - 1)]
+            .prop_map(|n| n as f64),
+        (-3i64..=3).prop_map(|d| (1_000_000_000_000_000 + d) as f64),
+        (-3i64..=3).prop_map(|d| (-1_000_000_000_000_000 + d) as f64),
+        any::<i64>().prop_map(|n| n as f64),
+        -1e6f64..1e6,
+        (-1000i32..1000).prop_map(|n| f64::from(n) / 8.0),
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::MAX),
+            Just(f64::MIN),
+            Just(f64::MIN_POSITIVE),
+            Just(1e300),
+            Just(-1e-300),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+        ],
+    ]
+}
+
+/// A tree of hard strings (as values and as keys) and hard numbers.
+fn hard_json() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        hard_number().prop_map(Json::Num),
+        hard_string().prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(4, 32, 6, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..6).prop_map(Json::Arr),
+            proptest::collection::btree_map(hard_string(), inner, 0..6).prop_map(Json::Obj),
+        ]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Json::encode` walks the tree through the writer and writes exactly
+    /// the text the tree serializer wrote.
+    #[test]
+    fn encode_writes_what_the_tree_serializer_wrote(v in hard_json()) {
+        prop_assert_eq!(v.encode(), tree_writer::encode(&v));
+    }
 
     #[test]
     fn roundtrip(v in json_strategy()) {

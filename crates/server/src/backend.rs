@@ -33,7 +33,7 @@
 
 use crate::config::TaskConfig;
 use crate::persist::{self, BackendState, JournalFrame, SessionState};
-use crate::wire::{self, BootstrapText, TableImage};
+use crate::wire::{BootstrapText, TableImage};
 use crowdfill_constraints::PriMaintainer;
 use crowdfill_docstore::{SnapshotStore, Wal};
 use crowdfill_model::{
@@ -1290,7 +1290,6 @@ impl Backend {
     /// lineages, the trace, and estimator state are deliberately excluded
     /// (see DESIGN.md §14 for what resets).
     pub fn capture_state(&self) -> BackendState {
-        let enc = |v: &RowValue| wire::row_value_to_json(v).encode();
         let mut sessions: Vec<SessionState> = self
             .sessions
             .iter()
@@ -1300,9 +1299,9 @@ impl Backend {
                     .iter()
                     .map(|(v, k)| (v.clone(), *k == VoteKind::Up))
                     .collect();
-                voted.sort_by_cached_key(|(v, _)| enc(v));
+                voted.sort_unstable();
                 let mut keys: Vec<RowValue> = s.upvoted_keys.iter().cloned().collect();
-                keys.sort_by_cached_key(|v| enc(v));
+                keys.sort_unstable();
                 SessionState {
                     worker: w.0,
                     client: s.client.0,

@@ -35,7 +35,8 @@ use crate::backend::Backend;
 use crate::config::TaskConfig;
 use crate::wire::{self, TableImage};
 use crowdfill_docstore::{
-    Disk, FsyncPolicy, Json, JsonNode, RealDisk, SnapshotStore, Tape, TapeNode, Wal,
+    write_json, Disk, FsyncPolicy, JsonNode, JsonWriter, ObjectWriter, RealDisk, SnapshotStore,
+    Tape, TapeNode, Wal,
 };
 use crowdfill_model::{ClientId, ColumnId, Message, RowValue, Schema};
 use crowdfill_pay::{FirstFill, Ledger, Millis, TraceEntry, Unit, Vote, WorkerId};
@@ -59,9 +60,9 @@ pub struct SessionState {
     pub epoch: u64,
     pub ops: u64,
     pub confirmed: u64,
-    /// Row values voted on, `true` = upvote (sorted by wire encoding).
+    /// Row values voted on, `true` = upvote (ascending by value).
     pub voted: Vec<(RowValue, bool)>,
-    /// Primary-key projections upvoted (sorted by wire encoding).
+    /// Primary-key projections upvoted (ascending).
     pub upvoted_keys: Vec<RowValue>,
 }
 
@@ -164,59 +165,57 @@ impl Default for DurabilityOptions {
 
 /// Encodes a checkpoint image as its JSON snapshot payload.
 pub fn encode_backend_state(state: &BackendState) -> String {
-    let indexes = |xs: &[usize]| Json::Arr(xs.iter().map(|i| Json::num(*i as f64)).collect());
-    let sessions = Json::Arr(
-        state
-            .sessions
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("worker", Json::num(s.worker as f64)),
-                    ("client", Json::num(s.client as f64)),
-                    ("epoch", Json::num(s.epoch as f64)),
-                    ("ops", Json::num(s.ops as f64)),
-                    ("confirmed", Json::num(s.confirmed as f64)),
-                    (
-                        "voted",
-                        Json::Arr(
-                            s.voted
-                                .iter()
-                                .map(|(v, up)| {
-                                    Json::Arr(vec![
-                                        wire::row_value_to_json(v),
-                                        Json::num(u8::from(*up) as f64),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "keys",
-                        Json::Arr(s.upvoted_keys.iter().map(wire::row_value_to_json).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj([
-        ("v", Json::num(STATE_VERSION)),
-        ("base", Json::num(state.base_seq as f64)),
-        ("at", Json::num(state.at_ms as f64)),
-        ("next_worker", Json::num(state.next_worker as f64)),
-        ("closed", Json::Bool(state.closed)),
-        ("cc_next_seq", Json::num(state.cc_next_seq as f64)),
-        ("image", state.image.to_json()),
-        ("live", indexes(&state.live_template)),
-        ("dropped", indexes(&state.dropped_template)),
-        ("sessions", sessions),
-        ("ledger", ledger_to_json(&state.ledger)),
-    ])
-    .encode()
+    let indexes = |w: JsonWriter<'_>, xs: &[usize]| {
+        w.arr(|a| xs.iter().for_each(|i| a.item().uint(*i as u64)));
+    };
+    write_json(state_capacity(state), |w| {
+        w.obj(|o| {
+            o.key("at").uint(state.at_ms);
+            o.key("base").uint(state.base_seq);
+            o.key("cc_next_seq").uint(state.cc_next_seq);
+            o.key("closed").bool(state.closed);
+            indexes(o.key("dropped"), &state.dropped_template);
+            state.image.write(o.key("image"));
+            write_ledger(o.key("ledger"), &state.ledger);
+            indexes(o.key("live"), &state.live_template);
+            o.key("next_worker").uint(state.next_worker.into());
+            o.key("sessions").arr(|a| {
+                for s in &state.sessions {
+                    a.item().obj(|o| write_session(o, s));
+                }
+            });
+            o.key("v").num(STATE_VERSION);
+        });
+    })
 }
 
-/// An integer of the image, exact below 2^53 — and back.
-fn num(n: u64) -> Json {
-    Json::num(n as f64)
+/// A session's members: ids, counters, and the values it voted on.
+fn write_session(o: &mut ObjectWriter<'_, '_>, s: &SessionState) {
+    o.key("client").uint(s.client.into());
+    o.key("confirmed").uint(s.confirmed);
+    o.key("epoch").uint(s.epoch);
+    o.key("keys").arr(|a| {
+        for key in &s.upvoted_keys {
+            wire::write_row_value(a.item(), key);
+        }
+    });
+    o.key("ops").uint(s.ops);
+    o.key("voted").arr(|a| {
+        for (value, up) in &s.voted {
+            a.item().arr(|pair| {
+                wire::write_row_value(pair.item(), value);
+                pair.item().uint(u8::from(*up).into());
+            });
+        }
+    });
+    o.key("worker").uint(s.worker.into());
+}
+
+/// About how many bytes a checkpoint writes to.
+fn state_capacity(state: &BackendState) -> usize {
+    let l = &state.ledger;
+    let entries = l.cells.len() + l.first.len() + l.votes.len() + l.last_at.len();
+    state.image.capacity() + 256 * (1 + entries + state.sessions.len())
 }
 
 fn int(j: TapeNode) -> Option<u64> {
@@ -224,11 +223,17 @@ fn int(j: TapeNode) -> Option<u64> {
 }
 
 /// A ledger unit as `[seq, worker, at, latency | null]`, no unit as `null`.
-fn unit_to_json(u: Option<&Unit>) -> Json {
-    let Some(u) = u else { return Json::Null };
-    let (seq, worker, at) = (num(u.seq), num(u.worker.0.into()), num(u.at.0));
-    let latency = u.latency.map_or(Json::Null, |l| num(l.0));
-    Json::Arr(vec![seq, worker, at, latency])
+fn write_unit(w: JsonWriter<'_>, u: Option<&Unit>) {
+    let Some(u) = u else { return w.null() };
+    w.arr(|a| {
+        a.item().uint(u.seq);
+        a.item().uint(u.worker.0.into());
+        a.item().uint(u.at.0);
+        match u.latency {
+            Some(l) => a.item().uint(l.0),
+            None => a.item().null(),
+        }
+    });
 }
 
 fn unit_from_json(j: TapeNode) -> Option<Option<Unit>> {
@@ -252,36 +257,60 @@ fn unit_from_json(j: TapeNode) -> Option<Option<Unit>> {
 /// The ledger as four arrays, in its maps' order: `cells` `[row, [[col,
 /// unit]…]]`, `first` `[col, value, at, unit | null, row value]`, `votes`
 /// `[worker, up, value, [[unit, auto]…]]` and `last` `[worker, at]`.
-fn ledger_to_json(l: &Ledger) -> Json {
-    let arr = Json::Arr;
-    let cells = l.cells.iter().map(|(row, fills)| {
-        let fill = |(c, u): &(ColumnId, Unit)| arr(vec![num(c.0.into()), unit_to_json(Some(u))]);
-        arr(vec![
-            wire::row_id_to_json(*row),
-            arr(fills.iter().map(fill).collect()),
-        ])
+fn write_ledger(w: JsonWriter<'_>, l: &Ledger) {
+    w.obj(|o| {
+        o.key("cells").arr(|a| {
+            for (row, fills) in &l.cells {
+                a.item().arr(|e| {
+                    wire::write_row_id(e.item(), *row);
+                    e.item().arr(|fills_w| {
+                        for (c, u) in fills {
+                            fills_w.item().arr(|fill| {
+                                fill.item().uint(c.0.into());
+                                write_unit(fill.item(), Some(u));
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        o.key("first").arr(|a| {
+            for ((c, v), f) in &l.first {
+                a.item().arr(|e| {
+                    e.item().uint(c.0.into());
+                    wire::write_value(e.item(), v);
+                    e.item().uint(f.at.0);
+                    write_unit(e.item(), f.unit.as_ref());
+                    wire::write_row_value(e.item(), &f.row);
+                });
+            }
+        });
+        o.key("last").arr(|a| {
+            for (w, at) in &l.last_at {
+                a.item().arr(|e| {
+                    e.item().uint(w.0.into());
+                    e.item().uint(at.0);
+                });
+            }
+        });
+        o.key("votes").arr(|a| {
+            for ((w, up, v), live) in &l.votes {
+                a.item().arr(|e| {
+                    e.item().uint(w.0.into());
+                    e.item().bool(*up);
+                    wire::write_row_value(e.item(), v);
+                    e.item().arr(|votes| {
+                        for x in live {
+                            votes.item().arr(|vote| {
+                                write_unit(vote.item(), Some(&x.unit));
+                                vote.item().bool(x.auto);
+                            });
+                        }
+                    });
+                });
+            }
+        });
     });
-    let first = l.first.iter().map(|((c, v), f)| {
-        let (c, v, at) = (num(c.0.into()), wire::value_to_json(v), num(f.at.0));
-        let (unit, row) = (
-            unit_to_json(f.unit.as_ref()),
-            wire::row_value_to_json(&f.row),
-        );
-        arr(vec![c, v, at, unit, row])
-    });
-    let votes = l.votes.iter().map(|((w, up, v), live)| {
-        let vote = |x: &Vote| arr(vec![unit_to_json(Some(&x.unit)), Json::Bool(x.auto)]);
-        let (w, up, v) = (num(w.0.into()), Json::Bool(*up), wire::row_value_to_json(v));
-        arr(vec![w, up, v, arr(live.iter().map(vote).collect())])
-    });
-    let last = l.last_at.iter();
-    let last = last.map(|(w, at)| arr(vec![num(w.0.into()), num(at.0)]));
-    Json::obj([
-        ("cells", arr(cells.collect())),
-        ("first", arr(first.collect())),
-        ("votes", arr(votes.collect())),
-        ("last", arr(last.collect())),
-    ])
 }
 
 fn ledger_from_json(j: TapeNode) -> Option<Ledger> {
@@ -387,45 +416,61 @@ pub fn decode_backend_state(payload: &[u8]) -> Option<BackendState> {
 /// recovery rebuilds per-session vote state and the action trace from
 /// (worker 0 is the Central Client) — and, unless there are none, the
 /// original indexes of the template rows dropped while applying it.
-pub(crate) fn encode_journal_frame(
+pub fn encode_journal_frame(
     from: u64,
     at: u64,
     entries: &[TraceEntry],
     tdrops: &[usize],
 ) -> String {
-    let column = |f: &dyn Fn(&TraceEntry) -> Json| Json::Arr(entries.iter().map(f).collect());
-    let workers = column(&|e| Json::num(e.worker.map_or(0, |w| w.0) as f64));
-    let auto = column(&|e| Json::num(u8::from(e.auto_upvote) as f64));
-    let mut fields = vec![
-        ("from", Json::num(from as f64)),
-        ("at", Json::num(at as f64)),
-        ("msgs", column(&|e| wire::message_to_json(&e.msg))),
-        ("workers", workers),
-        ("auto", auto),
-    ];
-    if !tdrops.is_empty() {
-        let indexes = tdrops.iter().map(|i| Json::num(*i as f64)).collect();
-        fields.push(("tdrops", Json::Arr(indexes)));
-    }
-    Json::obj(fields).encode()
+    let capacity = 96 + 8 * tdrops.len();
+    let capacity = capacity
+        + entries
+            .iter()
+            .map(|e| 8 + wire::message_capacity(&e.msg))
+            .sum::<usize>();
+    let column = |w: JsonWriter<'_>, f: &dyn Fn(&TraceEntry) -> u64| {
+        w.arr(|a| entries.iter().for_each(|e| a.item().uint(f(e))));
+    };
+    write_json(capacity, |w| {
+        w.obj(|o| {
+            o.key("at").uint(at);
+            column(o.key("auto"), &|e| e.auto_upvote.into());
+            o.key("from").uint(from);
+            o.key("msgs").arr(|a| {
+                for e in entries {
+                    wire::write_message(a.item(), &e.msg);
+                }
+            });
+            if !tdrops.is_empty() {
+                o.key("tdrops")
+                    .arr(|a| tdrops.iter().for_each(|i| a.item().uint(*i as u64)));
+            }
+            column(o.key("workers"), &|e| e.worker.map_or(0, |w| w.0).into());
+        });
+    })
 }
 
 /// Encodes a session-birth record ([`Backend::connect`]).
-pub(crate) fn encode_journal_session(worker: u32, client: u32, at: u64) -> String {
-    Json::obj([(
-        "session",
-        Json::obj([
-            ("worker", Json::num(worker as f64)),
-            ("client", Json::num(client as f64)),
-            ("at", Json::num(at as f64)),
-        ]),
-    )])
-    .encode()
+pub fn encode_journal_session(worker: u32, client: u32, at: u64) -> String {
+    write_json(64, |w| {
+        w.obj(|o| {
+            o.key("session").obj(|s| {
+                s.key("at").uint(at);
+                s.key("client").uint(client.into());
+                s.key("worker").uint(worker.into());
+            });
+        });
+    })
 }
 
 /// Encodes the collection-closed marker ([`Backend::close`]).
-pub(crate) fn encode_journal_closed(at: u64) -> String {
-    Json::obj([("closed", Json::Bool(true)), ("at", Json::num(at as f64))]).encode()
+pub fn encode_journal_closed(at: u64) -> String {
+    write_json(40, |w| {
+        w.obj(|o| {
+            o.key("at").uint(at);
+            o.key("closed").bool(true);
+        });
+    })
 }
 
 /// Decodes one journal record (any of the shapes the backend writes).
@@ -591,6 +636,7 @@ pub fn open_or_recover_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdfill_docstore::Json;
     use crowdfill_model::{DataType, RowId, Value};
 
     fn rv(pairs: &[(u16, i64)]) -> RowValue {

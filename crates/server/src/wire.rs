@@ -79,7 +79,9 @@
 //! document whose root is the handle.
 
 use crate::health::HealthReport;
-use crowdfill_docstore::{Json, JsonDoc, JsonNode, Tape};
+use crowdfill_docstore::{
+    write_json, ArrayWriter, Json, JsonDoc, JsonNode, JsonWriter, ObjectWriter, Tape,
+};
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Date, Entry, Message, Predicate, RowId, RowValue, Schema,
     Template, TemplateRow, Value,
@@ -167,16 +169,22 @@ fn flag<'t, J: JsonNode<'t>>(j: J, name: &str) -> bool {
 
 /// A cell's payload, bare: a text or a date as a string, an int or a float
 /// as a number, a bool as a boolean. The one payload codec — a message's
-/// cell `{"t":type,"v":payload}` and an image's positional cell both call
+/// cell `{"t":type,"v":payload}` and an image's positional cell both write
 /// it, and its type comes from the cell or from the image's `types`.
-fn payload_to_json(v: &Value) -> Json {
+fn write_payload(w: JsonWriter<'_>, v: &Value) {
     match v {
-        Value::Text(s) => Json::str(s.as_str()),
-        Value::Int(i) => Json::num(*i as f64),
-        Value::Float(f) => Json::num(f.get()),
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Date(d) => Json::str(d.to_string()),
+        Value::Text(s) => w.str(s.as_str()),
+        Value::Int(i) => w.int(*i),
+        Value::Float(f) => w.num(f.get()),
+        Value::Bool(b) => w.bool(*b),
+        Value::Date(d) => w.str_display(d),
     }
+}
+
+/// A payload as a tree, for the cold documents and the tree oracle: the
+/// parse of what [`write_payload`] writes, so a payload has one codec.
+fn payload_to_json(v: &Value) -> Json {
+    Json::parse(&write_json(24, |w| write_payload(w, v))).expect("a payload is JSON")
 }
 
 /// Reads a payload as a value of type `t`, refusing a JSON kind the type
@@ -199,6 +207,16 @@ fn data_type_from_name(name: &str) -> Result<DataType> {
     DataType::from_name(name).ok_or_else(|| WireError::new(format!("unknown data type {name:?}")))
 }
 
+/// A message's cell, `{"t":type,"v":payload}`.
+pub(crate) fn write_value(w: JsonWriter<'_>, v: &Value) {
+    w.obj(|o| {
+        o.key("t").str(v.data_type().name());
+        write_payload(o.key("v"), v);
+    });
+}
+
+/// The tree of [`write_value`], for the cold documents (a schema's
+/// domains, a template's predicates) and the tree oracle.
 pub fn value_to_json(v: &Value) -> Json {
     let t = Json::str(v.data_type().name());
     Json::obj([("t", t), ("v", payload_to_json(v))])
@@ -210,6 +228,13 @@ pub fn value_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Value> {
 
 // ---- RowId / RowValue -----------------------------------------------------
 
+pub(crate) fn write_row_id(w: JsonWriter<'_>, id: RowId) {
+    w.obj(|o| {
+        o.key("c").uint(id.client.0.into());
+        o.key("s").uint(id.seq);
+    });
+}
+
 pub fn row_id_to_json(id: RowId) -> Json {
     Json::obj([
         ("c", Json::num(id.client.0 as f64)),
@@ -219,6 +244,17 @@ pub fn row_id_to_json(id: RowId) -> Json {
 
 pub fn row_id_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<RowId> {
     Ok(RowId::new(ClientId(u32_field(j, "c")?), u64_field(j, "s")?))
+}
+
+pub(crate) fn write_row_value(w: JsonWriter<'_>, rv: &RowValue) {
+    w.arr(|a| {
+        for (col, v) in rv.iter() {
+            a.item().obj(|o| {
+                o.key("col").uint(col.0.into());
+                write_value(o.key("val"), v);
+            });
+        }
+    });
 }
 
 pub fn row_value_to_json(rv: &RowValue) -> Json {
@@ -246,6 +282,48 @@ pub fn row_value_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<RowValue> {
 
 // ---- Message ----------------------------------------------------------------
 
+/// A message, the `msg` of every frame and journal record that carries
+/// one (DESIGN.md §12).
+pub(crate) fn write_message(w: JsonWriter<'_>, m: &Message) {
+    fn vote(o: &mut ObjectWriter<'_, '_>, kind: &str, value: &RowValue) {
+        o.key("kind").str(kind);
+        write_row_value(o.key("value"), value);
+    }
+    w.obj(|o| match m {
+        Message::Insert { row } => {
+            o.key("kind").str("insert");
+            write_row_id(o.key("row"), *row);
+        }
+        Message::Replace { old, new, value } => {
+            o.key("kind").str("replace");
+            write_row_id(o.key("new"), *new);
+            write_row_id(o.key("old"), *old);
+            write_row_value(o.key("value"), value);
+        }
+        Message::Upvote { value } => vote(o, "upvote", value),
+        Message::Downvote { value } => vote(o, "downvote", value),
+        Message::UndoUpvote { value } => vote(o, "undo_upvote", value),
+        Message::UndoDownvote { value } => vote(o, "undo_downvote", value),
+    });
+}
+
+/// About how many bytes `m` writes to: a capacity, not a bound — a cell
+/// of a long text costs the buffer one doubling.
+pub(crate) fn message_capacity(m: &Message) -> usize {
+    const CELL: usize = 64;
+    match m {
+        Message::Insert { .. } => 64,
+        Message::Replace { value, .. } => 128 + CELL * value.len(),
+        Message::Upvote { value }
+        | Message::Downvote { value }
+        | Message::UndoUpvote { value }
+        | Message::UndoDownvote { value } => 48 + CELL * value.len(),
+    }
+}
+
+/// The tree of a message: what no product path writes, kept as the oracle
+/// the writer is proven byte-identical against (`tests/wire_props.rs`)
+/// and for the benchmark's replay, which times it.
 pub fn message_to_json(m: &Message) -> Json {
     let vote = |kind, v| Json::obj([("kind", Json::str(kind)), ("value", row_value_to_json(v))]);
     match m {
@@ -304,24 +382,12 @@ fn trace_id_from_json<'t, J: JsonNode<'t>>(j: J) -> TraceId {
 
 // ---- Frames -----------------------------------------------------------------
 
-type Fields = Vec<(&'static str, Json)>;
-
-/// The object of one frame: its fields, its type, and the id of a traced op.
-fn frame(ty: &'static str, fields: Fields, trace: TraceId) -> Json {
-    let ty = [("type", Json::str(ty))];
-    Json::obj(fields.into_iter().chain(ty).chain(trace_field(trace)))
-}
-
-fn untraced(ty: &'static str, fields: Fields) -> Json {
-    frame(ty, fields, TraceId::NONE)
-}
-
-fn trace_field(trace: TraceId) -> Option<(&'static str, Json)> {
-    (!trace.is_none()).then(|| ("trace", Json::str(trace.to_hex())))
-}
-
-fn num(n: u64) -> Json {
-    Json::num(n as f64)
+/// A traced frame's or entry's `"trace"` member, its 16 hex digits written
+/// in place; an untraced one has none.
+fn write_trace(o: &mut ObjectWriter<'_, '_>, trace: TraceId) {
+    if !trace.is_none() {
+        o.key("trace").hex(trace.0);
+    }
 }
 
 /// Parses one received frame into its tape, borrowed. Bytes that are not
@@ -342,9 +408,11 @@ pub struct Cursor {
 }
 
 impl Cursor {
-    fn fields(&self) -> Fields {
-        let have = self.have.iter().map(|s| num(*s)).collect();
-        vec![("from", num(self.from)), ("have", Json::Arr(have))]
+    /// Writes the cursor's `from` and `have` members.
+    fn write(&self, o: &mut ObjectWriter<'_, '_>) {
+        o.key("from").uint(self.from);
+        o.key("have")
+            .arr(|a| self.have.iter().for_each(|s| a.item().uint(*s)));
     }
 
     fn decode<'t, J: JsonNode<'t>>(j: J) -> Cursor {
@@ -360,8 +428,10 @@ impl Cursor {
 /// `submit`, an element of a `modify`.
 pub type Op = (Message, bool);
 
-fn op_fields((msg, auto): &Op) -> Fields {
-    vec![("auto", Json::Bool(*auto)), ("msg", message_to_json(msg))]
+/// Writes an op's `auto` and `msg` members.
+fn write_op(o: &mut ObjectWriter<'_, '_>, (msg, auto): &Op) {
+    o.key("auto").bool(*auto);
+    write_message(o.key("msg"), msg);
 }
 
 fn op_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Op> {
@@ -404,34 +474,72 @@ impl Request {
     }
 
     pub fn encode(&self) -> String {
-        let named = |c: &Option<String>| c.as_ref().map(|c| ("collection", Json::str(c)));
-        let json = match self {
-            Request::Hello(collection) => {
-                untraced("hello", named(collection).into_iter().collect())
+        write_json(self.capacity(), |w| w.obj(|o| self.write(o)))
+    }
+
+    fn write(&self, o: &mut ObjectWriter<'_, '_>) {
+        let collection = |o: &mut ObjectWriter<'_, '_>, c: &Option<String>| {
+            if let Some(c) = c {
+                o.key("collection").str(c);
             }
-            Request::Resume(worker, cursor, collection) => {
-                let mut fields = cursor.fields();
-                fields.push(("worker", num(worker.0 as u64)));
-                fields.extend(named(collection));
-                untraced("resume", fields)
+        };
+        match self {
+            Request::Hello(c) => {
+                collection(o, c);
+                o.key("type").str("hello");
+            }
+            Request::Resume(worker, cursor, c) => {
+                collection(o, c);
+                cursor.write(o);
+                o.key("type").str("resume");
+                o.key("worker").uint(worker.0.into());
             }
             Request::Submit(op, speculative, trace) => {
-                let mut fields = op_fields(op);
-                fields.extend(speculative.then_some(("speculative", Json::Bool(true))));
-                frame("submit", fields, *trace)
+                write_op(o, op);
+                if *speculative {
+                    o.key("speculative").bool(true);
+                }
+                write_trace(o, *trace);
+                o.key("type").str("submit");
             }
             Request::Modify(bundle, trace) => {
-                let msgs = bundle.iter().map(|op| Json::obj(op_fields(op))).collect();
-                frame("modify", vec![("msgs", Json::Arr(msgs))], *trace)
+                o.key("msgs").arr(|a| {
+                    for op in bundle {
+                        a.item().obj(|o| write_op(o, op));
+                    }
+                });
+                write_trace(o, *trace);
+                o.key("type").str("modify");
             }
-            Request::Sync(cursor) => untraced("sync", cursor.fields()),
-            Request::Resync => untraced("sync", vec![("reset", Json::Bool(true))]),
-            Request::Stats => untraced("stats", vec![]),
-            Request::Health => untraced("health", vec![]),
-            Request::TraceDump => untraced("trace_dump", vec![]),
-            Request::Bye => untraced("bye", vec![]),
-        };
-        json.encode()
+            Request::Sync(cursor) => {
+                cursor.write(o);
+                o.key("type").str("sync");
+            }
+            Request::Resync => {
+                o.key("reset").bool(true);
+                o.key("type").str("sync");
+            }
+            Request::Stats => o.key("type").str("stats"),
+            Request::Health => o.key("type").str("health"),
+            Request::TraceDump => o.key("type").str("trace_dump"),
+            Request::Bye => o.key("type").str("bye"),
+        }
+    }
+
+    /// About how many bytes the frame writes to.
+    fn capacity(&self) -> usize {
+        let named = |c: &Option<String>| c.as_ref().map_or(0, String::len);
+        match self {
+            Request::Hello(c) => 48 + named(c),
+            Request::Resume(_, cursor, c) => 96 + named(c) + 20 * cursor.have.len(),
+            Request::Submit((msg, _), ..) => 96 + message_capacity(msg),
+            Request::Modify(bundle, _) => {
+                let op = |(msg, _): &Op| 24 + message_capacity(msg);
+                64 + bundle.iter().map(op).sum::<usize>()
+            }
+            Request::Sync(cursor) => 64 + 20 * cursor.have.len(),
+            _ => 48,
+        }
     }
 
     pub fn decode<D: JsonDoc>(doc: &D) -> Result<Request> {
@@ -473,9 +581,21 @@ pub struct SeqMsg {
     pub trace: TraceId,
 }
 
-fn entry_fields(seq: u64, msg: &Message, trace: TraceId) -> Fields {
-    let fields = [("seq", num(seq)), ("msg", message_to_json(msg))];
-    fields.into_iter().chain(trace_field(trace)).collect()
+/// Writes an ENTRY's members: `msg`, `seq` and, if traced, `trace`.
+fn write_entry(o: &mut ObjectWriter<'_, '_>, seq: u64, msg: &Message, trace: TraceId) {
+    write_message(o.key("msg"), msg);
+    o.key("seq").uint(seq);
+    write_trace(o, trace);
+}
+
+/// Writes the `msgs` array of ENTRYs.
+fn write_entries<'m>(
+    a: &mut ArrayWriter<'_>,
+    entries: impl Iterator<Item = (u64, &'m Message, TraceId)>,
+) {
+    for (seq, msg, trace) in entries {
+        a.item().obj(|o| write_entry(o, seq, msg, trace));
+    }
 }
 
 fn entry_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<SeqMsg> {
@@ -587,31 +707,54 @@ impl TableImage {
     }
 
     /// The image's one encoder, the IMAGE of the grammar.
-    pub fn to_json(&self) -> Json {
-        let votes = |votes: &[(u32, u32)]| {
-            let vote = |&(i, n): &(u32, u32)| Json::Arr(vec![num(i.into()), num(n.into())]);
-            Json::Arr(votes.iter().map(vote).collect())
+    pub fn write(&self, w: JsonWriter<'_>) {
+        let votes = |w: JsonWriter<'_>, votes: &[(u32, u32)]| {
+            w.arr(|a| {
+                for &(i, n) in votes {
+                    a.item().arr(|vote| {
+                        vote.item().uint(i.into());
+                        vote.item().uint(n.into());
+                    });
+                }
+            });
         };
-        let value = |v: &RowValue| {
-            let mut cells = Vec::with_capacity(v.len());
-            for (col, v) in v.iter() {
-                cells.resize(col.index(), Json::Null);
-                cells.push(payload_to_json(v));
-            }
-            Json::Arr(cells)
+        let value = |w: JsonWriter<'_>, v: &RowValue| {
+            w.arr(|cells| {
+                let mut next = 0;
+                for (col, v) in v.iter() {
+                    (next..col.index()).for_each(|_| cells.item().null());
+                    write_payload(cells.item(), v);
+                    next = col.index() + 1;
+                }
+            });
         };
-        let row = |&(id, i): &(RowId, u32)| {
-            let (c, s) = (num(id.client.0.into()), num(id.seq));
-            Json::Arr(vec![c, s, num(i.into())])
-        };
-        let types = self.types.iter().map(|t| Json::str(t.name()));
-        Json::obj([
-            ("types", Json::Arr(types.collect())),
-            ("values", Json::Arr(self.values.iter().map(value).collect())),
-            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
-            ("uh", votes(&self.uh)),
-            ("dh", votes(&self.dh)),
-        ])
+        w.obj(|o| {
+            votes(o.key("dh"), &self.dh);
+            o.key("rows").arr(|a| {
+                for &(id, i) in &self.rows {
+                    a.item().arr(|row| {
+                        row.item().uint(id.client.0.into());
+                        row.item().uint(id.seq);
+                        row.item().uint(i.into());
+                    });
+                }
+            });
+            o.key("types")
+                .arr(|a| self.types.iter().for_each(|t| a.item().str(t.name())));
+            votes(o.key("uh"), &self.uh);
+            o.key("values")
+                .arr(|a| self.values.iter().for_each(|v| value(a.item(), v)));
+        });
+    }
+
+    /// About how many bytes the image writes to.
+    pub(crate) fn capacity(&self) -> usize {
+        let cells: usize = self.values.iter().map(RowValue::len).sum();
+        64 + 8 * self.types.len()
+            + 4 * self.values.len()
+            + 24 * cells
+            + 32 * self.rows.len()
+            + 24 * (self.uh.len() + self.dh.len())
     }
 
     /// The image's one decoder. Refuses, rather than trusts, a type it
@@ -707,13 +850,18 @@ pub enum Image<'a> {
 }
 
 impl Image<'_> {
-    fn text(&self) -> Cow<'_, str> {
+    fn write(&self, w: JsonWriter<'_>) {
         match self {
-            Image::Text(text) => Cow::Borrowed(text),
+            Image::Text(text) => w.raw(text),
+            Image::Table(image, log) => write_bootstrap(w, image, log),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Image::Text(text) => text.len(),
             Image::Table(image, log) => {
-                let mut text = BootstrapText::new(image);
-                log.iter().for_each(|msg| text.push(msg));
-                Cow::Owned(text.text)
+                image.capacity() + log.iter().map(message_capacity).sum::<usize>()
             }
         }
     }
@@ -725,7 +873,16 @@ impl Image<'_> {
     }
 }
 
-/// A bootstrap's text, the BOOTSTRAP's one encoder: the image encoded
+/// The BOOTSTRAP of `image` and `log`.
+fn write_bootstrap(w: JsonWriter<'_>, image: &TableImage, log: &[Message]) {
+    w.obj(|o| {
+        image.write(o.key("image"));
+        o.key("log")
+            .arr(|a| log.iter().for_each(|m| write_message(a.item(), m)));
+    });
+}
+
+/// A bootstrap's text, the BOOTSTRAP's one encoder: the image written
 /// once, then the log appended a message at a time — so the backend's
 /// cache encodes for a join only what no earlier join has.
 #[derive(Debug, Clone)]
@@ -737,8 +894,7 @@ pub struct BootstrapText {
 impl BootstrapText {
     /// The text of `image` with an empty log.
     pub fn new(image: &TableImage) -> BootstrapText {
-        let log = Json::Arr(Vec::new());
-        let text = Json::obj([("image", image.to_json()), ("log", log)]).encode();
+        let text = write_json(image.capacity(), |w| write_bootstrap(w, image, &[]));
         BootstrapText { text, logged: 0 }
     }
 
@@ -748,7 +904,7 @@ impl BootstrapText {
         if self.logged > 0 {
             self.text.push(',');
         }
-        self.text.push_str(&message_to_json(msg).encode());
+        write_message(JsonWriter::new(&mut self.text), msg);
         self.text.push_str("]}");
         self.logged += 1;
     }
@@ -777,19 +933,26 @@ pub enum CatchUp<'a> {
 }
 
 impl CatchUp<'_> {
-    /// Encodes the `ty` reply whose other fields are `fields`.
-    fn encode(&self, ty: &'static str, mut fields: Fields) -> String {
+    /// Writes the members of a reply from `history` to `reset`: the
+    /// catch-up around its `history_len`.
+    fn write(&self, o: &mut ObjectWriter<'_, '_>, history_len: u64) {
+        if let CatchUp::Image(image) = self {
+            image.write(o.key("history"));
+        }
+        o.key("history_len").uint(history_len);
         match self {
             CatchUp::Suffix(msgs) => {
-                let entry = |(seq, m): &(u64, Message)| entry_fields(*seq, m, TraceId::NONE);
-                let msgs = msgs.iter().map(|e| Json::obj(entry(e))).collect();
-                fields.push(("msgs", Json::Arr(msgs)));
-                untraced(ty, fields).encode()
+                let entries = msgs.iter().map(|(seq, m)| (*seq, m, TraceId::NONE));
+                o.key("msgs").arr(|a| write_entries(a, entries));
             }
-            CatchUp::Image(image) => {
-                fields.push(("reset", Json::Bool(true)));
-                untraced(ty, fields).encode_with_member("history", &image.text())
-            }
+            CatchUp::Image(_) => o.key("reset").bool(true),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            CatchUp::Suffix(msgs) => msgs.iter().map(|(_, m)| 40 + message_capacity(m)).sum(),
+            CatchUp::Image(image) => image.capacity(),
         }
     }
 
@@ -847,56 +1010,91 @@ impl Reply<'_> {
     }
 
     pub fn encode(&self) -> String {
-        let json = match self {
+        write_json(self.capacity(), |w| w.obj(|o| self.write(o)))
+    }
+
+    fn write(&self, o: &mut ObjectWriter<'_, '_>) {
+        match self {
             Reply::Welcome(collection, worker, client, history_len, schema, history) => {
-                let fields = vec![
-                    ("collection", Json::str(collection)),
-                    ("worker", num(worker.0 as u64)),
-                    ("client", num(client.0 as u64)),
-                    ("history_len", num(*history_len)),
-                    ("schema", schema_to_json(schema)),
-                ];
-                return untraced("welcome", fields).encode_with_member("history", &history.text());
+                o.key("client").uint(client.0.into());
+                o.key("collection").str(collection);
+                history.write(o.key("history"));
+                o.key("history_len").uint(*history_len);
+                o.key("schema").json(&schema_to_json(schema));
+                o.key("type").str("welcome");
+                o.key("worker").uint(worker.0.into());
             }
             Reply::Resumed(collection, client, history_len, body) => {
-                let fields = vec![
-                    ("collection", Json::str(collection)),
-                    ("client", num(client.0 as u64)),
-                    ("history_len", num(*history_len)),
-                ];
-                return body.encode("resumed", fields);
+                o.key("client").uint(client.0.into());
+                o.key("collection").str(collection);
+                body.write(o, *history_len);
+                o.key("type").str("resumed");
             }
             Reply::Synced(history_len, body) => {
-                return body.encode("synced", vec![("history_len", num(*history_len))]);
+                body.write(o, *history_len);
+                o.key("type").str("synced");
             }
             Reply::Ack(estimate, fulfilled, seqs, trace) => {
-                let fields = vec![
-                    ("estimate", Json::num(*estimate)),
-                    ("fulfilled", Json::Bool(*fulfilled)),
-                    ("seqs", Json::Arr(seqs.iter().map(|s| num(*s)).collect())),
-                ];
-                frame("ack", fields, *trace)
+                o.key("estimate").num(*estimate);
+                o.key("fulfilled").bool(*fulfilled);
+                o.key("seqs")
+                    .arr(|a| seqs.iter().for_each(|s| a.item().uint(*s)));
+                write_trace(o, *trace);
+                o.key("type").str("ack");
             }
             Reply::Reject(reason, trace) => {
-                frame("reject", vec![("reason", Json::str(reason))], *trace)
+                o.key("reason").str(reason);
+                write_trace(o, *trace);
+                o.key("type").str("reject");
             }
-            Reply::Overloaded(retry_after_ms, trace) => frame(
-                "overloaded",
-                vec![("retry_after_ms", num(*retry_after_ms))],
-                *trace,
-            ),
-            Reply::Lagging => untraced("lagging", vec![]),
-            Reply::Stats(snapshot) => untraced("stats", vec![("snapshot", Json::str(snapshot))]),
-            Reply::Health(report) => untraced("health", vec![("report", report.to_json())]),
-            Reply::TraceDump(events) => untraced("trace_dump", vec![("events", Json::str(events))]),
-            Reply::Msg(e) => untraced("msg", entry_fields(e.seq, &e.msg, e.trace)),
-            Reply::Batch(entries) => {
-                let entry = |e: &SeqMsg| Json::obj(entry_fields(e.seq, &e.msg, e.trace));
-                let msgs = entries.iter().map(entry).collect();
-                untraced("batch", vec![("msgs", Json::Arr(msgs))])
+            Reply::Overloaded(retry_after_ms, trace) => {
+                o.key("retry_after_ms").uint(*retry_after_ms);
+                write_trace(o, *trace);
+                o.key("type").str("overloaded");
             }
-        };
-        json.encode()
+            Reply::Lagging => o.key("type").str("lagging"),
+            Reply::Stats(snapshot) => {
+                o.key("snapshot").str(snapshot);
+                o.key("type").str("stats");
+            }
+            Reply::Health(report) => {
+                o.key("report").json(&report.to_json());
+                o.key("type").str("health");
+            }
+            Reply::TraceDump(events) => {
+                o.key("events").str(events);
+                o.key("type").str("trace_dump");
+            }
+            Reply::Msg(e) => {
+                write_entry(o, e.seq, &e.msg, e.trace);
+                o.key("type").str("msg");
+            }
+            Reply::Batch(batch) => {
+                let entries = batch.iter().map(|e| (e.seq, &e.msg, e.trace));
+                o.key("msgs").arr(|a| write_entries(a, entries));
+                o.key("type").str("batch");
+            }
+        }
+    }
+
+    /// About how many bytes the frame writes to: a text member's length
+    /// and an eighth more for its escapes.
+    fn capacity(&self) -> usize {
+        let text = |s: &str| 64 + s.len() + s.len() / 8;
+        match self {
+            Reply::Welcome(collection, .., history) => 512 + text(collection) + history.capacity(),
+            Reply::Resumed(collection, .., body) => 128 + text(collection) + body.capacity(),
+            Reply::Synced(_, body) => 96 + body.capacity(),
+            Reply::Ack(.., seqs, _) => 112 + 20 * seqs.len(),
+            Reply::Reject(reason, _) => 64 + text(reason),
+            Reply::Stats(s) | Reply::TraceDump(s) => text(s),
+            Reply::Msg(e) => 96 + message_capacity(&e.msg),
+            Reply::Batch(batch) => {
+                let entry = |e: &SeqMsg| 64 + message_capacity(&e.msg);
+                64 + batch.iter().map(entry).sum::<usize>()
+            }
+            Reply::Overloaded(..) | Reply::Lagging | Reply::Health(_) => 96,
+        }
     }
 
     pub fn decode<D: JsonDoc>(doc: &D) -> Result<Reply<'static>> {

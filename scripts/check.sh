@@ -49,7 +49,7 @@ if grep -n "Image::Messages\|into_messages\|rebuild(" crates/server/src/client_c
   || [ "$(wire_src | grep -c "Value::Text(")" != 1 ] \
   || [ "$(wire_src | grep -c "DataType::Text =>")" != 1 ] \
   || ! grep -q "TableImage::from_json" crates/server/src/persist.rs \
-  || ! grep -q "image.to_json()" crates/server/src/persist.rs; then
+  || ! grep -q "image.write(" crates/server/src/persist.rs; then
   echo "check.sh: a join replays, or an image or a cell payload is coded twice; adopt a wire::TableImage" >&2
   exit 1
 fi
@@ -160,6 +160,26 @@ fi
 if grep -rn "DeltaTracker\|crowdfill_slo_" crates/*/src \
   || grep -n "fn values(" crates/obs/src/metrics.rs; then
   echo "check.sh: a whole-registry reading or an SLO gauge; read the objectives' instruments into obs::timeseries::ReadingRing" >&2
+  exit 1
+fi
+# Frames are written, not built (DESIGN.md §12): every frame, bootstrap,
+# journal record and checkpoint is written by `docstore::JsonWriter`
+# straight into its buffer — no `Json` tree is built to be serialised on
+# the op path, the writer formats no temporary, and text that is already
+# JSON is spliced by `JsonWriter::raw`. Exempt are the tree oracle the
+# writer is proven against (`message_to_json` and its helpers, which
+# `crates/e2e` also times) and the cold documents still built as trees
+# (schema, template, trace export).
+tree_oracle='payload_to_json\|value_to_json\|row_id_to_json\|row_value_to_json\|message_to_json'
+cold_docs='trace_entry_to_json\|trace_to_json\|schema_to_json\|predicate_to_json\|template_to_json'
+written() {
+  sed '/#\[cfg(test)\]/,$d' "$1" | sed "/^\(pub \)\?fn \($tree_oracle\|$cold_docs\)(/,/^}/d" | sed "s|^|$1: |"
+}
+if written crates/server/src/persist.rs | grep 'Json::obj(\|Json::Arr(\|\.encode()' \
+  || written crates/server/src/wire.rs | grep 'Json::obj(\|Json::Arr(\|\.encode()' \
+  || sed -n '/^\/\/ ---- Writer/,/^\/\/ ---- [A-VX-Z]/p' crates/docstore/src/json.rs | grep -n 'format!(' \
+  || grep -rn "encode_with_member" crates src examples tests; then
+  echo "check.sh: a frame or record built as a Json tree, or a format! in the writer; write it with docstore::JsonWriter" >&2
   exit 1
 fi
 
