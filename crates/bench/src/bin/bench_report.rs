@@ -399,13 +399,9 @@ fn overload_suite(quick: bool) -> Vec<ScenarioReport> {
         ramp_opts.overload.max_queue = 4;
         reports.push(run_schedule(&openloop::ramp(seed, 16, 96, 400), &ramp_opts));
 
-        let mut stall_opts = HarnessOptions::tiny(8, 8);
-        stall_opts.overload.writer_pace = Some(std::time::Duration::from_millis(100));
-        stall_opts.overload.write_buffer_frames = 4;
-        stall_opts.overload.evict_after = std::time::Duration::from_millis(50);
         reports.push(run_schedule(
             &openloop::stalled_reader(seed, 8, 8, 400, 2),
-            &stall_opts,
+            &HarnessOptions::stalled(8, 8),
         ));
 
         reports.push(run_schedule(

@@ -46,6 +46,10 @@ pub struct HarnessOptions {
     pub batch: BatchOptions,
     /// Per-client reconnect/retry budget (also the overload retry budget).
     pub max_attempts: u32,
+    /// Bytes of padding on every row anchor. A row's later cells repeat
+    /// its anchor, so every message about the row carries about this much
+    /// per filled cell; 0 keeps messages small.
+    pub anchor_padding: usize,
 }
 
 impl HarnessOptions {
@@ -61,14 +65,30 @@ impl HarnessOptions {
                 retry_after_base: Duration::from_millis(5),
                 write_buffer_frames: 8,
                 evict_after: Duration::from_millis(150),
-                writer_pace: None,
             },
             batch: BatchOptions {
                 max_batch: 16,
                 max_wait: Duration::from_millis(2),
             },
             max_attempts: 8,
+            anchor_padding: 0,
         }
+    }
+
+    /// [`tiny`](Self::tiny) for the stalled-reader storm: a seat watermark
+    /// of 4 frames, eviction 50 ms after the downgrade, and anchors padded
+    /// so that what fans out to each stalled reader is more than twice what
+    /// a loopback socket buffers for a peer that reads nothing (≈ 4.2 MB on
+    /// Linux with the default `tcp_wmem` maximum of 4 MB). A row of three
+    /// cells is four messages of 1, 2, 3 and 3 anchors (three fills and
+    /// the completing fill's auto-upvote), so `w × o` fills carry about
+    /// `3 × w × o` anchors: 192 × 64 KB ≈ 12 MB for 8 workers × 8 ops.
+    pub fn stalled(workers: usize, ops_per_worker: usize) -> HarnessOptions {
+        let mut opts = HarnessOptions::tiny(workers, ops_per_worker);
+        opts.overload.write_buffer_frames = 4;
+        opts.overload.evict_after = Duration::from_millis(50);
+        opts.anchor_padding = 64 * 1024;
+        opts
     }
 }
 
@@ -294,7 +314,10 @@ fn run_worker(
                     out.op_failures += 1;
                     continue;
                 };
-                let anchor = format!("w{worker_ix}-r{anchored}");
+                let anchor = format!(
+                    "w{worker_ix}-r{anchored}{}",
+                    "~".repeat(opts.anchor_padding)
+                );
                 anchored += 1;
                 let val = Value::text(anchor.clone());
                 let r = if arrival.speculative {
@@ -371,7 +394,8 @@ fn run_worker(
 }
 
 /// A connection that says hello and then never reads: broadcast fan-out
-/// toward it must be absorbed by the seat watermark, not server memory.
+/// toward it fills its socket and then its writer up to the seat
+/// watermark, and no further — the rest is dropped, not held in memory.
 /// The connection is held open until dropped.
 fn stalled_reader_conn(addr: std::net::SocketAddr) -> Option<TcpConn> {
     let conn = TcpConn::connect(addr).ok()?;

@@ -16,7 +16,6 @@
 use crowdfill_bench::overload::{run_schedule, HarnessOptions};
 use crowdfill_obs::trace::dump_on_panic;
 use crowdfill_sim::openloop;
-use std::time::Duration;
 
 fn seeds() -> Vec<u64> {
     let mut s = vec![11, 47];
@@ -91,13 +90,9 @@ fn stalled_readers_are_downgraded_then_evicted() {
     for seed in seeds() {
         dump_on_panic(&format!("stalled-reader-seed{seed}"), || {
             let schedule = openloop::stalled_reader(seed, 8, 8, 400, 2);
-            let mut opts = HarnessOptions::tiny(8, 8);
-            // The deterministic slow-reader lever: every seat's writer
-            // drains at 10 frames/s, so broadcast fan-out outruns the
-            // stalled readers' buffers quickly and on every platform.
-            opts.overload.writer_pace = Some(Duration::from_millis(100));
-            opts.overload.write_buffer_frames = 4;
-            opts.overload.evict_after = Duration::from_millis(50);
+            // Big cells: the fan-out to each stalled reader is more than
+            // twice what its socket buffers, so its writer must fill.
+            let opts = HarnessOptions::stalled(8, 8);
             let report = run_schedule(&schedule, &opts);
             eprintln!("stalled-reader seed {seed}: {report:?}");
             report.assert_invariants();

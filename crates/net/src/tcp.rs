@@ -19,10 +19,10 @@
 //! Nothing is read until the caller asks for a frame, so a consumer that
 //! stops calling `recv` holds at most one read budget of undelivered
 //! frames plus one partial frame; the rest stays in the kernel's socket
-//! buffer, and once that is full TCP flow control pushes back on the peer
-//! (the server's bounded broadcast queue then downgrades the session to
-//! `lagging`, and a `sync` heals it). The connection is never dropped for
-//! slowness on this side.
+//! buffer, and once that is full TCP flow control pushes back on the peer:
+//! the server's bytes wait in its [`FrameWriter`], whose watermark downgrades
+//! the session to `lagging` (broadcasts dropped until a `sync` heals it).
+//! The connection is never dropped for slowness on this side.
 
 use crate::conn::{ConnError, FrameConn};
 use crate::nonblocking::{FrameReader, FrameWriter};

@@ -11,9 +11,10 @@
 //! shed from the queue — both surface as [`SubmitError::Overloaded`]
 //! with a `retry_after` hint scaled by queue depth. Speculative fills
 //! admit against a lower bound so background traffic yields first. On
-//! the fan-out side every connection gets a bounded write buffer; a
-//! reader that falls behind is downgraded to catch-up-via-`sync`
-//! (broadcasts to it are dropped, not buffered) and evicted if it stays
+//! the fan-out side a connection's one outbound buffer — its writer, what
+//! the socket has not taken yet — has a watermark; a reader whose socket
+//! stops taking bytes fills it, is downgraded to catch-up-via-`sync`
+//! (broadcasts to it are dropped, not buffered) and is evicted if it stays
 //! lagging. Because an op is only acked after it is applied and
 //! journaled, shedding/rejecting/evicting can never lose an acked
 //! submission — the property the overload tests pin down.
@@ -62,23 +63,15 @@ pub struct OverloadOptions {
     /// (base × (1 + 4·depth/max_queue)) so clients back off harder the
     /// deeper the queue they were turned away from.
     pub retry_after_base: Duration,
-    /// Bound on each connection's outbound frame buffer. When a reader's
-    /// buffer fills, it is downgraded to lagging: further broadcasts to
-    /// it are counted and dropped, and it is told to catch up via
-    /// `sync`.
+    /// Watermark on each connection's outbound buffer, in frames the
+    /// socket has not taken yet. A broadcast that finds that many waiting
+    /// downgrades the reader to lagging: it is told to catch up via
+    /// `sync`, and further broadcasts to it are counted and dropped.
     pub write_buffer_frames: usize,
     /// How long a connection may stay lagging (buffer still full, no
     /// healing `sync`) before the server disconnects it. The session
     /// survives eviction — the client can reconnect and `resume`.
     pub evict_after: Duration,
-    /// Test/harness lever: the owner shard moves at most one broadcast
-    /// frame per this interval from a connection's queue to its socket (a
-    /// deadline of the shard, nothing sleeps), making "slow reader" a
-    /// deterministic server-side condition instead of a kernel
-    /// socket-buffer race. Acks and other replies are never paced. `None`
-    /// (the default, and the only sensible production setting) writes at
-    /// full speed.
-    pub writer_pace: Option<Duration>,
 }
 
 impl Default for OverloadOptions {
@@ -90,7 +83,6 @@ impl Default for OverloadOptions {
             retry_after_base: Duration::from_millis(25),
             write_buffer_frames: 256,
             evict_after: Duration::from_secs(5),
-            writer_pace: None,
         }
     }
 }

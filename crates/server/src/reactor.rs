@@ -47,9 +47,9 @@
 //!   session's close, or `TcpService::stop` raised the shutdown flag (one
 //!   wake per shard each);
 //! * its nearest deadline ([`Due`]) passed — a connection's
-//!   (`idle_timeout`, a `writer_pace` release, the eviction of a lagging
-//!   session or of a socket that never finished its handshake), the end of
-//!   a batch's `max_wait` window, `Due::Sample` every `sample_period`, a
+//!   (`idle_timeout`, the eviction of a lagging session or of a socket that
+//!   never finished its handshake), the end of a batch's `max_wait`
+//!   window, `Due::Sample` every `sample_period`, a
 //!   durability tick or (with a stopping policy) a progress tick over the
 //!   shard's collections, or `Due::Accept`, the end of the back-off after
 //!   a failed `accept` — kept in a heap so the wait's timeout is one
@@ -86,12 +86,12 @@
 //!    makes a second one), shed what outwaited `shed_after`, take the
 //!    backend lock **once**, [`submit_batch`](crate::Backend::submit_batch)
 //!    — one journal frame, one fsync — and read every attached session's undelivered log suffix
-//!    under the same lock. Then encode: broadcasts into the recipients'
-//!    bounded queues, acks into the authors' writers.
+//!    under the same lock. Then encode, batch by batch: acks into the
+//!    authors' writers, then each broadcast, encoded once, into every
+//!    recipient's writer.
 //! 3. **Finish** the collection's connections — recipients first, authors
 //!    last, so an action is on its peers' sockets no later than its author
-//!    is told — then every other served connection: drain its broadcast
-//!    queue into the writer, honoring `writer_pace`; run the eviction clock
+//!    is told — then every other served connection: run the eviction clock
 //!    of a lagging one; flush the writer as far as the socket accepts;
 //!    close it if it said `bye`, hung up, or sat idle; else re-arm its
 //!    epoll interest (read unless the peer is done sending, write only
@@ -102,18 +102,19 @@
 //!
 //! ## Slow readers
 //!
-//! Broadcasts to a session go through a bounded queue of encoded frames in
-//! front of its writer (`write_buffer_frames`): overflowing it downgrades
-//! the session to *lagging* — further broadcasts are counted and dropped,
-//! the client is told (`lagging`) once the queue makes progress, and a
-//! `sync` heals it, replaying exactly what was dropped. `writer_pace`
-//! spaces consecutive broadcast frames. The overflow starts the eviction
-//! clock; `evict_after` later the connection's deadline fires and the
-//! shard closes it unless a `sync` healed it first. A socket that has not
-//! completed its handshake `evict_after` after it was accepted goes the same
-//! way: a peer that never says `hello` does not hold a descriptor for good.
-//! Acks and other replies go straight to the [`FrameWriter`]: they are
-//! neither bounded by the queue nor paced.
+//! A connection has one outbound buffer, its [`FrameWriter`]: what the
+//! socket has not taken yet waits there. A broadcast that finds the writer
+//! already holding `write_buffer_frames` frames downgrades the session to
+//! *lagging*: the client is told at once (`lagging`, right behind the last
+//! broadcast it was sent), that broadcast and later ones are counted and
+//! dropped, and a `sync` heals it, replaying exactly what was dropped. The downgrade
+//! starts the eviction clock; `evict_after` later the connection's deadline
+//! fires and the shard closes it unless a `sync` healed it first. A socket
+//! that has not completed its handshake `evict_after` after it was accepted
+//! goes the same way: a peer that never says `hello` does not hold a
+//! descriptor for good. Acks and other replies are never dropped: they go
+//! into the writer whatever it holds, and count against the watermark for
+//! the broadcasts behind them.
 //!
 //! ## Per-collection fairness
 //!
@@ -140,7 +141,7 @@ use crowdfill_obs::trace as obstrace;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::WorkerId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -419,38 +420,36 @@ struct Session {
     /// A submit/modify of this connection sits in the collection's queue:
     /// its later frames wait, so replies stay in request order.
     awaiting: bool,
-    /// Encoded broadcast frames waiting for the writer, at most
-    /// `write_buffer_frames`.
-    queue: VecDeque<String>,
-    /// Lagging, and the eviction clock: when `queue` overflowed. Until a
-    /// `sync` clears it, broadcasts to this connection are counted and
-    /// dropped — the client's exact-seq tracking means a later
+    /// Lagging, and the eviction clock: when a broadcast found the writer
+    /// full. Until a `sync` clears it, broadcasts to this connection are
+    /// counted and dropped — the client's exact-seq tracking means a later
     /// `sync`/`resume` replays precisely what was missed.
     lagging_since: Option<Instant>,
-    /// A `lagging` note owed to the client, emitted once the queue makes
-    /// progress.
-    note_pending: bool,
-    /// When the last broadcast frame was popped (drives `writer_pace`).
-    last_broadcast_pop: Option<Instant>,
 }
 
 impl Session {
-    /// Queues one broadcast frame. A full queue downgrades the session to
-    /// lagging: a connection still lagging
+    /// Writes one broadcast frame into the connection's writer. A writer
+    /// already holding `capacity` frames the socket has not taken
+    /// downgrades the session to lagging: a connection still lagging
     /// [`OverloadOptions::evict_after`](crate::OverloadOptions::evict_after)
     /// later is closed (the session survives — the client reconnects and
     /// resumes).
-    fn enqueue_broadcast(&mut self, frame: String, capacity: usize) {
-        if self.lagging_since.is_none() && self.queue.len() < capacity.max(1) {
-            self.queue.push_back(frame);
-            return;
+    fn broadcast(
+        &mut self,
+        writer: &mut FrameWriter,
+        dead: &mut bool,
+        frame: &str,
+        capacity: usize,
+    ) {
+        if self.lagging_since.is_none() && writer.queued_frames() < capacity.max(1) {
+            return queue_encoded(writer, dead, frame);
         }
         // Watermark crossed: stop buffering for this reader. It is told
         // to catch up via `sync` (which also clears the clock); until then
-        // broadcasts to it are dropped, not queued.
+        // broadcasts to it are dropped, not buffered.
         if self.lagging_since.is_none() {
             self.lagging_since = Some(Instant::now());
-            self.note_pending = true;
+            queue_frame(writer, dead, &Reply::Lagging);
             m_lag_downgrades().inc();
             crowdfill_obs::obs_warn!(
                 "server",
@@ -542,22 +541,16 @@ impl ConnState {
     }
 
     /// When this connection next needs a visit that no event will
-    /// announce: its idle timeout, the release of a paced broadcast, or
-    /// its eviction if it is lagging or has not said `hello` yet.
+    /// announce: its idle timeout, or its eviction if it is lagging or has
+    /// not said `hello` yet.
     fn next_deadline(&self, shared: &ServiceShared) -> Option<Instant> {
-        let overload = &shared.options.overload;
+        let evict_after = shared.options.overload.evict_after;
         let idle = shared.options.idle_timeout.map(|t| self.last_activity + t);
-        let (pace, evict) = match &self.phase {
-            Phase::Active(session) => (
-                overload
-                    .writer_pace
-                    .filter(|_| !session.queue.is_empty())
-                    .and_then(|pace| session.last_broadcast_pop.map(|t| t + pace)),
-                session.lagging_since.map(|t| t + overload.evict_after),
-            ),
-            Phase::Handshake => (None, Some(self.opened + overload.evict_after)),
+        let evict = match &self.phase {
+            Phase::Active(session) => session.lagging_since.map(|t| t + evict_after),
+            Phase::Handshake => Some(self.opened + evict_after),
         };
-        [idle, pace, evict].into_iter().flatten().min()
+        idle.into_iter().chain(evict).min()
     }
 }
 
@@ -970,23 +963,8 @@ impl Shard {
                 let settled = owned.pipeline.apply(now, &mut b);
                 (settled, poll_broadcasts(&mut b, &owned.sessions))
             };
-            // Most recipients are owed the same entries (all but the
-            // authors, who miss their own): encoded once, copied after.
-            let mut last: Option<(Vec<u64>, Vec<String>)> = None;
-            for (token, pending) in polled {
-                if let Some(Phase::Active(session)) =
-                    self.conns.get_mut(&token).map(|c| &mut c.phase)
-                {
-                    let seqs: Vec<u64> = pending.iter().map(|m| m.seq).collect();
-                    if last.as_ref().is_none_or(|(same, _)| *same != seqs) {
-                        last = Some((seqs, broadcast_frames(pending)));
-                    }
-                    for frame in &last.as_ref().expect("just set").1 {
-                        session.enqueue_broadcast(frame.clone(), capacity);
-                    }
-                    recipients.push(token);
-                }
-            }
+            // Acks first: an author is told ahead of the batch's
+            // broadcasts, its peers' ops included.
             for answer in settled {
                 // Gone meanwhile: applied all the same, as for any op whose
                 // ack is lost with its connection.
@@ -1003,6 +981,26 @@ impl Shard {
                 // Frames pipelined behind the op can be served now.
                 conn.runnable |= conn.reader.pending_bytes() >= 4;
                 authors.push(answer.ticket);
+            }
+            // Most recipients are owed the same entries (all but the
+            // authors, who miss their own): encoded once, then copied
+            // into each recipient's writer.
+            let mut last: Option<(Vec<u64>, Vec<String>)> = None;
+            for (token, pending) in polled {
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    continue;
+                };
+                let Phase::Active(session) = &mut conn.phase else {
+                    continue;
+                };
+                let seqs: Vec<u64> = pending.iter().map(|m| m.seq).collect();
+                if last.as_ref().is_none_or(|(same, _)| *same != seqs) {
+                    last = Some((seqs, broadcast_frames(pending)));
+                }
+                for frame in &last.as_ref().expect("just set").1 {
+                    session.broadcast(&mut conn.writer, &mut conn.dead, frame, capacity);
+                }
+                recipients.push(token);
             }
         }
         // Recipients first, authors last (one batch has few of those).
@@ -1094,35 +1092,9 @@ fn retire(conn: &mut ConnState, shared: &ServiceShared, owned: &mut [Owned]) {
     crowdfill_obs::obs_debug!("server", "session ended"; worker => worker.0, epoch => epoch);
 }
 
-/// The output half of a visit: broadcasts into the writer, the eviction
-/// clock, the flush, and the close conditions.
+/// The output half of a visit: the eviction clock, the flush, and the
+/// close conditions.
 fn pump(conn: &mut ConnState, shared: &ServiceShared) {
-    // Drain broadcasts into the writer, honoring writer_pace. Only
-    // broadcasts are paced: acks and other replies never enter the queue.
-    if let Phase::Active(session) = &mut conn.phase {
-        let pace = shared.options.overload.writer_pace;
-        let mut popped = false;
-        loop {
-            if let Some(p) = pace {
-                let gated = session.last_broadcast_pop.is_some_and(|t| t.elapsed() < p);
-                if gated || popped {
-                    break; // at most one paced broadcast per visit
-                }
-            }
-            let Some(frame) = session.queue.pop_front() else {
-                break;
-            };
-            queue_encoded(&mut conn.writer, &mut conn.dead, &frame);
-            if conn.dead {
-                return;
-            }
-            session.last_broadcast_pop = Some(Instant::now());
-            popped = true;
-        }
-        if popped && std::mem::take(&mut session.note_pending) {
-            queue_frame(&mut conn.writer, &mut conn.dead, &Reply::Lagging);
-        }
-    }
     // The eviction clock — a lagging session's, or a handshake's from the
     // accept — runs out on the deadline `next_deadline` arms from it.
     let evict_after = shared.options.overload.evict_after;
@@ -1180,8 +1152,8 @@ fn serve_handshake(
             reply,
             ack_hist,
         }) => {
-            // Handshake reply enters the writer FIRST: the single outbound
-            // queue guarantees no broadcast precedes the welcome.
+            // Handshake reply enters the writer FIRST: the connection's one
+            // outbound buffer guarantees no broadcast precedes the welcome.
             queue_encoded(&mut conn.writer, &mut conn.dead, &reply);
             if conn.dead {
                 collection.backend.lock().disconnect_epoch(worker, epoch);
@@ -1201,10 +1173,7 @@ fn serve_handshake(
                 epoch,
                 ack_hist,
                 awaiting: false,
-                queue: VecDeque::new(),
                 lagging_since: None,
-                note_pending: false,
-                last_broadcast_pop: None,
             });
         }
         Err(Some(refusal)) => {

@@ -30,8 +30,8 @@
 //! it. The owner shard applies a batch and, under the same backend lock,
 //! polls every attached worker's cursor ([`poll_broadcasts`]); lock
 //! released, it encodes what each is owed ([`broadcast_frames`]) into its
-//! connection's bounded outbound queue. One stalled reader cannot wedge
-//! that path: it is downgraded to lagging (broadcasts to it dropped,
+//! connection's writer, whose watermark bounds it. One stalled reader cannot
+//! wedge that path: it is downgraded to lagging (broadcasts to it dropped,
 //! healed by `sync`) and eventually evicted (see [`OverloadOptions`]
 //! and DESIGN.md §9). `resume` and `sync` are reads of the same log
 //! ([`catch_up`]): the missing suffix, or — below the compaction horizon,
@@ -141,7 +141,7 @@ pub(crate) fn m_evictions() -> &'static Counter {
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_evictions"))
 }
 
-/// Connections downgraded to lagging (write buffer overflowed).
+/// Connections downgraded to lagging (a broadcast found the writer full).
 pub(crate) fn m_lag_downgrades() -> &'static Counter {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_lag_downgrades"))

@@ -10,6 +10,7 @@
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
 use crowdfill_net::{FaultConfig, FaultyConn, FrameConn, TcpConn};
+use crowdfill_server::wire::Reply;
 use crowdfill_server::{
     Backend, BatchOptions, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, ServiceOptions,
     TaskConfig, TcpService,
@@ -492,26 +493,82 @@ fn sheds_under_burst_without_losing_acks() {
     }
 }
 
+/// A cell this big fills a loopback socket's buffering in a few dozen
+/// broadcasts, so a reader that stops reading backs frames up into the
+/// server's writer quickly.
+const BIG_CELL: usize = 64 * 1024;
+
+/// `tag`, padded with `bytes` more bytes.
+fn padded(tag: &str, bytes: usize) -> String {
+    format!("{tag}-{}", "x".repeat(bytes))
+}
+
+/// Bytes the kernel can hold between the server's writer and a loopback
+/// reader that reads nothing: the sender's buffer grown to its maximum
+/// (`tcp_wmem`) plus the receiver's initial one (`tcp_rmem`, which grows
+/// only as the application reads). 4 MB + 128 KB where the files are not
+/// readable.
+fn socket_buffering() -> usize {
+    let field = |file: &str, i: usize, default: usize| {
+        std::fs::read_to_string(format!("/proc/sys/net/ipv4/{file}"))
+            .ok()
+            .and_then(|t| t.split_whitespace().nth(i)?.parse().ok())
+            .unwrap_or(default)
+    };
+    field("tcp_wmem", 2, 4 << 20) + field("tcp_rmem", 1, 128 << 10)
+}
+
+/// Whether `worker` still has a connection the server counts as its own.
+fn connected(service: &TcpService, worker: crowdfill_pay::WorkerId) -> bool {
+    service
+        .backend()
+        .lock()
+        .connected_workers()
+        .contains(&worker)
+}
+
+/// Polls `done` every few milliseconds for up to `limit`.
+fn eventually(limit: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let until = Instant::now() + limit;
+    loop {
+        if done() {
+            return true;
+        }
+        if Instant::now() >= until {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Fills the first column of some still-empty row with `value`; whether
+/// the fill lands is not this helper's concern.
+fn fill_first_empty(w: &mut RemoteWorker, value: String) {
+    w.absorb_pending();
+    let view = w.view();
+    let table = view.replica().table();
+    let row = view
+        .presented_rows()
+        .iter()
+        .copied()
+        .find(|r| table.get(*r).is_none_or(|e| !e.value.has(ColumnId(0))))
+        .expect("an empty row");
+    tolerate(w.fill(row, ColumnId(0), Value::text(value)), "filling");
+}
+
 /// A reader that stops draining its connection is downgraded to lagging
-/// (bounded buffer, broadcasts dropped and owed via sync) and then evicted;
-/// on its next sync it reconnects, resumes, and converges — with every
-/// fill the server acked along the way still present.
+/// (its socket and then its writer fill up, broadcasts are dropped and
+/// owed via sync) and then evicted; on its next sync it reconnects,
+/// resumes, and converges — with every fill the server acked along the
+/// way still present.
 #[test]
 fn slow_client_is_evicted_then_resumes_and_converges() {
-    let evictions = crowdfill_obs::metrics::counter("crowdfill_server_evictions");
-    let downgrades = crowdfill_obs::metrics::counter("crowdfill_server_lag_downgrades");
-    let (ev_before, dg_before) = (evictions.get(), downgrades.get());
-
     let backend = Backend::new(config(64));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
         overload: crowdfill_server::OverloadOptions {
             write_buffer_frames: 2,
             evict_after: Duration::from_millis(30),
-            // The deterministic slow-reader lever: every seat drains at 20
-            // frames/s, so the stalled observer's buffer overflows without
-            // depending on kernel socket-buffer sizes.
-            writer_pace: Some(Duration::from_millis(50)),
             ..crowdfill_server::OverloadOptions::default()
         },
         ..ServiceOptions::default()
@@ -519,32 +576,43 @@ fn slow_client_is_evicted_then_resumes_and_converges() {
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
 
-    // The observer connects and then never reads a frame.
-    let mut observer = RemoteWorker::connect_with(plain_dialer(addr), policy(1)).unwrap();
-    // The filler keeps broadcast traffic flowing until an eviction lands.
+    // The observer connects and then never reads a frame; its dialer
+    // counts the connections it makes.
+    let dials = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let counted = Arc::clone(&dials);
+    let dialer: Dialer = Box::new(move |_attempt| {
+        counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        TcpConn::connect(addr).map(|c| Box::new(c) as Box<dyn FrameConn>)
+    });
+    let mut observer = RemoteWorker::connect_with(dialer, policy(1)).unwrap();
+    // The filler keeps big broadcasts flowing until the observer's socket
+    // and writer are full and the server has dropped its connection — the
+    // only way an open session with a 30 s idle timeout loses it here is
+    // the lagging downgrade's eviction.
     let mut filler = RemoteWorker::connect_with(plain_dialer(addr), policy(2)).unwrap();
     let mut acked = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut n = 0;
-    while evictions.get() == ev_before {
+    while connected(&service, observer.worker()) {
         assert!(
             Instant::now() < deadline,
-            "no eviction after {n} fills against a paced writer"
+            "no eviction after {n} rounds of {BIG_CELL}-byte fills"
         );
-        fill_recorded(&mut filler, &format!("slow-{n}"), &mut acked);
+        let tag = padded(&format!("slow-{n}"), BIG_CELL);
+        fill_recorded(&mut filler, &tag, &mut acked);
         n += 1;
-        std::thread::sleep(Duration::from_millis(15));
     }
-    assert!(
-        downgrades.get() > dg_before,
-        "eviction without a preceding lagging downgrade"
-    );
     assert!(!acked.is_empty(), "filler never landed a fill");
 
     // The evicted observer heals on its next sync: reconnect, resume,
     // replay exactly the missed suffix.
     observer.sync().unwrap();
     filler.sync().unwrap();
+    assert_eq!(
+        dials.load(std::sync::atomic::Ordering::SeqCst),
+        2,
+        "the observer did not reconnect"
+    );
     let backend = service.backend();
     let b = backend.lock();
     assert!(
@@ -568,14 +636,12 @@ fn slow_client_is_evicted_then_resumes_and_converges() {
 /// writer thread forever.)
 #[test]
 fn stalled_reader_on_quiet_collection_is_evicted_by_deadline() {
+    let evict_after = Duration::from_millis(100);
     let backend = Backend::new(config(64));
     let options = ServiceOptions {
         overload: crowdfill_server::OverloadOptions {
             write_buffer_frames: 2,
-            evict_after: Duration::from_millis(100),
-            // Slow enough that a quick burst of fills overflows the
-            // observer's 2-frame buffer before the writer drains anything.
-            writer_pace: Some(Duration::from_millis(300)),
+            evict_after,
             ..crowdfill_server::OverloadOptions::default()
         },
         ..ServiceOptions::default()
@@ -587,36 +653,105 @@ fn stalled_reader_on_quiet_collection_is_evicted_by_deadline() {
     let observer = TcpConn::connect(addr).unwrap();
     let hello = crowdfill_server::wire::Request::Hello(None);
     observer.send(hello.encode().as_bytes()).unwrap();
-    observer.recv().expect("welcome");
+    let welcome = observer.recv().expect("welcome");
+    let welcome = crowdfill_server::wire::parse_frame(&welcome).unwrap();
+    let Ok(Reply::Welcome(_, observer_id, ..)) = Reply::decode(&welcome) else {
+        panic!("expected a welcome");
+    };
 
-    // A burst of fills overflows the observer's buffer (downgrade to
-    // lagging, eviction clock starts) — and then the collection goes
-    // completely quiet: no broadcast ever reaches the seat's enqueue path
-    // again, so only the shard's deadline can run the eviction clock out.
+    // One big fill at a time, each followed by a quiet spell: the fill
+    // that finds the observer's writer full downgrades it (eviction clock
+    // starts), and then the collection is completely quiet — no broadcast
+    // reaches the seat's enqueue path, so only the shard's deadline can
+    // run the eviction clock out within the spell. Cells of 16 × BIG_CELL
+    // fill the socket's buffering in a handful of spells.
+    let cell = 16 * BIG_CELL;
     let mut filler = RemoteWorker::connect_with(plain_dialer(addr), policy(3)).unwrap();
-    let mut acked = Vec::new();
-    for n in 0..8 {
-        fill_recorded(&mut filler, &format!("quiet-{n}"), &mut acked);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut n = 0;
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "no eviction after {n} fills of {cell} bytes"
+        );
+        fill_first_empty(&mut filler, padded(&format!("quiet-{n}"), cell));
+        n += 1;
+        assert!(
+            connected(&service, observer_id),
+            "the stalled reader was evicted while broadcasts still flowed: \
+             the eviction clock must be deadline-driven, not enqueue-driven"
+        );
+        if eventually(evict_after * 3, || !connected(&service, observer_id)) {
+            break;
+        }
     }
-    assert!(!acked.is_empty(), "filler never landed a fill");
 
+    // Eviction shows up as the server closing the socket: the reader sees
+    // whatever the kernel still held, then the end.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let evicted = loop {
-        // Drain whatever the paced writer already delivered; eviction shows
-        // up as the server closing the socket (reader sees EOF).
+    let closed = loop {
         match observer.recv_timeout(Duration::from_millis(100)) {
             Ok(_) => {}
-            Err(crowdfill_net::ConnError::Empty) => {
-                if Instant::now() > deadline {
-                    break false;
-                }
-            }
+            Err(crowdfill_net::ConnError::Empty) if Instant::now() < deadline => {}
+            Err(crowdfill_net::ConnError::Empty) => break false,
             Err(_) => break true,
         }
     };
+    assert!(closed, "the evicted reader's socket was never closed");
+}
+
+/// The slow-reader bound holds under the defaults, with no lever: a reader
+/// that takes its `welcome` and then reads nothing, while another worker
+/// makes more big fills than the socket and a full writer can hold, is
+/// downgraded to lagging. When it drains its socket at last it finds the
+/// `lagging` note, and fewer broadcasts than there were fills. (The
+/// process-global `crowdfill_server_lag_downgrades` would say the same, but
+/// the other tests of this binary move it concurrently; the connection's
+/// own frames do not move.)
+#[test]
+fn a_reader_that_never_reads_is_bounded_under_default_options() {
+    let options = ServiceOptions::default();
+    let watermark = options.overload.write_buffer_frames;
+    // Twice what the kernel can hold, on top of a full writer.
+    let fills = watermark + 2 * socket_buffering() / BIG_CELL;
+    let backend = Backend::new(config(fills + 8));
+    let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
+    let addr = service.addr();
+
+    let observer = TcpConn::connect(addr).unwrap();
+    let hello = crowdfill_server::wire::Request::Hello(None);
+    observer.send(hello.encode().as_bytes()).unwrap();
+    observer.recv().expect("welcome");
+
+    let mut filler = RemoteWorker::connect(addr).unwrap();
+    for n in 0..fills {
+        fill_first_empty(&mut filler, padded(&format!("stalled-{n}"), BIG_CELL));
+    }
+
+    let (mut broadcasts, mut lagging) = (0, false);
+    loop {
+        match observer.recv_timeout(Duration::from_millis(500)) {
+            Ok(frame) => {
+                let json = crowdfill_server::wire::parse_frame(&frame).unwrap();
+                match Reply::decode(&json).unwrap() {
+                    Reply::Msg(_) => broadcasts += 1,
+                    Reply::Batch(msgs) => broadcasts += msgs.len(),
+                    Reply::Lagging => lagging = true,
+                    _ => {}
+                }
+            }
+            Err(crowdfill_net::ConnError::Empty) => break,
+            Err(e) => panic!("the observer's connection failed while draining: {e}"),
+        }
+    }
     assert!(
-        evicted,
-        "stalled reader was never evicted without broadcast traffic \
-         (eviction clock must be deadline-driven, not enqueue-driven)"
+        lagging,
+        "no lagging note after {fills} fills ({broadcasts} broadcasts delivered)"
     );
+    assert!(
+        broadcasts < fills,
+        "all {broadcasts} broadcasts were buffered for a reader that read nothing"
+    );
+    filler.bye();
+    service.stop();
 }

@@ -182,6 +182,15 @@ if written crates/server/src/persist.rs | grep 'Json::obj(\|Json::Arr(\|\.encode
   echo "check.sh: a frame or record built as a Json tree, or a format! in the writer; write it with docstore::JsonWriter" >&2
   exit 1
 fi
+# One outbound buffer (DESIGN.md §9): a connection's broadcasts go
+# straight into its `FrameWriter`, and the slow-reader watermark is judged
+# there, on the frames the socket has not taken — no queue of encoded
+# frames sits in front of it, and no lever paces the writer.
+if grep -rn "writer_pace" crates src tests \
+  || sed '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs | grep -n "VecDeque<String>"; then
+  echo "check.sh: a second outbound buffer or a paced writer; write broadcasts into the connection's FrameWriter" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
