@@ -13,7 +13,7 @@
 //! ```
 
 use crowdfill_bench::connscale::collection_backends;
-use crowdfill_server::{ReactorOptions, ServiceOptions, TcpService};
+use crowdfill_server::{ServiceOptions, TcpService};
 use std::io::{Read, Write};
 
 fn usage() -> ! {
@@ -59,7 +59,7 @@ fn main() {
         }
     }
     let options = ServiceOptions {
-        reactor: ReactorOptions { shards },
+        shards,
         ..ServiceOptions::default()
     };
     let backends = collection_backends(collections, workers, fills);

@@ -1,9 +1,9 @@
 //! End-to-end health smoke test: a seeded fill workload against a real
-//! [`TcpService`] with the telemetry sampler on, asserting the acceptance
+//! [`TcpService`] under the default options, asserting the acceptance
 //! property of PR 6 — the `{"type":"health"}` wire request returns a
 //! report whose per-collection completeness matches ground truth, whose
 //! per-worker rows carry ops/latency/lag, whose SLO section is populated
-//! from the service's sampler ring, and whose replica lag drains to zero
+//! from the service's reading ring, and whose replica lag drains to zero
 //! once a lagging replica syncs. PR 10 extends the gate with the §15
 //! progress section: it must be populated over the real wire path, and
 //! the species estimate must converge to completeness ≈ 1.0 (truth inside
@@ -11,14 +11,13 @@
 //! coverage — duplicate observations are the estimator's evidence of
 //! saturation.
 //!
-//! One `#[test]` on purpose: the metrics registry and the sampler are
+//! One `#[test]` on purpose: the metrics registry and the reading ring are
 //! process-global, and parallel tests would contaminate the deltas.
 
 use crowdfill_bench::workload::pipeline_config;
 use crowdfill_model::{ColumnId, Value};
-use crowdfill_server::{
-    Backend, BatchOptions, RemoteWorker, ServiceOptions, TcpService, TelemetryOptions,
-};
+use crowdfill_obs::timeseries::PERIOD;
+use crowdfill_server::{Backend, BatchOptions, RemoteWorker, ServiceOptions, TcpService};
 use std::time::Duration;
 
 const ROWS: usize = 12;
@@ -33,11 +32,6 @@ fn health_report_matches_ground_truth() {
             max_batch: 8,
             max_wait: Duration::from_millis(1),
         },
-        // A fast sampler so the SLO window has real ticks within the test.
-        telemetry: Some(TelemetryOptions {
-            sample_period: Duration::from_millis(10),
-            ..TelemetryOptions::default()
-        }),
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
@@ -71,9 +65,9 @@ fn health_report_matches_ground_truth() {
         filler.absorb_pending();
     }
 
-    // Let the sampler take a few ticks so windowed rates and SLO burn
-    // gauges are computed over real samples.
-    std::thread::sleep(Duration::from_millis(60));
+    // One period on, the `health` request's own wake takes a reading
+    // past the fills, so the SLO window covers them.
+    std::thread::sleep(PERIOD);
 
     // First health read: the filler has confirmed nothing since connect, so
     // its server-side replica lag is exactly its own ROWS accepted fills.
@@ -118,7 +112,7 @@ fn health_report_matches_ground_truth() {
         "observer absorbed nothing yet"
     );
 
-    // The service's static SLO specs are evaluated over its sampler ring.
+    // The service's static SLO specs are evaluated over its reading ring.
     // The ok-assertion is limited to those: the two progress objectives
     // (`burn_to_target`, `completeness_target`) are computed from this
     // collection's own `progress` section, read off the owner shard's

@@ -7,8 +7,8 @@
 //! *reliable* and *in-order per connection*. Both transports guarantee
 //! them:
 //!
-//! * [`LocalConn`] — an in-process duplex channel (crossbeam), used by the
-//!   discrete-event simulator and in-process deployments;
+//! * [`LocalConn`] — an in-process duplex channel (crossbeam), which the
+//!   client-loop tests dial a `RemoteWorker` onto in place of a socket;
 //! * [`TcpConn`]/[`TcpServer`] — length-prefixed frames over TCP
 //!   (`std::net`, no async runtime, no thread: a `TcpConn` reads its own
 //!   socket on the caller's thread), the blocking client transport of the

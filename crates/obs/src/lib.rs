@@ -23,8 +23,8 @@
 //!   bands, for the progress/auto-stop layer (DESIGN.md §15).
 //! * [`timeseries`] — a [`ReadingRing`](timeseries::ReadingRing) of
 //!   cumulative readings of the instruments the service's objectives
-//!   name, sampled on its owner's clock (no thread of its own); a window
-//!   is the difference of two readings, and
+//!   name, taken on the owner's wakes (no thread or clock of its own);
+//!   a window is the difference of two readings, and
 //!   [`SloStatus`](timeseries::SloStatus) scores an objective and its
 //!   burn rate.
 //! * [`trace`] — causal per-op tracing: deterministic

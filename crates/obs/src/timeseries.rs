@@ -5,11 +5,15 @@
 //! budget". A [`ReadingRing`] holds timestamped *cumulative* readings of
 //! the three instruments the objectives name — a latency histogram, a
 //! shed counter and a submit counter ([`SloInstruments`]), resolved once
-//! as `Arc`s — so a tick costs the same however many instruments the
-//! registry holds. Whoever owns the ring calls [`ReadingRing::sample`] on
-//! its own clock: the server does it from a deadline of a reactor shard,
-//! this module starts no thread. When nobody samples nothing in this
-//! module runs, and recording paths are untouched.
+//! as `Arc`s — so a reading costs the same however many instruments the
+//! registry holds. A reading stands for a boundary `k·`[`PERIOD`] of its
+//! owner's clock. The owner calls [`ReadingRing::advance`] at the top of
+//! every wake that can move the instruments, before it moves them: the
+//! server does so on every reactor shard wake. The ring then holds what a
+//! sampler firing at every boundary would hold, less runs of equal
+//! readings, so every window reads the same — and an idle owner takes no
+//! reading at all. This module starts no thread and keeps no clock, and
+//! recording paths are untouched.
 //!
 //! A window is a difference ([`ReadingRing::window`]): the newest reading
 //! minus the newest reading at or before the window's start. Counters and
@@ -17,8 +21,8 @@
 //! recorded in the window, bucket for bucket, and its quantiles come from
 //! the one shared [`HistogramSnapshot::quantile`] estimator. The ring
 //! starts with a zero reading that stands for the time before the first
-//! tick, and keeps one reading past its capacity that stands for the
-//! ticks it evicted. A histogram's `max` is cumulative (per-interval
+//! reading, and keeps one reading past its capacity that stands for the
+//! readings it evicted. A histogram's `max` is cumulative (per-interval
 //! maxima are not recoverable from the atomics), so a windowed quantile is
 //! capped by the lifetime max — still a valid upper bound.
 //!
@@ -28,12 +32,18 @@
 //! writes nothing.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::metrics::{Counter, Histogram, HistogramSnapshot};
+
+/// The spacing of the boundaries [`ReadingRing::advance`] stamps readings
+/// at.
+pub const PERIOD: Duration = Duration::from_millis(250);
+const PERIOD_NS: u64 = PERIOD.as_nanos() as u64;
 
 /// The instruments a [`ReadingRing`] reads.
 #[derive(Debug, Clone)]
@@ -92,12 +102,17 @@ impl Reading {
 }
 
 /// Bounded, thread-safe ring of [`Reading`]s, oldest first: a base
-/// reading plus the newest `capacity` ticks.
+/// reading plus the newest `capacity` readings.
 #[derive(Debug)]
 pub struct ReadingRing {
     instruments: SloInstruments,
     capacity: usize,
     readings: Mutex<VecDeque<Reading>>,
+    /// The [`PERIOD`] slot of the newest reading: what lets
+    /// [`advance`](Self::advance) on an up-to-date ring skip the lock. Written
+    /// under it; it publishes nothing else (the readings are the lock's),
+    /// and a stale load only sends `advance` to the lock, so `Relaxed`.
+    newest_slot: AtomicU64,
 }
 
 impl ReadingRing {
@@ -109,6 +124,7 @@ impl ReadingRing {
             instruments,
             capacity,
             readings: Mutex::new(readings),
+            newest_slot: AtomicU64::new(0),
         }
     }
 
@@ -116,7 +132,7 @@ impl ReadingRing {
         self.capacity
     }
 
-    /// Ticks retained (the base reading is not one).
+    /// Readings retained (the base reading is not one).
     pub fn len(&self) -> usize {
         self.readings.lock().len() - 1
     }
@@ -129,19 +145,63 @@ impl ReadingRing {
     /// across calls) and appends the reading, evicting the oldest past
     /// capacity.
     pub fn sample(&self, at_ns: u64) {
-        let mut reading = Reading {
+        let reading = self.read(at_ns);
+        let mut readings = self.readings.lock();
+        let newest = readings.back().expect("the base reading is never evicted");
+        let at_ns = reading.at_ns.max(newest.at_ns);
+        self.push(&mut readings, Reading { at_ns, ..reading });
+    }
+
+    /// Brings the ring up to `now_ns`, which falls in [`PERIOD`] slot `m`.
+    /// With the newest reading in slot `n < m`, it reads the instruments
+    /// once and appends that reading stamped `(n+1)·PERIOD` and, when
+    /// `m > n+1`, again stamped `m·PERIOD`; with `n ≥ m` it does nothing,
+    /// on one atomic load.
+    ///
+    /// Called before anything of the caller's moves the instruments, this
+    /// leaves the ring with the readings a sampler firing at every
+    /// boundary would have taken, less runs of equal ones: nothing moved
+    /// since the caller's last wake, so every boundary crossed meanwhile
+    /// reads what is read now, and [`window`](Self::window) — the newest
+    /// reading at or before a start — finds the same values either way.
+    pub fn advance(&self, now_ns: u64) {
+        let m = now_ns / PERIOD_NS;
+        if self.newest_slot.load(Ordering::Relaxed) >= m {
+            return;
+        }
+        let mut readings = self.readings.lock();
+        let newest = readings.back().expect("the base reading is never evicted");
+        let n = newest.at_ns / PERIOD_NS;
+        if n >= m {
+            return;
+        }
+        let mut reading = self.read((n + 1) * PERIOD_NS);
+        if m > n + 1 {
+            self.push(&mut readings, reading.clone());
+            reading.at_ns = m * PERIOD_NS;
+        }
+        self.push(&mut readings, reading);
+    }
+
+    /// The instruments' current values, stamped `at_ns`.
+    fn read(&self, at_ns: u64) -> Reading {
+        Reading {
             at_ns,
             latency: self.instruments.latency.snapshot(),
             sheds: self.instruments.sheds.get(),
             submits: self.instruments.submits.get(),
-        };
-        let mut readings = self.readings.lock();
-        let newest = readings.back().expect("the base reading is never evicted");
-        reading.at_ns = reading.at_ns.max(newest.at_ns);
+        }
+    }
+
+    /// Appends `reading` (not older than the newest), evicting the oldest
+    /// past capacity.
+    fn push(&self, readings: &mut VecDeque<Reading>, reading: Reading) {
         if readings.len() > self.capacity {
             readings.pop_front();
         }
+        let slot = reading.at_ns / PERIOD_NS;
         readings.push_back(reading);
+        self.newest_slot.store(slot, Ordering::Relaxed);
     }
 
     /// A copy of the retained readings, the base first.
@@ -242,6 +302,29 @@ mod tests {
         assert_eq!(ring.len(), 3);
         // The evicted ticks are in the base: three increments remain.
         assert_eq!(ring.window(Duration::from_secs(1)).submits, 3);
+    }
+
+    #[test]
+    fn advance_stamps_the_first_and_the_last_boundary_crossed() {
+        let reg = MetricsRegistry::new();
+        let ring = ring(&reg, 16);
+        let submits = reg.counter("crowdfill_test_ts_submits");
+        let p = PERIOD_NS;
+        ring.sample(0);
+        submits.add(5);
+        ring.advance(p - 1); // still slot 0
+        ring.advance(3 * p + 7);
+        ring.advance(3 * p + 9); // slot 3 again
+        submits.add(2);
+        ring.advance(4 * p);
+        let stamps: Vec<(u64, u64)> = ring
+            .readings()
+            .iter()
+            .map(|r| (r.at_ns / p, r.submits))
+            .collect();
+        assert_eq!(stamps, [(0, 0), (0, 0), (1, 5), (3, 5), (4, 7)]);
+        // Boundary 2 was never read; its window reads boundary 1's values.
+        assert_eq!(ring.window(2 * PERIOD).submits, 2);
     }
 
     #[test]

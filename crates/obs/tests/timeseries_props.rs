@@ -3,7 +3,9 @@
 //! whole-registry delta ring it replaced reports
 //! (`support/delta_tracker.rs`, the oracle) — through equal and zero
 //! timestamps, a clock that jumps backwards, windows shorter and longer
-//! than the ring, and rings that have wrapped.
+//! than the ring, and rings that have wrapped. And a ring advanced on the
+//! wakes of its owner reads, window for window, what a ring sampled at
+//! every period boundary reads.
 
 #[path = "support/delta_tracker.rs"]
 mod delta_tracker;
@@ -11,7 +13,7 @@ mod delta_tracker;
 use std::time::Duration;
 
 use crowdfill_obs::metrics::MetricsRegistry;
-use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus};
+use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus, PERIOD};
 use delta_tracker::{DeltaTracker, InstrumentValue, SampleRing, SloSpec};
 use proptest::prelude::*;
 
@@ -73,6 +75,51 @@ fn window() -> impl Strategy<Value = u64> {
         2 => 1u64..400_000_000_000,
         1 => Just(u64::MAX),
     ]
+}
+
+const PERIOD_NS: u64 = PERIOD.as_nanos() as u64;
+
+/// One wake of the ring's owner: how long after the previous one it comes,
+/// what it records after its ring call, and — as a fraction of the longest
+/// window the ring answers exactly — the window a `health` request in it
+/// reads, if one does.
+#[derive(Debug, Clone)]
+struct OwnerWake {
+    gap_ns: u64,
+    latencies: Vec<u64>,
+    sheds: u64,
+    submits: u64,
+    query: Option<f64>,
+}
+
+fn owner_wake() -> impl Strategy<Value = OwnerWake> {
+    // Back to back, within a period, across a few, and past the span of
+    // the largest ring below (24 periods).
+    let gap = prop_oneof![
+        2 => Just(0u64),
+        3 => 1u64..PERIOD_NS,
+        3 => 1u64..4 * PERIOD_NS,
+        1 => 1u64..40 * PERIOD_NS,
+    ];
+    let query = prop_oneof![
+        2 => Just(None),
+        2 => (0.0f64..=1.0).prop_map(Some),
+        1 => Just(Some(1.0)),
+    ];
+    (
+        gap,
+        proptest::collection::vec(1u64..2_000_000_000, 0..4),
+        0u64..3,
+        0u64..20,
+        query,
+    )
+        .prop_map(|(gap_ns, latencies, sheds, submits, query)| OwnerWake {
+            gap_ns,
+            latencies,
+            sheds,
+            submits,
+            query,
+        })
 }
 
 /// The objectives as the oracle declared them.
@@ -184,6 +231,49 @@ proptest! {
                     Some(merged) => prop_assert_eq!(merged, moved.latency),
                     None => prop_assert_eq!(moved.latency.count, 0),
                 }
+            }
+        }
+    }
+
+    /// The reading rule: a ring whose owner calls `advance` at the top of
+    /// each wake, before the wake records anything, answers every window
+    /// up to `(capacity − 1)·PERIOD` with the reading — bit for bit — of a
+    /// ring sampled at every period boundary the clock crosses.
+    #[test]
+    fn wake_sampled_ring_matches_a_per_period_ring(
+        wakes in proptest::collection::vec(owner_wake(), 0..80),
+        capacity in 2usize..24,
+    ) {
+        let reg = MetricsRegistry::new();
+        let ack = reg.histogram(ACK);
+        let (sheds, submits) = (reg.counter(SHEDS), reg.counter(SUBMITS));
+        let instruments = SloInstruments {
+            latency: ack.clone(),
+            sheds: sheds.clone(),
+            submits: submits.clone(),
+        };
+        let ring = ReadingRing::new(instruments.clone(), capacity);
+        let oracle = ReadingRing::new(instruments, capacity);
+        // The reading a service takes at its start.
+        ring.sample(0);
+        oracle.sample(0);
+        let longest = (capacity as u64 - 1) * PERIOD_NS;
+        let (mut now, mut crossed) = (0u64, 0u64);
+        for wake in &wakes {
+            now += wake.gap_ns;
+            while crossed < now / PERIOD_NS {
+                crossed += 1;
+                oracle.sample(crossed * PERIOD_NS);
+            }
+            ring.advance(now);
+            for &v in &wake.latencies {
+                ack.record(v);
+            }
+            sheds.add(wake.sheds);
+            submits.add(wake.submits);
+            if let Some(fraction) = wake.query {
+                let window = Duration::from_nanos((longest as f64 * fraction) as u64);
+                prop_assert_eq!(ring.window(window), oracle.window(window), "{:?}", window);
             }
         }
     }

@@ -161,14 +161,14 @@ pub struct HealthReport {
     /// reports parsed from pre-§15 senders.
     pub progress: Option<ProgressReport>,
     /// Empty unless the caller layers SLO statuses in (the TCP service
-    /// evaluates its specs over the sampler ring, and the progress
+    /// evaluates its specs over the reading ring, and the progress
     /// objectives over `progress`, and attaches them).
     pub slos: Vec<SloHealth>,
 }
 
 /// A report over a fresh fold of the whole log, progress toward
 /// [`DEFAULT_TARGET`]. SLOs are left empty — they live in the transport
-/// layer, which owns the sampler ring.
+/// layer, which owns the reading ring.
 pub fn collect(backend: &Backend) -> HealthReport {
     let mut fold = ProgressTracker::new();
     fold.advance(backend);

@@ -58,10 +58,8 @@ pub use progress::{
     ColumnProgress, ProgressReport, ProgressTracker, StopAction, StopDecision, StoppingPolicy,
     DEFAULT_TARGET,
 };
-pub use reactor::ReactorOptions;
 pub use recommend::{Recommendation, RecommendationKind};
 pub use tcp_service::{
-    Collection, DurabilitySweepOptions, ProgressOptions, ServiceOptions, TcpService,
-    TelemetryOptions, DEFAULT_COLLECTION,
+    Collection, DurabilitySweepOptions, ServiceOptions, TcpService, DEFAULT_COLLECTION,
 };
 pub use worker_client::{Outgoing, WorkerClient};

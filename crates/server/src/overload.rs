@@ -4,8 +4,9 @@
 //!
 //! The model (DESIGN.md §9) in one paragraph: the server admits what it
 //! can serve and sheds the rest *before* acknowledging it. Control
-//! traffic (resume/sync/stats) is answered directly under the backend
-//! lock and never queues, so recovery always gets through. Submissions
+//! traffic (resume/sync/stats/health) is answered on the spot by the shard
+//! that read it — `stats` without taking the backend lock, the others
+//! under it — and never queues, so recovery always gets through. Submissions
 //! queue in a bounded pipeline; when the queue is full they are rejected
 //! at the door, and when a queued op waits longer than its budget it is
 //! shed from the queue — both surface as [`SubmitError::Overloaded`]
@@ -26,9 +27,10 @@ use std::time::Duration;
 /// Admission class of a piece of inbound traffic, highest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
-    /// Session recovery and read-only catch-up (`resume`/`sync`/`stats`).
-    /// Handled outside the pipeline queue: never admission-rejected,
-    /// never shed. Overloaded clients must always be able to heal.
+    /// Session recovery, read-only catch-up and reports
+    /// (`resume`/`sync`/`stats`/`health`). Answered on the spot, outside
+    /// the pipeline queue: never admission-rejected, never shed.
+    /// Overloaded clients must always be able to heal.
     Control,
     /// Ordinary submissions (fills, votes, modifies). Admitted while the
     /// pipeline queue has room.

@@ -22,15 +22,13 @@
 //! and a progress tick both advance — is a field of [`Owned`].
 //!
 //! One shard is also the *acceptor*: the lowest-indexed one that owns a
-//! collection. The listening socket is one more fd in its epoll set, and it
-//! takes the telemetry reading
-//! ([`ReadingRing::sample`](crowdfill_obs::timeseries::ReadingRing::sample))
-//! that `health` requests on any shard read through the shared ring. The acceptor knows no collection
-//! until it has read the `hello`/`resume`; if that names one it does not
-//! own, it deregisters the socket and hands the whole connection, with the
-//! decoded request, to the owner over its wake queue ([`Wake::HandOver`]) —
-//! one hop, once per connection, and none at all on a service with one
-//! collection. The shards are all the threads there are.
+//! collection. The listening socket is one more fd in its epoll set. The
+//! acceptor knows no collection until it has read the `hello`/`resume`; if
+//! that names one it does not own, it deregisters the socket and hands the
+//! whole connection, with the decoded request, to the owner over its wake
+//! queue ([`Wake::HandOver`]) — one hop, once per connection, and none at
+//! all on a service with one collection. The shards are all the threads
+//! there are.
 //!
 //! ## What wakes a shard
 //!
@@ -49,14 +47,22 @@
 //! * its nearest deadline ([`Due`]) passed — a connection's
 //!   (`idle_timeout`, the eviction of a lagging session or of a socket that
 //!   never finished its handshake), the end of a batch's `max_wait`
-//!   window, `Due::Sample` every `sample_period`, a
-//!   durability tick or (with a stopping policy) a progress tick over the
-//!   shard's collections, or `Due::Accept`, the end of the back-off after
-//!   a failed `accept` — kept in a heap so the wait's timeout is one
-//!   `peek`; with no deadline pending the wait has no timeout. A shard
-//!   never sleeps: a listener that cannot accept (`EMFILE`) loses its read
-//!   interest until `Due::Accept` gives it back, 10 ms later, doubling up
-//!   to 1 s.
+//!   window, a durability tick (on a shard owning a collection with
+//!   storage) or a progress tick (with a stopping policy) over the shard's
+//!   collections, or `Due::Accept`, the end of the back-off after a failed
+//!   `accept` — kept in a heap so the wait's timeout is one `peek`; with no
+//!   deadline pending the wait has no timeout. A deadline that was
+//!   superseded (re-armed, or voided by a completed handshake) is dropped
+//!   before the wait, so it ends none. A shard never sleeps: a listener
+//!   that cannot accept (`EMFILE`) loses its read interest until
+//!   `Due::Accept` gives it back, 10 ms later, doubling up to 1 s.
+//!
+//! Nothing else is periodic. The service objectives' readings
+//! ([`ReadingRing::advance`](crowdfill_obs::timeseries::ReadingRing::advance))
+//! are taken at the top of every wake, before it records anything, on
+//! whichever shard it is — the only place their instruments move — and
+//! `health` requests on any shard read them through the shared ring. So a
+//! default service with nothing to do never wakes.
 //!
 //! ## What a wake does
 //!
@@ -193,27 +199,6 @@ const COLLECTION_FRAMES_PER_WAKE: usize = 64;
 /// Max bytes read from one socket per visit.
 const READ_BUDGET: usize = 64 * 1024;
 
-/// Tunables for the sharded reactor (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub struct ReactorOptions {
-    /// Number of shard threads; `0` (the default) picks one per available
-    /// core, capped at 4 (a shard is syscall-bound, more shards only
-    /// shuffle work).
-    pub shards: usize,
-}
-
-impl ReactorOptions {
-    pub(crate) fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 4)
-    }
-}
-
 /// The shard, of `shards`, that owns `collection`.
 pub(crate) fn owner_shard(collection: &str, shards: usize) -> usize {
     let mut hasher = DefaultHasher::new();
@@ -250,6 +235,9 @@ const ACCEPTS_PER_WAKE: usize = 64;
 /// doubling per consecutive failure up to 1 s; a success starts over.
 const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// How often the progress tick runs, with a stopping policy set.
+const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
 
 /// The back-off after the one that was `wait`.
 fn next_backoff(wait: Duration) -> Duration {
@@ -308,8 +296,6 @@ pub(crate) fn start_shards(
 ) -> std::io::Result<(Vec<std::thread::JoinHandle<()>>, Vec<ShardWake>)> {
     let n = owned.len();
     let options = &shared.options;
-    let telemetry = options.telemetry.as_ref();
-    let progress = telemetry.and_then(|t| t.progress.as_ref());
     listener.set_nonblocking().map_err(std::io::Error::other)?;
     let mut acceptor = Some(Acceptor {
         listener,
@@ -327,22 +313,23 @@ pub(crate) fn start_shards(
     let mut handles = Vec::with_capacity(n);
     let now = Instant::now();
     for (index, (poller, owned)) in pollers.into_iter().zip(owned).enumerate() {
-        // What is periodic is a deadline: the sample at once, a tick one
-        // interval from now; a shard that owns nothing has neither.
+        // What is periodic is a deadline, one interval from now, and only
+        // where it has something to do: a durability tick where a
+        // collection keeps checkpoints, a progress tick where a stopping
+        // policy has something to decide.
         let mut timers = BinaryHeap::new();
         let acceptor = acceptor.take_if(|_| !owned.is_empty());
         if let Some(acceptor) = &acceptor {
             poller
                 .register(&acceptor.listener, LISTEN_TOKEN, Interest::READ)
                 .map_err(|e| stop_spawned(&shared, &wakes, &mut handles, e))?;
-            timers.extend(telemetry.map(|_| Reverse((now, Due::Sample))));
         }
-        if !owned.is_empty() {
-            let durability = options.durability.as_ref();
-            timers.extend(durability.map(|d| Reverse((now + d.interval, Due::Durability))));
-            // A progress tick without a policy would decide nothing.
-            let progress = progress.filter(|p| p.policy.is_some());
-            timers.extend(progress.map(|p| Reverse((now + p.interval, Due::Progress))));
+        if owned.iter().any(|(c, _)| c.backend.lock().has_snapshots()) {
+            let at = now + options.durability.interval;
+            timers.push(Reverse((at, Due::Durability)));
+        }
+        if options.stopping.is_some() && !owned.is_empty() {
+            timers.push(Reverse((now + PROGRESS_INTERVAL, Due::Progress)));
         }
         let owned = owned.into_iter().map(|(collection, pipeline)| Owned {
             collection,
@@ -578,11 +565,11 @@ enum Due {
     /// The end of the back-off after a failed `accept`: the listener gets
     /// its read interest back.
     Accept,
-    /// The telemetry sample, every `sample_period` (the acceptor's).
-    Sample,
-    /// The durability and the progress tick over the shard's collections,
-    /// every `interval` of theirs; the latter only with a stopping policy.
+    /// The durability tick over the shard's collections, every
+    /// `durability.interval`, on a shard that owns one with storage.
     Durability,
+    /// The progress tick over the shard's collections, every
+    /// `PROGRESS_INTERVAL`, with a stopping policy.
     Progress,
 }
 
@@ -593,7 +580,7 @@ struct Shard {
     /// Every shard's wake queue, this one's at `index`.
     wakes: Vec<ShardWake>,
     shared: Arc<ServiceShared>,
-    /// The listener and the sampler, on the one shard that accepts.
+    /// The listener, on the one shard that accepts.
     acceptor: Option<Acceptor>,
     /// The collections this shard owns; a `Collection::slot` indexes it.
     owned: Vec<Owned>,
@@ -609,8 +596,10 @@ struct Shard {
     /// carried over with runnable work; the wait then does not block.
     run: Vec<u64>,
     /// Pending deadlines, nearest first. A connection's or a batch's
-    /// entry is live only while it equals its owner's `armed`; superseded
-    /// ones are skipped when they surface. A periodic one re-arms itself.
+    /// entry is live only while it equals its owner's `armed`
+    /// ([`Shard::live`]); superseded ones are dropped when they surface,
+    /// and before a wait, so none of them ends one. A periodic one re-arms
+    /// itself.
     timers: BinaryHeap<Reverse<(Instant, Due)>>,
     /// This shard's share of `crowdfill_reactor_conn_visits`.
     visits: Arc<Counter>,
@@ -621,6 +610,13 @@ impl Shard {
         let mut events = Vec::new();
         let mut woken = Vec::new();
         loop {
+            // A superseded deadline ends no wait.
+            while let Some(&Reverse((at, due))) = self.timers.peek() {
+                if self.live(at, due) {
+                    break;
+                }
+                self.timers.pop();
+            }
             let timeout = if !self.run.is_empty() {
                 Some(Duration::ZERO)
             } else {
@@ -632,6 +628,11 @@ impl Shard {
                 .wait(&mut events, timeout)
                 .expect("epoll_wait on the shard's own epoll fd");
             m_wakeups().inc();
+            // Before anything this wake records: see `ReadingRing::advance`.
+            let shared = &self.shared;
+            shared
+                .telemetry
+                .advance(shared.started.elapsed().as_nanos() as u64);
             let mut accept = false;
             for event in &events {
                 match event.token {
@@ -777,24 +778,21 @@ impl Shard {
                 break;
             }
             self.timers.pop();
+            if !self.live(at, due) {
+                continue;
+            }
             match due {
                 Due::Conn(token) => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        if conn.armed == Some(at) {
-                            conn.armed = None;
-                            self.schedule(token, false);
-                        }
-                    }
+                    self.conns.get_mut(&token).expect("live").armed = None;
+                    self.schedule(token, false);
                 }
                 Due::Batch(slot) => {
                     let owned = &mut self.owned[slot];
-                    if owned.armed == Some(at) {
-                        owned.armed = None;
-                        mark_dirty(owned, slot, &mut self.dirty);
-                    }
+                    owned.armed = None;
+                    mark_dirty(owned, slot, &mut self.dirty);
                 }
                 Due::Accept => self.listen(true),
-                Due::Sample | Due::Durability | Due::Progress => {
+                Due::Durability | Due::Progress => {
                     // No period is short enough to spin the shard.
                     let every = self.tick(due).max(Duration::from_millis(1));
                     self.timers.push(Reverse((Instant::now() + every, due)));
@@ -803,14 +801,25 @@ impl Shard {
         }
     }
 
+    /// Whether a deadline still stands: a connection's or a batch's only
+    /// while it is its owner's `armed` (the rest were superseded — re-armed
+    /// earlier, voided by a completed handshake, or their connection is
+    /// gone); any other kind always.
+    fn live(&self, at: Instant, due: Due) -> bool {
+        match due {
+            Due::Conn(token) => self.conns.get(&token).is_some_and(|c| c.armed == Some(at)),
+            Due::Batch(slot) => self.owned[slot].armed == Some(at),
+            Due::Accept | Due::Durability | Due::Progress => true,
+        }
+    }
+
     /// Runs one periodic job; returns its period. A tick is in the heap
-    /// only if its options are set (`start_shards`).
+    /// only where it has something to do (`start_shards`).
     fn tick(&mut self, due: Due) -> Duration {
         let shared = &*self.shared;
-        let telemetry = shared.options.telemetry.as_ref();
         match due {
             Due::Durability => {
-                let options = shared.options.durability.as_ref().expect("armed");
+                let options = &shared.options.durability;
                 let ages = self
                     .owned
                     .iter()
@@ -821,19 +830,16 @@ impl Shard {
                 options.interval
             }
             Due::Progress => {
-                let options = telemetry.and_then(|t| t.progress.as_ref()).expect("armed");
+                let policy = shared
+                    .options
+                    .stopping
+                    .as_ref()
+                    .expect("armed with a policy");
                 for owned in &mut self.owned {
                     let (fold, acted) = (&mut owned.fold, &mut owned.acted);
-                    progress_tick(&owned.collection, options, fold, acted);
+                    progress_tick(&owned.collection, policy, fold, acted);
                 }
-                options.interval
-            }
-            // One reading of the objectives' instruments into the ring
-            // `health` reads.
-            Due::Sample => {
-                let ring = shared.telemetry.as_ref().expect("armed");
-                ring.sample(shared.started.elapsed().as_nanos() as u64);
-                telemetry.expect("armed").sample_period
+                PROGRESS_INTERVAL
             }
             Due::Conn(_) | Due::Batch(_) | Due::Accept => unreachable!("not periodic"),
         }
@@ -1318,8 +1324,10 @@ mod tests {
         let scoring = std::sync::Arc::new(crowdfill_model::QuorumMajority::of_three());
         let template = crowdfill_model::Template::cardinality(1);
         let config = TaskConfig::new(std::sync::Arc::new(schema.unwrap()), scoring, template, 1.0);
-        let mut options = ServiceOptions::default();
-        options.reactor.shards = 4;
+        let options = ServiceOptions {
+            shards: 4,
+            ..ServiceOptions::default()
+        };
         FAIL_SPAWN.with(|at| at.set(Some(3)));
         let started = TcpService::start_with(Backend::new(config), "127.0.0.1:0", options);
         FAIL_SPAWN.with(|at| at.set(None));

@@ -43,9 +43,10 @@
 //!
 //! ## Threads
 //!
-//! The shards, and nothing else: the listening socket, the telemetry
-//! sample and the durability and progress ticks are entries of a shard's
-//! loop (`reactor.rs`), and no connection owns a thread on either end.
+//! The shards, and nothing else: the listening socket and the durability
+//! and progress ticks are entries of a shard's loop (`reactor.rs`), the
+//! telemetry readings are taken on the shards' wakes, and no connection
+//! owns a thread on either end.
 //! *Stop means stopped*: when [`TcpService::stop`] or a drop returns, every
 //! shard has been joined and the port is closed.
 //!
@@ -86,7 +87,7 @@ use crate::batch::{BatchOptions, BatchPipeline};
 use crate::health::SloHealth;
 use crate::overload::OverloadOptions;
 use crate::progress::{ProgressReport, ProgressTracker, StopAction, StoppingPolicy};
-use crate::reactor::{self, ReactorOptions, ShardWake, Wake};
+use crate::reactor::{self, ShardWake, Wake};
 use crate::wire::{CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{ConnError, TcpServer};
 use crowdfill_obs::metrics::{Counter, Histogram};
@@ -203,60 +204,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Live-telemetry configuration: the periodic reading feeding the
-/// `health` request's SLO evaluation (DESIGN.md §11).
-#[derive(Debug, Clone)]
-pub struct TelemetryOptions {
-    /// Period of the reading of the objectives' instruments: a deadline on
-    /// the accepting shard.
-    pub sample_period: Duration,
-    /// Predictive progress (DESIGN.md §15). `Some` (the default) sets the
-    /// target the `health` reply's progress section forecasts toward and
-    /// adds the two progress objectives to its SLOs, computed from that
-    /// collection's own section; with a stopping policy it also arms the
-    /// progress tick, a deadline on each collection's owner shard. `None`
-    /// forecasts toward [`DEFAULT_TARGET`](crate::progress::DEFAULT_TARGET)
-    /// and adds no objectives.
-    pub progress: Option<ProgressOptions>,
-}
-
-/// Knobs for progress: the target, and the tick that applies a policy.
-#[derive(Debug, Clone)]
-pub struct ProgressOptions {
-    /// How often the tick advances each collection's fold and evaluates
-    /// the policy (only armed when `policy` is set).
-    pub interval: Duration,
-    /// Completeness target of the `health` reply's forecast and of the
-    /// progress objectives.
-    pub target: f64,
-    /// Adaptive stopping, evaluated once per collection per tick. The
-    /// first trigger acts (`Close` journals the closed marker via
-    /// [`Backend::close`] and sets `crowdfill_progress_stopped`;
-    /// `Reprice` exports the recommended factor as a gauge and logs it;
-    /// `Alert` logs) and then latches — the tick never acts twice on one
-    /// collection. `None` (the default) arms no tick.
-    pub policy: Option<StoppingPolicy>,
-}
-
-impl Default for ProgressOptions {
-    fn default() -> ProgressOptions {
-        ProgressOptions {
-            interval: Duration::from_millis(500),
-            target: crate::progress::DEFAULT_TARGET,
-            policy: None,
-        }
-    }
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> TelemetryOptions {
-        TelemetryOptions {
-            sample_period: Duration::from_millis(250),
-            progress: Some(ProgressOptions::default()),
-        }
-    }
-}
-
 /// The window both service objectives are evaluated over.
 const SLO_WINDOW: Duration = Duration::from_secs(60);
 /// `ack-p99`: the 99th percentile of `crowdfill_server_ack_latency_ns`
@@ -276,7 +223,7 @@ fn service_objectives(ring: &ReadingRing) -> [SloStatus; 2] {
 }
 
 /// Tunables for the service's graceful degradation under misbehaving peers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
     /// Disconnect a session after this long without a request (`None`:
     /// never). Reclaims connections from clients that vanished without
@@ -290,24 +237,41 @@ pub struct ServiceOptions {
     /// batch pipeline, write-buffer watermark and eviction policy for
     /// connections (DESIGN.md §9).
     pub overload: OverloadOptions,
-    /// Live telemetry: `Some` (the default) samples the registry on a
-    /// deadline of the accepting shard and serves windowed rates and SLO
-    /// burn rates on `health` requests; `None` arms no deadline (a
-    /// `health` request still reports semantic telemetry, just no SLO
-    /// evaluation).
-    pub telemetry: Option<TelemetryOptions>,
-    /// Tunables for the sharded reactor that drives the sockets.
-    pub reactor: ReactorOptions,
-    /// Durability tick (DESIGN.md §14). `Some` arms a deadline on each
-    /// collection's owner shard that compacts the collection once its
-    /// journal grew past the threshold — the checkpoint write stalls that
-    /// shard — and keeps the snapshot-age gauge fresh; it only
-    /// acts on backends that were opened with storage attached
-    /// ([`crate::persist`]), so it is safe to enable for in-memory
-    /// collections too. `None` (the default) runs no tick — checkpoints
-    /// are then the embedder's job via
-    /// [`Backend::checkpoint`]/[`Backend::compact_storage`].
-    pub durability: Option<DurabilitySweepOptions>,
+    /// Number of reactor shard threads; `0` (the default) picks one per
+    /// available core, capped at 4 (a shard is syscall-bound, more shards
+    /// only shuffle work).
+    pub shards: usize,
+    /// The durability tick (DESIGN.md §14): a deadline on each owner shard
+    /// one of whose collections was opened with storage attached
+    /// ([`crate::persist`]). It compacts such a collection once its journal
+    /// grew past the threshold — the checkpoint write stalls that shard —
+    /// and keeps the snapshot-age gauge fresh. A shard whose collections
+    /// are all in memory arms none.
+    pub durability: DurabilitySweepOptions,
+    /// Adaptive stopping (DESIGN.md §15). `Some` arms the progress tick, a
+    /// deadline on each owner shard every 500 ms, which advances each
+    /// collection's fold and evaluates the policy; the first trigger acts
+    /// (`Close` journals the closed marker via [`Backend::close`] and sets
+    /// `crowdfill_progress_stopped`; `Reprice` exports the recommended
+    /// factor as a gauge and logs it; `Alert` logs) and then latches — the
+    /// tick never acts twice on one collection. Its target is also the one
+    /// a `health` reply's progress section forecasts toward; `None` (the
+    /// default) arms no tick and forecasts toward
+    /// [`DEFAULT_TARGET`](crate::progress::DEFAULT_TARGET).
+    pub stopping: Option<StoppingPolicy>,
+}
+
+impl ServiceOptions {
+    /// The shard count `shards` asks for.
+    pub(crate) fn effective_shards(&self) -> usize {
+        if self.shards > 0 {
+            return self.shards;
+        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 4)
+    }
 }
 
 /// Knobs for the checkpoint/compaction tick.
@@ -325,19 +289,6 @@ impl Default for DurabilitySweepOptions {
         DurabilitySweepOptions {
             interval: Duration::from_secs(1),
             compact_wal_bytes: 4 << 20,
-        }
-    }
-}
-
-impl Default for ServiceOptions {
-    fn default() -> ServiceOptions {
-        ServiceOptions {
-            idle_timeout: None,
-            batch: BatchOptions::default(),
-            overload: OverloadOptions::default(),
-            telemetry: Some(TelemetryOptions::default()),
-            reactor: ReactorOptions::default(),
-            durability: None,
         }
     }
 }
@@ -377,21 +328,21 @@ pub(crate) fn durability_tick(
 
 /// The progress tick (DESIGN.md §15) for one collection, on its owner
 /// shard: advances the collection's fold over the ops appended since it
-/// was last advanced (O(new ops), not O(trace)) and applies the stopping
-/// policy at most once: `acted` latches it.
+/// was last advanced (O(new ops), not O(trace)) and applies `policy` at
+/// most once: `acted` latches it.
 pub(crate) fn progress_tick(
     collection: &Collection,
-    progress: &ProgressOptions,
+    policy: &StoppingPolicy,
     fold: &mut ProgressTracker,
     acted: &mut bool,
 ) {
-    let Some(policy) = progress.policy.as_ref().filter(|_| !*acted) else {
+    if *acted {
         return;
-    };
+    }
     let report = {
         let b = collection.backend.lock();
         fold.advance(&b);
-        fold.report(&b, progress.target)
+        fold.report(&b, policy.target)
     };
     let Some(decision) = policy.evaluate(&report) else {
         return;
@@ -464,9 +415,9 @@ pub(crate) struct ServiceShared {
     pub(crate) started: Instant,
     pub(crate) metrics: ServiceMetrics,
     pub(crate) options: ServiceOptions,
-    /// The readings the accepting shard takes and `health` requests on
-    /// any shard read; `None` with telemetry off.
-    pub(crate) telemetry: Option<ReadingRing>,
+    /// The readings every shard takes as it wakes and `health` requests
+    /// on any shard read.
+    pub(crate) telemetry: ReadingRing,
     /// Raised by `stop`: a shard that wakes to it retires its connections
     /// and returns.
     pub(crate) shutdown: AtomicBool,
@@ -538,29 +489,27 @@ impl TcpService {
         let default_collection = backends[0].0.clone();
         let metrics = ServiceMetrics::resolve();
 
-        // The accepting shard reads the objectives' three instruments into
-        // this ring; `health` requests subtract two of its readings. One
-        // ring serves every collection (the instruments are
-        // process-global). With telemetry off no deadline is armed and the
-        // hot paths are untouched.
-        /// Ring capacity in readings: at the default period, a minute of
-        /// window and as much again.
+        // Every shard reads the objectives' three instruments into this
+        // ring as it wakes; `health` requests subtract two of its
+        // readings. One ring serves every collection (the instruments are
+        // process-global), and it starts with a reading at the start.
+        /// Ring capacity in readings: a minute of window and a few more
+        /// periods.
         const RING_CAPACITY: usize = 256;
-        let telemetry = options.telemetry.as_ref().map(|_| {
-            let instruments = SloInstruments {
-                latency: Arc::clone(crate::batch::m_ack_latency()),
-                sheds: Arc::clone(crate::batch::m_sheds()),
-                submits: Arc::clone(&metrics.submit_requests),
-            };
-            ReadingRing::new(instruments, RING_CAPACITY)
-        });
+        let instruments = SloInstruments {
+            latency: Arc::clone(crate::batch::m_ack_latency()),
+            sheds: Arc::clone(crate::batch::m_sheds()),
+            submits: Arc::clone(&metrics.submit_requests),
+        };
+        let telemetry = ReadingRing::new(instruments, RING_CAPACITY);
+        telemetry.sample(0);
 
         // One pipeline per collection: admission, shedding, and batching
         // are per-collection, so a storm on one cannot fill another's
         // queue. It goes to the shard that owns the collection, which
         // delivers a batch's broadcasts itself (no after-batch hook).
         let mut map = HashMap::with_capacity(backends.len());
-        let mut owned: Vec<Vec<_>> = (0..options.reactor.effective_shards())
+        let mut owned: Vec<Vec<_>> = (0..options.effective_shards())
             .map(|_| Vec::new())
             .collect();
         for (name, backend) in backends {
@@ -603,8 +552,8 @@ impl TcpService {
         });
 
         // The shards are the service: the first that owns a collection
-        // also takes the listener and the telemetry sample, and each runs
-        // the ticks of the collections it owns.
+        // also takes the listener, and each runs the ticks of the
+        // collections it owns.
         let (shard_threads, shard_wakes) =
             reactor::start_shards(owned, server, Arc::clone(&shared))
                 .map_err(|e| ConnError::Io(e.to_string()))?;
@@ -825,26 +774,25 @@ pub(crate) fn sync_reply(
 /// The semantic-health report (DESIGN.md §11) of ONE collection, on the
 /// shard that owns it: `fold` — the collection's — is advanced over what
 /// the log grew by since and read in place, under one lock acquisition.
-/// Then the service objectives over the reading ring and, with progress
-/// configured, the two progress objectives of this collection's own
-/// progress section.
+/// Then the service objectives over the reading ring and the two
+/// progress objectives of this collection's own progress section.
 pub(crate) fn health_reply(
     collection: &Collection,
     fold: &mut ProgressTracker,
     shared: &ServiceShared,
 ) -> Reply<'static> {
-    let progress = shared.options.telemetry.as_ref();
-    let progress = progress.and_then(|t| t.progress.as_ref());
-    let target = progress.map_or(crate::progress::DEFAULT_TARGET, |p| p.target);
+    // One target serves the forecast and the stop: the policy's.
+    let policy = shared.options.stopping.as_ref();
+    let target = policy.map_or(crate::progress::DEFAULT_TARGET, |p| p.target);
     let mut report = {
         let b = collection.backend.lock();
         fold.advance(&b);
         crate::health::report(&b, fold, target)
     };
-    if let Some(ring) = &shared.telemetry {
-        report.slos = service_objectives(ring).map(SloHealth::from).into();
-    }
-    if let (Some(_), Some(p)) = (progress, &report.progress) {
+    report.slos = service_objectives(&shared.telemetry)
+        .map(SloHealth::from)
+        .into();
+    if let Some(p) = &report.progress {
         report.slos.extend(progress_objectives(p));
     }
     Reply::Health(Box::new(report))

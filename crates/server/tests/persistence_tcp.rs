@@ -212,10 +212,10 @@ fn service_restart_recovers_from_disk() {
     // A tight sweep so the test exercises the background compaction path:
     // any journal at all is over the threshold.
     let options = ServiceOptions {
-        durability: Some(DurabilitySweepOptions {
+        durability: DurabilitySweepOptions {
             interval: Duration::from_millis(10),
             compact_wal_bytes: 1,
-        }),
+        },
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
@@ -276,10 +276,10 @@ fn settlement_survives_a_compaction_and_a_service_restart() {
     };
     let backend = persist::open_or_recover(config.clone(), &dir, &opts()).unwrap();
     let options = ServiceOptions {
-        durability: Some(DurabilitySweepOptions {
+        durability: DurabilitySweepOptions {
             interval: Duration::from_millis(10),
             compact_wal_bytes: 1,
-        }),
+        },
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();

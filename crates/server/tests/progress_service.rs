@@ -7,8 +7,8 @@
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_server::progress::ProgressReport;
 use crowdfill_server::{
-    Backend, ProgressOptions, ReactorOptions, RemoteError, RemoteWorker, ServiceOptions,
-    StoppingPolicy, SubmitError, TaskConfig, TcpService, TelemetryOptions,
+    Backend, RemoteError, RemoteWorker, ServiceOptions, StopAction, StoppingPolicy, SubmitError,
+    TaskConfig, TcpService,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -24,12 +24,9 @@ fn config() -> TaskConfig {
     TaskConfig::new(Arc::new(schema), scoring, Template::cardinality(ROWS), 10.0)
 }
 
-fn with_progress(progress: ProgressOptions) -> ServiceOptions {
+fn stopping(policy: StoppingPolicy) -> ServiceOptions {
     ServiceOptions {
-        telemetry: Some(TelemetryOptions {
-            progress: Some(progress),
-            ..TelemetryOptions::default()
-        }),
+        stopping: Some(policy),
         ..ServiceOptions::default()
     }
 }
@@ -91,13 +88,13 @@ fn progress_of(worker: &mut RemoteWorker) -> (ProgressReport, Vec<(String, f64, 
     (report.progress.unwrap(), rows)
 }
 
-/// A service configured with a target of 0.8 forecasts toward 0.8, not
-/// toward the default.
+/// A service whose stopping policy targets 0.8 forecasts toward 0.8, not
+/// toward the default: one target serves the forecast and the stop.
 #[test]
 fn health_forecasts_toward_the_configured_target() {
-    let options = with_progress(ProgressOptions {
-        target: 0.8,
-        ..ProgressOptions::default()
+    let options = stopping(StoppingPolicy {
+        action: StopAction::Alert,
+        ..StoppingPolicy::close_at(0.8)
     });
     let service = TcpService::start_with(Backend::new(config()), "127.0.0.1:0", options).unwrap();
     let mut worker = RemoteWorker::connect(service.addr()).unwrap();
@@ -113,11 +110,7 @@ fn health_forecasts_toward_the_configured_target() {
 /// later fill is refused.
 #[test]
 fn a_stopping_policy_closes_a_saturated_collection_once() {
-    let options = with_progress(ProgressOptions {
-        interval: Duration::from_millis(20),
-        policy: Some(StoppingPolicy::close_at(0.9)),
-        ..ProgressOptions::default()
-    });
+    let options = stopping(StoppingPolicy::close_at(0.9));
     let service = TcpService::start_with(Backend::new(config()), "127.0.0.1:0", options).unwrap();
     let backend = service.backend();
     let (mut filler, observer) = saturate(service.addr(), "default", ROWS);
@@ -126,9 +119,10 @@ fn a_stopping_policy_closes_a_saturated_collection_once() {
         assert!(Instant::now() < deadline, "the policy never closed it");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // Ticks go on; the policy has acted and does not again.
+    // Ticks go on, one every 500 ms; the policy has acted and does not
+    // again.
     let history_len = backend.lock().history_len();
-    std::thread::sleep(Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(600));
     assert_eq!(backend.lock().history_len(), history_len);
     let stopped = crowdfill_obs::metrics::gauge("crowdfill_progress_stopped");
     assert_eq!(stopped.get(), 1);
@@ -152,7 +146,7 @@ fn a_stopping_policy_closes_a_saturated_collection_once() {
 #[test]
 fn each_collection_reads_its_own_progress_objectives() {
     let options = ServiceOptions {
-        reactor: ReactorOptions { shards: 1 },
+        shards: 1,
         ..ServiceOptions::default()
     };
     let backends = ["full", "sparse"].map(|name| (name.to_string(), Backend::new(config())));

@@ -191,6 +191,17 @@ if grep -rn "writer_pace" crates src tests \
   echo "check.sh: a second outbound buffer or a paced writer; write broadcasts into the connection's FrameWriter" >&2
   exit 1
 fi
+# An idle service sleeps (DESIGN.md §11, §13.1): the objectives' readings
+# are taken on the shard wakes that can move them, not on a clock, and the
+# service works out itself which ticks to arm — no sampling deadline, no
+# telemetry, progress or reactor option type, and no optional field in
+# `ServiceOptions` but the idle timeout and the stopping policy.
+if grep -rn "Due::Sample\|TelemetryOptions\|ProgressOptions\|sample_period\|ReactorOptions" crates src tests examples \
+  || sed -n '/^pub struct ServiceOptions {/,/^}/p' crates/server/src/tcp_service.rs \
+    | grep "^ *pub [a-z_]*: Option<" | grep -v "pub idle_timeout:\|pub stopping:"; then
+  echo "check.sh: a sampling clock or a switch the service can work out; read on wakes, arm ticks from what the collections are" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace

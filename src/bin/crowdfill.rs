@@ -145,12 +145,10 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     let schema = Arc::clone(&config.schema);
-    let mut opts = crowdfill::server::ServiceOptions::default();
     let backend = match flag(args, "--data-dir") {
         Some(dir) => {
             // Durable collection: recover whatever an earlier process left
-            // behind and let the sweep checkpoint/compact in the background.
-            opts.durability = Some(crowdfill::server::DurabilitySweepOptions::default());
+            // behind; the service's durability tick checkpoints/compacts it.
             let dopts = crowdfill::server::DurabilityOptions::default();
             match crowdfill::server::open_or_recover(config, &dir, &dopts) {
                 Ok(b) => {
@@ -170,7 +168,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
         None => Backend::new(config),
     };
-    let service = match TcpService::start_with(backend, &addr, opts) {
+    let service = match TcpService::start(backend, &addr) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot bind {addr}: {e}");
