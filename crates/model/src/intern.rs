@@ -16,12 +16,15 @@
 //! sweeps unreferenced entries (strong count 1, i.e. only the pool itself)
 //! whenever it grows past a high-water mark. See DESIGN.md §12 for the
 //! lifetime rules.
+//!
+//! A decoder that interns many cells at once holds the pool for a batch
+//! through an [`Interner`]: one lock per row value, not one per cell.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Sweep the pool for dead entries when it exceeds this many strings.
 const SWEEP_HIGH_WATER: usize = 1 << 16;
@@ -31,15 +34,23 @@ fn pool() -> &'static Mutex<HashSet<Arc<str>>> {
     POOL.get_or_init(|| Mutex::new(HashSet::new()))
 }
 
-/// An interned, immutable UTF-8 string. Cloning is a refcount bump; equality
-/// is by content with a pointer fast path.
-#[derive(Clone)]
-pub struct IStr(Arc<str>);
+/// The pool, held: interns any number of strings under one lock. Hold it
+/// for one row value's cells, never for a whole table — the pool is
+/// process-global, and every other thread that interns waits while it is
+/// held. Interning through [`IStr::new`] while holding one deadlocks.
+pub struct Interner(MutexGuard<'static, HashSet<Arc<str>>>);
 
-impl IStr {
-    /// Interns `s`, returning the canonical shared allocation.
-    pub fn new(s: &str) -> IStr {
-        let mut pool = pool().lock().unwrap_or_else(|e| e.into_inner());
+impl Interner {
+    /// Locks the pool.
+    pub fn lock() -> Interner {
+        Interner(pool().lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Interns `s`, returning the canonical shared allocation: what
+    /// [`IStr::new`] returns, and the same sweep when the pool is past its
+    /// high-water mark.
+    pub fn intern(&mut self, s: &str) -> IStr {
+        let pool = &mut self.0;
         if let Some(existing) = pool.get(s) {
             return IStr(Arc::clone(existing));
         }
@@ -50,6 +61,18 @@ impl IStr {
         pool.insert(Arc::clone(&arc));
         IStr(arc)
     }
+}
+
+/// An interned, immutable UTF-8 string. Cloning is a refcount bump; equality
+/// is by content with a pointer fast path.
+#[derive(Clone)]
+pub struct IStr(Arc<str>);
+
+impl IStr {
+    /// Interns `s`, returning the canonical shared allocation.
+    pub fn new(s: &str) -> IStr {
+        Interner::lock().intern(s)
+    }
 
     /// The string slice.
     pub fn as_str(&self) -> &str {
@@ -59,7 +82,7 @@ impl IStr {
     /// Number of distinct strings currently held by the global pool
     /// (diagnostics / tests).
     pub fn pool_len() -> usize {
-        pool().lock().unwrap_or_else(|e| e.into_inner()).len()
+        Interner::lock().0.len()
     }
 
     /// Whether two handles share one allocation. Handles with equal content
@@ -181,6 +204,35 @@ mod tests {
             d.finish()
         };
         assert_eq!(h(&a), h_str);
+    }
+
+    #[test]
+    fn an_interner_shares_storage_with_new_and_sweeps_as_it_does() {
+        let mut pool = Interner::lock();
+        let (a, b) = (pool.intern("Pele"), pool.intern("Pele"));
+        drop(pool);
+        assert!(IStr::ptr_eq(&a, &b));
+        assert!(IStr::ptr_eq(&a, &IStr::new("Pele")));
+
+        // Held throughout, so no other test's interns land in between.
+        let mut pool = Interner::lock();
+        let kept = pool.intern("sweep: kept");
+        drop(pool.intern("sweep: dropped"));
+        let mut n = 0;
+        while pool.0.len() < SWEEP_HIGH_WATER {
+            drop(pool.intern(&format!("sweep: filler {n}")));
+            n += 1;
+        }
+        assert!(pool.0.contains("sweep: dropped"), "no sweep below the mark");
+        let fresh = pool.intern("sweep: fresh");
+        assert!(
+            !pool.0.contains("sweep: dropped"),
+            "strong count 1 is swept"
+        );
+        assert!(!pool.0.contains("sweep: filler 0"));
+        assert!(pool.0.len() < SWEEP_HIGH_WATER);
+        assert!(IStr::ptr_eq(&kept, &pool.intern("sweep: kept")));
+        assert!(IStr::ptr_eq(&fresh, &pool.intern("sweep: fresh")));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod value;
 pub use constraint::{rows_satisfied_by, Entry, Predicate, Template, TemplateRow};
 pub use error::{ModelError, OpError};
 pub use final_table::{derive_final_table, FinalRow, FinalTable};
-pub use intern::IStr;
+pub use intern::{IStr, Interner};
 pub use op::{Message, MessageKind, Operation};
 pub use row::{ClientId, RowId, RowValue};
 pub use schema::{Column, ColumnId, Schema};

@@ -10,7 +10,6 @@
 
 use crate::schema::{ColumnId, Schema};
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -69,19 +68,22 @@ impl fmt::Display for RowId {
 /// A row value `r̄`: a sparse assignment of columns to values.
 ///
 /// Also used for the paper's *value-vectors* `v` (values for a subset of the
-/// columns), which key the upvote/downvote histories. `BTreeMap` keeps
-/// iteration (and therefore hashing and display) deterministic.
+/// columns), which key the upvote/downvote histories.
 ///
-/// The cell map is behind an `Arc`: row values are immutable once built
-/// (Lemma 1 — a fill *replaces* the row under a fresh id), so cloning one —
-/// into vote histories, broadcast outboxes, the WAL, the trace ring — is a
-/// refcount bump, not a deep copy. `Eq`/`Ord`/`Hash` delegate through the
-/// `Arc` to the cells, so sharing is invisible to vote resolution and
-/// subsumption; [`subsumes`](Self::subsumes) additionally short-circuits on
-/// pointer-identical maps.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The cells are one `Arc`'d slice of `(column, value)` pairs, strictly
+/// ascending by column: one allocation per value. Row values are immutable
+/// once built (Lemma 1 — a fill *replaces* the row under a fresh id), so
+/// cloning one — into vote histories, broadcast outboxes, the WAL, the trace
+/// ring — is a refcount bump, not a deep copy. A map and an ascending slice
+/// of its pairs hash the same writes (a length prefix, then each pair) and
+/// order and compare the same (lexicographically by pair), so
+/// `Eq`/`Ord`/`Hash` and `{:?}` are those of a `BTreeMap<ColumnId, Value>`
+/// (`tests/row_oracle.rs` holds one as the oracle), and sharing is invisible
+/// to vote resolution and subsumption; [`subsumes`](Self::subsumes)
+/// additionally short-circuits on pointer-identical cells.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowValue {
-    cells: Arc<BTreeMap<ColumnId, Value>>,
+    cells: Arc<[(ColumnId, Value)]>,
 }
 
 impl RowValue {
@@ -90,11 +92,30 @@ impl RowValue {
         RowValue::default()
     }
 
-    /// Builds a row value from `(column, value)` pairs.
+    /// Builds a row value from `(column, value)` pairs, in any order; of
+    /// pairs naming one column the last wins. Pairs that come strictly
+    /// ascending from an iterator of known length (an array, a `Vec`, a
+    /// drained buffer) are written straight into the value's one
+    /// allocation.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (ColumnId, Value)>) -> RowValue {
-        RowValue {
-            cells: Arc::new(pairs.into_iter().collect()),
+        let cells: Arc<[(ColumnId, Value)]> = pairs.into_iter().collect();
+        if cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            return RowValue { cells };
         }
+        // Reversed, a stable sort puts each column's last pair first in its
+        // run, which is the one `dedup` keeps.
+        let mut pairs = cells.to_vec();
+        pairs.reverse();
+        pairs.sort_by_key(|&(c, _)| c);
+        pairs.dedup_by_key(|&mut (c, _)| c);
+        RowValue {
+            cells: pairs.into(),
+        }
+    }
+
+    /// Where `col` is, or would be inserted.
+    fn find(&self, col: ColumnId) -> Result<usize, usize> {
+        self.cells.binary_search_by_key(&col, |&(c, _)| c)
     }
 
     /// Number of filled cells.
@@ -120,24 +141,29 @@ impl RowValue {
 
     /// The value in `col`, if filled.
     pub fn get(&self, col: ColumnId) -> Option<&Value> {
-        self.cells.get(&col)
+        self.find(col).ok().map(|i| &self.cells[i].1)
     }
 
     /// Whether `col` is filled.
     pub fn has(&self, col: ColumnId) -> bool {
-        self.cells.contains_key(&col)
+        self.find(col).is_ok()
     }
 
     /// Returns a copy with `col` set to `v`. The caller is responsible for
     /// having checked that `col` was empty (the `fill` operation's contract).
-    /// This is the one place a new cell map is built; the copied values are
-    /// interned/shared, so the copy is shallow.
+    /// This is the one place a row value is built from another: one
+    /// allocation, and the copied values are interned/shared, so the copy is
+    /// shallow.
     pub fn with(&self, col: ColumnId, v: Value) -> RowValue {
-        let mut cells = BTreeMap::clone(&self.cells);
-        cells.insert(col, v);
-        RowValue {
-            cells: Arc::new(cells),
-        }
+        let (head, tail) = match self.find(col) {
+            Ok(i) => (&self.cells[..i], &self.cells[i + 1..]),
+            Err(i) => self.cells.split_at(i),
+        };
+        let cells = (head.iter().cloned())
+            .chain(std::iter::once((col, v)))
+            .chain(tail.iter().cloned())
+            .collect();
+        RowValue { cells }
     }
 
     /// Iterates over filled `(column, value)` pairs in column order.
@@ -147,11 +173,12 @@ impl RowValue {
 
     /// The filled column ids, ascending.
     pub fn columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
-        self.cells.keys().copied()
+        self.cells.iter().map(|&(c, _)| c)
     }
 
     /// Subsumption: `self ⊇ other` — every value in `other` is present and
-    /// equal in `self` (paper §2.3, after [Ullman 89]).
+    /// equal in `self` (paper §2.3, after [Ullman 89]). One merge walk of
+    /// the two ascending slices.
     pub fn subsumes(&self, other: &RowValue) -> bool {
         if Arc::ptr_eq(&self.cells, &other.cells) {
             return true;
@@ -159,22 +186,19 @@ impl RowValue {
         if other.cells.len() > self.cells.len() {
             return false;
         }
-        other
-            .cells
-            .iter()
-            .all(|(c, v)| self.cells.get(c) == Some(v))
+        let mut mine = self.cells.iter();
+        other.cells.iter().all(|(c, v)| {
+            mine.find(|(m, _)| m >= c)
+                .is_some_and(|(m, w)| m == c && w == v)
+        })
     }
 
     /// The projection of this row value onto the primary-key columns.
     /// Returns `None` unless *all* key columns are filled.
     pub fn key_projection(&self, schema: &Schema) -> Option<RowValue> {
-        let mut cells = BTreeMap::new();
-        for &k in schema.key() {
-            cells.insert(k, self.cells.get(&k)?.clone());
-        }
-        Some(RowValue {
-            cells: Arc::new(cells),
-        })
+        let key = schema.key().iter();
+        let cells = key.map(|&k| Some((k, self.get(k)?.clone())));
+        Some(RowValue::from_pairs(cells.collect::<Option<Vec<_>>>()?))
     }
 
     /// The primary-key cell values in key-column order, or `None` unless all
@@ -184,15 +208,15 @@ impl RowValue {
     pub fn key_values(&self, schema: &Schema) -> Option<Vec<Value>> {
         let key = schema.key();
         let mut out = Vec::with_capacity(key.len());
-        for k in key {
-            out.push(self.cells.get(k)?.clone());
+        for &k in key {
+            out.push(self.get(k)?.clone());
         }
         Some(out)
     }
 
     /// Whether all primary-key columns are filled.
     pub fn has_full_key(&self, schema: &Schema) -> bool {
-        schema.key().iter().all(|k| self.cells.contains_key(k))
+        schema.key().iter().all(|&k| self.has(k))
     }
 
     /// The columns of `schema` that are still empty in this row.
@@ -206,16 +230,30 @@ impl RowValue {
         if other.cells.len() != self.cells.len() + 1 || !other.subsumes(self) {
             return None;
         }
-        other
-            .cells
-            .keys()
-            .find(|c| !self.cells.contains_key(c))
-            .copied()
+        other.columns().find(|&c| !self.has(c))
     }
 
     /// Renders the row against a schema, `-` for empty cells.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> RowDisplay<'a> {
         RowDisplay { row: self, schema }
+    }
+}
+
+/// The text a map's derived `Debug` prints, `RowValue { cells:
+/// {ColumnId(0): Text("Messi"), …} }`, on which logs and goldens rely.
+impl fmt::Debug for RowValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Cells<'a>(&'a [(ColumnId, Value)]);
+        impl fmt::Debug for Cells<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(c, v)| (c, v)))
+                    .finish()
+            }
+        }
+        f.debug_struct("RowValue")
+            .field("cells", &Cells(&self.cells))
+            .finish()
     }
 }
 

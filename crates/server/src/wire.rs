@@ -83,8 +83,8 @@ use crowdfill_docstore::{
     write_json, ArrayWriter, Json, JsonDoc, JsonNode, JsonWriter, ObjectWriter, Tape,
 };
 use crowdfill_model::{
-    ClientId, Column, ColumnId, DataType, Date, Entry, Message, Predicate, RowId, RowValue, Schema,
-    Template, TemplateRow, Value,
+    ClientId, Column, ColumnId, DataType, Date, Entry, IStr, Interner, Message, Predicate, RowId,
+    RowValue, Schema, Template, TemplateRow, Value,
 };
 use crowdfill_obs::trace::{self as obstrace, TraceId};
 use crowdfill_pay::WorkerId;
@@ -189,9 +189,15 @@ fn payload_to_json(v: &Value) -> Json {
 
 /// Reads a payload as a value of type `t`, refusing a JSON kind the type
 /// does not admit: an integral number is a float where `t` says float.
-fn payload_from_json<'t, J: JsonNode<'t>>(t: DataType, v: J) -> Result<Value> {
+/// A text payload is interned by `intern`, so that an image's decoder can
+/// hold the pool for a whole row value.
+fn payload_from_json<'t, J: JsonNode<'t>>(
+    t: DataType,
+    v: J,
+    intern: impl FnOnce(&str) -> IStr,
+) -> Result<Value> {
     let (value, what) = match t {
-        DataType::Text => (v.as_str().map(Value::text), "a string"),
+        DataType::Text => (v.as_str().map(intern).map(Value::Text), "a string"),
         DataType::Int => (v.as_i64().map(Value::Int), "integral"),
         DataType::Float => (v.as_f64().and_then(Value::try_float), "finite"),
         DataType::Bool => (v.as_bool().map(Value::Bool), "a boolean"),
@@ -223,7 +229,8 @@ pub fn value_to_json(v: &Value) -> Json {
 }
 
 pub fn value_from_json<'t, J: JsonNode<'t>>(j: J) -> Result<Value> {
-    payload_from_json(data_type_from_name(str_field(j, "t")?)?, field(j, "v")?)
+    let t = data_type_from_name(str_field(j, "t")?)?;
+    payload_from_json(t, field(j, "v")?, IStr::new)
 }
 
 // ---- RowId / RowValue -----------------------------------------------------
@@ -671,12 +678,18 @@ impl TableImage {
 
     /// The replica this is an image of, owned by `client` and minting row
     /// ids from `next_seq`: `Replica::restore`, which derives every row's
-    /// counts from the histories (Lemma 3).
+    /// downvotes from the histories (Lemma 3) and takes its upvotes as
+    /// `uh` names them, by value index — the values being distinct, the
+    /// count of a row's index is that of its value.
     pub fn replica(&self, client: ClientId, schema: Arc<Schema>, next_seq: u64) -> Replica {
         let value = |i: u32| self.values[i as usize].clone();
+        let mut upvotes = vec![0; self.values.len()];
+        for &(i, n) in &self.uh {
+            upvotes[i as usize] = n;
+        }
         let uh = self.uh.iter().map(|&(i, n)| (value(i), n));
         let dh = self.dh.iter().map(|&(i, n)| (value(i), n));
-        let rows = self.rows.iter().map(|&(id, i)| (id, value(i)));
+        let rows = (self.rows.iter()).map(|&(id, i)| (id, value(i), upvotes[i as usize]));
         Replica::restore(client, schema, next_seq, uh, dh, rows)
     }
 
@@ -759,10 +772,14 @@ impl TableImage {
 
     /// The image's one decoder. Refuses, rather than trusts, a type it
     /// does not know, a cell whose JSON kind its column's type does not
-    /// admit, a value wider than `types` or ending in `null`, an index
-    /// with no value, a row id out of range or not above the one before
-    /// it, and a count that is no 32-bit integer — so what it yields is an
-    /// image [`replica`](Self::replica) can build.
+    /// admit, a value wider than `types` or ending in `null`, values not
+    /// distinct and ascending, an index with no value, a row id out of
+    /// range or not above the one before it, and a count that is no 32-bit
+    /// integer — so what it yields is an image [`replica`](Self::replica)
+    /// can build. Each value is read into a scratch buffer, reused across
+    /// the image, whose pairs are then moved into the value's one
+    /// allocation; its text cells are interned under one lock of the pool
+    /// per value, so no other thread waits on the pool for a whole image.
     pub fn from_json<'t, J: JsonNode<'t>>(j: J) -> Result<TableImage> {
         let types = arr_field(j, "types")?.map(|t| {
             let name = t
@@ -774,28 +791,38 @@ impl TableImage {
         if types.len() > usize::from(u16::MAX) {
             return Err(WireError::new("more types than column ids"));
         }
-        let value = |v: J| {
+        let mut scratch = Vec::with_capacity(types.len());
+        let mut value = |v: J| {
             let cells = v
                 .items()
                 .ok_or_else(|| WireError::new("an image value must be an array"))?;
             if cells.len() > types.len() {
                 return Err(WireError::new("a value wider than \"types\""));
             }
-            let mut pairs = Vec::with_capacity(cells.len());
             let mut null_last = false;
+            let mut pool = Interner::lock();
             for (col, (cell, &t)) in cells.zip(&types).enumerate() {
                 null_last = cell.is_null();
                 if !null_last {
-                    pairs.push((ColumnId(col as u16), payload_from_json(t, cell)?));
+                    let payload = payload_from_json(t, cell, |s| pool.intern(s))?;
+                    scratch.push((ColumnId(col as u16), payload));
                 }
             }
+            drop(pool);
             if null_last {
                 return Err(WireError::new("a value must not end in null"));
             }
-            Ok(RowValue::from_pairs(pairs))
+            Ok(RowValue::from_pairs(scratch.drain(..)))
         };
-        let values = arr_field(j, "values")?.map(value);
-        let values = values.collect::<Result<Vec<_>>>()?;
+        let read = arr_field(j, "values")?;
+        let mut values: Vec<RowValue> = Vec::with_capacity(read.len());
+        for v in read {
+            let v = value(v)?;
+            if values.last().is_some_and(|last| *last >= v) {
+                return Err(WireError::new("values must be distinct and ascending"));
+            }
+            values.push(v);
+        }
         let index = |i: J| {
             let i = u32::try_from(i.as_i64()?).ok()?;
             ((i as usize) < values.len()).then_some(i)

@@ -374,11 +374,11 @@ fn every_hostile_shape_is_rejected_by_a_session_that_lives_on() {
 
 /// A bootstrap is read strictly: an image whose rows or votes name a value
 /// it does not hold, that lists a row twice, that counts past 32 bits or
-/// whose `values` is no array is a protocol error — and so is a cell its
-/// column's type does not admit, a value wider than `types` or ending in
-/// `null`, a type no schema has, and `types` that are not the welcome's
-/// schema's — in a `welcome` and in a reset alike, and never a panic or a
-/// replica built from half of it.
+/// whose `values` is no array, or not distinct and ascending, is a
+/// protocol error — and so is a cell its column's type does not admit, a
+/// value wider than `types` or ending in `null`, a type no schema has, and
+/// `types` that are not the welcome's schema's — in a `welcome` and in a
+/// reset alike, and never a panic or a replica built from half of it.
 #[test]
 fn every_hostile_image_is_a_protocol_error() {
     let types = r#"["text","text"]"#;
@@ -415,6 +415,11 @@ fn every_hostile_image_is_a_protocol_error() {
         ("non-array values", image(r#"{"0":[]}"#, "", "")),
         ("string values", image(r#""[]""#, "", "")),
         ("a value that is no array", image("[7]", "", "")),
+        (
+            "values out of order",
+            image(r#"[["Pele","Brazil"],[]]"#, "", ""),
+        ),
+        ("a value twice", image(r#"[[],["Pele"],["Pele"]]"#, "", "")),
         (
             "a cell of the wrong JSON kind",
             image(r#"[["Pele",7]]"#, "", ""),

@@ -78,9 +78,9 @@ fn value_of(types: &[DataType], rng: &mut TestRng) -> RowValue {
     RowValue::from_pairs(cells)
 }
 
-/// A typed table image whose rows and votes name values by valid
-/// indexes: any value by several rows, by votes only, or by nothing; row
-/// ids reach the ends of their ranges, counts 2^32 − 1.
+/// A typed table image of distinct, ascending values whose rows and votes
+/// name them by valid indexes: any value by several rows, by votes only,
+/// or by nothing; row ids reach the ends of their ranges, counts 2^32 − 1.
 pub fn table_image() -> impl Strategy<Value = TableImage> {
     use proptest::collection::btree_map;
     let votes = || btree_map(any::<u32>(), 1u32..=u32::MAX, 0..4);
@@ -88,9 +88,12 @@ pub fn table_image() -> impl Strategy<Value = TableImage> {
     let rows = btree_map(id, any::<u32>(), 0..6);
     let typed_values = Draw(|rng: &mut TestRng| {
         let types: Vec<DataType> = (0..rng.below(6)).map(|_| data_type_of(rng)).collect();
-        let values: Vec<RowValue> = (0..1 + rng.below(4))
+        let mut values: Vec<RowValue> = (0..1 + rng.below(4))
             .map(|_| value_of(&types, rng))
             .collect();
+        // The grammar's `values`: distinct and ascending.
+        values.sort();
+        values.dedup();
         (types, values)
     });
     (typed_values, rows, votes(), votes()).prop_map(|((types, values), rows, uh, dh)| {

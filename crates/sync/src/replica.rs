@@ -68,10 +68,14 @@ impl Replica {
     }
 
     /// Rebuilds a replica from its parts (DESIGN.md §14.3): the vote
-    /// histories as `(vector, count)` pairs and the live rows' *values
-    /// only*, strictly ascending by id. Per-row vote counts are recomputed
-    /// from the histories via Lemma 3 — exactly how `Replace` derives them
-    /// — so an image never carries a count that could disagree with the
+    /// histories as `(vector, count)` pairs and the live rows, strictly
+    /// ascending by id, each with its value's count in the upvote history
+    /// — which the caller reads where it already has it (an image pairs
+    /// values and votes by index), so no value is hashed for it. A row's
+    /// counts are those Lemma 3 derives, exactly as `Replace` does: its
+    /// value's upvotes if it is complete (a debug build asserts the count
+    /// is `uh[value]`), and the downvotes of every vector it subsumes — so
+    /// an image never carries a count that could disagree with the
     /// histories it rides with. Built in bulk: both histories sized up
     /// front, the table in one pass ([`CandidateTable::from_ascending`]),
     /// and each downvoted vector's count added through the key index
@@ -82,12 +86,13 @@ impl Replica {
         next_seq: u64,
         uh: impl ExactSizeIterator<Item = (RowValue, u32)>,
         dh: impl ExactSizeIterator<Item = (RowValue, u32)>,
-        rows: impl IntoIterator<Item = (RowId, RowValue)>,
+        rows: impl IntoIterator<Item = (RowId, RowValue, u32)>,
     ) -> Replica {
         let (uh, dh) = (VoteHistory::from_counts(uh), VoteHistory::from_counts(dh));
-        let rows = rows.into_iter().map(|(id, value)| {
+        let rows = rows.into_iter().map(|(id, value, upvotes)| {
+            debug_assert_eq!(upvotes, uh.get(&value), "{id}'s upvotes are uh[value]");
             let upvotes = if value.is_complete(&schema) {
-                uh.get(&value)
+                upvotes
             } else {
                 0
             };
@@ -682,7 +687,8 @@ mod tests {
     }
 
     /// A replica rebuilt from its checkpointed parts — histories plus live
-    /// row values, counts recomputed via Lemma 3 — is state-identical.
+    /// row values with their upvote counts, downvotes recomputed via Lemma
+    /// 3 — is state-identical.
     #[test]
     fn restore_from_parts_matches_original() {
         let mut r = replica(1);
@@ -705,10 +711,11 @@ mod tests {
             let counts: Vec<(RowValue, u32)> = h.iter().map(|(v, n)| (v.clone(), n)).collect();
             counts.into_iter()
         };
-        let rows: Vec<(RowId, RowValue)> = r
+        let uh = r.upvote_history();
+        let rows: Vec<(RowId, RowValue, u32)> = r
             .table()
             .iter()
-            .map(|(id, e)| (id, e.value.clone()))
+            .map(|(id, e)| (id, e.value.clone(), uh.get(&e.value)))
             .collect();
         let rebuilt = Replica::restore(
             r.client(),
