@@ -1185,9 +1185,9 @@ impl Backend {
         out
     }
 
-    /// The per-worker ack-latency histogram, shared with the transport
-    /// layer: the connection thread clones the `Arc` once and records
-    /// into it lock-free on every acked submission.
+    /// The per-worker ack-latency histogram: the batch pipeline records
+    /// each acked submission's latency into it, lock-free, as it applies
+    /// the batch.
     pub fn worker_ack_histogram(&self, worker: WorkerId) -> Option<Arc<Histogram>> {
         self.sessions
             .get(&worker)

@@ -256,7 +256,7 @@ impl BatchPipeline {
                 // is the queue wait it paid to get there.
                 let size = jobs.len() as u64 + 1;
                 obstrace::stamp_dur(trace, Stage::BatchForm, root, 0, size, waited_ns);
-                applied.push(settled.len());
+                applied.push((settled.len(), job.worker));
                 let (worker, op) = (job.worker, job.op);
                 jobs.push(BatchJob { worker, op, trace });
                 SubmitError::CollectionClosed // until the batch's outcome replaces it
@@ -274,8 +274,14 @@ impl BatchPipeline {
             return settled; // nothing queued, or all of it shed
         }
         let outcome = backend.submit_batch(jobs, (self.clock)());
-        for (i, result) in applied.into_iter().zip(outcome.results) {
-            m_ack_latency().record(settled[i].admitted.elapsed().as_nanos() as u64);
+        for ((i, worker), result) in applied.into_iter().zip(outcome.results) {
+            let latency = settled[i].admitted.elapsed().as_nanos() as u64;
+            m_ack_latency().record(latency);
+            // The worker's own ack latency (its health row), submits only.
+            match backend.worker_ack_histogram(worker) {
+                Some(own) if !settled[i].modify => own.record(latency),
+                _ => {}
+            }
             settled[i].result = result;
         }
         settled

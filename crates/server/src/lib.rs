@@ -15,7 +15,8 @@
 //! * [`Marketplace`] — simulated Mechanical Turk (sandbox) integration
 //!   (§3.1);
 //! * [`TcpService`] / [`RemoteWorker`] — the networked deployment (§3.3):
-//!   service in [`tcp_service`] over [`reactor`], client in [`client`].
+//!   service in [`tcp_service`] over [`reactor`] (its rules are a sans-IO
+//!   core, `shard.rs`), client in [`client`].
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +33,7 @@ pub mod persist;
 pub mod progress;
 pub mod reactor;
 pub mod recommend;
+pub(crate) mod shard;
 pub mod tcp_service;
 pub mod wire;
 pub mod worker_client;

@@ -527,20 +527,6 @@ fn connected(service: &TcpService, worker: crowdfill_pay::WorkerId) -> bool {
         .contains(&worker)
 }
 
-/// Polls `done` every few milliseconds for up to `limit`.
-fn eventually(limit: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let until = Instant::now() + limit;
-    loop {
-        if done() {
-            return true;
-        }
-        if Instant::now() >= until {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// Fills the first column of some still-empty row with `value`; whether
 /// the fill lands is not this helper's concern.
 fn fill_first_empty(w: &mut RemoteWorker, value: String) {
@@ -626,78 +612,6 @@ fn slow_client_is_evicted_then_resumes_and_converges() {
     drop(b);
     let verifier = RemoteWorker::connect(addr).unwrap();
     assert_acked_present(&verifier, &acked, "slow-client");
-}
-
-/// A reader that goes lagging and then sees NO further broadcast traffic is
-/// still evicted on time: the eviction clock is a deadline of the owning
-/// shard, not a check on the enqueue path. (Regression: eviction used
-/// to be checked only when a fresh broadcast arrived for the lagging seat,
-/// so a stalled reader on a quiet collection held its seat, socket, and
-/// writer thread forever.)
-#[test]
-fn stalled_reader_on_quiet_collection_is_evicted_by_deadline() {
-    let evict_after = Duration::from_millis(100);
-    let backend = Backend::new(config(64));
-    let options = ServiceOptions {
-        overload: crowdfill_server::OverloadOptions {
-            write_buffer_frames: 2,
-            evict_after,
-            ..crowdfill_server::OverloadOptions::default()
-        },
-        ..ServiceOptions::default()
-    };
-    let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
-    let addr = service.addr();
-
-    // A raw observer: handshake, then never read another frame.
-    let observer = TcpConn::connect(addr).unwrap();
-    let hello = crowdfill_server::wire::Request::Hello(None);
-    observer.send(hello.encode().as_bytes()).unwrap();
-    let welcome = observer.recv().expect("welcome");
-    let welcome = crowdfill_server::wire::parse_frame(&welcome).unwrap();
-    let Ok(Reply::Welcome(_, observer_id, ..)) = Reply::decode(&welcome) else {
-        panic!("expected a welcome");
-    };
-
-    // One big fill at a time, each followed by a quiet spell: the fill
-    // that finds the observer's writer full downgrades it (eviction clock
-    // starts), and then the collection is completely quiet — no broadcast
-    // reaches the seat's enqueue path, so only the shard's deadline can
-    // run the eviction clock out within the spell. Cells of 16 × BIG_CELL
-    // fill the socket's buffering in a handful of spells.
-    let cell = 16 * BIG_CELL;
-    let mut filler = RemoteWorker::connect_with(plain_dialer(addr), policy(3)).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut n = 0;
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "no eviction after {n} fills of {cell} bytes"
-        );
-        fill_first_empty(&mut filler, padded(&format!("quiet-{n}"), cell));
-        n += 1;
-        assert!(
-            connected(&service, observer_id),
-            "the stalled reader was evicted while broadcasts still flowed: \
-             the eviction clock must be deadline-driven, not enqueue-driven"
-        );
-        if eventually(evict_after * 3, || !connected(&service, observer_id)) {
-            break;
-        }
-    }
-
-    // Eviction shows up as the server closing the socket: the reader sees
-    // whatever the kernel still held, then the end.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let closed = loop {
-        match observer.recv_timeout(Duration::from_millis(100)) {
-            Ok(_) => {}
-            Err(crowdfill_net::ConnError::Empty) if Instant::now() < deadline => {}
-            Err(crowdfill_net::ConnError::Empty) => break false,
-            Err(_) => break true,
-        }
-    };
-    assert!(closed, "the evicted reader's socket was never closed");
 }
 
 /// The slow-reader bound holds under the defaults, with no lever: a reader

@@ -1,8 +1,11 @@
-//! The reactor's wake path: a shard blocks in `epoll_wait` until a socket,
-//! the listener, a hand-over, a hang-up, a deadline (a connection's, a
-//! batch's, a maintenance tick) or `stop` is ready —
-//! and then visits only the connections that are, and does everything an
-//! action needs before it blocks again. The counters these tests read
+//! The reactor's wake path, over real sockets: a shard blocks in
+//! `epoll_wait` until a socket, the listener, a hand-over, a hang-up, the
+//! instant its core asked to be woken at (a connection's deadline, a
+//! batch's, a tick) or `stop` is ready — and then reads only what is ready
+//! and feeds it to its core, which does everything an action needs before
+//! the shard blocks again. The core's rules themselves are tested under a
+//! virtual clock in `shard.rs`; these are one smoke test per rule that the
+//! driver carries them out. The counters these tests read
 //! (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`) are
 //! process-global, so the file is its own test binary and its tests take
 //! turns.
@@ -529,9 +532,8 @@ fn eviction_deadline_unblocks_the_shard() {
 /// (iv) A socket that never says `hello` is not held forever: its
 /// handshake has `evict_after` from the accept, on the shard's own clock —
 /// half a length prefix and then silence, and nothing else connected, so
-/// the deadline is the only thing that can wake the shard. A peer that
-/// says `hello` inside the deadline is served, and as a session outlives
-/// it.
+/// the deadline is the only thing that can wake the shard. (That a `hello`
+/// in time voids the deadline is the core's rule, tested in `shard.rs`.)
 #[test]
 fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
     let _turn = take_turn();
@@ -558,18 +560,6 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
         closed_after >= evict_after,
         "closed early: {closed_after:?}"
     );
-    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
-
-    let mut late = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(evict_after / 2);
-    send_frame(&mut late, Request::Hello(None).encode().as_bytes());
-    assert!(matches!(
-        decoded(&read_frame(&mut late)),
-        Reply::Welcome(..)
-    ));
-    std::thread::sleep(evict_after);
-    send_frame(&mut late, Request::Stats.encode().as_bytes());
-    assert!(matches!(decoded(&read_frame(&mut late)), Reply::Stats(_)));
     assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
     service.stop();
 }

@@ -78,18 +78,20 @@ if grep -n "thread::Builder\|thread::spawn\|crossbeam" crates/server/src/batch.r
   exit 1
 fi
 # Threads = shards: the only thread the server spawns is a reactor shard
-# (`start_shards`), and nothing in the loop, in the service around it or in
-# the time-series module sleeps or parks — what is periodic is a deadline
-# in a shard's heap, what listens is a fd in its epoll set.
+# (`start_shards`; the shard core and everything else in the crate spawn
+# none), and nothing in the loop, its core, the service around it or the
+# time-series module sleeps or parks — what is periodic is a deadline in a
+# shard's heap, what listens is a fd in its epoll set.
 if grep -rn "thread::Builder\|thread::spawn" crates/server/src \
   | grep -v '^[^:]*:[0-9]*:[[:space:]]*//' | grep -v '^crates/server/src/reactor.rs:' \
   || [ "$(grep -c "thread::Builder\|thread::spawn" crates/server/src/reactor.rs)" != 1 ]; then
   echo "check.sh: the server spawns a thread other than reactor.rs::start_shards; make it an entry of the shard loop" >&2
   exit 1
 fi
-if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/tcp_service.rs crates/obs/src/timeseries.rs \
+if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/shard.rs \
+  crates/server/src/tcp_service.rs crates/obs/src/timeseries.rs \
   | grep -v '^[[:space:]]*//' | grep -n "thread::sleep\|park_timeout"; then
-  echo "check.sh: a sleep or a park in the shard loop, the service or the sampler; arm a deadline (reactor::Due)" >&2
+  echo "check.sh: a sleep or a park in the shard loop, the service or the sampler; arm a deadline (shard::Due)" >&2
   exit 1
 fi
 # One reader: a collection's telemetry reads its op log through one fold,
@@ -98,7 +100,8 @@ fi
 # shard's fold, never a fresh walk.
 if sed '/#\[cfg(test)\]/,$d' crates/server/src/health.rs | grep -n "trace()" \
   || [ "$(sed '/#\[cfg(test)\]/,$d' crates/server/src/progress.rs | grep -c "trace()")" != 1 ] \
-  || grep -n "health::collect" crates/server/src/reactor.rs crates/server/src/tcp_service.rs; then
+  || grep -n "health::collect" crates/server/src/reactor.rs crates/server/src/shard.rs \
+    crates/server/src/tcp_service.rs; then
   echo "check.sh: the op log read outside the telemetry fold; advance the collection's ProgressTracker" >&2
   exit 1
 fi
@@ -187,8 +190,44 @@ fi
 # there, on the frames the socket has not taken — no queue of encoded
 # frames sits in front of it, and no lever paces the writer.
 if grep -rn "writer_pace" crates src tests \
-  || sed '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs | grep -n "VecDeque<String>"; then
+  || sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/shard.rs \
+    | grep -n "VecDeque<String>"; then
   echo "check.sh: a second outbound buffer or a paced writer; write broadcasts into the connection's FrameWriter" >&2
+  exit 1
+fi
+# A sans-IO shard core (DESIGN.md §13.1): every rule of a shard lives in
+# `shard.rs`, which is fed the wake's one clock reading and what the
+# sockets did — it reads no clock and touches no socket, poller or thread.
+if sed '/#\[cfg(test)\]/,$d' crates/server/src/shard.rs \
+  | grep -n "Instant::now\|elapsed(\|SystemTime\|Poller\|TcpStream\|std::net\|std::thread"; then
+  echo "check.sh: the shard core reads a clock or does I/O; take \`now\` and events from the driver (reactor.rs)" >&2
+  exit 1
+fi
+# Docs cite code that exists: every `x.rs` cited in DESIGN.md or README.md
+# names a file of the workspace, and every `x.rs::name` a `fn` in it (a
+# name cut short with `…` is a prefix).
+rs_files=$(find . -path ./target -prune -o -path ./vendor -prune -o -path ./.git -prune -o -name '*.rs' -print)
+cited() {
+  sed -e ':a' -e 'N' -e '$!ba' -e 's/_\n[[:space:]]*/_/g' "$@" | grep -o '`[^`]*`' \
+    | grep -o '[A-Za-z0-9_/.-]*\.rs\(::[A-Za-z0-9_]*\(…\)\?\)\?' | sort -u
+}
+stale=$(for ref in $(cited DESIGN.md README.md); do
+  path=${ref%%::*}
+  name=${ref#"$path"}
+  name=${name#::}
+  files=$(printf '%s\n' $rs_files | grep "/${path#./}\$" || true)
+  case "$name" in
+    "") fn='' ;;
+    *…) fn="fn ${name%…}" ;;
+    *) fn="fn $name\b" ;;
+  esac
+  if [ -z "$files" ] || { [ -n "$fn" ] && ! grep -q "$fn" $files; }; then
+    echo "$ref"
+  fi
+done)
+if [ -n "$stale" ]; then
+  echo "$stale"
+  echo "check.sh: DESIGN.md or README.md cites a file or fn that is not there; fix the citation" >&2
   exit 1
 fi
 # An idle service sleeps (DESIGN.md §11, §13.1): the objectives' readings

@@ -180,13 +180,8 @@ fn cmd_serve(args: &[String]) -> i32 {
         "crowdfill back-end listening on {} — collecting until constraints are fulfilled",
         service.addr()
     );
+    service.wait_fulfilled();
     let backend = service.backend();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(250));
-        if backend.lock().is_fulfilled() {
-            break;
-        }
-    }
     let (final_table, _contributions, payout) = backend.lock().settle();
     crowdfill::obs::obs_info!("cli", "constraints fulfilled; final table:");
     for r in final_table.rows() {
