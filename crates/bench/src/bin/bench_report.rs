@@ -276,10 +276,10 @@ fn matching_suite(quick: bool) -> Vec<Entry> {
 /// multi-percent phantom deltas on shared runners. The rows carry the
 /// table size, so quick and full runs never collide in the compare.
 fn overhead_suite(quick: bool) -> Vec<Entry> {
-    use crowdfill_obs::metrics::{counter, histogram};
     use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
     use crowdfill_obs::trace::{self as obstrace, TraceMode};
     use crowdfill_server::ProgressTracker;
+    use std::sync::Arc;
     use std::time::Duration;
 
     let (rows, workers, reps) = if quick { (16, 4, 3) } else { (32, 4, 9) };
@@ -321,9 +321,9 @@ fn overhead_suite(quick: bool) -> Vec<Entry> {
     let replay = |ticked: bool| {
         let ring = ReadingRing::new(
             SloInstruments {
-                latency: histogram("crowdfill_server_ack_latency_ns"),
-                sheds: counter("crowdfill_server_sheds"),
-                submits: counter("crowdfill_server_submit_requests"),
+                latency: Arc::default(),
+                sheds: Arc::default(),
+                submits: Arc::default(),
             },
             256,
         );

@@ -8,7 +8,7 @@
 //! progressively larger slices of the apply path: bare replica processing,
 //! the Central Client's classification update, PRI maintenance, and the
 //! full backend, whose fill and vote apply are reported as their own
-//! per-op medians. The Central Client's build (`PriMaintainer::new`, with
+//! per-op medians (and a fill's mean heap allocations). The Central Client's build (`PriMaintainer::new`, with
 //! the edges its PRI graph holds) and `Backend::new` are timed on their own;
 //! the batch classification and the fulfillment check against the final
 //! state, for scale.
@@ -74,12 +74,12 @@ fn flag(args: &[String], name: &str) -> Option<usize> {
 }
 
 /// The backend `jobs` leave behind on a `rows`-row table, with `workers`
-/// sessions, each op's apply time handed to `timed`.
+/// sessions, each op's apply time and heap allocations handed to `timed`.
 fn replayed(
     rows: usize,
     workers: usize,
     jobs: &[BatchJob],
-    mut timed: impl FnMut(&Message, bool, u128),
+    mut timed: impl FnMut(&Message, bool, u128, u64),
 ) -> Backend {
     let mut backend = Backend::new(pipeline_config(rows));
     for _ in 0..workers {
@@ -89,11 +89,13 @@ fn replayed(
         let BatchOp::Msg { msg, auto_upvote } = &job.op else {
             unreachable!("fill workload has no modifies")
         };
-        let t = Instant::now();
+        let msg_copy = msg.clone();
+        let (t, allocations) = (Instant::now(), ALLOCATIONS.load(Ordering::Relaxed));
         backend
-            .submit(job.worker, msg.clone(), Millis(1), *auto_upvote)
+            .submit(job.worker, msg_copy, Millis(1), *auto_upvote)
             .expect("recorded op rejected");
-        timed(msg, *auto_upvote, t.elapsed().as_nanos());
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+        timed(msg, *auto_upvote, t.elapsed().as_nanos(), allocations);
     }
     backend
 }
@@ -192,25 +194,36 @@ fn main() {
 
     // 4. The full backend, op by op: fills and worker upvotes apart.
     let (mut fill, mut vote, mut build) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut fills, mut fill_allocations) = (0u64, 0);
     let mut last = None;
     for _ in 0..reps {
         drop(last.take());
         let t = Instant::now();
         let mut built = false;
-        let backend = replayed(rows, workers, &jobs, |msg, auto_upvote, took| {
-            if !std::mem::replace(&mut built, true) {
-                build.push(t.elapsed().as_nanos() - took);
-            }
-            match msg {
-                Message::Replace { .. } => fill.push(took),
-                Message::Upvote { .. } if !auto_upvote => vote.push(took),
-                _ => {}
-            }
-        });
+        let backend = replayed(
+            rows,
+            workers,
+            &jobs,
+            |msg, auto_upvote, took, allocations| {
+                if !std::mem::replace(&mut built, true) {
+                    build.push(t.elapsed().as_nanos() - took);
+                }
+                match msg {
+                    Message::Replace { .. } => {
+                        fill.push(took);
+                        (fills, fill_allocations) = (fills + 1, fill_allocations + allocations);
+                    }
+                    Message::Upvote { .. } if !auto_upvote => vote.push(took),
+                    _ => {}
+                }
+            },
+        );
         last = Some(backend);
     }
     stage("backend.submit fill p50", fill, 1);
     stage("backend.submit vote p50", vote, 1);
+    let per_fill = fill_allocations as f64 / fills as f64;
+    eprintln!("{:<32} {:>10.1} allocs/op", "backend.submit fill", per_fill);
     eprintln!(
         "{:<32} {:>10} us",
         "backend::new + connects",
@@ -375,7 +388,7 @@ fn encoders() {
     );
     for rows in [32, 400, 3_200] {
         let jobs = record_fill_workload(rows, rows.min(400), 4);
-        let state = replayed(rows, 4, &jobs, |_, _, _| {}).capture_state();
+        let state = replayed(rows, 4, &jobs, |_, _, _, _| {}).capture_state();
         let reps = if rows > 1_000 { 5 } else { 25 };
         let samples = (0..reps)
             .map(|_| {

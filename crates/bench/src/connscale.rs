@@ -161,7 +161,8 @@ pub struct ConnScaleReport {
     pub elapsed: Duration,
     pub ack_p50_ns: u64,
     pub ack_p99_ns: u64,
-    /// Reactor fairness deferrals observed during the run.
+    /// Reactor fairness deferrals observed during the run (0 against an
+    /// external server).
     pub fairness_deferrals: u64,
     pub lanes: Vec<CollectionLane>,
 }
@@ -595,8 +596,6 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         opts.connect_window_ms,
         opts.duration_ms,
     );
-    let deferrals = crowdfill_obs::metrics::counter("crowdfill_reactor_fairness_deferrals");
-    let deferrals_before = deferrals.get();
 
     let (service, addr) = match &opts.mode {
         ConnScaleMode::InProcess => {
@@ -713,7 +712,10 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         elapsed,
         ack_p50_ns: percentile(&all_lat, 0.50),
         ack_p99_ns: percentile(&all_lat, 0.99),
-        fairness_deferrals: deferrals.get().saturating_sub(deferrals_before),
+        fairness_deferrals: service.as_ref().map_or(0, |s| {
+            let deferrals = s.registry().counter("crowdfill_reactor_fairness_deferrals");
+            deferrals.get()
+        }),
         lanes,
     };
 

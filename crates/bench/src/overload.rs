@@ -23,15 +23,14 @@
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value};
 use crowdfill_net::{FrameConn, TcpConn};
-use crowdfill_obs::metrics;
 use crowdfill_server::wire::Request;
 use crowdfill_server::{
-    Backend, BatchOptions, OverloadOptions, ReconnectPolicy, RemoteError, RemoteWorker,
-    ServiceOptions, TaskConfig, TcpService,
+    Backend, BatchOptions, ClientCounts, OverloadOptions, ReconnectPolicy, RemoteError,
+    RemoteWorker, ServiceOptions, TaskConfig, TcpService,
 };
 use crowdfill_sim::openloop::Schedule;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Harness configuration: the service under stress and the client budget.
@@ -123,13 +122,14 @@ pub struct ScenarioReport {
     /// in-flight submission per connection, from the conservative
     /// admission pre-increment).
     pub queue_bound: i64,
-    /// Server-side overload counters, as deltas over the run.
+    /// Server-side overload counters over the run.
     pub admission_rejects: u64,
     pub sheds: u64,
     pub lag_downgrades: u64,
     pub evictions: u64,
-    /// Client-side overload backoffs taken (deltas over the run).
+    /// Client-side overload backoffs taken, and sessions resumed.
     pub client_backoffs: u64,
+    pub client_resumes: u64,
     /// p99 of client-observed time-to-ack over acked fills, ms.
     pub p99_ack_ms: u64,
     /// Acked fills missing from the master at verification. MUST be 0.
@@ -262,6 +262,8 @@ struct WorkerOutcome {
     overload_give_ups: usize,
     op_failures: usize,
     fatal: usize,
+    /// What the client's session went through.
+    client: ClientCounts,
 }
 
 /// Replays one worker's arrivals: anchor a fresh row (unique text into
@@ -390,6 +392,7 @@ fn run_worker(
 
     // Final catch-up so the connection parts cleanly; outcome immaterial.
     let _ = w.sync();
+    out.client = w.counts();
     out
 }
 
@@ -406,13 +409,9 @@ fn stalled_reader_conn(addr: std::net::SocketAddr) -> Option<TcpConn> {
     Some(conn)
 }
 
-/// Runs one schedule against a fresh service and reports what happened.
-/// Scenarios are serialized process-wide: the report reads deltas of the
-/// global metrics registry, which concurrent runs would contaminate.
+/// Runs one schedule against a fresh service and reports what happened:
+/// the service's own counts, and its clients'.
 pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioReport {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-
     // Make sure a failing scenario has a flight record to dump: if tracing
     // is off (the default), sample 1-in-8 ops for the duration of the run.
     // Sampling is pure in the deterministically-seeded trace ids, so the
@@ -430,23 +429,6 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
         }
     }
 
-    let rejects = metrics::counter("crowdfill_server_overload_rejects");
-    let sheds = metrics::counter("crowdfill_server_sheds");
-    let downgrades = metrics::counter("crowdfill_server_lag_downgrades");
-    let evictions = metrics::counter("crowdfill_server_evictions");
-    let backoffs = metrics::counter("crowdfill_client_overload_backoffs");
-    let depth_gauge = metrics::gauge("crowdfill_server_queue_depth");
-    let outbox_gauge = metrics::gauge("crowdfill_server_outbox_msgs");
-    let depth_level = depth_gauge.get();
-    let outbox_level = outbox_gauge.get();
-    let before = (
-        rejects.get(),
-        sheds.get(),
-        downgrades.get(),
-        evictions.get(),
-        backoffs.get(),
-    );
-
     let backend = Backend::new(harness_config(opts.rows));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
@@ -456,6 +438,7 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
     };
     let service = Arc::new(TcpService::start_with(backend, "127.0.0.1:0", options).unwrap());
     let addr = service.addr();
+    let depth_gauge = service.registry().gauge("crowdfill_server_queue_depth");
 
     // Queue-depth sampler: the bound is asserted on the maximum it saw.
     let sampling = Arc::new(AtomicBool::new(true));
@@ -541,6 +524,7 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
         latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)]
     };
 
+    let counter = |name| service.registry().counter(name).get();
     let report = ScenarioReport {
         scenario: schedule.name.to_string(),
         seed: schedule.seed,
@@ -551,42 +535,30 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
         fatal: outcomes.iter().map(|o| o.fatal).sum(),
         max_queue_depth: max_depth.load(Ordering::Acquire),
         queue_bound: (opts.overload.max_queue + schedule.workers) as i64,
-        admission_rejects: rejects.get() - before.0,
-        sheds: sheds.get() - before.1,
-        lag_downgrades: downgrades.get() - before.2,
-        evictions: evictions.get() - before.3,
-        client_backoffs: backoffs.get() - before.4,
+        admission_rejects: counter("crowdfill_server_overload_rejects"),
+        sheds: counter("crowdfill_server_sheds"),
+        lag_downgrades: counter("crowdfill_server_lag_downgrades"),
+        evictions: counter("crowdfill_server_evictions"),
+        client_backoffs: outcomes.iter().map(|o| o.client.overload_backoffs).sum(),
+        client_resumes: outcomes.iter().map(|o| o.client.resumes).sum(),
         p99_ack_ms,
         acked_lost,
     };
 
+    // Gauge hygiene (DESIGN.md §11): once every connection has gone —
+    // evicted stalled readers and herd-dropped sessions included — and
+    // the shards are joined, nothing is queued and no session is owed a
+    // broadcast, or `health`/`top` would show phantom load forever.
+    let backend = service.backend();
     if let Some(service) = Arc::into_inner(service) {
         service.stop();
+        assert_eq!(
+            depth_gauge.get(),
+            0,
+            "gauge hygiene: queue depth after stop"
+        );
+        let outbox = backend.lock().counts().outbox_msgs;
+        assert_eq!(outbox, 0, "gauge hygiene: outbox after stop");
     }
-
-    // Gauge hygiene (DESIGN.md §11): once every connection has drained —
-    // including evicted stalled readers and herd-dropped sessions — the
-    // pipeline-depth and per-session outbox gauges must return to their
-    // pre-run levels, or `health`/`top` would show phantom load forever.
-    // Teardown decrements race the stop() join, so poll briefly.
-    await_gauge_drain("crowdfill_server_queue_depth", &depth_gauge, depth_level);
-    await_gauge_drain("crowdfill_server_outbox_msgs", &outbox_gauge, outbox_level);
     report
-}
-
-/// Polls until `gauge` is back at `level` (its pre-run reading), panicking
-/// if it stays elevated past a generous drain window. Catches leaked
-/// increments in the session-teardown paths under churn.
-fn await_gauge_drain(name: &str, gauge: &metrics::Gauge, level: i64) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let v = gauge.get();
-        if v <= level {
-            return;
-        }
-        if Instant::now() >= deadline {
-            panic!("gauge hygiene: {name} stuck at {v} (pre-run level {level}) after drain");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }

@@ -10,9 +10,6 @@
 //! the CI) once every cell is filled and a second worker has duplicated
 //! coverage — duplicate observations are the estimator's evidence of
 //! saturation.
-//!
-//! One `#[test]` on purpose: the metrics registry and the reading ring are
-//! process-global, and parallel tests would contaminate the deltas.
 
 use crowdfill_bench::workload::pipeline_config;
 use crowdfill_model::{ColumnId, Value};

@@ -33,14 +33,28 @@
 //! group-best), the derived final table satisfies the constraint.
 
 use crate::probable::{Classifier, ProbableView};
-use crowdfill_matching::IncrementalMatcher;
+use crowdfill_matching::{IncrementalMatcher, MatchCounts};
 use crowdfill_model::{
     ClientId, ColumnId, Entry, Message, Operation, RowId, RowValue, Schema, ScoringRef, Template,
     TemplateRow,
 };
+use crowdfill_obs::metrics::Histogram;
 use crowdfill_sync::Replica;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// What the Central Client has done so far ([`PriMaintainer::counts`];
+/// its replica keeps its own): [`maintain`](PriMaintainer::maintain)
+/// passes and the wall time of each, template rows given up on (paper
+/// §4.2's degenerate case), and its matcher's work.
+#[derive(Debug, Clone, Default)]
+pub struct PriCounts {
+    pub refreshes: u64,
+    pub refresh_ns: Histogram,
+    pub template_drops: u64,
+    pub matching: MatchCounts,
+}
 
 /// A template row's index in the *original* user template. Stable across
 /// drops, so reports stay meaningful.
@@ -76,6 +90,8 @@ pub struct PriMaintainer {
     /// Messages CC has generated and not yet handed to the caller, each
     /// with the column it filled if it is a fill (a template value).
     outbox: Vec<(Message, Option<ColumnId>)>,
+    /// What `counts` reports but the matcher's.
+    counts: PriCounts,
 }
 
 impl PriMaintainer {
@@ -96,6 +112,7 @@ impl PriMaintainer {
             matcher: IncrementalMatcher::new(),
             template_classes: Vec::new(),
             outbox: Vec::new(),
+            counts: PriCounts::default(),
         };
         m.add_template_lefts();
         for (_, row) in m.template.clone() {
@@ -131,6 +148,7 @@ impl PriMaintainer {
             matcher: IncrementalMatcher::new(),
             template_classes: Vec::new(),
             outbox: Vec::new(),
+            counts: PriCounts::default(),
         };
         m.add_template_lefts();
         m.sync_probable_set();
@@ -149,6 +167,15 @@ impl PriMaintainer {
     /// CC's replica (read access).
     pub fn replica(&self) -> &Replica {
         &self.replica
+    }
+
+    /// What this Central Client has done since it was made or restored.
+    pub fn counts(&self) -> PriCounts {
+        let matching = self.matcher.counts();
+        PriCounts {
+            matching,
+            ..self.counts.clone()
+        }
     }
 
     /// Absorbs one recovered message into CC's replica WITHOUT running
@@ -395,10 +422,8 @@ impl PriMaintainer {
     /// matcher, repairs, and restores the PRI by insertion / shuffle /
     /// template-drop.
     pub fn maintain(&mut self) {
-        crowdfill_obs::metrics::counter("crowdfill_constraints_pri_refreshes").inc();
-        let _refresh_timer = crowdfill_obs::SpanTimer::start(&crowdfill_obs::metrics::histogram(
-            "crowdfill_constraints_pri_refresh_ns",
-        ));
+        self.counts.refreshes += 1;
+        let started = Instant::now();
         self.sync_probable_set();
         self.matcher.repair();
 
@@ -437,7 +462,7 @@ impl PriMaintainer {
                     // with the reduced constraint (paper §4.2).
                     let live = self.drop_template_row(t);
                     debug_assert!(live, "free left is a live template row");
-                    crowdfill_obs::metrics::counter("crowdfill_constraints_template_drops").inc();
+                    self.counts.template_drops += 1;
                     crowdfill_obs::obs_warn!(
                         "constraints",
                         "PRI degenerate case: dropped template row";
@@ -448,6 +473,7 @@ impl PriMaintainer {
             }
         }
         debug_assert!(self.matcher.check_consistency());
+        self.counts.refresh_ns.record_duration(started.elapsed());
     }
 
     /// Enters the live template into the matcher, equal rows in one class.

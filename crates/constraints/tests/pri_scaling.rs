@@ -7,9 +7,9 @@
 //! matcher's worst case (N² edges, one class per row); it keeps the bounds
 //! it had when every template row held its own adjacency list.
 //!
-//! It counts adjacency entries touched (`crowdfill_matching_edge_visits`)
-//! instead of timing, so machine speed cannot flake it. The counter is
-//! process-global: this file is its own test binary and holds one test.
+//! It counts adjacency entries touched (the matcher's
+//! `MatchCounts::edge_visits`, read off each Central Client) instead of
+//! timing, so machine speed cannot flake it.
 
 use crowdfill_constraints::PriMaintainer;
 use crowdfill_model::{
@@ -19,21 +19,20 @@ use crowdfill_model::{
 use crowdfill_sync::Replica;
 use std::sync::Arc;
 
-fn edge_visits() -> u64 {
-    crowdfill_obs::metrics::counter("crowdfill_matching_edge_visits").get()
+fn edge_visits(cc: &PriMaintainer) -> u64 {
+    cc.counts().matching.edge_visits
 }
 
 /// Builds a Central Client over `template`, then has a worker fill the key
 /// column of 40 seed rows, each a new key. Returns the build's edge visits,
 /// the edges held after it, and the most visits one fill cost.
 fn build_and_fill(schema: &Arc<Schema>, template: &Template) -> (u64, u64, u64) {
-    let before = edge_visits();
     let mut cc = PriMaintainer::new(
         Arc::clone(schema),
         Arc::new(QuorumMajority::of_three()),
         template,
     );
-    let build = edge_visits() - before;
+    let build = edge_visits(&cc);
     let edges = cc.edges_held() as u64;
 
     let mut worker = Replica::new(ClientId(1), Arc::clone(schema));
@@ -49,9 +48,9 @@ fn build_and_fill(schema: &Arc<Schema>, template: &Template) -> (u64, u64, u64) 
             value: Value::text(format!("k{i}")),
         };
         let msg = worker.apply_local(&fill).expect("seed row is fillable");
-        let before = edge_visits();
+        let before = edge_visits(&cc);
         cc.on_message(&msg);
-        let visits = edge_visits() - before;
+        let visits = edge_visits(&cc) - before;
         assert!(visits > 0, "a fill replaces a probable row");
         most = most.max(visits);
         assert!(cc.invariant_holds() && cc.take_outbox().is_empty());

@@ -31,6 +31,6 @@ pub use json::{
     write_json, ArrayWriter, Json, JsonDoc, JsonError, JsonNode, JsonRef, JsonWriter, ObjectWriter,
     Tape, TapeNode,
 };
-pub use snapshot::{Snapshot, SnapshotStore};
+pub use snapshot::{Snapshot, SnapshotCounts, SnapshotStore};
 pub use store::DocStore;
-pub use wal::{crc32, FsyncPolicy, Wal};
+pub use wal::{crc32, FsyncPolicy, Wal, WalCounts};

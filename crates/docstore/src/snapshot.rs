@@ -10,7 +10,7 @@
 //! any boundary leaves either the previous snapshot set intact or the new
 //! file fully in place, never a half-written file under a valid name.
 //! Loads degrade gracefully: a corrupt newest file falls back to the next
-//! (counted in `crowdfill_snapshot_fallbacks`), and when nothing valid
+//! (counted in [`SnapshotCounts::fallbacks`]), and when nothing valid
 //! remains the caller replays the full WAL.
 //!
 //! File format (all integers big-endian):
@@ -24,6 +24,7 @@
 
 use crate::disk::{Disk, RealDisk};
 use crate::wal::crc32;
+use crowdfill_obs::Counter;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -41,6 +42,16 @@ pub struct Snapshot {
     pub payload: Vec<u8>,
 }
 
+/// What a store has done since it was opened ([`SnapshotStore::counts`]):
+/// snapshots written, loads that fell back past a newer file, and files
+/// (or payloads, counted by their reader) found unusable.
+#[derive(Debug, Clone, Default)]
+pub struct SnapshotCounts {
+    pub writes: Counter,
+    pub fallbacks: Counter,
+    pub corrupt: Counter,
+}
+
 /// A directory of snapshot files, newest-wins with bounded retention.
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -49,6 +60,7 @@ pub struct SnapshotStore {
     /// How many snapshots to keep on disk (≥ 1; the default 2 keeps one
     /// fallback behind the latest).
     keep: usize,
+    counts: SnapshotCounts,
 }
 
 impl SnapshotStore {
@@ -70,6 +82,7 @@ impl SnapshotStore {
             dir,
             disk,
             keep: keep.max(1),
+            counts: SnapshotCounts::default(),
         };
         // A crash between a snapshot's temp write and its rename leaves a
         // `*.tmp` corpse; it was never part of the store.
@@ -87,6 +100,11 @@ impl SnapshotStore {
     /// The directory this store manages.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// What this store has done since it was opened.
+    pub fn counts(&self) -> &SnapshotCounts {
+        &self.counts
     }
 
     fn file_name(seq: u64) -> String {
@@ -138,7 +156,7 @@ impl SnapshotStore {
         }
         self.disk.rename(&tmp, &final_path)?;
         self.disk.sync_dir(&self.dir)?;
-        crowdfill_obs::metrics::counter("crowdfill_snapshot_writes").inc();
+        self.counts.writes.inc();
         crowdfill_obs::obs_debug!(
             "docstore",
             "snapshot written: {}", final_path.display();
@@ -168,7 +186,7 @@ impl SnapshotStore {
             match self.load_file(path) {
                 Ok(snap) => {
                     if i > 0 {
-                        crowdfill_obs::metrics::counter("crowdfill_snapshot_fallbacks").inc();
+                        self.counts.fallbacks.inc();
                     }
                     crowdfill_obs::obs_debug!(
                         "docstore",
@@ -179,7 +197,7 @@ impl SnapshotStore {
                     return Ok(Some(snap));
                 }
                 Err(e) => {
-                    crowdfill_obs::metrics::counter("crowdfill_snapshot_corrupt").inc();
+                    self.counts.corrupt.inc();
                     crowdfill_obs::obs_warn!(
                         "docstore",
                         "corrupt snapshot skipped: {} ({e})", path.display();

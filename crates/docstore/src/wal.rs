@@ -12,40 +12,27 @@
 //! makes. Production code uses [`RealDisk`] via [`Wal::open`]/[`Wal::open_with`].
 
 use crate::disk::{Disk, DiskFile, RealDisk};
-use crowdfill_obs::metrics::{Counter, Histogram};
-use crowdfill_obs::SpanTimer;
+use crowdfill_obs::metrics::Histogram;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// WAL metrics, resolved once per open log.
-#[derive(Debug)]
-struct WalMetrics {
-    appends: Arc<Counter>,
-    append_bytes: Arc<Counter>,
-    flush_ns: Arc<Histogram>,
-    fsyncs: Arc<Counter>,
-    compactions: Arc<Counter>,
-    replayed_records: Arc<Counter>,
-    torn_tail_bytes: Arc<Counter>,
-    torn_tail_repairs: Arc<Counter>,
-}
-
-impl WalMetrics {
-    fn resolve() -> WalMetrics {
-        use crowdfill_obs::metrics::{counter, histogram};
-        WalMetrics {
-            appends: counter("crowdfill_docstore_wal_appends"),
-            append_bytes: counter("crowdfill_docstore_wal_append_bytes"),
-            flush_ns: histogram("crowdfill_docstore_wal_flush_ns"),
-            fsyncs: counter("crowdfill_docstore_wal_fsyncs"),
-            compactions: counter("crowdfill_docstore_wal_compactions"),
-            replayed_records: counter("crowdfill_docstore_wal_replayed_records"),
-            torn_tail_bytes: counter("crowdfill_wal_torn_tail_bytes"),
-            torn_tail_repairs: counter("crowdfill_wal_torn_tail_repairs"),
-        }
-    }
+/// What a log handle has done since it was opened ([`Wal::counts`]):
+/// appends, their frame bytes (headers included) and the time each spent
+/// becoming as durable as the policy promises; fsyncs; compactions; and
+/// at open, the records replayed and a torn tail's bytes, if one was cut.
+#[derive(Debug, Clone, Default)]
+pub struct WalCounts {
+    pub appends: u64,
+    pub append_bytes: u64,
+    pub flush_ns: Histogram,
+    pub fsyncs: u64,
+    pub compactions: u64,
+    pub replayed_records: u64,
+    pub torn_tail_bytes: u64,
+    pub torn_tail_repairs: u64,
 }
 
 /// When an append becomes *durable* — guaranteed to survive a process or
@@ -118,7 +105,8 @@ pub struct Wal {
     /// observable after the handle is gone — the kill-vs-clean-exit test
     /// distinguishes the two paths with it.
     fsync_count: Arc<AtomicU64>,
-    metrics: WalMetrics,
+    /// What `counts` reports but `fsyncs`, read from `fsync_count`.
+    counts: WalCounts,
 }
 
 impl Wal {
@@ -160,7 +148,6 @@ impl Wal {
             );
             disk.remove_file(&tmp)?;
         }
-        let metrics = WalMetrics::resolve();
         let mut replayed = 0u64;
         let mut valid_len: u64 = 0;
         let mut torn_bytes: u64 = 0;
@@ -214,13 +201,16 @@ impl Wal {
         file.set_len(valid_len)?;
         file.seek_end()?;
         let writer = BufWriter::new(file);
-        metrics.replayed_records.add(replayed);
+        let counts = WalCounts {
+            replayed_records: replayed,
+            torn_tail_bytes: torn_bytes,
+            torn_tail_repairs: u64::from(torn_bytes > 0),
+            ..WalCounts::default()
+        };
         if torn_bytes > 0 {
             // A torn tail means the last crash dropped un-acked bytes —
             // expected after a kill, but an operator should be able to tell
             // a clean open from a post-crash repair.
-            metrics.torn_tail_bytes.add(torn_bytes);
-            metrics.torn_tail_repairs.inc();
             crowdfill_obs::obs_warn!(
                 "docstore",
                 "wal open repaired a torn tail: {}", path.display();
@@ -245,7 +235,7 @@ impl Wal {
             dirty: false,
             bytes: valid_len,
             fsync_count: Arc::new(AtomicU64::new(0)),
-            metrics,
+            counts,
         })
     }
 
@@ -255,9 +245,18 @@ impl Wal {
     }
 
     /// Current on-disk length in bytes (header + payload of every live
-    /// frame). Feeds the `crowdfill_wal_bytes` gauge.
+    /// frame).
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// What this handle has done since it was opened, the replay at open
+    /// included.
+    pub fn counts(&self) -> WalCounts {
+        WalCounts {
+            fsyncs: self.fsync_count.load(Ordering::SeqCst),
+            ..self.counts.clone()
+        }
     }
 
     /// Lifetime fsync counter for this handle; survives the handle (the
@@ -276,7 +275,7 @@ impl Wal {
         self.writer.write_all(&crc)?;
         self.writer.write_all(payload)?;
         self.dirty = true;
-        let flush_timer = SpanTimer::start(&self.metrics.flush_ns);
+        let flush_started = Instant::now();
         match self.policy {
             FsyncPolicy::Always => self.fsync()?,
             FsyncPolicy::EveryN(n) => {
@@ -291,10 +290,12 @@ impl Wal {
             }
             FsyncPolicy::OsOnly => self.writer.flush()?,
         }
-        drop(flush_timer);
+        self.counts
+            .flush_ns
+            .record_duration(flush_started.elapsed());
         self.bytes += 8 + payload.len() as u64;
-        self.metrics.appends.inc();
-        self.metrics.append_bytes.add(8 + payload.len() as u64);
+        self.counts.appends += 1;
+        self.counts.append_bytes += 8 + payload.len() as u64;
         Ok(())
     }
 
@@ -310,7 +311,6 @@ impl Wal {
         self.unsynced = 0;
         self.dirty = false;
         self.fsync_count.fetch_add(1, Ordering::SeqCst);
-        self.metrics.fsyncs.inc();
         Ok(())
     }
 
@@ -341,7 +341,7 @@ impl Wal {
         self.unsynced = 0; // the temp file was sync_all'd before the rename
         self.dirty = false;
         self.bytes = new_bytes;
-        self.metrics.compactions.inc();
+        self.counts.compactions += 1;
         crowdfill_obs::obs_debug!("docstore", "wal compacted: {}", self.path.display());
         Ok(())
     }
@@ -463,24 +463,16 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[0, 0, 0, 99, 1, 2]).unwrap(); // truncated header+payload
         }
-        let torn_before = crowdfill_obs::metrics::counter("crowdfill_wal_torn_tail_bytes").get();
-        let repairs_before =
-            crowdfill_obs::metrics::counter("crowdfill_wal_torn_tail_repairs").get();
         let mut seen = Vec::new();
         {
             let mut wal = Wal::open(&path, |rec| seen.push(rec.to_vec())).unwrap();
             assert_eq!(seen, vec![b"good".to_vec()]);
+            // The repair is counted, not just debug-logged: 6 garbage bytes.
+            let counts = wal.counts();
+            assert_eq!((counts.torn_tail_bytes, counts.torn_tail_repairs), (6, 1));
+            assert_eq!(counts.replayed_records, 1);
             wal.append(b"after-recovery").unwrap();
         }
-        // The repair is counted, not just debug-logged: 6 garbage bytes.
-        assert!(
-            crowdfill_obs::metrics::counter("crowdfill_wal_torn_tail_bytes").get()
-                >= torn_before + 6
-        );
-        assert!(
-            crowdfill_obs::metrics::counter("crowdfill_wal_torn_tail_repairs").get()
-                > repairs_before
-        );
         let mut seen2 = Vec::new();
         let _ = Wal::open(&path, |rec| seen2.push(rec.to_vec())).unwrap();
         assert_eq!(seen2, vec![b"good".to_vec(), b"after-recovery".to_vec()]);
@@ -494,11 +486,9 @@ mod tests {
             let mut wal = Wal::open(&path, |_| {}).unwrap();
             wal.append(b"whole").unwrap();
         }
-        let torn_before = crowdfill_obs::metrics::counter("crowdfill_wal_torn_tail_bytes").get();
-        let _ = Wal::open(&path, |_| {}).unwrap();
-        // Other tests run in parallel against the same global registry, so
-        // equality would race; instead pin the clean-open path directly.
-        let _ = torn_before; // (kept for readability of the scenario)
+        let counts = Wal::open(&path, |_| {}).unwrap().counts();
+        assert_eq!((counts.torn_tail_bytes, counts.torn_tail_repairs), (0, 0));
+        assert_eq!(counts.replayed_records, 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -37,29 +37,19 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, OnceLock};
 
-use crowdfill_obs::metrics::Counter;
-
-/// Counter of augmenting-path searches started.
-fn augment_searches() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_augment_searches"))
-}
-
-/// Counter of BFS expansions performed across all augmenting-path
-/// searches (a search that ends at a free neighbour of its root is one).
-fn augment_steps() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_augment_steps"))
-}
-
-/// Counter of adjacency entries touched by add / remove / repair /
-/// exchange — the matcher's unit of work, and what the scaling gate
-/// (`constraints/tests/pri_scaling.rs`) bounds instead of a wall clock.
-fn edge_visits() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_matching_edge_visits"))
+/// What a matcher has done so far ([`IncrementalMatcher::counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchCounts {
+    /// Augmenting-path searches started.
+    pub augment_searches: u64,
+    /// BFS expansions across all augmenting-path searches (a search that
+    /// ends at a free neighbour of its root is one).
+    pub augment_steps: u64,
+    /// Adjacency entries touched by add / remove / repair / exchange — the
+    /// matcher's unit of work, and what the scaling gate
+    /// (`constraints/tests/pri_scaling.rs`) bounds instead of a wall clock.
+    pub edge_visits: u64,
 }
 
 /// "No slot": a free vertex's mate, a matched left's position in the free
@@ -186,6 +176,7 @@ pub struct IncrementalMatcher<L, R> {
     /// The left from which a right was discovered.
     parent: Vec<u32>,
     queue: VecDeque<u32>,
+    counts: MatchCounts,
 }
 
 impl<L: Clone + Ord, R: Clone + Ord> Default for IncrementalMatcher<L, R> {
@@ -210,7 +201,13 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
             seen_class: Vec::new(),
             parent: Vec::new(),
             queue: VecDeque::new(),
+            counts: MatchCounts::default(),
         }
+    }
+
+    /// What this matcher has done since it was made.
+    pub fn counts(&self) -> MatchCounts {
+        self.counts
     }
 
     /// Number of matched pairs.
@@ -302,7 +299,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
                 self.rights.nodes[r as usize].edges.push((c, pos));
             }
         }
-        edge_visits().add(visits);
+        self.counts.edge_visits += visits;
     }
 
     /// Removes a right vertex and all its edges; unmatches its partner.
@@ -320,7 +317,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
             class.adj.remove(&pos);
             class.free.remove(&pos);
         }
-        edge_visits().add(edges.len() as u64);
+        self.counts.edge_visits += edges.len() as u64;
         self.rights.vacate(r);
         (widowed != NIL).then(|| self.lefts.key(widowed).clone())
     }
@@ -385,7 +382,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
                 }
             }
         }
-        edge_visits().add(visits);
+        self.counts.edge_visits += visits;
         out
     }
 
@@ -481,7 +478,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
         for &(c, pos) in &right.edges {
             self.classes[c as usize].free.insert(pos, r);
         }
-        edge_visits().add(right.edges.len() as u64);
+        self.counts.edge_visits += right.edges.len() as u64;
         self.set_free(l, true);
     }
 
@@ -504,22 +501,22 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     /// case reads the class's free set instead, dropping the matched rights
     /// it finds at the front.
     fn augment(&mut self, root: u32) -> bool {
-        augment_searches().inc();
+        self.counts.augment_searches += 1;
         let free = &mut self.classes[self.lefts.nodes[root as usize].class as usize].free;
         let mut visits = 0u64;
         while let Some(first) = free.first_entry() {
             visits += 1;
             let r = *first.get();
             if self.rights.nodes[r as usize].mate == NIL {
-                edge_visits().add(visits);
-                augment_steps().inc();
+                self.counts.edge_visits += visits;
+                self.counts.augment_steps += 1;
                 self.parent[r as usize] = root;
                 self.flip(root, r);
                 return true;
             }
             first.remove();
         }
-        edge_visits().add(visits);
+        self.counts.edge_visits += visits;
         match self.search(root, NIL) {
             Some(end) => {
                 self.flip(root, end);
@@ -566,8 +563,8 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
                 }
             }
         }
-        augment_steps().add(steps);
-        edge_visits().add(visits);
+        self.counts.augment_steps += steps;
+        self.counts.edge_visits += visits;
         end
     }
 

@@ -16,9 +16,9 @@
 //! (checksummed TCP, in-order channels).
 
 use crate::conn::{ConnError, FrameConn};
-use crowdfill_obs::metrics::{counter, Counter};
+use crowdfill_obs::Counter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Fault probabilities are expressed per mille (0–1000) so the plan stays
@@ -127,23 +127,13 @@ impl Rng {
     }
 }
 
-/// Fault-event metrics, shared by all faulty connections.
-struct FaultMetrics {
-    dropped: Arc<Counter>,
-    delayed: Arc<Counter>,
-    partial_writes: Arc<Counter>,
-    forced_disconnects: Arc<Counter>,
-}
-
-impl FaultMetrics {
-    fn resolve() -> FaultMetrics {
-        FaultMetrics {
-            dropped: counter("crowdfill_net_fault_dropped_frames"),
-            delayed: counter("crowdfill_net_fault_delayed_frames"),
-            partial_writes: counter("crowdfill_net_fault_partial_writes"),
-            forced_disconnects: counter("crowdfill_net_fault_forced_disconnects"),
-        }
-    }
+/// The faults a connection has injected so far ([`FaultyConn::counts`]).
+#[derive(Debug, Default)]
+pub struct FaultCounts {
+    pub dropped_frames: Counter,
+    pub delayed_frames: Counter,
+    pub partial_writes: Counter,
+    pub forced_disconnects: Counter,
 }
 
 /// A [`FrameConn`] that injects faults from a deterministic seeded plan.
@@ -155,7 +145,7 @@ pub struct FaultyConn<C: FrameConn> {
     disconnect_at: Option<u64>,
     ops: AtomicU64,
     dead: AtomicBool,
-    metrics: FaultMetrics,
+    counts: FaultCounts,
 }
 
 impl<C: FrameConn> FaultyConn<C> {
@@ -176,13 +166,18 @@ impl<C: FrameConn> FaultyConn<C> {
             disconnect_at,
             ops: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            metrics: FaultMetrics::resolve(),
+            counts: FaultCounts::default(),
         }
     }
 
     /// The wrapped connection (e.g. to reach transport-specific methods).
     pub fn inner(&self) -> &C {
         &self.inner
+    }
+
+    /// The faults injected so far.
+    pub fn counts(&self) -> &FaultCounts {
+        &self.counts
     }
 
     /// Whether the plan has already killed this connection.
@@ -200,7 +195,7 @@ impl<C: FrameConn> FaultyConn<C> {
         if let Some(at) = self.disconnect_at {
             if n >= at {
                 if !self.dead.swap(true, Ordering::AcqRel) {
-                    self.metrics.forced_disconnects.inc();
+                    self.counts.forced_disconnects.inc();
                 }
                 return true;
             }
@@ -219,7 +214,7 @@ impl<C: FrameConn> FaultyConn<C> {
             }
         };
         if let Some(d) = delay {
-            self.metrics.delayed.inc();
+            self.counts.delayed_frames.inc();
             std::thread::sleep(d);
         }
     }
@@ -250,12 +245,12 @@ impl<C: FrameConn> FrameConn for FaultyConn<C> {
             Verdict::Tear => {
                 // A torn write loses the frame and leaves the stream
                 // desynced: poison, like TcpConn does for real.
-                self.metrics.partial_writes.inc();
+                self.counts.partial_writes.inc();
                 self.dead.store(true, Ordering::Release);
                 Err(ConnError::Disconnected)
             }
             Verdict::Drop => {
-                self.metrics.dropped.inc();
+                self.counts.dropped_frames.inc();
                 Ok(()) // the frame silently vanishes
             }
             Verdict::Pass => self.inner.send(frame),

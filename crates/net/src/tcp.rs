@@ -27,38 +27,28 @@
 use crate::conn::{ConnError, FrameConn};
 use crate::nonblocking::{FrameReader, FrameWriter};
 use crate::poller::{Event, Interest, Poller};
-use crowdfill_obs::metrics::{counter, Counter};
 use crowdfill_obs::obs_warn;
+use crowdfill_obs::Counter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Most bytes one `recv` moves from the socket into the frame decoder.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Transport metrics, resolved once per connection/listener.
-struct NetMetrics {
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
-    frames_in: Arc<Counter>,
-    frames_out: Arc<Counter>,
-    frame_errors: Arc<Counter>,
-    poisoned: Arc<Counter>,
-}
-
-impl NetMetrics {
-    fn resolve() -> NetMetrics {
-        NetMetrics {
-            bytes_in: counter("crowdfill_net_bytes_in"),
-            bytes_out: counter("crowdfill_net_bytes_out"),
-            frames_in: counter("crowdfill_net_frames_in"),
-            frames_out: counter("crowdfill_net_frames_out"),
-            frame_errors: counter("crowdfill_net_frame_errors"),
-            poisoned: counter("crowdfill_net_poisoned_conns"),
-        }
-    }
+/// What a connection has moved so far ([`TcpConn::counts`]): whole
+/// frames, length prefixes included; frames refused (oversized out,
+/// unframeable in); 1 once a failed send poisoned it.
+#[derive(Debug, Default)]
+pub struct NetCounts {
+    pub bytes_in: Counter,
+    pub bytes_out: Counter,
+    pub frames_in: Counter,
+    pub frames_out: Counter,
+    pub frame_errors: Counter,
+    pub poisoned: Counter,
 }
 
 /// What a receive needs exclusively: where it parks and what it has
@@ -86,7 +76,7 @@ pub struct TcpConn {
     /// desynchronized; every later `send`/`recv` must fail rather than
     /// silently corrupt the byte stream.
     dead: AtomicBool,
-    metrics: NetMetrics,
+    counts: NetCounts,
 }
 
 impl TcpConn {
@@ -115,7 +105,7 @@ impl TcpConn {
             writer: Mutex::new(FrameWriter::new()),
             peer,
             dead: AtomicBool::new(false),
-            metrics: NetMetrics::resolve(),
+            counts: NetCounts::default(),
         })
     }
 
@@ -127,6 +117,11 @@ impl TcpConn {
     pub fn shutdown(&self) {
         self.dead.store(true, Ordering::Release);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+
+    /// What this connection has moved so far.
+    pub fn counts(&self) -> &NetCounts {
+        &self.counts
     }
 
     /// The peer's address.
@@ -181,8 +176,8 @@ impl TcpConn {
             }
             match frames.pop() {
                 Ok(Some(frame)) => {
-                    self.metrics.frames_in.inc();
-                    self.metrics.bytes_in.add(4 + frame.len() as u64);
+                    self.counts.frames_in.inc();
+                    self.counts.bytes_in.add(4 + frame.len() as u64);
                     return Ok(frame);
                 }
                 Ok(None) => {}
@@ -209,7 +204,7 @@ impl TcpConn {
     /// A read the framing cannot survive: counted, logged, and the socket
     /// closed so the peer sees it too.
     fn read_failed(&self, e: &ConnError) -> ConnError {
-        self.metrics.frame_errors.inc();
+        self.counts.frame_errors.inc();
         obs_warn!("net", "frame read error from {}: {e}", self.peer);
         self.shutdown();
         ConnError::Disconnected
@@ -223,14 +218,14 @@ impl FrameConn for TcpConn {
             return Err(ConnError::Disconnected);
         }
         if let Err(too_large) = writer.enqueue(frame) {
-            self.metrics.frame_errors.inc();
+            self.counts.frame_errors.inc();
             return Err(too_large);
         }
         if self.flush(&mut writer).is_err() {
             // The stream may hold a torn frame: poison so no later send can
             // interleave bytes into the middle of it.
             if !self.dead.swap(true, Ordering::AcqRel) {
-                self.metrics.poisoned.inc();
+                self.counts.poisoned.inc();
                 obs_warn!(
                     "net",
                     "connection to {} poisoned after failed send",
@@ -240,8 +235,8 @@ impl FrameConn for TcpConn {
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
             return Err(ConnError::Disconnected);
         }
-        self.metrics.frames_out.inc();
-        self.metrics.bytes_out.add(4 + frame.len() as u64);
+        self.counts.frames_out.inc();
+        self.counts.bytes_out.add(4 + frame.len() as u64);
         Ok(())
     }
 
@@ -265,7 +260,6 @@ fn io_err(e: std::io::Error) -> ConnError {
 /// A TCP acceptor producing framed connections.
 pub struct TcpServer {
     listener: TcpListener,
-    accepts: Arc<Counter>,
 }
 
 impl TcpServer {
@@ -273,7 +267,6 @@ impl TcpServer {
     pub fn bind(addr: impl ToSocketAddrs) -> Result<TcpServer, ConnError> {
         Ok(TcpServer {
             listener: TcpListener::bind(addr).map_err(io_err)?,
-            accepts: counter("crowdfill_net_accepts"),
         })
     }
 
@@ -285,7 +278,6 @@ impl TcpServer {
     /// Accepts the next incoming connection (blocking).
     pub fn accept(&self) -> Result<TcpConn, ConnError> {
         let (stream, _) = self.listener.accept().map_err(io_err)?;
-        self.accepts.inc();
         TcpConn::from_stream(stream)
     }
 
@@ -299,7 +291,6 @@ impl TcpServer {
             std::io::ErrorKind::WouldBlock => ConnError::Empty,
             _ => io_err(e),
         })?;
-        self.accepts.inc();
         stream.set_nodelay(true).map_err(io_err)?;
         Ok(stream)
     }

@@ -7,14 +7,15 @@
 //!   [`Sink`](log::Sink)s (the crate ships a stderr writer, text or JSON
 //!   lines). A disabled level costs one relaxed atomic load at the call
 //!   site.
-//! * [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) of
-//!   lock-free [`Counter`](metrics::Counter)s,
+//! * [`metrics`] — lock-free [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s, and log-bucketed
-//!   [`Histogram`](metrics::Histogram)s (p50/p90/p99/max), exported as
-//!   Prometheus-style plain text by
-//!   [`snapshot`](metrics::MetricsRegistry::snapshot). A process-global
-//!   registry backs the free functions [`counter`], [`gauge`], and
-//!   [`histogram`]; scoped registries can be created for isolation.
+//!   [`Histogram`](metrics::Histogram)s (p50/p90/p99/max); a
+//!   [`MetricsRegistry`](metrics::MetricsRegistry) that names them; and
+//!   [`render`](metrics::render), the Prometheus-style plain text of named
+//!   [`Sample`](metrics::Sample)s. There is no process-global registry: a
+//!   layer keeps its counts in fields of the struct that does the work and
+//!   names none of them, and a service owns the one registry it exposes,
+//!   naming its layers' counts when it renders.
 //! * [`span`] — [`SpanTimer`](span::SpanTimer), an RAII guard that
 //!   records elapsed nanoseconds into a histogram on drop.
 //! * [`progress`] — a streaming Chao92-style species estimator
@@ -35,7 +36,9 @@
 //!   summaries.
 //!
 //! Metric names follow `crowdfill_<crate>_<name>` (e.g.
-//! `crowdfill_sync_ops_applied`, `crowdfill_net_bytes_out`).
+//! `crowdfill_sync_ops_applied`, `crowdfill_net_bytes_out`). What stays
+//! process-wide is what has no owner to hang on: the log sinks and the
+//! trace [`FlightRecorder`](trace::FlightRecorder).
 //!
 //! Call [`init_from_env`] once at binary startup to turn the stderr log
 //! on; libraries only emit through whatever sinks the binary installed.
@@ -50,7 +53,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use crate::log::{Event, FieldValue, Level, Sink, StderrFormat, StderrSink};
-pub use crate::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, MetricsRegistry};
+pub use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Sample};
 pub use crate::progress::{ProgressEstimate, SpeciesEstimator};
 pub use crate::span::SpanTimer;
 pub use crate::timeseries::{Reading, ReadingRing, SloInstruments, SloStatus};

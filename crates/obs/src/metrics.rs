@@ -1,14 +1,16 @@
-//! Lock-free counters, gauges, and log-bucketed histograms, collected
-//! in a [`MetricsRegistry`] with a Prometheus-style text exporter.
+//! Lock-free counters, gauges, and log-bucketed histograms, a
+//! [`MetricsRegistry`] that names them, and the Prometheus-style text
+//! exposition ([`render`]).
 //!
-//! Hot paths should resolve their instrument once (an `Arc<Counter>` is
-//! one relaxed `fetch_add` per increment) rather than re-looking names
-//! up; the free functions [`counter`]/[`gauge`]/[`histogram`] do a
-//! registry lookup and are for setup code and cold paths.
+//! There is no process-global registry: whoever owns an instrument holds
+//! it, as a field of the struct that does the work or in the registry of
+//! the service that exposes it. Hot paths resolve a registry's instrument
+//! once (an `Arc<Counter>` is one relaxed `fetch_add` per increment); a
+//! name lookup is for setup code and cold paths.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -35,6 +37,15 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A copy of the count, counting on by itself.
+impl Clone for Counter {
+    fn clone(&self) -> Counter {
+        Counter {
+            value: AtomicU64::new(self.get()),
+        }
     }
 }
 
@@ -149,6 +160,19 @@ impl Histogram {
     }
 }
 
+/// A copy of the samples, recording on by itself.
+impl Clone for Histogram {
+    fn clone(&self) -> Histogram {
+        let snap = self.snapshot();
+        Histogram {
+            buckets: snap.buckets.map(AtomicU64::new),
+            count: AtomicU64::new(snap.count),
+            sum: AtomicU64::new(snap.sum),
+            max: AtomicU64::new(snap.max),
+        }
+    }
+}
+
 /// Plain-data copy of a [`Histogram`], mergeable across sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -243,8 +267,8 @@ enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A named collection of instruments. One process-global registry backs
-/// [`global()`]; scoped registries isolate e.g. one simulation run.
+/// A named collection of instruments: what one service (or one simulation
+/// run) exposes.
 #[derive(Default)]
 pub struct MetricsRegistry {
     instruments: Mutex<BTreeMap<String, Instrument>>,
@@ -294,43 +318,22 @@ impl MetricsRegistry {
         }
     }
 
-    /// Prometheus-style plain-text exposition of every instrument.
-    /// Histograms render as summaries: `_count`, `_sum`,
-    /// `{quantile="..."}` estimates, and `_max`.
-    ///
-    /// The output is **deterministically ordered** — instruments are
-    /// stored in a `BTreeMap` and emitted sorted by metric name — so
-    /// two snapshots of the same state are byte-identical and snapshot
-    /// diffs in tests and bench artifacts are stable.
-    pub fn snapshot(&self) -> String {
-        use std::fmt::Write as _;
+    /// Every instrument's current value, by name, ascending.
+    pub fn samples(&self) -> Vec<(String, Sample)> {
         let map = self.instruments.lock();
-        let mut out = String::new();
-        for (name, instrument) in map.iter() {
-            match instrument {
-                Instrument::Counter(c) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Instrument::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", g.get());
-                }
-                Instrument::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let _ = writeln!(out, "# TYPE {name} summary");
-                    let _ = writeln!(out, "{name}_count {}", snap.count);
-                    let _ = writeln!(out, "{name}_sum {}", snap.sum);
-                    for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
-                        if let Some(v) = snap.quantile(q) {
-                            let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {v}");
-                        }
-                    }
-                    let _ = writeln!(out, "{name}_max {}", snap.max);
-                }
-            }
-        }
-        out
+        let sample = |instrument: &Instrument| match instrument {
+            Instrument::Counter(c) => Sample::Counter(c.get()),
+            Instrument::Gauge(g) => Sample::Gauge(g.get()),
+            Instrument::Histogram(h) => Sample::Summary(Box::new(h.snapshot())),
+        };
+        map.iter()
+            .map(|(name, i)| (name.clone(), sample(i)))
+            .collect()
+    }
+
+    /// The [`render`]ed text of every instrument.
+    pub fn snapshot(&self) -> String {
+        render(self.samples())
     }
 
     /// Names currently registered (for diagnostics/tests).
@@ -339,25 +342,67 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-global registry.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+/// One instrument's value, as the exposition renders it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Sample {
+    Counter(u64),
+    Gauge(i64),
+    Summary(Box<HistogramSnapshot>),
 }
 
-/// Gets or registers a counter in the global registry.
-pub fn counter(name: &str) -> Arc<Counter> {
-    global().counter(name)
+impl Sample {
+    /// Two values under one name: counts and levels add, distributions
+    /// merge.
+    ///
+    /// # Panics
+    /// If they are of different kinds.
+    fn merge(&mut self, name: &str, other: Sample) {
+        match (self, other) {
+            (Sample::Counter(a), Sample::Counter(b)) => *a += b,
+            (Sample::Gauge(a), Sample::Gauge(b)) => *a += b,
+            (Sample::Summary(a), Sample::Summary(b)) => **a = a.merge(&b),
+            _ => panic!("metric {name:?} is rendered as two kinds"),
+        }
+    }
 }
 
-/// Gets or registers a gauge in the global registry.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    global().gauge(name)
-}
-
-/// Gets or registers a histogram in the global registry.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    global().histogram(name)
+/// Prometheus-style plain-text exposition of named samples. Histograms
+/// render as summaries: `_count`, `_sum`, `{quantile="..."}` estimates,
+/// and `_max`. Samples that share a name are [merged](Sample::merge)
+/// into one.
+///
+/// The output is **deterministically ordered** — sorted by metric name —
+/// so two renderings of the same state are byte-identical and snapshot
+/// diffs in tests and bench artifacts are stable.
+pub fn render(samples: impl IntoIterator<Item = (String, Sample)>) -> String {
+    use std::fmt::Write as _;
+    let mut merged: BTreeMap<String, Sample> = BTreeMap::new();
+    for (name, sample) in samples {
+        if let Some(held) = merged.get_mut(&name) {
+            held.merge(&name, sample);
+        } else {
+            merged.insert(name, sample);
+        }
+    }
+    let mut out = String::new();
+    for (name, sample) in &merged {
+        match sample {
+            Sample::Counter(v) => out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n")),
+            Sample::Gauge(v) => out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n")),
+            Sample::Summary(snap) => {
+                let _ = writeln!(out, "# TYPE {name} summary");
+                let _ = writeln!(out, "{name}_count {}", snap.count);
+                let _ = writeln!(out, "{name}_sum {}", snap.sum);
+                for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
+                    if let Some(v) = snap.quantile(q) {
+                        let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {v}");
+                    }
+                }
+                let _ = writeln!(out, "{name}_max {}", snap.max);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -476,6 +521,47 @@ mod tests {
         // interpolation puts rank-1-of-1 at the bucket floor (within a
         // factor of 2 of the true 9000, per the documented bound).
         assert_eq!(snap.quantile(0.99).unwrap(), 8192);
+    }
+
+    /// Samples that share a name are one line: counts and levels add,
+    /// distributions merge.
+    #[test]
+    fn render_adds_up_samples_of_one_name() {
+        let (a, b) = (Histogram::new(), Histogram::new());
+        a.record(10);
+        b.record(1000);
+        let text = render([
+            ("crowdfill_test_c".to_string(), Sample::Counter(2)),
+            ("crowdfill_test_g".to_string(), Sample::Gauge(-1)),
+            (
+                "crowdfill_test_h".to_string(),
+                Sample::Summary(Box::new(a.snapshot())),
+            ),
+            ("crowdfill_test_c".to_string(), Sample::Counter(3)),
+            ("crowdfill_test_g".to_string(), Sample::Gauge(4)),
+            (
+                "crowdfill_test_h".to_string(),
+                Sample::Summary(Box::new(b.snapshot())),
+            ),
+        ]);
+        assert_eq!(text.matches("# TYPE").count(), 3, "{text}");
+        for line in [
+            "crowdfill_test_c 5",
+            "crowdfill_test_g 3",
+            "crowdfill_test_h_count 2",
+            "crowdfill_test_h_max 1000",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} in {text}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two kinds")]
+    fn render_refuses_two_kinds_under_one_name() {
+        render([
+            ("crowdfill_test_kind".to_string(), Sample::Counter(1)),
+            ("crowdfill_test_kind".to_string(), Sample::Gauge(1)),
+        ]);
     }
 
     #[test]

@@ -34,100 +34,47 @@
 use crate::config::TaskConfig;
 use crate::persist::{self, BackendState, JournalFrame, SessionState};
 use crate::wire::{BootstrapText, TableImage};
-use crowdfill_constraints::PriMaintainer;
-use crowdfill_docstore::{SnapshotStore, Wal};
+use crowdfill_constraints::{PriCounts, PriMaintainer};
+use crowdfill_docstore::{SnapshotCounts, SnapshotStore, Wal, WalCounts};
 use crowdfill_model::{
     derive_final_table, ClientId, ColumnId, FinalTable, Message, OpError, RowValue, TemplateRow,
 };
-use crowdfill_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crowdfill_obs::metrics::{Histogram, HistogramSnapshot};
 use crowdfill_obs::trace::{self as obstrace, ActiveSpan, SpanId, Stage, TraceId};
 use crowdfill_pay::{
     allocate, Contributions, Estimator, Ledger, Millis, Payout, Trace, TraceEntry, WorkerId,
 };
-use crowdfill_sync::Replica;
+use crowdfill_sync::{Replica, ReplicaCounts};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Counter of batches applied via [`Backend::submit_batch`].
-fn batch_submits() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_batch_submits"))
-}
-
-/// Counter of individual operations carried inside batches.
-fn batch_ops() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_batch_ops"))
-}
-
-/// Histogram of batch sizes (operations per batch).
-fn batch_size() -> &'static Histogram {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| crowdfill_obs::metrics::histogram("crowdfill_server_batch_size"))
-}
-
-/// Histogram of wall time spent applying one whole batch, in nanoseconds.
-fn batch_apply_ns() -> &'static Histogram {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| crowdfill_obs::metrics::histogram("crowdfill_server_batch_apply_ns"))
-}
-
-/// Counter of WAL frames written by the backend journal (one per
-/// submit/modify/batch that grew the history — *not* one per op).
-fn batch_wal_frames() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_batch_wal_frames"))
-}
-
-/// Counter of backend journal append failures (journaling is best-effort
-/// once attached; failures are logged and counted, never block an ack).
-fn batch_wal_errors() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_batch_wal_errors"))
-}
-
-/// Gauge of bytes in the attached history journal (WAL), updated on every
-/// append and reset by compaction — the growth the checkpoint sweep bounds.
-fn wal_bytes_gauge() -> &'static Gauge {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_wal_bytes"))
-}
-
-/// Counter of checkpoints written ([`Backend::checkpoint`]).
-fn checkpoints_counter() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_checkpoints"))
-}
-
-/// Counter of checkpoint-plus-WAL-truncation passes
-/// ([`Backend::compact_storage`]).
-fn compactions_counter() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_compactions"))
-}
-
-/// Gauge of log entries connected sessions have not been handed yet — the
-/// server-side broadcast lag summed over all sessions. An applied message
-/// adds one per session it is owed to, a poll or a lost connection takes
-/// off what that session was owed, so it must read zero whenever every
-/// cursor is at the end of the log (asserted by the overload harness).
-fn outbox_msgs() -> &'static Gauge {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| crowdfill_obs::metrics::gauge("crowdfill_server_outbox_msgs"))
-}
-
-/// Counter of state images built for the bootstrap cache.
-fn bootstrap_builds() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_builds"))
-}
-
-/// Counter of entries encoded into the bootstrap cache's text: the image's
-/// values, rows and vote entries, and the log's messages, each at most once
-/// per cache.
-fn bootstrap_encoded_msgs() -> &'static Counter {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crowdfill_obs::metrics::counter("crowdfill_server_bootstrap_encoded_msgs"))
+/// What a backend has done since it was made or recovered, with the counts
+/// of its replica, Central Client, journal and checkpoint store (zero while
+/// none is attached). `tcp_service.rs` names them.
+#[derive(Debug, Clone, Default)]
+pub struct BackendCounts {
+    /// Batches applied, their ops, ops per batch, apply time per batch.
+    pub batch_submits: u64,
+    pub batch_ops: u64,
+    pub batch_size: Histogram,
+    pub batch_apply_ns: Histogram,
+    /// Journal records written (one per batch that grew the history),
+    /// appends failed (never blocking an ack), and the journal's bytes.
+    pub batch_wal_frames: u64,
+    pub batch_wal_errors: u64,
+    pub wal_bytes: u64,
+    /// [`Backend::checkpoint`]s and [`Backend::compact_storage`]s.
+    pub checkpoints: u64,
+    pub compactions: u64,
+    /// Log entries owed to connected sessions, not handed yet.
+    pub outbox_msgs: i64,
+    /// Bootstrap images built, and entries encoded into their text.
+    pub bootstrap_builds: u64,
+    pub bootstrap_encoded_msgs: u64,
+    pub replica: ReplicaCounts,
+    pub central: PriCounts,
+    pub journal: WalCounts,
+    pub snapshots: SnapshotCounts,
 }
 
 /// Why the backend rejected a submission.
@@ -371,6 +318,8 @@ pub struct Backend {
     /// originating trace. Bounded; old ranges age out (their broadcasts
     /// have long since flushed).
     seq_traces: VecDeque<(u64, u64, TraceId)>,
+    /// Its own counts; [`counts`](Self::counts) adds its layers'.
+    counts: BackendCounts,
 }
 
 /// How many traced seq ranges [`Backend::trace_for_seq`] remembers.
@@ -441,6 +390,7 @@ impl Backend {
             noted_drops,
             last_checkpoint_at: None,
             seq_traces: VecDeque::new(),
+            counts: BackendCounts::default(),
             config,
         };
         for (msg, filled) in seeds {
@@ -512,7 +462,7 @@ impl Backend {
     /// with their seqs) as a single WAL frame — so batching coalesces WAL
     /// traffic to one frame, and under `FsyncPolicy::EveryN(1)` one fsync,
     /// per batch. Journaling is best-effort: an append failure is logged and
-    /// counted (`crowdfill_server_batch_wal_errors`) but does not fail the
+    /// counted ([`BackendCounts::batch_wal_errors`]) but does not fail the
     /// submission that triggered it.
     ///
     /// Journaling starts at the current history length; to recover a
@@ -526,7 +476,7 @@ impl Backend {
     pub fn detach_wal(&mut self) -> Option<Wal> {
         let mut wal = self.wal.take()?;
         if wal.sync().is_err() {
-            batch_wal_errors().inc();
+            self.counts.batch_wal_errors += 1;
         }
         Some(wal)
     }
@@ -611,7 +561,7 @@ impl Backend {
         let fresh =
             |c: &Bootstrap| c.at >= self.history_base && (end - c.at) as usize <= c.image.entries();
         if !self.bootstrap.as_ref().is_some_and(fresh) {
-            bootstrap_builds().inc();
+            self.counts.bootstrap_builds += 1;
             self.bootstrap = Some(Bootstrap {
                 at: end,
                 image: self.table_image(),
@@ -630,16 +580,19 @@ impl Backend {
     /// costs a copy of the text.
     pub fn bootstrap_text(&mut self) -> &str {
         let (cache, suffix) = self.bootstrap();
+        let mut encoded = 0;
         let text = cache.text.get_or_insert_with(|| {
-            bootstrap_encoded_msgs().add(cache.image.entries() as u64);
+            encoded += cache.image.entries() as u64;
             BootstrapText::new(&cache.image)
         });
         let logged = text.logged();
         for entry in &suffix[logged..] {
             text.push(&entry.msg);
         }
-        bootstrap_encoded_msgs().add((suffix.len() - logged) as u64);
-        text.as_str()
+        encoded += (suffix.len() - logged) as u64;
+        self.counts.bootstrap_encoded_msgs += encoded;
+        let cache = self.bootstrap.as_ref().and_then(|c| c.text.as_ref());
+        cache.expect("encoded above").as_str()
     }
 
     /// Marks a worker disconnected (its session state is retained so the
@@ -650,7 +603,7 @@ impl Backend {
         if let Some(s) = self.sessions.get_mut(&worker).filter(|s| s.connected) {
             s.connected = false;
             self.connected -= 1;
-            outbox_msgs().add(-(owed as i64));
+            self.counts.outbox_msgs -= owed as i64;
         }
     }
 
@@ -776,7 +729,7 @@ impl Backend {
         if let Some(s) = self.sessions.get_mut(&worker) {
             s.cursor = end;
         }
-        outbox_msgs().add(-(owed.len() as i64));
+        self.counts.outbox_msgs -= owed.len() as i64;
         owed
     }
 
@@ -856,10 +809,10 @@ impl Backend {
             .collect();
         let end_seq = self.history_len();
         self.journal_from(first_seq, &traced);
-        batch_submits().inc();
-        batch_ops().add(n);
-        batch_size().record(n);
-        batch_apply_ns().record(timer.elapsed().as_nanos() as u64);
+        self.counts.batch_submits += 1;
+        self.counts.batch_ops += n;
+        self.counts.batch_size.record(n);
+        self.counts.batch_apply_ns.record_duration(timer.elapsed());
         BatchOutcome {
             results,
             first_seq,
@@ -967,7 +920,7 @@ impl Backend {
         for (cc_msg, filled) in cc_msgs {
             self.log(None, cc_msg, false, filled);
         }
-        outbox_msgs().add(owed as i64);
+        self.counts.outbox_msgs += owed as i64;
 
         SubmitReport {
             estimate,
@@ -1074,12 +1027,9 @@ impl Backend {
             return;
         };
         match wal.append(record.as_bytes()) {
-            Ok(()) => {
-                batch_wal_frames().inc();
-                wal_bytes_gauge().set(wal.bytes() as i64);
-            }
+            Ok(()) => self.counts.batch_wal_frames += 1,
             Err(e) => {
-                batch_wal_errors().inc();
+                self.counts.batch_wal_errors += 1;
                 crowdfill_obs::obs_warn!(
                     "server",
                     "history journal append failed";
@@ -1222,6 +1172,22 @@ impl Backend {
         self.wal.as_ref().map(Wal::bytes).unwrap_or(0)
     }
 
+    /// What this backend and its layers have done.
+    pub fn counts(&self) -> BackendCounts {
+        BackendCounts {
+            wal_bytes: self.wal_bytes(),
+            replica: self.cc.replica().counts(),
+            central: self.cc.counts(),
+            journal: self.wal.as_ref().map(Wal::counts).unwrap_or_default(),
+            snapshots: self
+                .snapshots
+                .as_ref()
+                .map(|s| s.counts().clone())
+                .unwrap_or_default(),
+            ..self.counts.clone()
+        }
+    }
+
     /// Server clock at the last checkpoint written by this process (`None`
     /// before the first).
     pub fn last_checkpoint_at(&self) -> Option<Millis> {
@@ -1249,7 +1215,7 @@ impl Backend {
         let base = self.history_len();
         let payload = persist::encode_backend_state(&self.capture_state());
         store.write(base, payload.as_bytes())?;
-        checkpoints_counter().inc();
+        self.counts.checkpoints += 1;
         self.last_checkpoint_at = Some(self.clock);
         Ok(base)
     }
@@ -1270,10 +1236,9 @@ impl Backend {
         let base = self.checkpoint()?;
         if let Some(wal) = self.wal.as_mut() {
             wal.compact(std::iter::empty::<&[u8]>())?;
-            wal_bytes_gauge().set(wal.bytes() as i64);
         }
         self.history_base = base;
-        compactions_counter().inc();
+        self.counts.compactions += 1;
         Ok(base)
     }
 
@@ -1396,6 +1361,7 @@ impl Backend {
             noted_drops,
             last_checkpoint_at: None,
             seq_traces: VecDeque::new(),
+            counts: BackendCounts::default(),
             config,
         }
     }

@@ -25,6 +25,11 @@
 //! overload can never lose acked work. Every decision takes its clock
 //! reading as an argument; the tests pass the `Instant`s they mean.
 //!
+//! It counts nothing itself: a refusal is the [`admit`] error, and each
+//! [`Settled`] carries its queue wait and, unless it was shed, its
+//! latency — what the driving shard records into its service's
+//! instruments.
+//!
 //! [`admit`]: BatchPipeline::admit
 //! [`apply`]: BatchPipeline::apply
 //! [`due`]: BatchPipeline::due
@@ -32,13 +37,12 @@
 
 use crate::backend::{Backend, BatchJob, BatchOp, SubmitError, SubmitReport};
 use crate::overload::{OverloadOptions, Priority};
-use crowdfill_obs::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Batching knobs.
@@ -62,27 +66,6 @@ impl Default for BatchOptions {
     }
 }
 
-fn m_queue_depth() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| gauge("crowdfill_server_queue_depth"))
-}
-fn m_overload_rejects() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| counter("crowdfill_server_overload_rejects"))
-}
-pub(crate) fn m_sheds() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| counter("crowdfill_server_sheds"))
-}
-fn m_queue_wait() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| histogram("crowdfill_server_queue_wait_ns"))
-}
-pub(crate) fn m_ack_latency() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| histogram("crowdfill_server_ack_latency_ns"))
-}
-
 /// One op offered to [`BatchPipeline::admit`].
 #[derive(Debug)]
 pub struct Submission {
@@ -104,8 +87,11 @@ pub struct Submission {
 pub struct Settled {
     pub ticket: u64,
     pub trace: TraceId,
-    /// The clock reading it was admitted at.
-    pub admitted: Instant,
+    /// Its queue wait up to the batch that took it, in nanoseconds.
+    pub waited_ns: u64,
+    /// Admission to the backend's answer, in nanoseconds; `None`: it was
+    /// shed, never applied.
+    pub latency_ns: Option<u64>,
     /// A modify bundle, not a plain message.
     pub modify: bool,
     pub result: Result<SubmitReport, SubmitError>,
@@ -200,13 +186,11 @@ impl BatchPipeline {
         let full = depth >= self.overload.max_queue.max(1);
         let gated = job.priority == Priority::Speculative && depth >= self.overload.spec_queue;
         if full || gated {
-            m_overload_rejects().inc();
             let retry_after_ms = self.overload.retry_after_ms(depth);
             obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);
             return Err(SubmitError::Overloaded { retry_after_ms });
         }
         queue.push_back((job, at));
-        m_queue_depth().add(1);
         obstrace::stamp(trace, Stage::Admit, root, 0, depth as u64 + 1);
         Ok(())
     }
@@ -237,17 +221,14 @@ impl BatchPipeline {
             let Some((job, admitted)) = queue.pop_front() else {
                 break;
             };
-            m_queue_depth().add(-1);
             let waited = now.saturating_duration_since(admitted);
             let waited_ns = waited.as_nanos() as u64;
-            m_queue_wait().record(waited_ns);
             let (trace, root) = (job.trace, SpanId::root(job.trace));
             let modify = matches!(job.op, BatchOp::Modify { .. });
             let result = if waited > shed_budget {
                 // Shed: the op was never applied, so the reject is safe —
                 // the client retries or gives up, but no acked state is
                 // involved.
-                m_sheds().inc();
                 obstrace::stamp_dur(trace, Stage::Shed, root, 0, 0, waited_ns);
                 let retry_after_ms = self.overload.retry_after_ms(queue.len());
                 SubmitError::Overloaded { retry_after_ms }
@@ -256,7 +237,7 @@ impl BatchPipeline {
                 // is the queue wait it paid to get there.
                 let size = jobs.len() as u64 + 1;
                 obstrace::stamp_dur(trace, Stage::BatchForm, root, 0, size, waited_ns);
-                applied.push((settled.len(), job.worker));
+                applied.push((settled.len(), job.worker, admitted));
                 let (worker, op) = (job.worker, job.op);
                 jobs.push(BatchJob { worker, op, trace });
                 SubmitError::CollectionClosed // until the batch's outcome replaces it
@@ -264,7 +245,8 @@ impl BatchPipeline {
             settled.push(Settled {
                 ticket: job.ticket,
                 trace,
-                admitted,
+                waited_ns,
+                latency_ns: None,
                 modify,
                 result: Err(result),
             });
@@ -274,9 +256,9 @@ impl BatchPipeline {
             return settled; // nothing queued, or all of it shed
         }
         let outcome = backend.submit_batch(jobs, (self.clock)());
-        for ((i, worker), result) in applied.into_iter().zip(outcome.results) {
-            let latency = settled[i].admitted.elapsed().as_nanos() as u64;
-            m_ack_latency().record(latency);
+        for ((i, worker, admitted), result) in applied.into_iter().zip(outcome.results) {
+            let latency = admitted.elapsed().as_nanos() as u64;
+            settled[i].latency_ns = Some(latency);
             // The worker's own ack latency (its health row), submits only.
             match backend.worker_ack_histogram(worker) {
                 Some(own) if !settled[i].modify => own.record(latency),

@@ -7,7 +7,7 @@
 //! submission from send to ack. The failure model is documented in
 //! `tcp_service.rs`.
 
-use crate::client_core::{ClientCore, Event, Settled};
+use crate::client_core::{ClientCore, ClientCounts, Event, Settled};
 pub use crate::client_core::{ReconnectPolicy, RemoteAck, RemoteError};
 use crate::wire::Request;
 use crate::worker_client::WorkerClient;
@@ -117,6 +117,11 @@ impl RemoteWorker {
     /// This worker's id.
     pub fn worker(&self) -> WorkerId {
         self.core.worker()
+    }
+
+    /// What this session has been through since its welcome.
+    pub fn counts(&self) -> ClientCounts {
+        self.core.counts()
     }
 
     /// Absorbs any broadcast messages that have arrived. If the server has

@@ -28,7 +28,6 @@ use crate::wire::{self, CatchUp, Cursor, Image, Op, Reply, Request, SeqMsg, Tabl
 use crate::worker_client::{Outgoing, WorkerClient};
 use crowdfill_model::{ColumnId, Message, OpError, RowId, Schema, Value};
 use crowdfill_net::ConnError;
-use crowdfill_obs::metrics::counter;
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::WorkerId;
 use crowdfill_sync::AppliedSeqs;
@@ -202,6 +201,19 @@ fn decoded(image: Image<'_>, schema: &Schema) -> Result<(TableImage, Vec<Message
     }
 }
 
+/// What a session has been through ([`ClientCore::counts`]): replicas
+/// replaced by an image, resumes, submissions a resume proved applied
+/// (their ack lost), redials waited for, and overload rejections waited
+/// out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientCounts {
+    pub resyncs: u64,
+    pub resumes: u64,
+    pub recovered_acks: u64,
+    pub reconnect_attempts: u64,
+    pub overload_backoffs: u64,
+}
+
 /// One session's protocol state: a [`WorkerClient`] replica, exactly which
 /// history seqs it has applied, and what the server is owed.
 pub struct ClientCore {
@@ -227,6 +239,7 @@ pub struct ClientCore {
     /// fixed policy emits the same ids run-to-run.
     trace_seed: u64,
     trace_count: u64,
+    counts: ClientCounts,
 }
 
 impl ClientCore {
@@ -259,12 +272,18 @@ impl ClientCore {
             jitter,
             trace_seed: splitmix64(jitter ^ (worker.0 as u64)),
             trace_count: 0,
+            counts: ClientCounts::default(),
         })
     }
 
     /// The local view, kept in sync by [`handle`](Self::handle).
     pub fn view(&self) -> &WorkerClient {
         &self.client
+    }
+
+    /// What this session has been through since its welcome.
+    pub fn counts(&self) -> ClientCounts {
+        self.counts
     }
 
     /// This worker's id.
@@ -398,7 +417,7 @@ impl ClientCore {
         self.client.adopt(&image, &log);
         self.applied.reset_to_prefix(history_len);
         self.server_history_len = self.server_history_len.max(history_len);
-        counter("crowdfill_client_resyncs").inc();
+        self.counts.resyncs += 1;
         crowdfill_obs::obs_debug!(
             "client",
             "{what}";
@@ -519,7 +538,7 @@ impl ClientCore {
             Reply::Reject(reason, _) => return Err(RemoteError::Rejected(reason)),
             _ => return Ok(Settled::Redial),
         };
-        counter("crowdfill_client_resumes").inc();
+        self.counts.resumes += 1;
         let msgs = match catch_up {
             // The server compacted past our cursor while we were gone.
             CatchUp::Image(image) => {
@@ -552,7 +571,7 @@ impl ClientCore {
         };
         if matched.iter().all(|&m| m) {
             // The server applied the submission; only its ack was lost.
-            counter("crowdfill_client_recovered_acks").inc();
+            self.counts.recovered_acks += 1;
             return Ok(Settled::Recovered);
         }
         // The server never saw it. The resubmission goes out untraced —
@@ -569,7 +588,7 @@ impl ClientCore {
 
     /// The wait before redial number `attempt` of a recovery episode.
     pub fn backoff(&mut self, attempt: u32) -> Duration {
-        counter("crowdfill_client_reconnect_attempts").inc();
+        self.counts.reconnect_attempts += 1;
         let (base, max) = self.delays.unwrap_or_default();
         let exp = base.saturating_mul(1u32 << attempt.min(16)).min(max);
         self.jittered(exp)
@@ -580,7 +599,7 @@ impl ClientCore {
     /// like [`backoff`](Self::backoff) so a crowd of rejected clients does
     /// not return in lockstep.
     pub fn overload_backoff(&mut self, retry_after_ms: u64, tries: u32) -> Duration {
-        counter("crowdfill_client_overload_backoffs").inc();
+        self.counts.overload_backoffs += 1;
         let base = Duration::from_millis(retry_after_ms.max(1));
         let cap = self.delays.map_or(Duration::from_secs(2), |(_, max)| max);
         let exp = base

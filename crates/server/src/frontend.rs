@@ -10,33 +10,22 @@ use crate::config::TaskConfig;
 use crate::wire;
 use crowdfill_docstore::{Collection, DocStore, Json, StoreError};
 use crowdfill_model::{FinalTable, QuorumMajority, ScoringRef};
-use crowdfill_obs::metrics::{Counter, Histogram};
+use crowdfill_obs::metrics::Histogram;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::{Payout, Scheme};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Per-operation front-end metrics, resolved once per front end.
-struct FrontendMetrics {
-    tasks_created: Arc<Counter>,
-    tasks_launched: Arc<Counter>,
-    tasks_completed: Arc<Counter>,
-    tasks_deleted: Arc<Counter>,
-    op_latency_ns: Arc<Histogram>,
-}
-
-impl FrontendMetrics {
-    fn resolve() -> FrontendMetrics {
-        use crowdfill_obs::metrics::{counter, histogram};
-        FrontendMetrics {
-            tasks_created: counter("crowdfill_server_frontend_tasks_created"),
-            tasks_launched: counter("crowdfill_server_frontend_tasks_launched"),
-            tasks_completed: counter("crowdfill_server_frontend_tasks_completed"),
-            tasks_deleted: counter("crowdfill_server_frontend_tasks_deleted"),
-            op_latency_ns: histogram("crowdfill_server_frontend_op_latency_ns"),
-        }
-    }
+/// What a front end has done since it was opened ([`Frontend::counts`]),
+/// and the wall time of each task operation.
+#[derive(Debug, Clone, Default)]
+pub struct FrontendCounts {
+    pub tasks_created: u64,
+    pub tasks_launched: u64,
+    pub tasks_completed: u64,
+    pub tasks_deleted: u64,
+    pub op_latency_ns: Arc<Histogram>,
 }
 
 /// Task lifecycle states.
@@ -143,7 +132,7 @@ fn scheme_from_name(s: &str) -> Result<Scheme, FrontendError> {
 pub struct Frontend {
     store: DocStore,
     next_id: u64,
-    metrics: FrontendMetrics,
+    counts: FrontendCounts,
 }
 
 const TASKS: &str = "tasks";
@@ -157,7 +146,7 @@ impl Frontend {
         Frontend {
             store: DocStore::in_memory(),
             next_id: 1,
-            metrics: FrontendMetrics::resolve(),
+            counts: FrontendCounts::default(),
         }
     }
 
@@ -176,14 +165,19 @@ impl Frontend {
         Ok(Frontend {
             store,
             next_id,
-            metrics: FrontendMetrics::resolve(),
+            counts: FrontendCounts::default(),
         })
+    }
+
+    /// What this front end has done since it was opened.
+    pub fn counts(&self) -> &FrontendCounts {
+        &self.counts
     }
 
     /// Creates a task specification; returns its id. The task starts in
     /// [`TaskStatus::Draft`].
     pub fn create_task(&mut self, config: &TaskConfig) -> Result<String, FrontendError> {
-        let _op_timer = SpanTimer::start(&self.metrics.op_latency_ns);
+        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         let id = format!("task-{}", self.next_id);
         self.next_id += 1;
         let doc = Json::obj([
@@ -202,7 +196,7 @@ impl Frontend {
             ),
         ]);
         self.store.insert(TASKS, id.clone(), doc)?;
-        self.metrics.tasks_created.inc();
+        self.counts.tasks_created += 1;
         crowdfill_obs::obs_info!("server", "task created: {id}");
         Ok(id)
     }
@@ -266,19 +260,19 @@ impl Frontend {
 
     /// Deletes a draft task. Live/done tasks are immutable history.
     pub fn delete_task(&mut self, id: &str) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.metrics.op_latency_ns);
+        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Draft)?;
         self.store.remove(TASKS, id)?;
-        self.metrics.tasks_deleted.inc();
+        self.counts.tasks_deleted += 1;
         Ok(())
     }
 
     /// Launches data collection (Draft → Live).
     pub fn launch_task(&mut self, id: &str) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.metrics.op_latency_ns);
+        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Draft)?;
         self.set_status(id, TaskStatus::Live)?;
-        self.metrics.tasks_launched.inc();
+        self.counts.tasks_launched += 1;
         crowdfill_obs::obs_info!("server", "task launched: {id}");
         Ok(())
     }
@@ -290,7 +284,7 @@ impl Frontend {
         final_table: &FinalTable,
         payout: &Payout,
     ) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.metrics.op_latency_ns);
+        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Live)?;
         let rows: Vec<Json> = final_table
             .rows()
@@ -327,7 +321,7 @@ impl Frontend {
             ]),
         )?;
         self.set_status(id, TaskStatus::Done)?;
-        self.metrics.tasks_completed.inc();
+        self.counts.tasks_completed += 1;
         crowdfill_obs::obs_info!(
             "server",
             "task completed: {id}";

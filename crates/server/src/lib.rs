@@ -38,12 +38,14 @@ pub mod tcp_service;
 pub mod wire;
 pub mod worker_client;
 
-pub use backend::{Backend, BatchJob, BatchOp, BatchOutcome, SubmitError, SubmitReport};
+pub use backend::{
+    Backend, BackendCounts, BatchJob, BatchOp, BatchOutcome, SubmitError, SubmitReport,
+};
 pub use batch::{BatchOptions, BatchPipeline, Settled, Submission};
 pub use client::{Dialer, ReconnectPolicy, RemoteAck, RemoteError, RemoteWorker};
-pub use client_core::ClientCore;
+pub use client_core::{ClientCore, ClientCounts};
 pub use config::TaskConfig;
-pub use frontend::{Frontend, FrontendError, TaskStatus};
+pub use frontend::{Frontend, FrontendCounts, FrontendError, TaskStatus};
 pub use health::{
     collect, CollectionHealth, ColumnHealth, DurabilityHealth, HealthReport, SloHealth,
     WorkerHealth,
@@ -62,6 +64,6 @@ pub use progress::{
 };
 pub use recommend::{Recommendation, RecommendationKind};
 pub use tcp_service::{
-    Collection, DurabilitySweepOptions, ServiceOptions, TcpService, DEFAULT_COLLECTION,
+    exposition, Collection, DurabilitySweepOptions, ServiceOptions, TcpService, DEFAULT_COLLECTION,
 };
 pub use worker_client::{Outgoing, WorkerClient};

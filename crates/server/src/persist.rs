@@ -573,7 +573,7 @@ pub fn open_or_recover_on(
             match decode_backend_state(&s.payload).filter(|s| s.image.fits(&config.schema)) {
                 Some(state) => Backend::from_state(config, &state),
                 None => {
-                    crowdfill_obs::metrics::counter("crowdfill_snapshot_corrupt").inc();
+                    snapshots.counts().corrupt.inc();
                     crowdfill_obs::obs_warn!(
                         "server",
                         "snapshot payload undecodable or of another schema; falling back to full journal replay";

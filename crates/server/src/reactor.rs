@@ -7,7 +7,9 @@
 //! is its [`ShardCore`] (`shard.rs`), which touches no socket and reads no
 //! clock. This file is the driver: it owns the sockets, the epoll set, the
 //! listener and its back-off, the wake queues and the threads; it reads the
-//! clock once per wake and moves bytes between the sockets and the core.
+//! clock once per wake and moves bytes between the sockets and the core,
+//! counting them (`crowdfill_net_bytes_in`/`_out`) and the sockets it
+//! accepts (`crowdfill_net_accepts`).
 //!
 //! A shard blocks in `epoll_wait` until a socket of its own is readable,
 //! writable while its writer holds bytes, or hung up; the listener is
@@ -311,7 +313,10 @@ impl Shard {
             return;
         };
         let event = match writer.flush(stream) {
-            Ok(_) => Event::Flushed(token),
+            Ok(n) => {
+                self.shared.metrics.bytes_out.add(n as u64);
+                Event::Flushed(token)
+            }
             Err(_) => Event::HungUp(token),
         };
         self.core.on(now, event, &mut self.effects);
@@ -324,7 +329,10 @@ impl Shard {
         };
         let event = loop {
             match stream.read(&mut self.buf) {
-                Ok(n) => break Event::Read(token, &self.buf[..n]),
+                Ok(n) => {
+                    self.shared.metrics.bytes_in.add(n as u64);
+                    break Event::Read(token, &self.buf[..n]);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => break Event::HungUp(token),
@@ -343,6 +351,7 @@ impl Shard {
             };
             match acceptor.listener.accept_raw() {
                 Ok(stream) => {
+                    self.shared.metrics.accepts.inc();
                     acceptor.backoff = ACCEPT_BACKOFF_BASE;
                     let ready = stream.set_nonblocking(true).is_ok();
                     let _ = stream.set_nodelay(true);

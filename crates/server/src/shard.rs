@@ -55,9 +55,9 @@ use crate::progress::{ProgressReport, ProgressTracker, StopAction, StoppingPolic
 use crate::tcp_service::{Collection, DurabilitySweepOptions, ServiceShared};
 use crate::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{FrameReader, FrameWriter, Interest};
-use crowdfill_obs::metrics::Counter;
 use crowdfill_obs::timeseries::{ReadingRing, SloStatus};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
+use crowdfill_obs::Counter;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
@@ -354,6 +354,7 @@ impl ShardCore {
         let visits = format!("crowdfill_reactor_shard_{index}_conn_visits");
         ShardCore {
             index,
+            visits: shared.registry.counter(&visits),
             shared,
             owned: owned.collect(),
             dirty: Vec::new(),
@@ -361,7 +362,6 @@ impl ShardCore {
             wake_no: 0,
             run: Vec::new(),
             timers,
-            visits: crowdfill_obs::metrics::counter(&visits),
             told: None,
         }
     }
@@ -657,7 +657,14 @@ impl ShardCore {
             // Acks first: an author is told ahead of the batch's
             // broadcasts, its peers' ops included.
             let mut fulfilled = None;
+            let metrics = &shared.metrics;
+            metrics.queue_depth.add(-(settled.len() as i64));
             for answer in settled {
+                metrics.queue_wait_ns.record(answer.waited_ns);
+                match answer.latency_ns {
+                    Some(latency) => metrics.ack_latency_ns.record(latency),
+                    None => metrics.sheds.inc(),
+                }
                 if let Ok(report) = &answer.result {
                     fulfilled = Some(report.fulfilled);
                 }
@@ -904,10 +911,14 @@ fn serve_request(
         };
         match owned[slot].pipeline.admit(job, now) {
             Ok(()) => {
+                metrics.queue_depth.add(1);
                 session.awaiting = true;
                 mark_dirty(&mut owned[slot], slot, dirty);
             }
-            Err(refused) => write_frame(writer, dead, &result_frame(Err(refused), trace)),
+            Err(refused) => {
+                metrics.overload_rejects.inc();
+                write_frame(writer, dead, &result_frame(Err(refused), trace));
+            }
         }
     };
     match request {
@@ -937,8 +948,7 @@ fn serve_request(
         }
         Request::Stats => {
             metrics.stats_requests.inc();
-            let snapshot = crowdfill_obs::metrics::global().snapshot();
-            write_frame(writer, dead, &Reply::Stats(snapshot));
+            write_frame(writer, dead, &Reply::Stats(shared.stats()));
         }
         Request::Health => {
             metrics.health_requests.inc();

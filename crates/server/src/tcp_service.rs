@@ -19,18 +19,22 @@
 //! collections. *Stop means stopped*: when [`TcpService::stop`] or a drop
 //! returns, every shard has been joined and the port is closed.
 //!
+//! The service owns the one metrics registry its shards' instruments are
+//! resolved from; [`exposition`] renders it and names the counts the
+//! layers below keep ([`Backend::counts`]).
+//!
 //! Recovery across connection failures — every broadcast and ack carries
 //! its seq, and `resume` and `sync` replay exactly what a replica misses,
 //! so it converges although messages are not idempotent — is DESIGN.md
 //! §7's; a slow reader's downgrade and eviction are §9's ([`OverloadOptions`]).
 
-use crate::backend::Backend;
+use crate::backend::{Backend, BackendCounts};
 use crate::batch::{BatchOptions, BatchPipeline};
 use crate::overload::OverloadOptions;
 use crate::progress::StoppingPolicy;
 use crate::reactor::{self, ShardWake, Wake};
 use crowdfill_net::{ConnError, TcpServer};
-use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
+use crowdfill_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Sample};
 use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
 use crowdfill_pay::Millis;
 use parking_lot::{Condvar, Mutex};
@@ -40,8 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The service's instruments, resolved once at start and read by every
-/// shard. Names are in `resolve`.
+/// The service's instruments, resolved once at start from its registry
+/// and read by every shard. Names are in `resolve`.
 #[derive(Debug)]
 pub(crate) struct ServiceMetrics {
     pub(crate) connects: Arc<Counter>,
@@ -85,11 +89,24 @@ pub(crate) struct ServiceMetrics {
     /// Connections handed to the shard that owns their collection.
     pub(crate) handovers: Arc<Counter>,
     pub(crate) request_latency_ns: Arc<Histogram>,
+    /// Socket bytes the shards read and wrote, and sockets accepted.
+    pub(crate) bytes_in: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
+    pub(crate) accepts: Arc<Counter>,
+    /// Admission, from what the [`BatchPipeline`]s answer: ops queued,
+    /// refused, shed; queue wait and, per applied op, ack latency.
+    pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) overload_rejects: Arc<Counter>,
+    pub(crate) sheds: Arc<Counter>,
+    pub(crate) queue_wait_ns: Arc<Histogram>,
+    pub(crate) ack_latency_ns: Arc<Histogram>,
 }
 
 impl ServiceMetrics {
-    fn resolve() -> ServiceMetrics {
-        use crowdfill_obs::metrics::{counter, gauge, histogram};
+    fn resolve(registry: &MetricsRegistry) -> ServiceMetrics {
+        let counter = |name| registry.counter(name);
+        let gauge = |name| registry.gauge(name);
+        let histogram = |name| registry.histogram(name);
         ServiceMetrics {
             connects: counter("crowdfill_server_connects"),
             disconnects: counter("crowdfill_server_disconnects"),
@@ -118,8 +135,95 @@ impl ServiceMetrics {
             conn_visits: counter("crowdfill_reactor_conn_visits"),
             handovers: counter("crowdfill_reactor_handovers"),
             request_latency_ns: histogram("crowdfill_server_request_latency_ns"),
+            bytes_in: counter("crowdfill_net_bytes_in"),
+            bytes_out: counter("crowdfill_net_bytes_out"),
+            accepts: counter("crowdfill_net_accepts"),
+            queue_depth: gauge("crowdfill_server_queue_depth"),
+            overload_rejects: counter("crowdfill_server_overload_rejects"),
+            sheds: counter("crowdfill_server_sheds"),
+            queue_wait_ns: histogram("crowdfill_server_queue_wait_ns"),
+            ack_latency_ns: histogram("crowdfill_server_ack_latency_ns"),
         }
     }
+}
+
+/// The Prometheus-style text of `registry` and of collections' `counts`,
+/// each under its metric name (collections add up).
+pub fn exposition(
+    registry: &MetricsRegistry,
+    counts: impl IntoIterator<Item = BackendCounts>,
+) -> String {
+    let mut samples = registry.samples();
+    for c in counts {
+        samples.extend(named(c).map(|(name, sample)| (name.to_string(), sample)));
+    }
+    crowdfill_obs::metrics::render(samples)
+}
+
+/// One collection's counts under their metric names.
+fn named(c: BackendCounts) -> impl Iterator<Item = (&'static str, Sample)> {
+    use Sample::{Counter as C, Gauge as G};
+    let s = |h: &Histogram| Sample::Summary(Box::new(h.snapshot()));
+    let (replica, matching, pri) = (c.replica, c.central.matching, c.central);
+    let (wal, snap) = (c.journal, c.snapshots);
+    [
+        ("crowdfill_server_batch_submits", C(c.batch_submits)),
+        ("crowdfill_server_batch_ops", C(c.batch_ops)),
+        ("crowdfill_server_batch_size", s(&c.batch_size)),
+        ("crowdfill_server_batch_apply_ns", s(&c.batch_apply_ns)),
+        ("crowdfill_server_batch_wal_frames", C(c.batch_wal_frames)),
+        ("crowdfill_server_batch_wal_errors", C(c.batch_wal_errors)),
+        ("crowdfill_wal_bytes", G(c.wal_bytes as i64)),
+        ("crowdfill_checkpoints", C(c.checkpoints)),
+        ("crowdfill_compactions", C(c.compactions)),
+        ("crowdfill_server_outbox_msgs", G(c.outbox_msgs)),
+        ("crowdfill_server_bootstrap_builds", C(c.bootstrap_builds)),
+        (
+            "crowdfill_server_bootstrap_encoded_msgs",
+            C(c.bootstrap_encoded_msgs),
+        ),
+        ("crowdfill_sync_ops_applied", C(replica.ops_applied)),
+        ("crowdfill_sync_ops_rejected", C(replica.ops_rejected)),
+        ("crowdfill_sync_ops_processed", C(replica.ops_processed)),
+        (
+            "crowdfill_sync_vote_history_entries",
+            G(replica.vote_history_entries as i64),
+        ),
+        (
+            "crowdfill_sync_divergence_checks",
+            C(replica.divergence_checks.get()),
+        ),
+        ("crowdfill_constraints_pri_refreshes", C(pri.refreshes)),
+        (
+            "crowdfill_constraints_template_drops",
+            C(pri.template_drops),
+        ),
+        ("crowdfill_constraints_pri_refresh_ns", s(&pri.refresh_ns)),
+        (
+            "crowdfill_matching_augment_searches",
+            C(matching.augment_searches),
+        ),
+        (
+            "crowdfill_matching_augment_steps",
+            C(matching.augment_steps),
+        ),
+        ("crowdfill_matching_edge_visits", C(matching.edge_visits)),
+        ("crowdfill_docstore_wal_appends", C(wal.appends)),
+        ("crowdfill_docstore_wal_append_bytes", C(wal.append_bytes)),
+        ("crowdfill_docstore_wal_flush_ns", s(&wal.flush_ns)),
+        ("crowdfill_docstore_wal_fsyncs", C(wal.fsyncs)),
+        ("crowdfill_docstore_wal_compactions", C(wal.compactions)),
+        (
+            "crowdfill_docstore_wal_replayed_records",
+            C(wal.replayed_records),
+        ),
+        ("crowdfill_wal_torn_tail_bytes", C(wal.torn_tail_bytes)),
+        ("crowdfill_wal_torn_tail_repairs", C(wal.torn_tail_repairs)),
+        ("crowdfill_snapshot_writes", C(snap.writes.get())),
+        ("crowdfill_snapshot_fallbacks", C(snap.fallbacks.get())),
+        ("crowdfill_snapshot_corrupt", C(snap.corrupt.get())),
+    ]
+    .into_iter()
 }
 
 /// Tunables for the service's graceful degradation under misbehaving peers.
@@ -234,6 +338,8 @@ pub(crate) struct ServiceShared {
     /// to (the first one passed to [`TcpService::start_multi`]).
     pub(crate) default_collection: String,
     pub(crate) started: Instant,
+    /// The one registry: what `metrics` was resolved from.
+    pub(crate) registry: MetricsRegistry,
     pub(crate) metrics: ServiceMetrics,
     pub(crate) options: ServiceOptions,
     /// The readings every shard takes as it wakes and `health` requests
@@ -266,17 +372,18 @@ impl ServiceShared {
         }
         let started = Instant::now();
         let default_collection = backends[0].0.clone();
-        let metrics = ServiceMetrics::resolve();
+        let registry = MetricsRegistry::new();
+        let metrics = ServiceMetrics::resolve(&registry);
         // Every shard reads the objectives' three instruments into this
         // ring as it wakes; `health` requests subtract two of its
         // readings. One ring serves every collection (the instruments are
-        // process-global), and it starts with a reading at the start.
+        // the service's), and it starts with a reading at the start.
         /// Ring capacity in readings: a minute of window and a few more
         /// periods.
         const RING_CAPACITY: usize = 256;
         let instruments = SloInstruments {
-            latency: Arc::clone(crate::batch::m_ack_latency()),
-            sheds: Arc::clone(crate::batch::m_sheds()),
+            latency: Arc::clone(&metrics.ack_latency_ns),
+            sheds: Arc::clone(&metrics.sheds),
             submits: Arc::clone(&metrics.submit_requests),
         };
         let telemetry = ReadingRing::new(instruments, RING_CAPACITY);
@@ -311,6 +418,7 @@ impl ServiceShared {
             collections,
             default_collection,
             started,
+            registry,
             metrics,
             options,
             telemetry,
@@ -320,6 +428,12 @@ impl ServiceShared {
             fulfilled: (Mutex::new(()), Condvar::new()),
         };
         Ok((Arc::new(shared), owned))
+    }
+
+    /// The [`exposition`] of the service.
+    pub(crate) fn stats(&self) -> String {
+        let counts = self.collections.values().map(|c| c.backend.lock().counts());
+        exposition(&self.registry, counts)
     }
 
     /// Resolves a handshake's collection field. `None` = unknown name.
@@ -443,6 +557,16 @@ impl TcpService {
     /// The bound address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// What a `stats` request answers.
+    pub fn stats(&self) -> String {
+        self.shared.stats()
+    }
+
+    /// This service's instruments (not its collections' counts).
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.shared.registry
     }
 
     /// Shared access to the default collection's backend (settlement,

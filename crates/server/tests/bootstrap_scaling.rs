@@ -8,11 +8,9 @@
 //! processes exactly those messages, and each distinct row value is on the
 //! wire once, whatever the vote counts are.
 //!
-//! It counts images built (`crowdfill_server_bootstrap_builds`), entries
-//! encoded (`crowdfill_server_bootstrap_encoded_msgs`) and messages a
-//! replica processed (`crowdfill_sync_ops_processed`) instead of timing,
-//! so machine speed cannot flake it. The counters are process-global: this
-//! file is its own test binary and holds one test.
+//! It counts images built and entries encoded (the backend's
+//! `BackendCounts`) and messages a replica processed (its
+//! `ReplicaCounts`) instead of timing, so machine speed cannot flake it.
 
 use crowdfill_docstore::Json;
 use crowdfill_model::{
@@ -25,16 +23,12 @@ use std::sync::Arc;
 
 const WIDTH: u16 = 5;
 
-fn counter(name: &str) -> u64 {
-    crowdfill_obs::metrics::counter(name).get()
+fn builds(backend: &Backend) -> u64 {
+    backend.counts().bootstrap_builds
 }
 
-fn builds() -> u64 {
-    counter("crowdfill_server_bootstrap_builds")
-}
-
-fn encoded() -> u64 {
-    counter("crowdfill_server_bootstrap_encoded_msgs")
+fn encoded(backend: &Backend) -> u64 {
+    backend.counts().bootstrap_encoded_msgs
 }
 
 /// A worker that keeps up with every broadcast.
@@ -117,10 +111,9 @@ fn welcome(backend: &mut Backend) -> (TableImage, Vec<Message>, String) {
 /// and no others.
 fn welcome_processes_only_the_log(backend: &mut Backend) {
     let (image, log, frame) = welcome(backend);
-    let processed = || counter("crowdfill_sync_ops_processed");
-    let before = processed();
     let core = ClientCore::welcomed(frame.as_bytes(), None, None).unwrap();
-    assert_eq!(processed() - before, log.len() as u64, "messages processed");
+    let processed = core.view().replica().counts().ops_processed;
+    assert_eq!(processed, log.len() as u64, "messages processed");
     assert!(core.view().replica().same_state(backend.master()));
     let msg_cells = |m: &Message| match m {
         Message::Insert { .. } => 0,
@@ -180,7 +173,7 @@ fn a_join_costs_the_table_not_the_history() {
     // 16 rounds of a join and three messages: one image is built, and the
     // joins between them encode it and each log entry since exactly once.
     // (A join that replays the history encodes all of it, every time.)
-    let (builds_before, encoded_before) = (builds(), encoded());
+    let (builds_before, encoded_before) = (builds(&backend), encoded(&backend));
     let image = backend.table_image().entries() as u64;
     let first_join = backend.history_len();
     let (mut last_join, mut history_replayed) = (first_join, 0);
@@ -194,8 +187,9 @@ fn a_join_costs_the_table_not_the_history() {
         backend.disconnect(carol.id);
     }
     assert_eq!(last_join - first_join, 15 * 3, "three messages a round");
-    assert_eq!(builds() - builds_before, 1, "images built over 16 rounds");
-    let encoded_now = encoded() - encoded_before;
+    let built = builds(&backend) - builds_before;
+    assert_eq!(built, 1, "images built over 16 rounds");
+    let encoded_now = encoded(&backend) - encoded_before;
     assert_eq!(encoded_now, image + (last_join - first_join));
     assert!(
         encoded_now * 20 < history_replayed,

@@ -12,12 +12,15 @@ use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, RowId, Schema,
 use crowdfill_net::{FaultConfig, FaultyConn, FrameConn, TcpConn};
 use crowdfill_server::wire::Reply;
 use crowdfill_server::{
-    Backend, BatchOptions, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, ServiceOptions,
-    TaskConfig, TcpService,
+    Backend, BatchOptions, ClientCounts, Dialer, ReconnectPolicy, RemoteError, RemoteWorker,
+    ServiceOptions, TaskConfig, TcpService,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[path = "support/metric.rs"]
+mod metric;
 
 fn config(rows: usize) -> TaskConfig {
     let schema = Arc::new(
@@ -134,7 +137,8 @@ fn fill_row(w: &mut RemoteWorker, r: usize) {
 
 /// One full scenario run: a faulty worker fills two rows while a clean
 /// observer votes on whatever completes; both must converge to the master.
-fn run_scenario(name: &str, cfg: FaultConfig) {
+/// Returns the faulty worker's session counts.
+fn run_scenario(name: &str, cfg: FaultConfig) -> ClientCounts {
     let seed = cfg.seed;
     // A failing seed dumps the flight recorder (sampled op traces) to a
     // file named in the panic message, so the op timeline that led to the
@@ -144,7 +148,7 @@ fn run_scenario(name: &str, cfg: FaultConfig) {
     })
 }
 
-fn run_scenario_inner(name: &str, cfg: FaultConfig) {
+fn run_scenario_inner(name: &str, cfg: FaultConfig) -> ClientCounts {
     use crowdfill_obs::trace as obstrace;
     let seed = cfg.seed;
     let mode_before = obstrace::mode();
@@ -205,6 +209,7 @@ fn run_scenario_inner(name: &str, cfg: FaultConfig) {
         observer.view().replica().same_state(b.master()),
         "{name} seed {seed}: observer diverged from master"
     );
+    w.counts()
 }
 
 #[test]
@@ -236,12 +241,11 @@ fn converges_through_forced_disconnects() {
     // A connection that dies every 8–25 operations cannot carry the whole
     // workload: the recovery layer MUST have resumed at least once, which
     // guards against the scenario passing trivially (faults never firing).
-    let resumes = crowdfill_obs::metrics::counter("crowdfill_client_resumes");
-    let before = resumes.get();
+    let mut resumes = 0;
     for seed in seeds() {
-        run_scenario("disconnects", FaultConfig::disconnects(seed, 8..25));
+        resumes += run_scenario("disconnects", FaultConfig::disconnects(seed, 8..25)).resumes;
     }
-    assert!(resumes.get() > before, "no session was ever resumed");
+    assert!(resumes > 0, "no session was ever resumed");
 }
 
 /// The batched-broadcast recovery property: an observer whose connection
@@ -254,10 +258,7 @@ fn converges_through_forced_disconnects() {
 /// frames genuinely carry several ops.
 #[test]
 fn resume_replays_exact_suffix_after_mid_batch_disconnect() {
-    let batch_frames = crowdfill_obs::metrics::counter("crowdfill_server_batch_broadcast_frames");
-    let resumes = crowdfill_obs::metrics::counter("crowdfill_client_resumes");
-    let frames_before = batch_frames.get();
-    let resumes_before = resumes.get();
+    let (mut batch_frames, mut resumes) = (0, 0);
     for seed in seeds() {
         let backend = Backend::new(config(2));
         let options = ServiceOptions {
@@ -331,15 +332,17 @@ fn resume_replays_exact_suffix_after_mid_batch_disconnect() {
                 "mid-batch seed {seed}: clean worker diverged"
             );
         }
+        drop(b);
+        let stats = service.stats();
+        let frames = metric::read(&stats, "crowdfill_server_batch_broadcast_frames");
+        batch_frames += frames.unwrap();
+        resumes += observer.counts().resumes;
     }
     assert!(
-        batch_frames.get() > frames_before,
+        batch_frames > 0,
         "no multi-op batch frame was ever broadcast"
     );
-    assert!(
-        resumes.get() > resumes_before,
-        "no session was ever resumed mid-run"
-    );
+    assert!(resumes > 0, "no session was ever resumed mid-run");
 }
 
 #[test]
@@ -431,10 +434,6 @@ fn assert_acked_present(verifier: &RemoteWorker, acked: &[AckedFill], scenario: 
 /// in place.
 #[test]
 fn sheds_under_burst_without_losing_acks() {
-    let sheds = crowdfill_obs::metrics::counter("crowdfill_server_sheds");
-    let rejects = crowdfill_obs::metrics::counter("crowdfill_server_overload_rejects");
-    let turned_away_before = sheds.get() + rejects.get();
-
     let backend = Backend::new(config(16));
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_secs(30)),
@@ -452,6 +451,10 @@ fn sheds_under_burst_without_losing_acks() {
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
+    let sheds = service.registry().counter("crowdfill_server_sheds");
+    let rejects = service
+        .registry()
+        .counter("crowdfill_server_overload_rejects");
 
     let backend = service.backend();
     let ready = std::sync::Barrier::new(9);
@@ -478,7 +481,7 @@ fn sheds_under_burst_without_losing_acks() {
     });
 
     assert!(
-        sheds.get() + rejects.get() > turned_away_before,
+        sheds.get() + rejects.get() > 0,
         "a 4x burst against a queue of two never shed or rejected anything"
     );
 
@@ -618,10 +621,7 @@ fn slow_client_is_evicted_then_resumes_and_converges() {
 /// that takes its `welcome` and then reads nothing, while another worker
 /// makes more big fills than the socket and a full writer can hold, is
 /// downgraded to lagging. When it drains its socket at last it finds the
-/// `lagging` note, and fewer broadcasts than there were fills. (The
-/// process-global `crowdfill_server_lag_downgrades` would say the same, but
-/// the other tests of this binary move it concurrently; the connection's
-/// own frames do not move.)
+/// `lagging` note, and fewer broadcasts than there were fills.
 #[test]
 fn a_reader_that_never_reads_is_bounded_under_default_options() {
     let options = ServiceOptions::default();

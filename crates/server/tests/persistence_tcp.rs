@@ -19,6 +19,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "support/metric.rs"]
+mod metric;
+
 fn config() -> TaskConfig {
     let schema = Arc::new(
         Schema::new(
@@ -172,11 +175,12 @@ fn compaction_resets_stale_cursors_over_tcp() {
 
     // A `sync` whose cursor predates the horizon is a reset too — it is
     // how every full resync (`from: 0`) lands after a compaction — and
-    // the metric counts it exactly like alice's resume above. (Nothing
-    // else in this binary resumes or syncs from behind a horizon, so the
-    // process-global counter moves by this one alone.)
-    let resets = crowdfill_obs::metrics::counter("crowdfill_server_reset_resyncs");
-    let before = resets.get();
+    // the service counts it exactly like alice's resume above.
+    let resets = || {
+        let stats = service.stats();
+        metric::read(&stats, "crowdfill_server_reset_resyncs").unwrap()
+    };
+    let before = resets();
     let dave = TcpConn::connect(addr).unwrap();
     dave.send(Request::Hello(None).encode().as_bytes()).unwrap();
     let welcome = String::from_utf8(dave.recv().expect("welcome")).unwrap();
@@ -186,11 +190,7 @@ fn compaction_resets_stale_cursors_over_tcp() {
     let decoded = Reply::decode(&wire::parse_frame(synced.as_bytes()).unwrap());
     let reset = matches!(decoded, Ok(Reply::Synced(_, CatchUp::Image(_))));
     assert!(reset, "{synced}");
-    assert_eq!(
-        resets.get(),
-        before + 1,
-        "a reset `sync` is a counted reset"
-    );
+    assert_eq!(resets(), before + 1, "a reset `sync` is a counted reset");
     // Both frames were spliced together around the backend's bootstrap
     // text, and no reader can tell: each is, byte for byte, the canonical
     // encoding of the tree it parses to, and both carry that one array.

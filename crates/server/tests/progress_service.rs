@@ -14,6 +14,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "support/metric.rs"]
+mod metric;
+
 const ROWS: usize = 12;
 const WIDTH: usize = 3;
 
@@ -124,8 +127,8 @@ fn a_stopping_policy_closes_a_saturated_collection_once() {
     let history_len = backend.lock().history_len();
     std::thread::sleep(Duration::from_millis(600));
     assert_eq!(backend.lock().history_len(), history_len);
-    let stopped = crowdfill_obs::metrics::gauge("crowdfill_progress_stopped");
-    assert_eq!(stopped.get(), 1);
+    let stopped = metric::read(&service.stats(), "crowdfill_progress_stopped");
+    assert_eq!(stopped, Some(1));
     // The last row still has cells to fill, and the fill is refused.
     filler.absorb_pending();
     let table = filler.view().replica().table();

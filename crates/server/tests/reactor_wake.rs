@@ -5,10 +5,9 @@
 //! and feeds it to its core, which does everything an action needs before
 //! the shard blocks again. The core's rules themselves are tested under a
 //! virtual clock in `shard.rs`; these are one smoke test per rule that the
-//! driver carries them out. The counters these tests read
-//! (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`) are
-//! process-global, so the file is its own test binary and its tests take
-//! turns.
+//! driver carries them out. Each test reads the counters of its own
+//! service (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`),
+//! so the tests run side by side.
 
 use crowdfill_docstore::FsyncPolicy;
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
@@ -22,14 +21,8 @@ use crowdfill_server::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-static TURN: Mutex<()> = Mutex::new(());
-
-fn take_turn() -> MutexGuard<'static, ()> {
-    TURN.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn config(rows: usize) -> TaskConfig {
     let schema = Arc::new(
@@ -61,12 +54,13 @@ fn two_shards() -> ServiceOptions {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    crowdfill_obs::metrics::counter(name).get()
+/// One of `service`'s counters, as it reads now.
+fn counter(service: &TcpService, name: &str) -> u64 {
+    service.registry().counter(name).get()
 }
 
-fn wakeups() -> u64 {
-    counter("crowdfill_reactor_wakeups")
+fn wakeups(service: &TcpService) -> u64 {
+    counter(service, "crowdfill_reactor_wakeups")
 }
 
 /// Eight collections over two shards: both shards own some, so a
@@ -81,12 +75,13 @@ fn two_owners(rows: usize) -> TcpService {
 
 /// Which of `two_owners`' collections the acceptor owns and which it hands
 /// over, found out the way a client can: by the hand-over a session costs.
-fn home_and_foreign(addr: SocketAddr) -> (Vec<String>, Vec<String>) {
+fn home_and_foreign(service: &TcpService) -> (Vec<String>, Vec<String>) {
+    let addr = service.addr();
     let names = (0..8).map(|i| format!("c{i}"));
     let (foreign, home): (Vec<String>, Vec<String>) = names.partition(|name| {
-        let before = counter("crowdfill_reactor_handovers");
+        let before = counter(service, "crowdfill_reactor_handovers");
         drop(session(addr, name));
-        counter("crowdfill_reactor_handovers") > before
+        counter(service, "crowdfill_reactor_handovers") > before
     });
     assert!(!home.is_empty() && !foreign.is_empty(), "one owner only");
     (home, foreign)
@@ -164,7 +159,6 @@ fn recv_until_closed(conn: &TcpConn) {
 /// short `evict_after` — are dropped before a wait, not woken for.
 #[test]
 fn an_idle_default_service_never_wakes() {
-    let _turn = take_turn();
     let options = ServiceOptions {
         overload: OverloadOptions {
             evict_after: Duration::from_millis(200),
@@ -173,14 +167,18 @@ fn an_idle_default_service_never_wakes() {
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
-    let handovers = counter("crowdfill_reactor_handovers");
+    let handovers = counter(&service, "crowdfill_reactor_handovers");
     let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
     // One collection has one owner, which is the acceptor.
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
+    assert_eq!(counter(&service, "crowdfill_reactor_handovers"), handovers);
     settle();
-    let before = wakeups();
+    let before = wakeups(&service);
     std::thread::sleep(Duration::from_millis(800));
-    assert_eq!(wakeups() - before, 0, "an idle default service woke");
+    assert_eq!(
+        wakeups(&service) - before,
+        0,
+        "an idle default service woke"
+    );
     drop(sessions);
     service.stop();
 }
@@ -190,7 +188,6 @@ fn an_idle_default_service_never_wakes() {
 /// the tick runs every 500 ms.
 #[test]
 fn a_progress_tick_is_armed_only_with_a_policy() {
-    let _turn = take_turn();
     let never = StoppingPolicy::close_at(2.0);
     for policy in [None, Some(never)] {
         let options = ServiceOptions {
@@ -200,9 +197,12 @@ fn a_progress_tick_is_armed_only_with_a_policy() {
         let backend = Backend::new(config(4));
         let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
         settle();
-        let (before, start) = (wakeups(), Instant::now());
+        let (before, start) = (wakeups(&service), Instant::now());
         std::thread::sleep(Duration::from_millis(1100));
-        let (woke, took) = (wakeups() - before, start.elapsed().as_millis() as u64);
+        let (woke, took) = (
+            wakeups(&service) - before,
+            start.elapsed().as_millis() as u64,
+        );
         // A tick re-arms one period after it ran: at most one more than
         // whole periods fit in the interval.
         let ticks = 1..=(took / 500 + 1);
@@ -239,7 +239,6 @@ fn socket_fds() -> usize {
 /// the client side a thread each: a `TcpConn` reads its own socket.
 #[test]
 fn a_wake_visits_only_ready_connections() {
-    let _turn = take_turn();
     let fds_at_rest = socket_fds();
     let backends = vec![
         ("busy".to_string(), Backend::new(config(100))),
@@ -253,11 +252,11 @@ fn a_wake_visits_only_ready_connections() {
     // Slack for test threads the harness starts meanwhile, not for 257.
     assert!(procfs_count("task") < threads + 16, "a thread per session");
     settle();
-    let before = counter("crowdfill_reactor_conn_visits");
+    let before = counter(&service, "crowdfill_reactor_conn_visits");
     for i in 0..100 {
         fill(&mut worker, &format!("player-{i}"));
     }
-    let visits = counter("crowdfill_reactor_conn_visits") - before;
+    let visits = counter(&service, "crowdfill_reactor_conn_visits") - before;
     assert!(visits >= 100, "100 fills in {visits} visits?");
     assert!(
         visits < 100 * 16,
@@ -277,19 +276,18 @@ fn a_wake_visits_only_ready_connections() {
 /// broadcast, the author's again for the ack.)
 #[test]
 fn one_fill_costs_one_wake_and_reaches_both_sockets() {
-    let _turn = take_turn();
     let service = two_owners(8);
     let addr = service.addr();
     let observer = session(addr, "c0");
     let mut author = RemoteWorker::connect_to(addr, "c0").unwrap();
     for round in 0..3 {
         settle();
-        let before = wakeups();
+        let before = wakeups(&service);
         fill(&mut author, &format!("player-{round}"));
         let frame = observer.recv().expect("broadcast");
         assert!(matches!(decoded(&frame), Reply::Msg(_)));
         settle();
-        assert_eq!(wakeups() - before, 1, "round {round}");
+        assert_eq!(wakeups(&service) - before, 1, "round {round}");
     }
     author.bye();
     drop(observer);
@@ -302,27 +300,37 @@ fn one_fill_costs_one_wake_and_reaches_both_sockets() {
 /// then on every visit it gets is the owner's.
 #[test]
 fn a_session_is_served_by_the_shard_that_owns_its_collection() {
-    let _turn = take_turn();
     let service = two_owners(32);
     let addr = service.addr();
-    let (home, foreign) = home_and_foreign(addr);
-    let handovers = counter("crowdfill_reactor_handovers");
+    let (home, foreign) = home_and_foreign(&service);
+    let handovers = counter(&service, "crowdfill_reactor_handovers");
     let at_home: Vec<TcpConn> = (0..5)
         .map(|i| session(addr, &home[i % home.len()]))
         .collect();
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers);
+    assert_eq!(counter(&service, "crowdfill_reactor_handovers"), handovers);
     let away: Vec<TcpConn> = (0..7)
         .map(|i| session(addr, &foreign[i % foreign.len()]))
         .collect();
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 7);
+    assert_eq!(
+        counter(&service, "crowdfill_reactor_handovers"),
+        handovers + 7
+    );
     drop((at_home, away));
     let mut workers = [
         RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
         RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
     ];
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 9);
+    assert_eq!(
+        counter(&service, "crowdfill_reactor_handovers"),
+        handovers + 9
+    );
     settle();
-    let visits = |shard: usize| counter(&format!("crowdfill_reactor_shard_{shard}_conn_visits"));
+    let visits = |shard: usize| {
+        counter(
+            &service,
+            &format!("crowdfill_reactor_shard_{shard}_conn_visits"),
+        )
+    };
     let before = [visits(0), visits(1)];
     for i in 0..10 {
         for (w, worker) in workers.iter_mut().enumerate() {
@@ -343,17 +351,16 @@ fn a_session_is_served_by_the_shard_that_owns_its_collection() {
 /// nothing else that could wake it.
 #[test]
 fn every_wake_source_unblocks_a_blocked_shard() {
-    let _turn = take_turn();
     let service = two_owners(8);
     let addr = service.addr();
-    let (home, foreign) = home_and_foreign(addr);
+    let (home, foreign) = home_and_foreign(&service);
 
     // The listener is readable (and the first request bytes arrive): the
     // handshake is answered only if the connection woke the acceptor —
     // and, on a collection it does not own, only if the hand-over woke the
     // owner.
     settle();
-    let handovers = counter("crowdfill_reactor_handovers");
+    let handovers = counter(&service, "crowdfill_reactor_handovers");
     let watcher = within(WATCHDOG, "listener", move || session(addr, &home[0]));
     drop(watcher);
     let (first, second) = (foreign[0].clone(), foreign[0].clone());
@@ -363,7 +370,10 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     let mut worker = within(WATCHDOG, "listener or hand-over", move || {
         RemoteWorker::connect_to(addr, &second).unwrap()
     });
-    assert_eq!(counter("crowdfill_reactor_handovers"), handovers + 2);
+    assert_eq!(
+        counter(&service, "crowdfill_reactor_handovers"),
+        handovers + 2
+    );
 
     // Request bytes arrive on an established, idle connection.
     settle();
@@ -377,11 +387,12 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     // An off-shard close: disconnect_all pushes one `Wake::CloseAll` per
     // shard; the owner must wake and retire its sessions.
     settle();
-    let disconnects = counter("crowdfill_server_disconnects");
+    let disconnects = service.registry().counter("crowdfill_server_disconnects");
+    let before = disconnects.get();
     assert_eq!(service.disconnect_all(), 2);
     within(WATCHDOG, "disconnect_all", move || {
         recv_until_closed(&watcher);
-        while counter("crowdfill_server_disconnects") < disconnects + 2 {
+        while disconnects.get() < before + 2 {
             std::thread::sleep(Duration::from_millis(5));
         }
     });
@@ -420,9 +431,10 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         ..two_shards()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", swept).unwrap();
-    let before = wakeups();
+    let wakeups = service.registry().counter("crowdfill_reactor_wakeups");
+    let before = wakeups.get();
     within(WATCHDOG, "Due::Durability", move || {
-        while wakeups() < before + 3 {
+        while wakeups.get() < before + 3 {
             std::thread::sleep(Duration::from_millis(5));
         }
     });
@@ -438,7 +450,6 @@ fn every_wake_source_unblocks_a_blocked_shard() {
 /// deadlines.
 #[test]
 fn stop_with_a_tick_overdue_joins_without_running_it() {
-    let _turn = take_turn();
     let dir = std::env::temp_dir().join(format!("crowdfill-wake-stop-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durability = DurabilityOptions {
@@ -499,7 +510,6 @@ fn stop_with_a_tick_overdue_joins_without_running_it() {
 /// eviction deadline is the only thing that can wake the shard.
 #[test]
 fn eviction_deadline_unblocks_the_shard() {
-    let _turn = take_turn();
     let options = ServiceOptions {
         overload: OverloadOptions {
             write_buffer_frames: 1,
@@ -513,18 +523,21 @@ fn eviction_deadline_unblocks_the_shard() {
     let addr = service.addr();
     let stalled = session(addr, "default");
     let mut worker = RemoteWorker::connect(addr).unwrap();
-    let evictions = counter("crowdfill_server_evictions");
-    let downgrades = counter("crowdfill_server_lag_downgrades");
+    let evictions = counter(&service, "crowdfill_server_evictions");
+    let downgrades = counter(&service, "crowdfill_server_lag_downgrades");
     let cell = "x".repeat(64 * 1024);
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut n = 0;
-    while counter("crowdfill_server_lag_downgrades") == downgrades {
+    while counter(&service, "crowdfill_server_lag_downgrades") == downgrades {
         assert!(Instant::now() < deadline, "no downgrade after {n} fills");
         fill(&mut worker, &format!("player-{n}-{cell}"));
         n += 1;
     }
     within(WATCHDOG, "eviction", move || recv_until_closed(&stalled));
-    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
+    assert_eq!(
+        counter(&service, "crowdfill_server_evictions"),
+        evictions + 1
+    );
     worker.bye();
     service.stop();
 }
@@ -536,7 +549,6 @@ fn eviction_deadline_unblocks_the_shard() {
 /// in time voids the deadline is the core's rule, tested in `shard.rs`.)
 #[test]
 fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
-    let _turn = take_turn();
     let evict_after = Duration::from_millis(300);
     let options = ServiceOptions {
         overload: OverloadOptions {
@@ -547,7 +559,7 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
-    let evictions = counter("crowdfill_server_evictions");
+    let evictions = counter(&service, "crowdfill_server_evictions");
     let closed_after = within(WATCHDOG, "handshake eviction", move || {
         let start = Instant::now();
         let mut silent = TcpStream::connect(addr).unwrap();
@@ -560,7 +572,10 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
         closed_after >= evict_after,
         "closed early: {closed_after:?}"
     );
-    assert_eq!(counter("crowdfill_server_evictions"), evictions + 1);
+    assert_eq!(
+        counter(&service, "crowdfill_server_evictions"),
+        evictions + 1
+    );
     service.stop();
 }
 
@@ -568,14 +583,13 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
 /// timeout fires on a service nobody talks to.
 #[test]
 fn idle_timeout_fires_on_a_silent_service() {
-    let _turn = take_turn();
     let options = ServiceOptions {
         idle_timeout: Some(Duration::from_millis(150)),
         ..two_shards()
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
-    let idle_disconnects = counter("crowdfill_server_idle_disconnects");
+    let idle_disconnects = counter(&service, "crowdfill_server_idle_disconnects");
     let closed_after = within(WATCHDOG, "idle timeout", move || {
         // The server's idle clock starts when it reads the hello, which is
         // after this instant.
@@ -593,7 +607,7 @@ fn idle_timeout_fires_on_a_silent_service() {
         "closed late: {closed_after:?}"
     );
     assert_eq!(
-        counter("crowdfill_server_idle_disconnects"),
+        counter(&service, "crowdfill_server_idle_disconnects"),
         idle_disconnects + 1
     );
     service.stop();
@@ -605,7 +619,6 @@ fn idle_timeout_fires_on_a_silent_service() {
 /// deadline causes — two wakes, no sooner than the window.
 #[test]
 fn a_batch_fill_window_ends_on_the_shards_deadline() {
-    let _turn = take_turn();
     let window = Duration::from_millis(40);
     let options = ServiceOptions {
         batch: BatchOptions {
@@ -619,7 +632,7 @@ fn a_batch_fill_window_ends_on_the_shards_deadline() {
     let observer = session(addr, "default");
     let mut author = RemoteWorker::connect(addr).unwrap();
     settle();
-    let before = wakeups();
+    let before = wakeups(&service);
     // The sessions come back out: closing one is a wake of its own.
     let (took, sessions) = within(WATCHDOG, "the window's end", move || {
         let sent = Instant::now();
@@ -630,7 +643,7 @@ fn a_batch_fill_window_ends_on_the_shards_deadline() {
     });
     assert!(took >= window, "applied {:?} early", window - took);
     settle();
-    assert_eq!(wakeups() - before, 2);
+    assert_eq!(wakeups(&service) - before, 2);
     drop(sessions);
     service.stop();
 }
@@ -657,7 +670,6 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
 /// the writer is empty; a full socket is not "writable").
 #[test]
 fn write_interest_is_armed_only_while_the_writer_is_full() {
-    let _turn = take_turn();
     let service =
         TcpService::start_with(Backend::new(config(32)), "127.0.0.1:0", two_shards()).unwrap();
     let addr = service.addr();
@@ -681,9 +693,9 @@ fn write_interest_is_armed_only_while_the_writer_is_full() {
         send_frame(&mut client, full.encode().as_bytes());
     }
     std::thread::sleep(Duration::from_millis(50)); // served, socket full
-    let before = wakeups();
+    let before = wakeups(&service);
     std::thread::sleep(Duration::from_millis(200));
-    let stalled = wakeups() - before;
+    let stalled = wakeups(&service) - before;
     assert!(stalled < 50, "{stalled} wakeups while the reader stalled");
 
     let replies = within(WATCHDOG * 2, "draining the replies", move || {
@@ -698,9 +710,9 @@ fn write_interest_is_armed_only_while_the_writer_is_full() {
     }
 
     settle();
-    let before = wakeups();
+    let before = wakeups(&service);
     std::thread::sleep(Duration::from_millis(100));
-    let drained = wakeups() - before;
+    let drained = wakeups(&service) - before;
     assert!(drained < 50, "{drained} wakeups on a drained connection");
     drop(client);
     service.stop();

@@ -211,16 +211,13 @@ fn stats_request_reports_live_metrics() {
     service.stop();
 }
 
-/// Serializes the tests that move `crowdfill_server_malformed_frames` (a
-/// process-global counter) so the handshake test can assert exact deltas.
-static MALFORMED_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn malformed_frames_are_rejected_gracefully() {
-    let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
     let backend = crowdfill_server::Backend::new(config(1));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
+    let malformed = service
+        .registry()
+        .counter("crowdfill_server_malformed_frames");
     let addr = service.addr();
 
     // Garbage instead of hello — text that is not JSON, then JSON that is
@@ -378,11 +375,11 @@ enum Handshake {
 /// says.
 #[test]
 fn handshake_refusals_and_cursor_junk_over_raw_frames() {
-    let _serial = MALFORMED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    let malformed = crowdfill_obs::metrics::counter("crowdfill_server_malformed_frames");
-
     let backend = crowdfill_server::Backend::new(config(2));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
+    let malformed = service
+        .registry()
+        .counter("crowdfill_server_malformed_frames");
     let addr = service.addr();
     let assert_eof = |conn: &TcpConn, case: &str| match conn.recv_timeout(WAIT) {
         Err(ConnError::Empty) => panic!("{case}: connection left open"),

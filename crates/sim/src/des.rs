@@ -109,8 +109,8 @@ pub struct RunReport {
     pub schema: Arc<crowdfill_model::Schema>,
     pub split: crowdfill_pay::SplitConfig,
     pub budget: f64,
-    /// Prometheus-style metrics snapshot taken as the run finished (global
-    /// registry: sync/net/server counters accumulate across runs in-process).
+    /// Prometheus-style metrics text taken as the run finished: this run's
+    /// own instruments and its backend's counts, nothing of any other run.
     pub metrics_snapshot: String,
     /// Per-stage latency attribution of the ops this run traced, rendered
     /// by [`TraceSummary`](crowdfill_obs::trace::TraceSummary). Empty when
@@ -180,8 +180,11 @@ pub fn run(cfg: SimConfig) -> RunReport {
         push(&mut queue, &mut events, t, w, EventKind::Think);
     }
 
-    let events_processed = crowdfill_obs::metrics::counter("crowdfill_sim_events_processed");
-    let run_duration_ns = crowdfill_obs::metrics::histogram("crowdfill_sim_run_ns");
+    // The run's own instruments; the report renders them with the
+    // backend's counts, as a service's `stats` would.
+    let registry = crowdfill_obs::MetricsRegistry::new();
+    let events_processed = registry.counter("crowdfill_sim_events_processed");
+    let run_duration_ns = registry.histogram("crowdfill_sim_run_ns");
     let run_timer = crowdfill_obs::SpanTimer::start(&run_duration_ns);
 
     // Trace ids are derived from the run seed and an op counter, so the
@@ -338,7 +341,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
         sim_millis => elapsed.0,
         candidate_rows => table.len() as u64,
     );
-    let metrics_snapshot = crowdfill_obs::metrics::global().snapshot();
+    let metrics_snapshot = crowdfill_server::exposition(&registry, [backend.counts()]);
     let trace_summary = if obstrace::enabled() {
         obstrace::flush_thread();
         let events = obstrace::recorder().dump_since(trace_cursor);

@@ -33,5 +33,5 @@ pub mod replica;
 pub mod resume;
 
 pub use history::VoteHistory;
-pub use replica::Replica;
+pub use replica::{Replica, ReplicaCounts};
 pub use resume::AppliedSeqs;

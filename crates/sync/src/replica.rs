@@ -13,31 +13,21 @@ use crate::history::VoteHistory;
 use crowdfill_model::{
     CandidateTable, ClientId, Message, OpError, Operation, RowEntry, RowId, RowValue, Schema,
 };
-use crowdfill_obs::metrics::{Counter, Gauge};
+use crowdfill_obs::Counter;
 use std::sync::Arc;
 
-/// Shared handles into the global metrics registry; resolved once per
-/// replica so the hot paths pay one atomic op, not a name lookup.
-#[derive(Debug, Clone)]
-struct ReplicaMetrics {
-    ops_applied: Arc<Counter>,
-    ops_rejected: Arc<Counter>,
-    ops_processed: Arc<Counter>,
-    vote_history_entries: Arc<Gauge>,
-    divergence_checks: Arc<Counter>,
-}
-
-impl ReplicaMetrics {
-    fn resolve() -> ReplicaMetrics {
-        use crowdfill_obs::metrics::{counter, gauge};
-        ReplicaMetrics {
-            ops_applied: counter("crowdfill_sync_ops_applied"),
-            ops_rejected: counter("crowdfill_sync_ops_rejected"),
-            ops_processed: counter("crowdfill_sync_ops_processed"),
-            vote_history_entries: gauge("crowdfill_sync_vote_history_entries"),
-            divergence_checks: counter("crowdfill_sync_divergence_checks"),
-        }
-    }
+/// What a replica has done so far ([`Replica::counts`]): local operations
+/// applied and refused, messages processed (local ones included),
+/// [`Replica::same_state`] comparisons, and the distinct vectors its vote
+/// histories hold.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaCounts {
+    pub ops_applied: u64,
+    pub ops_rejected: u64,
+    pub ops_processed: u64,
+    /// Counted through `&self`.
+    pub divergence_checks: Counter,
+    pub vote_history_entries: u64,
 }
 
 /// One copy of the evolving candidate table, with vote histories.
@@ -49,7 +39,8 @@ pub struct Replica {
     table: CandidateTable,
     uh: VoteHistory,
     dh: VoteHistory,
-    metrics: ReplicaMetrics,
+    /// What `counts` reports but the vote-history size.
+    counts: ReplicaCounts,
 }
 
 impl Replica {
@@ -63,7 +54,7 @@ impl Replica {
             next_seq: 0,
             uh: VoteHistory::new(),
             dh: VoteHistory::new(),
-            metrics: ReplicaMetrics::resolve(),
+            counts: ReplicaCounts::default(),
         }
     }
 
@@ -114,7 +105,7 @@ impl Replica {
             table,
             uh,
             dh,
-            metrics: ReplicaMetrics::resolve(),
+            counts: ReplicaCounts::default(),
         };
         #[cfg(debug_assertions)]
         replica.assert_vote_invariants();
@@ -124,6 +115,15 @@ impl Replica {
     /// The owning client.
     pub fn client(&self) -> ClientId {
         self.client
+    }
+
+    /// What this replica has done since it was made or restored.
+    pub fn counts(&self) -> ReplicaCounts {
+        let entries = self.uh.distinct_vectors() + self.dh.distinct_vectors();
+        ReplicaCounts {
+            vote_history_entries: entries as u64,
+            ..self.counts.clone()
+        }
     }
 
     /// The shared schema.
@@ -246,13 +246,13 @@ impl Replica {
         let msg = match self.prepare(op) {
             Ok(msg) => msg,
             Err(err) => {
-                self.metrics.ops_rejected.inc();
+                self.counts.ops_rejected += 1;
                 crowdfill_obs::obs_debug!("sync", "rejected local op: {err}");
                 return Err(err);
             }
         };
         self.process(&msg);
-        self.metrics.ops_applied.inc();
+        self.counts.ops_applied += 1;
         Ok(msg)
     }
 
@@ -308,10 +308,7 @@ impl Replica {
                 }
             }
         }
-        self.metrics.ops_processed.inc();
-        self.metrics
-            .vote_history_entries
-            .set((self.uh.distinct_vectors() + self.dh.distinct_vectors()) as i64);
+        self.counts.ops_processed += 1;
         #[cfg(debug_assertions)]
         self.assert_vote_invariants();
     }
@@ -320,7 +317,7 @@ impl Replica {
     /// vote counts) and vote histories are identical — the condition of the
     /// paper's convergence theorem.
     pub fn same_state(&self, other: &Replica) -> bool {
-        self.metrics.divergence_checks.inc();
+        self.counts.divergence_checks.inc();
         let same = self.table == other.table && self.uh == other.uh && self.dh == other.dh;
         if !same {
             crowdfill_obs::obs_debug!(

@@ -241,6 +241,20 @@ if grep -rn "Due::Sample\|TelemetryOptions\|ProgressOptions\|sample_period\|Reac
   echo "check.sh: a sampling clock or a switch the service can work out; read on wakes, arm ticks from what the collections are" >&2
   exit 1
 fi
+# One owner per instrument (DESIGN.md §6): there is no process-global
+# registry. A layer below the service keeps plain counts in the struct that
+# does the work and names none of them; the service owns the one registry
+# and names its layers' counts as it renders them (`tcp_service.rs`).
+nontest() {
+  for f in "$@"; do sed '/#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done
+}
+if nontest $(find crates/*/src -name '*.rs') \
+  | grep 'OnceLock<\(Arc<\)\?\(Counter\|Gauge\|Histogram\)\|OnceLock<MetricsRegistry>' \
+  || nontest $(find crates/matching/src crates/constraints/src crates/sync/src crates/docstore/src \
+    crates/net/src -name '*.rs') | grep '"crowdfill_'; then
+  echo "check.sh: a process-global instrument or a metric named below the service; keep a count on the struct and name it in tcp_service.rs" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
