@@ -7,12 +7,11 @@
 //! three so regressions in the "near-zero when disabled" promise show up.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use crowdfill_obs::metrics::MetricsRegistry;
+use crowdfill_obs::metrics::{Counter, Histogram};
 use crowdfill_obs::{obs_debug, Level, SpanTimer};
 
 fn bench_counter(c: &mut Criterion) {
-    let registry = MetricsRegistry::new();
-    let counter = registry.counter("bench_counter");
+    let counter = Counter::new();
     c.bench_function("obs/counter_inc", |b| {
         b.iter(|| black_box(&counter).inc());
     });
@@ -22,8 +21,7 @@ fn bench_counter(c: &mut Criterion) {
 }
 
 fn bench_histogram(c: &mut Criterion) {
-    let registry = MetricsRegistry::new();
-    let histogram = registry.histogram("bench_histogram");
+    let histogram = Histogram::new();
     let mut v = 0u64;
     c.bench_function("obs/histogram_record", |b| {
         b.iter(|| {

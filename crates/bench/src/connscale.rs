@@ -712,10 +712,9 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         elapsed,
         ack_p50_ns: percentile(&all_lat, 0.50),
         ack_p99_ns: percentile(&all_lat, 0.99),
-        fairness_deferrals: service.as_ref().map_or(0, |s| {
-            let deferrals = s.registry().counter("crowdfill_reactor_fairness_deferrals");
-            deferrals.get()
-        }),
+        fairness_deferrals: service
+            .as_ref()
+            .map_or(0, |s| s.metrics().fairness_deferrals.get()),
         lanes,
     };
 

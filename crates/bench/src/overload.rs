@@ -438,7 +438,6 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
     };
     let service = Arc::new(TcpService::start_with(backend, "127.0.0.1:0", options).unwrap());
     let addr = service.addr();
-    let depth_gauge = service.registry().gauge("crowdfill_server_queue_depth");
 
     // Queue-depth sampler: the bound is asserted on the maximum it saw.
     let sampling = Arc::new(AtomicBool::new(true));
@@ -446,10 +445,11 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
     let sampler = {
         let sampling = Arc::clone(&sampling);
         let max_depth = Arc::clone(&max_depth);
-        let depth_gauge = Arc::clone(&depth_gauge);
+        let service = Arc::clone(&service);
         std::thread::spawn(move || {
             while sampling.load(Ordering::Acquire) {
-                max_depth.fetch_max(depth_gauge.get(), Ordering::AcqRel);
+                let depth = service.metrics().queue_depth.get();
+                max_depth.fetch_max(depth, Ordering::AcqRel);
                 std::thread::sleep(Duration::from_micros(200));
             }
         })
@@ -524,7 +524,7 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
         latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)]
     };
 
-    let counter = |name| service.registry().counter(name).get();
+    let metrics = service.metrics();
     let report = ScenarioReport {
         scenario: schedule.name.to_string(),
         seed: schedule.seed,
@@ -535,10 +535,10 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
         fatal: outcomes.iter().map(|o| o.fatal).sum(),
         max_queue_depth: max_depth.load(Ordering::Acquire),
         queue_bound: (opts.overload.max_queue + schedule.workers) as i64,
-        admission_rejects: counter("crowdfill_server_overload_rejects"),
-        sheds: counter("crowdfill_server_sheds"),
-        lag_downgrades: counter("crowdfill_server_lag_downgrades"),
-        evictions: counter("crowdfill_server_evictions"),
+        admission_rejects: metrics.overload_rejects.get(),
+        sheds: metrics.sheds.get(),
+        lag_downgrades: metrics.lag_downgrades.get(),
+        evictions: metrics.evictions.get(),
         client_backoffs: outcomes.iter().map(|o| o.client.overload_backoffs).sum(),
         client_resumes: outcomes.iter().map(|o| o.client.resumes).sum(),
         p99_ack_ms,
@@ -546,17 +546,19 @@ pub fn run_schedule(schedule: &Schedule, opts: &HarnessOptions) -> ScenarioRepor
     };
 
     // Gauge hygiene (DESIGN.md §11): once every connection has gone —
-    // evicted stalled readers and herd-dropped sessions included — and
-    // the shards are joined, nothing is queued and no session is owed a
+    // evicted stalled readers and herd-dropped sessions included — nothing
+    // stays queued (an op whose session was dropped settles at its batch's
+    // deadline) and, once the shards are joined, no session is owed a
     // broadcast, or `health`/`top` would show phantom load forever.
+    let depth = || service.metrics().queue_depth.get();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while depth() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(depth(), 0, "gauge hygiene: queue depth with no session");
     let backend = service.backend();
     if let Some(service) = Arc::into_inner(service) {
         service.stop();
-        assert_eq!(
-            depth_gauge.get(),
-            0,
-            "gauge hygiene: queue depth after stop"
-        );
         let outbox = backend.lock().counts().outbox_msgs;
         assert_eq!(outbox, 0, "gauge hygiene: outbox after stop");
     }

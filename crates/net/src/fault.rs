@@ -16,7 +16,6 @@
 //! (checksummed TCP, in-order channels).
 
 use crate::conn::{ConnError, FrameConn};
-use crowdfill_obs::Counter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -127,15 +126,6 @@ impl Rng {
     }
 }
 
-/// The faults a connection has injected so far ([`FaultyConn::counts`]).
-#[derive(Debug, Default)]
-pub struct FaultCounts {
-    pub dropped_frames: Counter,
-    pub delayed_frames: Counter,
-    pub partial_writes: Counter,
-    pub forced_disconnects: Counter,
-}
-
 /// A [`FrameConn`] that injects faults from a deterministic seeded plan.
 pub struct FaultyConn<C: FrameConn> {
     inner: C,
@@ -145,7 +135,6 @@ pub struct FaultyConn<C: FrameConn> {
     disconnect_at: Option<u64>,
     ops: AtomicU64,
     dead: AtomicBool,
-    counts: FaultCounts,
 }
 
 impl<C: FrameConn> FaultyConn<C> {
@@ -166,18 +155,12 @@ impl<C: FrameConn> FaultyConn<C> {
             disconnect_at,
             ops: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            counts: FaultCounts::default(),
         }
     }
 
     /// The wrapped connection (e.g. to reach transport-specific methods).
     pub fn inner(&self) -> &C {
         &self.inner
-    }
-
-    /// The faults injected so far.
-    pub fn counts(&self) -> &FaultCounts {
-        &self.counts
     }
 
     /// Whether the plan has already killed this connection.
@@ -194,9 +177,7 @@ impl<C: FrameConn> FaultyConn<C> {
         let n = self.ops.fetch_add(1, Ordering::AcqRel);
         if let Some(at) = self.disconnect_at {
             if n >= at {
-                if !self.dead.swap(true, Ordering::AcqRel) {
-                    self.counts.forced_disconnects.inc();
-                }
+                self.dead.store(true, Ordering::Release);
                 return true;
             }
         }
@@ -214,7 +195,6 @@ impl<C: FrameConn> FaultyConn<C> {
             }
         };
         if let Some(d) = delay {
-            self.counts.delayed_frames.inc();
             std::thread::sleep(d);
         }
     }
@@ -245,14 +225,10 @@ impl<C: FrameConn> FrameConn for FaultyConn<C> {
             Verdict::Tear => {
                 // A torn write loses the frame and leaves the stream
                 // desynced: poison, like TcpConn does for real.
-                self.counts.partial_writes.inc();
                 self.dead.store(true, Ordering::Release);
                 Err(ConnError::Disconnected)
             }
-            Verdict::Drop => {
-                self.counts.dropped_frames.inc();
-                Ok(()) // the frame silently vanishes
-            }
+            Verdict::Drop => Ok(()), // the frame silently vanishes
             Verdict::Pass => self.inner.send(frame),
         }
     }

@@ -44,8 +44,8 @@ pub mod poller;
 pub mod tcp;
 
 pub use conn::{ConnError, FrameConn, LocalConn, MAX_FRAME_LEN};
-pub use fault::{FaultConfig, FaultCounts, FaultyConn};
+pub use fault::{FaultConfig, FaultyConn};
 pub use nonblocking::{FrameReader, FrameWriter};
 #[cfg(target_os = "linux")]
 pub use poller::{Event, Interest, Poller, WakeQueue};
-pub use tcp::{NetCounts, TcpConn, TcpServer};
+pub use tcp::{TcpConn, TcpServer};

@@ -28,7 +28,6 @@ use crate::conn::{ConnError, FrameConn};
 use crate::nonblocking::{FrameReader, FrameWriter};
 use crate::poller::{Event, Interest, Poller};
 use crowdfill_obs::obs_warn;
-use crowdfill_obs::Counter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,19 +36,6 @@ use std::time::{Duration, Instant};
 
 /// Most bytes one `recv` moves from the socket into the frame decoder.
 const READ_BUDGET: usize = 256 * 1024;
-
-/// What a connection has moved so far ([`TcpConn::counts`]): whole
-/// frames, length prefixes included; frames refused (oversized out,
-/// unframeable in); 1 once a failed send poisoned it.
-#[derive(Debug, Default)]
-pub struct NetCounts {
-    pub bytes_in: Counter,
-    pub bytes_out: Counter,
-    pub frames_in: Counter,
-    pub frames_out: Counter,
-    pub frame_errors: Counter,
-    pub poisoned: Counter,
-}
 
 /// What a receive needs exclusively: where it parks and what it has
 /// assembled so far (a frame cut short by a `recv_timeout` expiry stays
@@ -76,7 +62,6 @@ pub struct TcpConn {
     /// desynchronized; every later `send`/`recv` must fail rather than
     /// silently corrupt the byte stream.
     dead: AtomicBool,
-    counts: NetCounts,
 }
 
 impl TcpConn {
@@ -105,7 +90,6 @@ impl TcpConn {
             writer: Mutex::new(FrameWriter::new()),
             peer,
             dead: AtomicBool::new(false),
-            counts: NetCounts::default(),
         })
     }
 
@@ -117,11 +101,6 @@ impl TcpConn {
     pub fn shutdown(&self) {
         self.dead.store(true, Ordering::Release);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    /// What this connection has moved so far.
-    pub fn counts(&self) -> &NetCounts {
-        &self.counts
     }
 
     /// The peer's address.
@@ -175,11 +154,7 @@ impl TcpConn {
                 return Err(ConnError::Disconnected);
             }
             match frames.pop() {
-                Ok(Some(frame)) => {
-                    self.counts.frames_in.inc();
-                    self.counts.bytes_in.add(4 + frame.len() as u64);
-                    return Ok(frame);
-                }
+                Ok(Some(frame)) => return Ok(frame),
                 Ok(None) => {}
                 // A corrupt length prefix: the stream position is lost.
                 Err(e) => return Err(self.read_failed(&e)),
@@ -201,10 +176,9 @@ impl TcpConn {
         }
     }
 
-    /// A read the framing cannot survive: counted, logged, and the socket
-    /// closed so the peer sees it too.
+    /// A read the framing cannot survive: logged, and the socket closed so
+    /// the peer sees it too.
     fn read_failed(&self, e: &ConnError) -> ConnError {
-        self.counts.frame_errors.inc();
         obs_warn!("net", "frame read error from {}: {e}", self.peer);
         self.shutdown();
         ConnError::Disconnected
@@ -217,15 +191,11 @@ impl FrameConn for TcpConn {
         if self.dead.load(Ordering::Acquire) {
             return Err(ConnError::Disconnected);
         }
-        if let Err(too_large) = writer.enqueue(frame) {
-            self.counts.frame_errors.inc();
-            return Err(too_large);
-        }
+        writer.enqueue(frame)?;
         if self.flush(&mut writer).is_err() {
             // The stream may hold a torn frame: poison so no later send can
             // interleave bytes into the middle of it.
             if !self.dead.swap(true, Ordering::AcqRel) {
-                self.counts.poisoned.inc();
                 obs_warn!(
                     "net",
                     "connection to {} poisoned after failed send",
@@ -235,8 +205,6 @@ impl FrameConn for TcpConn {
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
             return Err(ConnError::Disconnected);
         }
-        self.counts.frames_out.inc();
-        self.counts.bytes_out.add(4 + frame.len() as u64);
         Ok(())
     }
 

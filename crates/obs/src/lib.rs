@@ -9,13 +9,12 @@
 //!   site.
 //! * [`metrics`] — lock-free [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s, and log-bucketed
-//!   [`Histogram`](metrics::Histogram)s (p50/p90/p99/max); a
-//!   [`MetricsRegistry`](metrics::MetricsRegistry) that names them; and
+//!   [`Histogram`](metrics::Histogram)s (p50/p90/p99/max), and
 //!   [`render`](metrics::render), the Prometheus-style plain text of named
-//!   [`Sample`](metrics::Sample)s. There is no process-global registry: a
-//!   layer keeps its counts in fields of the struct that does the work and
-//!   names none of them, and a service owns the one registry it exposes,
-//!   naming its layers' counts when it renders.
+//!   [`Sample`](metrics::Sample)s. There is no registry: an instrument is a
+//!   plain field of the struct that does the work and has no name, and a
+//!   service names its own instruments and its layers' counts, in one
+//!   table, when it renders.
 //! * [`span`] — [`SpanTimer`](span::SpanTimer), an RAII guard that
 //!   records elapsed nanoseconds into a histogram on drop.
 //! * [`progress`] — a streaming Chao92-style species estimator
@@ -53,7 +52,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use crate::log::{Event, FieldValue, Level, Sink, StderrFormat, StderrSink};
-pub use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Sample};
+pub use crate::metrics::{Counter, Gauge, Histogram, Sample};
 pub use crate::progress::{ProgressEstimate, SpeciesEstimator};
 pub use crate::span::SpanTimer;
 pub use crate::timeseries::{Reading, ReadingRing, SloInstruments, SloStatus};

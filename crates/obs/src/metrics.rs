@@ -1,18 +1,13 @@
-//! Lock-free counters, gauges, and log-bucketed histograms, a
-//! [`MetricsRegistry`] that names them, and the Prometheus-style text
-//! exposition ([`render`]).
+//! Lock-free counters, gauges, and log-bucketed histograms, and the
+//! Prometheus-style text exposition of named [`Sample`]s ([`render`]).
 //!
-//! There is no process-global registry: whoever owns an instrument holds
-//! it, as a field of the struct that does the work or in the registry of
-//! the service that exposes it. Hot paths resolve a registry's instrument
-//! once (an `Arc<Counter>` is one relaxed `fetch_add` per increment); a
-//! name lookup is for setup code and cold paths.
+//! An instrument has no name and no registry: whoever owns it holds it as
+//! a plain field of the struct that does the work (an increment is one
+//! relaxed `fetch_add`), and whoever exposes it names its value when it
+//! renders.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 /// Monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -223,8 +218,8 @@ impl HistogramSnapshot {
     /// * quantiles are monotone in `q` (interpolation is monotone in
     ///   rank and buckets are disjoint and ordered).
     ///
-    /// Every consumer in the workspace — the Prometheus-style text in
-    /// [`MetricsRegistry::snapshot`], `trace-report`'s per-stage
+    /// Every consumer in the workspace — the Prometheus-style text of
+    /// [`render`], `trace-report`'s per-stage
     /// attribution, and [`TraceSummary`](crate::trace::TraceSummary) —
     /// computes quantiles through this one method, so their numbers
     /// agree on identical samples by construction.
@@ -258,87 +253,6 @@ impl HistogramSnapshot {
         } else {
             Some(self.sum as f64 / self.count as f64)
         }
-    }
-}
-
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A named collection of instruments: what one service (or one simulation
-/// run) exposes.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    instruments: Mutex<BTreeMap<String, Instrument>>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Gets or registers the named counter.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.instruments.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Arc::new(Counter::new())))
-        {
-            Instrument::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} is registered as a non-counter"),
-        }
-    }
-
-    /// Gets or registers the named gauge (same contract as [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.instruments.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new())))
-        {
-            Instrument::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} is registered as a non-gauge"),
-        }
-    }
-
-    /// Gets or registers the named histogram (same contract as [`counter`](Self::counter)).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.instruments.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::new())))
-        {
-            Instrument::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} is registered as a non-histogram"),
-        }
-    }
-
-    /// Every instrument's current value, by name, ascending.
-    pub fn samples(&self) -> Vec<(String, Sample)> {
-        let map = self.instruments.lock();
-        let sample = |instrument: &Instrument| match instrument {
-            Instrument::Counter(c) => Sample::Counter(c.get()),
-            Instrument::Gauge(g) => Sample::Gauge(g.get()),
-            Instrument::Histogram(h) => Sample::Summary(Box::new(h.snapshot())),
-        };
-        map.iter()
-            .map(|(name, i)| (name.clone(), sample(i)))
-            .collect()
-    }
-
-    /// The [`render`]ed text of every instrument.
-    pub fn snapshot(&self) -> String {
-        render(self.samples())
-    }
-
-    /// Names currently registered (for diagnostics/tests).
-    pub fn names(&self) -> Vec<String> {
-        self.instruments.lock().keys().cloned().collect()
     }
 }
 
@@ -411,13 +325,11 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_roundtrip() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("crowdfill_test_hits");
+        let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(reg.counter("crowdfill_test_hits").get(), 5);
-        let g = reg.gauge("crowdfill_test_depth");
+        let g = Gauge::new();
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
@@ -460,13 +372,30 @@ mod tests {
         assert_eq!(h.snapshot().mean(), None);
     }
 
+    /// The named samples of a counter, a gauge and a histogram.
+    fn samples(c: &Counter, g: &Gauge, h: &Histogram, names: [&str; 3]) -> Vec<(String, Sample)> {
+        vec![
+            (names[0].to_string(), Sample::Counter(c.get())),
+            (names[1].to_string(), Sample::Gauge(g.get())),
+            (
+                names[2].to_string(),
+                Sample::Summary(Box::new(h.snapshot())),
+            ),
+        ]
+    }
+
     #[test]
     fn snapshot_text_contains_all_kinds() {
-        let reg = MetricsRegistry::new();
-        reg.counter("crowdfill_test_total").add(3);
-        reg.gauge("crowdfill_test_open").set(-2);
-        reg.histogram("crowdfill_test_latency_ns").record(1500);
-        let text = reg.snapshot();
+        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+        c.add(3);
+        g.set(-2);
+        h.record(1500);
+        let names = [
+            "crowdfill_test_total",
+            "crowdfill_test_open",
+            "crowdfill_test_latency_ns",
+        ];
+        let text = render(samples(&c, &g, &h, names));
         assert!(text.contains("# TYPE crowdfill_test_total counter"));
         assert!(text.contains("crowdfill_test_total 3"));
         assert!(text.contains("crowdfill_test_open -2"));
@@ -476,20 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_by_name_regardless_of_registration_order() {
-        let reg = MetricsRegistry::new();
-        // Register deliberately out of order.
-        reg.counter("crowdfill_test_zulu");
-        reg.gauge("crowdfill_test_alpha");
-        reg.histogram("crowdfill_test_mike");
-        let text = reg.snapshot();
+    fn render_is_sorted_by_name_regardless_of_input_order() {
+        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+        // Named deliberately out of order.
+        let given = [
+            "crowdfill_test_zulu",
+            "crowdfill_test_alpha",
+            "crowdfill_test_mike",
+        ];
+        let text = render(samples(&c, &g, &h, given));
         let names: Vec<usize> = ["alpha", "mike", "zulu"]
             .iter()
             .map(|n| text.find(n).expect("metric present"))
             .collect();
         assert!(names[0] < names[1] && names[1] < names[2], "sorted output");
         // Deterministic: identical state renders byte-identically.
-        assert_eq!(text, reg.snapshot());
+        assert_eq!(text, render(samples(&c, &g, &h, given)));
     }
 
     /// Known-fixture agreement: the quantile value printed in the
@@ -498,15 +429,17 @@ mod tests {
     /// within-bucket linear interpolation.
     #[test]
     fn prometheus_text_quantiles_match_snapshot_quantiles() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("crowdfill_test_agree_ns");
+        let h = Histogram::new();
         // Fixture spanning several log buckets, with a fat middle bucket
         // so interpolation actually moves the estimate off the bound.
         for v in [0, 1, 3, 10, 100, 300, 301, 302, 303, 500, 9000] {
             h.record(v);
         }
         let snap = h.snapshot();
-        let text = reg.snapshot();
+        let text = render([(
+            "crowdfill_test_agree_ns".to_string(),
+            Sample::Summary(Box::new(snap.clone())),
+        )]);
         for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
             let want = snap.quantile(q).unwrap();
             let line = format!("crowdfill_test_agree_ns{{quantile=\"{label}\"}} {want}");
@@ -562,13 +495,5 @@ mod tests {
             ("crowdfill_test_kind".to_string(), Sample::Counter(1)),
             ("crowdfill_test_kind".to_string(), Sample::Gauge(1)),
         ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-counter")]
-    fn kind_collisions_panic() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("crowdfill_test_kind");
-        reg.counter("crowdfill_test_kind");
     }
 }

@@ -1,11 +1,8 @@
 //! RAII span timing: start a [`SpanTimer`], drop it when the work is
-//! done, and the elapsed nanoseconds land in a histogram (and, at
-//! trace level, in the log).
+//! done, and the elapsed nanoseconds land in a histogram.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use crate::log::{enabled, Level};
 use crate::metrics::Histogram;
 
 /// Times a scope and records the elapsed nanoseconds on drop.
@@ -16,33 +13,16 @@ use crate::metrics::Histogram;
 /// drop(timer); // or just fall off the end of the scope
 /// ```
 #[must_use = "a SpanTimer records on drop; binding it to _ ends the span immediately"]
-pub struct SpanTimer {
-    histogram: Arc<Histogram>,
-    /// Logged at trace level on drop when set.
-    label: Option<(&'static str, &'static str)>,
+pub struct SpanTimer<'a> {
+    histogram: &'a Histogram,
     start: Instant,
 }
 
-impl SpanTimer {
+impl<'a> SpanTimer<'a> {
     /// Starts a span recording into `histogram`.
-    pub fn start(histogram: &Arc<Histogram>) -> SpanTimer {
+    pub fn start(histogram: &'a Histogram) -> SpanTimer<'a> {
         SpanTimer {
-            histogram: Arc::clone(histogram),
-            label: None,
-            start: Instant::now(),
-        }
-    }
-
-    /// Like [`start`](Self::start), but also emits a trace event
-    /// `target`/`name` with the elapsed time when the span closes.
-    pub fn start_labeled(
-        histogram: &Arc<Histogram>,
-        target: &'static str,
-        name: &'static str,
-    ) -> SpanTimer {
-        SpanTimer {
-            histogram: Arc::clone(histogram),
-            label: Some((target, name)),
+            histogram,
             start: Instant::now(),
         }
     }
@@ -53,15 +33,9 @@ impl SpanTimer {
     }
 }
 
-impl Drop for SpanTimer {
+impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
-        let ns = self.elapsed_ns();
-        self.histogram.record(ns);
-        if let Some((target, name)) = self.label {
-            if enabled(Level::Trace) {
-                crate::obs_log!(Level::Trace, target, "span {name}"; elapsed_ns => ns);
-            }
-        }
+        self.histogram.record(self.elapsed_ns());
     }
 }
 
@@ -71,7 +45,7 @@ mod tests {
 
     #[test]
     fn span_records_into_histogram() {
-        let h = Arc::new(Histogram::new());
+        let h = Histogram::new();
         {
             let _t = SpanTimer::start(&h);
             std::hint::black_box((0..1000).sum::<u64>());
@@ -83,8 +57,8 @@ mod tests {
 
     #[test]
     fn elapsed_is_monotone() {
-        let h = Arc::new(Histogram::new());
-        let t = SpanTimer::start_labeled(&h, "obs", "test_span");
+        let h = Histogram::new();
+        let t = SpanTimer::start(&h);
         let a = t.elapsed_ns();
         std::hint::black_box((0..10_000).sum::<u64>());
         let b = t.elapsed_ns();

@@ -4,9 +4,9 @@
 //! "how many so far"; this module answers "is the last minute within
 //! budget". A [`ReadingRing`] holds timestamped *cumulative* readings of
 //! the three instruments the objectives name — a latency histogram, a
-//! shed counter and a submit counter ([`SloInstruments`]), resolved once
-//! as `Arc`s — so a reading costs the same however many instruments the
-//! registry holds. A reading stands for a boundary `k·`[`PERIOD`] of its
+//! shed counter and a submit counter ([`SloInstruments`]), shared as
+//! `Arc`s with their owner — so a reading costs the same however many
+//! instruments sit beside them. A reading stands for a boundary `k·`[`PERIOD`] of its
 //! owner's clock. The owner calls [`ReadingRing::advance`] at the top of
 //! every wake that can move the instruments, before it moves them: the
 //! server does so on every reactor shard wake. The ring then holds what a
@@ -46,7 +46,7 @@ pub const PERIOD: Duration = Duration::from_millis(250);
 const PERIOD_NS: u64 = PERIOD.as_nanos() as u64;
 
 /// The instruments a [`ReadingRing`] reads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SloInstruments {
     /// Latency of the requests the objectives bound.
     pub latency: Arc<Histogram>,
@@ -260,22 +260,17 @@ impl SloStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
 
-    fn ring(reg: &MetricsRegistry, capacity: usize) -> ReadingRing {
-        let instruments = SloInstruments {
-            latency: reg.histogram("crowdfill_test_ts_ack_ns"),
-            sheds: reg.counter("crowdfill_test_ts_sheds"),
-            submits: reg.counter("crowdfill_test_ts_submits"),
-        };
-        ReadingRing::new(instruments, capacity)
+    /// A ring over fresh instruments, and the instruments it reads.
+    fn ring(capacity: usize) -> (SloInstruments, ReadingRing) {
+        let reg = SloInstruments::default();
+        (reg.clone(), ReadingRing::new(reg, capacity))
     }
 
     #[test]
     fn window_is_the_difference_of_two_readings() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 16);
-        let submits = reg.counter("crowdfill_test_ts_submits");
+        let (reg, ring) = ring(16);
+        let submits = &reg.submits;
         ring.sample(0);
         submits.add(10);
         ring.sample(1_000_000_000);
@@ -290,9 +285,8 @@ mod tests {
 
     #[test]
     fn ring_wraps_keeping_newest_and_one_base() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 3);
-        let submits = reg.counter("crowdfill_test_ts_submits");
+        let (reg, ring) = ring(3);
+        let submits = &reg.submits;
         for i in 0..10u64 {
             submits.inc();
             ring.sample(i);
@@ -306,9 +300,8 @@ mod tests {
 
     #[test]
     fn advance_stamps_the_first_and_the_last_boundary_crossed() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 16);
-        let submits = reg.counter("crowdfill_test_ts_submits");
+        let (reg, ring) = ring(16);
+        let submits = &reg.submits;
         let p = PERIOD_NS;
         ring.sample(0);
         submits.add(5);
@@ -329,9 +322,8 @@ mod tests {
 
     #[test]
     fn windowed_quantile_reads_the_window_only() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 16);
-        let h = reg.histogram("crowdfill_test_ts_ack_ns");
+        let (reg, ring) = ring(16);
+        let h = &reg.latency;
         ring.sample(0);
         for v in [100u64, 110, 120] {
             h.record(v);
@@ -350,14 +342,13 @@ mod tests {
 
     #[test]
     fn slo_status_and_burn() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 16);
+        let (reg, ring) = ring(16);
         ring.sample(0);
         for _ in 0..100 {
-            reg.histogram("crowdfill_test_ts_ack_ns").record(1_000_000); // 1 ms acks
+            reg.latency.record(1_000_000); // 1 ms acks
         }
-        reg.counter("crowdfill_test_ts_sheds").add(1);
-        reg.counter("crowdfill_test_ts_submits").add(99);
+        reg.sheds.add(1);
+        reg.submits.add(99);
         ring.sample(1_000_000_000);
         let window = ring.window(Duration::from_secs(60));
         let ack = SloStatus::new("ack-p99", window.latency_quantile(0.99), 250e6);
@@ -369,8 +360,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_not_a_violation() {
-        let reg = MetricsRegistry::new();
-        let ring = ring(&reg, 4);
+        let (_, ring) = ring(4);
         let window = ring.window(Duration::from_secs(1));
         let status = SloStatus::new("ack-p99", window.latency_quantile(0.99), 1e6);
         assert!(status.ok);

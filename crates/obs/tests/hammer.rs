@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crowdfill_obs::log::{set_level, Event, FieldValue, Level, Sink};
-use crowdfill_obs::metrics::MetricsRegistry;
+use crowdfill_obs::metrics::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
 
 const THREADS: usize = 8;
@@ -61,14 +61,11 @@ fn event(message: String, i: u64) -> Event {
 
 #[test]
 fn concurrent_counters_and_histograms_are_exact() {
-    let registry = Arc::new(MetricsRegistry::new());
+    let (counter, gauge, histogram) = (Counter::new(), Gauge::new(), Histogram::new());
     crossbeam::scope(|scope| {
         for t in 0..THREADS {
-            let registry = Arc::clone(&registry);
+            let (counter, gauge, histogram) = (&counter, &gauge, &histogram);
             scope.spawn(move |_| {
-                let counter = registry.counter("crowdfill_obs_hammer_total");
-                let gauge = registry.gauge("crowdfill_obs_hammer_inflight");
-                let histogram = registry.histogram("crowdfill_obs_hammer_ns");
                 for i in 0..PER_THREAD {
                     counter.inc();
                     gauge.add(1);
@@ -81,12 +78,9 @@ fn concurrent_counters_and_histograms_are_exact() {
     .expect("hammer threads panicked");
 
     let expected = THREADS as u64 * PER_THREAD;
-    assert_eq!(
-        registry.counter("crowdfill_obs_hammer_total").get(),
-        expected
-    );
-    assert_eq!(registry.gauge("crowdfill_obs_hammer_inflight").get(), 0);
-    let snap = registry.histogram("crowdfill_obs_hammer_ns").snapshot();
+    assert_eq!(counter.get(), expected);
+    assert_eq!(gauge.get(), 0);
+    let snap = histogram.snapshot();
     assert_eq!(snap.count, expected);
     assert_eq!(snap.max, expected - 1);
     // Sum of 0..expected.

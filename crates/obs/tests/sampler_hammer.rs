@@ -11,35 +11,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crowdfill_obs::metrics::MetricsRegistry;
 use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
 
 const WRITERS: u64 = 8;
 const PER_WRITER: u64 = 40_000;
-const COUNTER: &str = "crowdfill_test_hammer_ops";
-const SHEDS: &str = "crowdfill_test_hammer_sheds";
-const HISTO: &str = "crowdfill_test_hammer_lat_ns";
 
 #[test]
 fn concurrent_writers_vs_sampler_windows_are_exact() {
-    let reg = Arc::new(MetricsRegistry::new());
-    let instruments = SloInstruments {
-        latency: reg.histogram(HISTO),
-        sheds: reg.counter(SHEDS),
-        submits: reg.counter(COUNTER),
-    };
+    let reg = SloInstruments::default();
     // Capacity far above the tick volume, so nothing the sampler
     // produced is evicted and the whole-run window starts at the base.
-    let ring = Arc::new(ReadingRing::new(instruments, 1 << 16));
+    let ring = Arc::new(ReadingRing::new(reg.clone(), 1 << 16));
     let done = Arc::new(AtomicBool::new(false));
 
     crossbeam::scope(|scope| {
         for w in 0..WRITERS {
-            let reg = Arc::clone(&reg);
+            let (c, s, h) = (&reg.submits, &reg.sheds, &reg.latency);
             scope.spawn(move |_| {
-                let c = reg.counter(COUNTER);
-                let s = reg.counter(SHEDS);
-                let h = reg.histogram(HISTO);
                 for i in 0..PER_WRITER {
                     c.inc();
                     if i % 10 == 0 {
@@ -68,7 +56,7 @@ fn concurrent_writers_vs_sampler_windows_are_exact() {
             at + 1
         });
         // Writers finish, then stop the sampler.
-        while reg.counter(COUNTER).get() < WRITERS * PER_WRITER {
+        while reg.submits.get() < WRITERS * PER_WRITER {
             std::thread::yield_now();
         }
         done.store(true, Ordering::Relaxed);

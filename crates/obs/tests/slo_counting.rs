@@ -1,9 +1,9 @@
 //! A counting gate: what the reading ring keeps, and what one evaluation
-//! of the objectives costs, do not grow with the registry. A ring over a
-//! registry of 3 instruments and one over the same 3 plus 1,000 more
+//! of the objectives costs, do not grow with the instruments beside it. A
+//! ring among 3 instruments and one among the same 3 plus 1,000 more
 //! retain equal readings, and one evaluation makes the same heap
 //! allocations on both — the two names of its statuses, nothing sized by
-//! the registry or the ring. Its own test binary, because the counting
+//! the instruments or the ring. Its own test binary, because the counting
 //! `#[global_allocator]` is process-wide; it counts only the thread that
 //! asks.
 
@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use crowdfill_obs::metrics::MetricsRegistry;
+use crowdfill_obs::metrics::{Counter, Histogram};
 use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus};
 
 struct Counting;
@@ -63,25 +63,15 @@ fn evaluate(ring: &ReadingRing) -> [SloStatus; 2] {
     ]
 }
 
-/// A ring over `reg` fed the same history as every other, past its
-/// capacity, with `extra` more instruments registered and recorded into.
-fn fed_ring(extra: usize) -> (MetricsRegistry, ReadingRing) {
-    let reg = MetricsRegistry::new();
-    let instruments = SloInstruments {
-        latency: reg.histogram("crowdfill_server_ack_latency_ns"),
-        sheds: reg.counter("crowdfill_server_sheds"),
-        submits: reg.counter("crowdfill_server_submit_requests"),
-    };
+/// A ring fed the same history as every other, past its capacity, with
+/// `extra` more instruments recorded into beside it; and how many
+/// instruments there were.
+fn fed_ring(extra: usize) -> (usize, ReadingRing) {
+    let instruments = SloInstruments::default();
     let others: Vec<_> = (0..extra)
         .map(|i| match i % 2 {
-            0 => (
-                Some(reg.counter(&format!("crowdfill_test_extra_{i}_total"))),
-                None,
-            ),
-            _ => (
-                None,
-                Some(reg.histogram(&format!("crowdfill_test_extra_{i}_ns"))),
-            ),
+            0 => (Some(Counter::new()), None),
+            _ => (None, Some(Histogram::new())),
         })
         .collect();
     let ring = ReadingRing::new(instruments.clone(), CAPACITY);
@@ -95,15 +85,15 @@ fn fed_ring(extra: usize) -> (MetricsRegistry, ReadingRing) {
         }
         ring.sample(tick * 250_000_000);
     }
-    (reg, ring)
+    (3 + others.len(), ring)
 }
 
 #[test]
 fn ring_and_evaluation_do_not_grow_with_the_registry() {
-    let (small_reg, small) = fed_ring(0);
-    let (large_reg, large) = fed_ring(1_000);
-    assert_eq!(small_reg.names().len(), 3);
-    assert_eq!(large_reg.names().len(), 1_003);
+    let (small_instruments, small) = fed_ring(0);
+    let (large_instruments, large) = fed_ring(1_000);
+    assert_eq!(small_instruments, 3);
+    assert_eq!(large_instruments, 1_003);
 
     // The same readings retained: the newest `CAPACITY` ticks and a base.
     assert_eq!(small.len(), CAPACITY);

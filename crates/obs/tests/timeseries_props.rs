@@ -12,7 +12,7 @@ mod delta_tracker;
 
 use std::time::Duration;
 
-use crowdfill_obs::metrics::MetricsRegistry;
+use crowdfill_obs::metrics::{Counter, Gauge};
 use crowdfill_obs::timeseries::{ReadingRing, SloInstruments, SloStatus, PERIOD};
 use delta_tracker::{DeltaTracker, InstrumentValue, SampleRing, SloSpec};
 use proptest::prelude::*;
@@ -182,16 +182,10 @@ proptest! {
         max_ms in 0u64..500,
         max_ratio in 0.0f64..0.2,
     ) {
-        let reg = MetricsRegistry::new();
-        let ack = reg.histogram(ACK);
-        let (sheds, submits) = (reg.counter(SHEDS), reg.counter(SUBMITS));
-        let (other, depth) = (reg.counter(EXTRA_COUNTER), reg.gauge(EXTRA_GAUGE));
-        let instruments = SloInstruments {
-            latency: ack.clone(),
-            sheds: sheds.clone(),
-            submits: submits.clone(),
-        };
-        let ring = ReadingRing::new(instruments, capacity);
+        let instruments = SloInstruments::default();
+        let (ack, sheds, submits) = (&instruments.latency, &instruments.sheds, &instruments.submits);
+        let (other, depth) = (Counter::new(), Gauge::new());
+        let ring = ReadingRing::new(instruments.clone(), capacity);
         let mut oracle = SampleRing::new(capacity);
         let mut tracker = DeltaTracker::new();
         let mut at = 0u64;
@@ -244,16 +238,10 @@ proptest! {
         wakes in proptest::collection::vec(owner_wake(), 0..80),
         capacity in 2usize..24,
     ) {
-        let reg = MetricsRegistry::new();
-        let ack = reg.histogram(ACK);
-        let (sheds, submits) = (reg.counter(SHEDS), reg.counter(SUBMITS));
-        let instruments = SloInstruments {
-            latency: ack.clone(),
-            sheds: sheds.clone(),
-            submits: submits.clone(),
-        };
+        let instruments = SloInstruments::default();
+        let (ack, sheds, submits) = (&instruments.latency, &instruments.sheds, &instruments.submits);
         let ring = ReadingRing::new(instruments.clone(), capacity);
-        let oracle = ReadingRing::new(instruments, capacity);
+        let oracle = ReadingRing::new(instruments.clone(), capacity);
         // The reading a service takes at its start.
         ring.sample(0);
         oracle.sample(0);
@@ -286,16 +274,11 @@ proptest! {
         raw_clock in proptest::collection::vec(any::<u32>(), 0..80),
         capacity in 1usize..16,
     ) {
-        let reg = MetricsRegistry::new();
-        let instruments = SloInstruments {
-            latency: reg.histogram(ACK),
-            sheds: reg.counter(SHEDS),
-            submits: reg.counter(SUBMITS),
-        };
-        let ring = ReadingRing::new(instruments, capacity);
+        let instruments = SloInstruments::default();
+        let ring = ReadingRing::new(instruments.clone(), capacity);
         for (i, &at) in raw_clock.iter().enumerate() {
-            reg.counter(SUBMITS).add(i as u64 % 3);
-            reg.histogram(ACK).record(at as u64);
+            instruments.submits.add(i as u64 % 3);
+            instruments.latency.record(at as u64);
             ring.sample(at as u64);
         }
         let readings = ring.readings();

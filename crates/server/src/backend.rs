@@ -211,7 +211,7 @@ struct Session {
     confirmed_seq: u64,
     /// Ack-latency distribution for this worker, recorded by the transport
     /// layer (the connection thread holds a clone of the `Arc` and records
-    /// lock-free; kept off the metrics registry to avoid per-worker
+    /// lock-free; kept out of the `stats` exposition to avoid per-worker
     /// cardinality there).
     ack_latency: Arc<Histogram>,
 }

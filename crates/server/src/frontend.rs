@@ -10,23 +10,10 @@ use crate::config::TaskConfig;
 use crate::wire;
 use crowdfill_docstore::{Collection, DocStore, Json, StoreError};
 use crowdfill_model::{FinalTable, QuorumMajority, ScoringRef};
-use crowdfill_obs::metrics::Histogram;
-use crowdfill_obs::SpanTimer;
 use crowdfill_pay::{Payout, Scheme};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-/// What a front end has done since it was opened ([`Frontend::counts`]),
-/// and the wall time of each task operation.
-#[derive(Debug, Clone, Default)]
-pub struct FrontendCounts {
-    pub tasks_created: u64,
-    pub tasks_launched: u64,
-    pub tasks_completed: u64,
-    pub tasks_deleted: u64,
-    pub op_latency_ns: Arc<Histogram>,
-}
 
 /// Task lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +119,6 @@ fn scheme_from_name(s: &str) -> Result<Scheme, FrontendError> {
 pub struct Frontend {
     store: DocStore,
     next_id: u64,
-    counts: FrontendCounts,
 }
 
 const TASKS: &str = "tasks";
@@ -146,7 +132,6 @@ impl Frontend {
         Frontend {
             store: DocStore::in_memory(),
             next_id: 1,
-            counts: FrontendCounts::default(),
         }
     }
 
@@ -162,22 +147,12 @@ impl Frontend {
             .max()
             .unwrap_or(0)
             + 1;
-        Ok(Frontend {
-            store,
-            next_id,
-            counts: FrontendCounts::default(),
-        })
-    }
-
-    /// What this front end has done since it was opened.
-    pub fn counts(&self) -> &FrontendCounts {
-        &self.counts
+        Ok(Frontend { store, next_id })
     }
 
     /// Creates a task specification; returns its id. The task starts in
     /// [`TaskStatus::Draft`].
     pub fn create_task(&mut self, config: &TaskConfig) -> Result<String, FrontendError> {
-        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         let id = format!("task-{}", self.next_id);
         self.next_id += 1;
         let doc = Json::obj([
@@ -196,7 +171,6 @@ impl Frontend {
             ),
         ]);
         self.store.insert(TASKS, id.clone(), doc)?;
-        self.counts.tasks_created += 1;
         crowdfill_obs::obs_info!("server", "task created: {id}");
         Ok(id)
     }
@@ -260,19 +234,15 @@ impl Frontend {
 
     /// Deletes a draft task. Live/done tasks are immutable history.
     pub fn delete_task(&mut self, id: &str) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Draft)?;
         self.store.remove(TASKS, id)?;
-        self.counts.tasks_deleted += 1;
         Ok(())
     }
 
     /// Launches data collection (Draft → Live).
     pub fn launch_task(&mut self, id: &str) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Draft)?;
         self.set_status(id, TaskStatus::Live)?;
-        self.counts.tasks_launched += 1;
         crowdfill_obs::obs_info!("server", "task launched: {id}");
         Ok(())
     }
@@ -284,7 +254,6 @@ impl Frontend {
         final_table: &FinalTable,
         payout: &Payout,
     ) -> Result<(), FrontendError> {
-        let _op_timer = SpanTimer::start(&self.counts.op_latency_ns);
         self.expect_status(id, TaskStatus::Live)?;
         let rows: Vec<Json> = final_table
             .rows()
@@ -321,7 +290,6 @@ impl Frontend {
             ]),
         )?;
         self.set_status(id, TaskStatus::Done)?;
-        self.counts.tasks_completed += 1;
         crowdfill_obs::obs_info!(
             "server",
             "task completed: {id}";

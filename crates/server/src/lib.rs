@@ -45,7 +45,7 @@ pub use batch::{BatchOptions, BatchPipeline, Settled, Submission};
 pub use client::{Dialer, ReconnectPolicy, RemoteAck, RemoteError, RemoteWorker};
 pub use client_core::{ClientCore, ClientCounts};
 pub use config::TaskConfig;
-pub use frontend::{Frontend, FrontendCounts, FrontendError, TaskStatus};
+pub use frontend::{Frontend, FrontendError, TaskStatus};
 pub use health::{
     collect, CollectionHealth, ColumnHealth, DurabilityHealth, HealthReport, SloHealth,
     WorkerHealth,
@@ -64,6 +64,7 @@ pub use progress::{
 };
 pub use recommend::{Recommendation, RecommendationKind};
 pub use tcp_service::{
-    exposition, Collection, DurabilitySweepOptions, ServiceOptions, TcpService, DEFAULT_COLLECTION,
+    exposition, Collection, DurabilitySweepOptions, ServiceMetrics, ServiceOptions, TcpService,
+    DEFAULT_COLLECTION,
 };
 pub use worker_client::{Outgoing, WorkerClient};

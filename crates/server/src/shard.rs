@@ -57,13 +57,12 @@ use crate::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
 use crowdfill_net::{FrameReader, FrameWriter, Interest};
 use crowdfill_obs::timeseries::{ReadingRing, SloStatus};
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
-use crowdfill_obs::Counter;
 use crowdfill_obs::SpanTimer;
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -316,8 +315,6 @@ pub(crate) struct ShardCore {
     /// surface, so none of them wakes the shard. A periodic one re-arms
     /// itself.
     timers: BinaryHeap<Reverse<(Instant, Due)>>,
-    /// This shard's share of `crowdfill_reactor_conn_visits`.
-    visits: Arc<Counter>,
     /// The wake instant the driver was last asked for.
     told: Option<Instant>,
 }
@@ -351,10 +348,8 @@ impl ShardCore {
             fold: ProgressTracker::new(),
             acted: false,
         });
-        let visits = format!("crowdfill_reactor_shard_{index}_conn_visits");
         ShardCore {
             index,
-            visits: shared.registry.counter(&visits),
             shared,
             owned: owned.collect(),
             dirty: Vec::new(),
@@ -535,10 +530,8 @@ impl ShardCore {
         match due {
             Due::Durability => {
                 let options = &shared.options.durability;
-                let ages = self.owned.iter();
-                let ages = ages.map(|o| durability_tick(&o.collection, options));
-                if let Some(oldest) = ages.flatten().max() {
-                    publish_snapshot_age(shared, self.index, oldest);
+                for owned in &self.owned {
+                    durability_tick(&owned.collection, options);
                 }
                 options.interval
             }
@@ -563,7 +556,7 @@ impl ShardCore {
         (conn.queued, conn.served) = (false, true);
         let shared = &*self.shared;
         shared.metrics.conn_visits.inc();
-        self.visits.inc();
+        shared.metrics.shard_conn_visits[self.index].inc();
         // Serve complete frames, within the collection's fairness budget.
         while !conn.dead && !conn.closing {
             if let Phase::Active(session) = &conn.phase {
@@ -1233,14 +1226,10 @@ fn broadcast_frames(mut pending: Vec<SeqMsg>, shared: &ServiceShared) -> Vec<Str
 /// driven by journal growth, not by traffic — a collection that went quiet
 /// right after a burst still gets its journal truncated. The shard holds
 /// the backend lock for the duration of one checkpoint write; sizing
-/// `compact_wal_bytes` bounds how much state that write covers. Returns the
-/// age of the newest checkpoint, if the collection keeps any.
-fn durability_tick(collection: &Collection, options: &DurabilitySweepOptions) -> Option<u64> {
+/// `compact_wal_bytes` bounds how much state that write covers.
+fn durability_tick(collection: &Collection, options: &DurabilitySweepOptions) {
     let mut b = collection.backend.lock();
-    if !b.has_snapshots() {
-        return None;
-    }
-    if b.wal_bytes() >= options.compact_wal_bytes {
+    if b.has_snapshots() && b.wal_bytes() >= options.compact_wal_bytes {
         let name = collection.name();
         match b.compact_storage() {
             Ok(base) => {
@@ -1252,20 +1241,6 @@ fn durability_tick(collection: &Collection, options: &DurabilitySweepOptions) ->
             }
         }
     }
-    Some(b.snapshot_age_ms().unwrap_or(0))
-}
-
-/// Records the oldest checkpoint age among one shard's collections and
-/// publishes the worst case over every shard's: each shard ticks for its
-/// own collections only, and the gauge must not be the last one's to tick.
-fn publish_snapshot_age(shared: &ServiceShared, shard: usize, age_ms: u64) {
-    let ages: &[AtomicU64] = &shared.snapshot_ages;
-    ages[shard].store(age_ms, Ordering::Relaxed);
-    let worst = ages.iter().map(|a| a.load(Ordering::Relaxed)).max();
-    shared
-        .metrics
-        .snapshot_age_ms
-        .set(worst.unwrap_or(age_ms) as i64);
 }
 
 /// The progress tick (DESIGN.md §15) for one collection: advances the
@@ -1791,24 +1766,5 @@ mod tests {
         owner.on(Event::HandOver(7, handed));
         owner.sweep();
         assert!(matches!(owner.replies(7)[..], [Reply::Welcome(..)]));
-    }
-
-    /// The snapshot-age gauge is the worst case over every shard's
-    /// collections, not the last shard's to tick.
-    #[test]
-    fn snapshot_age_gauge_is_the_worst_case_over_all_shards() {
-        let options = ServiceOptions {
-            shards: 3,
-            ..ServiceOptions::default()
-        };
-        let backends = vec![("default".to_string(), Backend::new(config(1)))];
-        let (shared, _) = ServiceShared::new(backends, options).unwrap();
-        let gauge = &shared.metrics.snapshot_age_ms;
-        publish_snapshot_age(&shared, 1, 9_000);
-        assert_eq!(gauge.get(), 9_000);
-        publish_snapshot_age(&shared, 2, 40);
-        assert_eq!(gauge.get(), 9_000, "last shard won");
-        publish_snapshot_age(&shared, 1, 10); // it compacted
-        assert_eq!(gauge.get(), 40);
     }
 }

@@ -19,9 +19,12 @@
 //! collections. *Stop means stopped*: when [`TcpService::stop`] or a drop
 //! returns, every shard has been joined and the port is closed.
 //!
-//! The service owns the one metrics registry its shards' instruments are
-//! resolved from; [`exposition`] renders it and names the counts the
-//! layers below keep ([`Backend::counts`]).
+//! The service's instruments are plain fields of [`ServiceMetrics`], which
+//! the shards record into and [`TcpService::metrics`] reads; every metric
+//! name is spelled in this file: the instruments' in
+//! `ServiceMetrics::samples`, the counts the layers below keep
+//! ([`Backend::counts`]) in `named`, and the snapshot age, computed as
+//! `stats` renders, in `ServiceShared::stats`. [`exposition`] renders them.
 //!
 //! Recovery across connection failures — every broadcast and ack carries
 //! its seq, and `resume` and `sync` replay exactly what a replica misses,
@@ -34,130 +37,170 @@ use crate::overload::OverloadOptions;
 use crate::progress::StoppingPolicy;
 use crate::reactor::{self, ShardWake, Wake};
 use crowdfill_net::{ConnError, TcpServer};
-use crowdfill_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Sample};
+use crowdfill_obs::metrics::{Counter, Gauge, Histogram, Sample};
 use crowdfill_obs::timeseries::{ReadingRing, SloInstruments};
 use crowdfill_pay::Millis;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The service's instruments, resolved once at start from its registry
-/// and read by every shard. Names are in `resolve`.
-#[derive(Debug)]
-pub(crate) struct ServiceMetrics {
-    pub(crate) connects: Arc<Counter>,
-    pub(crate) disconnects: Arc<Counter>,
-    pub(crate) submit_requests: Arc<Counter>,
-    pub(crate) modify_requests: Arc<Counter>,
-    pub(crate) stats_requests: Arc<Counter>,
-    pub(crate) health_requests: Arc<Counter>,
-    pub(crate) trace_dump_requests: Arc<Counter>,
-    pub(crate) resume_requests: Arc<Counter>,
-    pub(crate) reset_resyncs: Arc<Counter>,
-    pub(crate) sync_requests: Arc<Counter>,
-    pub(crate) malformed_frames: Arc<Counter>,
-    pub(crate) accept_errors: Arc<Counter>,
-    pub(crate) idle_disconnects: Arc<Counter>,
+/// The service's instruments: plain fields every shard records into, each
+/// named once, in `samples`. Only the three the objectives' reading ring
+/// also reads are shared.
+#[derive(Debug, Default)]
+pub struct ServiceMetrics {
+    pub connects: Counter,
+    pub disconnects: Counter,
+    pub submit_requests: Arc<Counter>,
+    pub modify_requests: Counter,
+    pub stats_requests: Counter,
+    pub health_requests: Counter,
+    pub trace_dump_requests: Counter,
+    pub resume_requests: Counter,
+    pub reset_resyncs: Counter,
+    pub sync_requests: Counter,
+    pub malformed_frames: Counter,
+    pub accept_errors: Counter,
+    pub idle_disconnects: Counter,
     /// Connections lagging, or in their handshake, `evict_after` long.
-    pub(crate) evictions: Arc<Counter>,
+    pub evictions: Counter,
     /// Sessions downgraded to lagging (a broadcast found the writer full).
-    pub(crate) lag_downgrades: Arc<Counter>,
+    pub lag_downgrades: Counter,
     /// Broadcast frames dropped for lagging sessions.
-    pub(crate) lag_dropped: Arc<Counter>,
+    pub lag_dropped: Counter,
     /// Multi-op `batch` broadcast frames sent.
-    pub(crate) batch_broadcast_frames: Arc<Counter>,
-    /// The oldest collection's checkpoint age, over every shard's.
-    pub(crate) snapshot_age_ms: Arc<Gauge>,
+    pub batch_broadcast_frames: Counter,
     /// 1 once the progress tick's stopping policy closed a collection.
-    pub(crate) progress_stopped: Arc<Gauge>,
+    pub progress_stopped: Gauge,
     /// Latest reward multiplier (milli) the stopping policy recommended.
-    pub(crate) progress_reprice_milli: Arc<Gauge>,
+    pub progress_reprice_milli: Gauge,
     /// Connections the shards hold, all collections.
-    pub(crate) conns: Arc<Gauge>,
+    pub conns: Gauge,
     /// Request frames served by the shards.
-    pub(crate) frames_in: Arc<Counter>,
+    pub frames_in: Counter,
     /// Frames deferred to the next wake by the fairness budget.
-    pub(crate) fairness_deferrals: Arc<Counter>,
+    pub fairness_deferrals: Counter,
     /// Returns from `epoll_wait`, all shards. Flat on an idle service.
-    pub(crate) wakeups: Arc<Counter>,
-    /// Connection visits (serve passes), all shards; each shard also counts
-    /// its own, `crowdfill_reactor_shard_<i>_conn_visits`.
-    pub(crate) conn_visits: Arc<Counter>,
+    pub wakeups: Counter,
+    /// Connection visits (serve passes), all shards.
+    pub conn_visits: Counter,
+    /// Each shard's own share of `conn_visits`, by shard index.
+    pub shard_conn_visits: Vec<Counter>,
     /// Connections handed to the shard that owns their collection.
-    pub(crate) handovers: Arc<Counter>,
-    pub(crate) request_latency_ns: Arc<Histogram>,
+    pub handovers: Counter,
+    pub request_latency_ns: Histogram,
     /// Socket bytes the shards read and wrote, and sockets accepted.
-    pub(crate) bytes_in: Arc<Counter>,
-    pub(crate) bytes_out: Arc<Counter>,
-    pub(crate) accepts: Arc<Counter>,
+    pub bytes_in: Counter,
+    pub bytes_out: Counter,
+    pub accepts: Counter,
     /// Admission, from what the [`BatchPipeline`]s answer: ops queued,
     /// refused, shed; queue wait and, per applied op, ack latency.
-    pub(crate) queue_depth: Arc<Gauge>,
-    pub(crate) overload_rejects: Arc<Counter>,
-    pub(crate) sheds: Arc<Counter>,
-    pub(crate) queue_wait_ns: Arc<Histogram>,
-    pub(crate) ack_latency_ns: Arc<Histogram>,
+    pub queue_depth: Gauge,
+    pub overload_rejects: Counter,
+    pub sheds: Arc<Counter>,
+    pub queue_wait_ns: Histogram,
+    pub ack_latency_ns: Arc<Histogram>,
 }
 
 impl ServiceMetrics {
-    fn resolve(registry: &MetricsRegistry) -> ServiceMetrics {
-        let counter = |name| registry.counter(name);
-        let gauge = |name| registry.gauge(name);
-        let histogram = |name| registry.histogram(name);
+    /// Zeroed instruments for a service of `shards` shards.
+    fn new(shards: usize) -> ServiceMetrics {
         ServiceMetrics {
-            connects: counter("crowdfill_server_connects"),
-            disconnects: counter("crowdfill_server_disconnects"),
-            submit_requests: counter("crowdfill_server_submit_requests"),
-            modify_requests: counter("crowdfill_server_modify_requests"),
-            stats_requests: counter("crowdfill_server_stats_requests"),
-            health_requests: counter("crowdfill_server_health_requests"),
-            trace_dump_requests: counter("crowdfill_server_trace_dump_requests"),
-            resume_requests: counter("crowdfill_server_resume_requests"),
-            reset_resyncs: counter("crowdfill_server_reset_resyncs"),
-            sync_requests: counter("crowdfill_server_sync_requests"),
-            malformed_frames: counter("crowdfill_server_malformed_frames"),
-            accept_errors: counter("crowdfill_server_accept_errors"),
-            idle_disconnects: counter("crowdfill_server_idle_disconnects"),
-            evictions: counter("crowdfill_server_evictions"),
-            lag_downgrades: counter("crowdfill_server_lag_downgrades"),
-            lag_dropped: counter("crowdfill_server_lag_dropped_frames"),
-            batch_broadcast_frames: counter("crowdfill_server_batch_broadcast_frames"),
-            snapshot_age_ms: gauge("crowdfill_snapshot_age_ms"),
-            progress_stopped: gauge("crowdfill_progress_stopped"),
-            progress_reprice_milli: gauge("crowdfill_progress_reprice_factor_milli"),
-            conns: gauge("crowdfill_reactor_conns"),
-            frames_in: counter("crowdfill_reactor_frames_in"),
-            fairness_deferrals: counter("crowdfill_reactor_fairness_deferrals"),
-            wakeups: counter("crowdfill_reactor_wakeups"),
-            conn_visits: counter("crowdfill_reactor_conn_visits"),
-            handovers: counter("crowdfill_reactor_handovers"),
-            request_latency_ns: histogram("crowdfill_server_request_latency_ns"),
-            bytes_in: counter("crowdfill_net_bytes_in"),
-            bytes_out: counter("crowdfill_net_bytes_out"),
-            accepts: counter("crowdfill_net_accepts"),
-            queue_depth: gauge("crowdfill_server_queue_depth"),
-            overload_rejects: counter("crowdfill_server_overload_rejects"),
-            sheds: counter("crowdfill_server_sheds"),
-            queue_wait_ns: histogram("crowdfill_server_queue_wait_ns"),
-            ack_latency_ns: histogram("crowdfill_server_ack_latency_ns"),
+            shard_conn_visits: (0..shards).map(|_| Counter::new()).collect(),
+            ..ServiceMetrics::default()
         }
+    }
+
+    /// Every instrument's value under its metric name.
+    pub(crate) fn samples(&self) -> Vec<(String, Sample)> {
+        let counters: &[(&str, &Counter)] = &[
+            ("crowdfill_server_connects", &self.connects),
+            ("crowdfill_server_disconnects", &self.disconnects),
+            ("crowdfill_server_submit_requests", &self.submit_requests),
+            ("crowdfill_server_modify_requests", &self.modify_requests),
+            ("crowdfill_server_stats_requests", &self.stats_requests),
+            ("crowdfill_server_health_requests", &self.health_requests),
+            (
+                "crowdfill_server_trace_dump_requests",
+                &self.trace_dump_requests,
+            ),
+            ("crowdfill_server_resume_requests", &self.resume_requests),
+            ("crowdfill_server_reset_resyncs", &self.reset_resyncs),
+            ("crowdfill_server_sync_requests", &self.sync_requests),
+            ("crowdfill_server_malformed_frames", &self.malformed_frames),
+            ("crowdfill_server_accept_errors", &self.accept_errors),
+            ("crowdfill_server_idle_disconnects", &self.idle_disconnects),
+            ("crowdfill_server_evictions", &self.evictions),
+            ("crowdfill_server_lag_downgrades", &self.lag_downgrades),
+            ("crowdfill_server_lag_dropped_frames", &self.lag_dropped),
+            (
+                "crowdfill_server_batch_broadcast_frames",
+                &self.batch_broadcast_frames,
+            ),
+            ("crowdfill_reactor_frames_in", &self.frames_in),
+            (
+                "crowdfill_reactor_fairness_deferrals",
+                &self.fairness_deferrals,
+            ),
+            ("crowdfill_reactor_wakeups", &self.wakeups),
+            ("crowdfill_reactor_conn_visits", &self.conn_visits),
+            ("crowdfill_reactor_handovers", &self.handovers),
+            ("crowdfill_net_bytes_in", &self.bytes_in),
+            ("crowdfill_net_bytes_out", &self.bytes_out),
+            ("crowdfill_net_accepts", &self.accepts),
+            ("crowdfill_server_overload_rejects", &self.overload_rejects),
+            ("crowdfill_server_sheds", &self.sheds),
+        ];
+        let gauges: &[(&str, &Gauge)] = &[
+            ("crowdfill_progress_stopped", &self.progress_stopped),
+            (
+                "crowdfill_progress_reprice_factor_milli",
+                &self.progress_reprice_milli,
+            ),
+            ("crowdfill_reactor_conns", &self.conns),
+            ("crowdfill_server_queue_depth", &self.queue_depth),
+        ];
+        let histograms: &[(&str, &Histogram)] = &[
+            (
+                "crowdfill_server_request_latency_ns",
+                &self.request_latency_ns,
+            ),
+            ("crowdfill_server_queue_wait_ns", &self.queue_wait_ns),
+            ("crowdfill_server_ack_latency_ns", &self.ack_latency_ns),
+        ];
+        let shards = self.shard_conn_visits.iter().enumerate();
+        let shards = shards.map(|(i, visits)| {
+            let name = format!("crowdfill_reactor_shard_{i}_conn_visits");
+            (name, Sample::Counter(visits.get()))
+        });
+        let summary = |h: &Histogram| Sample::Summary(Box::new(h.snapshot()));
+        let counters = counters
+            .iter()
+            .map(|(n, c)| (n.to_string(), Sample::Counter(c.get())));
+        let gauges = gauges
+            .iter()
+            .map(|(n, g)| (n.to_string(), Sample::Gauge(g.get())));
+        let histograms = histograms.iter().map(|(n, h)| (n.to_string(), summary(h)));
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .chain(shards)
+            .collect()
     }
 }
 
-/// The Prometheus-style text of `registry` and of collections' `counts`,
-/// each under its metric name (collections add up).
+/// The Prometheus-style text of named `samples` and of collections'
+/// `counts`, each under its metric name (collections add up).
 pub fn exposition(
-    registry: &MetricsRegistry,
+    samples: impl IntoIterator<Item = (String, Sample)>,
     counts: impl IntoIterator<Item = BackendCounts>,
 ) -> String {
-    let mut samples = registry.samples();
-    for c in counts {
-        samples.extend(named(c).map(|(name, sample)| (name.to_string(), sample)));
-    }
-    crowdfill_obs::metrics::render(samples)
+    let counts = counts.into_iter().flat_map(named);
+    let counts = counts.map(|(name, sample)| (name.to_string(), sample));
+    crowdfill_obs::metrics::render(samples.into_iter().chain(counts))
 }
 
 /// One collection's counts under their metric names.
@@ -248,9 +291,8 @@ pub struct ServiceOptions {
     /// The durability tick (DESIGN.md §14): a deadline on each owner shard
     /// one of whose collections was opened with storage attached
     /// ([`crate::persist`]). It compacts such a collection once its journal
-    /// grew past the threshold — the checkpoint write stalls that shard —
-    /// and keeps the snapshot-age gauge fresh. A shard whose collections
-    /// are all in memory arms none.
+    /// grew past the threshold — the checkpoint write stalls that shard. A
+    /// shard whose collections are all in memory arms none.
     pub durability: DurabilitySweepOptions,
     /// Adaptive stopping (DESIGN.md §15). `Some` arms the progress tick, a
     /// deadline on each owner shard every 500 ms, which advances each
@@ -338,8 +380,6 @@ pub(crate) struct ServiceShared {
     /// to (the first one passed to [`TcpService::start_multi`]).
     pub(crate) default_collection: String,
     pub(crate) started: Instant,
-    /// The one registry: what `metrics` was resolved from.
-    pub(crate) registry: MetricsRegistry,
     pub(crate) metrics: ServiceMetrics,
     pub(crate) options: ServiceOptions,
     /// The readings every shard takes as it wakes and `health` requests
@@ -350,8 +390,6 @@ pub(crate) struct ServiceShared {
     pub(crate) shutdown: AtomicBool,
     /// Open sessions, all shards: what `disconnect_all` is about to close.
     pub(crate) attached: AtomicUsize,
-    /// Per shard, the oldest checkpoint age its last durability tick saw.
-    pub(crate) snapshot_ages: Vec<AtomicU64>,
     /// Notified when a collection's `fulfilled` flag goes up.
     fulfilled: (Mutex<()>, Condvar),
 }
@@ -372,8 +410,7 @@ impl ServiceShared {
         }
         let started = Instant::now();
         let default_collection = backends[0].0.clone();
-        let registry = MetricsRegistry::new();
-        let metrics = ServiceMetrics::resolve(&registry);
+        let metrics = ServiceMetrics::new(options.effective_shards());
         // Every shard reads the objectives' three instruments into this
         // ring as it wakes; `health` requests subtract two of its
         // readings. One ring serves every collection (the instruments are
@@ -418,22 +455,31 @@ impl ServiceShared {
             collections,
             default_collection,
             started,
-            registry,
             metrics,
             options,
             telemetry,
             shutdown: AtomicBool::new(false),
             attached: AtomicUsize::new(0),
-            snapshot_ages: owned.iter().map(|_| AtomicU64::new(0)).collect(),
             fulfilled: (Mutex::new(()), Condvar::new()),
         };
         Ok((Arc::new(shared), owned))
     }
 
-    /// The [`exposition`] of the service.
+    /// The [`exposition`] of the service. The snapshot age is the oldest
+    /// checkpoint's among the collections that keep them (0 if none do).
     pub(crate) fn stats(&self) -> String {
-        let counts = self.collections.values().map(|c| c.backend.lock().counts());
-        exposition(&self.registry, counts)
+        let (mut counts, mut oldest) = (Vec::new(), 0);
+        for collection in self.collections.values() {
+            let backend = collection.backend.lock();
+            if backend.has_snapshots() {
+                oldest = oldest.max(backend.snapshot_age_ms().unwrap_or(0));
+            }
+            counts.push(backend.counts());
+        }
+        let mut samples = self.metrics.samples();
+        let age = Sample::Gauge(oldest as i64);
+        samples.push(("crowdfill_snapshot_age_ms".to_string(), age));
+        exposition(samples, counts)
     }
 
     /// Resolves a handshake's collection field. `None` = unknown name.
@@ -564,9 +610,10 @@ impl TcpService {
         self.shared.stats()
     }
 
-    /// This service's instruments (not its collections' counts).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.shared.registry
+    /// This service's instruments (not its collections' counts). Reading
+    /// one takes no backend lock.
+    pub fn metrics(&self) -> &ServiceMetrics {
+        &self.shared.metrics
     }
 
     /// Shared access to the default collection's backend (settlement,
@@ -618,3 +665,72 @@ impl Drop for TcpService {
 /// The collection a bare `hello`/`resume` (no `"collection"` field)
 /// attaches to on a single-collection service.
 pub const DEFAULT_COLLECTION: &str = "default";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::persist::{self, DurabilityOptions};
+    use crate::TaskConfig;
+    use crowdfill_model::{Column, DataType, QuorumMajority, Schema, Template};
+
+    fn config() -> TaskConfig {
+        let columns = vec![Column::new("name", DataType::Text)];
+        let schema = Schema::new("Persist", columns, &["name"]).unwrap();
+        let scoring = Arc::new(QuorumMajority::of_three());
+        TaskConfig::new(Arc::new(schema), scoring, Template::cardinality(1), 10.0)
+    }
+
+    /// `stats` shows the oldest checkpoint among the collections that keep
+    /// them, whichever shard owns each: not their sum, not the last one's
+    /// to tick.
+    #[test]
+    fn snapshot_age_is_the_oldest_over_all_shards() {
+        let on = |shard| {
+            let names = (0..).map(|i| format!("c{i}"));
+            names
+                .into_iter()
+                .find(|n| reactor::owner_shard(n, 2) == shard)
+        };
+        let (old, young) = (on(0).unwrap(), on(1).unwrap());
+        let dir = std::env::temp_dir();
+        let dir = dir.join(format!("crowdfill-snapshot-age-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurabilityOptions::default();
+        let open = |name: &str| persist::open_or_recover(config(), dir.join(name), &opts);
+        let backends = vec![
+            (old.clone(), open(&old).unwrap()),
+            (young.clone(), open(&young).unwrap()),
+            ("memory".to_string(), Backend::new(config())),
+        ];
+        let options = ServiceOptions {
+            shards: 2,
+            ..ServiceOptions::default()
+        };
+        let (shared, _) = ServiceShared::new(backends, options).unwrap();
+        let at = |name: &str, ms: u64, checkpoint: bool| {
+            let mut backend = shared.collections[name].backend.lock();
+            backend.set_time(Millis(ms));
+            if checkpoint {
+                backend.checkpoint().unwrap();
+            }
+        };
+        let age = || {
+            let stats = shared.stats();
+            let line = stats
+                .lines()
+                .find_map(|l| l.strip_prefix("crowdfill_snapshot_age_ms "));
+            line.expect("one snapshot-age line").parse::<u64>().unwrap()
+        };
+        at(&old, 0, true);
+        at(&young, 0, true);
+        at(&old, 9_000, false);
+        assert_eq!(age(), 9_000);
+        at(&young, 40, false);
+        assert_eq!(age(), 9_000, "the ages added up");
+        at(&old, 9_000, true); // it compacted
+        at(&old, 9_010, false);
+        assert_eq!(age(), 40);
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

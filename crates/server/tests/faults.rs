@@ -451,10 +451,10 @@ fn sheds_under_burst_without_losing_acks() {
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
-    let sheds = service.registry().counter("crowdfill_server_sheds");
-    let rejects = service
-        .registry()
-        .counter("crowdfill_server_overload_rejects");
+    let (sheds, rejects) = (
+        &service.metrics().sheds,
+        &service.metrics().overload_rejects,
+    );
 
     let backend = service.backend();
     let ready = std::sync::Barrier::new(9);

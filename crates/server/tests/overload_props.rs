@@ -475,9 +475,7 @@ fn over_the_wire_acked_is_applied_and_overloaded_is_not() {
 
     let backend = service.backend();
     // The service's own handle: `stats()` would wait on the lock held here.
-    let health_requests = service
-        .registry()
-        .counter("crowdfill_server_health_requests");
+    let health_requests = &service.metrics().health_requests;
     let stalled = backend.lock();
     let before = health_requests.get();
     staller.send(Request::Health.encode().as_bytes()).unwrap();

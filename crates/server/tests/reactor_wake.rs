@@ -5,9 +5,9 @@
 //! and feeds it to its core, which does everything an action needs before
 //! the shard blocks again. The core's rules themselves are tested under a
 //! virtual clock in `shard.rs`; these are one smoke test per rule that the
-//! driver carries them out. Each test reads the counters of its own
-//! service (`crowdfill_reactor_wakeups`, `_conn_visits`, `_handovers`),
-//! so the tests run side by side.
+//! driver carries them out. Each test reads the typed instruments of its
+//! own service (`TcpService::metrics`: `wakeups`, `shard_conn_visits`,
+//! `handovers`, …), so the tests run side by side.
 
 use crowdfill_docstore::FsyncPolicy;
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
@@ -54,13 +54,8 @@ fn two_shards() -> ServiceOptions {
     }
 }
 
-/// One of `service`'s counters, as it reads now.
-fn counter(service: &TcpService, name: &str) -> u64 {
-    service.registry().counter(name).get()
-}
-
 fn wakeups(service: &TcpService) -> u64 {
-    counter(service, "crowdfill_reactor_wakeups")
+    service.metrics().wakeups.get()
 }
 
 /// Eight collections over two shards: both shards own some, so a
@@ -79,9 +74,9 @@ fn home_and_foreign(service: &TcpService) -> (Vec<String>, Vec<String>) {
     let addr = service.addr();
     let names = (0..8).map(|i| format!("c{i}"));
     let (foreign, home): (Vec<String>, Vec<String>) = names.partition(|name| {
-        let before = counter(service, "crowdfill_reactor_handovers");
+        let before = service.metrics().handovers.get();
         drop(session(addr, name));
-        counter(service, "crowdfill_reactor_handovers") > before
+        service.metrics().handovers.get() > before
     });
     assert!(!home.is_empty() && !foreign.is_empty(), "one owner only");
     (home, foreign)
@@ -137,6 +132,16 @@ fn within<T: Send + 'static>(
     })
 }
 
+/// Waits up to `limit` for `done`, polled on this thread: it reads the
+/// service's own instruments, which no `'static` body can hold.
+fn until(limit: Duration, what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}: not within {limit:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 const WATCHDOG: Duration = Duration::from_secs(2);
 
 /// Blocks until the server closes the connection; frames that arrive
@@ -167,10 +172,10 @@ fn an_idle_default_service_never_wakes() {
         ..ServiceOptions::default()
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
-    let handovers = counter(&service, "crowdfill_reactor_handovers");
+    let handovers = service.metrics().handovers.get();
     let sessions: Vec<TcpConn> = (0..8).map(|_| session(service.addr(), "default")).collect();
     // One collection has one owner, which is the acceptor.
-    assert_eq!(counter(&service, "crowdfill_reactor_handovers"), handovers);
+    assert_eq!(service.metrics().handovers.get(), handovers);
     settle();
     let before = wakeups(&service);
     std::thread::sleep(Duration::from_millis(800));
@@ -252,11 +257,11 @@ fn a_wake_visits_only_ready_connections() {
     // Slack for test threads the harness starts meanwhile, not for 257.
     assert!(procfs_count("task") < threads + 16, "a thread per session");
     settle();
-    let before = counter(&service, "crowdfill_reactor_conn_visits");
+    let before = service.metrics().conn_visits.get();
     for i in 0..100 {
         fill(&mut worker, &format!("player-{i}"));
     }
-    let visits = counter(&service, "crowdfill_reactor_conn_visits") - before;
+    let visits = service.metrics().conn_visits.get() - before;
     assert!(visits >= 100, "100 fills in {visits} visits?");
     assert!(
         visits < 100 * 16,
@@ -303,34 +308,23 @@ fn a_session_is_served_by_the_shard_that_owns_its_collection() {
     let service = two_owners(32);
     let addr = service.addr();
     let (home, foreign) = home_and_foreign(&service);
-    let handovers = counter(&service, "crowdfill_reactor_handovers");
+    let handovers = service.metrics().handovers.get();
     let at_home: Vec<TcpConn> = (0..5)
         .map(|i| session(addr, &home[i % home.len()]))
         .collect();
-    assert_eq!(counter(&service, "crowdfill_reactor_handovers"), handovers);
+    assert_eq!(service.metrics().handovers.get(), handovers);
     let away: Vec<TcpConn> = (0..7)
         .map(|i| session(addr, &foreign[i % foreign.len()]))
         .collect();
-    assert_eq!(
-        counter(&service, "crowdfill_reactor_handovers"),
-        handovers + 7
-    );
+    assert_eq!(service.metrics().handovers.get(), handovers + 7);
     drop((at_home, away));
     let mut workers = [
         RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
         RemoteWorker::connect_to(addr, &foreign[0]).unwrap(),
     ];
-    assert_eq!(
-        counter(&service, "crowdfill_reactor_handovers"),
-        handovers + 9
-    );
+    assert_eq!(service.metrics().handovers.get(), handovers + 9);
     settle();
-    let visits = |shard: usize| {
-        counter(
-            &service,
-            &format!("crowdfill_reactor_shard_{shard}_conn_visits"),
-        )
-    };
+    let visits = |shard: usize| service.metrics().shard_conn_visits[shard].get();
     let before = [visits(0), visits(1)];
     for i in 0..10 {
         for (w, worker) in workers.iter_mut().enumerate() {
@@ -360,7 +354,7 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     // and, on a collection it does not own, only if the hand-over woke the
     // owner.
     settle();
-    let handovers = counter(&service, "crowdfill_reactor_handovers");
+    let handovers = service.metrics().handovers.get();
     let watcher = within(WATCHDOG, "listener", move || session(addr, &home[0]));
     drop(watcher);
     let (first, second) = (foreign[0].clone(), foreign[0].clone());
@@ -370,10 +364,7 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     let mut worker = within(WATCHDOG, "listener or hand-over", move || {
         RemoteWorker::connect_to(addr, &second).unwrap()
     });
-    assert_eq!(
-        counter(&service, "crowdfill_reactor_handovers"),
-        handovers + 2
-    );
+    assert_eq!(service.metrics().handovers.get(), handovers + 2);
 
     // Request bytes arrive on an established, idle connection.
     settle();
@@ -387,14 +378,14 @@ fn every_wake_source_unblocks_a_blocked_shard() {
     // An off-shard close: disconnect_all pushes one `Wake::CloseAll` per
     // shard; the owner must wake and retire its sessions.
     settle();
-    let disconnects = service.registry().counter("crowdfill_server_disconnects");
+    let disconnects = &service.metrics().disconnects;
     let before = disconnects.get();
     assert_eq!(service.disconnect_all(), 2);
     within(WATCHDOG, "disconnect_all", move || {
-        recv_until_closed(&watcher);
-        while disconnects.get() < before + 2 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        recv_until_closed(&watcher)
+    });
+    until(WATCHDOG, "disconnect_all", || {
+        disconnects.get() >= before + 2
     });
     drop(worker);
 
@@ -431,12 +422,9 @@ fn every_wake_source_unblocks_a_blocked_shard() {
         ..two_shards()
     };
     let service = TcpService::start_with(backend, "127.0.0.1:0", swept).unwrap();
-    let wakeups = service.registry().counter("crowdfill_reactor_wakeups");
-    let before = wakeups.get();
-    within(WATCHDOG, "Due::Durability", move || {
-        while wakeups.get() < before + 3 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    let before = wakeups(&service);
+    until(WATCHDOG, "Due::Durability", || {
+        wakeups(&service) >= before + 3
     });
     service.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -523,21 +511,18 @@ fn eviction_deadline_unblocks_the_shard() {
     let addr = service.addr();
     let stalled = session(addr, "default");
     let mut worker = RemoteWorker::connect(addr).unwrap();
-    let evictions = counter(&service, "crowdfill_server_evictions");
-    let downgrades = counter(&service, "crowdfill_server_lag_downgrades");
+    let evictions = service.metrics().evictions.get();
+    let downgrades = service.metrics().lag_downgrades.get();
     let cell = "x".repeat(64 * 1024);
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut n = 0;
-    while counter(&service, "crowdfill_server_lag_downgrades") == downgrades {
+    while service.metrics().lag_downgrades.get() == downgrades {
         assert!(Instant::now() < deadline, "no downgrade after {n} fills");
         fill(&mut worker, &format!("player-{n}-{cell}"));
         n += 1;
     }
     within(WATCHDOG, "eviction", move || recv_until_closed(&stalled));
-    assert_eq!(
-        counter(&service, "crowdfill_server_evictions"),
-        evictions + 1
-    );
+    assert_eq!(service.metrics().evictions.get(), evictions + 1);
     worker.bye();
     service.stop();
 }
@@ -559,7 +544,7 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
-    let evictions = counter(&service, "crowdfill_server_evictions");
+    let evictions = service.metrics().evictions.get();
     let closed_after = within(WATCHDOG, "handshake eviction", move || {
         let start = Instant::now();
         let mut silent = TcpStream::connect(addr).unwrap();
@@ -572,10 +557,7 @@ fn a_silent_handshake_is_evicted_on_the_shards_deadline() {
         closed_after >= evict_after,
         "closed early: {closed_after:?}"
     );
-    assert_eq!(
-        counter(&service, "crowdfill_server_evictions"),
-        evictions + 1
-    );
+    assert_eq!(service.metrics().evictions.get(), evictions + 1);
     service.stop();
 }
 
@@ -589,7 +571,7 @@ fn idle_timeout_fires_on_a_silent_service() {
     };
     let service = TcpService::start_with(Backend::new(config(4)), "127.0.0.1:0", options).unwrap();
     let addr = service.addr();
-    let idle_disconnects = counter(&service, "crowdfill_server_idle_disconnects");
+    let idle_disconnects = service.metrics().idle_disconnects.get();
     let closed_after = within(WATCHDOG, "idle timeout", move || {
         // The server's idle clock starts when it reads the hello, which is
         // after this instant.
@@ -607,7 +589,7 @@ fn idle_timeout_fires_on_a_silent_service() {
         "closed late: {closed_after:?}"
     );
     assert_eq!(
-        counter(&service, "crowdfill_server_idle_disconnects"),
+        service.metrics().idle_disconnects.get(),
         idle_disconnects + 1
     );
     service.stop();

@@ -215,9 +215,7 @@ fn stats_request_reports_live_metrics() {
 fn malformed_frames_are_rejected_gracefully() {
     let backend = crowdfill_server::Backend::new(config(1));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
-    let malformed = service
-        .registry()
-        .counter("crowdfill_server_malformed_frames");
+    let malformed = &service.metrics().malformed_frames;
     let addr = service.addr();
 
     // Garbage instead of hello — text that is not JSON, then JSON that is
@@ -377,9 +375,7 @@ enum Handshake {
 fn handshake_refusals_and_cursor_junk_over_raw_frames() {
     let backend = crowdfill_server::Backend::new(config(2));
     let service = TcpService::start(backend, "127.0.0.1:0").unwrap();
-    let malformed = service
-        .registry()
-        .counter("crowdfill_server_malformed_frames");
+    let malformed = &service.metrics().malformed_frames;
     let addr = service.addr();
     let assert_eof = |conn: &TcpConn, case: &str| match conn.recv_timeout(WAIT) {
         Err(ConnError::Empty) => panic!("{case}: connection left open"),

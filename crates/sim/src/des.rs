@@ -10,6 +10,7 @@
 use crate::dataset::GroundTruth;
 use crate::worker::{PlannedAction, SimWorker, WorkerProfile};
 use crowdfill_model::Template;
+use crowdfill_obs::Sample;
 use crowdfill_pay::{Millis, Scheme, WorkerId};
 use crowdfill_server::{Backend, BatchJob, BatchOp, TaskConfig, WorkerClient};
 use std::cmp::Reverse;
@@ -182,9 +183,8 @@ pub fn run(cfg: SimConfig) -> RunReport {
 
     // The run's own instruments; the report renders them with the
     // backend's counts, as a service's `stats` would.
-    let registry = crowdfill_obs::MetricsRegistry::new();
-    let events_processed = registry.counter("crowdfill_sim_events_processed");
-    let run_duration_ns = registry.histogram("crowdfill_sim_run_ns");
+    let mut events_processed = 0u64;
+    let run_duration_ns = crowdfill_obs::Histogram::new();
     let run_timer = crowdfill_obs::SpanTimer::start(&run_duration_ns);
 
     // Trace ids are derived from the run seed and an op counter, so the
@@ -206,7 +206,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
         if t > max_ms || fulfilled_at.is_some() {
             break;
         }
-        events_processed.inc();
+        events_processed += 1;
         now = t;
         let widx = packed >> 32;
         let eid = packed & 0xFFFF_FFFF;
@@ -341,7 +341,17 @@ pub fn run(cfg: SimConfig) -> RunReport {
         sim_millis => elapsed.0,
         candidate_rows => table.len() as u64,
     );
-    let metrics_snapshot = crowdfill_server::exposition(&registry, [backend.counts()]);
+    let samples = [
+        (
+            "crowdfill_sim_events_processed".to_string(),
+            Sample::Counter(events_processed),
+        ),
+        (
+            "crowdfill_sim_run_ns".to_string(),
+            Sample::Summary(Box::new(run_duration_ns.snapshot())),
+        ),
+    ];
+    let metrics_snapshot = crowdfill_server::exposition(samples, [backend.counts()]);
     let trace_summary = if obstrace::enabled() {
         obstrace::flush_thread();
         let events = obstrace::recorder().dump_since(trace_cursor);

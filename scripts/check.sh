@@ -241,18 +241,22 @@ if grep -rn "Due::Sample\|TelemetryOptions\|ProgressOptions\|sample_period\|Reac
   echo "check.sh: a sampling clock or a switch the service can work out; read on wakes, arm ticks from what the collections are" >&2
   exit 1
 fi
-# One owner per instrument (DESIGN.md §6): there is no process-global
-# registry. A layer below the service keeps plain counts in the struct that
-# does the work and names none of them; the service owns the one registry
-# and names its layers' counts as it renders them (`tcp_service.rs`).
+# One owner per instrument, a metric is a field (DESIGN.md §6): there is
+# no registry, process-global or not. A layer below the service keeps plain
+# counts in the struct that does the work and names none of them; the
+# service's instruments are fields of `ServiceMetrics`, and every metric
+# name the server renders is spelled in `tcp_service.rs` (`samples`,
+# `named`, `stats`) — a `"crowdfill_` literal or `format!` elsewhere in the
+# server is a second place to name one.
 nontest() {
   for f in "$@"; do sed '/#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done
 }
 if nontest $(find crates/*/src -name '*.rs') \
-  | grep 'OnceLock<\(Arc<\)\?\(Counter\|Gauge\|Histogram\)\|OnceLock<MetricsRegistry>' \
+  | grep 'OnceLock<\(Arc<\)\?\(Counter\|Gauge\|Histogram\)\|MetricsRegistry' \
   || nontest $(find crates/matching/src crates/constraints/src crates/sync/src crates/docstore/src \
-    crates/net/src -name '*.rs') | grep '"crowdfill_'; then
-  echo "check.sh: a process-global instrument or a metric named below the service; keep a count on the struct and name it in tcp_service.rs" >&2
+    crates/net/src -name '*.rs') | grep '"crowdfill_' \
+  || nontest $(find crates/server/src -name '*.rs' ! -name tcp_service.rs) | grep '"crowdfill_'; then
+  echo "check.sh: a registry, a process-global instrument, or a metric named outside tcp_service.rs; keep a count on the struct and name it in tcp_service.rs" >&2
   exit 1
 fi
 

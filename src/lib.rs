@@ -25,7 +25,7 @@
 //! | [`net`] | §3.3 | framed TCP / in-process transports (Socket.IO substitute) |
 //! | [`server`] | §3 | back-end, front-end, marketplace, worker client, TCP service |
 //! | [`sim`] | §6 | crowd simulator, datasets, experiment runner |
-//! | [`obs`] | — | structured logging, metrics registry, span timing |
+//! | [`obs`] | — | structured logging, metric instruments, span timing |
 //!
 //! ## Quickstart
 //!
