@@ -29,10 +29,10 @@
 //!   burn rate.
 //! * [`trace`] — causal per-op tracing: deterministic
 //!   [`TraceId`](trace::TraceId)s/[`SpanId`](trace::SpanId)s, a bounded
-//!   lock-free [`FlightRecorder`](trace::FlightRecorder) ring of
-//!   [`TraceEvent`](trace::TraceEvent)s, `OBS_TRACE` sampling (one
-//!   relaxed load when off), JSONL dumps, and per-stage latency
-//!   summaries.
+//!   [`FlightRecorder`](trace::FlightRecorder) ring of
+//!   [`TraceEvent`](trace::TraceEvent)s behind one lock, `OBS_TRACE`
+//!   sampling (one relaxed load when off), JSONL dumps, and per-stage
+//!   latency summaries.
 //!
 //! Metric names follow `crowdfill_<crate>_<name>` (e.g.
 //! `crowdfill_sync_ops_applied`, `crowdfill_net_bytes_out`). What stays

@@ -3,28 +3,25 @@
 //! Every submission can carry a [`TraceId`] from the moment the client
 //! creates it to the moment remote replicas absorb its broadcast. Each
 //! pipeline stage stamps a fixed-size [`TraceEvent`] (stage tag, span id,
-//! parent span, start offset, duration) into a per-thread buffer that
-//! drains into the process-global [`FlightRecorder`] — a bounded,
-//! lock-free ring of the most recent events. The ring can be dumped at
-//! any time (tests, the `{"type":"trace_dump"}` wire request, or a
-//! failing harness seed) as JSON lines and fed to `trace-report` for
-//! per-stage latency attribution.
+//! parent span, start offset, duration) into the process-global
+//! [`FlightRecorder`] — a bounded ring of the most recent events behind
+//! one lock. A stamp is in the ring when the call returns, so the ring
+//! can be dumped at any time (tests, the `{"type":"trace_dump"}` wire
+//! request, or a failing harness seed) as JSON lines and fed to
+//! `trace-report` for per-stage latency attribution.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Disabled is free-ish.** Every recording call site first checks
 //!    [`enabled`] — one relaxed atomic load — and does nothing else when
 //!    tracing is off (`OBS_TRACE=off`, the default).
-//! 2. **Recording never blocks.** Writers claim ring slots with one
-//!    `fetch_add` and publish them with a per-slot sequence word
-//!    (seqlock style: odd while writing, even when published, strictly
-//!    increasing across laps). A dumper validates the sequence around
-//!    its read and additionally checks a per-event checksum word, so a
-//!    torn event — even the pathological writer-stalled-for-a-whole-lap
-//!    overwrite race — is *discarded*, never returned.
+//! 2. **A record is exact.** A write takes the ring's lock once and
+//!    pushes its events under consecutive claim numbers; a dump copies
+//!    the ring under the same lock, so it returns every retained event,
+//!    whole, in claim order.
 //! 3. **Bounded memory.** The ring holds [`DEFAULT_CAPACITY`] events;
-//!    older events are overwritten (a flight recorder keeps the recent
-//!    window, which is exactly what a failing run needs).
+//!    the oldest are evicted (a flight recorder keeps the recent window,
+//!    which is exactly what a failing run needs).
 //! 4. **Deterministic ids.** [`TraceId::derive`] and [`SpanId`]
 //!    derivation are pure splitmix64 walks of a seed and a counter, so
 //!    a seeded sim/harness run produces the same ids every time, and the
@@ -36,11 +33,11 @@
 //! a pure function of the id, so every process that sees the id agrees.
 
 use crate::metrics::HistogramSnapshot;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -86,11 +83,12 @@ impl TraceId {
     /// passes the deterministic sampling filter. This is what clients
     /// call per submission.
     pub fn generate(seed: u64, n: u64) -> TraceId {
-        if !enabled() {
+        let every = MODE.load(Ordering::Relaxed);
+        if every == 0 {
             return TraceId::NONE;
         }
         let id = TraceId::derive(seed, n);
-        if should_record(id) {
+        if id.0.is_multiple_of(every) {
             id
         } else {
             TraceId::NONE
@@ -198,14 +196,10 @@ impl Stage {
     pub fn parse(s: &str) -> Option<Stage> {
         STAGES.iter().copied().find(|st| st.as_str() == s)
     }
-
-    fn from_u64(v: u64) -> Option<Stage> {
-        STAGES.get(v as usize).copied()
-    }
 }
 
-/// One recorded stage of one traced op. Fixed-size and `Copy` so ring
-/// slots never allocate.
+/// One recorded stage of one traced op. Fixed-size and `Copy`, so the
+/// ring holds events by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub trace: TraceId,
@@ -224,33 +218,7 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-const EVENT_WORDS: usize = 7;
-
 impl TraceEvent {
-    fn to_words(self) -> [u64; EVENT_WORDS] {
-        [
-            self.trace.0,
-            self.span.0,
-            self.parent.0,
-            self.stage as u64,
-            self.at_ns,
-            self.dur_ns,
-            self.arg,
-        ]
-    }
-
-    fn from_words(words: [u64; EVENT_WORDS]) -> Option<TraceEvent> {
-        Some(TraceEvent {
-            trace: TraceId(words[0]),
-            span: SpanId(words[1]),
-            parent: SpanId(words[2]),
-            stage: Stage::from_u64(words[3])?,
-            at_ns: words[4],
-            dur_ns: words[5],
-            arg: words[6],
-        })
-    }
-
     /// One dump line: a flat JSON object, ids in hex.
     pub fn to_json_line(&self) -> String {
         format!(
@@ -382,17 +350,6 @@ pub fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != 0
 }
 
-/// Deterministic sampling filter: does this id record under the current
-/// mode? Pure in the id, so client and server always agree.
-#[inline]
-pub fn should_record(trace: TraceId) -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => !trace.is_none(),
-        n => !trace.is_none() && trace.0.is_multiple_of(n),
-    }
-}
-
 /// Configures tracing from `OBS_TRACE` (`off | sampled:<N> | all`,
 /// default `off`). Called by [`crate::init_from_env`]; safe to call
 /// repeatedly.
@@ -414,78 +371,52 @@ pub fn init_from_env() {
 // Flight recorder ring
 // ---------------------------------------------------------------------------
 
-/// Default ring capacity (events). ~4.5 MB resident once touched.
+/// Default ring capacity (events). ~3.7 MB resident once full.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// Checksum word stored next to each event; a reader that observes a
-/// half-overwritten slot fails this check and discards the slot.
-fn checksum(claim: u64, words: &[u64; EVENT_WORDS]) -> u64 {
-    let mut acc = splitmix64(claim ^ 0x5851_F42D_4C95_7F2D);
-    for &w in words {
-        acc = splitmix64(acc ^ w);
-    }
-    acc
+/// What the recorder's lock guards.
+struct Ring {
+    /// The retained events, oldest first; grows on demand up to
+    /// [`FlightRecorder::capacity`].
+    events: VecDeque<TraceEvent>,
+    /// Claim counter: total events ever recorded. The event at index `i`
+    /// holds claim `recorded - events.len() + i`.
+    recorded: u64,
 }
 
-struct Slot {
-    /// Seqlock word: 0 = never written; `2·claim+1` while the writer of
-    /// `claim` is copying; `2·claim+2` once published. Strictly
-    /// increasing across ring laps (enforced with `fetch_max`), so a
-    /// stale writer can never roll a slot's sequence backwards.
-    seq: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
-    check: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-            check: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A bounded, lossy, lock-free ring of the most recent [`TraceEvent`]s.
+/// A bounded ring of the most recent [`TraceEvent`]s behind one lock.
 ///
-/// Writers claim a slot index with one `fetch_add` on `head` and publish
-/// via the slot's seqlock word; when the ring wraps, the oldest events
-/// are overwritten. [`dump`](Self::dump) walks the slots, keeping only
-/// events whose sequence word is stable around the read *and* whose
-/// checksum matches — so a dump taken during a write storm is simply
-/// missing the slots that were in flight, never corrupted.
-///
-/// Never blocking has one more price: a writer that stalls for a whole
-/// lap and then resumes stores its older payload and checksum under the
-/// newer claim's sequence word (`fetch_max` keeps the word), the checksum
-/// rejects the slot, and the newer event stays lost until the next lap
-/// overwrites it. Each writer has one claim in flight, so a quiescent
-/// ring written by `W` threads has at most `W − 1` such slots.
+/// A write locks once and pushes its events under consecutive claims,
+/// evicting the oldest when the ring is full; a dump copies the ring
+/// under the same lock. A stamping thread waits out a concurrent dump —
+/// at most a copy of [`DEFAULT_CAPACITY`] events, and only when tracing
+/// is on.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    /// Next claim number (total events ever recorded).
-    head: AtomicU64,
+    ring: Mutex<Ring>,
+    capacity: usize,
     epoch: Instant,
 }
 
 impl FlightRecorder {
+    /// A recorder that keeps the latest `capacity` events (at least 1).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.next_power_of_two().max(2);
         FlightRecorder {
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
-            head: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                events: VecDeque::new(),
+                recorded: 0,
+            }),
+            capacity: capacity.max(1),
             epoch: Instant::now(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events ever recorded (≥ what a dump can return).
     pub fn cursor(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring.lock().recorded
     }
 
     /// Nanoseconds since this recorder's epoch.
@@ -493,67 +424,29 @@ impl FlightRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Records one event. Never blocks; overwrites the oldest slot when
-    /// the ring is full.
+    /// Records one event, evicting the oldest when the ring is full.
     pub fn record(&self, event: TraceEvent) {
         self.record_block(&[event]);
     }
 
-    /// Records a batch under consecutive claims (one `fetch_add`).
+    /// Records a batch under consecutive claims (one lock).
     pub fn record_block(&self, events: &[TraceEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let base = self.head.fetch_add(events.len() as u64, Ordering::Relaxed);
-        let mask = self.slots.len() as u64 - 1;
-        for (i, ev) in events.iter().enumerate() {
-            let claim = base + i as u64;
-            let slot = &self.slots[(claim & mask) as usize];
-            let words = ev.to_words();
-            // Seqlock write protocol. `fetch_max` (not `store`) so a
-            // writer that stalled for a whole ring lap cannot move the
-            // sequence backwards under a newer claim; the checksum below
-            // catches the mixed payload such a stall could still leave.
-            slot.seq.fetch_max(2 * claim + 1, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            for (w, &v) in slot.words.iter().zip(words.iter()) {
-                w.store(v, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        for &event in events {
+            if ring.events.len() == self.capacity {
+                ring.events.pop_front();
             }
-            slot.check.store(checksum(claim, &words), Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            slot.seq.fetch_max(2 * claim + 2, Ordering::Release);
+            ring.events.push_back(event);
         }
+        ring.recorded += events.len() as u64;
     }
 
-    /// Snapshot of every intact slot, as `(claim, event)` in claim order
-    /// (claims are the global record order; gaps mean the slot was being
-    /// rewritten while we looked).
+    /// Snapshot of the retained events as `(claim, event)` in claim
+    /// order (claims are the global record order, and contiguous).
     pub fn dump_entries(&self) -> Vec<(u64, TraceEvent)> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue;
-            }
-            fence(Ordering::SeqCst);
-            let words: [u64; EVENT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            let check = slot.check.load(Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 != s2 {
-                continue;
-            }
-            let claim = (s1 - 2) / 2;
-            if checksum(claim, &words) != check {
-                continue;
-            }
-            if let Some(ev) = TraceEvent::from_words(words) {
-                out.push((claim, ev));
-            }
-        }
-        out.sort_unstable_by_key(|(claim, _)| *claim);
-        out
+        let ring = self.ring.lock();
+        let first = ring.recorded - ring.events.len() as u64;
+        (first..).zip(ring.events.iter().copied()).collect()
     }
 
     /// The retained events in record order.
@@ -620,66 +513,6 @@ pub fn recorder() -> &'static FlightRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread span buffer
-// ---------------------------------------------------------------------------
-
-const THREAD_BUF_FLUSH_AT: usize = 32;
-
-/// Events stamped while a span guard is open on this thread accumulate
-/// here and drain to the global ring in one claim block when the
-/// outermost guard closes (or the buffer fills). Stamps issued with no
-/// guard open flush immediately, so by the time an ack or broadcast
-/// frame leaves the server its events are already in the ring.
-struct ThreadBuf {
-    events: Vec<TraceEvent>,
-    open_guards: usize,
-}
-
-thread_local! {
-    static TLS_BUF: RefCell<ThreadBuf> = const {
-        RefCell::new(ThreadBuf { events: Vec::new(), open_guards: 0 })
-    };
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        if !self.events.is_empty() {
-            recorder().record_block(&self.events);
-        }
-    }
-}
-
-fn tls_push(event: TraceEvent) {
-    let flushed = TLS_BUF
-        .try_with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.events.push(event);
-            if buf.open_guards == 0 || buf.events.len() >= THREAD_BUF_FLUSH_AT {
-                let drained: Vec<TraceEvent> = buf.events.drain(..).collect();
-                drop(buf);
-                recorder().record_block(&drained);
-            }
-        })
-        .is_ok();
-    if !flushed {
-        // TLS already torn down (thread exit): record directly.
-        recorder().record(event);
-    }
-}
-
-/// Flushes this thread's buffered events to the global ring.
-pub fn flush_thread() {
-    let _ = TLS_BUF.try_with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if !buf.events.is_empty() {
-            let drained: Vec<TraceEvent> = buf.events.drain(..).collect();
-            drop(buf);
-            recorder().record_block(&drained);
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
 // Stamping API
 // ---------------------------------------------------------------------------
 
@@ -696,12 +529,13 @@ pub fn stamp_dur(trace: TraceId, stage: Stage, parent: SpanId, salt: u64, arg: u
     if trace.is_none() {
         return;
     }
-    tls_push(TraceEvent {
+    let recorder = recorder();
+    recorder.record(TraceEvent {
         trace,
         span: SpanId::derive(trace, stage, salt),
         parent,
         stage,
-        at_ns: recorder().now_ns().saturating_sub(dur_ns),
+        at_ns: recorder.now_ns().saturating_sub(dur_ns),
         dur_ns,
         arg,
     });
@@ -716,25 +550,19 @@ pub struct ActiveSpan {
     parent: SpanId,
     stage: Stage,
     arg: u64,
+    /// Recorder time the span opened at.
     at_ns: u64,
-    start: Option<Instant>,
-    recorded: bool,
 }
 
 impl ActiveSpan {
     /// Opens a span. `salt` disambiguates repeated same-stage spans
     /// within one trace (use 0 for once-per-trace stages). When `trace`
-    /// is none the guard is fully inert — no clock read, no TLS touch.
+    /// is none the guard is fully inert — no clock read.
     pub fn start(trace: TraceId, stage: Stage, parent: SpanId, salt: u64, arg: u64) -> ActiveSpan {
-        let (span, at_ns, start) = if trace.is_none() {
-            (SpanId::NONE, 0, None)
+        let (span, at_ns) = if trace.is_none() {
+            (SpanId::NONE, 0)
         } else {
-            let _ = TLS_BUF.try_with(|buf| buf.borrow_mut().open_guards += 1);
-            (
-                SpanId::derive(trace, stage, salt),
-                recorder().now_ns(),
-                Some(Instant::now()),
-            )
+            (SpanId::derive(trace, stage, salt), recorder().now_ns())
         };
         ActiveSpan {
             trace,
@@ -743,8 +571,6 @@ impl ActiveSpan {
             stage,
             arg,
             at_ns,
-            start,
-            recorded: false,
         }
     }
 
@@ -763,45 +589,28 @@ impl ActiveSpan {
         self.span
     }
 
-    /// Overrides the recorded argument (e.g. the seq once known).
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
-
     /// Ends the span now, recording it with `arg`.
     pub fn finish(mut self, arg: u64) {
         self.arg = arg;
         // Drop records.
     }
+}
 
-    fn close(&mut self) {
-        if self.recorded {
-            return;
-        }
-        self.recorded = true;
-        let Some(start) = self.start else {
+impl Drop for ActiveSpan {
+    fn drop(&mut self) {
+        if self.trace.is_none() {
             return; // inert guard
-        };
-        let event = TraceEvent {
+        }
+        let recorder = recorder();
+        recorder.record(TraceEvent {
             trace: self.trace,
             span: self.span,
             parent: self.parent,
             stage: self.stage,
             at_ns: self.at_ns,
-            dur_ns: start.elapsed().as_nanos() as u64,
+            dur_ns: recorder.now_ns().saturating_sub(self.at_ns),
             arg: self.arg,
-        };
-        let _ = TLS_BUF.try_with(|buf| {
-            let mut b = buf.borrow_mut();
-            b.open_guards = b.open_guards.saturating_sub(1);
         });
-        tls_push(event);
-    }
-}
-
-impl Drop for ActiveSpan {
-    fn drop(&mut self) {
-        self.close();
     }
 }
 
@@ -945,12 +754,11 @@ impl TraceSummary {
     }
 }
 
-/// Flushes this thread's buffer and dumps the global flight recorder to
-/// `<flight_dir>/flight-<label>.jsonl`. Returns `None` when the ring is
-/// empty (nothing was traced) or the write failed — callers use this to
-/// attach evidence to a failure without masking it.
+/// Dumps the global flight recorder to `<flight_dir>/flight-<label>.jsonl`.
+/// Returns `None` when the ring is empty (nothing was traced) or the
+/// write failed — callers use this to attach evidence to a failure
+/// without masking it.
 pub fn dump_flight_record(label: &str) -> Option<PathBuf> {
-    flush_thread();
     if recorder().cursor() == 0 {
         return None;
     }
@@ -970,7 +778,6 @@ pub fn dump_on_panic<R>(label: &str, f: impl FnOnce() -> R) -> R {
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "panic (non-string payload)".to_string());
-            flush_thread();
             match recorder().dump_to_file(label) {
                 Ok(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
                 Err(e) => panic!("{msg}\n(flight record dump failed: {e})"),
@@ -1021,10 +828,8 @@ mod tests {
     fn stage_names_roundtrip() {
         for stage in STAGES {
             assert_eq!(Stage::parse(stage.as_str()), Some(stage));
-            assert_eq!(Stage::from_u64(stage as u64), Some(stage));
         }
         assert_eq!(Stage::parse("nope"), None);
-        assert_eq!(Stage::from_u64(99), None);
     }
 
     #[test]
@@ -1070,6 +875,29 @@ mod tests {
         }
         assert_eq!(r.dump_since(18).len(), 2);
         assert_eq!(r.cursor(), 20);
+    }
+
+    #[test]
+    fn a_stamp_inside_an_open_span_is_in_the_ring_when_it_returns() {
+        let t = TraceId::derive(0x0B5E_7EAC_E000_0042, 0);
+        let mine = |stage: Stage| {
+            recorder()
+                .dump()
+                .iter()
+                .any(|e| e.trace == t && e.stage == stage)
+        };
+        let root = ActiveSpan::root(t, Stage::ClientSubmit);
+        stamp(t, Stage::Apply, root.id(), 0, 7);
+        assert!(
+            mine(Stage::Apply),
+            "a stamp under an open span must not wait for it"
+        );
+        assert!(
+            !mine(Stage::ClientSubmit),
+            "an open span records when it closes"
+        );
+        drop(root);
+        assert!(mine(Stage::ClientSubmit));
     }
 
     #[test]
@@ -1142,9 +970,7 @@ mod tests {
         set_mode(TraceMode::Off);
         assert!(TraceId::generate(1, 1).is_none());
         set_mode(TraceMode::All);
-        let id = TraceId::generate(1, 1);
-        assert!(!id.is_none());
-        assert!(should_record(id));
+        assert!(!TraceId::generate(1, 1).is_none());
         set_mode(TraceMode::Sampled(4));
         let picked: Vec<u64> = (0..64)
             .filter(|&n| !TraceId::generate(1, n).is_none())

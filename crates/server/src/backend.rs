@@ -209,11 +209,10 @@ struct Session {
     /// set at connect/resume (the reply replays everything up to it) and
     /// bumped by [`Backend::note_confirmed`] when a sync completes.
     confirmed_seq: u64,
-    /// Ack-latency distribution for this worker, recorded by the transport
-    /// layer (the connection thread holds a clone of the `Arc` and records
-    /// lock-free; kept out of the `stats` exposition to avoid per-worker
-    /// cardinality there).
-    ack_latency: Arc<Histogram>,
+    /// Ack-latency distribution of this worker's submits, recorded by the
+    /// batch pipeline as it applies them ([`Backend::record_ack`]; kept out
+    /// of the `stats` exposition to avoid per-worker cardinality there).
+    ack_latency: Histogram,
 }
 
 impl Session {
@@ -236,7 +235,7 @@ impl Session {
             ops: 0,
             completed: None,
             confirmed_seq: 0,
-            ack_latency: Arc::new(Histogram::new()),
+            ack_latency: Histogram::new(),
         }
     }
 }
@@ -253,7 +252,7 @@ pub struct SessionStats {
     pub outbox_depth: usize,
     /// Highest history length the worker is known to have fully absorbed.
     pub confirmed_seq: u64,
-    /// Ack-latency distribution recorded by the transport layer.
+    /// Ack-latency distribution of the worker's submits.
     pub ack_latency: HistogramSnapshot,
 }
 
@@ -1135,13 +1134,12 @@ impl Backend {
         out
     }
 
-    /// The per-worker ack-latency histogram: the batch pipeline records
-    /// each acked submission's latency into it, lock-free, as it applies
-    /// the batch.
-    pub fn worker_ack_histogram(&self, worker: WorkerId) -> Option<Arc<Histogram>> {
-        self.sessions
-            .get(&worker)
-            .map(|s| Arc::clone(&s.ack_latency))
+    /// Records one acked submission's latency in `worker`'s ack-latency
+    /// histogram: the batch pipeline calls it as it applies the batch.
+    pub fn record_ack(&self, worker: WorkerId, latency_ns: u64) {
+        if let Some(s) = self.sessions.get(&worker) {
+            s.ack_latency.record(latency_ns);
+        }
     }
 
     /// Records that `worker`'s replica has absorbed the history prefix

@@ -260,9 +260,8 @@ impl BatchPipeline {
             let latency = admitted.elapsed().as_nanos() as u64;
             settled[i].latency_ns = Some(latency);
             // The worker's own ack latency (its health row), submits only.
-            match backend.worker_ack_histogram(worker) {
-                Some(own) if !settled[i].modify => own.record(latency),
-                _ => {}
+            if !settled[i].modify {
+                backend.record_ack(worker, latency);
             }
             settled[i].result = result;
         }

@@ -951,8 +951,6 @@ fn serve_request(
         }
         Request::TraceDump => {
             metrics.trace_dump_requests.inc();
-            // The recorder's ring, this thread's buffered events included.
-            obstrace::flush_thread();
             let events = obstrace::recorder().dump_jsonl();
             write_frame(writer, dead, &Reply::TraceDump(events));
         }

@@ -1,6 +1,6 @@
 //! Two services in one process keep separate books: each owns its
-//! registry, so the fills one serves show in its own `stats` and `health`
-//! and in none of the other's.
+//! instruments, so the fills one serves show in its own `stats` and
+//! `health` and in none of the other's.
 
 use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
 use crowdfill_obs::timeseries::PERIOD;

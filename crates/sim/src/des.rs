@@ -353,7 +353,6 @@ pub fn run(cfg: SimConfig) -> RunReport {
     ];
     let metrics_snapshot = crowdfill_server::exposition(samples, [backend.counts()]);
     let trace_summary = if obstrace::enabled() {
-        obstrace::flush_thread();
         let events = obstrace::recorder().dump_since(trace_cursor);
         obstrace::TraceSummary::from_events(&events).render()
     } else {

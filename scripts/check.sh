@@ -2,6 +2,9 @@
 # Full local gate: release build, tests, and lints for the whole workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# `nontest FILE...`: each file's product lines, prefixed `FILE: `, up to
+# its test module. Every gate below that reads non-test code reads it so.
+. scripts/nontest.sh
 
 # Formatting gate first: cheapest check, and drift fails CI outright.
 cargo fmt --all -- --check
@@ -42,7 +45,7 @@ fi
 # codec, which a message's `{"t","v"}` cell and an image's positional cell
 # share: non-test wire.rs holds one `match` over a `Value`'s payloads and
 # one over a `DataType`'s.
-wire_src() { sed '/#\[cfg(test)\]/,$d' crates/server/src/wire.rs; }
+wire_src() { nontest crates/server/src/wire.rs; }
 if grep -n "Image::Messages\|into_messages\|rebuild(" crates/server/src/client_core.rs crates/server/src/client.rs \
   || grep -rn '"values"\|"uh"\|"dh"' crates/server/src | grep -v '^crates/server/src/wire.rs:' \
   || grep -rn '"types"' crates/*/src | grep -v '^crates/server/src/wire.rs:' \
@@ -55,8 +58,8 @@ if grep -n "Image::Messages\|into_messages\|rebuild(" crates/server/src/client_c
 fi
 # The transport spawns no thread: a `TcpConn` reads its own socket on its
 # caller's thread, the codecs and `LocalConn` never had one.
-if sed -s '/#\[cfg(test)\]/,$d' crates/net/src/tcp.rs crates/net/src/conn.rs crates/net/src/nonblocking.rs \
-  | grep -n "thread::Builder\|thread::spawn"; then
+if nontest crates/net/src/tcp.rs crates/net/src/conn.rs crates/net/src/nonblocking.rs \
+  | grep "thread::Builder\|thread::spawn"; then
   echo "check.sh: the transport spawns a thread; read the socket on the caller's" >&2
   exit 1
 fi
@@ -88,9 +91,9 @@ if grep -rn "thread::Builder\|thread::spawn" crates/server/src \
   echo "check.sh: the server spawns a thread other than reactor.rs::start_shards; make it an entry of the shard loop" >&2
   exit 1
 fi
-if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/shard.rs \
+if nontest crates/server/src/reactor.rs crates/server/src/shard.rs \
   crates/server/src/tcp_service.rs crates/obs/src/timeseries.rs \
-  | grep -v '^[[:space:]]*//' | grep -n "thread::sleep\|park_timeout"; then
+  | grep -v '^[^:]*:[[:space:]]*//' | grep "thread::sleep\|park_timeout"; then
   echo "check.sh: a sleep or a park in the shard loop, the service or the sampler; arm a deadline (shard::Due)" >&2
   exit 1
 fi
@@ -98,16 +101,16 @@ fi
 # `progress.rs`'s `ProgressTracker` (DESIGN.md §11) — `trace()` once there
 # and nowhere in `health.rs` — and a served `health` reads the owner
 # shard's fold, never a fresh walk.
-if sed '/#\[cfg(test)\]/,$d' crates/server/src/health.rs | grep -n "trace()" \
-  || [ "$(sed '/#\[cfg(test)\]/,$d' crates/server/src/progress.rs | grep -c "trace()")" != 1 ] \
+if nontest crates/server/src/health.rs | grep "trace()" \
+  || [ "$(nontest crates/server/src/progress.rs | grep -c "trace()")" != 1 ] \
   || grep -n "health::collect" crates/server/src/reactor.rs crates/server/src/shard.rs \
     crates/server/src/tcp_service.rs; then
   echo "check.sh: the op log read outside the telemetry fold; advance the collection's ProgressTracker" >&2
   exit 1
 fi
 # A report writes nothing: no metric is set or bumped by building one.
-if sed -s '/#\[cfg(test)\]/,$d' crates/server/src/health.rs crates/server/src/progress.rs \
-  | grep -n "gauge(\|counter("; then
+if nontest crates/server/src/health.rs crates/server/src/progress.rs \
+  | grep "gauge(\|counter("; then
   echo "check.sh: a metric written by health.rs or progress.rs; a report is a read" >&2
   exit 1
 fi
@@ -116,8 +119,8 @@ fi
 # `Classifier` is the only probable-row classification the server runs —
 # the PRI maintainer, the estimator and recommendations read it — and the
 # batch sweep is its test oracle (DESIGN.md §4).
-if sed -s '/#\[cfg(test)\]/,$d' crates/constraints/src/maintainer.rs crates/pay/src/*.rs crates/server/src/*.rs \
-  | grep -v '^[[:space:]]*//' | grep -n "classify(\|classify_rows(\|probable_rows("; then
+if nontest crates/constraints/src/maintainer.rs crates/pay/src/*.rs crates/server/src/*.rs \
+  | grep -v '^[^:]*:[[:space:]]*//' | grep "classify(\|classify_rows(\|probable_rows("; then
   echo "check.sh: a batch classification on the server path; read the Central Client's Classifier" >&2
   exit 1
 fi
@@ -134,9 +137,8 @@ fi
 # walk is the test oracle, `crates/pay/tests/support/oracle.rs`; the
 # benchmark's `crates/e2e` is left alone), and a log position has one
 # name, its history seq.
-non_test() { for f in "$@"; do sed '/#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done; }
-if non_test crates/pay/src/contrib.rs crates/pay/src/allocate.rs | grep -w "Trace" \
-  || non_test $(find crates -path '*/src/*' -name '*.rs' -not -path 'crates/e2e/*') \
+if nontest crates/pay/src/contrib.rs crates/pay/src/allocate.rs | grep -w "Trace" \
+  || nontest $(find crates -path '*/src/*' -name '*.rs' -not -path 'crates/e2e/*') \
     | grep "row_values(\|creators(\|filled_cell(" \
   || grep -rn "MsgIdx" crates src examples tests; then
   echo "check.sh: settlement reads the op log; fold it into pay::Ledger" >&2
@@ -176,7 +178,7 @@ fi
 tree_oracle='payload_to_json\|value_to_json\|row_id_to_json\|row_value_to_json\|message_to_json'
 cold_docs='trace_entry_to_json\|trace_to_json\|schema_to_json\|predicate_to_json\|template_to_json'
 written() {
-  sed '/#\[cfg(test)\]/,$d' "$1" | sed "/^\(pub \)\?fn \($tree_oracle\|$cold_docs\)(/,/^}/d" | sed "s|^|$1: |"
+  nontest "$1" | sed "/^[^:]*: \(pub \)\?fn \($tree_oracle\|$cold_docs\)(/,/^[^:]*: }/d"
 }
 if written crates/server/src/persist.rs | grep 'Json::obj(\|Json::Arr(\|\.encode()' \
   || written crates/server/src/wire.rs | grep 'Json::obj(\|Json::Arr(\|\.encode()' \
@@ -190,16 +192,16 @@ fi
 # there, on the frames the socket has not taken — no queue of encoded
 # frames sits in front of it, and no lever paces the writer.
 if grep -rn "writer_pace" crates src tests \
-  || sed -s '/#\[cfg(test)\]/,$d' crates/server/src/reactor.rs crates/server/src/shard.rs \
-    | grep -n "VecDeque<String>"; then
+  || nontest crates/server/src/reactor.rs crates/server/src/shard.rs \
+    | grep "VecDeque<String>"; then
   echo "check.sh: a second outbound buffer or a paced writer; write broadcasts into the connection's FrameWriter" >&2
   exit 1
 fi
 # A sans-IO shard core (DESIGN.md §13.1): every rule of a shard lives in
 # `shard.rs`, which is fed the wake's one clock reading and what the
 # sockets did — it reads no clock and touches no socket, poller or thread.
-if sed '/#\[cfg(test)\]/,$d' crates/server/src/shard.rs \
-  | grep -n "Instant::now\|elapsed(\|SystemTime\|Poller\|TcpStream\|std::net\|std::thread"; then
+if nontest crates/server/src/shard.rs \
+  | grep "Instant::now\|elapsed(\|SystemTime\|Poller\|TcpStream\|std::net\|std::thread"; then
   echo "check.sh: the shard core reads a clock or does I/O; take \`now\` and events from the driver (reactor.rs)" >&2
   exit 1
 fi
@@ -248,15 +250,20 @@ fi
 # name the server renders is spelled in `tcp_service.rs` (`samples`,
 # `named`, `stats`) — a `"crowdfill_` literal or `format!` elsewhere in the
 # server is a second place to name one.
-nontest() {
-  for f in "$@"; do sed '/#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done
-}
 if nontest $(find crates/*/src -name '*.rs') \
   | grep 'OnceLock<\(Arc<\)\?\(Counter\|Gauge\|Histogram\)\|MetricsRegistry' \
   || nontest $(find crates/matching/src crates/constraints/src crates/sync/src crates/docstore/src \
     crates/net/src -name '*.rs') | grep '"crowdfill_' \
   || nontest $(find crates/server/src -name '*.rs' ! -name tcp_service.rs) | grep '"crowdfill_'; then
   echo "check.sh: a registry, a process-global instrument, or a metric named outside tcp_service.rs; keep a count on the struct and name it in tcp_service.rs" >&2
+  exit 1
+fi
+# One recorder path (DESIGN.md §10): a stamp goes straight into the flight
+# recorder's ring, one lock, and a dump copies the ring under it — no
+# per-thread span buffer to flush, no lock-free slots, fences or checksums.
+if nontest crates/obs/src/trace.rs | grep "thread_local!\|fence(\|fetch_max\|checksum" \
+  || grep -rn "flush_thread" crates src tests examples; then
+  echo "check.sh: a second path between a stamp and the ring; record into obs::trace::FlightRecorder under its lock" >&2
   exit 1
 fi
 
