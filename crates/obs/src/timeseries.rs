@@ -102,7 +102,7 @@ impl Reading {
 }
 
 /// Bounded, thread-safe ring of [`Reading`]s, oldest first: a base
-/// reading plus the newest `capacity` readings.
+/// reading plus the newest `capacity` readings, allocated as they come.
 #[derive(Debug)]
 pub struct ReadingRing {
     instruments: SloInstruments,
@@ -118,8 +118,7 @@ pub struct ReadingRing {
 impl ReadingRing {
     pub fn new(instruments: SloInstruments, capacity: usize) -> ReadingRing {
         let capacity = capacity.max(1);
-        let mut readings = VecDeque::with_capacity(capacity + 1);
-        readings.push_back(Reading::default());
+        let readings = VecDeque::from([Reading::default()]);
         ReadingRing {
             instruments,
             capacity,

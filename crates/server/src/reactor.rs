@@ -1,15 +1,15 @@
 //! # The sharded reactor: the I/O half of a shard
 //!
-//! The service runs a small fixed pool of *shard* threads, each with one
+//! The service runs a small fixed pool of *shard* threads (by default one
+//! per core, at most 4 and at most one per collection), each with one
 //! `epoll` instance and one wake queue ([`crowdfill_net::poller`]): server
-//! threads are O(pool size), not O(connections) nor O(collections), and a
-//! shard with nothing to do is blocked in the kernel. What a shard decides
-//! is its [`ShardCore`] (`shard.rs`), which touches no socket and reads no
-//! clock. This file is the driver: it owns the sockets, the epoll set, the
-//! listener and its back-off, the wake queues and the threads; it reads the
-//! clock once per wake and moves bytes between the sockets and the core,
-//! counting them (`crowdfill_net_bytes_in`/`_out`) and the sockets it
-//! accepts (`crowdfill_net_accepts`).
+//! threads are O(pool size), not O(connections) nor O(collections). What a
+//! shard decides is its [`ShardCore`] (`shard.rs`), which touches no socket
+//! and reads no clock. This file is the driver: it owns the sockets, the
+//! epoll set, the listener and its back-off, the wake queues and the
+//! threads; it reads the clock once per wake and moves bytes between the
+//! sockets and the core, counting them (`crowdfill_net_bytes_in`/`_out`)
+//! and the sockets it accepts (`crowdfill_net_accepts`).
 //!
 //! A shard blocks in `epoll_wait` until a socket of its own is readable,
 //! writable while its writer holds bytes, or hung up; the listener is

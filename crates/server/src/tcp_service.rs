@@ -284,9 +284,9 @@ pub struct ServiceOptions {
     /// batch pipeline, write-buffer watermark and eviction policy for
     /// connections (DESIGN.md §9).
     pub overload: OverloadOptions,
-    /// Number of reactor shard threads; `0` (the default) picks one per
-    /// available core, capped at 4 (a shard is syscall-bound, more shards
-    /// only shuffle work).
+    /// Number of reactor shard threads; `0` (the default) runs one per
+    /// available core, capped at 4 (a shard is syscall-bound) and at the
+    /// number of collections (a shard that owns none would only wait).
     pub shards: usize,
     /// The durability tick (DESIGN.md §14): a deadline on each owner shard
     /// one of whose collections was opened with storage attached
@@ -308,15 +308,14 @@ pub struct ServiceOptions {
 }
 
 impl ServiceOptions {
-    /// The shard count `shards` asks for.
-    pub(crate) fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
+    /// The shard count `shards` asks for, for `collections` collections;
+    /// under `0` the host is asked for its cores only if the cap exceeds 1.
+    pub(crate) fn effective_shards(&self, collections: usize) -> usize {
+        match (self.shards, collections.clamp(1, 4)) {
+            (0, 1) => 1,
+            (0, cap) => std::thread::available_parallelism().map_or(1, |n| n.get().min(cap)),
+            (n, _) => n,
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 4)
     }
 }
 
@@ -410,7 +409,8 @@ impl ServiceShared {
         }
         let started = Instant::now();
         let default_collection = backends[0].0.clone();
-        let metrics = ServiceMetrics::new(options.effective_shards());
+        let shards = options.effective_shards(backends.len());
+        let metrics = ServiceMetrics::new(shards);
         // Every shard reads the objectives' three instruments into this
         // ring as it wakes; `health` requests subtract two of its
         // readings. One ring serves every collection (the instruments are
@@ -426,9 +426,7 @@ impl ServiceShared {
         let telemetry = ReadingRing::new(instruments, RING_CAPACITY);
         telemetry.sample(0);
         let mut collections = HashMap::with_capacity(backends.len());
-        let mut owned: ShardCollections = (0..options.effective_shards())
-            .map(|_| Vec::new())
-            .collect();
+        let mut owned: ShardCollections = (0..shards).map(|_| Vec::new()).collect();
         for (name, backend) in backends {
             let backend = Arc::new(Mutex::new(backend));
             let pipeline = BatchPipeline::start(
@@ -678,6 +676,34 @@ mod tests {
         let schema = Schema::new("Persist", columns, &["name"]).unwrap();
         let scoring = Arc::new(QuorumMajority::of_three());
         TaskConfig::new(Arc::new(schema), scoring, Template::cardinality(1), 10.0)
+    }
+
+    /// Under `shards: 0` a service runs one shard per core, at most 4 and
+    /// at most one per collection; an explicit count is taken as it is.
+    #[test]
+    fn the_default_shard_count_is_capped_by_the_collections() {
+        let auto = ServiceOptions::default();
+        assert_eq!(auto.effective_shards(0), 1);
+        assert_eq!(auto.effective_shards(1), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for collections in 2..=9 {
+            let n = auto.effective_shards(collections);
+            assert_eq!(n, cores.min(4).min(collections), "{collections}");
+        }
+        for shards in [1, 2, 4, 7] {
+            let explicit = ServiceOptions {
+                shards,
+                ..ServiceOptions::default()
+            };
+            for collections in [0, 1, 3, 128] {
+                assert_eq!(explicit.effective_shards(collections), shards);
+            }
+        }
+        // One count sizes both the per-shard visits and the owner lists.
+        let backends = (0..3).map(|i| (format!("c{i}"), Backend::new(config())));
+        let (shared, owned) = ServiceShared::new(backends.collect(), auto).unwrap();
+        assert_eq!(shared.metrics.shard_conn_visits.len(), owned.len());
+        assert_eq!(owned.len(), cores.min(3));
     }
 
     /// `stats` shows the oldest checkpoint among the collections that keep

@@ -324,3 +324,18 @@ cargo test -q --release -p crowdfill-bench --test health_smoke
 # pure functions of the pinned seeds); only the timing rows shrink.
 cargo run --release -q -p crowdfill-bench --bin bench-report -- \
   --quick --suite progress --out-dir "$(mktemp -d)"
+
+# Benchmark oracle gate: every workload BENCHMARK.json declares, three
+# blocks, tracing off. The harness checks each action's outcome and every
+# replica against the master table; its last line must read every action
+# correct and none failed.
+for workload in $(sed -n '/"workloads"/,/\]/p' BENCHMARK.json | grep -o '"name": "[^"]*"' | cut -d'"' -f4); do
+  out=$(cargo run --release -q -p crowdfill-e2e --bin e2e -- --workload "$workload" --blocks 3 --trace 0)
+  if ! tail -n 1 <<<"$out" | grep -q '"correct":true' \
+    || ! tail -n 1 <<<"$out" | grep -q '"failed":0[,}]'; then
+    echo "$out"
+    echo "check.sh: e2e --workload $workload is not correct or failed operations" >&2
+    exit 1
+  fi
+  echo "e2e $workload: correct, 0 failed"
+done
