@@ -9,9 +9,11 @@
 //! the Central Client's classification update, PRI maintenance, and the
 //! full backend, whose fill and vote apply are reported as their own
 //! per-op medians (and a fill's mean heap allocations). The Central Client's build (`PriMaintainer::new`, with
-//! the edges its PRI graph holds) and `Backend::new` are timed on their own;
-//! the batch classification and the fulfillment check against the final
-//! state, for scale.
+//! the edges its PRI graph holds) and `Backend::new` are timed on their own,
+//! the latter with its heap allocations and its Central Client's phases
+//! (template ops, lefts, classification, rights, repair); the batch
+//! classification and the fulfillment check against the final state, for
+//! scale.
 //!
 //! Then the encoders, whatever `--rows` says: ns/op and heap allocations
 //! per op (a counting allocator wraps the system one) of every frame kind
@@ -139,6 +141,36 @@ fn main() {
     }
     eprintln!("{:<32} {:>10} us", "PriMaintainer::new", median(s) / 1000);
     eprintln!("{:<32} {:>10} edges", "  PRI graph held", edges);
+    let (mut s, mut phases, mut allocations) = (Vec::new(), [(); 5].map(|_| Vec::new()), 0);
+    for _ in 0..reps {
+        let config = config.clone();
+        let (t, before) = (Instant::now(), ALLOCATIONS.load(Ordering::Relaxed));
+        let backend = Backend::new(config);
+        s.push(t.elapsed().as_nanos());
+        allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let split = backend.central_client().counts().build;
+        let split = [
+            split.ops,
+            split.lefts,
+            split.classify,
+            split.rights,
+            split.repair,
+        ];
+        for (phase, took) in phases.iter_mut().zip(split) {
+            phase.push(took.as_nanos());
+        }
+        drop(black_box(backend));
+    }
+    eprintln!("{:<32} {:>10} us", "Backend::new", median(s) / 1000);
+    let names = ["template ops", "lefts", "classify", "rights", "repair"];
+    for (name, phase) in names.into_iter().zip(phases) {
+        eprintln!(
+            "{:<32} {:>10} us",
+            format!("  {name}"),
+            median(phase) / 1000
+        );
+    }
+    eprintln!("{:<32} {:>10} allocs", "  heap allocations", allocations);
     let (_, init) = fresh_cc();
     let fresh_replica = || {
         let mut r = Replica::new(ClientId(u32::MAX), Arc::clone(&config.schema));

@@ -22,7 +22,7 @@
 pub mod maintainer;
 pub mod probable;
 
-pub use maintainer::{PriCounts, PriMaintainer, TemplateIdx};
+pub use maintainer::{BuildSplit, PriCounts, PriMaintainer, TemplateIdx};
 pub use probable::{
     classify, classify_rows, probable_rows, Classification, Classifier, ProbableStatus,
     ProbableView,

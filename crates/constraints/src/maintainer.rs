@@ -42,18 +42,36 @@ use crowdfill_obs::metrics::Histogram;
 use crowdfill_sync::Replica;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What the Central Client has done so far ([`PriMaintainer::counts`];
 /// its replica keeps its own): [`maintain`](PriMaintainer::maintain)
 /// passes and the wall time of each, template rows given up on (paper
-/// §4.2's degenerate case), and its matcher's work.
+/// §4.2's degenerate case), its matcher's work, and where its
+/// construction's time went.
 #[derive(Debug, Clone, Default)]
 pub struct PriCounts {
     pub refreshes: u64,
     pub refresh_ns: Histogram,
     pub template_drops: u64,
     pub matching: MatchCounts,
+    pub build: BuildSplit,
+}
+
+/// The wall time of each phase of a Central Client's construction, in
+/// order ([`PriMaintainer::new`]; a restore applies no ops).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildSplit {
+    /// Applying the template's ops to the fresh replica.
+    pub ops: Duration,
+    /// Entering the live template into the matcher.
+    pub lefts: Duration,
+    /// Classifying the table.
+    pub classify: Duration,
+    /// Entering the probable rows and their edges into the matcher.
+    pub rights: Duration,
+    /// The repair and, for a new Central Client, the free-left loop.
+    pub repair: Duration,
 }
 
 /// A template row's index in the *original* user template. Stable across
@@ -101,24 +119,31 @@ impl PriMaintainer {
     ///
     /// Call [`take_outbox`](Self::take_outbox) afterwards to collect the
     /// initialization messages for broadcast.
+    ///
+    /// It applies the template's ops to a fresh replica, then builds the
+    /// rest as [`restore`](Self::restore) does, and runs
+    /// [`maintain`](Self::maintain)'s free-left loop once.
     pub fn new(schema: Arc<Schema>, scoring: ScoringRef, template: &Template) -> PriMaintainer {
-        let replica = Replica::new(ClientId::CENTRAL, Arc::clone(&schema));
-        let mut m = PriMaintainer {
-            classes: Classifier::new(schema, Arc::clone(&scoring), replica.table()),
-            replica,
-            scoring,
-            template: template.rows().iter().cloned().enumerate().collect(),
-            dropped: Vec::new(),
-            matcher: IncrementalMatcher::new(),
-            template_classes: Vec::new(),
-            outbox: Vec::new(),
-            counts: PriCounts::default(),
-        };
-        m.add_template_lefts();
-        for (_, row) in m.template.clone() {
-            m.insert_template_row(&row);
-        }
-        m.maintain();
+        let mut replica = Replica::new(ClientId::CENTRAL, schema);
+        let mut outbox = Vec::new();
+        let mut ops = Duration::ZERO;
+        timed(&mut ops, || {
+            for trow in template.rows() {
+                insert_template_row(&mut replica, trow, |_, msg, filled| {
+                    outbox.push((msg, filled))
+                });
+            }
+        });
+        let template = template.rows().iter().cloned().enumerate().collect();
+        let mut m = PriMaintainer::build(scoring, replica, template, Vec::new(), outbox);
+        let mut cover = Duration::ZERO;
+        timed(&mut cover, || m.cover());
+        let build = &mut m.counts.build;
+        (build.ops, build.repair) = (ops, build.repair + cover);
+        // Its rights, repair and free-left loop are its maintenance pass.
+        let maintained = build.rights + build.repair;
+        m.counts.refreshes += 1;
+        m.counts.refresh_ns.record_duration(maintained);
         m
     }
 
@@ -138,21 +163,7 @@ impl PriMaintainer {
         dropped: Vec<(TemplateIdx, TemplateRow)>,
     ) -> PriMaintainer {
         template.sort_by_key(|(idx, _)| *idx);
-        let schema = Arc::clone(replica.schema());
-        let mut m = PriMaintainer {
-            classes: Classifier::new(schema, Arc::clone(&scoring), replica.table()),
-            replica,
-            scoring,
-            template,
-            dropped,
-            matcher: IncrementalMatcher::new(),
-            template_classes: Vec::new(),
-            outbox: Vec::new(),
-            counts: PriCounts::default(),
-        };
-        m.add_template_lefts();
-        m.sync_probable_set();
-        m.matcher.repair();
+        let m = PriMaintainer::build(scoring, replica, template, dropped, Vec::new());
         if !m.invariant_holds() {
             crowdfill_obs::obs_warn!(
                 "constraints",
@@ -161,6 +172,58 @@ impl PriMaintainer {
                 template => m.template.len() as u64,
             );
         }
+        m
+    }
+
+    /// The constructor tail new and restored Central Clients share, over a
+    /// replica that holds the table: every live template row enters the
+    /// matcher at once, the table is classified once, every probable row
+    /// enters with its edges at once, and one repair matches them.
+    ///
+    /// The matching is the one the row-at-a-time constructor reached: the
+    /// lefts enter in ascending index order and the probable rows in
+    /// ascending id order either way, the bulk calls leave the slots and
+    /// edge positions that one call per vertex does, and no choice is made
+    /// before the repair (DESIGN.md §8).
+    fn build(
+        scoring: ScoringRef,
+        replica: Replica,
+        template: Vec<(TemplateIdx, TemplateRow)>,
+        dropped: Vec<(TemplateIdx, TemplateRow)>,
+        outbox: Vec<(Message, Option<ColumnId>)>,
+    ) -> PriMaintainer {
+        let mut build = BuildSplit::default();
+        let (matcher, template_classes) = timed(&mut build.lefts, || template_lefts(&template));
+        let classes = timed(&mut build.classify, || {
+            let schema = Arc::clone(replica.schema());
+            Classifier::new(schema, Arc::clone(&scoring), replica.table())
+        });
+        let mut m = PriMaintainer {
+            classes,
+            replica,
+            scoring,
+            template,
+            dropped,
+            matcher,
+            template_classes,
+            outbox,
+            counts: PriCounts::default(),
+        };
+        timed(&mut build.rights, || {
+            // The probable set, ascending, read off the table in one walk.
+            let mut probable = m.classes.probable().iter().peekable();
+            let rows = m.replica.table().iter();
+            let rows = rows.filter(|(id, _)| probable.next_if(|p| **p == *id).is_some());
+            let rows = rows.map(|(id, e)| (id, &e.value));
+            add_probable(
+                &mut m.matcher,
+                &m.template_classes,
+                m.replica.schema(),
+                rows,
+            );
+        });
+        timed(&mut build.repair, || m.matcher.repair());
+        m.counts.build = build;
         m
     }
 
@@ -326,46 +389,14 @@ impl PriMaintainer {
 
     // ---- internals -------------------------------------------------------
 
-    /// Inserts a row carrying `trow`'s prescribed values; upvotes it if the
-    /// prescription is complete (paper §4.2 initialization rule). Returns the
-    /// final row id.
-    fn insert_template_row(&mut self, trow: &TemplateRow) -> RowId {
-        let mut row = self.cc_op(&Operation::Insert).expect("insert creates");
-        for (col, v) in trow.prescribed_values() {
-            let fill = Operation::Fill {
-                row,
-                column: col,
-                value: v.clone(),
-            };
-            row = self.cc_op(&fill).expect("fill creates");
-        }
-        let value = &self
-            .replica
-            .table()
-            .get(row)
-            .expect("row just created")
-            .value;
-        if value.is_complete(self.replica.schema()) {
-            self.cc_op(&Operation::Upvote { row });
-        }
-        row
-    }
-
-    /// CC performs `op` on its replica, classifies it and queues the
-    /// message.
-    fn cc_op(&mut self, op: &Operation) -> Option<RowId> {
-        let msg = self
-            .replica
-            .apply_local(op)
-            .unwrap_or_else(|e| unreachable!("CC generated an invalid operation {op}: {e}"));
-        self.classes.update(self.replica.table(), &msg);
-        let created = msg.creates_row();
-        let filled = match op {
-            Operation::Fill { column, .. } => Some(*column),
-            _ => None,
-        };
-        self.outbox.push((msg, filled));
-        created
+    /// Inserts a row carrying `trow`'s prescribed values, classifying each
+    /// message and queueing it.
+    fn insert_classified(&mut self, trow: &TemplateRow) -> RowId {
+        let (classes, outbox) = (&mut self.classes, &mut self.outbox);
+        insert_template_row(&mut self.replica, trow, |replica, msg, filled| {
+            classes.update(replica.table(), &msg);
+            outbox.push((msg, filled));
+        })
     }
 
     /// Would a freshly-inserted row with `trow`'s prescribed values be
@@ -426,14 +457,19 @@ impl PriMaintainer {
         let started = Instant::now();
         self.sync_probable_set();
         self.matcher.repair();
+        self.cover();
+        self.counts.refresh_ns.record_duration(started.elapsed());
+    }
 
-        // Restore the matching to cover the whole live template, lowest
-        // uncovered row first (determinism).
+    /// Restores the matching to cover the whole live template after a
+    /// repair, lowest uncovered row first (determinism): by insertion,
+    /// shuffle or template drop.
+    fn cover(&mut self) {
         while let Some(&t) = self.matcher.lowest_free_left() {
             let trow = self.template_row(t).clone();
 
             if self.insertable(&trow) {
-                let row = self.insert_template_row(&trow);
+                let row = self.insert_classified(&trow);
                 self.sync_probable_set();
                 debug_assert!(self.classes.is_probable(row), "inserted row not probable");
                 self.matcher.repair();
@@ -452,7 +488,7 @@ impl PriMaintainer {
                     let ok = self.matcher.exchange(&t, &d);
                     debug_assert!(ok, "exchangeable donor must be reachable");
                     let drow = self.template_row(d).clone();
-                    let row = self.insert_template_row(&drow);
+                    let row = self.insert_classified(&drow);
                     self.sync_probable_set();
                     debug_assert!(self.classes.is_probable(row));
                     self.matcher.repair();
@@ -473,20 +509,6 @@ impl PriMaintainer {
             }
         }
         debug_assert!(self.matcher.check_consistency());
-        self.counts.refresh_ns.record_duration(started.elapsed());
-    }
-
-    /// Enters the live template into the matcher, equal rows in one class.
-    fn add_template_lefts(&mut self) {
-        let mut class_of: HashMap<&TemplateRow, usize> = HashMap::new();
-        for (idx, row) in &self.template {
-            let class = *class_of.entry(row).or_insert_with(|| {
-                self.template_classes.push((row.clone(), 0));
-                self.template_classes.len() - 1
-            });
-            self.template_classes[class].1 += 1;
-            self.matcher.add_left(*idx, class);
-        }
     }
 
     fn template_pos(&self, idx: TemplateIdx) -> Option<usize> {
@@ -525,22 +547,101 @@ impl PriMaintainer {
         for id in &removed {
             self.matcher.remove_right(id);
         }
-        // Added rows: each enters the matcher together with its edges, one to
-        // every live template class whose edge condition holds.
-        let schema = self.replica.schema();
-        for id in added {
-            let value = &self
-                .replica
-                .table()
-                .get(id)
-                .expect("probable row exists")
-                .value;
-            let complete = value.is_complete(schema);
-            let classes = self.template_classes.iter().enumerate();
-            let classes = classes.filter(|(_, (t, live))| *live > 0 && edge(t, value, complete));
-            self.matcher.add_right(id, classes.map(|(class, _)| class));
-        }
+        let table = self.replica.table();
+        let rows = added.into_iter().map(|id| {
+            let entry = table.get(id).expect("probable row exists");
+            (id, &entry.value)
+        });
+        add_probable(
+            &mut self.matcher,
+            &self.template_classes,
+            self.replica.schema(),
+            rows,
+        );
     }
+}
+
+/// Runs `f`, its wall time in `phase`.
+fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    *phase = started.elapsed();
+    out
+}
+
+/// Enters probable `rows`, ascending, into `matcher`, each with an edge to
+/// every live template class whose edge condition holds.
+fn add_probable<'a>(
+    matcher: &mut IncrementalMatcher<TemplateIdx, RowId>,
+    template_classes: &[(TemplateRow, usize)],
+    schema: &Schema,
+    rows: impl Iterator<Item = (RowId, &'a RowValue)>,
+) {
+    matcher.add_rights(rows.map(|(id, value)| {
+        let complete = value.is_complete(schema);
+        let classes = template_classes.iter().enumerate();
+        let classes = classes.filter(move |(_, (t, live))| *live > 0 && edge(t, value, complete));
+        (id, classes.map(|(class, _)| class))
+    }));
+}
+
+/// A matcher holding the live template as its lefts, equal rows in one
+/// class, and the distinct rows by class with their member counts.
+fn template_lefts(
+    template: &[(TemplateIdx, TemplateRow)],
+) -> (
+    IncrementalMatcher<TemplateIdx, RowId>,
+    Vec<(TemplateRow, usize)>,
+) {
+    let mut classes: Vec<(TemplateRow, usize)> = Vec::new();
+    let mut class_of: HashMap<&TemplateRow, usize> = HashMap::new();
+    let mut matcher = IncrementalMatcher::new();
+    matcher.add_lefts(template.iter().map(|(idx, row)| {
+        let class = *class_of.entry(row).or_insert_with(|| {
+            classes.push((row.clone(), 0));
+            classes.len() - 1
+        });
+        classes[class].1 += 1;
+        (*idx, class)
+    }));
+    (matcher, classes)
+}
+
+/// Inserts a row carrying `trow`'s prescribed values on `replica`, upvoting
+/// it if the prescription is complete (paper §4.2 initialization rule).
+/// Each message goes to `queue` with the column it filled, if a fill, as
+/// soon as `replica` has applied it. Returns the final row id.
+fn insert_template_row(
+    replica: &mut Replica,
+    trow: &TemplateRow,
+    mut queue: impl FnMut(&Replica, Message, Option<ColumnId>),
+) -> RowId {
+    let mut cc_op = |replica: &mut Replica, op: &Operation| {
+        let msg = replica
+            .apply_local(op)
+            .unwrap_or_else(|e| unreachable!("CC generated an invalid operation {op}: {e}"));
+        let created = msg.creates_row();
+        let filled = match op {
+            Operation::Fill { column, .. } => Some(*column),
+            _ => None,
+        };
+        queue(replica, msg, filled);
+        created
+    };
+    let mut row = cc_op(replica, &Operation::Insert).expect("insert creates");
+    for (col, v) in trow.prescribed_values() {
+        let fill = Operation::Fill {
+            row,
+            column: col,
+            value: v.clone(),
+        };
+        row = cc_op(replica, &fill).expect("fill creates");
+    }
+    let value = &replica.table().get(row).expect("row just created").value;
+    if value.is_complete(replica.schema()) {
+        cc_op(replica, &Operation::Upvote { row });
+    }
+    row
 }
 
 /// The PRI edge condition: prescribed values strict, predicates optimistic on

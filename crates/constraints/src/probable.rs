@@ -198,13 +198,25 @@ struct Classed {
     counted: Option<u32>,
 }
 
+impl Classed {
+    fn new(e: &RowEntry, status: ProbableStatus, schema: &Schema) -> Classed {
+        let complete = status.is_probable() && e.value.is_complete(schema);
+        Classed {
+            status,
+            value: e.value.clone(),
+            counted: complete.then_some(e.upvotes),
+        }
+    }
+}
+
 /// The live probable-row classification of one candidate table (§4.1),
 /// maintained message by message (see the module docs).
 ///
 /// It holds each row's status, the probable set, the winner count (the size
 /// of the derived final table) and a histogram of upvote counts over the
 /// complete probable rows (the estimator's `|U|`, §5.3). Membership changes
-/// accumulate until [`take_delta`](Self::take_delta) hands them over, net:
+/// since it was built accumulate until [`take_delta`](Self::take_delta)
+/// hands them over, net:
 /// the removed and the added rows since the previous call, each ascending —
 /// exactly the two differences of the old and the new probable set.
 #[derive(Clone)]
@@ -226,31 +238,110 @@ pub struct Classifier {
     scans_seen: u64,
 }
 
-impl Classifier {
-    /// Classifies every row of `table` in one batch pass: each key group,
-    /// then each row with an incomplete key. Every probable row is pending
-    /// as added.
-    pub fn new(schema: Arc<Schema>, scoring: ScoringRef, table: &CandidateTable) -> Classifier {
-        let mut c = Classifier {
-            schema,
-            scoring,
-            rows: HashMap::with_capacity(table.len()),
-            probable: BTreeSet::new(),
-            winners: 0,
-            upvotes: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            visits: 0,
-            scans_seen: table.scans(),
+/// What classifying a key group's members reads: its best complete score
+/// (lowest id on ties) and whether any member scores positive.
+struct GroupBest {
+    best: Option<(i64, RowId)>,
+    any_positive: bool,
+}
+
+impl GroupBest {
+    /// Aggregates `members`, ascending.
+    fn of(
+        table: &CandidateTable,
+        members: &[RowId],
+        schema: &Schema,
+        scoring: &dyn Scoring,
+    ) -> Self {
+        let mut group = GroupBest {
+            best: None,
+            any_positive: false,
         };
-        for (_, members) in table.key_groups() {
-            c.classify_group(table, members);
-        }
-        for (id, entry) in table.iter() {
-            if !entry.value.has_full_key(&c.schema) {
-                c.classify_keyless(id, entry);
+        for &id in members {
+            let e = table.get(id).expect("indexed row exists");
+            let score = scoring.score(e.upvotes, e.downvotes);
+            if score > 0 {
+                group.any_positive = true;
+                if e.value.is_complete(schema) && group.best.is_none_or(|(b, _)| score > b) {
+                    group.best = Some((score, id));
+                }
             }
         }
-        c
+        group
+    }
+
+    /// The status of member `id`, which scores `score`.
+    fn status(&self, id: RowId, score: i64) -> ProbableStatus {
+        if score < 0 {
+            ProbableStatus::Rejected
+        } else if score == 0 {
+            if self.any_positive {
+                ProbableStatus::Shadowed
+            } else {
+                ProbableStatus::Contender
+            }
+        } else if self.best.is_some_and(|(_, row)| row == id) {
+            ProbableStatus::Winner
+        } else {
+            ProbableStatus::Outscored
+        }
+    }
+}
+
+/// The status of a row whose key is incomplete, scoring `score`:
+/// condition 1 or nothing.
+fn keyless_status(score: i64) -> ProbableStatus {
+    match score {
+        s if s < 0 => ProbableStatus::Rejected,
+        0 => ProbableStatus::OpenKey,
+        // Impossible for monotone scoring (incomplete rows can't be
+        // upvoted), but classify defensively.
+        _ => ProbableStatus::Outscored,
+    }
+}
+
+impl Classifier {
+    /// Classifies every row of `table` in one batch pass: each key group,
+    /// then each row with an incomplete key. The probable set is built from
+    /// one ascending run, not row by row. Nothing is pending: a reader of
+    /// the delta takes the probable set as its start.
+    pub fn new(schema: Arc<Schema>, scoring: ScoringRef, table: &CandidateTable) -> Classifier {
+        let mut classed: Vec<(RowId, Classed)> = Vec::with_capacity(table.len());
+        let score = |e: &RowEntry| scoring.score(e.upvotes, e.downvotes);
+        for (_, members) in table.key_groups() {
+            let group = GroupBest::of(table, members, &schema, &*scoring);
+            for &id in members {
+                let e = table.get(id).expect("indexed row exists");
+                classed.push((id, Classed::new(e, group.status(id, score(e)), &schema)));
+            }
+        }
+        for (id, e) in table.iter() {
+            if !e.value.has_full_key(&schema) {
+                classed.push((id, Classed::new(e, keyless_status(score(e)), &schema)));
+            }
+        }
+        classed.sort_unstable_by_key(|(id, _)| *id);
+        let mut upvotes = BTreeMap::new();
+        for u in classed.iter().filter_map(|(_, c)| c.counted) {
+            *upvotes.entry(u).or_insert(0) += 1;
+        }
+        let winner = |(_, c): &&(RowId, Classed)| c.status == ProbableStatus::Winner;
+        let winners = classed.iter().filter(winner).count();
+        let probable: BTreeSet<RowId> = (classed.iter())
+            .filter(|(_, c)| c.status.is_probable())
+            .map(|(id, _)| *id)
+            .collect();
+        Classifier {
+            pending: BTreeMap::new(),
+            probable,
+            winners,
+            upvotes,
+            visits: classed.len() as u64,
+            rows: classed.into_iter().collect(),
+            scans_seen: table.scans(),
+            schema,
+            scoring,
+        }
     }
 
     /// Re-classifies `table` from scratch (after messages were absorbed
@@ -324,58 +415,23 @@ impl Classifier {
     /// (the best complete score, lowest id on ties, and whether any member
     /// scores positive), then each member.
     fn classify_group(&mut self, table: &CandidateTable, members: &[RowId]) {
-        let mut best: Option<(i64, RowId)> = None;
-        let mut any_positive = false;
+        let group = GroupBest::of(table, members, &self.schema, &*self.scoring);
         for &id in members {
             let e = table.get(id).expect("indexed row exists");
-            let score = self.scoring.score(e.upvotes, e.downvotes);
-            if score > 0 {
-                any_positive = true;
-                if e.value.is_complete(&self.schema) && best.is_none_or(|(b, _)| score > b) {
-                    best = Some((score, id));
-                }
-            }
-        }
-        for &id in members {
-            let e = table.get(id).expect("indexed row exists");
-            let score = self.scoring.score(e.upvotes, e.downvotes);
-            let status = if score < 0 {
-                ProbableStatus::Rejected
-            } else if score == 0 {
-                if any_positive {
-                    ProbableStatus::Shadowed
-                } else {
-                    ProbableStatus::Contender
-                }
-            } else if best.is_some_and(|(_, row)| row == id) {
-                ProbableStatus::Winner
-            } else {
-                ProbableStatus::Outscored
-            };
+            let status = group.status(id, self.scoring.score(e.upvotes, e.downvotes));
             self.set(id, e, status);
         }
     }
 
-    /// Classifies a row whose key is incomplete: condition 1 or nothing.
+    /// Classifies a row whose key is incomplete.
     fn classify_keyless(&mut self, id: RowId, e: &RowEntry) {
-        let status = match self.scoring.score(e.upvotes, e.downvotes) {
-            s if s < 0 => ProbableStatus::Rejected,
-            0 => ProbableStatus::OpenKey,
-            // Impossible for monotone scoring (incomplete rows can't be
-            // upvoted), but classify defensively.
-            _ => ProbableStatus::Outscored,
-        };
+        let status = keyless_status(self.scoring.score(e.upvotes, e.downvotes));
         self.set(id, e, status);
     }
 
     fn set(&mut self, id: RowId, e: &RowEntry, status: ProbableStatus) {
-        let counted =
-            (status.is_probable() && e.value.is_complete(&self.schema)).then_some(e.upvotes);
-        let now = Classed {
-            status,
-            value: e.value.clone(),
-            counted,
-        };
+        let now = Classed::new(e, status, &self.schema);
+        let counted = now.counted;
         let before = self.rows.insert(id, now);
         self.account(
             id,

@@ -8,7 +8,8 @@
 //! single augmenting-path search (Berge's theorem) restores maximality.
 //!
 //! * [`IncrementalMatcher`] — the live structure and the only incremental
-//!   engine: add/remove vertices, repair with augmenting paths, and query
+//!   engine: add vertices (one, or a whole run at once, as a constructor
+//!   does) and remove them, repair with augmenting paths, and query
 //!   the alternating structure (the CC's "shuffle" step, when a template
 //!   row must be freed). Edges join a right to a *class* of lefts: lefts of
 //!   one class have the same neighbours (the Central Client puts equal
@@ -92,6 +93,9 @@ struct Side<K, N> {
     keys: Vec<Option<K>>,
     nodes: Vec<N>,
     vacant: Vec<u32>,
+    /// Keys interned since the last [`flush`](Self::flush), ascending, not
+    /// yet in `slot_of`. Empty between calls.
+    run: Vec<(K, u32)>,
 }
 
 impl<K: Clone + Ord, N> Side<K, N> {
@@ -101,6 +105,7 @@ impl<K: Clone + Ord, N> Side<K, N> {
             keys: Vec::new(),
             nodes: Vec::new(),
             vacant: Vec::new(),
+            run: Vec::new(),
         }
     }
 
@@ -115,8 +120,15 @@ impl<K: Clone + Ord, N> Side<K, N> {
     }
 
     /// The slot of `key`, and whether it was created by this call (holding
-    /// `node`).
+    /// `node`). A created key joins the ascending run that the next
+    /// [`flush`](Self::flush) enters into `slot_of`; a key below the run's
+    /// last flushes it first.
     fn intern(&mut self, key: K, node: N) -> (u32, bool) {
+        match self.run.last() {
+            Some((last, slot)) if *last == key => return (*slot, false),
+            Some((last, _)) if *last > key => self.flush(),
+            _ => {}
+        }
         if let Some(slot) = self.slot(&key) {
             return (slot, false);
         }
@@ -134,8 +146,13 @@ impl<K: Clone + Ord, N> Side<K, N> {
             }
         };
         self.keys[slot as usize] = Some(key.clone());
-        self.slot_of.insert(key, slot);
+        self.run.push((key, slot));
         (slot, true)
+    }
+
+    /// Enters the keys interned since the last flush into `slot_of`.
+    fn flush(&mut self) {
+        append_run(&mut self.slot_of, self.run.drain(..));
     }
 
     fn vacate(&mut self, slot: u32) {
@@ -144,6 +161,22 @@ impl<K: Clone + Ord, N> Side<K, N> {
             .expect("slot in use has a key");
         self.slot_of.remove(&key);
         self.vacant.push(slot);
+    }
+}
+
+/// Enters `run`, ascending, into `map`: a run of two or more into an empty
+/// map is built in one pass, with full nodes; anything else entry by entry.
+fn append_run<K: Ord, V>(map: &mut BTreeMap<K, V>, run: impl Iterator<Item = (K, V)>) {
+    let mut run = run.peekable();
+    match run.next() {
+        Some(first) if map.is_empty() && run.peek().is_some() => {
+            *map = std::iter::once(first).chain(run).collect();
+        }
+        Some((k, v)) => {
+            map.insert(k, v);
+            map.extend(run);
+        }
+        None => {}
     }
 }
 
@@ -176,6 +209,10 @@ pub struct IncrementalMatcher<L, R> {
     /// The left from which a right was discovered.
     parent: Vec<u32>,
     queue: VecDeque<u32>,
+    /// The edges an [`add_rights`](Self::add_rights) call added, as
+    /// (class, position, right, whether the right is free). Empty between
+    /// calls.
+    edge_run: Vec<(u32, u64, u32, bool)>,
     counts: MatchCounts,
 }
 
@@ -201,6 +238,7 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
             seen_class: Vec::new(),
             parent: Vec::new(),
             queue: VecDeque::new(),
+            edge_run: Vec::new(),
             counts: MatchCounts::default(),
         }
     }
@@ -252,53 +290,83 @@ impl<L: Clone + Ord, R: Clone + Ord> IncrementalMatcher<L, R> {
     /// Adds left vertex `l` to `class`, whose adjacency it shares as it
     /// stands. No-op if `l` is present.
     pub fn add_left(&mut self, l: L, class: usize) {
-        let class = self.intern_class(class);
-        let (slot, fresh) = self.lefts.intern(l, Left { class, mate: NIL });
-        if fresh {
-            if slot as usize == self.seen_left.len() {
-                self.seen_left.push(0);
-                self.free_pos.push(NIL);
+        self.add_lefts([(l, class)]);
+    }
+
+    /// [`add_left`](Self::add_left) for each `(l, class)` in turn, the new
+    /// keys entering the key index as ascending runs.
+    pub fn add_lefts(&mut self, lefts: impl IntoIterator<Item = (L, usize)>) {
+        for (l, class) in lefts {
+            let class = self.intern_class(class);
+            let (slot, fresh) = self.lefts.intern(l, Left { class, mate: NIL });
+            if fresh {
+                if slot as usize == self.seen_left.len() {
+                    self.seen_left.push(0);
+                    self.free_pos.push(NIL);
+                }
+                self.set_free(slot, true);
             }
-            self.set_free(slot, true);
         }
+        self.lefts.flush();
     }
 
     /// Adds right vertex `r` together with its edges to `classes`, appended
     /// to each class's adjacency in iteration order; edges `r` already has
     /// are skipped.
     pub fn add_right(&mut self, r: R, classes: impl IntoIterator<Item = usize>) {
-        let (r, _) = self.rights.intern(
-            r,
-            Right {
-                mate: NIL,
-                edges: Vec::new(),
-            },
-        );
-        if r as usize == self.seen_right.len() {
-            self.seen_right.push(0);
-            self.parent.push(NIL);
-        }
-        let epoch = self.next_epoch();
-        let node = &self.rights.nodes[r as usize];
-        let free = node.mate == NIL;
-        let mut visits = node.edges.len() as u64;
-        for &(c, _) in &node.edges {
-            self.seen_class[c as usize] = epoch;
-        }
-        for class in classes {
-            let c = self.intern_class(class);
-            if std::mem::replace(&mut self.seen_class[c as usize], epoch) != epoch {
-                visits += 1;
-                let pos = self.next_pos;
-                self.next_pos += 1;
-                let class = &mut self.classes[c as usize];
-                class.adj.insert(pos, r);
-                if free {
-                    class.free.insert(pos, r);
+        self.add_rights([(r, classes)]);
+    }
+
+    /// [`add_right`](Self::add_right) for each `(r, classes)` in turn: the
+    /// same slots, edge positions and matching. The new keys enter the key
+    /// index, and each class's new edges its adjacency and free set, as
+    /// ascending runs.
+    pub fn add_rights<C: IntoIterator<Item = usize>>(
+        &mut self,
+        rights: impl IntoIterator<Item = (R, C)>,
+    ) {
+        let mut visits = 0;
+        for (r, classes) in rights {
+            let (r, _) = self.rights.intern(
+                r,
+                Right {
+                    mate: NIL,
+                    edges: Vec::new(),
+                },
+            );
+            if r as usize == self.seen_right.len() {
+                self.seen_right.push(0);
+                self.parent.push(NIL);
+            }
+            let epoch = self.next_epoch();
+            let node = &self.rights.nodes[r as usize];
+            let free = node.mate == NIL;
+            visits += node.edges.len() as u64;
+            for &(c, _) in &node.edges {
+                self.seen_class[c as usize] = epoch;
+            }
+            for class in classes {
+                let c = self.intern_class(class);
+                if std::mem::replace(&mut self.seen_class[c as usize], epoch) != epoch {
+                    visits += 1;
+                    let pos = self.next_pos;
+                    self.next_pos += 1;
+                    self.edge_run.push((c, pos, r, free));
+                    self.rights.nodes[r as usize].edges.push((c, pos));
                 }
-                self.rights.nodes[r as usize].edges.push((c, pos));
             }
         }
+        self.rights.flush();
+        // Stable: each class's edges stay ascending by position, all above
+        // the positions it holds.
+        self.edge_run.sort_by_key(|&(c, ..)| c);
+        for run in self.edge_run.chunk_by(|a, b| a.0 == b.0) {
+            let class = &mut self.classes[run[0].0 as usize];
+            append_run(&mut class.adj, run.iter().map(|&(_, pos, r, _)| (pos, r)));
+            let free = run.iter().filter(|e| e.3);
+            append_run(&mut class.free, free.map(|&(_, pos, r, _)| (pos, r)));
+        }
+        self.edge_run.clear();
         self.counts.edge_visits += visits;
     }
 

@@ -14,8 +14,11 @@
 //!
 //! The pool holds strong references; to keep a long-running server bounded it
 //! sweeps unreferenced entries (strong count 1, i.e. only the pool itself)
-//! whenever it grows past a high-water mark. See DESIGN.md §12 for the
-//! lifetime rules.
+//! whenever it grows past a high-water mark: twice what the last sweep
+//! left, and never below `SWEEP_HIGH_WATER`. A sweep is O(pool), and the
+//! next one waits until the pool has doubled, so a sweep costs O(1) per
+//! intern amortised, however many strings stay live. See DESIGN.md §12 for
+//! the lifetime rules.
 //!
 //! A decoder that interns many cells at once holds the pool for a batch
 //! through an [`Interner`]: one lock per row value, not one per cell.
@@ -26,19 +29,34 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Sweep the pool for dead entries when it exceeds this many strings.
+/// The least pool size at which a miss sweeps the pool for dead entries.
 const SWEEP_HIGH_WATER: usize = 1 << 16;
 
-fn pool() -> &'static Mutex<HashSet<Arc<str>>> {
-    static POOL: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashSet::new()))
+/// The distinct strings, and when to sweep them next.
+struct Pool {
+    strings: HashSet<Arc<str>>,
+    /// The size at which the next miss sweeps.
+    sweep_at: usize,
+    /// Sweeps run since the process started.
+    sweeps: u64,
+}
+
+fn pool() -> &'static Mutex<Pool> {
+    static POOL: OnceLock<Mutex<Pool>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        Mutex::new(Pool {
+            strings: HashSet::new(),
+            sweep_at: SWEEP_HIGH_WATER,
+            sweeps: 0,
+        })
+    })
 }
 
 /// The pool, held: interns any number of strings under one lock. Hold it
 /// for one row value's cells, never for a whole table — the pool is
 /// process-global, and every other thread that interns waits while it is
 /// held. Interning through [`IStr::new`] while holding one deadlocks.
-pub struct Interner(MutexGuard<'static, HashSet<Arc<str>>>);
+pub struct Interner(MutexGuard<'static, Pool>);
 
 impl Interner {
     /// Locks the pool.
@@ -50,15 +68,17 @@ impl Interner {
     /// [`IStr::new`] returns, and the same sweep when the pool is past its
     /// high-water mark.
     pub fn intern(&mut self, s: &str) -> IStr {
-        let pool = &mut self.0;
-        if let Some(existing) = pool.get(s) {
+        let pool = &mut *self.0;
+        if let Some(existing) = pool.strings.get(s) {
             return IStr(Arc::clone(existing));
         }
-        if pool.len() >= SWEEP_HIGH_WATER {
-            pool.retain(|a| Arc::strong_count(a) > 1);
+        if pool.strings.len() >= pool.sweep_at {
+            pool.strings.retain(|a| Arc::strong_count(a) > 1);
+            pool.sweep_at = SWEEP_HIGH_WATER.max(2 * pool.strings.len());
+            pool.sweeps += 1;
         }
         let arc: Arc<str> = Arc::from(s);
-        pool.insert(Arc::clone(&arc));
+        pool.strings.insert(Arc::clone(&arc));
         IStr(arc)
     }
 }
@@ -82,7 +102,12 @@ impl IStr {
     /// Number of distinct strings currently held by the global pool
     /// (diagnostics / tests).
     pub fn pool_len() -> usize {
-        Interner::lock().0.len()
+        Interner::lock().0.strings.len()
+    }
+
+    /// Number of sweeps the global pool has run (diagnostics / tests).
+    pub fn pool_sweeps() -> u64 {
+        Interner::lock().0.sweeps
     }
 
     /// Whether two handles share one allocation. Handles with equal content
@@ -219,18 +244,24 @@ mod tests {
         let kept = pool.intern("sweep: kept");
         drop(pool.intern("sweep: dropped"));
         let mut n = 0;
-        while pool.0.len() < SWEEP_HIGH_WATER {
+        while pool.0.strings.len() < SWEEP_HIGH_WATER {
             drop(pool.intern(&format!("sweep: filler {n}")));
             n += 1;
         }
-        assert!(pool.0.contains("sweep: dropped"), "no sweep below the mark");
+        fn strings(pool: &Interner) -> &HashSet<Arc<str>> {
+            &pool.0.strings
+        }
+        assert!(
+            strings(&pool).contains("sweep: dropped"),
+            "no sweep below the mark"
+        );
         let fresh = pool.intern("sweep: fresh");
         assert!(
-            !pool.0.contains("sweep: dropped"),
+            !strings(&pool).contains("sweep: dropped"),
             "strong count 1 is swept"
         );
-        assert!(!pool.0.contains("sweep: filler 0"));
-        assert!(pool.0.len() < SWEEP_HIGH_WATER);
+        assert!(!strings(&pool).contains("sweep: filler 0"));
+        assert!(strings(&pool).len() < SWEEP_HIGH_WATER);
         assert!(IStr::ptr_eq(&kept, &pool.intern("sweep: kept")));
         assert!(IStr::ptr_eq(&fresh, &pool.intern("sweep: fresh")));
     }

@@ -34,7 +34,6 @@ use crate::tcp_service::{ServiceShared, ShardCollections};
 use crate::wire::Request;
 use crowdfill_net::{ConnError, Interest, Poller, TcpServer, WakeQueue};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -43,13 +42,6 @@ use std::time::{Duration, Instant};
 
 /// Max bytes read from one socket per wake.
 const READ_BUDGET: usize = 64 * 1024;
-
-/// The shard, of `shards`, that owns `collection`.
-pub(crate) fn owner_shard(collection: &str, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    collection.hash(&mut hasher);
-    (hasher.finish() % shards.max(1) as u64) as usize
-}
 
 /// What another thread hands a shard blocked in `epoll_wait`.
 pub(crate) enum Wake {

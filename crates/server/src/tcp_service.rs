@@ -346,8 +346,8 @@ impl Default for DurabilitySweepOptions {
 pub struct Collection {
     name: String,
     pub(crate) backend: Arc<Mutex<Backend>>,
-    /// The owning shard — a hash of the name over the shard count, fixed
-    /// at start — and this collection's index among those it owns.
+    /// The owning shard — dealt round-robin in start order, fixed at
+    /// start — and this collection's index among those it owns.
     pub(crate) owner: usize,
     pub(crate) slot: usize,
     /// Whether the last batch the owner applied left the constraints
@@ -427,7 +427,9 @@ impl ServiceShared {
         telemetry.sample(0);
         let mut collections = HashMap::with_capacity(backends.len());
         let mut owned: ShardCollections = (0..shards).map(|_| Vec::new()).collect();
-        for (name, backend) in backends {
+        // Round-robin in start order: no shard owns nothing while there
+        // are at least as many collections as shards.
+        for (i, (name, backend)) in backends.into_iter().enumerate() {
             let backend = Arc::new(Mutex::new(backend));
             let pipeline = BatchPipeline::start(
                 Arc::clone(&backend),
@@ -436,7 +438,7 @@ impl ServiceShared {
                 options.batch.clone(),
                 options.overload.clone(),
             );
-            let owner = reactor::owner_shard(&name, owned.len());
+            let owner = i % shards;
             let collection = Arc::new(Collection {
                 name: name.clone(),
                 backend,
@@ -706,18 +708,39 @@ mod tests {
         assert_eq!(owned.len(), cores.min(3));
     }
 
+    /// Collections go to shards round-robin in start order, so no shard
+    /// owns nothing while there are at least as many collections: a hash
+    /// of the names put `c0`, `c1` and `c2` all on shard 0 of 2.
+    #[test]
+    fn collections_are_dealt_to_shards_in_start_order() {
+        let backends = (0..3).map(|i| (format!("c{i}"), Backend::new(config())));
+        let options = ServiceOptions {
+            shards: 2,
+            ..ServiceOptions::default()
+        };
+        let (shared, owned) = ServiceShared::new(backends.collect(), options).unwrap();
+        let names = |shard: &Vec<(Arc<Collection>, BatchPipeline)>| -> Vec<String> {
+            shard.iter().map(|(c, _)| c.name.clone()).collect()
+        };
+        let sizes: Vec<usize> = owned.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, 1]);
+        assert_eq!(names(&owned[0]), ["c0", "c2"]);
+        assert_eq!(names(&owned[1]), ["c1"]);
+        for (shard, collections) in owned.iter().enumerate() {
+            for (slot, (c, _)) in collections.iter().enumerate() {
+                assert_eq!((c.owner, c.slot), (shard, slot));
+                assert!(Arc::ptr_eq(c, &shared.collections[&c.name]));
+            }
+        }
+    }
+
     /// `stats` shows the oldest checkpoint among the collections that keep
     /// them, whichever shard owns each: not their sum, not the last one's
     /// to tick.
     #[test]
     fn snapshot_age_is_the_oldest_over_all_shards() {
-        let on = |shard| {
-            let names = (0..).map(|i| format!("c{i}"));
-            names
-                .into_iter()
-                .find(|n| reactor::owner_shard(n, 2) == shard)
-        };
-        let (old, young) = (on(0).unwrap(), on(1).unwrap());
+        // Started first and second: shards 0 and 1.
+        let (old, young) = ("c0".to_string(), "c1".to_string());
         let dir = std::env::temp_dir();
         let dir = dir.join(format!("crowdfill-snapshot-age-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

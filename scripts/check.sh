@@ -271,6 +271,11 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Construction gate: `Backend::new` on `big_table`'s 400-row cardinality
+# template stays within its allocation budget (`new_allocs.rs`), counted
+# again in the release build, where no debug check allocates beside it.
+cargo test -q --release -p crowdfill-server --test new_allocs
+
 # Recovery-path gate: the fault-injection suite always runs with its
 # built-in seeds as part of `cargo test` above; this pass pins an extra
 # fixed seed set so regressions in reconnect/resume fail the check even
