@@ -19,9 +19,7 @@
 //! `--quick` shrinks the workload and repetition count for CI smoke runs;
 //! the numbers are noisier but the file format is identical.
 
-use crowdfill_bench::connscale::{
-    run_conn_scale, verify_zero_acked_loss_remote, ConnScaleMode, ConnScaleOptions,
-};
+use crowdfill_bench::connscale::{run_conn_scale, ConnScaleMode, ConnScaleOptions};
 use crowdfill_bench::overload::{run_schedule, HarnessOptions, ScenarioReport};
 use crowdfill_bench::workload::{
     cardinality_central_client, component_graph, pri_fill_workload, record_fill_workload,
@@ -382,8 +380,13 @@ fn overhead_suite(quick: bool) -> Vec<Entry> {
 /// The overload stress suite: seeded open-loop storms against a tiny
 /// admission bound (DESIGN.md §9). Every scenario's invariants — bounded
 /// queue depth, zero acked loss — are asserted, so a regression fails the
-/// report run rather than just shifting a number.
+/// report run rather than just shifting a number. Sampled tracing is on for
+/// the whole suite, so a failing storm has a flight record to dump.
 fn overload_suite(quick: bool) -> Vec<ScenarioReport> {
+    use crowdfill_obs::trace::{self as obstrace, TraceMode};
+    if obstrace::mode() == TraceMode::Off {
+        obstrace::set_mode(TraceMode::Sampled(8));
+    }
     let seeds: &[u64] = if quick { &[11] } else { &[11, 47, 101] };
     let mut reports = Vec::new();
     for &seed in seeds {
@@ -490,30 +493,9 @@ fn connscale_suite(quick: bool) -> Vec<Entry> {
         let (mut child, addr) =
             spawn_connscale_server(opts.collections, opts.workers, opts.fills_per_worker);
         opts.mode = ConnScaleMode::External(addr);
-        let report = run_conn_scale(&opts);
-        report.assert_invariants(100.0);
-        if let Err(msg) = verify_zero_acked_loss_remote(addr, &report) {
-            let _ = child.kill();
-            panic!("{msg}");
-        }
-        eprintln!(
-            "connscale/{:<24} conns {:>6} peak {:>6} acked {:>6} p50 {:>6}ms p99 {:>6}ms spread {:>5.1}",
-            report.name,
-            report.conns,
-            report.peak_concurrent,
-            report.acked,
-            report.ack_p50_ns / 1_000_000,
-            report.ack_p99_ns / 1_000_000,
-            report.fairness_spread(),
-        );
-        let secs = report.elapsed.as_secs_f64();
-        entries.push(Entry {
-            name: "connscale/reactor-10kx128".to_string(),
-            median_ns_per_op: report.ack_p50_ns.max(1),
-            ops_per_sec: report.acked as f64 / secs.max(1e-9),
-            ops: report.acked,
-            reps: 1,
-        });
+        // The audit joins each collection over the wire; should it fail,
+        // the server sees this process's end of its stdin close and exits.
+        run(&opts);
         drop(child.stdin.take()); // EOF tells the server to exit
         let _ = child.wait();
     }

@@ -1,52 +1,57 @@
-//! Connection-scale harness: thousands of wire sessions across many
-//! collections, a handful of threads.
+//! The open-loop load generator — `drive`, which replays any [`Plan`], the
+//! overload storms of [`crate::overload`] included — and the
+//! connection-scale harness built on it: thousands of wire sessions across
+//! many collections, a handful of threads.
 //!
-//! The overload harness ([`crate::overload`]) asks how a service behaves
-//! past its capacity; this one asks how many *connections* it can carry. A
-//! session here is what a [`RemoteWorker`] is — a [`ClientCore`], so a real
-//! replica that absorbs every broadcast of its collection, and the same
-//! requests built by the same code — minus the blocking: one nonblocking
-//! socket and a [`FrameReader`]/[`FrameWriter`] pair, thousands of them per
-//! driver thread under one [`Poller`]. A driver sleeps until a socket is
-//! ready or the nearest scheduled connect, fill or retry is due, and
-//! touches only the sessions that woke it. 10k sessions cost 10k sockets
-//! and ~10 threads on both ends combined.
+//! A session here is what a [`RemoteWorker`] is — a [`ClientCore`], so a
+//! real replica that absorbs every broadcast of its collection, and the
+//! same requests built by the same code — minus the blocking: one
+//! nonblocking socket and a [`FrameReader`]/[`FrameWriter`] pair, thousands
+//! of them per driver thread under one [`Poller`]. A driver sleeps until a
+//! socket is ready or the nearest scheduled connect, fill, retry, redial or
+//! scenario event is due, and touches only the sessions that woke it. 10k
+//! sessions cost 10k sockets and ~10 threads on both ends combined.
 //!
-//! Each session follows the deterministic [`conn_scale`] open-loop plan:
-//! connect at its scheduled offset, `hello` into its collection, then fill
-//! the anchor of `fills_per_worker` template rows that are its alone (so
-//! the server's stale-fill policy never rejects two sessions racing for one
-//! row), one request in flight at a time. An `overloaded` reply is retried
-//! after the core's jittered backoff of the server's hint. When its fills
-//! are acked a session stays, as a worker would, and keeps absorbing; once
-//! every session is through, each syncs one last time and says `bye`, so
-//! at quiescence every replica must equal its collection's master.
+//! Each session connects at its planned offset, `hello`s into its
+//! collection, then fills the anchor of one template row per planned fill,
+//! rows that are its alone (so the server's stale-fill policy never
+//! rejects two sessions racing for one row), one request in flight at a
+//! time, speculative where the plan says so. What [`RemoteWorker`] does by
+//! blocking, the driver does from its timer heap:
 //!
-//! The report carries the scale headline (peak concurrent connections, acked
-//! ops, ack p50/p99) plus the gate invariants:
+//! * an `overloaded` fill is retried after the core's jittered backoff of
+//!   the server's hint, and given up and rolled back after
+//!   `ReconnectPolicy::max_attempts` retries, as `transact` does;
+//! * a dropped session redials after the core's backoff and resumes
+//!   (`resume_request`/`settle_resume`), as `recover` does: the request in
+//!   flight is acked if the replay holds it, resubmitted if not;
+//! * a stalled reader reads its welcome and never reads again;
+//! * the herd disconnect fires `disconnect_all`;
+//! * the service's queue depth is read on every wake.
 //!
-//! * **zero acked-op loss** — every `ack` the drivers recorded corresponds
-//!   to a row in the collection's master table
-//!   ([`verify_zero_acked_loss`] / [`verify_zero_acked_loss_remote`]);
-//! * **convergence** — no session's replica differs from the master
-//!   ([`ConnScaleReport::diverged_replicas`]);
-//! * **fairness** — per-collection ack latency must stay within a bounded
-//!   spread of the best-served collection ([`ConnScaleReport::fairness_spread`]).
+//! Once every session of a driver is through its fills, each syncs one
+//! last time and says `bye`, so at quiescence every replica must equal its
+//! collection's master. A fill's ack latency runs from its first send to
+//! its ack, retries and recovery included. The report carries the scale
+//! headline (peak concurrent connections, acked ops, ack p50/p99) plus the
+//! gate invariants: **zero acked-op loss** (every fill seen acked is in the
+//! master, [`ConnScaleReport::acked_lost`]), **convergence**
+//! ([`ConnScaleReport::diverged_replicas`]) and **fairness** — the spread
+//! of per-collection ack p99 ([`ConnScaleReport::fairness_spread`]).
 //!
 //! [`RemoteWorker`]: crowdfill_server::RemoteWorker
-//! [`conn_scale`]: crowdfill_sim::openloop::conn_scale
 
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, QuorumMajority, RowId, Schema, Template, Value,
 };
 use crowdfill_net::nonblocking::{FrameReader, FrameWriter};
 use crowdfill_net::{ConnError, Interest, Poller};
-use crowdfill_server::client_core::Event;
+use crowdfill_server::client_core::{Event, Settled};
 use crowdfill_server::wire::Request;
 use crowdfill_server::{
     Backend, ClientCore, ReconnectPolicy, RemoteWorker, ServiceOptions, TaskConfig, TcpService,
 };
-use crowdfill_sim::openloop::{conn_scale, SessionPlan};
+use crowdfill_sim::openloop::{conn_scale, Plan, SessionPlan};
 use crowdfill_sync::Replica;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -112,14 +117,10 @@ impl ConnScaleOptions {
             mode: ConnScaleMode::InProcess,
         }
     }
-
-    fn expected_fills(&self) -> usize {
-        self.workers * self.fills_per_worker
-    }
 }
 
 /// Per-collection outcome lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectionLane {
     pub name: String,
     /// Sessions attached to this collection.
@@ -128,14 +129,11 @@ pub struct CollectionLane {
     pub expected: usize,
     /// Fills acked by the server.
     pub acked: usize,
-    /// Client ids the server assigned to this collection's sessions
-    /// (the key for the history audit).
-    pub clients: HashSet<u32>,
     pub ack_p50_ns: u64,
     pub ack_p99_ns: u64,
 }
 
-/// Outcome of one connection-scale run.
+/// Outcome of one driven plan.
 #[derive(Debug, Clone)]
 pub struct ConnScaleReport {
     pub name: String,
@@ -147,8 +145,12 @@ pub struct ConnScaleReport {
     pub acked: usize,
     /// Fills the server rejected (policy, not overload).
     pub rejected: usize,
+    /// Fills given up after the policy's overload retries.
+    pub give_ups: usize,
     /// `overloaded` retry hints honored.
     pub backoffs: usize,
+    /// Sessions resumed after a dropped connection.
+    pub resumes: u64,
     /// Sessions that failed to connect or died mid-run.
     pub conn_failures: usize,
     /// Sessions still unfinished at the deadline.
@@ -158,6 +160,13 @@ pub struct ConnScaleReport {
     /// Sessions whose replica, at quiescence, is not its collection's
     /// master (a session that never got a replica counts).
     pub diverged_replicas: usize,
+    /// Acked fills missing from their collection's master table.
+    pub acked_lost: usize,
+    /// Highest queue depth of the in-process service over the drivers'
+    /// wakes (0 against an external server).
+    pub max_queue_depth: i64,
+    /// Connections the herd disconnect dropped (0 without one).
+    pub herd_dropped: usize,
     pub elapsed: Duration,
     pub ack_p50_ns: u64,
     pub ack_p99_ns: u64,
@@ -169,26 +178,18 @@ pub struct ConnScaleReport {
 
 impl ConnScaleReport {
     /// Max/min ratio of per-collection ack p99 — 1.0 is perfectly fair.
-    /// Collections with no acks make the spread infinite.
+    /// A collection with no acks (or none at all) makes it infinite.
     pub fn fairness_spread(&self) -> f64 {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for lane in &self.lanes {
-            if lane.acked == 0 {
-                return f64::INFINITY;
-            }
-            lo = lo.min(lane.ack_p99_ns.max(1));
-            hi = hi.max(lane.ack_p99_ns.max(1));
+        let p99 = self.lanes.iter().map(|l| l.ack_p99_ns.max(1));
+        match (p99.clone().min(), p99.max()) {
+            (Some(lo), Some(hi)) if self.lanes.iter().all(|l| l.acked > 0) => hi as f64 / lo as f64,
+            _ => f64::INFINITY,
         }
-        if lo == u64::MAX {
-            return f64::INFINITY;
-        }
-        hi as f64 / lo as f64
     }
 
     /// The run-level invariants every gate asserts: every scheduled fill
-    /// acked, no sessions lost or timed out, every replica converged,
-    /// fairness spread bounded.
+    /// acked and none lost, no sessions lost or timed out, every replica
+    /// converged, fairness spread bounded.
     pub fn check_invariants(&self, max_spread: f64) -> Result<(), String> {
         if self.conn_failures != 0 {
             return Err(format!(
@@ -217,6 +218,12 @@ impl ConnScaleReport {
                 self.name, self.seed, self.rejected
             ));
         }
+        if self.acked_lost != 0 {
+            return Err(format!(
+                "{}/seed={}: {} acked fills missing from their collection's master",
+                self.name, self.seed, self.acked_lost
+            ));
+        }
         if self.diverged_replicas != 0 {
             return Err(format!(
                 "{}/seed={}: {} replicas differ from their collection's master",
@@ -237,7 +244,11 @@ impl ConnScaleReport {
     /// with the flight record dumped first.
     pub fn assert_invariants(&self, max_spread: f64) {
         if let Err(msg) = self.check_invariants(max_spread) {
-            fail(self, &msg);
+            let label = format!("connscale-{}-seed{}", self.name, self.seed);
+            match crowdfill_obs::trace::dump_flight_record(&label) {
+                Some(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
+                None => panic!("{msg}"),
+            }
         }
     }
 }
@@ -247,13 +258,9 @@ pub fn collection_name(i: usize) -> String {
     format!("c{i:03}")
 }
 
-/// Template rows each collection needs so every (session, fill) pair can
-/// claim its own fresh row, with a little slack for the PRI maintainer.
-pub fn rows_per_collection(collections: usize, workers: usize, fills_per_worker: usize) -> usize {
-    workers.div_ceil(collections.max(1)) * fills_per_worker + 4
-}
-
-fn lane_config(rows: usize) -> TaskConfig {
+/// The task every harness collection runs: a three-column text table
+/// keyed on its anchor, `rows` template rows.
+pub(crate) fn lane_config(rows: usize) -> TaskConfig {
     let schema = Arc::new(
         Schema::new(
             "ScaleRow",
@@ -276,43 +283,84 @@ fn lane_config(rows: usize) -> TaskConfig {
 
 /// The collection set both the in-process mode and the `connscale-server`
 /// bin host — same names, same template sizing, so a driver built from the
-/// same scenario numbers can target either.
+/// same scenario numbers can target either. Each collection has a row for
+/// every (session, fill) pair, plus a little slack for the PRI maintainer.
 pub fn collection_backends(
     collections: usize,
     workers: usize,
     fills_per_worker: usize,
 ) -> Vec<(String, Backend)> {
-    let rows = rows_per_collection(collections, workers, fills_per_worker);
+    let rows = workers.div_ceil(collections.max(1)) * fills_per_worker + 4;
     (0..collections)
         .map(|i| (collection_name(i), Backend::new(lane_config(rows))))
         .collect()
+}
+
+/// What [`drive`] runs a plan against, and how its sessions behave.
+pub(crate) struct Drive<'a> {
+    pub(crate) addr: SocketAddr,
+    /// The service, when it runs in this process: its queue depth is read
+    /// on every driver wake (and the run ends only once it is 0), the herd
+    /// disconnect goes through it, and the audit reads its backends.
+    pub(crate) service: Option<&'a TcpService>,
+    /// Driver threads; whole collections are dealt to them.
+    pub(crate) threads: usize,
+    /// Hard wall-clock cap on the run.
+    pub(crate) deadline: Duration,
+    /// Backoff shape, redials per drop and retries per overloaded request
+    /// (`max_attempts`); each session jitters from `plan.seed ^ worker`.
+    pub(crate) policy: ReconnectPolicy,
+    /// Bytes of padding on every anchor; 0 keeps messages small.
+    pub(crate) padding: usize,
+}
+
+/// The anchor fill `k` of `worker` writes, padded with `padding` bytes of
+/// `~` (which the audit trims off again).
+fn anchor(worker: usize, k: usize, padding: usize) -> String {
+    format!("w{worker}-f{k}{}", "~".repeat(padding))
 }
 
 // ---- The session: a `ClientCore` and a nonblocking socket ------------------
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Before the scheduled connect time.
+    /// Before the scheduled connect time (or a connect retry).
     #[default]
     Waiting,
     /// Hello sent; the next frame is the welcome.
     HelloSent,
     /// Submitting fills.
     Active,
-    /// Own fills acked; absorbing the others' until the collection is done.
+    /// Own fills through; absorbing the others' until the collection is done.
     Idle,
     /// The last sync is out; `bye` follows its reply.
     Settling,
     /// Bye enqueued; closed once the writer drains.
     Closing,
+    /// A stalled reader, welcomed: its socket stays open and unread.
+    Stalled,
     Done,
     Failed,
     TimedOut,
 }
 
+/// A welcomed session's connection: up, or dropped and on its way back.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    #[default]
+    Up,
+    /// Dropped; redial number `attempt` is due at `due`.
+    Down { attempt: u32, due: Instant },
+    /// Redialed; the reply to the `resume` settles what was in flight.
+    Resuming { attempt: u32 },
+}
+
 #[derive(Default)]
 struct Sess {
     plan: SessionPlan,
+    /// The template row of fill 0; fill `k` anchors row `first_row + k`.
+    first_row: usize,
+    stalled: bool,
     stream: Option<TcpStream>,
     reader: FrameReader,
     writer: FrameWriter,
@@ -320,54 +368,72 @@ struct Sess {
     want_write: bool,
     core: Option<ClientCore>,
     phase: Phase,
+    link: Link,
     next_fill: usize,
-    /// The request awaiting the server's verdict, and when it went out.
-    inflight: Option<(Request, Instant)>,
+    /// When the fill under way first went out.
+    fill_sent: Option<Instant>,
+    /// The request awaiting the server's verdict: a fill, or a sync.
+    inflight: Option<Request>,
     /// A request turned away under load, resent when its timer fires.
     parked: Option<Request>,
     overload_tries: u32,
     /// Failed connect attempts so far (the accept backlog can push back
     /// during a connect storm; retry with a growing delay before giving up).
     connect_retries: u32,
-    acks_ns: Vec<u64>,
+    /// Counted out of [`Driver::filling`].
+    through: bool,
+    /// `(fill, ack latency in ns)` per acked fill.
+    acks: Vec<(usize, u64)>,
     rejects: usize,
+    give_ups: usize,
     backoffs: usize,
 }
 
 /// One driver thread's side of the run: what a session's step needs
 /// besides the session.
 struct Driver<'a> {
-    opts: &'a ConnScaleOptions,
-    addr: SocketAddr,
+    run: &'a Drive<'a>,
+    seed: u64,
     start: Instant,
     /// Open connections now, over all drivers, and their high-water mark.
     live: &'a AtomicUsize,
     peak: &'a AtomicUsize,
     poller: Poller,
-    /// `(due, session)`: scheduled connects, fills and retries.
+    /// `(due, session)`: scheduled connects, fills, retries and redials;
+    /// [`HERD`] for the herd disconnect.
     timers: BinaryHeap<Reverse<(Instant, usize)>>,
     /// Sessions of this driver that still owe fills; at zero its
     /// collections are quiescent and everyone syncs one last time.
     filling: usize,
     unfinished: usize,
+    max_depth: i64,
+    herd_dropped: usize,
 }
 
+/// The timer token of the herd disconnect.
+const HERD: usize = usize::MAX;
+
 impl Sess {
-    /// Leaves the run in `phase` (`Done`, `Failed` or `TimedOut`), closing
-    /// the connection if one is open.
+    /// Leaves the run in `phase` (`Done`, `Failed`, `TimedOut` or
+    /// `Stalled`), closing the connection if one is open — a stalled
+    /// reader's stays open, unread, until the run is over.
     fn finish(&mut self, phase: Phase, d: &mut Driver<'_>) {
-        if let Some(stream) = self.stream.take() {
-            let _ = d.poller.deregister(&stream);
+        if let Some(stream) = &self.stream {
+            let _ = d.poller.deregister(stream);
+        }
+        if phase != Phase::Stalled && self.stream.take().is_some() {
             d.live.fetch_sub(1, Ordering::AcqRel);
         }
-        if matches!(
-            self.phase,
-            Phase::Waiting | Phase::HelloSent | Phase::Active
-        ) {
-            d.filling -= 1;
-        }
+        self.count_through(d);
         d.unfinished -= 1;
         self.phase = phase;
+    }
+
+    fn count_through(&mut self, d: &mut Driver<'_>) {
+        if !self.through {
+            self.through = true;
+            d.filling -= 1;
+        }
     }
 
     /// Queues `request` (if any) and writes what the socket takes; the rest
@@ -378,7 +444,7 @@ impl Sess {
         };
         let queued = request.map_or(Ok(()), |r| self.writer.enqueue(r.encode().as_bytes()));
         if queued.and_then(|()| self.writer.flush(stream)).is_err() {
-            return self.finish(Phase::Failed, d);
+            return self.dropped(i, d);
         }
         if self.want_write == self.writer.is_empty() {
             self.want_write = !self.want_write;
@@ -393,42 +459,113 @@ impl Sess {
         }
     }
 
+    /// Puts `request` in flight; it goes out now if the link is up, or
+    /// after the resume otherwise.
+    fn request(&mut self, i: usize, request: Request, d: &mut Driver<'_>) {
+        self.inflight = Some(request.clone());
+        if self.link == Link::Up {
+            self.send(i, Some(&request), d);
+        }
+    }
+
+    /// Dials a registered nonblocking connection.
+    fn open(&mut self, i: usize, d: &mut Driver<'_>) -> std::io::Result<()> {
+        let stream = TcpStream::connect(d.run.addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        d.poller.register(&stream, i as u64, Interest::READ)?;
+        self.stream = Some(stream);
+        let live = d.live.fetch_add(1, Ordering::AcqRel) + 1;
+        d.peak.fetch_max(live, Ordering::AcqRel);
+        Ok(())
+    }
+
     fn connect(&mut self, i: usize, d: &mut Driver<'_>) {
-        let registered = TcpStream::connect(d.addr).and_then(|stream| {
-            stream.set_nodelay(true)?;
-            stream.set_nonblocking(true)?;
-            d.poller.register(&stream, i as u64, Interest::READ)?;
-            Ok(stream)
-        });
-        match registered {
-            Ok(stream) => {
-                self.stream = Some(stream);
-                let live = d.live.fetch_add(1, Ordering::AcqRel) + 1;
-                d.peak.fetch_max(live, Ordering::AcqRel);
-                self.phase = Phase::HelloSent;
-                let collection = collection_name(self.plan.collection);
-                self.send(i, Some(&Request::Hello(Some(collection))), d);
+        if self.open(i, d).is_err() {
+            return self.retry_connect(i, d);
+        }
+        self.phase = Phase::HelloSent;
+        let collection = collection_name(self.plan.collection);
+        self.send(i, Some(&Request::Hello(Some(collection))), d);
+    }
+
+    fn retry_connect(&mut self, i: usize, d: &mut Driver<'_>) {
+        if self.connect_retries >= 50 {
+            return self.finish(Phase::Failed, d);
+        }
+        self.connect_retries += 1;
+        self.phase = Phase::Waiting;
+        let retry = Duration::from_millis(5 * u64::from(self.connect_retries));
+        d.timers.push(Reverse((Instant::now() + retry, i)));
+    }
+
+    /// The connection is gone. A session not yet welcomed connects afresh;
+    /// a welcomed one redials after the core's backoff, up to the policy's
+    /// attempts, as `RemoteWorker::recover` does.
+    fn dropped(&mut self, i: usize, d: &mut Driver<'_>) {
+        if let Some(stream) = self.stream.take() {
+            let _ = d.poller.deregister(&stream);
+            d.live.fetch_sub(1, Ordering::AcqRel);
+        }
+        (self.reader, self.writer, self.want_write) = Default::default();
+        let Some(core) = self.core.as_mut() else {
+            return self.retry_connect(i, d);
+        };
+        if self.phase == Phase::Closing {
+            // The last sync was answered: nothing is owed.
+            return self.finish(Phase::Done, d);
+        }
+        let attempt = match self.link {
+            Link::Up => 0,
+            Link::Down { attempt, .. } | Link::Resuming { attempt } => attempt + 1,
+        };
+        if attempt >= d.run.policy.max_attempts {
+            return self.finish(Phase::Failed, d);
+        }
+        let due = Instant::now() + core.backoff(attempt);
+        self.link = Link::Down { attempt, due };
+        d.timers.push(Reverse((due, i)));
+    }
+
+    fn on_timer(&mut self, i: usize, d: &mut Driver<'_>) {
+        match (self.phase, self.link) {
+            (Phase::Waiting, _) => self.connect(i, d),
+            (Phase::Active | Phase::Idle | Phase::Settling, Link::Down { attempt, due })
+                if due <= Instant::now() =>
+            {
+                self.link = Link::Resuming { attempt };
+                match self.open(i, d) {
+                    Ok(()) => {
+                        let resume = self.core.as_mut().map(ClientCore::resume_request);
+                        self.send(i, resume.as_ref(), d);
+                    }
+                    Err(_) => self.dropped(i, d),
+                }
             }
-            Err(_) if self.connect_retries < 50 => {
-                self.connect_retries += 1;
-                let retry = Duration::from_millis(5 * u64::from(self.connect_retries));
-                d.timers.push(Reverse((Instant::now() + retry, i)));
+            (Phase::Active, Link::Up) => {
+                let sent = self.pump(i, d);
+                if sent.is_none() {
+                    self.finish(Phase::Failed, d);
+                }
             }
-            Err(_) => self.finish(Phase::Failed, d),
+            _ => {}
         }
     }
 
     /// The socket is ready: write what is queued, read what has arrived.
     fn on_ready(&mut self, i: usize, d: &mut Driver<'_>) {
         self.send(i, None, d);
-        while let Some(stream) = self.stream.as_mut() {
+        while let Some(stream) = self
+            .stream
+            .as_mut()
+            .filter(|_| self.phase != Phase::Stalled)
+        {
             let frame = match self.reader.pop() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => match self.reader.fill_from(stream, 256 * 1024) {
                     Ok(n) if n > 0 => continue,
                     Err(ConnError::Empty) => return,
-                    // The peer closed while we still had work: a lost session.
-                    _ => return self.finish(Phase::Failed, d),
+                    _ => return self.dropped(i, d),
                 },
                 Err(_) => return self.finish(Phase::Failed, d),
             };
@@ -441,11 +578,15 @@ impl Sess {
     /// One frame from the server; `None` if the session cannot go on.
     fn on_frame(&mut self, i: usize, frame: &[u8], d: &mut Driver<'_>) -> Option<()> {
         if self.phase == Phase::HelloSent {
+            if self.stalled {
+                self.finish(Phase::Stalled, d);
+                return Some(());
+            }
             // Every session its own jitter stream, or a turned-away crowd
             // would come back in lockstep.
             let policy = ReconnectPolicy {
-                jitter_seed: d.opts.seed ^ self.plan.worker as u64,
-                ..ReconnectPolicy::default()
+                jitter_seed: d.seed ^ self.plan.worker as u64,
+                ..d.run.policy.clone()
             };
             let collection = collection_name(self.plan.collection);
             self.core = ClientCore::welcomed(frame, Some(collection), Some(&policy)).ok();
@@ -454,107 +595,173 @@ impl Sess {
             return self.pump(i, d);
         }
         let core = self.core.as_mut()?;
+        if let Link::Resuming { .. } = self.link {
+            // What was in flight is settled as `RemoteWorker::recover`
+            // settles it: acked if the replay holds it, else resubmitted.
+            let pending = self.inflight.as_ref();
+            let pending = pending.filter(|r| matches!(r, Request::Submit(..)));
+            match core.settle_resume(pending, frame).ok()? {
+                Settled::Redial => self.dropped(i, d),
+                Settled::Resubmit(request) => {
+                    self.link = Link::Up;
+                    self.request(i, request, d);
+                }
+                Settled::Recovered => {
+                    self.link = Link::Up;
+                    match self.inflight.take() {
+                        Some(Request::Submit(..)) => self.acked(i, d)?,
+                        Some(sync) => self.request(i, sync, d),
+                        None => self.pump(i, d)?,
+                    }
+                }
+            }
+            return Some(());
+        }
         match core.handle(frame).ok()? {
             Event::Ack(_) => {
-                let (_, sent) = self.inflight.take()?;
-                self.acks_ns.push(sent.elapsed().as_nanos() as u64);
-                self.next_fill += 1;
-                self.overload_tries = 0;
-                self.pump(i, d)?;
+                self.inflight.take()?;
+                self.acked(i, d)?;
             }
             Event::Overloaded { retry_after_ms } => {
-                let wait = core.overload_backoff(retry_after_ms, self.overload_tries);
-                self.parked = Some(self.inflight.take()?.0);
-                self.overload_tries += 1;
-                self.backoffs += 1;
-                d.timers.push(Reverse((Instant::now() + wait, i)));
+                let pending = self.inflight.take()?;
+                if self.overload_tries < d.run.policy.max_attempts {
+                    let wait = core.overload_backoff(retry_after_ms, self.overload_tries);
+                    self.parked = Some(pending);
+                    self.overload_tries += 1;
+                    self.backoffs += 1;
+                    d.timers.push(Reverse((Instant::now() + wait, i)));
+                } else {
+                    // Out of retries, never applied: undone, as `transact`
+                    // undoes it.
+                    let resync = core.roll_back(&pending);
+                    self.give_ups += 1;
+                    self.abandon(i, resync, d);
+                }
             }
-            // A reject fails the run (`check_invariants`: the harness fills
-            // rows nobody else touches), so no roll-back is attempted.
             Event::Rejected(_) => {
-                self.inflight.take()?;
+                let pending = self.inflight.take()?;
+                let resync = core.roll_back(&pending);
                 self.rejects += 1;
-                self.next_fill += 1;
-                self.pump(i, d)?;
+                self.abandon(i, resync, d);
             }
-            // The collection was quiescent when the last sync went out, so
-            // its reply is the whole history: nothing left but to leave.
-            Event::Synced if self.phase == Phase::Settling => {
-                self.phase = Phase::Closing;
-                self.send(i, Some(&Request::Bye), d);
+            Event::Synced => {
+                self.inflight.take()?;
+                if self.phase == Phase::Settling {
+                    // The collection was quiescent when the last sync went
+                    // out, so its reply is the whole history.
+                    self.phase = Phase::Closing;
+                    self.send(i, Some(&Request::Bye), d);
+                } else {
+                    self.pump(i, d)?;
+                }
             }
-            // A `lagging` note needs no `sync` of its own: that last one
+            // A `lagging` note needs no `sync` of its own: the last one
             // asks for everything the replica has not applied.
             _ => {}
         }
         Some(())
     }
 
-    /// With nothing in flight, sends what is due: the parked request, or
-    /// the next fill of the plan — the anchor of this session's own
-    /// template row, read from its replica. `None` if it cannot be made.
+    /// The fill in flight was applied: its latency is noted, the next is
+    /// due.
+    fn acked(&mut self, i: usize, d: &mut Driver<'_>) -> Option<()> {
+        let sent = self.fill_sent.take()?;
+        self.acks
+            .push((self.next_fill, sent.elapsed().as_nanos() as u64));
+        self.next_fill += 1;
+        self.overload_tries = 0;
+        self.pump(i, d)
+    }
+
+    /// Drops the fill under way, and sends the resync that undoes its
+    /// local application; the next fill waits for the reply.
+    fn abandon(&mut self, i: usize, resync: Request, d: &mut Driver<'_>) {
+        self.fill_sent = None;
+        self.next_fill += 1;
+        self.overload_tries = 0;
+        self.request(i, resync, d);
+    }
+
+    /// With nothing in flight and the link up, sends what is due: the
+    /// parked request, or the next fill of the plan — the anchor of this
+    /// session's own template row. `None` if it cannot be made.
     fn pump(&mut self, i: usize, d: &mut Driver<'_>) -> Option<()> {
-        if self.phase != Phase::Active || self.inflight.is_some() {
+        if self.phase != Phase::Active || self.inflight.is_some() || self.link != Link::Up {
             return Some(());
         }
-        let pending = match (self.parked.take(), self.plan.fill_at_ms.get(self.next_fill)) {
+        let pending = match (self.parked.take(), self.plan.fills.get(self.next_fill)) {
             (Some(parked), _) => parked,
             (None, None) => {
                 self.phase = Phase::Idle;
-                d.filling -= 1;
+                self.count_through(d);
                 return Some(());
             }
-            (None, Some(at_ms)) => {
-                let due = d.start + Duration::from_millis(*at_ms);
+            (None, Some(fill)) => {
+                let due = d.start + Duration::from_millis(fill.at_ms);
                 if due > Instant::now() {
                     d.timers.push(Reverse((due, i)));
                     return Some(());
                 }
-                let in_lane = self.plan.worker / d.opts.collections.max(1);
-                let slot = in_lane * d.opts.fills_per_worker + self.next_fill;
-                let row = RowId::new(ClientId::CENTRAL, slot as u64);
-                let anchor = Value::text(format!("w{}-f{}", self.plan.worker, self.next_fill));
+                let row = RowId::new(ClientId::CENTRAL, (self.first_row + self.next_fill) as u64);
+                let value = anchor(self.plan.worker, self.next_fill, d.run.padding);
                 // An anchor fill leaves the row partial: one request.
-                let fill = self.core.as_mut()?.fill(row, ColumnId(0), anchor, false);
+                let core = self.core.as_mut()?;
+                let fill = core.fill(row, ColumnId(0), Value::text(value), fill.speculative);
+                self.fill_sent = Some(Instant::now());
                 fill.ok()?.pop()?
             }
         };
-        self.send(i, Some(&pending), d);
-        self.inflight = Some((pending, Instant::now()));
+        self.request(i, pending, d);
         Some(())
+    }
+
+    /// The collection is quiescent: one last sync, then `bye`.
+    fn settle(&mut self, i: usize, d: &mut Driver<'_>) {
+        if let (Phase::Idle, Some(core)) = (self.phase, self.core.as_mut()) {
+            self.phase = Phase::Settling;
+            let sync = core.sync_request(false);
+            self.request(i, sync, d);
+        }
     }
 }
 
 /// Drives one thread's sessions to completion (or the deadline), asleep
-/// whenever no socket is ready and no timer is due.
-fn drive(sessions: &mut [Sess], mut d: Driver<'_>) {
+/// whenever no socket is ready and no timer is due, then waits for the
+/// service's queue to drain.
+fn drive_thread(sessions: &mut [Sess], mut d: Driver<'_>) -> (i64, usize) {
     for (i, s) in sessions.iter().enumerate() {
         let due = d.start + Duration::from_millis(s.plan.connect_at_ms);
         d.timers.push(Reverse((due, i)));
     }
-    let deadline = d.start + d.opts.deadline;
+    let deadline = d.start + d.run.deadline;
     let (mut events, mut settling) = (Vec::new(), false);
-    while d.unfinished > 0 {
+    loop {
         let now = Instant::now();
+        let depth = d.run.service.map_or(0, |s| s.metrics().queue_depth.get());
+        d.max_depth = d.max_depth.max(depth);
+        if d.unfinished == 0 && (depth == 0 || now >= deadline) {
+            break;
+        }
         if now >= deadline {
             for s in sessions.iter_mut() {
-                if !matches!(s.phase, Phase::Done | Phase::Failed | Phase::TimedOut) {
+                let over = [Phase::Done, Phase::Failed, Phase::TimedOut, Phase::Stalled];
+                if !over.contains(&s.phase) {
                     s.finish(Phase::TimedOut, &mut d);
                 }
             }
-            break;
+            continue;
         }
         if d.filling == 0 && !settling {
             settling = true;
             for (i, s) in sessions.iter_mut().enumerate() {
-                if let (Phase::Idle, Some(core)) = (s.phase, s.core.as_mut()) {
-                    s.phase = Phase::Settling;
-                    let sync = core.sync_request(false);
-                    s.send(i, Some(&sync), &mut d);
-                }
+                s.settle(i, &mut d);
             }
         }
-        let next = d.timers.peek().map_or(deadline, |Reverse((due, _))| *due);
+        let next = match d.timers.peek() {
+            _ if d.unfinished == 0 => now + Duration::from_millis(1),
+            Some(Reverse((due, _))) => *due,
+            None => deadline,
+        };
         if next > now {
             events.clear();
             let wait = next.min(deadline) - now;
@@ -563,32 +770,175 @@ fn drive(sessions: &mut [Sess], mut d: Driver<'_>) {
                 sessions[event.token as usize].on_ready(event.token as usize, &mut d);
             }
         } else if let Some(Reverse((_, i))) = d.timers.pop() {
-            let s = &mut sessions[i];
-            if s.phase == Phase::Waiting {
-                s.connect(i, &mut d);
-            } else if s.pump(i, &mut d).is_none() {
-                s.finish(Phase::Failed, &mut d);
+            match (i, d.run.service) {
+                (HERD, service) => d.herd_dropped = service.map_or(0, TcpService::disconnect_all),
+                (i, _) => sessions[i].on_timer(i, &mut d),
             }
         }
     }
+    (d.max_depth, d.herd_dropped)
 }
 
+/// The nearest-rank `p` quantile of `sorted` (0 when empty).
 fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    let idx = (sorted.len().saturating_sub(1) as f64 * p).round() as usize;
+    sorted.get(idx).copied().unwrap_or(0)
 }
 
-/// Runs one connection-scale scenario end to end and audits the result.
-///
-/// In-process mode also verifies zero acked-op loss against the backends
-/// before the service is stopped; external mode leaves that to
-/// [`verify_zero_acked_loss_remote`] so the caller controls the server's
-/// lifetime.
+/// Replays `plan` against the service at `run.addr` and audits the
+/// result: every replica against its collection's master, every acked fill
+/// in it.
+pub(crate) fn drive(plan: &Plan, run: &Drive<'_>) -> ConnScaleReport {
+    // A collection's template rows are dealt to its sessions in plan
+    // order, one per fill; the stalled readers go first.
+    let mut next_row = vec![0; plan.collections];
+    let workers = plan.sessions.iter().map(|p| {
+        let first_row = next_row[p.collection];
+        next_row[p.collection] += p.fills.len();
+        Sess {
+            plan: p.clone(),
+            first_row,
+            ..Sess::default()
+        }
+    });
+    let stalled = (0..plan.stalled_readers).map(|k| Sess {
+        plan: SessionPlan {
+            worker: plan.sessions.len() + k,
+            ..SessionPlan::default()
+        },
+        stalled: true,
+        ..Sess::default()
+    });
+
+    // Deal whole collections to the driver threads: a driver then knows by
+    // itself when its collections are quiescent.
+    let threads = run.threads.max(1);
+    let mut per_thread: Vec<Vec<Sess>> = (0..threads).map(|_| Vec::new()).collect();
+    for sess in stalled.chain(workers) {
+        per_thread[sess.plan.collection % threads].push(sess);
+    }
+
+    let start = Instant::now();
+    let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let ran: Vec<(i64, usize)> = thread::scope(|scope| {
+        let handles: Vec<_> = per_thread
+            .iter_mut()
+            .enumerate()
+            .map(|(t, sessions)| {
+                let mut driver = Driver {
+                    run,
+                    seed: plan.seed,
+                    start,
+                    live: &live,
+                    peak: &peak,
+                    poller: Poller::new().expect("epoll"),
+                    timers: BinaryHeap::new(),
+                    filling: sessions.len(),
+                    unfinished: sessions.len(),
+                    max_depth: 0,
+                    herd_dropped: 0,
+                };
+                if let (0, Some(at_ms)) = (t, plan.herd_disconnect_at_ms) {
+                    let due = start + Duration::from_millis(at_ms);
+                    driver.timers.push(Reverse((due, HERD)));
+                }
+                scope.spawn(move || drive_thread(sessions, driver))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let elapsed = start.elapsed();
+    let sessions: Vec<Sess> = per_thread.into_iter().flatten().collect();
+    let workers = || sessions.iter().filter(|s| !s.stalled);
+
+    // Fold the sessions' ledgers into per-collection lanes.
+    let mut lanes: Vec<CollectionLane> = (0..plan.collections)
+        .map(|i| CollectionLane {
+            name: collection_name(i),
+            ..CollectionLane::default()
+        })
+        .collect();
+    let mut lane_lat: Vec<Vec<u64>> = vec![Vec::new(); plan.collections];
+    for s in workers() {
+        let lane = &mut lanes[s.plan.collection];
+        lane.sessions += 1;
+        lane.expected += s.plan.fills.len();
+        lane.acked += s.acks.len();
+        lane_lat[s.plan.collection].extend(s.acks.iter().map(|&(_, ns)| ns));
+    }
+    for (lane, lat) in lanes.iter_mut().zip(lane_lat.iter_mut()) {
+        lat.sort_unstable();
+        lane.ack_p50_ns = percentile(lat, 0.50);
+        lane.ack_p99_ns = percentile(lat, 0.99);
+    }
+    let mut all_lat: Vec<u64> = lane_lat.concat();
+    all_lat.sort_unstable();
+
+    // Quiescence: every session synced after the last fill was acked, so
+    // its replica is its collection's master or something was lost on the
+    // way; and every acked anchor is in the master.
+    let (mut diverged_replicas, mut acked_lost) = (0, 0);
+    for (c, lane) in lanes.iter().enumerate() {
+        let audit = |master: &Replica| {
+            let anchors: HashSet<&str> = master
+                .table()
+                .iter()
+                .filter_map(|(_, e)| match e.value.get(ColumnId(0)) {
+                    Some(Value::Text(text)) => Some(text.as_str().trim_end_matches('~')),
+                    _ => None,
+                })
+                .collect();
+            let of_lane = || workers().filter(|s| s.plan.collection == c);
+            let same = |core: &ClientCore| core.view().replica().same_state(master);
+            let differs = of_lane().filter(|s| !s.core.as_ref().is_some_and(same));
+            let acked =
+                of_lane().flat_map(|s| s.acks.iter().map(|&(k, _)| anchor(s.plan.worker, k, 0)));
+            let lost = acked.filter(|a| !anchors.contains(a.as_str()));
+            (differs.count(), lost.count())
+        };
+        let (differs, lost) = with_master(run.service, run.addr, &lane.name, audit)
+            .unwrap_or((lane.sessions, lane.acked));
+        diverged_replicas += differs;
+        acked_lost += lost;
+    }
+
+    let in_phase = |phase| sessions.iter().filter(|s| s.phase == phase).count();
+    let sum = |count: fn(&Sess) -> usize| sessions.iter().map(count).sum::<usize>();
+    ConnScaleReport {
+        name: plan.name.to_string(),
+        seed: plan.seed,
+        conns: plan.sessions.len(),
+        collections: plan.collections,
+        expected_fills: plan.total_fills(),
+        acked: all_lat.len(),
+        rejected: sum(|s| s.rejects),
+        give_ups: sum(|s| s.give_ups),
+        backoffs: sum(|s| s.backoffs),
+        resumes: workers()
+            .filter_map(|s| s.core.as_ref())
+            .map(|c| c.counts().resumes)
+            .sum(),
+        conn_failures: in_phase(Phase::Failed),
+        timed_out_sessions: in_phase(Phase::TimedOut),
+        peak_concurrent: peak.load(Ordering::Acquire),
+        diverged_replicas,
+        acked_lost,
+        max_queue_depth: ran.iter().map(|r| r.0).max().unwrap_or(0),
+        herd_dropped: ran.iter().map(|r| r.1).sum(),
+        elapsed,
+        ack_p50_ns: percentile(&all_lat, 0.50),
+        ack_p99_ns: percentile(&all_lat, 0.99),
+        fairness_deferrals: run
+            .service
+            .map_or(0, |s| s.metrics().fairness_deferrals.get()),
+        lanes,
+    }
+}
+
+/// Runs one connection-scale scenario end to end, against an in-process
+/// service (stopped before this returns) or an external one.
 pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
-    let schedule = conn_scale(
+    let plan = conn_scale(
         opts.seed,
         opts.collections,
         opts.workers,
@@ -596,145 +946,39 @@ pub fn run_conn_scale(opts: &ConnScaleOptions) -> ConnScaleReport {
         opts.connect_window_ms,
         opts.duration_ms,
     );
+    run_plan(opts, &plan)
+}
 
-    let (service, addr) = match &opts.mode {
-        ConnScaleMode::InProcess => {
-            let backends =
-                collection_backends(opts.collections, opts.workers, opts.fills_per_worker);
-            let service =
-                TcpService::start_multi(backends, "127.0.0.1:0", ServiceOptions::default())
-                    .expect("connscale service failed to start");
-            let addr = service.addr();
-            (Some(service), addr)
-        }
-        ConnScaleMode::External(addr) => (None, *addr),
-    };
-
-    // Deal whole collections to the driver threads: a driver then knows by
-    // itself when its collections are quiescent.
-    let threads = opts.driver_threads.max(1);
-    let mut per_thread: Vec<Vec<Sess>> = (0..threads).map(|_| Vec::new()).collect();
-    for plan in schedule.sessions {
-        let sess = Sess {
-            plan,
-            ..Sess::default()
-        };
-        per_thread[sess.plan.collection % threads].push(sess);
-    }
-
-    let start = Instant::now();
-    let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-    thread::scope(|scope| {
-        for sessions in per_thread.iter_mut() {
-            let driver = Driver {
-                opts,
-                addr,
-                start,
-                live: &live,
-                peak: &peak,
-                poller: Poller::new().expect("epoll"),
-                timers: BinaryHeap::new(),
-                filling: sessions.len(),
-                unfinished: sessions.len(),
-            };
-            scope.spawn(move || drive(sessions, driver));
-        }
+/// Drives `plan` as `opts` says.
+fn run_plan(opts: &ConnScaleOptions, plan: &Plan) -> ConnScaleReport {
+    let service = matches!(opts.mode, ConnScaleMode::InProcess).then(|| {
+        let backends = collection_backends(opts.collections, opts.workers, opts.fills_per_worker);
+        TcpService::start_multi(backends, "127.0.0.1:0", ServiceOptions::default())
+            .expect("connscale service failed to start")
     });
-    let elapsed = start.elapsed();
-    let sessions: Vec<Sess> = per_thread.into_iter().flatten().collect();
-
-    // Fold the sessions' ledgers into per-collection lanes.
-    let mut lanes: Vec<CollectionLane> = (0..opts.collections)
-        .map(|i| CollectionLane {
-            name: collection_name(i),
-            sessions: 0,
-            expected: 0,
-            acked: 0,
-            clients: HashSet::new(),
-            ack_p50_ns: 0,
-            ack_p99_ns: 0,
-        })
-        .collect();
-    let mut lane_lat: Vec<Vec<u64>> = vec![Vec::new(); opts.collections];
-    let mut all_lat: Vec<u64> = Vec::new();
-    let mut rejected = 0usize;
-    let mut backoffs = 0usize;
-    for s in &sessions {
-        let lane = &mut lanes[s.plan.collection];
-        lane.sessions += 1;
-        lane.expected += s.plan.fill_at_ms.len();
-        lane.acked += s.acks_ns.len();
-        if let Some(core) = &s.core {
-            lane.clients.insert(core.view().replica().client().0);
-        }
-        lane_lat[s.plan.collection].extend_from_slice(&s.acks_ns);
-        all_lat.extend_from_slice(&s.acks_ns);
-        rejected += s.rejects;
-        backoffs += s.backoffs;
-    }
-    for (lane, lat) in lanes.iter_mut().zip(lane_lat.iter_mut()) {
-        lat.sort_unstable();
-        lane.ack_p50_ns = percentile(lat, 0.50);
-        lane.ack_p99_ns = percentile(lat, 0.99);
-    }
-    all_lat.sort_unstable();
-
-    // Quiescence: every session synced after the last fill was acked, so
-    // its replica is its collection's master or something was lost on the
-    // way.
-    let mut diverged_replicas = 0;
-    for (i, lane) in lanes.iter().enumerate() {
-        let differs = |master: &Replica| {
-            let same = |c: &ClientCore| c.view().replica().same_state(master);
-            let of_lane = sessions.iter().filter(|s| s.plan.collection == i);
-            of_lane
-                .filter(|s| !s.core.as_ref().is_some_and(same))
-                .count()
-        };
-        diverged_replicas +=
-            with_master(service.as_ref(), addr, &lane.name, differs).unwrap_or(lane.sessions);
-    }
-
-    let in_phase = |phase| sessions.iter().filter(|s| s.phase == phase).count();
-    let report = ConnScaleReport {
-        name: opts.name.to_string(),
-        seed: opts.seed,
-        conns: opts.workers,
-        collections: opts.collections,
-        expected_fills: opts.expected_fills(),
-        acked: all_lat.len(),
-        rejected,
-        backoffs,
-        conn_failures: in_phase(Phase::Failed),
-        timed_out_sessions: in_phase(Phase::TimedOut),
-        peak_concurrent: peak.load(Ordering::Acquire),
-        diverged_replicas,
-        elapsed,
-        ack_p50_ns: percentile(&all_lat, 0.50),
-        ack_p99_ns: percentile(&all_lat, 0.99),
-        fairness_deferrals: service
-            .as_ref()
-            .map_or(0, |s| s.metrics().fairness_deferrals.get()),
-        lanes,
+    let addr = match (&opts.mode, &service) {
+        (ConnScaleMode::External(addr), _) => *addr,
+        (_, service) => service.as_ref().expect("started above").addr(),
     };
-
+    let run = Drive {
+        addr,
+        service: service.as_ref(),
+        threads: opts.driver_threads,
+        deadline: opts.deadline,
+        // A connection-scale session retries an overloaded fill until the
+        // deadline: a give-up would fail the gate.
+        policy: ReconnectPolicy {
+            max_attempts: u32::MAX,
+            ..ReconnectPolicy::default()
+        },
+        padding: 0,
+    };
+    let mut report = drive(plan, &run);
+    report.name = opts.name.to_string();
     if let Some(service) = service {
-        if let Err(msg) = verify_zero_acked_loss(&service, &report) {
-            fail(&report, &msg);
-        }
         service.stop();
     }
     report
-}
-
-/// Panics with `msg`, the flight record dumped first (same discipline as
-/// the overload harness).
-fn fail(report: &ConnScaleReport, msg: &str) -> ! {
-    let label = format!("connscale-{}-seed{}", report.name, report.seed);
-    match crowdfill_obs::trace::dump_flight_record(&label) {
-        Some(path) => panic!("{msg}\nflight record dumped to {}", path.display()),
-        None => panic!("{msg}"),
-    }
 }
 
 /// Shows `look` a collection's master replica: the backend's own when the
@@ -757,48 +1001,6 @@ fn with_master<T>(
     Ok(look(backend.master()))
 }
 
-/// Every lane's acked count must equal the number of rows in its master
-/// table minted by that lane's clients: one per fill that landed, and
-/// nobody else replaces them.
-fn audit_acked(
-    service: Option<&TcpService>,
-    addr: SocketAddr,
-    report: &ConnScaleReport,
-) -> Result<(), String> {
-    for lane in &report.lanes {
-        let minted = |master: &Replica| {
-            let rows = master.table().row_ids();
-            rows.filter(|row| lane.clients.contains(&row.client.0))
-                .count()
-        };
-        let durable = with_master(service, addr, &lane.name, minted)?;
-        if durable != lane.acked {
-            return Err(format!(
-                "{}/seed={}: collection {} acked {} fills but the table holds {}",
-                report.name, report.seed, lane.name, lane.acked, durable
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Audits zero acked-op loss against an in-process service's backends.
-pub fn verify_zero_acked_loss(
-    service: &TcpService,
-    report: &ConnScaleReport,
-) -> Result<(), String> {
-    audit_acked(Some(service), service.addr(), report)
-}
-
-/// The external-server flavor of [`verify_zero_acked_loss`]: a fresh
-/// session joins each collection and audits what it is shown.
-pub fn verify_zero_acked_loss_remote(
-    addr: SocketAddr,
-    report: &ConnScaleReport,
-) -> Result<(), String> {
-    audit_acked(None, addr, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,15 +1012,28 @@ mod tests {
         opts.connect_window_ms = 200;
         opts.duration_ms = 500;
         opts.driver_threads = 2;
-        let report = run_conn_scale(&opts);
-        report.assert_invariants(1_000.0);
-        assert_eq!(report.acked, 64);
-        assert_eq!(report.lanes.len(), 4);
-        for lane in &report.lanes {
-            assert_eq!(lane.sessions, 8);
-            assert_eq!(lane.acked, lane.expected);
+        // As planned; with one session that stalls after its welcome; with
+        // every connection dropped in the middle of the run. A session that
+        // is not stalled ends `Done` (no failures, no time-outs) and every
+        // fill it saw acked is in the master, a resumed one's too.
+        for (stalled, herd) in [(0, None), (1, None), (0, Some(300))] {
+            let mut plan = conn_scale(7, 4, 32, 2, 200, 500);
+            plan.stalled_readers = stalled;
+            plan.herd_disconnect_at_ms = herd;
+            let report = run_plan(&opts, &plan);
+            report.assert_invariants(1_000.0);
+            assert_eq!(report.acked, 64);
+            assert_eq!(report.lanes.len(), 4);
+            for lane in &report.lanes {
+                assert_eq!(lane.sessions, 8);
+                assert_eq!(lane.acked, lane.expected);
+            }
+            assert!(report.peak_concurrent >= 1);
+            if herd.is_some() {
+                assert!(report.herd_dropped > 0, "the herd dropped nothing");
+                assert!(report.resumes > 0, "no session resumed");
+            }
         }
-        assert!(report.peak_concurrent >= 1);
     }
 
     #[test]

@@ -12,10 +12,27 @@
 //!
 //! Extend the seed set without editing the file via
 //! `CROWDFILL_STRESS_SEEDS=7,8 cargo test -p crowdfill-bench`.
+//!
+//! The tests run on parallel threads and share the process-wide trace
+//! mode, so it is set once, for the whole binary: sampled (1 in 8 ops,
+//! pure in the seeded trace ids) unless tracing is already on, so a
+//! failing seed has a flight record to dump.
 
-use crowdfill_bench::overload::{run_schedule, HarnessOptions};
-use crowdfill_obs::trace::dump_on_panic;
-use crowdfill_sim::openloop;
+use crowdfill_bench::overload::{run_schedule, HarnessOptions, ScenarioReport};
+use crowdfill_obs::trace::{self as obstrace, dump_on_panic, TraceMode};
+use crowdfill_sim::openloop::{self, Plan};
+use std::sync::Once;
+
+/// [`run_schedule`] with the binary's trace mode set.
+fn run(plan: &Plan, opts: &HarnessOptions) -> ScenarioReport {
+    static TRACING: Once = Once::new();
+    TRACING.call_once(|| {
+        if obstrace::mode() == TraceMode::Off {
+            obstrace::set_mode(TraceMode::Sampled(8));
+        }
+    });
+    run_schedule(plan, opts)
+}
 
 fn seeds() -> Vec<u64> {
     let mut s = vec![11, 47];
@@ -44,7 +61,7 @@ fn burst_bounded_and_lossless() {
             let mut opts = HarnessOptions::tiny(32, 3);
             opts.overload.max_queue = 4;
             opts.overload.spec_queue = 2;
-            let report = run_schedule(&schedule, &opts);
+            let report = run(&schedule, &opts);
             eprintln!("burst seed {seed}: {report:?}");
             report.assert_invariants();
             assert!(report.acked > 0, "seed {seed}: nothing was ever admitted");
@@ -72,7 +89,7 @@ fn ramp_admits_until_saturation() {
             let schedule = openloop::ramp(seed, 16, 96, 400);
             let mut opts = HarnessOptions::tiny(16, 6);
             opts.overload.max_queue = 4;
-            let report = run_schedule(&schedule, &opts);
+            let report = run(&schedule, &opts);
             eprintln!("ramp seed {seed}: {report:?}");
             report.assert_invariants();
             assert!(report.acked > 0, "seed {seed}: nothing admitted");
@@ -93,7 +110,7 @@ fn stalled_readers_are_downgraded_then_evicted() {
             // Big cells: the fan-out to each stalled reader is more than
             // twice what its socket buffers, so its writer must fill.
             let opts = HarnessOptions::stalled(8, 8);
-            let report = run_schedule(&schedule, &opts);
+            let report = run(&schedule, &opts);
             eprintln!("stalled-reader seed {seed}: {report:?}");
             report.assert_invariants();
             assert!(report.acked > 0, "seed {seed}: nothing admitted");
@@ -115,7 +132,7 @@ fn thundering_herd_reconnects_without_losing_acks() {
         dump_on_panic(&format!("thundering-herd-seed{seed}"), || {
             let schedule = openloop::thundering_herd(seed, 12, 5, 400, 150);
             let opts = HarnessOptions::tiny(12, 5);
-            let report = run_schedule(&schedule, &opts);
+            let report = run(&schedule, &opts);
             eprintln!("thundering-herd seed {seed}: {report:?}");
             report.assert_invariants();
             assert!(report.acked > 0, "seed {seed}: nothing admitted");

@@ -5,8 +5,9 @@
 //! The model (DESIGN.md §9) in one paragraph: the server admits what it
 //! can serve and sheds the rest *before* acknowledging it. Control
 //! traffic (resume/sync/stats/health) is answered on the spot by the shard
-//! that read it — `stats` without taking the backend lock, the others
-//! under it — and never queues, so recovery always gets through. Submissions
+//! that read it, under the backend lock — `stats` locks every collection's
+//! backend in turn, whichever shard owns it — and never queues, so
+//! recovery always gets through. Submissions
 //! queue in a bounded pipeline; when the queue is full they are rejected
 //! at the door, and when a queued op waits longer than its budget it is
 //! shed from the queue — both surface as [`SubmitError::Overloaded`]

@@ -12,8 +12,8 @@
 //!   rate, vote propensity, session timing;
 //! * [`des`] — the event engine and [`RunReport`];
 //! * [`experiment`] — canned setups mirroring the paper's §6 runs;
-//! * [`openloop`] — seeded open-loop arrival schedules for the overload
-//!   stress harness (burst, ramp, stalled-reader, thundering-herd);
+//! * [`openloop`] — seeded open-loop plans for the load harnesses (burst,
+//!   ramp, stalled-reader, thundering-herd, connection scale);
 //! * [`faultplan`] — seeded disk-fault schedules (crash-point matrix,
 //!   EIO/ENOSPC sweeps) for the durability harness (DESIGN.md §14).
 
@@ -31,7 +31,7 @@ pub use des::{run, RunReport, SimConfig};
 pub use experiment::{paper_setup, paper_worker_profiles, uniform_setup};
 pub use faultplan::{crash_seeds, FaultPlanner};
 pub use openloop::{
-    conn_scale, species_streakers, species_zipf, Arrival, ConnScaleSchedule, Schedule, SessionPlan,
-    SpeciesArrival, SpeciesSchedule,
+    conn_scale, species_streakers, species_zipf, Arrival, Plan, SessionPlan, SpeciesArrival,
+    SpeciesSchedule,
 };
 pub use worker::{PlannedAction, SimWorker, WorkerProfile};

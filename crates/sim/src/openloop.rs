@@ -1,16 +1,17 @@
-//! Seeded open-loop load schedules for the overload harness.
+//! Seeded open-loop plans for the load harnesses.
 //!
 //! A closed-loop driver (each worker waits for its ack before the next op)
 //! can never overload a server — it self-throttles to whatever the server
 //! sustains. Overload needs *open-loop* arrivals: ops land on the wall
 //! clock regardless of how the server is doing. This module generates
-//! those arrival schedules as pure, deterministic data — a seed fully
-//! determines every arrival time — so the bench harness
-//! (`crowdfill-bench`) can replay identical overload storms against a real
-//! `tcp_service` and assert bounded queues, bounded ack latency, and zero
-//! acked-submission loss (DESIGN.md §9).
+//! those plans as pure, deterministic data — a seed fully determines every
+//! connect and fill time — and one shape, [`Plan`], serves every scenario,
+//! so the one driver in `crowdfill-bench` replays identical storms against
+//! a real `tcp_service` and asserts bounded queues, bounded ack latency,
+//! and zero acked-submission loss (DESIGN.md §9, §13).
 //!
-//! Four shapes, matching the classic failure stories:
+//! Four storms, matching the classic failure stories, plus the
+//! connection-scale plan:
 //!
 //! * [`burst`] — the whole offered load arrives in one short window
 //!   (a crowd marketplace posting a batch of HITs);
@@ -19,33 +20,48 @@
 //! * [`stalled_reader`] — steady load plus readers that stop draining
 //!   their connection, exercising the watermark downgrade/eviction path;
 //! * [`thundering_herd`] — steady load with a mass disconnect at a fixed
-//!   offset, after which every client reconnects and resumes at once.
+//!   offset, after which every client reconnects and resumes at once;
+//! * [`conn_scale`] — thousands of light sessions over many collections.
 
-/// One scheduled submission.
+/// One scheduled fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Offset from harness start.
     pub at_ms: u64,
-    /// Index of the submitting worker in `0..workers`.
-    pub worker: usize,
     /// Whether the op should be marked speculative (admitted only under
     /// slack; the first traffic shed as load rises).
     pub speculative: bool,
 }
 
-/// A complete open-loop scenario: who submits what, when, plus the
-/// scenario-level events (stalled readers, herd disconnect) the harness
-/// stages around the arrivals.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    /// Scenario family (`burst`, `ramp`, ...), for reports.
+/// One worker session: which collection it attaches to, when it
+/// connects, and when its fills go out.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SessionPlan {
+    /// Index of the worker (unique per session).
+    pub worker: usize,
+    /// Index of the collection this session attaches to, in
+    /// `0..collections`.
+    pub collection: usize,
+    /// Connection offset from harness start.
+    pub connect_at_ms: u64,
+    /// This session's fills, sorted by `at_ms` (all `>= connect_at_ms`;
+    /// ties keep generation order).
+    pub fills: Vec<Arrival>,
+}
+
+/// A complete open-loop scenario: who connects where and when, what each
+/// session submits when, plus the scenario-level events (stalled readers,
+/// herd disconnect) the harness stages around the fills.
+#[derive(Debug, Clone, Default)]
+pub struct Plan {
+    /// Scenario family (`burst`, `conn-scale`, ...), for reports.
     pub name: &'static str,
     /// The seed that generated everything below.
     pub seed: u64,
-    /// Number of submitting workers (arrival `worker` indexes this range).
-    pub workers: usize,
-    /// Submissions, sorted by `at_ms` (ties keep generation order).
-    pub arrivals: Vec<Arrival>,
+    /// Number of collections multiplexed on the one server port.
+    pub collections: usize,
+    /// One plan per worker, sorted by `connect_at_ms`.
+    pub sessions: Vec<SessionPlan>,
     /// How many additional read-only observers connect and then *stop
     /// reading* their socket, to stage the slow-client path.
     pub stalled_readers: usize,
@@ -53,6 +69,13 @@ pub struct Schedule {
     /// (`TcpService::disconnect_all`), staging a thundering-herd
     /// reconnect-and-resume storm.
     pub herd_disconnect_at_ms: Option<u64>,
+}
+
+impl Plan {
+    /// Total scheduled fills.
+    pub fn total_fills(&self) -> usize {
+        self.sessions.iter().map(|s| s.fills.len()).sum()
+    }
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -86,15 +109,27 @@ impl Prng {
     }
 }
 
-fn finish(name: &'static str, seed: u64, workers: usize, mut arrivals: Vec<Arrival>) -> Schedule {
-    arrivals.sort_by_key(|a| a.at_ms);
-    Schedule {
+/// A storm's plan: `workers` sessions on one collection, all connecting
+/// at the start, each with its `(worker, arrival)` fills in time order.
+fn storm(name: &'static str, seed: u64, workers: usize, fills: Vec<(usize, Arrival)>) -> Plan {
+    let mut sessions: Vec<SessionPlan> = (0..workers)
+        .map(|worker| SessionPlan {
+            worker,
+            ..SessionPlan::default()
+        })
+        .collect();
+    for (worker, fill) in fills {
+        sessions[worker].fills.push(fill);
+    }
+    for s in &mut sessions {
+        s.fills.sort_by_key(|f| f.at_ms);
+    }
+    Plan {
         name,
         seed,
-        workers,
-        arrivals,
-        stalled_readers: 0,
-        herd_disconnect_at_ms: None,
+        collections: 1,
+        sessions,
+        ..Plan::default()
     }
 }
 
@@ -107,36 +142,32 @@ pub fn burst(
     ops_per_worker: usize,
     window_ms: u64,
     spec_per_mille: u32,
-) -> Schedule {
+) -> Plan {
     let mut rng = Prng::new(seed);
-    let mut arrivals = Vec::with_capacity(workers * ops_per_worker);
+    let mut fills = Vec::with_capacity(workers * ops_per_worker);
     for worker in 0..workers {
         for _ in 0..ops_per_worker {
-            arrivals.push(Arrival {
-                at_ms: rng.below(window_ms.max(1)),
-                worker,
-                speculative: rng.below(1000) < spec_per_mille as u64,
-            });
+            let at_ms = rng.below(window_ms.max(1));
+            let speculative = rng.below(1000) < spec_per_mille as u64;
+            fills.push((worker, Arrival { at_ms, speculative }));
         }
     }
-    finish("burst", seed, workers, arrivals)
+    storm("burst", seed, workers, fills)
 }
 
 /// Arrival rate grows linearly from zero over `duration_ms` (inverse-CDF
 /// sampling: `t = duration · √u` puts twice the density at the end of the
 /// run as a uniform draw would), so admission control engages mid-run.
-pub fn ramp(seed: u64, workers: usize, total_ops: usize, duration_ms: u64) -> Schedule {
+pub fn ramp(seed: u64, workers: usize, total_ops: usize, duration_ms: u64) -> Plan {
     let mut rng = Prng::new(seed);
-    let mut arrivals = Vec::with_capacity(total_ops);
+    let mut fills = Vec::with_capacity(total_ops);
     for _ in 0..total_ops {
-        let t = (duration_ms as f64) * rng.next_f64().sqrt();
-        arrivals.push(Arrival {
-            at_ms: t as u64,
-            worker: rng.below(workers.max(1) as u64) as usize,
-            speculative: false,
-        });
+        let at_ms = ((duration_ms as f64) * rng.next_f64().sqrt()) as u64;
+        let worker = rng.below(workers.max(1) as u64) as usize;
+        let speculative = false;
+        fills.push((worker, Arrival { at_ms, speculative }));
     }
-    finish("ramp", seed, workers, arrivals)
+    storm("ramp", seed, workers, fills)
 }
 
 /// Steady uniform load from `workers` submitters while `stalled_readers`
@@ -148,11 +179,11 @@ pub fn stalled_reader(
     ops_per_worker: usize,
     window_ms: u64,
     stalled_readers: usize,
-) -> Schedule {
-    let mut schedule = burst(seed, workers, ops_per_worker, window_ms, 0);
-    schedule.name = "stalled-reader";
-    schedule.stalled_readers = stalled_readers;
-    schedule
+) -> Plan {
+    let mut plan = burst(seed, workers, ops_per_worker, window_ms, 0);
+    plan.name = "stalled-reader";
+    plan.stalled_readers = stalled_readers;
+    plan
 }
 
 /// Steady uniform load with every connection forcibly dropped at
@@ -164,52 +195,23 @@ pub fn thundering_herd(
     ops_per_worker: usize,
     window_ms: u64,
     disconnect_at_ms: u64,
-) -> Schedule {
-    let mut schedule = burst(seed, workers, ops_per_worker, window_ms, 0);
-    schedule.name = "thundering-herd";
-    schedule.herd_disconnect_at_ms = Some(disconnect_at_ms);
-    schedule
-}
-
-/// One simulated worker session in a connection-scale scenario: when it
-/// connects, which collection it attaches to, and when its fills go out.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SessionPlan {
-    /// Index of the worker in `0..workers` (unique per session).
-    pub worker: usize,
-    /// Index of the collection this session attaches to, in
-    /// `0..collections`.
-    pub collection: usize,
-    /// Connection offset from harness start (connections ramp in, so the
-    /// accept path sees a steady stream rather than one instantaneous
-    /// thundering herd).
-    pub connect_at_ms: u64,
-    /// Offsets of this session's fills, relative to harness start (all
-    /// `>= connect_at_ms`), sorted.
-    pub fill_at_ms: Vec<u64>,
+) -> Plan {
+    let mut plan = burst(seed, workers, ops_per_worker, window_ms, 0);
+    plan.name = "thundering-herd";
+    plan.herd_disconnect_at_ms = Some(disconnect_at_ms);
+    plan
 }
 
 /// A connection-scale scenario: many concurrent sessions spread across
 /// many collections, each submitting a small number of fills. Unlike the
-/// overload [`Schedule`]s, the load here is per-connection light — the
-/// stress is the *number of live sockets and collections*, not the op
-/// rate, which is what the sharded reactor exists to absorb.
-#[derive(Debug, Clone)]
-pub struct ConnScaleSchedule {
-    pub name: &'static str,
-    pub seed: u64,
-    /// Number of collections multiplexed on the one server port.
-    pub collections: usize,
-    /// Total concurrent worker sessions (across all collections).
-    pub workers: usize,
-    /// One plan per worker, sorted by `connect_at_ms`.
-    pub sessions: Vec<SessionPlan>,
-}
-
-/// Generates a connection-scale scenario: `workers` sessions assigned
-/// round-robin to `collections` (so every collection gets within-one-of
-/// equal membership), connecting uniformly over `connect_window_ms`, each
-/// submitting `fills_per_worker` fills uniformly over the remainder of
+/// storms above, the load here is per-connection light — the stress is
+/// the *number of live sockets and collections*, not the op rate, which
+/// is what the sharded reactor exists to absorb. `workers` sessions are
+/// assigned round-robin to `collections` (so every collection gets
+/// within-one-of equal membership) and connect uniformly over
+/// `connect_window_ms` (connections ramp in, so the accept path sees a
+/// steady stream rather than one instantaneous herd), each submitting
+/// `fills_per_worker` fills uniformly over the remainder of
 /// `duration_ms`.
 pub fn conn_scale(
     seed: u64,
@@ -218,56 +220,34 @@ pub fn conn_scale(
     fills_per_worker: usize,
     connect_window_ms: u64,
     duration_ms: u64,
-) -> ConnScaleSchedule {
+) -> Plan {
     let collections = collections.max(1);
     let mut rng = Prng::new(seed ^ 0xC0_11EC_7104);
     let mut sessions = Vec::with_capacity(workers);
     for worker in 0..workers {
         let connect_at_ms = rng.below(connect_window_ms.max(1));
-        let mut fill_at_ms: Vec<u64> = (0..fills_per_worker)
-            .map(|_| {
-                let span = duration_ms.saturating_sub(connect_at_ms).max(1);
-                connect_at_ms + rng.below(span)
+        let span = duration_ms.saturating_sub(connect_at_ms).max(1);
+        let mut fills: Vec<Arrival> = (0..fills_per_worker)
+            .map(|_| Arrival {
+                at_ms: connect_at_ms + rng.below(span),
+                speculative: false,
             })
             .collect();
-        fill_at_ms.sort_unstable();
+        fills.sort_by_key(|f| f.at_ms);
         sessions.push(SessionPlan {
             worker,
             collection: worker % collections,
             connect_at_ms,
-            fill_at_ms,
+            fills,
         });
     }
     sessions.sort_by_key(|s| s.connect_at_ms);
-    ConnScaleSchedule {
+    Plan {
         name: "conn-scale",
         seed,
         collections,
-        workers,
         sessions,
-    }
-}
-
-impl ConnScaleSchedule {
-    /// Total fills across all sessions.
-    pub fn total_fills(&self) -> usize {
-        self.sessions.iter().map(|s| s.fill_at_ms.len()).sum()
-    }
-
-    /// The last scheduled event (connect or fill).
-    pub fn horizon_ms(&self) -> u64 {
-        self.sessions
-            .iter()
-            .map(|s| s.fill_at_ms.last().copied().unwrap_or(s.connect_at_ms))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Sessions attached to one collection, in connect order.
-    pub fn for_collection(&self, collection: usize) -> impl Iterator<Item = &SessionPlan> {
-        self.sessions
-            .iter()
-            .filter(move |s| s.collection == collection)
+        ..Plan::default()
     }
 }
 
@@ -406,46 +386,37 @@ pub fn species_streakers(
     finish_species("species-streakers", seed, workers, pool, arrivals)
 }
 
-impl Schedule {
-    /// Total scheduled submissions.
-    pub fn total_ops(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// The last arrival offset (0 for an empty schedule).
-    pub fn horizon_ms(&self) -> u64 {
-        self.arrivals.last().map_or(0, |a| a.at_ms)
-    }
-
-    /// The arrivals of one worker, in time order.
-    pub fn for_worker(&self, worker: usize) -> impl Iterator<Item = &Arrival> {
-        self.arrivals.iter().filter(move |a| a.worker == worker)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The last scheduled event (connect or fill).
+    fn horizon_ms(plan: &Plan) -> u64 {
+        let last = |s: &SessionPlan| s.fills.last().map_or(s.connect_at_ms, |f| f.at_ms);
+        plan.sessions.iter().map(last).max().unwrap_or(0)
+    }
 
     #[test]
     fn same_seed_same_schedule() {
         let a = burst(42, 8, 10, 100, 250);
         let b = burst(42, 8, 10, 100, 250);
-        assert_eq!(a.arrivals, b.arrivals);
+        assert_eq!(a.sessions, b.sessions);
         let c = burst(43, 8, 10, 100, 250);
-        assert_ne!(a.arrivals, c.arrivals, "different seed, different storm");
+        assert_ne!(a.sessions, c.sessions, "different seed, different storm");
     }
 
     #[test]
     fn burst_shape() {
         let s = burst(7, 16, 5, 50, 500);
-        assert_eq!(s.total_ops(), 80);
-        assert!(s.horizon_ms() < 50);
-        assert!(s.arrivals.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
-        let spec = s.arrivals.iter().filter(|a| a.speculative).count();
+        assert_eq!(s.total_fills(), 80);
+        assert!(horizon_ms(&s) < 50);
+        let fills = s.sessions.iter().flat_map(|s| &s.fills);
+        let spec = fills.filter(|a| a.speculative).count();
         assert!(spec > 10 && spec < 70, "~half speculative, got {spec}");
-        for w in 0..16 {
-            assert_eq!(s.for_worker(w).count(), 5);
+        assert_eq!(s.sessions.len(), 16);
+        for w in &s.sessions {
+            assert_eq!((w.collection, w.connect_at_ms, w.fills.len()), (0, 0, 5));
+            assert!(w.fills.windows(2).all(|f| f[0].at_ms <= f[1].at_ms));
         }
     }
 
@@ -453,8 +424,9 @@ mod tests {
     fn ramp_back_half_denser_than_front_half() {
         let s = ramp(11, 8, 1000, 1000);
         let mid = 500;
-        let front = s.arrivals.iter().filter(|a| a.at_ms < mid).count();
-        let back = s.total_ops() - front;
+        let fills = s.sessions.iter().flat_map(|s| &s.fills);
+        let front = fills.filter(|a| a.at_ms < mid).count();
+        let back = s.total_fills() - front;
         assert!(
             back > front + front / 2,
             "ramp must lean late: front={front} back={back}"
@@ -466,18 +438,18 @@ mod tests {
         let a = conn_scale(9, 16, 1000, 3, 200, 2000);
         let b = conn_scale(9, 16, 1000, 3, 200, 2000);
         assert_eq!(a.sessions, b.sessions);
-        assert_eq!(a.workers, 1000);
+        assert_eq!(a.sessions.len(), 1000);
         assert_eq!(a.total_fills(), 3000);
-        assert!(a.horizon_ms() < 2000);
+        assert!(horizon_ms(&a) < 2000);
         // Round-robin assignment: every collection within one of equal.
         for c in 0..16 {
-            let n = a.for_collection(c).count();
+            let n = a.sessions.iter().filter(|s| s.collection == c).count();
             assert!((62..=63).contains(&n), "collection {c} got {n} sessions");
         }
         // Fills never precede their session's connect.
         for s in &a.sessions {
-            assert!(s.fill_at_ms.iter().all(|t| *t >= s.connect_at_ms));
-            assert!(s.fill_at_ms.windows(2).all(|w| w[0] <= w[1]));
+            assert!(s.fills.iter().all(|f| f.at_ms >= s.connect_at_ms));
+            assert!(s.fills.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
         }
         // Connections ramp in rather than landing at once.
         assert!(a
@@ -538,7 +510,7 @@ mod tests {
         assert_eq!(s.stalled_readers, 3);
         assert_eq!(s.name, "stalled-reader");
         let h = thundering_herd(3, 4, 2, 200, 80);
-        assert_eq!(s.total_ops(), h.total_ops());
+        assert_eq!(s.total_fills(), h.total_fills());
         assert_eq!(h.herd_disconnect_at_ms, Some(80));
         assert_eq!(h.name, "thundering-herd");
     }

@@ -266,6 +266,15 @@ if nontest crates/obs/src/trace.rs | grep "thread_local!\|fence(\|fetch_max\|che
   echo "check.sh: a second path between a stamp and the ring; record into obs::trace::FlightRecorder under its lock" >&2
   exit 1
 fi
+# One load generator (DESIGN.md §9, §13.3): the overload storms run on the
+# connection-scale poller driver (`bench/src/connscale.rs`), so the
+# overload harness holds no blocking client and starts, and waits on, no
+# thread of its own.
+if nontest crates/bench/src/overload.rs \
+  | grep "RemoteWorker\|thread::spawn\|thread::scope\|sleep"; then
+  echo "check.sh: the overload harness drives workers of its own; replay the plan on connscale's driver" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
