@@ -2,18 +2,23 @@
 //! out. No socket, no thread, no timeout — the server's half is either
 //! scripted, or an in-process [`Backend`] behind [`serve`], which speaks
 //! just enough of the wire to answer a `submit`, a `modify`, a `resume` and
-//! a `sync`. Both build their frames with the codec the server uses.
+//! a `sync`. Both build their frames with the codec the server uses. The
+//! cut-point matrix drives the core's recovery policy through its steps,
+//! the test standing in for the shell.
 
 use crowdfill_docstore::Json;
 use crowdfill_model::{
     ClientId, Column, ColumnId, DataType, Message, QuorumMajority, RowId, RowValue, Schema,
     Template, Value,
 };
+use crowdfill_net::ConnError;
 use crowdfill_obs::trace::TraceId;
 use crowdfill_pay::{Millis, WorkerId};
-use crowdfill_server::client_core::{Event, Settled};
+use crowdfill_server::client_core::{Event, Input, Step};
 use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg, TableImage};
-use crowdfill_server::{Backend, ClientCore, RemoteError, TaskConfig, WorkerClient};
+use crowdfill_server::{
+    Backend, ClientCore, ReconnectPolicy, RemoteError, TaskConfig, WorkerClient,
+};
 use crowdfill_sync::Replica;
 use std::sync::Arc;
 
@@ -177,9 +182,8 @@ fn a_welcome_without_history_len_is_a_protocol_error() {
 
 /// The server's half of one exchange, in process: decodes a client frame,
 /// applies it to `backend` as `worker`, and encodes the reply.
-fn serve(backend: &mut Backend, worker: WorkerId, request: &Request) -> Vec<u8> {
-    let request = request.encode();
-    let request = Request::decode(&wire::parse_frame(request.as_bytes()).unwrap());
+fn serve(backend: &mut Backend, worker: WorkerId, sent: &str) -> Vec<u8> {
+    let request = Request::decode(&wire::parse_frame(sent.as_bytes()).unwrap());
     let catch_up = |backend: &Backend, cursor: Cursor| {
         let mut missing = backend.history_suffix(cursor.from);
         missing.retain(|(seq, _)| !cursor.have.contains(seq));
@@ -205,6 +209,19 @@ fn serve(backend: &mut Backend, worker: WorkerId, request: &Request) -> Vec<u8> 
     })
 }
 
+/// What becomes of one request on its way through the step machine.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fate {
+    /// The link is cut once the request is sent: the server never saw it,
+    /// or (`applied`) applied it and the ack was lost.
+    cut: bool,
+    applied: bool,
+    /// Another worker's fill lands while the link is down.
+    foreign: bool,
+    /// A resubmission is answered `overloaded` once before its ack.
+    overloaded: bool,
+}
+
 /// A backend, the core of worker 1 joined to it, and a second worker whose
 /// messages the first one only ever learns of from the server.
 struct Table {
@@ -219,7 +236,8 @@ impl Table {
         let (worker, _, history) = backend.connect(Millis(0));
         assert_eq!(worker, WorkerId(1));
         let frame = welcome(&history, backend.history_len());
-        let core = ClientCore::welcomed(&frame, None, None).unwrap();
+        let policy = ReconnectPolicy::default();
+        let core = ClientCore::welcomed(&frame, None, Some(&policy)).unwrap();
         let (other, client, history) = backend.connect(Millis(0));
         let other = WorkerClient::new(other, client, schema(), &history);
         Table {
@@ -229,14 +247,52 @@ impl Table {
         }
     }
 
-    /// One request sent and answered over a healthy connection.
-    fn exchange(&mut self, request: &Request) -> Event {
-        let reply = serve(&mut self.backend, WorkerId(1), request);
-        self.core.handle(&reply).unwrap()
+    /// Drives `request` through the core's steps to the event that ends
+    /// it, the test doing what a shell does — serving each frame the core
+    /// says to send, firing each wait at once — and `fate` what the link
+    /// does.
+    fn drive(&mut self, request: Request, fate: Fate) -> Event {
+        let case = format!("{fate:?}");
+        let (mut cut, mut overload, mut resumed) = (fate.cut, fate.overloaded, false);
+        let mut step = self.core.start(request);
+        loop {
+            step = match step {
+                Step::Send(sent) if cut => {
+                    cut = false;
+                    let before = self.backend.history_len();
+                    if fate.applied {
+                        // The ack is computed, and lost with the link.
+                        serve(&mut self.backend, WorkerId(1), &sent);
+                        assert!(self.backend.history_len() > before, "{case}");
+                    }
+                    if fate.foreign {
+                        self.foreign_fill();
+                    }
+                    self.core.step(Input::Dropped(ConnError::Disconnected))
+                }
+                Step::Send(_) if overload && resumed => {
+                    overload = false;
+                    let reply = frame(Reply::Overloaded(1, TraceId::NONE));
+                    self.core.step(Input::Frame(&reply))
+                }
+                Step::Send(sent) => {
+                    let reply = serve(&mut self.backend, WorkerId(1), &sent);
+                    self.core.step(Input::Frame(&reply))
+                }
+                Step::Redial { resume, .. } => {
+                    resumed = true;
+                    let reply = serve(&mut self.backend, WorkerId(1), &resume);
+                    self.core.step(Input::Frame(&reply))
+                }
+                Step::Wait(_) => self.core.step(Input::Fired),
+                Step::Await => panic!("{case}: nothing left to wait for"),
+                Step::Done(outcome) => return outcome.unwrap(),
+            };
+        }
     }
 
-    fn acked(&mut self, pending: &Request) {
-        let event = self.exchange(pending);
+    fn acked(&mut self, pending: Request) {
+        let event = self.drive(pending, Fate::default());
         assert!(matches!(event, Event::Ack(_)), "{event:?}");
     }
 
@@ -246,7 +302,7 @@ impl Table {
             .core
             .fill(row, ColumnId(column), Value::text(value), false);
         for pending in fill.unwrap() {
-            self.acked(&pending);
+            self.acked(pending);
         }
         let rows = self.core.view().replica().table().row_ids();
         rows.filter(|r| r.client == ClientId(1)).max().unwrap()
@@ -264,77 +320,70 @@ impl Table {
         }
     }
 
-    /// Plays `requests` in order, cutting the connection at request `cut`:
-    /// before it is sent (`applied: false`) or after the server applied it
-    /// and before its ack arrived. Then resume, settle, finish, sync.
-    fn run(mut self, requests: Vec<Request>, cut: usize, applied: bool, foreign: bool) {
-        let case = format!("cut at {cut}, applied {applied}, foreign {foreign}");
-        for (k, pending) in requests.iter().enumerate() {
-            if k != cut {
-                self.acked(pending);
-                continue;
-            }
-            let before = self.backend.history_len();
-            if applied {
-                // The ack is computed, and lost with the connection.
-                serve(&mut self.backend, WorkerId(1), pending);
-                assert!(self.backend.history_len() > before, "{case}");
-            }
-            if foreign {
-                self.foreign_fill();
-            }
-            let resume = self.core.resume_request();
-            let reply = serve(&mut self.backend, WorkerId(1), &resume);
-            match self.core.settle_resume(Some(pending), &reply).unwrap() {
-                Settled::Recovered => assert!(applied, "{case}: recovered an unsent op"),
-                Settled::Resubmit(request) => {
-                    assert!(!applied, "{case}: resubmitting an applied op");
-                    let event = self.exchange(&request);
-                    assert!(matches!(event, Event::Ack(_)), "{case}: {event:?}");
-                }
-                Settled::Redial => panic!("{case}: a resumed reply was not taken"),
+    /// Plays `requests` in order, the link cut at request `cut` as `fate`
+    /// says, then syncs.
+    fn run(mut self, requests: Vec<Request>, cut: usize, fate: Fate) {
+        let backoffs = self.core.counts().overload_backoffs;
+        for (k, pending) in requests.into_iter().enumerate() {
+            let fate = Fate {
+                cut: k == cut,
+                ..fate
+            };
+            match self.drive(pending, fate) {
+                // Recovered exactly when the server had applied it.
+                Event::Ack(ack) => assert_eq!(ack.recovered, fate.cut && fate.applied, "{fate:?}"),
+                other => panic!("{fate:?}: {other:?}"),
             }
         }
+        let resubmitted_overloaded = fate.overloaded && !fate.applied;
+        let backoffs = self.core.counts().overload_backoffs - backoffs;
+        assert_eq!(backoffs, u64::from(resubmitted_overloaded), "{fate:?}");
         let sync = self.core.sync_request(false);
-        assert!(matches!(self.exchange(&sync), Event::Synced), "{case}");
-        assert_eq!(self.core.local_lag(), 0, "{case}");
+        assert!(matches!(self.drive(sync, Fate::default()), Event::Synced));
+        assert_eq!(self.core.local_lag(), 0, "{fate:?}");
         let replica = self.core.view().replica();
-        assert!(replica.same_state(self.backend.master()), "{case}");
+        assert!(replica.same_state(self.backend.master()), "{fate:?}");
     }
 }
 
 /// What `faults.rs` samples by seed, exhaustively: for a fill that
 /// completes a row (a `replace`, then the automatic upvote) and for a
 /// `modify` bundle, the connection is cut before each request is sent and
-/// after each is applied — between the fill's two frames included. After
-/// the resume, `settle_resume` says `Recovered` exactly when the server
-/// had applied the request, a resubmission is acked (the upvote still as
-/// the automatic one), and the replica ends equal to the master.
+/// after each is applied — between the fill's two frames included. The
+/// core's steps redial and resume: the request is acked as recovered
+/// exactly when the server had applied it, a resubmission is acked (the
+/// upvote still as the automatic one) — after one `overloaded` answer and
+/// the backoff it is retried after, too — and the replica ends equal to
+/// the master.
 #[test]
 fn every_cut_point_of_a_completing_fill_and_of_a_modify_settles() {
-    for foreign in [false, true] {
-        for applied in [false, true] {
-            for cut in 0..2 {
-                let mut table = Table::new();
-                let partial = table.fill(cc_row(0), 0, "Messi");
-                let core = &mut table.core;
-                let fill = core.fill(partial, ColumnId(1), Value::text("Argentina"), false);
-                let fill = fill.unwrap();
-                assert_eq!(fill.len(), 2, "the replace and the automatic upvote");
-                table.run(fill, cut, applied, foreign);
-            }
+    for (foreign, applied, overloaded) in (0..8).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0)) {
+        let fate = Fate {
+            cut: true,
+            applied,
+            foreign,
+            overloaded,
+        };
+        for cut in 0..2 {
             let mut table = Table::new();
             let partial = table.fill(cc_row(0), 0, "Messi");
-            let complete = table.fill(partial, 1, "Argentina");
-            let modify = table
-                .core
-                .modify(complete, ColumnId(1), Value::text("Spain"));
-            let modify = modify.unwrap();
-            let Request::Modify(bundle, _) = &modify else {
-                panic!("not a modify: {modify:?}");
-            };
-            assert_eq!(bundle.len(), 5, "downvote, insert, two fills, upvote");
-            table.run(vec![modify], 0, applied, foreign);
+            let core = &mut table.core;
+            let fill = core.fill(partial, ColumnId(1), Value::text("Argentina"), false);
+            let fill = fill.unwrap();
+            assert_eq!(fill.len(), 2, "the replace and the automatic upvote");
+            table.run(fill, cut, fate);
         }
+        let mut table = Table::new();
+        let partial = table.fill(cc_row(0), 0, "Messi");
+        let complete = table.fill(partial, 1, "Argentina");
+        let modify = table
+            .core
+            .modify(complete, ColumnId(1), Value::text("Spain"));
+        let modify = modify.unwrap();
+        let Request::Modify(bundle, _) = &modify else {
+            panic!("not a modify: {modify:?}");
+        };
+        assert_eq!(bundle.len(), 5, "downvote, insert, two fills, upvote");
+        table.run(vec![modify], 0, fate);
     }
 }
