@@ -275,6 +275,16 @@ if nontest crates/bench/src/overload.rs \
   echo "check.sh: the overload harness drives workers of its own; replay the plan on connscale's driver" >&2
   exit 1
 fi
+# One recovery policy (DESIGN.md §7): what to do after an `overloaded`, a
+# `reject`, a dropped link or a `resumed` reply is `ClientCore::step`'s
+# (`server/src/client_core.rs`), and its shells — `RemoteWorker` and the
+# poller driver — only move bytes and wait, so their code (comments may)
+# names none of the core's recovery internals.
+if nontest crates/server/src/client.rs crates/bench/src/connscale.rs | grep -v '^[^:]*: *//' \
+  | grep "settle_resume\|Settled\|overload_backoff\b\|roll_back\|\.backoff("; then
+  echo "check.sh: a client shell decides a retry, redial or resume; feed ClientCore::step and do the step it returns" >&2
+  exit 1
+fi
 
 cargo build --release
 cargo test -q --workspace
