@@ -2,7 +2,7 @@
 //! that the system "recommend certain cells to individual workers... making
 //! the whole data collection process more efficient"; the deployed system
 //! only randomized row order. We implemented the recommender
-//! (`crowdfill-server/src/recommend.rs`); this ablation measures its effect:
+//! (`crowdfill-sim/src/recommend.rs`); this ablation measures its effect:
 //! the same worker population collects the same table with recommendations
 //! on vs off, over several seeds.
 //!

@@ -16,6 +16,7 @@
 //! (checksummed TCP, in-order channels).
 
 use crate::conn::{ConnError, FrameConn};
+use crowdfill_obs::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -97,13 +98,6 @@ impl FaultConfig {
             ..self.clone()
         }
     }
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The seeded decision stream.

@@ -33,6 +33,7 @@
 //! a pure function of the id, so every process that sees the id agrees.
 
 use crate::metrics::HistogramSnapshot;
+use crate::splitmix64;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write as _;
@@ -48,14 +49,6 @@ pub struct TraceId(pub u64);
 /// Identifies one stage-scoped span within a trace (0 = none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
-
-/// The workspace's usual splitmix64 mix.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn nonzero(x: u64) -> u64 {
     if x == 0 {

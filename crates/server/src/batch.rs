@@ -36,7 +36,7 @@
 //! [`submit`]: BatchPipeline::submit
 
 use crate::backend::{Backend, BatchJob, BatchOp, SubmitError, SubmitReport};
-use crate::overload::{OverloadOptions, Priority};
+use crate::overload::OverloadOptions;
 use crowdfill_obs::trace::{self as obstrace, SpanId, Stage, TraceId};
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
@@ -75,7 +75,9 @@ pub struct Submission {
     pub ticket: u64,
     pub worker: WorkerId,
     pub op: BatchOp,
-    pub priority: Priority,
+    /// Marked speculative by the client: admitted only below
+    /// [`OverloadOptions::spec_queue`].
+    pub speculative: bool,
     /// Stamps `enqueue` + `admit` (or `reject`), `batch_form` (or `shed`)
     /// under the op's root span; [`TraceId::NONE`] stamps nothing.
     pub trace: TraceId,
@@ -156,7 +158,7 @@ impl BatchPipeline {
             ticket: DIRECT,
             worker,
             op,
-            priority: Priority::Normal,
+            speculative: false,
             trace: TraceId::NONE,
         };
         self.admit(job, now)?;
@@ -174,7 +176,7 @@ impl BatchPipeline {
     /// The admission decision, at clock reading `at`.
     ///
     /// Speculative jobs are admitted only while queue depth is below
-    /// [`OverloadOptions::spec_queue`]; every class is rejected once the
+    /// [`OverloadOptions::spec_queue`]; every job is rejected once the
     /// queue holds [`OverloadOptions::max_queue`]. A rejection never
     /// reaches the backend: the op was not applied, not journaled, and not
     /// acked.
@@ -184,7 +186,7 @@ impl BatchPipeline {
         let depth = queue.len();
         obstrace::stamp(trace, Stage::Enqueue, root, 0, depth as u64);
         let full = depth >= self.overload.max_queue.max(1);
-        let gated = job.priority == Priority::Speculative && depth >= self.overload.spec_queue;
+        let gated = job.speculative && depth >= self.overload.spec_queue;
         if full || gated {
             let retry_after_ms = self.overload.retry_after_ms(depth);
             obstrace::stamp(trace, Stage::Reject, root, 0, retry_after_ms);

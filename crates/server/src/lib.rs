@@ -2,9 +2,10 @@
 //!
 //! The CrowdFill system around the formal model (paper §3): the back-end
 //! server with its vote policy, Central Client, trace, and estimator; the
-//! front-end server persisting task specifications and results; a simulated
-//! crowdsourcing marketplace; the programmatic worker client; and the
-//! framed-TCP deployment.
+//! front-end server persisting task specifications and results; the
+//! programmatic worker client; and the framed-TCP deployment. What only a
+//! simulation runs — the marketplace and §8's cell recommendation — is
+//! `crowdfill-sim`'s.
 //!
 //! * [`Backend`] — master table, sessions, §3.4 vote policy, broadcast,
 //!   PRI maintenance, estimation, settlement;
@@ -12,8 +13,6 @@
 //!   fill/upvote/downvote, auto-upvote on completion, shuffled presentation;
 //! * [`Frontend`] — task CRUD + lifecycle + result retrieval over the
 //!   document store (§3.2);
-//! * [`Marketplace`] — simulated Mechanical Turk (sandbox) integration
-//!   (§3.1);
 //! * [`TcpService`] / [`RemoteWorker`] — the networked deployment (§3.3):
 //!   service in [`tcp_service`] over [`reactor`] (its rules are a sans-IO
 //!   core, `shard.rs`), client in [`client`].
@@ -27,12 +26,10 @@ pub mod client_core;
 pub mod config;
 pub mod frontend;
 pub mod health;
-pub mod marketplace;
 pub mod overload;
 pub mod persist;
 pub mod progress;
 pub mod reactor;
-pub mod recommend;
 pub(crate) mod shard;
 pub mod tcp_service;
 pub mod wire;
@@ -50,10 +47,7 @@ pub use health::{
     collect, CollectionHealth, ColumnHealth, DurabilityHealth, HealthReport, SloHealth,
     WorkerHealth,
 };
-pub use marketplace::{
-    Assignment, AssignmentId, Hit, HitId, MarketError, Marketplace, RepriceRecommendation,
-};
-pub use overload::{OverloadOptions, Priority};
+pub use overload::OverloadOptions;
 pub use persist::{
     open_or_recover, open_or_recover_on, BackendState, DurabilityOptions, JournalEntry,
     JournalFrame, JournalRecord, SessionState,
@@ -62,7 +56,6 @@ pub use progress::{
     ColumnProgress, ProgressReport, ProgressTracker, StopAction, StopDecision, StoppingPolicy,
     DEFAULT_TARGET,
 };
-pub use recommend::{Recommendation, RecommendationKind};
 pub use tcp_service::{
     exposition, Collection, DurabilitySweepOptions, ServiceMetrics, ServiceOptions, TcpService,
     DEFAULT_COLLECTION,

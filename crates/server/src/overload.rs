@@ -1,5 +1,4 @@
-//! Overload-protection policy: admission classes and the knobs shared by
-//! the batch pipeline (admission control + load shedding) and the TCP
+//! Overload-protection policy: the knobs shared by the batch pipeline (admission control + load shedding) and the TCP
 //! service (slow-client eviction).
 //!
 //! The model (DESIGN.md §9) in one paragraph: the server admits what it
@@ -25,24 +24,6 @@
 
 use std::time::Duration;
 
-/// Admission class of a piece of inbound traffic, highest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Session recovery, read-only catch-up and reports
-    /// (`resume`/`sync`/`stats`/`health`). Answered on the spot, outside
-    /// the pipeline queue: never admission-rejected, never shed.
-    /// Overloaded clients must always be able to heal.
-    Control,
-    /// Ordinary submissions (fills, votes, modifies). Admitted while the
-    /// pipeline queue has room.
-    Normal,
-    /// Fills the client marked speculative (prefetch/low-stakes work).
-    /// Admitted only while queue depth is below
-    /// [`OverloadOptions::spec_queue`], so they are the first traffic to
-    /// be turned away as load rises.
-    Speculative,
-}
-
 /// Knobs for admission control, load shedding, and slow-client eviction.
 ///
 /// The defaults are sized for the fault/bench harnesses (hundreds of
@@ -54,8 +35,10 @@ pub struct OverloadOptions {
     /// `max_queue` jobs are already waiting is rejected with
     /// `Overloaded` instead of growing memory.
     pub max_queue: usize,
-    /// Admission bound for [`Priority::Speculative`] traffic: speculative
-    /// fills are rejected once queue depth reaches this (≤ `max_queue`).
+    /// Admission bound for fills the client marked speculative
+    /// (prefetch/low-stakes work): they are rejected once queue depth
+    /// reaches this (≤ `max_queue`), so they are the first traffic turned
+    /// away as load rises.
     pub spec_queue: usize,
     /// Queue-wait budget. A job that has waited longer than
     /// `shed_after` + the batch fill window (`BatchOptions::max_wait`)
@@ -126,11 +109,5 @@ mod tests {
             ..OverloadOptions::default()
         };
         assert_eq!(opts.retry_after_ms(0), 1);
-    }
-
-    #[test]
-    fn priority_order_matches_doc() {
-        assert!(Priority::Control < Priority::Normal);
-        assert!(Priority::Normal < Priority::Speculative);
     }
 }

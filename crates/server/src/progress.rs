@@ -34,8 +34,9 @@
 //! (`cost_per_fill / marginal_new_rate`) exceeds a configured ceiling.
 //! The action is [`Close`](StopAction::Close) (journal the PR 9 closed
 //! marker via [`Backend::close`]), [`Reprice`](StopAction::Reprice)
-//! (recommend a new reward through
-//! [`Marketplace::recommend_reprice`](crate::marketplace::Marketplace::recommend_reprice)),
+//! (recommend a new reward, which the simulated marketplace's
+//! `Marketplace::recommend_reprice` in `crowdfill-sim` turns into per-HIT
+//! proposals),
 //! or [`Alert`](StopAction::Alert) (log only). The progress tick in
 //! `tcp_service` evaluates the policy; it runs only when one is set.
 //!

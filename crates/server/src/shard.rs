@@ -50,7 +50,6 @@
 use crate::backend::{Backend, BatchOp, SubmitError, SubmitReport};
 use crate::batch::{BatchPipeline, Submission};
 use crate::health::SloHealth;
-use crate::overload::Priority;
 use crate::progress::{ProgressReport, ProgressTracker, StopAction, StoppingPolicy};
 use crate::tcp_service::{Collection, DurabilitySweepOptions, ServiceShared};
 use crate::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg};
@@ -61,7 +60,7 @@ use crowdfill_obs::SpanTimer;
 use crowdfill_pay::{Millis, WorkerId};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,8 +136,8 @@ struct Owned {
     collection: Arc<Collection>,
     pipeline: BatchPipeline,
     /// The attached sessions' connections, by worker: whom a batch's
-    /// broadcasts go to.
-    sessions: HashMap<WorkerId, u64>,
+    /// broadcasts go to, in worker order.
+    sessions: BTreeMap<WorkerId, u64>,
     /// Fairness: the wake this was last refilled for, and frames left.
     budget: (u64, usize),
     /// On the shard's list of collections to apply on this wake.
@@ -301,7 +300,9 @@ pub(crate) struct ShardCore {
     /// Slots of the collections to apply on this sweep (each at most once,
     /// see `Owned::dirty`).
     dirty: Vec<usize>,
-    conns: HashMap<u64, Conn>,
+    /// By token: what visits every connection does so in token order, so
+    /// one input sequence yields one effect order.
+    conns: BTreeMap<u64, Conn>,
     /// Sweeps so far: what the fairness budgets are refilled by.
     wake_no: u64,
     /// Connections to visit on the coming sweep (each at most once, see
@@ -341,7 +342,7 @@ impl ShardCore {
         let owned = owned.into_iter().map(|(collection, pipeline)| Owned {
             collection,
             pipeline,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             budget: (0, COLLECTION_FRAMES_PER_WAKE),
             dirty: false,
             armed: None,
@@ -353,7 +354,7 @@ impl ShardCore {
             shared,
             owned: owned.collect(),
             dirty: Vec::new(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             wake_no: 0,
             run: Vec::new(),
             timers,
@@ -400,7 +401,7 @@ impl ShardCore {
             Event::Sweep => self.sweep(now, fx),
             Event::Stop => {
                 self.shared.metrics.conns.add(-(self.conns.len() as i64));
-                for (token, conn) in self.conns.drain() {
+                for (token, conn) in std::mem::take(&mut self.conns) {
                     retire(token, &conn, &self.shared, &mut self.owned);
                     fx.push_back(Effect::Close(token));
                 }
@@ -894,12 +895,12 @@ fn serve_request(
     // admission refuses it the reply is written now; otherwise the
     // connection waits for pass 2 of this sweep (or of the one that ends
     // the batch's fill window).
-    let mut submit = |op, priority, trace| {
+    let mut submit = |op, speculative, trace| {
         let job = Submission {
             ticket: token,
             worker: session.worker,
             op,
-            priority,
+            speculative,
             trace,
         };
         match owned[slot].pipeline.admit(job, now) {
@@ -917,15 +918,11 @@ fn serve_request(
     match request {
         Request::Submit((msg, auto_upvote), speculative, trace) => {
             metrics.submit_requests.inc();
-            let priority = match speculative {
-                true => Priority::Speculative,
-                false => Priority::Normal,
-            };
-            submit(BatchOp::Msg { msg, auto_upvote }, priority, trace);
+            submit(BatchOp::Msg { msg, auto_upvote }, speculative, trace);
         }
         Request::Modify(bundle, trace) => {
             metrics.modify_requests.inc();
-            submit(BatchOp::Modify { bundle }, Priority::Normal, trace);
+            submit(BatchOp::Modify { bundle }, false, trace);
         }
         Request::Sync(_) | Request::Resync => {
             metrics.sync_requests.inc();
@@ -1175,7 +1172,7 @@ fn result_frame(result: Result<SubmitReport, SubmitError>, trace: TraceId) -> Re
 /// handed yet, cursors moved past it. Called under the lock acquisition
 /// that applied the batch, so the seq → trace attribution (when tracing)
 /// sees the history the polls did. Sessions owed nothing are left out.
-fn poll_broadcasts(b: &mut Backend, sessions: &HashMap<WorkerId, u64>) -> Vec<(u64, Vec<SeqMsg>)> {
+fn poll_broadcasts(b: &mut Backend, sessions: &BTreeMap<WorkerId, u64>) -> Vec<(u64, Vec<SeqMsg>)> {
     let traced = obstrace::enabled();
     let mut polled = Vec::new();
     for (&worker, &token) in sessions {
@@ -1294,6 +1291,7 @@ mod tests {
     use super::*;
     use crate::{ClientCore, OverloadOptions, ServiceOptions, TaskConfig};
     use crowdfill_model::{Column, ColumnId, DataType, QuorumMajority, Schema, Template, Value};
+    use std::collections::HashMap;
     use std::io::Write;
 
     fn config(rows: usize) -> TaskConfig {
@@ -1731,6 +1729,35 @@ mod tests {
         }
         let seen = rig.replies(observer);
         assert!(matches!(seen[..], [Reply::Batch(_)]), "{seen:?}");
+    }
+
+    /// One input sequence, one effect order: two fresh cores fed the same
+    /// script — ten sessions, a batch whose broadcasts reach every one of
+    /// them, a `CloseAll`, eight more sessions, a `Stop` — ask for the
+    /// same effects in the same order and write the same bytes. (With a
+    /// randomly keyed hasher behind either map, each core would visit
+    /// its connections in an order of its own.)
+    #[test]
+    fn one_script_gives_one_effect_order() {
+        let play = || {
+            let mut rig = Rig::new(ServiceOptions::default());
+            let mut clients: Vec<_> = (0..10).map(|_| rig.session("default")).collect();
+            for (token, client) in clients.iter_mut().take(3) {
+                let request = fill(client, &format!("player-{token}"));
+                rig.request(*token, &request);
+            }
+            let mut log = rig.sweep();
+            log.extend(rig.on(Event::CloseAll));
+            log.extend(rig.sweep());
+            let later: Vec<u64> = (0..8).map(|_| rig.session("default").0).collect();
+            log.extend(rig.on(Event::Stop));
+            let tokens = clients.iter().map(|(token, _)| *token).chain(later);
+            let frames: Vec<Vec<Vec<u8>>> = tokens.map(|t| rig.peer_frames(t)).collect();
+            (log, frames)
+        };
+        let (log, frames) = play();
+        assert!(log.iter().filter(|fx| matches!(fx, Fx::Close(_))).count() == 18);
+        assert_eq!((log, frames), play());
     }
 
     /// A handshake naming a collection another shard owns leaves the

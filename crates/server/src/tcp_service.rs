@@ -627,11 +627,6 @@ impl TcpService {
         self.shared.collections.get(collection).map(|c| c.backend())
     }
 
-    /// The names of every hosted collection (unordered).
-    pub fn collection_names(&self) -> Vec<String> {
-        self.shared.collections.keys().cloned().collect()
-    }
-
     /// Stops the service. When this returns (dropping the service does
     /// the same) no thread the service started is alive — they are the
     /// shards, joined here — the port is closed, and the caller's

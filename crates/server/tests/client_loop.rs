@@ -2,7 +2,8 @@
 //! is dialed onto one end of an in-process `LocalConn` pair; the test holds
 //! the other end and queues the server's half of the conversation *before*
 //! the client speaks (the pair is an unbounded queue each way), so every
-//! case is one thread, no socket and no clock.
+//! case is one thread and no socket. Only the first-connect backoff case
+//! reads a clock, for a lower bound a sleep cannot undercut.
 
 use crowdfill_docstore::Json;
 use crowdfill_model::{
@@ -15,8 +16,8 @@ use crowdfill_pay::WorkerId;
 use crowdfill_server::wire::{self, CatchUp, Cursor, Image, Reply, Request, SeqMsg, TableImage};
 use crowdfill_server::{Backend, Dialer, ReconnectPolicy, RemoteError, RemoteWorker, TaskConfig};
 use crowdfill_sync::Replica;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn schema() -> Arc<Schema> {
     let columns = vec![
@@ -262,5 +263,40 @@ fn a_welcome_without_history_len_is_a_protocol_error() {
         Err(RemoteError::Protocol(what)) => assert!(what.contains("history_len"), "{what}"),
         Err(other) => panic!("expected a protocol error, got {other:?}"),
         Ok(_) => panic!("joined on a welcome with no watermark"),
+    }
+}
+
+/// The first connect backs off between refused dials as a redial does:
+/// each gap between dials is at least the policy's smallest jittered wait,
+/// half of `base_delay`.
+#[test]
+fn refused_first_dials_are_spaced_by_the_redial_backoff() {
+    let (near, far) = LocalConn::pair();
+    far.send(&welcome()).unwrap();
+    let mut near = Some(near);
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&calls);
+    let dialer: Dialer = Box::new(move |attempt| {
+        seen.lock().unwrap().push(Instant::now());
+        if attempt < 3 {
+            return Err(ConnError::Disconnected);
+        }
+        let conn = near.take().ok_or(ConnError::Disconnected)?;
+        Ok(Box::new(conn) as Box<dyn FrameConn>)
+    });
+    let policy = ReconnectPolicy {
+        max_attempts: 4,
+        base_delay: Duration::from_millis(20),
+        max_delay: Duration::from_millis(80),
+        ack_timeout: Duration::from_millis(200),
+        jitter_seed: 0,
+    };
+    let smallest = policy.base_delay / 2;
+    RemoteWorker::connect_with(dialer, policy).unwrap();
+    let calls = calls.lock().unwrap();
+    assert_eq!(calls.len(), 4, "three refusals, then the welcome");
+    for (k, pair) in calls.windows(2).enumerate() {
+        let gap = pair[1] - pair[0];
+        assert!(gap >= smallest, "dial {} followed {k} after {gap:?}", k + 1);
     }
 }

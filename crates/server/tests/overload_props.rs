@@ -24,8 +24,8 @@ use crowdfill_pay::{Millis, WorkerId};
 use crowdfill_server::client_core::Event;
 use crowdfill_server::wire::Request;
 use crowdfill_server::{
-    Backend, BatchOp, BatchOptions, BatchPipeline, ClientCore, OverloadOptions, Priority,
-    ServiceOptions, Submission, SubmitError, TaskConfig, TcpService, WorkerClient,
+    Backend, BatchOp, BatchOptions, BatchPipeline, ClientCore, OverloadOptions, ServiceOptions,
+    Submission, SubmitError, TaskConfig, TcpService, WorkerClient,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -163,16 +163,16 @@ impl<'a> Crowd<'a> {
         }
     }
 
-    /// Worker `k` offers its next op at `at`, in class `priority`. One
+    /// Worker `k` offers its next op at `at`, `speculative` or not. One
     /// refused at the door is answered on the spot, and the worker moves on
     /// to the op after it.
-    fn offer(&mut self, k: usize, priority: Priority, at: Instant) {
+    fn offer(&mut self, k: usize, speculative: bool, at: Instant) {
         while let Some((tag, op)) = self.loads[k].ops.get(self.next[k]) {
             let job = Submission {
                 ticket: k as u64,
                 worker: self.loads[k].worker,
                 op: op.clone(),
-                priority,
+                speculative,
                 trace: TraceId::NONE,
             };
             match self.p.admit(job, at) {
@@ -195,7 +195,7 @@ impl<'a> Crowd<'a> {
                 let (tag, _) = &self.loads[k].ops[self.next[k]];
                 self.outcomes.push((tag.clone(), answer.result.map(|_| ())));
                 self.next[k] += 1;
-                self.offer(k, Priority::Normal, now);
+                self.offer(k, false, now);
             }
         }
     }
@@ -287,11 +287,11 @@ fn shed_strictly_before_ack() {
         let mut crowd = Crowd::new(&p, &backend, &loads);
         let (stalled, flowing): (Vec<_>, Vec<_>) = arrivals.into_iter().partition(|a| a.0 <= hold);
         for (at, k) in stalled {
-            crowd.offer(k, Priority::Normal, start + at);
+            crowd.offer(k, false, start + at);
         }
         crowd.drain(start + hold);
         for (at, k) in flowing {
-            crowd.offer(k, Priority::Normal, start + at);
+            crowd.offer(k, false, start + at);
             crowd.drain(start + at);
         }
 
@@ -345,7 +345,7 @@ fn admission_is_bounded_while_stalled() {
             ticket: k as u64,
             worker: load.worker,
             op,
-            priority: Priority::Normal,
+            speculative: false,
             trace: TraceId::NONE,
         };
         verdicts.push((tag.expect("first op is a fill"), p.admit(job, start)));
@@ -384,7 +384,7 @@ fn admission_is_bounded_while_stalled() {
 }
 
 /// Speculative ops are refused as soon as the queue shows any depth at or
-/// past `spec_queue`, while the same op submitted as `Normal` is admitted;
+/// past `spec_queue`, while the same op submitted unmarked is admitted;
 /// on an idle pipeline speculative ops go through like any other.
 #[test]
 fn speculative_gate_closes_first() {
@@ -418,27 +418,27 @@ fn speculative_gate_closes_first() {
     let mut crowd = Crowd::new(&p, &backend, &firsts);
 
     // Idle pipeline: a speculative op is admitted and applied.
-    crowd.offer(0, Priority::Speculative, now);
+    crowd.offer(0, true, now);
     crowd.drain(now);
     assert!(matches!(crowd.outcomes[..], [(_, Ok(()))]));
     assert!(master_contains(&backend.lock(), &tag(0)));
 
     // Visible depth: the gate is closed for speculative traffic...
-    crowd.offer(1, Priority::Normal, now);
-    crowd.offer(2, Priority::Normal, now);
+    crowd.offer(1, false, now);
+    crowd.offer(2, false, now);
     assert_eq!(p.queue_depth(), 2);
-    crowd.offer(3, Priority::Speculative, now);
+    crowd.offer(3, true, now);
     match crowd.outcomes.last() {
         Some((_, Err(SubmitError::Overloaded { retry_after_ms }))) => assert!(*retry_after_ms >= 1),
         other => panic!("speculative admitted at depth >= spec_queue: {other:?}"),
     }
     assert_eq!(p.queue_depth(), 2);
 
-    // ...but still open for normal traffic: the same op as Normal is
+    // ...but still open for normal traffic: the same op, unmarked, is
     // admitted (the queue has room) and lands, proving the refusal above
     // was the gate, not the op.
     crowd.next[3] = 0;
-    crowd.offer(3, Priority::Normal, now);
+    crowd.offer(3, false, now);
     assert_eq!(p.queue_depth(), 3);
     crowd.drain(now + Duration::from_millis(1));
     assert_eq!(crowd.outcomes.len(), 5);

@@ -223,7 +223,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
         match kind {
             EventKind::Think => {
                 let decision = if worker.profile.follow_recommendations {
-                    let recs = backend.recommend(worker.worker_id(), 8);
+                    let recs = crate::recommend(&backend, worker.worker_id(), 8);
                     worker.decide_with_recommendations(&cfg.universe, &*cfg.scoring, &recs)
                 } else {
                     worker.decide(&cfg.universe, &*cfg.scoring)

@@ -18,13 +18,7 @@
 //!   (a fault is reported or survived, never silently corrupting).
 
 use crowdfill_docstore::FaultPlan;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crowdfill_obs::splitmix64;
 
 /// Deterministic generator of [`FaultPlan`] schedules.
 #[derive(Debug, Clone, Copy)]

@@ -23,6 +23,8 @@
 //!   offset, after which every client reconnects and resumes at once;
 //! * [`conn_scale`] — thousands of light sessions over many collections.
 
+use crowdfill_obs::splitmix64;
+
 /// One scheduled fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
@@ -76,13 +78,6 @@ impl Plan {
     pub fn total_fills(&self) -> usize {
         self.sessions.iter().map(|s| s.fills.len()).sum()
     }
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Tiny deterministic generator (the workspace's usual splitmix64 walk).

@@ -201,7 +201,7 @@ impl SimWorker {
         &mut self,
         universe: &GroundTruth,
         scoring: &dyn Scoring,
-        recommendations: &[crowdfill_server::Recommendation],
+        recommendations: &[crate::Recommendation],
     ) -> Option<(PlannedAction, f64)> {
         // Respect the worker's own appetite for voting: recommendations
         // guide *which* row to act on, not *whether* to vote.
@@ -210,7 +210,7 @@ impl SimWorker {
             .gen_bool(self.profile.vote_propensity.clamp(0.0, 1.0));
         for pass in 0..2 {
             for rec in recommendations {
-                use crowdfill_server::RecommendationKind::*;
+                use crate::RecommendationKind::*;
                 match rec.kind {
                     VoteOnRow if pass == (!vote_now) as usize => {
                         if let Some(action) = self.plan_vote_for_row(rec.row, universe, scoring) {

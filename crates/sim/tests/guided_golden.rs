@@ -1,6 +1,6 @@
 //! Golden runs of recommendation-guided workers (paper §8).
 //!
-//! A guided worker acts on `Backend::recommend`, which reads the probable-row
+//! A guided worker acts on `crowdfill_sim::recommend`, which reads the probable-row
 //! classification, so a run's whole trace is a function of every
 //! recommendation it was handed. Each case pins an FNV-1a hash of a seeded
 //! `crowdfill_sim::run` whose workers all follow recommendations: the trace

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example corrections`
 
 use crowdfill::prelude::*;
-use crowdfill::server::RecommendationKind;
+use crowdfill::sim::{recommend, RecommendationKind};
 use std::sync::Arc;
 
 fn show(table: &CandidateTable, schema: &Schema) {
@@ -71,7 +71,7 @@ fn main() {
     for msg in backend.poll(w2) {
         bob.absorb(&msg);
     }
-    let recs = backend.recommend(w2, 3);
+    let recs = recommend(&backend, w2, 3);
     println!("\nRecommendations for Bob:");
     for r in &recs {
         println!("  {:?} on {}", r.kind, r.row);

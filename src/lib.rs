@@ -23,8 +23,8 @@
 //! | [`pay`] | §5 | traces, contribution analysis, allocation schemes, estimation |
 //! | [`docstore`] | §3.2 | from-scratch document DB (MongoDB substitute) |
 //! | [`net`] | §3.3 | framed TCP / in-process transports (Socket.IO substitute) |
-//! | [`server`] | §3 | back-end, front-end, marketplace, worker client, TCP service |
-//! | [`sim`] | §6 | crowd simulator, datasets, experiment runner |
+//! | [`server`] | §3 | back-end, front-end, worker client, TCP service |
+//! | [`sim`] | §3.1, §6, §8 | crowd simulator, datasets, experiment runner, marketplace, recommendation |
 //! | [`obs`] | — | structured logging, metric instruments, span timing |
 //!
 //! ## Quickstart
@@ -109,11 +109,11 @@ pub mod prelude {
         Scheme, SplitConfig, Trace, WorkerId,
     };
     pub use crowdfill_server::{
-        Backend, Frontend, Marketplace, RemoteWorker, TaskConfig, TcpService, WorkerClient,
+        Backend, Frontend, RemoteWorker, TaskConfig, TcpService, WorkerClient,
     };
     pub use crowdfill_sim::{
         paper_setup, paper_worker_profiles, run as run_simulation, soccer_universe, GroundTruth,
-        SimConfig, WorkerProfile,
+        Marketplace, SimConfig, WorkerProfile,
     };
     pub use crowdfill_sync::Replica;
 }
